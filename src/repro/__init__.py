@@ -50,6 +50,7 @@ from repro.errors import (
     PersistenceError,
     ReproError,
     SchemaError,
+    StructureError,
     TransactionError,
     UpdateError,
 )
@@ -98,7 +99,6 @@ from repro.fdb import (
     iter_chains,
     truth_of,
 )
-from repro.lang import Interpreter
 from repro.obs import OBS, Instrumentation
 
 __version__ = "1.0.0"
@@ -115,6 +115,7 @@ __all__ = [
     "ConstraintViolation",
     "TransactionError",
     "PersistenceError",
+    "StructureError",
     "ParseError",
     # core
     "Multiplicity",
@@ -165,3 +166,14 @@ __all__ = [
     "OBS",
     "Instrumentation",
 ]
+
+
+def __getattr__(name: str):
+    # repro.lang is the surface language; only the REPL and scripts
+    # that ask for Interpreter need it, so it loads on first access
+    # (PEP 562) rather than on every ``import repro``.
+    if name == "Interpreter":
+        from repro.lang import Interpreter
+
+        return Interpreter
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,6 +23,7 @@ __all__ = [
     "NotADerivedFunctionError",
     "TransactionError",
     "PersistenceError",
+    "StructureError",
     "ParseError",
     "OperationCancelled",
     "DeadlineExceeded",
@@ -122,6 +123,12 @@ class TransactionError(ReproError):
 
 class PersistenceError(ReproError):
     """A snapshot could not be written or read back."""
+
+
+class StructureError(ReproError):
+    """The stored structure contradicts itself: an index or the NC/NCL
+    pairing disagrees with the facts (see
+    :meth:`repro.fdb.database.FunctionalDatabase.structure_fault`)."""
 
 
 class OperationCancelled(ReproError):

@@ -235,9 +235,10 @@ def substitute_null(db: FunctionalDatabase, null: NullValue,
             if existing is None:
                 table.add(Fact(new_x, new_y, fact.truth, set(fact.ncl)))
                 continue
-            existing.ncl |= fact.ncl
+            for index in sorted(fact.ncl):
+                table.ncl_add(existing, index)
             if fact.truth is Truth.TRUE or existing.truth is Truth.TRUE:
-                existing.truth = Truth.TRUE
+                table.set_truth(existing, Truth.TRUE)
                 to_dismantle |= existing.ncl
     db.ncs.rewrite_value(null, value)
     for index in sorted(to_dismantle):

@@ -37,6 +37,7 @@ from repro.core.schema import FunctionDef, Schema
 from repro.fdb.logic import Truth
 from repro.fdb.nc import NCRegistry
 from repro.fdb.table import FunctionTable
+from repro.fdb.undo import UndoLog
 from repro.fdb.values import NullFactory, Value
 
 __all__ = ["DerivedFunction", "FunctionalDatabase"]
@@ -100,17 +101,20 @@ class FunctionalDatabase:
         self.schema = Schema()
         self._tables: dict[str, FunctionTable] = {}
         self._derived: dict[str, DerivedFunction] = {}
-        self.nulls = NullFactory()
-        self.ncs = NCRegistry(self.table)
+        # The open transaction's undo records; every table, the NC
+        # registry and the null factory share it by reference.
+        self._undo = UndoLog()
+        self.nulls = NullFactory(log=self._undo)
+        self.ncs = NCRegistry(self.table, log=self._undo)
         # Bumped on every schema-shaping declaration so derived caches
         # (the service's cluster map, shard routing tables) can
         # invalidate on change instead of probing for staleness.
         self.schema_version = 0
-        # One open transaction per database: the snapshot/restore model
-        # covers the whole instance, so overlapping snapshots (from a
-        # second thread, or a nested ``with db.transaction():``) would
-        # silently clobber each other on rollback. Guarded state lives
-        # on the db so every Transaction object sees the same owner.
+        # One open transaction per database: there is one undo log, so
+        # a second writer's records (from another thread, or a nested
+        # ``with db.transaction():``) would interleave with the first's
+        # and be undone with them. Guarded state lives on the db so
+        # every Transaction object sees the same owner.
         self._txn_guard = threading.Lock()
         self._txn_owner: int | None = None
 
@@ -119,7 +123,7 @@ class FunctionalDatabase:
     def declare_base(self, function: FunctionDef) -> FunctionTable:
         """Add a base function with an empty stored table."""
         self.schema.add(function)
-        table = FunctionTable(function.name)
+        table = FunctionTable(function.name, self._undo)
         self._tables[function.name] = table
         self.schema_version += 1
         return table
@@ -336,6 +340,34 @@ class FunctionalDatabase:
             "ncs": len(self.ncs),
             "next_null_index": self.nulls.next_index,
         }
+
+    def structure_fault(self) -> str | None:
+        """The first contradiction in the stored structure, or None:
+        every table's indices against its facts
+        (:meth:`FunctionTable.fault`) and Section 4's NC <-> NCL
+        pairing in both directions — an NC's members are stored,
+        ambiguous and point back at it; a fact's NCL names only live
+        NCs that list the fact. O(instance)."""
+        for nc in self.ncs:
+            for ref in nc.members:
+                fact = self.table(ref.function).get(ref.x, ref.y)
+                if fact is None:
+                    return f"NC g{nc.index} references missing fact {ref}"
+                if nc.index not in fact.ncl:
+                    return f"fact {ref} lacks NCL entry g{nc.index}"
+                if fact.truth is not Truth.AMBIGUOUS:
+                    return f"NC member {ref} is not ambiguous"
+        for name, table in self._tables.items():
+            fault = table.fault()
+            if fault is not None:
+                return fault
+            for fact in table.facts():
+                for index in fact.ncl:
+                    if (index not in self.ncs or fact.ref(name)
+                            not in self.ncs.get(index).members):
+                        return (f"fact {fact.ref(name)} points to NC "
+                                f"g{index}, which does not list it")
+        return None
 
     def stats(self, *, wal=None) -> dict:
         """Instance counts merged with the process-wide observability

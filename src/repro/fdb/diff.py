@@ -3,25 +3,28 @@
 Updates on derived functions have deliberately indirect effects —
 flags flip, NCs appear, nulls materialize. A designer inspecting "what
 did that update actually do?" wants the delta, not two full table
-dumps. :func:`diff_snapshots` compares two persistence snapshots (the
-format the journal already stores), reporting:
+dumps. A :class:`StateDiff` reports:
 
 * facts added / removed, per function;
 * facts whose truth flag changed (T -> A or A -> T);
 * negated conjunctions created / dismantled.
 
-:meth:`repro.fdb.journal.Journal` exposes this as
-``change_of(index)`` / ``last_change()`` — and the surface language as
-the ``changes`` statement.
+:func:`diff_records` folds the undo records an update left behind
+(:mod:`repro.fdb.undo`) into that delta in O(changes) — it is what
+:meth:`repro.fdb.journal.Journal` exposes as ``change_of(index)`` /
+``last_change()``, and the surface language as the ``changes``
+statement. :func:`diff_snapshots` compares two full persistence
+snapshots, for states with no shared history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.fdb.persistence import _decode_value
 
-__all__ = ["StateDiff", "diff_snapshots"]
+__all__ = ["StateDiff", "diff_records", "diff_snapshots"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,52 @@ class StateDiff:
         for nc in self.ncs_dismantled:
             lines.append(f"- NC {nc}")
         return "\n".join(lines)
+
+
+def diff_records(records: Iterable[tuple],
+                 functions: Sequence[str]) -> StateDiff:
+    """The net effect of one update's undo records, listed the way
+    :func:`diff_snapshots` lists it: by ``functions`` (the database's
+    base functions in declaration order), then by row order."""
+    # (function, pair) -> [flag before, flag after, fact before, fact after]
+    # with None for "not stored"; NC index -> [NC before, NC after].
+    facts: dict[tuple[str, tuple], list] = {}
+    ncs: dict[int, list] = {}
+    for owner, op, *change in records:
+        if op == "fact":
+            fact, old, new = change
+            ends = facts.setdefault((owner.name, fact.pair),
+                                    [old, None, fact, None])
+            ends[1], ends[3] = new, fact
+        elif op == "nc":
+            index, old, new = change
+            ncs.setdefault(index, [old, None])[1] = new
+    rank = {name: position for position, name in enumerate(functions)}
+
+    def in_row_order(side: int) -> list:
+        """The facts stored before (0) / after (1), as that state's
+        tables list them: ``seq`` is a fact's rank in its table."""
+        stored = [(key, ends) for key, ends in facts.items()
+                  if ends[side] is not None]
+        stored.sort(key=lambda item: (rank[item[0][0]],
+                                      item[1][2 + side].seq))
+        return stored
+
+    before, after = in_row_order(0), in_row_order(1)
+    return StateDiff(
+        added=tuple((*key, new.flag) for key, (old, new, *_) in after
+                    if old is None),
+        removed=tuple((*key, old.flag) for key, (old, new, *_) in before
+                      if new is None),
+        flag_changes=tuple(
+            (*key, old.flag, new.flag) for key, (old, new, *_) in before
+            if new is not None and new is not old),
+        ncs_created=tuple(str(new) for _, (old, new) in sorted(ncs.items())
+                          if old is None and new is not None),
+        ncs_dismantled=tuple(
+            str(old) for _, (old, new) in sorted(ncs.items())
+            if old is not None and new is None),
+    )
 
 
 def _facts_of(snapshot: dict) -> dict[tuple[str, tuple], str]:

@@ -48,13 +48,17 @@ class Fact:
 
     Identity is by object (``eq=False``): the same pair may exist in
     different tables, and a fact's mutable state must not leak into
-    hashing. Lookups go through :class:`repro.fdb.table.FunctionTable`.
+    hashing. Lookups go through :class:`repro.fdb.table.FunctionTable`,
+    which also owns every change to ``truth`` and ``ncl`` (so the
+    change is recorded for rollback) and stamps ``seq``, the fact's
+    rank in its table's insertion order.
     """
 
     x: Value
     y: Value
     truth: Truth = Truth.TRUE
     ncl: set[int] = field(default_factory=set)
+    seq: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.truth is Truth.FALSE:

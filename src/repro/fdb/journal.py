@@ -5,58 +5,37 @@ updates"; a practical tool also needs to *revisit* that sequence — the
 design aid is interactive, and a designer who disagrees with an
 update's consequences (an unexpected NC, a surprising ambiguity) wants
 to step back. :class:`Journal` wraps a database and records every
-executed :class:`repro.fdb.updates.Update` together with the state
-snapshot preceding it, giving linear undo/redo.
+executed :class:`repro.fdb.updates.Update` together with the undo
+records it left behind (:mod:`repro.fdb.undo` — the same records a
+transaction abort replays), giving linear undo/redo.
 
-Undo restores the *entire instance state* (tables, NC registry, null
-counter), so the subtle artifacts of derived updates — dismantled NCs,
-burned null indices — revert exactly. Redo re-applies the recorded
-update against the restored state, which reproduces the original
-outcome bit for bit because null/NC index generation is deterministic
-from the restored counters.
+Undo replays those records in place, so the subtle artifacts of
+derived updates — dismantled NCs, burned null indices — revert
+exactly, at a cost proportional to what the update changed. Redo
+re-applies the recorded update against the reverted state, which
+reproduces the original outcome bit for bit because null/NC index
+generation is deterministic from the reverted counters.
 
-The journal covers updates only; schema changes reset it
-(:meth:`Journal.clear`).
+The journal covers updates only, and its undo steps fit the instance
+only while every change goes through it: schema changes, null
+resolution or direct table edits reset it (:meth:`Journal.clear`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.errors import UpdateError
-from repro.fdb import persistence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fdb.diff import StateDiff
+from repro.errors import TransactionError, UpdateError
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.nc import NCRegistry
+from repro.fdb.diff import StateDiff, diff_records
+from repro.fdb.transaction import atomic
+from repro.fdb.undo import rollback
 from repro.fdb.updates import (
     Update,
     UpdateSequence,
     apply_sequence,
     apply_update,
 )
-from repro.fdb.values import NullFactory
 
 __all__ = ["Journal"]
-
-
-def _snapshot(db: FunctionalDatabase) -> dict:
-    return persistence.to_dict(db)
-
-
-def _restore(db: FunctionalDatabase, snapshot: dict) -> None:
-    """Swap the instance state of ``db`` to ``snapshot`` in place.
-
-    The schema is assumed unchanged since the snapshot was taken — the
-    journal's contract.
-    """
-    fresh = persistence.from_dict(snapshot)
-    db._tables = {name: fresh.table(name) for name in fresh.base_names}
-    registry = NCRegistry(db.table, fresh.ncs.next_index)
-    registry._ncs = {nc.index: nc for nc in fresh.ncs}
-    db.ncs = registry
-    db.nulls = NullFactory(fresh.nulls.next_index)
 
 
 class Journal:
@@ -68,9 +47,9 @@ class Journal:
             raise ValueError("max_depth must be positive")
         self.db = db
         self.max_depth = max_depth
-        # Each entry: (update, snapshot-before-it).
-        self._done: list[tuple[Update, dict]] = []
-        self._undone: list[tuple[Update, dict]] = []
+        # Each applied entry: (update, the undo records it produced).
+        self._done: list[tuple[Update | UpdateSequence, list]] = []
+        self._undone: list[Update | UpdateSequence] = []
 
     # -- executing ----------------------------------------------------------
 
@@ -81,15 +60,22 @@ class Journal:
         applied atomically and recorded as a *single* history entry, so
         one undo reverts the whole request.
         """
-        before = _snapshot(self.db)
-        if isinstance(update, UpdateSequence):
-            apply_sequence(self.db, update)
-        else:
-            apply_update(self.db, update)
-        self._done.append((update, before))
+        self._apply(update)
         if len(self._done) > self.max_depth:
             self._done.pop(0)
         self._undone.clear()
+
+    def _apply(self, update: Update | UpdateSequence) -> None:
+        """Apply atomically, keeping the records of just this update
+        (the enclosing transaction's log may hold earlier ones)."""
+        with atomic(self.db):
+            log = self.db._undo.records
+            start = len(log)
+            if isinstance(update, UpdateSequence):
+                apply_sequence(self.db, update)
+            else:
+                apply_update(self.db, update)
+            self._done.append((update, log[start:]))
 
     def execute_all(self, updates: list[Update]) -> None:
         for update in updates:
@@ -110,21 +96,22 @@ class Journal:
         it."""
         if not self._done:
             raise UpdateError("nothing to undo")
-        update, before = self._done.pop()
-        self._undone.append((update, before))
-        _restore(self.db, before)
+        if self.db._undo.records is not None:
+            raise TransactionError(
+                "cannot undo inside an open transaction: its rollback "
+                "would replay the same records again"
+            )
+        update, records = self._done.pop()
+        self._undone.append(update)
+        rollback(records)
         return update
 
     def redo(self) -> Update | UpdateSequence:
         """Re-apply the most recently undone update; returns it."""
         if not self._undone:
             raise UpdateError("nothing to redo")
-        update, before = self._undone.pop()
-        if isinstance(update, UpdateSequence):
-            apply_sequence(self.db, update)
-        else:
-            apply_update(self.db, update)
-        self._done.append((update, before))
+        update = self._undone.pop()
+        self._apply(update)
         return update
 
     def undo_all(self) -> list[Update]:
@@ -144,7 +131,7 @@ class Journal:
     @property
     def redo_stack(self) -> tuple[Update, ...]:
         """Undone updates eligible for redo, next-to-redo last."""
-        return tuple(update for update, _ in self._undone)
+        return tuple(self._undone)
 
     def clear(self) -> None:
         """Forget all history (e.g. after a schema change)."""
@@ -160,21 +147,14 @@ class Journal:
 
     # -- change inspection ---------------------------------------------------------
 
-    def change_of(self, index: int) -> "StateDiff":
+    def change_of(self, index: int) -> StateDiff:
         """The state delta the ``index``-th applied update produced
         (1-based, as :meth:`describe` numbers them)."""
-        from repro.fdb.diff import diff_snapshots
-
         if not 1 <= index <= len(self._done):
             raise UpdateError(f"no applied update #{index}")
-        _, before = self._done[index - 1]
-        if index < len(self._done):
-            after = self._done[index][1]
-        else:
-            after = _snapshot(self.db)
-        return diff_snapshots(before, after)
+        return diff_records(self._done[index - 1][1], self.db.base_names)
 
-    def last_change(self) -> "StateDiff":
+    def last_change(self) -> StateDiff:
         """The delta of the most recent applied update."""
         if not self._done:
             raise UpdateError("no updates applied yet")

@@ -19,7 +19,6 @@ this module stays independent of :mod:`repro.fdb.database`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -27,6 +26,7 @@ from repro.errors import UpdateError
 from repro.fdb.facts import Fact, FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.table import FunctionTable
+from repro.fdb.undo import UndoLog
 from repro.fdb.values import Value
 from repro.obs.hooks import OBS
 
@@ -54,18 +54,31 @@ class NCRegistry:
 
     The registry plus the per-fact NCLs form the paper's dual structure:
     :meth:`members_of` walks NC -> facts; a fact's ``ncl`` walks
-    fact -> NCs.
+    fact -> NCs. Registry changes are recorded on ``log`` while a
+    transaction is open (see :mod:`repro.fdb.undo`); the member facts'
+    flags and NCLs change through their table, which records those.
     """
 
     def __init__(
         self,
         table_of: Callable[[str], FunctionTable],
         next_index: int = 1,
+        log: UndoLog | None = None,
     ) -> None:
         self._table_of = table_of
         self._ncs: dict[int, NegatedConjunction] = {}
-        self._counter = itertools.count(next_index)
-        self._next_preview = next_index
+        self._next = next_index
+        self._log = log if log is not None else UndoLog()
+
+    def _set(self, index: int, nc: NegatedConjunction | None) -> None:
+        """Bind ``index`` to ``nc`` (``None``: no longer live)."""
+        records = self._log.records
+        if records is not None:
+            records.append((self, "nc", index, self._ncs.get(index), nc))
+        if nc is None:
+            del self._ncs[index]
+        else:
+            self._ncs[index] = nc
 
     # -- resolution ----------------------------------------------------------
 
@@ -90,15 +103,19 @@ class NCRegistry:
             raise UpdateError("an NC needs at least one conjunct")
         if OBS.enabled:
             OBS.inc("fdb.nc.created")
-        index = next(self._counter)
-        self._next_preview = index + 1
+        index = self._next
+        records = self._log.records
+        if records is not None:
+            records.append((self, "next", index))
+        self._next = index + 1
         members = []
         for function, fact in pairs:
-            fact.truth = Truth.AMBIGUOUS
-            fact.ncl.add(index)
+            table = self._table_of(function)
+            table.set_truth(fact, Truth.AMBIGUOUS)
+            table.ncl_add(fact, index)
             members.append(fact.ref(function))
         nc = NegatedConjunction(index, tuple(members))
-        self._ncs[index] = nc
+        self._set(index, nc)
         return nc
 
     def dismantle(self, index: int) -> None:
@@ -109,18 +126,37 @@ class NCRegistry:
         from its NCL — but stays ambiguous until some future insert
         asserts it true.
         """
-        try:
-            nc = self._ncs.pop(index)
-        except KeyError:
-            raise UpdateError(f"no NC with index g{index}") from None
+        nc = self.get(index)
+        self._set(index, None)
         if OBS.enabled:
             OBS.inc("fdb.nc.dismantled")
         for ref in nc.members:
-            fact = self._table_of(ref.function).get(ref.x, ref.y)
+            table = self._table_of(ref.function)
+            fact = table.get(ref.x, ref.y)
             # A member may already have been removed from its table by the
             # base-delete that triggered this dismantling.
             if fact is not None:
-                fact.ncl.discard(index)
+                table.ncl_discard(fact, index)
+
+    # -- rollback (driven by repro.fdb.undo.rollback) -------------------------
+
+    def _undo(self, op: str, *change) -> bool:
+        """Invert one recorded change; True when a dismantled NC went
+        back in at the end of the registry instead of in index order."""
+        if op == "next":
+            (self._next,) = change
+            return False
+        index, old, new = change
+        if old is None:
+            del self._ncs[index]
+            return False
+        self._ncs[index] = old
+        return new is None
+
+    def _restore_order(self) -> None:
+        ncs = sorted(self._ncs.items())
+        self._ncs.clear()
+        self._ncs.update(ncs)
 
     # -- queries ----------------------------------------------------------------
 
@@ -177,11 +213,11 @@ class NCRegistry:
                     for ref in nc.members
                 )
             )
-            self._ncs[index] = NegatedConjunction(index, members)
+            self._set(index, NegatedConjunction(index, members))
 
     @property
     def next_index(self) -> int:
-        return self._next_preview
+        return self._next
 
     def __str__(self) -> str:
         if not self._ncs:

@@ -207,7 +207,7 @@ def from_dict(data: dict) -> FunctionalDatabase:
             for steps in entry["derivations"]
         )
         db.declare_derived(definition, derivations)
-    registry = NCRegistry(db.table, data["next_nc_index"])
+    registry = NCRegistry(db.table, data["next_nc_index"], db._undo)
     for entry in data["ncs"]:
         members = tuple(
             FactRef(
@@ -219,36 +219,16 @@ def from_dict(data: dict) -> FunctionalDatabase:
             entry["index"], members
         )
     db.ncs = registry
-    db.nulls = NullFactory(data["next_null_index"])
+    db.nulls = NullFactory(data["next_null_index"], db._undo)
     _check_consistency(db)
     return db
 
 
 def _check_consistency(db: FunctionalDatabase) -> None:
     """Verify the NC/NCL dual structure of a loaded snapshot."""
-    for nc in db.ncs:
-        for ref in nc.members:
-            fact = db.table(ref.function).get(ref.x, ref.y)
-            if fact is None:
-                raise PersistenceError(
-                    f"snapshot NC g{nc.index} references missing fact {ref}"
-                )
-            if nc.index not in fact.ncl:
-                raise PersistenceError(
-                    f"snapshot fact {ref} lacks NCL entry g{nc.index}"
-                )
-            if fact.truth is not Truth.AMBIGUOUS:
-                raise PersistenceError(
-                    f"snapshot NC member {ref} is not ambiguous"
-                )
-    for name in db.base_names:
-        for fact in db.table(name).facts():
-            for index in fact.ncl:
-                if index not in db.ncs:
-                    raise PersistenceError(
-                        f"snapshot fact <{name}, {fact.x}, {fact.y}> points "
-                        f"to missing NC g{index}"
-                    )
+    fault = db.structure_fault()
+    if fault is not None:
+        raise PersistenceError(f"snapshot is inconsistent: {fault}")
 
 
 def dumps(db: FunctionalDatabase, *, indent: int | None = 2,

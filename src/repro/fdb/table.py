@@ -14,21 +14,30 @@ each column.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import UpdateError
 from repro.fdb.facts import Fact
 from repro.fdb.logic import Truth
-from repro.fdb.values import Value, is_null
+from repro.fdb.undo import UndoLog
+from repro.fdb.values import NullValue, Value, is_null
 
 __all__ = ["FunctionTable"]
 
 
 class FunctionTable:
-    """The stored extension of one base function."""
+    """The stored extension of one base function.
 
-    def __init__(self, name: str) -> None:
+    Every change to the table or to one of its facts goes through the
+    primitives below, which append the change to ``log`` while a
+    transaction is open (see :mod:`repro.fdb.undo`).
+    """
+
+    def __init__(self, name: str, log: UndoLog | None = None) -> None:
         self.name = name
+        self._log = log if log is not None else UndoLog()
+        self._next_seq = 0
         self._facts: dict[tuple[Value, Value], Fact] = {}
         self._by_x: dict[Value, list[Fact]] = {}
         self._by_y: dict[Value, list[Fact]] = {}
@@ -39,18 +48,16 @@ class FunctionTable:
 
     def add(self, fact: Fact) -> Fact:
         """Store a fact; the pair must not already be present."""
-        key = fact.pair
-        if key in self._facts:
+        if fact.pair in self._facts:
             raise UpdateError(
                 f"{self.name}: fact <{fact.x}, {fact.y}> already stored"
             )
-        self._facts[key] = fact
-        self._by_x.setdefault(fact.x, []).append(fact)
-        self._by_y.setdefault(fact.y, []).append(fact)
-        if is_null(fact.x):
-            self._null_x.append(fact)
-        if is_null(fact.y):
-            self._null_y.append(fact)
+        fact.seq = self._next_seq
+        self._next_seq += 1
+        records = self._log.records
+        if records is not None:
+            records.append((self, "fact", fact, None, fact.truth))
+        self._index(fact)
         return fact
 
     def add_pair(self, x: Value, y: Value,
@@ -59,9 +66,54 @@ class FunctionTable:
 
     def discard(self, x: Value, y: Value) -> Fact | None:
         """Remove and return the fact for (x, y), or None if absent."""
-        fact = self._facts.pop((x, y), None)
+        fact = self._facts.get((x, y))
         if fact is None:
             return None
+        records = self._log.records
+        if records is not None:
+            records.append((self, "fact", fact, fact.truth, None))
+        self._unindex(fact)
+        return fact
+
+    def set_truth(self, fact: Fact, truth: Truth) -> None:
+        """Flip a stored fact's T/A flag."""
+        if fact.truth is truth:
+            return
+        records = self._log.records
+        if records is not None:
+            records.append((self, "fact", fact, fact.truth, truth))
+        fact.truth = truth
+
+    def ncl_add(self, fact: Fact, index: int) -> None:
+        """Add NC ``index`` to a stored fact's NCL."""
+        if index in fact.ncl:
+            return
+        records = self._log.records
+        if records is not None:
+            records.append((self, "ncl", fact, index, True))
+        fact.ncl.add(index)
+
+    def ncl_discard(self, fact: Fact, index: int) -> None:
+        """Drop NC ``index`` from a stored fact's NCL."""
+        if index not in fact.ncl:
+            return
+        records = self._log.records
+        if records is not None:
+            records.append((self, "ncl", fact, index, False))
+        fact.ncl.discard(index)
+
+    def _index(self, fact: Fact) -> None:
+        self._facts[fact.pair] = fact
+        self._by_x.setdefault(fact.x, []).append(fact)
+        self._by_y.setdefault(fact.y, []).append(fact)
+        if is_null(fact.x):
+            self._null_x.append(fact)
+        if is_null(fact.y):
+            self._null_y.append(fact)
+
+    def _unindex(self, fact: Fact) -> None:
+        x, y = fact.pair
+        del self._facts[fact.pair]
         self._by_x[x].remove(fact)
         if not self._by_x[x]:
             del self._by_x[x]
@@ -72,7 +124,38 @@ class FunctionTable:
             self._null_x.remove(fact)
         if is_null(y):
             self._null_y.remove(fact)
-        return fact
+
+    # -- rollback (driven by repro.fdb.undo.rollback) -------------------------
+
+    def _undo(self, op: str, fact: Fact, *change) -> bool:
+        """Invert one recorded change; True when a discarded fact went
+        back in at the end of the indices instead of its old place."""
+        if op == "ncl":
+            index, added = change
+            if added:
+                fact.ncl.discard(index)
+            else:
+                fact.ncl.add(index)
+            return False
+        old, new = change
+        if old is None:
+            self._unindex(fact)
+        elif new is None:
+            self._index(fact)
+            return True
+        else:
+            fact.truth = old
+        return False
+
+    def _restore_order(self) -> None:
+        """Rebuild every index in ``seq`` order — the insertion order
+        an instance that never saw the undone discards would have."""
+        facts = sorted(self._facts.values(), key=attrgetter("seq"))
+        for index in (self._facts, self._by_x, self._by_y,
+                      self._null_x, self._null_y):
+            index.clear()
+        for fact in facts:
+            self._index(fact)
 
     # -- lookups -----------------------------------------------------------------
 
@@ -149,6 +232,36 @@ class FunctionTable:
         return exact, ambiguous
 
     # -- misc -----------------------------------------------------------------------
+
+    def fault(self) -> str | None:
+        """The first way the indices contradict the stored facts, or
+        None: rows in ``seq`` order (the order ``_restore_order``
+        rebuilds from), every fact under its own pair, once in each
+        value index, and in a null list exactly when that side is a
+        null. A change that went around the primitives above — and so
+        around the undo log — shows up here."""
+        by_x, by_y, null_x, null_y = self._by_x, self._by_y, [], []
+        last = -1
+        for (x, y), fact in self._facts.items():
+            if fact.x != x or fact.y != y:
+                return f"{self.name}: {fact} is stored under <{x}, {y}>"
+            if fact.seq <= last:
+                return f"{self.name}: {fact} is out of insertion order"
+            last = fact.seq
+            if (by_x.get(x, ()).count(fact) != 1
+                    or by_y.get(y, ()).count(fact) != 1):
+                return f"{self.name}: {fact} is missing from a value index"
+            if isinstance(x, NullValue):
+                null_x.append(fact)
+            if isinstance(y, NullValue):
+                null_y.append(fact)
+        for index in (by_x, by_y):
+            if sum(map(len, index.values())) != len(self._facts):
+                return f"{self.name}: a value index holds a stale fact"
+        if null_x != self._null_x or null_y != self._null_y:
+            return (f"{self.name}: a null list disagrees with the "
+                    f"stored facts")
+        return None
 
     def copy(self) -> "FunctionTable":
         clone = FunctionTable(self.name)

@@ -2,34 +2,31 @@
 
 The paper treats a general update request as "a sequence of such simple
 updates" (Section 3). :class:`Transaction` makes such a sequence atomic:
-it snapshots the instance state (tables, NC registry, null counter) on
-entry and restores it if the block raises — so a failed REP, or a
-multi-update request interrupted by a constraint violation, leaves no
-half-applied state behind.
+on entry it opens the database's undo log (:mod:`repro.fdb.undo`), the
+update primitives append one record per change while it is open, and
+if the block raises the records are replayed in reverse — so a failed
+REP, or a multi-update request interrupted by a constraint violation,
+leaves no half-applied state behind. A commit just drops the records:
+entry is O(1) and a transaction costs O(its changes), whatever the
+size of the instance.
 
-Snapshots copy the stored facts, which is O(instance); this favours
-simplicity and obvious correctness over write-ahead logging, and is
-plenty for the workloads the paper contemplates. Schema changes are not
-covered — transactions scope *updates*, not design actions.
-
-Note that rolling back swaps fresh table objects into the database:
-:class:`repro.fdb.table.FunctionTable` references obtained before the
-transaction are stale after a rollback; re-fetch through
-``db.table(name)``.
+Rollback works in place: the database keeps its table, registry and
+null-factory objects, and they end up in exactly the state — row
+order and index counters included — of an instance that never saw the
+update. Schema changes are not covered: transactions scope *updates*,
+not design actions.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import nullcontext
 from types import TracebackType
 
 from repro.errors import TransactionError
 from repro.faults.registry import FAULTS
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.nc import NCRegistry
-from repro.fdb.values import NullFactory
+from repro.fdb.undo import rollback
 from repro.obs.hooks import OBS
 
 __all__ = ["Transaction", "atomic"]
@@ -37,38 +34,18 @@ __all__ = ["Transaction", "atomic"]
 
 FAULTS.register(
     "txn.commit",
-    "Transaction.__exit__: block succeeded, snapshot being discarded",
+    "Transaction.__exit__: block succeeded, undo records being dropped",
     durable=True,
 )
 FAULTS.register(
     "txn.rollback.before-restore",
-    "Transaction.__exit__: block failed, state not yet restored",
+    "Transaction.__exit__: block failed, undo records not yet replayed",
     durable=True,
 )
 
 
-def _snapshot_state(db: FunctionalDatabase) -> dict:
-    """Copy everything a rollback must restore: the stored tables, the
-    NC registry and both index counters."""
-    return {
-        "tables": {name: db.table(name).copy()
-                   for name in db.base_names},
-        "ncs": dict(db.ncs._ncs),
-        "nc_next": db.ncs.next_index,
-        "null_next": db.nulls.next_index,
-    }
-
-
-def _restore_state(db: FunctionalDatabase, snapshot: dict) -> None:
-    db._tables = snapshot["tables"]
-    registry = NCRegistry(db.table, snapshot["nc_next"])
-    registry._ncs = snapshot["ncs"]
-    db.ncs = registry
-    db.nulls = NullFactory(snapshot["null_next"])
-
-
 class Transaction:
-    """Context manager restoring instance state on exception.
+    """Context manager undoing the block's changes on exception.
 
     >>> with db.transaction():            # doctest: +SKIP
     ...     db.delete("pupil", "euclid", "john")
@@ -77,10 +54,10 @@ class Transaction:
 
     def __init__(self, db: FunctionalDatabase) -> None:
         self._db = db
-        self._snapshot: dict | None = None
+        self._entered = False
 
     def __enter__(self) -> "Transaction":
-        if self._snapshot is not None:
+        if self._entered:
             raise TransactionError("transaction already entered")
         db = self._db
         me = threading.get_ident()
@@ -101,19 +78,10 @@ class Transaction:
                     "writers)"
                 )
             db._txn_owner = me
-        try:
-            obs_on = OBS.enabled
-            if obs_on:
-                OBS.inc("fdb.txn.begun")
-                started = time.perf_counter()
-            self._snapshot = _snapshot_state(db)
-            if obs_on:
-                OBS.observe("fdb.txn.snapshot_seconds",
-                            time.perf_counter() - started)
-        except BaseException:
-            with db._txn_guard:
-                db._txn_owner = None
-            raise
+        db._undo.records = []
+        self._entered = True
+        if OBS.enabled:
+            OBS.inc("fdb.txn.begun")
         return self
 
     def __exit__(
@@ -122,11 +90,14 @@ class Transaction:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> bool:
-        snapshot = self._snapshot
-        if snapshot is None:
+        if not self._entered:
             raise TransactionError("transaction never entered")
-        self._snapshot = None
+        self._entered = False
+        log = self._db._undo
+        records, log.records = log.records, None
         try:
+            if OBS.enabled:
+                OBS.observe("fdb.txn.undo_records", len(records))
             if exc_type is None:
                 if OBS.enabled:
                     OBS.inc("fdb.txn.committed")
@@ -134,9 +105,10 @@ class Transaction:
                 return False
             if OBS.enabled:
                 OBS.inc("fdb.txn.rolled_back")
-                OBS.event("txn.rollback", reason=exc_type.__name__)
+                OBS.event("txn.rollback", reason=exc_type.__name__,
+                          records=len(records))
             FAULTS.fire("txn.rollback.before-restore")
-            _restore_state(self._db, snapshot)
+            rollback(records)
             return False  # re-raise
         finally:
             with self._db._txn_guard:

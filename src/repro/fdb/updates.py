@@ -83,7 +83,7 @@ def base_insert(db: FunctionalDatabase, name: str, x: Value, y: Value) -> None:
         if obs_on:
             OBS.event("nc.dismantled", index=f"g{index}", cause="insert")
         db.ncs.dismantle(index)
-    fact.truth = Truth.TRUE
+    table.set_truth(fact, Truth.TRUE)
 
 
 def base_delete(db: FunctionalDatabase, name: str, x: Value, y: Value) -> None:
@@ -263,7 +263,7 @@ def replace(
     type; its semantics follow from the other two)."""
     # atomic(), not db.transaction(): a REP arriving through the WAL's
     # write-ahead wrapper already runs inside that wrapper's
-    # transaction, and a second snapshot would be misuse.
+    # transaction, and opening a second one would be misuse.
     cancel.checkpoint()
     if OBS.enabled:
         OBS.inc("fdb.updates.replace")

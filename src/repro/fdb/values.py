@@ -20,9 +20,10 @@ all the paper's examples; tuples for objects of product types such as
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterator
+
+from repro.fdb.undo import UndoLog
 
 __all__ = [
     "Value",
@@ -59,28 +60,37 @@ class NullFactory:
     """Generates fresh uniquely indexed nulls for one database.
 
     The factory is the single source of null indices, so uniqueness
-    holds database-wide; the counter is part of persisted snapshots.
+    holds database-wide; the counter is part of persisted snapshots,
+    and each index issued inside a transaction is recorded on ``log``
+    so an abort gives it back.
     """
 
-    def __init__(self, next_index: int = 1) -> None:
+    def __init__(self, next_index: int = 1,
+                 log: UndoLog | None = None) -> None:
         if next_index < 1:
             raise ValueError("null indices start at 1")
-        self._counter = itertools.count(next_index)
-        self._next_preview = next_index
+        self._next = next_index
+        self._log = log if log is not None else UndoLog()
 
     def fresh(self) -> NullValue:
-        index = next(self._counter)
-        self._next_preview = index + 1
+        index = self._next
+        records = self._log.records
+        if records is not None:
+            records.append((self, "next", index))
+        self._next = index + 1
         return NullValue(index)
 
     def fresh_many(self, count: int) -> Iterator[NullValue]:
         for _ in range(count):
             yield self.fresh()
 
+    def _undo(self, op: str, old: int) -> None:
+        self._next = old
+
     @property
     def next_index(self) -> int:
         """The index the next :meth:`fresh` call will use."""
-        return self._next_preview
+        return self._next
 
 
 def is_null(value: Value) -> bool:

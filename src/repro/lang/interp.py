@@ -751,6 +751,12 @@ class Interpreter:
             output.append("nothing to resolve")
         for substitution in substitutions:
             output.append(f"resolved: {substitution}")
+        if substitutions:
+            # Resolution is not an Update, so the journal did not see
+            # it: its recorded undo steps no longer fit the instance.
+            assert self.journal is not None
+            self.journal.clear()
+            output.append("undo history cleared")
         return output
 
     def _run_save(self, statement: ast.Save) -> list[str]:

@@ -34,8 +34,10 @@ import json
 import math
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from http.server import ThreadingHTTPServer
 
 from repro.errors import ReproError
 from repro.obs.metrics import (Counter, Gauge, Histogram, LogHistogram,
@@ -290,6 +292,11 @@ class MetricsEndpoint:
     def start(self) -> "MetricsEndpoint":
         if self._server is not None:
             return self
+        # Imported here, not at module level: http.server drags in
+        # http.client, email and ssl, which every importer of the
+        # service would otherwise pay for whether or not it serves.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):

@@ -18,7 +18,8 @@ never observes a half-propagated NC set.
 
 **Write serialisation.** Writers additionally hold the global
 ``__write__`` resource. This is not timidity but the rollback model:
-a transaction abort restores *every* table and the *global* counters,
+a database has one undo log, so a transaction abort undoes whatever
+was recorded while it was open and rewinds the *global* counters,
 which would clobber a concurrent writer's committed work; and the
 null/NC indices a replay allocates must match the live run's, which
 only a total commit order guarantees. Writes to different clusters

@@ -131,6 +131,24 @@ class TestUpdatesAndQueries:
         """)
         # pupil's functions are many-many: nothing is forced.
         assert out[-1] == "nothing to resolve"
+        assert interp.journal.can_undo
+
+    def test_resolve_that_substitutes_clears_undo_history(self):
+        """The journal's undo steps describe the instance as its own
+        updates left it; a resolve behind its back ends the history."""
+        interp, out = run("""
+            add teach: faculty -> course (many-one);
+            add class_list: course -> student (many-one);
+            add pupil: faculty -> student (many-one);
+            commit;
+            insert pupil(gauss, bill);
+            insert teach(gauss, cs);
+            resolve;
+        """)
+        assert any(line.startswith("resolved: n1 := cs") for line in out)
+        assert out[-1] == "undo history cleared"
+        assert not interp.journal.can_undo
+        assert interp.db.table("class_list").get("cs", "bill") is not None
 
 
 class TestPersistenceStatements:

@@ -31,6 +31,7 @@ from repro.workloads.generator import (
 
 
 def check_invariants(db: FunctionalDatabase) -> None:
+    assert db.structure_fault() is None
     # -- NC -> fact direction
     for nc in db.ncs:
         assert len(nc.members) >= 1
