@@ -63,6 +63,8 @@ def _run_mode(workdir: Path, mode: str) -> dict:
         latencies.append(time.perf_counter() - started)
     head = logged.log.last_seq()
     lag = group.lag()
+    logged.close()
+    group.close()
     assert head == OPS
     for name, info in lag.items():
         assert info["lag_seq"] == 0, f"{name} finished lagging"

@@ -113,6 +113,7 @@ def _failover_trial(workdir: Path, cfg: LeaseConfig) -> dict:
         seq = new_logged.execute(Update.ins("teach", "healer", "math"))
         group.on_commit(seq)
         recovered = time.perf_counter()
+        new_logged.close()
 
         assert len(coord.elections) == 1, "stacked elections"
         return {
@@ -123,6 +124,8 @@ def _failover_trial(workdir: Path, cfg: LeaseConfig) -> dict:
     finally:
         coord.stop()
         lease.stop()
+        logged.close()
+        group.close()
 
 
 def _percentiles(samples: list[float]) -> dict:

@@ -56,6 +56,7 @@ def main() -> None:
         print(f"logged+applied: {update}")
 
     # ... and then the process dies mid-write of one more update.
+    logged.close()  # a dead process holds no descriptor on the log
     with log_path.open("a", encoding="utf-8") as handle:
         handle.write('{"kind": "DEL", "function": "tea')
     print("simulated crash: torn final log line")

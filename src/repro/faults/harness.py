@@ -206,6 +206,8 @@ def run_scenario(point: str, fault: Fault, workdir: Path,
         crashed = True
     finally:
         FAULTS.disarm_all()
+        # Dead or done, the process no longer holds the log open.
+        logged.close()
 
     fired = FAULTS.hits(point) > hits_before
     if crashed and in_flight is not None and durable.get(point):

@@ -1231,6 +1231,7 @@ def _run_cell(mode: str, scenario: str,
                 new_service.close(timeout=5.0)
             except ReproError:
                 pass
+        group.close()
         OBS.events.remove_sink(cell_sink)
         cell_sink.close()
         cell.duration = time.monotonic() - started

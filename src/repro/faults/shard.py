@@ -900,6 +900,8 @@ def run_shard_soak(
                 service.close(timeout=5.0)
             except ReproError:
                 pass
+        for group in groups.values():
+            group.close()
         if not was_enabled:
             OBS.disable()
         OBS.events.remove_sink(sink)

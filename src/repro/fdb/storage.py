@@ -9,9 +9,10 @@ with the fsync discipline a real store needs:
   ``os.replace`` over the target (atomic on POSIX and Windows), then
   fsync the directory so the rename itself is durable.
 
-* :func:`append_line` — append one line and force it to disk before
-  returning, so a record the caller believes committed survives power
-  loss, not just process death.
+* :func:`append_line` — append one line through a log's held-open
+  :class:`AppendHandle` and force it to disk before returning (one
+  ``write`` + one ``fsync``), so a record the caller believes committed
+  survives power loss, not just process death.
 
 Fault points (see :mod:`repro.faults`) are threaded through both so the
 crash-matrix harness can kill the process at every step and assert the
@@ -21,11 +22,13 @@ recovery story.
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 
 from repro.faults.registry import FAULTS
 
-__all__ = ["atomic_write", "append_line", "fsync_directory"]
+__all__ = ["AppendHandle", "atomic_write", "append_line",
+           "fsync_directory"]
 
 
 FAULTS.register(
@@ -105,21 +108,69 @@ def atomic_write(path: str | Path, text: str, *,
     fsync_directory(target.parent)
 
 
-def append_line(path: str | Path, line: str, *,
-                encoding: str = "utf-8", fsync: bool = True) -> None:
-    """Append ``line`` (a newline is added) and make it durable.
+class AppendHandle:
+    """The append side of one log file: a single unbuffered
+    append-mode descriptor, opened on first use and held until
+    :meth:`close`.
 
-    The flush + fsync pair is what turns "the process wrote it" into
-    "the disk has it"; ``fsync=False`` trades that guarantee for speed
-    when the caller batches its own syncs.
+    Whoever renames a new file over the log must :meth:`close` first —
+    a held descriptor would keep appending to the replaced inode. A
+    closed handle reopens on the next append, so closing is always
+    safe. When the open *creates* the file, the directory is fsync'd
+    before the first record can be acknowledged: an fsync'd record in
+    a file whose directory entry is not durable is not durable either.
     """
-    target = Path(path)
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._file = None
+        self._lock = threading.Lock()  # open/close only, never a write
+
+    def file(self):
+        """The open descriptor (raw, so every ``write`` is a syscall
+        and there is no buffer to flush or to lose)."""
+        handle = self._file
+        if handle is None:
+            with self._lock:
+                handle = self._file
+                if handle is None:
+                    created = not self.path.exists()
+                    handle = open(self.path, "ab", buffering=0)
+                    if created:
+                        fsync_directory(self.path.parent)
+                    self._file = handle
+        return handle
+
+    def close(self) -> None:
+        """Release the descriptor. Idempotent."""
+        with self._lock:
+            handle, self._file = self._file, None
+        if handle is not None:
+            handle.close()
+
+
+def append_line(log: AppendHandle, line: str, *,
+                encoding: str = "utf-8", fsync: bool = True) -> int:
+    """Append ``line`` (a newline is added) to ``log`` and make it
+    durable; returns the number of bytes the log grew by.
+
+    The fsync is what turns "the process wrote it" into "the disk has
+    it"; ``fsync=False`` trades that guarantee for speed when the
+    caller batches its own syncs. Any failure closes the handle, so a
+    retry starts from a fresh descriptor.
+    """
     FAULTS.fire("storage.append.before")
     data = (line + "\n").encode(encoding)
-    with open(target, "ab") as handle:
+    try:
+        handle = log.file()
         FAULTS.fire("storage.append.payload", handle=handle, data=data)
-        handle.write(data)
-        handle.flush()
+        written = handle.write(data)
+        while written < len(data):  # short write: finish the frame
+            written += handle.write(data[written:])
         if fsync:
             os.fsync(handle.fileno())
+    except BaseException:
+        log.close()
+        raise
     FAULTS.fire("storage.append.after-write")
+    return written

@@ -30,8 +30,9 @@ record. Legacy (v1) lines, bare update objects with neither checksum
 nor sequence number, are still replayed.
 
 **Crash consistency.** Appends go through
-:func:`repro.fdb.storage.append_line` (flush + fsync before the append
-is acknowledged) and snapshots through
+:func:`repro.fdb.storage.append_line` on the log's held-open descriptor
+(one write + one fsync before the append is acknowledged) and
+snapshots through
 :func:`repro.fdb.storage.atomic_write` (temp file + fsync + atomic
 rename + directory fsync). :func:`checkpoint` writes the snapshot
 durably *first* — stamped with the highest folded sequence number —
@@ -171,8 +172,15 @@ def _decode_entry(entry: dict) -> Update | UpdateSequence:
 # -- record framing -----------------------------------------------------------
 
 
+# ``json.dumps`` with non-default arguments builds a new encoder per
+# call; these two are built once.
+_canonical_json = json.JSONEncoder(sort_keys=True,
+                                   separators=(",", ":")).encode
+_frame_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def _crc_of(payload: dict) -> int:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = _canonical_json(payload)
     return zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF
 
 
@@ -181,7 +189,7 @@ def _frame(payload: dict) -> str:
     record = dict(payload)
     record["v"] = WAL_VERSION
     record["crc"] = _crc_of(payload)
-    return json.dumps(record, sort_keys=True)
+    return _frame_json(record)
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,12 @@ class UpdateLog:
     power-loss guarantee for speed); transient ``OSError`` during the
     write is retried ``retries`` times with exponential backoff before
     giving up.
+
+    The log keeps one append descriptor open from its first append
+    until :meth:`close`; the operations that rename a new file over
+    the log (:meth:`truncate`, :meth:`truncate_to`,
+    :meth:`discard_torn_tail`) close it first, and the next append
+    reopens. Whoever owns the log closes it.
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = True,
@@ -259,6 +273,12 @@ class UpdateLog:
         # and /health scrapes don't rescan a quiescent log.
         self._health_cache: tuple[tuple[int, int], dict] | None = None
         self._seq_lock = threading.Lock()
+        self._handle = storage.AppendHandle(self.path)
+
+    def close(self) -> None:
+        """Release the held append descriptor. Idempotent; a later
+        append reopens."""
+        self._handle.close()
 
     def _payload(self, payload: dict) -> dict:
         if self.term:
@@ -280,19 +300,18 @@ class UpdateLog:
             {"seq": seq, "entry": _encode_entry(update)}
         ))
         if not OBS.enabled:
-            self._write_claimed(seq, line)
-            self._note_appended(committed=1)
+            self._note_appended(self._write_claimed(seq, line), 1)
             return seq
         # Instrumented path: count appends and time the full durable
-        # write (open + write + flush + fsync), the WAL's ack cost.
+        # write (write + fsync), the WAL's ack cost.
         OBS.inc("fdb.wal.appends")
         started = time.perf_counter()
-        self._write_claimed(seq, line)
+        nbytes = self._write_claimed(seq, line)
         OBS.observe("fdb.wal.append_seconds",
                     time.perf_counter() - started)
         OBS.gauge("fdb.wal.last_seq", seq)
         OBS.event("wal.append", entry=str(update))
-        self._note_appended(committed=1)
+        self._note_appended(nbytes, 1)
         return seq
 
     def append_abort(self, seq: int) -> None:
@@ -305,12 +324,23 @@ class UpdateLog:
         line = _frame(self._payload(
             {"seq": abort_seq, "abort_of": seq}
         ))
-        self._write_claimed(abort_seq, line)
+        nbytes = self._write_claimed(abort_seq, line)
         if OBS.enabled:
             OBS.inc("fdb.wal.aborts")
             OBS.event("wal.abort", aborted_seq=seq)
         # The aborted entry no longer counts as committed.
-        self._note_appended(committed=-1)
+        self._note_appended(nbytes, -1)
+
+    def append_frame(self, seq: int, line: str) -> None:
+        """Durably append a record another log already framed, byte
+        for byte — how a replica keeps its local WAL a prefix copy of
+        the primary's shipped stream. ``seq`` is the frame's own
+        sequence number; the caller has verified the frame and that it
+        extends this log. No retry: the shipper re-sends."""
+        storage.append_line(self._handle, line, fsync=self.fsync)
+        with self._seq_lock:
+            self._next_seq = seq + 1
+        self._cache = None  # entry or abort: let __len__ recount
 
     def _claim_seq(self) -> int:
         with self._seq_lock:
@@ -320,9 +350,10 @@ class UpdateLog:
             self._next_seq += 1
             return seq
 
-    def _write_claimed(self, seq: int, line: str) -> None:
+    def _write_claimed(self, seq: int, line: str) -> int:
         """Write a record whose sequence number is already claimed,
-        unclaiming it if the write never lands.
+        unclaiming it if the write never lands; returns the bytes
+        written.
 
         Without the rollback, a failed write (retries exhausted during
         a storage outage) would leave ``_next_seq`` advanced past a
@@ -331,22 +362,24 @@ class UpdateLog:
         refuses to replay.
         """
         try:
-            self._write_line(line)
+            return self._write_line(line)
         except BaseException:
             with self._seq_lock:
                 if self._next_seq == seq + 1:
                     self._next_seq = seq
             raise
 
-    def _write_line(self, line: str) -> None:
-        """The durable write, with transient-error retry."""
+    def _write_line(self, line: str) -> int:
+        """The durable write, with transient-error retry (a failed
+        write closed the descriptor, so each retry reopens)."""
         attempt = 0
         while True:
             try:
                 FAULTS.fire("wal.append.before")
-                storage.append_line(self.path, line, fsync=self.fsync)
+                nbytes = storage.append_line(self._handle, line,
+                                             fsync=self.fsync)
                 FAULTS.fire("wal.append.after")
-                return
+                return nbytes
             except OSError as exc:
                 if attempt >= self.retries:
                     raise PersistenceError(
@@ -358,14 +391,12 @@ class UpdateLog:
                 time.sleep(self.backoff * (2 ** attempt))
                 attempt += 1
 
-    def _note_appended(self, committed: int) -> None:
-        if self._cache is not None:
-            try:
-                size = self.path.stat().st_size
-            except OSError:
-                self._cache = None
-                return
-            self._cache = (size, self._cache[1] + committed)
+    def _note_appended(self, nbytes: int, committed: int) -> None:
+        """Advance the ``__len__`` cache past a record this log just
+        wrote; ``__len__`` still checks it against the real size."""
+        cache = self._cache
+        if cache is not None:
+            self._cache = (cache[0] + nbytes, cache[1] + committed)
 
     # -- scanning -----------------------------------------------------------
 
@@ -618,6 +649,12 @@ class UpdateLog:
 
     # -- repair -------------------------------------------------------------
 
+    def _replace(self, body: str) -> None:
+        """Atomically rename a new file over the log. The held
+        descriptor names the inode being replaced, so it goes first."""
+        self._handle.close()
+        storage.atomic_write(self.path, body)
+
     def truncate_to(self, seq: int) -> int:
         """Atomically drop every record with a sequence number above
         ``seq`` (the fencing repair: a rejoining deposed primary cuts
@@ -645,7 +682,7 @@ class UpdateLog:
                 kept.append(line)
         if dropped:
             body = "\n".join(kept) + ("\n" if kept else "")
-            storage.atomic_write(self.path, body)
+            self._replace(body)
             with self._seq_lock:
                 self._next_seq = None  # rescan on next claim
             self._cache = None
@@ -666,7 +703,7 @@ class UpdateLog:
         text = self.path.read_text(encoding="utf-8")
         lines = [line for line in text.splitlines() if line.strip()]
         body = "\n".join(lines[:-1]) + ("\n" if lines[:-1] else "")
-        storage.atomic_write(self.path, body)
+        self._replace(body)
         with self._seq_lock:
             self._next_seq = None
         self._cache = None
@@ -738,7 +775,7 @@ class UpdateLog:
         into the snapshot" from "new since the snapshot".
         """
         if next_seq is None or next_seq <= 1:
-            storage.atomic_write(self.path, "")
+            self._replace("")
             with self._seq_lock:
                 self._next_seq = 1
         else:
@@ -747,7 +784,7 @@ class UpdateLog:
                 meta["term"] = self.term
             header = _frame(self._payload({"seq": next_seq - 1,
                                            "header": meta}))
-            storage.atomic_write(self.path, header + "\n")
+            self._replace(header + "\n")
             with self._seq_lock:
                 self._next_seq = next_seq
         self._cache = (self.path.stat().st_size, 0)
@@ -805,6 +842,11 @@ class LoggedDatabase:
                  log: UpdateLog | str | Path) -> None:
         self.db = db
         self.log = log if isinstance(log, UpdateLog) else UpdateLog(log)
+
+    def close(self) -> None:
+        """Release the log's held descriptor (see
+        :meth:`UpdateLog.close`)."""
+        self.log.close()
 
     def execute(self, update: Update | UpdateSequence) -> int:
         """Validate, log durably, apply; returns the update's WAL

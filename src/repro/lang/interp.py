@@ -771,8 +771,7 @@ class Interpreter:
         if self.wal is not None:
             # The attached log described the *previous* state; keeping
             # it would replay stale updates over the loaded one.
-            self.wal = None
-            self._wal_snapshot = None
+            self._attach_wal(None, None)
             output.append("write-ahead log detached (run 'checkpoint' "
                           "to re-attach)")
         return output
@@ -790,6 +789,14 @@ class Interpreter:
         for derived in db.derived_functions():
             self.session.catalog.add(derived.definition)
 
+    def _attach_wal(self, log, snapshot) -> None:
+        """Swap the attached log (``None`` detaches), releasing the
+        replaced one's descriptor."""
+        if self.wal is not None and self.wal is not log:
+            self.wal.close()
+        self.wal = log
+        self._wal_snapshot = snapshot
+
     def _run_checkpoint(self, statement: ast.Checkpoint) -> list[str]:
         from pathlib import Path
 
@@ -803,8 +810,7 @@ class Interpreter:
         if log is None or Path(log.path).parent != directory:
             log = UpdateLog(directory / "wal.log")
         checkpoint(LoggedDatabase(db, log), snapshot)
-        self.wal = log
-        self._wal_snapshot = snapshot
+        self._attach_wal(log, snapshot)
         output.append(
             f"checkpoint: snapshot + log in {directory} "
             "(updates are now logged write-ahead)"
@@ -822,8 +828,8 @@ class Interpreter:
             policy=statement.policy,
         )
         self._adopt_database(report.db)
-        self.wal = UpdateLog(directory / "wal.log")
-        self._wal_snapshot = directory / "snapshot.json"
+        self._attach_wal(UpdateLog(directory / "wal.log"),
+                         directory / "snapshot.json")
         output = [str(report)]
         output.extend(f"  {note}" for note in report.notes)
         output.append(f"recovered from {directory} (log re-attached)")

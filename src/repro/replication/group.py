@@ -364,7 +364,18 @@ class ReplicationGroup:
                 if link is not None and OBS.enabled:
                     OBS.action("replication.replica_removed",
                                replica=name)
-            self._replicas.pop(name, None)
+            replica = self._replicas.pop(name, None)
+        if replica is not None:
+            replica.close()
+
+    def close(self) -> None:
+        """Shut down every local replica (releases its WAL
+        descriptor). The group stays usable — a replica reopens on the
+        next shipped batch."""
+        with self._lock:
+            replicas = list(self._replicas.values())
+        for replica in replicas:
+            replica.close()
 
     def replica(self, name: str) -> Replica:
         with self._lock:
@@ -617,6 +628,10 @@ class ReplicationGroup:
                 # new term.
                 self._lease.revoke()
             shipper.remove(chosen)
+            if chosen in self._replicas:
+                # The chosen follower retires; the new primary's log
+                # becomes the one log object on its wal.log.
+                self._replicas[chosen].close()
             # Surviving links must not carry acks — or history — past
             # the fence into the new term. A replica whose applied
             # prefix exceeds the fence (it outran the chosen one
@@ -700,10 +715,8 @@ class ReplicationGroup:
         re-bootstraps from the new primary's checkpoint instead.
         """
         fence = self.fence_seq(old_term)
-        from repro.fdb.wal import UpdateLog
-        log = UpdateLog(replica.wal_path, fsync=replica.fsync)
-        torn = log.discard_torn_tail()
-        dropped = log.truncate_to(fence)
+        torn = replica.log.discard_torn_tail()
+        dropped = replica.log.truncate_to(fence)
         rebootstrap = False
         if replica.snapshot_path.exists():
             _, meta = persistence.load_with_meta(replica.snapshot_path)

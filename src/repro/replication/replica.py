@@ -68,6 +68,11 @@ class Replica:
         self.snapshot_path = self.workdir / "snapshot.json"
         self.wal_path = self.workdir / "wal.log"
         self.fsync = fsync
+        # The one log object for this copy's ``wal.log``: shipped
+        # frames are appended through it and every repair (torn tail,
+        # fence truncation, snapshot install) goes through it, so the
+        # held descriptor is dropped wherever the file is replaced.
+        self.log = UpdateLog(self.wal_path, fsync=fsync)
         self.db: FunctionalDatabase | None = None
         self.applied_seq = 0
         self.term = 0
@@ -87,14 +92,20 @@ class Replica:
         with self._lock:
             self.crashed = True
             self.db = None
+            self.log.close()  # a dead process holds no descriptor
+
+    def close(self) -> None:
+        """Shutdown: release the local WAL's descriptor. Idempotent; a
+        later shipped batch reopens."""
+        with self._lock:
+            self.log.close()
 
     def restart(self) -> None:
         """Come back from a crash using only the working directory:
         drop a torn tail, replay snapshot + log, recompute
         ``applied_seq`` from what is durably on disk."""
         with self._lock:
-            log = UpdateLog(self.wal_path, fsync=self.fsync)
-            log.discard_torn_tail()
+            self.log.discard_torn_tail()
             if not self.snapshot_path.exists():
                 # Never bootstrapped before the crash: stay empty and
                 # let catch-up install a snapshot.
@@ -108,7 +119,9 @@ class Replica:
                              policy="strict")
             _, meta = persistence.load_with_meta(self.snapshot_path)
             self.db = report.db
-            self.applied_seq = max(log.last_seq(),
+            # From the file, not the log object's cached position:
+            # the disk is all a restart may trust.
+            self.applied_seq = max(self.log.scan("salvage").max_seq,
                                    meta.get("wal_applied") or 0)
             self.term = max(report.term, meta.get("term", 0), self.term)
             self.crashed = False
@@ -199,8 +212,7 @@ class Replica:
         try:
             self._apply_fresh(fresh, aborted)
         except SimulatedCrash:
-            self.crashed = True
-            self.db = None
+            self.crash()
             raise ConnectionError(
                 f"replica {self.name} crashed mid-apply"
             ) from None
@@ -241,8 +253,7 @@ class Replica:
                             seq=seq)
                 # Write-ahead locally too: the record is on disk before
                 # its effects are, so a crash between the two replays it.
-                storage.append_line(self.wal_path, line,
-                                    fsync=self.fsync)
+                self.log.append_frame(seq, line)
                 if enabled:
                     scope.attrs["appended_to"] = seq
         if enabled:
@@ -330,9 +341,8 @@ class Replica:
                         "error": f"bad-snapshot: {exc}",
                         "applied_seq": self.applied_seq}
             storage.atomic_write(self.snapshot_path, text)
-            log = UpdateLog(self.wal_path, fsync=self.fsync,
-                            term=max(term, self.term))
-            log.truncate(next_seq=wal_applied + 1)
+            self.log.term = max(term, self.term)  # stamps the header
+            self.log.truncate(next_seq=wal_applied + 1)
             self.db = db
             self.applied_seq = wal_applied
             self.term = max(term, self.term)

@@ -716,14 +716,33 @@ class DatabaseService:
 
     def close(self, *, drain: bool = True, timeout: float = 10.0) -> bool:
         """Drain (optionally), stop the metrics endpoint if one is
-        serving, and mark the service closed."""
+        serving, release the WAL's descriptor, and mark the service
+        closed."""
         drained = self.drain(timeout) if drain else True
         if not drain:
             self.gate.close()
         self.stop_metrics()
+        self.close_log()
         if OBS.enabled:
             OBS.action("service.closed", drained=drained)
         return drained
+
+    def close_log(self) -> None:
+        """Release the WAL's held append descriptor, under the write
+        token. The token, not the admission gate, is what every
+        appender holds — the sharded facade's multi-shard lane never
+        enters this lane's gate — so the close cannot land between a
+        frame's write and its fsync (the failed fsync would be retried
+        and the frame logged twice). A writer that keeps the token past
+        the lock timeout keeps the descriptor."""
+        if self.logged is None:
+            return
+        try:
+            with self.locks.held((WRITE_RESOURCE,), EXCLUSIVE,
+                                 timeout=self.lock_timeout):
+                self.logged.close()
+        except LockTimeout:
+            pass
 
     @property
     def closed(self) -> bool:

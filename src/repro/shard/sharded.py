@@ -426,13 +426,16 @@ class ShardedDatabaseService:
         """Replace a lane after failover: the shard soak promotes a
         replica of one lane's group and installs the new primary's
         service here. The incoming service must carry the same shard
-        label so its telemetry stays on the same series."""
+        label so its telemetry stays on the same series. The outgoing
+        lane's WAL descriptor is released: its log now belongs to
+        whoever repairs the deposed primary's directory."""
         if service.shard != shard:
             raise ValueError(
                 f"replacement service is labelled shard "
                 f"{service.shard!r}, expected {shard}"
             )
-        self.lanes[shard] = service
+        outgoing, self.lanes[shard] = self.lanes[shard], service
+        outgoing.close_log()
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -6,6 +6,8 @@ and benches replay identical artifacts.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.core.schema import Schema
@@ -61,3 +63,21 @@ def u_sequence():
 def relational_31():
     """(db, view name, target tuple) of Section 3.1."""
     return section_31_relational()
+
+
+# -- descriptor ownership -----------------------------------------------------
+
+
+@pytest.fixture
+def closing():
+    """``closing(thing)`` hands ``thing`` back and ``close()``s it when
+    the test ends, last built first. A log that has appended holds its
+    descriptor until its owner closes it; in a test, the test owns what
+    it builds, and CI runs the WAL / replication / shard modules with
+    ``-W error::ResourceWarning`` so a forgotten one fails."""
+    with contextlib.ExitStack() as stack:
+        def own(thing):
+            stack.callback(thing.close)
+            return thing
+
+        yield own

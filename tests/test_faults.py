@@ -90,8 +90,8 @@ class TestRegistry:
 
 
 class TestTransientRetry:
-    def test_append_retries_through_transient_errors(self, tmp_path):
-        log = UpdateLog(tmp_path / "log", backoff=0.0)
+    def test_append_retries_through_transient_errors(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log", backoff=0.0))
         FAULTS.arm("storage.append.before", TransientError(times=2))
         OBS.enable()
         try:
@@ -104,14 +104,15 @@ class TestTransientRetry:
         assert retries == 2
         assert len(log) == 1  # exactly one record despite the retries
 
-    def test_append_gives_up_after_retry_budget(self, tmp_path):
-        log = UpdateLog(tmp_path / "log", retries=2, backoff=0.0)
+    def test_append_gives_up_after_retry_budget(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log", retries=2,
+                                backoff=0.0))
         FAULTS.arm("storage.append.before", TransientError(times=10))
         with pytest.raises(PersistenceError, match="3 attempts"):
             log.append(Update.ins("teach", "gauss", "cs"))
 
-    def test_torn_write_leaves_prefix(self, tmp_path):
-        log = UpdateLog(tmp_path / "log")
+    def test_torn_write_leaves_prefix(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log"))
         log.append(Update.ins("teach", "gauss", "cs"))
         size_before = log.path.stat().st_size
         FAULTS.arm("storage.append.payload", TornWrite(5))
@@ -172,7 +173,7 @@ class TestCrashMatrix:
 
 
 class TestCheckpointCrashWindow:
-    def test_crash_between_snapshot_and_truncate(self, tmp_path):
+    def test_crash_between_snapshot_and_truncate(self, tmp_path, closing):
         """The double-apply window: the new snapshot already folds the
         log in, the old log still exists. Recovery must not replay the
         folded records a second time."""
@@ -181,7 +182,7 @@ class TestCheckpointCrashWindow:
         snapshot = tmp_path / "snapshot.json"
         db = pupil_database()
         persistence.save(db, snapshot)
-        logged = LoggedDatabase(db, tmp_path / "wal.log")
+        logged = closing(LoggedDatabase(db, tmp_path / "wal.log"))
         logged.insert("pupil", "gauss", "bill")  # burns a null index
         FAULTS.arm("wal.checkpoint.after-snapshot", CrashFault())
         with pytest.raises(SimulatedCrash):
@@ -210,14 +211,13 @@ class TestLatencyFault:
         fault.trigger("storage.append.payload")  # budget spent: no-op
         assert time.monotonic() - start < 0.02
 
-    def test_armed_at_storage_point_slows_wal_append(self, tmp_path):
+    def test_armed_at_storage_point_slows_wal_append(self, tmp_path, closing):
         import time
 
         from repro.faults import LatencyFault
 
         db = pupil_database()
-        log = UpdateLog(tmp_path / "wal.jsonl")
-        logged = LoggedDatabase(db, log)
+        logged = closing(LoggedDatabase(db, tmp_path / "wal.jsonl"))
         FAULTS.arm("storage.append.payload", LatencyFault(delay=0.03,
                                                           times=1))
         start = time.monotonic()

@@ -19,7 +19,6 @@ from repro.fdb.updates import Update
 from repro.fdb.wal import (
     LoggedDatabase,
     RecoveryReport,
-    UpdateLog,
     checkpoint,
 )
 from repro.replication import (
@@ -46,13 +45,22 @@ def primary(tmp_path):
     workdir.mkdir()
     db = pupil_database()
     persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-    return LoggedDatabase(db, workdir / "wal.log"), workdir
+    logged = LoggedDatabase(db, workdir / "wal.log")
+    yield logged, workdir
+    logged.close()
 
 
-def _group(mode="sync(1)", **kwargs):
-    kwargs.setdefault("ack_timeout", 1.0)
-    kwargs.setdefault("retry_interval", 0.005)
-    return ReplicationGroup(mode, **kwargs)
+@pytest.fixture
+def make_group(closing):
+    """Builder for a fast-retrying group; closing it at the end of the
+    test shuts down the replicas added to it."""
+
+    def build(mode="sync(1)", **kwargs):
+        kwargs.setdefault("ack_timeout", 1.0)
+        kwargs.setdefault("retry_interval", 0.005)
+        return closing(ReplicationGroup(mode, **kwargs))
+
+    return build
 
 
 class TestCommitMode:
@@ -80,9 +88,9 @@ class TestCommitMode:
 
 
 class TestReplicaApply:
-    def test_bootstrap_and_delta_apply(self, primary, tmp_path):
+    def test_bootstrap_and_delta_apply(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         term = group.attach_primary(logged)
         assert term == 1
         replica = Replica("r0", tmp_path / "r0")
@@ -95,9 +103,9 @@ class TestReplicaApply:
         # the replica's log is a prefix copy of the primary's stream
         assert replica.wal_path.exists()
 
-    def test_reshipment_is_idempotent(self, primary, tmp_path):
+    def test_reshipment_is_idempotent(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         replica = Replica("r0", tmp_path / "r0")
         group.add_replica("r0", replica)
@@ -111,9 +119,9 @@ class TestReplicaApply:
         pairs = list(replica.db.table("teach").pairs())
         assert pairs.count(("gauss", "cs")) == 1
 
-    def test_true_gap_errors(self, primary, tmp_path):
+    def test_true_gap_errors(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         replica = Replica("r0", tmp_path / "r0")
         group.add_replica("r0", replica)
@@ -130,9 +138,10 @@ class TestReplicaApply:
         })
         assert reply == {"ok": False, "error": "gap", "applied_seq": 0}
 
-    def test_checksum_tampering_is_refused(self, primary, tmp_path):
+    def test_checksum_tampering_is_refused(
+            self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         replica = Replica("r0", tmp_path / "r0")
         group.add_replica("r0", replica)
@@ -147,9 +156,10 @@ class TestReplicaApply:
         assert not reply["ok"]
         assert "bad-record" in reply["error"]
 
-    def test_stale_term_refused_by_replica(self, primary, tmp_path):
+    def test_stale_term_refused_by_replica(
+            self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         replica = Replica("r0", tmp_path / "r0")
         group.add_replica("r0", replica)
@@ -161,9 +171,10 @@ class TestReplicaApply:
         assert reply["error"] == "stale-term"
         assert reply["term"] == 5
 
-    def test_crash_restart_resumes_from_disk(self, primary, tmp_path):
+    def test_crash_restart_resumes_from_disk(
+            self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         replica = Replica("r0", tmp_path / "r0")
         group.add_replica("r0", replica)
@@ -183,10 +194,10 @@ class TestReplicaApply:
 
 
 class TestShipper:
-    def test_batching_respects_limit(self, primary, tmp_path):
+    def test_batching_respects_limit(self, primary, tmp_path, closing):
         logged, _ = primary
         shipper = WalShipper(logged.log, term=1, batch_limit=2)
-        replica = Replica("r0", tmp_path / "r0")
+        replica = closing(Replica("r0", tmp_path / "r0"))
         link = shipper.add("r0", InProcessTransport(replica.handle))
         snapshot = persistence.dumps(logged.db, wal_applied=0)
         shipper.ship_snapshot(link, snapshot, 0)
@@ -194,9 +205,10 @@ class TestShipper:
         shipper.ship(link, seqs[-1])
         assert replica.applied_seq == seqs[-1]
 
-    def test_snapshot_needed_after_checkpoint(self, primary, tmp_path):
+    def test_snapshot_needed_after_checkpoint(
+            self, primary, tmp_path, make_group):
         logged, workdir = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         for update in section_42_updates()[:3]:
             seq = logged.execute(update)
@@ -210,13 +222,13 @@ class TestShipper:
             logged.db.table("teach").rows()
 
     def test_mid_flight_fold_never_sends_empty_append(
-            self, primary, tmp_path, monkeypatch):
+            self, primary, tmp_path, monkeypatch, make_group):
         """A checkpoint folding the range between the floor check and
         the record read must surface as SnapshotNeeded — an empty
         append would advance the replica's high-water mark past
         records it never received (silent acked-data loss)."""
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         replica = Replica("r0", tmp_path / "r0")
         group.add_replica("r0", replica)
@@ -232,7 +244,7 @@ class TestShipper:
         assert link.acked_seq == seq
 
     def test_batch_boundary_keeps_abort_with_its_entry(
-            self, primary, tmp_path):
+            self, primary, tmp_path, closing):
         """The batch limit must never strand an entry in one batch and
         its compensating abort in the next: the replica would apply
         the entry (its own apply can succeed even when the primary's
@@ -243,7 +255,7 @@ class TestShipper:
         # batch_limit=2 would cut exactly between the entry and its
         # abort; the shipper must extend the batch instead.
         shipper = WalShipper(logged.log, term=1, batch_limit=2)
-        replica = Replica("r0", tmp_path / "r0")
+        replica = closing(Replica("r0", tmp_path / "r0"))
         link = shipper.add("r0", InProcessTransport(replica.handle))
         snapshot = persistence.dumps(logged.db, wal_applied=0)
         shipper.ship_snapshot(link, snapshot, 0)
@@ -266,9 +278,9 @@ class TestShipper:
         assert replica.db.table("teach").rows() == \
             logged.db.table("teach").rows()
 
-    def test_journal_covers_the_stream(self, primary, tmp_path):
+    def test_journal_covers_the_stream(self, primary, make_group):
         logged, _ = primary
-        group = _group(journal=True)
+        group = make_group(journal=True)
         group.attach_primary(logged)
         seqs = [logged.execute(u) for u in section_42_updates()[:3]]
         for seq in seqs:
@@ -278,9 +290,9 @@ class TestShipper:
 
 
 class TestGroupCommitModes:
-    def test_sync_waits_for_k_acks(self, primary, tmp_path):
+    def test_sync_waits_for_k_acks(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group("sync(2)")
+        group = make_group("sync(2)")
         group.attach_primary(logged)
         for name in ("r0", "r1"):
             group.add_replica(name, Replica(name, tmp_path / name))
@@ -288,9 +300,10 @@ class TestGroupCommitModes:
         verdict = group.on_commit(seq)
         assert verdict["acks"] == 2
 
-    def test_sync_times_out_when_partitioned(self, primary, tmp_path):
+    def test_sync_times_out_when_partitioned(
+            self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group("sync(1)", ack_timeout=0.15)
+        group = make_group("sync(1)", ack_timeout=0.15)
         group.attach_primary(logged)
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         group.shipper.link("r0").transport.partitioned = True
@@ -303,9 +316,9 @@ class TestGroupCommitModes:
         group.on_commit(seq2)
         assert group.replica("r0").applied_seq == seq2
 
-    def test_async_never_blocks(self, primary, tmp_path):
+    def test_async_never_blocks(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group("async", ack_timeout=0.15)
+        group = make_group("async", ack_timeout=0.15)
         group.attach_primary(logged)
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         group.shipper.link("r0").transport.partitioned = True
@@ -315,16 +328,17 @@ class TestGroupCommitModes:
 
 
 class TestFailover:
-    def _replicated(self, primary, tmp_path, mode="sync(1)"):
+    @pytest.fixture
+    def replicated(self, primary, tmp_path, make_group):
         logged, workdir = primary
-        group = _group(mode, journal=True)
+        group = make_group(journal=True)
         group.attach_primary(logged)
         for name in ("r0", "r1"):
             group.add_replica(name, Replica(name, tmp_path / name))
         return logged, workdir, group
 
-    def test_promotion_picks_longest_prefix(self, primary, tmp_path):
-        logged, _, group = self._replicated(primary, tmp_path)
+    def test_promotion_picks_longest_prefix(self, replicated):
+        logged, _, group = replicated
         seq1 = logged.execute(Update.ins("teach", "a", "b"))
         group.on_commit(seq1)
         # r1 misses the second commit; r0 gets everything.
@@ -337,8 +351,8 @@ class TestFailover:
         assert report.applied_seq == seq2
         assert dict(report.candidates) == {"r0": seq2, "r1": seq1}
 
-    def test_promote_fence_and_stale_primary(self, primary, tmp_path):
-        logged, _, group = self._replicated(primary, tmp_path)
+    def test_promote_fence_and_stale_primary(self, replicated):
+        logged, _, group = replicated
         token = group.term
         seqs = [logged.execute(u) for u in section_42_updates()[:3]]
         for seq in seqs:
@@ -360,8 +374,8 @@ class TestFailover:
         with pytest.raises(StalePrimary):
             group.check_primary(token)
 
-    def test_full_failover_and_rejoin(self, primary, tmp_path):
-        logged, workdir, group = self._replicated(primary, tmp_path)
+    def test_full_failover_and_rejoin(self, replicated, closing):
+        logged, workdir, group = replicated
         old_term = group.term
         seqs = [logged.execute(u) for u in section_42_updates()[:3]]
         for seq in seqs:
@@ -378,8 +392,7 @@ class TestFailover:
         report = group.promote()
         chosen = group.replica(report.chosen)
         group.remove_replica(report.chosen)
-        new_logged = LoggedDatabase(chosen.db,
-                                    UpdateLog(chosen.wal_path))
+        new_logged = closing(LoggedDatabase(chosen.db, chosen.wal_path))
         new_token = group.attach_primary(new_logged, node=chosen.name)
         assert new_token == report.new_term
         seq = new_logged.execute(Update.ins("teach", "new", "era"))
@@ -394,14 +407,14 @@ class TestFailover:
             new_logged.db.table("teach").rows()
 
     def test_promote_resets_links_past_the_fence(
-            self, primary, tmp_path):
+            self, replicated, closing):
         """A replica partitioned away during failover with an applied
         prefix *beyond* the fence must not carry its acks into the new
         term: the new history reuses those sequence numbers with
         different records, so its stale ack would count never-shipped
         new-term commits as replicated and its divergent tail would
         never be repaired."""
-        logged, _, group = self._replicated(primary, tmp_path)
+        logged, _, group = replicated
         seq1 = logged.execute(Update.ins("teach", "a", "b"))
         group.on_commit(seq1)
         # r1 races ahead: r0 misses the second commit entirely.
@@ -422,7 +435,7 @@ class TestFailover:
         # reusing sequence number seq2 with different content.
         chosen = group.replica(report.chosen)
         group.remove_replica(report.chosen)
-        new_logged = LoggedDatabase(chosen.db, UpdateLog(chosen.wal_path))
+        new_logged = closing(LoggedDatabase(chosen.db, chosen.wal_path))
         group.attach_primary(new_logged, node=chosen.name)
         group.shipper.link("r1").transport.partitioned = False
         seq_new = new_logged.execute(Update.ins("teach", "new", "era"))
@@ -438,10 +451,10 @@ class TestFailover:
             new_logged.db.table("teach").rows()
 
     def test_rejoin_rebootstraps_after_tainted_checkpoint(
-            self, primary, tmp_path):
+            self, replicated, closing):
         """A deposed primary that checkpointed its unacked tail cannot
         be repaired by truncation — it must re-bootstrap."""
-        logged, workdir, group = self._replicated(primary, tmp_path)
+        logged, workdir, group = replicated
         old_term = group.term
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
         group.on_commit(seq)
@@ -458,8 +471,7 @@ class TestFailover:
         report = group.promote()
         chosen = group.replica(report.chosen)
         group.remove_replica(report.chosen)
-        new_logged = LoggedDatabase(chosen.db,
-                                    UpdateLog(chosen.wal_path))
+        new_logged = closing(LoggedDatabase(chosen.db, chosen.wal_path))
         group.attach_primary(new_logged, node=chosen.name)
 
         old = Replica("old-primary", workdir)
@@ -471,9 +483,9 @@ class TestFailover:
 
 
 class TestBoundedStaleness:
-    def test_read_prefers_fresh_replica(self, primary, tmp_path):
+    def test_read_prefers_fresh_replica(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         for name in ("r0", "r1"):
             group.add_replica(name, Replica(name, tmp_path / name))
@@ -485,9 +497,9 @@ class TestBoundedStaleness:
         )
         assert value is Truth.TRUE
 
-    def test_unserved_when_all_lag(self, primary, tmp_path):
+    def test_unserved_when_all_lag(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group("async")
+        group = make_group("async")
         group.attach_primary(logged)
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         group.shipper.link("r0").transport.partitioned = True
@@ -496,14 +508,14 @@ class TestBoundedStaleness:
             group.read(lambda db: None, max_lag_seq=0)
 
     def test_remote_only_group_raises_misconfiguration(
-            self, primary, tmp_path):
+            self, primary, tmp_path, make_group, closing):
         """A group whose replicas are all behind remote transports
         cannot serve reads from this node — that is a routing
         misconfiguration (ReplicationError), not staleness."""
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
-        replica = Replica("r0", tmp_path / "r0")
+        replica = closing(Replica("r0", tmp_path / "r0"))
         # Hand the transport in directly: the group never learns about
         # the in-process Replica object, as with a SocketTransport.
         group.add_replica("r0", InProcessTransport(replica.handle))
@@ -515,9 +527,9 @@ class TestBoundedStaleness:
         assert not isinstance(caught.value, StalenessUnserved)
         assert "no local replicas" in str(caught.value)
 
-    def test_lag_and_health(self, primary, tmp_path):
+    def test_lag_and_health(self, primary, tmp_path, make_group):
         logged, _ = primary
-        group = _group()
+        group = make_group()
         group.attach_primary(logged)
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
@@ -531,23 +543,33 @@ class TestBoundedStaleness:
 
 
 class TestServiceIntegration:
-    def _service(self, tmp_path, mode="sync(1)", **kwargs):
-        workdir = tmp_path / "primary"
-        workdir.mkdir()
-        db = pupil_database()
-        persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-        group = _group(mode, journal=True)
-        service = DatabaseService(
-            db, log=workdir / "wal.log", replication=group, **kwargs
-        )
-        return service, group, workdir
+    @pytest.fixture
+    def service_on(self, tmp_path, make_group, closing):
+        """Builder for a replicated primary service (closed with the
+        test)."""
 
-    def test_replication_requires_a_log(self, tmp_path):
+        def build(mode="sync(1)", **kwargs):
+            workdir = tmp_path / "primary"
+            workdir.mkdir()
+            db = pupil_database()
+            persistence.save(db, workdir / "snapshot.json",
+                             wal_applied=0)
+            group = make_group(mode, journal=True)
+            service = closing(DatabaseService(
+                db, log=workdir / "wal.log", replication=group,
+                **kwargs
+            ))
+            return service, group, workdir
+
+        return build
+
+    def test_replication_requires_a_log(self, make_group):
         with pytest.raises(ReplicationError):
-            DatabaseService(pupil_database(), replication=_group())
+            DatabaseService(pupil_database(), replication=make_group())
 
-    def test_commit_blocks_on_acks_and_records_them(self, tmp_path):
-        service, group, _ = self._service(tmp_path)
+    def test_commit_blocks_on_acks_and_records_them(
+            self, tmp_path, service_on):
+        service, group, _ = service_on()
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
         acked = service.acked_ops()
@@ -557,9 +579,8 @@ class TestServiceIntegration:
         assert str(update) == "INS(teach, <gauss, cs>)"
         assert group.replica("r0").applied_seq == 1
 
-    def test_read_replica_and_staleness(self, tmp_path):
-        service, group, _ = self._service(
-            tmp_path, staleness_max_lag_seq=0)
+    def test_read_replica_and_staleness(self, tmp_path, service_on):
+        service, group, _ = service_on(staleness_max_lag_seq=0)
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
         value = service.read_replica(
@@ -575,8 +596,8 @@ class TestServiceIntegration:
         assert verdict["healthy"] is False  # the 503 path
         assert verdict["replication"]["servable"] is False
 
-    def test_stats_carry_wal_and_replication(self, tmp_path):
-        service, group, _ = self._service(tmp_path)
+    def test_stats_carry_wal_and_replication(self, tmp_path, service_on):
+        service, group, _ = service_on()
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
         stats = service.stats()
@@ -586,8 +607,8 @@ class TestServiceIntegration:
         assert stats["acked"] == 1
         assert stats["replication"]["replicas"]["r0"]["lag_seq"] == 0
 
-    def test_fenced_service_write_raises(self, tmp_path):
-        service, group, _ = self._service(tmp_path)
+    def test_fenced_service_write_raises(self, tmp_path, service_on):
+        service, group, _ = service_on()
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
         group.promote()
@@ -597,15 +618,16 @@ class TestServiceIntegration:
 
 
 class TestSocketTransport:
-    def test_append_over_a_real_socket(self, primary, tmp_path):
+    def test_append_over_a_real_socket(
+            self, primary, tmp_path, make_group, closing):
         logged, _ = primary
-        replica = Replica("r0", tmp_path / "r0")
+        replica = closing(Replica("r0", tmp_path / "r0"))
         server = ReplicaServer(replica.handle)
         server.start()
         try:
-            group = _group()
+            group = make_group()
             group.attach_primary(logged)
-            group.add_replica("r0", server.transport())
+            group.add_replica("r0", closing(server.transport()))
             seq = logged.execute(Update.ins("teach", "gauss", "cs"))
             group.on_commit(seq)
             assert replica.applied_seq == seq

@@ -70,21 +70,28 @@ class _Ticker:
         return self.now
 
 
-def _stack(tmp_path, cfg: LeaseConfig, replicas: int = 2, *,
-           mode: str = "sync(1)", clock=None):
-    workdir = tmp_path / "primary"
-    workdir.mkdir(exist_ok=True)
-    db = pupil_database()
-    persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-    logged = LoggedDatabase(db, workdir / "wal.log")
-    group = ReplicationGroup(mode, ack_timeout=1.0,
-                             retry_interval=0.005)
-    lease = group.enable_lease(cfg, clock=clock)
-    term = group.attach_primary(logged, node="primary")
-    for i in range(replicas):
-        replica = Replica(f"r{i}", tmp_path / f"r{i}")
-        group.add_replica(replica.name, replica)
-    return db, logged, group, lease, term
+@pytest.fixture
+def stack(tmp_path, closing):
+    """Builder for a leased primary with in-process replicas; the log
+    and the group it builds are closed when the test ends."""
+
+    def build(cfg: LeaseConfig, replicas: int = 2, *,
+              mode: str = "sync(1)", clock=None):
+        workdir = tmp_path / "primary"
+        workdir.mkdir(exist_ok=True)
+        db = pupil_database()
+        persistence.save(db, workdir / "snapshot.json", wal_applied=0)
+        logged = closing(LoggedDatabase(db, workdir / "wal.log"))
+        group = closing(ReplicationGroup(mode, ack_timeout=1.0,
+                                         retry_interval=0.005))
+        lease = group.enable_lease(cfg, clock=clock)
+        term = group.attach_primary(logged, node="primary")
+        for i in range(replicas):
+            replica = Replica(f"r{i}", tmp_path / f"r{i}")
+            group.add_replica(replica.name, replica)
+        return db, logged, group, lease, term
+
+    return build
 
 
 class TestLeaseConfig:
@@ -116,11 +123,11 @@ class TestLeaseExpiredType:
 
 
 class TestLeaseManager:
-    def test_grant_then_quorum_renewal(self, tmp_path):
+    def test_grant_then_quorum_renewal(self, tmp_path, stack):
         clock = _Ticker()
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, lease, term = _stack(tmp_path, cfg, clock=clock)
+        _, _, group, lease, term = stack(cfg, clock=clock)
         assert lease.held()
         # k = (2 + 1) // 2 = 1 renewal vote needed beyond the grant.
         assert lease.needed_acks() == 1
@@ -136,11 +143,11 @@ class TestLeaseManager:
         lease.check()
         assert group.term == term
 
-    def test_remaining_and_status(self, tmp_path):
+    def test_remaining_and_status(self, tmp_path, stack):
         clock = _Ticker()
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, lease, _ = _stack(tmp_path, cfg, clock=clock)
+        _, _, group, lease, _ = stack(cfg, clock=clock)
         assert lease.remaining() == pytest.approx(0.9)
         status = lease.status()
         assert status["held"] is True
@@ -149,34 +156,33 @@ class TestLeaseManager:
         health = group.health()
         assert health["lease"]["held"] is True
 
-    def test_votes_are_request_start_stamped(self, tmp_path):
+    def test_votes_are_request_start_stamped(self, tmp_path, stack):
         """A slow round-trip must shorten the lease, not stretch it:
         the vote is timestamped before the request went out."""
         clock = _Ticker()
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, lease, _ = _stack(tmp_path, cfg, clock=clock)
+        _, _, group, lease, _ = stack(cfg, clock=clock)
         clock.now = 0.5
         lease.note_ack("r0", started=0.2)
         # Watermark floors at the grant until the quorum vote, then
         # follows the vote's *start* stamp, never the reply instant.
         assert lease.remaining() == pytest.approx(0.6)
 
-    def test_solo_primary_never_demotes(self, tmp_path):
+    def test_solo_primary_never_demotes(self, tmp_path, stack):
         clock = _Ticker()
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, lease, _ = _stack(tmp_path, cfg, replicas=0,
-                                       clock=clock)
+        _, _, group, lease, _ = stack(cfg, replicas=0, clock=clock)
         assert lease.needed_acks() == 0
         clock.now = 1e6
         assert lease.held()
         lease.check()
 
-    def test_revoked_by_promotion(self, tmp_path):
+    def test_revoked_by_promotion(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, logged, group, lease, term = _stack(tmp_path, cfg)
+        _, logged, group, lease, term = stack(cfg)
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
         group.on_commit(seq)
         group.promote()
@@ -211,10 +217,10 @@ class TestFailureDetector:
         assert not det.expired()
         assert det.leader == "new-primary"
 
-    def test_replica_feeds_attached_detector(self, tmp_path):
+    def test_replica_feeds_attached_detector(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, logged, group, lease, _ = _stack(tmp_path, cfg)
+        _, logged, group, lease, _ = stack(cfg)
         replica = group.replica("r0")
         clock = _Ticker()
         det = FailureDetector("r0", cfg, clock=clock)
@@ -227,10 +233,10 @@ class TestFailureDetector:
 
 
 class TestElectionRules:
-    def test_quotas(self, tmp_path):
+    def test_quotas(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, _, _ = _stack(tmp_path, cfg, replicas=3)
+        _, _, group, _, _ = stack(cfg, replicas=3)
         coord = FailoverCoordinator(group, cfg)
         for name in ("r0", "r1", "r2"):
             coord.watch(group.replica(name))
@@ -239,21 +245,20 @@ class TestElectionRules:
         # sync(1): any single replica may hold the only ack.
         assert coord.candidates_needed() == 3
 
-    def test_async_mode_needs_single_candidate(self, tmp_path):
+    def test_async_mode_needs_single_candidate(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, _, _ = _stack(tmp_path, cfg, replicas=3,
-                                   mode="async")
+        _, _, group, _, _ = stack(cfg, replicas=3, mode="async")
         coord = FailoverCoordinator(group, cfg)
         for name in ("r0", "r1", "r2"):
             coord.watch(group.replica(name))
         assert coord.candidates_needed() == 1
 
-    def test_two_node_groups_never_self_elect(self, tmp_path):
+    def test_two_node_groups_never_self_elect(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
         clock = _Ticker()
-        _, _, group, _, _ = _stack(tmp_path, cfg, replicas=1)
+        _, _, group, _, _ = stack(cfg, replicas=1)
         coord = FailoverCoordinator(group, cfg, clock=clock)
         det_clock = _Ticker()
         coord.watch(group.replica("r0"), clock=det_clock)
@@ -263,10 +268,10 @@ class TestElectionRules:
         det_clock.now = cfg.detector_horizon + 10
         assert coord.tick() is None
 
-    def test_operator_vote_override(self, tmp_path):
+    def test_operator_vote_override(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2, election_votes=1)
-        _, _, group, _, _ = _stack(tmp_path, cfg, replicas=1)
+        _, _, group, _, _ = stack(cfg, replicas=1)
         coord = FailoverCoordinator(group, cfg)
         det_clock = _Ticker()
         coord.watch(group.replica("r0"), clock=det_clock)
@@ -274,12 +279,12 @@ class TestElectionRules:
         report = coord.tick()
         assert report is not None and report.chosen == "r0"
 
-    def test_deterministic_winner(self, tmp_path):
+    def test_deterministic_winner(self, tmp_path, stack):
         """Max applied_seq wins; lexicographically smallest name
         breaks ties."""
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, logged, group, _, _ = _stack(tmp_path, cfg, replicas=3)
+        _, logged, group, _, _ = stack(cfg, replicas=3)
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
         group.on_commit(seq)  # all three replicas apply it
         coord = FailoverCoordinator(group, cfg)
@@ -298,10 +303,10 @@ class TestElectionRules:
             clock.now += 100
         assert coord.tick() is None
 
-    def test_election_blocked_below_candidate_quota(self, tmp_path):
+    def test_election_blocked_below_candidate_quota(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, _, _ = _stack(tmp_path, cfg, replicas=3)
+        _, _, group, _, _ = stack(cfg, replicas=3)
         coord = FailoverCoordinator(group, cfg)
         clocks = {}
         for name in ("r0", "r1", "r2"):
@@ -327,10 +332,10 @@ class TestFaults:
         assert skewed() == pytest.approx(105.0)
         assert straight() == pytest.approx(100.0)
 
-    def test_heartbeat_drop_fault(self, tmp_path):
+    def test_heartbeat_drop_fault(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, lease, _ = _stack(tmp_path, cfg)
+        _, _, group, lease, _ = stack(cfg)
         FAULTS.arm("repl.lease.heartbeat", HeartbeatDropFault(rate=1.0))
         assert lease.renew_once() == 0
         FAULTS.disarm("repl.lease.heartbeat")
@@ -390,14 +395,13 @@ class TestTransportTimeouts:
             server.stop()
             transport.close()
 
-    def test_timeout_counts_toward_failure_detection(self, tmp_path):
+    def test_timeout_counts_toward_failure_detection(self, tmp_path, stack):
         """A recv timeout on a shipping exchange is a missed renewal:
         the lease must lapse if every exchange times out."""
         clock = _Ticker()
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, lease, _ = _stack(tmp_path, cfg, replicas=0,
-                                       clock=clock)
+        _, _, group, lease, _ = stack(cfg, replicas=0, clock=clock)
 
         class _BlackHole:
             name = "hole"
@@ -419,13 +423,13 @@ class TestTransportTimeouts:
 
 
 class TestServiceIntegration:
-    def _service(self, tmp_path, cfg):
+    def _service(self, tmp_path, cfg, closing):
         workdir = tmp_path / "primary"
         workdir.mkdir()
         db = pupil_database()
         persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-        group = ReplicationGroup("sync(1)", ack_timeout=0.2,
-                                 retry_interval=0.005)
+        group = closing(ReplicationGroup("sync(1)", ack_timeout=0.2,
+                                         retry_interval=0.005))
         lease = group.enable_lease(cfg)
         service = DatabaseService(db, log=workdir / "wal.log",
                                   replication=group, node="primary")
@@ -434,10 +438,11 @@ class TestServiceIntegration:
             group.add_replica(replica.name, replica)
         return service, group, lease
 
-    def test_writes_fail_fast_and_health_degrades(self, tmp_path):
+    def test_writes_fail_fast_and_health_degrades(self, tmp_path,
+                                                   closing):
         cfg = LeaseConfig(duration=0.3, margin=0.05,
                           renew_interval=0.05)
-        service, group, lease = self._service(tmp_path, cfg)
+        service, group, lease = self._service(tmp_path, cfg, closing)
         try:
             service.insert("teach", "gauss", "cs", deadline=5.0)
             assert service._health()["leaderless"] is False
@@ -456,10 +461,10 @@ class TestServiceIntegration:
         finally:
             service.close(timeout=5.0)
 
-    def test_health_recovers_with_quorum(self, tmp_path):
+    def test_health_recovers_with_quorum(self, tmp_path, closing):
         cfg = LeaseConfig(duration=0.3, margin=0.05,
                           renew_interval=0.05)
-        service, group, lease = self._service(tmp_path, cfg)
+        service, group, lease = self._service(tmp_path, cfg, closing)
         try:
             for link in group.shipper.links():
                 link.transport.partitioned = True
@@ -482,10 +487,10 @@ class TestReplPromote:
         out = interp.execute("promote")
         assert any("no replication group" in line for line in out)
 
-    def test_promote_with_group(self, tmp_path):
+    def test_promote_with_group(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, logged, group, lease, _ = _stack(tmp_path, cfg)
+        _, logged, group, lease, _ = stack(cfg)
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
         group.on_commit(seq)
         interp = Interpreter()
@@ -512,22 +517,21 @@ class TestReplPromote:
 
 
 class TestObservabilitySurfaces:
-    def test_render_replication_lease_row(self, tmp_path):
+    def test_render_replication_lease_row(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, _, group, _, _ = _stack(tmp_path, cfg)
+        _, _, group, _, _ = stack(cfg)
         text = render_replication(group.health())
         assert "lease: HELD" in text
         assert "quorum 1" in text
 
-    def test_monitor_and_timeline_show_lease_lifecycle(self, tmp_path):
+    def test_monitor_and_timeline_show_lease_lifecycle(self, tmp_path, stack):
         sink = OBS.events.add_sink(RingBufferSink(capacity=4096))
         OBS.enable()
         clock = _Ticker()
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, logged, group, lease, term = _stack(tmp_path, cfg,
-                                               clock=clock)
+        _, logged, group, lease, term = stack(cfg, clock=clock)
         lease.renew_once()
         clock.now = 2.0
         with pytest.raises(LeaseExpired):

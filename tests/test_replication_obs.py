@@ -15,7 +15,7 @@ import pytest
 from repro.fdb import persistence
 from repro.fdb.logic import Truth
 from repro.fdb.updates import Update
-from repro.fdb.wal import UpdateLog
+from repro.fdb.wal import LoggedDatabase, UpdateLog
 from repro.obs import (
     OBS,
     RingBufferSink,
@@ -56,19 +56,28 @@ def ring():
     return sink
 
 
-def _service(tmp_path, mode="sync(2)", replicas=2, name="primary",
-             **kwargs):
-    workdir = tmp_path / name
-    workdir.mkdir()
-    db = pupil_database()
-    persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-    group = ReplicationGroup(mode, ack_timeout=2.0,
-                             retry_interval=0.005)
-    service = DatabaseService(db, log=workdir / "wal.log",
-                              replication=group, node=name, **kwargs)
-    for i in range(replicas):
-        group.add_replica(f"r{i}", Replica(f"r{i}", tmp_path / f"r{i}"))
-    return service, group, workdir
+@pytest.fixture
+def replicated(tmp_path, closing):
+    """Builder for a replicated primary service with in-process
+    replicas; the service and the group are closed when the test
+    ends."""
+
+    def build(mode="sync(2)", replicas=2, name="primary", **kwargs):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        db = pupil_database()
+        persistence.save(db, workdir / "snapshot.json", wal_applied=0)
+        group = closing(ReplicationGroup(mode, ack_timeout=2.0,
+                                         retry_interval=0.005))
+        service = closing(DatabaseService(
+            db, log=workdir / "wal.log", replication=group, node=name,
+            **kwargs))
+        for i in range(replicas):
+            group.add_replica(f"r{i}",
+                              Replica(f"r{i}", tmp_path / f"r{i}"))
+        return service, group, workdir
+
+    return build
 
 
 def _spans(records, name):
@@ -76,8 +85,8 @@ def _spans(records, name):
 
 
 class TestCrossNodeTrace:
-    def test_one_commit_is_one_trace_across_nodes(self, tmp_path, ring):
-        service, group, _ = _service(tmp_path)
+    def test_one_commit_is_one_trace_across_nodes(self, ring, replicated):
+        service, group, _ = replicated()
         service.insert("teach", "gauss", "cs")
         records = list(ring.records)
 
@@ -102,8 +111,8 @@ class TestCrossNodeTrace:
         # Both replicas appear, each with its own pipeline.
         assert {str(r.attrs["replica"]) for r in receives} == {"r0", "r1"}
 
-    def test_propagation_dag_folds_the_pipeline(self, tmp_path, ring):
-        service, group, _ = _service(tmp_path)
+    def test_propagation_dag_folds_the_pipeline(self, ring, replicated):
+        service, group, _ = replicated()
         service.insert("teach", "gauss", "cs")
         dag = propagation_dag(list(ring.records))
         labels = {}
@@ -119,19 +128,19 @@ class TestCrossNodeTrace:
                        and dst == receive
                        for src, dst in edge_pairs)
 
-    def test_frame_without_trace_context_still_applies(self, tmp_path,
-                                                       ring):
+    def test_frame_without_trace_context_still_applies(self, ring,
+                                                       replicated):
         # A primary with tracing off ships frames without the trace
         # key; the replica must apply them and open unparented spans.
-        service, group, _ = _service(tmp_path)
+        service, group, _ = replicated()
         OBS.disable()
         service.insert("teach", "gauss", "cs")
         OBS.enable()
         service.insert("teach", "noether", "algebra")
         assert group.replica("r0").applied_seq == 2
 
-    def test_pipeline_stats_cover_all_stages(self, tmp_path, ring):
-        service, group, _ = _service(tmp_path)
+    def test_pipeline_stats_cover_all_stages(self, ring, replicated):
+        service, group, _ = replicated()
         service.insert("teach", "gauss", "cs")
         stats = group.pipeline_stats()
         for replica in ("r0", "r1"):
@@ -141,10 +150,9 @@ class TestCrossNodeTrace:
                 assert stages.get(stage, {}).get("count", 0) >= 1, \
                     f"{replica}/{stage} unobserved"
 
-    def test_disabled_telemetry_ships_bare_frames(self, tmp_path):
+    def test_disabled_telemetry_ships_bare_frames(self, replicated):
         captured = []
-        service, group, _ = _service(tmp_path, mode="sync(1)",
-                                     replicas=1)
+        service, group, _ = replicated(mode="sync(1)", replicas=1)
         link = group.shipper.link("r0")
         original = link.transport.request
 
@@ -159,8 +167,8 @@ class TestCrossNodeTrace:
 
 
 class TestFailoverTraceContinuity:
-    def _failover(self, tmp_path, ring):
-        service, group, workdir = _service(tmp_path, mode="sync(1)")
+    def _failover(self, replicated):
+        service, group, workdir = replicated(mode="sync(1)")
         service.insert("teach", "gauss", "cs")  # old-term commit
         for link in group.shipper.links():
             link.transport.partitioned = True
@@ -181,8 +189,8 @@ class TestFailoverTraceContinuity:
         new_service.close(timeout=5.0)
         return promotion
 
-    def test_two_disjoint_term_pipelines(self, tmp_path, ring):
-        promotion = self._failover(tmp_path, ring)
+    def test_two_disjoint_term_pipelines(self, ring, replicated):
+        promotion = self._failover(replicated)
         records = list(ring.records)
         ships = _spans(records, "replication.ship")
         terms = {int(str(s.attrs["term"])) for s in ships}
@@ -202,8 +210,8 @@ class TestFailoverTraceContinuity:
         assert old_parents.isdisjoint(new_parents)
 
     def test_timeline_orders_fence_before_new_term_commits(
-            self, tmp_path, ring):
-        promotion = self._failover(tmp_path, ring)
+            self, ring, replicated):
+        promotion = self._failover(replicated)
         timeline = replication_timeline(list(ring.records))
         assert timeline.fence_violations() == []
         fences = timeline.of_kind("fence")
@@ -227,8 +235,8 @@ class TestFailoverTraceContinuity:
                                  "needs_snapshot"}
 
     def test_render_timeline_flags_nothing_on_a_clean_failover(
-            self, tmp_path, ring):
-        self._failover(tmp_path, ring)
+            self, ring, replicated):
+        self._failover(replicated)
         timeline = replication_timeline(list(ring.records))
         text = render_timeline(timeline)
         assert "ORDER VIOLATED" not in text
@@ -256,8 +264,8 @@ class TestSnapshotCompression:
         with pytest.raises(ValueError):
             decode_snapshot("!!not-base64!!", SNAPSHOT_ENCODING)
 
-    def test_catch_up_counts_bytes_both_sides(self, tmp_path, ring):
-        service, group, _ = _service(tmp_path, replicas=1)
+    def test_catch_up_counts_bytes_both_sides(self, ring, replicated):
+        service, group, _ = replicated(replicas=1)
         counters = OBS.metrics.snapshot()["counters"]
         raw = counters.get("replication.snapshot.bytes_raw", 0)
         wire = counters.get("replication.snapshot.bytes_wire", 0)
@@ -268,7 +276,7 @@ class TestSnapshotCompression:
 
 class TestFrameCompatibility:
     def test_socket_frames_round_trip_unknown_keys(self, tmp_path,
-                                                   ring):
+                                                   ring, closing):
         # An append frame carrying the trace context plus a key no
         # replica knows about must be applied, not refused — the wire
         # protocol is schemaless so older peers skip what they don't
@@ -277,18 +285,17 @@ class TestFrameCompatibility:
         workdir.mkdir()
         db = pupil_database()
         persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-        from repro.fdb.wal import LoggedDatabase
 
-        logged = LoggedDatabase(db, workdir / "wal.log")
-        replica = Replica("r0", tmp_path / "r0")
+        logged = closing(LoggedDatabase(db, workdir / "wal.log"))
+        replica = closing(Replica("r0", tmp_path / "r0"))
         server = ReplicaServer(replica.handle)
         server.start()
         try:
             group = ReplicationGroup("sync(1)", ack_timeout=2.0,
                                      retry_interval=0.005)
             group.attach_primary(logged)
-            group.add_replica("r0", server.transport())
-            transport = group.shipper.link("r0").transport
+            transport = closing(server.transport())
+            group.add_replica("r0", transport)
             # With telemetry on, the shipped frame carries "trace".
             seq = logged.execute(Update.ins("teach", "gauss", "cs"))
             group.on_commit(seq)
@@ -305,24 +312,24 @@ class TestFrameCompatibility:
         finally:
             server.stop()
 
-    def test_frame_missing_trace_context_over_socket(self, tmp_path):
+    def test_frame_missing_trace_context_over_socket(self, tmp_path,
+                                                     closing):
         # Telemetry off end to end: no trace key anywhere, replica
         # applies regardless (backward compatibility).
         workdir = tmp_path / "primary"
         workdir.mkdir()
         db = pupil_database()
         persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-        from repro.fdb.wal import LoggedDatabase
 
-        logged = LoggedDatabase(db, workdir / "wal.log")
-        replica = Replica("r0", tmp_path / "r0")
+        logged = closing(LoggedDatabase(db, workdir / "wal.log"))
+        replica = closing(Replica("r0", tmp_path / "r0"))
         server = ReplicaServer(replica.handle)
         server.start()
         try:
             group = ReplicationGroup("sync(1)", ack_timeout=2.0,
                                      retry_interval=0.005)
             group.attach_primary(logged)
-            group.add_replica("r0", server.transport())
+            group.add_replica("r0", closing(server.transport()))
             seq = logged.execute(Update.ins("teach", "gauss", "cs"))
             group.on_commit(seq)
             assert replica.applied_seq == seq
@@ -331,14 +338,14 @@ class TestFrameCompatibility:
 
 
 class TestLagSLO:
-    def test_objective_registered_by_default(self, tmp_path, ring):
-        service, group, _ = _service(tmp_path)
+    def test_objective_registered_by_default(self, ring, replicated):
+        service, group, _ = replicated()
         names = [o.name for o in service.slo.objectives]
         assert "replication.lag" in names
 
-    def test_lag_breach_turns_health_503(self, tmp_path, ring):
-        service, group, _ = _service(
-            tmp_path, mode="async",
+    def test_lag_breach_turns_health_503(self, ring, replicated):
+        service, group, _ = replicated(
+            mode="async",
             objectives=[replication_lag_objective(threshold_seq=0.5)],
         )
         service.insert("teach", "gauss", "cs")
@@ -365,13 +372,13 @@ class TestLagSLO:
                 link.transport.partitioned = False
             service.close(timeout=5.0)
 
-    def test_recovery_clears_the_alert(self, tmp_path, ring):
+    def test_recovery_clears_the_alert(self, ring, replicated):
         import time
 
         # A short window so the breach sample ages out of the fast
         # window quickly once the replicas catch back up.
-        service, group, _ = _service(
-            tmp_path, mode="async",
+        service, group, _ = replicated(
+            mode="async",
             objectives=[replication_lag_objective(threshold_seq=0.5,
                                                   window=0.6)],
         )

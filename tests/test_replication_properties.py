@@ -82,12 +82,13 @@ def _state_fingerprint(db: FunctionalDatabase) -> dict:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed):
+def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed,
+                                                    closing):
     rng = random.Random(seed)
     workdir = tmp_path / "primary"
     workdir.mkdir()
     db = pupil_database()
-    logged = LoggedDatabase(db, workdir / "wal.log")
+    logged = closing(LoggedDatabase(db, workdir / "wal.log"))
     shipper = WalShipper(logged.log, term=1, journal=True)
 
     # Drive the primary through a random update stream, dumping a
@@ -112,7 +113,7 @@ def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed):
     expected = _state_fingerprint(db)
 
     for start, snapshot_text in checkpoints.items():
-        replica = Replica(f"r{start}", tmp_path / f"r{start}")
+        replica = closing(Replica(f"r{start}", tmp_path / f"r{start}"))
         reply = replica.handle({
             "type": "snapshot", "term": 1,
             "snapshot": snapshot_text, "wal_applied": start,
@@ -130,17 +131,17 @@ def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_crash_restart_mid_stream_converges(tmp_path, seed):
+def test_crash_restart_mid_stream_converges(tmp_path, seed, closing):
     """A replica that crashes after every batch and restarts from its
     working directory alone still converges to the primary."""
     rng = random.Random(seed)
     workdir = tmp_path / "primary"
     workdir.mkdir()
     db = pupil_database()
-    logged = LoggedDatabase(db, workdir / "wal.log")
+    logged = closing(LoggedDatabase(db, workdir / "wal.log"))
     shipper = WalShipper(logged.log, term=1, journal=True)
 
-    replica = Replica("r0", tmp_path / "r0")
+    replica = closing(Replica("r0", tmp_path / "r0"))
     replica.handle({
         "type": "snapshot", "term": 1,
         "snapshot": persistence.dumps(db, wal_applied=0, term=1),
@@ -184,7 +185,7 @@ def _node_clock(world: _World, offset: float):
     return lambda: world.now + offset
 
 
-def _lease_stack(tmp_path, seed: int, replicas: int,
+def _lease_stack(tmp_path, closing, seed: int, replicas: int,
                  cfg: LeaseConfig):
     """A replicated group with lease + detectors + coordinator, all on
     virtual per-node clocks with random bounded skew."""
@@ -195,9 +196,9 @@ def _lease_stack(tmp_path, seed: int, replicas: int,
     workdir.mkdir()
     db = pupil_database()
     persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-    logged = LoggedDatabase(db, workdir / "wal.log")
-    group = ReplicationGroup("sync(1)", ack_timeout=0.05,
-                             retry_interval=0.005)
+    logged = closing(LoggedDatabase(db, workdir / "wal.log"))
+    group = closing(ReplicationGroup("sync(1)", ack_timeout=0.05,
+                                     retry_interval=0.005))
     lease = group.enable_lease(
         cfg, clock=_node_clock(world, skews["primary"])
     )
@@ -215,7 +216,8 @@ def _lease_stack(tmp_path, seed: int, replicas: int,
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 9])
-def test_election_only_after_demotion_under_skew(tmp_path, seed):
+def test_election_only_after_demotion_under_skew(tmp_path, seed,
+                                                 closing):
     """Randomized partition/heal schedule with per-node clock skew up
     to the margin: no election may run while the lease is held, and
     when one does run, at least ``margin`` of real (virtual) time must
@@ -224,7 +226,7 @@ def test_election_only_after_demotion_under_skew(tmp_path, seed):
     cfg = LeaseConfig(duration=0.5, margin=0.1, renew_interval=0.08,
                       check_interval=0.01)
     (world, skews, rng, logged, group, lease, coord,
-     term) = _lease_stack(tmp_path, seed, replicas=3, cfg=cfg)
+     term) = _lease_stack(tmp_path, closing, seed, replicas=3, cfg=cfg)
     links = {link.name: link for link in group.shipper.links()}
     acked: list[int] = []
     last_renew = 0.0
@@ -301,7 +303,7 @@ def test_election_only_after_demotion_under_skew(tmp_path, seed):
     # The new primary attaches, is granted the lease, and writes.
     chosen = group.replica(report.chosen)
     group.remove_replica(report.chosen)
-    new_logged = LoggedDatabase(chosen.db, chosen.wal_path)
+    new_logged = closing(LoggedDatabase(chosen.db, chosen.wal_path))
     new_term = group.attach_primary(new_logged, node=report.chosen)
     assert lease.held()
     group.check_primary(new_term)
@@ -310,14 +312,15 @@ def test_election_only_after_demotion_under_skew(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", [2, 7])
-def test_lease_recovers_without_election_on_fast_heal(tmp_path, seed):
+def test_lease_recovers_without_election_on_fast_heal(tmp_path, seed,
+                                                      closing):
     """A partition shorter than the detector horizon must *not* elect:
     the lease lapses on the primary (writes refused — the safe side),
     then recovers under the same term once a quorum answers again."""
     cfg = LeaseConfig(duration=0.5, margin=0.1, renew_interval=0.08,
                       check_interval=0.01)
     (world, skews, rng, logged, group, lease, coord,
-     term) = _lease_stack(tmp_path, seed, replicas=3, cfg=cfg)
+     term) = _lease_stack(tmp_path, closing, seed, replicas=3, cfg=cfg)
     links = {link.name: link for link in group.shipper.links()}
     lease.renew_once()
     assert lease.held()
@@ -343,7 +346,7 @@ def test_lease_recovers_without_election_on_fast_heal(tmp_path, seed):
     assert group.term == term
 
 
-def test_acked_commits_survive_automatic_failover(tmp_path):
+def test_acked_commits_survive_automatic_failover(tmp_path, closing):
     """Real clocks, real threads: the renewer and coordinator run as
     they do in production; killing the primary must elect exactly one
     new leader that holds every acked commit."""
@@ -353,9 +356,9 @@ def test_acked_commits_survive_automatic_failover(tmp_path):
     workdir.mkdir()
     db = pupil_database()
     persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-    logged = LoggedDatabase(db, workdir / "wal.log")
-    group = ReplicationGroup("sync(1)", ack_timeout=1.0,
-                             retry_interval=0.005)
+    logged = closing(LoggedDatabase(db, workdir / "wal.log"))
+    group = closing(ReplicationGroup("sync(1)", ack_timeout=1.0,
+                                     retry_interval=0.005))
     lease = group.enable_lease(cfg)
     term = group.attach_primary(logged, node="primary")
     coord = FailoverCoordinator(group, cfg)
@@ -387,7 +390,7 @@ def test_acked_commits_survive_automatic_failover(tmp_path):
 
         chosen = group.replica(report.chosen)
         group.remove_replica(report.chosen)
-        new_logged = LoggedDatabase(chosen.db, chosen.wal_path)
+        new_logged = closing(LoggedDatabase(chosen.db, chosen.wal_path))
         new_term = group.attach_primary(new_logged,
                                         node=report.chosen)
         group.check_primary(new_term)

@@ -154,7 +154,7 @@ def test_per_shard_state_equals_unsharded_restriction(tmp_path, seed):
         facade.close()
 
 
-def test_restriction_survives_midrun_failover(tmp_path):
+def test_restriction_survives_midrun_failover(tmp_path, closing):
     """Shard 0 runs replicated; halfway through the workload its
     replica is promoted and swapped in as the lane. The per-shard
     restriction property must hold over the *whole* op list — the
@@ -173,12 +173,12 @@ def test_restriction_survives_midrun_failover(tmp_path):
     workdir.mkdir()
     db0 = property_database()
     persistence.save(db0, workdir / "snapshot.json", wal_applied=0)
-    group = ReplicationGroup("sync(1)", ack_timeout=5.0,
-                             retry_interval=0.005)
-    lane0 = DatabaseService(
+    group = closing(ReplicationGroup("sync(1)", ack_timeout=5.0,
+                                     retry_interval=0.005))
+    lane0 = closing(DatabaseService(
         db0, log=workdir / "wal.log", shard=0,
         replication=group, node="shard-0-primary",
-    )
+    ))
     # Two replicas: the promotion consumes one, and the survivor keeps
     # satisfying the new primary's sync(1) quota.
     group.add_replica("r0", Replica("r0", tmp_path / "r0"))

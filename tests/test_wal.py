@@ -20,12 +20,14 @@ def setup(tmp_path):
     snapshot = tmp_path / "snapshot.json"
     persistence.save(db, snapshot)
     log_path = tmp_path / "updates.log"
-    return LoggedDatabase(db, log_path), snapshot, log_path
+    logged = LoggedDatabase(db, log_path)
+    yield logged, snapshot, log_path
+    logged.close()
 
 
 class TestUpdateLog:
-    def test_roundtrip_entries(self, tmp_path):
-        log = UpdateLog(tmp_path / "log")
+    def test_roundtrip_entries(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log"))
         log.append(Update.ins("teach", "gauss", "cs"))
         log.append(Update.rep("teach", ("a", "b"), ("c", "d")))
         log.append(UpdateSequence((
@@ -44,22 +46,22 @@ class TestUpdateLog:
         assert list(log.entries()) == []
         assert not log.tail_is_torn
 
-    def test_tuple_values_survive(self, tmp_path):
-        log = UpdateLog(tmp_path / "log")
+    def test_tuple_values_survive(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log"))
         log.append(Update.ins("grade", ("john", "math"), "A"))
         entry = next(iter(log.entries()))
         assert entry.pair == (("john", "math"), "A")
 
-    def test_torn_tail_skipped(self, tmp_path):
-        log = UpdateLog(tmp_path / "log")
+    def test_torn_tail_skipped(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log"))
         log.append(Update.ins("teach", "a", "b"))
         with log.path.open("a", encoding="utf-8") as handle:
             handle.write('{"kind": "INS", "function": "te')  # crash!
         assert log.tail_is_torn
         assert len(list(log.entries())) == 1
 
-    def test_interior_corruption_raises(self, tmp_path):
-        log = UpdateLog(tmp_path / "log")
+    def test_interior_corruption_raises(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log"))
         log.append(Update.ins("teach", "a", "b"))
         with log.path.open("a", encoding="utf-8") as handle:
             handle.write("garbage\n")
@@ -67,8 +69,8 @@ class TestUpdateLog:
         with pytest.raises(PersistenceError):
             list(log.entries())
 
-    def test_truncate(self, tmp_path):
-        log = UpdateLog(tmp_path / "log")
+    def test_truncate(self, tmp_path, closing):
+        log = closing(UpdateLog(tmp_path / "log"))
         log.append(Update.ins("teach", "a", "b"))
         log.truncate()
         assert len(log) == 0
@@ -266,7 +268,7 @@ class TestRecoveryEdgeCases:
 
     @pytest.mark.parametrize("prefix", range(6))
     def test_committed_prefix_replay_is_deterministic(
-            self, tmp_path, prefix):
+            self, tmp_path, prefix, closing):
         """The property the whole log design rests on: replaying any
         committed prefix over the snapshot equals applying that prefix
         directly — twice over, since recovery itself must be
@@ -279,7 +281,7 @@ class TestRecoveryEdgeCases:
         log_path = tmp_path / "wal.log"
         db = pupil_database()
         persistence.save(db, snapshot)
-        logged = LoggedDatabase(db, log_path)
+        logged = closing(LoggedDatabase(db, log_path))
         for update in updates:
             logged.execute(update)
 
@@ -303,17 +305,17 @@ class TestShippingSurface:
     ranges, the checkpoint floor, fence truncation, tear discard and
     the health verdict."""
 
-    def test_term_stamped_and_omitted_when_zero(self, tmp_path):
+    def test_term_stamped_and_omitted_when_zero(self, tmp_path, closing):
         import json
 
-        plain = UpdateLog(tmp_path / "plain.log")
+        plain = closing(UpdateLog(tmp_path / "plain.log"))
         plain.append(Update.ins("teach", "gauss", "cs"))
         raw = json.loads(
             (tmp_path / "plain.log").read_text().splitlines()[0]
         )
         assert "term" not in raw  # byte-compat with pre-replication logs
 
-        fenced = UpdateLog(tmp_path / "fenced.log", term=3)
+        fenced = closing(UpdateLog(tmp_path / "fenced.log", term=3))
         fenced.append(Update.ins("teach", "gauss", "cs"))
         raw = json.loads(
             (tmp_path / "fenced.log").read_text().splitlines()[0]
