@@ -48,7 +48,12 @@ from repro.faults.registry import (
 )
 from repro.fdb import persistence
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.updates import Update, UpdateSequence, apply_update
+from repro.fdb.updates import (
+    Update,
+    UpdateSequence,
+    apply_sequence,
+    apply_update,
+)
 from repro.fdb.wal import LoggedDatabase, RecoveryReport, UpdateLog, \
     checkpoint, recover
 from repro.workloads.university import pupil_database, section_42_updates
@@ -56,6 +61,7 @@ from repro.workloads.university import pupil_database, section_42_updates
 __all__ = [
     "CrashOutcome",
     "default_workload",
+    "replay",
     "states_diff",
     "run_scenario",
     "run_crash_matrix",
@@ -123,6 +129,20 @@ def states_diff(expected: FunctionalDatabase,
     return None
 
 
+def replay(db: FunctionalDatabase, ops) -> FunctionalDatabase:
+    """Apply a committed-operation log to ``db`` in order and hand it
+    back: the sequential spec every oracle compares against. Update
+    application is deterministic (null and NC indices come from
+    persisted counters), so replaying a commit-ordered log over an
+    identically seeded instance must land on the live state exactly."""
+    for op in ops:
+        if isinstance(op, UpdateSequence):
+            apply_sequence(db, op)
+        else:
+            apply_update(db, op)
+    return db
+
+
 @dataclass(frozen=True)
 class CrashOutcome:
     """One cell of the crash matrix."""
@@ -149,14 +169,7 @@ class CrashOutcome:
 def _expected_state(committed: list) -> FunctionalDatabase:
     """The oracle: the committed prefix applied to a fresh seed
     instance, with no recovery machinery involved."""
-    db = pupil_database()
-    for update in committed:
-        if isinstance(update, UpdateSequence):
-            for simple in update:
-                apply_update(db, simple)
-        else:
-            apply_update(db, update)
-    return db
+    return replay(pupil_database(), committed)
 
 
 def run_scenario(point: str, fault: Fault, workdir: Path,
@@ -226,8 +239,8 @@ def run_crash_matrix(base_dir: Path,
                      ) -> list[CrashOutcome]:
     """Every registered single-node fault point × its applicable
     faults, plus one un-faulted control run. ``repl.*`` points only
-    fire in a replicated topology; the failover matrix in
-    :mod:`repro.faults.replication` owns them."""
+    fire in a replicated topology; the chaos harness
+    (:mod:`repro.faults.soak` with ``replicas > 0``) owns them."""
     outcomes: list[CrashOutcome] = []
     cell = 0
     for info in FAULTS.points():

@@ -1,100 +1,160 @@
-"""Chaos soak: concurrent mixed traffic against a live fault schedule.
+"""The chaos harness: concurrent mixed traffic against live faults, on
+any topology.
 
-The crash matrix (PR 2) proves every *single* failure point recovers
-to exactly the committed prefix. This harness is its concurrency
-analogue: N worker threads drive mixed traffic — reads, single
-updates, atomic sequences, read-modify-writes, checkpoints — through
-:class:`repro.service.DatabaseService` while a controller thread
-cycles fault phases underneath (injected latency inside the storage
-critical sections, transient I/O errors, a full storage outage that
-trips the circuit breaker, apply-time failures that exercise the
-compensating-abort path). Some requests carry deadlines tight enough
-to be cancelled mid-propagation on purpose.
+The crash matrix (:mod:`repro.faults.harness`) proves every *single*
+failure point recovers to exactly the committed prefix. This harness
+is its concurrency analogue, and it is one harness: a run is a list of
+**cells** over ``(shards, replicas, auto_failover, commit mode,
+scenario)``. Every cell builds the same front door — a
+:class:`ShardedDatabaseService <repro.shard.sharded.
+ShardedDatabaseService>`; ``shards=1, replicas=0`` is simply the
+one-lane facade — drives N worker threads of reads, writes, atomic
+sequences, deadlock-prone read-modify-writes and checkpoints through
+it (plus multi-shard sequences and scatter reads when ``shards > 1``,
+bounded-staleness replica reads when ``replicas > 0``) while a
+controller thread cycles the scenario's fault phases underneath, runs
+the scenario's epilogues, and then walks one table of checks.
 
-At the end the harness asserts the system degraded *gracefully* and
-stayed *consistent*:
+Scenarios (:data:`SCENARIOS`):
 
-1. **Zero divergence** — the live state equals a sequential replay of
-   the service's committed-operation log over an identically seeded
-   fresh instance (:func:`repro.faults.harness.states_diff`, the same
-   oracle the crash matrix uses). Every shed, cancelled, refused or
-   failed request left no trace.
-2. **Durability agrees** — strict recovery from the snapshot + WAL
-   reproduces the live state too.
-3. **The breaker breathed** — ``breaker.open`` and ``breaker.closed``
-   action records are present in the JSONL event log (a forced-outage
-   epilogue guarantees the transition happens even if the random
-   schedule missed it).
-4. **Nothing hung** — every worker joined within the wall-clock
-   budget; deadlocks were resolved by detection + retry, not by the
-   operator's Ctrl-C.
-5. **Telemetry is truthful** — every ``service.request`` span that
-   started also ended, and the spans stamped ``committed=True`` match
-   the committed-op log one for one; a forced outage epilogue raised
-   *and* cleared an SLO alert (``slo.alert_raised`` /
-   ``slo.alert_cleared`` actions in the JSONL).
-6. **Exposition is well-formed** — ``/metrics`` scraped over real
-   HTTP mid-soak parses as valid Prometheus text format and
-   ``/health`` returns a boolean verdict; the snapshots are kept as
-   artifacts.
+* ``storage`` — latency inside the storage critical sections,
+  transient I/O errors, a full outage that trips the circuit breaker,
+  apply-time failures that exercise the compensating abort. Epilogue:
+  a forced breaker open/close cycle and a forced SLO raise/clear cycle;
+  on a replicated topology lane 0's primary is then killed as well.
+* ``partition`` — replica links flap one at a time, periodically all
+  at once; commits must keep meeting their ack quota through the
+  survivors. Under ``auto_failover`` the cell ends with a failover.
+* ``replica_crash`` — replicas die mid-apply (the
+  ``repl.replica.apply`` crash point) or outright, and restart from
+  their own disk.
+* ``primary_kill`` — no faults under the workload; lane 0's primary is
+  killed afterwards.
 
-Run it: ``python -m repro.faults --soak`` (see ``--help`` for knobs).
+The failover epilogue isolates lane 0's primary, forces one commit
+nobody acks, and fails the lane over. Only two things vary: *who
+elects* — ``group.promote()``, or under ``auto_failover`` the
+:class:`FailoverCoordinator <repro.replication.lease.
+FailoverCoordinator>` once the leased primary has self-demoted (the
+harness only watches) — and nothing else: the promoted replica's
+service is swapped into the facade and written through, the deposed
+primary's files rejoin the group as a follower.
+
+The checks are one table, :data:`CHECKS`: each row names a check, the
+topology predicate under which it applies, and the one function that
+verifies it (whose docstring says what must hold) — sequential-replay
+equality, strict recovery, span accounting and marker pairing on every
+topology; the breaker/SLO breathe-cycles after ``storage``; shipped-
+journal replay, replica convergence, pipeline coverage and the
+failover timeline wherever there are replicas. The failover epilogue
+and the two ``/metrics`` + ``/health`` scrapes record their own
+verdicts (``failover``, ``scrape``) where they observe them.
+``docs/ROBUSTNESS.md`` prints the table.
+
+Run it: ``python -m repro.faults --soak [--shards N] [--replicas R]
+[--auto-failover] [--modes ...] [--scenarios ...]``.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.request
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from repro.core.derivation import Derivation
 from repro.core.schema import FunctionDef
-from repro.core.types import TypeFunctionality, ObjectType, compose_functionalities
+from repro.core.types import (
+    ObjectType,
+    TypeFunctionality,
+    compose_functionalities,
+)
 from repro.errors import (
+    CrossShardError,
+    DeadlockDetected,
+    LockTimeout,
     OperationCancelled,
     PersistenceError,
+    ReplicationError,
+    ReplicationTimeout,
     ReproError,
+    ServiceClosed,
     ServiceOverloaded,
     ServiceReadOnly,
+    StalenessUnserved,
+    StalePrimary,
 )
-from repro.faults.harness import states_diff
+from repro.faults.harness import replay, states_diff
 from repro.faults.registry import (
     FAULTS,
+    ClockSkewFault,
+    CrashFault,
     ErrorFault,
+    HeartbeatDropFault,
     LatencyFault,
     TransientError,
 )
 from repro.fdb import persistence
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.updates import (
-    Update,
-    UpdateSequence,
-    apply_sequence,
-    apply_update,
-)
+from repro.fdb.updates import Update, UpdateSequence
 from repro.fdb.values import is_null
-from repro.fdb.wal import recover
+from repro.fdb.wal import UpdateLog, _decode_entry, recover
 from repro.obs.endpoint import ExpositionError, parse_prometheus
-from repro.obs.events import FileSink, read_jsonl
+from repro.obs.events import (
+    FileSink,
+    propagation_dag,
+    read_jsonl,
+    replication_timeline,
+)
 from repro.obs.hooks import OBS
-from repro.obs.slo import ERROR_RATE, Objective
+from repro.obs.slo import ERROR_RATE, Objective, replication_lag_objective
+from repro.replication import (
+    CommitMode,
+    FailoverCoordinator,
+    LeaseConfig,
+    Replica,
+    ReplicationGroup,
+)
 from repro.service import CircuitBreaker, DatabaseService, RetryPolicy
+from repro.service.service import clusters_of
+from repro.shard import ShardedDatabaseService
 from repro.workloads.generator import (
     WorkloadConfig,
     random_instance,
     random_updates,
 )
 
-__all__ = ["SoakConfig", "SoakReport", "run_soak", "soak_database"]
+__all__ = ["CHECKS", "SCENARIOS", "Cell", "SoakConfig", "SoakReport",
+           "run_soak", "soak_database"]
+
+
+# -- configuration and report -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """Knobs for one soak run. Defaults match the CI smoke job."""
+    """One run: a topology, a cell matrix over it, and the knobs every
+    cell shares. ``modes`` / ``scenarios`` left ``None`` take the
+    topology's defaults (see :meth:`matrix`)."""
 
+    shards: int = 1
+    replicas: int = 0
+    # Lane 0's group runs lease-based leadership and the failover
+    # epilogue expects the *coordinator* to elect — the harness never
+    # calls promote().
+    auto_failover: bool = False
+    modes: tuple | None = None
+    scenarios: tuple | None = None
     threads: int = 8
     ops_per_thread: int = 30
     seed: int = 0
@@ -109,10 +169,19 @@ class SoakConfig:
     tight_deadline: float = 0.003
     loose_deadline: float = 2.0
     wall_clock_limit: float = 120.0
+    ack_timeout: float = 2.0
+    # Fraction of planned reads redirected to replicas, and how many
+    # of those demand zero staleness (exercising StalenessUnserved).
+    replica_read_rate: float = 0.5
+    tight_read_rate: float = 0.2
+    lease_duration: float = 0.5
+    lease_margin: float = 0.1
+    lease_renew_interval: float = 0.08
+    heartbeat_drop_rate: float = 0.15
     workdir: str | None = None
     jsonl: str | None = None  # default: <workdir>/soak-events.jsonl
-    # Telemetry: serve /metrics + /health + /slo during the run and
-    # scrape them mid-soak, saving snapshots under scrape_dir (default:
+    # Serve /metrics + /health during each cell and scrape them mid-
+    # and post-run, saving snapshots under scrape_dir (default:
     # <workdir>). The SLO windows are short so the forced breach/clear
     # epilogue completes within a CI smoke budget.
     serve_endpoint: bool = True
@@ -121,115 +190,158 @@ class SoakConfig:
     slo_fast_fraction: float = 1 / 3
     slo_error_threshold: float = 0.35
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.shards <= len(_CHAIN_PREFIXES) // 2:
+            raise ValueError(
+                f"shards must be 1..{len(_CHAIN_PREFIXES) // 2}"
+            )
+        if self.replicas < 0:
+            raise ValueError("replicas cannot be negative")
+        if self.replicas == 0:
+            if self.auto_failover:
+                raise ValueError(
+                    "auto_failover needs replicas to elect from "
+                    "(replicas is 0)"
+                )
+            if self.modes is not None:
+                raise ValueError(
+                    "commit modes need replicas to wait for "
+                    "(replicas is 0)"
+                )
+        for mode in self.modes or ():
+            CommitMode.parse(mode)
+        for scenario in self.scenarios or ():
+            if scenario not in SCENARIOS:
+                raise ValueError(
+                    f"unknown scenario {scenario!r}; known: "
+                    f"{', '.join(SCENARIOS)}"
+                )
+            if SCENARIOS[scenario].needs_replicas and not self.replicas:
+                raise ValueError(
+                    f"scenario {scenario!r} needs replicas "
+                    f"(replicas is 0)"
+                )
+
+    def matrix(self) -> list[tuple[str | None, str]]:
+        """The run's cells as ``(commit mode, scenario)`` pairs. The
+        defaults reproduce the three historical jobs: an unreplicated
+        or sharded topology runs one ``storage`` cell, a replicated
+        lane the commit-mode x failover-scenario matrix."""
+        matrix_lane = self.replicas > 0 and self.shards == 1
+        if self.replicas == 0:
+            modes: tuple = (None,)
+        else:
+            modes = self.modes or (("sync(1)", "quorum") if matrix_lane
+                                   else ("sync(1)",))
+        scenarios = self.scenarios or (
+            ("partition", "replica_crash", "primary_kill")
+            if matrix_lane else ("storage",)
+        )
+        return [(mode, scenario) for mode in modes
+                for scenario in scenarios]
+
 
 @dataclass
 class SoakReport:
-    """Everything a CI job needs to pass or explain a failure."""
+    """One node of the result: the run (``cells`` holds one child per
+    matrix cell, ``failures`` the cross-cell checks) or one cell.
+    ``failures`` are ``"<check>: <what>"`` strings, ``facts`` what
+    happened (committed per lane, fence, promotion, event counts)."""
 
     config: SoakConfig
+    mode: str | None = None
+    scenario: str | None = None
     duration: float = 0.0
-    counts: dict = field(default_factory=dict)
-    committed: int = 0
-    divergence: str | None = None
-    recovery_divergence: str | None = None
-    accounting_error: str | None = None
-    breaker_opens: int = 0
-    breaker_closes: int = 0
-    breaker_trips: int = 0
-    breaker_resets: int = 0
-    hung_workers: int = 0
-    jsonl_path: str = ""
-    span_error: str | None = None
-    slo_error: str | None = None
-    scrape_error: str | None = None
-    slo_raised: int = 0
-    slo_cleared: int = 0
-    request_spans: int = 0
-    committed_spans: int = 0
-    scrape_paths: list = field(default_factory=list)
+    counts: Counter = field(default_factory=Counter)
+    facts: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    cells: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.divergence is None
-            and self.recovery_divergence is None
-            and self.accounting_error is None
-            and self.span_error is None
-            and self.slo_error is None
-            and self.scrape_error is None
-            and self.hung_workers == 0
-            and self.breaker_opens > 0
-            and self.breaker_closes > 0
-        )
+        return not self.failures and all(c.ok for c in self.cells)
+
+    def fail(self, check: str, message: str) -> None:
+        self.failures.append(f"{check}: {message}")
+
+    def failed(self, check: str) -> list[str]:
+        """This node's failures of one check (see :data:`CHECKS`)."""
+        return [f for f in self.failures if f.startswith(check + ":")]
 
     def lines(self) -> list[str]:
+        config = self.config
+        if self.scenario is None:
+            out = [
+                f"soak: {len(self.cells)} cell(s) on {config.shards} "
+                f"shard(s) x {config.replicas} replica(s)"
+                + (" (leased)" if config.auto_failover else "")
+                + f", {config.threads} threads x "
+                f"{config.ops_per_thread} ops, seed {config.seed}, "
+                f"{self.duration:.2f}s",
+            ]
+            for cell in self.cells:
+                out.extend(cell.lines())
+            if self.facts.get("events"):
+                out.append("events: " + ", ".join(
+                    f"{name}={count}" for name, count
+                    in sorted(self.facts["events"].items())
+                ) + f" in {self.facts.get('jsonl', '')}")
+            out.extend(f"FAILED: {f}" for f in self.failures)
+            out.append("soak: " + ("ok" if self.ok else "FAILED"))
+            return out
+        head = "[" + " / ".join(
+            part for part in (self.mode, self.scenario) if part
+        ) + "]"
+        facts = self.facts
         out = [
-            f"soak: {self.config.threads} threads x "
-            f"{self.config.ops_per_thread} ops, seed "
-            f"{self.config.seed}, {self.duration:.2f}s",
-            "ops: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.counts.items())
+            f"{head} {self.duration:.2f}s, committed per lane "
+            f"{facts.get('committed', {})}"
+            + (f", acked {facts['acked']}" if "acked" in facts else "")
+            + (f", fence {facts['fence_seq']}"
+               if "fence_seq" in facts else ""),
+            f"{head} ops: " + ", ".join(
+                f"{k}={v}" for k, v in sorted(self.counts.items()) if v
             ),
-            f"committed: {self.committed}",
-            f"breaker: {self.breaker_trips} trips, "
-            f"{self.breaker_resets} resets "
-            f"({self.breaker_opens} open / {self.breaker_closes} "
-            f"closed events in {self.jsonl_path})",
         ]
-        out.append(
-            "consistency: "
-            + ("ok (state == sequential replay of committed ops)"
-               if self.divergence is None
-               else f"DIVERGED: {self.divergence}")
-        )
-        out.append(
-            "recovery: "
-            + ("ok (snapshot + WAL reproduce live state)"
-               if self.recovery_divergence is None
-               else f"DIVERGED: {self.recovery_divergence}")
-        )
-        out.append(
-            f"spans: {self.committed_spans} committed / "
-            f"{self.request_spans} request spans"
-            + ("" if self.span_error is None
-               else f" — BROKEN: {self.span_error}")
-        )
-        out.append(
-            f"slo: {self.slo_raised} raised / {self.slo_cleared} "
-            f"cleared"
-            + ("" if self.slo_error is None
-               else f" — BROKEN: {self.slo_error}")
-        )
-        if self.scrape_paths:
-            out.append("scrapes: " + ", ".join(self.scrape_paths))
-        if self.scrape_error:
-            out.append(f"scrape: BROKEN: {self.scrape_error}")
-        if self.accounting_error:
-            out.append(f"accounting: {self.accounting_error}")
-        if self.hung_workers:
-            out.append(f"HUNG WORKERS: {self.hung_workers}")
-        out.extend(self.notes)
-        out.append("soak: " + ("ok" if self.ok else "FAILED"))
+        for key in ("breaker", "slo", "spans", "markers"):
+            if facts.get(key):
+                out.append(f"{head} {key}: {facts[key]}")
+        promotion = facts.get("promotion")
+        if promotion:
+            out.append(
+                f"{head} lane 0 promoted {promotion['chosen']} at seq "
+                f"{promotion['applied_seq']} (term "
+                f"{promotion['old_term']} -> {promotion['new_term']})"
+                + (" via automatic election"
+                   if facts.get("elections") else "")
+            )
+        rejoin = facts.get("rejoin")
+        if rejoin:
+            out.append(
+                f"{head} rejoin dropped {rejoin['records_dropped']} "
+                f"records at fence {rejoin['fence_seq']}"
+                + (" (rebootstrapped)" if rejoin["rebootstrapped"]
+                   else "")
+            )
+        out.extend(f"{head} note: {note}" for note in self.notes)
+        out.extend(f"{head} FAILED: {f}" for f in self.failures)
+        out.append(f"{head} " + ("ok" if self.ok else "FAILED"))
         return out
 
 
-# -- the soak instance --------------------------------------------------------
+# -- the instance -------------------------------------------------------------
+
+# One derivation chain per prefix; "c" is the lone base function.
+_CHAIN_PREFIXES = "abdefghijklmnopqrstuwxyz"
 
 
-def soak_database(seed: int, rows_per_function: int = 10,
-                  value_pool: int = 12) -> FunctionalDatabase:
-    """A deterministic multi-cluster instance.
-
-    Two independent derivation clusters (chains ``a1 . a2 -> va`` and
-    ``b1 . b2 -> vb``) plus a lone base ``c``: reads and writes on
-    different clusters are concurrent, writes within one contend, and
-    the lone base gives the breaker epilogue a quiet corner.
-    """
+def _soak_schema(chains: int) -> FunctionalDatabase:
+    """``chains`` independent derivation clusters (``a1 . a2 -> va``,
+    ``b1 . b2 -> vb``, ...) plus a lone base ``c``, no data."""
     db = FunctionalDatabase()
     mm = TypeFunctionality.MANY_MANY
-
-    def chain(prefix: str, derived_name: str) -> None:
+    for prefix in _CHAIN_PREFIXES[:chains]:
         types = [ObjectType(f"{prefix.upper()}{i}") for i in range(3)]
         functions = []
         for i in range(2):
@@ -240,16 +352,25 @@ def soak_database(seed: int, rows_per_function: int = 10,
             functions.append(definition)
         db.declare_derived(
             FunctionDef(
-                derived_name, types[0], types[2],
+                f"v{prefix}", types[0], types[2],
                 compose_functionalities(f.functionality for f in functions),
             ),
             Derivation.of(*functions),
         )
+    db.declare_base(FunctionDef("c", ObjectType("C0"), ObjectType("C1"),
+                                mm))
+    return db
 
-    chain("a", "va")
-    chain("b", "vb")
-    c0, c1 = ObjectType("C0"), ObjectType("C1")
-    db.declare_base(FunctionDef("c", c0, c1, mm))
+
+def soak_database(seed: int, rows_per_function: int = 10,
+                  value_pool: int = 12,
+                  chains: int = 2) -> FunctionalDatabase:
+    """A deterministic multi-cluster instance: reads and writes on
+    different clusters are concurrent, writes within one contend, and
+    the lone base gives the epilogues a quiet corner. On a sharded
+    front door this is the *planning* instance; each lane holds the
+    rows of its own functions only (:meth:`Cell.fresh_lane`)."""
+    db = _soak_schema(chains)
     random_instance(db, rows_per_function, seed=seed,
                     value_pool=value_pool)
     return db
@@ -258,42 +379,62 @@ def soak_database(seed: int, rows_per_function: int = 10,
 # -- workload -----------------------------------------------------------------
 
 
-def _plan_worker_ops(db: FunctionalDatabase, worker: int,
-                     config: SoakConfig) -> list[tuple]:
-    """Pre-generate one worker's op list against the *initial* state
-    (no unlocked table walks once threads are live). Each op carries
-    its own deadline decided up front, so a run's pressure profile is
-    a function of the seed."""
+def _plan_worker(config: SoakConfig, full: FunctionalDatabase,
+                 shard_of: Callable[[str], int],
+                 worker: int) -> list[tuple]:
+    """Pre-generate one worker's ``(kind, payload, deadline)`` list
+    against the *initial* state and the routing map (no unlocked table
+    walks or map lookups once threads are live). Each op carries its
+    own deadline decided up front, so a run's pressure profile is a
+    function of the seed. The mix follows the topology: replica reads
+    only with replicas, multi-shard sequences and scatter reads only
+    with more than one shard."""
     rng = random.Random(config.seed * 7919 + worker)
     stream = random_updates(
-        db, config.ops_per_thread,
+        full, config.ops_per_thread,
         WorkloadConfig(seed=config.seed * 104729 + worker,
                        value_pool=config.value_pool,
                        fresh_value_rate=0.4),
     )
-    read_targets = tuple(db.base_names) + tuple(db.derived_names)
+    read_targets = tuple(full.base_names) + tuple(full.derived_names)
+    # Read-modify-write goes to a contended chain base: the shared ->
+    # exclusive upgrade is the deadlock driver.
+    rmw_targets = tuple(name for name in full.base_names
+                        if name.endswith("1"))
+
+    def read_op(deadline) -> tuple:
+        name = rng.choice(read_targets)
+        elsewhere = [other for other in read_targets
+                     if shard_of(other) != shard_of(name)]
+        if config.replicas and rng.random() < config.replica_read_rate:
+            bound = 0 if rng.random() < config.tight_read_rate else None
+            return "replica_read", (name, bound), deadline
+        if elsewhere and rng.random() < 0.3:
+            return "scatter", (name, rng.choice(elsewhere)), deadline
+        return "read", name, deadline
+
     ops: list[tuple] = []
     for index in range(config.ops_per_thread):
         roll = rng.random()
-        if roll < 0.1:
-            deadline = config.tight_deadline
-        elif roll < 0.9:
-            deadline = config.loose_deadline
-        else:
-            deadline = None
+        deadline = (config.tight_deadline if roll < 0.1
+                    else config.loose_deadline if roll < 0.9 else None)
         kind_roll = rng.random()
         if worker == 0 and index and index % 10 == 0:
-            ops.append(("checkpoint", None, deadline))
+            ops.append(("checkpoint", (index // 10) % config.shards,
+                        deadline))
         elif kind_roll < 0.30:
-            name = rng.choice(read_targets)
-            ops.append(("read", name, deadline))
+            ops.append(read_op(deadline))
         elif kind_roll < 0.45:
-            # Read-modify-write on a contended chain base: the shared
-            # -> exclusive upgrade is the deadlock driver.
-            ops.append(("rmw", rng.choice(("a1", "b1")), deadline))
+            ops.append(("rmw", rng.choice(rmw_targets), deadline))
         elif kind_roll < 0.55 and len(stream) >= 2:
             first = stream.pop(rng.randrange(len(stream)))
-            second = stream.pop(rng.randrange(len(stream)))
+            # On several shards, half the sequences span two of them
+            # (the facade's global lane), half stay on one.
+            spanning = config.shards > 1 and rng.random() < 0.5
+            fits = [i for i, update in enumerate(stream)
+                    if (shard_of(update.function)
+                        != shard_of(first.function)) == spanning]
+            second = stream.pop(rng.choice(fits or range(len(stream))))
             ops.append(("seq",
                         UpdateSequence((first, second),
                                        label=f"w{worker}.{index}"),
@@ -302,91 +443,107 @@ def _plan_worker_ops(db: FunctionalDatabase, worker: int,
             ops.append(("write", stream.pop(rng.randrange(len(stream))),
                         deadline))
         else:
-            name = rng.choice(read_targets)
-            ops.append(("read", name, deadline))
+            ops.append(read_op(deadline))
     return ops
 
 
-_OUTCOMES = ("applied", "noop", "shed", "readonly", "cancelled",
-             "contended", "failed_apply", "storage_failed", "closed",
-             "other")
+# First match wins: the replication errors come before their bases
+# (LeaseExpired is a StalePrimary *and* a ServiceReadOnly).
+_OUTCOMES = (
+    (CrossShardError, "cross_shard"),
+    (ReplicationTimeout, "repl_timeout"),
+    (StalePrimary, "fenced"),
+    (StalenessUnserved, "stale_read"),
+    (ServiceOverloaded, "shed"),
+    (ServiceReadOnly, "readonly"),
+    (OperationCancelled, "cancelled"),
+    ((LockTimeout, DeadlockDetected), "contended"),
+    (ServiceClosed, "closed"),
+    ((PersistenceError, OSError), "storage_failed"),
+    (RuntimeError, "failed_apply"),  # the apply-phase ErrorFault
+)
 
 
 def _classify(exc: BaseException) -> str:
-    if isinstance(exc, ServiceOverloaded):
-        return "shed"
-    if isinstance(exc, ServiceReadOnly):
-        return "readonly"
-    if isinstance(exc, OperationCancelled):
-        return "cancelled"
-    from repro.errors import DeadlockDetected, LockTimeout, ServiceClosed
-
-    if isinstance(exc, (LockTimeout, DeadlockDetected)):
-        return "contended"
-    if isinstance(exc, ServiceClosed):
-        return "closed"
-    if isinstance(exc, (PersistenceError, OSError)):
-        return "storage_failed"
-    if isinstance(exc, RuntimeError):
-        return "failed_apply"  # the apply-phase ErrorFault
-    return "other"
+    return next((outcome for kinds, outcome in _OUTCOMES
+                 if isinstance(exc, kinds)), "other")
 
 
-def _run_worker(service: DatabaseService, ops: list[tuple],
-                snapshot_path: Path, counts: dict,
-                counts_lock: threading.Lock, errors: list) -> None:
-    local = dict.fromkeys(_OUTCOMES, 0)
+def _rmw_build(name: str):
+    def build(db):
+        # Only plain (non-null) pairs: NVC facts carry indexed nulls,
+        # which are not REP targets here.
+        pairs = sorted(
+            p for p in db.table(name).pairs()
+            if not (is_null(p[0]) or is_null(p[1]))
+        )
+        if not pairs:
+            return None
+        x, y = pairs[0]
+        return Update.rep(name, (x, y), (x, f"{y}~r"))
+
+    return build
+
+
+def _run_worker(cell: "Cell", ops: list[tuple]) -> None:
+    """The one worker loop: every op goes through the front door;
+    lane-scoped verbs go through the lane the op names."""
+    front = cell.front
+    local: Counter = Counter()
     for kind, payload, deadline in ops:
+        outcome = "applied"
         try:
             if kind == "read":
-                name = payload
-                service.read((name,),
-                             lambda db, n=name: db.extension(n),
-                             deadline=deadline)
-                local["applied"] += 1
+                front.read((payload,),
+                           lambda db, n=payload: db.extension(n),
+                           deadline=deadline)
+            elif kind == "replica_read":
+                name, bound = payload
+                front.lane(front.shard_of(name)).read_replica(
+                    lambda db, n=name: db.extension(n),
+                    max_lag_seq=bound,
+                )
+            elif kind == "scatter":
+                front.scatter_read(
+                    payload,
+                    lambda db, names: {n: len(db.extension(n))
+                                       for n in names},
+                    deadline=deadline,
+                )
             elif kind == "rmw":
-                name = payload
-
-                def build(db, n=name):
-                    # Only plain (non-null) pairs: NVC facts carry
-                    # indexed nulls, which are not REP targets here.
-                    pairs = sorted(
-                        p for p in db.table(n).pairs()
-                        if not (is_null(p[0]) or is_null(p[1]))
-                    )
-                    if not pairs:
-                        return None
-                    x, y = pairs[0]
-                    return Update.rep(n, (x, y), (x, f"{y}~r"))
-
-                applied = service.read_modify_write((name,), build,
-                                                    deadline=deadline)
-                local["applied" if applied is not None else "noop"] += 1
+                if front.read_modify_write(
+                        (payload,), _rmw_build(payload),
+                        deadline=deadline) is None:
+                    outcome = "noop"
             elif kind == "checkpoint":
-                service.checkpoint(snapshot_path)
-                local["applied"] += 1
+                front.lane(payload).checkpoint(
+                    cell.lanes[payload].snapshot
+                )
             else:  # "write" | "seq"
-                service.execute(payload, deadline=deadline)
-                local["applied"] += 1
-        except ReproError as exc:
-            local[_classify(exc)] += 1
-        except (RuntimeError, OSError) as exc:
-            local[_classify(exc)] += 1
+                front.execute(payload, deadline=deadline)
+        except (ReproError, RuntimeError, OSError) as exc:
+            outcome = _classify(exc)
         except BaseException as exc:  # pragma: no cover - harness bug
-            errors.append(exc)
+            cell.harness_errors.append(exc)
             raise
-    with counts_lock:
-        for key, value in local.items():
-            counts[key] = counts.get(key, 0) + value
+        local[outcome] += 1
+    with cell.counts_lock:
+        cell.report.counts.update(local)
 
 
 # -- fault phases -------------------------------------------------------------
 
+# A phase is (name, enter, leave); a scenario's ``phases(cell)`` returns
+# ``phase_at(index)``, which the controller calls once per cycle.
 
-def _phase_schedule(config: SoakConfig) -> list[tuple[str, list[tuple]]]:
-    """(name, [(point, fault), ...]) cycles for the controller."""
-    seed = config.seed
-    return [
+
+def _noop() -> None:
+    return None
+
+
+def _storage_phases(cell: "Cell"):
+    seed = cell.config.seed
+    schedule = [
         ("quiet", []),
         ("latency", [
             ("storage.append.payload",
@@ -394,152 +551,182 @@ def _phase_schedule(config: SoakConfig) -> list[tuple[str, list[tuple]]]:
             ("storage.atomic.payload",
              LatencyFault(0.002, jitter=0.004, seed=seed + 1)),
         ]),
-        ("transient", [
-            ("wal.append.before", TransientError(times=2)),
-        ]),
+        ("transient", [("wal.append.before", TransientError(times=2))]),
         ("quiet", []),
-        ("outage", [
-            ("wal.append.before", TransientError(times=10 ** 6)),
-        ]),
-        ("apply_error", [
-            ("wal.apply.before", ErrorFault(times=3)),
-        ]),
+        ("outage", [("wal.append.before",
+                     TransientError(times=10 ** 6))]),
+        ("apply_error", [("wal.apply.before", ErrorFault(times=3))]),
     ]
 
+    def phase_at(index: int):
+        name, arms = schedule[index % len(schedule)]
+        return (name,
+                lambda: [FAULTS.arm(point, fault)
+                         for point, fault in arms],
+                lambda: [FAULTS.disarm(point) for point, _ in arms])
 
-def _controller(config: SoakConfig, stop: threading.Event) -> None:
-    schedule = _phase_schedule(config)
+    return phase_at
+
+
+def _partition_phases(cell: "Cell"):
+    """Cut one replica slot's link on every lane per cycle, every
+    fourth cycle all of them at once (the ack quota must wait it out,
+    not lose anything); a healed phase follows each cut."""
+
+    def phase_at(index: int):
+        if index % 2:
+            return "healed", _noop, _noop
+        turn = index // 2
+        slot = None if turn % 4 == 3 else turn % cell.config.replicas
+        targets = [
+            link for lane in cell.replicated()
+            for name, link in _links(lane.group).items()
+            if slot is None or name == lane.replicas[slot]
+        ]
+        return (f"partition:{'*' if slot is None else slot}",
+                lambda: _cut(targets, True),
+                lambda: _cut(targets, False))
+
+    return phase_at
+
+
+def _crash_phases(cell: "Cell"):
+    """Kill replicas mid-stream — half the cycles through the
+    ``repl.replica.apply`` crash point (dying *between* the local
+    write-ahead append and the apply), half by dropping one replica
+    slot outright — then restart them from their own disk; a quiet
+    phase follows each."""
+    rng = random.Random(cell.config.seed * 48611 + 7)
+
+    def phase_at(index: int):
+        if index % 2:
+            return "recovered", _noop, _noop
+        slot = (index // 2) % cell.config.replicas
+
+        def drop() -> None:
+            for lane in cell.replicated():
+                try:
+                    lane.group.replica(lane.replicas[slot]).crash()
+                except ReplicationError:
+                    pass
+
+        def recover_all() -> None:
+            FAULTS.disarm("repl.replica.apply")
+            for lane in cell.replicated():
+                _restart_crashed(lane.group)
+
+        if rng.random() < 0.5:
+            return ("crash:apply",
+                    lambda: FAULTS.arm("repl.replica.apply",
+                                       CrashFault()),
+                    recover_all)
+        return f"crash:{slot}", drop, recover_all
+
+    return phase_at
+
+
+def _controller(cell: "Cell", phase_at, stop: threading.Event) -> None:
+    """The one fault controller: enter a phase, hold it, leave it."""
     index = 0
     while not stop.is_set():
-        name, arms = schedule[index % len(schedule)]
-        for point, fault in arms:
-            FAULTS.arm(point, fault)
+        name, enter, leave = phase_at(index)
+        enter()
         if OBS.enabled:
             OBS.action("soak.phase", phase=name)
-        stop.wait(config.phase_seconds)
-        for point, _ in arms:
-            FAULTS.disarm(point)
+        stop.wait(cell.config.phase_seconds)
+        leave()
         index += 1
-    FAULTS.disarm_all()
 
 
-# -- the run ------------------------------------------------------------------
+@dataclass(frozen=True)
+class Scenario:
+    """What a cell does to the system: the phases cycled under the
+    workload (``None``: none) and the epilogues that follow it.
+    ``failover`` is ``"always"``, ``"leased"`` (only under
+    ``auto_failover``) or ``"never"``; it needs replicas either way."""
+
+    phases: Callable | None
+    breathe: bool = False
+    failover: str = "never"
+    needs_replicas: bool = False
+
+    def fails_over(self, config: SoakConfig) -> bool:
+        return config.replicas > 0 and (
+            self.failover == "always"
+            or (self.failover == "leased" and config.auto_failover))
 
 
-def _force_breaker_cycle(service: DatabaseService,
-                         report: SoakReport) -> None:
-    """Deterministically produce one OPEN and one CLOSED transition if
-    the random schedule did not: arm a hard outage, write until the
-    breaker trips, disarm, write until it closes. The successful
-    writes land in the committed log like any others."""
-    if service.breaker.trips == 0:
-        FAULTS.arm("wal.append.before", TransientError(times=10 ** 6))
+SCENARIOS = {
+    "storage": Scenario(_storage_phases, breathe=True,
+                        failover="always"),
+    "partition": Scenario(_partition_phases, failover="leased",
+                          needs_replicas=True),
+    "replica_crash": Scenario(_crash_phases, needs_replicas=True),
+    "primary_kill": Scenario(None, failover="always",
+                             needs_replicas=True),
+}
+
+
+# -- replication plumbing -----------------------------------------------------
+
+
+def _links(group: ReplicationGroup) -> dict:
+    shipper = group.shipper
+    return {} if shipper is None else {
+        link.name: link for link in shipper.links()
+    }
+
+
+def _cut(links, value: bool) -> None:
+    for link in links:
+        if hasattr(link.transport, "partitioned"):
+            link.transport.partitioned = value
+
+
+def _restart_crashed(group: ReplicationGroup) -> None:
+    for name in group.replica_names():
         try:
-            for attempt in range(20):
-                try:
-                    service.insert("c", "C0_ep", f"C1_ep{attempt}",
-                                   deadline=5.0)
-                except (PersistenceError, OSError, ServiceReadOnly):
-                    pass
-                if service.breaker.trips > 0:
-                    break
-            else:
-                report.notes.append(
-                    "note: forced outage never tripped the breaker"
-                )
-        finally:
-            FAULTS.disarm("wal.append.before")
-    if service.breaker.resets == 0:
-        for attempt in range(50):
+            replica = group.replica(name)
+        except ReplicationError:
+            continue
+        if replica.crashed:
             try:
-                service.insert("c", "C0_reset", f"C1_reset{attempt}",
-                               deadline=5.0)
-            except ServiceReadOnly:
-                time.sleep(service.breaker.reset_timeout / 2)
-                continue
-            break
-        else:
-            report.notes.append(
-                "note: breaker never closed after forced outage"
-            )
+                replica.restart()
+            except (ReproError, OSError):
+                pass  # settle-time sync will surface it as a failure
 
 
-def _force_slo_cycle(service: DatabaseService, report: SoakReport,
-                     config: SoakConfig) -> None:
-    """Deterministically breach and then clear the error-rate SLO:
-    arm a hard storage outage and hammer writes (breaker rejections
-    are errors burning the budget) until the monitor alerts, then
-    disarm and feed successes until the fast window is healthy again.
-    The successful writes land in the committed log like any others."""
-    slo = service.slo
-    raised_before = slo.raised
-    FAULTS.arm("wal.append.before", TransientError(times=10 ** 6))
-    budget = time.monotonic() + 10.0
-    sequence = 0
+def _attr_int(record, key: str) -> int | None:
     try:
-        while time.monotonic() < budget:
-            try:
-                service.insert("c", "C0_slo", f"C1_slo{sequence}",
-                               deadline=2.0)
-            except (PersistenceError, OSError, ServiceReadOnly):
-                pass
-            sequence += 1
-            slo.evaluate()
-            if not slo.healthy:
-                break
-            time.sleep(0.01)
-        else:
-            report.slo_error = (
-                "forced outage never raised an SLO alert "
-                f"(alerts={list(slo.alerts)})"
-            )
-            return
-    finally:
-        FAULTS.disarm("wal.append.before")
-    if slo.raised == raised_before:
-        report.slo_error = "alert active but raise was never recorded"
-        return
-    # Clear: successes push the fast-window error rate back under the
-    # threshold once the breach ages past the fast horizon.
-    budget = time.monotonic() + 10.0 + config.slo_window
-    while time.monotonic() < budget:
-        try:
-            service.insert("c", "C0_slo_ok", f"C1_slo_ok{sequence}",
-                           deadline=2.0)
-        except (PersistenceError, OSError, ServiceReadOnly):
-            time.sleep(service.breaker.reset_timeout / 2)
-        sequence += 1
-        slo.evaluate()
-        if slo.healthy:
-            return
-        time.sleep(0.02)
-    report.slo_error = (
-        f"SLO alert never cleared after recovery "
-        f"(alerts={list(slo.alerts)})"
-    )
+        return int(str(record.attrs.get(key)))
+    except (TypeError, ValueError):
+        return None
 
 
-def _scrape(service: DatabaseService, dest: Path, label: str,
-            report: SoakReport) -> None:
-    """Scrape ``/metrics`` and ``/health`` over real HTTP, validate
-    the exposition, and keep the snapshots as CI artifacts."""
-    import json
-    import urllib.error
-    import urllib.request
-
-    url = service.endpoint.url if service.endpoint else None
-    if url is None:
-        report.scrape_error = f"{label}: endpoint not running"
+def _scrape(front: ShardedDatabaseService, path_for, stage: str,
+            prefixes: list[str], replicated: list[int],
+            fail) -> None:
+    """The one scrape: ``/metrics`` over real HTTP must parse as
+    Prometheus text and carry a series under every prefix in
+    ``prefixes``; ``/health`` must hold a boolean verdict, one entry
+    per lane, and a replication block for every lane in
+    ``replicated``. Both bodies are kept as artifacts."""
+    endpoint = front.endpoint
+    if endpoint is None or not endpoint.running:
+        fail(f"{stage}: endpoint not running")
         return
     try:
-        with urllib.request.urlopen(url + "/metrics", timeout=5) as resp:
+        with urllib.request.urlopen(endpoint.url + "/metrics",
+                                    timeout=5) as resp:
             body = resp.read().decode("utf-8")
-        parse_prometheus(body)
-        metrics_path = dest / f"metrics-{label}.prom"
-        metrics_path.write_text(body, encoding="utf-8")
-        report.scrape_paths.append(str(metrics_path))
+        families = parse_prometheus(body)
+        for prefix in prefixes:
+            if not any(name.startswith(prefix) for name in families):
+                fail(f"{stage}: no {prefix}* series in /metrics")
+        path_for("metrics", stage, ".prom").write_text(
+            body, encoding="utf-8")
         try:
-            with urllib.request.urlopen(url + "/health",
+            with urllib.request.urlopen(endpoint.url + "/health",
                                         timeout=5) as resp:
                 health_body = resp.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
@@ -547,214 +734,1070 @@ def _scrape(service: DatabaseService, dest: Path, label: str,
             health_body = exc.read().decode("utf-8")
         verdict = json.loads(health_body)
         if not isinstance(verdict.get("healthy"), bool):
-            raise ExpositionError(
-                "health body lacks a boolean 'healthy' key"
-            )
-        health_path = dest / f"health-{label}.json"
-        health_path.write_text(health_body, encoding="utf-8")
-        report.scrape_paths.append(str(health_path))
+            fail(f"{stage}: /health lacks a boolean 'healthy' key")
+        lanes = verdict.get("lanes", {})
+        if len(lanes) != front.shards:
+            fail(f"{stage}: /health lacks the per-lane verdicts")
+        for shard in replicated:
+            block = lanes.get(str(shard), {}).get("replication")
+            if not isinstance(block, dict) or "term" not in block:
+                fail(f"{stage}: /health lane {shard} lacks the "
+                     f"replication block")
+        path_for("health", stage, ".json").write_text(
+            health_body, encoding="utf-8")
     except (OSError, ValueError, ExpositionError) as exc:
-        report.scrape_error = f"{label}: {exc}"
+        fail(f"{stage}: {exc}")
 
 
-def _span_invariants(records, committed_count: int,
-                     report: SoakReport) -> None:
-    """Every committed op must be covered by a *complete*
-    ``service.request`` span whose end record is stamped
-    ``committed=True`` — and the stamped count must equal the
-    committed log exactly."""
-    starts: set[int] = set()
-    ends: dict[int, dict] = {}
-    for record in records:
-        if record.name != "service.request":
-            continue
-        if record.kind == "span.start" and record.span_id is not None:
-            starts.add(record.span_id)
-        elif record.kind == "span.end" and record.span_id is not None:
-            ends[record.span_id] = record.attrs
-    report.request_spans = len(ends)
-    report.committed_spans = sum(
-        1 for attrs in ends.values()
-        if attrs.get("committed") == "True"
-    )
-    dangling = starts - set(ends)
-    if dangling:
-        report.span_error = (
-            f"{len(dangling)} request spans started but never ended"
-        )
-    elif report.committed_spans != committed_count:
-        report.span_error = (
-            f"{report.committed_spans} committed request spans for "
-            f"{committed_count} committed ops"
-        )
+# -- one cell -----------------------------------------------------------------
 
 
-def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
-    """One full soak run; see the module docstring for the checks."""
-    workdir = Path(config.workdir or
-                   tempfile.mkdtemp(prefix="fdb-soak-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    jsonl = Path(config.jsonl or workdir / "soak-events.jsonl")
-    snapshot_path = workdir / "snapshot.json"
-    wal_path = workdir / "updates.wal"
-    report = SoakReport(config=config, jsonl_path=str(jsonl))
+@dataclass
+class _Lane:
+    """One lane's moving parts outside the facade: where its snapshot
+    and WAL live *now* (a failover moves them to the promoted
+    replica's directory), its replication group, the names of the
+    group's members, and the services it ran before a failover."""
 
-    db = soak_database(config.seed, config.rows_per_function,
-                       config.value_pool)
-    # Baseline snapshot so strict recovery works even if no worker
-    # checkpoint lands before a failure.
-    persistence.save(db, snapshot_path, wal_applied=0)
+    index: int
+    snapshot: Path
+    wal: Path
+    group: ReplicationGroup | None = None
+    replicas: list = field(default_factory=list)
+    deposed: list = field(default_factory=list)
 
-    service = DatabaseService(
-        db,
-        log=wal_path,
-        lock_timeout=config.lock_timeout,
-        retry=RetryPolicy(
-            max_attempts=4, base_delay=0.004, max_delay=0.05,
-            jitter=0.004,
-            retryable=RetryPolicy().retryable + (PersistenceError,),
-        ),
-        max_concurrent=config.max_concurrent,
-        max_queue=config.max_queue,
-        queue_timeout=config.queue_timeout,
-        breaker=CircuitBreaker(failure_threshold=3, reset_timeout=0.1),
-        objectives=(
-            Objective(
-                "soak-error-rate", ERROR_RATE,
-                config.slo_error_threshold,
-                window=config.slo_window,
-                fast_fraction=config.slo_fast_fraction,
+
+class Cell:
+    """One ``(mode, scenario)`` cell on the config's topology, as a
+    context manager: entering builds the front door and everything
+    behind it, leaving closes all of it — the facade and every lane's
+    WAL, every group, the coordinator, the lease manager, the cell's
+    event sink. :meth:`run` is workload + epilogues + :meth:`verify`;
+    a test may instead drive ``cell.front`` by hand and call
+    :meth:`verify` to see the oracles judge a state it planted."""
+
+    def __init__(self, config: SoakConfig, mode: str | None,
+                 scenario: str, workdir: Path,
+                 scrape_dir: Path | None = None, tag: str = "") -> None:
+        self.config = config
+        self.scenario = SCENARIOS[scenario]
+        self.workdir = Path(workdir)
+        self.scrape_dir = Path(scrape_dir or workdir)
+        self.tag = tag
+        self.report = SoakReport(config, mode=mode, scenario=scenario)
+        self.counts_lock = threading.Lock()
+        self.harness_errors: list = []
+        self.plans: list[list[tuple]] = []
+        self.hung = 0
+        self.coordinator: FailoverCoordinator | None = None
+        self._stack = ExitStack()
+
+    def __enter__(self) -> "Cell":
+        try:
+            self._build()
+        except BaseException:
+            self._stack.close()  # a failed build still closes its part
+            raise
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stack.close()
+
+    # -- construction -------------------------------------------------------
+
+    def _build(self) -> None:
+        config, stack = self.config, self._stack
+        self.workdir.mkdir(parents=True, exist_ok=True)
+        self.scrape_dir.mkdir(parents=True, exist_ok=True)
+        lanes_dir = self.workdir / "lanes"
+        # The cell's own record stream: the run-wide JSONL interleaves
+        # every cell (and WAL seqs restart between them), so the span,
+        # coverage and timeline checks fold this file instead.
+        sink = FileSink(self.workdir / "events.jsonl")
+        self.events_path = sink.path
+        was_enabled = OBS.enabled
+        OBS.events.add_sink(sink)
+        OBS.enable()
+        stack.callback(sink.close)
+        stack.callback(OBS.events.remove_sink, sink)
+        if not was_enabled:
+            stack.callback(OBS.disable)
+
+        chains = 2 * config.shards
+        self.full = soak_database(config.seed, config.rows_per_function,
+                                  config.value_pool, chains)
+        self.lanes = [
+            _Lane(shard, lanes_dir / f"shard-{shard}.snap",
+                  lanes_dir / f"shard-{shard}.wal")
+            for shard in range(config.shards)
+        ]
+
+        def replication_factory(shard: int) -> ReplicationGroup:
+            group = ReplicationGroup(
+                self.report.mode, ack_timeout=config.ack_timeout,
+                retry_interval=0.01, journal=True,
+            )
+            stack.callback(group.close)
+            if config.auto_failover and shard == 0:
+                # Enabled before the lane service attaches, so the very
+                # first term is lease-granted.
+                group.enable_lease(LeaseConfig(
+                    duration=config.lease_duration,
+                    margin=config.lease_margin,
+                    renew_interval=config.lease_renew_interval,
+                    check_interval=0.02,
+                ))
+            self.lanes[shard].group = group
+            return group
+
+        objectives = (Objective(
+            "soak-error-rate", ERROR_RATE, config.slo_error_threshold,
+            window=config.slo_window,
+            fast_fraction=config.slo_fast_fraction,
+        ),) + ((replication_lag_objective(),) if config.replicas else ())
+        # Round-robin cluster -> shard pins: every lane must be
+        # populated (the epilogues write to lanes by name) and see real
+        # multi-shard traffic, which a pure hash placement cannot
+        # promise for a handful of clusters.
+        clusters = sorted(set(clusters_of(self.full).values()))
+        self.front = front = ShardedDatabaseService(
+            lambda: _soak_schema(chains), config.shards,
+            pins={cluster: index % config.shards
+                  for index, cluster in enumerate(clusters)},
+            log_dir=lanes_dir,
+            replication_factory=(replication_factory
+                                 if config.replicas else None),
+            service_kwargs=dict(
+                lock_timeout=config.lock_timeout,
+                retry=RetryPolicy(
+                    max_attempts=4, base_delay=0.004, max_delay=0.05,
+                    jitter=0.004,
+                    retryable=RetryPolicy().retryable
+                    + (PersistenceError,),
+                ),
+                max_concurrent=config.max_concurrent,
+                max_queue=config.max_queue,
+                queue_timeout=config.queue_timeout,
+                objectives=objectives,
+                seed=config.seed,
             ),
-        ),
-        seed=config.seed,
-    )
+        )
+        stack.callback(self._close_front)
+        for lane in self.lanes:
+            service = front.lane(lane.index)
+            # service_kwargs would hand every lane the *same* breaker;
+            # a breaker is one lane's storage verdict.
+            service.breaker = CircuitBreaker(failure_threshold=3,
+                                             reset_timeout=0.1)
+            self._seed(service.db, lane.index)
+            # Baseline snapshot (after the seed rows, which predate the
+            # WAL) so strict recovery works even if no worker
+            # checkpoint lands before a failure.
+            persistence.save(service.db, lane.snapshot, wal_applied=0)
+            for slot in range(config.replicas):
+                name = f"s{lane.index}r{slot}"
+                lane.replicas.append(name)
+                lane.group.add_replica(
+                    name, Replica(name, self.workdir / "replicas" / name)
+                )
+        lease = self.lanes[0].group.lease if config.replicas else None
+        if lease is not None:
+            group = self.lanes[0].group
+            self.coordinator = FailoverCoordinator(group, lease.config)
+            for name in self.lanes[0].replicas:
+                self.coordinator.watch(group.replica(name))
+            lease.start()
+            self.coordinator.start()
+            stack.callback(lease.stop)
+            stack.callback(self.coordinator.stop)
 
-    plans = [_plan_worker_ops(db, worker, config)
-             for worker in range(config.threads)]
+    def _close_front(self) -> None:
+        try:
+            self.front.close(timeout=5.0)
+        except ReproError:
+            pass
 
-    sink = FileSink(jsonl)
-    was_enabled = OBS.enabled
-    OBS.events.add_sink(sink)
-    OBS.enable()
-    started = time.monotonic()
-    counts: dict[str, int] = {}
-    counts_lock = threading.Lock()
-    harness_errors: list = []
-    stop_controller = threading.Event()
-    controller = None
-    try:
+    def _seed(self, db: FunctionalDatabase, shard: int) -> None:
+        """Load lane ``shard``'s share of the planning instance: the
+        rows of the base functions placed on it. Loads bypass the
+        update machinery (plain stored facts, no NCs, no nulls)."""
+        for name in self.front.map.names_on(shard):
+            if db.is_base(name):
+                db.load(name, self.full.table(name).pairs())
+
+    def fresh_lane(self, shard: int) -> FunctionalDatabase:
+        """What lane ``shard`` held before the first op: the replay
+        oracles start from here."""
+        db = _soak_schema(2 * self.config.shards)
+        self._seed(db, shard)
+        return db
+
+    def replicated(self) -> list[_Lane]:
+        return [lane for lane in self.lanes if lane.group is not None]
+
+    def services(self, lane: _Lane) -> list[DatabaseService]:
+        """Every service that ever ran this lane, oldest first."""
+        return lane.deposed + [self.front.lane(lane.index)]
+
+    def _quiet_name(self, shard: int) -> str:
+        """The base function on ``shard`` the epilogues write to: the
+        lone base ``c`` where it lives, a chain's tail elsewhere."""
+        names = [name for name in self.front.map.names_on(shard)
+                 if self.full.is_base(name)]
+        return "c" if "c" in names else max(names)
+
+    def _artifact(self, stem: str, stage: str = "",
+                  suffix: str = "") -> Path:
+        return self.scrape_dir / ("-".join(
+            part for part in (stem, self.tag, stage) if part
+        ) + suffix)
+
+    # -- the run ------------------------------------------------------------
+
+    def run(self) -> SoakReport:
+        started = time.monotonic()
+        try:
+            self._workload(started)
+            if self.hung or self.harness_errors:
+                # Past a hung worker the state is still moving: report
+                # that and nothing else.
+                _check_liveness(self)
+            else:
+                self._epilogues()
+                self.verify()
+        finally:
+            FAULTS.disarm_all()
+            self.report.duration = time.monotonic() - started
+        return self.report
+
+    def _workload(self, started: float) -> None:
+        config, front = self.config, self.front
+        self.plans = [
+            _plan_worker(config, self.full, front.shard_of, worker)
+            for worker in range(config.threads)
+        ]
+        stop = threading.Event()
+        self._stack.callback(stop.set)
+        controller = None
         if config.faults:
-            controller = threading.Thread(
-                target=_controller, args=(config, stop_controller),
-                name="soak-controller", daemon=True,
-            )
-            controller.start()
+            if config.replicas:
+                FAULTS.arm("repl.transport.deliver", LatencyFault(
+                    0.0005, jitter=0.002, seed=config.seed))
+            if self.coordinator is not None:
+                # Clock skew out to the configured drift margin — the
+                # primary runs fast, one replica slow — plus lossy
+                # heartbeats: lease safety must not depend on
+                # comparable clocks or a reliable beat stream.
+                lease = self.lanes[0].group.lease
+                FAULTS.arm("repl.lease.clock", ClockSkewFault(offsets={
+                    lease.clock.node: config.lease_margin,
+                    self.lanes[0].replicas[0]: -config.lease_margin,
+                }))
+                FAULTS.arm("repl.lease.heartbeat", HeartbeatDropFault(
+                    rate=config.heartbeat_drop_rate, seed=config.seed,
+                ))
+            if self.scenario.phases is not None:
+                controller = threading.Thread(
+                    target=_controller,
+                    args=(self, self.scenario.phases(self), stop),
+                    name="soak-controller", daemon=True,
+                )
+                controller.start()
         workers = [
-            threading.Thread(
-                target=_run_worker,
-                args=(service, plans[i], snapshot_path, counts,
-                      counts_lock, harness_errors),
-                name=f"soak-worker-{i}", daemon=True,
-            )
-            for i in range(config.threads)
+            threading.Thread(target=_run_worker, args=(self, plan),
+                             name=f"soak-worker-{i}", daemon=True)
+            for i, plan in enumerate(self.plans)
         ]
         for worker in workers:
             worker.start()
-        scrape_dir = Path(config.scrape_dir or workdir)
-        scrape_dir.mkdir(parents=True, exist_ok=True)
         if config.serve_endpoint:
-            service.serve_metrics()
-            # Mid-soak scrape over real HTTP, with workers live: the
-            # exposition must be well-formed while the registry is
-            # being hammered, not just at rest.
+            front.serve_metrics()
+            # Mid-soak scrape over real HTTP, with the workers and the
+            # scenario's faults live: the exposition must be
+            # well-formed — and the lag gauges present — while the
+            # registry is being hammered, not just at rest.
             time.sleep(min(0.25, config.wall_clock_limit / 10))
-            _scrape(service, scrape_dir, "mid", report)
+            self.scrape("mid")
         budget = started + config.wall_clock_limit
         for worker in workers:
             worker.join(max(budget - time.monotonic(), 0.1))
-        report.hung_workers = sum(1 for w in workers if w.is_alive())
-        stop_controller.set()
+        self.hung = sum(1 for worker in workers if worker.is_alive())
+        stop.set()
         if controller is not None:
-            controller.join(config.phase_seconds * 2 + 1.0)
-        FAULTS.disarm_all()
-        if report.hung_workers == 0 and not harness_errors:
-            _force_breaker_cycle(service, report)
-            _force_slo_cycle(service, report, config)
-        if config.serve_endpoint and report.scrape_error is None:
-            _scrape(service, scrape_dir, "final", report)
-        service.drain(timeout=10.0)
-    finally:
-        stop_controller.set()
-        FAULTS.disarm_all()
-        service.stop_metrics()
-        if not was_enabled:
-            OBS.disable()
-        OBS.events.remove_sink(sink)
-    report.duration = time.monotonic() - started
-    report.counts = counts
-    for exc in harness_errors:
-        report.notes.append(f"harness error: {exc!r}")
+            controller.join(config.phase_seconds * 4 + 1.0)
+        # Deterministic epilogue timing: every injected fault stops
+        # here except the clock skew — expiry, election and fencing
+        # must hold under drift up to the margin.
+        skew = "repl.lease.clock"
+        for name in FAULTS:
+            if name != skew:
+                FAULTS.disarm(name)
+        for lane in self.replicated():
+            self._heal(lane)
 
-    # -- verification --------------------------------------------------------
-    committed = service.committed_ops()
-    report.committed = len(committed)
-    report.breaker_trips = service.breaker.trips
-    report.breaker_resets = service.breaker.resets
+    def _heal(self, lane: _Lane) -> None:
+        _cut(_links(lane.group).values(), False)
+        _restart_crashed(lane.group)
 
-    expected = soak_database(config.seed, config.rows_per_function,
-                             config.value_pool)
-    for op in committed:
-        if isinstance(op, UpdateSequence):
-            apply_sequence(expected, op)
+    def _epilogues(self) -> None:
+        config, scenario = self.config, self.scenario
+        if scenario.breathe:
+            self._breathe(config.shards - 1)
+        if scenario.fails_over(config):
+            self._failover()
+        for lane in self.replicated():
+            self._settle(lane)
+        if config.serve_endpoint and not self.report.failed("scrape"):
+            self.scrape("final")
+        self.front.drain(timeout=10.0)
+
+    def scrape(self, stage: str) -> None:
+        prefixes = [f"service_shard_{lane.index}_"
+                    for lane in self.lanes]
+        for lane in self.replicated():
+            try:
+                lane.group.lag()  # refresh the gauges the scrape wants
+            except ReproError:
+                pass
+        if self.config.replicas:
+            prefixes.append("replication_lag_seq_")
+        if self.coordinator is not None:
+            prefixes.append("replication_lease_")
+        _scrape(self.front, self._artifact, stage, prefixes,
+                [lane.index for lane in self.replicated()],
+                partial(self.report.fail, "scrape"))
+
+    # -- epilogue: breaker and SLO breathe-cycles ---------------------------
+
+    def _breathe(self, shard: int) -> None:
+        """Deterministically produce, on lane ``shard``, one breaker
+        OPEN -> CLOSED cycle (if the random schedule did not) and one
+        SLO raise -> clear cycle: arm a hard storage outage and write
+        until the breaker trips / the error-rate alert fires (breaker
+        rejections are errors burning the budget), disarm, write until
+        it closes / the fast window is healthy again. The successful
+        writes land in the committed log like any others."""
+        front, report = self.front, self.report
+        lane, name = front.lane(shard), self._quiet_name(shard)
+        breaker, slo = lane.breaker, lane.slo
+        refused = (PersistenceError, OSError, ServiceReadOnly)
+        outage = ("wal.append.before", TransientError(times=10 ** 6))
+        serial = itertools.count()
+
+        def write(tag: str, deadline: float) -> bool:
+            try:
+                front.insert(name, f"{tag}_x", f"{tag}_y{next(serial)}",
+                             deadline=deadline)
+                return True
+            except refused:
+                return False
+
+        if breaker.trips == 0:
+            with FAULTS.injected(*outage):
+                for _ in range(20):
+                    write("ep", 5.0)
+                    if breaker.trips:
+                        break
+                else:
+                    report.notes.append(
+                        "forced outage never tripped the breaker")
+        if breaker.resets == 0:
+            for _ in range(50):
+                if write("reset", 5.0):
+                    break
+                time.sleep(breaker.reset_timeout / 2)
+            else:
+                report.notes.append(
+                    "breaker never closed after forced outage")
+
+        raised_before = slo.raised
+        budget = time.monotonic() + 10.0
+        with FAULTS.injected(*outage):
+            while slo.healthy:
+                if time.monotonic() >= budget:
+                    report.fail("breathe",
+                                "forced outage never raised an SLO "
+                                f"alert (alerts={list(slo.alerts)})")
+                    return
+                write("slo", 2.0)
+                slo.evaluate()
+                time.sleep(0.01)
+        if slo.raised == raised_before:
+            report.fail("breathe",
+                        "alert active but raise was never recorded")
+            return
+        # Clear: successes push the fast-window error rate back under
+        # the threshold once the breach ages past the fast horizon.
+        budget = time.monotonic() + 10.0 + self.config.slo_window
+        while not slo.healthy:
+            if time.monotonic() >= budget:
+                report.fail("breathe",
+                            "SLO alert never cleared after recovery "
+                            f"(alerts={list(slo.alerts)})")
+                return
+            if not write("slo_ok", 2.0):
+                time.sleep(breaker.reset_timeout / 2)
+            slo.evaluate()
+            time.sleep(0.02)
+
+    # -- epilogue: kill lane 0's primary ------------------------------------
+
+    def _failover(self) -> None:
+        """Kill lane 0's primary mid-commit and fail the lane over.
+
+        Isolate the primary from every replica and force one commit
+        through (durable locally, acked by nobody — the deterministic
+        unacked tail) while the other lanes keep writing. Then the
+        election: under ``auto_failover`` the harness only *watches* —
+        the primary must self-demote the instant its lease lapses (its
+        next write raises :exc:`StalePrimary` before touching its WAL)
+        and the coordinator must elect unprompted, exactly once;
+        otherwise ``group.promote()`` picks the longest applied
+        prefix. Either way no acked seq may sit past the fence, the
+        deposed primary is turned away at the door, the promoted
+        replica's service is swapped into the facade and written
+        through, and the deposed primary's files rejoin as a follower,
+        truncating the unacked tail."""
+        config, front, facts = self.config, self.front, self.report.facts
+        fail = partial(self.report.fail, "failover")
+        lane = self.lanes[0]
+        group, old, name = lane.group, front.lane(0), self._quiet_name(0)
+        lease = group.lease if self.coordinator is not None else None
+        old_term = group.term
+
+        def expect_fenced(tag: str, why: str) -> None:
+            wal_before = old.logged.log.last_seq()
+            try:
+                old.insert(name, f"{tag}_x", f"{tag}_y", deadline=5.0)
+                fail(f"deposed primary wrote {why}")
+            except StalePrimary:
+                pass
+            except ReproError as exc:
+                fail(f"deposed write {why} raised {exc!r}, wanted "
+                     f"StalePrimary")
+            if old.logged.log.last_seq() != wal_before:
+                fail(f"deposed write {why} reached the old primary's "
+                     f"WAL")
+
+        def wait_for(condition) -> bool:
+            horizon = lease.config.detector_horizon
+            deadline = time.monotonic() + horizon + 5.0
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return bool(condition())
+
+        _cut(_links(group).values(), True)
+        if OBS.enabled:
+            OBS.action("soak.phase", phase="primary_kill")
+        # Time the ack wait out well inside the lease validity window,
+        # so the kill surfaces as ReplicationTimeout (durable locally,
+        # acked by nobody) rather than the later self-demotion.
+        ack_timeout, group.ack_timeout = group.ack_timeout, (
+            0.2 if lease is None
+            else min(0.2, lease.config.primary_validity / 2))
+        try:
+            old.insert(name, "tail_x", "tail_y", deadline=5.0)
+            fail("isolated-primary commit did not raise "
+                 "ReplicationTimeout")
+        except ReplicationTimeout:
+            pass
+        except ReproError as exc:
+            fail(f"isolated-primary write failed unexpectedly: {exc!r}")
+        finally:
+            group.ack_timeout = ack_timeout
+        acked = old.acked_ops()
+        # The other lanes must not notice lane 0's outage.
+        for shard in range(1, config.shards):
+            try:
+                front.insert(self._quiet_name(shard), "during_x",
+                             f"during_y{shard}", deadline=5.0)
+            except ReproError as exc:
+                fail(f"lane {shard} write failed during lane 0's "
+                     f"failover: {exc!r}")
+
+        if lease is not None:
+            if not wait_for(group.leaderless):
+                fail("isolated primary never self-demoted")
+                return
+            expect_fenced("demoted", "after lease expiry, before any "
+                                     "election")
+            if not wait_for(lambda: self.coordinator.elections):
+                fail("no automatic election inside the detection "
+                     "window")
+                return
+            promotion = self.coordinator.elections[-1]
+            facts["elections"] = len(self.coordinator.elections)
+            if facts["elections"] != 1:
+                fail(f"{facts['elections']} elections ran, expected "
+                     f"exactly one")
+            _cut(_links(group).values(), False)
         else:
-            apply_update(expected, op)
-    report.divergence = states_diff(expected, db)
+            _cut(_links(group).values(), False)
+            try:
+                promotion = group.promote()
+            except ReplicationError as exc:
+                fail(f"promotion failed: {exc!r}")
+                return
+        facts["promotion"] = promotion.as_dict()
+        facts["fence_seq"] = fence = group.fence_seq(old_term)
+        lost = [seq for seq, _ in acked if seq > fence]
+        if lost:
+            fail(f"acked commits past the fence (lost by failover): "
+                 f"{lost}")
+        # The old term stays fenced (StalePrimary from the term check
+        # now, not just a lapsed lease) — exactly one writer.
+        expect_fenced("deposed", "after the promotion")
+        old.close(timeout=10.0)
 
-    try:
-        recovered = recover(snapshot_path, wal_path, policy="strict")
-        report.recovery_divergence = states_diff(recovered.db, db)
-    except (PersistenceError, OSError) as exc:
-        report.recovery_divergence = f"recovery failed: {exc}"
-
-    # Accounting: applied ops from workers plus the epilogue's writes
-    # must equal the committed log plus worker reads/checkpoints
-    # (which commit nothing); everything else committed nothing.
-    stats = service.stats()
-    records = read_jsonl(jsonl)
-    report.breaker_opens = sum(
-        1 for r in records if r.kind == "action" and r.name == "breaker.open"
-    )
-    report.breaker_closes = sum(
-        1 for r in records
-        if r.kind == "action" and r.name == "breaker.closed"
-    )
-    report.slo_raised = sum(
-        1 for r in records
-        if r.kind == "action" and r.name == "slo.alert_raised"
-    )
-    report.slo_cleared = sum(
-        1 for r in records
-        if r.kind == "action" and r.name == "slo.alert_cleared"
-    )
-    if report.hung_workers == 0:
-        _span_invariants(records, len(committed), report)
-        if report.slo_error is None and (
-                report.slo_raised == 0 or report.slo_cleared == 0):
-            report.slo_error = (
-                f"event log shows {report.slo_raised} slo.alert_raised"
-                f" / {report.slo_cleared} slo.alert_cleared actions"
-            )
-    total_ops = sum(counts.values())
-    planned = sum(len(plan) for plan in plans)
-    if report.hung_workers == 0 and total_ops != planned:
-        report.accounting_error = (
-            f"workers reported {total_ops} outcomes for {planned} "
-            f"planned ops"
+        chosen = group.replica(promotion.chosen)
+        group.remove_replica(promotion.chosen)
+        new = DatabaseService(
+            chosen.db, log=UpdateLog(chosen.wal_path),
+            lock_timeout=config.lock_timeout, shard=0,
+            replication=group, node=chosen.name, seed=config.seed + 1,
         )
-    report.notes.append(
-        f"service: {stats['retries']} retries, "
-        f"{stats['deadlocks']} deadlocks, "
-        f"{stats['lock_timeouts']} lock timeouts, "
-        f"{stats['shed']} shed"
+        front.swap_lane(0, new)
+        lane.deposed.append(old)
+        deposed_files = (lane.snapshot, lane.wal)
+        lane.snapshot, lane.wal = chosen.snapshot_path, chosen.wal_path
+        # The facade routes to the new primary; both the single- and
+        # the multi-shard path must work across the swap.
+        try:
+            for index in range(5):
+                front.insert(name, "post_x", f"post_y{index}",
+                             deadline=5.0)
+            if config.shards > 1:
+                front.execute(UpdateSequence((
+                    Update.ins(name, "post_multi_x", "post_multi_y"),
+                    Update.ins(self._quiet_name(1), "post_multi_p",
+                               "post_multi_q"),
+                ), label="post-failover-multi"), deadline=5.0)
+        except ReproError as exc:
+            fail(f"post-failover write through the facade failed: "
+                 f"{exc!r}")
+
+        # The deposed primary's files, laid out the way a follower
+        # keeps them (snapshot.json + wal.log), rejoin the group.
+        rejoined = Replica(f"s{lane.index}old",
+                           self.workdir / "replicas" / "old-primary")
+        for source, target in zip(deposed_files, (rejoined.snapshot_path,
+                                                  rejoined.wal_path)):
+            source.replace(target)
+        lane.replicas.append(rejoined.name)
+        try:
+            rejoin = group.rejoin(rejoined, old_term)
+            facts["rejoin"] = rejoin.as_dict()
+            if rejoin.records_dropped < 1 and not rejoin.rebootstrapped:
+                fail("rejoin dropped no records despite the unacked "
+                     "tail")
+        except ReproError as exc:
+            fail(f"rejoin failed: {exc!r}")
+
+    def _settle(self, lane: _Lane) -> None:
+        for _ in range(2):
+            self._heal(lane)
+            try:
+                lagging = lane.group.sync_all(timeout=10.0)["lagging"]
+            except ReproError as exc:
+                self.report.fail(
+                    "replicas",
+                    f"lane {lane.index} settling failed: {exc!r}")
+                return
+            if not lagging:
+                return
+        self.report.fail(
+            "replicas", f"lane {lane.index} never settled: {lagging}")
+
+    # -- verification -------------------------------------------------------
+
+    def verify(self) -> None:
+        """Walk :data:`CHECKS` over the cell's current state."""
+        facts = self.report.facts
+        self.records = read_jsonl(self.events_path) \
+            if self.events_path.exists() else []
+        facts["committed"] = {
+            lane.index: sum(len(s.committed_ops())
+                            for s in self.services(lane))
+            for lane in self.lanes
+        }
+        if self.config.replicas:
+            facts["acked"] = sum(
+                len(s.acked_ops()) for lane in self.lanes
+                for s in self.services(lane)
+            )
+        facts["events"] = dict(Counter(
+            record.name for record in self.records
+            if record.kind == "action" and record.name in _RUN_EVENTS
+        ))
+        for check in CHECKS:
+            if check.applies(self):
+                check.verify(self)
+        self._dump_lane_journals()
+
+    def _dump_lane_journals(self) -> None:
+        """Per-lane JSONL artifacts: one line per committed op of the
+        lane's current service, with the cross-shard marker where one
+        applies."""
+        for lane in self.lanes:
+            by_index = {index: marker for marker, index
+                        in self.front.cross_markers(lane.index)}
+            path = self._artifact(f"shard-{lane.index}", suffix=".jsonl")
+            with path.open("w", encoding="utf-8") as handle:
+                for index, op in enumerate(
+                        self.front.committed_ops(lane.index)):
+                    handle.write(json.dumps({
+                        "index": index,
+                        "op": str(op),
+                        "marker": by_index.get(index),
+                    }, sort_keys=True) + "\n")
+
+
+# -- the checks ---------------------------------------------------------------
+
+# Action records the run-level cross-cell check counts.
+_RUN_EVENTS = ("replication.promote", "replication.elected",
+               "replication.write_fenced", "replication.rejoin")
+
+
+def _check_liveness(cell: Cell) -> None:
+    if cell.hung:
+        cell.report.fail("liveness", f"{cell.hung} workers hung "
+                                     f"(deadlock waited out?)")
+    for exc in cell.harness_errors:
+        cell.report.fail("liveness", f"harness error: {exc!r}")
+
+
+def _check_accounting(cell: Cell) -> None:
+    """Every planned op resolved to exactly one outcome."""
+    planned = sum(len(plan) for plan in cell.plans)
+    outcomes = sum(cell.report.counts.values())
+    if outcomes != planned:
+        cell.report.fail("accounting",
+                         f"workers reported {outcomes} outcomes for "
+                         f"{planned} planned ops")
+
+
+def _check_replay(cell: Cell) -> None:
+    """Lanes commit concurrently, but each lane's history must still
+    be sequential — exactly what the per-lane ``__write__`` token
+    buys: every shed, cancelled, refused or failed request left no
+    trace."""
+    for lane in cell.lanes:
+        if lane.deposed:
+            # The old primary's log includes the fenced-away tail and
+            # the new one's starts mid-history.
+            cell.report.notes.append(
+                f"lane {lane.index}: replay equality skipped across "
+                f"the failover; covered by journal replay, acked-loss "
+                f"and replica convergence")
+            continue
+        diff = states_diff(
+            replay(cell.fresh_lane(lane.index),
+                   cell.front.committed_ops(lane.index)),
+            cell.front.lane(lane.index).db,
+        )
+        if diff:
+            cell.report.fail("replay",
+                             f"lane {lane.index} diverged from its "
+                             f"sequential replay: {diff}")
+
+
+def _check_recovery(cell: Cell) -> None:
+    """The concurrent path must have kept the log exact too."""
+    for lane in cell.lanes:
+        try:
+            recovered = recover(lane.snapshot, lane.wal, policy="strict")
+            diff = states_diff(recovered.db,
+                               cell.front.lane(lane.index).db)
+        except (PersistenceError, OSError) as exc:
+            diff = f"recovery failed: {exc}"
+        if diff:
+            cell.report.fail("recovery", f"lane {lane.index}: {diff}")
+
+
+def _marker_lanes(cell: Cell) -> dict[int, set[int]]:
+    """marker -> lanes that journalled it, deposed services included
+    (so pairing holds across a failover's journal restart)."""
+    seen: dict[int, set[int]] = {}
+    for lane in cell.lanes:
+        for service in cell.services(lane):
+            for marker, _ in tuple(service.cross_markers):
+                seen.setdefault(marker, set()).add(lane.index)
+    return seen
+
+
+def _check_spans(cell: Cell) -> None:
+    """Every ``service.request`` span that started also ended, and the
+    spans stamped ``committed=True`` match the committed logs: one per
+    single-lane commit, one per fully applied multi-shard write."""
+    starts: set[int] = set()
+    ends: dict[int, dict] = {}
+    for record in cell.records:
+        if record.name != "service.request" or record.span_id is None:
+            continue
+        if record.kind == "span.start":
+            starts.add(record.span_id)
+        elif record.kind == "span.end":
+            ends[record.span_id] = record.attrs
+    is_multi = [attrs.get("family") == "multi_write"
+                for attrs in ends.values()
+                if attrs.get("committed") == "True"]
+    multi, single = sum(is_multi), len(is_multi) - sum(is_multi)
+    cell.report.facts["spans"] = {
+        "request": len(ends), "committed": len(is_multi),
+    }
+    dangling = starts - set(ends)
+    if dangling:
+        cell.report.fail("spans", f"{len(dangling)} request spans "
+                                  f"started but never ended")
+        return
+    singles = sum(
+        len(service.committed_ops()) - len(service.cross_markers)
+        for lane in cell.lanes for service in cell.services(lane)
     )
+    if single != singles:
+        cell.report.fail("spans",
+                         f"{single} committed single-lane request "
+                         f"spans for {singles} committed ops")
+    paired = sum(1 for lanes in _marker_lanes(cell).values()
+                 if len(lanes) > 1)
+    # A multi-shard write whose ack wait timed out is applied on every
+    # lane but its span is never stamped.
+    unacked = cell.report.counts["repl_timeout"]
+    if not paired - unacked <= multi <= paired:
+        cell.report.fail("spans",
+                         f"{multi} committed multi-shard request "
+                         f"spans for {paired} paired markers")
+
+
+def _check_markers(cell: Cell) -> None:
+    """Each lane's ``(marker, committed-index)`` journal is strictly
+    increasing in both coordinates and stays inside its committed log;
+    every marker sits on at least two lanes (a multi-shard write
+    involves several shards by definition) unless a caller was told
+    the write was cut short (``CrossShardError``: cross-shard
+    atomicity is not promised)."""
+    report = cell.report
+    per_lane = {}
+    for lane in cell.lanes:
+        for service in cell.services(lane):
+            journal = tuple(service.cross_markers)
+            markers = [marker for marker, _ in journal]
+            indices = [index for _, index in journal]
+            if markers != sorted(set(markers)):
+                report.fail("markers",
+                            f"lane {lane.index} marker journal not "
+                            f"strictly increasing: {markers[:10]}")
+            if indices != sorted(set(indices)):
+                report.fail("markers",
+                            f"lane {lane.index} marker commit indices "
+                            f"not strictly increasing: {indices[:10]}")
+            committed = len(service.committed_ops())
+            if any(index >= committed for index in indices):
+                report.fail("markers",
+                            f"lane {lane.index} marker indices past "
+                            f"its committed log ({committed}): "
+                            f"{indices[-5:]}")
+        per_lane[lane.index] = sum(
+            len(s.cross_markers) for s in cell.services(lane))
+    if any(per_lane.values()):
+        report.facts["markers"] = per_lane
+    lonely = {marker: sorted(lanes)
+              for marker, lanes in _marker_lanes(cell).items()
+              if len(lanes) < 2}
+    if len(lonely) > report.counts["cross_shard"]:
+        report.fail("markers",
+                    f"cross-shard markers on a single lane beyond the "
+                    f"{report.counts['cross_shard']} "
+                    f"CrossShardErrors callers saw: "
+                    f"{dict(list(lonely.items())[:5])}")
+
+
+def _check_breathe(cell: Cell) -> None:
+    """The breaker breathed and the SLO alert raised *and* cleared —
+    read back from the event log, not from the objects."""
+    names = Counter(record.name for record in cell.records
+                    if record.kind == "action")
+    facts = cell.report.facts
+    facts["breaker"] = {"opens": names["breaker.open"],
+                        "closes": names["breaker.closed"]}
+    facts["slo"] = {"raised": names["slo.alert_raised"],
+                    "cleared": names["slo.alert_cleared"]}
+    for what, counts in (("breaker", facts["breaker"]),
+                         ("SLO alert", facts["slo"])):
+        if not all(counts.values()):
+            cell.report.fail("breathe",
+                             f"event log shows {what} cycle {counts}")
+
+
+def _check_journal(cell: Cell) -> None:
+    """The shipped-stream oracle: replaying every journalled record
+    (minus compensated aborts) over a fresh seeded lane must equal the
+    live primary — across a failover, this is the proof that the
+    surviving history and only the surviving history was applied."""
+    for lane in cell.replicated():
+        aborted: set[int] = set()
+        entries: list[tuple[int, dict]] = []
+        for _, line in lane.group.shipper.journal():
+            payload = json.loads(line)
+            if "abort_of" in payload:
+                aborted.add(payload["abort_of"])
+            elif "entry" in payload:
+                entries.append((payload["seq"], payload["entry"]))
+        expected = replay(cell.fresh_lane(lane.index), (
+            _decode_entry(raw) for seq, raw in entries
+            if seq not in aborted
+        ))
+        diff = states_diff(expected, cell.front.lane(lane.index).db)
+        if diff:
+            cell.report.fail("journal",
+                             f"lane {lane.index} journal replay "
+                             f"diverged: {diff}")
+
+
+def _check_replicas(cell: Cell) -> None:
+    for lane in cell.replicated():
+        primary = cell.front.lane(lane.index).db
+        checked = 0
+        for name in lane.group.replica_names():
+            try:
+                replica = lane.group.replica(name)
+            except ReplicationError:
+                continue  # a remote link: not inspectable from here
+            checked += 1
+            diff = ("no state after settling" if replica.db is None
+                    else states_diff(primary, replica.db))
+            if diff:
+                cell.report.fail("replicas",
+                                 f"replica {name} diverged: {diff}")
+        if not checked:
+            cell.report.fail("replicas",
+                             f"lane {lane.index}: no replica state was "
+                             f"checked")
+
+
+def _acked(cell: Cell, lane: _Lane) -> list:
+    return [pair for service in cell.services(lane)
+            for pair in service.acked_ops()]
+
+
+def _check_pipeline(cell: Cell) -> None:
+    """The span-stream oracle for the commit pipeline: every sequence
+    number a lane's primary acked must be covered by at least the
+    commit mode's ack quota of ``replica.apply`` spans on that lane's
+    replicas (their ``[from_seq, applied_to]`` interval contains it) or
+    by a snapshot install whose ``wal_applied`` floor subsumes it. The
+    last acked commit's cross-node propagation DAG is kept as a DOT
+    artifact."""
+    needed = CommitMode.parse(cell.report.mode).required_acks(
+        cell.config.replicas)
+    ends = [r for r in cell.records if r.kind == "span.end"]
+    for lane in cell.replicated():
+        acked = _acked(cell, lane)
+        applied: dict[str, list[tuple[int, int]]] = {}
+        floors: dict[str, int] = {}
+        for record in ends:
+            name = str(record.attrs.get("replica"))
+            if name not in lane.replicas:
+                continue
+            if record.name == "replica.apply":
+                low = _attr_int(record, "from_seq")
+                high = _attr_int(record, "applied_to")
+                if low is not None and high is not None and high >= low:
+                    applied.setdefault(name, []).append((low, high))
+            elif record.name == "replica.snapshot_install":
+                wal = _attr_int(record, "wal_applied")
+                if wal is not None:
+                    floors[name] = max(floors.get(name, 0), wal)
+        uncovered = []
+        for seq, _ in (acked if needed else ()):
+            covering = {
+                name for name, spans in applied.items()
+                if any(low <= seq <= high for low, high in spans)
+            } | {name for name, floor in floors.items() if floor >= seq}
+            if len(covering) < needed:
+                uncovered.append((seq, sorted(covering)))
+        if uncovered:
+            cell.report.fail(
+                "pipeline",
+                f"lane {lane.index} acked commits lacking {needed} "
+                f"replica applies in the span stream: {uncovered[:5]}"
+                + (f" (+{len(uncovered) - 5} more)"
+                   if len(uncovered) > 5 else ""))
+    lane = cell.lanes[0]
+    acked = _acked(cell, lane)
+    if acked:
+        _write_pipeline_dot(cell, lane, acked[-1][0])
+
+
+def _write_pipeline_dot(cell: Cell, lane: _Lane, last_seq: int) -> None:
+    """Fold the last acked commit's cross-node trace — the
+    ``service.request`` root down through ship, receive, WAL append,
+    apply and ack spans on every replica — into a DOT artifact."""
+    spans = {record.span_id: record for record in cell.records
+             if record.kind == "span.end" and record.span_id is not None}
+
+    def root_of(record):
+        while record.parent_span is not None \
+                and record.parent_span in spans:
+            record = spans[record.parent_span]
+        return record
+
+    target = None
+    for record in spans.values():
+        if record.name != "replication.ship" \
+                or str(record.attrs.get("replica")) not in lane.replicas:
+            continue
+        low = _attr_int(record, "from_seq")
+        high = _attr_int(record, "through_seq")
+        if low is not None and high is not None \
+                and low <= last_seq <= high:
+            # Prefer the commit-path ship (rooted in the request that
+            # carried the commit) over later catch-up re-ships.
+            if target is None \
+                    or root_of(record).name == "service.request":
+                target = record
+    if target is None:
+        cell.report.notes.append(
+            f"no ship span covering acked seq {last_seq}; pipeline "
+            f"DOT skipped")
+        return
+    children: dict[int, list[int]] = {}
+    for record in spans.values():
+        if record.parent_span is not None:
+            children.setdefault(record.parent_span,
+                                []).append(record.span_id)
+    keep: set[int] = set()
+    stack = [root_of(target).span_id]
+    while stack:
+        span_id = stack.pop()
+        if span_id not in keep:
+            keep.add(span_id)
+            stack.extend(children.get(span_id, ()))
+    dag = propagation_dag(
+        [record for record in cell.records if record.span_id in keep])
+    cell._artifact("pipeline", suffix=".dot").write_text(
+        dag.to_dot(name="pipeline") + "\n", encoding="utf-8")
+
+
+def _check_timeline(cell: Cell) -> None:
+    """Fold lane 0's replication lifecycle (the lane that may fail
+    over; other lanes' acked commits carry their own node names and
+    are left out) into the audit timeline, keep it as a JSONL
+    artifact, and audit the fence ordering: every acked old-term commit
+    at or below the fence precedes the fence record, every new-term
+    commit follows it. After a failover the fence, promote and rejoin
+    entries must be there — and the lease expiry and the election that
+    caused them, when it was automatic."""
+    lane, report = cell.lanes[0], cell.report
+    nodes = {None, f"shard-{lane.index}-primary", *lane.replicas}
+    timeline = replication_timeline(
+        record for record in cell.records
+        if record.attrs.get("node") in nodes)
+    cell._artifact("timeline", suffix=".jsonl").write_text(
+        timeline.to_jsonl() + "\n", encoding="utf-8")
+    problems = timeline.fence_violations()
+    if problems:
+        report.fail("timeline",
+                    f"fence ordering violated: {problems[:3]}")
+    if "promotion" not in report.facts:
+        return
+    wanted = ["fence", "promote", "rejoin"]
+    if report.facts.get("elections"):
+        wanted += ["lease_expire", "elect"]
+    for kind in wanted:
+        if not timeline.of_kind(kind):
+            report.fail("timeline",
+                        f"no {kind} entry in the failover timeline")
+    fences = timeline.of_kind("fence")
+    if fences and fences[-1].fence_seq != report.facts["fence_seq"]:
+        report.fail("timeline",
+                    f"timeline fence at seq {fences[-1].fence_seq}, "
+                    f"promotion reported {report.facts['fence_seq']}")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the table: the check's name (the prefix of its
+    failures), the topology predicate under which it applies, and the
+    one function that verifies it."""
+
+    name: str
+    applies: Callable[[Cell], bool]
+    verify: Callable[[Cell], None]
+
+
+def _always(cell: Cell) -> bool:
+    return True
+
+
+def _with_replicas(cell: Cell) -> bool:
+    return cell.config.replicas > 0
+
+
+CHECKS = (
+    Check("liveness", _always, _check_liveness),
+    Check("accounting", _always, _check_accounting),
+    Check("replay", _always, _check_replay),
+    Check("recovery", _always, _check_recovery),
+    Check("spans", _always, _check_spans),
+    Check("markers", _always, _check_markers),  # vacuous on one lane
+    Check("breathe", lambda cell: cell.scenario.breathe, _check_breathe),
+    Check("journal", _with_replicas, _check_journal),
+    Check("replicas", _with_replicas, _check_replicas),
+    Check("pipeline", _with_replicas, _check_pipeline),
+    Check("timeline", _with_replicas, _check_timeline),
+)
+# "failover" and "scrape" failures are recorded where they are observed:
+# by the failover epilogue and by the two scrapes.
+
+
+# -- the run ------------------------------------------------------------------
+
+
+def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
+    """Run every cell of ``config.matrix()``; see the module docstring
+    for the checks."""
+    workdir = Path(config.workdir or tempfile.mkdtemp(prefix="fdb-soak-"))
+    workdir.mkdir(parents=True, exist_ok=True)
+    jsonl = Path(config.jsonl or workdir / "soak-events.jsonl")
+    report = SoakReport(config, facts={"jsonl": str(jsonl)})
+    matrix = config.matrix()
+    started = time.monotonic()
+    with ExitStack() as stack:
+        sink = FileSink(jsonl)
+        OBS.events.add_sink(sink)
+        stack.callback(sink.close)
+        stack.callback(OBS.events.remove_sink, sink)
+        for mode, scenario in matrix:
+            slug = "-".join(part for part in (
+                (mode or "").replace("(", "").replace(")", ""), scenario,
+            ) if part)
+            # A one-cell run's artifacts carry no cell tag.
+            with Cell(config, mode, scenario, workdir / slug,
+                      config.scrape_dir or workdir,
+                      tag=slug if len(matrix) > 1 else "") as cell:
+                report.cells.append(cell.run())
+    report.duration = time.monotonic() - started
+
+    # Cross-cell: the failovers, counted from the event log.
+    events: Counter = Counter()
+    for cell_report in report.cells:
+        events.update(cell_report.facts.get("events", {}))
+    report.facts["events"] = dict(events)
+    promotions = events["replication.promote"]
+    failovers = sum(SCENARIOS[scenario].fails_over(config)
+                    for _, scenario in matrix)
+    for name in ("replication.promote", "replication.write_fenced",
+                 "replication.rejoin"):
+        if events[name] < failovers:
+            report.fail("events", f"event log shows {events[name]} "
+                                  f"{name} for {failovers} failover "
+                                  f"cells")
+    if config.auto_failover \
+            and promotions != events["replication.elected"]:
+        report.fail("events",
+                    f"{promotions} promotions vs "
+                    f"{events['replication.elected']} elections: a "
+                    f"promotion ran outside the coordinator")
     return report

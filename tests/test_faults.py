@@ -136,8 +136,8 @@ class TestCrashMatrix:
         assert failures == []
         # Coverage: every cell fired its point, and every registered
         # single-node point appears in the matrix (repl.* points fire
-        # only in a replicated topology; the failover matrix in
-        # repro.faults.replication owns them).
+        # only in a replicated topology; the chaos harness,
+        # repro.faults.soak with replicas > 0, owns them).
         tested = {o.point for o in outcomes}
         for info in FAULTS.points():
             if info.name.startswith("repl."):

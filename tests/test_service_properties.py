@@ -15,9 +15,8 @@ import threading
 import pytest
 
 from repro.errors import ReproError
-from repro.faults.harness import states_diff
+from repro.faults.harness import replay, states_diff
 from repro.faults.soak import soak_database
-from repro.fdb.updates import UpdateSequence, apply_sequence, apply_update
 from repro.fdb.wal import recover
 from repro.fdb import persistence
 from repro.service import DatabaseService, RetryPolicy
@@ -27,13 +26,7 @@ SEEDS = [0, 1, 7]
 
 
 def _replay(seed: int, ops):
-    expected = soak_database(seed)
-    for op in ops:
-        if isinstance(op, UpdateSequence):
-            apply_sequence(expected, op)
-        else:
-            apply_update(expected, op)
-    return expected
+    return replay(soak_database(seed), ops)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
