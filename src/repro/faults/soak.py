@@ -1461,10 +1461,7 @@ def _check_spans(cell: Cell) -> None:
                          f"spans for {singles} committed ops")
     paired = sum(1 for lanes in _marker_lanes(cell).values()
                  if len(lanes) > 1)
-    # A multi-shard write whose ack wait timed out is applied on every
-    # lane but its span is never stamped.
-    unacked = cell.report.counts["repl_timeout"]
-    if not paired - unacked <= multi <= paired:
+    if multi != paired:
         cell.report.fail("spans",
                          f"{multi} committed multi-shard request "
                          f"spans for {paired} paired markers")

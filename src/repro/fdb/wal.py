@@ -26,8 +26,8 @@ strictly increasing and survive checkpoints (the truncated log keeps a
 header record carrying the next sequence number). Besides ``entry``
 records there are ``abort_of`` records — compensation for an update
 that was durably logged but failed to apply — and the ``header``
-record. Legacy (v1) lines, bare update objects with neither checksum
-nor sequence number, are still replayed.
+record. A line without ``v`` / ``seq`` / ``crc`` is damage like any
+other unverifiable line: nothing unchecksummed is ever replayed.
 
 **Crash consistency.** Appends go through
 :func:`repro.fdb.storage.append_line` on the log's held-open descriptor
@@ -197,10 +197,9 @@ class LogRecord:
     """One decoded, checksum-verified log record."""
 
     line_no: int
-    seq: int | None  # None for legacy (v1) records
+    seq: int | None  # None for a header record
     entry: Update | UpdateSequence | None  # None for abort/header
     abort_of: int | None = None
-    legacy: bool = False
     term: int = 0  # replication epoch; 0 before any failover
 
 
@@ -227,7 +226,6 @@ class LogScan:
     base_term: int = 0  # from a header record, if present
     torn_tail: bool = False
     checksum_failures: int = 0
-    legacy_records: int = 0
 
     @property
     def max_seq(self) -> int:
@@ -433,16 +431,6 @@ class UpdateLog:
                     pending = LogProblem(line_no, "parse",
                                          "not a JSON object")
                     continue
-                if "v" not in raw:
-                    record = self._decode_legacy(raw, line_no)
-                    if record is None:
-                        pending = LogProblem(
-                            line_no, "parse", "undecodable legacy record"
-                        )
-                        continue
-                    scan.legacy_records += 1
-                    scan.records.append(record)
-                    continue
                 record = self._decode_v2(raw, line_no, scan, policy)
                 if record is None:
                     continue
@@ -515,14 +503,6 @@ class UpdateLog:
         return LogRecord(line_no, seq, entry, term=term)
 
     @staticmethod
-    def _decode_legacy(raw: dict, line_no: int) -> LogRecord | None:
-        try:
-            return LogRecord(line_no, None, _decode_entry(raw),
-                             legacy=True)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    @staticmethod
     def _problem(scan: LogScan, policy: str,
                  problem: LogProblem) -> None:
         if policy == "strict":
@@ -547,7 +527,7 @@ class UpdateLog:
         for record in scan.records:
             if record.entry is None:
                 continue
-            if record.seq is not None and record.seq in scan.aborted:
+            if record.seq in scan.aborted:
                 continue
             yield record.entry
 
@@ -562,13 +542,10 @@ class UpdateLog:
             raw = json.loads(line)
         except json.JSONDecodeError:
             return True
-        if not isinstance(raw, dict):
-            return True
-        if "v" in raw:
-            # A parseable v2 record is never a tear; a bad checksum
-            # there is corruption, which scan()/recover() report.
-            return False
-        return self._decode_legacy(raw, 0) is None
+        # A parseable record is never a tear; a missing version or a
+        # bad checksum there is corruption, which scan()/recover()
+        # report.
+        return not isinstance(raw, dict)
 
     def _last_nonblank_line(self, block: int = 4096) -> str | None:
         """The last non-blank line, read backwards in blocks."""
@@ -598,7 +575,7 @@ class UpdateLog:
 
     def last_seq(self) -> int:
         """The highest sequence number ever claimed in this log
-        generation (0 for a fresh or legacy log)."""
+        generation (0 for a fresh log)."""
         if self._next_seq is None:
             self._next_seq = self._scan("salvage").max_seq + 1
         return self._next_seq - 1
@@ -742,8 +719,7 @@ class UpdateLog:
                 "tail_torn": scan.torn_tail,
                 "entries": sum(
                     1 for r in scan.records
-                    if r.entry is not None
-                    and (r.seq is None or r.seq not in scan.aborted)
+                    if r.entry is not None and r.seq not in scan.aborted
                 ),
                 "aborted": len(scan.aborted),
                 "checksum_failures": scan.checksum_failures,
@@ -909,7 +885,6 @@ class RecoveryReport:
     checksum_failures: int = 0
     aborted: int = 0
     already_checkpointed: int = 0
-    legacy_records: int = 0
     term: int = 0  # highest replication epoch seen in the log
     notes: tuple[str, ...] = ()
 
@@ -925,7 +900,6 @@ class RecoveryReport:
             "checksum_failures": self.checksum_failures,
             "aborted": self.aborted,
             "already_checkpointed": self.already_checkpointed,
-            "legacy_records": self.legacy_records,
             "term": self.term,
             "notes": list(self.notes),
         }
@@ -943,7 +917,6 @@ class RecoveryReport:
             checksum_failures=data.get("checksum_failures", 0),
             aborted=data.get("aborted", 0),
             already_checkpointed=data.get("already_checkpointed", 0),
-            legacy_records=data.get("legacy_records", 0),
             term=data.get("term", 0),
             notes=tuple(data.get("notes", ())),
         )
@@ -1016,11 +989,10 @@ def recover(snapshot_path: str | Path, log_path: str | Path, *,
     for record in scan.records:
         if record.entry is None:
             continue  # header or abort record
-        if record.seq is not None and record.seq in scan.aborted:
+        if record.seq in scan.aborted:
             aborted += 1
             continue
-        if (wal_applied is not None and record.seq is not None
-                and record.seq <= wal_applied):
+        if wal_applied is not None and record.seq <= wal_applied:
             already += 1
             continue
         try:
@@ -1070,7 +1042,6 @@ def recover(snapshot_path: str | Path, log_path: str | Path, *,
         checksum_failures=scan.checksum_failures,
         aborted=aborted,
         already_checkpointed=already,
-        legacy_records=scan.legacy_records,
         term=scan.max_term,
         notes=tuple(notes),
     )

@@ -170,9 +170,9 @@ def render_monitor(metrics: dict, *, slo: dict | None = None,
                                  for c, w in zip(row, widths))
             )
         lines.append(
-            "  global lane: multi-shard retries={} "
+            "  cross-shard: multi-shard writes={} "
             "scatter reads={}".format(
-                counters.get("service.shard.multi_retries", 0),
+                counters.get("service.red.multi_write.requests", 0),
                 counters.get("service.shard.scatter_reads", 0),
             )
         )

@@ -302,18 +302,22 @@ class LockManager:
     @contextmanager
     def held(self, resources: Iterable[str], mode: str = SHARED, *,
              owner: int | None = None, timeout: float | None = None,
-             deadline: Deadline | None = None):
+             deadline: Deadline | None = None, **span_attrs):
         """Hold several resources for a block, acquiring in sorted
         order (a global order means two lock *sets* cannot deadlock
         each other; upgrades still can, which is what the cycle search
-        is for). On any failure, locks taken so far are released."""
+        is for). On any failure, locks taken so far are released. The
+        ``service.locks`` span (``mode`` plus ``span_attrs``) covers
+        *acquisition only*, so wait time and work time stay separable
+        in the trace."""
         ordered = sorted(set(resources))
         taken: list[str] = []
         try:
-            for resource in ordered:
-                self.acquire(resource, mode, owner=owner,
-                             timeout=timeout, deadline=deadline)
-                taken.append(resource)
+            with OBS.span("service.locks", mode=mode, **span_attrs):
+                for resource in ordered:
+                    self.acquire(resource, mode, owner=owner,
+                                 timeout=timeout, deadline=deadline)
+                    taken.append(resource)
             yield
         finally:
             for resource in reversed(taken):

@@ -28,6 +28,12 @@ with writes to other clusters. The payoff is the soak harness's
 oracle: final state ≡ *exact* sequential replay of the committed-op
 log, byte for byte, indexed nulls included.
 
+**One write path.** A cluster is both the lock unit and the placement
+unit (:mod:`repro.shard`), so committing is one act whether one lane
+is involved or several: every appender (``execute``, the rmw upgrade,
+``checkpoint``, a multi-shard write) enters through :class:`Appender`,
+and :func:`write` is the one commit loop, ``execute`` its one-slice case.
+
 **Degradation.** Admission (bounded queue, shedding) in front;
 deadlines (cooperative cancellation through chain enumeration,
 propagation and WAL appends) within; retry with capped backoff around
@@ -46,11 +52,11 @@ engine execution (``service.engine``) and the WAL commit
 :func:`repro.obs.events.propagation_dag` joins to the update
 propagation DAG. On completion the request feeds the per-family RED
 instruments (``service.red.<family>.{requests,errors,duration_seconds}``)
-and the service's :class:`repro.obs.slo.SLOMonitor`; the span's end
-record is stamped ``committed=True`` exactly when the operation landed
-in :meth:`DatabaseService.committed_ops` — the invariant the chaos
-soak checks. :meth:`DatabaseService.serve_metrics` exposes all of it
-live over HTTP.
+and the :class:`repro.obs.slo.SLOMonitor` of every lane it involved;
+the span's end record is stamped ``committed=True`` exactly when the
+operation landed in :meth:`DatabaseService.committed_ops` — the
+invariant the chaos soak checks. :meth:`FrontDoor.serve_metrics`
+exposes all of it live over HTTP.
 """
 
 from __future__ import annotations
@@ -59,13 +65,13 @@ import itertools
 import random
 import threading
 import time
-from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.cancel import Deadline, deadline_scope
-from repro.errors import (DeadlockDetected, LockTimeout, PersistenceError,
-                          ReplicationError, ServiceOverloaded)
+from repro.errors import (CrossShardError, DeadlockDetected, LockTimeout,
+                          PersistenceError, ReplicationError,
+                          ServiceOverloaded)
 from repro.fdb import wal as wal_module
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.logic import Truth
@@ -81,13 +87,25 @@ from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.locks import EXCLUSIVE, SHARED, LockManager
 from repro.service.retry import DEFAULT_RETRYABLE, RetryPolicy
 
-__all__ = ["DatabaseService", "WRITE_RESOURCE", "clusters_of"]
+__all__ = ["Appender", "DatabaseService", "FrontDoor", "WRITE_RESOURCE",
+           "clusters_of", "touched", "write"]
 
 # Sorts before every "fn:..." cluster resource, so the lock manager's
 # sorted acquisition order is: write token first, then clusters.
 WRITE_RESOURCE = "__write__"
 
 _WRITE_RETRYABLE = DEFAULT_RETRYABLE + (PersistenceError,)
+
+# What one request of each family counts as: the lane's stats() key
+# and the OBS counter.
+_COUNTS = {
+    "read": ("reads", "service.reads"),
+    "replica_read": ("reads", "service.replica_reads"),
+    "execute": ("writes", "service.writes"),
+    "multi_write": ("writes", "service.writes"),
+    "rmw": ("writes", "service.rmw"),
+    "checkpoint": ("checkpoints", None),
+}
 
 
 def clusters_of(db: FunctionalDatabase) -> dict[str, str]:
@@ -118,13 +136,72 @@ def clusters_of(db: FunctionalDatabase) -> dict[str, str]:
     return {name: f"fn:{find(name)}" for name in parent}
 
 
-def _touched(update: Update | UpdateSequence) -> set[str]:
+def touched(update: Update | UpdateSequence) -> set[str]:
+    """The functions an update (or atomic sequence) names."""
     if isinstance(update, UpdateSequence):
         return {simple.function for simple in update}
     return {update.function}
 
 
-class DatabaseService:
+class FrontDoor:
+    """The verb surface of a front door, defined once over
+    ``execute`` / ``read`` / ``health``: a :class:`DatabaseService`
+    (one lane) and the sharded facade (N lanes) differ in how they
+    route, not in what a caller can say."""
+
+    endpoint: MetricsEndpoint | None = None
+    slo: SLOMonitor | None = None  # a lane has one; the facade folds
+
+    def insert(self, name: str, x: Value, y: Value, *,
+               deadline: Deadline | float | None = None) -> None:
+        self.execute(Update.ins(name, x, y), deadline=deadline)
+
+    def delete(self, name: str, x: Value, y: Value, *,
+               deadline: Deadline | float | None = None) -> None:
+        self.execute(Update.delete(name, x, y), deadline=deadline)
+
+    def replace(self, name: str, old: tuple[Value, Value],
+                new: tuple[Value, Value], *,
+                deadline: Deadline | float | None = None) -> None:
+        self.execute(Update.rep(name, old, new), deadline=deadline)
+
+    def truth_of(self, name: str, x: Value, y: Value, *,
+                 deadline: Deadline | float | None = None) -> Truth:
+        return self.read(
+            (name,), lambda db: db.truth_of(name, x, y),
+            deadline=deadline,
+        )
+
+    def extension(self, name: str, *,
+                  deadline: Deadline | float | None = None):
+        return self.read(
+            (name,), lambda db: db.extension(name), deadline=deadline,
+        )
+
+    def serve_metrics(self, *, host: str = "127.0.0.1",
+                      port: int = 0) -> MetricsEndpoint:
+        """Start (or return, if already serving) the live exposition
+        endpoint: ``/metrics`` (Prometheus text; OBS metrics are
+        process-global, so every lane's series is in it), ``/health``
+        (:meth:`health` + SLO verdict, 200/503) and ``/slo`` (JSON) —
+        see :mod:`repro.obs.endpoint`. Port 0 picks a free port; the
+        bound address is ``self.endpoint.url``. Stopped by ``close``
+        or :meth:`stop_metrics`."""
+        if self.endpoint is None or not self.endpoint.running:
+            self.endpoint = MetricsEndpoint(
+                OBS.metrics, slo=self.slo, health=self.health,
+                host=host, port=port,
+            ).start()
+        return self.endpoint
+
+    def stop_metrics(self) -> None:
+        """Stop the exposition endpoint if one is serving. Idempotent."""
+        if self.endpoint is not None:
+            self.endpoint.stop()
+            self.endpoint = None
+
+
+class DatabaseService(FrontDoor):
     """Concurrent front door for one :class:`FunctionalDatabase`.
 
     With ``log`` attached, writes go through the write-ahead wrapper
@@ -158,7 +235,6 @@ class DatabaseService:
         if log is not None:
             self.logged = wal_module.LoggedDatabase(db, log)
         self.locks = LockManager(default_timeout=lock_timeout)
-        self.lock_timeout = lock_timeout
         self.default_deadline = default_deadline
         self.retry = retry or RetryPolicy(retryable=_WRITE_RETRYABLE)
         self.gate = AdmissionGate(max_concurrent=max_concurrent,
@@ -168,9 +244,7 @@ class DatabaseService:
         self.slo = SLOMonitor(
             tuple(objectives) if objectives is not None else None
         )
-        self.endpoint: MetricsEndpoint | None = None
-        self._rng = random.Random(seed)
-        self._rng_lock = threading.Lock()
+        self._jitter = _LockedRandom(random.Random(seed))
         # The cluster map is derived purely from the schema, so it is
         # cached against the database's schema_version and rebuilt only
         # when a declaration actually changed the schema — never on an
@@ -213,9 +287,7 @@ class DatabaseService:
             )
             # Snapshot catch-up dumps run while the write token is
             # held exclusively, so no commit lands mid-dump.
-            replication.exclusive = lambda: self.locks.held(
-                (WRITE_RESOURCE,), EXCLUSIVE, timeout=self.lock_timeout
-            )
+            replication.exclusive = self._token
             # Lag SLO: probe the group's worst applied-seq lag at
             # every evaluation; a sustained breach turns ``/health``
             # into a 503 like any other alerting objective. Explicit
@@ -244,62 +316,10 @@ class DatabaseService:
 
     def _deadline(self, deadline: Deadline | float | None) -> Deadline | None:
         if deadline is None:
-            if self.default_deadline is None:
-                return None
-            return Deadline(self.default_deadline)
-        if isinstance(deadline, Deadline):
+            deadline = self.default_deadline
+        if deadline is None or isinstance(deadline, Deadline):
             return deadline
         return Deadline(deadline)
-
-    @contextmanager
-    def _request(self, family: str):
-        """One caller-visible operation, instrumented end to end.
-
-        Opens the ``service.request`` span (fresh request id, operation
-        family) under which admission, lock acquisition, retry attempts
-        and engine spans nest; on the way out feeds the RED instruments
-        (``service.red.<family>.*``) and the SLO monitor, classifying
-        the outcome: shed (:class:`ServiceOverloaded`), error (any
-        other raise), or success. The yielded scope's ``attrs`` dict is
-        live — callers stamp ``committed=True`` once the write landed,
-        and the ``span.end`` record carries it (the chaos soak matches
-        those records against ``committed_ops()``).
-        """
-        started = time.perf_counter()
-        scope = OBS.span(
-            "service.request", key=family,
-            request=OBS.new_request_id() if OBS.enabled else None,
-            family=family, committed=False,
-        )
-        error = shed = False
-        try:
-            with scope:
-                yield scope
-        except ServiceOverloaded:
-            error = shed = True
-            raise
-        except BaseException:
-            error = True
-            raise
-        finally:
-            elapsed = time.perf_counter() - started
-            self.slo.record(family, elapsed, error=error, shed=shed)
-            if OBS.enabled:
-                OBS.inc(f"service.red.{family}.requests")
-                if error:
-                    OBS.inc(f"service.red.{family}.errors")
-                OBS.observe_log(
-                    f"service.red.{family}.duration_seconds", elapsed
-                )
-                if self.shard is not None:
-                    prefix = f"service.shard.{self.shard}"
-                    OBS.inc(f"{prefix}.requests")
-                    if error:
-                        OBS.inc(f"{prefix}.errors")
-                    OBS.observe_log(
-                        f"{prefix}.duration_seconds", elapsed
-                    )
-            self.slo.maybe_evaluate()
 
     def cluster_of(self, name: str) -> str:
         """The lock resource guarding ``name`` (exposed for tests)."""
@@ -315,6 +335,48 @@ class DatabaseService:
     def _clusters_for(self, names: Iterable[str]) -> set[str]:
         return {self.cluster_of(name) for name in names}
 
+    def _token(self, clusters: Iterable[str] = (),
+               limit: Deadline | None = None, **span_attrs):
+        """The write token (and ``clusters``), exclusively: the one
+        place ``__write__`` is taken — by :class:`Appender`, and bare
+        by ``close_log`` and the replication group's snapshot dump."""
+        return self.locks.held({WRITE_RESOURCE, *clusters}, EXCLUSIVE,
+                               deadline=limit, **span_attrs)
+
+    def _fail_fast_if_leaderless(self) -> None:
+        # With a lapsed leadership lease there is no point queueing
+        # behind the write lock — surface the self-demotion
+        # (LeaseExpired: a StalePrimary *and* a ServiceReadOnly) before
+        # taking anything. The fence under the token (Appender) still
+        # guards the logged path itself.
+        if self.replication is not None and self.replication.leaderless():
+            self.replication.check_primary(self._repl_term)
+
+    def _retrying(self, limit: Deadline | None, attempt, *args):
+        """Run ``attempt(*args)`` under the lane's :class:`RetryPolicy`,
+        each try in its own ``service.attempt`` span."""
+        attempts = itertools.count(1)
+
+        def once():
+            with OBS.span("service.attempt", attempt=next(attempts)):
+                return attempt(*args)
+
+        return self.retry.run(once, rng=self._jitter, deadline=limit,
+                              on_retry=self._on_retry)
+
+    def _on_retry(self, attempt: int, exc: BaseException) -> None:
+        self._bump("retries")
+        if OBS.enabled:
+            OBS.inc("service.retries")
+            OBS.event("service.retry", attempt=attempt,
+                      error=type(exc).__name__)
+        if isinstance(exc, DeadlockDetected):
+            self._bump("deadlocks")
+            # The victim contract: drop everything before backing off.
+            self.locks.release_all()
+        elif isinstance(exc, LockTimeout):
+            self._bump("lock_timeouts")
+
     # -- reads --------------------------------------------------------------
 
     def read(self, names: Iterable[str],
@@ -323,40 +385,12 @@ class DatabaseService:
         """Run ``fn(db)`` while the clusters of ``names`` are held
         shared. ``fn`` must not mutate."""
         limit = self._deadline(deadline)
-        with self._request("read"):
-            with OBS.span("service.admission"):
-                self.gate.enter(deadline=limit)
-            try:
-                self._bump("reads")
-                if OBS.enabled:
-                    OBS.inc("service.reads")
-                with ExitStack() as stack:
-                    # The span covers *acquisition only*: the stack
-                    # keeps the locks held for the body, so wait time
-                    # and work time stay separable in the trace.
-                    with OBS.span("service.locks", mode=SHARED):
-                        stack.enter_context(self.locks.held(
-                            self._clusters_for(names), SHARED,
-                            timeout=self.lock_timeout, deadline=limit,
-                        ))
-                    with OBS.span("service.engine"):
-                        with deadline_scope(limit):
-                            return fn(self.db)
-            finally:
-                self.gate.leave()
-
-    def truth_of(self, name: str, x: Value, y: Value, *,
-                 deadline: Deadline | float | None = None) -> Truth:
-        return self.read(
-            (name,), lambda db: db.truth_of(name, x, y),
-            deadline=deadline,
-        )
-
-    def extension(self, name: str, *,
-                  deadline: Deadline | float | None = None):
-        return self.read(
-            (name,), lambda db: db.extension(name), deadline=deadline,
-        )
+        with _Request((self,), "read", limit):
+            with self.locks.held(self._clusters_for(names), SHARED,
+                                 deadline=limit):
+                with OBS.span("service.engine"):
+                    with deadline_scope(limit):
+                        return fn(self.db)
 
     def read_replica(self, fn: Callable[[FunctionalDatabase], object],
                      *, max_lag_seq: int | None = None,
@@ -373,10 +407,8 @@ class DatabaseService:
             max_lag_seq = self.staleness_max_lag_seq
         if max_lag_seconds is None:
             max_lag_seconds = self.staleness_max_lag_seconds
-        with self._request("replica_read"):
-            self._bump("reads")
-            if OBS.enabled:
-                OBS.inc("service.replica_reads")
+        # Nothing here runs on the primary, so its gate is not entered.
+        with _Request((self,), "replica_read", admit=False):
             return self.replication.read(
                 fn, max_lag_seq=max_lag_seq,
                 max_lag_seconds=max_lag_seconds,
@@ -391,154 +423,7 @@ class DatabaseService:
         transient storage failures under the service's
         :class:`RetryPolicy`; raises the final error when the policy
         gives up."""
-        limit = self._deadline(deadline)
-        clusters = self._clusters_for(_touched(update))
-        with self._request("execute") as req:
-            with OBS.span("service.admission"):
-                self.gate.enter(deadline=limit)
-            try:
-                self._bump("writes")
-                if OBS.enabled:
-                    OBS.inc("service.writes")
-                attempts = itertools.count(1)
-
-                def once() -> int | None:
-                    with OBS.span("service.attempt",
-                                  attempt=next(attempts)):
-                        return self._write_once(update, clusters, limit)
-
-                seq = self.retry.run(
-                    once,
-                    rng=self._locked_rng(),
-                    deadline=limit,
-                    on_retry=self._on_retry,
-                )
-                req.attrs["committed"] = True
-                # Replication ack wait runs after the span is stamped
-                # and outside any locks: the op is committed locally
-                # either way; a missed quota surfaces as
-                # ReplicationTimeout without un-committing anything.
-                self._replication_ack(seq, update)
-            finally:
-                self.gate.leave()
-
-    def _locked_rng(self) -> random.Random:
-        # random.Random is internally consistent enough for jitter, but
-        # seed-reproducibility wants serialized draws.
-        return _LockedRandom(self._rng, self._rng_lock)
-
-    def _on_retry(self, attempt: int, exc: BaseException) -> None:
-        self._bump("retries")
-        if OBS.enabled:
-            OBS.inc("service.retries")
-            OBS.event("service.retry", attempt=attempt,
-                      error=type(exc).__name__)
-        if isinstance(exc, DeadlockDetected):
-            self._bump("deadlocks")
-            # The victim contract: drop everything before backing off.
-            self.locks.release_all()
-        elif isinstance(exc, LockTimeout):
-            self._bump("lock_timeouts")
-
-    def _write_once(self, update: Update | UpdateSequence,
-                    clusters: set[str],
-                    limit: Deadline | None) -> int | None:
-        """One write attempt; returns the WAL sequence number of the
-        commit (None without a log)."""
-        # Leaderless fast-fail: with a lapsed leadership lease there is
-        # no point queueing behind the write lock — surface the
-        # self-demotion (LeaseExpired: a StalePrimary *and* a
-        # ServiceReadOnly) before taking anything. The fence in
-        # apply_prelocked still guards the logged path itself.
-        if self.replication is not None and self.replication.leaderless():
-            self.replication.check_primary(self._repl_term)
-        gated = self.logged is not None
-        if gated:
-            self.breaker.allow()
-        settled = False
-        try:
-            with ExitStack() as stack:
-                with OBS.span("service.locks", mode=EXCLUSIVE,
-                              resources=len(clusters) + 1):
-                    stack.enter_context(self.locks.held(
-                        {WRITE_RESOURCE} | clusters, EXCLUSIVE,
-                        timeout=self.lock_timeout, deadline=limit,
-                    ))
-                settled = True
-                return self.apply_prelocked(update, limit=limit,
-                                            gated=gated)
-        finally:
-            # The attempt died before reaching the storage path (lock
-            # timeout, deadlock victimhood): return the probe slot.
-            if gated and not settled:
-                self.breaker.release_probe()
-
-    def apply_prelocked(self, update: Update | UpdateSequence, *,
-                        limit: Deadline | None = None,
-                        marker: int | None = None,
-                        gated: bool | None = None) -> int | None:
-        """Apply one update while the caller already holds this
-        service's write token (and the update's clusters) exclusively.
-
-        The commit tail shared by every write path: epoch fence, engine
-        apply (WAL-logged or in-memory transactional), committed-log
-        append, and replication journaling. The sharded facade's
-        multi-shard lane (:mod:`repro.shard`) calls this directly after
-        acquiring every involved lane's ``__write__`` token in sorted
-        shard-id order. ``gated=None`` runs the breaker's full
-        allow→verdict cycle here; callers that already spent
-        :meth:`CircuitBreaker.allow` pass the gating verdict they
-        computed. ``marker`` journals a cross-shard ordering token
-        against the committed-log index. Returns the WAL sequence of
-        the commit (None without a log)."""
-        if gated is None:
-            gated = self.logged is not None
-            if gated:
-                self.breaker.allow()
-        storage_verdict = False
-        seq: int | None = None
-        try:
-            # The epoch fence, checked while holding __write__ and
-            # before the WAL append: a deposed primary's write is
-            # rejected here (StalePrimary), never logged.
-            if self.replication is not None:
-                self.replication.check_primary(self._repl_term)
-            with deadline_scope(limit):
-                with OBS.span("service.engine"):
-                    if self.logged is not None:
-                        try:
-                            seq = self.logged.execute(update)
-                        except (OSError, PersistenceError) as exc:
-                            storage_verdict = True
-                            self.breaker.record_failure(exc)
-                            raise
-                        storage_verdict = True
-                        self.breaker.record_success()
-                    else:
-                        with Transaction(self.db):
-                            if isinstance(update, UpdateSequence):
-                                for simple in update:
-                                    apply_update(self.db, simple)
-                            else:
-                                apply_update(self.db, update)
-            # Still holding __write__: commit order == list order.
-            with self._committed_lock:
-                self.committed.append(update)
-                if marker is not None:
-                    self.cross_markers.append(
-                        (marker, len(self.committed) - 1)
-                    )
-            if OBS.enabled and self.shard is not None:
-                OBS.gauge(f"service.shard.{self.shard}.committed",
-                          len(self.committed))
-            if self.replication is not None and seq is not None:
-                # Journal for the shipped-stream oracle before a
-                # checkpoint can fold the record away.
-                self.replication.note_commit(seq)
-            return seq
-        finally:
-            if gated and not storage_verdict:
-                self.breaker.release_probe()
+        write((self,), (update,), deadline)
 
     def _replication_ack(self, seq: int | None,
                          update: Update | UpdateSequence) -> None:
@@ -556,19 +441,6 @@ class DatabaseService:
             OBS.action("replication.commit_acked", seq=seq,
                        term=self._repl_term, acks=ack.get("acks"),
                        mode=ack.get("mode"), node=self.node)
-
-    def insert(self, name: str, x: Value, y: Value, *,
-               deadline: Deadline | float | None = None) -> None:
-        self.execute(Update.ins(name, x, y), deadline=deadline)
-
-    def delete(self, name: str, x: Value, y: Value, *,
-               deadline: Deadline | float | None = None) -> None:
-        self.execute(Update.delete(name, x, y), deadline=deadline)
-
-    def replace(self, name: str, old: tuple[Value, Value],
-                new: tuple[Value, Value], *,
-                deadline: Deadline | float | None = None) -> None:
-        self.execute(Update.rep(name, old, new), deadline=deadline)
 
     # -- read-modify-write --------------------------------------------------
 
@@ -590,79 +462,36 @@ class DatabaseService:
         update applied, or None when ``build`` declined."""
         limit = self._deadline(deadline)
         name_list = tuple(names)
-        with self._request("rmw") as req:
-            with OBS.span("service.admission"):
-                self.gate.enter(deadline=limit)
-            try:
-                self._bump("writes")
-                if OBS.enabled:
-                    OBS.inc("service.rmw")
-                attempts = itertools.count(1)
-
-                def once():
-                    with OBS.span("service.attempt",
-                                  attempt=next(attempts)):
-                        return self._rmw_once(name_list, build, limit)
-
-                result = self.retry.run(
-                    once,
-                    rng=self._locked_rng(),
-                    deadline=limit,
-                    on_retry=self._on_retry,
-                )
-                if result is None:
-                    return None
-                applied, seq = result
-                req.attrs["committed"] = True
-                self._replication_ack(seq, applied)
-                return applied
-            finally:
-                self.gate.leave()
+        with _Request((self,), "rmw", limit) as req:
+            result = self._retrying(limit, self._rmw_once, name_list,
+                                    build, limit)
+            if result is None:
+                return None
+            applied, seq = result
+            req.attrs["committed"] = True
+            self._replication_ack(seq, applied)
+            return applied
 
     def _rmw_once(self, names: tuple[str, ...], build,
                   limit: Deadline | None):
-        # Same leaderless fast-fail as _write_once, before any lock.
-        if self.replication is not None and self.replication.leaderless():
-            self.replication.check_primary(self._repl_term)
+        self._fail_fast_if_leaderless()  # before the read locks, too
         clusters = self._clusters_for(names)
         me = threading.get_ident()
         try:
-            with ExitStack() as read_stack:
-                with OBS.span("service.locks", mode=SHARED):
-                    read_stack.enter_context(self.locks.held(
-                        clusters, SHARED,
-                        timeout=self.lock_timeout, deadline=limit,
-                    ))
+            with self.locks.held(clusters, SHARED, deadline=limit):
                 with deadline_scope(limit):
                     update = build(self.db)
                 if update is None:
                     return None
-                extra = self._clusters_for(_touched(update)) - clusters
                 # Upgrade: exclusive on top of our shared holds. This
                 # breaks the sorted-order discipline on purpose — the
                 # resulting deadlocks are detected, not prevented, and
                 # the retry redoes the read.
-                gated = self.logged is not None
-                if gated:
-                    self.breaker.allow()
-                settled = False
-                try:
-                    with ExitStack() as write_stack:
-                        with OBS.span("service.locks", mode=EXCLUSIVE,
-                                      upgrade=True):
-                            write_stack.enter_context(self.locks.held(
-                                {WRITE_RESOURCE} | clusters | extra,
-                                EXCLUSIVE,
-                                timeout=self.lock_timeout,
-                                deadline=limit,
-                            ))
-                        settled = True
-                        seq = self.apply_prelocked(update, limit=limit,
-                                                   gated=gated)
-                    return update, seq
-                finally:
-                    if gated and not settled:
-                        self.breaker.release_probe()
+                with Appender(
+                    self, clusters | self._clusters_for(touched(update)),
+                    limit, upgrade=True,
+                ) as appender:
+                    return update, appender.apply(update)
         except BaseException:
             # A deadlock victim (or timeout) may have left partial
             # holds from the inner held(); drop everything we own.
@@ -676,34 +505,10 @@ class DatabaseService:
         (no writer can be mid-append), leaving readers undisturbed."""
         if self.logged is None:
             raise PersistenceError("no update log attached")
-        with self._request("checkpoint"):
-            with OBS.span("service.admission"):
-                self.gate.enter()
-            try:
-                self._bump("checkpoints")
-                self.breaker.allow()
-                verdict = False
-                try:
-                    with ExitStack() as stack:
-                        with OBS.span("service.locks", mode=EXCLUSIVE):
-                            stack.enter_context(self.locks.held(
-                                (WRITE_RESOURCE,), EXCLUSIVE,
-                                timeout=self.lock_timeout,
-                            ))
-                        try:
-                            wal_module.checkpoint(self.logged,
-                                                  snapshot_path)
-                        except (OSError, PersistenceError) as exc:
-                            verdict = True
-                            self.breaker.record_failure(exc)
-                            raise
-                        verdict = True
-                        self.breaker.record_success()
-                finally:
-                    if not verdict:
-                        self.breaker.release_probe()
-            finally:
-                self.gate.leave()
+        with _Request((self,), "checkpoint"):
+            with Appender(self) as appender:
+                appender.storage(wal_module.checkpoint, self.logged,
+                                 snapshot_path)
 
     # -- shutdown -----------------------------------------------------------
 
@@ -729,17 +534,16 @@ class DatabaseService:
 
     def close_log(self) -> None:
         """Release the WAL's held append descriptor, under the write
-        token. The token, not the admission gate, is what every
-        appender holds — the sharded facade's multi-shard lane never
-        enters this lane's gate — so the close cannot land between a
-        frame's write and its fsync (the failed fsync would be retried
-        and the frame logged twice). A writer that keeps the token past
-        the lock timeout keeps the descriptor."""
+        token. The token is what every appender holds from before its
+        frame's write until after its fsync, so the close cannot land
+        between the two (the failed fsync would be retried and the
+        frame logged twice) — whatever the gate says: ``swap_lane``
+        closes the log of a lane that was never drained. A writer that
+        keeps the token past the lock timeout keeps the descriptor."""
         if self.logged is None:
             return
         try:
-            with self.locks.held((WRITE_RESOURCE,), EXCLUSIVE,
-                                 timeout=self.lock_timeout):
+            with self._token():
                 self.logged.close()
         except LockTimeout:
             pass
@@ -748,30 +552,9 @@ class DatabaseService:
     def closed(self) -> bool:
         return self.gate.closed
 
-    # -- live exposition ----------------------------------------------------
+    # -- reporting ----------------------------------------------------------
 
-    def serve_metrics(self, *, host: str = "127.0.0.1",
-                      port: int = 0) -> MetricsEndpoint:
-        """Start (or return, if already serving) the live exposition
-        endpoint: ``/metrics`` (Prometheus text), ``/health`` (breaker
-        + SLO verdict, 200/503) and ``/slo`` (JSON) — see
-        :mod:`repro.obs.endpoint`. Port 0 picks a free port; the bound
-        address is ``self.endpoint.url``. Stopped by :meth:`close` or
-        :meth:`stop_metrics`."""
-        if self.endpoint is None or not self.endpoint.running:
-            self.endpoint = MetricsEndpoint(
-                OBS.metrics, slo=self.slo, health=self._health,
-                host=host, port=port,
-            ).start()
-        return self.endpoint
-
-    def stop_metrics(self) -> None:
-        """Stop the exposition endpoint if one is serving. Idempotent."""
-        if self.endpoint is not None:
-            self.endpoint.stop()
-            self.endpoint = None
-
-    def _health(self) -> dict:
+    def health(self) -> dict:
         """The ``/health`` verdict body (the endpoint folds in SLO
         alerts): healthy means writes are being accepted — breaker not
         OPEN and the gate not draining."""
@@ -783,11 +566,7 @@ class DatabaseService:
             "committed": len(self.committed),
         }
         if self.replication is not None:
-            repl = self.replication.health(
-                max_lag_seq=self.staleness_max_lag_seq,
-                max_lag_seconds=self.staleness_max_lag_seconds,
-            )
-            verdict["replication"] = repl
+            verdict["replication"] = repl = self._replication_health()
             bounded = (self.staleness_max_lag_seq is not None
                        or self.staleness_max_lag_seconds is not None)
             if bounded and not repl["servable"]:
@@ -803,8 +582,6 @@ class DatabaseService:
                     # primary is elected — that is an outage.
                     verdict["healthy"] = False
         return verdict
-
-    # -- reporting ----------------------------------------------------------
 
     def stats(self) -> dict:
         with self._stats_lock:
@@ -822,11 +599,14 @@ class DatabaseService:
             snapshot["wal"] = self.logged.log.health()
         if self.replication is not None:
             snapshot["acked"] = len(self.acked)
-            snapshot["replication"] = self.replication.health(
-                max_lag_seq=self.staleness_max_lag_seq,
-                max_lag_seconds=self.staleness_max_lag_seconds,
-            )
+            snapshot["replication"] = self._replication_health()
         return snapshot
+
+    def _replication_health(self) -> dict:
+        return self.replication.health(
+            max_lag_seq=self.staleness_max_lag_seq,
+            max_lag_seconds=self.staleness_max_lag_seconds,
+        )
 
     def committed_ops(self) -> tuple[Update | UpdateSequence, ...]:
         """A stable copy of the commit-ordered operation log; replay
@@ -844,12 +624,252 @@ class DatabaseService:
             return tuple(self.acked)
 
 
-class _LockedRandom:
-    """Serialises jitter draws from the service's seeded RNG."""
+class _Request:
+    """One caller-visible operation over ``lanes`` (several only for
+    a multi-shard write), instrumented end to end: the
+    ``service.request`` span (fresh request id, operation family), a
+    slot at every lane's gate and the family's count; on the way out
+    the RED instruments (``service.red.<family>.*``, once) and each
+    lane's SLO monitor and ``service.shard.<i>.*`` series, the outcome
+    classified shed (:class:`ServiceOverloaded`), error (any other
+    raise) or success. The entered scope's ``attrs`` dict is live —
+    callers stamp ``committed=True`` once the write landed, and the
+    ``span.end`` record carries it (the chaos soak matches those
+    records against ``committed_ops()``)."""
 
-    def __init__(self, rng: random.Random, lock: threading.Lock) -> None:
+    __slots__ = ("lanes", "family", "limit", "admit", "admitted",
+                 "scope", "started")
+
+    def __init__(self, lanes: Sequence[DatabaseService], family: str,
+                 limit: Deadline | None = None, *,
+                 admit: bool = True) -> None:
+        self.lanes, self.family, self.limit = lanes, family, limit
+        self.admit = admit
+        self.admitted = 0  # lanes[:admitted] gave this request a slot
+
+    def __enter__(self):
+        lanes, family = self.lanes, self.family
+        self.started = time.perf_counter()
+        attrs = ({"shards": tuple(lane.shard for lane in lanes)}
+                 if len(lanes) > 1 else {})
+        self.scope = scope = OBS.span(
+            "service.request", key=family,
+            request=OBS.new_request_id() if OBS.enabled else None,
+            family=family, committed=False, **attrs,
+        )
+        scope.__enter__()
+        try:
+            if self.admit:
+                with OBS.span("service.admission"):
+                    for lane in lanes:
+                        lane.gate.enter(deadline=self.limit)
+                        self.admitted += 1
+            stat, counter = _COUNTS[family]
+            for lane in lanes:
+                lane._bump(stat)
+            if OBS.enabled and counter is not None:
+                OBS.inc(counter)
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
+        return scope
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        lanes, family = self.lanes, self.family
+        for lane in lanes[:self.admitted]:
+            lane.gate.leave()
+        self.scope.__exit__(exc_type, exc, tb)
+        elapsed = time.perf_counter() - self.started
+        error = exc_type is not None
+        shed = error and issubclass(exc_type, ServiceOverloaded)
+        if OBS.enabled:
+            _red(f"service.red.{family}", elapsed, error)
+        for lane in lanes:
+            lane.slo.record(family, elapsed, error=error, shed=shed)
+            if OBS.enabled and lane.shard is not None:
+                _red(f"service.shard.{lane.shard}", elapsed, error)
+            lane.slo.maybe_evaluate()
+
+
+def _red(prefix: str, elapsed: float, error: bool) -> None:
+    OBS.inc(f"{prefix}.requests")
+    if error:
+        OBS.inc(f"{prefix}.errors")
+    OBS.observe_log(f"{prefix}.duration_seconds", elapsed)
+
+
+class Appender:
+    """The one way to become an appender on a lane: entering passes
+    the leaderless fast-fail and the circuit breaker, takes the lane's
+    ``__write__`` token plus ``clusters`` exclusively, and passes the
+    epoch fence under the token; leaving releases the locks and
+    settles the breaker's probe slot. In between the holder may
+    :meth:`apply` updates and run :meth:`storage` calls. Admission is
+    the request's business: once per request, not per attempt."""
+
+    __slots__ = ("lane", "limit", "settled", "_held")
+
+    def __init__(self, lane: DatabaseService,
+                 clusters: Iterable[str] = (),
+                 limit: Deadline | None = None, *,
+                 upgrade: bool = False) -> None:
+        self.lane, self.limit = lane, limit
+        self._held = lane._token(clusters, limit, upgrade=upgrade)
+        # Whether the breaker is owed nothing by this appender: true
+        # without a log (no storage path to guard), and once a
+        # storage call has delivered its verdict.
+        self.settled = lane.logged is None
+
+    def __enter__(self) -> "Appender":
+        lane = self.lane
+        lane._fail_fast_if_leaderless()
+        if not self.settled:
+            lane.breaker.allow()
+        try:
+            self._held.__enter__()
+        except BaseException:
+            self._settle()
+            raise
+        # The epoch fence, checked while holding __write__ and before
+        # the WAL append: a deposed primary's write is rejected here
+        # (StalePrimary), never logged.
+        if lane.replication is not None:
+            try:
+                lane.replication.check_primary(lane._repl_term)
+            except BaseException as exc:
+                self.__exit__(type(exc), exc, exc.__traceback__)
+                raise
+        return self
+
+    def __exit__(self, *exc_info) -> bool | None:
+        try:
+            return self._held.__exit__(*exc_info)
+        finally:
+            self._settle()
+
+    def _settle(self) -> None:
+        # The attempt ended without reaching the storage path (lock
+        # timeout, deadlock victimhood, fence, validation, cancelled):
+        # return the probe slot.
+        if not self.settled:
+            self.lane.breaker.release_probe()
+
+    def storage(self, call, *args):
+        """Run a storage-path call; its outcome is the breaker's
+        verdict for this appender."""
+        breaker = self.lane.breaker
+        try:
+            result = call(*args)
+        except (OSError, PersistenceError) as exc:
+            self.settled = True
+            breaker.record_failure(exc)
+            raise
+        self.settled = True
+        breaker.record_success()
+        return result
+
+    def apply(self, update: Update | UpdateSequence,
+              marker: int | None = None) -> int | None:
+        """The commit tail: engine apply (WAL-logged or in-memory
+        transactional), committed-log append, and replication
+        journaling. ``marker`` journals a cross-shard ordering token
+        against the committed-log index. Returns the WAL sequence of
+        the commit (None without a log)."""
+        lane = self.lane
+        seq: int | None = None
+        with deadline_scope(self.limit):
+            with OBS.span("service.engine"):
+                if lane.logged is not None:
+                    seq = self.storage(lane.logged.execute, update)
+                else:
+                    with Transaction(lane.db):
+                        if isinstance(update, UpdateSequence):
+                            for simple in update:
+                                apply_update(lane.db, simple)
+                        else:
+                            apply_update(lane.db, update)
+        # Still holding __write__: commit order == list order.
+        with lane._committed_lock:
+            lane.committed.append(update)
+            if marker is not None:
+                lane.cross_markers.append(
+                    (marker, len(lane.committed) - 1)
+                )
+        if OBS.enabled and lane.shard is not None:
+            OBS.gauge(f"service.shard.{lane.shard}.committed",
+                      len(lane.committed))
+        if lane.replication is not None and seq is not None:
+            # Journal for the shipped-stream oracle before a
+            # checkpoint can fold the record away.
+            lane.replication.note_commit(seq)
+        return seq
+
+
+def write(lanes: Sequence[DatabaseService],
+          updates: Sequence[Update | UpdateSequence],
+          deadline: Deadline | float | None = None, *,
+          mint: Callable[[], int] | None = None) -> None:
+    """The one write path: commit ``updates[i]`` on ``lanes[i]`` — one
+    pair for a lane's ``execute``, several in sorted shard-id order for
+    a multi-shard write, whose marker ``mint`` allocates.
+
+    One request over all the lanes; each attempt (the first lane's
+    :class:`RetryPolicy`) becomes an :class:`Appender` on every lane
+    in order — holds grow monotonically in shard id while single-lane
+    writers never wait across lanes, so no cross-lane wait-for cycle
+    can form — hence every lane's gate, fences and breaker pass before
+    the first slice applies. The marker is minted while every token is
+    held, so markers sharing a lane are ordered like their commits on
+    it. No cross-shard *atomicity*: a failure after a slice landed
+    raises :class:`CrossShardError` naming the shards that committed."""
+    first = lanes[0]
+    limit = first._deadline(deadline)
+    with _Request(lanes, "execute" if mint is None else "multi_write",
+                  limit) as req:
+        seqs = first._retrying(limit, _commit, lanes, updates, limit, mint)
+        req.attrs["committed"] = True
+        # Replication ack wait runs after the span is stamped and
+        # outside any locks: the op is committed locally either way; a
+        # missed quota surfaces as ReplicationTimeout without
+        # un-committing anything.
+        for lane, update, seq in zip(lanes, updates, seqs):
+            lane._replication_ack(seq, update)
+
+
+def _commit(lanes, updates, limit: Deadline | None, mint,
+            held: tuple[Appender, ...] = ()) -> list[int | None]:
+    """One attempt of :func:`write`: a nested ``with Appender`` per
+    lane, in order; innermost, the marker and the slices."""
+    if len(held) < len(lanes):
+        lane, update = lanes[len(held)], updates[len(held)]
+        with Appender(lane, lane._clusters_for(touched(update)),
+                      limit) as appender:
+            return _commit(lanes, updates, limit, mint, held + (appender,))
+    marker = None if mint is None else mint()
+    seqs: list[int | None] = []
+    try:
+        for appender, update in zip(held, updates):
+            seqs.append(appender.apply(update, marker))
+    except Exception as exc:
+        if not seqs:
+            raise  # nothing landed anywhere: the lane's own error
+        raise CrossShardError(
+            f"multi-shard write failed after committing on shards "
+            f"{[lane.shard for lane in lanes[:len(seqs)]]} "
+            f"({type(exc).__name__}: {exc}); cross-shard atomicity is "
+            f"not guaranteed"
+        ) from exc
+    return seqs
+
+
+class _LockedRandom:
+    """Serialises jitter draws from the service's seeded RNG:
+    random.Random is internally consistent enough for jitter, but
+    seed-reproducibility wants serialized draws."""
+
+    def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self._lock = lock
+        self._lock = threading.Lock()
 
     def uniform(self, a: float, b: float) -> float:
         with self._lock:

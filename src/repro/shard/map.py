@@ -53,11 +53,6 @@ class ShardMap:
                 cluster, zlib.crc32(cluster.encode()) % shards
             )
 
-    @classmethod
-    def from_db(cls, db: FunctionalDatabase, shards: int, *,
-                pins: dict[str, int] | None = None) -> "ShardMap":
-        return cls(db, shards, pins=pins)
-
     # -- lookups ------------------------------------------------------------
 
     def cluster_of(self, name: str) -> str:

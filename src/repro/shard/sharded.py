@@ -25,46 +25,35 @@ The two cross-shard paths are deliberately narrower:
   cross-shard snapshot: two lanes' results may straddle a concurrent
   multi-shard write. The vector makes that staleness *observable*,
   not absent.
-* **Multi-shard writes** run on the facade's "global lane": split the
-  sequence by owning shard, take every involved lane's write token in
-  sorted shard-id order — holds grow monotonically in shard id while
-  single-lane writers never wait across lanes, so no cross-lane
-  wait-for cycle can form — then apply each lane's slice via
-  :meth:`DatabaseService.apply_prelocked` under one globally unique
-  *marker*. Each lane journals ``(marker, committed-index)`` so its
-  replay oracle stays strictly sequential, and markers shared between
-  lanes are mutually ordered (allocation happens while holding every
-  involved token). Cross-shard *atomicity* is not promised: a storage
-  failure on the k-th lane leaves earlier lanes committed (the error
-  says so). See ``docs/SHARDING.md`` for the full contract.
+* **Multi-shard writes** go through the same
+  :func:`repro.service.service.write` a lane's own ``execute`` runs,
+  with one slice per owning shard instead of one (lock order, marker
+  and the atomicity it does not promise are in its docstring; the
+  full contract is ``docs/SHARDING.md``). Each lane journals
+  ``(marker, committed-index)`` so its replay oracle stays strictly
+  sequential.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
-from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.cancel import Deadline
-from repro.errors import CrossShardError, DeadlockDetected, LockTimeout
+from repro.errors import CrossShardError
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.logic import Truth
 from repro.fdb.updates import Update, UpdateSequence
-from repro.fdb.values import Value
-from repro.obs.endpoint import MetricsEndpoint
 from repro.obs.hooks import OBS
-from repro.service.locks import EXCLUSIVE
-from repro.service.service import (DatabaseService, WRITE_RESOURCE,
-                                   _touched)
+from repro.service.service import (DatabaseService, FrontDoor, touched,
+                                   write)
 from repro.shard.map import ShardMap
 
 __all__ = ["ShardedDatabaseService"]
 
 
-class ShardedDatabaseService:
+class ShardedDatabaseService(FrontDoor):
     """Shard router over ``shards`` independent service lanes.
 
     Parameters
@@ -102,22 +91,17 @@ class ShardedDatabaseService:
         replication_factory=None,
         service_kwargs: dict | None = None,
     ) -> None:
-        self.factory = factory
-        kwargs = dict(service_kwargs or {})
         if log_dir is not None:
             Path(log_dir).mkdir(parents=True, exist_ok=True)
         self.lanes: list[DatabaseService] = []
         for shard in range(shards):
-            db = factory()
-            log = None
-            if log_dir is not None:
-                log = Path(log_dir) / f"shard-{shard}.wal"
-            replication = None
-            if replication_factory is not None:
-                replication = replication_factory(shard)
             self.lanes.append(DatabaseService(
-                db, log=log, shard=shard, replication=replication,
-                node=f"shard-{shard}-primary", **kwargs,
+                factory(), shard=shard,
+                log=(None if log_dir is None
+                     else Path(log_dir) / f"shard-{shard}.wal"),
+                replication=(None if replication_factory is None
+                             else replication_factory(shard)),
+                node=f"shard-{shard}-primary", **(service_kwargs or {}),
             ))
         self.map = ShardMap(self.lanes[0].db, shards, pins=pins)
         # Global-lane bookkeeping: one counter mints every cross-shard
@@ -126,12 +110,9 @@ class ShardedDatabaseService:
         # commits on that lane.
         self._marker = itertools.count(1)
         self._marker_lock = threading.Lock()
-        self._multi_lock_timeout = kwargs.get("lock_timeout", 1.0)
-        self._multi_retries = 3
         self._stats_lock = threading.Lock()
         self._multi_writes = 0
         self._scatter_reads = 0
-        self.endpoint: MetricsEndpoint | None = None
 
     # -- routing ------------------------------------------------------------
 
@@ -152,6 +133,21 @@ class ShardedDatabaseService:
     def shard_of(self, name: str) -> int:
         return self._map().shard_of(name)
 
+    def _only_lane(self, names: tuple[str, ...], what: str,
+                   hint: str = "") -> DatabaseService:
+        """The one lane owning all of ``names``; an operation without
+        a cross-shard path is refused when they span several."""
+        shard_ids = self._map().shards_of(names)
+        if len(shard_ids) != 1:
+            raise CrossShardError(
+                f"{what} of {names} spans shards {sorted(shard_ids)}{hint}"
+            )
+        return self.lanes[min(shard_ids)]
+
+    def _mint(self) -> int:
+        with self._marker_lock:
+            return next(self._marker)
+
     def declare(self, declare_fn) -> None:
         """Apply a schema declaration (``declare_fn(db)``) to *every*
         lane, keeping the shared schema identical, then rebuild the
@@ -165,27 +161,20 @@ class ShardedDatabaseService:
 
     def execute(self, update: Update | UpdateSequence, *,
                 deadline: Deadline | float | None = None) -> None:
-        """Apply one update or atomic sequence, routed to its owning
-        lane — or through the multi-shard global lane when the
-        sequence's clusters land on several shards."""
-        shard_ids = sorted(self._map().shards_of(_touched(update)))
+        """Apply one update or atomic sequence: on its owning lane, or
+        — when the sequence's clusters land on several shards — as one
+        multi-shard :func:`repro.service.service.write` over per-lane
+        slices in sorted shard-id order (the global lock order)."""
+        shard_ids = sorted(self._map().shards_of(touched(update)))
         if len(shard_ids) == 1:
             self.lanes[shard_ids[0]].execute(update, deadline=deadline)
             return
-        self._execute_multi(update, shard_ids, deadline)
-
-    def insert(self, name: str, x: Value, y: Value, *,
-               deadline: Deadline | float | None = None) -> None:
-        self.execute(Update.ins(name, x, y), deadline=deadline)
-
-    def delete(self, name: str, x: Value, y: Value, *,
-               deadline: Deadline | float | None = None) -> None:
-        self.execute(Update.delete(name, x, y), deadline=deadline)
-
-    def replace(self, name: str, old: tuple[Value, Value],
-                new: tuple[Value, Value], *,
-                deadline: Deadline | float | None = None) -> None:
-        self.execute(Update.rep(name, old, new), deadline=deadline)
+        parts = self._split(update)
+        with self._stats_lock:
+            self._multi_writes += 1
+        write([self.lanes[shard] for shard in shard_ids],
+              [parts[shard] for shard in shard_ids],
+              deadline, mint=self._mint)
 
     def _split(self, update: UpdateSequence) -> dict[int, object]:
         """Partition a sequence into per-shard slices, preserving each
@@ -201,104 +190,6 @@ class ShardedDatabaseService:
             for shard, slice_ in parts.items()
         }
 
-    def _execute_multi(self, update: UpdateSequence,
-                       shard_ids: list[int],
-                       deadline: Deadline | float | None) -> None:
-        """The global lane: all involved write tokens in sorted
-        shard-id order, one marker, per-lane slices."""
-        limit = self.lanes[0]._deadline(deadline)
-        parts = self._split(update)
-        started = time.perf_counter()
-        scope = OBS.span(
-            "service.request", key="multi_write",
-            request=OBS.new_request_id() if OBS.enabled else None,
-            family="multi_write", committed=False,
-            shards=tuple(shard_ids),
-        )
-        error = False
-        try:
-            with scope:
-                self._multi_once_with_retry(parts, shard_ids, limit,
-                                            update, scope)
-        except BaseException:
-            error = True
-            raise
-        finally:
-            with self._stats_lock:
-                self._multi_writes += 1
-            if OBS.enabled:
-                elapsed = time.perf_counter() - started
-                OBS.inc("service.red.multi_write.requests")
-                if error:
-                    OBS.inc("service.red.multi_write.errors")
-                OBS.observe_log(
-                    "service.red.multi_write.duration_seconds", elapsed
-                )
-
-    def _multi_once_with_retry(self, parts, shard_ids, limit,
-                               update, scope) -> None:
-        # Lock-phase failures (timeout on a busy lane) happen before
-        # anything applied and are safe to retry; once the first lane
-        # has applied, a failure is surfaced as CrossShardError —
-        # partial cross-shard state is the documented non-guarantee.
-        for attempt in itertools.count(1):
-            try:
-                self._multi_once(parts, shard_ids, limit, update)
-                scope.attrs["committed"] = True
-                return
-            except (LockTimeout, DeadlockDetected):
-                if attempt >= self._multi_retries:
-                    raise
-                if OBS.enabled:
-                    OBS.inc("service.shard.multi_retries")
-
-    def _multi_once(self, parts, shard_ids, limit, update) -> None:
-        acks: list[tuple[DatabaseService, int | None, object]] = []
-        applied: list[int] = []
-        try:
-            with ExitStack() as stack:
-                for shard in shard_ids:  # sorted: the global order
-                    lane = self.lanes[shard]
-                    clusters = {
-                        lane.cluster_of(name)
-                        for name in _touched(parts[shard])
-                    }
-                    with OBS.span("service.locks", mode=EXCLUSIVE,
-                                  shard=shard):
-                        stack.enter_context(lane.locks.held(
-                            {WRITE_RESOURCE} | clusters, EXCLUSIVE,
-                            timeout=lane.lock_timeout, deadline=limit,
-                        ))
-                with self._marker_lock:
-                    marker = next(self._marker)
-                for shard in shard_ids:
-                    lane = self.lanes[shard]
-                    seq = lane.apply_prelocked(parts[shard],
-                                               limit=limit,
-                                               marker=marker)
-                    applied.append(shard)
-                    acks.append((lane, seq, parts[shard]))
-        except (LockTimeout, DeadlockDetected):
-            if applied:
-                raise CrossShardError(
-                    f"multi-shard write {update!s} failed after "
-                    f"committing on shards {applied}; cross-shard "
-                    f"atomicity is not guaranteed"
-                )
-            raise
-        except Exception as exc:
-            if applied:
-                raise CrossShardError(
-                    f"multi-shard write {update!s} failed after "
-                    f"committing on shards {applied} "
-                    f"({type(exc).__name__}: {exc}); cross-shard "
-                    f"atomicity is not guaranteed"
-                ) from exc
-            raise
-        # Tokens released: wait out each lane's replication quota.
-        for lane, seq, part in acks:
-            lane._replication_ack(seq, part)
-
     # -- reads --------------------------------------------------------------
 
     def read(self, names: Iterable[str],
@@ -307,27 +198,8 @@ class ShardedDatabaseService:
         """A single-lane read; raises :class:`CrossShardError` when
         ``names`` span shards (use :meth:`scatter_read`)."""
         name_list = tuple(names)
-        shard_ids = self._map().shards_of(name_list)
-        if len(shard_ids) != 1:
-            raise CrossShardError(
-                f"read of {name_list} spans shards "
-                f"{sorted(shard_ids)}; use scatter_read"
-            )
-        return self.lanes[shard_ids.pop()].read(name_list, fn,
-                                                deadline=deadline)
-
-    def truth_of(self, name: str, x: Value, y: Value, *,
-                 deadline: Deadline | float | None = None) -> Truth:
-        return self.read(
-            (name,), lambda db: db.truth_of(name, x, y),
-            deadline=deadline,
-        )
-
-    def extension(self, name: str, *,
-                  deadline: Deadline | float | None = None):
-        return self.read(
-            (name,), lambda db: db.extension(name), deadline=deadline,
-        )
+        lane = self._only_lane(name_list, "read", "; use scatter_read")
+        return lane.read(name_list, fn, deadline=deadline)
 
     def scatter_read(
         self,
@@ -389,28 +261,21 @@ class ShardedDatabaseService:
         before apply; an update escaping the lane raises
         :class:`CrossShardError` without applying anything."""
         name_list = tuple(names)
-        shard_ids = self._map().shards_of(name_list)
-        if len(shard_ids) != 1:
-            raise CrossShardError(
-                f"read_modify_write of {name_list} spans shards "
-                f"{sorted(shard_ids)}"
-            )
-        shard = shard_ids.pop()
+        lane = self._only_lane(name_list, "read_modify_write")
 
         def checked(db):
             update = build(db)
             if update is not None:
-                built_shards = self._map().shards_of(_touched(update))
-                if built_shards != {shard}:
+                built_shards = self._map().shards_of(touched(update))
+                if built_shards != {lane.shard}:
                     raise CrossShardError(
-                        f"read_modify_write on shard {shard} built an "
-                        f"update touching shards {sorted(built_shards)}"
+                        f"read_modify_write on shard {lane.shard} built "
+                        f"an update touching shards {sorted(built_shards)}"
                     )
             return update
 
-        return self.lanes[shard].read_modify_write(
-            name_list, checked, deadline=deadline,
-        )
+        return lane.read_modify_write(name_list, checked,
+                                      deadline=deadline)
 
     # -- maintenance --------------------------------------------------------
 
@@ -440,61 +305,32 @@ class ShardedDatabaseService:
     # -- lifecycle ----------------------------------------------------------
 
     def drain(self, timeout: float = 10.0) -> bool:
-        ok = True
-        for lane in self.lanes:
-            ok = lane.drain(timeout) and ok
-        return ok
+        return all([lane.drain(timeout) for lane in self.lanes])
 
     def close(self, *, drain: bool = True, timeout: float = 10.0) -> bool:
-        ok = True
-        for lane in self.lanes:
-            ok = lane.close(drain=drain, timeout=timeout) and ok
+        ok = all([lane.close(drain=drain, timeout=timeout)
+                  for lane in self.lanes])
         self.stop_metrics()
         return ok
 
-    # -- exposition ---------------------------------------------------------
+    # -- reporting ----------------------------------------------------------
 
-    def serve_metrics(self, *, host: str = "127.0.0.1",
-                      port: int = 0) -> MetricsEndpoint:
-        """One endpoint for the whole keyspace: OBS metrics are
-        process-global (every lane's series, ``service_shard_*``
-        included, is already in the registry), and ``/health`` folds
-        all lanes."""
-        if self.endpoint is None or not self.endpoint.running:
-            self.endpoint = MetricsEndpoint(
-                OBS.metrics, health=self._health, host=host, port=port,
-            ).start()
-        return self.endpoint
-
-    def stop_metrics(self) -> None:
-        if self.endpoint is not None:
-            self.endpoint.stop()
-            self.endpoint = None
-
-    def _health(self) -> dict:
-        lanes = {shard: lane._health()
+    def health(self) -> dict:
+        """One ``/health`` for the whole keyspace: every lane's
+        verdict and SLO state, folded."""
+        lanes = {str(shard): lane.health()
                  for shard, lane in enumerate(self.lanes)}
         healthy = all(h["healthy"] for h in lanes.values()) and all(
             lane.slo.healthy for lane in self.lanes
         )
-        return {
-            "healthy": healthy,
-            "shards": self.shards,
-            "lanes": {str(shard): verdict
-                      for shard, verdict in lanes.items()},
-        }
-
-    # -- reporting ----------------------------------------------------------
+        return {"healthy": healthy, "shards": self.shards, "lanes": lanes}
 
     def stats(self) -> dict:
-        with self._stats_lock:
-            multi = self._multi_writes
-            scatter = self._scatter_reads
         return {
             "shards": self.shards,
             "assignments": self.map.assignments(),
-            "multi_writes": multi,
-            "scatter_reads": scatter,
+            "multi_writes": self._multi_writes,
+            "scatter_reads": self._scatter_reads,
             "sequence_vector": self.sequence_vector(),
             "lanes": {str(shard): lane.stats()
                       for shard, lane in enumerate(self.lanes)},
@@ -503,12 +339,7 @@ class ShardedDatabaseService:
     def committed_ops(self, shard: int):
         return self.lanes[shard].committed_ops()
 
-    def acked_ops(self, shard: int):
-        return self.lanes[shard].acked_ops()
-
     def cross_markers(self, shard: int) -> tuple[tuple[int, int], ...]:
         """Lane ``shard``'s (marker, committed-index) journal, a
-        stable copy."""
-        lane = self.lanes[shard]
-        with lane._committed_lock:
-            return tuple(lane.cross_markers)
+        stable copy (``tuple`` of a list copies it in one step)."""
+        return tuple(self.lanes[shard].cross_markers)

@@ -592,7 +592,7 @@ class TestServiceIntegration:
             service.insert("teach", "noether", "algebra")
         with pytest.raises(StalenessUnserved):
             service.read_replica(lambda db: None)
-        verdict = service._health()
+        verdict = service.health()
         assert verdict["healthy"] is False  # the 503 path
         assert verdict["replication"]["servable"] is False
 
@@ -682,7 +682,7 @@ class TestReports:
         report = RecoveryReport(
             db=None, entries_applied=4, torn_tail=True,
             policy="salvage", records_skipped=1, checksum_failures=1,
-            aborted=2, already_checkpointed=3, legacy_records=0,
+            aborted=2, already_checkpointed=3,
             term=2, notes=("note a", "note b"),
         )
         data = json.loads(json.dumps(report.as_dict()))

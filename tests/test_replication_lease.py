@@ -445,7 +445,7 @@ class TestServiceIntegration:
         service, group, lease = self._service(tmp_path, cfg, closing)
         try:
             service.insert("teach", "gauss", "cs", deadline=5.0)
-            assert service._health()["leaderless"] is False
+            assert service.health()["leaderless"] is False
             for link in group.shipper.links():
                 link.transport.partitioned = True
             deadline = time.monotonic() + 3.0
@@ -455,7 +455,7 @@ class TestServiceIntegration:
             with pytest.raises(ServiceReadOnly):
                 service.insert("teach", "noether", "algebra",
                                deadline=5.0)
-            verdict = service._health()
+            verdict = service.health()
             assert verdict["leaderless"] is True
             assert verdict["healthy"] is False
         finally:
@@ -476,7 +476,7 @@ class TestServiceIntegration:
             lease.renew_once()
             assert lease.held()
             service.insert("teach", "gauss", "cs", deadline=5.0)
-            assert service._health()["healthy"] is True
+            assert service.health()["healthy"] is True
         finally:
             service.close(timeout=5.0)
 

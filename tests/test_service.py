@@ -1,5 +1,11 @@
 """Tests for the concurrent service layer: retry policy, circuit
-breaker, admission control, deadlines and the service facade."""
+breaker, admission control, deadlines and the service facade.
+
+The verb / lifecycle / stats / degradation cases run through both
+front doors — a ``DatabaseService`` and the one-lane
+``ShardedDatabaseService`` — because they are one code path: each
+``Test…`` class builds its door through ``self.front`` and has a
+``TestFacade…`` subclass that only swaps the builder."""
 
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ from repro.service import (
     RetryPolicy,
     WRITE_RESOURCE,
 )
+from repro.shard import ShardedDatabaseService
 from repro.workloads.university import pupil_database
 
 
@@ -240,28 +247,51 @@ class TestAdmissionGate:
         assert gate.wait_idle(timeout=0.05)
 
 
-class TestServiceBasics:
-    def test_write_then_read(self, tmp_path):
-        service = DatabaseService(pupil_database(),
-                                  log=tmp_path / "wal.jsonl")
+def lane_of(front) -> DatabaseService:
+    """The (one) lane behind either front door."""
+    return front if isinstance(front, DatabaseService) else front.lane(0)
+
+
+class LaneDoor:
+    """Cases written against ``self.front(...)``: here a bare lane."""
+
+    @staticmethod
+    def front(closing, log_dir=None, **kwargs):
+        log = None if log_dir is None else log_dir / "shard-0.wal"
+        return closing(DatabaseService(pupil_database(), log=log,
+                                       **kwargs))
+
+
+class FacadeDoor:
+    """The same cases through ``ShardedDatabaseService(..., shards=1)``."""
+
+    @staticmethod
+    def front(closing, log_dir=None, **kwargs):
+        return closing(ShardedDatabaseService(
+            pupil_database, 1, log_dir=log_dir, service_kwargs=kwargs))
+
+
+class TestServiceBasics(LaneDoor):
+    def test_write_then_read(self, closing, tmp_path):
+        service = self.front(closing, tmp_path)
         service.insert("teach", "gauss", "cs")
         assert service.truth_of("teach", "gauss", "cs") is Truth.TRUE
-        assert len(service.committed_ops()) == 1
-        assert service.stats()["writes"] == 1
-        assert service.stats()["reads"] == 1
+        lane = lane_of(service)
+        assert len(lane.committed_ops()) == 1
+        assert lane.stats()["writes"] == 1
+        assert lane.stats()["reads"] == 1
 
-    def test_clusters_join_derived_and_bases(self):
-        service = DatabaseService(pupil_database())
+    def test_clusters_join_derived_and_bases(self, closing):
+        lane = lane_of(self.front(closing))
         # pupil is derived from teach ∘ ... : same cluster.
-        assert service.cluster_of("pupil") == service.cluster_of("teach")
+        assert lane.cluster_of("pupil") == lane.cluster_of("teach")
 
-    def test_write_resource_sorts_first(self):
-        service = DatabaseService(pupil_database())
-        assert WRITE_RESOURCE < service.cluster_of("teach")
+    def test_write_resource_sorts_first(self, closing):
+        lane = lane_of(self.front(closing))
+        assert WRITE_RESOURCE < lane.cluster_of("teach")
 
-    def test_sequence_is_atomic_through_service(self, tmp_path):
-        service = DatabaseService(pupil_database(),
-                                  log=tmp_path / "wal.jsonl")
+    def test_sequence_is_atomic_through_service(self, closing, tmp_path):
+        service = self.front(closing, tmp_path)
         service.execute(UpdateSequence((
             Update.ins("teach", "gauss", "cs"),
             Update.delete("teach", "euclid", "math"),
@@ -269,11 +299,12 @@ class TestServiceBasics:
         assert service.truth_of("teach", "gauss", "cs") is Truth.TRUE
         assert service.truth_of("teach", "euclid", "math") is Truth.FALSE
 
-    def test_undurable_service_rolls_back_failures(self, monkeypatch):
+    def test_undurable_service_rolls_back_failures(self, closing,
+                                                   monkeypatch):
         from repro.service import service as service_module
 
-        db = pupil_database()
-        service = DatabaseService(db)
+        service = self.front(closing)
+        lane = lane_of(service)
         real_apply = service_module.apply_update
         calls = []
 
@@ -291,12 +322,12 @@ class TestServiceBasics:
                 Update.ins("teach", "noether", "algebra"),
             )))
         # The first insert of the sequence was rolled back.
-        assert db.truth_of("teach", "gauss", "cs") is Truth.FALSE
-        assert service.committed_ops() == ()
+        assert lane.db.truth_of("teach", "gauss", "cs") is Truth.FALSE
+        assert lane.committed_ops() == ()
 
-    def test_read_modify_write_applies_built_update(self, tmp_path):
-        service = DatabaseService(pupil_database(),
-                                  log=tmp_path / "wal.jsonl")
+    def test_read_modify_write_applies_built_update(self, closing,
+                                                    tmp_path):
+        service = self.front(closing, tmp_path)
 
         def build(db):
             pairs = sorted(db.table("teach").pairs())
@@ -305,69 +336,80 @@ class TestServiceBasics:
 
         applied = service.read_modify_write(("teach",), build)
         assert applied is not None
-        x = sorted(service.db.table("teach").pairs())[0][0]
+        x = sorted(lane_of(service).db.table("teach").pairs())[0][0]
         assert service.truth_of("teach", x, "revised") is Truth.TRUE
 
-    def test_read_modify_write_decline(self):
-        service = DatabaseService(pupil_database())
+    def test_read_modify_write_decline(self, closing):
+        service = self.front(closing)
         assert service.read_modify_write(("teach",),
                                          lambda db: None) is None
-        assert service.committed_ops() == ()
+        assert lane_of(service).committed_ops() == ()
 
-    def test_drain_then_closed(self):
-        service = DatabaseService(pupil_database())
+    def test_drain_then_closed(self, closing):
+        service = self.front(closing)
         assert service.drain() is True
-        assert service.closed
+        assert lane_of(service).closed
         with pytest.raises(ServiceClosed):
             service.insert("teach", "gauss", "cs")
+        with pytest.raises(ServiceClosed):
+            service.truth_of("teach", "euclid", "math")
+        assert service.health()["healthy"] is False
 
 
-class TestServiceDeadlines:
-    def test_expired_deadline_cancels_write_cleanly(self, tmp_path):
-        db = pupil_database()
-        log_path = tmp_path / "wal.jsonl"
-        service = DatabaseService(db, log=log_path)
+class TestFacadeBasics(FacadeDoor, TestServiceBasics):
+    pass
+
+
+class TestServiceDeadlines(LaneDoor):
+    def test_expired_deadline_cancels_write_cleanly(self, closing,
+                                                    tmp_path):
+        service = self.front(closing, tmp_path)
+        lane = lane_of(service)
         with pytest.raises(DeadlineExceeded):
             service.insert("teach", "gauss", "cs",
                            deadline=Deadline(expires_at=0.0))
         # Nothing was applied and nothing was logged.
-        assert db.truth_of("teach", "gauss", "cs") is Truth.FALSE
-        assert len(UpdateLog(log_path)) == 0
-        assert service.committed_ops() == ()
+        assert lane.db.truth_of("teach", "gauss", "cs") is Truth.FALSE
+        assert len(UpdateLog(tmp_path / "shard-0.wal")) == 0
+        assert lane.committed_ops() == ()
         # The service is healthy afterwards.
         service.insert("teach", "gauss", "cs")
-        assert db.truth_of("teach", "gauss", "cs") is Truth.TRUE
+        assert lane.db.truth_of("teach", "gauss", "cs") is Truth.TRUE
 
-    def test_default_deadline_applies(self):
-        service = DatabaseService(pupil_database(),
-                                  default_deadline=30.0)
+    def test_default_deadline_applies(self, closing):
+        service = self.front(closing, default_deadline=30.0)
         # Simply exercises the default path; a generous default
         # never fires.
         service.insert("teach", "gauss", "cs")
 
-    def test_expired_deadline_cancels_read(self):
-        service = DatabaseService(pupil_database())
+    def test_expired_deadline_cancels_read(self, closing):
+        service = self.front(closing)
         with pytest.raises(DeadlineExceeded):
             # 'pupil' is derived: its extension enumerates chains,
             # which is where the cancellation checkpoints live.
             service.extension("pupil", deadline=Deadline(expires_at=0.0))
 
 
-class TestServiceReadOnlyMode:
-    def test_breaker_trips_to_read_only_and_recovers(self, tmp_path):
-        db = pupil_database()
-        service = DatabaseService(
-            db,
-            log=tmp_path / "wal.jsonl",
+class TestFacadeDeadlines(FacadeDoor, TestServiceDeadlines):
+    pass
+
+
+class TestServiceReadOnlyMode(LaneDoor):
+    def test_breaker_trips_to_read_only_and_recovers(self, closing,
+                                                     tmp_path):
+        service = self.front(
+            closing, tmp_path,
             retry=RetryPolicy(max_attempts=1),
             breaker=CircuitBreaker(failure_threshold=2,
                                    reset_timeout=0.05),
         )
+        breaker = lane_of(service).breaker
         FAULTS.arm("wal.append.before", TransientError(times=10 ** 6))
         for _ in range(2):
             with pytest.raises((OSError, Exception)):
                 service.insert("teach", "gauss", "cs")
-        assert service.breaker.state == OPEN
+        assert breaker.state == OPEN
+        assert service.health()["healthy"] is False
         # Writes now fail fast...
         with pytest.raises(ServiceReadOnly):
             service.insert("teach", "gauss", "cs")
@@ -377,15 +419,18 @@ class TestServiceReadOnlyMode:
         FAULTS.disarm_all()
         time.sleep(0.1)
         service.insert("teach", "gauss", "cs")
-        assert service.breaker.state == CLOSED
-        assert service.breaker.resets == 1
-        assert db.truth_of("teach", "gauss", "cs") is Truth.TRUE
+        assert breaker.state == CLOSED
+        assert breaker.resets == 1
+        assert service.truth_of("teach", "gauss", "cs") is Truth.TRUE
 
 
-class TestServiceConcurrency:
-    def test_shedding_through_the_facade(self):
-        service = DatabaseService(pupil_database(), max_concurrent=1,
-                                  max_queue=0)
+class TestFacadeReadOnlyMode(FacadeDoor, TestServiceReadOnlyMode):
+    pass
+
+
+class TestServiceConcurrency(LaneDoor):
+    def test_shedding_through_the_facade(self, closing):
+        service = self.front(closing, max_concurrent=1, max_queue=0)
         inside = threading.Event()
         release = threading.Event()
 
@@ -404,10 +449,10 @@ class TestServiceConcurrency:
         finally:
             release.set()
             worker.join(5.0)
-        assert service.stats()["shed"] == 1
+        assert lane_of(service).stats()["shed"] == 1
 
-    def test_concurrent_readers_of_one_cluster(self):
-        service = DatabaseService(pupil_database(), max_concurrent=4)
+    def test_concurrent_readers_of_one_cluster(self, closing):
+        service = self.front(closing, max_concurrent=4)
         barrier = threading.Barrier(3, timeout=5.0)
         results = []
         lock = threading.Lock()
@@ -428,12 +473,11 @@ class TestServiceConcurrency:
             t.join(5.0)
         assert results == [Truth.TRUE] * 3
 
-    def test_dual_rmw_resolves_via_retry(self, tmp_path):
+    def test_dual_rmw_resolves_via_retry(self, closing, tmp_path):
         """Two read-modify-writes on the same cluster race the shared →
         exclusive upgrade; the loser is a deadlock victim and retries."""
-        service = DatabaseService(
-            pupil_database(), log=tmp_path / "wal.jsonl",
-            lock_timeout=0.5,
+        service = self.front(
+            closing, tmp_path, lock_timeout=0.5,
             retry=RetryPolicy(max_attempts=6, base_delay=0.001,
                               jitter=0.001),
         )
@@ -461,9 +505,14 @@ class TestServiceConcurrency:
         for t in pool:
             t.join(10.0)
         assert errors == []
-        assert len(service.committed_ops()) == 2
-        stats = service.stats()
+        lane = lane_of(service)
+        assert len(lane.committed_ops()) == 2
+        stats = lane.stats()
         assert stats["deadlocks"] + stats["lock_timeouts"] >= 1
+
+
+class TestFacadeConcurrency(FacadeDoor, TestServiceConcurrency):
+    pass
 
 
 class TestClusterMapCache:

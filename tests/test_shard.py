@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.derivation import Derivation
 from repro.core.schema import FunctionDef, ObjectType, TypeFunctionality
-from repro.errors import CrossShardError
+from repro.errors import (
+    CrossShardError,
+    LeaseExpired,
+    ServiceClosed,
+    ServiceReadOnly,
+)
 from repro.faults import FAULTS
 from repro.faults.harness import states_diff
 from repro.fdb.database import FunctionalDatabase
@@ -19,7 +24,10 @@ from repro.fdb.updates import (
     apply_sequence,
     apply_update,
 )
-from repro.service import DatabaseService
+from repro.fdb.wal import UpdateLog
+from repro.obs import OBS, RingBufferSink
+from repro.replication import LeaseConfig, Replica, ReplicationGroup
+from repro.service import OPEN, CircuitBreaker, DatabaseService
 from repro.service.service import clusters_of
 from repro.shard import ShardMap, ShardedDatabaseService
 
@@ -223,6 +231,103 @@ class TestMultiShardWrites:
             assert states_diff(expected, facade.lane(shard).db) is None
 
 
+class TestOneWritePath:
+    """A multi-shard write is the lanes' own write path entered on
+    several lanes: every lane's gate, fence and breaker are passed
+    before the first slice applies, and every lane counts it."""
+
+    multi = UpdateSequence((
+        Update.ins("c0a", "x", "y"),
+        Update.ins("c1a", "x", "y"),
+    ), label="multi")
+
+    def untouched(self, facade, tmp_path) -> bool:
+        return all(
+            facade.committed_ops(shard) == ()
+            and len(UpdateLog(tmp_path / "lanes" / f"shard-{shard}.wal")) == 0
+            # The refusal returned every slot, lock and probe it took.
+            and facade.lane(shard).gate.wait_idle(timeout=0)
+            and not facade.lane(shard).locks.holders("__write__")["exclusive"]
+            for shard in range(2)
+        )
+
+    @pytest.mark.parametrize("shutdown", ["drain", "close"])
+    def test_drained_facade_refuses_multi_shard_write(
+            self, facade, tmp_path, shutdown):
+        getattr(facade, shutdown)()
+        with pytest.raises(ServiceClosed):
+            facade.execute(self.multi)
+        assert self.untouched(facade, tmp_path)
+
+    def test_open_breaker_on_a_later_lane_refuses_before_any_apply(
+            self, facade, tmp_path):
+        breaker = facade.lane(1).breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=60.0)
+        breaker.record_failure()
+        assert breaker.state == OPEN
+        with pytest.raises(ServiceReadOnly):
+            facade.execute(self.multi)
+        assert self.untouched(facade, tmp_path)
+
+    def test_lapsed_lease_on_a_later_lane_refuses_before_any_apply(
+            self, tmp_path, closing):
+        now = [0.0]
+        group = closing(ReplicationGroup("async"))
+        group.enable_lease(
+            LeaseConfig(duration=0.3, margin=0.05, renew_interval=0.05),
+            clock=lambda: now[0])
+        facade = closing(ShardedDatabaseService(
+            four_cluster_database, 2, pins=round_robin_pins(2),
+            log_dir=tmp_path / "lanes",
+            replication_factory=lambda shard: group if shard == 1 else None,
+        ))
+        group.add_replica("r0", Replica("r0", tmp_path / "r0"))
+        for link in group.shipper.links():
+            link.transport.partitioned = True  # no renewal votes
+        now[0] = 10.0
+        assert group.leaderless()
+        with pytest.raises(LeaseExpired):
+            facade.execute(self.multi)
+        assert self.untouched(facade, tmp_path)
+
+    def test_storage_failure_after_a_slice_landed_is_cross_shard_error(
+            self, facade, monkeypatch):
+        # Lane 0's append succeeds, lane 1's fails: the one case left
+        # for CrossShardError, naming the shard that committed.
+        def dead_disk(update):
+            raise OSError("injected: lane 1's log device is gone")
+
+        monkeypatch.setattr(facade.lane(1).logged, "execute", dead_disk)
+        with pytest.raises(CrossShardError, match=r"shards \[0\]"):
+            facade.execute(self.multi)
+        assert len(facade.committed_ops(0)) == 1
+        assert facade.committed_ops(1) == ()
+
+    def test_every_involved_lane_counts_the_write(self, facade):
+        OBS.enable()
+        sink = OBS.events.add_sink(RingBufferSink(capacity=4096))
+        try:
+            facade.execute(self.multi)
+        finally:
+            OBS.events.remove_sink(sink)
+            metrics = {name: OBS.metrics.counter(name).value for name in (
+                "service.red.multi_write.requests",
+                "service.shard.0.requests", "service.shard.1.requests")}
+            OBS.disable()
+            OBS.reset()
+            OBS.metrics.clear()
+        for lane in facade.lanes:
+            assert lane.stats()["writes"] == 1
+            assert lane.slo.snapshot()["window_samples"] == 1
+        assert set(metrics.values()) == {1}
+        # ...while it stays one request: one span, stamped committed.
+        (request,) = [r for r in sink.records if r.kind == "span.end"
+                      and r.name == "service.request"]
+        assert request.attrs["family"] == "multi_write"
+        assert request.attrs["shards"] == (0, 1)
+        assert request.attrs["committed"] is True
+
+
 class TestReads:
     def test_single_shard_read(self, facade):
         facade.insert("c0a", "x", "y")
@@ -312,7 +417,7 @@ class TestHealthAndStats:
         assert stats["sequence_vector"][facade.shard_of("c0a")] == 1
 
     def test_health_folds_every_lane(self, facade):
-        verdict = facade._health()
+        verdict = facade.health()
         assert verdict["healthy"] is True
         assert verdict["shards"] == 2
         assert set(verdict["lanes"]) == {"0", "1"}

@@ -9,7 +9,8 @@ from repro.fdb import persistence
 from repro.fdb.evaluate import derived_extension
 from repro.fdb.logic import Truth
 from repro.fdb.updates import Update, UpdateSequence
-from repro.fdb.wal import LoggedDatabase, UpdateLog, checkpoint, recover
+from repro.fdb.wal import (LoggedDatabase, RecoveryReport, UpdateLog,
+                           checkpoint, recover)
 from repro.workloads.university import pupil_database, section_42_updates
 
 
@@ -233,25 +234,37 @@ class TestRecoveryEdgeCases:
         assert report.db.truth_of(
             "teach", "noether", "algebra") is Truth.TRUE
 
-    def test_legacy_v1_log_replays(self, setup):
-        """Pre-checksum logs — bare entry objects, no v/seq/crc —
-        still recover."""
+    def test_legacy_v1_log_is_refused(self, setup):
+        """A line without v/seq/crc — what a pre-checksum (v1) log
+        held — cannot be verified, so it is never replayed: strict
+        refuses the log, salvage skips the line and says so."""
         import json
 
         from repro.fdb.wal import _encode_entry
 
         logged, snapshot, log_path = setup
-        lines = [
-            json.dumps(_encode_entry(Update.ins("teach", "gauss", "cs"))),
-            json.dumps(_encode_entry(UpdateSequence((
-                Update.delete("teach", "gauss", "cs"),
-            ), label="legacy"))),
-        ]
-        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        report = recover(snapshot, log_path)
-        assert report.entries_applied == 2
-        assert report.legacy_records == 2
-        assert report.db.truth_of("teach", "gauss", "cs") is not Truth.TRUE
+        logged.insert("teach", "noether", "algebra")
+        bare = json.dumps(_encode_entry(Update.ins("teach", "gauss", "cs")))
+        for position in ("interior", "tail"):
+            lines = log_path.read_text(encoding="utf-8").splitlines()
+            lines = [line for line in lines if line != bare]
+            lines.insert(0 if position == "interior" else 1, bare)
+            log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert not UpdateLog(log_path).tail_is_torn
+            with pytest.raises(PersistenceError, match="parse"):
+                recover(snapshot, log_path)
+            report = recover(snapshot, log_path, policy="salvage")
+            assert report.entries_applied == 1
+            assert report.records_skipped == 1
+            assert not report.torn_tail
+            assert any("parse" in note for note in report.notes)
+            assert report.db.truth_of(
+                "teach", "gauss", "cs") is Truth.FALSE
+            assert report.db.truth_of(
+                "teach", "noether", "algebra") is Truth.TRUE
+        # An archived report from before the field was dropped loads.
+        old = dict(report.as_dict(), legacy_records=2)
+        assert RecoveryReport.from_dict(old).entries_applied == 1
 
     def test_sequence_gap_strict_vs_salvage(self, setup):
         logged, snapshot, log_path = setup
