@@ -48,12 +48,7 @@ from repro.faults.registry import (
 )
 from repro.fdb import persistence
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.updates import (
-    Update,
-    UpdateSequence,
-    apply_sequence,
-    apply_update,
-)
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.wal import LoggedDatabase, RecoveryReport, UpdateLog, \
     checkpoint, recover
 from repro.workloads.university import pupil_database, section_42_updates
@@ -136,10 +131,7 @@ def replay(db: FunctionalDatabase, ops) -> FunctionalDatabase:
     persisted counters), so replaying a commit-ordered log over an
     identically seeded instance must land on the live state exactly."""
     for op in ops:
-        if isinstance(op, UpdateSequence):
-            apply_sequence(db, op)
-        else:
-            apply_update(db, op)
+        apply_entry(db, op)
     return db
 
 

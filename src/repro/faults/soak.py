@@ -108,7 +108,7 @@ from repro.fdb import persistence
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.updates import Update, UpdateSequence
 from repro.fdb.values import is_null
-from repro.fdb.wal import UpdateLog, _decode_entry, recover
+from repro.fdb.wal import UpdateLog, committed, decode_frame, recover
 from repro.obs.endpoint import ExpositionError, parse_prometheus
 from repro.obs.events import (
     FileSink,
@@ -1533,18 +1533,10 @@ def _check_journal(cell: Cell) -> None:
     live primary — across a failover, this is the proof that the
     surviving history and only the surviving history was applied."""
     for lane in cell.replicated():
-        aborted: set[int] = set()
-        entries: list[tuple[int, dict]] = []
-        for _, line in lane.group.shipper.journal():
-            payload = json.loads(line)
-            if "abort_of" in payload:
-                aborted.add(payload["abort_of"])
-            elif "entry" in payload:
-                entries.append((payload["seq"], payload["entry"]))
-        expected = replay(cell.fresh_lane(lane.index), (
-            _decode_entry(raw) for seq, raw in entries
-            if seq not in aborted
-        ))
+        frames = committed(decode_frame(line) for _, line
+                           in lane.group.shipper.journal())
+        expected = replay(cell.fresh_lane(lane.index),
+                          (frame.payload for frame in frames))
         diff = states_diff(expected, cell.front.lane(lane.index).db)
         if diff:
             cell.report.fail("journal",

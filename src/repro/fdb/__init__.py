@@ -61,12 +61,13 @@ from repro.fdb.integrity import (
     InclusionDependency,
 )
 from repro.fdb.constraints import resolve_nulls
-from repro.fdb.updates import UpdateSequence, apply_sequence
+from repro.fdb.updates import UpdateSequence, apply_entry, apply_sequence
 from repro.fdb.wal import LoggedDatabase, UpdateLog, checkpoint, recover
 
 __all__ = [
     "UpdateSequence",
     "apply_sequence",
+    "apply_entry",
     "LoggedDatabase",
     "UpdateLog",
     "checkpoint",

@@ -28,12 +28,7 @@ from repro.fdb.database import FunctionalDatabase
 from repro.fdb.diff import StateDiff, diff_records
 from repro.fdb.transaction import atomic
 from repro.fdb.undo import rollback
-from repro.fdb.updates import (
-    Update,
-    UpdateSequence,
-    apply_sequence,
-    apply_update,
-)
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 
 __all__ = ["Journal"]
 
@@ -71,10 +66,7 @@ class Journal:
         with atomic(self.db):
             log = self.db._undo.records
             start = len(log)
-            if isinstance(update, UpdateSequence):
-                apply_sequence(self.db, update)
-            else:
-                apply_update(self.db, update)
+            apply_entry(self.db, update)
             self._done.append((update, log[start:]))
 
     def execute_all(self, updates: list[Update]) -> None:

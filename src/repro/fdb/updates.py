@@ -62,6 +62,7 @@ __all__ = [
     "apply_update",
     "UpdateSequence",
     "apply_sequence",
+    "apply_entry",
 ]
 
 
@@ -360,9 +361,20 @@ class UpdateSequence:
         return f"BEGIN{name} {{ {inner} }}"
 
 
+def apply_entry(db: FunctionalDatabase,
+                entry: Update | UpdateSequence) -> None:
+    """Apply one committed entry — a simple update or a general update
+    request — all or nothing: the one apply step behind the write path,
+    replica apply, recovery and every replay oracle."""
+    with atomic(db):
+        if isinstance(entry, UpdateSequence):
+            for update in entry:
+                apply_update(db, update)
+        else:
+            apply_update(db, entry)
+
+
 def apply_sequence(db: FunctionalDatabase,
                    sequence: UpdateSequence) -> None:
     """Execute a general update request atomically."""
-    with atomic(db):
-        for update in sequence:
-            apply_update(db, update)
+    apply_entry(db, sequence)

@@ -63,7 +63,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro import cancel
 from repro.errors import PersistenceError, StructureError
@@ -72,17 +72,14 @@ from repro.fdb import persistence, storage
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.persistence import _decode_value, _encode_value
 from repro.fdb.transaction import Transaction
-from repro.fdb.updates import (
-    Update,
-    UpdateSequence,
-    apply_sequence,
-    apply_update,
-)
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.values import Value
 from repro.obs.hooks import OBS
+from repro.report import Report
 
 __all__ = ["UpdateLog", "LoggedDatabase", "checkpoint", "recover",
-           "RecoveryReport", "LogRecord", "LogProblem", "WAL_VERSION"]
+           "RecoveryReport", "Frame", "FrameError", "decode_frame",
+           "committed", "LogProblem", "WAL_VERSION"]
 
 WAL_VERSION = 2
 
@@ -184,23 +181,105 @@ def _crc_of(payload: dict) -> int:
     return zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF
 
 
-def _frame(payload: dict) -> str:
-    """One v2 log line: the payload plus version and checksum."""
-    record = dict(payload)
-    record["v"] = WAL_VERSION
-    record["crc"] = _crc_of(payload)
-    return _frame_json(record)
+def _frame(seq: int, term: int, key: str, value) -> str:
+    """One v2 log line: the record — ``key`` is ``entry``, ``abort_of``
+    or ``header`` — plus version and checksum. Term 0 (every
+    pre-replication log) is left out, so single-node logs stay
+    byte-identical to v2 before terms existed."""
+    payload = {"seq": seq, key: value}
+    if term:
+        payload["term"] = term
+    return _frame_json(
+        {**payload, "v": WAL_VERSION, "crc": _crc_of(payload)})
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One decoded, checksum-verified log record."""
+class Frame(NamedTuple):
+    """One decoded log line."""
 
-    line_no: int
-    seq: int | None  # None for a header record
-    entry: Update | UpdateSequence | None  # None for abort/header
-    abort_of: int | None = None
-    term: int = 0  # replication epoch; 0 before any failover
+    seq: int | None  # None for a header
+    term: int  # replication epoch; 0 before any failover
+    kind: str  # "entry" | "abort" | "header"
+    # entry: the decoded update (None until verified); abort: the
+    # sequence number it compensates; header: its dict.
+    payload: object
+    line: str
+    line_no: int = 0  # 0 for a frame that was not read from a file
+
+
+class FrameError(PersistenceError):
+    """A line the codec refuses, and at which check: ``json`` |
+    ``object`` | ``version`` | ``crc`` | ``seq`` | ``term``. ``seq``
+    is the line's own sequence number where one could still be read."""
+
+    def __init__(self, reason: str, detail: str,
+                 seq: object = None) -> None:
+        self.kind = "checksum" if reason == "crc" else "parse"
+        super().__init__(f"{self.kind} ({detail})")
+        self.reason = reason
+        self.detail = detail
+        self.seq = seq if isinstance(seq, int) else None
+
+    @property
+    def tear(self) -> bool:
+        """Whether this is what a write cut short leaves behind: as
+        the final line it is a torn tail, not corruption."""
+        return self.reason in ("json", "object")
+
+
+def decode_frame(line: str, *, verify: bool = True,
+                 line_no: int = 0) -> Frame:
+    """The one place a log line is parsed. The structural stage —
+    JSON object, record version, integer ``seq`` and ``term`` — always
+    runs; ``verify`` adds the stage that makes a frame safe to replay:
+    the CRC over the payload and the entry decode. Raises
+    :exc:`FrameError` for a line that fails a check."""
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FrameError("json", str(exc)) from None
+    if not isinstance(raw, dict):
+        raise FrameError("object", "not a JSON object")
+    seq = raw.get("seq")
+    if raw.get("v") != WAL_VERSION:
+        raise FrameError(
+            "version", f"unsupported record version {raw.get('v')!r}", seq)
+    if verify:
+        crc = _crc_of({k: v for k, v in raw.items()
+                       if k not in ("v", "crc")})
+        if raw.get("crc") != crc:
+            raise FrameError(
+                "crc", f"stored {raw.get('crc')!r} != computed {crc}", seq)
+    if not isinstance(seq, int):
+        raise FrameError("seq", "record lacks a sequence number")
+    term = raw.get("term", 0)
+    if not isinstance(term, int):
+        raise FrameError("term", f"non-integer term {term!r}", seq)
+    if "header" in raw:
+        return Frame(None, term, "header", raw["header"], line, line_no)
+    if "abort_of" in raw:
+        return Frame(seq, term, "abort", raw["abort_of"], line, line_no)
+    entry = None
+    if verify:
+        try:
+            entry = _decode_entry(raw["entry"])
+        except (KeyError, TypeError, ValueError) as exc:
+            # The checksum matched, so the record is as written and
+            # the writer produced something this reader cannot decode:
+            # a version/logic bug, not disk damage. Always fatal.
+            raise PersistenceError(
+                f"undecodable log entry at line {line_no}: {exc}"
+            ) from exc
+    return Frame(seq, term, "entry", entry, line, line_no)
+
+
+def committed(frames: Iterable[Frame]) -> Iterator[Frame]:
+    """The entry frames that count, in order: headers and abort
+    records are bookkeeping, and an entry some abort among ``frames``
+    compensates was never applied."""
+    frames = list(frames)
+    aborted = {f.payload for f in frames if f.kind == "abort"}
+    return (f for f in frames
+            if f.kind == "entry" and f.seq not in aborted)
 
 
 @dataclass(frozen=True)
@@ -219,7 +298,7 @@ class LogProblem:
 class LogScan:
     """Everything one pass over the log produced."""
 
-    records: list[LogRecord] = field(default_factory=list)
+    records: list[Frame] = field(default_factory=list)
     problems: list[LogProblem] = field(default_factory=list)
     aborted: set[int] = field(default_factory=set)
     base_seq: int = 0  # from a header record, if present
@@ -260,10 +339,7 @@ class UpdateLog:
         self.fsync = fsync
         self.retries = retries
         self.backoff = backoff
-        # Replication epoch stamped into every subsequent record; 0
-        # (the default, and the value of every pre-replication log)
-        # is omitted from the frame so single-node logs stay
-        # byte-identical to v2 before terms existed.
+        # Replication epoch stamped into every subsequent record.
         self.term = term
         self._next_seq: int | None = None  # lazy: scanned on first use
         self._cache: tuple[int, int] | None = None  # (file size, count)
@@ -278,11 +354,6 @@ class UpdateLog:
         append reopens."""
         self._handle.close()
 
-    def _payload(self, payload: dict) -> dict:
-        if self.term:
-            payload["term"] = self.term
-        return payload
-
     # -- appending ----------------------------------------------------------
 
     def append(self, update: Update | UpdateSequence) -> int:
@@ -294,9 +365,7 @@ class UpdateLog:
         # be able to leave a claimed-but-unwritten sequence number.
         cancel.checkpoint()
         seq = self._claim_seq()
-        line = _frame(self._payload(
-            {"seq": seq, "entry": _encode_entry(update)}
-        ))
+        line = _frame(seq, self.term, "entry", _encode_entry(update))
         if not OBS.enabled:
             self._note_appended(self._write_claimed(seq, line), 1)
             return seq
@@ -319,9 +388,7 @@ class UpdateLog:
         (especially) when the request that needs it is past deadline.
         """
         abort_seq = self._claim_seq()
-        line = _frame(self._payload(
-            {"seq": abort_seq, "abort_of": seq}
-        ))
+        line = _frame(abort_seq, self.term, "abort_of", seq)
         nbytes = self._write_claimed(abort_seq, line)
         if OBS.enabled:
             OBS.inc("fdb.wal.aborts")
@@ -340,12 +407,19 @@ class UpdateLog:
             self._next_seq = seq + 1
         self._cache = None  # entry or abort: let __len__ recount
 
+    def _position(self) -> int:
+        """The next sequence number, scanned from the file on first use
+        after open or a rename. Caller holds ``_seq_lock``: an unlocked
+        scan could finish after a concurrent claim and put a stale
+        position back over it."""
+        if self._next_seq is None:
+            self._next_seq = self._scan("salvage").max_seq + 1
+        return self._next_seq
+
     def _claim_seq(self) -> int:
         with self._seq_lock:
-            if self._next_seq is None:
-                self._next_seq = self._scan("salvage").max_seq + 1
-            seq = self._next_seq
-            self._next_seq += 1
+            seq = self._position()
+            self._next_seq = seq + 1
             return seq
 
     def _write_claimed(self, seq: int, line: str) -> int:
@@ -398,6 +472,17 @@ class UpdateLog:
 
     # -- scanning -----------------------------------------------------------
 
+    def _lines(self) -> Iterator[tuple[int, str]]:
+        """The one walk over the file: ``(line number, stripped
+        line)`` of every non-blank line; nothing for a missing file."""
+        if not self.path.exists():
+            return
+        with self.path.open("r", encoding="utf-8") as handle:
+            for line_no, raw_line in enumerate(handle, 1):
+                line = raw_line.strip()
+                if line:
+                    yield line_no, line
+
     def _scan(self, policy: str) -> LogScan:
         """One streaming pass: decode, verify checksums, track
         sequence numbers, classify damage.
@@ -408,99 +493,48 @@ class UpdateLog:
         acknowledged.
         """
         scan = LogScan()
-        if not self.path.exists():
-            return scan
         pending: LogProblem | None = None  # unparsed line, maybe a tear
         last_seq: int | None = None
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_no, raw_line in enumerate(handle, 1):
-                line = raw_line.strip()
-                if not line:
+        for line_no, line in self._lines():
+            if pending is not None:
+                # Valid data follows the bad line: interior damage,
+                # not a tear.
+                self._problem(scan, policy, pending)
+                pending = None
+            try:
+                frame = decode_frame(line, line_no=line_no)
+            except FrameError as exc:
+                problem = LogProblem(line_no, exc.kind, exc.detail)
+                if exc.tear:
+                    pending = problem
                     continue
-                if pending is not None:
-                    # Valid data follows the bad line: interior damage,
-                    # not a tear.
-                    self._problem(scan, policy, pending)
-                    pending = None
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    pending = LogProblem(line_no, "parse", str(exc))
-                    continue
-                if not isinstance(raw, dict):
-                    pending = LogProblem(line_no, "parse",
-                                         "not a JSON object")
-                    continue
-                record = self._decode_v2(raw, line_no, scan, policy)
-                if record is None:
-                    continue
-                if record.seq is not None:
-                    reference = (last_seq if last_seq is not None
-                                 else scan.base_seq)
-                    if record.seq != reference + 1:
-                        self._problem(scan, policy, LogProblem(
-                            line_no, "gap",
-                            f"sequence {record.seq} after {reference}",
-                        ))
-                    last_seq = record.seq
-                if record.abort_of is not None:
-                    scan.aborted.add(record.abort_of)
-                scan.records.append(record)
+                if exc.kind == "checksum":
+                    scan.checksum_failures += 1
+                    if OBS.enabled:
+                        OBS.inc("fdb.wal.checksum_failures")
+                self._problem(scan, policy, problem)
+                continue
+            if frame.kind == "header":
+                scan.base_seq = frame.payload.get("next_seq", 1) - 1
+                scan.base_term = frame.payload.get("term", frame.term)
+            else:
+                reference = (last_seq if last_seq is not None
+                             else scan.base_seq)
+                if frame.seq != reference + 1:
+                    self._problem(scan, policy, LogProblem(
+                        line_no, "gap",
+                        f"sequence {frame.seq} after {reference}",
+                    ))
+                last_seq = frame.seq
+                if frame.kind == "abort":
+                    scan.aborted.add(frame.payload)
+            scan.records.append(frame)
         if pending is not None:
             scan.torn_tail = True
             scan.problems.append(LogProblem(
                 pending.line_no, "torn-tail", pending.detail
             ))
         return scan
-
-    def _decode_v2(self, raw: dict, line_no: int, scan: LogScan,
-                   policy: str) -> LogRecord | None:
-        if raw.get("v") != WAL_VERSION:
-            self._problem(scan, policy, LogProblem(
-                line_no, "parse",
-                f"unsupported record version {raw.get('v')!r}",
-            ))
-            return None
-        payload = {k: v for k, v in raw.items() if k not in ("v", "crc")}
-        if raw.get("crc") != _crc_of(payload):
-            scan.checksum_failures += 1
-            if OBS.enabled:
-                OBS.inc("fdb.wal.checksum_failures")
-            self._problem(scan, policy, LogProblem(
-                line_no, "checksum",
-                f"stored {raw.get('crc')!r} != computed "
-                f"{_crc_of(payload)}",
-            ))
-            return None
-        seq = payload.get("seq")
-        if not isinstance(seq, int):
-            self._problem(scan, policy, LogProblem(
-                line_no, "parse", "record lacks a sequence number"
-            ))
-            return None
-        term = payload.get("term", 0)
-        if not isinstance(term, int):
-            self._problem(scan, policy, LogProblem(
-                line_no, "parse", f"non-integer term {term!r}"
-            ))
-            return None
-        if "header" in payload:
-            scan.base_seq = payload["header"].get("next_seq", 1) - 1
-            scan.base_term = payload["header"].get("term", term)
-            return LogRecord(line_no, None, None, term=term)
-        if "abort_of" in payload:
-            return LogRecord(line_no, seq, None,
-                             abort_of=payload["abort_of"], term=term)
-        try:
-            entry = _decode_entry(payload["entry"])
-        except (KeyError, TypeError, ValueError) as exc:
-            # The checksum matched, so the record is as written and
-            # the writer produced something this reader cannot decode:
-            # a version/logic bug, not disk damage. Always fatal.
-            raise PersistenceError(
-                f"undecodable log entry at line {line_no}: {exc}"
-            ) from exc
-        return LogRecord(line_no, seq, entry, term=term)
 
     @staticmethod
     def _problem(scan: LogScan, policy: str,
@@ -523,62 +557,22 @@ class UpdateLog:
     def entries(self) -> Iterator[Update | UpdateSequence]:
         """Committed entries in order: torn tails and aborted records
         are skipped, interior corruption raises (strict policy)."""
-        scan = self._scan("strict")
-        for record in scan.records:
-            if record.entry is None:
-                continue
-            if record.seq in scan.aborted:
-                continue
-            yield record.entry
+        for frame in committed(self._scan("strict").records):
+            yield frame.payload
 
     @property
     def tail_is_torn(self) -> bool:
         """Whether the final line is an unparseable fragment (the
-        mid-write crash signature). Reads only the file's tail."""
-        line = self._last_nonblank_line()
-        if line is None:
-            return False
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError:
-            return True
-        # A parseable record is never a tear; a missing version or a
-        # bad checksum there is corruption, which scan()/recover()
-        # report.
-        return not isinstance(raw, dict)
-
-    def _last_nonblank_line(self, block: int = 4096) -> str | None:
-        """The last non-blank line, read backwards in blocks."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return None
-        if size == 0:
-            return None
-        with self.path.open("rb") as handle:
-            buffer = b""
-            position = size
-            while position > 0:
-                step = min(block, position)
-                position -= step
-                handle.seek(position)
-                buffer = handle.read(step) + buffer
-                stripped = buffer.rstrip()
-                if not stripped:
-                    continue  # trailing blank lines; keep reading back
-                # The final line is fully buffered once a newline
-                # precedes it, or the buffer reaches the file start.
-                if position == 0 or b"\n" in stripped:
-                    return (stripped.split(b"\n")[-1].strip()
-                            .decode("utf-8", errors="replace"))
-        return None
+        mid-write crash signature). A parseable record is never a
+        tear; a missing version or a bad checksum there is corruption,
+        which scan()/recover() report."""
+        return self._scan("salvage").torn_tail
 
     def last_seq(self) -> int:
         """The highest sequence number ever claimed in this log
         generation (0 for a fresh log)."""
-        if self._next_seq is None:
-            self._next_seq = self._scan("salvage").max_seq + 1
-        return self._next_seq - 1
+        with self._seq_lock:
+            return self._position() - 1
 
     # -- shipping -----------------------------------------------------------
 
@@ -593,29 +587,19 @@ class UpdateLog:
         primary's record stream. Returns fewer records than requested
         when a checkpoint already folded part of the range into the
         snapshot (``base_seq > lo``) — the caller must then fall back
-        to snapshot shipping.
+        to snapshot shipping. Structural decode only: the receiving
+        replica verifies every frame before it keeps it.
         """
-        if hi <= lo:
-            return []
         out: list[tuple[int, str]] = []
-        if not self.path.exists():
+        if hi <= lo:
             return out
-        with self.path.open("r", encoding="utf-8") as handle:
-            for raw_line in handle:
-                line = raw_line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # damaged or torn; scan() classifies it
-                if not isinstance(raw, dict) or raw.get("v") != WAL_VERSION:
-                    continue
-                if "header" in raw:
-                    continue
-                seq = raw.get("seq")
-                if isinstance(seq, int) and lo < seq <= hi:
-                    out.append((seq, line))
+        for _, line in self._lines():
+            try:
+                frame = decode_frame(line, verify=False)
+            except FrameError:
+                continue  # damaged or torn; scan() classifies it
+            if frame.kind != "header" and lo < frame.seq <= hi:
+                out.append((frame.seq, line))
         return out
 
     def shippable_floor(self) -> int:
@@ -626,44 +610,38 @@ class UpdateLog:
 
     # -- repair -------------------------------------------------------------
 
-    def _replace(self, body: str) -> None:
-        """Atomically rename a new file over the log. The held
-        descriptor names the inode being replaced, so it goes first."""
+    def _replace(self, lines: list[str]) -> None:
+        """Atomically rename a file of ``lines`` over the log. The held
+        descriptor names the inode being replaced, so it goes first;
+        everything remembered about the old file goes with it."""
         self._handle.close()
-        storage.atomic_write(self.path, body)
+        storage.atomic_write(self.path, "".join(f"{line}\n"
+                                                for line in lines))
+        with self._seq_lock:
+            self._next_seq = None  # rescan on next use
+        self._cache = None
+        self._health_cache = None
 
     def truncate_to(self, seq: int) -> int:
         """Atomically drop every record with a sequence number above
         ``seq`` (the fencing repair: a rejoining deposed primary cuts
         its unacknowledged tail back to the prefix the new primary's
         history extends). Returns how many records were dropped."""
-        if not self.path.exists():
-            return 0
         kept: list[str] = []
         dropped = 0
-        with self.path.open("r", encoding="utf-8") as handle:
-            for raw_line in handle:
-                line = raw_line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    dropped += 1  # torn/damaged lines go with the tail
-                    continue
-                record_seq = raw.get("seq") if isinstance(raw, dict) \
-                    else None
-                if isinstance(record_seq, int) and record_seq > seq:
-                    dropped += 1
-                    continue
+        for _, line in self._lines():
+            try:
+                line_seq = decode_frame(line, verify=False).seq
+            except FrameError as exc:
+                # An unparseable line goes with the tail; other damage
+                # is judged by the sequence number still readable on it.
+                line_seq = seq + 1 if exc.reason == "json" else exc.seq
+            if line_seq is not None and line_seq > seq:
+                dropped += 1
+            else:
                 kept.append(line)
         if dropped:
-            body = "\n".join(kept) + ("\n" if kept else "")
-            self._replace(body)
-            with self._seq_lock:
-                self._next_seq = None  # rescan on next claim
-            self._cache = None
-            self._health_cache = None
+            self._replace(kept)
             if OBS.enabled:
                 OBS.inc("fdb.wal.truncated_records", dropped)
                 OBS.action("wal.truncate_to", seq=seq, dropped=dropped)
@@ -677,14 +655,7 @@ class UpdateLog:
         not a tear, and scan()/recover() must report it."""
         if not self.tail_is_torn:
             return False
-        text = self.path.read_text(encoding="utf-8")
-        lines = [line for line in text.splitlines() if line.strip()]
-        body = "\n".join(lines[:-1]) + ("\n" if lines[:-1] else "")
-        self._replace(body)
-        with self._seq_lock:
-            self._next_seq = None
-        self._cache = None
-        self._health_cache = None
+        self._replace([line for _, line in self._lines()][:-1])
         if OBS.enabled:
             OBS.inc("fdb.wal.torn_tails_discarded")
             OBS.action("wal.torn_tail_discarded", path=str(self.path))
@@ -715,28 +686,17 @@ class UpdateLog:
             scan = self._scan("salvage")
             scanned = {
                 "last_seq": scan.max_seq,
-                "scan_term": scan.max_term,
+                "term": scan.max_term,
                 "tail_torn": scan.torn_tail,
-                "entries": sum(
-                    1 for r in scan.records
-                    if r.entry is not None and r.seq not in scan.aborted
-                ),
+                "entries": sum(1 for _ in committed(scan.records)),
                 "aborted": len(scan.aborted),
                 "checksum_failures": scan.checksum_failures,
                 "problems": len(scan.problems),
             }
             self._health_cache = (key, scanned) \
                 if key is not None else None
-        health = {
-            "path": str(self.path),
-            "last_seq": scanned["last_seq"],
-            "term": max(self.term, scanned["scan_term"]),
-            "tail_torn": scanned["tail_torn"],
-            "entries": scanned["entries"],
-            "aborted": scanned["aborted"],
-            "checksum_failures": scanned["checksum_failures"],
-            "problems": scanned["problems"],
-        }
+        health = {"path": str(self.path), **scanned}
+        health["term"] = max(self.term, health["term"])
         if OBS.enabled:
             OBS.gauge("fdb.wal.last_seq", health["last_seq"])
             OBS.gauge("fdb.wal.tail_torn", int(health["tail_torn"]))
@@ -751,20 +711,12 @@ class UpdateLog:
         into the snapshot" from "new since the snapshot".
         """
         if next_seq is None or next_seq <= 1:
-            self._replace("")
-            with self._seq_lock:
-                self._next_seq = 1
-        else:
-            meta: dict = {"next_seq": next_seq}
-            if self.term:
-                meta["term"] = self.term
-            header = _frame(self._payload({"seq": next_seq - 1,
-                                           "header": meta}))
-            self._replace(header + "\n")
-            with self._seq_lock:
-                self._next_seq = next_seq
-        self._cache = (self.path.stat().st_size, 0)
-        self._health_cache = None
+            self._replace([])
+            return
+        meta: dict = {"next_seq": next_seq}
+        if self.term:
+            meta["term"] = self.term
+        self._replace([_frame(next_seq - 1, self.term, "header", meta)])
 
     def __len__(self) -> int:
         """Number of committed entries. Cached between calls; the
@@ -833,11 +785,7 @@ class LoggedDatabase:
         try:
             with Transaction(self.db):
                 FAULTS.fire("wal.apply.before")
-                if isinstance(update, UpdateSequence):
-                    for simple in update:
-                        apply_update(self.db, simple)
-                else:
-                    apply_update(self.db, update)
+                apply_entry(self.db, update)
                 fault = self.db.structure_fault()
                 if fault is not None:
                     raise StructureError(fault)
@@ -874,7 +822,7 @@ class LoggedDatabase:
 
 
 @dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(Report, tag="recovery"):
     """What :func:`recover` did, in enough detail to audit it."""
 
     db: FunctionalDatabase
@@ -885,41 +833,11 @@ class RecoveryReport:
     checksum_failures: int = 0
     aborted: int = 0
     already_checkpointed: int = 0
-    term: int = 0  # highest replication epoch seen in the log
+    # Highest replication epoch in the snapshot or the log.
+    term: int = 0
     notes: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        """The report minus the live database handle, JSON-ready — the
-        shape the soak and CI archive next to the JSONL event logs."""
-        return {
-            "report": "recovery",
-            "entries_applied": self.entries_applied,
-            "torn_tail": self.torn_tail,
-            "policy": self.policy,
-            "records_skipped": self.records_skipped,
-            "checksum_failures": self.checksum_failures,
-            "aborted": self.aborted,
-            "already_checkpointed": self.already_checkpointed,
-            "term": self.term,
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryReport":
-        """Rebuild an archived report (``db`` is gone: a JSON artifact
-        carries the audit trail, not the live instance)."""
-        return cls(
-            db=None,  # type: ignore[arg-type]
-            entries_applied=data["entries_applied"],
-            torn_tail=data["torn_tail"],
-            policy=data.get("policy", "strict"),
-            records_skipped=data.get("records_skipped", 0),
-            checksum_failures=data.get("checksum_failures", 0),
-            aborted=data.get("aborted", 0),
-            already_checkpointed=data.get("already_checkpointed", 0),
-            term=data.get("term", 0),
-            notes=tuple(data.get("notes", ())),
-        )
+    last_seq: int = 0  # highest sequence number in the log
+    wal_applied: int | None = None  # what the snapshot had folded in
 
     def __str__(self) -> str:
         tear = " (torn tail skipped)" if self.torn_tail else ""
@@ -984,25 +902,18 @@ def recover(snapshot_path: str | Path, log_path: str | Path, *,
     if OBS.enabled:
         OBS.action("recovery.start", policy=policy,
                    snapshot=str(snapshot_path), log=str(log_path))
-    applied = aborted = already = skipped = 0
+    applied = already = skipped = 0
     notes = [str(problem) for problem in scan.problems]
-    for record in scan.records:
-        if record.entry is None:
-            continue  # header or abort record
-        if record.seq in scan.aborted:
-            aborted += 1
-            continue
-        if wal_applied is not None and record.seq <= wal_applied:
+    live = list(committed(scan.records))
+    for frame in live:
+        if wal_applied is not None and frame.seq <= wal_applied:
             already += 1
             continue
         try:
             if OBS.enabled:
-                OBS.action("recovery.replay", seq=record.seq,
-                           entry=str(record.entry))
-            if isinstance(record.entry, UpdateSequence):
-                apply_sequence(db, record.entry)
-            else:
-                apply_update(db, record.entry)
+                OBS.action("recovery.replay", seq=frame.seq,
+                           entry=str(frame.payload))
+            apply_entry(db, frame.payload)
         except Exception as exc:
             # A logged update that cannot re-apply: normally prevented
             # by validate-then-log + abort records; reachable when a
@@ -1010,20 +921,19 @@ def recover(snapshot_path: str | Path, log_path: str | Path, *,
             # records and carries on.
             if policy == "strict":
                 raise PersistenceError(
-                    f"log entry at line {record.line_no} failed to "
+                    f"log entry at line {frame.line_no} failed to "
                     f"re-apply: {exc}"
                 ) from exc
             skipped += 1
             notes.append(
-                f"line {record.line_no}: apply-failed ({exc})"
+                f"line {frame.line_no}: apply-failed ({exc})"
             )
             continue
         applied += 1
+    aborted = sum(f.kind == "entry" for f in scan.records) - len(live)
     skipped += sum(1 for p in scan.problems
                    if p.kind in ("checksum", "parse"))
     if OBS.enabled:
-        OBS.inc("fdb.wal.recoveries")
-        OBS.inc("fdb.wal.recovered_entries", applied)
         OBS.inc("fdb.recovery.runs")
         OBS.inc("fdb.recovery.records_applied", applied)
         OBS.inc("fdb.recovery.records_skipped", skipped)
@@ -1042,6 +952,8 @@ def recover(snapshot_path: str | Path, log_path: str | Path, *,
         checksum_failures=scan.checksum_failures,
         aborted=aborted,
         already_checkpointed=already,
-        term=scan.max_term,
+        term=max(scan.max_term, meta.get("term") or 0),
         notes=tuple(notes),
+        last_seq=scan.max_seq,
+        wal_applied=wal_applied,
     )

@@ -46,6 +46,7 @@ import json
 import re
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -58,6 +59,7 @@ from repro.errors import (
 from repro.fdb import persistence
 from repro.obs.hooks import OBS
 from repro.replication.replica import Replica
+from repro.report import Report
 from repro.replication.shipper import (
     ReplicaLink,
     SnapshotNeeded,
@@ -112,7 +114,7 @@ class CommitMode:
 
 
 @dataclass(frozen=True)
-class PromotionReport:
+class PromotionReport(Report, tag="promotion"):
     """What one failover decided, JSON-ready via :meth:`as_dict`."""
 
     chosen: str
@@ -121,35 +123,13 @@ class PromotionReport:
     new_term: int
     candidates: tuple[tuple[str, int], ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "report": "promotion",
-            "chosen": self.chosen,
-            "applied_seq": self.applied_seq,
-            "old_term": self.old_term,
-            "new_term": self.new_term,
-            "candidates": [list(item) for item in self.candidates],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PromotionReport":
-        return cls(
-            chosen=data["chosen"],
-            applied_seq=data["applied_seq"],
-            old_term=data["old_term"],
-            new_term=data["new_term"],
-            candidates=tuple(
-                (name, seq) for name, seq in data.get("candidates", ())
-            ),
-        )
-
     def __str__(self) -> str:
         return (f"promoted {self.chosen} at seq {self.applied_seq} "
                 f"(term {self.old_term} -> {self.new_term})")
 
 
 @dataclass(frozen=True)
-class CatchUpReport:
+class CatchUpReport(Report, tag="catch_up"):
     """How one replica was brought up to date."""
 
     replica: str
@@ -159,31 +139,9 @@ class CatchUpReport:
     term: int
     snapshot_wal_applied: int | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "report": "catch_up",
-            "replica": self.replica,
-            "mode": self.mode,
-            "from_seq": self.from_seq,
-            "to_seq": self.to_seq,
-            "term": self.term,
-            "snapshot_wal_applied": self.snapshot_wal_applied,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CatchUpReport":
-        return cls(
-            replica=data["replica"],
-            mode=data["mode"],
-            from_seq=data["from_seq"],
-            to_seq=data["to_seq"],
-            term=data["term"],
-            snapshot_wal_applied=data.get("snapshot_wal_applied"),
-        )
-
 
 @dataclass(frozen=True)
-class RejoinReport:
+class RejoinReport(Report, tag="rejoin"):
     """How a deposed primary was repaired back into the group."""
 
     replica: str
@@ -193,30 +151,6 @@ class RejoinReport:
     torn_tail_discarded: bool
     rebootstrapped: bool
     catch_up: CatchUpReport
-
-    def as_dict(self) -> dict:
-        return {
-            "report": "rejoin",
-            "replica": self.replica,
-            "old_term": self.old_term,
-            "fence_seq": self.fence_seq,
-            "records_dropped": self.records_dropped,
-            "torn_tail_discarded": self.torn_tail_discarded,
-            "rebootstrapped": self.rebootstrapped,
-            "catch_up": self.catch_up.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RejoinReport":
-        return cls(
-            replica=data["replica"],
-            old_term=data["old_term"],
-            fence_seq=data["fence_seq"],
-            records_dropped=data["records_dropped"],
-            torn_tail_discarded=data["torn_tail_discarded"],
-            rebootstrapped=data["rebootstrapped"],
-            catch_up=CatchUpReport.from_dict(data["catch_up"]),
-        )
 
 
 class ReplicationGroup:
@@ -441,20 +375,7 @@ class ReplicationGroup:
                     continue
                 if not (first_pass or needed):
                     continue
-                try:
-                    shipper.ship(link, seq)
-                except SnapshotNeeded:
-                    try:
-                        self._snapshot_catch_up(shipper, link)
-                        shipper.ship(link, seq)
-                    except (ConnectionError, TimeoutError,
-                            ReplicationError):
-                        continue
-                except ReplicaDiverged:
-                    raise
-                except (ConnectionError, TimeoutError,
-                        ReplicationError):
-                    continue
+                self._ship(shipper, link, seq)
                 if link.acked_seq >= seq:
                     acked += 1
                     _note_acked(link)
@@ -475,6 +396,26 @@ class ReplicationGroup:
                 )
             time.sleep(self.retry_interval)
 
+    def _ship(self, shipper: WalShipper, link: ReplicaLink,
+              seq: int) -> None:
+        """One shipping pass at one link, by snapshot when its range
+        is gone from the log. An unreachable or refusing replica is
+        left for the next pass (the caller reads ``link.acked_seq``);
+        a replica refusing the delta stream as stale means this
+        shipper is deposed, and that propagates."""
+        try:
+            shipper.ship(link, seq)
+        except SnapshotNeeded:
+            try:
+                self._snapshot_catch_up(shipper, link)
+                shipper.ship(link, seq)
+            except (ConnectionError, TimeoutError, ReplicationError):
+                pass
+        except ReplicaDiverged:
+            raise
+        except (ConnectionError, TimeoutError, ReplicationError):
+            pass
+
     def sync_all(self, timeout: float | None = None) -> dict:
         """Drain every reachable replica up to the primary's last
         sequence number (test/soak settling, not a commit-path API)."""
@@ -488,16 +429,8 @@ class ReplicationGroup:
                 if link.name not in lagging:
                     continue
                 try:
-                    shipper.ship(link, target)
-                except SnapshotNeeded:
-                    try:
-                        self._snapshot_catch_up(shipper, link)
-                        shipper.ship(link, target)
-                    except (ConnectionError, TimeoutError,
-                            ReplicationError):
-                        continue
-                except (ConnectionError, TimeoutError,
-                        ReplicationError):
+                    self._ship(shipper, link, target)
+                except ReplicaDiverged:
                     continue
                 if link.acked_seq >= target:
                     lagging.discard(link.name)
@@ -545,14 +478,9 @@ class ReplicationGroup:
         logged = self._logged
         if logged is None:
             raise ReplicationError("no primary attached")
-        guard = self.exclusive() if self.exclusive is not None else None
-        if guard is not None:
-            with guard:
-                wal_applied = logged.log.last_seq()
-                text = persistence.dumps(
-                    logged.db, wal_applied=wal_applied, term=self.term
-                )
-        else:
+        guard = self.exclusive() if self.exclusive is not None \
+            else nullcontext()
+        with guard:
             wal_applied = logged.log.last_seq()
             text = persistence.dumps(
                 logged.db, wal_applied=wal_applied, term=self.term
@@ -653,14 +581,7 @@ class ReplicationGroup:
                 link.acked_seq = min(link.acked_seq, applied)
             # Lost-tail hygiene: the shipped-stream journal must not
             # carry sequence numbers the new history will reuse.
-            if shipper._journal is not None:
-                shipper._journal = [
-                    (seq, line) for seq, line in shipper._journal
-                    if seq <= applied
-                ]
-                shipper._journal_through = min(
-                    shipper._journal_through, applied
-                )
+            shipper.cut_journal(applied)
             report = PromotionReport(
                 chosen=chosen, applied_seq=applied,
                 old_term=old_term, new_term=new_term,

@@ -32,7 +32,6 @@ an entry whose abort is already in the shipped history behind it.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -41,9 +40,8 @@ from repro.errors import PersistenceError, ReplicationError
 from repro.faults.registry import FAULTS, SimulatedCrash
 from repro.fdb import persistence, storage
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.transaction import Transaction
-from repro.fdb.updates import UpdateSequence, apply_update
-from repro.fdb.wal import WAL_VERSION, UpdateLog, _crc_of, _decode_entry
+from repro.fdb.updates import apply_entry
+from repro.fdb.wal import Frame, UpdateLog, committed, decode_frame, recover
 from repro.obs.hooks import OBS
 from repro.replication.transport import decode_snapshot
 
@@ -114,16 +112,14 @@ class Replica:
                 self.crashed = False
                 self.diverged = False
                 return
-            from repro.fdb.wal import recover
             report = recover(self.snapshot_path, self.wal_path,
                              policy="strict")
-            _, meta = persistence.load_with_meta(self.snapshot_path)
             self.db = report.db
-            # From the file, not the log object's cached position:
+            # From the files, not the log object's cached position:
             # the disk is all a restart may trust.
-            self.applied_seq = max(self.log.scan("salvage").max_seq,
-                                   meta.get("wal_applied") or 0)
-            self.term = max(report.term, meta.get("term", 0), self.term)
+            self.applied_seq = max(report.last_seq,
+                                   report.wal_applied or 0)
+            self.term = max(report.term, self.term)
             self.crashed = False
             self.diverged = False
             self._last_progress = time.monotonic()
@@ -175,42 +171,40 @@ class Replica:
     def _append_received(self, term: int, records: list,
                          through_seq: int, scope) -> dict:
         # Caller holds the lock and the receive span.
+        def refused(error: str, detail: str = "", **extra) -> dict:
+            scope.attrs["error"] = error
+            return {"ok": False, "error": error + detail,
+                    "applied_seq": self.applied_seq, **extra}
+
         if term < self.term:
-            scope.attrs["error"] = "stale-term"
-            return {"ok": False, "error": "stale-term",
-                    "term": self.term,
-                    "applied_seq": self.applied_seq}
+            return refused("stale-term", term=self.term)
         if self.diverged:
-            scope.attrs["error"] = "diverged"
-            return {"ok": False, "error": "diverged",
-                    "applied_seq": self.applied_seq}
+            return refused("diverged")
         if self.db is None:
-            scope.attrs["error"] = "needs-snapshot"
-            return {"ok": False, "error": "needs-snapshot",
-                    "applied_seq": self.applied_seq}
+            return refused("needs-snapshot")
         try:
-            decoded = [self._decode(line) for line in records]
+            frames = [decode_frame(line) for line in records]
         except PersistenceError as exc:
-            scope.attrs["error"] = "bad-record"
-            return {"ok": False, "error": f"bad-record: {exc}",
-                    "applied_seq": self.applied_seq}
-        fresh = [(seq, payload, line)
-                 for seq, payload, line in decoded
-                 if seq > self.applied_seq]
-        expected = self.applied_seq + 1
-        if fresh and fresh[0][0] != expected:
-            scope.attrs["error"] = "gap"
-            return {"ok": False, "error": "gap",
-                    "applied_seq": self.applied_seq}
-        if not fresh and through_seq > self.applied_seq and records:
-            # Everything shipped was already applied but the high
-            # water mark still advances (ack-lost re-shipment).
-            pass
-        aborted = {payload["abort_of"]
-                   for _, payload, _ in fresh
-                   if "abort_of" in payload}
+            return refused("bad-record", f": {exc}")
+        if any(frame.seq is None for frame in frames):
+            # Checkpoint bookkeeping with no sequence number of its
+            # own: meaningless off the node that wrote it.
+            return refused("bad-record", ": a header record never ships")
+        fresh = [frame for frame in frames
+                 if frame.seq > self.applied_seq]
+        if fresh and fresh[0].seq != self.applied_seq + 1:
+            return refused("gap")
+        # The last frame this copy holds once the batch is in. The ack
+        # goes that far — past trailing abort records, which apply
+        # nothing — and never further: a higher mark would claim
+        # records this copy never received.
+        held = fresh[-1].seq if fresh else self.applied_seq
+        if through_seq > held:
+            return refused("bad-record",
+                           f": through_seq {through_seq} is beyond the "
+                           f"last record sent ({held})")
         try:
-            self._apply_fresh(fresh, aborted)
+            self._apply_fresh(fresh)
         except SimulatedCrash:
             self.crash()
             raise ConnectionError(
@@ -220,8 +214,7 @@ class Replica:
                       replica=self.name, term=term) as ack_scope:
             if term > self.term:
                 self.term = term
-            if through_seq > self.applied_seq:
-                self.applied_seq = through_seq
+            self.applied_seq = held
             self._last_progress = time.monotonic()
             if OBS.enabled:
                 OBS.inc("replication.records_applied", len(fresh))
@@ -229,8 +222,7 @@ class Replica:
         return {"ok": True, "applied_seq": self.applied_seq,
                 "term": self.term}
 
-    def _apply_fresh(self, fresh: list[tuple[int, dict, str]],
-                     aborted: set[int]) -> None:
+    def _apply_fresh(self, fresh: list[Frame]) -> None:
         """Append the whole fresh batch to the local log, then apply
         it — two passes, write-ahead order preserved batch-wide (every
         record is durable before *any* of its effects are; a crash
@@ -242,20 +234,20 @@ class Replica:
         """
         if not fresh:
             return
-        first, last = fresh[0][0], fresh[-1][0]
+        first, last = fresh[0].seq, fresh[-1].seq
         enabled = OBS.enabled
         started = time.perf_counter() if enabled else 0.0
         with OBS.span("replica.wal_append", key=self.name,
                       replica=self.name, from_seq=first,
                       to_seq=last) as scope:
-            for seq, _payload, line in fresh:
+            for frame in fresh:
                 FAULTS.fire("repl.replica.apply", replica=self.name,
-                            seq=seq)
+                            seq=frame.seq)
                 # Write-ahead locally too: the record is on disk before
                 # its effects are, so a crash between the two replays it.
-                self.log.append_frame(seq, line)
+                self.log.append_frame(frame.seq, frame.line)
                 if enabled:
-                    scope.attrs["appended_to"] = seq
+                    scope.attrs["appended_to"] = frame.seq
         if enabled:
             OBS.observe_log(
                 f"replication.pipeline.wal_append_seconds.{self.name}",
@@ -265,17 +257,9 @@ class Replica:
         with OBS.span("replica.apply", key=self.name,
                       replica=self.name, from_seq=first,
                       to_seq=last) as scope:
-            for seq, payload, _line in fresh:
-                if "abort_of" in payload or seq in aborted:
-                    continue
-                entry = _decode_entry(payload["entry"])
+            for frame in committed(fresh):
                 try:
-                    with Transaction(self.db):
-                        if isinstance(entry, UpdateSequence):
-                            for simple in entry:
-                                apply_update(self.db, simple)
-                        else:
-                            apply_update(self.db, entry)
+                    apply_entry(self.db, frame.payload)
                 except Exception as exc:
                     # Deterministic replay of a committed record
                     # failed: this copy no longer extends the
@@ -285,37 +269,20 @@ class Replica:
                     if OBS.enabled:
                         OBS.inc("replication.divergences")
                         OBS.action("replication.diverged",
-                                   replica=self.name, seq=seq,
+                                   replica=self.name, seq=frame.seq,
                                    error=str(exc))
                     raise ReplicationError(
                         f"replica {self.name} diverged at seq "
-                        f"{seq}: {exc}"
+                        f"{frame.seq}: {exc}"
                     ) from exc
-                self.applied_seq = seq
+                self.applied_seq = frame.seq
                 if enabled:
-                    scope.attrs["applied_to"] = seq
+                    scope.attrs["applied_to"] = frame.seq
         if enabled:
             OBS.observe_log(
                 f"replication.pipeline.apply_seconds.{self.name}",
                 time.perf_counter() - started,
             )
-
-    @staticmethod
-    def _decode(line: str) -> tuple[int, dict, str]:
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"unparseable record: {exc}") from exc
-        if not isinstance(raw, dict) or raw.get("v") != WAL_VERSION:
-            raise PersistenceError("not a v2 record")
-        payload = {k: v for k, v in raw.items() if k not in ("v", "crc")}
-        if raw.get("crc") != _crc_of(payload):
-            raise PersistenceError("checksum mismatch in shipped record")
-        seq = payload.get("seq")
-        if not isinstance(seq, int):
-            raise PersistenceError("shipped record lacks a sequence "
-                                   "number")
-        return seq, payload, line
 
     def _handle_snapshot(self, message: dict) -> dict:
         term = message.get("term", 0)

@@ -22,12 +22,11 @@ sequential replay of the shipped stream".
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
 from repro.errors import ReplicaDiverged, ReplicationError
-from repro.fdb.wal import UpdateLog
+from repro.fdb.wal import UpdateLog, decode_frame
 from repro.obs.hooks import OBS
 from repro.replication.transport import encode_snapshot
 
@@ -158,6 +157,16 @@ class WalShipper:
         with self._lock:
             return list(self._journal)
 
+    def cut_journal(self, seq: int) -> None:
+        """Forget journalled records above ``seq``: a failover fenced
+        the history there, and the new term reuses those numbers."""
+        if self._journal is None:
+            return
+        with self._lock:
+            self._journal[:] = [item for item in self._journal
+                                if item[0] <= seq]
+            self._journal_through = min(self._journal_through, seq)
+
     # -- shipping -----------------------------------------------------------
 
     def ship(self, link: ReplicaLink, through_seq: int) -> int:
@@ -194,12 +203,12 @@ class WalShipper:
             # aborts referencing an already-batched record ride along
             # past the limit.
             while len(batch) < len(records):
-                next_seq, next_line = records[len(batch)]
-                abort_of = json.loads(next_line).get("abort_of")
-                if not isinstance(abort_of, int) \
-                        or abort_of > batch[-1][0]:
+                frame = decode_frame(records[len(batch)][1], verify=False)
+                if frame.kind != "abort" \
+                        or not isinstance(frame.payload, int) \
+                        or frame.payload > batch[-1][0]:
                     break
-                batch.append((next_seq, next_line))
+                batch.append(records[len(batch)])
             # The high-water mark is the last record actually sent —
             # never ``through_seq`` itself, which may point past the
             # log's end after a concurrent fold.

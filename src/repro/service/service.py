@@ -75,8 +75,7 @@ from repro.errors import (CrossShardError, DeadlockDetected, LockTimeout,
 from repro.fdb import wal as wal_module
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.logic import Truth
-from repro.fdb.transaction import Transaction
-from repro.fdb.updates import Update, UpdateSequence, apply_update
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.values import Value
 from repro.obs.endpoint import MetricsEndpoint
 from repro.obs.hooks import OBS
@@ -610,9 +609,9 @@ class DatabaseService(FrontDoor):
 
     def committed_ops(self) -> tuple[Update | UpdateSequence, ...]:
         """A stable copy of the commit-ordered operation log; replay
-        it with :func:`repro.fdb.updates.apply_update` /
-        :func:`apply_sequence` over an identically seeded instance to
-        reproduce the live state exactly."""
+        it with :func:`repro.fdb.updates.apply_entry` over an
+        identically seeded instance to reproduce the live state
+        exactly."""
         with self._committed_lock:
             return tuple(self.committed)
 
@@ -782,12 +781,7 @@ class Appender:
                 if lane.logged is not None:
                     seq = self.storage(lane.logged.execute, update)
                 else:
-                    with Transaction(lane.db):
-                        if isinstance(update, UpdateSequence):
-                            for simple in update:
-                                apply_update(lane.db, simple)
-                        else:
-                            apply_update(lane.db, update)
+                    apply_entry(lane.db, update)
         # Still holding __write__: commit order == list order.
         with lane._committed_lock:
             lane.committed.append(update)

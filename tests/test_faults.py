@@ -153,6 +153,20 @@ class TestCrashMatrix:
         failures = [str(o) + f" :: {o.divergence}"
                     for o in outcomes if not o.ok]
         assert failures == []
+        # The torn-tail test is the scan's verdict, at every offset:
+        # a proper prefix of the record is a tear, the previous
+        # record's end and the whole record are not.
+        raw = (tmp_path / "sweep-base" / "wal.log").read_bytes()
+        last = raw.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+        torn_path = tmp_path / "offset.log"
+        assert len(outcomes) == len(last) + 1
+        for offset, outcome in enumerate(outcomes):
+            torn_path.write_bytes(raw[:len(raw) - len(last) - 1 + offset])
+            log = UpdateLog(torn_path)
+            assert (log.tail_is_torn
+                    is log.scan("salvage").torn_tail
+                    is outcome.report.torn_tail
+                    is (0 < offset < len(last))), offset
 
     def test_workload_exercises_checkpoint_and_sequences(self):
         steps = default_workload()

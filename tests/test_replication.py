@@ -156,6 +156,47 @@ class TestReplicaApply:
         assert not reply["ok"]
         assert "bad-record" in reply["error"]
 
+    def test_ack_never_passes_the_last_record_held(
+            self, primary, tmp_path, make_group):
+        """The high-water mark is the sender's claim, not evidence:
+        ``applied_seq`` follows the frames this copy holds — through a
+        trailing abort, which applies nothing — and a mark beyond them
+        is refused (promotion picks the highest ``applied_seq``)."""
+        from repro.faults import FAULTS, ErrorFault
+
+        logged, _ = primary
+        group = make_group()
+        group.attach_primary(logged)
+        replica = Replica("r0", tmp_path / "r0")
+        group.add_replica("r0", replica)
+        reply = replica.handle({"type": "append", "term": group.term,
+                                "records": [], "through_seq": 10**6})
+        assert not reply["ok"] and "bad-record" in reply["error"]
+        assert replica.status()["applied_seq"] == 0
+
+        logged.execute(Update.ins("teach", "gauss", "cs"))
+        FAULTS.arm("wal.apply.before", ErrorFault(times=1))
+        try:
+            with pytest.raises(RuntimeError):
+                logged.execute(Update.ins("teach", "noether", "algebra"))
+        finally:
+            FAULTS.disarm_all()
+        lines = [line for _, line in logged.log.records_between(0, 3)]
+        reply = replica.handle({"type": "append", "term": group.term,
+                                "records": lines, "through_seq": 4})
+        assert "bad-record" in reply["error"]
+        assert replica.applied_seq == 0 and len(replica.log) == 0
+        # No mark at all: the ack still covers entry, entry, abort.
+        reply = replica.handle({"type": "append", "term": group.term,
+                                "records": lines})
+        assert reply["ok"] and reply["applied_seq"] == 3
+        assert replica.db.truth_of(
+            "teach", "noether", "algebra") is Truth.FALSE
+        # A lost-ack re-shipment of what it already holds still acks.
+        reply = replica.handle({"type": "append", "term": group.term,
+                                "records": lines, "through_seq": 3})
+        assert reply["ok"] and reply["applied_seq"] == 3
+
     def test_stale_term_refused_by_replica(
             self, primary, tmp_path, make_group):
         logged, _ = primary

@@ -34,7 +34,12 @@ from repro.errors import (
 from repro.fdb import persistence
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.updates import Update
-from repro.fdb.wal import LoggedDatabase
+from repro.fdb.wal import (
+    LoggedDatabase,
+    checkpoint,
+    committed,
+    decode_frame,
+)
 from repro.replication import (
     FailoverCoordinator,
     LeaseConfig,
@@ -128,6 +133,49 @@ def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed,
         assert replica.applied_seq == head
         got = _state_fingerprint(replica.db)
         assert got == expected, f"bootstrap at seq {start} diverged"
+
+
+@pytest.mark.parametrize("seed", [2, 5, 13])
+def test_committed_journal_is_the_primarys_entries(tmp_path, seed,
+                                                   closing):
+    """One filter decides what counts as committed, whether the frames
+    come from a scan of the file or from the shipper's copies of its
+    lines: through compensated aborts and a mid-stream checkpoint
+    (which folds the log's entries away, not the journal's),
+    ``committed()`` over the journal is ``entries()`` on the primary,
+    and the journalled lines are the file's, byte for byte."""
+    from repro.faults import FAULTS, ErrorFault
+
+    rng = random.Random(seed)
+    logged = closing(LoggedDatabase(pupil_database(),
+                                    tmp_path / "wal.log"))
+    shipper = WalShipper(logged.log, term=1, journal=True)
+    entries, aborts, folded = [], 0, 0
+    for step in range(30):
+        if step == 14:
+            entries.extend(logged.log.entries())
+            folded = logged.log.last_seq()
+            checkpoint(logged, tmp_path / "snapshot.json")
+        if rng.random() < 0.25:
+            FAULTS.arm("wal.apply.before", ErrorFault(times=1))
+        try:
+            logged.execute(_random_update(rng))
+        except Exception:
+            aborts += 1  # compensated: entry and abort both ship
+        finally:
+            FAULTS.disarm_all()
+        shipper.journal_through(logged.log.last_seq())
+    entries.extend(logged.log.entries())
+
+    stream = shipper.journal()
+    frames = [decode_frame(line) for _, line in stream]
+    assert [frame.seq for frame in frames] \
+        == list(range(1, logged.log.last_seq() + 1))
+    assert aborts and sum(f.kind == "abort" for f in frames) == aborts
+    assert [frame.payload for frame in committed(frames)] == entries
+    header, *tail = logged.log.path.read_text().splitlines()
+    assert decode_frame(header).kind == "header"
+    assert [line for seq, line in stream if seq > folded] == tail
 
 
 @pytest.mark.parametrize("seed", [3, 11])

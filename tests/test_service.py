@@ -301,11 +301,11 @@ class TestServiceBasics(LaneDoor):
 
     def test_undurable_service_rolls_back_failures(self, closing,
                                                    monkeypatch):
-        from repro.service import service as service_module
+        from repro.fdb import updates as updates_module
 
         service = self.front(closing)
         lane = lane_of(service)
-        real_apply = service_module.apply_update
+        real_apply = updates_module.apply_update
         calls = []
 
         def failing_apply(target, update):
@@ -314,7 +314,7 @@ class TestServiceBasics(LaneDoor):
                 raise RuntimeError("boom mid-sequence")
             return real_apply(target, update)
 
-        monkeypatch.setattr(service_module, "apply_update",
+        monkeypatch.setattr(updates_module, "apply_update",
                             failing_apply)
         with pytest.raises(RuntimeError):
             service.execute(UpdateSequence((

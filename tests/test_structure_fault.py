@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PersistenceError, StructureError
-from repro.fdb import persistence, wal
+from repro.fdb import persistence, updates
 from repro.fdb.facts import Fact, FactRef
 from repro.fdb.nc import NegatedConjunction
 from repro.fdb.updates import Update, apply_update
@@ -125,13 +125,13 @@ def test_logged_commit_that_breaks_the_structure_is_aborted(
     logged = LoggedDatabase(live, log_path)
     logged.insert("teach", "gauss", "cs")
 
-    apply_update = wal.apply_update
+    apply_update = updates.apply_update
 
     def apply_and_bypass(db, update):
         apply_update(db, update)
         next(db.table("teach").facts()).ncl.add(99)  # unrecorded
 
-    monkeypatch.setattr(wal, "apply_update", apply_and_bypass)
+    monkeypatch.setattr(updates, "apply_update", apply_and_bypass)
     with pytest.raises(StructureError, match="points to NC g99"):
         logged.execute(Update.ins("teach", "noether", "algebra"))
     monkeypatch.undo()

@@ -313,6 +313,142 @@ class TestRecoveryEdgeCases:
             assert report.db.ncs.next_index == oracle.ncs.next_index
 
 
+def _reframed(line, **changes):
+    """``line`` with keys changed (``None`` removes one) and the
+    checksum made right again: damage a checksum cannot see."""
+    import json
+
+    from repro.fdb.wal import _crc_of
+
+    raw = {**json.loads(line), **changes}
+    raw = {k: v for k, v in raw.items() if v is not None and k != "crc"}
+    payload = {k: v for k, v in raw.items() if k != "v"}
+    return json.dumps({**raw, "crc": _crc_of(payload)}, sort_keys=True)
+
+
+def _refit(line, **changes):
+    """``line`` with keys changed and the stored checksum left alone."""
+    import json
+
+    raw = {**json.loads(line), **changes}
+    return json.dumps({k: v for k, v in raw.items() if v is not None},
+                      sort_keys=True)
+
+
+# One row per way a line can be damaged: how to damage the second of
+# three records, the problem kind a scan files it under ("fatal": a
+# checksum-valid record this reader cannot decode — never skipped),
+# whether it reads as a torn tail when it is the final line, and what
+# the fence truncation does with it ("seq": judged by the sequence
+# number still readable on it; "keep" / "drop": regardless of the cut).
+DAMAGED_LINES = {
+    "truncated-json": (lambda line: line[:len(line) // 2],
+                       "parse", True, "drop"),
+    "non-object-json": (lambda line: "[1, 2]", "parse", True, "keep"),
+    "missing-version": (lambda line: _refit(line, v=None),
+                        "parse", False, "seq"),
+    "foreign-version": (lambda line: _reframed(line, v=3),
+                        "parse", False, "seq"),
+    "flipped-crc": (lambda line: _refit(line, crc=7),
+                    "checksum", False, "seq"),
+    "non-integer-seq": (lambda line: _reframed(line, seq="2"),
+                        "parse", False, "keep"),
+    "non-integer-term": (lambda line: _reframed(line, term="1"),
+                         "parse", False, "seq"),
+    "undecodable-entry": (lambda line: _reframed(line,
+                                                 entry={"kind": "INS"}),
+                          "fatal", False, "seq"),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_LINES)
+class TestDamagedLineTable:
+    """Every reader of a log line gives a damaged one the same
+    verdict: strict and salvage scans, replica receipt, the torn-tail
+    test and the fence truncation all go through one decoder."""
+
+    @pytest.fixture
+    def damaged(self, case, setup):
+        logged, _, log_path = setup
+        for update in section_42_updates()[:3]:
+            logged.execute(update)
+        logged.close()
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        damage, kind, tear, cut = DAMAGED_LINES[case]
+        return log_path, lines, damage(lines[1]), kind, tear, cut
+
+    def test_scans_classify_it(self, damaged):
+        log_path, lines, bad, kind, _, _ = damaged
+        log_path.write_text("\n".join([lines[0], bad, lines[2]]) + "\n")
+        log = UpdateLog(log_path)
+        match = "undecodable" if kind == "fatal" else kind
+        with pytest.raises(PersistenceError, match=match):
+            log.scan("strict")
+        if kind == "fatal":
+            with pytest.raises(PersistenceError, match="undecodable"):
+                log.scan("salvage")
+            return
+        scan = log.scan("salvage")
+        # The damaged line, then the hole it leaves in the sequence.
+        assert [(p.line_no, p.kind) for p in scan.problems] \
+            == [(2, kind), (3, "gap")]
+        assert [r.seq for r in scan.records] == [1, 3]
+        assert scan.checksum_failures == (kind == "checksum")
+        assert not scan.torn_tail
+
+    def test_as_the_final_line(self, damaged):
+        log_path, lines, bad, kind, tear, _ = damaged
+        log_path.write_text("\n".join([lines[0], bad]) + "\n")
+        log = UpdateLog(log_path)
+        if kind == "fatal":
+            with pytest.raises(PersistenceError, match="undecodable"):
+                log.scan("strict")
+            return
+        if tear:
+            log.scan("strict")  # an unacknowledged append: no damage
+        else:
+            with pytest.raises(PersistenceError, match=kind):
+                log.scan("strict")
+        scan = log.scan("salvage")
+        assert scan.torn_tail is tear is log.tail_is_torn
+        assert [p.kind for p in scan.problems] \
+            == ["torn-tail" if tear else kind]
+        assert log.discard_torn_tail() is tear
+        assert (bad in log_path.read_text()) is not tear
+
+    def test_a_replica_refuses_it(self, damaged, tmp_path, closing):
+        from repro.replication import Replica
+
+        _, lines, bad, _, _, _ = damaged
+        replica = closing(Replica("r0", tmp_path / "r0"))
+        reply = replica.handle({
+            "type": "snapshot", "term": 1, "wal_applied": 0,
+            "snapshot": persistence.dumps(pupil_database(),
+                                          wal_applied=0, term=1),
+        })
+        assert reply["ok"]
+        reply = replica.handle({
+            "type": "append", "term": 1,
+            "records": [lines[0], bad, lines[2]], "through_seq": 3,
+        })
+        assert not reply["ok"] and "bad-record" in reply["error"]
+        # Refused whole: nothing of the batch was kept or applied.
+        assert replica.applied_seq == 0 and len(replica.log) == 0
+
+    def test_fence_truncation(self, damaged):
+        log_path, lines, bad, _, _, cut = damaged
+        body = "\n".join([lines[0], bad, lines[2]]) + "\n"
+        log_path.write_text(body)
+        # A cut above every record: only an unreadable line goes.
+        assert UpdateLog(log_path).truncate_to(5) == (cut == "drop")
+        assert (bad in log_path.read_text()) is (cut != "drop")
+        # A cut below the damaged line's own sequence number.
+        log_path.write_text(body)
+        assert UpdateLog(log_path).truncate_to(1) == 2 - (cut == "keep")
+        assert (bad in log_path.read_text()) is (cut == "keep")
+        assert lines[2] not in log_path.read_text()
+
+
 class TestShippingSurface:
     """The log plumbing replication rides on: term stamping, record
     ranges, the checkpoint floor, fence truncation, tear discard and

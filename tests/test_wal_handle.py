@@ -179,6 +179,51 @@ class TestRenameOverTheLog:
         assert report.entries_applied == 3
         assert states_diff(replayed([u1, u2, u3]), report.db) is None
 
+    @pytest.mark.parametrize("forget", [
+        lambda log: log.close(),  # the file exists, nothing scanned yet
+        lambda log: log.truncate_to(1),
+    ], ids=["open", "truncate_to"])
+    def test_a_monitoring_scan_cannot_put_a_stale_position_back(
+            self, tmp_path, monkeypatch, forget):
+        """``last_seq()`` (lag gauges, ``/metrics``) finds its place
+        under the same lock a claim does: a lazy scan that overlaps
+        the first append after open or a rename must not finish late
+        and hand the claimed sequence number out again."""
+        u1, u2, u3 = section_42_updates()[:3]
+        first = UpdateLog(tmp_path / "wal.log")
+        first.append(u1)
+        first.append(u2)
+        first.close()
+        log = UpdateLog(first.path, backoff=0.0)
+        forget(log)
+        head = log.scan("strict").max_seq
+        real_scan, slowed = log._scan, [True]
+        scanning, appended = threading.Event(), threading.Event()
+
+        def scan(policy):
+            result = real_scan(policy)
+            if slowed and slowed.pop():
+                scanning.set()
+                appended.wait(0.2)  # whatever it read is old news now
+            return result
+
+        monkeypatch.setattr(log, "_scan", scan)
+        monitor = threading.Thread(target=log.last_seq)
+        monitor.start()
+        try:
+            assert scanning.wait(5)
+            assert log.append(u3) == head + 1
+            appended.set()
+            monitor.join()
+            assert log.last_seq() == head + 1
+            assert log.append(u1) == head + 2
+            assert [r.seq for r in log.scan("strict").records] \
+                == list(range(1, head + 3))
+        finally:
+            appended.set()
+            monitor.join()
+            log.close()
+
     def test_shipped_frames_follow_the_same_rule(self, log, tmp_path):
         """A replica appends frames its primary wrote; after a fence
         truncation the next one must land in the new file too."""
