@@ -303,18 +303,13 @@ class LogScan:
     aborted: set[int] = field(default_factory=set)
     base_seq: int = 0  # from a header record, if present
     base_term: int = 0  # from a header record, if present
+    # Running maxima over ``records``; a log holding only a header
+    # reads ``base_seq``. Out-of-order records under ``salvage`` still
+    # yield the true maximum.
+    max_seq: int = 0
+    max_term: int = 0
     torn_tail: bool = False
     checksum_failures: int = 0
-
-    @property
-    def max_seq(self) -> int:
-        seqs = [r.seq for r in self.records if r.seq is not None]
-        return max(seqs, default=self.base_seq)
-
-    @property
-    def max_term(self) -> int:
-        terms = [r.term for r in self.records]
-        return max(terms, default=self.base_term)
 
 
 class UpdateLog:
@@ -341,7 +336,13 @@ class UpdateLog:
         self.backoff = backoff
         # Replication epoch stamped into every subsequent record.
         self.term = term
-        self._next_seq: int | None = None  # lazy: scanned on first use
+        # What the log remembers about its file, under ``_seq_lock``:
+        # the next sequence number and the floor its header records.
+        # One scan fills both on first use, a rename drops both
+        # (``_replace``). Nothing but this object renames the file, so
+        # nothing else can move them.
+        self._next_seq: int | None = None
+        self._floor: int | None = None
         self._cache: tuple[int, int] | None = None  # (file size, count)
         # health(): scan results keyed on (size, mtime_ns) so /metrics
         # and /health scrapes don't rescan a quiescent log.
@@ -408,12 +409,17 @@ class UpdateLog:
         self._cache = None  # entry or abort: let __len__ recount
 
     def _position(self) -> int:
-        """The next sequence number, scanned from the file on first use
-        after open or a rename. Caller holds ``_seq_lock``: an unlocked
-        scan could finish after a concurrent claim and put a stale
-        position back over it."""
-        if self._next_seq is None:
-            self._next_seq = self._scan("salvage").max_seq + 1
+        """The next sequence number, scanned from the file — together
+        with the floor — on first use after open or a rename. A log
+        only ever advanced by :meth:`append_frame` knows its position
+        and not its floor; the scan then fills the floor alone. Caller
+        holds ``_seq_lock``: an unlocked scan could finish after a
+        concurrent claim and put a stale position back over it."""
+        if self._floor is None:
+            scan = self._scan("salvage")
+            self._floor = scan.base_seq
+            if self._next_seq is None:
+                self._next_seq = scan.max_seq + 1
         return self._next_seq
 
     def _claim_seq(self) -> int:
@@ -510,13 +516,15 @@ class UpdateLog:
                     continue
                 if exc.kind == "checksum":
                     scan.checksum_failures += 1
-                    if OBS.enabled:
-                        OBS.inc("fdb.wal.checksum_failures")
                 self._problem(scan, policy, problem)
                 continue
+            if frame.term > scan.max_term:
+                scan.max_term = frame.term
             if frame.kind == "header":
                 scan.base_seq = frame.payload.get("next_seq", 1) - 1
                 scan.base_term = frame.payload.get("term", frame.term)
+                if last_seq is None:
+                    scan.max_seq = scan.base_seq
             else:
                 reference = (last_seq if last_seq is not None
                              else scan.base_seq)
@@ -525,6 +533,8 @@ class UpdateLog:
                         line_no, "gap",
                         f"sequence {frame.seq} after {reference}",
                     ))
+                if last_seq is None or frame.seq > scan.max_seq:
+                    scan.max_seq = frame.seq
                 last_seq = frame.seq
                 if frame.kind == "abort":
                     scan.aborted.add(frame.payload)
@@ -552,7 +562,15 @@ class UpdateLog:
             raise ValueError(
                 f"policy must be 'strict' or 'salvage', not {policy!r}"
             )
-        return self._scan(policy)
+        scanned = self._scan(policy)
+        # Counted here, where damage is reported to a caller, and not
+        # in ``_scan``: the private passes (positioning, health, the
+        # tail check) re-read the same damaged line on every scrape.
+        # A strict scan reports damage by raising instead.
+        if OBS.enabled and scanned.checksum_failures:
+            OBS.inc("fdb.wal.checksum_failures",
+                    scanned.checksum_failures)
+        return scanned
 
     def entries(self) -> Iterator[Update | UpdateSequence]:
         """Committed entries in order: torn tails and aborted records
@@ -605,20 +623,30 @@ class UpdateLog:
     def shippable_floor(self) -> int:
         """The highest sequence number already folded away by a
         checkpoint: records at or below it cannot be shipped from this
-        log and require snapshot catch-up."""
-        return self._scan("salvage").base_seq
+        log and require snapshot catch-up. Read from what the log
+        remembers, like :meth:`last_seq`; a reading taken just before
+        a checkpoint's rename is low, never high, and the shipper's
+        ``acked + 1`` check on what it then reads catches that."""
+        with self._seq_lock:
+            self._position()
+            return self._floor
 
     # -- repair -------------------------------------------------------------
 
-    def _replace(self, lines: list[str]) -> None:
+    def _replace(self, lines: list[str],
+                 next_seq: int | None = None) -> None:
         """Atomically rename a file of ``lines`` over the log. The held
         descriptor names the inode being replaced, so it goes first;
-        everything remembered about the old file goes with it."""
+        everything remembered about the old file goes with it.
+        ``next_seq`` is for the caller that wrote no record (an empty
+        or header-only file): position and floor are then known
+        without a scan."""
         self._handle.close()
         storage.atomic_write(self.path, "".join(f"{line}\n"
                                                 for line in lines))
         with self._seq_lock:
-            self._next_seq = None  # rescan on next use
+            self._next_seq = next_seq  # None: rescan on next use
+            self._floor = None if next_seq is None else next_seq - 1
         self._cache = None
         self._health_cache = None
 
@@ -711,12 +739,13 @@ class UpdateLog:
         into the snapshot" from "new since the snapshot".
         """
         if next_seq is None or next_seq <= 1:
-            self._replace([])
+            self._replace([], next_seq=1)
             return
         meta: dict = {"next_seq": next_seq}
         if self.term:
             meta["term"] = self.term
-        self._replace([_frame(next_seq - 1, self.term, "header", meta)])
+        self._replace([_frame(next_seq - 1, self.term, "header", meta)],
+                      next_seq=next_seq)
 
     def __len__(self) -> int:
         """Number of committed entries. Cached between calls; the

@@ -165,6 +165,11 @@ def test_committed_journal_is_the_primarys_entries(tmp_path, seed,
         finally:
             FAULTS.disarm_all()
         shipper.journal_through(logged.log.last_seq())
+        # What the log remembers of its file is what a scan reads,
+        # through aborts and across the fold's rename.
+        on_disk = logged.log.scan("salvage")
+        assert logged.log.shippable_floor() == on_disk.base_seq
+        assert logged.log.last_seq() == on_disk.max_seq
     entries.extend(logged.log.entries())
 
     stream = shipper.journal()
