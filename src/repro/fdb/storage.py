@@ -1,7 +1,8 @@
 """Crash-safe filesystem primitives.
 
 Everything durable in this package goes through two operations, both
-with the fsync discipline a real store needs:
+with the fsync discipline a real store needs (:func:`read_span` is the
+read side: the bytes of a log at a known offset):
 
 * :func:`atomic_write` — publish a complete new file state with no
   window in which a reader (or a crash) can observe a partial one:
@@ -28,7 +29,7 @@ from pathlib import Path
 from repro.faults.registry import FAULTS
 
 __all__ = ["AppendHandle", "atomic_write", "append_line",
-           "fsync_directory"]
+           "read_span", "fsync_directory"]
 
 
 FAULTS.register(
@@ -147,6 +148,14 @@ class AppendHandle:
             handle, self._file = self._file, None
         if handle is not None:
             handle.close()
+
+
+def read_span(path: str | Path, offset: int, size: int) -> bytes:
+    """The ``size`` bytes of ``path`` at ``offset``: one unbuffered
+    positional read, the descriptor opened for it and closed again."""
+    with open(path, "rb", buffering=0) as handle:
+        handle.seek(offset)
+        return handle.read(size)
 
 
 def append_line(log: AppendHandle, line: str, *,

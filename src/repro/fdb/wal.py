@@ -337,12 +337,19 @@ class UpdateLog:
         # Replication epoch stamped into every subsequent record.
         self.term = term
         # What the log remembers about its file, under ``_seq_lock``:
-        # the next sequence number and the floor its header records.
-        # One scan fills both on first use, a rename drops both
-        # (``_replace``). Nothing but this object renames the file, so
-        # nothing else can move them.
+        # the next sequence number, the floor its header records, and
+        # where the records are. One scan fills the first two on first
+        # use; a rename drops all three (``_replace``). Nothing but
+        # this object renames or appends to the file, so nothing else
+        # can move them.
         self._next_seq: int | None = None
         self._floor: int | None = None
+        # The contiguous run of records at the end of the file: record
+        # ``_run_first + i`` is the bytes ``[_run[i], _run[i + 1])``.
+        # Walked on the first ``records_between`` — never on a log
+        # nobody ships from — and extended by every append after it.
+        self._run_first = 0
+        self._run: list[int] | None = None
         self._cache: tuple[int, int] | None = None  # (file size, count)
         # health(): scan results keyed on (size, mtime_ns) so /metrics
         # and /health scrapes don't rescan a quiescent log.
@@ -403,9 +410,15 @@ class UpdateLog:
         the primary's shipped stream. ``seq`` is the frame's own
         sequence number; the caller has verified the frame and that it
         extends this log. No retry: the shipper re-sends."""
-        storage.append_line(self._handle, line, fsync=self.fsync)
+        try:
+            nbytes = storage.append_line(self._handle, line,
+                                         fsync=self.fsync)
+        except BaseException:
+            self._forget_run()
+            raise
         with self._seq_lock:
             self._next_seq = seq + 1
+            self._extend_run(seq, nbytes)
         self._cache = None  # entry or abort: let __len__ recount
 
     def _position(self) -> int:
@@ -440,12 +453,16 @@ class UpdateLog:
         refuses to replay.
         """
         try:
-            return self._write_line(line)
+            nbytes = self._write_line(line)
         except BaseException:
             with self._seq_lock:
                 if self._next_seq == seq + 1:
                     self._next_seq = seq
+                self._run = None
             raise
+        with self._seq_lock:
+            self._extend_run(seq, nbytes)
+        return nbytes
 
     def _write_line(self, line: str) -> int:
         """The durable write, with transient-error retry (a failed
@@ -459,6 +476,7 @@ class UpdateLog:
                 FAULTS.fire("wal.append.after")
                 return nbytes
             except OSError as exc:
+                self._forget_run()
                 if attempt >= self.retries:
                     raise PersistenceError(
                         f"log append failed after "
@@ -469,6 +487,29 @@ class UpdateLog:
                 time.sleep(self.backoff * (2 ** attempt))
                 attempt += 1
 
+    def _extend_run(self, seq: int, nbytes: int) -> None:
+        """Record ``seq`` just landed at the end of the file in
+        ``nbytes`` bytes: the run, if one is remembered, grows by it.
+        A record that is not the run's next — a walk taken while this
+        write was in flight already counted it — forgets the run
+        instead. Caller holds ``_seq_lock``."""
+        run = self._run
+        if run is None:
+            return
+        if len(run) == 1:
+            self._run_first = seq
+        if seq == self._run_first + len(run) - 1:
+            run.append(run[-1] + nbytes)
+        else:
+            self._run = None
+
+    def _forget_run(self) -> None:
+        """After a write that failed: however much of the frame it
+        left in the file, the run's end is no longer the file's, and
+        no arithmetic on frame sizes finds where a retry lands."""
+        with self._seq_lock:
+            self._run = None
+
     def _note_appended(self, nbytes: int, committed: int) -> None:
         """Advance the ``__len__`` cache past a record this log just
         wrote; ``__len__`` still checks it against the real size."""
@@ -478,16 +519,23 @@ class UpdateLog:
 
     # -- scanning -----------------------------------------------------------
 
-    def _lines(self) -> Iterator[tuple[int, str]]:
-        """The one walk over the file: ``(line number, stripped
-        line)`` of every non-blank line; nothing for a missing file."""
+    def _lines(self) -> Iterator[tuple[int, str, bytes]]:
+        """The one walk over the file: ``(line number, stripped text,
+        the bytes as they sit in the file)`` of every line, blank ones
+        included — the byte lengths add up to each line's offset;
+        nothing for a missing file. Each line is decoded on its own,
+        so a byte that is not UTF-8 costs its line and no other: the
+        line reads as cut short there (the text before the byte, and
+        U+FFFD in its place), which no longer parses."""
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_no, raw_line in enumerate(handle, 1):
-                line = raw_line.strip()
-                if line:
-                    yield line_no, line
+        with self.path.open("rb") as handle:
+            for line_no, raw in enumerate(handle, 1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line = raw[:exc.start].decode("utf-8") + "\ufffd"
+                yield line_no, line.strip(), raw
 
     def _scan(self, policy: str) -> LogScan:
         """One streaming pass: decode, verify checksums, track
@@ -501,7 +549,9 @@ class UpdateLog:
         scan = LogScan()
         pending: LogProblem | None = None  # unparsed line, maybe a tear
         last_seq: int | None = None
-        for line_no, line in self._lines():
+        for line_no, line, _ in self._lines():
+            if not line:
+                continue
             if pending is not None:
                 # Valid data follows the bad line: interior damage,
                 # not a tear.
@@ -595,30 +645,73 @@ class UpdateLog:
     # -- shipping -----------------------------------------------------------
 
     def records_between(self, lo: int, hi: int) -> list[tuple[int, str]]:
-        """The raw framed lines of every v2 record with sequence
-        number in ``(lo, hi]``, in order — what :class:`WalShipper
+        """The raw framed lines of the records with sequence number in
+        ``(lo, hi]``, in order — what :class:`WalShipper
         <repro.replication.shipper.WalShipper>` streams to replicas.
 
-        Header records (checkpoint bookkeeping, meaningless off this
-        node) and damaged lines are skipped; abort records ship, so a
-        replica's log stays a byte-for-byte prefix copy of the
-        primary's record stream. Returns fewer records than requested
-        when a checkpoint already folded part of the range into the
-        snapshot (``base_seq > lo``) — the caller must then fall back
-        to snapshot shipping. Structural decode only: the receiving
-        replica verifies every frame before it keeps it.
+        Served from the run of records at the end of the file with one
+        positional read of exactly those bytes, so the result is always
+        consecutive: abort records ship like entries (a replica's log
+        stays a byte-for-byte prefix copy of the primary's record
+        stream), and anything that breaks the run — a header, a line
+        that does not decode, a blank line, a step in the sequence —
+        ends what can be shipped from this log at the record after it.
+        Returns fewer records than requested when the range starts
+        before the run (a checkpoint folded it into the snapshot, or
+        it lies behind a break): the caller must then fall back to
+        snapshot shipping. Structural decode only: the receiving
+        replica verifies every frame before it keeps it. The lookup
+        and the read hold the lock a rename holds, so the bytes are
+        never another generation's.
         """
-        out: list[tuple[int, str]] = []
         if hi <= lo:
-            return out
-        for _, line in self._lines():
+            return []
+        with self._seq_lock:
+            run = self._run
+            if run is None:
+                run = self._find_run()
+            first = self._run_first
+            lo = max(lo, first - 1)
+            hi = min(hi, first + len(run) - 2)
+            if hi <= lo:
+                return []
+            cuts = run[lo + 1 - first:hi + 2 - first]
+            data = storage.read_span(self.path, cuts[0],
+                                     cuts[-1] - cuts[0])
+        # A byte that rotted under the run since it was walked ships
+        # as U+FFFD and fails the replica's verify, like any damage
+        # the structural stage lets through.
+        return [(seq, data[start - cuts[0]:end - cuts[0]]
+                 .decode("utf-8", "replace").strip())
+                for seq, start, end
+                in zip(range(lo + 1, hi + 1), cuts, cuts[1:])]
+
+    def _find_run(self) -> list[int]:
+        """Walk the file for the contiguous run of records at its end
+        (see ``__init__``) and remember it. Caller holds ``_seq_lock``,
+        which keeps a rename out; an append may still land under the
+        walk, and ``_extend_run`` sorts that out."""
+        first, run, raw = 0, [0], b"\n"
+        for _, line, raw in self._lines():
+            start, end = run[-1], run[-1] + len(raw)
             try:
-                frame = decode_frame(line, verify=False)
+                seq = decode_frame(line, verify=False).seq
             except FrameError:
-                continue  # damaged or torn; scan() classifies it
-            if frame.kind != "header" and lo < frame.seq <= hi:
-                out.append((frame.seq, line))
-        return out
+                seq = None
+            if seq is None:  # damage, a blank line or a header
+                run = [end]
+            elif len(run) > 1 and seq == first + len(run) - 1:
+                run.append(end)
+            else:
+                first, run = seq, [start, end]
+        self._run_first = first
+        # Behind a final line with no newline the next append lands
+        # glued to the fragment, not where the run ends: serve this
+        # walk's answer and remember nothing. (``raw`` is the last
+        # line walked; an empty file ends clean.)
+        if raw.endswith(b"\n"):
+            self._run = run
+        return run
 
     def shippable_floor(self) -> int:
         """The highest sequence number already folded away by a
@@ -637,16 +730,22 @@ class UpdateLog:
                  next_seq: int | None = None) -> None:
         """Atomically rename a file of ``lines`` over the log. The held
         descriptor names the inode being replaced, so it goes first;
-        everything remembered about the old file goes with it.
-        ``next_seq`` is for the caller that wrote no record (an empty
-        or header-only file): position and floor are then known
-        without a scan."""
-        self._handle.close()
-        storage.atomic_write(self.path, "".join(f"{line}\n"
-                                                for line in lines))
+        everything remembered about the old file goes with it — all in
+        one locked block, so a reader that looks a record up and reads
+        its bytes under the same lock never reads them from the other
+        side of the rename. ``next_seq`` is for the caller that wrote
+        no record (an empty or header-only file): position and floor
+        are then known without a scan."""
         with self._seq_lock:
-            self._next_seq = next_seq  # None: rescan on next use
-            self._floor = None if next_seq is None else next_seq - 1
+            self._handle.close()
+            # Forgotten before the rename, not after: an exception out
+            # of it leaves nothing remembered about a file that may be
+            # gone.
+            self._next_seq = self._floor = self._run = None
+            storage.atomic_write(self.path, "".join(f"{line}\n"
+                                                    for line in lines))
+            if next_seq is not None:
+                self._next_seq, self._floor = next_seq, next_seq - 1
         self._cache = None
         self._health_cache = None
 
@@ -657,7 +756,9 @@ class UpdateLog:
         history extends). Returns how many records were dropped."""
         kept: list[str] = []
         dropped = 0
-        for _, line in self._lines():
+        for _, line, _ in self._lines():
+            if not line:
+                continue
             try:
                 line_seq = decode_frame(line, verify=False).seq
             except FrameError as exc:
@@ -683,7 +784,8 @@ class UpdateLog:
         not a tear, and scan()/recover() must report it."""
         if not self.tail_is_torn:
             return False
-        self._replace([line for _, line in self._lines()][:-1])
+        self._replace([line for _, line, _ in self._lines()
+                       if line][:-1])
         if OBS.enabled:
             OBS.inc("fdb.wal.torn_tails_discarded")
             OBS.action("wal.torn_tail_discarded", path=str(self.path))

@@ -15,7 +15,8 @@ The replica speaks the shipper's message protocol via :meth:`handle`:
 * ``append`` — a batch of raw framed v2 records ``(applied_seq, hi]``
   plus the ``through_seq`` high-water mark. Records the replica
   already holds are skipped (re-shipment after a lost ack), a gap
-  means the shipper must back up (reply ``error: gap``), and a term
+  — before the batch or inside it — means the shipper must back up
+  (reply ``error: gap``, nothing of the batch kept), and a term
   below the replica's own is refused outright (``error: stale-term``
   — a deposed primary must never extend a follower's history).
 * ``snapshot`` — full-state catch-up: install the snapshot, reset the
@@ -192,7 +193,12 @@ class Replica:
             return refused("bad-record", ": a header record never ships")
         fresh = [frame for frame in frames
                  if frame.seq > self.applied_seq]
-        if fresh and fresh[0].seq != self.applied_seq + 1:
+        # Every fresh frame is its predecessor's successor, not just
+        # the first: acking past a hole would claim a record this copy
+        # never received, and leave a local log strict recovery
+        # refuses.
+        if any(frame.seq != seq for seq, frame
+               in enumerate(fresh, self.applied_seq + 1)):
             return refused("gap")
         # The last frame this copy holds once the batch is in. The ack
         # goes that far — past trailing abort records, which apply

@@ -335,15 +335,25 @@ def _refit(line, **changes):
                       sort_keys=True)
 
 
+def _rotten_byte(line):
+    """``line`` as bytes with one of them no longer UTF-8."""
+    raw = bytearray(line.encode("utf-8"))
+    raw[20] = 0xFF
+    return bytes(raw)
+
+
 # One row per way a line can be damaged: how to damage the second of
-# three records, the problem kind a scan files it under ("fatal": a
-# checksum-valid record this reader cannot decode — never skipped),
-# whether it reads as a torn tail when it is the final line, and what
-# the fence truncation does with it ("seq": judged by the sequence
-# number still readable on it; "keep" / "drop": regardless of the cut).
+# three records (the damaged line comes back as text, or as bytes where
+# it no longer is text), the problem kind a scan files it under
+# ("fatal": a checksum-valid record this reader cannot decode — never
+# skipped), whether it reads as a torn tail when it is the final line,
+# and what the fence truncation does with it ("seq": judged by the
+# sequence number still readable on it; "keep" / "drop": regardless of
+# the cut).
 DAMAGED_LINES = {
     "truncated-json": (lambda line: line[:len(line) // 2],
                        "parse", True, "drop"),
+    "non-utf8-byte": (_rotten_byte, "parse", True, "drop"),
     "non-object-json": (lambda line: "[1, 2]", "parse", True, "keep"),
     "missing-version": (lambda line: _refit(line, v=None),
                         "parse", False, "seq"),
@@ -361,6 +371,19 @@ DAMAGED_LINES = {
 }
 
 
+def _bootstrapped_replica(workdir, closing):
+    """A replica holding the empty pupil database, at sequence 0."""
+    from repro.replication import Replica
+
+    replica = closing(Replica("r0", workdir))
+    assert replica.handle({
+        "type": "snapshot", "term": 1, "wal_applied": 0,
+        "snapshot": persistence.dumps(pupil_database(),
+                                      wal_applied=0, term=1),
+    })["ok"]
+    return replica
+
+
 @pytest.mark.parametrize("case", DAMAGED_LINES)
 class TestDamagedLineTable:
     """Every reader of a log line gives a damaged one the same
@@ -369,17 +392,22 @@ class TestDamagedLineTable:
 
     @pytest.fixture
     def damaged(self, case, setup):
+        """The log's path, its three lines and the damaged second one
+        — all as bytes, which is what a file holds."""
         logged, _, log_path = setup
         for update in section_42_updates()[:3]:
             logged.execute(update)
         logged.close()
-        lines = log_path.read_text(encoding="utf-8").splitlines()
+        lines = log_path.read_bytes().splitlines()
         damage, kind, tear, cut = DAMAGED_LINES[case]
-        return log_path, lines, damage(lines[1]), kind, tear, cut
+        bad = damage(lines[1].decode("utf-8"))
+        if isinstance(bad, str):
+            bad = bad.encode("utf-8")
+        return log_path, lines, bad, kind, tear, cut
 
     def test_scans_classify_it(self, damaged):
         log_path, lines, bad, kind, _, _ = damaged
-        log_path.write_text("\n".join([lines[0], bad, lines[2]]) + "\n")
+        log_path.write_bytes(b"\n".join([lines[0], bad, lines[2]]) + b"\n")
         log = UpdateLog(log_path)
         match = "undecodable" if kind == "fatal" else kind
         with pytest.raises(PersistenceError, match=match):
@@ -398,7 +426,7 @@ class TestDamagedLineTable:
 
     def test_as_the_final_line(self, damaged):
         log_path, lines, bad, kind, tear, _ = damaged
-        log_path.write_text("\n".join([lines[0], bad]) + "\n")
+        log_path.write_bytes(b"\n".join([lines[0], bad]) + b"\n")
         log = UpdateLog(log_path)
         if kind == "fatal":
             with pytest.raises(PersistenceError, match="undecodable"):
@@ -414,22 +442,17 @@ class TestDamagedLineTable:
         assert [p.kind for p in scan.problems] \
             == ["torn-tail" if tear else kind]
         assert log.discard_torn_tail() is tear
-        assert (bad in log_path.read_text()) is not tear
+        assert (bad in log_path.read_bytes()) is not tear
 
     def test_a_replica_refuses_it(self, damaged, tmp_path, closing):
-        from repro.replication import Replica
-
         _, lines, bad, _, _, _ = damaged
-        replica = closing(Replica("r0", tmp_path / "r0"))
-        reply = replica.handle({
-            "type": "snapshot", "term": 1, "wal_applied": 0,
-            "snapshot": persistence.dumps(pupil_database(),
-                                          wal_applied=0, term=1),
-        })
-        assert reply["ok"]
+        replica = _bootstrapped_replica(tmp_path / "r0", closing)
+        # The wire carries text: what is not arrives as U+FFFD.
         reply = replica.handle({
             "type": "append", "term": 1,
-            "records": [lines[0], bad, lines[2]], "through_seq": 3,
+            "records": [line.decode("utf-8", "replace")
+                        for line in (lines[0], bad, lines[2])],
+            "through_seq": 3,
         })
         assert not reply["ok"] and "bad-record" in reply["error"]
         # Refused whole: nothing of the batch was kept or applied.
@@ -437,16 +460,90 @@ class TestDamagedLineTable:
 
     def test_fence_truncation(self, damaged):
         log_path, lines, bad, _, _, cut = damaged
-        body = "\n".join([lines[0], bad, lines[2]]) + "\n"
-        log_path.write_text(body)
+        body = b"\n".join([lines[0], bad, lines[2]]) + b"\n"
+        log_path.write_bytes(body)
         # A cut above every record: only an unreadable line goes.
         assert UpdateLog(log_path).truncate_to(5) == (cut == "drop")
-        assert (bad in log_path.read_text()) is (cut != "drop")
+        assert (bad in log_path.read_bytes()) is (cut != "drop")
         # A cut below the damaged line's own sequence number.
-        log_path.write_text(body)
+        log_path.write_bytes(body)
         assert UpdateLog(log_path).truncate_to(1) == 2 - (cut == "keep")
-        assert (bad in log_path.read_text()) is (cut == "keep")
-        assert lines[2] not in log_path.read_text()
+        assert (bad in log_path.read_bytes()) is (cut == "keep")
+        assert lines[2] not in log_path.read_bytes()
+
+    def test_the_log_goes_on(self, damaged):
+        """Damage costs its own line and no reader its life: the
+        monitoring view, the position and the next append all still
+        work, and shipping resumes at the record behind the break."""
+        log_path, lines, bad, kind, _, _ = damaged
+        log_path.write_bytes(b"\n".join([lines[0], bad, lines[2]]) + b"\n")
+        log = UpdateLog(log_path)
+        if kind == "fatal":
+            with pytest.raises(PersistenceError, match="undecodable"):
+                log.health()
+            return
+        health = log.health()
+        assert (health["last_seq"], health["problems"]) == (3, 2)
+        assert health["tail_torn"] is False
+        assert log.last_seq() == 3
+        try:
+            assert log.append(Update.ins("teach", "gauss", "cs")) == 4
+        finally:
+            log.close()
+        assert [r.seq for r in log.scan("salvage").records] == [1, 3, 4]
+        # A line only its checksum condemns still decodes structurally
+        # and ships (the replica's verify refuses it); any other ends
+        # what can be shipped before it: never a batch with a hole.
+        assert [seq for seq, _ in log.records_between(0, 4)] \
+            == ([1, 2, 3, 4] if kind == "checksum" else [3, 4])
+
+
+class TestHoledBatch:
+    """Six commits and the third one's line cut in half: neither end
+    of a link lets records 4..6 through to a replica that lacks 3."""
+
+    @pytest.fixture
+    def six(self, setup):
+        logged, _, log_path = setup
+        for i in range(6):
+            logged.execute(Update.ins("teach", f"t{i}", f"s{i}"))
+        logged.close()
+        return log_path, log_path.read_text().splitlines()
+
+    @pytest.fixture
+    def replica(self, tmp_path, closing):
+        return _bootstrapped_replica(tmp_path / "r0", closing)
+
+    def test_the_replica_refuses_the_batch_whole(self, six, replica):
+        _, lines = six
+        reply = replica.handle({
+            "type": "append", "term": 1,
+            "records": lines[:2] + lines[3:], "through_seq": 6,
+        })
+        assert reply == {"ok": False, "error": "gap", "applied_seq": 0}
+        assert len(replica.log) == 0
+        assert replica.db.table("teach").get("t0", "s0") is None
+        # Its own log still recovers, and the unbroken stream lands.
+        replica.log.scan("strict")
+        assert replica.handle({
+            "type": "append", "term": 1, "records": lines,
+            "through_seq": 6})["applied_seq"] == 6
+
+    def test_the_primary_never_composes_it(self, six, replica):
+        from repro.replication import SnapshotNeeded, WalShipper
+        from repro.replication.transport import InProcessTransport
+
+        log_path, lines = six
+        lines[2] = lines[2][:len(lines[2]) // 2]
+        log_path.write_text("\n".join(lines) + "\n")
+        log = UpdateLog(log_path)
+        assert [seq for seq, _ in log.records_between(0, 6)] == [4, 5, 6]
+        shipper = WalShipper(log, term=1)
+        link = shipper.add("r0", InProcessTransport(replica.handle))
+        link.needs_snapshot = False
+        with pytest.raises(SnapshotNeeded):
+            shipper.ship(link, 6)
+        assert replica.applied_seq == 0 and len(replica.log) == 0
 
 
 class TestShippingSurface:

@@ -1,19 +1,27 @@
 """What an ``UpdateLog`` remembers about its file: the next sequence
-number and the header's floor, filled by one scan, dropped at every
-rename, never re-derived per ship. See docs/REPLICATION.md
-("shipping") and docs/DURABILITY.md ("what the log remembers")."""
+number and the header's floor, filled by one scan, and where the
+records are, filled by one walk and extended by every append — all
+dropped at every rename, none re-derived per ship. See
+docs/REPLICATION.md ("shipping") and docs/DURABILITY.md ("what the log
+remembers")."""
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
+import time
 
 import pytest
 
-from repro.fdb import persistence
+from repro.errors import PersistenceError
+from repro.faults import FAULTS, ErrorFault, TransientError
+from repro.faults.harness import states_diff
+from repro.fdb import persistence, storage
 from repro.fdb import wal as wal_module
 from repro.fdb.updates import Update
 from repro.fdb.wal import (
+    FrameError,
     LoggedDatabase,
     UpdateLog,
     checkpoint,
@@ -30,7 +38,7 @@ from repro.service import DatabaseService
 from repro.workloads.university import pupil_database
 from tests.test_replication_obs import _scrub
 from tests.test_replication_properties import _state_fingerprint
-from tests.test_wal import _corrupt_crc
+from tests.test_wal import _corrupt_crc, _rotten_byte
 
 
 def teach(i: int) -> Update:
@@ -215,6 +223,26 @@ class TestPromotedReplicaLog:
         assert replica.log.last_seq() == 8
         self.refuses_a_late_replica(replica.log)
 
+    def test_serves_the_frames_it_was_shipped(self, stream, tmp_path,
+                                              closing, walks):
+        """Asked as a primary, it hands on byte for byte what it took
+        in, and walks its file for that once."""
+        snapshot, records = stream
+        replica = closing(Replica("r0", tmp_path / "r0"))
+        self.install(replica, snapshot, records)
+        log = replica.log
+        assert log.records_between(5, 7) == records[:2]
+        walked = len(walks)
+        assert replica.handle({
+            "type": "append", "term": 1, "records": [records[2][1]],
+            "through_seq": 8})["ok"]
+        assert log.records_between(5, 8) == records
+        assert log.records_between(7, 8) == records[2:]
+        assert log.records_between(6, 7) == records[1:2]
+        assert log.records_between(0, 99) == records  # clipped to the run
+        assert log.records_between(8, 9) == []
+        assert len(walks) == walked
+
 
 # -- (b) no whole-file walk where a field will do ------------------------------
 
@@ -276,18 +304,91 @@ def quorum(tmp_path, closing):
 
 
 def test_quorum_commits_walk_the_file_once_per_ship(walks, quorum):
+    """Not once per ship any more: once for the position and the
+    floor, once for the run, both by the end of the first commit, and
+    never again however many commits and links follow."""
     service, group, _ = quorum
     primary = service.logged.log.path
-    for i in range(50):
+    service.execute(teach(0))
+    first = [chain for path, chain in walks if path == primary]
+    for i in range(1, 50):
         service.execute(teach(i))
     assert all(link.acked_seq == 50 for link in group.shipper.links())
-    mine = [chain for path, chain in walks if path == primary]
-    ships = [chain for chain in mine if chain[0] == "records_between"]
-    assert len(ships) == 100  # 50 commits x 2 links
-    # Besides those, the one positioning scan (whichever reader got
-    # there first); after it the floor and the position are fields.
-    (positioning,) = [chain for chain in mine if chain not in ships]
-    assert positioning[:2] == ("_scan", "_position")
+    assert [chain for path, chain in walks if path == primary] == first
+    assert sorted(chain[:2] for chain in first) == [
+        ("_find_run", "records_between"), ("_scan", "_position")]
+
+
+def test_a_ship_reads_its_batch_and_nothing_else(quorum, monkeypatch):
+    """One positional read per ship, of the bytes of the one frame
+    just committed — at commit 5 as at commit 500."""
+    service, _, _ = quorum
+    path = service.logged.log.path
+    reads: list[bytes] = []
+    real = storage.read_span
+
+    def spy(read_path, offset, size):
+        data = real(read_path, offset, size)
+        if read_path == path:
+            reads.append(data)
+        return data
+
+    monkeypatch.setattr(storage, "read_span", spy)
+    for i in range(1, 501):
+        del reads[:]
+        service.execute(teach(i))
+        if i in (5, 500):
+            frame = path.read_bytes().splitlines(keepends=True)[-1]
+            assert reads == [frame, frame]  # one per link
+
+
+def test_a_retried_write_is_served_from_where_it_landed(
+        logged, monkeypatch):
+    """A write whose fsync fails has landed all the same, and the
+    retry lands again behind it: the file's end is one frame further
+    than the frame sizes add up to. The run is forgotten with the
+    failure and walked again, not extended past it."""
+    log = logged.log
+    for i in range(3):
+        logged.execute(teach(i))
+    assert [seq for seq, _ in log.records_between(0, 3)] == [1, 2, 3]
+    real, failed = storage.os.fsync, []
+
+    def fsync_fails_once(fd):
+        if not failed:
+            failed.append(fd)
+            raise OSError("injected fsync failure")
+        real(fd)
+
+    monkeypatch.setattr(storage.os, "fsync", fsync_fails_once)
+    logged.execute(teach(3))
+    monkeypatch.undo()
+    logged.execute(teach(4))
+    assert failed
+    lines = log.path.read_text().splitlines()
+    assert [decode_frame(line).seq for line in lines] \
+        == [1, 2, 3, 4, 4, 5]
+    # The run at the end of the file starts at the second copy of 4.
+    assert log.records_between(0, 5) == [(4, lines[4]), (5, lines[5])]
+    assert log.records_between(4, 5) == [(5, lines[5])]
+
+
+def test_a_byte_rotting_under_the_run_costs_its_line_only(logged):
+    """The run is offsets, not a verdict: a record that rots in place
+    after the walk still ships — as text, whatever its bytes are now —
+    and the replica's verify is what refuses it."""
+    log = logged.log
+    for i in range(3):
+        logged.execute(teach(i))
+    good = log.records_between(0, 3)
+    raw = bytearray(log.path.read_bytes())
+    raw[len(good[0][1]) + 1 + 20] = 0xFF  # byte 20 of the second line
+    log.path.write_bytes(bytes(raw))
+    served = log.records_between(0, 3)
+    assert [seq for seq, _ in served] == [1, 2, 3]
+    assert (served[0], served[2]) == (good[0], good[2])
+    with pytest.raises(PersistenceError):
+        decode_frame(served[1][1])
 
 
 # -- the checksum counter counts damage, not scans ----------------------------
@@ -407,3 +508,250 @@ def test_commits_racing_checkpoints_keep_replicas_whole(quorum):
     assert failures == []
     assert service.stats()["checkpoints"] > 0
     replicas_are_whole(service, group, 200)
+
+
+# -- (c) the run is the file's: a reference walk as the oracle -----------------
+
+
+def reference_walk(path) -> tuple[list[tuple[int, str]], int]:
+    """What ``records_between`` was before the log remembered anything:
+    every line of the file that structurally decodes to a record, as
+    ``(seq, line)`` in file order — and the index of the first record
+    behind the last structural break (a line that does not decode, a
+    blank line, a header, a step in the sequence), which is where the
+    run a log may ship from starts."""
+    records: list[tuple[int, str]] = []
+    run = 0
+    if not path.exists():
+        return records, run
+    for raw in path.read_bytes().split(b"\n")[:-1]:
+        try:
+            line = raw.decode("utf-8").strip()
+            frame = decode_frame(line, verify=False)
+        except (UnicodeDecodeError, FrameError):
+            run = len(records)
+            continue
+        if frame.kind == "header":
+            run = len(records)
+            continue
+        if len(records) > run and frame.seq != records[-1][0] + 1:
+            run = len(records)
+        records.append((frame.seq, line))
+    return records, run
+
+
+def agrees_with_the_walk(log: UpdateLog, rng: random.Random, *,
+                         behind_the_break: bool = False) -> None:
+    """``records_between`` over random ranges (and the whole log)
+    against the reference walk of the same file, line for line."""
+    records, run = reference_walk(log.path)
+    if behind_the_break:
+        records = records[run:]
+    else:
+        log.scan("strict")  # the claim is about logs recovery accepts
+    top = max((seq for seq, _ in records), default=0) + 2
+    ranges = [(0, top)] + [(rng.randint(-1, top), rng.randint(-1, top))
+                           for _ in range(6)]
+    for lo, hi in ranges:
+        assert log.records_between(lo, hi) \
+            == [item for item in records if lo < item[0] <= hi], (lo, hi)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_records_between_is_the_reference_walk(seed, logged, tmp_path,
+                                               closing):
+    rng = random.Random(seed)
+    log = logged.log
+    log.backoff = 0.0
+    snapshot = tmp_path / "snapshot.json"
+    count = iter(range(10**6))
+
+    def append():
+        logged.execute(teach(next(count)))
+
+    def aborted():
+        FAULTS.arm("wal.apply.before", ErrorFault(times=1))
+        try:
+            with pytest.raises(RuntimeError):
+                append()
+        finally:
+            FAULTS.disarm_all()
+
+    def exhausted():
+        """No attempt writes a byte; the claim is given back."""
+        FAULTS.arm("storage.append.payload",
+                   TransientError(times=log.retries + 1))
+        try:
+            with pytest.raises(PersistenceError):
+                append()
+        finally:
+            FAULTS.disarm_all()
+
+    def fold():
+        checkpoint(logged, snapshot)
+
+    def fence():
+        log.truncate_to(log.last_seq() - rng.randint(0, 3))
+
+    def tear():
+        """A crash's fragment behind the last record, asked about
+        while it is there, then repaired."""
+        logged.close()
+        with log.path.open("ab") as handle:
+            handle.write(b'{"seq": 9, "ent')
+        agrees_with_the_walk(log, rng)
+        assert log.discard_torn_tail()
+
+    def second():
+        """Another log object on the path walks for itself."""
+        other = closing(UpdateLog(log.path))
+        agrees_with_the_walk(other, rng)
+
+    steps = [append] * 6 + [aborted, exhausted, fold, fence, tear, second]
+    agrees_with_the_walk(log, rng)
+    for _ in range(60):
+        rng.choice(steps)()
+        agrees_with_the_walk(log, rng)
+    # Every frame served is the file's, byte for byte.
+    frames = log.path.read_bytes().splitlines()
+    for _, line in log.records_between(0, log.last_seq()):
+        assert line.encode("utf-8") in frames
+
+
+def _cut_in_half(lines, at):
+    lines[at] = lines[at][:len(lines[at]) // 2]
+
+
+def _blank_line(lines, at):
+    lines.insert(at, b"")
+
+
+def _lost_line(lines, at):
+    del lines[at]
+
+
+def _stray_header(lines, at):
+    lines.insert(at, wal_module._frame(
+        0, 0, "header", {"next_seq": 1}).encode("utf-8"))
+
+
+def _rotten_line(lines, at):
+    lines[at] = _rotten_byte(lines[at].decode("utf-8"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("damage", [
+    _cut_in_half, _blank_line, _lost_line, _stray_header, _rotten_line])
+def test_behind_a_break_it_is_the_walk_after_the_break(
+        damage, seed, logged, closing):
+    rng = random.Random(seed)
+    for i in range(12):
+        logged.execute(teach(i))
+    logged.close()
+    lines = logged.log.path.read_bytes().splitlines()
+    at = rng.randint(1, 10)
+    damage(lines, at)
+    logged.log.path.write_bytes(b"\n".join(lines) + b"\n")
+    log = closing(UpdateLog(logged.log.path))
+    records, run = reference_walk(log.path)
+    assert 0 < run < len(records)  # the break is interior
+    agrees_with_the_walk(log, rng, behind_the_break=True)
+    # Never a hole: what ships is consecutive and ends at the last
+    # record; appends extend it from there.
+    for i in range(12, 16):
+        log.append(teach(i))
+        served = log.records_between(0, 99)
+        assert [seq for seq, _ in served] \
+            == list(range(served[0][0], log.last_seq() + 1))
+        agrees_with_the_walk(log, rng, behind_the_break=True)
+
+
+def test_a_replica_behind_a_break_converges_by_snapshot(tmp_path,
+                                                        closing):
+    """End to end: the primary's log loses its third line, a replica
+    that holds nothing yet comes back. Records 4..6 alone would leave
+    it acked at 6 without ``(t2, c2)``; it is brought up by snapshot
+    instead, and its own log recovers."""
+    db = pupil_database()
+    path = tmp_path / "wal.log"
+    logged = closing(LoggedDatabase(db, path))
+    group = closing(ReplicationGroup("quorum", ack_timeout=10.0,
+                                     retry_interval=0.001))
+    group.attach_primary(logged)
+    for name in ("r0", "r1"):
+        group.add_replica(name, RecordingReplica(name, tmp_path / name))
+    late = group.replica("r1")
+    late.crash()
+    for i in range(6):
+        group.on_commit(logged.execute(teach(i)))
+    assert group.shipper.link("r1").acked_seq == 0
+    logged.close()
+    lines = path.read_bytes().splitlines()
+    _cut_in_half(lines, 2)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    # The primary comes back over the damaged file with a new log
+    # object; the link to the late replica carries over.
+    group.attach_primary(closing(LoggedDatabase(db, path)))
+    late.restart()
+    del late.appends[:]  # what it was sent while it was down
+    assert group.sync_all()["lagging"] == []
+    assert late.applied_seq == 6
+    assert late.appends == []  # nothing reached it as an append
+    assert states_diff(db, late.db) is None
+    late.log.scan("strict")
+
+
+# -- a read races a rename ----------------------------------------------------
+
+
+def test_reads_racing_renames_never_cross_generations(logged, tmp_path):
+    """One thread commits and folds, another keeps asking for the last
+    three records: whatever comes back is the record it is labelled
+    as — never bytes found at an old generation's offsets in the new
+    file — and no call raises."""
+    log = logged.log
+    snapshot = tmp_path / "snapshot.json"
+    stop = time.monotonic() + 2.0
+    failures: list[BaseException] = []
+    served = []
+
+    def write() -> None:
+        try:
+            i = 0
+            while time.monotonic() < stop:
+                for _ in range(rng.randint(1, 6)):
+                    logged.execute(teach(i))
+                    i += 1
+                checkpoint(logged, snapshot)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    def read() -> None:
+        try:
+            while time.monotonic() < stop:
+                last = log.last_seq()
+                records = log.records_between(last - 3, last)
+                for seq, line in records:
+                    assert decode_frame(line, verify=False).seq == seq
+                served.append(len(records))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    rng = random.Random(0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=write),
+                   threading.Thread(target=read),
+                   threading.Thread(target=read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert any(served)  # some reads did land on records
+    # Quiescent again, the log agrees with its file.
+    agrees_with_the_walk(log, rng)
