@@ -1,7 +1,7 @@
 """The E20 driver's spread gate, checked before the driver does.
 
-    python3 benchmarks/gate_check.py --workload W \
-        --parent-median [METRIC=]M [[METRIC=]M ...] [--seeds 1-10]
+    python3 benchmarks/gate_check.py --workload W [--workload W2 ...] \
+        --parent-median [W/][METRIC=]M [...] [--seeds 1-10]
 
 The driver refuses a change when, over its runs, the distance between
 the quartiles of an end-to-end metric exceeds 25 % of the *parent's*
@@ -10,9 +10,11 @@ carries its own noise past it (PR 12 and the first PR 13 learnt that
 only at the driver). This runs ``e20_layer_budget/run.py`` once per
 seed on the working tree, untraced and each in its own process, and
 prints per end-to-end metric the median, the quartiles, their
-distance and the headroom left under ``0.25 x M``. A bare ``M`` is the
-parent's median ``ops_per_s``. Exit 1 when a run is incorrect or has
-failed operations, or a given bound is exceeded.
+distance and the headroom left under ``0.25 x M`` — one table per
+workload. A bare ``M`` is the parent's median ``ops_per_s``; the
+``W/`` part says whose, and may be left out when one workload is
+checked. Exit 1 when a run is incorrect or has failed operations, or
+a given bound is exceeded, on any workload.
 """
 
 from __future__ import annotations
@@ -38,11 +40,20 @@ def seeds_of(text: str) -> list[int]:
     return seeds
 
 
-def medians_of(items: list[str]) -> dict[str, float]:
-    medians = {}
+def medians_of(items: list[str],
+               workloads: list[str]) -> dict[str, dict[str, float]]:
+    """``[W/][METRIC=]M`` items as ``{workload: {metric: median}}``."""
+    medians: dict[str, dict[str, float]] = {w: {} for w in workloads}
     for item in items:
-        name, _, value = item.rpartition("=")
-        medians[name or "ops_per_s"] = float(value)
+        workload, _, rest = item.rpartition("/")
+        if not workload and len(workloads) == 1:
+            workload = workloads[0]
+        if workload not in medians:
+            raise SystemExit(
+                f"--parent-median {item}: say which workload it is of "
+                f"({', '.join(workloads)}) as W/{rest}")
+        name, _, value = rest.rpartition("=")
+        medians[workload][name or "ops_per_s"] = float(value)
     return medians
 
 
@@ -59,21 +70,15 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--parent-median", nargs="+", required=True,
-                        metavar="[METRIC=]M")
-    parser.add_argument("--seeds", type=seeds_of, default=seeds_of("1-10"))
-    parser.add_argument("--seconds", type=float, default=10.0)
-    args = parser.parse_args(argv)
-    parents = medians_of(args.parent_median)
-
+def check(workload: str, parents: dict[str, float],
+          seeds: list[int], seconds: float) -> bool:
+    """Run one workload over ``seeds`` and print its table; whether
+    every run was good and every given bound held."""
     runs: dict[str, list[float]] = {}
     units: dict[str, str] = {}
     bad = 0
-    for seed in args.seeds:
-        result = run_once(args.workload, seed, args.seconds)
+    for seed in seeds:
+        result = run_once(workload, seed, seconds)
         ok = result["correct"] and not result["failed"]
         bad += not ok
         shown = []
@@ -85,8 +90,7 @@ def main(argv: list[str] | None = None) -> int:
               f"failed {result['failed']}/{result['attempted']}  "
               + "  ".join(shown), flush=True)
 
-    print(f"\n{args.workload}: {len(args.seeds)} runs, "
-          f"{args.seconds:g} s each")
+    print(f"\n{workload}: {len(seeds)} runs, {seconds:g} s each")
     print(f"{'metric':<20} {'median':>10} {'q1':>10} {'q3':>10} "
           f"{'q3-q1':>9} {'bound':>9} {'headroom':>9}")
     over = 0
@@ -105,7 +109,23 @@ def main(argv: list[str] | None = None) -> int:
     if over:
         print(f"{over} metric(s) spread wider than "
               f"{SPREAD_SHARE:.0%} of the parent's median")
-    return 1 if bad or over else 0
+    print(flush=True)
+    return not (bad or over)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--parent-median", nargs="+", required=True,
+                        metavar="[W/][METRIC=]M")
+    parser.add_argument("--seeds", type=seeds_of, default=seeds_of("1-10"))
+    parser.add_argument("--seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+    parents = medians_of(args.parent_median, args.workload)
+    # Every workload runs, so one refusal does not hide the next.
+    held = [check(workload, parents[workload], args.seeds, args.seconds)
+            for workload in args.workload]
+    return 0 if all(held) else 1
 
 
 if __name__ == "__main__":

@@ -341,14 +341,44 @@ class FunctionalDatabase:
             "next_null_index": self.nulls.next_index,
         }
 
-    def structure_fault(self) -> str | None:
+    def structure_fault(
+            self, records: list[tuple] | None = None) -> str | None:
         """The first contradiction in the stored structure, or None:
-        every table's indices against its facts
-        (:meth:`FunctionTable.fault`) and Section 4's NC <-> NCL
-        pairing in both directions — an NC's members are stored,
-        ambiguous and point back at it; a fact's NCL names only live
-        NCs that list the fact. O(instance)."""
-        for nc in self.ncs:
+        a table's indices against its facts
+        (:meth:`FunctionTable.fault`), Section 4's NC <-> NCL pairing
+        in both directions — an NC's members are stored, ambiguous and
+        point back at it; a fact's NCL names only live NCs that list
+        the fact — and both index counters ahead of everything stored.
+
+        Called bare it looks at every table and every NC:
+        O(instance). Called with a transaction's undo ``records``
+        (:attr:`repro.fdb.transaction.Transaction.records`) it looks
+        at what they name: each table that owns a ``"fact"`` or
+        ``"ncl"`` record, whole, and each still-live NC of an ``"nc"``
+        or ``"ncl"`` record. Every mutation primitive records the
+        table it writes, so a table no record names is as the last
+        bare call found it."""
+        if records is None:
+            tables, ncs = self._tables.values(), self.ncs
+        else:
+            # Dicts, not sets: first-seen order, so the first fault
+            # named does not depend on hashing.
+            tables, named = {}, {}
+            for owner, op, *change in records:
+                if op == "fact":
+                    tables[owner] = None
+                elif op == "ncl":
+                    tables[owner] = None
+                    named[change[1]] = None
+                elif op == "nc":
+                    named[change[0]] = None
+            ncs = [self.ncs.get(index) for index in named
+                   if index in self.ncs]
+        next_nc, next_null = self.ncs.next_index, self.nulls.next_index
+        for nc in ncs:
+            if nc.index >= next_nc:
+                return (f"NC g{nc.index} is at or past the NC counter "
+                        f"g{next_nc}")
             for ref in nc.members:
                 fact = self.table(ref.function).get(ref.x, ref.y)
                 if fact is None:
@@ -357,10 +387,16 @@ class FunctionalDatabase:
                     return f"fact {ref} lacks NCL entry g{nc.index}"
                 if fact.truth is not Truth.AMBIGUOUS:
                     return f"NC member {ref} is not ambiguous"
-        for name, table in self._tables.items():
+        for table in tables:
+            name = table.name
             fault = table.fault()
             if fault is not None:
                 return fault
+            for null in (*(fact.x for fact in table.null_x_facts()),
+                         *(fact.y for fact in table.null_y_facts())):
+                if null.index >= next_null:
+                    return (f"{name}: stored null {null} is at or past "
+                            f"the null counter n{next_null}")
             for fact in table.facts():
                 for index in fact.ncl:
                     if (index not in self.ncs or fact.ref(name)

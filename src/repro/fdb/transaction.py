@@ -56,6 +56,13 @@ class Transaction:
         self._db = db
         self._entered = False
 
+    @property
+    def records(self) -> list[tuple] | None:
+        """The undo records of the open block, oldest first (formats
+        in :mod:`repro.fdb.undo`) — the live list, to read and not to
+        change; ``None`` outside the block."""
+        return self._db._undo.records if self._entered else None
+
     def __enter__(self) -> "Transaction":
         if self._entered:
             raise TransactionError("transaction already entered")

@@ -889,12 +889,15 @@ class LoggedDatabase:
     live state never diverge.
 
     Every later replay has to reproduce the state a logged update
-    leaves, so before the update commits the whole stored structure
-    is checked against itself (``db.structure_fault()``) and a
-    contradiction aborts it like any other failure. That check is
-    the one O(instance) cost left on a logged commit; ROADMAP ("E20
-    re-baseline") says why it is not yet narrowed to the facts the
-    undo records name.
+    leaves, so before the update commits the stored structure is
+    checked against itself (``db.structure_fault(txn.records)``) and
+    a contradiction aborts it like any other failure. The check
+    follows the transaction: the tables its undo records name, every
+    row, and the NCs they name — a table no record names was not
+    written, so it is as the last whole-instance check left it, and
+    those run where O(instance) is paid anyway (snapshot load,
+    :func:`recover` after replay, :func:`checkpoint` before the
+    snapshot).
     """
 
     def __init__(self, db: FunctionalDatabase,
@@ -914,10 +917,10 @@ class LoggedDatabase:
         with OBS.span("wal.commit"):
             seq = self.log.append(update)
         try:
-            with Transaction(self.db):
+            with Transaction(self.db) as txn:
                 FAULTS.fire("wal.apply.before")
                 apply_entry(self.db, update)
-                fault = self.db.structure_fault()
+                fault = self.db.structure_fault(txn.records)
                 if fault is not None:
                     raise StructureError(fault)
         except Exception:
@@ -1000,7 +1003,15 @@ def checkpoint(logged: LoggedDatabase,
     which :func:`recover` reconciles by skipping already-folded
     sequence numbers. There is no window in which committed state is
     only partially on disk.
+
+    A commit checks the tables it wrote; the whole instance is checked
+    here, before anything is written, and a contradiction raises
+    :class:`StructureError` with the old snapshot and the log as they
+    were — a pair that still recovers every committed update.
     """
+    fault = logged.db.structure_fault()
+    if fault is not None:
+        raise StructureError(f"checkpoint refused: {fault}")
     if OBS.enabled:
         OBS.inc("fdb.wal.checkpoints")
     FAULTS.fire("wal.checkpoint.before-snapshot")
@@ -1025,6 +1036,10 @@ def recover(snapshot_path: str | Path, log_path: str | Path, *,
     applies every record that survives its checksum and reports the
     rest. Records the snapshot already folded in (by sequence number),
     aborted records, and a torn final line are skipped under both.
+    Replay applies entries without the per-commit check, so when it
+    applied any the whole structure is checked once at the end
+    (strict raises, salvage notes it); with none applied the state is
+    the one :func:`persistence.load_with_meta` just checked.
     """
     db, meta = persistence.load_with_meta(snapshot_path)
     log = UpdateLog(log_path)
@@ -1061,6 +1076,12 @@ def recover(snapshot_path: str | Path, log_path: str | Path, *,
             )
             continue
         applied += 1
+    fault = db.structure_fault() if applied else None
+    if fault is not None:
+        note = f"replayed state is inconsistent: {fault}"
+        if policy == "strict":
+            raise PersistenceError(note)
+        notes.append(note)
     aborted = sum(f.kind == "entry" for f in scan.records) - len(live)
     skipped += sum(1 for p in scan.problems
                    if p.kind in ("checksum", "parse"))

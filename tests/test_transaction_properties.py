@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,52 @@ def test_wal_abort_leaves_live_state_equal_to_recovery(
     assert recovered.aborted == len(aborted & set(range(len(steps))))
     assert states_diff(twin, db) is None
     assert states_diff(recovered.db, db) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(victim=st.integers(0, 10_000), **streams)
+def test_commit_check_on_the_undo_records_agrees_with_the_whole_walk(
+        seed, k, rows, count, single_valued, victim):
+    """A logged commit checks the tables and NCs its undo records
+    name. Over base and derived INS / DEL / REP and sequences — NCs
+    created and dismantled, NVC nulls, several tables written at once
+    — a commit it passes leaves an instance the whole walk passes too,
+    and it sees what the whole walk sees in any table the commit
+    wrote."""
+    db = build(seed, k, rows, single_valued)
+    steps = make_steps(db, seed, count, resolve=False)
+    verdicts = []
+    whole_walk = db.structure_fault
+
+    def commit_check(records=None):
+        verdicts.append((records, whole_walk(records)))
+        return verdicts[-1][1]
+
+    db.structure_fault = commit_check
+    with tempfile.TemporaryDirectory() as workdir, closing(LoggedDatabase(
+            db, UpdateLog(Path(workdir) / "wal.log", fsync=False))) as logged:
+        for step in steps:
+            logged.execute(step)
+            (records, verdict), = verdicts
+            del verdicts[:]
+            assert records is not None and verdict is None
+            assert whole_walk() is None
+            written = [owner for owner, op, *_ in records
+                       if op in ("fact", "ncl") and len(owner)]
+            if not written:
+                continue
+            table = written[victim % len(written)]
+            fact = list(table.facts())[victim % len(table)]
+            for damage, repair in (
+                    (lambda: fact.ncl.add(99),
+                     lambda: fact.ncl.discard(99)),
+                    (lambda: table._by_y[fact.y].remove(fact),
+                     table._restore_order)):
+                damage()
+                assert whole_walk(records) is not None
+                assert whole_walk() is not None
+                repair()
+            assert whole_walk() is None
 
 
 # -- Journal ------------------------------------------------------------------
