@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import _accumulate, iter_chains
+from repro.fdb.evaluate import evaluate_derivations, iter_chains
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 
@@ -72,12 +72,6 @@ class CoverageGap:
         )
 
 
-def _extension_of(db: FunctionalDatabase, derivation) -> dict:
-    result: dict = {}
-    _accumulate(db, iter_chains(db, derivation), result)
-    return result
-
-
 def audit_derivations(
     db: FunctionalDatabase,
     names: tuple[str, ...] | None = None,
@@ -96,7 +90,7 @@ def audit_derivations(
         if len(derived.derivations) < 2:
             continue
         extensions = [
-            (str(derivation), _extension_of(db, derivation))
+            (str(derivation), evaluate_derivations(db, (derivation,)))
             for derivation in derived.derivations
         ]
         for index, (text, extension) in enumerate(extensions):
@@ -129,7 +123,7 @@ def audit_insert_coverage(
             continue
         true_pairs: set[tuple[Value, Value]] = set()
         for derivation in derived.derivations:
-            for pair, truth in _extension_of(db, derivation).items():
+            for pair, truth in evaluate_derivations(db, (derivation,)).items():
                 if truth is Truth.TRUE:
                     true_pairs.add(pair)
         for pair in sorted(true_pairs, key=str):

@@ -18,13 +18,19 @@ step (facts of inverted steps are traversed range-to-domain). The fact
 *obtained* from a chain has the chain's endpoint values; endpoints are
 therefore matched exactly, while adjacent interior values may match
 exactly or ambiguously (through nulls).
+
+Two evaluators share that definition: :func:`iter_chains` walks one
+derivation and yields every :class:`Chain` (the reference semantics;
+point lookups and the update procedures), :func:`evaluate_derivations`
+answers a whole extension as a join and builds none.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro import cancel
 from repro.core.derivation import Derivation, Op
@@ -39,6 +45,7 @@ __all__ = [
     "iter_chains",
     "truth_of",
     "truth_of_derived",
+    "evaluate_derivations",
     "derived_extension",
     "derived_image",
 ]
@@ -233,35 +240,86 @@ def truth_of(db: FunctionalDatabase, name: str, x: Value, y: Value) -> Truth:
     return truth_of_derived(db, name, x, y)
 
 
-def _accumulate(
-    db: FunctionalDatabase,
-    chains: Iterator[Chain],
-    into: dict[tuple[Value, Value], Truth],
-    label: str = "-",
-) -> None:
-    """Fold chains into a pair -> strongest-truth map.
+def evaluate_derivations(
+    db: FunctionalDatabase, derivations: Iterable[Derivation],
+    x: Value | None = None,
+) -> dict[tuple[Value, Value], Truth]:
+    """The facts ``derivations`` obtain, each with the strongest verdict
+    of its chains (false facts absent, keys in :func:`iter_chains`'s
+    order); ``x`` fixes the chains' start.
 
-    ``label`` names the derivation being evaluated; when observability
-    is on, the walk is timed into the profiler under
-    ``evaluate.accumulate`` so per-derivation evaluation cost is
-    attributable.
+    A join, a hop at a time, over a frontier of partial chains
+    ``(start, current, clean, members)``: ``clean`` — every match exact,
+    every fact true — makes a chain true; ``members``, its facts that
+    sit in an NC, say whether it is known false. Why that is the
+    Section 3.2 valuation: DESIGN.md, "Evaluating an extension".
     """
+    result: dict[tuple[Value, Value], Truth] = {}
+    nc_sizes: dict[int, int] = {}
+
+    @functools.cache  # within this call: many chains share their NC members
+    def known_false(members: tuple[Fact, ...]) -> bool:
+        # Superset of an NC: as many members list it as it has (NC <-> NCL).
+        listed = [index for fact in members for index in fact.ncl]
+        for index in listed:
+            if index not in nc_sizes:
+                nc_sizes[index] = len(set(db.ncs.get(index).members))
+            if listed.count(index) == nc_sizes[index]:
+                return True
+        return False
+
+    checkpoint = cancel.checkpoint
+    true = Truth.TRUE
     obs_on = OBS.enabled
-    if obs_on:
-        OBS.inc("fdb.evaluate.accumulations")
-        started = time.perf_counter()
-    for chain in chains:
-        support = chain.supports(db)
-        if support is Truth.FALSE:
-            continue
-        pair = chain.pair
-        current = into.get(pair, Truth.FALSE)
-        if support > current:
-            into[pair] = support
-    if obs_on:
-        OBS.profiler.record(
-            "evaluate.accumulate", label, time.perf_counter() - started
-        )
+    for derivation in derivations:
+        if obs_on:
+            OBS.inc("fdb.evaluate.accumulations")
+            OBS.inc("fdb.chains.enumerations")
+            started = time.perf_counter()
+        first, *rest = derivation.steps
+        table = db.table(first.function.name)
+        inverse = first.op is Op.INVERSE
+        from_x = table.facts_with_y if inverse else table.facts_with_x
+        frontier = []
+        for fact in table.facts() if x is None else from_x(x):
+            checkpoint()
+            start, end = (fact.y, fact.x) if inverse else (fact.x, fact.y)
+            frontier.append((start, end, fact.truth is true,
+                             (fact,) if fact.ncl else ()))
+        for step in rest:
+            table = db.table(step.function.name)
+            inverse = step.op is Op.INVERSE
+            match = table.matching_y if inverse else table.matching_x
+            # The hash join: per distinct value, what a chain arriving there
+            # grows by — (next value, stays clean, the fact if in an NC).
+            matches: dict[Value, list[tuple]] = {}
+            parents, frontier = frontier, []
+            for start, current, clean, members in parents:
+                checkpoint()
+                found = matches.get(current)
+                if found is None:
+                    exact, ambiguous = match(current)
+                    found = matches[current] = [
+                        (fact.x if inverse else fact.y,
+                         hit and fact.truth is true,
+                         fact if fact.ncl else None)
+                        for hit, facts in ((True, exact), (False, ambiguous))
+                        for fact in facts]
+                for end, ok, member in found:
+                    frontier.append((
+                        start, end, clean and ok,
+                        members if member is None or member in members
+                        else members + (member,)))
+        for start, end, clean, members in frontier:
+            if clean:
+                result[start, end] = true  # keeps an earlier chain's place
+            elif not (members and known_false(members)):
+                result.setdefault((start, end), Truth.AMBIGUOUS)
+        if obs_on:
+            OBS.inc("fdb.chains.enumerated", len(frontier))
+            OBS.profiler.record("evaluate.accumulate", str(derivation),
+                                time.perf_counter() - started)
+    return result
 
 
 def derived_extension(
@@ -273,21 +331,12 @@ def derived_extension(
     This is what the paper prints as the Pupil column of the Section 4.2
     tables, ambiguous facts starred.
     """
-    derived = db.derived(name)
-    result: dict[tuple[Value, Value], Truth] = {}
-    for derivation in derived.derivations:
-        _accumulate(db, iter_chains(db, derivation), result,
-                    label=str(derivation))
-    return result
+    return evaluate_derivations(db, db.derived(name).derivations)
 
 
 def derived_image(
     db: FunctionalDatabase, name: str, x: Value
 ) -> dict[Value, Truth]:
     """Range values of ``x`` under a derived function, with truths."""
-    derived = db.derived(name)
-    pairs: dict[tuple[Value, Value], Truth] = {}
-    for derivation in derived.derivations:
-        _accumulate(db, iter_chains(db, derivation, x=x), pairs,
-                    label=str(derivation))
+    pairs = evaluate_derivations(db, db.derived(name).derivations, x)
     return {y: truth for (_, y), truth in pairs.items()}

@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.errors import DerivationError, SchemaError
 from repro.core.derivation import Derivation, Step
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import _accumulate, iter_chains
+from repro.fdb.evaluate import evaluate_derivations, iter_chains
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 from repro.obs.hooks import OBS
@@ -97,11 +97,7 @@ class Query(abc.ABC):
         return self._pairs(db)
 
     def _pairs(self, db: FunctionalDatabase) -> dict[tuple[Value, Value], Truth]:
-        result: dict[tuple[Value, Value], Truth] = {}
-        for derivation in self.derivations(db):
-            _accumulate(db, iter_chains(db, derivation), result,
-                        label=str(derivation))
-        return result
+        return evaluate_derivations(db, self.derivations(db))
 
     def image(self, db: FunctionalDatabase, x: Value) -> dict[Value, Truth]:
         """Range values reached from ``x``, with truths."""
@@ -113,10 +109,7 @@ class Query(abc.ABC):
         return self._image(db, x)
 
     def _image(self, db: FunctionalDatabase, x: Value) -> dict[Value, Truth]:
-        pairs: dict[tuple[Value, Value], Truth] = {}
-        for derivation in self.derivations(db):
-            _accumulate(db, iter_chains(db, derivation, x=x), pairs,
-                        label=str(derivation))
+        pairs = evaluate_derivations(db, self.derivations(db), x)
         return {y: truth for (_, y), truth in pairs.items()}
 
     def preimage(self, db: FunctionalDatabase, y: Value) -> dict[Value, Truth]:
