@@ -66,7 +66,7 @@ import time
 import urllib.error
 import urllib.request
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -104,8 +104,10 @@ from repro.faults.registry import (
     LatencyFault,
     TransientError,
 )
-from repro.fdb import persistence
+from repro.fdb import persistence, worlds
 from repro.fdb.database import FunctionalDatabase
+from repro.fdb.evaluate import derived_extension
+from repro.fdb.logic import Truth
 from repro.fdb.updates import Update, UpdateSequence
 from repro.fdb.values import is_null
 from repro.fdb.wal import UpdateLog, committed, decode_frame, recover
@@ -1705,6 +1707,54 @@ def _check_timeline(cell: Cell) -> None:
                     f"promotion reported {report.facts['fence_seq']}")
 
 
+class _Abort(Exception):
+    """What :func:`_check_worlds`'s doomed transaction raises."""
+
+
+def _check_worlds(cell: Cell) -> None:
+    """The repair oracle, in the directions that hold. On every lane's
+    final state: the live NCs admit a world; the counted marginals
+    agree with the three-valued verdicts (TRUE ⇒ 1, FALSE ⇒ 0) on the
+    head of each derived extension and on the derived pairs the run
+    deleted; a stored ambiguous fact is never certain; and a
+    transaction that raises leaves the count where it was (on a copy —
+    the other rows read the lane's own state)."""
+    for lane in cell.lanes:
+        db = cell.front.lane(lane.index).db
+        fail = partial(cell.report.fail, "worlds")
+        heads = [(name, *pair) for name in db.derived_names
+                 for pair in list(derived_extension(db, name))[:5]]
+        deleted = [
+            (update.function, *update.pair)
+            for op in cell.front.committed_ops(lane.index)
+            for update in (op if isinstance(op, UpdateSequence) else (op,))
+            if update.kind == "DEL" and db.is_derived(update.function)
+        ]
+        for fact in dict.fromkeys(heads + deleted):
+            truth, chance = db.truth_of(*fact), worlds.marginal(db, *fact)
+            expected = {Truth.TRUE: 1.0, Truth.FALSE: 0.0}.get(truth)
+            if expected is not None and chance != expected:
+                fail(f"lane {lane.index}: {fact} is {truth} but holds "
+                     f"in {chance:.3f} of the worlds")
+        report = worlds.analyze(db)
+        if report.world_count < 1:
+            fail(f"lane {lane.index}: the live NCs admit no world")
+        certain = [ref for ref, chance in report.base_marginals.items()
+                   if not 0.0 <= chance < 1.0]
+        if certain:
+            fail(f"lane {lane.index}: ambiguous facts with marginal "
+                 f"outside [0, 1): {certain[:3]}")
+        scratch = persistence.loads(persistence.dumps(db))
+        with suppress(_Abort), scratch.transaction():
+            for fact in heads:
+                scratch.delete(*fact)
+            raise _Abort
+        after = worlds.count_worlds(scratch)
+        if after != report.world_count:
+            fail(f"lane {lane.index}: an aborted transaction moved the "
+                 f"world count {report.world_count} -> {after}")
+
+
 @dataclass(frozen=True)
 class Check:
     """One row of the table: the check's name (the prefix of its
@@ -1731,6 +1781,7 @@ CHECKS = (
     Check("recovery", _always, _check_recovery),
     Check("spans", _always, _check_spans),
     Check("markers", _always, _check_markers),  # vacuous on one lane
+    Check("worlds", _always, _check_worlds),
     Check("breathe", lambda cell: cell.scenario.breathe, _check_breathe),
     Check("journal", _with_replicas, _check_journal),
     Check("replicas", _with_replicas, _check_replicas),

@@ -102,7 +102,6 @@ class Query(abc.ABC):
     def image(self, db: FunctionalDatabase, x: Value) -> dict[Value, Truth]:
         """Range values reached from ``x``, with truths."""
         if OBS.enabled:
-            OBS.inc("fdb.query.image")
             with OBS.span("query.image", key=str(self), expr=str(self), x=x,
                           slow_detail=self._slow_detail(db)):
                 return self._image(db, x)
@@ -119,7 +118,6 @@ class Query(abc.ABC):
     def truth(self, db: FunctionalDatabase, x: Value, y: Value) -> Truth:
         """Truth of ``expr(x) = y`` under the Section 3.2 valuation."""
         if OBS.enabled:
-            OBS.inc("fdb.query.truth")
             with OBS.span("query.truth", key=str(self), expr=str(self),
                           x=x, y=y, slow_detail=self._slow_detail(db)):
                 return self._truth(db, x, y)

@@ -111,7 +111,6 @@ class Transaction:
                 FAULTS.fire("txn.commit")
                 return False
             if OBS.enabled:
-                OBS.inc("fdb.txn.rolled_back")
                 OBS.event("txn.rollback", reason=exc_type.__name__,
                           records=len(records))
             FAULTS.fire("txn.rollback.before-restore")

@@ -771,9 +771,6 @@ class UpdateLog:
                 kept.append(line)
         if dropped:
             self._replace(kept)
-            if OBS.enabled:
-                OBS.inc("fdb.wal.truncated_records", dropped)
-                OBS.action("wal.truncate_to", seq=seq, dropped=dropped)
         return dropped
 
     def discard_torn_tail(self) -> bool:
@@ -786,9 +783,6 @@ class UpdateLog:
             return False
         self._replace([line for _, line, _ in self._lines()
                        if line][:-1])
-        if OBS.enabled:
-            OBS.inc("fdb.wal.torn_tails_discarded")
-            OBS.action("wal.torn_tail_discarded", path=str(self.path))
         return True
 
     # -- health -------------------------------------------------------------

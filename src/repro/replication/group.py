@@ -294,10 +294,7 @@ class ReplicationGroup:
     def remove_replica(self, name: str) -> None:
         with self._lock:
             if self.shipper is not None:
-                link = self.shipper.remove(name)
-                if link is not None and OBS.enabled:
-                    OBS.action("replication.replica_removed",
-                               replica=name)
+                self.shipper.remove(name)
             replica = self._replicas.pop(name, None)
         if replica is not None:
             replica.close()
@@ -422,7 +419,8 @@ class ReplicationGroup:
         shipper = self._require_shipper()
         target = shipper.log.last_seq()
         shipper.journal_through(target)
-        deadline = time.monotonic() + (timeout or self.ack_timeout)
+        deadline = time.monotonic() + (
+            self.ack_timeout if timeout is None else timeout)
         lagging = {link.name for link in shipper.links()}
         while lagging:
             for link in shipper.links():
@@ -715,8 +713,6 @@ class ReplicationGroup:
                 "linked over a remote transport — route reads to the "
                 "replica nodes themselves"
             )
-        if OBS.enabled:
-            OBS.inc("replication.reads_unserved")
         raise StalenessUnserved(
             f"no replica within max_lag_seq={max_lag_seq} "
             f"max_lag_seconds={max_lag_seconds} "

@@ -306,7 +306,6 @@ class LeaseManager:
             return
         age = float("inf") if mark is None else now - mark
         if OBS.enabled:
-            OBS.inc("replication.lease.writes_refused")
             OBS.gauge("replication.lease.held", 0)
             if first:
                 OBS.inc("replication.lease.expiries")
@@ -346,8 +345,6 @@ class LeaseManager:
                 )
             except (ConnectionError, TimeoutError, OSError) as exc:
                 link.note_error(str(exc))
-                if OBS.enabled:
-                    OBS.inc("replication.lease.heartbeat_failures")
                 continue
             if reply.get("ok"):
                 self.note_ack(link.name, started)

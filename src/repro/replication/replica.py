@@ -124,11 +124,6 @@ class Replica:
             self.crashed = False
             self.diverged = False
             self._last_progress = time.monotonic()
-            if OBS.enabled:
-                OBS.action("replication.replica_restart",
-                           replica=self.name,
-                           applied_seq=self.applied_seq,
-                           term=self.term)
 
     # -- message protocol ---------------------------------------------------
 
@@ -273,7 +268,6 @@ class Replica:
                     # re-bootstrap.
                     self.diverged = True
                     if OBS.enabled:
-                        OBS.inc("replication.divergences")
                         OBS.action("replication.diverged",
                                    replica=self.name, seq=frame.seq,
                                    error=str(exc))

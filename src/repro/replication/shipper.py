@@ -346,8 +346,6 @@ decode_snapshot`.
             reply = link.transport.request(message)
         except (ConnectionError, TimeoutError, OSError) as exc:
             link.note_error(str(exc))
-            if OBS.enabled:
-                OBS.inc("replication.ship_errors")
             raise ConnectionError(str(exc)) from exc
         if lease is not None and reply.get("ok"):
             lease.note_ack(link.name, started)

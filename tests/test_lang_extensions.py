@@ -113,6 +113,23 @@ class TestWorldsStatements:
         joined = "\n".join(out)
         assert "3 possible worlds over 2 ambiguous facts" in joined
 
+    def test_verbs_have_no_atom_limit(self):
+        """30 independent derived deletes: 60 ambiguous facts, past
+        what world *enumeration* allows; the verbs count instead."""
+        deletes = "".join(
+            f"insert teach(t{i}, c{i}); insert class_list(c{i}, s{i});"
+            f"delete pupil(t{i}, s{i});" for i in range(30)
+        )
+        interp, out = run(PUPIL_SETUP + deletes + """
+            worlds;
+            prob teach(t0, c0);
+            default teach(t0, c0);
+        """)
+        joined = "\n".join(out)
+        assert f"{3 ** 30} possible worlds over 60 ambiguous facts" in joined
+        assert "P(teach(t0) = c0) = 0.333" in joined
+        assert "teach(t0) = c0 by default: ambiguous" in joined
+
     def test_prob_values(self):
         interp, out = run(PUPIL_SETUP + """
             delete pupil(euclid, john);

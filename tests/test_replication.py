@@ -4,6 +4,7 @@ failover, rejoin repair, transports and bounded-staleness reads."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -366,6 +367,20 @@ class TestGroupCommitModes:
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
         verdict = group.on_commit(seq)  # no quota, no timeout
         assert verdict["acks"] == 0
+
+    def test_sync_all_timeout_zero_is_one_pass(
+            self, primary, tmp_path, make_group):
+        """``timeout=0`` means one shipping pass, not the group's
+        ``ack_timeout`` (the `timeout or ...` spelling waited it out)."""
+        logged, _ = primary
+        group = make_group("async", ack_timeout=5.0)
+        group.attach_primary(logged)
+        group.add_replica("r0", Replica("r0", tmp_path / "r0"))
+        group.shipper.link("r0").transport.partitioned = True
+        logged.execute(Update.ins("teach", "gauss", "cs"))
+        started = time.monotonic()
+        assert group.sync_all(timeout=0)["lagging"] == ["r0"]
+        assert time.monotonic() - started < 1.0
 
 
 class TestFailover:

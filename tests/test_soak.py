@@ -248,3 +248,20 @@ def test_cli_honours_modes_and_scenarios_with_shards(tmp_path, capsys):
     assert "replication.promote" in names
     for artifact in ("shard-0.jsonl", "shard-1.jsonl", "timeline.jsonl"):
         assert (tmp_path / artifact).exists()
+
+
+def test_worlds_row_sees_a_rollback_that_restores_nothing(tmp_path,
+                                                          monkeypatch):
+    """The `worlds` row's aborted-transaction leg: with the engine's
+    rollback replaced by a no-op, the doomed derived deletes keep their
+    NCs and the world count moves — the row, by name, turns red."""
+    config = SoakConfig(serve_endpoint=False)
+    with Cell(config, None, "storage", tmp_path) as cell:
+        cell.verify()
+        assert not cell.report.failed("worlds"), cell.report.failures
+        monkeypatch.setattr("repro.fdb.transaction.rollback",
+                            lambda records: None)
+        cell.report.failures.clear()
+        cell.verify()
+        assert cell.report.failed("worlds"), cell.report.failures
+
