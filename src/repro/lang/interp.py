@@ -584,9 +584,9 @@ class Interpreter:
         if statement.dot_path is not None:
             from pathlib import Path
 
-            from repro.obs import propagation_dag, span_records
+            from repro.obs import propagation_dag
 
-            dag = propagation_dag(span_records(last))
+            dag = propagation_dag(OBS.tracer.records(last))
             Path(statement.dot_path).write_text(
                 dag.to_dot(name="trace") + "\n", encoding="utf-8"
             )

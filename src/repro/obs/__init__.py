@@ -39,7 +39,6 @@ from repro.obs.events import (
     propagation_dag,
     read_jsonl,
     replication_timeline,
-    span_records,
 )
 from repro.obs.endpoint import (
     ExpositionError,
@@ -51,7 +50,6 @@ from repro.obs.hooks import OBS, Instrumentation
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogHistogram,
     MetricError,
     MetricsRegistry,
@@ -84,7 +82,6 @@ __all__ = [
     "Instrumentation",
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricError",
     "MetricsRegistry",
@@ -111,7 +108,6 @@ __all__ = [
     "propagation_dag",
     "PropagationDag",
     "read_jsonl",
-    "span_records",
     "TimelineEntry",
     "ReplicationTimeline",
     "replication_timeline",

@@ -5,8 +5,7 @@ on a background thread and serves three routes:
 
 * ``/metrics`` — the registry in Prometheus text exposition format
   0.0.4 (:func:`render_prometheus`): counters as ``_total`` samples,
-  gauges as-is, sampling histograms as summaries with quantile labels,
-  log-bucketed histograms as real Prometheus histograms with
+  gauges as-is, histograms as real Prometheus histograms with
   cumulative ``le`` buckets (mergeable server-side, exactly because
   :class:`repro.obs.metrics.LogHistogram` keeps cumulative-friendly
   buckets).
@@ -40,8 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from http.server import ThreadingHTTPServer
 
 from repro.errors import ReproError
-from repro.obs.metrics import (Counter, Gauge, Histogram, LogHistogram,
-                               MetricsRegistry)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 __all__ = ["MetricsEndpoint", "ExpositionError", "render_prometheus",
            "parse_prometheus"]
@@ -97,26 +95,20 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"# HELP {name} {ins.name}")
             lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name} {_fmt(ins.value)}")
-        elif isinstance(ins, LogHistogram):
+        else:
             lines.append(f"# HELP {name} {ins.name}")
             lines.append(f"# TYPE {name} histogram")
-            for bound, cumulative in ins.buckets():
+            buckets = ins.buckets()
+            for bound, cumulative in buckets:
                 lines.append(
                     f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}'
                 )
-            lines.append(f'{name}_bucket{{le="+Inf"}} {ins.count}')
+            # The count from the same locked read as the buckets: a
+            # concurrent observe must not split +Inf from _count.
+            count = buckets[-1][1] if buckets else 0
+            lines.append(f'{name}_bucket{{le="+Inf"}} {count}')
             lines.append(f"{name}_sum {_fmt(ins.total)}")
-            lines.append(f"{name}_count {ins.count}")
-        elif isinstance(ins, Histogram):
-            lines.append(f"# HELP {name} {ins.name}")
-            lines.append(f"# TYPE {name} summary")
-            for q in (0.5, 0.95, 0.99):
-                lines.append(
-                    f'{name}{{quantile="{_fmt(q)}"}} '
-                    f"{_fmt(ins.percentile(q * 100))}"
-                )
-            lines.append(f"{name}_sum {_fmt(ins.total)}")
-            lines.append(f"{name}_count {ins.count}")
+            lines.append(f"{name}_count {count}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,9 +24,11 @@ to the process-wide :class:`EventLog` (``OBS.events``):
 * :class:`CallbackSink` — hand each record to a callable (bridges to
   external collectors).
 
-Emission is wholly decoupled from tracing: with ``OBS.enabled`` and at
-least one sink attached, records flow even when span-tree construction
-is off. With no sinks attached the pipeline costs one attribute check.
+Records are the one representation of what happened: the same record
+that reaches the sinks is what the tracer folds into span trees, so
+with ``OBS.enabled`` and at least one sink attached records flow
+whether or not span trees are built. With no sinks attached and
+tracing off the pipeline costs two attribute checks.
 
 :func:`propagation_dag` folds a record stream back into a
 :class:`PropagationDag`; :meth:`PropagationDag.to_dot` renders it via
@@ -55,7 +57,6 @@ __all__ = [
     "read_jsonl",
     "PropagationDag",
     "propagation_dag",
-    "span_records",
     "TimelineEntry",
     "ReplicationTimeline",
     "replication_timeline",
@@ -242,33 +243,27 @@ class EventLog:
     def sinks(self) -> tuple[Sink, ...]:
         return tuple(self._sinks)
 
-    def emit(
-        self,
-        kind: str,
-        name: str,
-        *,
-        span_id: int | None = None,
-        parent_span: int | None = None,
-        cause: str | None = None,
-        duration: float | None = None,
-        attrs: dict | None = None,
-    ) -> EventRecord | None:
+    def record(self, kind: str, name: str, span_id: int | None = None,
+               parent_span: int | None = None, cause: str | None = None,
+               duration: float | None = None,
+               attrs: dict | None = None) -> EventRecord:
+        """Build one record, stamped with the next ``seq`` and the wall
+        time."""
+        return EventRecord(next(self._seq), time.time(), kind, name,
+                           span_id, parent_span, cause, duration,
+                           {} if attrs is None else attrs)
+
+    def publish(self, record: EventRecord) -> None:
+        """Hand ``record`` to every attached sink."""
+        for sink in self._sinks:
+            sink.emit(record)
+
+    def emit(self, kind: str, name: str, **fields) -> EventRecord | None:
         """Build and fan out one record; no-op without sinks."""
         if not self.active:
             return None
-        record = EventRecord(
-            seq=next(self._seq),
-            ts=time.time(),
-            kind=kind,
-            name=name,
-            span_id=span_id,
-            parent_span=parent_span,
-            cause=cause,
-            duration=duration,
-            attrs=attrs or {},
-        )
-        for sink in self._sinks:
-            sink.emit(record)
+        record = self.record(kind, name, **fields)
+        self.publish(record)
         return record
 
 
@@ -579,35 +574,3 @@ def replication_timeline(
             attrs=dict(attrs),
         ))
     return timeline
-
-
-def span_records(span, *, cause: str | None = None) -> list[EventRecord]:
-    """Synthesize the record stream of one finished
-    :class:`repro.obs.tracing.Span` tree (for rendering a live trace as
-    a DAG without an attached sink)."""
-    counter = itertools.count(1)
-    records: list[EventRecord] = []
-
-    def walk(node, parent_id: int | None) -> None:
-        records.append(EventRecord(
-            seq=next(counter), ts=0.0, kind="span.start", name=node.name,
-            span_id=node.span_id, parent_span=parent_id,
-            cause=cause or node.cause, attrs=dict(node.attrs),
-        ))
-        for event in node.events:
-            records.append(EventRecord(
-                seq=next(counter), ts=0.0, kind="event", name=event.name,
-                span_id=node.span_id, parent_span=parent_id,
-                cause=cause or node.cause, attrs=dict(event.attrs),
-            ))
-        for child in node.children:
-            walk(child, node.span_id)
-        records.append(EventRecord(
-            seq=next(counter), ts=0.0, kind="span.end", name=node.name,
-            span_id=node.span_id, parent_span=parent_id,
-            cause=cause or node.cause, duration=node.duration,
-            attrs=dict(node.attrs),
-        ))
-
-    walk(span, None)
-    return records

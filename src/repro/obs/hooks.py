@@ -25,10 +25,14 @@ a flag:
   threshold and over-budget queries/updates are captured with an
   explain-style cost breakdown (built lazily, only for the slow ones).
 
-Span nesting is context-propagated (:mod:`contextvars`): spans opened
-on one thread or asyncio task never become children of another's, and
-the update id that caused a cascade is inherited by every nested span
-without explicit threading through the call graph.
+Span nesting is context-propagated (:mod:`contextvars`) on one stack
+of ``(span_id, cause)`` pairs, kept whenever ``OBS.enabled`` whatever
+is attached: spans opened on one thread or asyncio task never become
+children of another's, and the update id that caused a cascade is
+inherited by every nested span without explicit threading through the
+call graph. Span boundaries and events become records at one emit
+point; the tracer's trees and the sinks' streams are both folds of
+those records.
 
 Typical use::
 
@@ -64,7 +68,7 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 from repro.obs.slowlog import SlowLog
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Tracer
 
 __all__ = ["Instrumentation", "OBS"]
 
@@ -72,16 +76,17 @@ __all__ = ["Instrumentation", "OBS"]
 class _SpanScope:
     """Context manager for one instrumented region.
 
-    Always times the region into the profiler; additionally opens a
-    tracer span when tracing is on, emits ``span.start``/``span.end``
-    records when the event log has sinks, and feeds the slowlog when
-    the region crosses its threshold. Created only when ``OBS.enabled``
-    is true (disabled call sites never reach this class).
+    Pushes ``(span_id, cause)`` on the instrumentation's context stack
+    — the one account of the open span, whatever is attached — emits
+    ``span.start``/``span.end`` records (which the tracer folds into
+    trees and the sinks receive), times the region into the profiler,
+    and feeds the slowlog when the region crosses its threshold.
+    Created only when ``OBS.enabled`` is true (disabled call sites
+    never reach this class).
     """
 
-    __slots__ = ("_obs", "_name", "_key", "_attrs", "_start", "_span",
-                 "_cause", "_slow_detail", "_span_id", "_parent_id",
-                 "_ctx_token")
+    __slots__ = ("_obs", "_name", "_key", "_attrs", "_start", "_cause",
+                 "_slow_detail", "_span_id", "_parent_id", "_ctx_token")
 
     def __init__(self, obs: "Instrumentation", name: str, key: str,
                  cause: str | None, slow_detail, attrs: dict) -> None:
@@ -91,63 +96,34 @@ class _SpanScope:
         self._attrs = attrs
         self._cause = cause
         self._slow_detail = slow_detail
-        self._span: Span | None = None
-        self._span_id: int | None = None
-        self._ctx_token = None
 
     def __enter__(self) -> "_SpanScope":
         obs = self._obs
-        events_on = obs.events.active
-        if obs.tracing:
-            span = obs.tracer.start(self._name, cause=self._cause,
-                                    **self._attrs)
-            self._span = span
-            self._span_id = span.span_id
-            self._parent_id = span.parent_id
-            self._cause = span.cause
-        elif events_on:
-            # No span tree, but records still need ids and causal
-            # links — maintain them on the instrumentation's own
-            # context stack.
-            parent_id, parent_cause = obs._span_context()
-            self._span_id = obs.tracer.next_id()
-            self._parent_id = parent_id
-            if self._cause is None:
-                self._cause = parent_cause
-        if events_on:
-            self._ctx_token = obs._span_ctx.set(
-                obs._span_ctx.get() + ((self._span_id, self._cause),)
-            )
-            obs.events.emit(
-                "span.start", self._name, span_id=self._span_id,
-                parent_span=self._parent_id, cause=self._cause,
-                attrs=self._attrs,
-            )
+        stack = obs._span_ctx.get()
+        self._parent_id, parent_cause = stack[-1] if stack else (None, None)
+        if self._cause is None:
+            self._cause = parent_cause
+        self._span_id = next(obs._span_ids)
+        self._ctx_token = obs._span_ctx.set(
+            stack + ((self._span_id, self._cause),)
+        )
+        obs._emit("span.start", self._name, self._span_id,
+                  self._parent_id, self._cause, None, self._attrs)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         elapsed = time.perf_counter() - self._start
         obs = self._obs
-        if self._span is not None:
-            obs.tracer.finish(self._span)
-        if self._ctx_token is not None:
-            obs._span_ctx.reset(self._ctx_token)
-            obs.events.emit(
-                "span.end", self._name, span_id=self._span_id,
-                parent_span=self._parent_id, cause=self._cause,
-                duration=elapsed, attrs=self._attrs,
-            )
+        obs._span_ctx.reset(self._ctx_token)
+        obs._emit("span.end", self._name, self._span_id,
+                  self._parent_id, self._cause, elapsed, self._attrs)
         obs.profiler.record(self._name, self._key, elapsed)
         if obs.slowlog.active:
             obs.slowlog.record(self._name, self._key, elapsed,
                                cause=self._cause,
                                detail=self._slow_detail)
         return False
-
-    @property
-    def span(self) -> Span | None:
-        return self._span
 
     @property
     def attrs(self) -> dict:
@@ -170,10 +146,6 @@ class _NullScope:
         return False
 
     @property
-    def span(self) -> None:
-        return None
-
-    @property
     def attrs(self) -> dict:
         return {}  # fresh throwaway: writes must not leak between sites
 
@@ -185,11 +157,11 @@ class _RemoteContext:
     """Adopts a span context shipped from another node.
 
     Entering pushes the remote ``(parent_span, cause)`` pair onto the
-    event-log context stack, so spans opened inside parent to the
-    *shipping* node's span and the folded :func:`propagation_dag`
-    connects the primary's pipeline to the replica's — the cross-node
-    join point of distributed traces. A cheap no-op when disabled or
-    when the frame carried no context (an older primary).
+    context stack, so spans opened inside parent to the *shipping*
+    node's span and the folded :func:`propagation_dag` connects the
+    primary's pipeline to the replica's — the cross-node join point of
+    distributed traces. A cheap no-op when disabled or when the frame
+    carried no context (an older primary).
     """
 
     __slots__ = ("_obs", "_parent", "_cause", "_token")
@@ -229,10 +201,15 @@ class Instrumentation:
         self.slowlog = SlowLog()
         self._update_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
-        # (span_id, cause) pairs for the event log when span trees are
-        # not being built; per thread/task, like the tracer's stack.
+        # Process-unique span ids (never reset: a shipped parent_span
+        # must not name a later span). ``itertools.count`` is atomic
+        # under CPython.
+        self._span_ids = itertools.count(1)
+        # The open spans as (span_id, cause) pairs, innermost last; a
+        # ContextVar holding a tuple, so every thread and asyncio task
+        # nests its own spans with no lock.
         self._span_ctx: ContextVar[tuple] = ContextVar(
-            "repro_obs_event_span_ctx", default=()
+            "repro_obs_span_ctx", default=()
         )
 
     # -- switching ----------------------------------------------------------
@@ -318,19 +295,28 @@ class Instrumentation:
                        cause: str | None) -> _RemoteContext:
         """Adopt a :meth:`trace_context` shipped from another node:
         spans opened inside the returned scope parent to the sender's
-        span. Only the event-log pipeline joins across nodes; tracer
-        span *trees* (``tracing=True``) stay process-local."""
+        span — in the records, and in the tracer's tree when that span
+        is open in this process."""
         return _RemoteContext(self, parent_span, cause)
 
     def _span_context(self) -> tuple[int | None, str | None]:
-        """(span_id, cause) of the innermost event-log span, falling
-        back to the tracer's active span when tracing is on."""
-        if self.tracing:
-            span = self.tracer.active
-            if span is not None:
-                return span.span_id, span.cause
-        ctx = self._span_ctx.get()
-        return ctx[-1] if ctx else (None, None)
+        """(span_id, cause) of the innermost open span."""
+        stack = self._span_ctx.get()
+        return stack[-1] if stack else (None, None)
+
+    def _emit(self, kind: str, name: str, span_id: int | None,
+              parent_span: int | None, cause: str | None,
+              duration: float | None, attrs: dict) -> None:
+        """The one emit point: build the record once and hand it to the
+        tracer (while tracing) and to every attached sink. Positional,
+        because it runs on every span boundary while enabled."""
+        tracing = self.tracing
+        if tracing or self.events.active:
+            record = self.events.record(kind, name, span_id, parent_span,
+                                        cause, duration, attrs)
+            if tracing:
+                self.tracer.consume(record)
+            self.events.publish(record)
 
     # -- recording ----------------------------------------------------------
     #
@@ -345,46 +331,31 @@ class Instrumentation:
         if self.enabled:
             self.metrics.histogram(name).observe(value)
 
-    def observe_log(self, name: str, value: float) -> None:
-        """Observe into a log-bucketed histogram (accurate tails over
-        unbounded streams — the service RED durations)."""
-        if self.enabled:
-            self.metrics.log_histogram(name).observe(value)
-
     def gauge(self, name: str, value: float) -> None:
         if self.enabled:
             self.metrics.gauge(name).set(value)
 
     def event(self, name: str, **attrs) -> None:
-        """A structured event on the active span (when tracing) and on
-        the event log (when a sink is attached)."""
-        if not self.enabled:
-            return
-        if self.tracing:
-            self.tracer.event(name, **attrs)
-        if self.events.active:
+        """A structured event on the innermost open span."""
+        if self.enabled:
             span_id, cause = self._span_context()
-            self.events.emit("event", name, span_id=span_id,
-                             cause=cause, attrs=attrs)
+            self._emit("event", name, span_id, None, cause, None, attrs)
 
     def action(self, name: str, *, cause: str | None = None,
                **attrs) -> None:
-        """A standalone occurrence outside any span (recovery steps,
-        checkpoint milestones) for the event log; also mirrored onto
-        the active trace span when one happens to be open."""
-        if not self.enabled:
-            return
-        if self.tracing:
-            self.tracer.event(name, **attrs)
-        if self.events.active:
+        """A standalone occurrence (recovery steps, checkpoint
+        milestones); it still lands on the open span's tree when one
+        happens to be open."""
+        if self.enabled:
             span_id, inherited = self._span_context()
-            self.events.emit("action", name, span_id=span_id,
-                             cause=cause or inherited, attrs=attrs)
+            self._emit("action", name, span_id, None, cause or inherited,
+                       None, attrs)
 
     def span(self, name: str, *, key: str = "-",
              cause: str | None = None, slow_detail=None, **attrs):
-        """A timed scope feeding the profiler (and, when tracing, the
-        span tree; and, with sinks attached, the event log). ``key``
+        """A timed scope feeding the profiler, whose ``span.start`` /
+        ``span.end`` records reach the tracer (when tracing) and the
+        sinks (when attached). ``key``
         buckets the profile entry — typically the function or
         derivation being worked on. ``cause`` attributes the span (and
         everything nested under it) to an update id; ``slow_detail`` is

@@ -2,18 +2,15 @@
 
 The runtime reports on its own work as structured data — how many
 chains an update enumerated, how many NCs it created, how long a WAL
-append took. Four instrument kinds cover everything the engine needs:
+append took. Three instrument kinds cover everything the engine needs:
 
 * :class:`Counter` — a monotonically increasing event count
   (``fdb.updates.delete``, ``fdb.nc.created``);
 * :class:`Gauge` — a point-in-time level (``design.graph_edges``);
-* :class:`Histogram` — a distribution of observed values with a
-  seeded-reservoir sample buffer for percentiles — cheap and exact
-  over short bursts (``fdb.wal.append_seconds``);
 * :class:`LogHistogram` — a log-bucketed (HDR-style) distribution
-  whose percentiles stay accurate over *unbounded* streams, with
-  mergeable buckets — what the service layer's request-duration
-  RED instruments use.
+  whose percentiles stay within ≈ 9 % over *unbounded* streams, with
+  exact count/total/min/max and mergeable buckets — every histogram,
+  from ``fdb.wal.append_seconds`` to the service RED durations.
 
 A :class:`MetricsRegistry` maps dotted metric names to instruments and
 renders the whole collection as a plain, JSON-ready dict. Instruments
@@ -26,15 +23,13 @@ default lives on :data:`repro.obs.hooks.OBS`).
 from __future__ import annotations
 
 import math
-import os
-import random
 import threading
 from typing import Iterator
 
 from repro.errors import ReproError
 
-__all__ = ["Counter", "Gauge", "Histogram", "LogHistogram",
-           "MetricsRegistry", "MetricError"]
+__all__ = ["Counter", "Gauge", "LogHistogram", "MetricsRegistry",
+           "MetricError"]
 
 
 class MetricError(ReproError):
@@ -106,107 +101,6 @@ class Gauge:
         return f"Gauge({self.name!r}, {self.value})"
 
 
-def _reservoir_rng(name: str) -> random.Random:
-    """A per-instrument RNG seeded from ``REPRO_SEED`` and the metric
-    name, so reservoir contents are reproducible across runs of the
-    same workload (``random.Random`` hashes string seeds with SHA-512,
-    which is stable across processes, unlike ``hash``)."""
-    seed = os.environ.get("REPRO_SEED", "0")
-    return random.Random(f"{seed}:{name}")
-
-
-class Histogram:
-    """A distribution of observed values.
-
-    Count, total, min and max are exact over every observation; mean
-    derives from them. Percentiles come from a bounded *reservoir*
-    sample (Vitter's Algorithm R): the first ``sample_limit``
-    observations fill the buffer, after which each observation ``i``
-    replaces a uniformly random slot with probability
-    ``sample_limit / i`` — so the buffer is always a uniform sample of
-    the whole stream and long-run percentiles stay representative
-    instead of freezing on the warm-up burst. The trade: percentiles
-    are now estimates with sampling error (≈1/sqrt(sample_limit)
-    relative rank error) and depend on the ``REPRO_SEED``-derived RNG
-    rather than arrival order — deterministic for a fixed seed and
-    workload, but not "the first N values". Aggregates (count, total,
-    min, max, mean) remain exact. For guaranteed tail accuracy over
-    unbounded streams use :class:`LogHistogram`.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "_samples",
-                 "sample_limit", "_rng", "_lock")
-
-    def __init__(self, name: str, sample_limit: int = 1024) -> None:
-        self.name = name
-        self.sample_limit = sample_limit
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self._samples: list[float] = []
-        self._rng = _reservoir_rng(name)
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        # One lock for the whole multi-field update: count/total/min/
-        # max must stay mutually consistent under concurrent observers.
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-            if len(self._samples) < self.sample_limit:
-                self._samples.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self.sample_limit:
-                    self._samples[slot] = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0-100) of the sampled observations,
-        by nearest-rank; 0.0 when nothing was observed."""
-        if not 0 <= p <= 100:
-            raise MetricError(f"percentile must be in [0, 100], got {p}")
-        with self._lock:
-            samples = list(self._samples)
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        rank = max(0, min(len(ordered) - 1,
-                          round(p / 100 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def reset(self) -> None:
-        with self._lock:
-            self.count = 0
-            self.total = 0.0
-            self.min = None
-            self.max = None
-            self._samples.clear()
-            self._rng = _reservoir_rng(self.name)
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-        }
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, n={self.count})"
-
-
 class LogHistogram:
     """A log-bucketed (HDR-style) distribution over unbounded streams.
 
@@ -216,15 +110,15 @@ class LogHistogram:
     value reported for any percentile is off by at most a factor of
     ``base`` (the default ``2**(1/8) ≈ 1.09`` bounds relative error at
     ~9%, usually much less since the geometric bucket midpoint is
-    reported). Unlike the sampling :class:`Histogram`, the tails never
-    degrade: the p99.9 of the ten-millionth observation is as accurate
-    as the p50 of the hundredth. Buckets from two instruments (e.g.
-    per-worker registries) merge by addition — :meth:`merge` — which a
-    sampling buffer cannot do losslessly.
+    reported). The tails never degrade: the p99.9 of the ten-millionth
+    observation is as accurate as the p50 of the hundredth. Buckets
+    from two instruments (e.g. per-worker registries) merge by
+    addition — :meth:`merge` — which a sampling buffer cannot do
+    losslessly.
 
     Values at or below ``min_value`` (default 1 µs — below clock
     resolution for the latency signals this backs) share the floor
-    bucket. Count/total/min/max are exact, as in :class:`Histogram`.
+    bucket. Count/total/min/max are exact.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "base",
@@ -365,9 +259,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[
-            str, Counter | Gauge | Histogram | LogHistogram
-        ] = {}
+        self._metrics: dict[str, Counter | Gauge | LogHistogram] = {}
         self._lock = threading.Lock()
 
     def _get(self, name: str, cls: type):
@@ -394,10 +286,7 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def log_histogram(self, name: str) -> LogHistogram:
+    def histogram(self, name: str) -> LogHistogram:
         return self._get(name, LogHistogram)
 
     def __len__(self) -> int:
@@ -406,14 +295,18 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def __iter__(
-        self,
-    ) -> Iterator[Counter | Gauge | Histogram | LogHistogram]:
-        return iter(tuple(self._metrics.values()))
+    def __iter__(self) -> Iterator[Counter | Gauge | LogHistogram]:
+        return iter(self._instruments())
+
+    def _instruments(self) -> tuple:
+        # A copy taken under the lock: another thread registering a
+        # name meanwhile must not break an iteration.
+        with self._lock:
+            return tuple(self._metrics.values())
 
     def reset(self) -> None:
         """Zero every instrument, keeping registrations."""
-        for instrument in self._metrics.values():
+        for instrument in self._instruments():
             instrument.reset()
 
     def clear(self) -> None:
@@ -426,13 +319,14 @@ class MetricsRegistry:
         counters: dict[str, int] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}
-        for name in sorted(self._metrics):
-            instrument = self._metrics[name]
+        for instrument in sorted(self._instruments(),
+                                 key=lambda ins: ins.name):
+            name = instrument.name
             if isinstance(instrument, Counter):
                 counters[name] = instrument.snapshot()
             elif isinstance(instrument, Gauge):
                 gauges[name] = instrument.snapshot()
-            else:  # Histogram and LogHistogram share the snapshot shape
+            else:
                 histograms[name] = instrument.snapshot()
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}

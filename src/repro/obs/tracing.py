@@ -7,9 +7,10 @@ one timed region of that cascade; spans nest (``update.replace`` over
 for the atomic things that happen inside them — each NC created, each
 chain evaluated, each base mutation.
 
-The :class:`Tracer` keeps the active span stack and retains the last few
-finished root spans, so the REPL's ``trace`` command and the examples
-can print the tree of what an update actually did::
+The :class:`Tracer` folds the instrumentation's record stream into
+these trees and retains the last few finished roots, so the REPL's
+``trace`` command and the examples can print the tree of what an update
+actually did::
 
     update.delete function=pupil x=euclid y=john [0.21 ms]
       + chain.evaluated chain=<teach, euclid, math> . <class_list, math, john>
@@ -22,11 +23,10 @@ Attribute values are rendered through
 
 from __future__ import annotations
 
-import itertools
 import threading
-import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field
+
+from repro.obs.events import EventRecord
 
 __all__ = ["SpanEvent", "Span", "Tracer"]
 
@@ -69,9 +69,9 @@ class Span:
     """One timed, named region of work, with children and events.
 
     ``span_id``/``parent_id`` identify the span within its process
-    (assigned by the tracer); ``cause`` names the update (``u1``, ...)
-    whose propagation opened it. All three flow into the structured
-    event log so flat JSONL streams fold back into this tree.
+    (copied from its ``span.start`` record); ``cause`` names the update
+    (``u1``, ...) whose propagation opened it. ``start`` is the wall
+    time of that record, and event offsets count from it.
     """
 
     name: str
@@ -83,11 +83,6 @@ class Span:
     span_id: int = 0
     parent_id: int | None = None
     cause: str | None = None
-
-    def event(self, name: str, **attrs) -> SpanEvent:
-        marker = SpanEvent(name, attrs, time.perf_counter() - self.start)
-        self.events.append(marker)
-        return marker
 
     @property
     def finished(self) -> bool:
@@ -155,103 +150,85 @@ class Span:
 
 
 class Tracer:
-    """The active span stack plus a bounded buffer of finished traces.
+    """Span trees folded from the instrumentation's record stream.
 
-    ``max_traces`` bounds memory: only the most recent finished *root*
-    spans are retained (children live inside their roots). The tracer
-    itself has no enabled flag — :class:`repro.obs.hooks.Instrumentation`
-    decides whether any span is ever started.
+    The tracer keeps no context of its own: while ``OBS.tracing`` is
+    on, :class:`repro.obs.hooks.Instrumentation` hands it every record
+    it emits (:meth:`consume`). A ``span.start`` opens a :class:`Span`
+    under its ``parent_span`` when that span is open here, or a new
+    root otherwise; ``event`` and ``action`` records attach to their
+    open span; ``span.end`` closes the span with the end record's
+    duration and attrs. Only the last ``max_traces`` finished roots are
+    kept, each with the records it was built from (:meth:`records`).
 
-    The active stack lives in a :class:`~contextvars.ContextVar`
-    holding an immutable tuple, so every thread (and asyncio task) gets
-    its own nesting — spans opened on one thread never become children
-    of another thread's spans, with no locking on the hot start/finish
-    path. Only the finished-roots buffer is shared, and a lock guards
-    it. Span ids come from one process-wide counter, so ids stay unique
-    across threads (``itertools.count`` is atomic under CPython).
+    One lock guards the open spans and the finished roots, so spans
+    opened on several threads — or joined across a shipped trace
+    context — fold into the right tree.
     """
 
     def __init__(self, max_traces: int = 16) -> None:
         self.max_traces = max_traces
-        self._stack_var: ContextVar[tuple[Span, ...]] = ContextVar(
-            "repro_obs_span_stack", default=()
-        )
-        self._ids = itertools.count(1)
-        self._finished: list[Span] = []
+        # span_id -> (open span, its root's record list)
+        self._open: dict[int, tuple[Span, list[EventRecord]]] = {}
+        self._finished: list[tuple[Span, list[EventRecord]]] = []
         self._lock = threading.Lock()
 
-    @property
-    def active(self) -> Span | None:
-        stack = self._stack_var.get()
-        return stack[-1] if stack else None
-
-    def next_id(self) -> int:
-        """Allocate a span id from the process-wide sequence (also used
-        by the event log when tracing is off, so ids never collide)."""
-        return next(self._ids)
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack_var.get())
-
-    def start(self, name: str, *, cause: str | None = None,
-              **attrs) -> Span:
-        """Open a span as a child of the active one (or a new root).
-
-        ``cause`` tags the span with the update id that provoked it;
-        left unset, the parent's cause is inherited, so a whole
-        propagation cascade shares one attribution.
-        """
-        stack = self._stack_var.get()
-        parent = stack[-1] if stack else None
-        span = Span(
-            name, attrs, start=time.perf_counter(),
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent is not None else None,
-            cause=cause if cause is not None
-            else (parent.cause if parent is not None else None),
-        )
-        if parent is not None:
-            parent.children.append(span)
-        self._stack_var.set(stack + (span,))
-        return span
-
-    def finish(self, span: Span) -> Span:
-        """Close ``span``; it must be the innermost open span *of the
-        current context* — a thread cannot close another's spans."""
-        stack = self._stack_var.get()
-        if not stack or stack[-1] is not span:
-            raise RuntimeError(
-                f"span {span.name!r} is not the innermost open span"
-            )
-        self._stack_var.set(stack[:-1])
-        span.duration = time.perf_counter() - span.start
-        if len(stack) == 1:  # a root completed: retain it
-            with self._lock:
-                self._finished.append(span)
+    def consume(self, record: EventRecord) -> None:
+        """Fold one record into the open trees; records outside every
+        open span have no tree to join and are dropped."""
+        with self._lock:
+            if record.kind == "span.start":
+                span = Span(record.name, record.attrs, start=record.ts,
+                            span_id=record.span_id,
+                            parent_id=record.parent_span,
+                            cause=record.cause)
+                parent = self._open.get(record.parent_span)
+                if parent is None:
+                    records: list[EventRecord] = []
+                else:
+                    parent[0].children.append(span)
+                    records = parent[1]
+                records.append(record)
+                self._open[record.span_id] = (span, records)
+                return
+            entry = self._open.get(record.span_id)
+            if entry is None:
+                return
+            span, records = entry
+            records.append(record)
+            if record.kind != "span.end":
+                span.events.append(SpanEvent(record.name, record.attrs,
+                                             record.ts - span.start))
+                return
+            del self._open[record.span_id]
+            span.duration = record.duration
+            span.attrs = record.attrs
+            if records[0].span_id == span.span_id:  # a root opened its list
+                self._finished.append((span, records))
                 if len(self._finished) > self.max_traces:
                     self._finished.pop(0)
-        return span
-
-    def event(self, name: str, **attrs) -> None:
-        """Attach an event to the active span; dropped when no span is
-        open (an event outside any traced operation has no home)."""
-        span = self.active
-        if span is not None:
-            span.event(name, **attrs)
 
     @property
     def traces(self) -> tuple[Span, ...]:
         """Finished root spans, oldest first."""
         with self._lock:
-            return tuple(self._finished)
+            return tuple(span for span, _ in self._finished)
 
     @property
     def last_trace(self) -> Span | None:
         with self._lock:
-            return self._finished[-1] if self._finished else None
+            return self._finished[-1][0] if self._finished else None
+
+    def records(self, root: Span) -> tuple[EventRecord, ...]:
+        """The records a retained root was folded from — what
+        :func:`repro.obs.events.propagation_dag` renders."""
+        with self._lock:
+            for span, records in self._finished:
+                if span is root:
+                    return tuple(records)
+        return ()
 
     def reset(self) -> None:
-        self._stack_var.set(())
         with self._lock:
+            self._open.clear()
             self._finished.clear()

@@ -358,7 +358,7 @@ class ReplicationGroup:
         def _note_acked(link: ReplicaLink) -> None:
             if track and link.name in awaiting:
                 awaiting.discard(link.name)
-                OBS.observe_log(
+                OBS.observe(
                     f"replication.commit.ack_seconds.{link.name}",
                     time.perf_counter() - ack_clock,
                 )
@@ -749,7 +749,7 @@ class ReplicationGroup:
                           round(info["lag_seconds"], 6))
                 # Gauges hold only the latest level; the histogram
                 # keeps the distribution of observed staleness ages.
-                OBS.observe_log(
+                OBS.observe(
                     f"replication.lag.age_seconds.{name}",
                     info["lag_seconds"],
                 )

@@ -250,7 +250,7 @@ class Replica:
                 if enabled:
                     scope.attrs["appended_to"] = frame.seq
         if enabled:
-            OBS.observe_log(
+            OBS.observe(
                 f"replication.pipeline.wal_append_seconds.{self.name}",
                 time.perf_counter() - started,
             )
@@ -279,7 +279,7 @@ class Replica:
                 if enabled:
                     scope.attrs["applied_to"] = frame.seq
         if enabled:
-            OBS.observe_log(
+            OBS.observe(
                 f"replication.pipeline.apply_seconds.{self.name}",
                 time.perf_counter() - started,
             )

@@ -327,7 +327,7 @@ decode_snapshot`.
             try:
                 return self._exchange(link, message)
             finally:
-                OBS.observe_log(
+                OBS.observe(
                     f"replication.ship.rtt_seconds.{link.name}",
                     time.perf_counter() - started,
                 )

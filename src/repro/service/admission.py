@@ -69,8 +69,8 @@ class AdmissionGate:
                 self._active += 1
                 self._publish()
                 if OBS.enabled:
-                    OBS.observe_log("service.admission.wait_seconds",
-                                    time.monotonic() - started)
+                    OBS.observe("service.admission.wait_seconds",
+                                time.monotonic() - started)
                 return
             if self._queued >= self.max_queue:
                 self.shed += 1
@@ -93,7 +93,7 @@ class AdmissionGate:
                     if self._active < self.max_concurrent:
                         self._active += 1
                         if OBS.enabled:
-                            OBS.observe_log(
+                            OBS.observe(
                                 "service.admission.wait_seconds",
                                 time.monotonic() - started,
                             )

@@ -155,7 +155,7 @@ class LockManager:
                     if OBS.enabled:
                         waited = time.monotonic() - started
                         OBS.observe("service.lock.wait_seconds", waited)
-                        OBS.observe_log(
+                        OBS.observe(
                             f"service.lock.wait.{mode}.{resource}",
                             waited,
                         )
@@ -221,8 +221,8 @@ class LockManager:
         the per-cluster hold-time histogram. Caller holds ``_mutex``."""
         since = self._held_since.pop((resource, owner, mode), None)
         if since is not None and OBS.enabled:
-            OBS.observe_log(f"service.lock.hold.{mode}.{resource}",
-                            time.monotonic() - since)
+            OBS.observe(f"service.lock.hold.{mode}.{resource}",
+                        time.monotonic() - since)
 
     def _wake(self, released: Iterable[str]) -> None:
         """Notify exactly the waiters whose parked (resource, mode)

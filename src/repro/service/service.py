@@ -694,7 +694,7 @@ def _red(prefix: str, elapsed: float, error: bool) -> None:
     OBS.inc(f"{prefix}.requests")
     if error:
         OBS.inc(f"{prefix}.errors")
-    OBS.observe_log(f"{prefix}.duration_seconds", elapsed)
+    OBS.observe(f"{prefix}.duration_seconds", elapsed)
 
 
 class Appender:

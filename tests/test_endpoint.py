@@ -95,23 +95,32 @@ def populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("fdb.updates.insert").inc(7)
     registry.gauge("service.active").set(3)
-    sampling = registry.histogram("fdb.query.seconds")
+    query = registry.histogram("fdb.query.seconds")
     for i in range(50):
-        sampling.observe(i / 1000.0)
-    log = registry.log_histogram("service.red.execute.duration_seconds")
+        query.observe(i / 1000.0)
+    red = registry.histogram("service.red.execute.duration_seconds")
     for i in range(1, 101):
-        log.observe(i / 1000.0)
+        red.observe(i / 1000.0)
     return registry
 
 
 class TestPrometheusRoundTrip:
     def test_render_parses_cleanly(self):
-        families = parse_prometheus(render_prometheus(populated_registry()))
+        body = render_prometheus(populated_registry())
+        families = parse_prometheus(body)
         assert families["fdb_updates_insert_total"]["type"] == "counter"
         assert families["fdb_updates_insert_total"]["samples"][
             "fdb_updates_insert_total"] == 7
         assert families["service_active"]["type"] == "gauge"
-        assert families["fdb_query_seconds"]["type"] == "summary"
+        # One histogram kind: every distribution is a real histogram
+        # with cumulative le buckets, and no summary family is left.
+        assert "summary" not in body
+        query = families["fdb_query_seconds"]
+        assert query["type"] == "histogram"
+        buckets = [value for key, value in query["samples"].items()
+                   if key.startswith("fdb_query_seconds_bucket{")]
+        assert len(buckets) > 2 and buckets == sorted(buckets)
+        assert query["samples"]["fdb_query_seconds_bucket{le=+Inf}"] == 50
         hist = families["service_red_execute_duration_seconds"]
         assert hist["type"] == "histogram"
         assert hist["samples"][

@@ -19,8 +19,8 @@ from repro.obs import (
     OBS,
     Counter,
     Gauge,
-    Histogram,
     Instrumentation,
+    LogHistogram,
     MetricError,
     MetricsRegistry,
     Profiler,
@@ -80,7 +80,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_exact_aggregates(self):
-        h = Histogram("h")
+        h = LogHistogram("h")
         for value in (3.0, 1.0, 2.0):
             h.observe(value)
         assert h.count == 3
@@ -90,35 +90,29 @@ class TestHistogram:
         assert h.max == 3.0
 
     def test_nearest_rank_percentiles(self):
-        h = Histogram("h")
+        h = LogHistogram("h")
         for value in range(1, 101):
             h.observe(float(value))
-        assert h.percentile(0) == 1.0
-        assert h.percentile(50) == 51.0  # nearest rank on 0..99
+        # Nearest rank over the buckets, within one bucket's width and
+        # clamped to the exact envelope.
+        assert 1.0 <= h.percentile(0) <= h.base
+        assert 50.0 / h.base <= h.percentile(50) <= 50.0 * h.base
         assert h.percentile(100) == 100.0
 
     def test_empty_percentile_is_zero(self):
-        assert Histogram("h").percentile(95) == 0.0
+        assert LogHistogram("h").percentile(95) == 0.0
 
     def test_percentile_range_checked(self):
         with pytest.raises(MetricError):
-            Histogram("h").percentile(101)
-
-    def test_sample_buffer_bounded_but_aggregates_exact(self):
-        h = Histogram("h", sample_limit=10)
-        for value in range(100):
-            h.observe(float(value))
-        assert h.count == 100
-        assert h.max == 99.0
-        assert len(h._samples) == 10
+            LogHistogram("h").percentile(101)
 
     def test_snapshot_shape(self):
-        h = Histogram("h")
+        h = LogHistogram("h")
         h.observe(2.0)
         snap = h.snapshot()
         assert snap == {
             "count": 1, "total": 2.0, "mean": 2.0, "min": 2.0,
-            "max": 2.0, "p50": 2.0, "p95": 2.0,
+            "max": 2.0, "p50": 2.0, "p95": 2.0, "p99": 2.0,
         }
 
 
@@ -156,61 +150,88 @@ class TestMetricsRegistry:
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
 
+    def test_reset_and_snapshot_survive_a_registration_meanwhile(self):
+        """A name registered while reset() or snapshot() walks the
+        registry (a lease renewer, a replica thread) must not break the
+        walk with "dictionary changed size during iteration"."""
+        registry = MetricsRegistry()
+
+        class Registering(Counter):
+            def reset(self):
+                super().reset()
+                registry.counter(f"{self.name}.reset")
+
+            def snapshot(self):
+                registry.counter(f"{self.name}.snapshot")
+                return super().snapshot()
+
+        registry._get("a", Registering)
+        registry.reset()
+        registry.snapshot()
+        assert "a.reset" in registry and "a.snapshot" in registry
+
 
 # -- tracing --------------------------------------------------------------------
 
 
+def _traced(tracer: Tracer | None = None) -> Instrumentation:
+    obs = Instrumentation()
+    if tracer is not None:
+        obs.tracer = tracer
+    obs.enable(tracing=True)
+    return obs
+
+
 class TestTracer:
     def test_nesting_and_events(self):
-        tracer = Tracer()
-        root = tracer.start("update.delete", function="pupil")
-        tracer.event("chains.matched", count=1)
-        child = tracer.start("evaluate")
-        tracer.event("chain.evaluated", verdict="true")
-        tracer.finish(child)
-        tracer.finish(root)
-        assert tracer.last_trace is root
-        assert root.children == [child]
+        obs = _traced()
+        with obs.span("update.delete", function="pupil"):
+            obs.event("chains.matched", count=1)
+            with obs.span("evaluate"):
+                obs.event("chain.evaluated", verdict="true")
+        root = obs.tracer.last_trace
+        (child,) = root.children
+        assert child.parent_id == root.span_id
         assert root.event_names() == ["chains.matched", "chain.evaluated"]
         assert [span.name for span in root.walk()] == [
             "update.delete", "evaluate",
         ]
         assert root.find("evaluate") == [child]
 
-    def test_finish_requires_innermost(self):
-        tracer = Tracer()
-        outer = tracer.start("outer")
-        tracer.start("inner")
-        with pytest.raises(RuntimeError):
-            tracer.finish(outer)
-
     def test_event_without_active_span_dropped(self):
-        tracer = Tracer()
-        tracer.event("orphan")  # must not raise
-        assert tracer.traces == ()
+        obs = _traced()
+        obs.event("orphan")  # must not raise
+        assert obs.tracer.traces == ()
 
     def test_bounded_retention(self):
-        tracer = Tracer(max_traces=2)
+        obs = _traced(Tracer(max_traces=2))
         for index in range(4):
-            tracer.finish(tracer.start(f"s{index}"))
-        assert [span.name for span in tracer.traces] == ["s2", "s3"]
+            with obs.span(f"s{index}"):
+                pass
+        assert [span.name for span in obs.tracer.traces] == ["s2", "s3"]
 
     def test_render_tree(self):
-        tracer = Tracer()
-        root = tracer.start("update.insert", function="pupil")
-        tracer.event("nvc.created", facts=2)
-        tracer.finish(root)
-        text = root.render()
+        obs = _traced()
+        with obs.span("update.insert", function="pupil"):
+            obs.event("nvc.created", facts=2)
+        text = obs.tracer.last_trace.render()
         lines = text.splitlines()
         assert lines[0].startswith("update.insert function=pupil [")
         assert lines[1].strip() == "+ nvc.created facts=2"
 
     def test_attrs_use_format_value(self):
-        tracer = Tracer()
-        root = tracer.start("update.insert", y=NullValue(3))
-        tracer.finish(root)
+        obs = _traced()
+        with obs.span("update.insert", y=NullValue(3)):
+            pass
+        root = obs.tracer.last_trace
         assert "y=n3" in root.render()
         assert root.to_dict()["attrs"]["y"] == "n3"
+
+    def test_attrs_set_inside_the_scope_reach_the_tree(self):
+        obs = _traced()
+        with obs.span("service.request") as scope:
+            scope.attrs["committed"] = True
+        assert obs.tracer.last_trace.attrs == {"committed": True}
 
 
 # -- hooks / the instrumentation context -------------------------------------------
@@ -230,7 +251,7 @@ class TestInstrumentation:
         scope = obs.span("update.insert")
         assert scope is obs.span("update.delete")
         with scope as entered:
-            assert entered.span is None
+            assert entered.attrs == {}
         assert obs.profiler.entries() == []
 
     def test_enabled_span_feeds_profiler(self):

@@ -1,19 +1,23 @@
 """Concurrency smoke tests for the instrumentation context.
 
 The registries promise exact aggregates under concurrent writers and
-per-thread span nesting (contextvar stacks). These tests hammer the
-primitives from many threads and assert the totals are exact — lost
-updates, not crashes, are the realistic failure mode of unlocked
-``+=`` sections.
+per-thread span nesting (one contextvar stack), and the tracer's trees
+stay a fold of the record stream however the threads interleave.
+These tests hammer the primitives from many threads and assert the
+totals are exact — lost updates, not crashes, are the realistic
+failure mode of unlocked ``+=`` sections.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 
 import pytest
 
-from repro.obs import OBS, MetricsRegistry, RingBufferSink, Tracer
+from repro.obs import OBS, MetricsRegistry, RingBufferSink
+from tests.test_obs_events import assert_trees_match_records
 
 THREADS = 8
 ITERS = 300
@@ -41,7 +45,8 @@ def _run_threads(work) -> None:
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 class TestMetricsUnderThreads:
@@ -91,40 +96,77 @@ class TestTracerUnderThreads:
     def test_span_stacks_are_per_thread(self):
         """A span opened on one thread never becomes the parent of
         another thread's span."""
-        tracer = Tracer()
-        errors: list[str] = []
+        OBS.enable(tracing=True)
 
         def work(index):
-            for i in range(ITERS // 10):
-                outer = tracer.start(f"outer-{index}")
-                inner = tracer.start(f"inner-{index}")
-                if inner.parent_id != outer.span_id:
-                    errors.append(
-                        f"cross-thread parent: {inner.parent_id}"
-                    )
-                tracer.finish(inner)
-                tracer.finish(outer)
+            for _ in range(ITERS // 10):
+                with OBS.span(f"outer-{index}"):
+                    with OBS.span(f"inner-{index}"):
+                        pass
 
         _run_threads(work)
-        assert not errors
-        assert len(tracer.traces) <= tracer.max_traces
+        roots = OBS.tracer.traces
+        assert 0 < len(roots) <= OBS.tracer.max_traces
+        for outer in roots:
+            (inner,) = outer.children
+            assert inner.name == outer.name.replace("outer", "inner")
+            assert inner.parent_id == outer.span_id
 
     def test_span_ids_are_unique(self):
-        tracer = Tracer()
-        seen: list[int] = []
-        lock = threading.Lock()
+        sink = OBS.events.add_sink(RingBufferSink(capacity=100_000))
+        OBS.enable(tracing=True)
 
         def work(_index):
-            local = []
             for _ in range(ITERS // 10):
-                span = tracer.start("s")
-                tracer.finish(span)
-                local.append(span.span_id)
-            with lock:
-                seen.extend(local)
+                with OBS.span("s"):
+                    pass
 
         _run_threads(work)
-        assert len(seen) == len(set(seen))
+        ids = [r.span_id for r in sink.records if r.kind == "span.end"]
+        assert len(ids) == THREADS * (ITERS // 10) == len(set(ids))
+        assert {root.span_id for root in OBS.tracer.traces} <= set(ids)
+
+    def test_every_tree_is_a_fold_of_the_records(self, monkeypatch):
+        """Random nested span/event programs on eight threads: each
+        root the tracer keeps has the edges, events and causes the
+        ring's records fold to."""
+        monkeypatch.setattr(OBS.tracer, "max_traces", 10_000)
+        ring = OBS.events.add_sink(RingBufferSink(capacity=100_000))
+        OBS.enable(tracing=True)
+        rounds = 20
+
+        def program(rng, index, depth):
+            for step in range(rng.randint(1, 3)):
+                if depth < 4 and rng.random() < 0.5:
+                    cause = f"x{index}" if rng.random() < 0.2 else None
+                    with OBS.span(f"t{index}.d{depth}", cause=cause,
+                                  step=step):
+                        program(rng, index, depth + 1)
+                else:
+                    OBS.event(f"t{index}.e{depth}", step=step)
+
+        def work(index):
+            rng = random.Random(index)
+            for n in range(rounds):
+                with OBS.span(f"t{index}.root", cause=f"u{index}.{n}"):
+                    program(rng, index, 1)
+
+        # Switch threads often, so records of different threads
+        # interleave at the emit point and inside the tracer.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(work)
+        finally:
+            sys.setswitchinterval(interval)
+        roots = OBS.tracer.traces
+        assert len(roots) == THREADS * rounds
+        assert_trees_match_records(roots, ring.records)
+        for root in roots:
+            override = "x" + root.name.split(".")[0][1:]
+            for span in root.walk():
+                for child in span.children:
+                    assert child.cause in (span.cause, override)
 
 
 class TestPipelineUnderThreads:

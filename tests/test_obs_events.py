@@ -10,6 +10,7 @@ rendered as DOT.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.obs import (
     RingBufferSink,
     propagation_dag,
     read_jsonl,
-    span_records,
 )
 from repro.workloads.university import pupil_database, section_42_updates
 
@@ -220,15 +220,66 @@ class TestPropagationDag:
         for src, dst, _ in dag.edges:
             assert src in known and dst in known
 
-    def test_span_records_matches_live_trace(self):
+    def test_live_trace_matches_the_ring(self):
+        """The tracer's tree is a fold of the very records the sinks
+        receive."""
+        ring = OBS.events.add_sink(RingBufferSink())
         with OBS.collecting(tracing=True):
-            db = pupil_database()
-            apply_update(db, section_42_updates()[0])
-            last = OBS.tracer.last_trace
-        records = span_records(last)
-        dag = propagation_dag(records)
-        span_nodes = [n for n in dag.nodes if n.kind == "span"]
-        assert len(span_nodes) == sum(1 for _ in last.walk())
+            apply_update(pupil_database(), section_42_updates()[0])
+        assert_trees_match_records(OBS.tracer.traces, ring.records)
+
+    def test_remote_context_joins_the_open_span(self):
+        """A span opened under a shipped ``parent_span`` joins that span
+        — in the records and in the tree — when it is open here."""
+        ring = OBS.events.add_sink(RingBufferSink())
+        OBS.enable(tracing=True)
+        with OBS.span("replication.ship", cause="u7"):
+            shipped = OBS.trace_context()
+
+            def replica():
+                with OBS.remote_context(shipped["parent_span"],
+                                        shipped["cause"]):
+                    with OBS.span("replica.apply"):
+                        OBS.event("replica.applied")
+
+            thread = threading.Thread(target=replica)
+            thread.start()
+            thread.join()
+        (root,) = OBS.tracer.traces
+        (applied,) = root.children
+        assert applied.name == "replica.apply" and applied.cause == "u7"
+        assert applied.event_names() == ["replica.applied"]
+        assert_trees_match_records(OBS.tracer.traces, ring.records)
+
+
+def assert_trees_match_records(roots, records) -> None:
+    """Each tracer root has exactly the parent -> child edges, event
+    names and causes that :func:`propagation_dag` folds from
+    ``records`` for it."""
+    dag = propagation_dag(records)
+    names = {node.node_id: node.label.split("\n")[0] for node in dag.nodes}
+    below: dict[str, list[str]] = {}
+    for src, dst, _ in dag.edges:
+        below.setdefault(src, []).append(dst)
+    ends = {r.span_id: r for r in records if r.kind == "span.end"}
+
+    def walk(span) -> None:
+        node = below.get(f"s{span.span_id}", [])
+        assert sorted(f"s{child.span_id}" for child in span.children) \
+            == sorted(n for n in node if n.startswith("s"))
+        assert [event.name for event in span.events] \
+            == [names[n] for n in node if n.startswith("e")]
+        assert span.cause == ends[span.span_id].cause
+        assert span.duration == ends[span.span_id].duration
+        for child in span.children:
+            walk(child)
+
+    assert roots
+    for root in roots:
+        walk(root)
+        if root.parent_id is None and root.cause is not None:
+            assert (f"c_{root.cause}", f"s{root.span_id}", "causes") \
+                in dag.edges
 
 
 # -- the replication audit timeline -------------------------------------------

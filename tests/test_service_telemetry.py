@@ -137,7 +137,7 @@ class TestRedMetrics:
         assert metrics.counter("service.red.execute.requests").value == 2
         assert metrics.counter("service.red.execute.errors").value == 1
         assert metrics.counter("service.red.read.requests").value == 1
-        duration = metrics.log_histogram(
+        duration = metrics.histogram(
             "service.red.execute.duration_seconds")
         assert duration.count == 2
 
@@ -170,7 +170,7 @@ class TestContentionProfiling:
         # The write token is always locked exclusively on the write path.
         assert any(n.endswith("__write__") for n in waits)
         assert any(n.endswith("__write__") for n in holds)
-        hold = OBS.metrics.log_histogram(
+        hold = OBS.metrics.histogram(
             next(n for n in holds if n.endswith("__write__")))
         assert hold.count >= 1
 

@@ -14,7 +14,7 @@ import pytest
 from repro.fdb.explain import cost_breakdown, derived_breakdown, hop_costs
 from repro.fdb.query import fn
 from repro.fdb.updates import apply_update
-from repro.obs import OBS, SlowLog
+from repro.obs import OBS, RingBufferSink, SlowLog
 from repro.workloads.university import pupil_database, section_42_updates
 
 
@@ -179,3 +179,23 @@ class TestIntegration:
         snap = db.stats()
         assert snap["slowlog"]["records"]
         assert snap["slowlog"]["update_threshold_seconds"] == 0.0
+
+
+class TestAttribution:
+    """A REP is a DEL plus an INS: the nested updates belong to the
+    replace's update id whatever is attached, because there is one
+    span stack and it is kept whenever collection is on."""
+
+    @pytest.mark.parametrize("attached", ["metrics", "tracing", "ring"])
+    def test_replace_cascade_shares_one_cause(self, attached):
+        if attached == "ring":
+            OBS.events.add_sink(RingBufferSink())
+        OBS.slowlog.configure(update_seconds=0.0)
+        db = pupil_database()
+        with OBS.collecting(tracing=attached == "tracing"):
+            db.replace("teach", ("euclid", "math"), ("euclid", "physics"))
+            after = OBS.new_update_id()
+        causes = {record.op: record.cause for record in OBS.slowlog.records}
+        assert causes == {"update.replace": "u1", "update.delete": "u1",
+                          "update.insert": "u1"}
+        assert after == "u2"
