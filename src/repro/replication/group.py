@@ -73,6 +73,15 @@ __all__ = ["CommitMode", "ReplicationGroup", "PromotionReport",
 _SYNC = re.compile(r"^sync\((\d+)\)$")
 
 
+def _within(info: dict, max_lag_seq: int | None,
+            max_lag_seconds: float | None) -> bool:
+    """Whether one replica's :meth:`ReplicationGroup.lag` entry sits
+    within the staleness bound (an absent bound always holds)."""
+    return ((max_lag_seq is None or info["lag_seq"] <= max_lag_seq)
+            and (max_lag_seconds is None
+                 or info["lag_seconds"] <= max_lag_seconds))
+
+
 @dataclass(frozen=True)
 class CommitMode:
     """Parsed commit mode: ``async`` | ``sync(k)`` | ``quorum``."""
@@ -278,7 +287,9 @@ class ReplicationGroup:
     def add_replica(self, name: str,
                     target: "Replica | object") -> CatchUpReport:
         """Link a replica (a local :class:`Replica` or any transport)
-        and bootstrap it from the primary's current state."""
+        and bootstrap it from the primary's current state — or, if it
+        cannot be reached, report that (:meth:`catch_up`) and leave it
+        linked for a later pass to bootstrap."""
         with self._lock:
             shipper = self._require_shipper()
             if isinstance(target, Replica):
@@ -335,83 +346,30 @@ class ReplicationGroup:
             shipper.journal_through(seq)
 
     def on_commit(self, seq: int) -> dict:
-        """Ship the commit at ``seq`` and wait out the commit mode.
-
-        Always journals and attempts one shipping pass (async mode
-        keeps replicas warm without blocking); under ``sync(k)`` /
-        ``quorum`` it retries lagging replicas until the ack quota is
-        met or ``ack_timeout`` expires (:exc:`ReplicationTimeout`).
-        """
+        """Ship the commit at ``seq`` and wait out the commit mode:
+        :meth:`_ship_passes` until ``required_acks`` links hold it, or
+        :exc:`ReplicationTimeout` after ``ack_timeout`` — at once when
+        the quota is larger than the linked replicas. ``async`` needs
+        no ack, so it is one best-effort pass."""
         shipper = self._require_shipper()
         shipper.journal_through(seq)
         links = shipper.links()
         needed = self.mode.required_acks(len(links))
-        deadline = time.monotonic() + self.ack_timeout
-        first_pass = True
-        # Commit-to-ack round trips, per replica: which links still
-        # owe an ack for this seq, timed from here. Telemetry only.
-        track = OBS.enabled
-        ack_clock = time.perf_counter() if track else 0.0
-        awaiting = ({link.name for link in links
-                     if link.acked_seq < seq} if track else set())
-
-        def _note_acked(link: ReplicaLink) -> None:
-            if track and link.name in awaiting:
-                awaiting.discard(link.name)
-                OBS.observe(
-                    f"replication.commit.ack_seconds.{link.name}",
-                    time.perf_counter() - ack_clock,
-                )
-
-        while True:
-            acked = 0
-            for link in links:
-                if link.acked_seq >= seq:
-                    acked += 1
-                    _note_acked(link)
-                    continue
-                if not (first_pass or needed):
-                    continue
-                self._ship(shipper, link, seq)
-                if link.acked_seq >= seq:
-                    acked += 1
-                    _note_acked(link)
-            self._refresh_gauges()
-            if acked >= needed:
-                return {"seq": seq, "acks": acked,
-                        "mode": str(self.mode)}
-            first_pass = False
-            if time.monotonic() >= deadline:
-                if OBS.enabled:
-                    OBS.inc("replication.ack_timeouts")
-                    OBS.action("replication.ack_timeout", seq=seq,
-                               acks=acked, needed=needed,
-                               mode=str(self.mode))
-                raise ReplicationTimeout(
-                    f"commit seq {seq} got {acked}/{needed} replica "
-                    f"acks within {self.ack_timeout}s ({self.mode})"
-                )
-            time.sleep(self.retry_interval)
-
-    def _ship(self, shipper: WalShipper, link: ReplicaLink,
-              seq: int) -> None:
-        """One shipping pass at one link, by snapshot when its range
-        is gone from the log. An unreachable or refusing replica is
-        left for the next pass (the caller reads ``link.acked_seq``);
-        a replica refusing the delta stream as stale means this
-        shipper is deposed, and that propagates."""
-        try:
-            shipper.ship(link, seq)
-        except SnapshotNeeded:
-            try:
-                self._snapshot_catch_up(shipper, link)
-                shipper.ship(link, seq)
-            except (ConnectionError, TimeoutError, ReplicationError):
-                pass
-        except ReplicaDiverged:
-            raise
-        except (ConnectionError, TimeoutError, ReplicationError):
-            pass
+        acked = self._ship_passes(
+            shipper, links, seq, needed,
+            time.monotonic() + self.ack_timeout,
+            ack_clock=time.perf_counter() if OBS.enabled else None,
+        )
+        if acked >= needed:
+            return {"seq": seq, "acks": acked, "mode": str(self.mode)}
+        if OBS.enabled:
+            OBS.inc("replication.ack_timeouts")
+            OBS.action("replication.ack_timeout", seq=seq, acks=acked,
+                       needed=needed, mode=str(self.mode))
+        within = (f"with only {len(links)} replicas linked"
+                  if needed > len(links) else f"within {self.ack_timeout}s")
+        raise ReplicationTimeout(f"commit seq {seq} got {acked}/{needed} "
+                                 f"replica acks {within} ({self.mode})")
 
     def sync_all(self, timeout: float | None = None) -> dict:
         """Drain every reachable replica up to the primary's last
@@ -419,49 +377,83 @@ class ReplicationGroup:
         shipper = self._require_shipper()
         target = shipper.log.last_seq()
         shipper.journal_through(target)
-        deadline = time.monotonic() + (
-            self.ack_timeout if timeout is None else timeout)
-        lagging = {link.name for link in shipper.links()}
-        while lagging:
-            for link in shipper.links():
-                if link.name not in lagging:
-                    continue
-                try:
+        links = shipper.links()
+        timeout = self.ack_timeout if timeout is None else timeout
+        self._ship_passes(shipper, links, target, len(links),
+                          time.monotonic() + timeout)
+        return {"target": target,
+                "lagging": sorted(link.name for link in links
+                                  if link.acked_seq < target)}
+
+    def _ship_passes(self, shipper: WalShipper, links: list[ReplicaLink],
+                     target: int, needed: int, deadline: float, *,
+                     ack_clock: float | None = None) -> int:
+        """The one shipping loop. Each pass ships every link below
+        ``target``; passes after the first run only while fewer than
+        ``needed`` links hold it, ``needed`` can be met and
+        ``deadline`` is ahead. Returns how many links hold ``target``;
+        with an ``ack_clock`` (``perf_counter`` origin) each one that
+        comes to hold it is timed into the commit-to-ack histogram."""
+        awaiting = ({link.name for link in links
+                     if link.acked_seq < target}
+                    if ack_clock is not None else ())
+        while True:
+            acked = 0
+            for link in links:
+                if link.acked_seq < target:
                     self._ship(shipper, link, target)
-                except ReplicaDiverged:
-                    continue
-                if link.acked_seq >= target:
-                    lagging.discard(link.name)
-            if not lagging or time.monotonic() >= deadline:
-                break
+                    if link.acked_seq < target:
+                        continue
+                acked += 1
+                if link.name in awaiting:
+                    awaiting.discard(link.name)
+                    OBS.observe(
+                        f"replication.commit.ack_seconds.{link.name}",
+                        time.perf_counter() - ack_clock,
+                    )
+            self._refresh_gauges()
+            if (acked >= needed or needed > len(links)
+                    or time.monotonic() >= deadline):
+                return acked
             time.sleep(self.retry_interval)
-        self._refresh_gauges()
-        return {"target": target, "lagging": sorted(lagging)}
+
+    def _ship(self, shipper: WalShipper, link: ReplicaLink,
+              seq: int) -> int | None:
+        """Ship one link up to ``seq``, by snapshot when delta cannot
+        reach it; returns the installed snapshot's ``wal_applied`` (or
+        ``None``). The one refusal policy: an unreachable or refusing
+        replica is left for the next pass; :exc:`ReplicaDiverged` (a
+        newer term: this shipper is deposed) propagates."""
+        installed = None
+        try:
+            try:
+                shipper.ship(link, seq)
+            except SnapshotNeeded:
+                installed = self._snapshot_catch_up(shipper, link)
+                shipper.ship(link, seq)
+        except ReplicaDiverged:
+            raise
+        except (ConnectionError, TimeoutError, ReplicationError):
+            pass
+        return installed
 
     # -- catch-up -----------------------------------------------------------
 
     def catch_up(self, name: str) -> CatchUpReport:
-        """Bring one replica up to the primary's last sequence number,
-        by delta shipping when its position is still in the log and by
-        checkpoint + tail otherwise."""
+        """Bring one replica up to the primary's last sequence number
+        (one :meth:`_ship`). An unreachable replica is reported, not
+        raised: ``to_seq == from_seq`` and the link stays as it was,
+        for the next commit to bring along."""
         shipper = self._require_shipper()
         link = shipper.link(name)
         from_seq = link.acked_seq
-        target = shipper.log.last_seq()
-        mode = "none"
-        snapshot_applied: int | None = None
-        if link.needs_snapshot or from_seq < shipper.log.shippable_floor():
-            snapshot_applied = self._snapshot_catch_up(shipper, link)
-            mode = "snapshot"
-            target = shipper.log.last_seq()
-        if link.acked_seq < target:
-            shipper.ship(link, target)
-            if mode == "none":
-                mode = "delta"
+        installed = self._ship(shipper, link, shipper.log.last_seq())
+        mode = ("snapshot" if installed is not None
+                else "delta" if link.acked_seq > from_seq else "none")
         report = CatchUpReport(
             replica=name, mode=mode, from_seq=from_seq,
             to_seq=link.acked_seq, term=self.term,
-            snapshot_wal_applied=snapshot_applied,
+            snapshot_wal_applied=installed,
         )
         if OBS.enabled:
             OBS.action("replication.catch_up", **report.as_dict())
@@ -519,14 +511,11 @@ class ReplicationGroup:
         """
         with self._lock:
             shipper = self._require_shipper()
-            candidates: list[tuple[str, int]] = []
-            statuses: dict[str, dict] = {}
-            for link in shipper.links():
-                status = shipper.poll_status(link)
-                if status is None:
-                    continue
-                statuses[link.name] = status
-                candidates.append((link.name, status["applied_seq"]))
+            statuses = {link.name: status for link in shipper.links()
+                        if (status := shipper.poll_status(link))
+                        is not None}
+            candidates = [(replica, status["applied_seq"])
+                          for replica, status in statuses.items()]
             if not candidates:
                 raise ReplicationError(
                     "no reachable replica to promote"
@@ -534,14 +523,12 @@ class ReplicationGroup:
             if name is None:
                 chosen, applied = max(candidates,
                                       key=lambda item: item[1])
+            elif name in statuses:
+                chosen, applied = name, statuses[name]["applied_seq"]
             else:
-                by_name = dict(candidates)
-                if name not in by_name:
-                    raise ReplicationError(
-                        f"replica {name!r} is not reachable for "
-                        f"promotion"
-                    )
-                chosen, applied = name, by_name[name]
+                raise ReplicationError(
+                    f"replica {name!r} is not reachable for promotion"
+                )
             old_term = self.term
             new_term = old_term + 1
             self._fences[old_term] = applied
@@ -689,9 +676,7 @@ class ReplicationGroup:
         lags = self.lag()
         eligible = sorted(
             (info["lag_seq"], name) for name, info in lags.items()
-            if (max_lag_seq is None or info["lag_seq"] <= max_lag_seq)
-            and (max_lag_seconds is None
-                 or info["lag_seconds"] <= max_lag_seconds)
+            if _within(info, max_lag_seq, max_lag_seconds)
         )
         for _, name in eligible:
             with self._lock:
@@ -741,18 +726,14 @@ class ReplicationGroup:
                 "errors": link.errors,
                 "last_error": link.last_error,
             }
-        if OBS.enabled:
-            for name, info in out.items():
-                OBS.gauge(f"replication.lag.seq.{name}",
-                          info["lag_seq"])
-                OBS.gauge(f"replication.lag.seconds.{name}",
-                          round(info["lag_seconds"], 6))
+            if OBS.enabled:
+                OBS.gauge(f"replication.lag.seq.{link.name}", lag_seq)
+                OBS.gauge(f"replication.lag.seconds.{link.name}",
+                          round(lag_seconds, 6))
                 # Gauges hold only the latest level; the histogram
                 # keeps the distribution of observed staleness ages.
-                OBS.observe(
-                    f"replication.lag.age_seconds.{name}",
-                    info["lag_seconds"],
-                )
+                OBS.observe(f"replication.lag.age_seconds.{link.name}",
+                            lag_seconds)
         return out
 
     def worst_lag_seq(self) -> float | None:
@@ -805,12 +786,8 @@ class ReplicationGroup:
         ``servable`` is whether at least one replica sits within the
         given staleness bound (no bound: any linked replica at all)."""
         lags = self.lag()
-        servable = any(
-            (max_lag_seq is None or info["lag_seq"] <= max_lag_seq)
-            and (max_lag_seconds is None
-                 or info["lag_seconds"] <= max_lag_seconds)
-            for info in lags.values()
-        )
+        servable = any(_within(info, max_lag_seq, max_lag_seconds)
+                       for info in lags.values())
         out = {
             "role": "primary",
             "node": self.primary_name,

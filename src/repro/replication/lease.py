@@ -327,27 +327,22 @@ class LeaseManager:
         }
 
     def renew_once(self) -> int:
-        """One dedicated heartbeat round: a status beat to every link.
-        Returns how many replicas answered. Piggybacked renewals from
-        live write traffic make most of these rounds redundant — they
-        matter on an idle or entirely-partitioned primary."""
+        """One dedicated heartbeat round: a status poll to every link,
+        through the shipper's own exchange (which stamps the lease and
+        counts the vote). Returns how many replicas answered.
+        Piggybacked renewals from live write traffic make most of
+        these rounds redundant — they matter on an idle or
+        entirely-partitioned primary."""
         shipper = self.group.shipper
         if shipper is None or self._granted is None:
             return 0
-        frame = self.heartbeat_frame()
         acked = 0
         for link in shipper.links():
-            started = self.clock()
             try:
                 FAULTS.fire("repl.lease.heartbeat", replica=link.name)
-                reply = link.transport.request(
-                    {"type": "status", "lease": frame}
-                )
-            except (ConnectionError, TimeoutError, OSError) as exc:
-                link.note_error(str(exc))
-                continue
-            if reply.get("ok"):
-                self.note_ack(link.name, started)
+            except ConnectionError:
+                continue  # this beat was dropped
+            if shipper.poll_status(link) is not None:
                 acked += 1
         now = self.clock()
         with self._lock:
@@ -556,10 +551,6 @@ class FailoverCoordinator:
         if replica is not None \
                 and getattr(replica, "failure_detector", None) is not None:
             replica.failure_detector = None
-
-    def detectors(self) -> dict[str, FailureDetector]:
-        with self._lock:
-            return dict(self._detectors)
 
     def votes_needed(self) -> int:
         if self.config.election_votes is not None:

@@ -71,16 +71,6 @@ class ReplicaLink:
         self.errors += 1
         self.last_error = error
 
-    def status(self) -> dict:
-        return {
-            "name": self.name,
-            "acked_seq": self.acked_seq,
-            "acked_term": self.acked_term,
-            "errors": self.errors,
-            "last_error": self.last_error,
-            "needs_snapshot": self.needs_snapshot,
-        }
-
 
 class WalShipper:
     """The record stream from one primary log to N replica links."""
@@ -128,10 +118,6 @@ class WalShipper:
         with self._lock:
             return list(self._links.values())
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._links)
-
     # -- journalling --------------------------------------------------------
 
     def journal_through(self, seq: int) -> None:
@@ -174,13 +160,13 @@ class WalShipper:
         collect the ack. Returns the replica's new applied sequence.
 
         Raises ``ConnectionError``/``TimeoutError`` for unreachable
-        replicas, :exc:`SnapshotNeeded` when the range is gone from
-        the log, :exc:`ReplicaDiverged` when the replica refuses the
-        stream (stale term or divergence).
+        replicas, :exc:`SnapshotNeeded` when the link is marked for
+        bootstrap (however far it acked) or the range is gone from the
+        log, and a refusal as :meth:`_refusal` reads it.
         """
         while True:
             acked = link.acked_seq
-            if through_seq <= acked:
+            if through_seq <= acked and not link.needs_snapshot:
                 return acked
             floor = self.log.shippable_floor()
             if link.needs_snapshot or acked < floor:
@@ -221,20 +207,7 @@ class WalShipper:
             }, "replication.ship", from_seq=acked + 1,
                 through_seq=batch_through, records=len(batch))
             if not reply.get("ok"):
-                error = reply.get("error", "refused")
-                link.note_error(error)
-                if error == "stale-term":
-                    raise ReplicaDiverged(
-                        f"replica {link.name} is at term "
-                        f"{reply.get('term')} — this shipper (term "
-                        f"{self.term}) is deposed"
-                    )
-                if error in ("needs-snapshot", "gap", "diverged"):
-                    link.needs_snapshot = True
-                    raise SnapshotNeeded(link.name, acked, floor)
-                raise ReplicationError(
-                    f"replica {link.name} refused records: {error}"
-                )
+                raise self._refusal(link, reply, "records")
             link.note_ack(reply.get("applied_seq", acked),
                           reply.get("term", self.term))
             if OBS.enabled:
@@ -267,17 +240,7 @@ decode_snapshot`.
         }, "replication.ship_snapshot", wal_applied=wal_applied,
             bytes_raw=raw_bytes, bytes_wire=wire_bytes)
         if not reply.get("ok"):
-            error = reply.get("error", "refused")
-            link.note_error(error)
-            if error == "stale-term":
-                raise ReplicaDiverged(
-                    f"replica {link.name} is at term "
-                    f"{reply.get('term')} — this shipper (term "
-                    f"{self.term}) is deposed"
-                )
-            raise ReplicationError(
-                f"replica {link.name} refused snapshot: {error}"
-            )
+            raise self._refusal(link, reply, "snapshot")
         link.needs_snapshot = False
         link.note_ack(reply.get("applied_seq", wal_applied),
                       reply.get("term", self.term))
@@ -293,9 +256,27 @@ decode_snapshot`.
             reply = self._exchange(link, {"type": "status"})
         except ConnectionError:
             return None
-        if not reply.get("ok"):
-            return None
-        return reply
+        return reply if reply.get("ok") else None
+
+    def _refusal(self, link: ReplicaLink, reply: dict,
+                 what: str) -> ReplicationError:
+        """The error a refused append or snapshot raises: ``stale-term``
+        means this shipper is deposed (:exc:`ReplicaDiverged`); a lost
+        place marks the link for bootstrap (:exc:`SnapshotNeeded`)."""
+        error = reply.get("error", "refused")
+        link.note_error(error)
+        if error == "stale-term":
+            return ReplicaDiverged(
+                f"replica {link.name} is at term {reply.get('term')} — "
+                f"this shipper (term {self.term}) is deposed"
+            )
+        if error in ("needs-snapshot", "gap", "diverged"):
+            link.needs_snapshot = True
+            return SnapshotNeeded(link.name, link.acked_seq,
+                                  self.log.shippable_floor())
+        return ReplicationError(
+            f"replica {link.name} refused {what}: {error}"
+        )
 
     def _traced_exchange(self, link: ReplicaLink, message: dict,
                          span_name: str, **attrs) -> dict:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.errors import (
+    ReplicaDiverged,
     ReplicationError,
     ReplicationTimeout,
     StalenessUnserved,
@@ -381,6 +382,98 @@ class TestGroupCommitModes:
         started = time.monotonic()
         assert group.sync_all(timeout=0)["lagging"] == ["r0"]
         assert time.monotonic() - started < 1.0
+
+
+class TestShippingLoop:
+    """``on_commit``, ``sync_all`` and ``catch_up`` share one shipping
+    loop and one refusal policy: unreachable means next pass, a newer
+    term means this shipper is deposed, on the delta and snapshot
+    paths alike."""
+
+    def test_stale_term_on_the_snapshot_path_raises_at_once(
+            self, primary, tmp_path, make_group, monkeypatch):
+        logged, _ = primary
+        group = make_group("sync(1)", ack_timeout=1.0,
+                           retry_interval=0.02)
+        group.attach_primary(logged)
+        replica = Replica("r0", tmp_path / "r0")
+        group.add_replica("r0", replica)
+        replica.term = 5
+        group.shipper.link("r0").needs_snapshot = True
+        dumps = []
+        real = WalShipper.ship_snapshot
+
+        def counting(shipper, link, snapshot, wal_applied):
+            dumps.append(link.name)
+            return real(shipper, link, snapshot, wal_applied)
+
+        monkeypatch.setattr(WalShipper, "ship_snapshot", counting)
+        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
+        started = time.monotonic()
+        with pytest.raises(ReplicaDiverged):
+            group.on_commit(seq)
+        assert time.monotonic() - started < 0.5
+        assert dumps == ["r0"]
+
+    def test_quota_beyond_the_links_raises_after_one_pass(
+            self, primary, tmp_path, make_group):
+        from repro.obs import OBS
+
+        logged, _ = primary
+        group = make_group("sync(2)", ack_timeout=5.0)
+        group.attach_primary(logged)
+        group.add_replica("r0", Replica("r0", tmp_path / "r0"))
+        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
+        OBS.enable()
+        try:
+            before = OBS.metrics.snapshot()["counters"].get(
+                "replication.ack_timeouts", 0)
+            started = time.monotonic()
+            with pytest.raises(ReplicationTimeout,
+                               match=r"1/2 .* only 1 replicas linked"):
+                group.on_commit(seq)
+            assert time.monotonic() - started < 0.5
+            after = OBS.metrics.snapshot()["counters"][
+                "replication.ack_timeouts"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+            OBS.metrics.clear()
+        assert after == before + 1
+        # The one pass still shipped to the replica that is linked.
+        assert group.replica("r0").applied_seq == seq
+
+    def test_sync_all_on_a_deposed_shipper_raises(
+            self, primary, tmp_path, make_group):
+        logged, _ = primary
+        group = make_group("async", ack_timeout=5.0)
+        group.attach_primary(logged)
+        replica = Replica("r0", tmp_path / "r0")
+        group.add_replica("r0", replica)
+        replica.term = 5
+        logged.execute(Update.ins("teach", "gauss", "cs"))
+        started = time.monotonic()
+        with pytest.raises(ReplicaDiverged):
+            group.sync_all(timeout=5.0)
+        assert time.monotonic() - started < 0.5
+
+    def test_add_replica_reports_an_unreachable_replica(
+            self, primary, tmp_path, make_group):
+        logged, _ = primary
+        group = make_group()
+        group.attach_primary(logged)
+        replica = Replica("r0", tmp_path / "r0")
+        replica.crash()
+        report = group.add_replica("r0", replica)
+        assert (report.mode, report.from_seq, report.to_seq) == \
+            ("none", 0, 0)
+        assert group.shipper.link("r0").needs_snapshot
+        replica.restart()
+        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
+        group.on_commit(seq)
+        assert replica.snapshot_path.exists()  # bootstrapped by snapshot
+        assert replica.applied_seq == seq
+        assert replica.db.truth_of("teach", "gauss", "cs") is Truth.TRUE
 
 
 class TestFailover:

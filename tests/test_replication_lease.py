@@ -143,6 +143,37 @@ class TestLeaseManager:
         lease.check()
         assert group.term == term
 
+    def test_beats_are_status_polls_through_the_shipper(
+            self, tmp_path, stack):
+        """A renewal beat is the shipper's status poll: the same
+        lease-stamped frame, and the vote is counted by the exchange."""
+        clock = _Ticker()
+        cfg = LeaseConfig(duration=1.0, margin=0.1,
+                          renew_interval=0.2)
+        _, _, group, lease, _ = stack(cfg, clock=clock)
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner, self.sent = inner, []
+
+            def request(self, message):
+                self.sent.append(message)
+                return self.inner.request(message)
+
+        links = group.shipper.links()
+        for link in links:
+            link.transport = Recording(link.transport)
+        clock.now = 0.5
+        assert lease.renew_once() == 2
+        beats = [link.transport.sent.pop() for link in links]
+        assert all(not link.transport.sent for link in links)
+        for link in links:
+            assert group.shipper.poll_status(link) is not None
+        assert beats == [link.transport.sent.pop() for link in links]
+        assert beats[0] == {"type": "status",
+                            "lease": lease.heartbeat_frame()}
+        assert lease.watermark() == 0.5
+
     def test_remaining_and_status(self, tmp_path, stack):
         clock = _Ticker()
         cfg = LeaseConfig(duration=1.0, margin=0.1,
