@@ -26,7 +26,11 @@ Two sweeps complement the point matrix:
   :class:`TornWrite` faults that persist only a prefix of the record;
 * a byte-truncation sweep over *every* offset of the final WAL record
   of a cleanly finished run, simulating the tail loss an fsync-less
-  filesystem can inflict after the fact.
+  filesystem can inflict after the fact — and then one more append to
+  each cut file, which must land as a record of its own.
+
+Recovery runs under ``policy="strict"`` throughout: salvage would
+tolerate a record written twice.
 
 Run the whole thing from the command line::
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.errors import PersistenceError
 from repro.faults.registry import (
     FAULTS,
     CrashFault,
@@ -71,9 +76,17 @@ _FAILURE_PATH_POINTS = frozenset({
     "wal.abort.append",
 })
 
+# Points where a write has landed but can still fail: their runs add a
+# cell in which every write's first attempt fails there, and the log's
+# retry must turn each into one record.
+_RETRY_POINTS = frozenset({"storage.append.before-fsync"})
+
 # Torn-write prefix lengths tried at torn-capable points (clamped by
 # TornWrite itself to the payload length).
 _TORN_PREFIXES = (0, 1, 17)
+
+# What the truncation sweep appends to each cut file.
+_APPENDED = Update.ins("teach", "hilbert", "logic")
 
 
 def default_workload() -> list[tuple]:
@@ -220,10 +233,22 @@ def run_scenario(point: str, fault: Fault, workdir: Path,
         # (fully) applied: replay must produce it.
         committed.append(in_flight)
 
-    report = recover(snapshot, log_path, policy="salvage")
-    divergence = states_diff(_expected_state(committed), report.db)
+    report, divergence = _recovered(snapshot, log_path,
+                                    _expected_state(committed))
     return CrashOutcome(point, repr(fault), fired, crashed,
                         divergence, report)
+
+
+def _recovered(snapshot: Path, log_path: Path,
+               expected: FunctionalDatabase
+               ) -> tuple[RecoveryReport | None, str | None]:
+    """Strict recovery of the pair and its first difference from
+    ``expected``; a log recovery refuses is a divergence too."""
+    try:
+        report = recover(snapshot, log_path, policy="strict")
+    except PersistenceError as exc:
+        return None, f"recovery refused the log: {exc}"
+    return report, states_diff(expected, report.db)
 
 
 def run_crash_matrix(base_dir: Path,
@@ -241,6 +266,8 @@ def run_crash_matrix(base_dir: Path,
         faults: list[Fault] = [CrashFault()]
         if info.supports_torn_write:
             faults.extend(TornWrite(n) for n in _TORN_PREFIXES)
+        if info.name in _RETRY_POINTS:
+            faults.append(_FirstAttemptFails())
         for fault in faults:
             cell += 1
             outcomes.append(run_scenario(
@@ -258,6 +285,24 @@ def run_crash_matrix(base_dir: Path,
     return outcomes
 
 
+class _FirstAttemptFails(Fault):
+    """A transient error on every other firing: at a point each write
+    attempt passes once, every write fails once and its retry goes
+    through — records behind the checkpoint too, so a record logged
+    twice is still in the log when recovery reads it."""
+
+    def __init__(self) -> None:
+        self._firings = 0
+
+    def trigger(self, point: str, **context) -> None:
+        self._firings += 1
+        if self._firings % 2:
+            raise OSError("injected transient I/O error")
+
+    def __repr__(self) -> str:
+        return "FirstAttemptFails()"
+
+
 class _NoopFault(Fault):
     def trigger(self, point: str, **context) -> None:
         return
@@ -273,6 +318,9 @@ def run_truncation_sweep(base_dir: Path,
     and recover: each tear must yield the state without the final
     update; the complete-but-unterminated record must yield the full
     state (it was written and fsync'd — only the newline is cosmetic).
+    Then reopen each cut file, append one more update and recover
+    again: that state plus the update, never the update glued to the
+    cut record.
     """
     steps = workload if workload is not None else default_workload()
     updates = [step[1] for step in steps if step[0] == "update"]
@@ -288,16 +336,21 @@ def run_truncation_sweep(base_dir: Path,
     last_line = raw.rstrip(b"\n").rsplit(b"\n", 1)[-1]
     body_start = len(raw) - len(last_line) - 1  # -1: trailing newline
 
-    without_last = _expected_state(updates[:-1])
-    with_last = _expected_state(updates)
     outcomes: list[CrashOutcome] = []
     torn_path = base_dir / "sweep-torn.log"
     for offset in range(len(last_line) + 1):
         torn_path.write_bytes(raw[: body_start + offset])
-        report = recover(snapshot, torn_path, policy="strict")
-        expected = (with_last if offset == len(last_line)
-                    else without_last)
-        divergence = states_diff(expected, report.db)
+        done = updates if offset == len(last_line) else updates[:-1]
+        report, divergence = _recovered(snapshot, torn_path,
+                                        _expected_state(done))
+        if divergence is None:
+            reopened = UpdateLog(torn_path)
+            try:
+                reopened.append(_APPENDED)
+            finally:
+                reopened.close()
+            _, divergence = _recovered(
+                snapshot, torn_path, _expected_state([*done, _APPENDED]))
         outcomes.append(CrashOutcome(
             f"truncation@{offset}", f"cut to {offset}B", True, True,
             divergence, report,

@@ -2,7 +2,8 @@
 
 Everything durable in this package goes through two operations, both
 with the fsync discipline a real store needs (:func:`read_span` is the
-read side: the bytes of a log at a known offset):
+read side: the bytes of a log at a known offset; :func:`cut` takes back
+what a failed append left):
 
 * :func:`atomic_write` — publish a complete new file state with no
   window in which a reader (or a crash) can observe a partial one:
@@ -29,7 +30,7 @@ from pathlib import Path
 from repro.faults.registry import FAULTS
 
 __all__ = ["AppendHandle", "atomic_write", "append_line",
-           "read_span", "fsync_directory"]
+           "read_span", "cut", "fsync_directory"]
 
 
 FAULTS.register(
@@ -58,6 +59,11 @@ FAULTS.register(
     "storage.append.payload",
     "append_line: mid-write of the record (torn tail)",
     supports_torn_write=True,
+)
+FAULTS.register(
+    "storage.append.before-fsync",
+    "append_line: record written, not yet fsync'd",
+    durable=True,
 )
 FAULTS.register(
     "storage.append.after-write",
@@ -158,6 +164,24 @@ def read_span(path: str | Path, offset: int, size: int) -> bytes:
         return handle.read(size)
 
 
+def cut(path: str | Path, size: int, *, fsync: bool = True) -> None:
+    """Shorten ``path`` to its first ``size`` bytes and make that
+    durable: how a log takes back what a failed append left behind. A
+    missing file is already cut to nothing."""
+    try:
+        fd = os.open(path, os.O_WRONLY)
+    except FileNotFoundError:
+        if size:
+            raise
+        return
+    try:
+        os.ftruncate(fd, size)
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def append_line(log: AppendHandle, line: str, *,
                 encoding: str = "utf-8", fsync: bool = True) -> int:
     """Append ``line`` (a newline is added) to ``log`` and make it
@@ -176,6 +200,7 @@ def append_line(log: AppendHandle, line: str, *,
         written = handle.write(data)
         while written < len(data):  # short write: finish the frame
             written += handle.write(data[written:])
+        FAULTS.fire("storage.append.before-fsync")
         if fsync:
             os.fsync(handle.fileno())
     except BaseException:

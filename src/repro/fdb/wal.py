@@ -310,6 +310,63 @@ class LogScan:
     max_term: int = 0
     torn_tail: bool = False
     checksum_failures: int = 0
+    # The run: the contiguous stretch of records at the end of the
+    # file. Record ``run_first + i`` is the bytes ``[run[i],
+    # run[i + 1])``; ``run[-1]`` is where the lines that stay end (a
+    # torn tail does not stay).
+    run_first: int = 0
+    run: list[int] = field(default_factory=lambda: [0])
+    unterminated: bool = False  # the file does not end in a newline
+
+
+def _extend_run(first: int, run: list[int], seq: int | None,
+                nbytes: int) -> tuple[int, list[int]]:
+    """The run after one more line of ``nbytes`` bytes holding record
+    ``seq`` — ``None`` for a line that breaks the run: damage, a blank
+    line, a header. A record that does not follow the run's last one
+    (a step in the sequence) starts a new run at itself."""
+    start = run[-1]
+    if seq is None:
+        return first, [start + nbytes]
+    if len(run) > 1 and seq == first + len(run) - 1:
+        run.append(start + nbytes)
+        return first, run
+    return seq, [start, start + nbytes]
+
+
+class _Index:
+    """Everything an :class:`UpdateLog` knows about its file: what one
+    salvage scan found, extended by every record the log wrote since."""
+
+    __slots__ = ("floor", "last_seq", "term", "run_first", "run", "tail",
+                 "entries", "aborted", "checksum_failures", "problems")
+
+    def __init__(self, scan: LogScan) -> None:
+        self.floor = scan.base_seq  # records at or below it are folded
+        self.last_seq = scan.max_seq
+        self.term = scan.max_term
+        self.run_first, self.run = scan.run_first, scan.run
+        # What the next write must settle at the run's end first: a
+        # torn final line, or a final line missing only its newline.
+        self.tail = ("torn" if scan.torn_tail
+                     else "open" if scan.unterminated else None)
+        self.entries = sum(1 for _ in committed(scan.records))
+        self.aborted = len(scan.aborted)
+        self.checksum_failures = scan.checksum_failures
+        self.problems = len(scan.problems)
+
+    def add(self, seq: int, term: int, abort: bool, nbytes: int) -> None:
+        """Record ``seq``, ``nbytes`` long, just landed at the run's
+        end."""
+        self.run_first, self.run = _extend_run(self.run_first, self.run,
+                                               seq, nbytes)
+        self.last_seq = max(self.last_seq, seq)
+        self.term = max(self.term, term)
+        if abort:  # it compensates an entry this log holds
+            self.entries -= 1
+            self.aborted += 1
+        else:
+            self.entries += 1
 
 
 class UpdateLog:
@@ -325,6 +382,16 @@ class UpdateLog:
     the log (:meth:`truncate`, :meth:`truncate_to`,
     :meth:`discard_torn_tail`) close it first, and the next append
     reopens. Whoever owns the log closes it.
+
+    It also keeps one index of its file under ``_seq_lock``: the
+    header's floor, the last sequence number, the run of records at
+    the end and their byte boundaries, the tail state and the tallies
+    :meth:`health` reports. One salvage scan builds it on first use —
+    after construction, :meth:`close`, a rename, or a write that died
+    mid-way; :meth:`truncate` sets it without a scan — every write this
+    object makes extends it, and every question the log answers reads
+    it. Nothing but this object appends to or renames the file while
+    it holds the index, so nothing else can move it.
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = True,
@@ -336,31 +403,16 @@ class UpdateLog:
         self.backoff = backoff
         # Replication epoch stamped into every subsequent record.
         self.term = term
-        # What the log remembers about its file, under ``_seq_lock``:
-        # the next sequence number, the floor its header records, and
-        # where the records are. One scan fills the first two on first
-        # use; a rename drops all three (``_replace``). Nothing but
-        # this object renames or appends to the file, so nothing else
-        # can move them.
-        self._next_seq: int | None = None
-        self._floor: int | None = None
-        # The contiguous run of records at the end of the file: record
-        # ``_run_first + i`` is the bytes ``[_run[i], _run[i + 1])``.
-        # Walked on the first ``records_between`` — never on a log
-        # nobody ships from — and extended by every append after it.
-        self._run_first = 0
-        self._run: list[int] | None = None
-        self._cache: tuple[int, int] | None = None  # (file size, count)
-        # health(): scan results keyed on (size, mtime_ns) so /metrics
-        # and /health scrapes don't rescan a quiescent log.
-        self._health_cache: tuple[tuple[int, int], dict] | None = None
+        self._idx: _Index | None = None
         self._seq_lock = threading.Lock()
         self._handle = storage.AppendHandle(self.path)
 
     def close(self) -> None:
-        """Release the held append descriptor. Idempotent; a later
-        append reopens."""
-        self._handle.close()
+        """Release the held append descriptor and forget the index.
+        Idempotent; a later use rescans and a later append reopens."""
+        with self._seq_lock:
+            self._idx = None
+            self._handle.close()
 
     # -- appending ----------------------------------------------------------
 
@@ -372,21 +424,18 @@ class UpdateLog:
         # completion (or fails on its own terms) — a deadline must not
         # be able to leave a claimed-but-unwritten sequence number.
         cancel.checkpoint()
-        seq = self._claim_seq()
-        line = _frame(seq, self.term, "entry", _encode_entry(update))
+        entry = _encode_entry(update)
         if not OBS.enabled:
-            self._note_appended(self._write_claimed(seq, line), 1)
-            return seq
+            return self._append("entry", entry)
         # Instrumented path: count appends and time the full durable
         # write (write + fsync), the WAL's ack cost.
         OBS.inc("fdb.wal.appends")
         started = time.perf_counter()
-        nbytes = self._write_claimed(seq, line)
+        seq = self._append("entry", entry)
         OBS.observe("fdb.wal.append_seconds",
                     time.perf_counter() - started)
         OBS.gauge("fdb.wal.last_seq", seq)
         OBS.event("wal.append", entry=str(update))
-        self._note_appended(nbytes, 1)
         return seq
 
     def append_abort(self, seq: int) -> None:
@@ -395,127 +444,101 @@ class UpdateLog:
         Never checkpointed for cancellation: compensation must run even
         (especially) when the request that needs it is past deadline.
         """
-        abort_seq = self._claim_seq()
-        line = _frame(abort_seq, self.term, "abort_of", seq)
-        nbytes = self._write_claimed(abort_seq, line)
+        self._append("abort_of", seq)
         if OBS.enabled:
             OBS.inc("fdb.wal.aborts")
             OBS.event("wal.abort", aborted_seq=seq)
-        # The aborted entry no longer counts as committed.
-        self._note_appended(nbytes, -1)
 
     def append_frame(self, seq: int, line: str) -> None:
         """Durably append a record another log already framed, byte
         for byte — how a replica keeps its local WAL a prefix copy of
         the primary's shipped stream. ``seq`` is the frame's own
         sequence number; the caller has verified the frame and that it
-        extends this log. No retry: the shipper re-sends."""
-        try:
-            nbytes = storage.append_line(self._handle, line,
-                                         fsync=self.fsync)
-        except BaseException:
-            self._forget_run()
-            raise
+        extends this log. No retry: the shipper re-sends, and a failed
+        write is cut back first, so the re-sent frame lands once."""
+        frame = decode_frame(line, verify=False)
         with self._seq_lock:
-            self._next_seq = seq + 1
-            self._extend_run(seq, nbytes)
-        self._cache = None  # entry or abort: let __len__ recount
+            index = self._index()
+            nbytes = self._write(index, line)
+            index.add(seq, frame.term, frame.kind == "abort", nbytes)
 
-    def _position(self) -> int:
-        """The next sequence number, scanned from the file — together
-        with the floor — on first use after open or a rename. A log
-        only ever advanced by :meth:`append_frame` knows its position
-        and not its floor; the scan then fills the floor alone. Caller
-        holds ``_seq_lock``: an unlocked scan could finish after a
-        concurrent claim and put a stale position back over it."""
-        if self._floor is None:
-            scan = self._scan("salvage")
-            self._floor = scan.base_seq
-            if self._next_seq is None:
-                self._next_seq = scan.max_seq + 1
-        return self._next_seq
-
-    def _claim_seq(self) -> int:
+    def _append(self, key: str, value) -> int:
+        """Claim the next sequence number and durably write its record
+        (``key`` as in :func:`_frame`), retrying transient errors;
+        returns the number. Claim, write and index move together under
+        ``_seq_lock``: a write that fails claims nothing."""
         with self._seq_lock:
-            seq = self._position()
-            self._next_seq = seq + 1
-            return seq
+            index = self._index()
+            seq = index.last_seq + 1
+            line = _frame(seq, self.term, key, value)
+            attempt = 0
+            while True:
+                try:
+                    FAULTS.fire("wal.append.before")
+                    nbytes = self._write(index, line)
+                    break
+                except OSError as exc:
+                    if attempt >= self.retries:
+                        raise PersistenceError(
+                            f"log append failed after "
+                            f"{attempt + 1} attempts: {exc}"
+                        ) from exc
+                    if OBS.enabled:
+                        OBS.inc("fdb.wal.retries")
+                    time.sleep(self.backoff * (2 ** attempt))
+                    attempt += 1
+            index.add(seq, self.term, key == "abort_of", nbytes)
+        FAULTS.fire("wal.append.after")
+        return seq
 
-    def _write_claimed(self, seq: int, line: str) -> int:
-        """Write a record whose sequence number is already claimed,
-        unclaiming it if the write never lands; returns the bytes
-        written.
+    def _write(self, index: _Index, line: str) -> int:
+        """One write of ``line`` at the index's end; returns the bytes
+        the record took. Caller holds ``_seq_lock``.
 
-        Without the rollback, a failed write (retries exhausted during
-        a storage outage) would leave ``_next_seq`` advanced past a
-        record that does not exist, and the next successful append
-        would commit a sequence *gap* — which strict recovery rightly
-        refuses to replay.
+        The end becomes a line boundary first: a torn final line is
+        cut (never acknowledged; recovery skips it), and a final frame
+        missing only its newline gets it in the same write (recovery
+        replays it). A write that fails leaves the file as the index
+        has it: an ``OSError`` is cut back to the end, so a retry or a
+        re-sent frame lands once. If the cut fails too, or anything
+        else stops the write (a simulated crash: a dead process runs
+        no cleanup), the index is dropped and the next use rescans.
         """
+        end = index.run[-1]
         try:
-            nbytes = self._write_line(line)
-        except BaseException:
-            with self._seq_lock:
-                if self._next_seq == seq + 1:
-                    self._next_seq = seq
-                self._run = None
+            if index.tail == "torn":
+                storage.cut(self.path, end, fsync=self.fsync)
+                index.tail = None
+                index.problems -= 1
+            glue = "\n" if index.tail == "open" else ""
+            nbytes = storage.append_line(self._handle, glue + line,
+                                         fsync=self.fsync)
+        except OSError as exc:
+            try:
+                storage.cut(self.path, end, fsync=self.fsync)
+            except OSError as failed:
+                self._idx = None
+                raise PersistenceError(
+                    f"log append failed ({exc}) and its bytes could not "
+                    f"be cut back: {failed}") from failed
             raise
-        with self._seq_lock:
-            self._extend_run(seq, nbytes)
+        except BaseException:
+            self._idx = None
+            raise
+        if glue:
+            index.tail = None
+            index.run[-1] += 1
+            nbytes -= 1
         return nbytes
 
-    def _write_line(self, line: str) -> int:
-        """The durable write, with transient-error retry (a failed
-        write closed the descriptor, so each retry reopens)."""
-        attempt = 0
-        while True:
-            try:
-                FAULTS.fire("wal.append.before")
-                nbytes = storage.append_line(self._handle, line,
-                                             fsync=self.fsync)
-                FAULTS.fire("wal.append.after")
-                return nbytes
-            except OSError as exc:
-                self._forget_run()
-                if attempt >= self.retries:
-                    raise PersistenceError(
-                        f"log append failed after "
-                        f"{attempt + 1} attempts: {exc}"
-                    ) from exc
-                if OBS.enabled:
-                    OBS.inc("fdb.wal.retries")
-                time.sleep(self.backoff * (2 ** attempt))
-                attempt += 1
-
-    def _extend_run(self, seq: int, nbytes: int) -> None:
-        """Record ``seq`` just landed at the end of the file in
-        ``nbytes`` bytes: the run, if one is remembered, grows by it.
-        A record that is not the run's next — a walk taken while this
-        write was in flight already counted it — forgets the run
-        instead. Caller holds ``_seq_lock``."""
-        run = self._run
-        if run is None:
-            return
-        if len(run) == 1:
-            self._run_first = seq
-        if seq == self._run_first + len(run) - 1:
-            run.append(run[-1] + nbytes)
-        else:
-            self._run = None
-
-    def _forget_run(self) -> None:
-        """After a write that failed: however much of the frame it
-        left in the file, the run's end is no longer the file's, and
-        no arithmetic on frame sizes finds where a retry lands."""
-        with self._seq_lock:
-            self._run = None
-
-    def _note_appended(self, nbytes: int, committed: int) -> None:
-        """Advance the ``__len__`` cache past a record this log just
-        wrote; ``__len__`` still checks it against the real size."""
-        cache = self._cache
-        if cache is not None:
-            self._cache = (cache[0] + nbytes, cache[1] + committed)
+    def _index(self) -> _Index:
+        """The index, scanned on first use (see the class docstring).
+        Caller holds ``_seq_lock``: an unlocked scan could finish after
+        a concurrent write and put a stale index back over it."""
+        index = self._idx
+        if index is None:
+            index = self._idx = _Index(self._scan("salvage"))
+        return index
 
     # -- scanning -----------------------------------------------------------
 
@@ -539,61 +562,76 @@ class UpdateLog:
 
     def _scan(self, policy: str) -> LogScan:
         """One streaming pass: decode, verify checksums, track
-        sequence numbers, classify damage.
+        sequence numbers, classify damage, find the run.
 
         ``strict`` raises on interior damage; ``salvage`` records the
         problem and skips the record. A final line that fails to parse
         is a torn tail under both policies — that append was never
-        acknowledged.
+        acknowledged — and the run ends where it began.
         """
         scan = LogScan()
         pending: LogProblem | None = None  # unparsed line, maybe a tear
         last_seq: int | None = None
-        for line_no, line, _ in self._lines():
-            if not line:
-                continue
-            if pending is not None:
-                # Valid data follows the bad line: interior damage,
-                # not a tear.
-                self._problem(scan, policy, pending)
-                pending = None
-            try:
-                frame = decode_frame(line, line_no=line_no)
-            except FrameError as exc:
-                problem = LogProblem(line_no, exc.kind, exc.detail)
-                if exc.tear:
-                    pending = problem
-                    continue
-                if exc.kind == "checksum":
-                    scan.checksum_failures += 1
-                self._problem(scan, policy, problem)
-                continue
-            if frame.term > scan.max_term:
-                scan.max_term = frame.term
-            if frame.kind == "header":
-                scan.base_seq = frame.payload.get("next_seq", 1) - 1
-                scan.base_term = frame.payload.get("term", frame.term)
-                if last_seq is None:
-                    scan.max_seq = scan.base_seq
-            else:
-                reference = (last_seq if last_seq is not None
-                             else scan.base_seq)
-                if frame.seq != reference + 1:
-                    self._problem(scan, policy, LogProblem(
-                        line_no, "gap",
-                        f"sequence {frame.seq} after {reference}",
-                    ))
-                if last_seq is None or frame.seq > scan.max_seq:
-                    scan.max_seq = frame.seq
-                last_seq = frame.seq
-                if frame.kind == "abort":
-                    scan.aborted.add(frame.payload)
-            scan.records.append(frame)
+        first, run, raw = 0, [0], b"\n"
+        before = first, run  # the run as it stood before ``pending``
+        for line_no, line, raw in self._lines():
+            seq = None  # the line's place in the run; None breaks it
+            if line:
+                if pending is not None:
+                    # Valid data follows the bad line: interior damage,
+                    # not a tear.
+                    self._problem(scan, policy, pending)
+                    pending = None
+                try:
+                    frame = decode_frame(line, line_no=line_no)
+                except FrameError as exc:
+                    problem = LogProblem(line_no, exc.kind, exc.detail)
+                    if exc.tear:
+                        pending, before = problem, (first, run)
+                    else:
+                        if exc.kind == "checksum":
+                            scan.checksum_failures += 1
+                            # Only its checksum condemns it: it keeps
+                            # its place in the run, ships, and the
+                            # replica's verify refuses it.
+                            try:
+                                seq = decode_frame(line, verify=False).seq
+                            except FrameError:
+                                pass
+                        self._problem(scan, policy, problem)
+                else:
+                    seq = frame.seq
+                    if frame.term > scan.max_term:
+                        scan.max_term = frame.term
+                    if frame.kind == "header":
+                        scan.base_seq = frame.payload.get("next_seq", 1) - 1
+                        scan.base_term = frame.payload.get("term",
+                                                           frame.term)
+                        if last_seq is None:
+                            scan.max_seq = scan.base_seq
+                    else:
+                        reference = (last_seq if last_seq is not None
+                                     else scan.base_seq)
+                        if frame.seq != reference + 1:
+                            self._problem(scan, policy, LogProblem(
+                                line_no, "gap",
+                                f"sequence {frame.seq} after {reference}",
+                            ))
+                        if last_seq is None or frame.seq > scan.max_seq:
+                            scan.max_seq = frame.seq
+                        last_seq = frame.seq
+                        if frame.kind == "abort":
+                            scan.aborted.add(frame.payload)
+                    scan.records.append(frame)
+            first, run = _extend_run(first, run, seq, len(raw))
         if pending is not None:
             scan.torn_tail = True
             scan.problems.append(LogProblem(
                 pending.line_no, "torn-tail", pending.detail
             ))
+            first, run = before
+        scan.run_first, scan.run = first, run
+        scan.unterminated = not raw.endswith(b"\n")
         return scan
 
     @staticmethod
@@ -607,16 +645,16 @@ class UpdateLog:
 
     def scan(self, policy: str = "strict") -> LogScan:
         """Scan the whole log under a recovery policy (see module
-        docstring)."""
+        docstring). Reads the file as it is now; the index is left
+        alone."""
         if policy not in ("strict", "salvage"):
             raise ValueError(
                 f"policy must be 'strict' or 'salvage', not {policy!r}"
             )
         scanned = self._scan(policy)
         # Counted here, where damage is reported to a caller, and not
-        # in ``_scan``: the private passes (positioning, health, the
-        # tail check) re-read the same damaged line on every scrape.
-        # A strict scan reports damage by raising instead.
+        # in ``_scan``: the index's scan is private. A strict scan
+        # reports damage by raising instead.
         if OBS.enabled and scanned.checksum_failures:
             OBS.inc("fdb.wal.checksum_failures",
                     scanned.checksum_failures)
@@ -631,16 +669,17 @@ class UpdateLog:
     @property
     def tail_is_torn(self) -> bool:
         """Whether the final line is an unparseable fragment (the
-        mid-write crash signature). A parseable record is never a
-        tear; a missing version or a bad checksum there is corruption,
-        which scan()/recover() report."""
-        return self._scan("salvage").torn_tail
+        mid-write crash signature) and no write has cut it yet. A
+        parseable record is never a tear; a missing version or a bad
+        checksum there is corruption, which scan()/recover() report."""
+        with self._seq_lock:
+            return self._index().tail == "torn"
 
     def last_seq(self) -> int:
-        """The highest sequence number ever claimed in this log
-        generation (0 for a fresh log)."""
+        """The highest sequence number in this log generation (0 for a
+        fresh log)."""
         with self._seq_lock:
-            return self._position() - 1
+            return self._index().last_seq
 
     # -- shipping -----------------------------------------------------------
 
@@ -667,10 +706,8 @@ class UpdateLog:
         if hi <= lo:
             return []
         with self._seq_lock:
-            run = self._run
-            if run is None:
-                run = self._find_run()
-            first = self._run_first
+            index = self._index()
+            first, run = index.run_first, index.run
             lo = max(lo, first - 1)
             hi = min(hi, first + len(run) - 2)
             if hi <= lo:
@@ -686,68 +723,37 @@ class UpdateLog:
                 for seq, start, end
                 in zip(range(lo + 1, hi + 1), cuts, cuts[1:])]
 
-    def _find_run(self) -> list[int]:
-        """Walk the file for the contiguous run of records at its end
-        (see ``__init__``) and remember it. Caller holds ``_seq_lock``,
-        which keeps a rename out; an append may still land under the
-        walk, and ``_extend_run`` sorts that out."""
-        first, run, raw = 0, [0], b"\n"
-        for _, line, raw in self._lines():
-            start, end = run[-1], run[-1] + len(raw)
-            try:
-                seq = decode_frame(line, verify=False).seq
-            except FrameError:
-                seq = None
-            if seq is None:  # damage, a blank line or a header
-                run = [end]
-            elif len(run) > 1 and seq == first + len(run) - 1:
-                run.append(end)
-            else:
-                first, run = seq, [start, end]
-        self._run_first = first
-        # Behind a final line with no newline the next append lands
-        # glued to the fragment, not where the run ends: serve this
-        # walk's answer and remember nothing. (``raw`` is the last
-        # line walked; an empty file ends clean.)
-        if raw.endswith(b"\n"):
-            self._run = run
-        return run
-
     def shippable_floor(self) -> int:
         """The highest sequence number already folded away by a
         checkpoint: records at or below it cannot be shipped from this
-        log and require snapshot catch-up. Read from what the log
-        remembers, like :meth:`last_seq`; a reading taken just before
-        a checkpoint's rename is low, never high, and the shipper's
-        ``acked + 1`` check on what it then reads catches that."""
+        log and require snapshot catch-up. Read from the index, like
+        :meth:`last_seq`; a reading taken just before a checkpoint's
+        rename is low, never high, and the shipper's ``acked + 1``
+        check on what it then reads catches that."""
         with self._seq_lock:
-            self._position()
-            return self._floor
+            return self._index().floor
 
     # -- repair -------------------------------------------------------------
 
     def _replace(self, lines: list[str],
-                 next_seq: int | None = None) -> None:
+                 known: LogScan | None = None) -> None:
         """Atomically rename a file of ``lines`` over the log. The held
-        descriptor names the inode being replaced, so it goes first;
-        everything remembered about the old file goes with it — all in
-        one locked block, so a reader that looks a record up and reads
-        its bytes under the same lock never reads them from the other
-        side of the rename. ``next_seq`` is for the caller that wrote
-        no record (an empty or header-only file): position and floor
-        are then known without a scan."""
+        descriptor names the inode being replaced, so it goes first,
+        and the index goes with it — all in one locked block, so a
+        reader that looks a record up and reads its bytes under the
+        same lock never reads them from the other side of the rename.
+        ``known`` is for the caller that knows what a scan of the new
+        file would find (an empty or header-only file): the index is
+        then built from it instead of a scan."""
         with self._seq_lock:
             self._handle.close()
             # Forgotten before the rename, not after: an exception out
-            # of it leaves nothing remembered about a file that may be
-            # gone.
-            self._next_seq = self._floor = self._run = None
+            # of it leaves no index of a file that may be gone.
+            self._idx = None
             storage.atomic_write(self.path, "".join(f"{line}\n"
                                                     for line in lines))
-            if next_seq is not None:
-                self._next_seq, self._floor = next_seq, next_seq - 1
-        self._cache = None
-        self._health_cache = None
+            if known is not None:
+                self._idx = _Index(known)
 
     def truncate_to(self, seq: int) -> int:
         """Atomically drop every record with a sequence number above
@@ -775,52 +781,39 @@ class UpdateLog:
 
     def discard_torn_tail(self) -> bool:
         """Drop a torn final line (the mid-write crash signature) from
-        the file itself, so the log can be re-used for appends and
-        shipping without the fragment. Returns whether a tear was
+        the file itself, as it is now. Returns whether a tear was
         removed. Interior damage is untouched — that is corruption,
         not a tear, and scan()/recover() must report it."""
-        if not self.tail_is_torn:
-            return False
-        self._replace([line for _, line, _ in self._lines()
-                       if line][:-1])
-        return True
+        lines = [line for _, line, _ in self._lines() if line]
+        try:
+            if lines:
+                decode_frame(lines[-1], verify=False)
+        except FrameError as exc:
+            if exc.tear:
+                self._replace(lines[:-1])
+                return True
+        return False
 
     # -- health -------------------------------------------------------------
 
     def health(self) -> dict:
         """One JSON-ready view of the log's durability state: last
         sequence number, current term, torn-tail flag, committed entry
-        count, and damage tallies from a salvage scan. The scan is
-        cached against the file's (size, mtime), so monitoring
-        surfaces (``stats``/``/metrics``/``/health``/``monitor``) that
-        scrape between appends pay O(log size) only when the log
-        actually changed."""
-        try:
-            stat = self.path.stat()
-            key = (stat.st_size, stat.st_mtime_ns)
-        except OSError:
-            key = None
-        cached = self._health_cache
-        if key is not None and cached is not None and cached[0] == key:
-            scanned = cached[1]
-        else:
-            # Stat happens before the scan: a record landing between
-            # the two makes the cached view *fresher* than its key,
-            # never staler, and the next size change invalidates it.
-            scan = self._scan("salvage")
-            scanned = {
-                "last_seq": scan.max_seq,
-                "term": scan.max_term,
-                "tail_torn": scan.torn_tail,
-                "entries": sum(1 for _ in committed(scan.records)),
-                "aborted": len(scan.aborted),
-                "checksum_failures": scan.checksum_failures,
-                "problems": len(scan.problems),
+        count, and damage tallies. Read from the index, so monitoring
+        surfaces (``stats``/``/metrics``/``/health``/``monitor``) pay
+        no I/O per scrape."""
+        with self._seq_lock:
+            index = self._index()
+            health = {
+                "path": str(self.path),
+                "last_seq": index.last_seq,
+                "term": max(self.term, index.term),
+                "tail_torn": index.tail == "torn",
+                "entries": index.entries,
+                "aborted": index.aborted,
+                "checksum_failures": index.checksum_failures,
+                "problems": index.problems,
             }
-            self._health_cache = (key, scanned) \
-                if key is not None else None
-        health = {"path": str(self.path), **scanned}
-        health["term"] = max(self.term, health["term"])
         if OBS.enabled:
             OBS.gauge("fdb.wal.last_seq", health["last_seq"])
             OBS.gauge("fdb.wal.tail_torn", int(health["tail_torn"]))
@@ -835,27 +828,21 @@ class UpdateLog:
         into the snapshot" from "new since the snapshot".
         """
         if next_seq is None or next_seq <= 1:
-            self._replace([], next_seq=1)
+            self._replace([], LogScan())
             return
         meta: dict = {"next_seq": next_seq}
         if self.term:
             meta["term"] = self.term
-        self._replace([_frame(next_seq - 1, self.term, "header", meta)],
-                      next_seq=next_seq)
+        header = _frame(next_seq - 1, self.term, "header", meta)
+        self._replace([header], LogScan(
+            base_seq=next_seq - 1, max_seq=next_seq - 1,
+            max_term=self.term, run=[len(header.encode("utf-8")) + 1]))
 
     def __len__(self) -> int:
-        """Number of committed entries. Cached between calls; the
-        cache is revalidated against the file size, so external
-        writes (or another process) force a rescan."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return 0
-        if self._cache is not None and self._cache[0] == size:
-            return self._cache[1]
-        count = sum(1 for _ in self.entries())
-        self._cache = (size, count)
-        return count
+        """Number of committed entries, read from the index
+        (:meth:`entries` is the strict reader of the file)."""
+        with self._seq_lock:
+            return self._index().entries
 
 
 # -- the write-ahead wrapper --------------------------------------------------

@@ -101,10 +101,10 @@ class Replica:
 
     def restart(self) -> None:
         """Come back from a crash using only the working directory:
-        drop a torn tail, replay snapshot + log, recompute
-        ``applied_seq`` from what is durably on disk."""
+        replay snapshot + log, recompute ``applied_seq`` from what is
+        durably on disk. A torn tail is skipped here and cut by the
+        log's next write."""
         with self._lock:
-            self.log.discard_torn_tail()
             if not self.snapshot_path.exists():
                 # Never bootstrapped before the crash: stay empty and
                 # let catch-up install a snapshot.

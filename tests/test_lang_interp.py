@@ -230,6 +230,32 @@ class TestCheckpointRecover:
         assert "teach(gauss) = cs: true" in joined
         assert fresh.wal is not None  # updates keep logging
 
+    def test_insert_after_recovering_a_torn_log_survives(self, tmp_path):
+        """``recover`` re-attaches a log that ends in a crash's
+        fragment; the next insert must land as a record of its own,
+        not glued to the fragment, and recover again."""
+        interp, _ = run(DESIGN + "commit;")
+        interp.execute(
+            f'checkpoint "{tmp_path}"; insert teach(euclid, math);')
+        interp.wal.close()
+        with (tmp_path / "wal.log").open("ab") as handle:
+            handle.write(b'{"crc": 1, "entry": {"kind": "IN')  # crash!
+        restarted = Interpreter(AutoDesigner())
+        restarted.execute(f'recover "{tmp_path}";')
+        restarted.execute("insert teach(gauss, cs);")
+        restarted.wal.close()
+        fresh = Interpreter(AutoDesigner())
+        out = fresh.execute(
+            f'recover "{tmp_path}";'
+            "truth teach(euclid, math); truth teach(gauss, cs);"
+        )
+        fresh.wal.close()
+        joined = "\n".join(out)
+        assert "recovered: 2 log entries" in joined
+        assert "torn" not in joined
+        assert "teach(euclid) = math: true" in joined
+        assert "teach(gauss) = cs: true" in joined
+
     def test_undo_refreshes_checkpoint(self, tmp_path):
         interp, _ = run(DESIGN + "commit;")
         out = interp.execute(

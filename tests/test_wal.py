@@ -58,7 +58,8 @@ class TestUpdateLog:
         log.append(Update.ins("teach", "a", "b"))
         with log.path.open("a", encoding="utf-8") as handle:
             handle.write('{"kind": "INS", "function": "te')  # crash!
-        assert log.tail_is_torn
+        # Written behind the live log's back: a fresh one sees it.
+        assert UpdateLog(log.path).tail_is_torn
         assert len(list(log.entries())) == 1
 
     def test_interior_corruption_raises(self, tmp_path, closing):
@@ -654,12 +655,13 @@ class TestShippingSurface:
 
     def test_health_cached_until_log_changes(self, setup, monkeypatch):
         """Monitoring scrapes (/metrics, /health, stats) must not pay
-        a full salvage scan per request: health() reuses its scan
-        until the log's (size, mtime) changes."""
-        logged, _, _ = setup
+        a full salvage scan per request: health() reads the index one
+        scan built, and the log's own appends extend it."""
+        logged, _, log_path = setup
         for update in section_42_updates()[:2]:
             logged.execute(update)
-        log = logged.log
+        logged.close()
+        log = UpdateLog(log_path)
         scans = []
         real_scan = log._scan
 
@@ -668,17 +670,21 @@ class TestShippingSurface:
             return real_scan(policy)
 
         monkeypatch.setattr(log, "_scan", counting_scan)
-        first = log.health()
-        assert first["last_seq"] == 2
-        assert len(scans) == 1
-        assert log.health() == first  # a second scrape: cache hit
-        assert len(scans) == 1
-        # the cached view still tracks live (non-scan) state
-        log.term = 7
-        assert log.health()["term"] == 7
-        assert len(scans) == 1
-        # an append invalidates the cache and the next scrape rescans
-        logged.execute(section_42_updates()[2])
-        refreshed = log.health()
-        assert refreshed["last_seq"] == 3
-        assert len(scans) == 2
+        try:
+            first = log.health()
+            assert first["last_seq"] == 2
+            assert len(scans) == 1
+            assert log.health() == first  # a second scrape: no scan
+            assert len(scans) == 1
+            # the view still tracks live (non-scan) state
+            log.term = 7
+            assert log.health()["term"] == 7
+            assert len(scans) == 1
+            # an append extends the index: still no second scan
+            log.append(section_42_updates()[2])
+            refreshed = log.health()
+            assert refreshed["last_seq"] == 3
+            assert refreshed["entries"] == 3
+            assert len(scans) == 1
+        finally:
+            log.close()

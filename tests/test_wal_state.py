@@ -304,9 +304,9 @@ def quorum(tmp_path, closing):
 
 
 def test_quorum_commits_walk_the_file_once_per_ship(walks, quorum):
-    """Not once per ship any more: once for the position and the
-    floor, once for the run, both by the end of the first commit, and
-    never again however many commits and links follow."""
+    """Not once per ship any more: once, for the index, by the end of
+    the first commit, and never again however many commits and links
+    follow."""
     service, group, _ = quorum
     primary = service.logged.log.path
     service.execute(teach(0))
@@ -315,8 +315,7 @@ def test_quorum_commits_walk_the_file_once_per_ship(walks, quorum):
         service.execute(teach(i))
     assert all(link.acked_seq == 50 for link in group.shipper.links())
     assert [chain for path, chain in walks if path == primary] == first
-    assert sorted(chain[:2] for chain in first) == [
-        ("_find_run", "records_between"), ("_scan", "_position")]
+    assert [chain[:2] for chain in first] == [("_scan", "_index")]
 
 
 def test_a_ship_reads_its_batch_and_nothing_else(quorum, monkeypatch):
@@ -344,10 +343,9 @@ def test_a_ship_reads_its_batch_and_nothing_else(quorum, monkeypatch):
 
 def test_a_retried_write_is_served_from_where_it_landed(
         logged, monkeypatch):
-    """A write whose fsync fails has landed all the same, and the
-    retry lands again behind it: the file's end is one frame further
-    than the frame sizes add up to. The run is forgotten with the
-    failure and walked again, not extended past it."""
+    """A write whose fsync fails has landed all the same; the log cuts
+    it back before the retry, so the frame is in the file once and the
+    index, extended by the retry, serves it from where it landed."""
     log = logged.log
     for i in range(3):
         logged.execute(teach(i))
@@ -366,11 +364,9 @@ def test_a_retried_write_is_served_from_where_it_landed(
     logged.execute(teach(4))
     assert failed
     lines = log.path.read_text().splitlines()
-    assert [decode_frame(line).seq for line in lines] \
-        == [1, 2, 3, 4, 4, 5]
-    # The run at the end of the file starts at the second copy of 4.
-    assert log.records_between(0, 5) == [(4, lines[4]), (5, lines[5])]
-    assert log.records_between(4, 5) == [(5, lines[5])]
+    assert [decode_frame(line).seq for line in lines] == [1, 2, 3, 4, 5]
+    assert log.records_between(0, 5) == list(enumerate(lines, 1))
+    assert log.records_between(3, 5) == [(4, lines[3]), (5, lines[4])]
 
 
 def test_a_byte_rotting_under_the_run_costs_its_line_only(logged):
@@ -616,6 +612,81 @@ def test_records_between_is_the_reference_walk(seed, logged, tmp_path,
     frames = log.path.read_bytes().splitlines()
     for _, line in log.records_between(0, log.last_seq()):
         assert line.encode("utf-8") in frames
+
+
+def what_it_knows(log: UpdateLog) -> tuple:
+    """Every question the index answers, ``records_between`` included."""
+    health = log.health()
+    del health["path"]
+    return (log.last_seq(), log.shippable_floor(), len(log), health,
+            log.tail_is_torn, log.records_between(0, log.last_seq()))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_live_log_knows_what_a_fresh_one_reads(seed, logged, tmp_path,
+                                                   closing):
+    """One memory of the file: after every step — its own writes, the
+    ones that fail and are retried or given up, renames, and a torn or
+    unterminated tail left while it was closed — the live log answers
+    exactly what a log opened on the file now does."""
+    rng = random.Random(seed)
+    log = logged.log
+    log.backoff = 0.0
+    snapshot = tmp_path / "snapshot.json"
+    count = iter(range(10**6))
+
+    def append():
+        logged.execute(teach(next(count)))
+
+    def failing(point, fault, error=None):
+        FAULTS.arm(point, fault)
+        try:
+            if error is None:
+                append()
+            else:
+                with pytest.raises(error):
+                    append()
+        finally:
+            FAULTS.disarm_all()
+
+    def aborted():
+        failing("wal.apply.before", ErrorFault(times=1), RuntimeError)
+
+    def flaky_fsync():
+        """The record is written, its fsync fails once, the retry
+        lands."""
+        failing("storage.append.before-fsync", TransientError(times=1))
+
+    def exhausted():
+        """Every attempt writes the record and fails; each is cut."""
+        failing("storage.append.before-fsync",
+                TransientError(times=log.retries + 1), PersistenceError)
+
+    def fold():
+        checkpoint(logged, snapshot)
+
+    def fence():
+        log.truncate_to(log.last_seq() - rng.randint(0, 3))
+
+    def tear():
+        logged.close()
+        with log.path.open("ab") as handle:
+            handle.write(b'{"seq": 9, "ent')
+
+    def unterminated():
+        logged.close()
+        raw = log.path.read_bytes() if log.path.exists() else b""
+        if raw.endswith(b"\n"):
+            log.path.write_bytes(raw[:-1])
+
+    steps = [append] * 6 + [aborted, flaky_fsync, exhausted, fold, fence,
+                            tear, unterminated]
+    for _ in range(60):
+        rng.choice(steps)()
+        assert what_it_knows(log) == what_it_knows(
+            closing(UpdateLog(log.path)))
+    append()
+    log.scan("strict")
 
 
 def _cut_in_half(lines, at):
