@@ -233,7 +233,7 @@ def substitute_null(db: FunctionalDatabase, null: NullValue,
             table.discard(fact.x, fact.y)
             existing = table.get(new_x, new_y)
             if existing is None:
-                table.add(Fact(new_x, new_y, fact.truth, set(fact.ncl)))
+                table.add(Fact(new_x, new_y, fact.truth, fact.ncl))
                 continue
             for index in sorted(fact.ncl):
                 table.ncl_add(existing, index)

@@ -105,7 +105,11 @@ class FunctionalDatabase:
         # registry and the null factory share it by reference.
         self._undo = UndoLog()
         self.nulls = NullFactory(log=self._undo)
-        self.ncs = NCRegistry(self.table, log=self._undo)
+        # The registry looks tables up in the mapping itself: a bound
+        # ``self.table`` would close a reference cycle through the
+        # database, which then outlives its last user until a full
+        # collection.
+        self.ncs = NCRegistry(self._tables.__getitem__, log=self._undo)
         # Bumped on every schema-shaping declaration so derived caches
         # (the service's cluster map, shard routing tables) can
         # invalidate on change instead of probing for staleness.

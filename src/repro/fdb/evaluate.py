@@ -140,62 +140,15 @@ def iter_chains(
     restricts to exactly-matching chains — the ones whose conjunction
     implies the derived fact, which is what ``derived-delete`` negates.
     """
-    steps = derivation.steps
-
-    def candidates(index: int, current: Value | None) -> Iterator[tuple[Fact, bool]]:
-        step = steps[index]
-        table = db.table(step.function.name)
-        inverse = step.op is Op.INVERSE
-        if index == 0:
-            if x is None:
-                for fact in table.facts():
-                    yield fact, True
-            elif inverse:
-                for fact in table.facts_with_y(x):
-                    yield fact, True
-            else:
-                for fact in table.facts_with_x(x):
-                    yield fact, True
-            return
-        exact, ambiguous = (
-            table.matching_y(current) if inverse else table.matching_x(current)
-        )
-        for fact in exact:
-            yield fact, True
-        if allow_ambiguous:
-            for fact in ambiguous:
-                yield fact, False
-
-    def extend(
-        index: int,
-        facts: tuple[Fact, ...],
-        current: Value | None,
-        all_exact: bool,
-    ) -> Iterator[Chain]:
-        if index == len(steps):
-            yield Chain(derivation, facts, all_exact)
-            return
-        step = steps[index]
-        inverse = step.op is Op.INVERSE
-        last = index == len(steps) - 1
-        for fact, exact_match in candidates(index, current):
-            effective_end = fact.x if inverse else fact.y
-            if last and y is not None and effective_end != y:
-                continue
-            yield from extend(
-                index + 1,
-                facts + (fact,),
-                effective_end,
-                all_exact and exact_match,
-            )
-
+    chains = _extend(db, derivation, x, y, allow_ambiguous,
+                     0, (), None, True)
     if not OBS.enabled:
         if not cancel.cancellation_active():
             # Fast path byte-identical to the pre-service engine: no
             # per-chain work when neither OBS nor a deadline is live.
-            yield from extend(0, (), None, True)
+            yield from chains
             return
-        for chain in extend(0, (), None, True):
+        for chain in chains:
             cancel.checkpoint()
             yield chain
         return
@@ -203,10 +156,69 @@ def iter_chains(
     # Per-yield counting stays correct when a consumer abandons the
     # generator early (exists_nvc stops at the first NVC).
     OBS.inc("fdb.chains.enumerations")
-    for chain in extend(0, (), None, True):
+    for chain in chains:
         cancel.checkpoint()
         OBS.inc("fdb.chains.enumerated")
         yield chain
+
+
+# The walk behind iter_chains. Module-level, with the context passed
+# along, rather than nested closures: a closure over itself and ``db``
+# is a reference cycle, and each call would keep its database alive
+# until a full collection.
+
+
+def _candidates(
+    db: FunctionalDatabase, derivation: Derivation, x: Value | None,
+    allow_ambiguous: bool, index: int, current: Value | None,
+) -> Iterator[tuple[Fact, bool]]:
+    step = derivation.steps[index]
+    table = db.table(step.function.name)
+    inverse = step.op is Op.INVERSE
+    if index == 0:
+        if x is None:
+            for fact in table.facts():
+                yield fact, True
+        elif inverse:
+            for fact in table.facts_with_y(x):
+                yield fact, True
+        else:
+            for fact in table.facts_with_x(x):
+                yield fact, True
+        return
+    exact, ambiguous = (
+        table.matching_y(current) if inverse else table.matching_x(current)
+    )
+    for fact in exact:
+        yield fact, True
+    if allow_ambiguous:
+        for fact in ambiguous:
+            yield fact, False
+
+
+def _extend(
+    db: FunctionalDatabase, derivation: Derivation, x: Value | None,
+    y: Value | None, allow_ambiguous: bool, index: int,
+    facts: tuple[Fact, ...], current: Value | None, all_exact: bool,
+) -> Iterator[Chain]:
+    steps = derivation.steps
+    if index == len(steps):
+        yield Chain(derivation, facts, all_exact)
+        return
+    inverse = steps[index].op is Op.INVERSE
+    last = index == len(steps) - 1
+    for fact, exact_match in _candidates(db, derivation, x,
+                                         allow_ambiguous, index, current):
+        effective_end = fact.x if inverse else fact.y
+        if last and y is not None and effective_end != y:
+            continue
+        yield from _extend(
+            db, derivation, x, y, allow_ambiguous,
+            index + 1,
+            facts + (fact,),
+            effective_end,
+            all_exact and exact_match,
+        )
 
 
 def truth_of_derived(

@@ -4,7 +4,10 @@ Section 4: "a fact f(a) = b along with the relevant information is
 stored in the form of a quadruple <a, b, T/A, NCL> in the table
 corresponding to f". :class:`Fact` is that quadruple; the pair (a, b)
 is immutable while the truth flag and the NCL (the set of indices of
-the negated conjunctions the fact belongs to) mutate under updates.
+the negated conjunctions the fact belongs to) change under updates.
+The NCL is a ``frozenset`` that the table's primitives replace, never
+edit; almost every fact sits in no NC, and all of those share
+:data:`NO_NCS`.
 
 :class:`FactRef` names a fact globally — function name plus pair — and
 is what :class:`repro.fdb.nc.NegatedConjunction` stores, giving the
@@ -19,7 +22,10 @@ from dataclasses import dataclass, field
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 
-__all__ = ["Fact", "FactRef"]
+__all__ = ["Fact", "FactRef", "NO_NCS"]
+
+#: The NCL of every fact outside an NC: one object, shared.
+NO_NCS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +63,7 @@ class Fact:
     x: Value
     y: Value
     truth: Truth = Truth.TRUE
-    ncl: set[int] = field(default_factory=set)
+    ncl: frozenset[int] = NO_NCS
     seq: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:

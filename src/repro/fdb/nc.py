@@ -13,8 +13,10 @@ facts and vice versa."
 
 :class:`NCRegistry` owns the indices and implements the paper's
 ``create-NC`` and ``dismantle-NC`` procedures. It resolves fact
-references through a table-lookup callable supplied by the database, so
-this module stays independent of :mod:`repro.fdb.database`.
+references through a table-lookup callable supplied by the database —
+the lookup of its table mapping, not a method of the database, so the
+registry holds no reference back to its owner — and this module stays
+independent of :mod:`repro.fdb.database`.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ class NCRegistry:
     # -- resolution ----------------------------------------------------------
 
     def _resolve(self, ref: FactRef) -> Fact:
-        fact = self._table_of(ref.function).get(ref.x, ref.y)
+        try:
+            fact = self._table_of(ref.function).get(ref.x, ref.y)
+        except KeyError:  # no such table
+            fact = None
         if fact is None:
             raise UpdateError(f"dangling fact reference {ref}")
         return fact

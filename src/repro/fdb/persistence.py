@@ -27,7 +27,7 @@ from repro.core.types import ObjectType, TypeFunctionality
 from repro.faults.registry import FAULTS
 from repro.fdb import storage
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.facts import Fact, FactRef
+from repro.fdb.facts import NO_NCS, Fact, FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.nc import NCRegistry, NegatedConjunction
 from repro.fdb.values import NullFactory, NullValue, Value
@@ -195,7 +195,7 @@ def from_dict(data: dict) -> FunctionalDatabase:
                 _decode_value(fact_data["x"]),
                 _decode_value(fact_data["y"]),
                 Truth.from_flag(fact_data["flag"]),
-                set(fact_data["ncl"]),
+                frozenset(fact_data["ncl"]) or NO_NCS,
             ))
     for entry in data["derived"]:
         definition = _decode_function(entry["definition"])
@@ -207,7 +207,8 @@ def from_dict(data: dict) -> FunctionalDatabase:
             for steps in entry["derivations"]
         )
         db.declare_derived(definition, derivations)
-    registry = NCRegistry(db.table, data["next_nc_index"], db._undo)
+    registry = NCRegistry(db._tables.__getitem__, data["next_nc_index"],
+                          db._undo)
     for entry in data["ncs"]:
         members = tuple(
             FactRef(
@@ -231,11 +232,14 @@ def _check_consistency(db: FunctionalDatabase) -> None:
         raise PersistenceError(f"snapshot is inconsistent: {fault}")
 
 
-def dumps(db: FunctionalDatabase, *, indent: int | None = 2,
+def dumps(db: FunctionalDatabase, *,
           wal_applied: int | None = None,
           term: int | None = None) -> str:
+    """The snapshot as compact JSON, one line: no indent, so ``json``
+    uses its C encoder. Indented snapshots written before load the
+    same way."""
     return json.dumps(to_dict(db, wal_applied=wal_applied, term=term),
-                      indent=indent, sort_keys=False)
+                      separators=(",", ":"))
 
 
 def loads(text: str) -> FunctionalDatabase:

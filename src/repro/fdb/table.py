@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import UpdateError
-from repro.fdb.facts import Fact
+from repro.fdb.facts import NO_NCS, Fact
 from repro.fdb.logic import Truth
 from repro.fdb.undo import UndoLog
 from repro.fdb.values import NullValue, Value, is_null
@@ -91,7 +91,7 @@ class FunctionTable:
         records = self._log.records
         if records is not None:
             records.append((self, "ncl", fact, index, True))
-        fact.ncl.add(index)
+        fact.ncl = fact.ncl | {index}
 
     def ncl_discard(self, fact: Fact, index: int) -> None:
         """Drop NC ``index`` from a stored fact's NCL."""
@@ -100,7 +100,7 @@ class FunctionTable:
         records = self._log.records
         if records is not None:
             records.append((self, "ncl", fact, index, False))
-        fact.ncl.discard(index)
+        fact.ncl = fact.ncl - {index} or NO_NCS
 
     def _index(self, fact: Fact) -> None:
         self._facts[fact.pair] = fact
@@ -133,9 +133,9 @@ class FunctionTable:
         if op == "ncl":
             index, added = change
             if added:
-                fact.ncl.discard(index)
+                fact.ncl = fact.ncl - {index} or NO_NCS
             else:
-                fact.ncl.add(index)
+                fact.ncl = fact.ncl | {index}
             return False
         old, new = change
         if old is None:
@@ -266,7 +266,7 @@ class FunctionTable:
     def copy(self) -> "FunctionTable":
         clone = FunctionTable(self.name)
         for fact in self._facts.values():
-            clone.add(Fact(fact.x, fact.y, fact.truth, set(fact.ncl)))
+            clone.add(Fact(fact.x, fact.y, fact.truth, fact.ncl))
         return clone
 
     def rows(self) -> list[tuple[str, str, str, str]]:

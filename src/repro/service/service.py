@@ -61,6 +61,7 @@ exposes all of it live over HTTP.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import threading
@@ -94,6 +95,19 @@ __all__ = ["Appender", "DatabaseService", "FrontDoor", "WRITE_RESOURCE",
 WRITE_RESOURCE = "__write__"
 
 _WRITE_RETRYABLE = DEFAULT_RETRYABLE + (PersistenceError,)
+
+
+def _write_token(locks: LockManager, clusters: Iterable[str] = (),
+                 limit: Deadline | None = None, **span_attrs):
+    """A lane's write token (and ``clusters``), exclusively, on its
+    ``locks``: the one place ``__write__`` is taken — by
+    :class:`Appender`, and bare by ``close_log`` and the replication
+    group's snapshot dump. A function of the lock manager, not a
+    method of the lane, so the guard handed to the group holds no
+    reference to the service."""
+    return locks.held({WRITE_RESOURCE, *clusters}, EXCLUSIVE,
+                      deadline=limit, **span_attrs)
+
 
 # What one request of each family counts as: the lane's stats() key
 # and the OBS counter.
@@ -285,8 +299,11 @@ class DatabaseService(FrontDoor):
                 self.logged, node=node
             )
             # Snapshot catch-up dumps run while the write token is
-            # held exclusively, so no commit lands mid-dump.
-            replication.exclusive = self._token
+            # held exclusively, so no commit lands mid-dump. The guard
+            # holds the lock manager, not this service, so the group
+            # closes no reference cycle through the service.
+            replication.exclusive = functools.partial(_write_token,
+                                                      self.locks)
             # Lag SLO: probe the group's worst applied-seq lag at
             # every evaluation; a sustained breach turns ``/health``
             # into a 503 like any other alerting objective. Explicit
@@ -333,14 +350,6 @@ class DatabaseService(FrontDoor):
 
     def _clusters_for(self, names: Iterable[str]) -> set[str]:
         return {self.cluster_of(name) for name in names}
-
-    def _token(self, clusters: Iterable[str] = (),
-               limit: Deadline | None = None, **span_attrs):
-        """The write token (and ``clusters``), exclusively: the one
-        place ``__write__`` is taken — by :class:`Appender`, and bare
-        by ``close_log`` and the replication group's snapshot dump."""
-        return self.locks.held({WRITE_RESOURCE, *clusters}, EXCLUSIVE,
-                               deadline=limit, **span_attrs)
 
     def _fail_fast_if_leaderless(self) -> None:
         # With a lapsed leadership lease there is no point queueing
@@ -542,7 +551,7 @@ class DatabaseService(FrontDoor):
         if self.logged is None:
             return
         try:
-            with self._token():
+            with _write_token(self.locks):
                 self.logged.close()
         except LockTimeout:
             pass
@@ -713,7 +722,8 @@ class Appender:
                  limit: Deadline | None = None, *,
                  upgrade: bool = False) -> None:
         self.lane, self.limit = lane, limit
-        self._held = lane._token(clusters, limit, upgrade=upgrade)
+        self._held = _write_token(lane.locks, clusters, limit,
+                                  upgrade=upgrade)
         # Whether the breaker is owed nothing by this appender: true
         # without a log (no storage path to guard), and once a
         # storage call has delivered its verdict.

@@ -148,11 +148,12 @@ class TestCopyAndRender:
     def test_copy_is_deep_for_state(self):
         table = FunctionTable("t")
         fact = table.add_pair("a", "b")
-        fact.ncl.add(1)
+        table.ncl_add(fact, 1)
         clone = table.copy()
         clone_fact = clone.get("a", "b")
-        clone_fact.ncl.add(2)
+        clone.ncl_add(clone_fact, 2)
         clone_fact.truth = Truth.AMBIGUOUS
+        assert clone_fact.ncl == {1, 2}
         assert fact.ncl == {1}
         assert fact.truth is Truth.TRUE
 
@@ -160,7 +161,7 @@ class TestCopyAndRender:
         table = FunctionTable("t")
         table.add_pair("a", "b")
         fact = table.add_pair("c", "d", Truth.AMBIGUOUS)
-        fact.ncl.add(1)
+        table.ncl_add(fact, 1)
         assert table.rows() == [
             ("a", "b", "T", "{}"),
             ("c", "d", "A", "{g1}"),

@@ -131,3 +131,63 @@ class TestValidation:
         parsed = json.loads(text)
         assert parsed["format"] == "repro-fdb-snapshot"
         assert parsed["version"] == 1
+
+
+def section_42_after_u5():
+    """u1-u5 leave nulls and a used NC counter; one more derived DEL
+    leaves a live NC beside them."""
+    from repro.fdb.updates import apply_update
+    from repro.workloads.university import (pupil_database,
+                                            section_42_updates)
+
+    db = pupil_database()
+    for update in section_42_updates():
+        apply_update(db, update)
+    db.delete("pupil", "laplace", "bill")
+    assert db.ncs and any(t.null_x_facts() or t.null_y_facts()
+                          for t in db.tables())
+    return db
+
+
+def tuple_valued():
+    from repro.core.schema import FunctionDef
+    from repro.core.types import ObjectType, TypeFunctionality
+    from repro.core.types import product_type
+    from repro.fdb.database import FunctionalDatabase
+
+    db = FunctionalDatabase()
+    db.declare_base(FunctionDef(
+        "score", product_type("student", "course"),
+        ObjectType("marks"), TypeFunctionality.MANY_ONE,
+    ))
+    db.load("score", [(("john", "math"), 91), (("mary", "logic"), 78)])
+    return db
+
+
+@pytest.mark.parametrize("build", [section_42_after_u5, tuple_valued])
+class TestCompatibility:
+    """Snapshots are compact JSON now; an indented one, as written
+    before, holds the same keys and loads to the same instance."""
+
+    def test_an_indented_snapshot_loads_like_a_compact_one(self, build):
+        db = build()
+        indented = json.dumps(persistence.to_dict(db), indent=2)
+        compact = persistence.dumps(db)
+        assert len(compact) < len(indented)
+        old, new = persistence.loads(indented), persistence.loads(compact)
+        assert_same_state(old, new)
+        assert persistence.to_dict(old) == persistence.to_dict(new) == (
+            persistence.to_dict(db))
+
+    def test_a_compact_snapshot_is_one_line(self, build):
+        assert "\n" not in persistence.dumps(build())
+
+    def test_facts_outside_an_nc_share_one_empty_ncl(self, build):
+        from repro.fdb.facts import NO_NCS
+
+        db = build()
+        for clone in (db, persistence.loads(persistence.dumps(db))):
+            for table in clone.tables():
+                for fact in table.facts():
+                    assert fact.ncl or fact.ncl is NO_NCS
+                    assert isinstance(fact.ncl, frozenset)

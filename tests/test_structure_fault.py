@@ -80,7 +80,7 @@ def forget_a_null(db):
 
 def bypass_ncl(db):
     _, fact = an_ambiguous_fact(db)
-    fact.ncl.add(99)
+    fact.ncl = fact.ncl | {99}
     return "points to NC g99"
 
 
@@ -94,7 +94,7 @@ def bypass_flag(db):
 
 def drop_back_pointer(db):
     _, fact = an_ambiguous_fact(db)
-    fact.ncl.clear()
+    fact.ncl = frozenset()
     return "lacks NCL entry"
 
 
@@ -152,7 +152,8 @@ def test_logged_commit_that_breaks_the_structure_is_aborted(
 
     def apply_and_bypass(db, update):
         apply_update(db, update)
-        next(db.table("teach").facts()).ncl.add(99)  # unrecorded
+        fact = next(db.table("teach").facts())
+        fact.ncl = fact.ncl | {99}  # unrecorded
 
     monkeypatch.setattr(updates, "apply_update", apply_and_bypass)
     with pytest.raises(StructureError, match="points to NC g99"):
@@ -314,7 +315,8 @@ def test_recover_refuses_a_replay_that_breaks_the_structure(
 
     def apply_and_bypass(db, update):
         apply_recorded(db, update)
-        next(db.table("teach").facts()).ncl.add(99)
+        fact = next(db.table("teach").facts())
+        fact.ncl = fact.ncl | {99}
 
     monkeypatch.setattr(updates, "apply_update", apply_and_bypass)
     with pytest.raises(PersistenceError, match="points to NC g99"):

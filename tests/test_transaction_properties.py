@@ -303,8 +303,8 @@ def test_commit_check_on_the_undo_records_agrees_with_the_whole_walk(
             table = written[victim % len(written)]
             fact = list(table.facts())[victim % len(table)]
             for damage, repair in (
-                    (lambda: fact.ncl.add(99),
-                     lambda: fact.ncl.discard(99)),
+                    (lambda: setattr(fact, "ncl", fact.ncl | {99}),
+                     lambda: setattr(fact, "ncl", fact.ncl - {99})),
                     (lambda: table._by_y[fact.y].remove(fact),
                      table._restore_order)):
                 damage()
