@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import evaluate_derivations, iter_chains
+from repro.fdb.evaluate import evaluate_derivations, truth_over
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 
@@ -128,14 +128,6 @@ def audit_insert_coverage(
                     true_pairs.add(pair)
         for pair in sorted(true_pairs, key=str):
             for derivation in derived.derivations:
-                witnessed = any(
-                    chain.all_true and chain.all_exact
-                    for chain in iter_chains(
-                        db, derivation, pair[0], pair[1]
-                    )
-                )
-                if not witnessed:
-                    findings.append(CoverageGap(
-                        name, pair, str(derivation)
-                    ))
+                if truth_over(db, (derivation,), *pair) is not Truth.TRUE:
+                    findings.append(CoverageGap(name, pair, str(derivation)))
     return findings

@@ -37,7 +37,8 @@ from repro.core.derivation import Derivation, Op
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.facts import Fact, FactRef
 from repro.fdb.logic import Truth
-from repro.fdb.values import Value
+from repro.fdb.table import FunctionTable
+from repro.fdb.values import Value, is_null
 from repro.obs.hooks import OBS
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "iter_chains",
     "truth_of",
     "truth_of_derived",
+    "truth_over",
     "evaluate_derivations",
     "derived_extension",
     "derived_image",
@@ -139,13 +141,18 @@ def iter_chains(
     definition of the obtained fact). ``allow_ambiguous=False``
     restricts to exactly-matching chains — the ones whose conjunction
     implies the derived fact, which is what ``derived-delete`` negates.
+
+    Chains come in lexicographic order of (choice at step 1, ...), exact
+    matches first. A walk reads each step's pools once (:class:`_Hop`):
+    no consumer may change the instance while it consumes one.
     """
-    chains = _extend(db, derivation, x, y, allow_ambiguous,
-                     0, (), None, True)
+    hops = [_Hop(db.table(step.function.name), step.op is Op.INVERSE,
+                 allow_ambiguous) for step in derivation.steps]
+    starts = hops[0].table.facts() if x is None else hops[0].exact(x)
+    chains = _extend(derivation, y, hops, 0, (), ((starts, True, None),), True)
     if not OBS.enabled:
         if not cancel.cancellation_active():
-            # Fast path byte-identical to the pre-service engine: no
-            # per-chain work when neither OBS nor a deadline is live.
+            # Fast path: no per-chain work without OBS or a deadline.
             yield from chains
             return
         for chain in chains:
@@ -162,63 +169,55 @@ def iter_chains(
         yield chain
 
 
-# The walk behind iter_chains. Module-level, with the context passed
-# along, rather than nested closures: a closure over itself and ``db``
-# is a reference cycle, and each call would keep its database alive
-# until a full collection.
+# The walk behind iter_chains: module-level, its context passed along,
+# as a closure over itself and ``db`` would keep the database alive.
+class _Hop:
+    """One step of one walk. A chain arriving at a value takes its exact
+    matches from the value index, its ambiguous ones from a pool read on
+    first use: the step's null list for a non-null (every null differs
+    from it), else a snapshot of the step's facts, skipping the null's own."""
 
+    __slots__ = ("table", "inverse", "ambiguous", "exact", "nulls", "facts")
 
-def _candidates(
-    db: FunctionalDatabase, derivation: Derivation, x: Value | None,
-    allow_ambiguous: bool, index: int, current: Value | None,
-) -> Iterator[tuple[Fact, bool]]:
-    step = derivation.steps[index]
-    table = db.table(step.function.name)
-    inverse = step.op is Op.INVERSE
-    if index == 0:
-        if x is None:
-            for fact in table.facts():
-                yield fact, True
-        elif inverse:
-            for fact in table.facts_with_y(x):
-                yield fact, True
-        else:
-            for fact in table.facts_with_x(x):
-                yield fact, True
-        return
-    exact, ambiguous = (
-        table.matching_y(current) if inverse else table.matching_x(current)
-    )
-    for fact in exact:
-        yield fact, True
-    if allow_ambiguous:
-        for fact in ambiguous:
-            yield fact, False
+    def __init__(self, table: FunctionTable, inverse: bool,
+                 ambiguous: bool) -> None:
+        self.table, self.inverse, self.ambiguous = table, inverse, ambiguous
+        self.exact = table.facts_with_y if inverse else table.facts_with_x
+        self.nulls = self.facts = None
+
+    def pools(self, current: Value) -> tuple:
+        """``(facts, match is exact, value to skip)`` for each pool."""
+        exact = (self.exact(current), True, None)
+        if not self.ambiguous:
+            return (exact,)
+        if is_null(current):
+            if self.facts is None:
+                self.facts = tuple(self.table.facts())
+            return exact, (self.facts, False, current)
+        if self.nulls is None:
+            self.nulls = (self.table.null_y_facts() if self.inverse
+                          else self.table.null_x_facts())
+        return exact, (self.nulls, False, None)
 
 
 def _extend(
-    db: FunctionalDatabase, derivation: Derivation, x: Value | None,
-    y: Value | None, allow_ambiguous: bool, index: int,
-    facts: tuple[Fact, ...], current: Value | None, all_exact: bool,
+    derivation: Derivation, y: Value | None, hops: list[_Hop], index: int,
+    facts: tuple[Fact, ...], pools: tuple, all_exact: bool,
 ) -> Iterator[Chain]:
-    steps = derivation.steps
-    if index == len(steps):
-        yield Chain(derivation, facts, all_exact)
-        return
-    inverse = steps[index].op is Op.INVERSE
-    last = index == len(steps) - 1
-    for fact, exact_match in _candidates(db, derivation, x,
-                                         allow_ambiguous, index, current):
-        effective_end = fact.x if inverse else fact.y
-        if last and y is not None and effective_end != y:
-            continue
-        yield from _extend(
-            db, derivation, x, y, allow_ambiguous,
-            index + 1,
-            facts + (fact,),
-            effective_end,
-            all_exact and exact_match,
-        )
+    inverse = hops[index].inverse
+    following = hops[index + 1] if index + 1 < len(hops) else None
+    for candidates, exact_match, skip in pools:
+        still_exact = all_exact and exact_match
+        for fact in candidates:
+            if skip is not None and (fact.y if inverse else fact.x) == skip:
+                continue
+            end = fact.x if inverse else fact.y
+            if following is not None:
+                yield from _extend(derivation, y, hops, index + 1,
+                                   facts + (fact,), following.pools(end),
+                                   still_exact)
+            elif y is None or end == y:
+                yield Chain(derivation, facts + (fact,), still_exact)
 
 
 def truth_of_derived(
@@ -226,12 +225,19 @@ def truth_of_derived(
 ) -> Truth:
     """Section 3.2 truth valuation of the derived fact ``name(x) = y``,
     considering every confirmed derivation of the function."""
-    obs_on = OBS.enabled  # hoisted: one global+attr load, not per chain
-    if obs_on:
+    if OBS.enabled:
         OBS.inc("fdb.evaluate.truth_checks")
-    derived = db.derived(name)
+    return truth_over(db, db.derived(name).derivations, x, y)
+
+
+def truth_over(
+    db: FunctionalDatabase, derivations: Iterable[Derivation],
+    x: Value, y: Value,
+) -> Truth:
+    """The strongest verdict any chain of ``derivations`` gives (x, y)."""
+    obs_on = OBS.enabled  # hoisted: one global+attr load, not per chain
     ambiguous_found = False
-    for derivation in derived.derivations:
+    for derivation in derivations:
         for chain in iter_chains(db, derivation, x, y):
             support = chain.supports(db)
             if obs_on:
@@ -280,7 +286,7 @@ def evaluate_derivations(
                 return True
         return False
 
-    checkpoint = cancel.checkpoint
+    checkpoint = cancel.checkpoint if cancel.cancellation_active() else None
     true = Truth.TRUE
     obs_on = OBS.enabled
     for derivation in derivations:
@@ -294,11 +300,14 @@ def evaluate_derivations(
         from_x = table.facts_with_y if inverse else table.facts_with_x
         frontier = []
         for fact in table.facts() if x is None else from_x(x):
-            checkpoint()
+            if checkpoint:
+                checkpoint()
             start, end = (fact.y, fact.x) if inverse else (fact.x, fact.y)
             frontier.append((start, end, fact.truth is true,
                              (fact,) if fact.ncl else ()))
-        for step in rest:
+        chains = 0 if rest else len(frontier)
+        for hop, step in enumerate(rest, 1):
+            last = hop == len(rest)
             table = db.table(step.function.name)
             inverse = step.op is Op.INVERSE
             match = table.matching_y if inverse else table.matching_x
@@ -307,7 +316,8 @@ def evaluate_derivations(
             matches: dict[Value, list[tuple]] = {}
             parents, frontier = frontier, []
             for start, current, clean, members in parents:
-                checkpoint()
+                if checkpoint:
+                    checkpoint()
                 found = matches.get(current)
                 if found is None:
                     exact, ambiguous = match(current)
@@ -317,18 +327,24 @@ def evaluate_derivations(
                          fact if fact.ncl else None)
                         for hit, facts in ((True, exact), (False, ambiguous))
                         for fact in facts]
+                if last:
+                    chains += len(found)
                 for end, ok, member in found:
-                    frontier.append((
-                        start, end, clean and ok,
-                        members if member is None or member in members
-                        else members + (member,)))
-        for start, end, clean, members in frontier:
+                    grown = (members if member is None or member in members
+                             else members + (member,))
+                    if not last:
+                        frontier.append((start, end, clean and ok, grown))
+                    elif clean and ok:  # complete: fold it in here
+                        result[start, end] = true
+                    elif not (grown and known_false(grown)):
+                        result.setdefault((start, end), Truth.AMBIGUOUS)
+        for start, end, clean, members in frontier:  # one-step derivations
             if clean:
                 result[start, end] = true  # keeps an earlier chain's place
             elif not (members and known_false(members)):
                 result.setdefault((start, end), Truth.AMBIGUOUS)
         if obs_on:
-            OBS.inc("fdb.chains.enumerated", len(frontier))
+            OBS.inc("fdb.chains.enumerated", chains)
             OBS.profiler.record("evaluate.accumulate", str(derivation),
                                 time.perf_counter() - started)
     return result

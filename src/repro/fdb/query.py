@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.errors import DerivationError, SchemaError
 from repro.core.derivation import Derivation, Step
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import evaluate_derivations, iter_chains
+from repro.fdb.evaluate import evaluate_derivations, iter_chains, truth_over
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 from repro.obs.hooks import OBS
@@ -124,15 +124,7 @@ class Query(abc.ABC):
         return self._truth(db, x, y)
 
     def _truth(self, db: FunctionalDatabase, x: Value, y: Value) -> Truth:
-        ambiguous = False
-        for derivation in self.derivations(db):
-            for chain in iter_chains(db, derivation, x, y):
-                support = chain.supports(db)
-                if support is Truth.TRUE:
-                    return Truth.TRUE
-                if support is Truth.AMBIGUOUS:
-                    ambiguous = True
-        return Truth.AMBIGUOUS if ambiguous else Truth.FALSE
+        return truth_over(db, self.derivations(db), x, y)
 
 
 class _Function(Query):

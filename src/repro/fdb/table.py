@@ -219,7 +219,7 @@ class FunctionTable:
         if is_null(value):
             ambiguous = [f for f in self._facts.values() if f.x != value]
         else:
-            ambiguous = [f for f in self._null_x if f.x != value]
+            ambiguous = list(self._null_x)  # a null never equals a non-null
         return exact, ambiguous
 
     def matching_y(self, value: Value) -> tuple[list[Fact], list[Fact]]:
@@ -228,7 +228,7 @@ class FunctionTable:
         if is_null(value):
             ambiguous = [f for f in self._facts.values() if f.y != value]
         else:
-            ambiguous = [f for f in self._null_y if f.y != value]
+            ambiguous = list(self._null_y)  # a null never equals a non-null
         return exact, ambiguous
 
     # -- misc -----------------------------------------------------------------------

@@ -1,0 +1,236 @@
+"""The chain walk against the walk it replaced.
+
+``iter_chains`` takes each step's ambiguous candidates once per
+enumeration: the step's null list, or one snapshot of its facts when a
+chain arrives at a null. The walk it replaced rebuilt both lists for
+every partial chain; it lives on here, copied as it was, as the
+*reference* (:func:`reference_chains`): the walk must yield the very
+same facts, in the same order, with the same ``all_exact``. Since
+``tests/test_extension_join.py`` holds the join to the live walk, this
+file ties both back to the old one.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.derivation import Derivation, Op
+from repro.fdb.database import FunctionalDatabase
+from repro.fdb.evaluate import Chain, iter_chains
+from repro.fdb.facts import Fact
+from repro.fdb.table import FunctionTable
+from repro.fdb.values import Value, is_null
+from repro.workloads.generator import chain_fdb, random_instance
+from tests.test_extension_join import queries_over_chain
+from tests.test_transaction_properties import (
+    Abort,
+    apply_step,
+    build,
+    make_steps,
+)
+
+
+# -- the reference: the per-partial-chain walk ------------------------------
+
+
+def _candidates(
+    db: FunctionalDatabase, derivation: Derivation, x: Value | None,
+    allow_ambiguous: bool, index: int, current: Value | None,
+) -> Iterator[tuple[Fact, bool]]:
+    step = derivation.steps[index]
+    table = db.table(step.function.name)
+    inverse = step.op is Op.INVERSE
+    if index == 0:
+        if x is None:
+            for fact in table.facts():
+                yield fact, True
+        elif inverse:
+            for fact in table.facts_with_y(x):
+                yield fact, True
+        else:
+            for fact in table.facts_with_x(x):
+                yield fact, True
+        return
+    exact, ambiguous = (
+        table.matching_y(current) if inverse else table.matching_x(current)
+    )
+    for fact in exact:
+        yield fact, True
+    if allow_ambiguous:
+        for fact in ambiguous:
+            yield fact, False
+
+
+def _extend(
+    db: FunctionalDatabase, derivation: Derivation, x: Value | None,
+    y: Value | None, allow_ambiguous: bool, index: int,
+    facts: tuple[Fact, ...], current: Value | None, all_exact: bool,
+) -> Iterator[Chain]:
+    steps = derivation.steps
+    if index == len(steps):
+        yield Chain(derivation, facts, all_exact)
+        return
+    inverse = steps[index].op is Op.INVERSE
+    last = index == len(steps) - 1
+    for fact, exact_match in _candidates(db, derivation, x,
+                                         allow_ambiguous, index, current):
+        effective_end = fact.x if inverse else fact.y
+        if last and y is not None and effective_end != y:
+            continue
+        yield from _extend(
+            db, derivation, x, y, allow_ambiguous,
+            index + 1,
+            facts + (fact,),
+            effective_end,
+            all_exact and exact_match,
+        )
+
+
+def reference_chains(db, derivation, x=None, y=None, *,
+                     allow_ambiguous=True) -> list[Chain]:
+    return list(_extend(db, derivation, x, y, allow_ambiguous,
+                        0, (), None, True))
+
+
+def shape(chains) -> list:
+    """Each chain as its facts (by identity) and its ``all_exact``."""
+    return [(tuple(map(id, chain.facts)), chain.all_exact)
+            for chain in chains]
+
+
+def assert_walk_matches_reference(db, derivation, x=None, y=None) -> None:
+    for allow_ambiguous in (True, False):
+        walked = list(iter_chains(db, derivation, x, y,
+                                  allow_ambiguous=allow_ambiguous))
+        expected = reference_chains(db, derivation, x, y,
+                                    allow_ambiguous=allow_ambiguous)
+        assert shape(walked) == shape(expected)
+        assert all(chain.derivation is derivation for chain in walked)
+
+
+def derivations_over_chain(db, k: int) -> list[Derivation]:
+    return [derivation for query in queries_over_chain(k)
+            for derivation in query.derivations(db)]
+
+
+def endpoints(db, derivation) -> tuple[list, list]:
+    """A few start and end values the instance has, nulls included, and
+    one it lacks."""
+    steps = derivation.steps
+    starts = {chain.start for chain in iter_chains(db, derivation)}
+    ends = {chain.end for chain in iter_chains(db, derivation)}
+    head = db.table(steps[0].function.name)
+    starts |= {fact.y if steps[0].op is Op.INVERSE else fact.x
+               for fact in head.facts()}
+    order = sorted(starts, key=repr)[:3], sorted(ends, key=repr)[:3]
+    return order[0] + ["absent"], order[1] + ["absent"]
+
+
+def assert_every_walk_matches(db, k: int) -> None:
+    for derivation in derivations_over_chain(db, k):
+        xs, ys = endpoints(db, derivation)
+        assert_walk_matches_reference(db, derivation)
+        for x in xs:
+            assert_walk_matches_reference(db, derivation, x=x)
+        for y in ys:
+            assert_walk_matches_reference(db, derivation, y=y)
+        for x, y in zip(xs, reversed(ys)):
+            assert_walk_matches_reference(db, derivation, x, y)
+
+
+# -- random streams -----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(2, 4),
+       rows=st.integers(0, 8), count=st.integers(1, 20),
+       single_valued=st.booleans(), abort=st.booleans())
+def test_walk_equals_reference_on_random_streams(
+        seed, k, rows, count, single_valued, abort):
+    db = build(seed, k, rows, single_valued)
+    steps = make_steps(db, seed, count)
+    kept = steps[:len(steps) // 2] if abort else steps
+    for step in kept:
+        apply_step(db, step)
+    if abort:
+        # Rolled-back discards go back in seq order (_restore_order).
+        with pytest.raises(Abort):
+            with db.transaction():
+                for step in steps[len(kept):]:
+                    apply_step(db, step)
+                raise Abort
+    assert db.structure_fault() is None
+    assert_every_walk_matches(db, k)
+
+
+def test_walk_equals_reference_with_many_nulls():
+    """Derived inserts of fresh pairs: every step has a long null list
+    and chains arrive at nulls mid-walk."""
+    db = chain_fdb(3)
+    random_instance(db, 12, seed=7, value_pool=5)
+    for i in range(15):
+        db.insert("v", f"T0_{i % 5}", f"T3_new{i}")
+    db.delete("v", "T0_1", "T3_new1")
+    assert db.nulls.next_index > 20 and len(db.ncs) >= 1
+    assert_every_walk_matches(db, 3)
+
+
+@pytest.mark.parametrize("value", ["T1_0", "missing"])
+def test_matching_agrees_with_the_filtered_scan(value):
+    """A non-null value's ambiguous side is the whole null list: the
+    ``!= value`` filter it used to run kept every null."""
+    db = chain_fdb(2)
+    random_instance(db, 10, seed=3, value_pool=4)
+    db.insert("v", "T0_0", "T2_new")
+    db.table("f2").add_pair(db.nulls.fresh(), "T2_0")
+    for table in (db.table("f1"), db.table("f2")):
+        for probe in [value, *(f.x for f in table.null_x_facts()),
+                      *(f.y for f in table.null_y_facts())]:
+            _, ambiguous = table.matching_x(probe)
+            assert ambiguous == [f for f in table.facts()
+                                 if f.x != probe and (is_null(f.x)
+                                                      or is_null(probe))]
+            _, ambiguous = table.matching_y(probe)
+            assert ambiguous == [f for f in table.facts()
+                                 if f.y != probe and (is_null(f.y)
+                                                      or is_null(probe))]
+
+
+# -- the pools are taken once per enumeration ---------------------------------
+
+
+COPIES = ("facts", "null_x_facts", "null_y_facts", "matching_x",
+          "matching_y")
+
+
+def test_one_walk_copies_each_table_at_most_twice(monkeypatch):
+    db = chain_fdb(3)
+    random_instance(db, 20, seed=5, value_pool=6)
+    for i in range(25):
+        db.insert("v", f"T0_{i % 6}", f"T3_new{i}")
+    assert db.nulls.next_index > 2 * 20  # >= 20 NVCs, two nulls each
+    derivation = db.derived("v").primary
+    # Every chain reached f2 and f3; far more than two partial chains did.
+    assert len({chain.facts[:2] for chain in iter_chains(db, derivation)}
+               ) > 100
+
+    copies: list[str] = []
+    for name in COPIES:
+        original = getattr(FunctionTable, name)
+
+        def spy(table, *args, _original=original):
+            copies.append(table.name)
+            return _original(table, *args)
+
+        monkeypatch.setattr(FunctionTable, name, spy)
+    for x, allow_ambiguous in ((None, True), (None, False), ("T0_1", True)):
+        copies.clear()
+        walked = list(iter_chains(db, derivation, x,
+                                  allow_ambiguous=allow_ambiguous))
+        assert walked
+        assert max(copies.count(name) for name in ("f1", "f2", "f3")) <= 2
+    assert shape(walked) == shape(reference_chains(db, derivation, "T0_1"))
