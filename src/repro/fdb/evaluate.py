@@ -37,12 +37,14 @@ from repro.core.derivation import Derivation, Op
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.facts import Fact, FactRef
 from repro.fdb.logic import Truth
+from repro.fdb.nc import NCRegistry
 from repro.fdb.table import FunctionTable
 from repro.fdb.values import Value, is_null
 from repro.obs.hooks import OBS
 
 __all__ = [
     "Chain",
+    "negating_ncs",
     "iter_chains",
     "truth_of",
     "truth_of_derived",
@@ -102,14 +104,9 @@ class Chain:
         )
 
     def is_known_false(self, db: FunctionalDatabase) -> bool:
-        """Whether this chain's conjunction is already negated: its fact
-        set is a superset of some live NC."""
-        candidates: set[int] = set()
-        for fact in self.facts:
-            candidates |= fact.ncl
-        if not candidates:
-            return False
-        return db.ncs.subset_of_some_nc(self.refs, candidates)
+        """Whether this chain's conjunction is already negated: some
+        live NC negates its facts (:func:`negating_ncs`)."""
+        return any(negating_ncs(db.ncs, self.facts))
 
     def supports(self, db: FunctionalDatabase) -> Truth:
         """What this single chain contributes to its derived fact."""
@@ -125,6 +122,21 @@ class Chain:
             for step, fact in zip(self.derivation.steps, self.facts)
         ]
         return " . ".join(parts)
+
+
+def negating_ncs(ncs: NCRegistry, facts: Iterable[Fact]) -> Iterator[int]:
+    """The indices of the live NCs that ``facts`` are a superset of —
+    what makes a chain "a superset of a NC" (Section 3.2) — each once
+    per fact listing it. NC *i* negates them iff as many distinct
+    facts list *i* in their NCL as NC *i* has distinct members: the
+    NC <-> NCL pairing (DESIGN.md, "Counting NCL entries"). An index
+    no live NC has negates nothing; ``structure_fault`` names that
+    damage."""
+    listed = [index for fact in set(facts) for index in fact.ncl]
+    for index in listed:
+        if index in ncs and listed.count(index) == len(
+                ncs.get(index).member_set):
+            yield index
 
 
 def iter_chains(
@@ -234,11 +246,18 @@ def truth_over(
     db: FunctionalDatabase, derivations: Iterable[Derivation],
     x: Value, y: Value,
 ) -> Truth:
-    """The strongest verdict any chain of ``derivations`` gives (x, y)."""
+    """The strongest verdict any chain of ``derivations`` gives (x, y).
+    Past the first ambiguous chain only a true one can change it, so
+    later chains are tested for that alone — unless telemetry is on,
+    which values (and emits) every chain."""
     obs_on = OBS.enabled  # hoisted: one global+attr load, not per chain
     ambiguous_found = False
     for derivation in derivations:
         for chain in iter_chains(db, derivation, x, y):
+            if ambiguous_found and not obs_on:
+                if chain.all_exact and chain.all_true:
+                    return Truth.TRUE
+                continue
             support = chain.supports(db)
             if obs_on:
                 OBS.event("chain.evaluated", chain=str(chain),
@@ -273,18 +292,10 @@ def evaluate_derivations(
     Section 3.2 valuation: DESIGN.md, "Evaluating an extension".
     """
     result: dict[tuple[Value, Value], Truth] = {}
-    nc_sizes: dict[int, int] = {}
 
     @functools.cache  # within this call: many chains share their NC members
     def known_false(members: tuple[Fact, ...]) -> bool:
-        # Superset of an NC: as many members list it as it has (NC <-> NCL).
-        listed = [index for fact in members for index in fact.ncl]
-        for index in listed:
-            if index not in nc_sizes:
-                nc_sizes[index] = len(set(db.ncs.get(index).members))
-            if listed.count(index) == nc_sizes[index]:
-                return True
-        return False
+        return any(negating_ncs(db.ncs, members))
 
     checkpoint = cancel.checkpoint if cancel.cancellation_active() else None
     true = Truth.TRUE

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from repro.core.derivation import Derivation, Op
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import Chain, iter_chains, truth_of
+from repro.fdb.evaluate import Chain, iter_chains, negating_ncs, truth_of
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 
@@ -94,16 +94,8 @@ class Explanation:
 
 def _chain_evidence(db: FunctionalDatabase, chain: Chain) -> ChainEvidence:
     supports = chain.supports(db)
-    negated_by: tuple[int, ...] = ()
-    if supports is Truth.FALSE:
-        refs = chain.refs
-        candidates = sorted(
-            {index for fact in chain.facts for index in fact.ncl}
-        )
-        negated_by = tuple(
-            index for index in candidates
-            if index in db.ncs and db.ncs.get(index).member_set <= refs
-        )
+    negated_by = (tuple(sorted(set(negating_ncs(db.ncs, chain.facts))))
+                  if supports is Truth.FALSE else ())
     return ChainEvidence(chain, supports, negated_by)
 
 

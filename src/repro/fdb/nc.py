@@ -22,6 +22,7 @@ independent of :mod:`repro.fdb.database`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import UpdateError
@@ -42,7 +43,7 @@ class NegatedConjunction:
     index: int
     members: tuple[FactRef, ...]
 
-    @property
+    @cached_property  # an NC never changes: a rewrite makes a new one
     def member_set(self) -> frozenset[FactRef]:
         return frozenset(self.members)
 
@@ -183,22 +184,6 @@ class NCRegistry:
     def members_of(self, index: int) -> tuple[Fact, ...]:
         """The component facts of NC(d) (NC -> facts traversal)."""
         return tuple(self._resolve(ref) for ref in self.get(index).members)
-
-    def has_nc_with_members(self, refs: frozenset[FactRef]) -> bool:
-        """Whether some live NC has exactly this member set (used to keep
-        derived deletes idempotent)."""
-        return any(nc.member_set == refs for nc in self._ncs.values())
-
-    def subset_of_some_nc(self, refs: frozenset[FactRef],
-                          candidate_indices: Iterable[int]) -> bool:
-        """Whether some NC among ``candidate_indices`` has all its
-        members inside ``refs`` — i.e. ``refs`` is a superset of an NC,
-        which makes a chain's conjunction known-false (Section 3.2)."""
-        for index in set(candidate_indices):
-            nc = self._ncs.get(index)
-            if nc is not None and nc.member_set <= refs:
-                return True
-        return False
 
     def rewrite_value(self, old: "Value", new: "Value") -> None:
         """Replace a value inside every NC member reference (used by

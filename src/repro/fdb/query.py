@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.errors import DerivationError, SchemaError
 from repro.core.derivation import Derivation, Step
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import evaluate_derivations, iter_chains, truth_over
+from repro.fdb.evaluate import evaluate_derivations, truth_over
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 from repro.obs.hooks import OBS

@@ -8,22 +8,33 @@ every partial chain; it lives on here, copied as it was, as the
 same facts, in the same order, with the same ``all_exact``. Since
 ``tests/test_extension_join.py`` holds the join to the live walk, this
 file ties both back to the old one.
+
+The point fold over the walk (``truth_over``) stops valuing chains once
+one came out ambiguous, and reads "superset of an NC" off the NCLs
+(``negating_ncs``). The fold that valued every chain against NC member
+sets is its reference (:func:`reference_truth`): same verdict, and with
+telemetry on the same ``chain.evaluated`` events.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.derivation import Derivation, Op
+from repro.core.derivation import Derivation, Op, Step
+from repro.core.schema import FunctionDef
+from repro.core.types import TypeFunctionality
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import Chain, iter_chains
+from repro.fdb.evaluate import Chain, iter_chains, negating_ncs, truth_over
 from repro.fdb.facts import Fact
+from repro.fdb.logic import Truth
 from repro.fdb.table import FunctionTable
 from repro.fdb.values import Value, is_null
+from repro.obs import OBS, CallbackSink
 from repro.workloads.generator import chain_fdb, random_instance
 from tests.test_extension_join import queries_over_chain
 from tests.test_transaction_properties import (
@@ -32,6 +43,8 @@ from tests.test_transaction_properties import (
     build,
     make_steps,
 )
+
+MM = TypeFunctionality.MANY_MANY
 
 
 # -- the reference: the per-partial-chain walk ------------------------------
@@ -142,17 +155,95 @@ def assert_every_walk_matches(db, k: int) -> None:
             assert_walk_matches_reference(db, derivation, x, y)
 
 
+# -- the reference point fold: the parent's superset test ---------------------
+
+
+def reference_negated_by(db, chain) -> set[int]:
+    """The NCs whose member set lies inside the chain's fact references."""
+    refs = chain.refs
+    return {index for fact in chain.facts for index in fact.ncl
+            if index in db.ncs
+            and frozenset(db.ncs.get(index).members) <= refs}
+
+
+def reference_supports(db, chain) -> Truth:
+    if chain.all_exact and chain.all_true:
+        return Truth.TRUE
+    return Truth.FALSE if reference_negated_by(db, chain) else Truth.AMBIGUOUS
+
+
+def reference_truth(db, derivations, x, y) -> tuple[Truth, list]:
+    """The parent's ``truth_over``: every chain valued up to the first
+    true one, and the ``chain.evaluated`` (chain, verdict) it emitted."""
+    verdict, emitted = Truth.FALSE, []
+    for derivation in derivations:
+        for chain in iter_chains(db, derivation, x, y):
+            support = reference_supports(db, chain)
+            emitted.append((str(chain), support.value))
+            if support is Truth.TRUE:
+                return support, emitted
+            if support is Truth.AMBIGUOUS:
+                verdict = support
+    return verdict, emitted
+
+
+def evaluated_events(db, derivations, x, y) -> tuple[Truth, list]:
+    """``truth_over`` with telemetry on, and what it emitted."""
+    seen: list = []
+    sink = OBS.events.add_sink(CallbackSink(seen.append))
+    try:
+        with OBS.collecting():
+            verdict = truth_over(db, derivations, x, y)
+    finally:
+        OBS.events.remove_sink(sink)
+        OBS.reset()
+    return verdict, [(str(r.attrs["chain"]), str(r.attrs["verdict"]))
+                     for r in seen if r.name == "chain.evaluated"]
+
+
+def assert_point_fold_matches_reference(db, k: int) -> None:
+    for derivation in derivations_over_chain(db, k):
+        chains = list(iter_chains(db, derivation))
+        for chain in chains:
+            expected = reference_negated_by(db, chain)
+            assert set(negating_ncs(db.ncs, chain.facts)) == expected
+            assert chain.is_known_false(db) is bool(expected)
+        # The points most chains obtain, and one no chain does.
+        busiest = Counter(chain.pair for chain in chains).most_common(4)
+        points = [pair for pair, _ in busiest] + [("absent", "absent")]
+        for x, y in points:
+            verdict, emitted = reference_truth(db, [derivation], x, y)
+            assert truth_over(db, [derivation], x, y) is verdict
+            assert evaluated_events(db, [derivation], x, y) == (
+                verdict, emitted)
+
+
 # -- random streams -----------------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 10_000), k=st.integers(2, 4),
-       rows=st.integers(0, 8), count=st.integers(1, 20),
-       single_valued=st.booleans(), abort=st.booleans())
-def test_walk_equals_reference_on_random_streams(
-        seed, k, rows, count, single_valued, abort):
+streams = dict(
+    seed=st.integers(0, 10_000), k=st.integers(2, 4),
+    rows=st.integers(0, 8), count=st.integers(1, 20),
+    single_valued=st.booleans(), abort=st.booleans(), twice=st.booleans())
+
+
+def stream_db(seed, k, rows, count, single_valued, abort, twice):
+    """A chain database after a random stream of base and derived
+    INS/DEL, its second half rolled back when ``abort``. ``twice`` adds
+    ``h = f1 o f1^-1`` to the schema, so the stream's derived DELs can
+    negate a chain whose one fact serves both steps: an NC naming it
+    twice. ``h`` takes only DELs: ``INS h(a, a)`` would have
+    ``create_nvc`` store ``f1(a, n)`` twice, which the table refuses."""
     db = build(seed, k, rows, single_valued)
-    steps = make_steps(db, seed, count)
+    if twice:
+        f1 = db.schema["f1"]
+        db.declare_derived(
+            FunctionDef("h", f1.domain, f1.domain, MM),
+            Derivation([Step(f1), Step(f1, Op.INVERSE)]))
+    steps = [step for step in make_steps(db, seed, count)
+             if all(getattr(update, "function", None) != "h"
+                    or update.kind == "DEL"
+                    for update in getattr(step, "updates", (step,)))]
     kept = steps[:len(steps) // 2] if abort else steps
     for step in kept:
         apply_step(db, step)
@@ -164,7 +255,26 @@ def test_walk_equals_reference_on_random_streams(
                     apply_step(db, step)
                 raise Abort
     assert db.structure_fault() is None
+    return db
+
+
+@settings(max_examples=200, deadline=None)
+@given(**streams)
+def test_walk_equals_reference_on_random_streams(
+        seed, k, rows, count, single_valued, abort, twice):
+    db = stream_db(seed, k, rows, count, single_valued, abort, twice)
     assert_every_walk_matches(db, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**streams)
+def test_point_fold_equals_reference_on_random_streams(
+        seed, k, rows, count, single_valued, abort, twice):
+    """The shared rule reads every chain as the member-set test did;
+    ``truth_over`` gives the verdict, and with telemetry on emits the
+    ``chain.evaluated`` events, of the fold that valued every chain."""
+    db = stream_db(seed, k, rows, count, single_valued, abort, twice)
+    assert_point_fold_matches_reference(db, k)
 
 
 def test_walk_equals_reference_with_many_nulls():
@@ -177,6 +287,7 @@ def test_walk_equals_reference_with_many_nulls():
     db.delete("v", "T0_1", "T3_new1")
     assert db.nulls.next_index > 20 and len(db.ncs) >= 1
     assert_every_walk_matches(db, 3)
+    assert_point_fold_matches_reference(db, 3)
 
 
 @pytest.mark.parametrize("value", ["T1_0", "missing"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import UpdateError
+from repro.fdb.evaluate import negating_ncs
 from repro.fdb.facts import Fact, FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.nc import NCRegistry, NegatedConjunction
@@ -115,31 +116,35 @@ class TestQueries:
         with pytest.raises(UpdateError):
             registry.members_of(nc.index)
 
-    def test_has_nc_with_members(self, store):
+    def test_negated_only_by_all_members(self, store):
         tables, registry, teach_fact, class_fact = store
-        registry.create([("teach", teach_fact),
-                         ("class_list", class_fact)])
-        refs = frozenset({
-            FactRef("teach", "euclid", "math"),
-            FactRef("class_list", "math", "john"),
-        })
-        assert registry.has_nc_with_members(refs)
-        assert not registry.has_nc_with_members(
-            frozenset({FactRef("teach", "euclid", "math")})
-        )
+        nc = registry.create([("teach", teach_fact),
+                              ("class_list", class_fact)])
+        both = [teach_fact, class_fact]
+        assert set(negating_ncs(registry, both)) == {nc.index}
+        assert set(negating_ncs(registry, both + both)) == {nc.index}
+        assert set(negating_ncs(registry, [teach_fact])) == set()
 
-    def test_subset_of_some_nc(self, store):
+    def test_superset_of_an_nc_is_negated(self, store):
         tables, registry, teach_fact, class_fact = store
         nc = registry.create([("teach", teach_fact)])
-        superset = frozenset({
-            FactRef("teach", "euclid", "math"),
-            FactRef("class_list", "math", "john"),
-        })
-        assert registry.subset_of_some_nc(superset, [nc.index])
-        assert not registry.subset_of_some_nc(superset, [999])
-        assert not registry.subset_of_some_nc(
-            frozenset({FactRef("class_list", "math", "john")}), [nc.index]
-        )
+        superset = [teach_fact, class_fact]
+        assert set(negating_ncs(registry, superset)) == {nc.index}
+        assert set(negating_ncs(registry, [class_fact])) == set()
+
+    def test_nc_naming_one_fact_twice(self, store):
+        """Negating ``f o f^-1`` over one fact stores it twice: one
+        distinct member, so the fact alone is a superset."""
+        tables, registry, teach_fact, _ = store
+        nc = registry.create([("teach", teach_fact), ("teach", teach_fact)])
+        assert len(nc.members) == 2
+        assert set(negating_ncs(registry, [teach_fact])) == {nc.index}
+
+    def test_index_of_no_live_nc_negates_nothing(self, store):
+        tables, registry, teach_fact, class_fact = store
+        teach_fact.ncl = frozenset({999})  # around the primitives
+        both = [teach_fact, class_fact]
+        assert set(negating_ncs(registry, both)) == set()
 
     def test_len_iter_contains(self, store):
         tables, registry, teach_fact, class_fact = store
