@@ -155,11 +155,13 @@ def iter_chains(
     implies the derived fact, which is what ``derived-delete`` negates.
 
     Chains come in lexicographic order of (choice at step 1, ...), exact
-    matches first. A walk reads each step's pools once (:class:`_Hop`):
-    no consumer may change the instance while it consumes one.
+    matches first. A walk reads each step's pools once (:class:`_Hop`),
+    the last step's cut to the facts ending at ``y``: no consumer may
+    change the instance while it consumes one.
     """
     hops = [_Hop(db.table(step.function.name), step.op is Op.INVERSE,
                  allow_ambiguous) for step in derivation.steps]
+    hops[-1].y = y  # Section 3.2: the last fact must end at y exactly
     starts = hops[0].table.facts() if x is None else hops[0].exact(x)
     chains = _extend(derivation, y, hops, 0, (), ((starts, True, None),), True)
     if not OBS.enabled:
@@ -187,15 +189,18 @@ class _Hop:
     """One step of one walk. A chain arriving at a value takes its exact
     matches from the value index, its ambiguous ones from a pool read on
     first use: the step's null list for a non-null (every null differs
-    from it), else a snapshot of the step's facts, skipping the null's own."""
+    from it), else a snapshot of the step's facts, skipping the null's own.
+    A last hop with ``y`` bound reads, for either pool, only the facts
+    ending at ``y`` (its y-bucket)."""
 
-    __slots__ = ("table", "inverse", "ambiguous", "exact", "nulls", "facts")
+    __slots__ = ("table", "inverse", "ambiguous", "exact", "y", "nulls",
+                 "facts")
 
     def __init__(self, table: FunctionTable, inverse: bool,
                  ambiguous: bool) -> None:
         self.table, self.inverse, self.ambiguous = table, inverse, ambiguous
         self.exact = table.facts_with_y if inverse else table.facts_with_x
-        self.nulls = self.facts = None
+        self.y = self.nulls = self.facts = None
 
     def pools(self, current: Value) -> tuple:
         """``(facts, match is exact, value to skip)`` for each pool."""
@@ -203,13 +208,23 @@ class _Hop:
         if not self.ambiguous:
             return (exact,)
         if is_null(current):
-            if self.facts is None:
-                self.facts = tuple(self.table.facts())
-            return exact, (self.facts, False, current)
+            return exact, (self.snapshot(), False, current)
         if self.nulls is None:
             self.nulls = (self.table.null_y_facts() if self.inverse
                           else self.table.null_x_facts())
+            if self.nulls and self.y is not None:
+                self.nulls = [fact for fact in self.snapshot() if is_null(
+                    fact.y if self.inverse else fact.x)]
         return exact, (self.nulls, False, None)
+
+    def snapshot(self) -> tuple[Fact, ...]:
+        """The step's facts, or with ``y`` bound its y-bucket, read once."""
+        if self.facts is None:
+            table, y = self.table, self.y
+            self.facts = (tuple(table.facts()) if y is None else
+                          table.facts_with_x(y) if self.inverse
+                          else table.facts_with_y(y))
+        return self.facts
 
 
 def _extend(

@@ -47,20 +47,26 @@ def create_nvc(
     Generates k-1 fresh nulls and stores one true fact per derivation
     step: ``<x, n1, T, nil>``, ``<n1, n2, T, nil>``, ...,
     ``<n_{k-1}, y, T, nil>`` (reoriented for inverted steps). Returns
-    the stored facts in step order.
+    the stored facts in step order. A step whose pair an earlier step
+    stored (``f o f^-1`` with x = y) reuses that fact: the chain's
+    conjunction is a set of facts, and a fresh null collides with no
+    other.
     """
     if OBS.enabled:
         OBS.inc("fdb.nvc.created")
     steps = derivation.steps
     nulls = list(db.nulls.fresh_many(len(steps) - 1))
     boundary: list[Value] = [x, *nulls, y]
+    stored: dict[tuple, Fact] = {}
     created: list[Fact] = []
     for index, step in enumerate(steps):
-        stored_x, stored_y = _stored_pair(
-            step.op, boundary[index], boundary[index + 1]
-        )
-        table = db.table(step.function.name)
-        created.append(table.add_pair(stored_x, stored_y, Truth.TRUE))
+        name = step.function.name
+        pair = _stored_pair(step.op, boundary[index], boundary[index + 1])
+        fact = stored.get((name, pair))
+        if fact is None:
+            fact = stored[name, pair] = db.table(name).add_pair(
+                *pair, Truth.TRUE)
+        created.append(fact)
     return created
 
 

@@ -2,8 +2,10 @@
 
 ``iter_chains`` takes each step's ambiguous candidates once per
 enumeration: the step's null list, or one snapshot of its facts when a
-chain arrives at a null. The walk it replaced rebuilt both lists for
-every partial chain; it lives on here, copied as it was, as the
+chain arrives at a null — at the last step of a walk with ``y`` bound,
+only the facts ending at ``y``. The walk it replaced rebuilt both lists
+for every partial chain and filtered by ``y`` after the last step's
+scan; it lives on here, copied as it was, as the
 *reference* (:func:`reference_chains`): the walk must yield the very
 same facts, in the same order, with the same ``all_exact``. Since
 ``tests/test_extension_join.py`` holds the join to the live walk, this
@@ -27,11 +29,12 @@ from hypothesis import strategies as st
 
 from repro.core.derivation import Derivation, Op, Step
 from repro.core.schema import FunctionDef
-from repro.core.types import TypeFunctionality
+from repro.core.types import ObjectType, TypeFunctionality
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.evaluate import Chain, iter_chains, negating_ncs, truth_over
 from repro.fdb.facts import Fact
 from repro.fdb.logic import Truth
+from repro.fdb.query import fn
 from repro.fdb.table import FunctionTable
 from repro.fdb.values import Value, is_null
 from repro.obs import OBS, CallbackSink
@@ -230,20 +233,16 @@ streams = dict(
 def stream_db(seed, k, rows, count, single_valued, abort, twice):
     """A chain database after a random stream of base and derived
     INS/DEL, its second half rolled back when ``abort``. ``twice`` adds
-    ``h = f1 o f1^-1`` to the schema, so the stream's derived DELs can
-    negate a chain whose one fact serves both steps: an NC naming it
-    twice. ``h`` takes only DELs: ``INS h(a, a)`` would have
-    ``create_nvc`` store ``f1(a, n)`` twice, which the table refuses."""
+    ``h = f1 o f1^-1`` to the schema, so one fact can serve both steps
+    of a chain: ``INS h(a, a)`` stores ``f1(a, n)`` once for both, and a
+    DEL negating such a chain stores an NC naming the fact twice."""
     db = build(seed, k, rows, single_valued)
     if twice:
         f1 = db.schema["f1"]
         db.declare_derived(
             FunctionDef("h", f1.domain, f1.domain, MM),
             Derivation([Step(f1), Step(f1, Op.INVERSE)]))
-    steps = [step for step in make_steps(db, seed, count)
-             if all(getattr(update, "function", None) != "h"
-                    or update.kind == "DEL"
-                    for update in getattr(step, "updates", (step,)))]
+    steps = make_steps(db, seed, count)
     kept = steps[:len(steps) // 2] if abort else steps
     for step in kept:
         apply_step(db, step)
@@ -316,32 +315,163 @@ def test_matching_agrees_with_the_filtered_scan(value):
 
 COPIES = ("facts", "null_x_facts", "null_y_facts", "matching_x",
           "matching_y")
+READS = COPIES + ("facts_with_x", "facts_with_y")
 
 
-def test_one_walk_copies_each_table_at_most_twice(monkeypatch):
+def spy_on_tables(monkeypatch) -> list[tuple]:
+    """Every table read from now on, as (table, method, args)."""
+    calls: list[tuple] = []
+    for name in READS:
+        original = getattr(FunctionTable, name)
+
+        def spy(table, *args, _original=original, _name=name):
+            calls.append((table.name, _name, args))
+            return _original(table, *args)
+
+        monkeypatch.setattr(FunctionTable, name, spy)
+    return calls
+
+
+def nvc_chain_db() -> FunctionalDatabase:
+    """``chain_fdb(3)`` with 25 NVCs, two nulls each, beside 20 rows a
+    table: chains arrive at nulls and at non-nulls on every step."""
     db = chain_fdb(3)
     random_instance(db, 20, seed=5, value_pool=6)
     for i in range(25):
         db.insert("v", f"T0_{i % 6}", f"T3_new{i}")
-    assert db.nulls.next_index > 2 * 20  # >= 20 NVCs, two nulls each
+    assert db.nulls.next_index > 2 * 20
+    return db
+
+
+def test_one_walk_copies_each_table_at_most_twice(monkeypatch):
+    db = nvc_chain_db()
     derivation = db.derived("v").primary
     # Every chain reached f2 and f3; far more than two partial chains did.
     assert len({chain.facts[:2] for chain in iter_chains(db, derivation)}
                ) > 100
 
-    copies: list[str] = []
-    for name in COPIES:
-        original = getattr(FunctionTable, name)
-
-        def spy(table, *args, _original=original):
-            copies.append(table.name)
-            return _original(table, *args)
-
-        monkeypatch.setattr(FunctionTable, name, spy)
+    calls = spy_on_tables(monkeypatch)
     for x, allow_ambiguous in ((None, True), (None, False), ("T0_1", True)):
-        copies.clear()
+        calls.clear()
         walked = list(iter_chains(db, derivation, x,
                                   allow_ambiguous=allow_ambiguous))
         assert walked
+        copies = [table for table, method, _ in calls if method in COPIES]
         assert max(copies.count(name) for name in ("f1", "f2", "f3")) <= 2
     assert shape(walked) == shape(reference_chains(db, derivation, "T0_1"))
+
+
+# -- a bound y cuts the last step to its y-bucket -----------------------------
+
+
+def inverted_last_db() -> FunctionalDatabase:
+    """``v = f1 o f2^-1`` (f1: T0 -> T1, f2: T2 -> T1) over random rows,
+    NVCs and one NC: the last step is inverted, so its y-bucket is the
+    x index and its null list the null *y* facts."""
+    db = FunctionalDatabase()
+    t0, t1, t2 = (ObjectType(f"T{i}") for i in range(3))
+    f1, f2 = FunctionDef("f1", t0, t1, MM), FunctionDef("f2", t2, t1, MM)
+    db.declare_base(f1)
+    db.declare_base(f2)
+    db.declare_derived(FunctionDef("v", t0, t2, MM),
+                       Derivation([Step(f1), Step(f2, Op.INVERSE)]))
+    random_instance(db, 10, seed=11, value_pool=4)
+    for i in range(12):
+        db.insert("v", f"T0_{i % 5}", f"T2_{i % 3}")
+    db.delete("v", "T0_4", "T2_1")
+    assert db.table("f2").null_y_facts() and len(db.ncs) >= 1
+    return db
+
+
+def last_bucket(derivation, y) -> tuple:
+    """The (table, method, args) call reading the last step's y-bucket."""
+    step = derivation.steps[-1]
+    method = "facts_with_x" if step.op is Op.INVERSE else "facts_with_y"
+    return step.function.name, method, (y,)
+
+
+@pytest.mark.parametrize("which", ["chain", "inverted"])
+def test_a_bound_walk_reads_only_the_last_steps_y_bucket(which, monkeypatch):
+    """With ``y`` bound the last step's pools come from its y-bucket,
+    read at most once per walk: never a snapshot of the whole table."""
+    db = nvc_chain_db() if which == "chain" else inverted_last_db()
+    derivation = db.derived("v").primary
+    last = derivation.steps[-1].function.name
+    chains = list(iter_chains(db, derivation))
+    ys = sorted({chain.end for chain in chains}, key=repr)
+    # The last step but one is forward in both: some chains reach the
+    # last step at a null.
+    assert any(is_null(chain.facts[-2].y) for chain in chains)
+    calls = spy_on_tables(monkeypatch)
+    ambiguous = 0
+    for y in ys[:3] + ys[-2:] + ["absent"]:  # rows' ends, then NVCs'
+        for x in (None, "T0_1"):
+            for allow_ambiguous in (True, False):
+                calls.clear()
+                walked = list(iter_chains(db, derivation, x, y,
+                                          allow_ambiguous=allow_ambiguous))
+                assert (last, "facts", ()) not in calls
+                assert calls.count(last_bucket(derivation, y)) <= 1
+                ambiguous += sum(not chain.all_exact for chain in walked)
+                assert shape(walked) == shape(reference_chains(
+                    db, derivation, x, y, allow_ambiguous=allow_ambiguous))
+    assert ambiguous  # the cut pools did yield chains
+
+
+def test_a_bound_walk_over_no_nulls_reads_what_an_unbound_one_does(
+        monkeypatch):
+    """The read path's guard: with no null stored, a bound walk makes
+    exactly the table calls of the unbound walk — no y-bucket read."""
+    db = chain_fdb(3)
+    random_instance(db, 20, seed=5, value_pool=6)
+    assert not any(table.null_x_facts() or table.null_y_facts()
+                   for table in map(db.table, ("f1", "f2", "f3")))
+    calls = spy_on_tables(monkeypatch)
+    for query in queries_over_chain(3):
+        for derivation in query.derivations(db):
+            for x in (None, "T0_1", "T3_2"):
+                calls.clear()
+                list(iter_chains(db, derivation, x))
+                unbound = list(calls)
+                for y in ("T3_2", "T0_1", "absent"):
+                    calls.clear()
+                    list(iter_chains(db, derivation, x, y))
+                    assert calls == unbound
+
+
+def test_bound_walk_to_a_null_equals_reference():
+    """``y`` a null: the last step's y-bucket is that null's facts,
+    reached from a null (all but the null's own facts) and from a
+    non-null (the bucket's null-start facts)."""
+    db = chain_fdb(2)
+    random_instance(db, 10, seed=3, value_pool=4)
+    for i in range(8):
+        db.insert("v", f"T0_{i % 4}", f"T2_new{i}")
+    db.delete("v", "T0_1", "T2_new1")
+    f2 = db.table("f2")
+    # Two nulls of T2, each ending a non-null-, an NVC null- and a
+    # fresh null-start fact.
+    targets = [db.nulls.fresh() for _ in range(2)]
+    for i, target in enumerate(targets):
+        for start in (f"T1_{i}", f2.null_x_facts()[i].x, db.nulls.fresh()):
+            f2.add_pair(start, target)
+    # v o f2^-1 ends on f2's domain, where the NVCs left their nulls.
+    ends = [fact.x for fact in f2.null_x_facts()[:3]]
+    for query, ys in ((fn("v"), targets), (fn("v") * ~fn("f2"), ends)):
+        for derivation in query.derivations(db):
+            for y in ys:
+                for x in (None, "T0_0", "T0_1"):
+                    assert_walk_matches_reference(db, derivation, x, y)
+    assert any(not chain.all_exact for y in targets
+               for chain in iter_chains(db, db.derived("v").primary, y=y))
+
+
+def test_bound_walk_with_inverted_last_step_equals_reference():
+    """``f1 o f2^-1``: the bound last step reads f2's x index and keeps
+    its null-y facts for non-null arrivals."""
+    db = inverted_last_db()
+    derivation = db.derived("v").primary
+    xs, ys = endpoints(db, derivation)
+    for y in ys:
+        for x in [None, *xs]:
+            assert_walk_matches_reference(db, derivation, x, y)

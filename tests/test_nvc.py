@@ -8,9 +8,11 @@ from repro.core.derivation import Derivation, Op, Step
 from repro.core.schema import FunctionDef
 from repro.core.types import ObjectType, TypeFunctionality
 from repro.fdb.database import FunctionalDatabase
+from repro.fdb.evaluate import truth_of
 from repro.fdb.logic import Truth
 from repro.fdb.nvc import clean_up_nvc, create_nvc, exists_nvc, interior_values
 from repro.fdb.values import NullValue, is_null
+from repro.workloads.generator import chain_fdb
 
 A, B, C = (ObjectType(n) for n in "ABC")
 MM = TypeFunctionality.MANY_MANY
@@ -78,6 +80,23 @@ class TestCreate:
         assert is_null(facts[0].x) and facts[0].y == "a"
         assert facts[0] is db.table("f").get(facts[0].x, "a")
         assert facts[1].pair == (facts[0].x, "c")
+
+    def test_self_join_insert_stores_one_fact(self):
+        """h = f1 o f1^-1, INS h(zz, zz): both steps' pair is <zz, n1>,
+        so the NVC is one fact serving both steps — stored once, on a
+        bare engine call, not refused half-applied."""
+        db = chain_fdb(2)
+        f1 = db.schema["f1"]
+        db.declare_derived(FunctionDef("h", f1.domain, f1.domain, MM),
+                           Derivation([Step(f1), Step(f1, Op.INVERSE)]))
+        db.insert("h", "zz", "zz")
+        (fact,) = db.table("f1").facts()
+        assert fact.x == "zz" and is_null(fact.y)
+        assert db.nulls.next_index == 2
+        assert truth_of(db, "h", "zz", "zz") is Truth.TRUE
+        assert db.structure_fault() is None
+        chain = exists_nvc(db, db.derived("h").primary, "zz", "zz")
+        assert chain.facts == (fact, fact)
 
 
 class TestExists:
