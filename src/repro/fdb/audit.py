@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import evaluate_derivations, truth_over
+from repro.fdb.evaluate import evaluate_derivations
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 
@@ -121,13 +121,13 @@ def audit_insert_coverage(
         derived = db.derived(name)
         if len(derived.derivations) < 2:
             continue
-        true_pairs: set[tuple[Value, Value]] = set()
-        for derivation in derived.derivations:
-            for pair, truth in evaluate_derivations(db, (derivation,)).items():
-                if truth is Truth.TRUE:
-                    true_pairs.add(pair)
-        for pair in sorted(true_pairs, key=str):
-            for derivation in derived.derivations:
-                if truth_over(db, (derivation,), *pair) is not Truth.TRUE:
+        trues = [
+            {pair for pair, truth in evaluate_derivations(
+                db, (derivation,)).items() if truth is Truth.TRUE}
+            for derivation in derived.derivations
+        ]
+        for pair in sorted(set().union(*trues), key=str):
+            for derivation, true in zip(derived.derivations, trues):
+                if pair not in true:
                     findings.append(CoverageGap(name, pair, str(derivation)))
     return findings

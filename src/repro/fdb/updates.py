@@ -25,7 +25,10 @@ cases its example never reaches):
 
 * a derived insert of a fact that is *already true* is a no-op — the
   semantics say "sigma is true; no other changes", and the fact already
-  is;
+  is. Only an exactly-matching chain of true facts makes it true
+  (Section 3.2), so the check walks exact chains alone
+  (``allow_ambiguous=False``) and stops at the first all-true one;
+  reads keep the full three-valued fold;
 * ``derived-delete`` skips chains whose conjunction is already known
   false (the chain's fact set is a superset of a live NC) — negating
   them again would add a weaker, redundant NC. This also makes derived
@@ -33,7 +36,9 @@ cases its example never reaches):
 * a *one-fact* chain carries no ambiguity: the negation of a one-fact
   conjunction is the falsity of that fact, so ``derived-delete`` over a
   single-step derivation performs the corresponding ``base-delete``
-  instead of creating a one-member NC.
+  instead of creating a one-member NC. A conjunction is a *set* of
+  facts, so a chain whose steps all use one fact (``f o f^-1``) is
+  one-fact too, and no NC names a fact twice.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from repro import cancel
 from repro.errors import UpdateError
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import iter_chains, truth_of_derived
+from repro.fdb.evaluate import iter_chains
 from repro.fdb.logic import Truth
 from repro.fdb.nvc import clean_up_nvc, create_nvc, exists_nvc
 from repro.fdb.transaction import atomic
@@ -117,7 +122,9 @@ def derived_insert(db: FunctionalDatabase, name: str, x: Value, y: Value) -> Non
     """
     derived = db.derived(name)
     obs_on = OBS.enabled
-    if truth_of_derived(db, name, x, y) is Truth.TRUE:
+    if any(chain.all_true for derivation in derived.derivations
+           for chain in iter_chains(db, derivation, x, y,
+                                    allow_ambiguous=False)):
         if obs_on:
             OBS.event("insert.already_true", function=name, x=x, y=y)
         return
@@ -163,7 +170,9 @@ def derived_delete(db: FunctionalDatabase, name: str, x: Value, y: Value) -> Non
         cancel.checkpoint()
         if obs_on:
             OBS.event("chain.evaluated", chain=str(chain))
-        conjuncts = chain.conjuncts()
+        # A conjunction is a set: one fact filling two steps is one
+        # conjunct.
+        conjuncts = list(dict.fromkeys(chain.conjuncts()))
         if len(conjuncts) == 1:
             # A one-fact "conjunction" being false is just that fact
             # being false: no ambiguity arises, so delete it outright

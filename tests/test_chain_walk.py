@@ -15,13 +15,16 @@ The point fold over the walk (``truth_over``) stops valuing chains once
 one came out ambiguous, and reads "superset of an NC" off the NCLs
 (``negating_ncs``). The fold that valued every chain against NC member
 sets is its reference (:func:`reference_truth`): same verdict, and with
-telemetry on the same ``chain.evaluated`` events.
+telemetry on the same ``chain.evaluated`` events. Derived INS's
+"already true?" check walks exact chains alone; the same reference
+says when it must be a no-op.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core.derivation import Derivation, Op, Step
 from repro.core.schema import FunctionDef
 from repro.core.types import ObjectType, TypeFunctionality
+from repro.fdb import updates
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.evaluate import Chain, iter_chains, negating_ncs, truth_over
 from repro.fdb.facts import Fact
@@ -190,16 +194,22 @@ def reference_truth(db, derivations, x, y) -> tuple[Truth, list]:
     return verdict, emitted
 
 
-def evaluated_events(db, derivations, x, y) -> tuple[Truth, list]:
-    """``truth_over`` with telemetry on, and what it emitted."""
+def recorded(call) -> tuple[object, list]:
+    """``call()`` with telemetry on: its result and the events emitted."""
     seen: list = []
     sink = OBS.events.add_sink(CallbackSink(seen.append))
     try:
         with OBS.collecting():
-            verdict = truth_over(db, derivations, x, y)
+            result = call()
     finally:
         OBS.events.remove_sink(sink)
         OBS.reset()
+    return result, seen
+
+
+def evaluated_events(db, derivations, x, y) -> tuple[Truth, list]:
+    """``truth_over`` with telemetry on, and what it emitted."""
+    verdict, seen = recorded(lambda: truth_over(db, derivations, x, y))
     return verdict, [(str(r.attrs["chain"]), str(r.attrs["verdict"]))
                      for r in seen if r.name == "chain.evaluated"]
 
@@ -235,7 +245,8 @@ def stream_db(seed, k, rows, count, single_valued, abort, twice):
     INS/DEL, its second half rolled back when ``abort``. ``twice`` adds
     ``h = f1 o f1^-1`` to the schema, so one fact can serve both steps
     of a chain: ``INS h(a, a)`` stores ``f1(a, n)`` once for both, and a
-    DEL negating such a chain stores an NC naming the fact twice."""
+    DEL negating such a chain deletes that one fact (a conjunction of
+    one distinct fact) instead of storing an NC."""
     db = build(seed, k, rows, single_valued)
     if twice:
         f1 = db.schema["f1"]
@@ -274,6 +285,53 @@ def test_point_fold_equals_reference_on_random_streams(
     ``chain.evaluated`` events, of the fold that valued every chain."""
     db = stream_db(seed, k, rows, count, single_valued, abort, twice)
     assert_point_fold_matches_reference(db, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**streams)
+def test_insert_check_equals_reference_on_random_streams(
+        seed, k, rows, count, single_valued, abort, twice):
+    """Derived INS asks only for an exact chain of true facts: at every
+    derived INS of a stream (REPs and rolled-back ones included) it is a
+    no-op exactly when the fold that valued every chain found the fact
+    true, and it values no chain on the way."""
+    checked: list = []
+    derived_insert = updates.derived_insert
+
+    def check(db, name, x, y):
+        verdict, _ = reference_truth(db, db.derived(name).derivations, x, y)
+        _, seen = recorded(lambda: derived_insert(db, name, x, y))
+        names = {record.name for record in seen}
+        assert "chain.evaluated" not in names
+        checked.append((verdict is Truth.TRUE, "insert.already_true" in names))
+
+    with mock.patch.object(updates, "derived_insert", check):
+        stream_db(seed, k, rows, count, single_valued, abort, twice)
+    assert all(true == no_op for true, no_op in checked)
+
+
+def test_insert_check_values_no_chain():
+    """With telemetry on, a derived INS of a true fact says so and a
+    fresh pair gets its NVC; neither emits ``chain.evaluated`` nor counts
+    a truth check, though ambiguous chains obtain the fresh pair."""
+    db = chain_fdb(2)
+    db.load("f1", [("a", "b")])
+    db.load("f2", [("b", "c")])
+    db.insert("v", "a2", "c2")  # f1(a2, n1), f2(n1, c2)
+    assert any(not chain.all_exact for chain in iter_chains(
+        db, db.derived("v").primary, "a", "c2"))
+
+    def insert(x, y):
+        db.insert("v", x, y)
+        return OBS.metrics.snapshot()["counters"]
+
+    for (x, y), event in ((("a", "c"), "insert.already_true"),
+                          (("a", "c2"), "nvc.created")):
+        counters, seen = recorded(lambda: insert(x, y))
+        names = [record.name for record in seen]
+        assert event in names and "chain.evaluated" not in names
+        assert not counters.get("fdb.evaluate.truth_checks")
+    assert db.truth_of("v", "a", "c2") is Truth.TRUE
 
 
 def test_walk_equals_reference_with_many_nulls():

@@ -133,8 +133,9 @@ class TestQueries:
         assert set(negating_ncs(registry, [class_fact])) == set()
 
     def test_nc_naming_one_fact_twice(self, store):
-        """Negating ``f o f^-1`` over one fact stores it twice: one
-        distinct member, so the fact alone is a superset."""
+        """An NC listing one fact twice (``derived_delete`` no longer
+        stores one, a bare ``create`` can): one distinct member, so the
+        fact alone is a superset."""
         tables, registry, teach_fact, _ = store
         nc = registry.create([("teach", teach_fact), ("teach", teach_fact)])
         assert len(nc.members) == 2

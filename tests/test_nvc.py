@@ -98,6 +98,21 @@ class TestCreate:
         chain = exists_nvc(db, db.derived("h").primary, "zz", "zz")
         assert chain.facts == (fact, fact)
 
+    def test_self_join_delete_deletes_the_one_fact(self):
+        """h = f1 o f1^-1, DEL h(p, p) with only f1(p, q) stored: the
+        chain <f1,p,q> . <f1,p,q> is a conjunction of one distinct fact,
+        so negating it deletes that fact — no NC naming it twice."""
+        db = chain_fdb(2)
+        f1 = db.schema["f1"]
+        db.declare_derived(FunctionDef("h", f1.domain, f1.domain, MM),
+                           Derivation([Step(f1), Step(f1, Op.INVERSE)]))
+        db.load("f1", [("p", "q")])
+        db.delete("h", "p", "p")
+        assert db.table("f1").get("p", "q") is None
+        assert len(db.ncs) == 0
+        assert truth_of(db, "h", "p", "p") is Truth.FALSE
+        assert db.structure_fault() is None
+
 
 class TestExists:
     def test_absent(self, chain_db):
