@@ -1,4 +1,4 @@
-"""Watching update propagation: tracing, metrics, and profiling.
+"""Watching update propagation: tracing and metrics.
 
 Run:  python examples/observability_demo.py
 
@@ -6,13 +6,13 @@ Section 4.2 walks the pupil database through five updates (u1..u5) and
 shows the state after each. The *states* tell you what changed; the
 instrumentation in :mod:`repro.obs` tells you *how* — which chains were
 enumerated, which negated conjunctions were created or dismantled,
-which null-valued chains materialized, and what each step cost.
+which null-valued chains materialized, and how long each span took.
 
 1. ``OBS.enable(tracing=True)`` turns on metrics + span trees;
 2. each Section 4.2 update prints its propagation trace — the span for
    the update with one event per NC/NVC and base mutation inside it;
 3. ``db.stats()`` summarizes the run: instance counts plus the runtime
-   counters and the per-operation profile.
+   counters and timings.
 """
 
 from __future__ import annotations

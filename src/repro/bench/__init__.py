@@ -3,7 +3,7 @@
 The E1–E15 experiment benches under ``benchmarks/`` are plain pytest
 modules; this package runs them *without* pytest — discovering the
 bench modules, supplying lightweight ``benchmark``/``report``
-stand-ins, attaching a metrics+profile snapshot to every run, writing
+stand-ins, attaching a metrics snapshot to every run, writing
 canonical ``BENCH_<exp>.json`` artifacts at the repo root (plus the
 familiar ``benchmarks/results/*.json``/``.txt`` pair), and comparing
 each run against the previous one with a regression report.

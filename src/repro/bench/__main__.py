@@ -8,7 +8,7 @@ Usage::
     python -m repro.bench --list          # what exists
 
 Each selected bench runs through :func:`repro.bench.runner.run_bench`,
-gets a metrics+profile snapshot attached, is compared against the
+gets a metrics snapshot attached, is compared against the
 previous run's committed ``BENCH_<exp>.json`` (counter drift enforced
 at ``--fail-threshold``, timing drift reported), and rewrites the
 canonical ``BENCH_<exp>.json`` at the repo root plus the
@@ -120,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
             "timings": result.timings,
             "counters": result.counters(),
             "metrics": result.metrics,
-            "profile": result.profile[:10],
             "failures": result.failures,
         }
         comparison = compare_payloads(

@@ -10,7 +10,7 @@ definition order, and injects :class:`FakeBenchmark` /
 names. Assertions inside the benches still run; a failing bench is a
 failing run.
 
-Each module executes inside ``OBS.collecting()`` so a metrics+profile
+Each module executes inside ``OBS.collecting()`` so a metrics
 snapshot can be attached to its payload, and each ``benchmark(...)``
 call is timed (one warm-up call, then ``rounds`` timed calls — the
 bench functions are written for pytest-benchmark, which also calls
@@ -73,7 +73,6 @@ class BenchResult:
     exp_id: str
     timings: dict[str, dict] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    profile: list = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     tests_run: int = 0
 
@@ -175,13 +174,12 @@ def run_bench(path: str | Path, *, store: ReportStore,
                 result.timings[name] = fake.stats
             if report.blocks or report.data:
                 store.flush(report)
-        snapshot = OBS.snapshot()
+        metrics = OBS.metrics.snapshot()
     # Prefer the bench's own attached metrics (an instrumented replay
     # of exactly the measured workload) over the run-wide capture,
     # which interleaves every test's work.
     payload = store.payload(exp_id) or {}
-    result.metrics = payload.get("metrics") or snapshot["metrics"]
-    result.profile = snapshot["profile"]
+    result.metrics = payload.get("metrics") or metrics
     return result
 
 

@@ -307,8 +307,7 @@ class DesignSession:
             OBS.inc("design.functions_added")
             # Scope the cycle-hunting loop so its design.cycle events
             # carry span context in the structured event log.
-            with OBS.span("design.add", key=function.name,
-                          function=function.name):
+            with OBS.span("design.add", function=function.name):
                 return self._resolve_cycles(function)
         return self._resolve_cycles(function)
 

@@ -101,8 +101,7 @@ def minimal_schema_ams(schema: Schema) -> MinimalSchemaResult:
     """
     if OBS.enabled:
         OBS.inc("design.ams.runs")
-        with OBS.span("design.ams", key=f"n={len(schema)}",
-                      functions=len(schema)):
+        with OBS.span("design.ams", functions=len(schema)):
             result = _run_ams(schema)
         OBS.inc("design.ams.edges_scanned", len(schema))
         OBS.inc("design.ams.removed", len(result.derived))

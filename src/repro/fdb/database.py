@@ -411,7 +411,7 @@ class FunctionalDatabase:
 
     def stats(self, *, wal=None) -> dict:
         """Instance counts merged with the process-wide observability
-        snapshot (metrics, profile, flags) — what the REPL's ``stats``
+        snapshot (metrics, flags) — what the REPL's ``stats``
         command and the bench JSON exports print. Import is local to
         avoid a cycle (obs.export has no fdb imports, but keeping the
         front door lazy matches the update/query methods above).

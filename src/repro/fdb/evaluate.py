@@ -28,7 +28,6 @@ answers a whole extension as a join and builds none.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -263,20 +262,15 @@ def truth_over(
 ) -> Truth:
     """The strongest verdict any chain of ``derivations`` gives (x, y).
     Past the first ambiguous chain only a true one can change it, so
-    later chains are tested for that alone — unless telemetry is on,
-    which values (and emits) every chain."""
-    obs_on = OBS.enabled  # hoisted: one global+attr load, not per chain
+    later chains are tested for that alone."""
     ambiguous_found = False
     for derivation in derivations:
         for chain in iter_chains(db, derivation, x, y):
-            if ambiguous_found and not obs_on:
+            if ambiguous_found:
                 if chain.all_exact and chain.all_true:
                     return Truth.TRUE
                 continue
             support = chain.supports(db)
-            if obs_on:
-                OBS.event("chain.evaluated", chain=str(chain),
-                          verdict=support.value)
             if support is Truth.TRUE:
                 return Truth.TRUE
             if support is Truth.AMBIGUOUS:
@@ -319,7 +313,6 @@ def evaluate_derivations(
         if obs_on:
             OBS.inc("fdb.evaluate.accumulations")
             OBS.inc("fdb.chains.enumerations")
-            started = time.perf_counter()
         first, *rest = derivation.steps
         table = db.table(first.function.name)
         inverse = first.op is Op.INVERSE
@@ -371,8 +364,6 @@ def evaluate_derivations(
                 result.setdefault((start, end), Truth.AMBIGUOUS)
         if obs_on:
             OBS.inc("fdb.chains.enumerated", chains)
-            OBS.profiler.record("evaluate.accumulate", str(derivation),
-                                time.perf_counter() - started)
     return result
 
 

@@ -13,29 +13,18 @@ produces the proof-style evidence behind a verdict:
 The explanation mirrors :mod:`repro.fdb.evaluate` exactly (same chain
 enumeration, same disqualification rule), so the printed evidence and
 ``truth_of`` can never disagree — a property the tests assert.
-
-The second half of the module explains *cost* rather than truth:
-:func:`cost_breakdown` prices a set of derivations hop by hop (stored
-rows, worst-case fan-out, cumulative chain estimate), which is what
-the slowlog (:mod:`repro.obs.slowlog`) attaches to over-threshold
-queries and updates. The detail is built lazily — only for spans that
-actually crossed their threshold — so the fast path never pays for
-the diagnosis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.core.derivation import Derivation, Op
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.evaluate import Chain, iter_chains, negating_ncs, truth_of
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 
-__all__ = ["ChainEvidence", "Explanation", "explain",
-           "hop_costs", "cost_breakdown", "derived_breakdown"]
+__all__ = ["ChainEvidence", "Explanation", "explain"]
 
 
 @dataclass(frozen=True)
@@ -117,83 +106,3 @@ def explain(db: FunctionalDatabase, function: str, x: Value,
     )
     return Explanation(function, x, y, verdict, "derived", None, chains)
 
-
-# -- cost breakdowns (slow-path attribution) ----------------------------------
-
-
-def _branching(db: FunctionalDatabase, step) -> int:
-    """Worst-case per-input fan-out of one derivation step.
-
-    Chain enumeration branches at each hop by the size of the stored
-    image (identity hops) or preimage (inverse hops); the worst single
-    input bounds the branching factor. Bounded below by 1 so the
-    cumulative product never collapses to zero on empty tables.
-    """
-    table = db.table(step.function.name)
-    if step.op is Op.INVERSE:
-        widths = [len(table.preimage(y))
-                  for y in {fact.y for fact in table.facts()}]
-    else:
-        widths = [len(table.image(x))
-                  for x in {fact.x for fact in table.facts()}]
-    return max(widths, default=1) or 1
-
-
-def hop_costs(db: FunctionalDatabase,
-              derivation: Derivation) -> list[dict]:
-    """One dict per hop of ``derivation``: function, role, stored rows,
-    per-hop fan-out and cumulative estimated chain count."""
-    hops: list[dict] = []
-    cumulative = 1
-    for position, step in enumerate(derivation.steps, start=1):
-        table = db.table(step.function.name)
-        fanout = _branching(db, step)
-        cumulative *= fanout
-        hops.append({
-            "hop": position,
-            "function": step.function.name,
-            "role": str(step.op),
-            "rows": len(table),
-            "fanout": fanout,
-            "est_cost": cumulative,
-        })
-    return hops
-
-
-def cost_breakdown(db: FunctionalDatabase,
-                   derivations: Iterable[Derivation]) -> dict:
-    """The slowlog ``detail`` payload for a set of derivations.
-
-    ``chains`` lists the derivations as text; ``hops`` flattens every
-    hop of every derivation, each tagged with its derivation, so one
-    table renders the lot; ``est_chains`` sums the worst-case chain
-    count across derivations.
-    """
-    chains: list[str] = []
-    hops: list[dict] = []
-    est_chains = 0
-    for derivation in derivations:
-        rendered = str(derivation)
-        chains.append(rendered)
-        derivation_hops = hop_costs(db, derivation)
-        for hop in derivation_hops:
-            hop["derivation"] = rendered
-        hops.extend(derivation_hops)
-        if derivation_hops:
-            est_chains += derivation_hops[-1]["est_cost"]
-    return {"chains": chains, "hops": hops, "est_chains": est_chains}
-
-
-def derived_breakdown(db: FunctionalDatabase, name: str) -> dict:
-    """Breakdown over every confirmed derivation of derived function
-    ``name``; a base function is a single one-hop chain of itself."""
-    if db.is_derived(name):
-        return cost_breakdown(db, db.derived(name).derivations)
-    table = db.table(name)
-    return {
-        "chains": [name],
-        "hops": [{"hop": 1, "function": name, "role": "base",
-                  "rows": len(table), "fanout": 1, "est_cost": 1,
-                  "derivation": name}],
-        "est_chains": 1,
-    }

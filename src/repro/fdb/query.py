@@ -77,22 +77,12 @@ class Query(abc.ABC):
 
     # -- evaluation -----------------------------------------------------------------
 
-    def _slow_detail(self, db: FunctionalDatabase):
-        """A lazy cost breakdown of the expanded derivations, for the
-        slowlog — built only if the span crosses its threshold."""
-        def build() -> dict:
-            from repro.fdb.explain import cost_breakdown
-
-            return cost_breakdown(db, self.derivations(db))
-        return build
-
     def pairs(self, db: FunctionalDatabase) -> dict[tuple[Value, Value], Truth]:
         """The expression's extension: derivable pairs with truths
         (false pairs absent)."""
         if OBS.enabled:
             OBS.inc("fdb.query.pairs")
-            with OBS.span("query.pairs", key=str(self), expr=str(self),
-                          slow_detail=self._slow_detail(db)):
+            with OBS.span("query.pairs", expr=str(self)):
                 return self._pairs(db)
         return self._pairs(db)
 
@@ -102,8 +92,7 @@ class Query(abc.ABC):
     def image(self, db: FunctionalDatabase, x: Value) -> dict[Value, Truth]:
         """Range values reached from ``x``, with truths."""
         if OBS.enabled:
-            with OBS.span("query.image", key=str(self), expr=str(self), x=x,
-                          slow_detail=self._slow_detail(db)):
+            with OBS.span("query.image", expr=str(self), x=x):
                 return self._image(db, x)
         return self._image(db, x)
 
@@ -118,8 +107,7 @@ class Query(abc.ABC):
     def truth(self, db: FunctionalDatabase, x: Value, y: Value) -> Truth:
         """Truth of ``expr(x) = y`` under the Section 3.2 valuation."""
         if OBS.enabled:
-            with OBS.span("query.truth", key=str(self), expr=str(self),
-                          x=x, y=y, slow_detail=self._slow_detail(db)):
+            with OBS.span("query.truth", expr=str(self), x=x, y=y):
                 return self._truth(db, x, y)
         return self._truth(db, x, y)
 

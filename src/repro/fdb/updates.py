@@ -216,21 +216,11 @@ def insert(db: FunctionalDatabase, name: str, x: Value, y: Value) -> None:
     cancel.checkpoint()
     if OBS.enabled:
         OBS.inc("fdb.updates.insert")
-        with OBS.span("update.insert", key=name, cause=_update_cause(),
-                      slow_detail=lambda: _update_detail(db, name),
+        with OBS.span("update.insert", cause=_update_cause(),
                       function=name, x=x, y=y):
             _dispatch_insert(db, name, x, y)
         return
     _dispatch_insert(db, name, x, y)
-
-
-def _update_detail(db: FunctionalDatabase, name: str) -> dict:
-    # Lazy import: explain imports database/evaluate, which import this
-    # module's siblings; deferring breaks the cycle. Only slow spans
-    # ever call this.
-    from repro.fdb.explain import derived_breakdown
-
-    return derived_breakdown(db, name)
 
 
 def _dispatch_insert(db: FunctionalDatabase, name: str,
@@ -246,8 +236,7 @@ def delete(db: FunctionalDatabase, name: str, x: Value, y: Value) -> None:
     cancel.checkpoint()
     if OBS.enabled:
         OBS.inc("fdb.updates.delete")
-        with OBS.span("update.delete", key=name, cause=_update_cause(),
-                      slow_detail=lambda: _update_detail(db, name),
+        with OBS.span("update.delete", cause=_update_cause(),
                       function=name, x=x, y=y):
             _dispatch_delete(db, name, x, y)
         return
@@ -277,8 +266,7 @@ def replace(
     cancel.checkpoint()
     if OBS.enabled:
         OBS.inc("fdb.updates.replace")
-        with OBS.span("update.replace", key=name, cause=_update_cause(),
-                      slow_detail=lambda: _update_detail(db, name),
+        with OBS.span("update.replace", cause=_update_cause(),
                       function=name):
             with atomic(db):
                 delete(db, name, *old)

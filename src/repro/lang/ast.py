@@ -30,7 +30,6 @@ __all__ = [
     "Metrics",
     "Stats",
     "Trace",
-    "SlowLogCmd",
     "DeadlineCmd",
     "Resolve",
     "Save",
@@ -183,7 +182,7 @@ class Metrics(Statement):
 @dataclass(frozen=True)
 class Stats(Statement):
     """``stats`` — instance counts plus the observability snapshot
-    (runtime counters, gauges, timings, profile)."""
+    (runtime counters, gauges, timings)."""
 
 
 @dataclass(frozen=True)
@@ -199,20 +198,6 @@ class Trace(Statement):
 
     mode: str  # "on" | "off" | "show"
     dot_path: str | None = None
-
-
-@dataclass(frozen=True)
-class SlowLogCmd(Statement):
-    """``slowlog [query SECONDS | update SECONDS | off | clear]`` —
-    the slow-operation log.
-
-    Bare ``slowlog`` prints the captured records; ``query``/``update``
-    set the family's threshold in seconds (enabling capture);
-    ``off`` disables both thresholds; ``clear`` drops the records.
-    """
-
-    mode: str  # "show" | "query" | "update" | "off" | "clear"
-    threshold: float | None = None
 
 
 @dataclass(frozen=True)

@@ -71,14 +71,10 @@ Queries:
 Inspection:
   ncs                    live negated conjunctions
   metrics                degree-of-ambiguity report
-  stats                  runtime counters, timings and profile
+  stats                  runtime counters and timings
   trace on | off | show  update-propagation span trees
   trace show --dot "path"
                          write the last trace's propagation DAG as DOT
-  slowlog                captured slow operations (with cost breakdown)
-  slowlog query 0.5      capture queries slower than 0.5 s
-  slowlog update 0.5     capture updates slower than 0.5 s
-  slowlog off | clear    disable thresholds / drop records
   deadline 0.5 | off     bound each statement to 0.5 s of wall clock
   monitor                service-health dashboard (RED, locks, breaker)
   monitor serve [port]   start the live /metrics endpoint (Prometheus)
@@ -595,32 +591,6 @@ class Interpreter:
                 f"{len(dag.edges)} edges) to {statement.dot_path}"
             ]
         return last.lines("  ")
-
-    def _run_slowlogcmd(self, statement: ast.SlowLogCmd) -> list[str]:
-        from repro.obs.export import render_slowlog
-
-        slowlog = OBS.slowlog
-        if statement.mode == "query":
-            OBS.enable(tracing=OBS.tracing)
-            slowlog.configure(query_seconds=statement.threshold)
-            return [f"slowlog: capturing queries slower than "
-                    f"{statement.threshold}s"]
-        if statement.mode == "update":
-            OBS.enable(tracing=OBS.tracing)
-            slowlog.configure(update_seconds=statement.threshold)
-            return [f"slowlog: capturing updates slower than "
-                    f"{statement.threshold}s"]
-        if statement.mode == "off":
-            slowlog.disable()
-            return ["slowlog off (records kept; 'slowlog clear' drops "
-                    "them)"]
-        if statement.mode == "clear":
-            slowlog.clear()
-            return ["slowlog cleared"]
-        if not slowlog.active and not len(slowlog):
-            return ["slowlog inactive -- set a threshold with "
-                    "'slowlog query 0.5' or 'slowlog update 0.5'"]
-        return render_slowlog(slowlog.snapshot()).splitlines()
 
     def _run_monitor(self, statement: ast.Monitor) -> list[str]:
         if statement.mode == "serve":

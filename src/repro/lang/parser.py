@@ -8,8 +8,6 @@ Grammar (EBNF; ``;`` terminators optional everywhere)::
                 | "help" | "undo" | "redo" | "history" | "worlds"
                 | "check" | "stats"
                 | "trace" ("on" | "off" | "show" [ "--dot" STRING ])
-                | "slowlog" [ ("query"|"update") NUMBER
-                            | "off" | "clear" ]
                 | "deadline" [ NUMBER | "off" ]
                 | "monitor" [ "serve" [ NUMBER ] | "stop" ]
                 | "timeline" [ STRING ]
@@ -128,7 +126,6 @@ class _Parser:
             "metrics": lambda: self._nullary(ast.Metrics),
             "stats": lambda: self._nullary(ast.Stats),
             "trace": self._parse_trace,
-            "slowlog": self._parse_slowlog,
             "deadline": self._parse_deadline,
             "monitor": self._parse_monitor,
             "timeline": self._parse_timeline,
@@ -442,19 +439,6 @@ class _Parser:
                 raise self._error("expected a quoted path after --dot")
             dot_path = self._advance().text
         return ast.Trace(mode, dot_path)
-
-    def _parse_slowlog(self) -> ast.SlowLogCmd:
-        self._advance()  # slowlog
-        if self._at_name("off", "clear"):
-            return ast.SlowLogCmd(self._advance().text)
-        # 'slowlog query 0.5' sets a threshold; a bare 'slowlog'
-        # followed by a query *statement* must not be swallowed, so
-        # require the NUMBER to disambiguate.
-        if (self._at_name("query", "update")
-                and self._tokens[self._index + 1].kind == "NUMBER"):
-            mode = self._advance().text
-            return ast.SlowLogCmd(mode, self._parse_number())
-        return ast.SlowLogCmd("show")
 
     def _parse_deadline(self) -> ast.DeadlineCmd:
         self._advance()  # deadline

@@ -4,11 +4,9 @@ The paper's update machinery turns one ``DEL``/``INS`` into a cascade
 of chain enumerations, negated conjunctions and base mutations; this
 package makes that cascade *reportable* — as counters and histograms
 (:mod:`repro.obs.metrics`), hierarchical update-propagation traces
-(:mod:`repro.obs.tracing`), per-function/per-derivation cost profiles
-(:mod:`repro.obs.profile`), a structured event log with pluggable
-sinks and causal links (:mod:`repro.obs.events`), slow-path
-attribution (:mod:`repro.obs.slowlog`), JSON/text renderings of
-all of it (:mod:`repro.obs.export`), declarative service-level
+(:mod:`repro.obs.tracing`), a structured event log with pluggable
+sinks and causal links (:mod:`repro.obs.events`), JSON/text renderings
+of all of it (:mod:`repro.obs.export`), declarative service-level
 objectives with burn-rate alerting (:mod:`repro.obs.slo`), and a live
 stdlib HTTP exposition endpoint serving Prometheus text format
 (:mod:`repro.obs.endpoint`).
@@ -61,15 +59,11 @@ from repro.obs.slo import (
     default_objectives,
     replication_lag_objective,
 )
-from repro.obs.profile import ProfileEntry, Profiler
-from repro.obs.slowlog import SlowLog, SlowRecord
 from repro.obs.tracing import Span, SpanEvent, Tracer
 from repro.obs.export import (
     render_metrics,
     render_monitor,
-    render_profile,
     render_replication,
-    render_slowlog,
     render_stats,
     render_timeline,
     snapshot,
@@ -94,8 +88,6 @@ __all__ = [
     "ExpositionError",
     "render_prometheus",
     "parse_prometheus",
-    "ProfileEntry",
-    "Profiler",
     "Span",
     "SpanEvent",
     "Tracer",
@@ -111,16 +103,12 @@ __all__ = [
     "TimelineEntry",
     "ReplicationTimeline",
     "replication_timeline",
-    "SlowLog",
-    "SlowRecord",
     "snapshot",
     "to_json",
     "write_json",
     "render_metrics",
     "render_monitor",
-    "render_profile",
     "render_replication",
-    "render_slowlog",
     "render_stats",
     "render_timeline",
 ]

@@ -1,10 +1,9 @@
 """Renderers for observability data: JSON for machines, text for humans.
 
 Everything the instrumentation collects is already plain data
-(:meth:`MetricsRegistry.snapshot`, :meth:`Profiler.snapshot`,
-:meth:`Span.to_dict`); this module turns those dicts into the two
-surfaces people actually read — ``benchmarks/results/*.json`` artifacts
-and the REPL's ``stats`` table.
+(:meth:`MetricsRegistry.snapshot`, :meth:`Span.to_dict`); this module
+turns those dicts into the two surfaces people actually read —
+``benchmarks/results/*.json`` artifacts and the REPL's ``stats`` table.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ from pathlib import Path
 from repro.obs.hooks import OBS, Instrumentation
 
 __all__ = ["snapshot", "to_json", "write_json", "render_metrics",
-           "render_monitor", "render_profile", "render_replication",
-           "render_slowlog", "render_stats", "render_timeline"]
+           "render_monitor", "render_replication", "render_stats",
+           "render_timeline"]
 
 
 def snapshot(obs: Instrumentation | None = None) -> dict:
-    """Flags + metrics + profile of ``obs`` (default: the process-wide
+    """Flags + metrics of ``obs`` (default: the process-wide
     :data:`repro.obs.hooks.OBS`)."""
     return (obs or OBS).snapshot()
 
@@ -319,34 +318,6 @@ def render_monitor(metrics: dict, *, slo: dict | None = None,
     return "\n".join(lines)
 
 
-def render_profile(profile: list[dict], *, limit: int = 20) -> str:
-    """A profiler snapshot as a most-expensive-first table."""
-    if not profile:
-        return "(no profile data)"
-    shown = profile[:limit]
-    rows = [
-        (entry["op"], entry["key"], str(entry["calls"]),
-         _seconds(entry["seconds"]), _seconds(entry["mean_seconds"]))
-        for entry in shown
-    ]
-    headers = ("op", "key", "calls", "total", "mean")
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows))
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines += [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        for row in rows
-    ]
-    if len(profile) > limit:
-        lines.append(f"... and {len(profile) - limit} more entries")
-    return "\n".join(lines)
-
-
 def render_stats(stats: dict) -> str:
     """The full ``FunctionalDatabase.stats()`` payload as text (what
     the REPL's ``stats`` command prints)."""
@@ -381,14 +352,6 @@ def render_stats(stats: dict) -> str:
         lines.append(render_replication(replication,
                                         acked=stats.get("acked")))
     lines.append(render_metrics(stats.get("metrics", {})))
-    profile = stats.get("profile", [])
-    if profile:
-        lines.append("profile (most expensive first):")
-        lines.append(render_profile(profile))
-    slow = stats.get("slowlog", {})
-    if slow.get("records"):
-        lines.append("slowlog:")
-        lines.append(render_slowlog(slow))
     return "\n".join(lines)
 
 
@@ -542,41 +505,3 @@ def render_timeline(timeline) -> str:
     out = [header] + lines
     out += [f"  !! {problem}" for problem in violations]
     return "\n".join(out)
-
-
-def render_slowlog(slowlog: dict) -> str:
-    """A slowlog snapshot (:meth:`repro.obs.slowlog.SlowLog.snapshot`)
-    as text — thresholds, then one block per captured record with its
-    per-hop cost breakdown."""
-    lines: list[str] = []
-    query_t = slowlog.get("query_threshold_seconds")
-    update_t = slowlog.get("update_threshold_seconds")
-    lines.append(
-        "thresholds: "
-        f"query={_seconds(query_t)} update={_seconds(update_t)}"
-    )
-    records = slowlog.get("records", [])
-    if not records:
-        lines.append("(no slow operations recorded)")
-        return "\n".join(lines)
-    for record in records:
-        head = (
-            f"{record['op']} key={record['key']} "
-            f"{_seconds(record['duration_seconds'])} "
-            f"(threshold {_seconds(record['threshold_seconds'])})"
-        )
-        if record.get("cause"):
-            head += f" cause={record['cause']}"
-        lines.append(head)
-        detail = record.get("detail") or {}
-        for chain in detail.get("chains", []):
-            lines.append(f"  chain: {chain}")
-        for hop in detail.get("hops", []):
-            lines.append(
-                f"  hop {hop.get('hop')}: {hop.get('function')} "
-                f"({hop.get('role')}) rows={hop.get('rows')} "
-                f"cost={hop.get('est_cost')}"
-            )
-        if "error" in detail:
-            lines.append(f"  detail error: {detail['error']}")
-    return "\n".join(lines)

@@ -1,8 +1,7 @@
 """The instrumentation context — zero overhead when disabled.
 
 One process-wide :data:`OBS` object owns the metrics registry, the
-tracer, the profiler, the structured event log and the slowlog, plus
-two flags:
+tracer and the structured event log, plus two flags:
 
 * ``OBS.enabled`` — master switch. Hot call sites guard with a single
   attribute test (``if OBS.enabled:``) before doing *any* observability
@@ -10,20 +9,15 @@ two flags:
   operation and nothing else — no allocation, no dict lookups, no
   context managers. All recording methods are additionally safe no-ops
   when disabled, so cold call sites may skip the guard.
-* ``OBS.tracing`` — span-tree construction. Metrics and profiling are
-  cheap enough for always-on collection; building span objects with
-  per-event attribute dicts is not, so traces are a second opt-in.
+* ``OBS.tracing`` — span-tree construction. Metrics are cheap enough
+  for always-on collection; building span objects with per-event
+  attribute dicts is not, so traces are a second opt-in.
 
-Two further pipelines activate themselves by configuration rather than
-a flag:
-
-* ``OBS.events`` (:class:`repro.obs.events.EventLog`) — attach a sink
-  and every span boundary and structured event flows out as a typed
-  record with causal links (``parent_span``, ``cause=update_id``),
-  independent of whether span *trees* are being built;
-* ``OBS.slowlog`` (:class:`repro.obs.slowlog.SlowLog`) — set a
-  threshold and over-budget queries/updates are captured with an
-  explain-style cost breakdown (built lazily, only for the slow ones).
+``OBS.events`` (:class:`repro.obs.events.EventLog`) activates itself
+by configuration rather than a flag: attach a sink and every span
+boundary and structured event flows out as a typed record with causal
+links (``parent_span``, ``cause=update_id``), independent of whether
+span *trees* are being built.
 
 Span nesting is context-propagated (:mod:`contextvars`) on one stack
 of ``(span_id, cause)`` pairs, kept whenever ``OBS.enabled`` whatever
@@ -50,11 +44,10 @@ or scoped, restoring the previous state afterwards::
 
 Instrumented call sites across the runtime:
 ``repro.fdb.updates`` (spans per insert/delete/replace, events per
-NC/NVC and base mutation), ``repro.fdb.evaluate`` (chain counters,
-derivation timings), ``repro.fdb.query``, ``repro.fdb.wal``,
-``repro.fdb.transaction``, ``repro.fdb.nc``/``nvc``, and
-``repro.core.design_aid``. The metric catalogue lives in
-docs/OBSERVABILITY.md.
+NC/NVC and base mutation), ``repro.fdb.evaluate`` (chain counters),
+``repro.fdb.query``, ``repro.fdb.wal``, ``repro.fdb.transaction``,
+``repro.fdb.nc``/``nvc``, and ``repro.core.design_aid``. The metric
+catalogue lives in docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -66,8 +59,6 @@ from contextvars import ContextVar
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
-from repro.obs.slowlog import SlowLog
 from repro.obs.tracing import Tracer
 
 __all__ = ["Instrumentation", "OBS"]
@@ -79,23 +70,20 @@ class _SpanScope:
     Pushes ``(span_id, cause)`` on the instrumentation's context stack
     — the one account of the open span, whatever is attached — emits
     ``span.start``/``span.end`` records (which the tracer folds into
-    trees and the sinks receive), times the region into the profiler,
-    and feeds the slowlog when the region crosses its threshold.
-    Created only when ``OBS.enabled`` is true (disabled call sites
-    never reach this class).
+    trees and the sinks receive), and pops. Created only when
+    ``OBS.enabled`` is true (disabled call sites never reach this
+    class).
     """
 
-    __slots__ = ("_obs", "_name", "_key", "_attrs", "_start", "_cause",
-                 "_slow_detail", "_span_id", "_parent_id", "_ctx_token")
+    __slots__ = ("_obs", "_name", "_attrs", "_start", "_cause",
+                 "_span_id", "_parent_id", "_ctx_token")
 
-    def __init__(self, obs: "Instrumentation", name: str, key: str,
-                 cause: str | None, slow_detail, attrs: dict) -> None:
+    def __init__(self, obs: "Instrumentation", name: str,
+                 cause: str | None, attrs: dict) -> None:
         self._obs = obs
         self._name = name
-        self._key = key
         self._attrs = attrs
         self._cause = cause
-        self._slow_detail = slow_detail
 
     def __enter__(self) -> "_SpanScope":
         obs = self._obs
@@ -118,11 +106,6 @@ class _SpanScope:
         obs._span_ctx.reset(self._ctx_token)
         obs._emit("span.end", self._name, self._span_id,
                   self._parent_id, self._cause, elapsed, self._attrs)
-        obs.profiler.record(self._name, self._key, elapsed)
-        if obs.slowlog.active:
-            obs.slowlog.record(self._name, self._key, elapsed,
-                               cause=self._cause,
-                               detail=self._slow_detail)
         return False
 
     @property
@@ -196,9 +179,7 @@ class Instrumentation:
         self.tracing = False
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
-        self.profiler = Profiler()
         self.events = EventLog()
-        self.slowlog = SlowLog()
         self._update_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
         # Process-unique span ids (never reset: a shipped parent_span
@@ -225,12 +206,10 @@ class Instrumentation:
         self.tracing = False
 
     def reset(self) -> None:
-        """Zero metrics and drop profiles, traces and slowlog records;
-        flags, thresholds and event sinks unchanged."""
+        """Zero metrics and drop traces; flags and event sinks
+        unchanged."""
         self.metrics.reset()
-        self.profiler.reset()
         self.tracer.reset()
-        self.slowlog.reset()
         self._span_ctx.set(())
         self._update_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
@@ -351,32 +330,25 @@ class Instrumentation:
             self._emit("action", name, span_id, None, cause or inherited,
                        None, attrs)
 
-    def span(self, name: str, *, key: str = "-",
-             cause: str | None = None, slow_detail=None, **attrs):
-        """A timed scope feeding the profiler, whose ``span.start`` /
-        ``span.end`` records reach the tracer (when tracing) and the
-        sinks (when attached). ``key``
-        buckets the profile entry — typically the function or
-        derivation being worked on. ``cause`` attributes the span (and
-        everything nested under it) to an update id; ``slow_detail`` is
-        a zero-argument callable building an explain-style breakdown,
-        invoked only if the span crosses its slowlog threshold."""
+    def span(self, name: str, *, cause: str | None = None, **attrs):
+        """A timed scope whose ``span.start`` / ``span.end`` records
+        reach the tracer (when tracing) and the sinks (when attached).
+        ``cause`` attributes the span (and everything nested under it)
+        to an update id."""
         if not self.enabled:
             return _NULL_SCOPE
-        return _SpanScope(self, name, key, cause, slow_detail, attrs)
+        return _SpanScope(self, name, cause, attrs)
 
     # -- reading ------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Flags + metrics + profile + slowlog as one JSON-ready dict."""
+        """Flags + metrics as one JSON-ready dict."""
         return {
             "observability": {
                 "enabled": self.enabled,
                 "tracing": self.tracing,
             },
             "metrics": self.metrics.snapshot(),
-            "profile": self.profiler.snapshot(),
-            "slowlog": self.slowlog.snapshot(),
         }
 
 

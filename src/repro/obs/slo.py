@@ -263,7 +263,8 @@ class SLOMonitor:
         probe_samples = [
             (name, probe()) for name, probe in self._probes.items()
         ]
-        transitions: list[tuple[str, Verdict]] = []
+        # (action, counter, verdict) per alert transition.
+        transitions: list[tuple[str, str, Verdict]] = []
         verdicts: list[Verdict] = []
         with self._lock:
             for name, value in probe_samples:
@@ -279,15 +280,17 @@ class SLOMonitor:
                 if verdict.alerting and not was:
                     self._alerting[objective.name] = True
                     self._raised += 1
-                    transitions.append(("slo.alert_raised", verdict))
+                    transitions.append(
+                        ("slo.alert_raised", "slo.alerts_raised", verdict))
                 elif was and not verdict.alerting:
                     self._alerting[objective.name] = False
                     self._cleared += 1
-                    transitions.append(("slo.alert_cleared", verdict))
+                    transitions.append(
+                        ("slo.alert_cleared", "slo.alerts_cleared", verdict))
         # Outside the lock: OBS sinks may be arbitrarily slow.
-        for name, verdict in transitions:
+        for name, counter, verdict in transitions:
             if OBS.enabled:
-                OBS.inc(name.replace("alert_", "alerts_"))
+                OBS.inc(counter)
                 OBS.action(
                     name,
                     objective=verdict.objective.name,

@@ -157,7 +157,7 @@ class Replica:
         trace = message.get("trace") or {}
         with self._lock, OBS.remote_context(trace.get("parent_span"),
                                             trace.get("cause")):
-            with OBS.span("replication.receive", key=self.name,
+            with OBS.span("replication.receive",
                           replica=self.name, term=term,
                           records=len(records),
                           through_seq=through_seq) as scope:
@@ -211,8 +211,8 @@ class Replica:
             raise ConnectionError(
                 f"replica {self.name} crashed mid-apply"
             ) from None
-        with OBS.span("replication.ack", key=self.name,
-                      replica=self.name, term=term) as ack_scope:
+        with OBS.span("replication.ack", replica=self.name,
+                      term=term) as ack_scope:
             if term > self.term:
                 self.term = term
             self.applied_seq = held
@@ -238,7 +238,7 @@ class Replica:
         first, last = fresh[0].seq, fresh[-1].seq
         enabled = OBS.enabled
         started = time.perf_counter() if enabled else 0.0
-        with OBS.span("replica.wal_append", key=self.name,
+        with OBS.span("replica.wal_append",
                       replica=self.name, from_seq=first,
                       to_seq=last) as scope:
             for frame in fresh:
@@ -255,7 +255,7 @@ class Replica:
                 time.perf_counter() - started,
             )
             started = time.perf_counter()
-        with OBS.span("replica.apply", key=self.name,
+        with OBS.span("replica.apply",
                       replica=self.name, from_seq=first,
                       to_seq=last) as scope:
             for frame in committed(fresh):
@@ -290,7 +290,7 @@ class Replica:
         trace = message.get("trace") or {}
         with self._lock, OBS.remote_context(trace.get("parent_span"),
                                             trace.get("cause")), \
-                OBS.span("replica.snapshot_install", key=self.name,
+                OBS.span("replica.snapshot_install",
                          replica=self.name, term=term,
                          wal_applied=wal_applied):
             if term < self.term:

@@ -294,8 +294,8 @@ decode_snapshot`.
         """
         if not OBS.enabled:
             return self._exchange(link, message)
-        with OBS.span(span_name, key=link.name, replica=link.name,
-                      term=self.term, **attrs):
+        with OBS.span(span_name, replica=link.name, term=self.term,
+                      **attrs):
             trace = OBS.trace_context()
             if trace is not None:
                 trace["term"] = self.term

@@ -661,7 +661,7 @@ class _Request:
         attrs = ({"shards": tuple(lane.shard for lane in lanes)}
                  if len(lanes) > 1 else {})
         self.scope = scope = OBS.span(
-            "service.request", key=family,
+            "service.request",
             request=OBS.new_request_id() if OBS.enabled else None,
             family=family, committed=False, **attrs,
         )

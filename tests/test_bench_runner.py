@@ -35,7 +35,6 @@ def _scrub():
     OBS.reset()
     OBS.metrics.clear()
     OBS.events.clear_sinks()
-    OBS.slowlog.disable()
 
 
 @pytest.fixture(autouse=True)

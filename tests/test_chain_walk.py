@@ -14,10 +14,9 @@ file ties both back to the old one.
 The point fold over the walk (``truth_over``) stops valuing chains once
 one came out ambiguous, and reads "superset of an NC" off the NCLs
 (``negating_ncs``). The fold that valued every chain against NC member
-sets is its reference (:func:`reference_truth`): same verdict, and with
-telemetry on the same ``chain.evaluated`` events. Derived INS's
-"already true?" check walks exact chains alone; the same reference
-says when it must be a no-op.
+sets is its reference (:func:`reference_truth`): same verdict, with
+telemetry on or off. Derived INS's "already true?" check walks exact
+chains alone; the same reference says when it must be a no-op.
 """
 
 from __future__ import annotations
@@ -179,19 +178,17 @@ def reference_supports(db, chain) -> Truth:
     return Truth.FALSE if reference_negated_by(db, chain) else Truth.AMBIGUOUS
 
 
-def reference_truth(db, derivations, x, y) -> tuple[Truth, list]:
-    """The parent's ``truth_over``: every chain valued up to the first
-    true one, and the ``chain.evaluated`` (chain, verdict) it emitted."""
-    verdict, emitted = Truth.FALSE, []
+def reference_truth(db, derivations, x, y) -> Truth:
+    """The fold that valued every chain up to the first true one."""
+    verdict = Truth.FALSE
     for derivation in derivations:
         for chain in iter_chains(db, derivation, x, y):
             support = reference_supports(db, chain)
-            emitted.append((str(chain), support.value))
             if support is Truth.TRUE:
-                return support, emitted
+                return support
             if support is Truth.AMBIGUOUS:
                 verdict = support
-    return verdict, emitted
+    return verdict
 
 
 def recorded(call) -> tuple[object, list]:
@@ -207,13 +204,6 @@ def recorded(call) -> tuple[object, list]:
     return result, seen
 
 
-def evaluated_events(db, derivations, x, y) -> tuple[Truth, list]:
-    """``truth_over`` with telemetry on, and what it emitted."""
-    verdict, seen = recorded(lambda: truth_over(db, derivations, x, y))
-    return verdict, [(str(r.attrs["chain"]), str(r.attrs["verdict"]))
-                     for r in seen if r.name == "chain.evaluated"]
-
-
 def assert_point_fold_matches_reference(db, k: int) -> None:
     for derivation in derivations_over_chain(db, k):
         chains = list(iter_chains(db, derivation))
@@ -225,10 +215,12 @@ def assert_point_fold_matches_reference(db, k: int) -> None:
         busiest = Counter(chain.pair for chain in chains).most_common(4)
         points = [pair for pair, _ in busiest] + [("absent", "absent")]
         for x, y in points:
-            verdict, emitted = reference_truth(db, [derivation], x, y)
+            verdict = reference_truth(db, [derivation], x, y)
             assert truth_over(db, [derivation], x, y) is verdict
-            assert evaluated_events(db, [derivation], x, y) == (
-                verdict, emitted)
+            observed, seen = recorded(
+                lambda: truth_over(db, [derivation], x, y))
+            assert observed is verdict
+            assert "chain.evaluated" not in {record.name for record in seen}
 
 
 # -- random streams -----------------------------------------------------------
@@ -281,8 +273,8 @@ def test_walk_equals_reference_on_random_streams(
 def test_point_fold_equals_reference_on_random_streams(
         seed, k, rows, count, single_valued, abort, twice):
     """The shared rule reads every chain as the member-set test did;
-    ``truth_over`` gives the verdict, and with telemetry on emits the
-    ``chain.evaluated`` events, of the fold that valued every chain."""
+    ``truth_over`` gives the verdict of the fold that valued every
+    chain, with telemetry on or off, and emits no per-chain event."""
     db = stream_db(seed, k, rows, count, single_valued, abort, twice)
     assert_point_fold_matches_reference(db, k)
 
@@ -299,7 +291,7 @@ def test_insert_check_equals_reference_on_random_streams(
     derived_insert = updates.derived_insert
 
     def check(db, name, x, y):
-        verdict, _ = reference_truth(db, db.derived(name).derivations, x, y)
+        verdict = reference_truth(db, db.derived(name).derivations, x, y)
         _, seen = recorded(lambda: derived_insert(db, name, x, y))
         names = {record.name for record in seen}
         assert "chain.evaluated" not in names

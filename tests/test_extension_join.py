@@ -337,22 +337,19 @@ def test_extension_builds_no_chain_and_probes_each_value_once(monkeypatch):
 
 def test_join_keeps_the_walks_instruments():
     """With ``OBS`` on an extension counts what the walk counted: one
-    enumeration and one accumulation per derivation, every complete
-    chain, and one ``evaluate.accumulate`` profile record."""
+    enumeration and one accumulation per derivation, and every
+    complete chain."""
     db = three_hop()
     derivation = db.derived("v").primary
     walked = sum(1 for _ in iter_chains(db, derivation))
     with OBS.collecting():
         derived_extension(db, "v")
         counters = OBS.metrics.snapshot()["counters"]
-        profile = OBS.profiler.snapshot()
     OBS.reset()
     OBS.metrics.clear()  # reset() keeps registrations; drop them too
     assert counters["fdb.chains.enumerated"] == walked == 4
     assert counters["fdb.chains.enumerations"] == 1
     assert counters["fdb.evaluate.accumulations"] == 1
-    assert [(row["op"], row["key"], row["calls"]) for row in profile] == [
-        ("evaluate.accumulate", str(derivation), 1)]
 
 
 # -- (f) cancellation ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The observability subsystem: metrics, tracing, profiling, hooks.
+"""The observability subsystem: metrics, tracing, hooks.
 
 Covers the instrument math, span-tree construction, the zero-overhead
 disabled path (state equivalence with instrumentation on vs off), and
@@ -23,10 +23,9 @@ from repro.obs import (
     LogHistogram,
     MetricError,
     MetricsRegistry,
-    Profiler,
+    RingBufferSink,
     Tracer,
     render_metrics,
-    render_profile,
     render_stats,
     to_json,
 )
@@ -252,21 +251,23 @@ class TestInstrumentation:
         assert scope is obs.span("update.delete")
         with scope as entered:
             assert entered.attrs == {}
-        assert obs.profiler.entries() == []
 
-    def test_enabled_span_feeds_profiler(self):
+    def test_enabled_span_reaches_sinks_without_tracing(self):
         obs = Instrumentation()
         obs.enable()
-        with obs.span("update.insert", key="pupil"):
+        ring = obs.events.add_sink(RingBufferSink())
+        with obs.span("update.insert", function="pupil"):
             pass
-        entry = obs.profiler.entry("update.insert", "pupil")
-        assert entry is not None and entry.calls == 1
+        start, end = ring.records
+        assert (start.kind, end.kind) == ("span.start", "span.end")
+        assert end.name == "update.insert" and end.duration >= 0
+        assert end.attrs == {"function": "pupil"}
         assert obs.tracer.traces == ()  # no tracing without the flag
 
     def test_tracing_builds_span_tree_with_events(self):
         obs = Instrumentation()
         obs.enable(tracing=True)
-        with obs.span("update.delete", key="pupil", function="pupil"):
+        with obs.span("update.delete", function="pupil"):
             obs.event("nc.created", index="g1")
         trace = obs.tracer.last_trace
         assert trace is not None
@@ -292,7 +293,7 @@ class TestInstrumentation:
         assert snap["observability"] == {"enabled": True,
                                          "tracing": False}
         assert snap["metrics"]["counters"] == {"c": 1}
-        assert snap["profile"] == []
+        assert set(snap) == {"observability", "metrics"}
 
 
 # -- the instrumented runtime ---------------------------------------------------------
@@ -316,7 +317,6 @@ class TestRuntimeEquivalence:
         run_section_42(pupil_database())
         assert len(OBS.metrics) == 0
         assert OBS.tracer.traces == ()
-        assert OBS.profiler.entries() == []
 
 
 class TestRuntimeCounters:
@@ -349,17 +349,18 @@ class TestRuntimeCounters:
         assert stats["instance"]["stored_facts"] > 0
         assert stats["observability"]["enabled"] is True
 
-    def test_query_spans_profile_by_expression(self):
+    def test_query_spans_carry_the_expression(self):
         from repro.fdb.query import fn
 
         db = pupil_database()
-        OBS.enable()
+        OBS.enable(tracing=True)
         expression = fn("teach") * fn("class_list")
         expression.pairs(db)
         counters = OBS.metrics.snapshot()["counters"]
         assert counters["fdb.query.pairs"] == 1
-        entry = OBS.profiler.entry("query.pairs", str(expression))
-        assert entry is not None and entry.calls == 1
+        trace = OBS.tracer.last_trace
+        assert trace.name == "query.pairs"
+        assert trace.attrs == {"expr": str(expression)}
 
 
 # -- rendering / export -----------------------------------------------------------
@@ -378,12 +379,6 @@ class TestRendering:
 
     def test_render_metrics_empty(self):
         assert render_metrics({}) == "(no metrics recorded)"
-
-    def test_render_profile_rows(self):
-        profiler = Profiler()
-        profiler.record("update.delete", "pupil", 0.001)
-        text = render_profile(profiler.snapshot())
-        assert "update.delete" in text and "pupil" in text
 
     def test_render_stats_full_payload(self):
         db = pupil_database()

@@ -179,8 +179,7 @@ class TestPipelineUnderThreads:
 
         def work(index):
             for i in range(ITERS // 10):
-                with OBS.span(f"update.t{index}", key=str(i),
-                              cause=f"u{index}"):
+                with OBS.span(f"update.t{index}", cause=f"u{index}"):
                     OBS.inc("work.done")
 
         _run_threads(work)

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.fdb import updates
 from repro.fdb.updates import apply_update
 from repro.obs import (
     OBS,
@@ -168,6 +169,43 @@ class TestEmissionGates:
         assert record.kind == "action"
         assert record.span_id is None
         assert record.attrs == {"policy": "strict"}
+
+
+class TestAttribution:
+    """A REP is a DEL plus an INS: the nested updates belong to the
+    replace's update id whatever is attached, because there is one
+    span stack and it is kept whenever collection is on."""
+
+    @pytest.mark.parametrize("attached", ["metrics", "tracing", "ring"])
+    def test_replace_cascade_shares_one_cause(self, attached, monkeypatch):
+        seen = []
+
+        def spy(step):
+            def spied(db, name, x, y):
+                seen.append((step.__name__, OBS.current_cause()))
+                step(db, name, x, y)
+            return spied
+
+        for step in ("base_delete", "base_insert"):
+            monkeypatch.setattr(updates, step, spy(getattr(updates, step)))
+        if attached == "ring":
+            ring = OBS.events.add_sink(RingBufferSink())
+        db = pupil_database()
+        with OBS.collecting(tracing=attached == "tracing"):
+            db.replace("teach", ("euclid", "math"), ("euclid", "physics"))
+            after = OBS.new_update_id()
+        assert seen == [("base_delete", "u1"), ("base_insert", "u1")]
+        assert after == "u2"
+        if attached == "tracing":
+            spans = list(OBS.tracer.last_trace.walk())
+        elif attached == "ring":
+            spans = [r for r in ring.records if r.kind == "span.end"]
+        else:
+            return  # nothing attached: the stack alone carries the cause
+        assert {(span.name, span.cause) for span in spans
+                if span.name.startswith("update.")} == {
+            ("update.replace", "u1"), ("update.delete", "u1"),
+            ("update.insert", "u1")}
 
 
 # -- DAG reconstruction -------------------------------------------------------

@@ -1,8 +1,8 @@
-"""The REPL's observability commands: ``slowlog`` and ``trace --dot``.
+"""The REPL's observability commands: ``trace --dot``, ``monitor`` and
+``timeline``.
 
 Statement-level tests through the :class:`Interpreter`, covering the
-parse shapes (including the ``--dot`` flag and the ``slowlog query``
-vs query-statement ambiguity) and the executed behaviour.
+parse shapes (including the ``--dot`` flag) and the executed behaviour.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ParseError
 from repro.lang import ast
 from repro.lang.interp import HELP_TEXT, Interpreter
-from repro.lang.parser import parse_program, parse_statement
+from repro.lang.parser import parse_statement
 from repro.obs import OBS
 
 
@@ -21,7 +21,6 @@ def _scrub():
     OBS.reset()
     OBS.metrics.clear()
     OBS.events.clear_sinks()
-    OBS.slowlog.disable()
 
 
 @pytest.fixture(autouse=True)
@@ -67,54 +66,8 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_statement("trace show --dot")
 
-    def test_slowlog_shapes(self):
-        assert parse_statement("slowlog") == ast.SlowLogCmd("show")
-        assert parse_statement("slowlog off") == ast.SlowLogCmd("off")
-        assert parse_statement("slowlog clear") == ast.SlowLogCmd("clear")
-        assert parse_statement("slowlog query 0.5") == \
-            ast.SlowLogCmd("query", 0.5)
-        assert parse_statement("slowlog update 2") == \
-            ast.SlowLogCmd("update", 2)
-
-    def test_bare_slowlog_does_not_eat_a_query_statement(self):
-        statements = parse_program("slowlog\nquery pupil(euclid)")
-        assert isinstance(statements[0], ast.SlowLogCmd)
-        assert statements[0].mode == "show"
-        assert isinstance(statements[1], ast.ImageQuery)
-
 
 # -- execution ----------------------------------------------------------------
-
-
-class TestSlowLogCommand:
-    def test_set_show_off_clear_cycle(self):
-        interpreter = _ready()
-        (line,) = interpreter.execute("slowlog update 0.0")
-        assert "0.0" in line
-        interpreter.execute("delete class_list(math, john)")
-        shown = interpreter.execute("slowlog")
-        assert any("update.delete" in line for line in shown)
-        assert any("cause=" in line for line in shown)
-        (off,) = interpreter.execute("slowlog off")
-        assert "records kept" in off
-        interpreter.execute("slowlog clear")
-        (empty,) = interpreter.execute("slowlog")
-        assert "inactive" in empty
-
-    def test_slow_records_appear_in_stats(self):
-        interpreter = _ready()
-        interpreter.execute("slowlog update 0.0")
-        interpreter.execute("insert teach(gauss, math)")
-        stats = interpreter.execute("stats")
-        assert any("slow operations" in line.lower()
-                   or "slowlog" in line.lower() for line in stats)
-
-    def test_query_threshold_catches_queries(self):
-        interpreter = _ready()
-        interpreter.execute("slowlog query 0.0")
-        interpreter.execute("pairs pupil")
-        shown = interpreter.execute("slowlog")
-        assert any("query." in line for line in shown)
 
 
 class TestTraceDot:
@@ -189,7 +142,6 @@ class TestMonitorCommand:
 
 class TestHelp:
     def test_help_documents_the_commands(self):
-        assert "slowlog" in HELP_TEXT
         assert "--dot" in HELP_TEXT
         assert "monitor" in HELP_TEXT
 
