@@ -800,7 +800,7 @@ class UpdateLog:
         """One JSON-ready view of the log's durability state: last
         sequence number, current term, torn-tail flag, committed entry
         count, and damage tallies. Read from the index, so monitoring
-        surfaces (``stats``/``/metrics``/``/health``/``monitor``) pay
+        surfaces (``stats``/``/metrics``/``/health``) pay
         no I/O per scrape."""
         with self._seq_lock:
             index = self._index()

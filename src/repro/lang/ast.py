@@ -215,68 +215,6 @@ class DeadlineCmd(Statement):
 
 
 @dataclass(frozen=True)
-class Monitor(Statement):
-    """``monitor [serve [PORT] | stop]`` — the service-health dashboard
-    and the live metrics endpoint.
-
-    Bare ``monitor`` prints the RED / lock-contention / admission /
-    breaker dashboard from the process-wide metrics; ``serve`` starts
-    the Prometheus exposition endpoint (ephemeral port unless given)
-    and reports its URL; ``stop`` shuts the endpoint down.
-    """
-
-    mode: str  # "show" | "serve" | "stop"
-    port: int | None = None
-
-
-@dataclass(frozen=True)
-class Timeline(Statement):
-    """``timeline [STRING]`` — the replication audit timeline.
-
-    Bare ``timeline`` folds the in-memory event ring (the first call
-    attaches one) into the typed replication lifecycle view —
-    attaches, acked commits, fences, promotions, rejoins, snapshot
-    bootstraps — with the fence-ordering audit applied. With a quoted
-    path it reads a JSONL event artifact (e.g. a soak's
-    ``replication-events.jsonl``) instead.
-    """
-
-    path: str | None = None
-
-
-@dataclass(frozen=True)
-class Promote(Statement):
-    """``promote [NAME]`` — manual failover of the attached
-    replication group.
-
-    With a replica name, promotes that replica; bare ``promote`` lets
-    the group pick the freshest one. The manual path coexists with
-    lease-based automatic elections: both go through the same monotone
-    term fence, so whichever promotion lands second simply fences the
-    other's term — there is no split-brain window either way.
-    """
-
-    name: str | None = None
-
-
-@dataclass(frozen=True)
-class ShardMapCmd(Statement):
-    """``shardmap [N]`` — preview the sharded-keyspace placement.
-
-    Builds a :class:`repro.shard.ShardMap` over the committed schema
-    and prints which shard lane each derivation cluster (and so each
-    function) would land on at ``N`` lanes (default 2) under the
-    stable hash placement. A planning view: the REPL itself runs
-    unsharded, but the map is the same one
-    :class:`repro.shard.ShardedDatabaseService` routes by, so this is
-    how an operator sees which clusters a pin override should move
-    before deploying lanes.
-    """
-
-    shards: int = 2
-
-
-@dataclass(frozen=True)
 class Resolve(Statement):
     """``resolve`` — run FD-driven null resolution."""
 

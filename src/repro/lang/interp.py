@@ -55,7 +55,8 @@ Updates:
   insert f(x, y)         INS(f, <x, y>)
   delete f(x, y)         DEL(f, <x, y>)
   replace f(x1, y1) with (x2, y2)
-  begin ... end | abort  atomic update sequence (one journal entry)
+  begin                  start an atomic update sequence
+  end / abort            run it as one journal entry / discard it
   undo / redo / history  step through the update journal
   changes                the state delta of the last update
 Queries:
@@ -66,6 +67,7 @@ Queries:
   default f(x, y)        truth under preferred-world defaults
   query <expr>(x)        image of x;  expr uses 'o' and '^-1'
   pairs <expr>           full extension of an expression
+  extent <type>          observed entities of an object type
   for each v in <type> [such that <expr>(v) = val and ...]
       print <expr>, ...  Daplex-style entity loop
 Inspection:
@@ -76,16 +78,6 @@ Inspection:
   trace show --dot "path"
                          write the last trace's propagation DAG as DOT
   deadline 0.5 | off     bound each statement to 0.5 s of wall clock
-  monitor                service-health dashboard (RED, locks, breaker)
-  monitor serve [port]   start the live /metrics endpoint (Prometheus)
-  monitor stop           stop the endpoint
-  timeline               replication audit timeline (fences, commits,
-                         promotions); first call starts recording
-  timeline "path"        fold a JSONL event artifact instead
-  promote [name]         manual failover of the attached replication
-                         group (fenced; coexists with auto elections)
-  shardmap [n]           preview cluster -> shard lane placement at n
-                         lanes (default 2) for the sharded keyspace
   worlds                 possible-worlds analysis (counts + marginals)
 Constraints:
   constraint include f.domain in g.range
@@ -102,6 +94,7 @@ Maintenance:
   source "path"          run a script file
   schema "path"          add a paper-notation schema file
   dot "path"             export the design as Graphviz DOT
+  help                   this list
 Values: names, numbers, "strings", and (a, b) tuples for product types."""
 
 
@@ -132,8 +125,6 @@ class Interpreter:
         self._design_dirty = False
         self._notice = on_notice
         self.deadline_seconds: float | None = None
-        self.monitor_endpoint = None  # MetricsEndpoint from 'monitor serve'
-        self.replication = None  # ReplicationGroup attached by embedder
 
     # -- public API ----------------------------------------------------------
 
@@ -169,6 +160,11 @@ class Interpreter:
         # by the time the error surfaces here.
         with deadline_scope(self.deadline_seconds):
             return handler(statement)
+
+    def close(self) -> None:
+        """Release the write-ahead log ``checkpoint`` / ``recover``
+        attached (its append descriptor); the session's state stays."""
+        self._attach_wal(None, None)
 
     # -- design ------------------------------------------------------------------
 
@@ -591,114 +587,6 @@ class Interpreter:
                 f"{len(dag.edges)} edges) to {statement.dot_path}"
             ]
         return last.lines("  ")
-
-    def _run_monitor(self, statement: ast.Monitor) -> list[str]:
-        if statement.mode == "serve":
-            from repro.obs.endpoint import MetricsEndpoint
-
-            if (self.monitor_endpoint is not None
-                    and self.monitor_endpoint.running):
-                return [f"monitor: endpoint already serving at "
-                        f"{self.monitor_endpoint.url}"]
-            OBS.enable(tracing=OBS.tracing)  # a scrape of zeros helps nobody
-            self.monitor_endpoint = MetricsEndpoint(
-                OBS.metrics, port=statement.port or 0
-            )
-            self.monitor_endpoint.start()
-            return [f"monitor: serving {self.monitor_endpoint.url}/metrics "
-                    f"(and /health); 'monitor stop' shuts it down"]
-        if statement.mode == "stop":
-            if self.monitor_endpoint is None:
-                return ["monitor: no endpoint running"]
-            self.monitor_endpoint.stop()
-            self.monitor_endpoint = None
-            return ["monitor: endpoint stopped"]
-        from repro.obs.export import render_monitor
-
-        output = []
-        if not OBS.enabled:
-            output.append("(observability disabled -- counts below are "
-                          "stale; 'trace on' enables collection)")
-        output.extend(
-            render_monitor(OBS.metrics.snapshot()).splitlines()
-        )
-        return output
-
-    def _run_shardmapcmd(self, statement: ast.ShardMapCmd) -> list[str]:
-        db, output = self._require_db()
-        from repro.shard import ShardMap
-
-        shard_map = ShardMap(db, statement.shards)
-        assignments = shard_map.assignments()
-        output.append(
-            f"shard map: {len(assignments)} clusters over "
-            f"{statement.shards} lanes (stable hash placement, schema "
-            f"version {shard_map.version})"
-        )
-        for shard in range(statement.shards):
-            clusters = shard_map.clusters_on(shard)
-            names = shard_map.names_on(shard)
-            output.append(
-                f"  shard {shard}: {len(clusters)} clusters | "
-                + (", ".join(names) if names else "(empty)")
-            )
-        output.append(
-            "  (writes inside one cluster stay on one lane; pin "
-            "overrides via repro.shard.ShardMap(pins=...))"
-        )
-        return output
-
-    def _run_timeline(self, statement: ast.Timeline) -> list[str]:
-        from repro.obs import (
-            RingBufferSink,
-            read_jsonl,
-            render_timeline,
-            replication_timeline,
-        )
-
-        if statement.path is not None:
-            try:
-                records = read_jsonl(statement.path)
-            except OSError as exc:
-                return [f"timeline: cannot read {statement.path}: {exc}"]
-        else:
-            ring = next(
-                (sink for sink in OBS.events.sinks
-                 if isinstance(sink, RingBufferSink)),
-                None,
-            )
-            if ring is None:
-                OBS.events.add_sink(RingBufferSink(capacity=4096))
-                OBS.enable(tracing=OBS.tracing)
-                return ["timeline: recording started (in-memory ring "
-                        "attached) -- replication events from here on "
-                        "will appear; run 'timeline' again later, or "
-                        'read an artifact: timeline "events.jsonl"']
-            records = list(ring.records)
-        timeline = replication_timeline(records)
-        if not len(timeline):
-            return ["(no replication events recorded -- the timeline "
-                    "fills once a replication group ships commits)"]
-        return render_timeline(timeline).splitlines()
-
-    def _run_promote(self, statement: ast.Promote) -> list[str]:
-        group = self.replication
-        if group is None:
-            return ["promote: no replication group attached -- embed "
-                    "the interpreter with interp.replication = group"]
-        report = group.promote(statement.name)
-        output = [f"promote: {report}"]
-        if group.lease is not None:
-            output.append(
-                "promote: automatic elections stay armed -- the manual "
-                f"term {report.new_term} fences the old leadership "
-                "either way"
-            )
-        output.append(
-            f"promote: attach the new primary on {report.chosen!r} to "
-            f"claim term {report.new_term} (attach_primary consumes it)"
-        )
-        return output
 
     def _run_deadlinecmd(self, statement: ast.DeadlineCmd) -> list[str]:
         if statement.mode == "set":

@@ -9,10 +9,6 @@ Grammar (EBNF; ``;`` terminators optional everywhere)::
                 | "check" | "stats"
                 | "trace" ("on" | "off" | "show" [ "--dot" STRING ])
                 | "deadline" [ NUMBER | "off" ]
-                | "monitor" [ "serve" [ NUMBER ] | "stop" ]
-                | "timeline" [ STRING ]
-                | "promote" [ NAME | STRING ]
-                | "shardmap" [ NUMBER ]
                 | "insert" NAME "(" value "," value ")"
                 | "delete" NAME "(" value "," value ")"
                 | "replace" NAME "(" value "," value ")"
@@ -127,10 +123,6 @@ class _Parser:
             "stats": lambda: self._nullary(ast.Stats),
             "trace": self._parse_trace,
             "deadline": self._parse_deadline,
-            "monitor": self._parse_monitor,
-            "timeline": self._parse_timeline,
-            "promote": self._parse_promote,
-            "shardmap": self._parse_shardmap,
             "resolve": lambda: self._nullary(ast.Resolve),
             "help": lambda: self._nullary(ast.Help),
             "insert": lambda: self._parse_fact_stmt(ast.Insert),
@@ -451,50 +443,6 @@ class _Parser:
                 raise self._error("deadline must be positive")
             return ast.DeadlineCmd("set", seconds)
         return ast.DeadlineCmd("show")
-
-    def _parse_monitor(self) -> ast.Monitor:
-        self._advance()  # monitor
-        if self._at_name("stop"):
-            self._advance()
-            return ast.Monitor("stop")
-        if self._at_name("serve"):
-            self._advance()
-            port: int | None = None
-            if self.current.kind == "NUMBER":
-                value = self._parse_number()
-                port = int(value)
-                if port != value or not 0 <= port <= 65535:
-                    raise self._error(
-                        "monitor serve takes a port in 0..65535"
-                    )
-            return ast.Monitor("serve", port)
-        return ast.Monitor("show")
-
-    def _parse_timeline(self) -> ast.Timeline:
-        self._advance()  # timeline
-        path: str | None = None
-        if self.current.kind == "STRING":
-            path = self._advance().text
-        return ast.Timeline(path)
-
-    def _parse_shardmap(self) -> ast.ShardMapCmd:
-        self._advance()  # shardmap
-        shards = 2
-        if self.current.kind == "NUMBER":
-            value = self._parse_number()
-            shards = int(value)
-            if shards != value or shards < 1:
-                raise self._error(
-                    "shardmap takes a positive whole lane count"
-                )
-        return ast.ShardMapCmd(shards)
-
-    def _parse_promote(self) -> ast.Promote:
-        self._advance()  # promote
-        name: str | None = None
-        if self.current.kind in ("NAME", "STRING"):
-            name = self._advance().text
-        return ast.Promote(name)
 
     # -- values ------------------------------------------------------------------------------
 

@@ -93,20 +93,25 @@ class Repl:
             self._say(line)
 
     def loop(self) -> None:
+        """Read statements until ``exit`` / ``quit`` / end of input,
+        then release the interpreter's write-ahead log."""
         self._say(_BANNER)
-        while True:
-            try:
-                line = self._input(_PROMPT)
-            except (EOFError, KeyboardInterrupt):
-                self._say("")
-                return
-            stripped = line.strip()
-            if stripped in ("exit", "quit"):
-                return
-            if not stripped:
-                continue
-            for out in self.interpreter.execute(line):
-                self._say(out)
+        try:
+            while True:
+                try:
+                    line = self._input(_PROMPT)
+                except (EOFError, KeyboardInterrupt):
+                    self._say("")
+                    return
+                stripped = line.strip()
+                if stripped in ("exit", "quit"):
+                    return
+                if not stripped:
+                    continue
+                for out in self.interpreter.execute(line):
+                    self._say(out)
+        finally:
+            self.interpreter.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,10 +133,13 @@ def main(argv: list[str] | None = None) -> int:
     repl = Repl()
     if deadline is not None:
         repl.interpreter.deadline_seconds = deadline
-    for path in args:
-        repl.run_script(Path(path).read_text(encoding="utf-8"))
-    if not batch:
-        repl.loop()
+    try:
+        for path in args:
+            repl.run_script(Path(path).read_text(encoding="utf-8"))
+        if not batch:
+            repl.loop()
+    finally:
+        repl.interpreter.close()
     return 0
 
 

@@ -5,8 +5,8 @@ of chain enumerations, negated conjunctions and base mutations; this
 package makes that cascade *reportable* — as counters and histograms
 (:mod:`repro.obs.metrics`), hierarchical update-propagation traces
 (:mod:`repro.obs.tracing`), a structured event log with pluggable
-sinks and causal links (:mod:`repro.obs.events`), JSON/text renderings
-of all of it (:mod:`repro.obs.export`), declarative service-level
+sinks and causal links (:mod:`repro.obs.events`), JSON artifacts and
+the REPL's ``stats`` text (:mod:`repro.obs.export`), declarative service-level
 objectives with burn-rate alerting (:mod:`repro.obs.slo`), and a live
 stdlib HTTP exposition endpoint serving Prometheus text format
 (:mod:`repro.obs.endpoint`).
@@ -62,10 +62,8 @@ from repro.obs.slo import (
 from repro.obs.tracing import Span, SpanEvent, Tracer
 from repro.obs.export import (
     render_metrics,
-    render_monitor,
     render_replication,
     render_stats,
-    render_timeline,
     snapshot,
     to_json,
     write_json,
@@ -107,8 +105,6 @@ __all__ = [
     "to_json",
     "write_json",
     "render_metrics",
-    "render_monitor",
     "render_replication",
     "render_stats",
-    "render_timeline",
 ]

@@ -14,8 +14,7 @@ from pathlib import Path
 from repro.obs.hooks import OBS, Instrumentation
 
 __all__ = ["snapshot", "to_json", "write_json", "render_metrics",
-           "render_monitor", "render_replication", "render_stats",
-           "render_timeline"]
+           "render_replication", "render_stats"]
 
 
 def snapshot(obs: Instrumentation | None = None) -> dict:
@@ -43,9 +42,22 @@ def _seconds(value: float | None) -> str:
     return f"{value * 1000:.3f}ms"
 
 
+def _plain(value: float | None) -> str:
+    return "-" if value is None else f"{value:g}"
+
+
+def _measures_seconds(name: str) -> bool:
+    """Whether a histogram observes seconds: its name says so, or it is
+    a per-cluster lock wait / hold (docs/OBSERVABILITY.md). The rest
+    (``fdb.txn.undo_records``) observe counts."""
+    return "seconds" in name or name.startswith(("service.lock.wait.",
+                                                 "service.lock.hold."))
+
+
 def render_metrics(metrics: dict) -> str:
     """A metrics snapshot (the dict :meth:`MetricsRegistry.snapshot`
-    returns) as aligned text."""
+    returns) as aligned text; a histogram of seconds prints in ms, one
+    of counts as plain numbers."""
     lines: list[str] = []
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
@@ -64,257 +76,14 @@ def render_metrics(metrics: dict) -> str:
         lines.append("histograms:")
         width = max(len(name) for name in histograms)
         for name, h in histograms.items():
+            unit = _seconds if _measures_seconds(name) else _plain
             lines.append(
                 f"  {name.ljust(width)}  n={h['count']} "
-                f"mean={_seconds(h['mean'])} p95={_seconds(h['p95'])} "
-                f"max={_seconds(h['max'])}"
+                f"mean={unit(h['mean'])} p95={unit(h['p95'])} "
+                f"max={unit(h['max'])}"
             )
     if not lines:
         return "(no metrics recorded)"
-    return "\n".join(lines)
-
-
-def _slo_value(value: float | None) -> str:
-    return "-" if value is None else f"{value:.4g}"
-
-
-def render_monitor(metrics: dict, *, slo: dict | None = None,
-                   top: int = 5) -> str:
-    """The service-health dashboard the REPL's ``monitor`` command
-    prints: RED per operation family, lock contention (waiters,
-    upgrades, deadlocks, timeouts, worst wait/hold clusters),
-    admission saturation, breaker state, and — when an
-    :meth:`repro.obs.slo.SLOMonitor.snapshot` is passed — the SLO
-    verdicts.
-
-    ``metrics`` is a :meth:`MetricsRegistry.snapshot` dict; everything
-    here degrades to "(no ... )" placeholders when the corresponding
-    instruments have never fired, so the dashboard is safe to print
-    against a cold registry.
-    """
-    counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-    lines: list[str] = []
-
-    # -- RED: one row per service.red.<family>.* triple -----------------
-    families = sorted(
-        name.split(".")[2] for name in counters
-        if name.startswith("service.red.") and name.endswith(".requests")
-    )
-    lines.append("requests (RED):")
-    if not families:
-        lines.append("  (no service requests recorded)")
-    else:
-        rows = []
-        for family in families:
-            dur = histograms.get(
-                f"service.red.{family}.duration_seconds", {}
-            )
-            rows.append((
-                family,
-                str(counters.get(f"service.red.{family}.requests", 0)),
-                str(counters.get(f"service.red.{family}.errors", 0)),
-                _seconds(dur.get("p50")),
-                _seconds(dur.get("p95")),
-                _seconds(dur.get("p99")),
-            ))
-        headers = ("family", "requests", "errors", "p50", "p95", "p99")
-        widths = [
-            max(len(headers[i]), *(len(row[i]) for row in rows))
-            for i in range(len(headers))
-        ]
-        lines.append(
-            "  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-        )
-        for row in rows:
-            lines.append(
-                "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths))
-            )
-
-    # -- shard lanes (present only behind a ShardedDatabaseService) -----
-    shard_ids = sorted({
-        int(name.split(".")[2])
-        for name in (*counters, *gauges, *histograms)
-        if name.startswith("service.shard.")
-        and name.split(".")[2].isdigit()
-    })
-    if shard_ids:
-        lines.append("shards:")
-        rows = []
-        for shard in shard_ids:
-            prefix = f"service.shard.{shard}."
-            dur = histograms.get(prefix + "duration_seconds", {})
-            rows.append((
-                str(shard),
-                str(counters.get(prefix + "requests", 0)),
-                str(counters.get(prefix + "errors", 0)),
-                "{:g}".format(gauges.get(prefix + "committed", 0)),
-                _seconds(dur.get("p50")),
-                _seconds(dur.get("p99")),
-            ))
-        headers = ("lane", "requests", "errors", "committed",
-                   "p50", "p99")
-        widths = [
-            max(len(headers[i]), *(len(row[i]) for row in rows))
-            for i in range(len(headers))
-        ]
-        lines.append(
-            "  " + "  ".join(h.ljust(w)
-                             for h, w in zip(headers, widths))
-        )
-        for row in rows:
-            lines.append(
-                "  " + "  ".join(c.ljust(w)
-                                 for c, w in zip(row, widths))
-            )
-        lines.append(
-            "  cross-shard: multi-shard writes={} "
-            "scatter reads={}".format(
-                counters.get("service.red.multi_write.requests", 0),
-                counters.get("service.shard.scatter_reads", 0),
-            )
-        )
-
-    # -- lock contention ------------------------------------------------
-    lines.append("locks:")
-    lines.append(
-        "  waiters={:g} upgrades={} deadlocks={} timeouts={}".format(
-            gauges.get("service.lock.waiters", 0),
-            counters.get("service.lock.upgrades", 0),
-            counters.get("service.lock.deadlocks", 0),
-            counters.get("service.lock.timeouts", 0),
-        )
-    )
-    for kind in ("wait", "hold"):
-        prefix = f"service.lock.{kind}."
-        per_cluster = sorted(
-            ((name[len(prefix):], h) for name, h in histograms.items()
-             if name.startswith(prefix)),
-            key=lambda item: -(item[1].get("p95") or 0.0),
-        )
-        if per_cluster:
-            worst = ", ".join(
-                f"{cluster} p95={_seconds(h.get('p95'))} "
-                f"(n={h.get('count')})"
-                for cluster, h in per_cluster[:top]
-            )
-            lines.append(f"  worst {kind}: {worst}")
-
-    # -- admission + breaker --------------------------------------------
-    lines.append(
-        "admission: active={:g} queued={:g} shed={}".format(
-            gauges.get("service.active", 0),
-            gauges.get("service.queued", 0),
-            counters.get("service.shed", 0),
-        )
-    )
-    state_names = {0: "closed", 1: "half_open", 2: "open"}
-    code = gauges.get("service.breaker.state")
-    lines.append(
-        "breaker: "
-        + ("(no transitions recorded)" if code is None
-           else f"{state_names.get(int(code), '?')} (code {int(code)})")
-    )
-
-    # -- WAL + replication (gauges refreshed by health()/lag()) ---------
-    wal_seq = gauges.get("fdb.wal.last_seq")
-    if wal_seq is not None:
-        lines.append(
-            "wal: applied seq {:g}, {}".format(
-                wal_seq,
-                "TAIL TORN" if gauges.get("fdb.wal.tail_torn")
-                else "tail clean",
-            )
-        )
-    lag_prefix = "replication.lag.seq."
-    lag_rows = sorted(
-        (name[len(lag_prefix):], value)
-        for name, value in gauges.items()
-        if name.startswith(lag_prefix)
-    )
-    if lag_rows or gauges.get("replication.term") is not None:
-        lines.append(
-            "replication: term {:g}, {} shipped / {} applied, "
-            "{} ack timeouts, {} fenced writes, {} promotions, "
-            "{} rejoins".format(
-                gauges.get("replication.term", 0),
-                counters.get("replication.records_shipped", 0),
-                counters.get("replication.records_applied", 0),
-                counters.get("replication.ack_timeouts", 0),
-                counters.get("replication.fenced_writes", 0),
-                counters.get("replication.promotions", 0),
-                counters.get("replication.rejoins", 0),
-            )
-        )
-        lease_held = gauges.get("replication.lease.held")
-        if lease_held is not None:
-            lines.append(
-                "  lease: {} ({:g}s left, quorum {:g}), "
-                "{} renewals, {} expiries, {} elections".format(
-                    "HELD" if lease_held else "LAPSED",
-                    gauges.get("replication.lease.remaining_seconds",
-                               0.0),
-                    gauges.get("replication.lease.needed_acks", 0),
-                    counters.get("replication.lease.renewals", 0),
-                    counters.get("replication.lease.expiries", 0),
-                    counters.get("replication.elections", 0),
-                )
-            )
-        snap_raw = counters.get("replication.snapshot.bytes_raw", 0)
-        snap_wire = counters.get("replication.snapshot.bytes_wire", 0)
-        if snap_raw:
-            lines.append(
-                "  snapshots: {} catch-ups, {} -> {} bytes "
-                "({:.0%} of raw)".format(
-                    counters.get("replication.snapshot.catch_ups", 0),
-                    snap_raw, snap_wire,
-                    snap_wire / snap_raw if snap_raw else 0.0,
-                )
-            )
-        for name, lag_seq in lag_rows:
-            seconds = gauges.get(f"replication.lag.seconds.{name}", 0.0)
-            lines.append(
-                f"  lag {name}: {lag_seq:g} seqs / {seconds:g}s"
-            )
-            # Commit-pipeline stages for this replica, when the
-            # distributed-tracing instruments have fired.
-            stages = (
-                ("ship", f"replication.ship.rtt_seconds.{name}"),
-                ("apply",
-                 f"replication.pipeline.apply_seconds.{name}"),
-                ("ack", f"replication.commit.ack_seconds.{name}"),
-            )
-            parts = [
-                "{} p50={} p99={}".format(
-                    stage, _seconds(data.get("p50")),
-                    _seconds(data.get("p99")),
-                )
-                for stage, metric in stages
-                if (data := histograms.get(metric))
-            ]
-            if parts:
-                lines.append(f"    pipeline: {'; '.join(parts)}")
-
-    # -- SLO verdicts ---------------------------------------------------
-    if slo is not None:
-        status = "healthy" if slo.get("healthy") else "ALERTING"
-        lines.append(
-            f"slo: {status} "
-            f"(raised={slo.get('alerts_raised', 0)} "
-            f"cleared={slo.get('alerts_cleared', 0)}, "
-            f"{slo.get('window_samples', 0)} samples in window)"
-        )
-        for verdict in slo.get("objectives", []):
-            marker = "ALERT" if verdict.get("alerting") else (
-                "ok" if verdict.get("ok") else "warn"
-            )
-            lines.append(
-                f"  [{marker:5}] "
-                f"{verdict.get('objective', verdict.get('name'))}"
-                f"  slow={_slo_value(verdict.get('slow_value'))}"
-                f" fast={_slo_value(verdict.get('fast_value'))}"
-            )
     return "\n".join(lines)
 
 
@@ -411,97 +180,3 @@ def render_replication(replication: dict, *,
             lines.append(f"  pipeline {name}: {'; '.join(parts)}")
     return "\n".join(lines)
 
-
-def render_timeline(timeline) -> str:
-    """A :class:`repro.obs.events.ReplicationTimeline` as text: one
-    row per lifecycle step, commit runs collapsed to keep a long soak
-    readable (``N commits (seq a..b, term t)``), fences and
-    promotions spelled out with their fence seq and term handoff."""
-    entries = list(timeline)
-    if not entries:
-        return "(no replication events recorded)"
-    lines: list[str] = []
-    run: list = []
-
-    def flush_run() -> None:
-        if not run:
-            return
-        if len(run) <= 2:
-            for entry in run:
-                lines.append(
-                    f"  #{entry.order:<6} commit seq "
-                    f"{entry.commit_seq} (term {entry.term}, "
-                    f"acks {entry.attrs.get('acks', '?')})"
-                )
-        else:
-            first, last = run[0], run[-1]
-            lines.append(
-                f"  #{first.order:<6} {len(run)} commits "
-                f"(seq {first.commit_seq}..{last.commit_seq}, "
-                f"term {first.term})"
-            )
-        run.clear()
-
-    for entry in entries:
-        if entry.kind == "commit":
-            if run and run[-1].term != entry.term:
-                flush_run()
-            run.append(entry)
-            continue
-        flush_run()
-        detail = {
-            "attach": lambda e: f"node {e.replica or e.attrs.get('node')} "
-                                f"term {e.term}",
-            "fence": lambda e: f"term {e.term} fenced at seq "
-                               f"{e.fence_seq} -> term "
-                               f"{e.attrs.get('new_term')}",
-            "promote": lambda e: f"{e.replica} promoted to term "
-                                 f"{e.term}",
-            "rejoin": lambda e: f"{e.replica} rejoined past fence "
-                                f"{e.fence_seq} (dropped "
-                                f"{e.attrs.get('records_dropped', 0)})",
-            "catch_up": lambda e: f"{e.replica} via "
-                                  f"{e.attrs.get('mode', '?')} to seq "
-                                  f"{e.attrs.get('to_seq', '?')}",
-            "snapshot_bootstrap": lambda e:
-                f"{e.replica} re-bootstrapped at seq "
-                f"{e.attrs.get('wal_applied', '?')}",
-            "snapshot_install": lambda e:
-                f"{e.replica} installed snapshot at seq "
-                f"{e.attrs.get('wal_applied', '?')}",
-            "write_fenced": lambda e: f"stale writer term {e.term} "
-                                      f"refused",
-            "ack_timeout": lambda e: f"seq {e.commit_seq} got "
-                                     f"{e.attrs.get('acks', '?')}/"
-                                     f"{e.attrs.get('needed', '?')} acks",
-            "lease_grant": lambda e:
-                f"node {e.attrs.get('node', '?')} term {e.term} "
-                f"(duration {e.attrs.get('duration', '?')}s "
-                f"± {e.attrs.get('margin', '?')}s)",
-            "lease_renew": lambda e: f"term {e.term}, "
-                                     f"{e.attrs.get('acks', '?')} acks"
-                                     + (" (recovered)"
-                                        if e.attrs.get("recovered")
-                                        else ""),
-            "lease_expire": lambda e:
-                f"term {e.term} silent {e.attrs.get('age', '?')}s "
-                f"({e.attrs.get('acks', '?')}/"
-                f"{e.attrs.get('needed_acks', '?')} votes) — "
-                f"self-demoted",
-            "elect": lambda e: f"{e.replica} elected at seq "
-                               f"{e.attrs.get('applied_seq', '?')} "
-                               f"({e.attrs.get('votes', '?')} expiry "
-                               f"votes)",
-        }.get(entry.kind, lambda e: "")
-        lines.append(
-            f"  #{entry.order:<6} {entry.kind:<18} {detail(entry)}"
-            .rstrip()
-        )
-    flush_run()
-    violations = timeline.fence_violations()
-    header = (f"replication timeline: {len(entries)} entries, "
-              f"{len(timeline.of_kind('fence'))} fences"
-              + (", ORDER VIOLATED" if violations else ""))
-    out = [header] + lines
-    out += [f"  !! {problem}" for problem in violations]
-    return "\n".join(out)

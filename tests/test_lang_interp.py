@@ -208,8 +208,16 @@ class TestWithPaperDesigner:
 
 
 class TestCheckpointRecover:
-    def test_checkpoint_then_recover_roundtrip(self, tmp_path):
-        interp, _ = run(DESIGN + "commit; insert teach(euclid, math);")
+    """Every interpreter here is closed when the test ends: one that
+    checkpointed or recovered holds its log's append descriptor."""
+
+    @pytest.fixture
+    def interpreter(self, closing):
+        return lambda: closing(Interpreter(AutoDesigner()))
+
+    def test_checkpoint_then_recover_roundtrip(self, tmp_path, interpreter):
+        interp = interpreter()
+        interp.execute(DESIGN + "commit; insert teach(euclid, math);")
         out = interp.execute(
             f'checkpoint "{tmp_path}"; insert teach(gauss, cs);'
         )
@@ -219,7 +227,7 @@ class TestCheckpointRecover:
 
         # A second interpreter — the "restarted process" — recovers
         # both facts from the directory the first one left behind.
-        fresh = Interpreter(AutoDesigner())
+        fresh = interpreter()
         out2 = fresh.execute(
             f'recover "{tmp_path}";'
             "truth teach(euclid, math); truth teach(gauss, cs);"
@@ -230,40 +238,55 @@ class TestCheckpointRecover:
         assert "teach(gauss) = cs: true" in joined
         assert fresh.wal is not None  # updates keep logging
 
-    def test_insert_after_recovering_a_torn_log_survives(self, tmp_path):
+    def test_insert_after_recovering_a_torn_log_survives(
+            self, tmp_path, interpreter):
         """``recover`` re-attaches a log that ends in a crash's
         fragment; the next insert must land as a record of its own,
         not glued to the fragment, and recover again."""
-        interp, _ = run(DESIGN + "commit;")
+        interp = interpreter()
+        interp.execute(DESIGN + "commit;")
         interp.execute(
             f'checkpoint "{tmp_path}"; insert teach(euclid, math);')
-        interp.wal.close()
+        interp.close()
         with (tmp_path / "wal.log").open("ab") as handle:
             handle.write(b'{"crc": 1, "entry": {"kind": "IN')  # crash!
-        restarted = Interpreter(AutoDesigner())
+        restarted = interpreter()
         restarted.execute(f'recover "{tmp_path}";')
         restarted.execute("insert teach(gauss, cs);")
-        restarted.wal.close()
-        fresh = Interpreter(AutoDesigner())
+        restarted.close()
+        fresh = interpreter()
         out = fresh.execute(
             f'recover "{tmp_path}";'
             "truth teach(euclid, math); truth teach(gauss, cs);"
         )
-        fresh.wal.close()
         joined = "\n".join(out)
         assert "recovered: 2 log entries" in joined
         assert "torn" not in joined
         assert "teach(euclid) = math: true" in joined
         assert "teach(gauss) = cs: true" in joined
 
-    def test_undo_refreshes_checkpoint(self, tmp_path):
-        interp, _ = run(DESIGN + "commit;")
+    def test_close_releases_the_log(self, tmp_path, interpreter):
+        interp = interpreter()
+        interp.execute(DESIGN + f'commit; checkpoint "{tmp_path}";'
+                       "insert teach(euclid, math);")
+        log = interp.wal
+        assert log._handle._file is not None  # the append opened it
+        interp.close()
+        assert interp.wal is None and log._handle._file is None
+        # The session goes on, unlogged.
+        out = interp.execute("insert teach(gauss, cs); "
+                             "truth teach(gauss, cs);")
+        assert out[-1] == "teach(gauss) = cs: true"
+
+    def test_undo_refreshes_checkpoint(self, tmp_path, interpreter):
+        interp = interpreter()
+        interp.execute(DESIGN + "commit;")
         out = interp.execute(
             f'checkpoint "{tmp_path}";'
             "insert teach(gauss, cs); undo;"
         )
         assert any("checkpoint refreshed" in line for line in out)
-        fresh = Interpreter(AutoDesigner())
+        fresh = interpreter()
         out2 = fresh.execute(
             f'recover "{tmp_path}"; truth teach(gauss, cs);'
         )
@@ -271,8 +294,9 @@ class TestCheckpointRecover:
         assert "recovered: 0 log entries" in joined
         assert "teach(gauss) = cs: false" in joined
 
-    def test_load_detaches_wal(self, tmp_path):
-        interp, _ = run(DESIGN + "commit;")
+    def test_load_detaches_wal(self, tmp_path, interpreter):
+        interp = interpreter()
+        interp.execute(DESIGN + "commit;")
         out = interp.execute(
             f'checkpoint "{tmp_path}";'
             f'save "{tmp_path / "plain.json"}";'
@@ -281,8 +305,9 @@ class TestCheckpointRecover:
         assert any("detached" in line for line in out)
         assert interp.wal is None
 
-    def test_guard_undo_compensates_wal(self, tmp_path):
-        interp, _ = run(DESIGN + "commit;")
+    def test_guard_undo_compensates_wal(self, tmp_path, interpreter):
+        interp = interpreter()
+        interp.execute(DESIGN + "commit;")
         out = interp.execute(
             f'checkpoint "{tmp_path}";'
             "constraint card teach per domain max 1;"
@@ -292,7 +317,7 @@ class TestCheckpointRecover:
         )
         assert any(line.startswith("error:") for line in out)
         assert len(interp.wal) == 1  # the violating entry is aborted
-        fresh = Interpreter(AutoDesigner())
+        fresh = interpreter()
         out2 = fresh.execute(
             f'recover "{tmp_path}"; truth teach(euclid, cs);'
         )

@@ -380,6 +380,23 @@ class TestRendering:
     def test_render_metrics_empty(self):
         assert render_metrics({}) == "(no metrics recorded)"
 
+    def test_render_metrics_prints_a_count_histogram_as_numbers(self):
+        # fdb.txn.undo_records counts records; only histograms of
+        # seconds print in ms.
+        db = pupil_database()
+        OBS.enable()
+        with db.transaction():
+            db.insert("teach", "gauss", "algebra")
+        OBS.observe("fdb.wal.append_seconds", 0.002)
+        lines = render_stats(db.stats()).splitlines()
+        (undo,) = [line for line in lines if "fdb.txn.undo_records" in line]
+        records = OBS.metrics.snapshot()["histograms"][
+            "fdb.txn.undo_records"]["max"]
+        assert records >= 1 and f"max={records:g}" in undo
+        assert "ms" not in undo
+        (wal,) = [line for line in lines if "fdb.wal.append_seconds" in line]
+        assert "max=2.000ms" in wal
+
     def test_render_stats_full_payload(self):
         db = pupil_database()
         OBS.enable()
@@ -396,8 +413,8 @@ class TestRendering:
 
 
 class TestReplicationRendering:
-    """The WAL + replication sections of stats and the monitor
-    dashboard."""
+    """The WAL + replication sections of stats, and the gauges behind
+    them."""
 
     def test_render_stats_wal_and_replication_sections(self):
         from repro.obs import render_stats as _render_stats
@@ -437,9 +454,7 @@ class TestReplicationRendering:
         })
         assert "(no replicas linked)" in text
 
-    def test_render_monitor_replication_block(self):
-        from repro.obs import render_monitor as _render_monitor
-
+    def test_render_metrics_shows_replication_gauges(self):
         OBS.enable()
         OBS.gauge("fdb.wal.last_seq", 9)
         OBS.gauge("fdb.wal.tail_torn", 0)
@@ -449,8 +464,14 @@ class TestReplicationRendering:
         OBS.inc("replication.records_shipped", 9)
         OBS.inc("replication.records_applied", 7)
         OBS.inc("replication.ack_timeouts", 1)
-        text = _render_monitor(OBS.metrics.snapshot())
-        assert "wal: applied seq 9, tail clean" in text
-        assert "replication: term 3, 9 shipped / 7 applied" in text
-        assert "1 ack timeouts" in text
-        assert "lag r0: 2 seqs / 0.25s" in text
+        rows = dict(line.split() for line in
+                    render_metrics(OBS.metrics.snapshot()).splitlines()
+                    if line.startswith("  "))
+        assert rows == {
+            "fdb.wal.last_seq": "9", "fdb.wal.tail_torn": "0",
+            "replication.term": "3", "replication.lag.seq.r0": "2",
+            "replication.lag.seconds.r0": "0.25",
+            "replication.records_shipped": "9",
+            "replication.records_applied": "7",
+            "replication.ack_timeouts": "1",
+        }

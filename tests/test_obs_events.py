@@ -407,15 +407,14 @@ class TestReplicationTimeline:
         assert [d["kind"] for d in decoded] == ["promote", "rejoin"]
         assert decoded[1]["fence_seq"] == 4
 
-    def test_render_timeline_collapses_commit_runs(self):
+    def test_a_commit_run_keeps_one_entry_per_commit(self):
         from repro.obs import replication_timeline
-        from repro.obs.export import render_timeline
 
         entries = [
             _action(i, "replication.commit_acked", seq=i, term=1)
             for i in range(1, 8)
         ]
         timeline = replication_timeline(entries)
-        text = render_timeline(timeline)
-        assert "7 commits (seq 1..7, term 1)" in text
-        assert "ORDER VIOLATED" not in text
+        assert [c.commit_seq for c in timeline.commits(term=1)] == \
+            list(range(1, 8))
+        assert timeline.fence_violations() == []

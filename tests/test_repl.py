@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import io
+import warnings
 
 import pytest
 
@@ -127,6 +129,17 @@ class TestRepl:
         assert "error:" in text
         assert "insert f(x, y)" in text
 
+    @pytest.mark.parametrize("last", [["exit"], []], ids=["exit", "eof"])
+    def test_leaving_the_loop_releases_the_log(self, tmp_path, last):
+        repl = Repl(ScriptedInput([
+            "add teach: faculty -> course (many-many)",
+            f'checkpoint "{tmp_path}"',
+            "insert teach(euclid, math)",
+            *last,
+        ]), io.StringIO())
+        repl.loop()
+        assert repl.interpreter.wal is None
+
 
 class TestMain:
     def test_batch_script(self, tmp_path, capsys):
@@ -141,3 +154,20 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 0
         assert "teach(euclid) = math: true" in captured.out
+
+    def test_a_checkpointing_script_leaves_no_open_log(self, tmp_path,
+                                                       capsys):
+        script = tmp_path / "script.fdb"
+        script.write_text(
+            "add teach: faculty -> course (many-many);\n"
+            f'checkpoint "{tmp_path / "ckpt"}";\n'
+            "insert teach(euclid, math);\n",
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main([str(script), "--batch"]) == 0
+            gc.collect()
+        assert "checkpoint:" in capsys.readouterr().out
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]

@@ -1,7 +1,8 @@
 """Lease-based leadership: the timing contract, the quorum-renewed
 lease, failure detection, the coordinator's election rules, the
 self-demotion/fence interplay, clock-skew and heartbeat-drop fault
-injection, transport timeouts, and the REPL/observability surfaces.
+injection, transport timeouts, manual promotion, and the observability
+surfaces.
 """
 
 from __future__ import annotations
@@ -24,13 +25,8 @@ from repro.faults.registry import (
 from repro.fdb import persistence
 from repro.fdb.updates import Update
 from repro.fdb.wal import LoggedDatabase
-from repro.lang.interp import Interpreter
 from repro.obs import OBS, RingBufferSink, replication_timeline
-from repro.obs.export import (
-    render_monitor,
-    render_replication,
-    render_timeline,
-)
+from repro.obs.export import render_replication
 from repro.replication import (
     FailoverCoordinator,
     FailureDetector,
@@ -512,39 +508,19 @@ class TestServiceIntegration:
             service.close(timeout=5.0)
 
 
-class TestReplPromote:
-    def test_promote_without_group(self):
-        interp = Interpreter()
-        out = interp.execute("promote")
-        assert any("no replication group" in line for line in out)
-
-    def test_promote_with_group(self, tmp_path, stack):
+class TestManualPromote:
+    def test_manual_promote_leaves_a_leased_group_leaderless(
+            self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
                           renew_interval=0.2)
-        _, logged, group, lease, _ = stack(cfg)
+        _, logged, group, lease, term = stack(cfg)
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
         group.on_commit(seq)
-        interp = Interpreter()
-        interp.replication = group
-        out = interp.execute("promote r1")
-        assert any("promoted r1" in line for line in out)
-        assert any("automatic elections stay armed" in line
-                   for line in out)
+        report = group.promote("r1")
+        assert report.chosen == "r1"
+        assert report.new_term > term
+        assert group.lease is not None  # automatic elections stay armed
         assert group.leaderless()  # until the new primary attaches
-
-    def test_promote_parses_name_forms(self):
-        from repro.lang.parser import parse_program
-
-        bare, named, quoted = parse_program(
-            'promote ; promote r1 ; promote "old-primary"'
-        )
-        assert bare.name is None
-        assert named.name == "r1"
-        assert quoted.name == "old-primary"
-
-    def test_help_mentions_promote(self):
-        out = Interpreter().execute("help")
-        assert any("promote" in line for line in out)
 
 
 class TestObservabilitySurfaces:
@@ -556,7 +532,7 @@ class TestObservabilitySurfaces:
         assert "lease: HELD" in text
         assert "quorum 1" in text
 
-    def test_monitor_and_timeline_show_lease_lifecycle(self, tmp_path, stack):
+    def test_gauges_and_timeline_show_lease_lifecycle(self, tmp_path, stack):
         sink = OBS.events.add_sink(RingBufferSink(capacity=4096))
         OBS.enable()
         clock = _Ticker()
@@ -575,15 +551,13 @@ class TestObservabilitySurfaces:
         report = coord.tick()
         assert report is not None
 
-        monitor = render_monitor(OBS.metrics.snapshot())
-        assert "lease: LAPSED" in monitor
-        assert "elections" in monitor
+        metrics = OBS.metrics.snapshot()
+        assert metrics["gauges"]["replication.lease.held"] == 0
+        assert metrics["counters"]["replication.lease.expiries"] == 1
+        assert metrics["counters"]["replication.elections"] == 1
 
         timeline = replication_timeline(list(sink.records))
         kinds = {entry.kind for entry in timeline}
         assert {"lease_grant", "lease_renew",
                 "lease_expire", "elect"} <= kinds
         assert not timeline.fence_violations()
-        text = render_timeline(timeline)
-        assert "lease" in text
-        assert "elect" in text

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cancel import Deadline, deadline_scope
-from repro.core.derivation import Derivation
+from repro.core.derivation import Derivation, Op, Step
 from repro.core.schema import FunctionDef
 from repro.core.types import ObjectType, TypeFunctionality
 from repro.errors import DeadlineExceeded, ReproError
@@ -386,6 +386,22 @@ def random_stream_db(k: int, rng: random.Random) -> FunctionalDatabase:
     return db
 
 
+def self_join_db(rng: random.Random) -> FunctionalDatabase:
+    """``chain_fdb(2)`` plus ``h = f1 o f1^-1`` after random INS and DEL
+    on ``h``: one stored f1 fact can fill both steps of a chain, and a
+    way to hold or an NC names it once (a conjunction is a set)."""
+    db = chain_fdb(2)
+    f1 = db.schema["f1"]
+    db.declare_derived(
+        FunctionDef("h", f1.domain, f1.domain, TypeFunctionality.MANY_MANY),
+        Derivation([Step(f1), Step(f1, Op.INVERSE)]))
+    random_instance(db, 5, seed=rng.randrange(10_000), value_pool=4)
+    for _ in range(rng.randrange(1, 9)):
+        update = db.insert if rng.random() < 0.5 else db.delete
+        update("h", f"T0_{rng.randrange(4)}", f"T0_{rng.randrange(4)}")
+    return db
+
+
 def delete_some(db, rng: random.Random, most: int) -> None:
     for name in db.derived_names:
         pairs = list(derived_extension(db, name))
@@ -399,6 +415,7 @@ SHAPES = {
     "two_derivations": two_derivation_db,
     "star": lambda rng: star(rng.randrange(1, 7)),
     "overlapping": lambda rng: pupil_database(),
+    "self_join": self_join_db,
 }
 
 
