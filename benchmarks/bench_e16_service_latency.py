@@ -12,10 +12,10 @@ The timed rounds run with instrumentation off (the production fast
 path); the percentile/shed/retry numbers come from one instrumented
 replay of the same traffic outside the clock, exactly the E10 idiom.
 Contention-dependent counters (retries, sheds, lock timeouts,
-deadlocks, upgrades, SLO/breaker transitions) vary run to run by
-scheduling, so they are stripped from the attached snapshot — the
-regression comparison keys on the deterministic work counters only —
-and reported as informational lines instead.
+SLO/breaker transitions) vary run to run by scheduling, so they are
+stripped from the attached snapshot — the regression comparison keys
+on the deterministic work counters only — and reported as
+informational lines instead.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ VOLATILE_PREFIXES = (
     "service.retries",
     "service.shed",
     "service.lock.timeouts",
-    "service.lock.deadlocks",
-    "service.lock.upgrades",
     "service.breaker.",
     "slo.",
     "fdb.wal.retries",
@@ -168,8 +166,7 @@ def test_bench_service_mixed_traffic(benchmark, report):
         f"committed: {committed} ops; overload signals (informational, "
         f"not compared): shed={stats['shed']} "
         f"retries={stats.get('retries', 0)} "
-        f"lock_timeouts={stats.get('lock_timeouts', 0)} "
-        f"deadlocks={stats.get('deadlocks', 0)}"
+        f"lock_timeouts={stats.get('lock_timeouts', 0)}"
     )
     report.line(
         f"slo: healthy={stats['slo_healthy']} "

@@ -29,7 +29,6 @@ __all__ = [
     "DeadlineExceeded",
     "ServiceError",
     "LockTimeout",
-    "DeadlockDetected",
     "ServiceOverloaded",
     "ServiceReadOnly",
     "ServiceClosed",
@@ -153,15 +152,6 @@ class LockTimeout(ServiceError):
 
     Transient by nature — the standard response is backoff and retry
     (see :class:`repro.service.retry.RetryPolicy`).
-    """
-
-
-class DeadlockDetected(ServiceError):
-    """The lock manager found a wait-for cycle involving this request.
-
-    The requester is the chosen victim: it holds its other locks until
-    it releases them, so it must back off (drop everything it holds)
-    and retry.
     """
 
 

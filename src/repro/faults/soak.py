@@ -9,7 +9,7 @@ scenario)``. Every cell builds the same front door — a
 :class:`ShardedDatabaseService <repro.shard.sharded.
 ShardedDatabaseService>`; ``shards=1, replicas=0`` is simply the
 one-lane facade — drives N worker threads of reads, writes, atomic
-sequences, deadlock-prone read-modify-writes and checkpoints through
+sequences, contended read-modify-writes and checkpoints through
 it (plus multi-shard sequences and scatter reads when ``shards > 1``,
 bounded-staleness replica reads when ``replicas > 0``) while a
 controller thread cycles the scenario's fault phases underneath, runs
@@ -81,7 +81,6 @@ from repro.core.types import (
 )
 from repro.errors import (
     CrossShardError,
-    DeadlockDetected,
     LockTimeout,
     OperationCancelled,
     PersistenceError,
@@ -399,8 +398,8 @@ def _plan_worker(config: SoakConfig, full: FunctionalDatabase,
                        fresh_value_rate=0.4),
     )
     read_targets = tuple(full.base_names) + tuple(full.derived_names)
-    # Read-modify-write goes to a contended chain base: the shared ->
-    # exclusive upgrade is the deadlock driver.
+    # Read-modify-write goes to a contended chain base: its read and
+    # write hold the cluster exclusively, so they queue on each other.
     rmw_targets = tuple(name for name in full.base_names
                         if name.endswith("1"))
 
@@ -459,7 +458,7 @@ _OUTCOMES = (
     (ServiceOverloaded, "shed"),
     (ServiceReadOnly, "readonly"),
     (OperationCancelled, "cancelled"),
-    ((LockTimeout, DeadlockDetected), "contended"),
+    (LockTimeout, "contended"),
     (ServiceClosed, "closed"),
     ((PersistenceError, OSError), "storage_failed"),
     (RuntimeError, "failed_apply"),  # the apply-phase ErrorFault
@@ -1363,8 +1362,7 @@ _RUN_EVENTS = ("replication.promote", "replication.elected",
 
 def _check_liveness(cell: Cell) -> None:
     if cell.hung:
-        cell.report.fail("liveness", f"{cell.hung} workers hung "
-                                     f"(deadlock waited out?)")
+        cell.report.fail("liveness", f"{cell.hung} workers hung")
     for exc in cell.harness_errors:
         cell.report.fail("liveness", f"harness error: {exc!r}")
 

@@ -1,10 +1,10 @@
 """Retry with capped exponential backoff and seeded jitter.
 
 The taxonomy matters more than the loop: a retry policy is a statement
-about *which failures are expected to pass*. Lock timeouts and
-deadlock victims pass once the contending writer commits;
-``faults.TransientError`` (surfaced as ``OSError``) and the WAL's
-:class:`~repro.errors.PersistenceError` pass once the device recovers.
+about *which failures are expected to pass*. Lock timeouts pass once
+the contending writer commits; ``faults.TransientError`` (surfaced as
+``OSError``) and the WAL's :class:`~repro.errors.PersistenceError`
+pass once the device recovers.
 Schema errors, constraint violations and deadline expiry do not pass
 — retrying them burns the caller's remaining deadline for nothing, so
 they propagate immediately.
@@ -21,15 +21,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cancel import Deadline
-from repro.errors import DeadlockDetected, LockTimeout
+from repro.errors import LockTimeout
 
 __all__ = ["RetryPolicy", "DEFAULT_RETRYABLE"]
 
-DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
-    LockTimeout,
-    DeadlockDetected,
-    OSError,
-)
+DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (LockTimeout, OSError)
 
 
 @dataclass(frozen=True)
@@ -73,8 +69,7 @@ class RetryPolicy:
         *started* once it has expired, and sleeps are clipped to the
         time remaining (better to attempt with a sliver of budget than
         to sleep through it). ``on_retry(attempt, exc)`` is called
-        before each backoff — the service uses it to drop locks and
-        count retries.
+        before each backoff — the service uses it to count retries.
         """
         attempt = 0
         while True:

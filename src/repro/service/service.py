@@ -30,18 +30,18 @@ log, byte for byte, indexed nulls included.
 
 **One write path.** A cluster is both the lock unit and the placement
 unit (:mod:`repro.shard`), so committing is one act whether one lane
-is involved or several: every appender (``execute``, the rmw upgrade,
-``checkpoint``, a multi-shard write) enters through :class:`Appender`,
-and :func:`write` is the one commit loop, ``execute`` its one-slice case.
+is involved or several: every appender (``execute``,
+``read_modify_write``, ``checkpoint``, a multi-shard write) enters
+through :class:`Appender`, and :func:`write` is the one commit loop,
+``execute`` its one-slice case.
 
 **Degradation.** Admission (bounded queue, shedding) in front;
 deadlines (cooperative cancellation through chain enumeration,
 propagation and WAL appends) within; retry with capped backoff around
-lock timeouts, deadlock victims and transient storage errors; a
-circuit breaker that converts a dead log device into fast
-:class:`ServiceReadOnly` rejections instead of a convoy; and a drain
-that stops admissions, waits the executing tail out, and leaves the
-database consistent.
+lock timeouts and transient storage errors; a circuit breaker that
+converts a dead log device into fast :class:`ServiceReadOnly`
+rejections instead of a convoy; and a drain that stops admissions,
+waits the executing tail out, and leaves the database consistent.
 
 **Telemetry.** Every public operation runs as one *request*: a fresh
 request id, a ``service.request`` span under which admission wait
@@ -70,9 +70,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.cancel import Deadline, deadline_scope
-from repro.errors import (CrossShardError, DeadlockDetected, LockTimeout,
-                          PersistenceError, ReplicationError,
-                          ServiceOverloaded)
+from repro.errors import (CrossShardError, LockTimeout, PersistenceError,
+                          ReplicationError, ServiceOverloaded)
 from repro.fdb import wal as wal_module
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.logic import Truth
@@ -98,7 +97,7 @@ _WRITE_RETRYABLE = DEFAULT_RETRYABLE + (PersistenceError,)
 
 
 def _write_token(locks: LockManager, clusters: Iterable[str] = (),
-                 limit: Deadline | None = None, **span_attrs):
+                 limit: Deadline | None = None):
     """A lane's write token (and ``clusters``), exclusively, on its
     ``locks``: the one place ``__write__`` is taken — by
     :class:`Appender`, and bare by ``close_log`` and the replication
@@ -106,7 +105,7 @@ def _write_token(locks: LockManager, clusters: Iterable[str] = (),
     method of the lane, so the guard handed to the group holds no
     reference to the service."""
     return locks.held({WRITE_RESOURCE, *clusters}, EXCLUSIVE,
-                      deadline=limit, **span_attrs)
+                      deadline=limit)
 
 
 # What one request of each family counts as: the lane's stats() key
@@ -319,6 +318,8 @@ class DatabaseService(FrontDoor):
                         self.slo.set_probe(objective.name,
                                            replication.worst_lag_seq)
         self._stats_lock = threading.Lock()
+        # "deadlocks" stays 0: locks are taken in one order, so no
+        # wait closes a cycle; the E20 harness still sums the key.
         self._stats = {
             "reads": 0, "writes": 0, "retries": 0, "deadlocks": 0,
             "lock_timeouts": 0, "cancelled": 0, "checkpoints": 0,
@@ -378,11 +379,7 @@ class DatabaseService(FrontDoor):
             OBS.inc("service.retries")
             OBS.event("service.retry", attempt=attempt,
                       error=type(exc).__name__)
-        if isinstance(exc, DeadlockDetected):
-            self._bump("deadlocks")
-            # The victim contract: drop everything before backing off.
-            self.locks.release_all()
-        elif isinstance(exc, LockTimeout):
+        if isinstance(exc, LockTimeout):
             self._bump("lock_timeouts")
 
     # -- reads --------------------------------------------------------------
@@ -427,10 +424,9 @@ class DatabaseService(FrontDoor):
     def execute(self, update: Update | UpdateSequence, *,
                 deadline: Deadline | float | None = None) -> None:
         """Apply one update (or atomic sequence), durably when a log
-        is attached. Retries lock timeouts, deadlock victimhood and
-        transient storage failures under the service's
-        :class:`RetryPolicy`; raises the final error when the policy
-        gives up."""
+        is attached. Retries lock timeouts and transient storage
+        failures under the service's :class:`RetryPolicy`; raises the
+        final error when the policy gives up."""
         write((self,), (update,), deadline)
 
     def _replication_ack(self, seq: int | None,
@@ -459,15 +455,11 @@ class DatabaseService(FrontDoor):
         *,
         deadline: Deadline | float | None = None,
     ) -> Update | UpdateSequence | None:
-        """Read under shared locks, build an update from what was seen,
-        upgrade to exclusive, apply atomically.
-
-        The upgrade is the textbook deadlock generator (two holders of
-        the same shared cluster upgrading at once wait on each other);
-        the lock manager detects the cycle and this method's retry
-        drops everything and redoes the *read*, so the update is always
-        built from state it still holds the locks for. Returns the
-        update applied, or None when ``build`` declined."""
+        """Build an update from what is read and apply it, both under
+        one exclusive hold of the write token plus the clusters of
+        ``names``, so the update is always built from state the caller
+        still holds the locks for. Returns the update applied, or None
+        when ``build`` declined."""
         limit = self._deadline(deadline)
         name_list = tuple(names)
         with _Request((self,), "rmw", limit) as req:
@@ -482,29 +474,22 @@ class DatabaseService(FrontDoor):
 
     def _rmw_once(self, names: tuple[str, ...], build,
                   limit: Deadline | None):
-        self._fail_fast_if_leaderless()  # before the read locks, too
+        # The appender is entered before the read, so no lock is ever
+        # asked for while one sorting after it is held. A build that
+        # touches a cluster outside the held set leaves without
+        # applying and is redone over the widened set; the set only
+        # grows, so this ends.
         clusters = self._clusters_for(names)
-        me = threading.get_ident()
-        try:
-            with self.locks.held(clusters, SHARED, deadline=limit):
+        while True:
+            with Appender(self, clusters, limit) as appender:
                 with deadline_scope(limit):
                     update = build(self.db)
                 if update is None:
                     return None
-                # Upgrade: exclusive on top of our shared holds. This
-                # breaks the sorted-order discipline on purpose — the
-                # resulting deadlocks are detected, not prevented, and
-                # the retry redoes the read.
-                with Appender(
-                    self, clusters | self._clusters_for(touched(update)),
-                    limit, upgrade=True,
-                ) as appender:
+                wanted = self._clusters_for(touched(update))
+                if wanted <= clusters:
                     return update, appender.apply(update)
-        except BaseException:
-            # A deadlock victim (or timeout) may have left partial
-            # holds from the inner held(); drop everything we own.
-            self.locks.release_all(me)
-            raise
+            clusters |= wanted
 
     # -- checkpoint ---------------------------------------------------------
 
@@ -719,11 +704,9 @@ class Appender:
 
     def __init__(self, lane: DatabaseService,
                  clusters: Iterable[str] = (),
-                 limit: Deadline | None = None, *,
-                 upgrade: bool = False) -> None:
+                 limit: Deadline | None = None) -> None:
         self.lane, self.limit = lane, limit
-        self._held = _write_token(lane.locks, clusters, limit,
-                                  upgrade=upgrade)
+        self._held = _write_token(lane.locks, clusters, limit)
         # Whether the breaker is owed nothing by this appender: true
         # without a log (no storage path to guard), and once a
         # storage call has delivered its verdict.
@@ -758,8 +741,8 @@ class Appender:
 
     def _settle(self) -> None:
         # The attempt ended without reaching the storage path (lock
-        # timeout, deadlock victimhood, fence, validation, cancelled):
-        # return the probe slot.
+        # timeout, fence, validation, cancelled, a declined or
+        # widened rmw build): return the probe slot.
         if not self.settled:
             self.lane.breaker.release_probe()
 

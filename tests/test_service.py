@@ -15,9 +15,9 @@ import time
 import pytest
 
 from repro.cancel import Deadline
+from repro.core.schema import FunctionDef, ObjectType, TypeFunctionality
 from repro.errors import (
     DeadlineExceeded,
-    DeadlockDetected,
     LockTimeout,
     ServiceClosed,
     ServiceOverloaded,
@@ -78,10 +78,10 @@ class TestRetryPolicy:
 
         def fn():
             calls.append(1)
-            raise DeadlockDetected("cycle")
+            raise LockTimeout("busy")
 
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        with pytest.raises(DeadlockDetected):
+        with pytest.raises(LockTimeout):
             policy.run(fn)
         assert len(calls) == 3
 
@@ -252,23 +252,31 @@ def lane_of(front) -> DatabaseService:
     return front if isinstance(front, DatabaseService) else front.lane(0)
 
 
+def two_cluster_database():
+    """The pupil instance plus a lone base in a cluster of its own."""
+    db = pupil_database()
+    db.declare_base(FunctionDef("office", ObjectType("faculty"),
+                                ObjectType("room"),
+                                TypeFunctionality.MANY_MANY))
+    return db
+
+
 class LaneDoor:
     """Cases written against ``self.front(...)``: here a bare lane."""
 
     @staticmethod
-    def front(closing, log_dir=None, **kwargs):
+    def front(closing, log_dir=None, factory=pupil_database, **kwargs):
         log = None if log_dir is None else log_dir / "shard-0.wal"
-        return closing(DatabaseService(pupil_database(), log=log,
-                                       **kwargs))
+        return closing(DatabaseService(factory(), log=log, **kwargs))
 
 
 class FacadeDoor:
     """The same cases through ``ShardedDatabaseService(..., shards=1)``."""
 
     @staticmethod
-    def front(closing, log_dir=None, **kwargs):
+    def front(closing, log_dir=None, factory=pupil_database, **kwargs):
         return closing(ShardedDatabaseService(
-            pupil_database, 1, log_dir=log_dir, service_kwargs=kwargs))
+            factory, 1, log_dir=log_dir, service_kwargs=kwargs))
 
 
 class TestServiceBasics(LaneDoor):
@@ -473,25 +481,29 @@ class TestServiceConcurrency(LaneDoor):
             t.join(5.0)
         assert results == [Truth.TRUE] * 3
 
-    def test_dual_rmw_resolves_via_retry(self, closing, tmp_path):
-        """Two read-modify-writes on the same cluster race the shared →
-        exclusive upgrade; the loser is a deadlock victim and retries."""
-        service = self.front(
-            closing, tmp_path, lock_timeout=0.5,
-            retry=RetryPolicy(max_attempts=6, base_delay=0.001,
-                              jitter=0.001),
-        )
-        barrier = threading.Barrier(2, timeout=5.0)
-        errors = []
+    def test_concurrent_rmws_on_one_cluster_never_overlap(self, closing,
+                                                         tmp_path):
+        """N read-modify-writes of one cluster: each build runs under
+        the exclusive hold its write commits under, so builds never
+        overlap, nothing retries and no increment is lost."""
+        n = 4
+        service = self.front(closing, tmp_path, lock_timeout=5.0)
+        service.insert("teach", "tally", "0")
+        lock = threading.Condition()
+        active, peak, errors = [0], [0], []
 
         def build(db):
-            try:
-                barrier.wait()  # both hold the shared lock here
-            except threading.BrokenBarrierError:
-                pass  # the retry pass runs alone
-            pairs = sorted(db.table("teach").pairs())
-            x, y = pairs[0]
-            return Update.rep("teach", (x, y), (x, f"{y}+"))
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                lock.notify_all()
+                # Give a second build the chance to overlap this one.
+                lock.wait_for(lambda: active[0] > 1, timeout=0.05)
+                active[0] -= 1
+            (count,) = [int(y) for x, y in db.table("teach").pairs()
+                        if x == "tally"]
+            return Update.rep("teach", ("tally", str(count)),
+                              ("tally", str(count + 1)))
 
         def worker():
             try:
@@ -499,16 +511,51 @@ class TestServiceConcurrency(LaneDoor):
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
-        pool = [threading.Thread(target=worker) for _ in range(2)]
+        pool = [threading.Thread(target=worker) for _ in range(n)]
         for t in pool:
             t.start()
         for t in pool:
             t.join(10.0)
+        assert peak[0] == 1
         assert errors == []
         lane = lane_of(service)
-        assert len(lane.committed_ops()) == 2
-        stats = lane.stats()
-        assert stats["deadlocks"] + stats["lock_timeouts"] >= 1
+        assert lane.stats()["retries"] == 0
+        assert len(lane.committed_ops()) == 1 + n
+        assert service.truth_of("teach", "tally", str(n)) is Truth.TRUE
+
+    def test_escaping_rmw_commits_through_the_widened_set(self, closing):
+        service = self.front(closing, factory=two_cluster_database)
+        lane = lane_of(service)
+        assert lane.cluster_of("office") != lane.cluster_of("teach")
+        held_during_build = []
+
+        def build(db):
+            held_during_build.append(
+                lane.locks.holders(lane.cluster_of("office"))["exclusive"])
+            return Update.ins("office", "euclid", "r1")
+
+        applied = service.read_modify_write(("teach",), build)
+        assert applied == Update.ins("office", "euclid", "r1")
+        # First pass over teach's cluster alone, then over both.
+        assert [bool(h) for h in held_during_build] == [False, True]
+        assert lane.committed_ops() == (applied,)
+        assert service.truth_of("office", "euclid", "r1") is Truth.TRUE
+
+    def test_noop_rmw_under_open_breaker_is_read_only(self, closing,
+                                                     tmp_path):
+        """The breaker is passed before the read: an open one refuses
+        even an rmw whose build would have declined."""
+        service = self.front(
+            closing, tmp_path,
+            breaker=CircuitBreaker(failure_threshold=1,
+                                   reset_timeout=60.0),
+        )
+        lane_of(service).breaker.record_failure(OSError("disk gone"))
+        builds = []
+        with pytest.raises(ServiceReadOnly):
+            service.read_modify_write(("teach",),
+                                      lambda db: builds.append(db))
+        assert builds == []
 
 
 class TestFacadeConcurrency(FacadeDoor, TestServiceConcurrency):

@@ -2,8 +2,7 @@
 
 Deterministic where possible: the manager accepts explicit ``owner``
 ids, so most scenarios run single-threaded. Real threads appear only
-where a parked waiter is part of the scenario (deadlock cycles need an
-owner recorded in the wait-for graph).
+where a parked waiter is part of the scenario.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import time
 
 import pytest
 
-from repro.errors import DeadlockDetected, LockTimeout
+from repro.errors import LockTimeout
 from repro.service import EXCLUSIVE, SHARED, LockManager
 
 
@@ -58,32 +57,17 @@ class TestGrants:
         locks.acquire("a", EXCLUSIVE, owner=1)
         locks.acquire("b", EXCLUSIVE, owner=2, timeout=0.05)
 
-    def test_reentrant_holds_need_matching_releases(self):
+    def test_reentry_raises(self):
+        # No re-entry and no upgrade: an owner holds a resource once.
         locks = LockManager()
-        locks.acquire("r", EXCLUSIVE, owner=1)
-        locks.acquire("r", EXCLUSIVE, owner=1)
-        locks.release("r", EXCLUSIVE, owner=1)
-        # Still held after one release.
-        with pytest.raises(LockTimeout):
-            locks.acquire("r", EXCLUSIVE, owner=2, timeout=0.05)
-        locks.release("r", EXCLUSIVE, owner=1)
-        locks.acquire("r", EXCLUSIVE, owner=2, timeout=0.05)
-
-    def test_sole_holder_upgrade_allowed(self):
-        locks = LockManager()
-        locks.acquire("r", SHARED, owner=1)
-        locks.acquire("r", EXCLUSIVE, owner=1)  # the RMW step
-        assert locks.holders("r")["exclusive"] == (1,)
-        # And a second reader is now blocked by the upgrade.
-        with pytest.raises(LockTimeout):
-            locks.acquire("r", SHARED, owner=2, timeout=0.05)
-
-    def test_upgrade_blocked_by_other_reader(self):
-        locks = LockManager()
-        locks.acquire("r", SHARED, owner=1)
-        locks.acquire("r", SHARED, owner=2)
-        with pytest.raises(LockTimeout):
-            locks.acquire("r", EXCLUSIVE, owner=1, timeout=0.05)
+        for held in (SHARED, EXCLUSIVE):
+            locks.acquire("r", held, owner=1)
+            for asked in (SHARED, EXCLUSIVE):
+                with pytest.raises(RuntimeError):
+                    locks.acquire("r", asked, owner=1, timeout=0.05)
+            # The refused asks changed nothing: one release frees it.
+            locks.release("r", held, owner=1)
+            assert locks.holders("r") == {"shared": (), "exclusive": ()}
 
 
 class TestMisuse:
@@ -99,14 +83,6 @@ class TestMisuse:
         locks = LockManager()
         with pytest.raises(ValueError):
             locks.acquire("r", "upgradable", owner=1)
-
-    def test_release_all_drops_everything(self):
-        locks = LockManager()
-        locks.acquire("a", SHARED, owner=1)
-        locks.acquire("b", EXCLUSIVE, owner=1)
-        locks.release_all(owner=1)
-        locks.acquire("a", EXCLUSIVE, owner=2, timeout=0.05)
-        locks.acquire("b", EXCLUSIVE, owner=2, timeout=0.05)
 
 
 class TestHeld:
@@ -129,78 +105,6 @@ class TestHeld:
         locks.acquire("a", EXCLUSIVE, owner=3, timeout=0.05)
 
 
-class TestDeadlockDetection:
-    def test_ab_ba_cycle_detected(self):
-        locks = LockManager()
-        locks.acquire("a", EXCLUSIVE, owner=100)
-
-        parked = threading.Event()
-        outcome: list[str] = []
-
-        def other():
-            locks.acquire("b", EXCLUSIVE)
-            parked.set()
-            try:
-                # Parks: "a" is held by owner 100 (never released
-                # until we are done); the 2 s timeout bounds the test.
-                locks.acquire("a", EXCLUSIVE, timeout=2.0)
-                outcome.append("acquired")
-            except LockTimeout:
-                outcome.append("timeout")
-            finally:
-                locks.release_all()
-
-        worker = threading.Thread(target=other)
-        worker.start()
-        try:
-            assert parked.wait(5.0)
-            _wait_for(lambda: worker.ident in locks._waiting)
-            # Owner 100 asking for "b" closes the cycle:
-            # 100 -> worker (holds b) -> 100 (holds a).
-            with pytest.raises(DeadlockDetected):
-                locks.acquire("b", EXCLUSIVE, owner=100, timeout=2.0)
-            # The victim contract resolves it.
-            locks.release_all(owner=100)
-        finally:
-            worker.join(5.0)
-        assert outcome == ["acquired"]
-
-    def test_dual_upgrade_deadlocks(self):
-        locks = LockManager()
-        locks.acquire("r", SHARED, owner=100)
-
-        started = threading.Event()
-
-        def upgrader():
-            locks.acquire("r", SHARED)
-            started.set()
-            try:
-                locks.acquire("r", EXCLUSIVE, timeout=2.0)
-            except (LockTimeout, DeadlockDetected):
-                pass
-            finally:
-                locks.release_all()
-
-        worker = threading.Thread(target=upgrader)
-        worker.start()
-        try:
-            assert started.wait(5.0)
-            _wait_for(lambda: worker.ident in locks._waiting)
-            with pytest.raises(DeadlockDetected):
-                locks.acquire("r", EXCLUSIVE, owner=100, timeout=2.0)
-            locks.release_all(owner=100)
-        finally:
-            worker.join(5.0)
-
-    def test_no_false_positive_on_plain_contention(self):
-        locks = LockManager()
-        locks.acquire("r", EXCLUSIVE, owner=100)
-        # Owner 100 is not waiting on anything: no cycle, so the
-        # contender times out instead of being declared a victim.
-        with pytest.raises(LockTimeout):
-            locks.acquire("r", EXCLUSIVE, owner=2, timeout=0.05)
-
-
 class TestTimeouts:
     def test_timeout_respects_deadline(self):
         from repro.cancel import Deadline
@@ -221,7 +125,7 @@ class TestTimeouts:
         def waiter():
             locks.acquire("r", EXCLUSIVE, timeout=5.0)
             acquired.set()
-            locks.release_all()
+            locks.release("r", EXCLUSIVE)
 
         worker = threading.Thread(target=waiter)
         worker.start()
@@ -261,7 +165,7 @@ class TestTargetedWakeups:
         def wait_on(resource, flag):
             locks.acquire(resource, EXCLUSIVE, timeout=5.0)
             flag.set()
-            locks.release_all()
+            locks.release(resource, EXCLUSIVE)
 
         threads = [
             threading.Thread(target=wait_on, args=("a", got_a)),
@@ -293,7 +197,7 @@ class TestTargetedWakeups:
         def writer():
             locks.acquire("r", EXCLUSIVE, timeout=5.0)
             got.set()
-            locks.release_all()
+            locks.release("r", EXCLUSIVE)
 
         thread = threading.Thread(target=writer)
         thread.start()

@@ -30,14 +30,14 @@ def _replay(seed: int, ops):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_concurrent_service_is_serializable(seed, tmp_path):
+def test_concurrent_service_is_serializable(seed, tmp_path, closing):
     threads = 6
     ops_per_thread = 15
     db = soak_database(seed)
     snapshot = tmp_path / "snapshot.json"
     wal_path = tmp_path / "wal.jsonl"
     persistence.save(db, snapshot, wal_applied=0)
-    service = DatabaseService(
+    service = closing(DatabaseService(
         db,
         log=wal_path,
         lock_timeout=0.5,
@@ -45,7 +45,7 @@ def test_concurrent_service_is_serializable(seed, tmp_path):
                           max_delay=0.05, jitter=0.002),
         max_concurrent=threads,
         seed=seed,
-    )
+    ))
     # Streams are pregenerated against the seed instance so every run
     # with one seed submits the identical multiset of updates.
     streams = [

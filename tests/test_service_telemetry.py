@@ -51,12 +51,12 @@ def clean_state():
     _scrub()
 
 
-def observed_service(tmp_path, **kwargs) -> tuple[DatabaseService,
-                                                  RingBufferSink]:
+def observed_service(closing, tmp_path,
+                     **kwargs) -> tuple[DatabaseService, RingBufferSink]:
     OBS.enable()
     sink = OBS.events.add_sink(RingBufferSink(capacity=4096))
-    service = DatabaseService(pupil_database(),
-                              log=tmp_path / "wal.jsonl", **kwargs)
+    service = closing(DatabaseService(pupil_database(),
+                                      log=tmp_path / "wal.jsonl", **kwargs))
     return service, sink
 
 
@@ -65,8 +65,8 @@ def spans(sink: RingBufferSink, name: str, kind: str = "span.end"):
 
 
 class TestRequestLifecycleSpans:
-    def test_execute_produces_a_complete_span_tree(self, tmp_path):
-        service, sink = observed_service(tmp_path)
+    def test_execute_produces_a_complete_span_tree(self, closing, tmp_path):
+        service, sink = observed_service(closing, tmp_path)
         try:
             service.execute(Update.ins("teach", "gauss", "cs"))
         finally:
@@ -85,8 +85,8 @@ class TestRequestLifecycleSpans:
         (start,) = spans(sink, "service.request", "span.start")
         assert start.parent_span is None
 
-    def test_read_request_is_not_marked_committed(self, tmp_path):
-        service, sink = observed_service(tmp_path)
+    def test_read_request_is_not_marked_committed(self, closing, tmp_path):
+        service, sink = observed_service(closing, tmp_path)
         try:
             service.truth_of("teach", "euclid", "math")
         finally:
@@ -95,9 +95,9 @@ class TestRequestLifecycleSpans:
         assert request.attrs["family"] == "read"
         assert request.attrs["committed"] is False
 
-    def test_failed_execute_is_not_marked_committed(self, tmp_path):
+    def test_failed_execute_is_not_marked_committed(self, closing, tmp_path):
         service, sink = observed_service(
-            tmp_path, retry=RetryPolicy(max_attempts=1))
+            closing, tmp_path, retry=RetryPolicy(max_attempts=1))
         FAULTS.arm("wal.append.before", TransientError(times=10 ** 6))
         try:
             with pytest.raises(Exception):
@@ -108,8 +108,8 @@ class TestRequestLifecycleSpans:
         assert request.attrs["committed"] is False
         assert service.committed_ops() == ()
 
-    def test_request_ids_are_unique_per_request(self, tmp_path):
-        service, sink = observed_service(tmp_path)
+    def test_request_ids_are_unique_per_request(self, closing, tmp_path):
+        service, sink = observed_service(closing, tmp_path)
         try:
             service.execute(Update.ins("teach", "gauss", "cs"))
             service.truth_of("teach", "gauss", "cs")
@@ -122,9 +122,9 @@ class TestRequestLifecycleSpans:
 
 
 class TestRedMetrics:
-    def test_per_family_rate_error_duration(self, tmp_path):
+    def test_per_family_rate_error_duration(self, closing, tmp_path):
         service, sink = observed_service(
-            tmp_path, retry=RetryPolicy(max_attempts=1))
+            closing, tmp_path, retry=RetryPolicy(max_attempts=1))
         try:
             service.execute(Update.ins("teach", "gauss", "cs"))
             service.truth_of("teach", "gauss", "cs")
@@ -141,8 +141,8 @@ class TestRedMetrics:
             "service.red.execute.duration_seconds")
         assert duration.count == 2
 
-    def test_slo_monitor_sees_every_request(self, tmp_path):
-        service, sink = observed_service(tmp_path)
+    def test_slo_monitor_sees_every_request(self, closing, tmp_path):
+        service, sink = observed_service(closing, tmp_path)
         try:
             for i in range(5):
                 service.execute(Update.ins("teach", f"t{i}", f"c{i}"))
@@ -155,8 +155,8 @@ class TestRedMetrics:
 
 
 class TestContentionProfiling:
-    def test_per_cluster_wait_and_hold_histograms(self, tmp_path):
-        service, sink = observed_service(tmp_path)
+    def test_per_cluster_wait_and_hold_histograms(self, closing, tmp_path):
+        service, sink = observed_service(closing, tmp_path)
         try:
             service.execute(Update.ins("teach", "gauss", "cs"))
         finally:
@@ -173,23 +173,6 @@ class TestContentionProfiling:
         hold = OBS.metrics.histogram(
             next(n for n in holds if n.endswith("__write__")))
         assert hold.count >= 1
-
-    def test_upgrade_counter_on_read_modify_write(self, tmp_path):
-        service, sink = observed_service(tmp_path)
-        try:
-            service.read_modify_write(
-                ("teach",),
-                lambda db: Update.ins("teach", "gauss", "cs"),
-            )
-        finally:
-            OBS.events.remove_sink(sink)
-        assert OBS.metrics.counter("service.lock.upgrades").value >= 1
-        # The upgrade is visible in the trace, too.
-        upgrade_spans = [
-            r for r in spans(sink, "service.locks", "span.start")
-            if r.attrs.get("upgrade") is True
-        ]
-        assert upgrade_spans
 
 
 class TestBreakerProbeAccounting:
@@ -240,12 +223,9 @@ class TestBreakerProbeAccounting:
         assert breaker.state == HALF_OPEN
 
     def test_state_gauge_and_events_agree_with_committed_ops(
-            self, tmp_path):
-        OBS.enable()
-        sink = OBS.events.add_sink(RingBufferSink(capacity=4096))
-        service = DatabaseService(
-            pupil_database(),
-            log=tmp_path / "wal.jsonl",
+            self, closing, tmp_path):
+        service, sink = observed_service(
+            closing, tmp_path,
             retry=RetryPolicy(max_attempts=1),
             breaker=CircuitBreaker(failure_threshold=2,
                                    reset_timeout=0.05),

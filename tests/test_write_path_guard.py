@@ -1,7 +1,7 @@
 """Guard: one write path, one request scope.
 
-Every appender — a lane's ``execute``, the ``read_modify_write``
-upgrade, ``checkpoint``, the sharded facade's multi-shard write —
+Every appender — a lane's ``execute``, ``read_modify_write``,
+``checkpoint``, the sharded facade's multi-shard write —
 passes the breaker and takes the ``__write__`` token in one place
 (``repro.service.service.Appender``), and every request enters the
 admission gate in one place (the request scope). A second call site is
