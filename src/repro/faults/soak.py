@@ -51,6 +51,10 @@ and the two ``/metrics`` + ``/health`` scrapes record their own
 verdicts (``failover``, ``scrape``) where they observe them.
 ``docs/ROBUSTNESS.md`` prints the table.
 
+A run's :class:`SoakConfig` is what the command line chooses: the
+topology, the matrix, the load and the paths. Every other value every
+cell shares is a constant of this module.
+
 Run it: ``python -m repro.faults --soak [--shards N] [--replicas R]
 [--auto-failover] [--modes ...] [--scenarios ...]``.
 """
@@ -142,10 +146,26 @@ __all__ = ["CHECKS", "SCENARIOS", "Cell", "SoakConfig", "SoakReport",
 # -- configuration and report -------------------------------------------------
 
 
+# What every cell shares, named where more than one place reads it or
+# the suite-sized runs shorten it: the value pool the instance's rows
+# and the workload's updates draw from, how long the fault controller
+# holds a phase, each lane's lock wait, how long workers may run
+# before the cell calls them hung, and the replication ack wait.
+VALUE_POOL = 12
+PHASE_SECONDS = 0.08
+LOCK_TIMEOUT = 0.25
+WALL_CLOCK_LIMIT = 120.0
+ACK_TIMEOUT = 2.0
+# Short windows, so the forced breach/clear epilogue completes within
+# a CI smoke budget.
+ERROR_OBJECTIVE = Objective("soak-error-rate", ERROR_RATE, 0.35,
+                            window=1.5, fast_fraction=1 / 3)
+
+
 @dataclass(frozen=True)
 class SoakConfig:
-    """One run: a topology, a cell matrix over it, and the knobs every
-    cell shares. ``modes`` / ``scenarios`` left ``None`` take the
+    """One run: a topology, a cell matrix over it, the load, and where
+    the artifacts go. ``modes`` / ``scenarios`` left ``None`` take the
     topology's defaults (see :meth:`matrix`)."""
 
     shards: int = 1
@@ -159,37 +179,14 @@ class SoakConfig:
     threads: int = 8
     ops_per_thread: int = 30
     seed: int = 0
-    rows_per_function: int = 10
-    value_pool: int = 12
     faults: bool = True
-    phase_seconds: float = 0.08
-    lock_timeout: float = 0.25
-    queue_timeout: float = 0.5
-    max_concurrent: int = 6
-    max_queue: int = 32
-    tight_deadline: float = 0.003
-    loose_deadline: float = 2.0
-    wall_clock_limit: float = 120.0
-    ack_timeout: float = 2.0
-    # Fraction of planned reads redirected to replicas, and how many
-    # of those demand zero staleness (exercising StalenessUnserved).
-    replica_read_rate: float = 0.5
-    tight_read_rate: float = 0.2
-    lease_duration: float = 0.5
-    lease_margin: float = 0.1
-    lease_renew_interval: float = 0.08
-    heartbeat_drop_rate: float = 0.15
     workdir: str | None = None
     jsonl: str | None = None  # default: <workdir>/soak-events.jsonl
     # Serve /metrics + /health during each cell and scrape them mid-
     # and post-run, saving snapshots under scrape_dir (default:
-    # <workdir>). The SLO windows are short so the forced breach/clear
-    # epilogue completes within a CI smoke budget.
+    # <workdir>).
     serve_endpoint: bool = True
     scrape_dir: str | None = None
-    slo_window: float = 1.5
-    slo_fast_fraction: float = 1 / 3
-    slo_error_threshold: float = 0.35
 
     def __post_init__(self) -> None:
         if not 1 <= self.shards <= len(_CHAIN_PREFIXES) // 2:
@@ -363,17 +360,15 @@ def _soak_schema(chains: int) -> FunctionalDatabase:
     return db
 
 
-def soak_database(seed: int, rows_per_function: int = 10,
-                  value_pool: int = 12,
-                  chains: int = 2) -> FunctionalDatabase:
+def soak_database(seed: int, chains: int = 2) -> FunctionalDatabase:
     """A deterministic multi-cluster instance: reads and writes on
     different clusters are concurrent, writes within one contend, and
     the lone base gives the epilogues a quiet corner. On a sharded
     front door this is the *planning* instance; each lane holds the
     rows of its own functions only (:meth:`Cell.fresh_lane`)."""
     db = _soak_schema(chains)
-    random_instance(db, rows_per_function, seed=seed,
-                    value_pool=value_pool)
+    random_instance(db, rows_per_function=10, seed=seed,
+                    value_pool=VALUE_POOL)
     return db
 
 
@@ -394,7 +389,7 @@ def _plan_worker(config: SoakConfig, full: FunctionalDatabase,
     stream = random_updates(
         full, config.ops_per_thread,
         WorkloadConfig(seed=config.seed * 104729 + worker,
-                       value_pool=config.value_pool,
+                       value_pool=VALUE_POOL,
                        fresh_value_rate=0.4),
     )
     read_targets = tuple(full.base_names) + tuple(full.derived_names)
@@ -407,8 +402,10 @@ def _plan_worker(config: SoakConfig, full: FunctionalDatabase,
         name = rng.choice(read_targets)
         elsewhere = [other for other in read_targets
                      if shard_of(other) != shard_of(name)]
-        if config.replicas and rng.random() < config.replica_read_rate:
-            bound = 0 if rng.random() < config.tight_read_rate else None
+        # Half the reads go to replicas, a fifth of those demanding
+        # zero staleness (exercising StalenessUnserved).
+        if config.replicas and rng.random() < 0.5:
+            bound = 0 if rng.random() < 0.2 else None
             return "replica_read", (name, bound), deadline
         if elsewhere and rng.random() < 0.3:
             return "scatter", (name, rng.choice(elsewhere)), deadline
@@ -417,8 +414,7 @@ def _plan_worker(config: SoakConfig, full: FunctionalDatabase,
     ops: list[tuple] = []
     for index in range(config.ops_per_thread):
         roll = rng.random()
-        deadline = (config.tight_deadline if roll < 0.1
-                    else config.loose_deadline if roll < 0.9 else None)
+        deadline = 0.003 if roll < 0.1 else 2.0 if roll < 0.9 else None
         kind_roll = rng.random()
         if worker == 0 and index and index % 10 == 0:
             ops.append(("checkpoint", (index // 10) % config.shards,
@@ -634,7 +630,7 @@ def _controller(cell: "Cell", phase_at, stop: threading.Event) -> None:
         enter()
         if OBS.enabled:
             OBS.action("soak.phase", phase=name)
-        stop.wait(cell.config.phase_seconds)
+        stop.wait(PHASE_SECONDS)
         leave()
         index += 1
 
@@ -825,8 +821,7 @@ class Cell:
             stack.callback(OBS.disable)
 
         chains = 2 * config.shards
-        self.full = soak_database(config.seed, config.rows_per_function,
-                                  config.value_pool, chains)
+        self.full = soak_database(config.seed, chains)
         self.lanes = [
             _Lane(shard, lanes_dir / f"shard-{shard}.snap",
                   lanes_dir / f"shard-{shard}.wal")
@@ -835,7 +830,7 @@ class Cell:
 
         def replication_factory(shard: int) -> ReplicationGroup:
             group = ReplicationGroup(
-                self.report.mode, ack_timeout=config.ack_timeout,
+                self.report.mode, ack_timeout=ACK_TIMEOUT,
                 retry_interval=0.01, journal=True,
             )
             stack.callback(group.close)
@@ -843,19 +838,14 @@ class Cell:
                 # Enabled before the lane service attaches, so the very
                 # first term is lease-granted.
                 group.enable_lease(LeaseConfig(
-                    duration=config.lease_duration,
-                    margin=config.lease_margin,
-                    renew_interval=config.lease_renew_interval,
+                    duration=0.5, margin=0.1, renew_interval=0.08,
                     check_interval=0.02,
                 ))
             self.lanes[shard].group = group
             return group
 
-        objectives = (Objective(
-            "soak-error-rate", ERROR_RATE, config.slo_error_threshold,
-            window=config.slo_window,
-            fast_fraction=config.slo_fast_fraction,
-        ),) + ((replication_lag_objective(),) if config.replicas else ())
+        objectives = (ERROR_OBJECTIVE,) + (
+            (replication_lag_objective(),) if config.replicas else ())
         # Round-robin cluster -> shard pins: every lane must be
         # populated (the epilogues write to lanes by name) and see real
         # multi-shard traffic, which a pure hash placement cannot
@@ -869,16 +859,14 @@ class Cell:
             replication_factory=(replication_factory
                                  if config.replicas else None),
             service_kwargs=dict(
-                lock_timeout=config.lock_timeout,
+                lock_timeout=LOCK_TIMEOUT,
                 retry=RetryPolicy(
                     max_attempts=4, base_delay=0.004, max_delay=0.05,
                     jitter=0.004,
-                    retryable=RetryPolicy().retryable
-                    + (PersistenceError,),
                 ),
-                max_concurrent=config.max_concurrent,
-                max_queue=config.max_queue,
-                queue_timeout=config.queue_timeout,
+                max_concurrent=6,
+                max_queue=32,
+                queue_timeout=0.5,
                 objectives=objectives,
                 seed=config.seed,
             ),
@@ -985,17 +973,18 @@ class Cell:
                 FAULTS.arm("repl.transport.deliver", LatencyFault(
                     0.0005, jitter=0.002, seed=config.seed))
             if self.coordinator is not None:
-                # Clock skew out to the configured drift margin — the
+                # Clock skew out to the lease's drift margin — the
                 # primary runs fast, one replica slow — plus lossy
                 # heartbeats: lease safety must not depend on
                 # comparable clocks or a reliable beat stream.
                 lease = self.lanes[0].group.lease
+                margin = lease.config.margin
                 FAULTS.arm("repl.lease.clock", ClockSkewFault(offsets={
-                    lease.clock.node: config.lease_margin,
-                    self.lanes[0].replicas[0]: -config.lease_margin,
+                    lease.clock.node: margin,
+                    self.lanes[0].replicas[0]: -margin,
                 }))
                 FAULTS.arm("repl.lease.heartbeat", HeartbeatDropFault(
-                    rate=config.heartbeat_drop_rate, seed=config.seed,
+                    rate=0.15, seed=config.seed,
                 ))
             if self.scenario.phases is not None:
                 controller = threading.Thread(
@@ -1017,15 +1006,15 @@ class Cell:
             # scenario's faults live: the exposition must be
             # well-formed — and the lag gauges present — while the
             # registry is being hammered, not just at rest.
-            time.sleep(min(0.25, config.wall_clock_limit / 10))
+            time.sleep(min(0.25, WALL_CLOCK_LIMIT / 10))
             self.scrape("mid")
-        budget = started + config.wall_clock_limit
+        budget = started + WALL_CLOCK_LIMIT
         for worker in workers:
             worker.join(max(budget - time.monotonic(), 0.1))
         self.hung = sum(1 for worker in workers if worker.is_alive())
         stop.set()
         if controller is not None:
-            controller.join(config.phase_seconds * 4 + 1.0)
+            controller.join(PHASE_SECONDS * 4 + 1.0)
         # Deterministic epilogue timing: every injected fault stops
         # here except the clock skew — expiry, election and fencing
         # must hold under drift up to the margin.
@@ -1129,7 +1118,7 @@ class Cell:
             return
         # Clear: successes push the fast-window error rate back under
         # the threshold once the breach ages past the fast horizon.
-        budget = time.monotonic() + 10.0 + self.config.slo_window
+        budget = time.monotonic() + 10.0 + ERROR_OBJECTIVE.window
         while not slo.healthy:
             if time.monotonic() >= budget:
                 report.fail("breathe",
@@ -1254,7 +1243,7 @@ class Cell:
         group.remove_replica(promotion.chosen)
         new = DatabaseService(
             chosen.db, log=UpdateLog(chosen.wal_path),
-            lock_timeout=config.lock_timeout, shard=0,
+            lock_timeout=LOCK_TIMEOUT, shard=0,
             replication=group, node=chosen.name, seed=config.seed + 1,
         )
         front.swap_lane(0, new)

@@ -83,6 +83,11 @@ __all__ = ["UpdateLog", "LoggedDatabase", "checkpoint", "recover",
 
 WAL_VERSION = 2
 
+# A failed record write is retried this many times, sleeping
+# APPEND_BACKOFF * 2**n seconds before retry n (0-based).
+APPEND_RETRIES = 3
+APPEND_BACKOFF = 0.005
+
 
 FAULTS.register(
     "wal.append.before",
@@ -373,9 +378,11 @@ class UpdateLog:
     """Append-only, checksummed JSON-lines log of updates.
 
     Every acknowledged append is fsync'd (``fsync=False`` trades the
-    power-loss guarantee for speed); transient ``OSError`` during the
-    write is retried ``retries`` times with exponential backoff before
-    giving up.
+    power-loss guarantee for speed); a transient ``OSError`` during the
+    write is cut back and retried :data:`APPEND_RETRIES` times with
+    exponential backoff from :data:`APPEND_BACKOFF` seconds, still
+    under the caller's locks, before :class:`PersistenceError` gives
+    up. This is the only retry a storage error gets.
 
     The log keeps one append descriptor open from its first append
     until :meth:`close`; the operations that rename a new file over
@@ -395,12 +402,9 @@ class UpdateLog:
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = True,
-                 retries: int = 3, backoff: float = 0.005,
                  term: int = 0) -> None:
         self.path = Path(path)
         self.fsync = fsync
-        self.retries = retries
-        self.backoff = backoff
         # Replication epoch stamped into every subsequent record.
         self.term = term
         self._idx: _Index | None = None
@@ -478,14 +482,14 @@ class UpdateLog:
                     nbytes = self._write(index, line)
                     break
                 except OSError as exc:
-                    if attempt >= self.retries:
+                    if attempt >= APPEND_RETRIES:
                         raise PersistenceError(
                             f"log append failed after "
                             f"{attempt + 1} attempts: {exc}"
                         ) from exc
                     if OBS.enabled:
                         OBS.inc("fdb.wal.retries")
-                    time.sleep(self.backoff * (2 ** attempt))
+                    time.sleep(APPEND_BACKOFF * (2 ** attempt))
                     attempt += 1
             index.add(seq, self.term, key == "abort_of", nbytes)
         FAULTS.fire("wal.append.after")

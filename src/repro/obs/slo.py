@@ -47,6 +47,9 @@ REPLICATION_LAG = "replication_lag"
 
 _KINDS = (LATENCY, ERROR_RATE, SHED_RATE, REPLICATION_LAG)
 
+# Seconds between two evaluations that maybe_evaluate lets through.
+EVAL_INTERVAL = 0.25
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -169,16 +172,14 @@ class SLOMonitor:
     One monitor per service. ``record`` is called on every request
     completion (success or failure); ``evaluate`` walks the objectives
     and fires/clears alerts; ``maybe_evaluate`` rate-limits that to
-    ``eval_interval`` so request paths can call it unconditionally.
+    :data:`EVAL_INTERVAL` so request paths can call it unconditionally.
     """
 
     def __init__(self, objectives: tuple[Objective, ...] | None = None,
-                 *, clock=time.monotonic,
-                 eval_interval: float = 0.25) -> None:
+                 *, clock=time.monotonic) -> None:
         self.objectives = tuple(objectives if objectives is not None
                                 else default_objectives())
         self._clock = clock
-        self.eval_interval = eval_interval
         self._horizon = max(
             (o.window for o in self.objectives), default=60.0
         )
@@ -246,11 +247,11 @@ class SLOMonitor:
     # -- evaluation ---------------------------------------------------------
 
     def maybe_evaluate(self) -> list[Verdict] | None:
-        """Evaluate if at least ``eval_interval`` elapsed since the
+        """Evaluate if at least :data:`EVAL_INTERVAL` elapsed since the
         last evaluation; None when skipped (the common case)."""
         now = self._clock()
         with self._lock:
-            if now - self._last_eval < self.eval_interval:
+            if now - self._last_eval < EVAL_INTERVAL:
                 return None
         return self.evaluate(now)
 

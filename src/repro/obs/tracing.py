@@ -30,6 +30,9 @@ from repro.obs.events import EventRecord
 
 __all__ = ["SpanEvent", "Span", "Tracer"]
 
+# Finished root spans a tracer keeps, newest last.
+MAX_TRACES = 16
+
 
 def format_value(value) -> str:
     # Lazy import: repro.fdb modules import repro.obs.hooks at module
@@ -158,16 +161,15 @@ class Tracer:
     under its ``parent_span`` when that span is open here, or a new
     root otherwise; ``event`` and ``action`` records attach to their
     open span; ``span.end`` closes the span with the end record's
-    duration and attrs. Only the last ``max_traces`` finished roots are
-    kept, each with the records it was built from (:meth:`records`).
+    duration and attrs. Only the last :data:`MAX_TRACES` finished roots
+    are kept, each with the records it was built from (:meth:`records`).
 
     One lock guards the open spans and the finished roots, so spans
     opened on several threads — or joined across a shipped trace
     context — fold into the right tree.
     """
 
-    def __init__(self, max_traces: int = 16) -> None:
-        self.max_traces = max_traces
+    def __init__(self) -> None:
         # span_id -> (open span, its root's record list)
         self._open: dict[int, tuple[Span, list[EventRecord]]] = {}
         self._finished: list[tuple[Span, list[EventRecord]]] = []
@@ -205,7 +207,7 @@ class Tracer:
             span.attrs = record.attrs
             if records[0].span_id == span.span_id:  # a root opened its list
                 self._finished.append((span, records))
-                if len(self._finished) > self.max_traces:
+                if len(self._finished) > MAX_TRACES:
                     self._finished.pop(0)
 
     @property

@@ -92,17 +92,15 @@ class LeaseConfig:
     the quorum watermark, while a replica's detector waits
     ``duration + 2 * margin`` past the last observed beat — the
     asymmetry is what keeps the two windows apart under worst-case
-    opposite drift (see the module docstring).
+    opposite drift (see the module docstring). ``renew_interval`` and
+    ``check_interval`` pace the renewer and the coordinator's watch
+    loop; both must be positive.
     """
 
     duration: float = 1.5
     margin: float = 0.25
     renew_interval: float = 0.3
     check_interval: float = 0.05
-    # Operator override for the election vote quota (None = majority
-    # of the full group, the safe default; lowering it trades the
-    # split-brain-free guarantee for liveness in tiny groups).
-    election_votes: int | None = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -120,6 +118,12 @@ class LeaseConfig:
                 "renew_interval must fit inside the primary's validity "
                 f"window ({self.duration - self.margin:.3f}s)"
             )
+        # Event.wait(0) returns at once: the renewer and the
+        # coordinator would spin.
+        if self.renew_interval <= 0:
+            raise ValueError("renew_interval must be positive")
+        if self.check_interval <= 0:
+            raise ValueError("check_interval must be positive")
 
     @property
     def primary_validity(self) -> float:
@@ -513,16 +517,19 @@ class FailoverCoordinator:
        accept the documented loss).
     3. **Winner.** Highest ``applied_seq``; lexicographically smallest
        name on ties. ``group.promote(winner)`` applies the existing
-       fence/ack-capping/re-bootstrap rules, the ``on_elected``
-       callback builds the new primary, and every detector resets so
-       the new leader gets a full window to start heartbeating.
+       fence/ack-capping/re-bootstrap rules, and every detector resets
+       so the new leader gets a full window to start heartbeating.
+       Whoever holds the coordinator reads :attr:`elections` and
+       attaches the new primary.
+
+    The vote quota has no override: a two-node group (one replica and
+    the primary) never elects automatically.
     """
 
     def __init__(self, group, config: LeaseConfig | None = None, *,
-                 on_elected=None, clock=None) -> None:
+                 clock=None) -> None:
         self.group = group
         self.config = config or LeaseConfig()
-        self.on_elected = on_elected
         self.clock = clock or LeaseClock("coordinator")
         self._lock = threading.RLock()
         self._replicas: dict[str, object] = {}
@@ -553,8 +560,6 @@ class FailoverCoordinator:
             replica.failure_detector = None
 
     def votes_needed(self) -> int:
-        if self.config.election_votes is not None:
-            return self.config.election_votes
         with self._lock:
             n = len(self._detectors)
         return (n + 1) // 2 + 1
@@ -627,8 +632,6 @@ class FailoverCoordinator:
                 detector.reset()
             self.unwatch(winner)
             self.elections.append(report)
-            if self.on_elected is not None:
-                self.on_elected(report)
             return report
 
     # -- lifecycle ----------------------------------------------------------

@@ -32,6 +32,10 @@ from repro.replication.transport import encode_snapshot
 
 __all__ = ["WalShipper", "ReplicaLink", "SnapshotNeeded"]
 
+# Records per append frame (trailing aborts of a batched entry ride
+# along past it; see :meth:`WalShipper.ship`).
+BATCH_LIMIT = 256
+
 
 class SnapshotNeeded(ReplicationError):
     """Delta shipping cannot reach this replica: the records it needs
@@ -76,10 +80,9 @@ class WalShipper:
     """The record stream from one primary log to N replica links."""
 
     def __init__(self, log: UpdateLog, *, term: int = 0,
-                 batch_limit: int = 256, journal: bool = False) -> None:
+                 journal: bool = False) -> None:
         self.log = log
         self.term = term
-        self.batch_limit = batch_limit
         # Set by ReplicationGroup.enable_lease(): when present, every
         # outbound frame carries a heartbeat stamp and every ok reply
         # counts as a lease renewal vote (piggybacked heartbeats).
@@ -182,7 +185,7 @@ class WalShipper:
                 floor = (records[0][0] - 1 if records
                          else self.log.shippable_floor())
                 raise SnapshotNeeded(link.name, acked, floor)
-            batch = records[: self.batch_limit]
+            batch = records[:BATCH_LIMIT]
             # A batch boundary must never separate an entry from its
             # compensating abort: the replica skips an aborted entry
             # only when both arrive in the same batch, so trailing

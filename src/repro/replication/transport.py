@@ -182,33 +182,23 @@ class SocketTransport:
     after any failure; the protocol is one-request-one-reply, so a
     reconnect can never interleave frames.
 
-    ``connect_timeout`` / ``send_timeout`` / ``recv_timeout`` bound
-    each phase of an exchange (all default to ``timeout``): a silently
-    dead peer — SYN black hole, send buffer that never drains, reply
-    that never comes — surfaces as :exc:`TimeoutError` within the
-    bound instead of blocking the shipper (and the lease renewer, and
-    therefore the failure detectors) forever. A timed-out exchange
-    drops the connection: the reply may still arrive later, and
-    reading it against the *next* request would desynchronise the
-    framing. The shipper treats the error as retryable-unreachable,
+    ``timeout`` bounds each phase of an exchange (connect, send,
+    receive) on its own: a silently dead peer — SYN black hole, send
+    buffer that never drains, reply that never comes — surfaces as
+    :exc:`TimeoutError` within the bound instead of blocking the
+    shipper (and the lease renewer, and therefore the failure
+    detectors) forever. A timed-out exchange drops the connection: the
+    reply may still arrive later, and reading it against the *next*
+    request would desynchronise the framing. The shipper treats the error as retryable-unreachable,
     the same as any ``ConnectionError`` — and a heartbeat lost to it
     counts toward lease expiry like any other missed beat.
     """
 
     def __init__(self, host: str, port: int, *,
-                 timeout: float = 5.0, name: str | None = None,
-                 connect_timeout: float | None = None,
-                 send_timeout: float | None = None,
-                 recv_timeout: float | None = None) -> None:
+                 timeout: float = 5.0, name: str | None = None) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.connect_timeout = connect_timeout \
-            if connect_timeout is not None else timeout
-        self.send_timeout = send_timeout \
-            if send_timeout is not None else timeout
-        self.recv_timeout = recv_timeout \
-            if recv_timeout is not None else timeout
         self.name = name or f"{host}:{port}"
         self.partitioned = False
         self._sock: socket.socket | None = None
@@ -220,9 +210,7 @@ class SocketTransport:
         with self._lock:
             try:
                 sock = self._connect()
-                sock.settimeout(self.send_timeout)
                 send_frame(sock, message)
-                sock.settimeout(self.recv_timeout)
                 reply = recv_frame(sock)
             except TimeoutError as exc:
                 self._drop()
@@ -243,8 +231,10 @@ class SocketTransport:
 
     def _connect(self) -> socket.socket:
         if self._sock is None:
+            # The connect timeout stays on the socket for every send
+            # and receive after it.
             sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout
+                (self.host, self.port), timeout=self.timeout
             )
             if sock.getsockname() == sock.getpeername():
                 # Linux TCP simultaneous-open quirk: connecting to a
@@ -377,13 +367,7 @@ class ReplicaServer:
             self._accept_thread = None
 
     def transport(self, *, timeout: float = 5.0,
-                  name: str | None = None,
-                  connect_timeout: float | None = None,
-                  send_timeout: float | None = None,
-                  recv_timeout: float | None = None) -> SocketTransport:
+                  name: str | None = None) -> SocketTransport:
         """A client transport pointed at this server."""
         return SocketTransport(self.host, self.port,
-                               timeout=timeout, name=name,
-                               connect_timeout=connect_timeout,
-                               send_timeout=send_timeout,
-                               recv_timeout=recv_timeout)
+                               timeout=timeout, name=name)

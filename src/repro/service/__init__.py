@@ -11,7 +11,7 @@ harness that validates all of it lives in :mod:`repro.faults.soak`
 from repro.service.admission import AdmissionGate
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.locks import EXCLUSIVE, SHARED, LockManager
-from repro.service.retry import DEFAULT_RETRYABLE, RetryPolicy
+from repro.service.retry import RETRYABLE, RetryPolicy
 from repro.service.service import WRITE_RESOURCE, DatabaseService
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "SHARED",
     "EXCLUSIVE",
     "RetryPolicy",
-    "DEFAULT_RETRYABLE",
+    "RETRYABLE",
     "DatabaseService",
     "WRITE_RESOURCE",
 ]

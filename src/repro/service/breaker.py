@@ -15,9 +15,8 @@ States follow the classic three-state machine:
   count.
 * ``OPEN`` — failing fast; after ``reset_timeout`` seconds the next
   candidate write is allowed through as a probe (→ ``HALF_OPEN``).
-* ``HALF_OPEN`` — at most ``half_open_max`` probes in flight; one
-  success closes the breaker, one failure re-opens it and restarts
-  the clock.
+* ``HALF_OPEN`` — exactly one probe in flight; its success closes the
+  breaker, its failure re-opens it and restarts the clock.
 
 Every transition is narrated through :func:`repro.obs.hooks.OBS.action`
 (``breaker.open`` / ``breaker.half_open`` / ``breaker.closed``) so a
@@ -49,21 +48,18 @@ class CircuitBreaker:
     """Consecutive-failure breaker with a probe-based reset."""
 
     def __init__(self, *, failure_threshold: int = 5,
-                 reset_timeout: float = 1.0, half_open_max: int = 1,
+                 reset_timeout: float = 1.0,
                  clock=time.monotonic) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if half_open_max < 1:
-            raise ValueError("half_open_max must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_max = half_open_max
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._failures = 0
         self._opened_at = 0.0
-        self._probes = 0
+        self._probing = False
         self._trips = 0
         self._resets = 0
 
@@ -94,9 +90,9 @@ class CircuitBreaker:
     def allow(self) -> None:
         """Gate one candidate operation; raises
         :class:`ServiceReadOnly` when the breaker is failing fast.
-        A successful return in HALF_OPEN reserves a probe slot — the
-        caller *must* then report :meth:`record_success` or
-        :meth:`record_failure`."""
+        A successful return in HALF_OPEN makes the caller the probe —
+        it *must* then report :meth:`record_success`,
+        :meth:`record_failure` or :meth:`release_probe`."""
         with self._lock:
             if self._state == CLOSED:
                 return
@@ -109,20 +105,20 @@ class CircuitBreaker:
                         f"probe); writes rejected, reads served"
                     )
                 self._transition(HALF_OPEN, reason="reset timeout elapsed")
-                self._probes = 0
-            # HALF_OPEN: admit up to half_open_max probes.
-            if self._probes >= self.half_open_max:
+                self._probing = False
+            # HALF_OPEN: admit one probe.
+            if self._probing:
                 raise ServiceReadOnly(
-                    "storage circuit breaker half-open and probe "
-                    "quota in flight; writes rejected"
+                    "storage circuit breaker half-open and its probe "
+                    "in flight; writes rejected"
                 )
-            self._probes += 1
+            self._probing = True
 
     def record_success(self) -> None:
         with self._lock:
             self._failures = 0
             if self._state == HALF_OPEN:
-                self._probes = 0
+                self._probing = False
                 self._resets += 1
                 self._transition(CLOSED, reason="probe succeeded")
             elif self._state == OPEN:
@@ -134,7 +130,7 @@ class CircuitBreaker:
     def record_failure(self, exc: BaseException | None = None) -> None:
         with self._lock:
             if self._state == HALF_OPEN:
-                self._probes = 0
+                self._probing = False
                 self._opened_at = self._clock()
                 self._trips += 1
                 self._transition(OPEN, reason=self._why(exc,
@@ -156,10 +152,10 @@ class CircuitBreaker:
     def release_probe(self) -> None:
         """The operation :meth:`allow` admitted ended without a storage
         verdict (it failed validation, timed out on a lock, was
-        cancelled): return the probe slot so the breaker keeps probing."""
+        cancelled): give up the probe so the breaker keeps probing."""
         with self._lock:
-            if self._state == HALF_OPEN and self._probes > 0:
-                self._probes -= 1
+            if self._state == HALF_OPEN:
+                self._probing = False
 
     @staticmethod
     def _why(exc: BaseException | None, base: str) -> str:

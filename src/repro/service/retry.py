@@ -2,12 +2,14 @@
 
 The taxonomy matters more than the loop: a retry policy is a statement
 about *which failures are expected to pass*. Lock timeouts pass once
-the contending writer commits; ``faults.TransientError`` (surfaced as
-``OSError``) and the WAL's :class:`~repro.errors.PersistenceError`
-pass once the device recovers.
-Schema errors, constraint violations and deadline expiry do not pass
-— retrying them burns the caller's remaining deadline for nothing, so
-they propagate immediately.
+the contending writer commits, so they are the only failures a request
+retries (:data:`RETRYABLE`). A transient storage error is retried in
+one place only: :class:`~repro.fdb.wal.UpdateLog` retries the failed
+write under the write token, because only the log can cut it back, and
+its final :class:`~repro.errors.PersistenceError` is the request's
+verdict. Schema errors, constraint violations and deadline expiry do
+not pass — retrying them burns the caller's remaining deadline for
+nothing, so they propagate immediately.
 
 Jitter comes from an injected :class:`random.Random` so that a soak
 run's backoff schedule is reproducible from its seed, and so that a
@@ -18,28 +20,26 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cancel import Deadline
 from repro.errors import LockTimeout
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRYABLE"]
+__all__ = ["RetryPolicy", "RETRYABLE"]
 
-DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (LockTimeout, OSError)
+RETRYABLE: tuple[type[BaseException], ...] = (LockTimeout,)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Capped exponential backoff: attempt *n* (0-based) sleeps
-    ``min(base_delay * multiplier**n, max_delay)`` plus a uniform
-    jitter in ``[0, jitter]`` seconds."""
+    ``min(base_delay * 2**n, max_delay)`` plus a uniform jitter in
+    ``[0, jitter]`` seconds."""
 
     max_attempts: int = 4
     base_delay: float = 0.005
     max_delay: float = 0.25
-    multiplier: float = 2.0
     jitter: float = 0.005
-    retryable: tuple[type[BaseException], ...] = DEFAULT_RETRYABLE
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -47,13 +47,9 @@ class RetryPolicy:
         if self.base_delay < 0 or self.max_delay < 0 or self.jitter < 0:
             raise ValueError("delays must be >= 0")
 
-    def is_retryable(self, exc: BaseException) -> bool:
-        return isinstance(exc, self.retryable)
-
     def delay(self, attempt: int, rng: random.Random | None = None) -> float:
         """Backoff before retry number ``attempt`` (0-based)."""
-        pause = min(self.base_delay * (self.multiplier ** attempt),
-                    self.max_delay)
+        pause = min(self.base_delay * (2 ** attempt), self.max_delay)
         if self.jitter and rng is not None:
             pause += rng.uniform(0.0, self.jitter)
         return pause
@@ -63,7 +59,7 @@ class RetryPolicy:
             on_retry=None):
         """Call ``fn()`` under this policy.
 
-        Non-retryable failures propagate at once; retryable ones are
+        Failures outside :data:`RETRYABLE` propagate at once; the rest are
         retried up to ``max_attempts`` total calls, backing off in
         between. A ``deadline`` bounds the whole affair: no retry is
         *started* once it has expired, and sleeps are clipped to the
@@ -76,7 +72,7 @@ class RetryPolicy:
             try:
                 return fn()
             except BaseException as exc:
-                if not self.is_retryable(exc):
+                if not isinstance(exc, RETRYABLE):
                     raise
                 if attempt >= self.max_attempts - 1:
                     raise

@@ -38,10 +38,11 @@ through :class:`Appender`, and :func:`write` is the one commit loop,
 **Degradation.** Admission (bounded queue, shedding) in front;
 deadlines (cooperative cancellation through chain enumeration,
 propagation and WAL appends) within; retry with capped backoff around
-lock timeouts and transient storage errors; a circuit breaker that
-converts a dead log device into fast :class:`ServiceReadOnly`
-rejections instead of a convoy; and a drain that stops admissions,
-waits the executing tail out, and leaves the database consistent.
+lock timeouts (the log alone retries a transient write error); a
+circuit breaker that converts a dead log device into fast
+:class:`ServiceReadOnly` rejections instead of a convoy; and a drain
+that stops admissions, waits the executing tail out, and leaves the
+database consistent.
 
 **Telemetry.** Every public operation runs as one *request*: a fresh
 request id, a ``service.request`` span under which admission wait
@@ -84,7 +85,7 @@ from repro.obs.slo import (Objective, SLOMonitor,
 from repro.service.admission import AdmissionGate
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.locks import EXCLUSIVE, SHARED, LockManager
-from repro.service.retry import DEFAULT_RETRYABLE, RetryPolicy
+from repro.service.retry import RetryPolicy
 
 __all__ = ["Appender", "DatabaseService", "FrontDoor", "WRITE_RESOURCE",
            "clusters_of", "touched", "write"]
@@ -92,8 +93,6 @@ __all__ = ["Appender", "DatabaseService", "FrontDoor", "WRITE_RESOURCE",
 # Sorts before every "fn:..." cluster resource, so the lock manager's
 # sorted acquisition order is: write token first, then clusters.
 WRITE_RESOURCE = "__write__"
-
-_WRITE_RETRYABLE = DEFAULT_RETRYABLE + (PersistenceError,)
 
 
 def _write_token(locks: LockManager, clusters: Iterable[str] = (),
@@ -229,7 +228,6 @@ class DatabaseService(FrontDoor):
         log: wal_module.UpdateLog | str | Path | None = None,
         lock_timeout: float = 1.0,
         shard: int | None = None,
-        default_deadline: float | None = None,
         retry: RetryPolicy | None = None,
         max_concurrent: int = 8,
         max_queue: int = 16,
@@ -238,8 +236,6 @@ class DatabaseService(FrontDoor):
         objectives: Iterable[Objective] | None = None,
         replication=None,
         node: str = "primary",
-        staleness_max_lag_seq: int | None = None,
-        staleness_max_lag_seconds: float | None = None,
         seed: int = 0,
     ) -> None:
         self.db = db
@@ -247,8 +243,7 @@ class DatabaseService(FrontDoor):
         if log is not None:
             self.logged = wal_module.LoggedDatabase(db, log)
         self.locks = LockManager(default_timeout=lock_timeout)
-        self.default_deadline = default_deadline
-        self.retry = retry or RetryPolicy(retryable=_WRITE_RETRYABLE)
+        self.retry = retry or RetryPolicy()
         self.gate = AdmissionGate(max_concurrent=max_concurrent,
                                   max_queue=max_queue,
                                   queue_timeout=queue_timeout)
@@ -284,8 +279,6 @@ class DatabaseService(FrontDoor):
         # lose — as (wal seq, update) pairs in ack order.
         self.replication = replication
         self.node = node
-        self.staleness_max_lag_seq = staleness_max_lag_seq
-        self.staleness_max_lag_seconds = staleness_max_lag_seconds
         self.acked: list[tuple[int, Update | UpdateSequence]] = []
         self._acked_lock = threading.Lock()
         self._repl_term: int | None = None
@@ -332,8 +325,6 @@ class DatabaseService(FrontDoor):
             self._stats[key] += by
 
     def _deadline(self, deadline: Deadline | float | None) -> Deadline | None:
-        if deadline is None:
-            deadline = self.default_deadline
         if deadline is None or isinstance(deadline, Deadline):
             return deadline
         return Deadline(deadline)
@@ -375,12 +366,11 @@ class DatabaseService(FrontDoor):
 
     def _on_retry(self, attempt: int, exc: BaseException) -> None:
         self._bump("retries")
+        self._bump("lock_timeouts")  # the one failure a request retries
         if OBS.enabled:
             OBS.inc("service.retries")
             OBS.event("service.retry", attempt=attempt,
                       error=type(exc).__name__)
-        if isinstance(exc, LockTimeout):
-            self._bump("lock_timeouts")
 
     # -- reads --------------------------------------------------------------
 
@@ -402,16 +392,12 @@ class DatabaseService(FrontDoor):
                      max_lag_seconds: float | None = None) -> object:
         """Serve ``fn(db)`` from a replica within the bounded-staleness
         window instead of the primary (offloads derived-function
-        queries). Defaults to the service's configured staleness
-        bounds; raises :class:`repro.errors.StalenessUnserved` when no
-        replica qualifies and :class:`ReplicationError` when the
-        service is unreplicated."""
+        queries). No bound: any linked replica serves. Raises
+        :class:`repro.errors.StalenessUnserved` when no replica
+        qualifies and :class:`ReplicationError` when the service is
+        unreplicated."""
         if self.replication is None:
             raise ReplicationError("service has no replication group")
-        if max_lag_seq is None:
-            max_lag_seq = self.staleness_max_lag_seq
-        if max_lag_seconds is None:
-            max_lag_seconds = self.staleness_max_lag_seconds
         # Nothing here runs on the primary, so its gate is not entered.
         with _Request((self,), "replica_read", admit=False):
             return self.replication.read(
@@ -424,9 +410,9 @@ class DatabaseService(FrontDoor):
     def execute(self, update: Update | UpdateSequence, *,
                 deadline: Deadline | float | None = None) -> None:
         """Apply one update (or atomic sequence), durably when a log
-        is attached. Retries lock timeouts and transient storage
-        failures under the service's :class:`RetryPolicy`; raises the
-        final error when the policy gives up."""
+        is attached. Retries lock timeouts under the service's
+        :class:`RetryPolicy` (a storage error was already retried by
+        the log); raises the final error when the policy gives up."""
         write((self,), (update,), deadline)
 
     def _replication_ack(self, seq: int | None,
@@ -559,13 +545,7 @@ class DatabaseService(FrontDoor):
             "committed": len(self.committed),
         }
         if self.replication is not None:
-            verdict["replication"] = repl = self._replication_health()
-            bounded = (self.staleness_max_lag_seq is not None
-                       or self.staleness_max_lag_seconds is not None)
-            if bounded and not repl["servable"]:
-                # Bounded-staleness reads cannot be served: surface
-                # the outage as a 503 rather than silent stale data.
-                verdict["healthy"] = False
+            verdict["replication"] = repl = self.replication.health()
             lease = repl.get("lease")
             if lease is not None:
                 verdict["leaderless"] = not lease["held"]
@@ -592,14 +572,8 @@ class DatabaseService(FrontDoor):
             snapshot["wal"] = self.logged.log.health()
         if self.replication is not None:
             snapshot["acked"] = len(self.acked)
-            snapshot["replication"] = self._replication_health()
+            snapshot["replication"] = self.replication.health()
         return snapshot
-
-    def _replication_health(self) -> dict:
-        return self.replication.health(
-            max_lag_seq=self.staleness_max_lag_seq,
-            max_lag_seconds=self.staleness_max_lag_seconds,
-        )
 
     def committed_ops(self) -> tuple[Update | UpdateSequence, ...]:
         """A stable copy of the commit-ordered operation log; replay

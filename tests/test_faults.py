@@ -26,7 +26,7 @@ from repro.faults.harness import (
     run_truncation_sweep,
     states_diff,
 )
-from repro.fdb import persistence
+from repro.fdb import persistence, wal
 from repro.fdb.updates import Update
 from repro.fdb.wal import LoggedDatabase, UpdateLog
 from repro.obs import OBS
@@ -90,8 +90,10 @@ class TestRegistry:
 
 
 class TestTransientRetry:
-    def test_append_retries_through_transient_errors(self, tmp_path, closing):
-        log = closing(UpdateLog(tmp_path / "log", backoff=0.0))
+    def test_append_retries_through_transient_errors(self, tmp_path, closing,
+                                                     monkeypatch):
+        monkeypatch.setattr(wal, "APPEND_BACKOFF", 0.0)
+        log = closing(UpdateLog(tmp_path / "log"))
         FAULTS.arm("storage.append.before", TransientError(times=2))
         OBS.enable()
         try:
@@ -104,9 +106,11 @@ class TestTransientRetry:
         assert retries == 2
         assert len(log) == 1  # exactly one record despite the retries
 
-    def test_append_gives_up_after_retry_budget(self, tmp_path, closing):
-        log = closing(UpdateLog(tmp_path / "log", retries=2,
-                                backoff=0.0))
+    def test_append_gives_up_after_retry_budget(self, tmp_path, closing,
+                                                monkeypatch):
+        monkeypatch.setattr(wal, "APPEND_RETRIES", 2)
+        monkeypatch.setattr(wal, "APPEND_BACKOFF", 0.0)
+        log = closing(UpdateLog(tmp_path / "log"))
         FAULTS.arm("storage.append.before", TransientError(times=10))
         with pytest.raises(PersistenceError, match="3 attempts"):
             log.append(Update.ins("teach", "gauss", "cs"))

@@ -24,10 +24,10 @@ from repro.obs import (
     MetricError,
     MetricsRegistry,
     RingBufferSink,
-    Tracer,
     render_metrics,
     render_stats,
     to_json,
+    tracing,
 )
 from repro.workloads.university import pupil_database, section_42_updates
 
@@ -173,10 +173,8 @@ class TestMetricsRegistry:
 # -- tracing --------------------------------------------------------------------
 
 
-def _traced(tracer: Tracer | None = None) -> Instrumentation:
+def _traced() -> Instrumentation:
     obs = Instrumentation()
-    if tracer is not None:
-        obs.tracer = tracer
     obs.enable(tracing=True)
     return obs
 
@@ -202,8 +200,9 @@ class TestTracer:
         obs.event("orphan")  # must not raise
         assert obs.tracer.traces == ()
 
-    def test_bounded_retention(self):
-        obs = _traced(Tracer(max_traces=2))
+    def test_bounded_retention(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_TRACES", 2)
+        obs = _traced()
         for index in range(4):
             with obs.span(f"s{index}"):
                 pass

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.obs import OBS, MetricsRegistry, RingBufferSink
+from repro.obs import OBS, MetricsRegistry, RingBufferSink, tracing
 from tests.test_obs_events import assert_trees_match_records
 
 THREADS = 8
@@ -106,7 +106,7 @@ class TestTracerUnderThreads:
 
         _run_threads(work)
         roots = OBS.tracer.traces
-        assert 0 < len(roots) <= OBS.tracer.max_traces
+        assert 0 < len(roots) <= tracing.MAX_TRACES
         for outer in roots:
             (inner,) = outer.children
             assert inner.name == outer.name.replace("outer", "inner")
@@ -130,7 +130,7 @@ class TestTracerUnderThreads:
         """Random nested span/event programs on eight threads: each
         root the tracer keeps has the edges, events and causes the
         ring's records fold to."""
-        monkeypatch.setattr(OBS.tracer, "max_traces", 10_000)
+        monkeypatch.setattr(tracing, "MAX_TRACES", 10_000)
         ring = OBS.events.add_sink(RingBufferSink(capacity=100_000))
         OBS.enable(tracing=True)
         rounds = 20

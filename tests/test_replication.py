@@ -36,6 +36,7 @@ from repro.replication import (
     SocketTransport,
     WalShipper,
 )
+from repro.replication import shipper as shipper_module
 from repro.service import DatabaseService
 from repro.workloads.university import pupil_database, section_42_updates
 
@@ -237,9 +238,11 @@ class TestReplicaApply:
 
 
 class TestShipper:
-    def test_batching_respects_limit(self, primary, tmp_path, closing):
+    def test_batching_respects_limit(self, primary, tmp_path, closing,
+                                     monkeypatch):
         logged, _ = primary
-        shipper = WalShipper(logged.log, term=1, batch_limit=2)
+        monkeypatch.setattr(shipper_module, "BATCH_LIMIT", 2)
+        shipper = WalShipper(logged.log, term=1)
         replica = closing(Replica("r0", tmp_path / "r0"))
         link = shipper.add("r0", InProcessTransport(replica.handle))
         snapshot = persistence.dumps(logged.db, wal_applied=0)
@@ -287,7 +290,7 @@ class TestShipper:
         assert link.acked_seq == seq
 
     def test_batch_boundary_keeps_abort_with_its_entry(
-            self, primary, tmp_path, closing):
+            self, primary, tmp_path, closing, monkeypatch):
         """The batch limit must never strand an entry in one batch and
         its compensating abort in the next: the replica would apply
         the entry (its own apply can succeed even when the primary's
@@ -295,9 +298,10 @@ class TestShipper:
         from repro.faults import ErrorFault, FAULTS
 
         logged, _ = primary
-        # batch_limit=2 would cut exactly between the entry and its
+        # A limit of 2 would cut exactly between the entry and its
         # abort; the shipper must extend the batch instead.
-        shipper = WalShipper(logged.log, term=1, batch_limit=2)
+        monkeypatch.setattr(shipper_module, "BATCH_LIMIT", 2)
+        shipper = WalShipper(logged.log, term=1)
         replica = closing(Replica("r0", tmp_path / "r0"))
         link = shipper.add("r0", InProcessTransport(replica.handle))
         snapshot = persistence.dumps(logged.db, wal_applied=0)
@@ -729,21 +733,22 @@ class TestServiceIntegration:
         assert group.replica("r0").applied_seq == 1
 
     def test_read_replica_and_staleness(self, tmp_path, service_on):
-        service, group, _ = service_on(staleness_max_lag_seq=0)
+        service, group, _ = service_on()
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
         value = service.read_replica(
-            lambda db: db.truth_of("teach", "gauss", "cs"))
+            lambda db: db.truth_of("teach", "gauss", "cs"),
+            max_lag_seq=0)
         assert value is Truth.TRUE
         group.shipper.link("r0").transport.partitioned = True
         group.ack_timeout = 0.1
         with pytest.raises(ReplicationTimeout):
             service.insert("teach", "noether", "algebra")
         with pytest.raises(StalenessUnserved):
-            service.read_replica(lambda db: None)
-        verdict = service.health()
-        assert verdict["healthy"] is False  # the 503 path
-        assert verdict["replication"]["servable"] is False
+            service.read_replica(lambda db: None, max_lag_seq=0)
+        # The bound is the call's; the service holds none, so /health
+        # does not turn 503 over it.
+        assert service.health()["healthy"] is True
 
     def test_stats_carry_wal_and_replication(self, tmp_path, service_on):
         service, group, _ = service_on()

@@ -19,6 +19,7 @@ from repro.core.schema import FunctionDef, ObjectType, TypeFunctionality
 from repro.errors import (
     DeadlineExceeded,
     LockTimeout,
+    PersistenceError,
     ServiceClosed,
     ServiceOverloaded,
     ServiceReadOnly,
@@ -111,8 +112,8 @@ class TestRetryPolicy:
     def test_backoff_caps_and_jitters(self):
         import random
 
-        policy = RetryPolicy(base_delay=0.01, multiplier=2.0,
-                             max_delay=0.03, jitter=0.005)
+        policy = RetryPolicy(base_delay=0.01, max_delay=0.03,
+                             jitter=0.005)
         assert policy.delay(0) == 0.01
         assert policy.delay(5) == 0.03  # capped
         rng = random.Random(7)
@@ -167,7 +168,7 @@ class TestCircuitBreaker:
     def test_half_open_quota_bounds_probes(self):
         clock = [0.0]
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0,
-                                 half_open_max=1, clock=lambda: clock[0])
+                                 clock=lambda: clock[0])
         breaker.record_failure(OSError())
         clock[0] = 2.0
         breaker.allow()  # the probe slot
@@ -384,12 +385,6 @@ class TestServiceDeadlines(LaneDoor):
         service.insert("teach", "gauss", "cs")
         assert lane.db.truth_of("teach", "gauss", "cs") is Truth.TRUE
 
-    def test_default_deadline_applies(self, closing):
-        service = self.front(closing, default_deadline=30.0)
-        # Simply exercises the default path; a generous default
-        # never fires.
-        service.insert("teach", "gauss", "cs")
-
     def test_expired_deadline_cancels_read(self, closing):
         service = self.front(closing)
         with pytest.raises(DeadlineExceeded):
@@ -407,14 +402,13 @@ class TestServiceReadOnlyMode(LaneDoor):
                                                      tmp_path):
         service = self.front(
             closing, tmp_path,
-            retry=RetryPolicy(max_attempts=1),
             breaker=CircuitBreaker(failure_threshold=2,
                                    reset_timeout=0.05),
         )
         breaker = lane_of(service).breaker
         FAULTS.arm("wal.append.before", TransientError(times=10 ** 6))
         for _ in range(2):
-            with pytest.raises((OSError, Exception)):
+            with pytest.raises(PersistenceError):
                 service.insert("teach", "gauss", "cs")
         assert breaker.state == OPEN
         assert service.health()["healthy"] is False
@@ -430,6 +424,29 @@ class TestServiceReadOnlyMode(LaneDoor):
         assert breaker.state == CLOSED
         assert breaker.resets == 1
         assert service.truth_of("teach", "gauss", "cs") is Truth.TRUE
+
+
+    def test_storage_error_is_retried_by_the_log_alone(self, closing,
+                                                       tmp_path,
+                                                       monkeypatch):
+        """One failed write is one log retry loop (4 writes) and one
+        breaker failure: the request does not retry what the log
+        already retried, so no backoff repeats under the token."""
+        service = self.front(closing, tmp_path)
+        lane = lane_of(service)
+        failures = []
+        record_failure = lane.breaker.record_failure
+        monkeypatch.setattr(lane.breaker, "record_failure",
+                            lambda exc=None: (failures.append(exc),
+                                              record_failure(exc)))
+        fault = TransientError(times=10 ** 6)
+        FAULTS.arm("wal.append.before", fault)
+        with pytest.raises(PersistenceError):
+            service.insert("teach", "gauss", "cs")
+        assert fault.times - fault.remaining == 4
+        assert lane.stats()["retries"] == 0
+        assert len(failures) == 1
+        assert lane.breaker.state == CLOSED
 
 
 class TestFacadeReadOnlyMode(FacadeDoor, TestServiceReadOnlyMode):

@@ -29,7 +29,6 @@ from repro.service import (
     OPEN,
     CircuitBreaker,
     DatabaseService,
-    RetryPolicy,
 )
 from repro.service.breaker import STATE_CODE
 from repro.fdb.updates import Update
@@ -96,8 +95,7 @@ class TestRequestLifecycleSpans:
         assert request.attrs["committed"] is False
 
     def test_failed_execute_is_not_marked_committed(self, closing, tmp_path):
-        service, sink = observed_service(
-            closing, tmp_path, retry=RetryPolicy(max_attempts=1))
+        service, sink = observed_service(closing, tmp_path)
         FAULTS.arm("wal.append.before", TransientError(times=10 ** 6))
         try:
             with pytest.raises(Exception):
@@ -123,8 +121,7 @@ class TestRequestLifecycleSpans:
 
 class TestRedMetrics:
     def test_per_family_rate_error_duration(self, closing, tmp_path):
-        service, sink = observed_service(
-            closing, tmp_path, retry=RetryPolicy(max_attempts=1))
+        service, sink = observed_service(closing, tmp_path)
         try:
             service.execute(Update.ins("teach", "gauss", "cs"))
             service.truth_of("teach", "gauss", "cs")
@@ -209,7 +206,6 @@ class TestBreakerProbeAccounting:
     def test_release_probe_returns_slot_without_a_verdict(self):
         clock_now = [0.0]
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0,
-                                 half_open_max=1,
                                  clock=lambda: clock_now[0])
         breaker.record_failure()
         clock_now[0] = 2.0
@@ -226,7 +222,6 @@ class TestBreakerProbeAccounting:
             self, closing, tmp_path):
         service, sink = observed_service(
             closing, tmp_path,
-            retry=RetryPolicy(max_attempts=1),
             breaker=CircuitBreaker(failure_threshold=2,
                                    reset_timeout=0.05),
         )
@@ -298,7 +293,6 @@ class TestServiceEndpoint:
         service = DatabaseService(
             pupil_database(),
             log=tmp_path / "wal.jsonl",
-            retry=RetryPolicy(max_attempts=1),
             breaker=CircuitBreaker(failure_threshold=1,
                                    reset_timeout=60.0),
         )

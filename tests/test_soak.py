@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.faults import soak
 from repro.faults.__main__ import main
 from repro.faults.soak import CHECKS, Cell, SoakConfig, run_soak
 from repro.fdb.updates import Update, UpdateSequence
@@ -74,7 +75,6 @@ TOPOLOGIES = {
     "replicated-lane": dict(
         replicas=2, threads=2, ops_per_thread=8, seed=5,
         modes=("sync(1)",), scenarios=("replica_crash", "primary_kill"),
-        ack_timeout=1.0,
     ),
     "sharded-replicated-leased": dict(
         shards=2, replicas=2, auto_failover=True, threads=4,
@@ -83,10 +83,17 @@ TOPOLOGIES = {
 }
 
 
+# The suite-sized replicated lane waits out a crashed replica's ack
+# for one second, not two.
+ACK_TIMEOUTS = {"replicated-lane": 1.0}
+
+
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_topology_holds_every_check(topology, tmp_path):
-    config = SoakConfig(workdir=str(tmp_path), wall_clock_limit=60.0,
-                        **TOPOLOGIES[topology])
+def test_topology_holds_every_check(topology, tmp_path, monkeypatch):
+    monkeypatch.setattr(soak, "WALL_CLOCK_LIMIT", 60.0)
+    monkeypatch.setattr(soak, "ACK_TIMEOUT",
+                        ACK_TIMEOUTS.get(topology, soak.ACK_TIMEOUT))
+    config = SoakConfig(workdir=str(tmp_path), **TOPOLOGIES[topology])
     report = run_soak(config)
     assert report.ok, "\n".join(report.lines())
     assert len(report.cells) == len(config.matrix())
@@ -116,7 +123,9 @@ def test_topology_holds_every_check(topology, tmp_path):
         assert (tmp_path / "timeline.jsonl").exists()
 
 
-def test_small_soak_matrix_holds_invariants(tmp_path):
+def test_small_soak_matrix_holds_invariants(tmp_path, monkeypatch):
+    monkeypatch.setattr(soak, "WALL_CLOCK_LIMIT", 60.0)
+    monkeypatch.setattr(soak, "ACK_TIMEOUT", 1.0)
     config = SoakConfig(
         replicas=2,
         threads=2,
@@ -124,8 +133,6 @@ def test_small_soak_matrix_holds_invariants(tmp_path):
         seed=5,
         modes=("sync(1)",),
         scenarios=("partition", "primary_kill"),
-        ack_timeout=1.0,
-        wall_clock_limit=60.0,
         workdir=str(tmp_path),
         serve_endpoint=False,
     )

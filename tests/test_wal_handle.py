@@ -23,7 +23,7 @@ from repro.faults.registry import (
     TornWrite,
     TransientError,
 )
-from repro.fdb import persistence, storage
+from repro.fdb import persistence, storage, wal
 from repro.fdb.updates import Update, UpdateSequence, apply_update
 from repro.fdb.wal import LoggedDatabase, UpdateLog, checkpoint, recover
 from repro.replication import Replica, ReplicationGroup
@@ -48,8 +48,9 @@ def clean_registry():
 
 
 @pytest.fixture
-def log(tmp_path):
-    log = UpdateLog(tmp_path / "wal.log", backoff=0.0)
+def log(tmp_path, monkeypatch):
+    monkeypatch.setattr(wal, "APPEND_BACKOFF", 0.0)
+    log = UpdateLog(tmp_path / "wal.log")
     yield log
     log.close()
 
@@ -196,7 +197,7 @@ class TestRenameOverTheLog:
         first.append(u1)
         first.append(u2)
         first.close()
-        log = UpdateLog(first.path, backoff=0.0)
+        log = UpdateLog(first.path)
         forget(log)
         head = log.scan("strict").max_seq
         real_scan, slowed = log._scan, [True]
@@ -340,8 +341,10 @@ class TestFailedWrite:
         finally:
             restarted.close()
 
-    def test_exhausted_retries_leave_no_gap(self, tmp_path):
-        log = UpdateLog(tmp_path / "wal.log", retries=1, backoff=0.0)
+    def test_exhausted_retries_leave_no_gap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal, "APPEND_RETRIES", 1)
+        monkeypatch.setattr(wal, "APPEND_BACKOFF", 0.0)
+        log = UpdateLog(tmp_path / "wal.log")
         try:
             log.append(Update.ins("teach", "gauss", "cs"))
             FAULTS.arm("storage.append.payload", TransientError(times=5))
@@ -392,7 +395,8 @@ class TestRetriedWriteLandsOnce:
         u1, u2 = section_42_updates()[:2]
         snapshot = tmp_path / "snapshot.json"
         persistence.save(pupil_database(), snapshot, wal_applied=0)
-        log = UpdateLog(tmp_path / "wal.log", backoff=0.0)
+        monkeypatch.setattr(wal, "APPEND_BACKOFF", 0.0)
+        log = UpdateLog(tmp_path / "wal.log")
         try:
             log.append(u1)
             failed = fsync_fails_once(monkeypatch)

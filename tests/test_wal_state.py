@@ -555,10 +555,10 @@ def agrees_with_the_walk(log: UpdateLog, rng: random.Random, *,
 
 @pytest.mark.parametrize("seed", range(8))
 def test_records_between_is_the_reference_walk(seed, logged, tmp_path,
-                                               closing):
+                                               closing, monkeypatch):
     rng = random.Random(seed)
     log = logged.log
-    log.backoff = 0.0
+    monkeypatch.setattr(wal_module, "APPEND_BACKOFF", 0.0)
     snapshot = tmp_path / "snapshot.json"
     count = iter(range(10**6))
 
@@ -576,7 +576,7 @@ def test_records_between_is_the_reference_walk(seed, logged, tmp_path,
     def exhausted():
         """No attempt writes a byte; the claim is given back."""
         FAULTS.arm("storage.append.payload",
-                   TransientError(times=log.retries + 1))
+                   TransientError(times=wal_module.APPEND_RETRIES + 1))
         try:
             with pytest.raises(PersistenceError):
                 append()
@@ -624,14 +624,14 @@ def what_it_knows(log: UpdateLog) -> tuple:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_the_live_log_knows_what_a_fresh_one_reads(seed, logged, tmp_path,
-                                                   closing):
+                                                   closing, monkeypatch):
     """One memory of the file: after every step — its own writes, the
     ones that fail and are retried or given up, renames, and a torn or
     unterminated tail left while it was closed — the live log answers
     exactly what a log opened on the file now does."""
     rng = random.Random(seed)
     log = logged.log
-    log.backoff = 0.0
+    monkeypatch.setattr(wal_module, "APPEND_BACKOFF", 0.0)
     snapshot = tmp_path / "snapshot.json"
     count = iter(range(10**6))
 
@@ -660,7 +660,8 @@ def test_the_live_log_knows_what_a_fresh_one_reads(seed, logged, tmp_path,
     def exhausted():
         """Every attempt writes the record and fails; each is cut."""
         failing("storage.append.before-fsync",
-                TransientError(times=log.retries + 1), PersistenceError)
+                TransientError(times=wal_module.APPEND_RETRIES + 1),
+                PersistenceError)
 
     def fold():
         checkpoint(logged, snapshot)
