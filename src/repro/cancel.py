@@ -14,7 +14,8 @@ existing compensating-abort path.
 
 Cost discipline mirrors :mod:`repro.obs.hooks`: when no deadline scope
 is active anywhere in the process, :func:`checkpoint` is a single
-global integer test. The deadline itself propagates through a
+global integer test, and ``deadline_scope(None)`` hands out one shared
+no-op scope. The deadline itself propagates through a
 :class:`~contextvars.ContextVar`, so scopes opened on one thread or
 asyncio task never leak into another's requests.
 """
@@ -82,7 +83,22 @@ def current_deadline() -> Deadline | None:
     return _DEADLINE.get()
 
 
-@contextmanager
+class _NoScope:
+    """The scope ``deadline_scope(None)`` hands out: one shared object
+    whose entering and leaving do nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NO_SCOPE = _NoScope()
+
+
 def deadline_scope(deadline: Deadline | float | None):
     """Run a block under a deadline (``None`` → no-op scope).
 
@@ -90,10 +106,14 @@ def deadline_scope(deadline: Deadline | float | None):
     the *tighter* constraint: an inner scope cannot extend an outer
     deadline, only shorten it.
     """
-    global _ACTIVE_SCOPES
     if deadline is None:
-        yield None
-        return
+        return _NO_SCOPE
+    return _scope(deadline)
+
+
+@contextmanager
+def _scope(deadline: Deadline | float):
+    global _ACTIVE_SCOPES
     if not isinstance(deadline, Deadline):
         deadline = Deadline(deadline)
     outer = _DEADLINE.get()

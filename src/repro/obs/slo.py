@@ -23,15 +23,22 @@ health back — the invariant the chaos soak asserts.
 Evaluation is pull-based (:meth:`SLOMonitor.evaluate`), with
 :meth:`SLOMonitor.maybe_evaluate` as the rate-limited form request
 paths call opportunistically; the clock is injectable so tests can
-step time instead of sleeping.
+step time instead of sleeping. Recording is an append whatever the
+rate; an evaluation's cost grows with the window's slices, not its
+requests, apart from the slices a window edge cuts (see
+:class:`SLOMonitor`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
+from itertools import chain
 
 from repro.obs.hooks import OBS
 from repro.obs.metrics import MetricError
@@ -49,6 +56,12 @@ _KINDS = (LATENCY, ERROR_RATE, SHED_RATE, REPLICATION_LAG)
 
 # Seconds between two evaluations that maybe_evaluate lets through.
 EVAL_INTERVAL = 0.25
+
+# Width in seconds of one slice of the sample window.
+SLICE = 0.25
+
+# A latency selection sorts what is left once this few values remain.
+_SORT_BELOW = 2048
 
 
 @dataclass(frozen=True)
@@ -154,16 +167,99 @@ def replication_lag_objective(threshold_seq: float = 256.0, *,
                      window=window)
 
 
-class _Sample:
-    __slots__ = ("ts", "family", "duration", "error", "shed")
+class _Bucket:
+    """One family's samples in one slice of the window, in arrival
+    order — which is clock order, since :meth:`SLOMonitor.record`
+    reads the clock under the monitor lock. Parallel arrays, no object
+    per request; ``close`` tallies the flags and sorts the durations
+    once, when the slice stops taking samples."""
 
-    def __init__(self, ts: float, family: str, duration: float,
-                 error: bool, shed: bool) -> None:
-        self.ts = ts
-        self.family = family
-        self.duration = duration
-        self.error = error
-        self.shed = shed
+    __slots__ = ("ts", "durations", "flags", "ordered", "errors", "shed")
+
+    def __init__(self) -> None:
+        self.ts = array("d")
+        self.durations = array("d")
+        self.flags = bytearray()  # 1 = error, 2 = shed, 3 = both
+        self.ordered: array | None = None  # set by close()
+        self.errors = self.shed = 0
+
+    def close(self) -> None:
+        self.errors, self.shed = _tally(self.flags)
+        self.ordered = array("d", sorted(self.durations))
+
+    def tally(self, cutoff: float) -> tuple[int, int, int]:
+        """(requests, errors, shed) over the samples at or after
+        ``cutoff``."""
+        ts = self.ts
+        if ts[0] >= cutoff and self.ordered is not None:
+            return len(ts), self.errors, self.shed
+        first = bisect_left(ts, cutoff)
+        return (len(ts) - first, *_tally(self.flags[first:]))
+
+    def sorted_since(self, cutoff: float) -> Sequence[float]:
+        """The durations at or after ``cutoff``, sorted."""
+        if self.ts[0] >= cutoff and self.ordered is not None:
+            return self.ordered
+        return sorted(self.durations[bisect_left(self.ts, cutoff):])
+
+
+def _tally(flags: bytearray) -> tuple[int, int]:
+    both = flags.count(3)
+    return flags.count(1) + both, flags.count(2) + both
+
+
+def _pick(buckets: dict[str, _Bucket], family: str):
+    if family == "*":
+        return buckets.values()
+    return (buckets[family],) if family in buckets else ()
+
+
+def _select(pieces: list[Sequence[float]], rank: int) -> float:
+    """The value at 0-based ``rank`` in the union of the sorted
+    ``pieces``, without merging them. Each piece keeps a range of
+    candidates. The ranges start at the lowest of the pieces' own
+    shares of the values from the rank up (at least that many values
+    lie at or above it, so the answer does too); then each round cuts
+    them at the weighted median of their middles, which rules out a
+    quarter or more of what is left, until few enough remain to sort.
+    A round costs a few operations per piece, none per value."""
+    if len(pieces) == 1:
+        return pieces[0][rank]
+    total = sum(map(len, pieces))
+    need = total - rank
+    # A piece's share is ceil(len * need / total) of its largest values.
+    floor = min(piece[len(piece) - -(-len(piece) * need // total)]
+                for piece in pieces)
+    lows = [bisect_left(piece, floor) for piece in pieces]
+    highs = [len(piece) for piece in pieces]
+    rank -= sum(lows)
+    while True:
+        size = sum(highs) - sum(lows)
+        if size <= _SORT_BELOW:
+            return sorted(chain.from_iterable(
+                piece[low:high]
+                for piece, low, high in zip(pieces, lows, highs)))[rank]
+        middles = sorted((piece[(low + high) // 2], high - low)
+                         for piece, low, high in zip(pieces, lows, highs)
+                         if high > low)
+        weight = 0
+        for pivot, width in middles:
+            weight += width
+            if 2 * weight >= size:
+                break
+        below = [bisect_left(piece, pivot, low, high)
+                 for piece, low, high in zip(pieces, lows, highs)]
+        under = sum(below) - sum(lows)
+        if rank < under:
+            highs = below
+            continue
+        above = [bisect_right(piece, pivot, low, high)
+                 for piece, low, high in zip(pieces, lows, highs)]
+        through = sum(above) - sum(lows)
+        if rank < through:
+            return pivot
+        rank -= through
+        lows = above
 
 
 class SLOMonitor:
@@ -173,6 +269,16 @@ class SLOMonitor:
     completion (success or failure); ``evaluate`` walks the objectives
     and fires/clears alerts; ``maybe_evaluate`` rate-limits that to
     :data:`EVAL_INTERVAL` so request paths can call it unconditionally.
+
+    The window is a deque of slices at most :data:`SLICE` wide, each a
+    :class:`_Bucket` per family. ``record`` is an append; once per
+    slice it rolls — closes the open slice and drops the slices wholly
+    past the horizon. ``evaluate`` rolls too, then a rate objective
+    sums per-slice tallies and a latency objective selects its
+    nearest-rank value from the per-slice sorted durations
+    (:func:`_select`); only a bucket straddling a window edge is cut
+    by timestamp. Verdicts are those of filtering and sorting every
+    sample in the window. The clock must not run backwards.
     """
 
     def __init__(self, objectives: tuple[Objective, ...] | None = None,
@@ -183,7 +289,15 @@ class SLOMonitor:
         self._horizon = max(
             (o.window for o in self.objectives), default=60.0
         )
-        self._samples: deque[_Sample] = deque()
+        # Closed slices, oldest first, as (newest ts, family -> bucket);
+        # the open slice takes samples until the clock reaches
+        # _open_until.
+        self._slices: deque[tuple[float, dict[str, _Bucket]]] = deque()
+        self._open: dict[str, _Bucket] = {}
+        self._open_until = float("-inf")
+        # Samples stamped before _floor are out of every window for
+        # good: the highest cutoff a prune has reached.
+        self._floor = float("-inf")
         self._alerting: dict[str, bool] = {
             o.name: False for o in self.objectives
         }
@@ -208,6 +322,10 @@ class SLOMonitor:
                 raise MetricError(
                     f"objective {objective.name!r} already registered"
                 )
+            # A longer horizon does not bring back what the old one
+            # already let go (see evaluate).
+            self._prune(self._newest() - self._horizon,
+                        levels=bool(self._open))
             self.objectives = self.objectives + (objective,)
             self._alerting[objective.name] = False
             self._horizon = max(self._horizon, objective.window)
@@ -228,31 +346,71 @@ class SLOMonitor:
 
     def record(self, family: str, duration: float, *,
                error: bool = False, shed: bool = False) -> None:
-        now = self._clock()
         with self._lock:
-            self._samples.append(
-                _Sample(now, family, duration, error, shed)
-            )
-            self._prune(now)
+            now = self._clock()
+            if now >= self._open_until:
+                self._roll(now)
+            bucket = self._open.get(family)
+            if bucket is None:
+                bucket = self._open[family] = _Bucket()
+            bucket.ts.append(now)
+            bucket.durations.append(duration)
+            bucket.flags.append((1 if error else 0) | (2 if shed else 0))
 
-    def _prune(self, now: float) -> None:
-        # Caller holds self._lock.
+    def _roll(self, now: float) -> None:
+        # Caller holds self._lock: close the open slice, drop the
+        # closed slices wholly past the horizon, open the next.
+        if self._open:
+            for bucket in self._open.values():
+                bucket.close()
+            newest = max(b.ts[-1] for b in self._open.values())
+            self._slices.append((newest, self._open))
+            self._open = {}
         cutoff = now - self._horizon
-        while self._samples and self._samples[0].ts < cutoff:
-            self._samples.popleft()
-        for levels in self._levels.values():
-            while levels and levels[0][0] < cutoff:
-                levels.popleft()
+        while self._slices and self._slices[0][0] < cutoff:
+            self._slices.popleft()
+        self._open_until = now + SLICE
+
+    def _prune(self, cutoff: float, *, levels: bool) -> None:
+        # Caller holds self._lock: what a prune at ``cutoff`` lets go —
+        # every sample stamped before it (by the floor) and, when
+        # ``levels``, the levels it finds stamped before it.
+        self._floor = max(self._floor, cutoff)
+        if levels:
+            for stamped in self._levels.values():
+                while stamped and stamped[0][0] < cutoff:
+                    stamped.popleft()
+
+    def _newest(self) -> float:
+        # Caller holds self._lock: the latest sample's stamp.
+        if self._open:
+            return max(b.ts[-1] for b in self._open.values())
+        return self._slices[-1][0] if self._slices else float("-inf")
+
+    def _buckets(self, family: str, cutoff: float):
+        """The buckets of ``family`` (every family for ``"*"``) in the
+        slices that hold a sample at or after ``cutoff``, newest
+        first."""
+        yield from _pick(self._open, family)
+        for newest, buckets in reversed(self._slices):
+            if newest < cutoff:
+                return
+            yield from _pick(buckets, family)
 
     # -- evaluation ---------------------------------------------------------
 
     def maybe_evaluate(self) -> list[Verdict] | None:
         """Evaluate if at least :data:`EVAL_INTERVAL` elapsed since the
-        last evaluation; None when skipped (the common case)."""
+        last evaluation; None when skipped (the common case). The
+        caller that passes the check claims the evaluation under the
+        same lock hold, so two callers at one instant evaluate once."""
         now = self._clock()
+        if now - self._last_eval < EVAL_INTERVAL:
+            return None  # unlocked peek; re-checked below
         with self._lock:
             if now - self._last_eval < EVAL_INTERVAL:
                 return None
+            self._last_eval = now
         return self.evaluate(now)
 
     def evaluate(self, now: float | None = None) -> list[Verdict]:
@@ -268,14 +426,20 @@ class SLOMonitor:
         transitions: list[tuple[str, str, Verdict]] = []
         verdicts: list[Verdict] = []
         with self._lock:
+            # Every record prunes to its stamp less the horizon; the
+            # latest one's prune covers the rest. It reaches the levels
+            # only if it came after the last evaluation sampled them:
+            # then the open slice, which evaluations empty, holds it.
+            self._prune(self._newest() - self._horizon,
+                        levels=bool(self._open))
             for name, value in probe_samples:
                 if value is not None:
                     self._levels[name].append((now, float(value)))
             self._last_eval = now
-            self._prune(now)
-            samples = tuple(self._samples)
+            self._prune(now - self._horizon, levels=True)
+            self._roll(now)
             for objective in self.objectives:
-                verdict = self._verdict(objective, samples, now)
+                verdict = self._verdict(objective, now)
                 verdicts.append(verdict)
                 was = self._alerting[objective.name]
                 if verdict.alerting and not was:
@@ -305,17 +469,20 @@ class SLOMonitor:
             ))
         return verdicts
 
-    def _verdict(self, objective: Objective,
-                 samples: tuple[_Sample, ...], now: float) -> Verdict:
+    def _verdict(self, objective: Objective, now: float) -> Verdict:
+        # Caller holds self._lock. A window holds the samples stamped
+        # at or after its cutoff that the floor has not let go.
+        slow_cut = max(now - objective.window, self._floor)
+        fast_cut = max(now - objective.fast_window, slow_cut)
         if objective.kind == REPLICATION_LAG:
-            return self._level_verdict(objective, now)
-        slow = [s for s in samples
-                if s.ts >= now - objective.window
-                and (objective.family == "*"
-                     or s.family == objective.family)]
-        fast = [s for s in slow if s.ts >= now - objective.fast_window]
-        slow_value = self._measure(objective, slow)
-        fast_value = self._measure(objective, fast)
+            # Levels are pruned as sampled, not by the floor.
+            slow, slow_value = self._level(objective.name,
+                                           now - objective.window)
+            fast, fast_value = self._level(objective.name,
+                                           now - objective.fast_window)
+        else:
+            slow, slow_value = self._measure(objective, slow_cut)
+            fast, fast_value = self._measure(objective, fast_cut)
         slow_bad = slow_value is not None and slow_value > objective.threshold
         fast_bad = fast_value is not None and fast_value > objective.threshold
         was_alerting = self._alerting[objective.name]
@@ -329,57 +496,46 @@ class SLOMonitor:
             alerting=alerting,
             slow_value=slow_value,
             fast_value=fast_value,
-            slow_requests=len(slow),
-            fast_requests=len(fast),
+            slow_requests=slow,
+            fast_requests=fast,
         )
 
-    def _level_verdict(self, objective: Objective,
-                       now: float) -> Verdict:
-        """Verdict for level-probed objectives (replication lag): the
-        measured value of a window is the *worst* level seen in it —
-        a lag SLO promises the lag never stays above threshold, so max
-        (not a percentile) is the honest aggregate. Uses ``>`` against
-        the threshold like the rate kinds, so ``threshold=0`` means
-        "no lag at all"."""
-        levels = self._levels.get(objective.name, ())
-        slow = [v for ts, v in levels if ts >= now - objective.window]
-        fast = [v for ts, v in levels
-                if ts >= now - objective.fast_window]
-        slow_value = max(slow) if slow else None
-        fast_value = max(fast) if fast else None
-        slow_bad = (slow_value is not None
-                    and slow_value > objective.threshold)
-        fast_bad = (fast_value is not None
-                    and fast_value > objective.threshold)
-        was_alerting = self._alerting[objective.name]
-        alerting = ((slow_bad and fast_bad) if not was_alerting
-                    else fast_bad)
-        return Verdict(
-            objective=objective,
-            ok=not slow_bad and not fast_bad,
-            alerting=alerting,
-            slow_value=slow_value,
-            fast_value=fast_value,
-            slow_requests=len(slow),
-            fast_requests=len(fast),
-        )
+    def _level(self, name: str,
+               cutoff: float) -> tuple[int, float | None]:
+        """(levels, worst level) since ``cutoff`` for a level-probed
+        objective (replication lag): a lag SLO promises the lag never
+        stays above threshold, so max (not a percentile) is the honest
+        aggregate. Compared with ``>`` like the rate kinds, so
+        ``threshold=0`` means "no lag at all"."""
+        window = [v for ts, v in self._levels.get(name, ()) if ts >= cutoff]
+        return len(window), max(window) if window else None
 
-    @staticmethod
-    def _measure(objective: Objective,
-                 window: list[_Sample]) -> float | None:
-        """The objective's measured value over one window; None when
-        the window is empty (no evidence either way)."""
-        if not window:
-            return None
+    def _measure(self, objective: Objective,
+                 cutoff: float) -> tuple[int, float | None]:
+        """(requests, measured value) of the objective's family since
+        ``cutoff``; the value is None when there are none (no evidence
+        either way)."""
+        buckets = list(self._buckets(objective.family, cutoff))
         if objective.kind == LATENCY:
-            ordered = sorted(s.duration for s in window)
-            rank = max(0, min(len(ordered) - 1,
+            pieces = [piece for piece in (b.sorted_since(cutoff)
+                                          for b in buckets) if piece]
+            total = sum(map(len, pieces))
+            if not total:
+                return 0, None
+            rank = max(0, min(total - 1,
                               round(objective.percentile / 100
-                                    * (len(ordered) - 1))))
-            return ordered[rank]
-        if objective.kind == ERROR_RATE:
-            return sum(1 for s in window if s.error) / len(window)
-        return sum(1 for s in window if s.shed) / len(window)
+                                    * (total - 1))))
+            return total, _select(pieces, rank)
+        total = errors = shed = 0
+        for bucket in buckets:
+            n, e, s = bucket.tally(cutoff)
+            total += n
+            errors += e
+            shed += s
+        if not total:
+            return 0, None
+        return total, (errors if objective.kind == ERROR_RATE
+                       else shed) / total
 
     # -- reading ------------------------------------------------------------
 
@@ -410,11 +566,14 @@ class SLOMonitor:
         firing transitions twice — ``evaluate`` already dedups on the
         alert state."""
         verdicts = self.evaluate()
+        with self._lock:
+            window = sum(bucket.tally(self._floor)[0]
+                         for bucket in self._buckets("*", self._floor))
         return {
             "objectives": [v.to_dict() for v in verdicts],
             "alerts": list(self.alerts),
             "alerts_raised": self.raised,
             "alerts_cleared": self.cleared,
             "healthy": self.healthy,
-            "window_samples": len(self._samples),
+            "window_samples": window,
         }

@@ -39,16 +39,19 @@ class AdmissionGate:
         self.max_concurrent = max_concurrent
         self.max_queue = max_queue
         self.queue_timeout = queue_timeout
-        self._cond = threading.Condition()
+        # Uncontended enter / leave run on the raw lock; the condition
+        # (over the same lock) is for the queued and the drain barrier.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._active = 0
         self._queued = 0
+        self._idlers = 0  # wait_idle callers asleep on _cond
         self._closed = False
         self.shed = 0  # lifetime count, for reports
 
     def _publish(self) -> None:
-        if OBS.enabled:
-            OBS.gauge("service.active", self._active)
-            OBS.gauge("service.queued", self._queued)
+        OBS.gauge("service.active", self._active)
+        OBS.gauge("service.queued", self._queued)
 
     def enter(self, *, deadline: Deadline | None = None) -> None:
         """Take an execution slot, queueing briefly if none is free.
@@ -57,20 +60,17 @@ class AdmissionGate:
         the wait runs out, :class:`ServiceClosed` once the gate is
         closed.
         """
-        limit = self.queue_timeout
-        if deadline is not None:
-            limit = min(limit, max(deadline.remaining(), 0.0))
-        started = time.monotonic()
-        expires = started + limit
-        with self._cond:
+        started = time.monotonic() if OBS.enabled else None
+        with self._lock:
             if self._closed:
                 raise ServiceClosed("service is draining; no new requests")
             if self._active < self.max_concurrent:
                 self._active += 1
-                self._publish()
                 if OBS.enabled:
-                    OBS.observe("service.admission.wait_seconds",
-                                time.monotonic() - started)
+                    self._publish()
+                    if started is not None:
+                        OBS.observe("service.admission.wait_seconds",
+                                    time.monotonic() - started)
                 return
             if self._queued >= self.max_queue:
                 self.shed += 1
@@ -82,8 +82,15 @@ class AdmissionGate:
                     f"request queue full ({self._queued} waiting); "
                     f"request shed"
                 )
+            limit = self.queue_timeout
+            if deadline is not None:
+                limit = min(limit, max(deadline.remaining(), 0.0))
+            if started is None:
+                started = time.monotonic()
+            expires = started + limit
             self._queued += 1
-            self._publish()
+            if OBS.enabled:
+                self._publish()
             try:
                 while True:
                     if self._closed:
@@ -112,35 +119,44 @@ class AdmissionGate:
                     self._cond.wait(remaining)
             finally:
                 self._queued -= 1
-                self._publish()
+                if OBS.enabled:
+                    self._publish()
 
     def leave(self) -> None:
-        """Return an execution slot."""
-        with self._cond:
+        """Return an execution slot; ``RuntimeError`` when none is
+        taken (a double release, always a caller bug)."""
+        with self._lock:
+            if self._active <= 0:
+                raise RuntimeError("admission gate released twice")
             self._active -= 1
-            assert self._active >= 0, "admission gate released twice"
-            self._publish()
-            self._cond.notify_all()
+            if OBS.enabled:
+                self._publish()
+            if self._queued or self._idlers:
+                self._cond.notify_all()
 
     def close(self) -> None:
         """Stop admitting; queued requests are woken to fail fast."""
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._cond.notify_all()
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
     def wait_idle(self, timeout: float = 10.0) -> bool:
         """Block until every admitted request has left (the drain
         barrier); False if ``timeout`` elapses first."""
         expires = time.monotonic() + timeout
-        with self._cond:
+        with self._lock:
             while self._active > 0:
                 remaining = expires - time.monotonic()
                 if remaining <= 0:
                     return False
-                self._cond.wait(remaining)
+                self._idlers += 1
+                try:
+                    self._cond.wait(remaining)
+                finally:
+                    self._idlers -= 1
             return True

@@ -54,10 +54,10 @@ class RetryPolicy:
             pause += rng.uniform(0.0, self.jitter)
         return pause
 
-    def run(self, fn, *, rng: random.Random | None = None,
+    def run(self, fn, *args, rng: random.Random | None = None,
             deadline: Deadline | None = None,
             on_retry=None):
-        """Call ``fn()`` under this policy.
+        """Call ``fn(*args)`` under this policy.
 
         Failures outside :data:`RETRYABLE` propagate at once; the rest are
         retried up to ``max_attempts`` total calls, backing off in
@@ -70,7 +70,7 @@ class RetryPolicy:
         attempt = 0
         while True:
             try:
-                return fn()
+                return fn(*args)
             except BaseException as exc:
                 if not isinstance(exc, RETRYABLE):
                     raise

@@ -331,6 +331,10 @@ class DatabaseService(FrontDoor):
 
     def cluster_of(self, name: str) -> str:
         """The lock resource guarding ``name`` (exposed for tests)."""
+        (cluster,) = self._clusters_for((name,))
+        return cluster
+
+    def _clusters_for(self, names: Iterable[str]) -> set[str]:
         if self.db.schema_version != self._cluster_version:
             # A function was declared after the map was built. Schema
             # changes are rare and single-threaded by convention, so
@@ -338,10 +342,7 @@ class DatabaseService(FrontDoor):
             # longer trigger a rebuild (they raise KeyError directly).
             self._cluster_of = clusters_of(self.db)
             self._cluster_version = self.db.schema_version
-        return self._cluster_of[name]
-
-    def _clusters_for(self, names: Iterable[str]) -> set[str]:
-        return {self.cluster_of(name) for name in names}
+        return set(map(self._cluster_of.__getitem__, names))
 
     def _fail_fast_if_leaderless(self) -> None:
         # With a lapsed leadership lease there is no point queueing
@@ -349,20 +350,17 @@ class DatabaseService(FrontDoor):
         # (LeaseExpired: a StalePrimary *and* a ServiceReadOnly) before
         # taking anything. The fence under the token (Appender) still
         # guards the logged path itself.
-        if self.replication is not None and self.replication.leaderless():
+        if self.replication.leaderless():
             self.replication.check_primary(self._repl_term)
 
     def _retrying(self, limit: Deadline | None, attempt, *args):
-        """Run ``attempt(*args)`` under the lane's :class:`RetryPolicy`,
-        each try in its own ``service.attempt`` span."""
-        attempts = itertools.count(1)
-
-        def once():
-            with OBS.span("service.attempt", attempt=next(attempts)):
-                return attempt(*args)
-
-        return self.retry.run(once, rng=self._jitter, deadline=limit,
-                              on_retry=self._on_retry)
+        """Run ``attempt(*args)`` under the lane's :class:`RetryPolicy`;
+        with OBS on, each try in its own ``service.attempt`` span."""
+        if OBS.enabled:
+            args = (attempt, itertools.count(1), *args)
+            attempt = _attempt_span
+        return self.retry.run(attempt, *args, rng=self._jitter,
+                              deadline=limit, on_retry=self._on_retry)
 
     def _on_retry(self, attempt: int, exc: BaseException) -> None:
         self._bump("retries")
@@ -383,9 +381,8 @@ class DatabaseService(FrontDoor):
         with _Request((self,), "read", limit):
             with self.locks.held(self._clusters_for(names), SHARED,
                                  deadline=limit):
-                with OBS.span("service.engine"):
-                    with deadline_scope(limit):
-                        return fn(self.db)
+                with OBS.span("service.engine"), deadline_scope(limit):
+                    return fn(self.db)
 
     def read_replica(self, fn: Callable[[FunctionalDatabase], object],
                      *, max_lag_seq: int | None = None,
@@ -448,13 +445,14 @@ class DatabaseService(FrontDoor):
         when ``build`` declined."""
         limit = self._deadline(deadline)
         name_list = tuple(names)
-        with _Request((self,), "rmw", limit) as req:
+        with _Request((self,), "rmw", limit) as span:
             result = self._retrying(limit, self._rmw_once, name_list,
                                     build, limit)
             if result is None:
                 return None
             applied, seq = result
-            req.attrs["committed"] = True
+            if span is not None:
+                span.attrs["committed"] = True
             self._replication_ack(seq, applied)
             return applied
 
@@ -599,10 +597,11 @@ class _Request:
     the RED instruments (``service.red.<family>.*``, once) and each
     lane's SLO monitor and ``service.shard.<i>.*`` series, the outcome
     classified shed (:class:`ServiceOverloaded`), error (any other
-    raise) or success. The entered scope's ``attrs`` dict is live —
-    callers stamp ``committed=True`` once the write landed, and the
-    ``span.end`` record carries it (the chaos soak matches those
-    records against ``committed_ops()``)."""
+    raise) or success. Entering returns the request span while OBS is
+    on (else None); its ``attrs`` dict is live — callers stamp
+    ``committed=True`` once the write landed, and the ``span.end``
+    record carries it (the chaos soak matches those records against
+    ``committed_ops()``)."""
 
     __slots__ = ("lanes", "family", "limit", "admit", "admitted",
                  "scope", "started")
@@ -613,39 +612,47 @@ class _Request:
         self.lanes, self.family, self.limit = lanes, family, limit
         self.admit = admit
         self.admitted = 0  # lanes[:admitted] gave this request a slot
+        self.scope = None
 
     def __enter__(self):
         lanes, family = self.lanes, self.family
         self.started = time.perf_counter()
-        attrs = ({"shards": tuple(lane.shard for lane in lanes)}
-                 if len(lanes) > 1 else {})
-        self.scope = scope = OBS.span(
-            "service.request",
-            request=OBS.new_request_id() if OBS.enabled else None,
-            family=family, committed=False, **attrs,
-        )
-        scope.__enter__()
+        if OBS.enabled:
+            attrs = ({"shards": tuple(lane.shard for lane in lanes)}
+                     if len(lanes) > 1 else {})
+            self.scope = OBS.span(
+                "service.request", request=OBS.new_request_id(),
+                family=family, committed=False, **attrs,
+            )
+            self.scope.__enter__()
         try:
             if self.admit:
-                with OBS.span("service.admission"):
-                    for lane in lanes:
-                        lane.gate.enter(deadline=self.limit)
-                        self.admitted += 1
+                if OBS.enabled:
+                    with OBS.span("service.admission"):
+                        self._admit()
+                else:
+                    self._admit()
             stat, counter = _COUNTS[family]
             for lane in lanes:
                 lane._bump(stat)
-            if OBS.enabled and counter is not None:
+            if counter is not None and OBS.enabled:
                 OBS.inc(counter)
         except BaseException as exc:
             self.__exit__(type(exc), exc, exc.__traceback__)
             raise
-        return scope
+        return self.scope
+
+    def _admit(self) -> None:
+        for lane in self.lanes:
+            lane.gate.enter(deadline=self.limit)
+            self.admitted += 1
 
     def __exit__(self, exc_type, exc, tb) -> None:
         lanes, family = self.lanes, self.family
         for lane in lanes[:self.admitted]:
             lane.gate.leave()
-        self.scope.__exit__(exc_type, exc, tb)
+        if self.scope is not None:
+            self.scope.__exit__(exc_type, exc, tb)
         elapsed = time.perf_counter() - self.started
         error = exc_type is not None
         shed = error and issubclass(exc_type, ServiceOverloaded)
@@ -653,7 +660,7 @@ class _Request:
             _red(f"service.red.{family}", elapsed, error)
         for lane in lanes:
             lane.slo.record(family, elapsed, error=error, shed=shed)
-            if OBS.enabled and lane.shard is not None:
+            if lane.shard is not None and OBS.enabled:
                 _red(f"service.shard.{lane.shard}", elapsed, error)
             lane.slo.maybe_evaluate()
 
@@ -688,13 +695,15 @@ class Appender:
 
     def __enter__(self) -> "Appender":
         lane = self.lane
-        lane._fail_fast_if_leaderless()
+        if lane.replication is not None:
+            lane._fail_fast_if_leaderless()
         if not self.settled:
             lane.breaker.allow()
         try:
             self._held.__enter__()
         except BaseException:
-            self._settle()
+            if not self.settled:
+                lane.breaker.release_probe()
             raise
         # The epoch fence, checked while holding __write__ and before
         # the WAL append: a deposed primary's write is rejected here
@@ -711,14 +720,11 @@ class Appender:
         try:
             return self._held.__exit__(*exc_info)
         finally:
-            self._settle()
-
-    def _settle(self) -> None:
-        # The attempt ended without reaching the storage path (lock
-        # timeout, fence, validation, cancelled, a declined or
-        # widened rmw build): return the probe slot.
-        if not self.settled:
-            self.lane.breaker.release_probe()
+            if not self.settled:
+                # The attempt ended without reaching the storage path
+                # (lock timeout, fence, validation, cancelled, a
+                # declined or widened rmw build): return the probe slot.
+                self.lane.breaker.release_probe()
 
     def storage(self, call, *args):
         """Run a storage-path call; its outcome is the breaker's
@@ -786,15 +792,23 @@ def write(lanes: Sequence[DatabaseService],
     first = lanes[0]
     limit = first._deadline(deadline)
     with _Request(lanes, "execute" if mint is None else "multi_write",
-                  limit) as req:
+                  limit) as span:
         seqs = first._retrying(limit, _commit, lanes, updates, limit, mint)
-        req.attrs["committed"] = True
+        if span is not None:
+            span.attrs["committed"] = True
         # Replication ack wait runs after the span is stamped and
         # outside any locks: the op is committed locally either way; a
         # missed quota surfaces as ReplicationTimeout without
         # un-committing anything.
         for lane, update, seq in zip(lanes, updates, seqs):
-            lane._replication_ack(seq, update)
+            if seq is not None:
+                lane._replication_ack(seq, update)
+
+
+def _attempt_span(attempt, tries, *args):
+    """One try of :meth:`DatabaseService._retrying` while OBS is on."""
+    with OBS.span("service.attempt", attempt=next(tries)):
+        return attempt(*args)
 
 
 def _commit(lanes, updates, limit: Deadline | None, mint,

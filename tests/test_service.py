@@ -9,6 +9,7 @@ front doors — a ``DatabaseService`` and the one-lane
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -217,6 +218,23 @@ class TestAdmissionGate:
         finally:
             worker.join(5.0)
 
+    def test_stray_leave_raises_and_keeps_the_bound(self):
+        """A release with no slot taken is refused before it touches
+        the count, so the gate still admits exactly max_concurrent
+        (under ``python -O`` too: the check is no ``assert``)."""
+        gate = AdmissionGate(max_concurrent=1, max_queue=0)
+        with pytest.raises(RuntimeError):
+            gate.leave()
+        gate.enter()
+        with pytest.raises(ServiceOverloaded):
+            gate.enter()
+        gate.leave()
+        with pytest.raises(RuntimeError):
+            gate.leave()
+        gate.enter()
+        with pytest.raises(ServiceOverloaded):
+            gate.enter()
+
     def test_closed_gate_rejects_and_wakes_queued(self):
         gate = AdmissionGate(max_concurrent=1, max_queue=1,
                              queue_timeout=5.0)
@@ -246,6 +264,71 @@ class TestAdmissionGate:
         assert not gate.wait_idle(timeout=0.05)
         gate.leave()
         assert gate.wait_idle(timeout=0.05)
+
+    def test_contended_gate_keeps_its_bound_and_its_wakeups(self):
+        """Eight threads on two cores through a two-slot gate, with the
+        interpreter switching threads every few microseconds: never
+        more than two inside, and every queued request is woken when a
+        slot frees (a lost wakeup sleeps out its 10 s queue timeout)."""
+        gate = AdmissionGate(max_concurrent=2, max_queue=8,
+                             queue_timeout=10.0)
+        counter = threading.Lock()
+        inside = [0, 0]  # now, peak
+        longest = [0.0]  # the longest wait for a slot
+        finished: list[int] = []
+
+        def worker():
+            for _ in range(100):
+                started = time.monotonic()
+                gate.enter()
+                with counter:
+                    longest[0] = max(longest[0],
+                                     time.monotonic() - started)
+                    inside[0] += 1
+                    inside[1] = max(inside)
+                time.sleep(0.0002)  # hold the slot; others queue
+                with counter:
+                    inside[0] -= 1
+                gate.leave()
+            finished.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert len(finished) == 8
+        assert inside[1] <= 2
+        assert longest[0] < 5.0
+        assert gate.wait_idle(timeout=0)
+
+    def test_last_leave_wakes_a_sleeping_drain(self):
+        """``leave`` notifies only when someone sleeps on the gate; a
+        ``wait_idle`` caller counts, so the drain returns at the last
+        leave, not at its timeout."""
+        gate = AdmissionGate(max_concurrent=2)
+        gate.enter()
+        took: list[float] = []
+
+        def drain():
+            started = time.monotonic()
+            assert gate.wait_idle(timeout=30.0)
+            took.append(time.monotonic() - started)
+
+        worker = threading.Thread(target=drain)
+        worker.start()
+        try:
+            time.sleep(0.05)
+            gate.leave()
+        finally:
+            worker.join(30.0)
+        assert took and took[0] < 5.0
 
 
 def lane_of(front) -> DatabaseService:

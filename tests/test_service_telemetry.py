@@ -20,15 +20,18 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceReadOnly
+from repro.errors import LockTimeout, ServiceReadOnly
 from repro.faults import FAULTS, TransientError
 from repro.obs import OBS, RingBufferSink
 from repro.service import (
     CLOSED,
+    EXCLUSIVE,
     HALF_OPEN,
     OPEN,
+    WRITE_RESOURCE,
     CircuitBreaker,
     DatabaseService,
+    RetryPolicy,
 )
 from repro.service.breaker import STATE_CODE
 from repro.fdb.updates import Update
@@ -83,6 +86,40 @@ class TestRequestLifecycleSpans:
         # The request span is the root of its tree.
         (start,) = spans(sink, "service.request", "span.start")
         assert start.parent_span is None
+
+    @pytest.mark.parametrize("observed", [True, False],
+                             ids=["obs-on", "obs-off"])
+    def test_lock_timeouts_retry_under_the_policy(self, closing, tmp_path,
+                                                  observed):
+        """A write whose token is held elsewhere times out and retries
+        the policy's attempts, OBS on or off: the same retry and
+        timeout counts, and with OBS on one ``service.attempt`` span
+        per try, numbered from 1, and one ``service.retry`` event per
+        retry."""
+        service, sink = observed_service(
+            closing, tmp_path, lock_timeout=0.02,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
+        if not observed:
+            OBS.disable()
+        service.locks.acquire(WRITE_RESOURCE, EXCLUSIVE, owner=-1)
+        try:
+            with pytest.raises(LockTimeout):
+                service.execute(Update.ins("teach", "gauss", "cs"))
+        finally:
+            service.locks.release(WRITE_RESOURCE, EXCLUSIVE, owner=-1)
+            OBS.events.remove_sink(sink)
+        stats = service.stats()
+        assert (stats["retries"], stats["lock_timeouts"]) == (2, 2)
+        attempts = [r.attrs["attempt"] for r in spans(sink, "service.attempt")]
+        retries = [r.attrs["attempt"] for r in sink.records
+                   if r.kind == "event" and r.name == "service.retry"]
+        if observed:
+            assert attempts == [1, 2, 3]
+            assert retries == [0, 1]
+        else:
+            assert attempts == retries == []
+        service.execute(Update.ins("teach", "gauss", "cs"))
+        assert service.committed_ops() == (Update.ins("teach", "gauss", "cs"),)
 
     def test_read_request_is_not_marked_committed(self, closing, tmp_path):
         service, sink = observed_service(closing, tmp_path)
