@@ -14,7 +14,7 @@ at ``--fail-threshold``, timing drift reported), and rewrites the
 canonical ``BENCH_<exp>.json`` at the repo root plus the
 ``benchmarks/results/<exp>.json``/``.txt`` pair. Every invocation also
 round-trips a Section-4.2 propagation trace through the structured
-event log (JSONL → DAG → DOT) as a pipeline self-check.
+event log (JSONL → span tree → DOT) as a pipeline self-check.
 
 Exit status is non-zero on bench failures or enforced regressions.
 """
@@ -158,9 +158,9 @@ def main(argv: list[str] | None = None) -> int:
                       f"{entry['test']}: +{entry['growth'] * 100:.1f}%")
 
     trace = propagation_roundtrip(root / "benchmarks" / "results")
-    print(f"[trace] {trace['update']}: {trace['records']} events -> "
-          f"DAG ({trace['dag_nodes']} nodes, {trace['dag_edges']} "
-          f"edges, causes {', '.join(trace['causes'])}) -> "
+    print(f"[trace] {trace['update']}: {trace['records']} records -> "
+          f"span tree ({trace['spans']} spans, {trace['events']} "
+          f"events, causes {', '.join(trace['causes'])}) -> "
           f"{Path(trace['dot_path']).name}")
 
     return 1 if failed else 0

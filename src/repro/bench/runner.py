@@ -18,8 +18,8 @@ them repeatedly, so re-invocation is safe by construction).
 
 :func:`propagation_roundtrip` is the acceptance loop for the
 structured event log: it traces one Section-4.2 update with a JSONL
-file sink, reads the records back, folds them into a DAG and renders
-DOT — emitted → persisted → reconstructed → drawn.
+file sink, reads the records back, folds them into a span tree and
+draws it as DOT — emitted → persisted → reconstructed → drawn.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.report import Report, ReportStore
-from repro.obs import OBS, FileSink, propagation_dag, read_jsonl
+from repro.obs import OBS, FileSink, Tracer, read_jsonl
 
 __all__ = ["FakeBenchmark", "BenchResult", "discover_benches",
            "run_bench", "propagation_roundtrip"]
@@ -187,9 +187,10 @@ def propagation_roundtrip(out_dir: str | Path) -> dict:
     """Trace Section 4.2's u1 end to end through the event pipeline.
 
     Emits JSONL records (file sink) while tracing ``DEL(pupil,
-    <euclid, john>)``, reads them back, reconstructs the propagation
-    DAG, renders it as DOT, and sanity-checks the round trip. Returns
-    paths and shape counts for the bench summary.
+    <euclid, john>)``, reads them back, folds them into the span tree
+    through a plain :class:`Tracer`, draws it as DOT, and
+    sanity-checks the round trip. Returns paths and shape counts for
+    the bench summary.
     """
     from repro.fdb.updates import apply_update
     from repro.workloads.university import (
@@ -213,23 +214,24 @@ def propagation_roundtrip(out_dir: str | Path) -> dict:
         finally:
             OBS.events.remove_sink(sink)
     records = read_jsonl(events_path)
-    dag = propagation_dag(records)
-    dot = dag.to_dot(name="section42_u1")
-    dot_path.write_text(dot + "\n", encoding="utf-8")
-    spans = [r for r in records if r.kind == "span.end"]
-    causes = {r.cause for r in records if r.cause}
-    if not spans or not causes or not dag.nodes:
+    tracer = Tracer()
+    for record in records:
+        tracer.consume(record)
+    root = tracer.last_trace
+    if root is None or root.cause is None:
         raise RuntimeError(
             "propagation round trip produced an empty trace — the "
             "event pipeline is broken"
         )
+    dot_path.write_text(root.to_dot(name="section42_u1") + "\n",
+                        encoding="utf-8")
+    spans = list(root.walk())
     return {
         "update": str(u1),
         "events_path": str(events_path),
         "dot_path": str(dot_path),
         "records": len(records),
         "spans": len(spans),
-        "dag_nodes": len(dag.nodes),
-        "dag_edges": len(dag.edges),
-        "causes": sorted(causes),
+        "events": sum(len(span.events) for span in spans),
+        "causes": [root.cause],
     }

@@ -61,9 +61,9 @@ def dag_to_dot(nodes, edges, *, name: str = "dag",
     ``nodes`` is an iterable of ``(node_id, label, kind)`` triples —
     ``kind`` selects a node style (span/event/action/cause, anything
     else drawn plain); ``edges`` of ``(src_id, dst_id, label)``
-    triples. Used for update-propagation DAGs reconstructed from the
-    structured event log (:func:`repro.obs.events.propagation_dag`),
-    but intentionally knows nothing about events: any DAG renders.
+    triples. Used to draw update-propagation span trees
+    (:meth:`repro.obs.tracing.Span.to_dot`), but intentionally knows
+    nothing about spans: any DAG renders.
     """
     lines = [f"digraph {_quote(name)} {{", f"  rankdir={rankdir};"]
     for node_id, label, kind in nodes:

@@ -117,12 +117,12 @@ from repro.fdb.wal import UpdateLog, committed, decode_frame, recover
 from repro.obs.endpoint import ExpositionError, parse_prometheus
 from repro.obs.events import (
     FileSink,
-    propagation_dag,
     read_jsonl,
     replication_timeline,
 )
 from repro.obs.hooks import OBS
 from repro.obs.slo import ERROR_RATE, Objective, replication_lag_objective
+from repro.obs.tracing import Tracer
 from repro.replication import (
     CommitMode,
     FailoverCoordinator,
@@ -1565,7 +1565,7 @@ def _check_pipeline(cell: Cell) -> None:
     commit mode's ack quota of ``replica.apply`` spans on that lane's
     replicas (their ``[from_seq, applied_to]`` interval contains it) or
     by a snapshot install whose ``wal_applied`` floor subsumes it. The
-    last acked commit's cross-node propagation DAG is kept as a DOT
+    last acked commit's cross-node span tree is kept as a DOT
     artifact."""
     needed = CommitMode.parse(cell.report.mode).required_acks(
         cell.config.replicas)
@@ -1640,22 +1640,15 @@ def _write_pipeline_dot(cell: Cell, lane: _Lane, last_seq: int) -> None:
             f"no ship span covering acked seq {last_seq}; pipeline "
             f"DOT skipped")
         return
-    children: dict[int, list[int]] = {}
-    for record in spans.values():
-        if record.parent_span is not None:
-            children.setdefault(record.parent_span,
-                                []).append(record.span_id)
-    keep: set[int] = set()
-    stack = [root_of(target).span_id]
-    while stack:
-        span_id = stack.pop()
-        if span_id not in keep:
-            keep.add(span_id)
-            stack.extend(children.get(span_id, ()))
-    dag = propagation_dag(
-        [record for record in cell.records if record.span_id in keep])
+    root_id = root_of(target).span_id
+    tracer = Tracer()
+    for record in cell.records:
+        tracer.consume(record)
+        if record.kind == "span.end" and record.span_id == root_id:
+            break
     cell._artifact("pipeline", suffix=".dot").write_text(
-        dag.to_dot(name="pipeline") + "\n", encoding="utf-8")
+        tracer.last_trace.to_dot(name="pipeline") + "\n",
+        encoding="utf-8")
 
 
 def _check_timeline(cell: Cell) -> None:

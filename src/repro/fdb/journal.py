@@ -48,19 +48,21 @@ class Journal:
 
     # -- executing ----------------------------------------------------------
 
-    def execute(self, update: Update | UpdateSequence) -> None:
+    def execute(self, update: Update | UpdateSequence) -> list:
         """Apply ``update`` and record it; clears the redo stack.
+        Returns the undo records it left (what :meth:`undo` replays).
 
         An :class:`UpdateSequence` (a general update request) is
         applied atomically and recorded as a *single* history entry, so
         one undo reverts the whole request.
         """
-        self._apply(update)
+        records = self._apply(update)
         if len(self._done) > self.max_depth:
             self._done.pop(0)
         self._undone.clear()
+        return records
 
-    def _apply(self, update: Update | UpdateSequence) -> None:
+    def _apply(self, update: Update | UpdateSequence) -> list:
         """Apply atomically, keeping the records of just this update
         (the enclosing transaction's log may hold earlier ones)."""
         with atomic(self.db):
@@ -68,6 +70,7 @@ class Journal:
             start = len(log)
             apply_entry(self.db, update)
             self._done.append((update, log[start:]))
+        return self._done[-1][1]
 
     def execute_all(self, updates: list[Update]) -> None:
         for update in updates:

@@ -138,7 +138,6 @@ def derived_insert(db: FunctionalDatabase, name: str, x: Value, y: Value) -> Non
         chain = exists_nvc(db, derivation, x, y)
         if chain is not None:
             if obs_on:
-                OBS.inc("fdb.nvc.reused")
                 OBS.event("nvc.reused", derivation=str(derivation),
                           chain=str(chain))
             clean_up_nvc(db, chain)
@@ -265,7 +264,6 @@ def replace(
     # transaction, and opening a second one would be misuse.
     cancel.checkpoint()
     if OBS.enabled:
-        OBS.inc("fdb.updates.replace")
         with OBS.span("update.replace", cause=_update_cause(),
                       function=name):
             with atomic(db):

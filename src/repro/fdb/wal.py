@@ -450,7 +450,6 @@ class UpdateLog:
         """
         self._append("abort_of", seq)
         if OBS.enabled:
-            OBS.inc("fdb.wal.aborts")
             OBS.event("wal.abort", aborted_seq=seq)
 
     def append_frame(self, seq: int, line: str) -> None:

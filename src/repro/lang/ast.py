@@ -192,8 +192,8 @@ class Trace(Statement):
 
     ``on`` enables instrumentation with span collection, ``off``
     disables tracing (metrics stay on), ``show`` re-prints the last
-    recorded trace tree — with ``--dot "path"`` it instead writes the
-    trace's propagation DAG as Graphviz DOT to the file.
+    recorded trace tree — with ``--dot "path"`` it instead draws that
+    span tree as Graphviz DOT to the file.
     """
 
     mode: str  # "on" | "off" | "show"

@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.cancel import deadline_scope
-from repro.errors import ConstraintViolation, DesignError, ReproError
+from repro.errors import (ConstraintViolation, DesignError, ReproError,
+                          StructureError)
 from repro.core.design_aid import AutoDesigner, Designer, DesignSession
 from repro.core.dot import design_to_dot
 from repro.fdb import persistence, worlds
@@ -320,27 +321,33 @@ class Interpreter:
                          label: str) -> None:
         """The journal execute shared by updates and ``end`` blocks:
         durably WAL-log first when a checkpoint directory is attached,
-        apply, then enforce guarded constraints. A failed apply or a
-        guard undo appends a compensating abort record so the log
-        never replays an update the live state rejected."""
+        apply, then enforce guarded constraints. A logged update is
+        also checked against the stored structure it wrote, as
+        :meth:`repro.fdb.wal.LoggedDatabase.execute` does. A failed
+        apply, a structure fault or a guard undo appends a compensating
+        abort record so the log never replays an update the live state
+        rejected."""
         assert self.journal is not None
         seq = self.wal.append(update) if self.wal is not None else None
         try:
-            self.journal.execute(update)
+            records = self.journal.execute(update)
         except Exception:
             if seq is not None:
                 self.wal.append_abort(seq)
             raise
-        if self.guard_enabled:
-            violations = self.constraints.check(db)
-            if violations:
-                self.journal.undo()
-                if seq is not None:
-                    self.wal.append_abort(seq)
-                raise ConstraintViolation(
-                    f"{label} undone; it violates: "
-                    + "; ".join(str(v) for v in violations)
-                )
+        fault = db.structure_fault(records) if seq is not None else None
+        violations = (self.constraints.check(db)
+                      if fault is None and self.guard_enabled else ())
+        if fault is not None or violations:
+            self.journal.undo()
+            if seq is not None:
+                self.wal.append_abort(seq)
+            if fault is not None:
+                raise StructureError(f"{label} undone: {fault}")
+            raise ConstraintViolation(
+                f"{label} undone; it violates: "
+                + "; ".join(str(v) for v in violations)
+            )
 
     def _trace_lines(self, traces_before: int) -> list[str]:
         """Span trees recorded since ``traces_before`` (tracing only)."""
@@ -576,16 +583,11 @@ class Interpreter:
         if statement.dot_path is not None:
             from pathlib import Path
 
-            from repro.obs import propagation_dag
-
-            dag = propagation_dag(OBS.tracer.records(last))
             Path(statement.dot_path).write_text(
-                dag.to_dot(name="trace") + "\n", encoding="utf-8"
+                last.to_dot(name="trace") + "\n", encoding="utf-8"
             )
-            return [
-                f"wrote propagation DAG ({len(dag.nodes)} nodes, "
-                f"{len(dag.edges)} edges) to {statement.dot_path}"
-            ]
+            return [f"wrote propagation DAG ({len(list(last.walk()))} "
+                    f"spans) to {statement.dot_path}"]
         return last.lines("  ")
 
     def _run_deadlinecmd(self, statement: ast.DeadlineCmd) -> list[str]:

@@ -29,12 +29,10 @@ from repro.obs.events import (
     EventLog,
     EventRecord,
     FileSink,
-    PropagationDag,
     ReplicationTimeline,
     RingBufferSink,
     Sink,
     TimelineEntry,
-    propagation_dag,
     read_jsonl,
     replication_timeline,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "RingBufferSink",
     "FileSink",
     "CallbackSink",
-    "propagation_dag",
-    "PropagationDag",
     "read_jsonl",
     "TimelineEntry",
     "ReplicationTimeline",

@@ -1,4 +1,4 @@
-"""The structured event log: typed records, pluggable sinks, causal DAGs.
+"""The structured event log: typed records, pluggable sinks, causal links.
 
 Span trees (:mod:`repro.obs.tracing`) answer "what did this update do"
 interactively; the event log answers it *durably and causally*. Every
@@ -13,7 +13,7 @@ three causal fields:
 * ``cause`` — the update id (``u1``, ``u2``, ...) whose propagation
   produced the record, inherited down the span context, so a whole
   cascade (derived delete → chain enumeration → NC creation → WAL
-  append) can be grouped and rendered as a DAG.
+  append) can be grouped and drawn as one span tree.
 
 Records flow through pluggable :class:`Sink` implementations attached
 to the process-wide :class:`EventLog` (``OBS.events``):
@@ -30,10 +30,10 @@ with ``OBS.enabled`` and at least one sink attached records flow
 whether or not span trees are built. With no sinks attached and
 tracing off the pipeline costs two attribute checks.
 
-:func:`propagation_dag` folds a record stream back into a
-:class:`PropagationDag`; :meth:`PropagationDag.to_dot` renders it via
-:func:`repro.core.dot.dag_to_dot`, closing the loop the acceptance
-test exercises: events → JSONL → DAG → DOT.
+A plain :class:`repro.obs.tracing.Tracer` folds a stream read back
+by :func:`read_jsonl` into span trees, and
+:meth:`repro.obs.tracing.Span.to_dot` draws one, closing the loop the
+acceptance test exercises: events → JSONL → span tree → DOT.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ __all__ = [
     "CallbackSink",
     "EventLog",
     "read_jsonl",
-    "PropagationDag",
-    "propagation_dag",
     "TimelineEntry",
     "ReplicationTimeline",
     "replication_timeline",
@@ -239,10 +237,6 @@ class EventLog:
         self._sinks.clear()
         self.active = False
 
-    @property
-    def sinks(self) -> tuple[Sink, ...]:
-        return tuple(self._sinks)
-
     def record(self, kind: str, name: str, span_id: int | None = None,
                parent_span: int | None = None, cause: str | None = None,
                duration: float | None = None,
@@ -275,113 +269,6 @@ def read_jsonl(path: str | Path) -> list[EventRecord]:
         if line:
             records.append(EventRecord.from_dict(json.loads(line)))
     return records
-
-
-# -- DAG reconstruction -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DagNode:
-    """One node of a propagation DAG: a span or a point event."""
-
-    node_id: str
-    label: str
-    kind: str  # "span" | "event" | "action" | "cause"
-
-
-@dataclass
-class PropagationDag:
-    """A record stream folded back into its causal structure.
-
-    Nodes are spans, point events and standalone actions; edges run
-    parent-span → child (tree structure) and update-cause → root span
-    (causal attribution). The same trace always folds to the same DAG,
-    so the DOT rendering is diffable.
-    """
-
-    nodes: list[DagNode] = field(default_factory=list)
-    edges: list[tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def node_ids(self) -> set[str]:
-        return {node.node_id for node in self.nodes}
-
-    def roots(self) -> list[DagNode]:
-        """Nodes with no incoming edge."""
-        targets = {dst for _, dst, _ in self.edges}
-        return [n for n in self.nodes if n.node_id not in targets]
-
-    def to_dot(self, *, name: str = "propagation") -> str:
-        from repro.core.dot import dag_to_dot
-
-        return dag_to_dot(
-            [(n.node_id, n.label, n.kind) for n in self.nodes],
-            self.edges,
-            name=name,
-        )
-
-
-def _span_label(record: EventRecord) -> str:
-    rendered = " ".join(
-        f"{key}={value}" for key, value in record.attrs.items()
-        if key not in ("update_id",)
-    )
-    label = record.name + (f"\n{rendered}" if rendered else "")
-    if record.duration is not None:
-        label += f"\n[{record.duration * 1000:.2f} ms]"
-    return label
-
-
-def propagation_dag(records: Iterable[EventRecord]) -> PropagationDag:
-    """Reconstruct the propagation DAG of a record stream.
-
-    ``span.start``/``span.end`` pairs collapse into one span node
-    (labelled with the end record's duration); ``event`` records hang
-    off their span; ``action`` records stand alone; each distinct
-    ``cause`` becomes a source node with an edge to every root span it
-    caused.
-    """
-    dag = PropagationDag()
-    span_nodes: dict[int, DagNode] = {}
-    span_parents: dict[int, int | None] = {}
-    causes: dict[str, list[str]] = {}
-    for record in records:
-        if record.kind == "span.start":
-            continue  # the matching span.end carries the duration
-        if record.kind == "span.end":
-            assert record.span_id is not None
-            node = DagNode(f"s{record.span_id}", _span_label(record),
-                           "span")
-            span_nodes[record.span_id] = node
-            span_parents[record.span_id] = record.parent_span
-            dag.nodes.append(node)
-            if record.cause is not None and record.parent_span is None:
-                causes.setdefault(record.cause, []).append(node.node_id)
-            continue
-        node_id = f"e{record.seq}"
-        kind = "event" if record.kind == "event" else "action"
-        dag.nodes.append(DagNode(node_id, _span_label(record), kind))
-        if record.span_id is not None:
-            dag.edges.append((f"s{record.span_id}", node_id, ""))
-        elif record.cause is not None:
-            causes.setdefault(record.cause, []).append(node_id)
-    for span_id, parent in span_parents.items():
-        if parent is not None and parent in span_nodes:
-            dag.edges.append((f"s{parent}", f"s{span_id}", ""))
-    for cause, roots in causes.items():
-        cause_id = f"c_{cause}"
-        dag.nodes.append(DagNode(cause_id, cause, "cause"))
-        for root in roots:
-            dag.edges.append((cause_id, root, "causes"))
-    # Events attached to spans that never closed (span.end missing,
-    # e.g. a truncated JSONL) keep their edges only if the span node
-    # exists; prune dangling edges so the DOT stays well-formed.
-    known = dag.node_ids
-    dag.edges = [
-        (src, dst, label) for src, dst, label in dag.edges
-        if src in known and dst in known
-    ]
-    return dag
 
 
 # -- replication audit timeline -----------------------------------------------

@@ -141,7 +141,7 @@ class _RemoteContext:
 
     Entering pushes the remote ``(parent_span, cause)`` pair onto the
     context stack, so spans opened inside parent to the *shipping*
-    node's span and the folded :func:`propagation_dag` connects the
+    node's span and the span tree folded from the records connects the
     primary's pipeline to the replica's — the cross-node join point of
     distributed traces. A cheap no-op when disabled or when the frame
     carried no context (an older primary).
@@ -259,7 +259,7 @@ class Instrumentation:
         Span ids are process-unique, so the parent span id *is* the
         trace join key — a receiver that opens its spans under
         :meth:`remote_context` with these values joins the sender's
-        pipeline in :func:`repro.obs.events.propagation_dag`. Returns
+        span tree. Returns
         ``None`` when disabled or outside any span (the frame then
         simply omits the field, which older receivers ignore).
         """

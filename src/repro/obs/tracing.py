@@ -10,7 +10,7 @@ chain evaluated, each base mutation.
 The :class:`Tracer` folds the instrumentation's record stream into
 these trees and retains the last few finished roots, so the REPL's
 ``trace`` command and the examples can print the tree of what an update
-actually did::
+actually did (and :meth:`Span.to_dot` draw it)::
 
     update.delete function=pupil x=euclid y=john [0.21 ms]
       + chain.evaluated chain=<teach, euclid, math> . <class_list, math, john>
@@ -44,10 +44,12 @@ def format_value(value) -> str:
     return _format_value(value)
 
 
-def _render_attrs(attrs: dict) -> str:
-    return " ".join(
+def _titled(name: str, attrs: dict, sep: str = " ") -> str:
+    """``name``, then its ``key=value`` attrs when it has any."""
+    rendered = " ".join(
         f"{key}={format_value(value)}" for key, value in attrs.items()
     )
+    return name + sep + rendered if rendered else name
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,17 @@ class SpanEvent:
     """One structured marker inside a span.
 
     ``offset`` is seconds since the enclosing span started, so events
-    order and locate themselves inside the span's duration.
+    order and locate themselves inside the span's duration; ``kind`` is
+    the record kind, ``event`` or ``action``.
     """
 
     name: str
     attrs: dict
     offset: float
+    kind: str = "event"
 
     def __str__(self) -> str:
-        rendered = _render_attrs(self.attrs)
-        return f"+ {self.name}" + (f" {rendered}" if rendered else "")
+        return "+ " + _titled(self.name, self.attrs)
 
 
 @dataclass
@@ -112,12 +115,11 @@ class Span:
     # -- rendering -----------------------------------------------------------
 
     def _header(self) -> str:
-        rendered = _render_attrs(self.attrs)
         timing = (
             f" [{self.duration * 1000:.2f} ms]"
             if self.duration is not None else " [open]"
         )
-        return self.name + (f" {rendered}" if rendered else "") + timing
+        return _titled(self.name, self.attrs) + timing
 
     def lines(self, indent: str = "") -> list[str]:
         out = [indent + self._header()]
@@ -131,6 +133,31 @@ class Span:
     def render(self, indent: str = "") -> str:
         """The span tree as indented text."""
         return "\n".join(self.lines(indent))
+
+    def to_dot(self, *, name: str = "propagation") -> str:
+        """The tree as DOT: a box per span, an ellipse per event or
+        action hanging off its span, parent -> child edges, and the
+        ``cause`` update as a diamond pointing at this span."""
+        from repro.core.dot import dag_to_dot
+
+        nodes, edges = [], []
+        for span in self.walk():
+            node = f"s{span.span_id}"
+            label = _titled(span.name, span.attrs, "\n")
+            if span.duration is not None:
+                label += f"\n[{span.duration * 1000:.2f} ms]"
+            nodes.append((node, label, "span"))
+            for i, event in enumerate(span.events):
+                nodes.append((f"{node}e{i}",
+                              _titled(event.name, event.attrs, "\n"),
+                              event.kind))
+                edges.append((node, f"{node}e{i}", ""))
+            edges.extend((node, f"s{child.span_id}", "")
+                         for child in span.children)
+        if self.cause is not None:
+            nodes.append((f"c_{self.cause}", self.cause, "cause"))
+            edges.append((f"c_{self.cause}", f"s{self.span_id}", "causes"))
+        return dag_to_dot(nodes, edges, name=name)
 
     def to_dict(self) -> dict:
         """JSON-ready form (attribute values stringified for
@@ -157,12 +184,13 @@ class Tracer:
 
     The tracer keeps no context of its own: while ``OBS.tracing`` is
     on, :class:`repro.obs.hooks.Instrumentation` hands it every record
-    it emits (:meth:`consume`). A ``span.start`` opens a :class:`Span`
-    under its ``parent_span`` when that span is open here, or a new
-    root otherwise; ``event`` and ``action`` records attach to their
-    open span; ``span.end`` closes the span with the end record's
-    duration and attrs. Only the last :data:`MAX_TRACES` finished roots
-    are kept, each with the records it was built from (:meth:`records`).
+    it emits (:meth:`consume`); a plain ``Tracer()`` folds a stream
+    read back from a :class:`repro.obs.events.FileSink` the same way.
+    A ``span.start`` opens a :class:`Span` under its ``parent_span``
+    when that span is open here, or a new root otherwise; ``event``
+    and ``action`` records attach to their open span; ``span.end``
+    closes the span with the end record's duration and attrs. Only the
+    last :data:`MAX_TRACES` finished roots are kept.
 
     One lock guards the open spans and the finished roots, so spans
     opened on several threads — or joined across a shipped trace
@@ -170,9 +198,9 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        # span_id -> (open span, its root's record list)
-        self._open: dict[int, tuple[Span, list[EventRecord]]] = {}
-        self._finished: list[tuple[Span, list[EventRecord]]] = []
+        self._open: dict[int, Span] = {}
+        self._open_roots: set[int] = set()
+        self._finished: list[Span] = []
         self._lock = threading.Lock()
 
     def consume(self, record: EventRecord) -> None:
@@ -186,27 +214,25 @@ class Tracer:
                             cause=record.cause)
                 parent = self._open.get(record.parent_span)
                 if parent is None:
-                    records: list[EventRecord] = []
+                    self._open_roots.add(record.span_id)
                 else:
-                    parent[0].children.append(span)
-                    records = parent[1]
-                records.append(record)
-                self._open[record.span_id] = (span, records)
+                    parent.children.append(span)
+                self._open[record.span_id] = span
                 return
-            entry = self._open.get(record.span_id)
-            if entry is None:
+            span = self._open.get(record.span_id)
+            if span is None:
                 return
-            span, records = entry
-            records.append(record)
             if record.kind != "span.end":
                 span.events.append(SpanEvent(record.name, record.attrs,
-                                             record.ts - span.start))
+                                             record.ts - span.start,
+                                             record.kind))
                 return
             del self._open[record.span_id]
             span.duration = record.duration
             span.attrs = record.attrs
-            if records[0].span_id == span.span_id:  # a root opened its list
-                self._finished.append((span, records))
+            if record.span_id in self._open_roots:
+                self._open_roots.remove(record.span_id)
+                self._finished.append(span)
                 if len(self._finished) > MAX_TRACES:
                     self._finished.pop(0)
 
@@ -214,23 +240,15 @@ class Tracer:
     def traces(self) -> tuple[Span, ...]:
         """Finished root spans, oldest first."""
         with self._lock:
-            return tuple(span for span, _ in self._finished)
+            return tuple(self._finished)
 
     @property
     def last_trace(self) -> Span | None:
         with self._lock:
-            return self._finished[-1][0] if self._finished else None
-
-    def records(self, root: Span) -> tuple[EventRecord, ...]:
-        """The records a retained root was folded from — what
-        :func:`repro.obs.events.propagation_dag` renders."""
-        with self._lock:
-            for span, records in self._finished:
-                if span is root:
-                    return tuple(records)
-        return ()
+            return self._finished[-1] if self._finished else None
 
     def reset(self) -> None:
         with self._lock:
             self._open.clear()
+            self._open_roots.clear()
             self._finished.clear()

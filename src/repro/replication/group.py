@@ -116,7 +116,7 @@ class CommitMode:
             return self.k
         # quorum: majority of the whole group; the primary's own
         # durable copy counts as one vote.
-        return (replicas + 1) // 2 + 1 - 1
+        return (replicas + 1) // 2
 
     def __str__(self) -> str:
         return f"sync({self.k})" if self.kind == "sync" else self.kind
@@ -243,7 +243,6 @@ class ReplicationGroup:
             lease = self._lease
         if deposed:
             if OBS.enabled:
-                OBS.inc("replication.fenced_writes")
                 OBS.action("replication.write_fenced",
                            writer_term=token, group_term=current)
             raise StalePrimary(token, current)
@@ -298,8 +297,6 @@ class ReplicationGroup:
             else:
                 transport = target
             shipper.add(name, transport)
-            if OBS.enabled:
-                OBS.action("replication.replica_added", replica=name)
         return self.catch_up(name)
 
     def remove_replica(self, name: str) -> None:
@@ -586,7 +583,6 @@ class ReplicationGroup:
                 for link in shipper.links()
             }
         if OBS.enabled:
-            OBS.inc("replication.promotions")
             OBS.gauge("replication.term", new_term)
             OBS.action("replication.fence", old_term=old_term,
                        new_term=new_term, fence_seq=applied,
@@ -654,7 +650,6 @@ class ReplicationGroup:
             rebootstrapped=rebootstrap, catch_up=catch_up,
         )
         if OBS.enabled:
-            OBS.inc("replication.rejoins")
             OBS.action("replication.rejoin", replica=replica.name,
                        old_term=old_term, fence_seq=fence,
                        records_dropped=dropped,
@@ -687,8 +682,6 @@ class ReplicationGroup:
                 value = replica.read(fn)
             except ReplicationError:
                 continue
-            if OBS.enabled:
-                OBS.inc("replication.replica_reads")
             return value
         with self._lock:
             have_local = bool(self._replicas)

@@ -67,6 +67,7 @@ from dataclasses import dataclass
 from repro.errors import LeaseExpired, ReplicationError
 from repro.faults.registry import FAULTS
 from repro.obs.hooks import OBS
+from repro.replication.group import CommitMode
 
 __all__ = ["LeaseConfig", "LeaseClock", "LeaseManager",
            "FailureDetector", "FailoverCoordinator"]
@@ -209,14 +210,12 @@ class LeaseManager:
         next ``attach_primary`` re-grants it — in particular the
         status polls the promotion itself sends must not count as
         renewal votes for the deposed term."""
-        now = self.clock()
         with self._lock:
             self._granted = None
             self._acks.clear()
             self._lapsed = True
         if OBS.enabled:
             OBS.gauge("replication.lease.held", 0)
-        self._refresh_gauges(now)
 
     def note_ack(self, name: str, started: float) -> None:
         """One replica confirmed us; ``started`` is the clock reading
@@ -242,10 +241,11 @@ class LeaseManager:
     def needed_acks(self) -> int:
         """Renewal votes required: a majority of the full group (the
         primary's own vote included), i.e. ``(n + 1) // 2`` of ``n``
-        linked replicas. A solo primary (no links) never demotes."""
+        linked replicas — the ``quorum`` commit mode's ack quota. A solo
+        primary (no links) never demotes."""
         shipper = self.group.shipper
         n = len(shipper.links()) if shipper is not None else 0
-        return (n + 1) // 2
+        return CommitMode("quorum").required_acks(n)
 
     def ack_count(self) -> int:
         with self._lock:
@@ -414,14 +414,8 @@ class LeaseManager:
         }
 
     def _refresh_gauges(self, now: float) -> None:
-        if not OBS.enabled:
-            return
-        OBS.gauge("replication.lease.held", 1 if self.held(now) else 0)
-        remaining = self.remaining(now)
-        if remaining != float("-inf"):
-            OBS.gauge("replication.lease.remaining_seconds",
-                      round(max(remaining, 0.0), 6))
-        OBS.gauge("replication.lease.needed_acks", self.needed_acks())
+        if OBS.enabled:
+            OBS.gauge("replication.lease.held", 1 if self.held(now) else 0)
 
 
 class FailureDetector:

@@ -49,9 +49,9 @@ request id, a ``service.request`` span under which admission wait
 (``service.admission``), lock acquisition (``service.locks`` —
 acquisition only, not the hold), retry attempts (``service.attempt``),
 engine execution (``service.engine``) and the WAL commit
-(``wal.commit``) nest, emitted as typed event records that
-:func:`repro.obs.events.propagation_dag` joins to the update
-propagation DAG. On completion the request feeds the per-family RED
+(``wal.commit``) nest, emitted as typed event records that a
+:class:`repro.obs.tracing.Tracer` folds into one span tree with the
+update's propagation. On completion the request feeds the per-family RED
 instruments (``service.red.<family>.{requests,errors,duration_seconds}``)
 and the :class:`repro.obs.slo.SLOMonitor` of every lane it involved;
 the span's end record is stamped ``committed=True`` exactly when the
@@ -424,7 +424,7 @@ class DatabaseService(FrontDoor):
         if OBS.enabled:
             # The audit timeline's commit entry: emitted inside the
             # request span, so the commit hangs off its pipeline in
-            # the folded DAG and carries the term it was acked under.
+            # the folded span tree and carries the term it was acked under.
             OBS.action("replication.commit_acked", seq=seq,
                        term=self._repl_term, acks=ack.get("acks"),
                        mode=ack.get("mode"), node=self.node)

@@ -1,21 +1,23 @@
-"""The structured event log: records, sinks, causal DAG round trips.
+"""The structured event log: records, sinks, span-tree round trips.
 
 Covers the typed-record surface (serialization, ordering, causal
 fields), the three sink implementations, the emission gates (enabled ×
 sinks-attached × tracing), and the acceptance loop: a Section 4.2
-update traced to JSONL, read back, folded into a propagation DAG and
-rendered as DOT.
+update traced to JSONL, read back, folded into a span tree by a plain
+``Tracer`` and drawn as DOT.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
 
+from repro.core.dot import _DAG_STYLES
 from repro.fdb import updates
-from repro.fdb.updates import apply_update
+from repro.fdb.updates import Update, apply_update
 from repro.obs import (
     OBS,
     CallbackSink,
@@ -23,7 +25,7 @@ from repro.obs import (
     EventRecord,
     FileSink,
     RingBufferSink,
-    propagation_dag,
+    Tracer,
     read_jsonl,
 )
 from repro.workloads.university import pupil_database, section_42_updates
@@ -208,55 +210,130 @@ class TestAttribution:
             ("update.insert", "u1")}
 
 
-# -- DAG reconstruction -------------------------------------------------------
+# -- the span tree drawn as DOT ------------------------------------------------
 
 
-def _trace_u1(tmp_path):
+def _trace(tmp_path, *updates):
     path = tmp_path / "trace.jsonl"
     sink = FileSink(path)
     db = pupil_database()
     with OBS.collecting(tracing=True):
         OBS.events.add_sink(sink)
         try:
-            apply_update(db, section_42_updates()[0])
+            for update in updates:
+                apply_update(db, update)
         finally:
             OBS.events.remove_sink(sink)
     return read_jsonl(path)
 
 
+def _trace_u1(tmp_path):
+    return _trace(tmp_path, section_42_updates()[0])
+
+
+def _fold(records) -> tuple:
+    """The finished roots a plain tracer folds ``records`` into."""
+    tracer = Tracer()
+    for record in records:
+        tracer.consume(record)
+    return tracer.traces
+
+
+_NODE = re.compile(r'  "([^"]+)" \[label="((?:[^"\\]|\\.)*)"(?:, (.*))?\];')
+_EDGE = re.compile(r'  "([^"]+)" -> "([^"]+)"(?: \[label="([^"]*)"\])?;')
+_KINDS = {style: kind for kind, style in _DAG_STYLES.items()}
+
+
+def parse_dot(dot: str) -> tuple[dict, list]:
+    """``({node id: (kind, label)}, [(src, dst, label)])`` of a DOT
+    text drawn by :func:`repro.core.dot.dag_to_dot`."""
+    nodes, edges = {}, []
+    for line in dot.splitlines():
+        if match := _NODE.fullmatch(line):
+            label = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n"
+                           else m[1], match[2])
+            nodes[match[1]] = (_KINDS.get(match[3]), label)
+        elif match := _EDGE.fullmatch(line):
+            edges.append((match[1], match[2], match[3] or ""))
+    return nodes, edges
+
+
+# What the record-stream DAG fold drew for Section 4.2's u1 read back
+# from JSONL, before the span tree became the one fold: node (kind,
+# label) pairs without the "[... ms]" line, and edges as label pairs.
+U1_NODES = [
+    ("cause", "u1"),
+    ("event", "chain.evaluated\n"
+              "chain=<teach, euclid, math> . <class_list, math, john>"),
+    ("event", "chains.matched\ncount=1 function=pupil"),
+    ("event", "nc.created\nchain=<teach, euclid, math> . "
+              "<class_list, math, john> index=g1"),
+    ("span", "update.delete\nfunction=pupil x=euclid y=john"),
+]
+U1_EDGES = [
+    ("u1", "update.delete\nfunction=pupil x=euclid y=john"),
+    ("update.delete\nfunction=pupil x=euclid y=john",
+     "chain.evaluated\n"
+     "chain=<teach, euclid, math> . <class_list, math, john>"),
+    ("update.delete\nfunction=pupil x=euclid y=john",
+     "chains.matched\ncount=1 function=pupil"),
+    ("update.delete\nfunction=pupil x=euclid y=john",
+     "nc.created\nchain=<teach, euclid, math> . "
+     "<class_list, math, john> index=g1"),
+]
+
+
 class TestPropagationDag:
+    """The span tree the records fold into, drawn by ``Span.to_dot``."""
+
     def test_section_42_round_trip(self, tmp_path):
-        """The acceptance loop: events -> JSONL -> DAG -> DOT."""
+        """The acceptance loop: events -> JSONL -> span tree -> DOT."""
         records = _trace_u1(tmp_path)
-        dag = propagation_dag(records)
-        assert dag.nodes and dag.edges
-        # The cause node is a root and reaches the root span.
-        cause_nodes = [n for n in dag.nodes if n.kind == "cause"]
-        assert [n.label for n in cause_nodes] == ["u1"]
-        root_ids = {n.node_id for n in dag.roots()}
-        assert cause_nodes[0].node_id in root_ids
-        dot = dag.to_dot(name="u1")
+        live = OBS.tracer.last_trace
+        (root,) = _fold(records)
+        dot = root.to_dot(name="u1")
         assert dot.startswith('digraph "u1"')
-        for node in dag.nodes:
-            assert f'"{node.node_id}"' in dot
+        nodes, edges = parse_dot(dot)
+        assert len(nodes) == 5 and len(edges) == 4
+        # The cause node is a source and points at the root span.
+        (cause,) = [n for n, (kind, _) in nodes.items() if kind == "cause"]
+        assert nodes[cause][1] == "u1"
+        assert (cause, f"s{root.span_id}", "causes") in edges
+        assert cause not in {dst for _, dst, _ in edges}
+        # The live tree draws the same nodes and edges.
+        assert parse_dot(live.to_dot(name="u1"))[1] == edges
+
+    def test_u1_draws_what_the_record_fold_drew(self, tmp_path):
+        (root,) = _fold(_trace_u1(tmp_path))
+        nodes, edges = parse_dot(root.to_dot())
+        labels = {node: label.split("\n[")[0]
+                  for node, (_, label) in nodes.items()}
+        assert sorted((kind, labels[node])
+                      for node, (kind, _) in nodes.items()) == U1_NODES
+        assert sorted((labels[src], labels[dst])
+                      for src, dst, _ in edges) == U1_EDGES
 
     def test_same_trace_same_dag(self, tmp_path):
         records = _trace_u1(tmp_path)
-        once = propagation_dag(records)
-        twice = propagation_dag(records)
-        assert [n.node_id for n in once.nodes] == \
-            [n.node_id for n in twice.nodes]
-        assert once.edges == twice.edges
+        (once,) = _fold(records)
+        (twice,) = _fold(records)
+        assert once.to_dot() == twice.to_dot()
 
-    def test_truncated_stream_prunes_dangling_edges(self, tmp_path):
-        records = _trace_u1(tmp_path)
-        # Drop the tail (the root span.end among it) as a torn file
-        # would; the DAG must still be well-formed.
-        truncated = records[:max(1, len(records) // 2)]
-        dag = propagation_dag(truncated)
-        known = dag.node_ids
-        for src, dst, _ in dag.edges:
-            assert src in known and dst in known
+    def test_truncated_stream_folds_only_finished_trees(self, tmp_path):
+        """A torn tail loses a root's ``span.end``: the fold keeps the
+        roots that finished, whole, and draws nothing of the torn one
+        — not even its children that did finish."""
+        records = _trace(tmp_path, section_42_updates()[0],
+                         Update.rep("teach", ("gauss", "cs"),
+                                    ("gauss", "math")))
+        whole = _fold(records)
+        assert [root.name for root in whole] == \
+            ["update.delete", "update.replace"]
+        child_end = next(i for i, r in enumerate(records)
+                         if r.kind == "span.end"
+                         and r.parent_span == whole[1].span_id)
+        torn = _fold(records[:child_end + 1])
+        assert [root.to_dot() for root in torn] == [whole[0].to_dot()]
 
     def test_live_trace_matches_the_ring(self):
         """The tracer's tree is a fold of the very records the sinks
@@ -291,33 +368,34 @@ class TestPropagationDag:
 
 
 def assert_trees_match_records(roots, records) -> None:
-    """Each tracer root has exactly the parent -> child edges, event
-    names and causes that :func:`propagation_dag` folds from
-    ``records`` for it."""
-    dag = propagation_dag(records)
-    names = {node.node_id: node.label.split("\n")[0] for node in dag.nodes}
-    below: dict[str, list[str]] = {}
-    for src, dst, _ in dag.edges:
-        below.setdefault(src, []).append(dst)
+    """Each tracer root agrees with the raw ``records``: a span's
+    name and parent are its ``span.start`` record's, its children are
+    the spans whose start names it as ``parent_span``, its events are
+    the ``event`` / ``action`` records of its id in record order, and
+    its cause, duration and attrs are its ``span.end`` record's."""
+    starts = {r.span_id: r for r in records if r.kind == "span.start"}
     ends = {r.span_id: r for r in records if r.kind == "span.end"}
-
-    def walk(span) -> None:
-        node = below.get(f"s{span.span_id}", [])
-        assert sorted(f"s{child.span_id}" for child in span.children) \
-            == sorted(n for n in node if n.startswith("s"))
-        assert [event.name for event in span.events] \
-            == [names[n] for n in node if n.startswith("e")]
-        assert span.cause == ends[span.span_id].cause
-        assert span.duration == ends[span.span_id].duration
-        for child in span.children:
-            walk(child)
-
+    children: dict[int | None, list[int]] = {}
+    marks: dict[int | None, list[tuple]] = {}
+    for record in records:
+        if record.kind == "span.start":
+            children.setdefault(record.parent_span,
+                                []).append(record.span_id)
+        elif record.kind != "span.end":
+            marks.setdefault(record.span_id, []).append(
+                (record.kind, record.name, record.attrs))
     assert roots
     for root in roots:
-        walk(root)
-        if root.parent_id is None and root.cause is not None:
-            assert (f"c_{root.cause}", f"s{root.span_id}", "causes") \
-                in dag.edges
+        for span in root.walk():
+            start, end = starts[span.span_id], ends[span.span_id]
+            assert (span.name, span.parent_id) == \
+                (start.name, start.parent_span)
+            assert sorted(child.span_id for child in span.children) \
+                == sorted(children.get(span.span_id, []))
+            assert [(e.kind, e.name, e.attrs) for e in span.events] \
+                == marks.get(span.span_id, [])
+            assert (span.cause, span.duration, span.attrs) == \
+                (end.cause, end.duration, end.attrs)
 
 
 # -- the replication audit timeline -------------------------------------------

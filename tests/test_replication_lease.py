@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,10 +29,12 @@ from repro.fdb.wal import LoggedDatabase
 from repro.obs import OBS, RingBufferSink, replication_timeline
 from repro.obs.export import render_replication
 from repro.replication import (
+    CommitMode,
     FailoverCoordinator,
     FailureDetector,
     LeaseClock,
     LeaseConfig,
+    LeaseManager,
     Replica,
     ReplicaServer,
     ReplicationGroup,
@@ -225,6 +228,19 @@ class TestLeaseManager:
         assert group.leaderless()
         with pytest.raises(StalePrimary):
             group.check_primary(term)
+
+
+def test_lease_and_quorum_commits_count_one_majority():
+    """A renewal needs the votes a ``quorum`` commit needs acks: a
+    majority of the whole group, the primary's own vote included."""
+    for n in range(8):
+        shipper = SimpleNamespace(links=lambda n=n: [f"r{i}"
+                                                     for i in range(n)])
+        group = SimpleNamespace(shipper=shipper, primary_name="primary")
+        lease = LeaseManager(group, clock=_Ticker())
+        assert lease.needed_acks() \
+            == CommitMode.parse("quorum").required_acks(n) \
+            == (n + 1) // 2
 
 
 class TestFailureDetector:

@@ -19,7 +19,7 @@ from repro.fdb.wal import LoggedDatabase, UpdateLog
 from repro.obs import (
     OBS,
     RingBufferSink,
-    propagation_dag,
+    Tracer,
     replication_timeline,
 )
 from repro.obs.slo import replication_lag_objective
@@ -31,6 +31,7 @@ from repro.replication.transport import (
 )
 from repro.service import DatabaseService
 from repro.workloads.university import pupil_database
+from tests.test_obs_events import parse_dot
 
 
 def _scrub():
@@ -110,22 +111,24 @@ class TestCrossNodeTrace:
         # Both replicas appear, each with its own pipeline.
         assert {str(r.attrs["replica"]) for r in receives} == {"r0", "r1"}
 
-    def test_propagation_dag_folds_the_pipeline(self, ring, replicated):
+    def test_span_tree_dot_draws_the_pipeline(self, ring, replicated):
         service, group, _ = replicated()
         service.insert("teach", "gauss", "cs")
-        dag = propagation_dag(list(ring.records))
-        labels = {}
-        for node in dag.nodes:
-            labels.setdefault(node.label.split("\n")[0], []).append(
-                node.node_id)
+        tracer = Tracer()
+        for record in ring.records:
+            tracer.consume(record)
+        (root,) = [span for span in tracer.traces
+                   if span.name == "service.request"]
+        nodes, edges = parse_dot(root.to_dot(name="pipeline"))
+        labels: dict[str, list[str]] = {}
+        for node, (_, label) in nodes.items():
+            labels.setdefault(label.split("\n")[0], []).append(node)
         assert len(labels["replication.receive"]) == 2
         assert len(labels["replica.apply"]) == 2
         # Each receive hangs off a ship node: the edges cross nodes.
-        edge_pairs = {(src, dst) for src, dst, _ in dag.edges}
         for receive in labels["replication.receive"]:
-            assert any(src in labels["replication.ship"]
-                       and dst == receive
-                       for src, dst in edge_pairs)
+            assert any(src in labels["replication.ship"] and dst == receive
+                       for src, dst, _ in edges)
 
     def test_frame_without_trace_context_still_applies(self, ring,
                                                        replicated):

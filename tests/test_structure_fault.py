@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.design_aid import AutoDesigner
 from repro.core.derivation import Derivation
 from repro.core.schema_text import parse_schema
 from repro.errors import PersistenceError, StructureError
@@ -20,6 +21,7 @@ from repro.fdb.nc import NegatedConjunction
 from repro.fdb.table import FunctionTable
 from repro.fdb.updates import Update, apply_update
 from repro.fdb.wal import LoggedDatabase, UpdateLog, checkpoint, recover
+from repro.lang.interp import Interpreter
 from repro.workloads.university import pupil_database, section_42_updates
 
 
@@ -168,6 +170,35 @@ def test_logged_commit_that_breaks_the_structure_is_aborted(
     # The unrecorded change is still there: the database fails stop.
     with pytest.raises(StructureError):
         logged.insert("teach", "noether", "algebra")
+
+
+def test_interpreter_commit_that_breaks_the_structure_is_aborted(
+        tmp_path, monkeypatch, closing):
+    """The REPL's write-ahead path refuses the same commit: once
+    ``checkpoint`` attached a log, the update's recorded part is undone
+    through the journal and the log entry compensated."""
+    interp = closing(Interpreter(AutoDesigner()))
+    interp.execute("add teach: faculty -> course (many-many); commit;"
+                   f'checkpoint "{tmp_path}"; insert teach(gauss, cs);')
+
+    apply_update = updates.apply_update
+
+    def apply_and_bypass(db, update):
+        apply_update(db, update)
+        fact = next(db.table("teach").facts())
+        fact.ncl = fact.ncl | {99}  # unrecorded
+
+    monkeypatch.setattr(updates, "apply_update", apply_and_bypass)
+    (line,) = interp.execute("insert teach(noether, algebra);")
+    monkeypatch.undo()
+    assert line.startswith("error:") and "points to NC g99" in line
+
+    assert interp.db.table("teach").get("noether", "algebra") is None
+    interp.close()
+    report = recover(tmp_path / "snapshot.json", tmp_path / "wal.log")
+    assert (report.entries_applied, report.aborted) == (1, 1)
+    assert report.db.table("teach").get("noether", "algebra") is None
+    assert report.db.table("teach").get("gauss", "cs") is not None
 
 
 def test_snapshot_whose_counters_lag_its_contents_is_refused(db):
