@@ -55,13 +55,6 @@ class Report:
             "rows": [[str(cell) for cell in row] for row in rows],
         })
 
-    # -- reading -------------------------------------------------------------
-
-    @property
-    def lines(self) -> list[str]:
-        """The report rendered as text lines (tables aligned)."""
-        return _render_blocks(self.blocks)
-
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     widths = [

@@ -76,10 +76,6 @@ class BenchResult:
     failures: list[dict] = field(default_factory=list)
     tests_run: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def counters(self) -> dict[str, int]:
         """The deterministic work counters the regression comparison
         keys on — the bench's own attached snapshot when it made one

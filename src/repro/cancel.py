@@ -31,7 +31,6 @@ from repro.errors import DeadlineExceeded
 
 __all__ = [
     "Deadline",
-    "current_deadline",
     "deadline_scope",
     "cancellation_active",
     "checkpoint",
@@ -76,11 +75,6 @@ _DEADLINE: ContextVar[Deadline | None] = ContextVar(
 # fires one unit of work late, which cooperative cancellation permits).
 _ACTIVE_SCOPES = 0
 _SCOPES_LOCK = threading.Lock()
-
-
-def current_deadline() -> Deadline | None:
-    """The innermost active deadline of this context, if any."""
-    return _DEADLINE.get()
 
 
 class _NoScope:

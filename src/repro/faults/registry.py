@@ -61,11 +61,8 @@ class SimulatedCrash(BaseException):
 
 class Fault:
     """Base class for injectable faults. Subclasses implement
-    :meth:`trigger`, called with the point name and whatever context
-    the fire site provides."""
-
-    def trigger(self, point: str, **context) -> None:
-        raise NotImplementedError
+    ``trigger(point, **context)``, called with the point name and
+    whatever context the fire site provides."""
 
 
 class CrashFault(Fault):
@@ -337,10 +334,6 @@ class FaultRegistry:
                 for p in self._points.values()
             )
 
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._points
-
     def __iter__(self) -> Iterator[str]:
         with self._lock:
             return iter(tuple(self._points))
@@ -396,11 +389,6 @@ class FaultRegistry:
         """How many times the named point has fired."""
         with self._lock:
             return self._point(name).hits
-
-    def reset_hits(self) -> None:
-        with self._lock:
-            for point in self._points.values():
-                point.hits = 0
 
 
 class _Injection:

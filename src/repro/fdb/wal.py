@@ -669,15 +669,6 @@ class UpdateLog:
         for frame in committed(self._scan("strict").records):
             yield frame.payload
 
-    @property
-    def tail_is_torn(self) -> bool:
-        """Whether the final line is an unparseable fragment (the
-        mid-write crash signature) and no write has cut it yet. A
-        parseable record is never a tear; a missing version or a bad
-        checksum there is corruption, which scan()/recover() report."""
-        with self._seq_lock:
-            return self._index().tail == "torn"
-
     def last_seq(self) -> int:
         """The highest sequence number in this log generation (0 for a
         fresh log)."""
@@ -840,12 +831,6 @@ class UpdateLog:
         self._replace([header], LogScan(
             base_seq=next_seq - 1, max_seq=next_seq - 1,
             max_term=self.term, run=[len(header.encode("utf-8")) + 1]))
-
-    def __len__(self) -> int:
-        """Number of committed entries, read from the index
-        (:meth:`entries` is the strict reader of the file)."""
-        with self._seq_lock:
-            return self._index().entries
 
 
 # -- the write-ahead wrapper --------------------------------------------------

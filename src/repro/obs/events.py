@@ -45,7 +45,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "EventRecord",
@@ -133,10 +133,8 @@ class EventRecord:
 
 
 class Sink:
-    """Where event records go. Subclasses implement :meth:`emit`."""
-
-    def emit(self, record: EventRecord) -> None:  # pragma: no cover
-        raise NotImplementedError
+    """Where event records go. Subclasses implement
+    ``emit(record)``."""
 
     def close(self) -> None:
         """Release any resources; the default has none."""
@@ -252,14 +250,6 @@ class EventLog:
         for sink in self._sinks:
             sink.emit(record)
 
-    def emit(self, kind: str, name: str, **fields) -> EventRecord | None:
-        """Build and fan out one record; no-op without sinks."""
-        if not self.active:
-            return None
-        record = self.record(kind, name, **fields)
-        self.publish(record)
-        return record
-
 
 def read_jsonl(path: str | Path) -> list[EventRecord]:
     """Decode a :class:`FileSink` artifact back into records."""
@@ -362,12 +352,6 @@ class ReplicationTimeline:
     """The ordered audit timeline folded from a record stream."""
 
     entries: list[TimelineEntry] = field(default_factory=list)
-
-    def __iter__(self) -> Iterator[TimelineEntry]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def of_kind(self, kind: str) -> list[TimelineEntry]:
         return [entry for entry in self.entries if entry.kind == kind]

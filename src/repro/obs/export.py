@@ -1,8 +1,8 @@
 """Renderers for observability data: JSON for machines, text for humans.
 
 Everything the instrumentation collects is already plain data
-(:meth:`MetricsRegistry.snapshot`, :meth:`Span.to_dict`); this module
-turns those dicts into the two surfaces people actually read —
+(:meth:`MetricsRegistry.snapshot`); this module turns those dicts into
+the two surfaces people actually read —
 ``benchmarks/results/*.json`` artifacts and the REPL's ``stats`` table.
 """
 

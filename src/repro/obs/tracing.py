@@ -90,10 +90,6 @@ class Span:
     parent_id: int | None = None
     cause: str | None = None
 
-    @property
-    def finished(self) -> bool:
-        return self.duration is not None
-
     def walk(self):
         """This span and every descendant, depth-first."""
         yield self
@@ -158,25 +154,6 @@ class Span:
             nodes.append((f"c_{self.cause}", self.cause, "cause"))
             edges.append((f"c_{self.cause}", f"s{self.span_id}", "causes"))
         return dag_to_dot(nodes, edges, name=name)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (attribute values stringified for
-        stability)."""
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "cause": self.cause,
-            "attrs": {k: format_value(v) for k, v in self.attrs.items()},
-            "duration_seconds": self.duration,
-            "events": [
-                {"name": e.name,
-                 "attrs": {k: format_value(v) for k, v in e.attrs.items()},
-                 "offset_seconds": e.offset}
-                for e in self.events
-            ],
-            "children": [child.to_dict() for child in self.children],
-        }
 
 
 class Tracer:

@@ -145,10 +145,6 @@ class RelationalDatabase:
             raise SchemaError(f"no view named {name!r}") from None
 
     @property
-    def relation_names(self) -> tuple[str, ...]:
-        return tuple(self._relations)
-
-    @property
     def view_names(self) -> tuple[str, ...]:
         return tuple(self._views)
 

@@ -4,8 +4,8 @@ reads.
 
 Layering (see docs/REPLICATION.md):
 
-* :mod:`repro.replication.transport` — the carriers (in-process for
-  tests and chaos, length-prefixed sockets for other processes);
+* :mod:`repro.replication.transport` — the in-process carrier: every
+  replica lives in the primary's process;
 * :mod:`repro.replication.replica` — the follower role, applying
   shipped v2 WAL records in sequence order onto a
   checkpoint-bootstrapped copy;
@@ -39,12 +39,7 @@ from repro.replication.shipper import (
     SnapshotNeeded,
     WalShipper,
 )
-from repro.replication.transport import (
-    InProcessTransport,
-    ReplicaServer,
-    SocketTransport,
-    Transport,
-)
+from repro.replication.transport import InProcessTransport, Transport
 
 __all__ = [
     "CatchUpReport",
@@ -59,10 +54,8 @@ __all__ = [
     "RejoinReport",
     "Replica",
     "ReplicaLink",
-    "ReplicaServer",
     "ReplicationGroup",
     "SnapshotNeeded",
-    "SocketTransport",
     "Transport",
     "WalShipper",
 ]

@@ -435,7 +435,6 @@ class FailureDetector:
         self._lock = threading.Lock()
         self._last_heard = self.clock()
         self._term = 0
-        self._leader: str | None = None
 
     def observe(self, lease: dict) -> None:
         """Feed one observed ``lease`` frame stamp."""
@@ -446,7 +445,6 @@ class FailureDetector:
         with self._lock:
             if term >= self._term:
                 self._term = term
-                self._leader = lease.get("node")
                 self._last_heard = self.clock()
 
     def reset(self) -> None:
@@ -463,26 +461,6 @@ class FailureDetector:
 
     def expired(self, now: float | None = None) -> bool:
         return self.age(now) > self.config.detector_horizon
-
-    @property
-    def term(self) -> int:
-        with self._lock:
-            return self._term
-
-    @property
-    def leader(self) -> str | None:
-        with self._lock:
-            return self._leader
-
-    def status(self) -> dict:
-        age = self.age()
-        return {
-            "replica": self.name,
-            "age": round(age, 6),
-            "expired": age > self.config.detector_horizon,
-            "term": self.term,
-            "leader": self.leader,
-        }
 
 
 class FailoverCoordinator:
@@ -656,14 +634,3 @@ class FailoverCoordinator:
             except Exception:  # pragma: no cover - loop never dies
                 pass
             self._stop.wait(self.config.check_interval)
-
-    def status(self) -> dict:
-        with self._lock:
-            detectors = {name: det.status()
-                         for name, det in self._detectors.items()}
-        return {
-            "votes_needed": self.votes_needed(),
-            "candidates_needed": self.candidates_needed(),
-            "elections": len(self.elections),
-            "detectors": detectors,
-        }

@@ -55,13 +55,6 @@ class ShardMap:
 
     # -- lookups ------------------------------------------------------------
 
-    def cluster_of(self, name: str) -> str:
-        """The cluster resource owning function ``name``."""
-        return self._cluster_of[name]
-
-    def shard_of_cluster(self, cluster: str) -> int:
-        return self._shard_of_cluster[cluster]
-
     def shard_of(self, name: str) -> int:
         """The shard lane owning function ``name`` (KeyError when the
         name is not in the schema the map was built from)."""

@@ -170,7 +170,7 @@ class TestRunner:
         path = _write_bench(tmp_path, "bench_e99_demo.py", GOOD_BENCH)
         store = ReportStore(tmp_path / "results")
         result = run_bench(path, store=store, rounds=2)
-        assert result.ok
+        assert not result.failures
         assert result.tests_run == 2
         assert result.timings["test_bench_work"]["rounds"] == 2
         assert result.counters() == {"demo.widgets": 25}
@@ -182,12 +182,12 @@ class TestRunner:
         cls.__module__ at class creation (the e9 regression)."""
         path = _write_bench(tmp_path, "bench_e98_dc.py", GOOD_BENCH)
         result = run_bench(path, store=ReportStore(tmp_path / "r"))
-        assert result.ok
+        assert not result.failures
 
     def test_failures_are_recorded_not_raised(self, tmp_path):
         path = _write_bench(tmp_path, "bench_e97_bad.py", FAILING_BENCH)
         result = run_bench(path, store=ReportStore(tmp_path / "r"))
-        assert not result.ok
+        assert result.failures
         errors = {f["test"]: f["error"] for f in result.failures}
         assert "deliberate" in errors["test_bench_broken"]
         assert "unsupported fixtures" in errors["test_needs_db"]

@@ -104,7 +104,8 @@ class TestTransientRetry:
             OBS.reset()
             OBS.metrics.clear()
         assert retries == 2
-        assert len(log) == 1  # exactly one record despite the retries
+        # exactly one record despite the retries
+        assert log.health()["entries"] == 1
 
     def test_append_gives_up_after_retry_budget(self, tmp_path, closing,
                                                 monkeypatch):
@@ -124,7 +125,7 @@ class TestTransientRetry:
             log.append(Update.ins("teach", "noether", "algebra"))
         FAULTS.disarm_all()
         assert log.path.stat().st_size == size_before + 5
-        assert log.tail_is_torn
+        assert log.health()["tail_torn"]
         assert len(list(log.entries())) == 1
 
 
@@ -167,7 +168,7 @@ class TestCrashMatrix:
         for offset, outcome in enumerate(outcomes):
             torn_path.write_bytes(raw[:len(raw) - len(last) - 1 + offset])
             log = UpdateLog(torn_path)
-            assert (log.tail_is_torn
+            assert (log.health()["tail_torn"]
                     is log.scan("salvage").torn_tail
                     is outcome.report.torn_tail
                     is (0 < offset < len(last))), offset
@@ -206,7 +207,8 @@ class TestCheckpointCrashWindow:
         with pytest.raises(SimulatedCrash):
             checkpoint(logged, snapshot)
         FAULTS.disarm_all()
-        assert len(UpdateLog(tmp_path / "wal.log")) == 1  # not truncated
+        # not truncated
+        assert UpdateLog(tmp_path / "wal.log").health()["entries"] == 1
         report = recover(snapshot, tmp_path / "wal.log")
         assert report.already_checkpointed == 1
         assert report.entries_applied == 0

@@ -223,7 +223,6 @@ class TestTracer:
             pass
         root = obs.tracer.last_trace
         assert "y=n3" in root.render()
-        assert root.to_dict()["attrs"]["y"] == "n3"
 
     def test_attrs_set_inside_the_scope_reach_the_tree(self):
         obs = _traced()

@@ -104,7 +104,6 @@ class TestEventLog:
     def test_inactive_without_sinks(self):
         log = EventLog()
         assert not log.active
-        assert log.emit("event", "x") is None
 
     def test_add_remove_sink_toggles_active(self):
         log = EventLog()
@@ -118,14 +117,14 @@ class TestEventLog:
         a, b = RingBufferSink(), RingBufferSink()
         log.add_sink(a)
         log.add_sink(b)
-        log.emit("event", "x")
+        log.publish(log.record("event", "x"))
         assert len(a) == len(b) == 1
 
     def test_seq_is_monotone(self):
         log = EventLog()
         sink = log.add_sink(RingBufferSink())
-        log.emit("event", "a")
-        log.emit("event", "b")
+        log.publish(log.record("event", "a"))
+        log.publish(log.record("event", "b"))
         seqs = [r.seq for r in sink.records]
         assert seqs == sorted(seqs) and len(set(seqs)) == 2
 
@@ -420,7 +419,7 @@ class TestReplicationTimeline:
                         name="replication.ship", span_id=9),
         ]
         timeline = replication_timeline(records)
-        assert [e.kind for e in timeline] == ["attach", "commit"]
+        assert [e.kind for e in timeline.entries] == ["attach", "commit"]
         commit = timeline.of_kind("commit")[0]
         assert commit.term == 1 and commit.commit_seq == 1
 

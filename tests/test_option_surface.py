@@ -21,7 +21,6 @@ from repro.fdb.wal import UpdateLog
 from repro.obs.slo import SLOMonitor
 from repro.obs.tracing import Tracer
 from repro.replication import FailoverCoordinator, LeaseConfig, WalShipper
-from repro.replication.transport import ReplicaServer, SocketTransport
 from repro.service import CircuitBreaker, DatabaseService, RetryPolicy
 
 SURFACE = {
@@ -39,8 +38,6 @@ SURFACE = {
                   "check_interval"),
     FailoverCoordinator: ("config", "clock"),
     WalShipper: ("term", "journal"),
-    SocketTransport: ("timeout", "name"),
-    ReplicaServer.transport: ("timeout", "name"),
     UpdateLog: ("fsync", "term"),
     SLOMonitor: ("objectives", "clock"),
     Tracer: (),
@@ -61,5 +58,5 @@ def test_defaulted_options_are_the_pinned_ones(target):
     assert defaulted(target) == SURFACE[target]
 
 
-def test_the_surface_holds_48_options():
-    assert sum(len(names) for names in SURFACE.values()) == 48
+def test_the_surface_holds_44_options():
+    assert sum(len(names) for names in SURFACE.values()) == 44

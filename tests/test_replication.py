@@ -30,10 +30,8 @@ from repro.replication import (
     PromotionReport,
     RejoinReport,
     Replica,
-    ReplicaServer,
     ReplicationGroup,
     SnapshotNeeded,
-    SocketTransport,
     WalShipper,
 )
 from repro.replication import shipper as shipper_module
@@ -188,7 +186,8 @@ class TestReplicaApply:
         reply = replica.handle({"type": "append", "term": group.term,
                                 "records": lines, "through_seq": 4})
         assert "bad-record" in reply["error"]
-        assert replica.applied_seq == 0 and len(replica.log) == 0
+        assert replica.applied_seq == 0
+        assert replica.log.health()["entries"] == 0
         # No mark at all: the ack still covers entry, entry, abort.
         reply = replica.handle({"type": "append", "term": group.term,
                                 "records": lines})
@@ -670,7 +669,7 @@ class TestBoundedStaleness:
         group.attach_primary(logged)
         replica = closing(Replica("r0", tmp_path / "r0"))
         # Hand the transport in directly: the group never learns about
-        # the in-process Replica object, as with a SocketTransport.
+        # the in-process Replica object, only its transport.
         group.add_replica("r0", InProcessTransport(replica.handle))
         seq = logged.execute(Update.ins("teach", "gauss", "cs"))
         group.on_commit(seq)
@@ -769,35 +768,6 @@ class TestServiceIntegration:
         with pytest.raises(StalePrimary):
             service.insert("teach", "noether", "algebra")
         assert len(service.acked_ops()) == 1
-
-
-class TestSocketTransport:
-    def test_append_over_a_real_socket(
-            self, primary, tmp_path, make_group, closing):
-        logged, _ = primary
-        replica = closing(Replica("r0", tmp_path / "r0"))
-        server = ReplicaServer(replica.handle)
-        server.start()
-        try:
-            group = make_group()
-            group.attach_primary(logged)
-            group.add_replica("r0", closing(server.transport()))
-            seq = logged.execute(Update.ins("teach", "gauss", "cs"))
-            group.on_commit(seq)
-            assert replica.applied_seq == seq
-            assert replica.db.truth_of(
-                "teach", "gauss", "cs") is Truth.TRUE
-        finally:
-            server.stop()
-
-    def test_connection_error_when_server_gone(self, tmp_path):
-        replica = Replica("r0", tmp_path / "r0")
-        server = ReplicaServer(replica.handle)
-        server.start()
-        transport = SocketTransport(server.host, server.port)
-        server.stop()
-        with pytest.raises((ConnectionError, OSError)):
-            transport.request({"type": "status"})
 
 
 class TestReports:

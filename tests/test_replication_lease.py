@@ -7,7 +7,6 @@ surfaces.
 
 from __future__ import annotations
 
-import threading
 import time
 from types import SimpleNamespace
 
@@ -36,7 +35,6 @@ from repro.replication import (
     LeaseConfig,
     LeaseManager,
     Replica,
-    ReplicaServer,
     ReplicationGroup,
 )
 from repro.service import DatabaseService
@@ -266,7 +264,6 @@ class TestFailureDetector:
         assert det.expired()
         det.observe({"node": "new-primary", "term": 4})
         assert not det.expired()
-        assert det.leader == "new-primary"
 
     def test_replica_feeds_attached_detector(self, tmp_path, stack):
         cfg = LeaseConfig(duration=1.0, margin=0.1,
@@ -393,47 +390,6 @@ class TestFaults:
 
 
 class TestTransportTimeouts:
-    def test_recv_timeout_surfaces_and_recovers(self):
-        release = threading.Event()
-
-        def handler(message):
-            if message.get("slow"):
-                release.wait(2.0)
-            return {"ok": True, "echo": message.get("n")}
-
-        server = ReplicaServer(handler).start()
-        try:
-            transport = server.transport(timeout=0.15)
-            assert transport.request({"n": 1})["echo"] == 1
-            with pytest.raises(TimeoutError):
-                transport.request({"slow": True})
-            release.set()
-            # The timed-out connection was dropped; the next request
-            # reconnects cleanly instead of reading the stale reply.
-            assert transport.request({"n": 2})["echo"] == 2
-        finally:
-            release.set()
-            server.stop()
-            transport.close()
-
-    def test_idle_timeout_reaps_connection(self):
-        server = ReplicaServer(lambda m: {"ok": True},
-                               idle_timeout=0.1).start()
-        try:
-            transport = server.transport(timeout=5.0)
-            assert transport.request({})["ok"]
-            time.sleep(0.3)  # server reaps the idle connection
-            # First use of the dead socket is a retryable
-            # ConnectionError; the reconnect then succeeds.
-            try:
-                reply = transport.request({})
-            except ConnectionError:
-                reply = transport.request({})
-            assert reply["ok"]
-        finally:
-            server.stop()
-            transport.close()
-
     def test_timeout_counts_toward_failure_detection(self, tmp_path, stack):
         """A recv timeout on a shipping exchange is a missed renewal:
         the lease must lapse if every exchange times out."""
@@ -448,9 +404,6 @@ class TestTransportTimeouts:
 
             def request(self, message):
                 raise TimeoutError("exchange with hole timed out")
-
-            def close(self):
-                pass
 
         group.shipper.add("hole", _BlackHole())
         assert lease.needed_acks() == 1
@@ -569,7 +522,7 @@ class TestObservabilitySurfaces:
         assert metrics["counters"]["replication.elections"] == 1
 
         timeline = replication_timeline(list(sink.records))
-        kinds = {entry.kind for entry in timeline}
+        kinds = {entry.kind for entry in timeline.entries}
         assert {"lease_grant", "lease_renew",
                 "lease_expire", "elect"} <= kinds
         assert not timeline.fence_violations()

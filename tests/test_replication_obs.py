@@ -23,7 +23,8 @@ from repro.obs import (
     replication_timeline,
 )
 from repro.obs.slo import replication_lag_objective
-from repro.replication import Replica, ReplicaServer, ReplicationGroup
+from repro.replication import (InProcessTransport, Replica,
+                               ReplicationGroup)
 from repro.replication.transport import (
     SNAPSHOT_ENCODING,
     decode_snapshot,
@@ -279,12 +280,10 @@ class TestSnapshotCompression:
 
 
 class TestFrameCompatibility:
-    def test_socket_frames_round_trip_unknown_keys(self, tmp_path,
-                                                   ring, closing):
+    def test_frames_round_trip_unknown_keys(self, tmp_path, ring, closing):
         # An append frame carrying the trace context plus a key no
-        # replica knows about must be applied, not refused — the wire
-        # protocol is schemaless so older peers skip what they don't
-        # understand.
+        # replica knows about must be applied, not refused — frames are
+        # schemaless, so older peers skip what they don't understand.
         workdir = tmp_path / "primary"
         workdir.mkdir()
         db = pupil_database()
@@ -292,32 +291,26 @@ class TestFrameCompatibility:
 
         logged = closing(LoggedDatabase(db, workdir / "wal.log"))
         replica = closing(Replica("r0", tmp_path / "r0"))
-        server = ReplicaServer(replica.handle)
-        server.start()
-        try:
-            group = ReplicationGroup("sync(1)", ack_timeout=2.0,
-                                     retry_interval=0.005)
-            group.attach_primary(logged)
-            transport = closing(server.transport())
-            group.add_replica("r0", transport)
-            # With telemetry on, the shipped frame carries "trace".
-            seq = logged.execute(Update.ins("teach", "gauss", "cs"))
-            group.on_commit(seq)
-            assert replica.applied_seq == seq
-            assert replica.db.truth_of(
-                "teach", "gauss", "cs") is Truth.TRUE
-            # A hand-built frame with trace AND an unknown field.
-            reply = transport.request({
-                "type": "status",
-                "trace": {"parent_span": 7, "cause": "u1"},
-                "x-future-extension": {"nested": [1, 2]},
-            })
-            assert reply["applied_seq"] == seq
-        finally:
-            server.stop()
+        delivered = []
 
-    def test_frame_missing_trace_context_over_socket(self, tmp_path,
-                                                     closing):
+        def handler(message):
+            message = {**message, "x-future-extension": {"nested": [1, 2]}}
+            delivered.append(message)
+            return replica.handle(message)
+
+        group = ReplicationGroup("sync(1)", ack_timeout=2.0,
+                                 retry_interval=0.005)
+        group.attach_primary(logged)
+        group.add_replica("r0", InProcessTransport(handler))
+        # With telemetry on, the shipped frame carries "trace".
+        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
+        group.on_commit(seq)
+        assert any(m.get("type") == "append" and "trace" in m
+                   for m in delivered)
+        assert replica.applied_seq == seq
+        assert replica.db.truth_of("teach", "gauss", "cs") is Truth.TRUE
+
+    def test_frame_missing_trace_context(self, tmp_path, closing):
         # Telemetry off end to end: no trace key anywhere, replica
         # applies regardless (backward compatibility).
         workdir = tmp_path / "primary"
@@ -327,18 +320,20 @@ class TestFrameCompatibility:
 
         logged = closing(LoggedDatabase(db, workdir / "wal.log"))
         replica = closing(Replica("r0", tmp_path / "r0"))
-        server = ReplicaServer(replica.handle)
-        server.start()
-        try:
-            group = ReplicationGroup("sync(1)", ack_timeout=2.0,
-                                     retry_interval=0.005)
-            group.attach_primary(logged)
-            group.add_replica("r0", closing(server.transport()))
-            seq = logged.execute(Update.ins("teach", "gauss", "cs"))
-            group.on_commit(seq)
-            assert replica.applied_seq == seq
-        finally:
-            server.stop()
+        delivered = []
+
+        def handler(message):
+            delivered.append(message)
+            return replica.handle(message)
+
+        group = ReplicationGroup("sync(1)", ack_timeout=2.0,
+                                 retry_interval=0.005)
+        group.attach_primary(logged)
+        group.add_replica("r0", InProcessTransport(handler))
+        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
+        group.on_commit(seq)
+        assert delivered and not any("trace" in m for m in delivered)
+        assert replica.applied_seq == seq
 
 
 class TestLagSLO:

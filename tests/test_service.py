@@ -35,6 +35,7 @@ from repro.service import (
     OPEN,
     AdmissionGate,
     CircuitBreaker,
+    EXCLUSIVE,
     DatabaseService,
     RetryPolicy,
     WRITE_RESOURCE,
@@ -120,6 +121,22 @@ class TestRetryPolicy:
         rng = random.Random(7)
         jittered = policy.delay(0, rng)
         assert 0.01 <= jittered <= 0.015
+
+    def test_a_lane_draws_retry_jitter_from_its_seeded_rng(self):
+        """A lock-timeout retry sleeps ``delay`` plus a jitter drawn
+        from the service's own seeded RNG (``_LockedRandom``)."""
+        service = DatabaseService(
+            pupil_database(), lock_timeout=0.01, seed=3,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0,
+                              jitter=0.001))
+        service.locks.acquire(WRITE_RESOURCE, EXCLUSIVE, owner=-1)
+        try:
+            with pytest.raises(LockTimeout):
+                service.execute(Update.ins("teach", "gauss", "cs"))
+        finally:
+            service.locks.release(WRITE_RESOURCE, EXCLUSIVE, owner=-1)
+        assert service.stats()["retries"] == 1
+        service.close()
 
 
 class TestCircuitBreaker:
@@ -462,7 +479,7 @@ class TestServiceDeadlines(LaneDoor):
                            deadline=Deadline(expires_at=0.0))
         # Nothing was applied and nothing was logged.
         assert lane.db.truth_of("teach", "gauss", "cs") is Truth.FALSE
-        assert len(UpdateLog(tmp_path / "shard-0.wal")) == 0
+        assert UpdateLog(tmp_path / "shard-0.wal").health()["entries"] == 0
         assert lane.committed_ops() == ()
         # The service is healthy afterwards.
         service.insert("teach", "gauss", "cs")

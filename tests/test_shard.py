@@ -105,8 +105,8 @@ class TestShardMap:
         clusters = sorted(set(clusters_of(db).values()))
         pins = {clusters[0]: 1, clusters[1]: 1}
         shard_map = ShardMap(db, 2, pins=pins)
-        assert shard_map.shard_of_cluster(clusters[0]) == 1
-        assert shard_map.shard_of_cluster(clusters[1]) == 1
+        assert shard_map.assignments()[clusters[0]] == 1
+        assert shard_map.assignments()[clusters[1]] == 1
 
     def test_invalid_configuration_rejected(self):
         db = four_cluster_database()
@@ -244,7 +244,8 @@ class TestOneWritePath:
     def untouched(self, facade, tmp_path) -> bool:
         return all(
             facade.committed_ops(shard) == ()
-            and len(UpdateLog(tmp_path / "lanes" / f"shard-{shard}.wal")) == 0
+            and UpdateLog(tmp_path / "lanes" / f"shard-{shard}.wal")
+            .health()["entries"] == 0
             # The refusal returned every slot, lock and probe it took.
             and facade.lane(shard).gate.wait_idle(timeout=0)
             and not facade.lane(shard).locks.holders("__write__")["exclusive"]

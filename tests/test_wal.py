@@ -40,12 +40,12 @@ class TestUpdateLog:
             "REP(teach, <a, b>, <c, d>)",
             "BEGIN fix { DEL(pupil, <euclid, john>) }",
         ]
-        assert len(log) == 3
+        assert log.health()["entries"] == 3
 
     def test_missing_file_is_empty(self, tmp_path):
         log = UpdateLog(tmp_path / "nope")
         assert list(log.entries()) == []
-        assert not log.tail_is_torn
+        assert not log.health()["tail_torn"]
 
     def test_tuple_values_survive(self, tmp_path, closing):
         log = closing(UpdateLog(tmp_path / "log"))
@@ -59,7 +59,7 @@ class TestUpdateLog:
         with log.path.open("a", encoding="utf-8") as handle:
             handle.write('{"kind": "INS", "function": "te')  # crash!
         # Written behind the live log's back: a fresh one sees it.
-        assert UpdateLog(log.path).tail_is_torn
+        assert UpdateLog(log.path).health()["tail_torn"]
         assert len(list(log.entries())) == 1
 
     def test_interior_corruption_raises(self, tmp_path, closing):
@@ -75,7 +75,7 @@ class TestUpdateLog:
         log = closing(UpdateLog(tmp_path / "log"))
         log.append(Update.ins("teach", "a", "b"))
         log.truncate()
-        assert len(log) == 0
+        assert log.health()["entries"] == 0
 
 
 class TestLoggedDatabase:
@@ -84,7 +84,7 @@ class TestLoggedDatabase:
         logged.insert("teach", "gauss", "cs")
         logged.delete("teach", "gauss", "cs")
         logged.replace("teach", ("euclid", "math"), ("euclid", "cs"))
-        assert len(UpdateLog(log_path)) == 3
+        assert UpdateLog(log_path).health()["entries"] == 3
         assert logged.db.truth_of("teach", "euclid", "cs") is Truth.TRUE
 
     def test_invalid_update_never_logged(self, setup):
@@ -94,7 +94,7 @@ class TestLoggedDatabase:
         logged, _, log_path = setup
         with pytest.raises(Exception):
             logged.insert("no_such", "a", "b")
-        assert len(UpdateLog(log_path)) == 0
+        assert UpdateLog(log_path).health()["entries"] == 0
 
     def test_failed_apply_is_compensated(self, setup):
         """If applying a logged update fails, the memory state rolls
@@ -113,7 +113,7 @@ class TestLoggedDatabase:
         # Rolled back in memory...
         assert logged.db.table("teach").get("noether", "algebra") is None
         # ... and compensated on disk: one committed entry remains.
-        assert len(UpdateLog(log_path)) == 1
+        assert UpdateLog(log_path).health()["entries"] == 1
         report = recover(snapshot, log_path)
         assert report.entries_applied == 1
         assert report.aborted == 1
@@ -154,7 +154,7 @@ class TestRecovery:
         logged, snapshot, log_path = setup
         logged.execute(Update.delete("pupil", "euclid", "john"))
         checkpoint(logged, snapshot)
-        assert len(UpdateLog(log_path)) == 0
+        assert UpdateLog(log_path).health()["entries"] == 0
         logged.insert("class_list", "math", "john")  # post-checkpoint
         report = recover(snapshot, log_path)
         assert report.entries_applied == 1
@@ -251,7 +251,7 @@ class TestRecoveryEdgeCases:
             lines = [line for line in lines if line != bare]
             lines.insert(0 if position == "interior" else 1, bare)
             log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            assert not UpdateLog(log_path).tail_is_torn
+            assert not UpdateLog(log_path).health()["tail_torn"]
             with pytest.raises(PersistenceError, match="parse"):
                 recover(snapshot, log_path)
             report = recover(snapshot, log_path, policy="salvage")
@@ -439,7 +439,7 @@ class TestDamagedLineTable:
             with pytest.raises(PersistenceError, match=kind):
                 log.scan("strict")
         scan = log.scan("salvage")
-        assert scan.torn_tail is tear is log.tail_is_torn
+        assert scan.torn_tail is tear is log.health()["tail_torn"]
         assert [p.kind for p in scan.problems] \
             == ["torn-tail" if tear else kind]
         assert log.discard_torn_tail() is tear
@@ -457,7 +457,8 @@ class TestDamagedLineTable:
         })
         assert not reply["ok"] and "bad-record" in reply["error"]
         # Refused whole: nothing of the batch was kept or applied.
-        assert replica.applied_seq == 0 and len(replica.log) == 0
+        assert replica.applied_seq == 0
+        assert replica.log.health()["entries"] == 0
 
     def test_fence_truncation(self, damaged):
         log_path, lines, bad, _, _, cut = damaged
@@ -522,7 +523,7 @@ class TestHoledBatch:
             "records": lines[:2] + lines[3:], "through_seq": 6,
         })
         assert reply == {"ok": False, "error": "gap", "applied_seq": 0}
-        assert len(replica.log) == 0
+        assert replica.log.health()["entries"] == 0
         assert replica.db.table("teach").get("t0", "s0") is None
         # Its own log still recovers, and the unbroken stream lands.
         replica.log.scan("strict")
@@ -544,7 +545,8 @@ class TestHoledBatch:
         link.needs_snapshot = False
         with pytest.raises(SnapshotNeeded):
             shipper.ship(link, 6)
-        assert replica.applied_seq == 0 and len(replica.log) == 0
+        assert replica.applied_seq == 0
+        assert replica.log.health()["entries"] == 0
 
 
 class TestShippingSurface:
@@ -630,9 +632,9 @@ class TestShippingSurface:
         with log_path.open("a", encoding="utf-8") as handle:
             handle.write('{"v": 2, "seq": 3, "cr')  # mid-write crash
         log = UpdateLog(log_path)
-        assert log.tail_is_torn
+        assert log.health()["tail_torn"]
         assert log.discard_torn_tail() is True
-        assert not log.tail_is_torn
+        assert not log.health()["tail_torn"]
         assert log.last_seq() == 2
         assert log.discard_torn_tail() is False
 

@@ -28,7 +28,6 @@ FORMAT_KEYS = {"crc", "abort_of", "header"}
 JSON_LOADS = {
     "fdb/wal.py": ["decode_frame"],
     "fdb/persistence.py": ["load_with_meta", "loads"],
-    "replication/transport.py": ["recv_frame"],
     "faults/soak.py": ["_scrape"],
 }
 
