@@ -43,13 +43,24 @@ primary's files rejoin the group as a follower.
 The checks are one table, :data:`CHECKS`: each row names a check, the
 topology predicate under which it applies, and the one function that
 verifies it (whose docstring says what must hold) — sequential-replay
-equality, strict recovery, span accounting and marker pairing on every
-topology; the breaker/SLO breathe-cycles after ``storage``; shipped-
-journal replay, replica convergence, pipeline coverage and the
+equality, strict recovery, span accounting and label pairing on every
+topology; the breaker/SLO breathe-cycles after ``storage``; delivered-
+frame agreement, replica convergence, pipeline coverage and the
 failover timeline wherever there are replicas. The failover epilogue
 and the two ``/metrics`` + ``/health`` scrapes record their own
 verdicts (``failover``, ``scrape``) where they observe them.
 ``docs/ROBUSTNESS.md`` prints the table.
+
+The checks read nothing the services keep about themselves. Their
+inputs are recorded by the harness: the **client record** (every op
+and the outcome its caller saw, kept by :meth:`Cell.run_op`, which
+workers, epilogues and hand-driven tests share), each lane's **disk
+history** (its committed WAL records: captured by a fault armed at
+``wal.checkpoint.before-snapshot``, which fires under the lane's
+``__write__`` token before the fold, and the tail read at verify),
+the **delivered frames** (what each replica accepted, noted by a
+:class:`Replica` subclass) and the **event stream** (the cell's own
+JSONL: spans and ``replication.*`` actions, acked commits included).
 
 A run's :class:`SoakConfig` is what the command line chooses: the
 topology, the matrix, the load and the paths. Every other value every
@@ -103,6 +114,7 @@ from repro.faults.registry import (
     ClockSkewFault,
     CrashFault,
     ErrorFault,
+    Fault,
     HeartbeatDropFault,
     LatencyFault,
     TransientError,
@@ -483,49 +495,26 @@ def _rmw_build(name: str):
 
 
 def _run_worker(cell: "Cell", ops: list[tuple]) -> None:
-    """The one worker loop: every op goes through the front door;
-    lane-scoped verbs go through the lane the op names."""
-    front = cell.front
-    local: Counter = Counter()
-    for kind, payload, deadline in ops:
-        outcome = "applied"
-        try:
-            if kind == "read":
-                front.read((payload,),
-                           lambda db, n=payload: db.extension(n),
-                           deadline=deadline)
-            elif kind == "replica_read":
-                name, bound = payload
-                front.lane(front.shard_of(name)).read_replica(
-                    lambda db, n=name: db.extension(n),
-                    max_lag_seq=bound,
-                )
-            elif kind == "scatter":
-                front.scatter_read(
-                    payload,
-                    lambda db, names: {n: len(db.extension(n))
-                                       for n in names},
-                    deadline=deadline,
-                )
-            elif kind == "rmw":
-                if front.read_modify_write(
-                        (payload,), _rmw_build(payload),
-                        deadline=deadline) is None:
-                    outcome = "noop"
-            elif kind == "checkpoint":
-                front.lane(payload).checkpoint(
-                    cell.lanes[payload].snapshot
-                )
-            else:  # "write" | "seq"
-                front.execute(payload, deadline=deadline)
-        except (ReproError, RuntimeError, OSError) as exc:
-            outcome = _classify(exc)
-        except BaseException as exc:  # pragma: no cover - harness bug
-            cell.harness_errors.append(exc)
-            raise
-        local[outcome] += 1
-    with cell.counts_lock:
+    """The one worker loop: every planned op through
+    :meth:`Cell.run_op`; the outcomes are the cell's counts."""
+    local = Counter(cell.run_op(*op) for op in ops)
+    with cell.client_lock:
         cell.report.counts.update(local)
+
+
+def _on_lanes(update: Update | UpdateSequence,
+              shard_of: Callable[[str], int]) -> dict:
+    """What each lane's WAL records for a committed write: a simple
+    update on its lane; a sequence on every lane it touches, as one
+    slice per lane labelled like the write. docs/SHARDING.md's
+    contract, restated here so the checks hold the facade to it."""
+    if isinstance(update, Update):
+        return {shard_of(update.function): update}
+    slices: dict[int, list] = {}
+    for simple in update:
+        slices.setdefault(shard_of(simple.function), []).append(simple)
+    return {shard: UpdateSequence(tuple(part), label=update.label)
+            for shard, part in slices.items()}
 
 
 # -- fault phases -------------------------------------------------------------
@@ -749,19 +738,88 @@ def _scrape(front: ShardedDatabaseService, path_for, stage: str,
 # -- one cell -----------------------------------------------------------------
 
 
+# Fires under the checkpointing lane's write token, every record still
+# in its log: where the disk history captures what the fold removes.
+CHECKPOINT = "wal.checkpoint.before-snapshot"
+
+
+@dataclass
+class _Disk:
+    """One primary's WAL as the harness read it: the records captured
+    before each checkpoint folded them away, then the tail. The
+    primary's own history is its committed records in ``(start,
+    end]``: a promoted replica starts past the fence it inherits, a
+    deposed primary's tail past its fence was cut."""
+
+    log: UpdateLog
+    start: int = 0
+    end: int | None = None
+    lines: list = field(default_factory=list)
+    through: int = 0
+
+    def capture(self) -> None:
+        """Keep the records written since the last capture."""
+        last = self.log.last_seq()
+        self.lines.extend(line for _, line
+                          in self.log.records_between(self.through, last))
+        self.through = max(self.through, last)
+
+
+class _DiskRecorder(Fault):
+    """Armed at :data:`CHECKPOINT` for a cell's life: captures the
+    checkpointing primary's records before the fold."""
+
+    def __init__(self, lanes: list) -> None:
+        self.lanes = lanes
+
+    def trigger(self, point: str, log=None, **context) -> None:
+        for lane in self.lanes:
+            for disk in lane.disks:
+                if disk.log is log:
+                    disk.capture()
+
+
+class _RecordingReplica(Replica):
+    """A follower that notes every record it accepts in ``delivered``,
+    a list the harness owns. The group builds a link's transport from
+    ``handle`` (``add_replica`` and ``rejoin`` alike), so recording
+    here reaches every link a replica ever had."""
+
+    def __init__(self, name: str, workdir: Path, delivered: list) -> None:
+        super().__init__(name, workdir)
+        self.delivered = delivered
+
+    def handle(self, message: dict) -> dict:
+        reply = super().handle(message)
+        if message.get("type") == "append" and reply.get("ok"):
+            self.delivered.extend(message["records"])
+        return reply
+
+
 @dataclass
 class _Lane:
     """One lane's moving parts outside the facade: where its snapshot
     and WAL live *now* (a failover moves them to the promoted
     replica's directory), its replication group, the names of the
-    group's members, and the services it ran before a failover."""
+    group's members, its disk history (one :class:`_Disk` per primary,
+    oldest first) and the records each replica was delivered."""
 
     index: int
     snapshot: Path
     wal: Path
     group: ReplicationGroup | None = None
     replicas: list = field(default_factory=list)
-    deposed: list = field(default_factory=list)
+    disks: list = field(default_factory=list)
+    delivered: dict = field(default_factory=dict)
+
+    def replica(self, name: str, workdir: Path) -> _RecordingReplica:
+        return _RecordingReplica(name, workdir,
+                                 self.delivered.setdefault(name, []))
+
+    def nodes(self) -> set:
+        """Every node that served the lane: its first primary and every
+        replica (a promoted one included)."""
+        return {f"shard-{self.index}-primary", *self.replicas}
 
 
 class Cell:
@@ -770,8 +828,9 @@ class Cell:
     behind it, leaving closes all of it — the facade and every lane's
     WAL, every group, the coordinator, the lease manager, the cell's
     event sink. :meth:`run` is workload + epilogues + :meth:`verify`;
-    a test may instead drive ``cell.front`` by hand and call
-    :meth:`verify` to see the oracles judge a state it planted."""
+    a test may instead drive the front door by hand through
+    :meth:`run_op` and call :meth:`verify` to see the oracles judge a
+    state it planted."""
 
     def __init__(self, config: SoakConfig, mode: str | None,
                  scenario: str, workdir: Path,
@@ -782,7 +841,10 @@ class Cell:
         self.scrape_dir = Path(scrape_dir or workdir)
         self.tag = tag
         self.report = SoakReport(config, mode=mode, scenario=scenario)
-        self.counts_lock = threading.Lock()
+        # The client record: (kind, payload, outcome) per op, the
+        # payload of a committed read-modify-write the update it built.
+        self.client: list[tuple] = []
+        self.client_lock = threading.Lock()
         self.harness_errors: list = []
         self.plans: list[list[tuple]] = []
         self.hung = 0
@@ -831,7 +893,7 @@ class Cell:
         def replication_factory(shard: int) -> ReplicationGroup:
             group = ReplicationGroup(
                 self.report.mode, ack_timeout=ACK_TIMEOUT,
-                retry_interval=0.01, journal=True,
+                retry_interval=0.01,
             )
             stack.callback(group.close)
             if config.auto_failover and shard == 0:
@@ -883,12 +945,15 @@ class Cell:
             # WAL) so strict recovery works even if no worker
             # checkpoint lands before a failure.
             persistence.save(service.db, lane.snapshot, wal_applied=0)
+            lane.disks.append(_Disk(service.logged.log))
             for slot in range(config.replicas):
                 name = f"s{lane.index}r{slot}"
                 lane.replicas.append(name)
                 lane.group.add_replica(
-                    name, Replica(name, self.workdir / "replicas" / name)
+                    name, lane.replica(name, self.workdir / "replicas" / name)
                 )
+        FAULTS.arm(CHECKPOINT, _DiskRecorder(self.lanes))
+        stack.callback(FAULTS.disarm, CHECKPOINT)
         lease = self.lanes[0].group.lease if config.replicas else None
         if lease is not None:
             group = self.lanes[0].group
@@ -924,9 +989,53 @@ class Cell:
     def replicated(self) -> list[_Lane]:
         return [lane for lane in self.lanes if lane.group is not None]
 
-    def services(self, lane: _Lane) -> list[DatabaseService]:
-        """Every service that ever ran this lane, oldest first."""
-        return lane.deposed + [self.front.lane(lane.index)]
+    def history(self, lane: _Lane, fenced: bool = True) -> list:
+        """The committed entry frames of the lane's disk history, each
+        primary's own records in turn: spliced at each fence, or
+        (``fenced=False``) with a deposed primary's cut tail."""
+        return [frame for disk in lane.disks
+                for frame in committed(map(decode_frame, disk.lines))
+                if frame.seq > disk.start and not (
+                    fenced and disk.end is not None
+                    and frame.seq > disk.end)]
+
+    def run_op(self, kind: str, payload, deadline=None, door=None) -> str:
+        """Issue one op as a client: through the front door (or
+        ``door``, one lane's service), lane-scoped verbs through the
+        lane the op names. The outcome — ``applied``, ``noop`` or the
+        error's class — goes into the client record and is returned."""
+        door, outcome = door or self.front, "applied"
+        try:
+            if kind == "read":
+                door.read((payload,), lambda db: db.extension(payload),
+                          deadline=deadline)
+            elif kind == "replica_read":
+                name, bound = payload
+                door.lane(door.shard_of(name)).read_replica(
+                    lambda db: db.extension(name), max_lag_seq=bound)
+            elif kind == "scatter":
+                door.scatter_read(payload, lambda db, names: {
+                    n: len(db.extension(n)) for n in names},
+                    deadline=deadline)
+            elif kind == "rmw":
+                built = door.read_modify_write(
+                    (payload,), _rmw_build(payload), deadline=deadline)
+                if built is None:
+                    outcome = "noop"
+                else:
+                    payload = built
+            elif kind == "checkpoint":
+                door.lane(payload).checkpoint(self.lanes[payload].snapshot)
+            else:  # "write" | "seq"
+                door.execute(payload, deadline=deadline)
+        except (ReproError, RuntimeError, OSError) as exc:
+            outcome = _classify(exc)
+        except BaseException as exc:  # pragma: no cover - harness bug
+            self.harness_errors.append(exc)
+            raise
+        with self.client_lock:
+            self.client.append((kind, payload, outcome))
+        return outcome
 
     def _quiet_name(self, shard: int) -> str:
         """The base function on ``shard`` the epilogues write to: the
@@ -1017,10 +1126,9 @@ class Cell:
             controller.join(PHASE_SECONDS * 4 + 1.0)
         # Deterministic epilogue timing: every injected fault stops
         # here except the clock skew — expiry, election and fencing
-        # must hold under drift up to the margin.
-        skew = "repl.lease.clock"
+        # must hold under drift up to the margin — and the recorder.
         for name in FAULTS:
-            if name != skew:
+            if name not in ("repl.lease.clock", CHECKPOINT):
                 FAULTS.disarm(name)
         for lane in self.replicated():
             self._heal(lane)
@@ -1065,22 +1173,17 @@ class Cell:
         SLO raise -> clear cycle: arm a hard storage outage and write
         until the breaker trips / the error-rate alert fires (breaker
         rejections are errors burning the budget), disarm, write until
-        it closes / the fast window is healthy again. The successful
-        writes land in the committed log like any others."""
-        front, report = self.front, self.report
-        lane, name = front.lane(shard), self._quiet_name(shard)
+        it closes / the fast window is healthy again. The writes are
+        client ops like any others."""
+        report = self.report
+        lane, name = self.front.lane(shard), self._quiet_name(shard)
         breaker, slo = lane.breaker, lane.slo
-        refused = (PersistenceError, OSError, ServiceReadOnly)
         outage = ("wal.append.before", TransientError(times=10 ** 6))
         serial = itertools.count()
 
         def write(tag: str, deadline: float) -> bool:
-            try:
-                front.insert(name, f"{tag}_x", f"{tag}_y{next(serial)}",
-                             deadline=deadline)
-                return True
-            except refused:
-                return False
+            update = Update.ins(name, f"{tag}_x", f"{tag}_y{next(serial)}")
+            return self.run_op("write", update, deadline) == "applied"
 
         if breaker.trips == 0:
             with FAULTS.injected(*outage):
@@ -1143,29 +1246,29 @@ class Cell:
         next write raises :exc:`StalePrimary` before touching its WAL)
         and the coordinator must elect unprompted, exactly once;
         otherwise ``group.promote()`` picks the longest applied
-        prefix. Either way no acked seq may sit past the fence, the
-        deposed primary is turned away at the door, the promoted
+        prefix. Either way the deposed primary is turned away at the
+        door, its disk is read before anything moves it, the promoted
         replica's service is swapped into the facade and written
         through, and the deposed primary's files rejoin as a follower,
-        truncating the unacked tail."""
+        truncating the unacked tail. That no acked seq sits past the
+        fence is the ``timeline`` audit's."""
         config, front, facts = self.config, self.front, self.report.facts
         fail = partial(self.report.fail, "failover")
         lane = self.lanes[0]
         group, old, name = lane.group, front.lane(0), self._quiet_name(0)
         lease = group.lease if self.coordinator is not None else None
-        old_term = group.term
+        old_term, disk = group.term, lane.disks[-1]
 
         def expect_fenced(tag: str, why: str) -> None:
-            wal_before = old.logged.log.last_seq()
-            try:
-                old.insert(name, f"{tag}_x", f"{tag}_y", deadline=5.0)
+            wal_before = disk.log.last_seq()
+            outcome = self.run_op("write", Update.ins(
+                name, f"{tag}_x", f"{tag}_y"), 5.0, door=old)
+            if outcome == "applied":
                 fail(f"deposed primary wrote {why}")
-            except StalePrimary:
-                pass
-            except ReproError as exc:
-                fail(f"deposed write {why} raised {exc!r}, wanted "
+            elif outcome != "fenced":
+                fail(f"deposed write {why} ended {outcome}, wanted "
                      f"StalePrimary")
-            if old.logged.log.last_seq() != wal_before:
+            if disk.log.last_seq() != wal_before:
                 fail(f"deposed write {why} reached the old primary's "
                      f"WAL")
 
@@ -1186,24 +1289,21 @@ class Cell:
             0.2 if lease is None
             else min(0.2, lease.config.primary_validity / 2))
         try:
-            old.insert(name, "tail_x", "tail_y", deadline=5.0)
-            fail("isolated-primary commit did not raise "
-                 "ReplicationTimeout")
-        except ReplicationTimeout:
-            pass
-        except ReproError as exc:
-            fail(f"isolated-primary write failed unexpectedly: {exc!r}")
+            outcome = self.run_op("write", Update.ins(
+                name, "tail_x", "tail_y"), 5.0, door=old)
         finally:
             group.ack_timeout = ack_timeout
-        acked = old.acked_ops()
+        if outcome != "repl_timeout":
+            fail(f"isolated-primary commit ended {outcome}, wanted "
+                 f"ReplicationTimeout")
         # The other lanes must not notice lane 0's outage.
         for shard in range(1, config.shards):
-            try:
-                front.insert(self._quiet_name(shard), "during_x",
-                             f"during_y{shard}", deadline=5.0)
-            except ReproError as exc:
-                fail(f"lane {shard} write failed during lane 0's "
-                     f"failover: {exc!r}")
+            outcome = self.run_op("write", Update.ins(
+                self._quiet_name(shard), "during_x", f"during_y{shard}"),
+                5.0)
+            if outcome != "applied":
+                fail(f"lane {shard} write ended {outcome} during lane "
+                     f"0's failover")
 
         if lease is not None:
             if not wait_for(group.leaderless):
@@ -1230,13 +1330,12 @@ class Cell:
                 return
         facts["promotion"] = promotion.as_dict()
         facts["fence_seq"] = fence = group.fence_seq(old_term)
-        lost = [seq for seq, _ in acked if seq > fence]
-        if lost:
-            fail(f"acked commits past the fence (lost by failover): "
-                 f"{lost}")
         # The old term stays fenced (StalePrimary from the term check
         # now, not just a lapsed lease) — exactly one writer.
         expect_fenced("deposed", "after the promotion")
+        # Its disk as it stands, before rejoin cuts the tail.
+        disk.capture()
+        disk.end = fence
         old.close(timeout=10.0)
 
         chosen = group.replica(promotion.chosen)
@@ -1247,29 +1346,30 @@ class Cell:
             replication=group, node=chosen.name, seed=config.seed + 1,
         )
         front.swap_lane(0, new)
-        lane.deposed.append(old)
+        lane.disks.append(_Disk(new.logged.log, start=fence))
         deposed_files = (lane.snapshot, lane.wal)
         lane.snapshot, lane.wal = chosen.snapshot_path, chosen.wal_path
         # The facade routes to the new primary; both the single- and
         # the multi-shard path must work across the swap.
-        try:
-            for index in range(5):
-                front.insert(name, "post_x", f"post_y{index}",
-                             deadline=5.0)
-            if config.shards > 1:
-                front.execute(UpdateSequence((
-                    Update.ins(name, "post_multi_x", "post_multi_y"),
-                    Update.ins(self._quiet_name(1), "post_multi_p",
-                               "post_multi_q"),
-                ), label="post-failover-multi"), deadline=5.0)
-        except ReproError as exc:
-            fail(f"post-failover write through the facade failed: "
-                 f"{exc!r}")
+        posts = [("write", Update.ins(name, "post_x", f"post_y{index}"))
+                 for index in range(5)]
+        if config.shards > 1:
+            posts.append(("seq", UpdateSequence((
+                Update.ins(name, "post_multi_x", "post_multi_y"),
+                Update.ins(self._quiet_name(1), "post_multi_p",
+                           "post_multi_q"),
+            ), label="post-failover-multi")))
+        for kind, update in posts:
+            outcome = self.run_op(kind, update, 5.0)
+            if outcome != "applied":
+                fail(f"post-failover write through the facade ended "
+                     f"{outcome}")
+                break
 
         # The deposed primary's files, laid out the way a follower
         # keeps them (snapshot.json + wal.log), rejoin the group.
-        rejoined = Replica(f"s{lane.index}old",
-                           self.workdir / "replicas" / "old-primary")
+        rejoined = lane.replica(f"s{lane.index}old",
+                                self.workdir / "replicas" / "old-primary")
         for source, target in zip(deposed_files, (rejoined.snapshot_path,
                                                   rejoined.wal_path)):
             source.replace(target)
@@ -1301,20 +1401,17 @@ class Cell:
     # -- verification -------------------------------------------------------
 
     def verify(self) -> None:
-        """Walk :data:`CHECKS` over the cell's current state."""
+        """Read the disks' tails and walk :data:`CHECKS` over the
+        cell's records."""
         facts = self.report.facts
         self.records = read_jsonl(self.events_path) \
             if self.events_path.exists() else []
-        facts["committed"] = {
-            lane.index: sum(len(s.committed_ops())
-                            for s in self.services(lane))
-            for lane in self.lanes
-        }
+        for lane in self.lanes:
+            lane.disks[-1].capture()
+        facts["committed"] = {lane.index: len(self.history(lane, False))
+                              for lane in self.lanes}
         if self.config.replicas:
-            facts["acked"] = sum(
-                len(s.acked_ops()) for lane in self.lanes
-                for s in self.services(lane)
-            )
+            facts["acked"] = len(_acked(self))
         facts["events"] = dict(Counter(
             record.name for record in self.records
             if record.kind == "action" and record.name in _RUN_EVENTS
@@ -1322,23 +1419,19 @@ class Cell:
         for check in CHECKS:
             if check.applies(self):
                 check.verify(self)
-        self._dump_lane_journals()
+        self._dump_lane_histories()
 
-    def _dump_lane_journals(self) -> None:
-        """Per-lane JSONL artifacts: one line per committed op of the
-        lane's current service, with the cross-shard marker where one
-        applies."""
+    def _dump_lane_histories(self) -> None:
+        """Per-lane JSONL artifacts: one line per committed record of
+        the lane's disk history, with its seq, op and label."""
         for lane in self.lanes:
-            by_index = {index: marker for marker, index
-                        in self.front.cross_markers(lane.index)}
             path = self._artifact(f"shard-{lane.index}", suffix=".jsonl")
             with path.open("w", encoding="utf-8") as handle:
-                for index, op in enumerate(
-                        self.front.committed_ops(lane.index)):
+                for frame in self.history(lane):
                     handle.write(json.dumps({
-                        "index": index,
-                        "op": str(op),
-                        "marker": by_index.get(index),
+                        "seq": frame.seq,
+                        "op": str(frame.payload),
+                        "label": getattr(frame.payload, "label", None),
                     }, sort_keys=True) + "\n")
 
 
@@ -1357,32 +1450,39 @@ def _check_liveness(cell: Cell) -> None:
 
 
 def _check_accounting(cell: Cell) -> None:
-    """Every planned op resolved to exactly one outcome."""
+    """Every planned op resolved to exactly one outcome, and every
+    write a client saw commit is in its lane's disk history."""
     planned = sum(len(plan) for plan in cell.plans)
     outcomes = sum(cell.report.counts.values())
     if outcomes != planned:
         cell.report.fail("accounting",
                          f"workers reported {outcomes} outcomes for "
                          f"{planned} planned ops")
+    on_disk = Counter((lane.index, frame.payload) for lane in cell.lanes
+                      for frame in cell.history(lane, False))
+    missing = Counter(
+        pair for kind, update, outcome in cell.client
+        if outcome == "applied" and kind in ("write", "seq", "rmw")
+        for pair in _on_lanes(update, cell.front.shard_of).items()
+    ) - on_disk
+    if missing:
+        cell.report.fail("accounting",
+                         f"{sum(missing.values())} writes a client saw "
+                         f"commit are not on their lane's disk: "
+                         f"{[str(op) for _, op in list(missing)[:3]]}")
 
 
 def _check_replay(cell: Cell) -> None:
-    """Lanes commit concurrently, but each lane's history must still
-    be sequential — exactly what the per-lane ``__write__`` token
-    buys: every shed, cancelled, refused or failed request left no
-    trace."""
+    """Lanes commit concurrently, but each lane's disk history must
+    still be sequential — exactly what the per-lane ``__write__``
+    token buys: replayed over the lane's seed rows it reproduces the
+    live primary, so every shed, cancelled, refused or failed request
+    left no trace. Across a failover the history is spliced at the
+    fence, so the surviving history and only it was applied."""
     for lane in cell.lanes:
-        if lane.deposed:
-            # The old primary's log includes the fenced-away tail and
-            # the new one's starts mid-history.
-            cell.report.notes.append(
-                f"lane {lane.index}: replay equality skipped across "
-                f"the failover; covered by journal replay, acked-loss "
-                f"and replica convergence")
-            continue
         diff = states_diff(
             replay(cell.fresh_lane(lane.index),
-                   cell.front.committed_ops(lane.index)),
+                   (frame.payload for frame in cell.history(lane))),
             cell.front.lane(lane.index).db,
         )
         if diff:
@@ -1404,21 +1504,29 @@ def _check_recovery(cell: Cell) -> None:
             cell.report.fail("recovery", f"lane {lane.index}: {diff}")
 
 
-def _marker_lanes(cell: Cell) -> dict[int, set[int]]:
-    """marker -> lanes that journalled it, deposed services included
-    (so pairing holds across a failover's journal restart)."""
-    seen: dict[int, set[int]] = {}
-    for lane in cell.lanes:
-        for service in cell.services(lane):
-            for marker, _ in tuple(service.cross_markers):
-                seen.setdefault(marker, set()).add(lane.index)
-    return seen
+def _multi_writes(cell: Cell) -> tuple[dict, dict]:
+    """The multi-shard writes of the client record, as label -> (the
+    lanes the write spans, the outcome its client saw), and each
+    lane's labels of them in disk order, a deposed primary's cut tail
+    included."""
+    writes = {}
+    for _, update, outcome in cell.client:
+        if isinstance(update, UpdateSequence):
+            spans = set(_on_lanes(update, cell.front.shard_of))
+            if len(spans) > 1:
+                writes[update.label] = (spans, outcome)
+    return writes, {
+        lane.index: [frame.payload.label
+                     for frame in cell.history(lane, False)
+                     if getattr(frame.payload, "label", None) in writes]
+        for lane in cell.lanes}
 
 
 def _check_spans(cell: Cell) -> None:
     """Every ``service.request`` span that started also ended, and the
-    spans stamped ``committed=True`` match the committed logs: one per
-    single-lane commit, one per fully applied multi-shard write."""
+    spans stamped ``committed=True`` match the disk histories: one per
+    single-lane commit, one per multi-shard write on every lane it
+    spans."""
     starts: set[int] = set()
     ends: dict[int, dict] = {}
     for record in cell.records:
@@ -1440,63 +1548,52 @@ def _check_spans(cell: Cell) -> None:
         cell.report.fail("spans", f"{len(dangling)} request spans "
                                   f"started but never ended")
         return
-    singles = sum(
-        len(service.committed_ops()) - len(service.cross_markers)
-        for lane in cell.lanes for service in cell.services(lane)
-    )
+    writes, labels = _multi_writes(cell)
+    singles = sum(len(cell.history(lane, False)) - len(labels[lane.index])
+                  for lane in cell.lanes)
     if single != singles:
         cell.report.fail("spans",
                          f"{single} committed single-lane request "
-                         f"spans for {singles} committed ops")
-    paired = sum(1 for lanes in _marker_lanes(cell).values()
-                 if len(lanes) > 1)
+                         f"spans for {singles} records on disk")
+    paired = sum(1 for label, (spans, _) in writes.items()
+                 if all(label in labels[shard] for shard in spans))
     if multi != paired:
         cell.report.fail("spans",
                          f"{multi} committed multi-shard request "
-                         f"spans for {paired} paired markers")
+                         f"spans for {paired} labels on every lane "
+                         f"they span")
 
 
 def _check_markers(cell: Cell) -> None:
-    """Each lane's ``(marker, committed-index)`` journal is strictly
-    increasing in both coordinates and stays inside its committed log;
-    every marker sits on at least two lanes (a multi-shard write
-    involves several shards by definition) unless a caller was told
-    the write was cut short (``CrossShardError``: cross-shard
-    atomicity is not promised)."""
+    """Multi-shard writes, paired by the label each slice's WAL record
+    carries. Any two lanes hold the labels they share in the same
+    order (the writes took the lanes' tokens in one sorted order), and
+    a write sits on every lane it spans — or, only if its caller was
+    told it was cut short (``CrossShardError``: cross-shard atomicity
+    is not promised), on some of them."""
     report = cell.report
-    per_lane = {}
-    for lane in cell.lanes:
-        for service in cell.services(lane):
-            journal = tuple(service.cross_markers)
-            markers = [marker for marker, _ in journal]
-            indices = [index for _, index in journal]
-            if markers != sorted(set(markers)):
-                report.fail("markers",
-                            f"lane {lane.index} marker journal not "
-                            f"strictly increasing: {markers[:10]}")
-            if indices != sorted(set(indices)):
-                report.fail("markers",
-                            f"lane {lane.index} marker commit indices "
-                            f"not strictly increasing: {indices[:10]}")
-            committed = len(service.committed_ops())
-            if any(index >= committed for index in indices):
-                report.fail("markers",
-                            f"lane {lane.index} marker indices past "
-                            f"its committed log ({committed}): "
-                            f"{indices[-5:]}")
-        per_lane[lane.index] = sum(
-            len(s.cross_markers) for s in cell.services(lane))
-    if any(per_lane.values()):
-        report.facts["markers"] = per_lane
-    lonely = {marker: sorted(lanes)
-              for marker, lanes in _marker_lanes(cell).items()
-              if len(lanes) < 2}
-    if len(lonely) > report.counts["cross_shard"]:
-        report.fail("markers",
-                    f"cross-shard markers on a single lane beyond the "
-                    f"{report.counts['cross_shard']} "
-                    f"CrossShardErrors callers saw: "
-                    f"{dict(list(lonely.items())[:5])}")
+    writes, labels = _multi_writes(cell)
+    if any(labels.values()):
+        report.facts["markers"] = {shard: len(found)
+                                   for shard, found in labels.items()}
+    for a, b in itertools.combinations(sorted(labels), 2):
+        shared = set(labels[a]) & set(labels[b])
+        order = [[label for label in labels[shard] if label in shared]
+                 for shard in (a, b)]
+        if order[0] != order[1]:
+            report.fail("markers",
+                        f"lanes {a} and {b} applied their shared "
+                        f"multi-shard writes in different orders: "
+                        f"{order[0][:5]} vs {order[1][:5]}")
+    for label, (spans, outcome) in writes.items():
+        holders = {shard for shard, found in labels.items()
+                   if label in found}
+        if holders != spans and (outcome == "applied" or holders
+                                 and outcome != "cross_shard"):
+            report.fail("markers",
+                        f"write {label!r} spans lanes {sorted(spans)} "
+                        f"but is on {sorted(holders)}; its client saw "
+                        f"{outcome}")
 
 
 def _check_breathe(cell: Cell) -> None:
@@ -1517,20 +1614,20 @@ def _check_breathe(cell: Cell) -> None:
 
 
 def _check_journal(cell: Cell) -> None:
-    """The shipped-stream oracle: replaying every journalled record
-    (minus compensated aborts) over a fresh seeded lane must equal the
-    live primary — across a failover, this is the proof that the
-    surviving history and only the surviving history was applied."""
+    """The shipped stream, from the receiving end: every record a
+    replica accepted is, byte for byte, the record the lane's primary
+    of that term wrote at that seq."""
     for lane in cell.replicated():
-        frames = committed(decode_frame(line) for _, line
-                           in lane.group.shipper.journal())
-        expected = replay(cell.fresh_lane(lane.index),
-                          (frame.payload for frame in frames))
-        diff = states_diff(expected, cell.front.lane(lane.index).db)
-        if diff:
-            cell.report.fail("journal",
-                             f"lane {lane.index} journal replay "
-                             f"diverged: {diff}")
+        written = {(frame.term, frame.seq): frame.line
+                   for disk in lane.disks
+                   for frame in map(decode_frame, disk.lines)}
+        for name, lines in lane.delivered.items():
+            strays = [frame.seq for frame in map(decode_frame, lines)
+                      if written.get((frame.term, frame.seq)) != frame.line]
+            if strays:
+                cell.report.fail("journal",
+                                 f"replica {name} accepted records no "
+                                 f"primary wrote at seqs {strays[:5]}")
 
 
 def _check_replicas(cell: Cell) -> None:
@@ -1554,9 +1651,14 @@ def _check_replicas(cell: Cell) -> None:
                              f"checked")
 
 
-def _acked(cell: Cell, lane: _Lane) -> list:
-    return [pair for service in cell.services(lane)
-            for pair in service.acked_ops()]
+def _acked(cell: Cell, lane: _Lane | None = None) -> list[int]:
+    """The seqs acked on ``lane`` (on every lane: None), from the
+    ``replication.commit_acked`` records of the event stream."""
+    nodes = None if lane is None else lane.nodes()
+    return [_attr_int(record, "seq") for record in cell.records
+            if record.kind == "action"
+            and record.name == "replication.commit_acked"
+            and (nodes is None or record.attrs.get("node") in nodes)]
 
 
 def _check_pipeline(cell: Cell) -> None:
@@ -1588,7 +1690,7 @@ def _check_pipeline(cell: Cell) -> None:
                 if wal is not None:
                     floors[name] = max(floors.get(name, 0), wal)
         uncovered = []
-        for seq, _ in (acked if needed else ()):
+        for seq in (acked if needed else ()):
             covering = {
                 name for name, spans in applied.items()
                 if any(low <= seq <= high for low, high in spans)
@@ -1602,10 +1704,9 @@ def _check_pipeline(cell: Cell) -> None:
                 f"replica applies in the span stream: {uncovered[:5]}"
                 + (f" (+{len(uncovered) - 5} more)"
                    if len(uncovered) > 5 else ""))
-    lane = cell.lanes[0]
-    acked = _acked(cell, lane)
+    acked = _acked(cell, cell.lanes[0])
     if acked:
-        _write_pipeline_dot(cell, lane, acked[-1][0])
+        _write_pipeline_dot(cell, cell.lanes[0], acked[-1])
 
 
 def _write_pipeline_dot(cell: Cell, lane: _Lane, last_seq: int) -> None:
@@ -1655,13 +1756,13 @@ def _check_timeline(cell: Cell) -> None:
     """Fold lane 0's replication lifecycle (the lane that may fail
     over; other lanes' acked commits carry their own node names and
     are left out) into the audit timeline, keep it as a JSONL
-    artifact, and audit the fence ordering: every acked old-term commit
-    at or below the fence precedes the fence record, every new-term
-    commit follows it. After a failover the fence, promote and rejoin
-    entries must be there — and the lease expiry and the election that
-    caused them, when it was automatic."""
+    artifact, and audit the fence: every acked old-term commit sits at
+    or below it (none lost) and precedes the fence record, every
+    new-term commit follows it. After a failover the fence, promote and
+    rejoin entries must be there — and the lease expiry and the
+    election that caused them, when it was automatic."""
     lane, report = cell.lanes[0], cell.report
-    nodes = {None, f"shard-{lane.index}-primary", *lane.replicas}
+    nodes = {None, *lane.nodes()}
     timeline = replication_timeline(
         record for record in cell.records
         if record.attrs.get("node") in nodes)
@@ -1669,8 +1770,7 @@ def _check_timeline(cell: Cell) -> None:
         timeline.to_jsonl() + "\n", encoding="utf-8")
     problems = timeline.fence_violations()
     if problems:
-        report.fail("timeline",
-                    f"fence ordering violated: {problems[:3]}")
+        report.fail("timeline", f"fence audit failed: {problems[:3]}")
     if "promotion" not in report.facts:
         return
     wanted = ["fence", "promote", "rejoin"]
@@ -1706,8 +1806,10 @@ def _check_worlds(cell: Cell) -> None:
                  for pair in list(derived_extension(db, name))[:5]]
         deleted = [
             (update.function, *update.pair)
-            for op in cell.front.committed_ops(lane.index)
-            for update in (op if isinstance(op, UpdateSequence) else (op,))
+            for frame in cell.history(lane)
+            for update in (frame.payload
+                           if isinstance(frame.payload, UpdateSequence)
+                           else (frame.payload,))
             if update.kind == "DEL" and db.is_derived(update.function)
         ]
         for fact in dict.fromkeys(heads + deleted):

@@ -112,7 +112,8 @@ FAULTS.register(
 )
 FAULTS.register(
     "wal.checkpoint.before-snapshot",
-    "checkpoint: before the snapshot write",
+    "checkpoint: before the snapshot write (fires with ``log=``, "
+    "every record still in it)",
 )
 FAULTS.register(
     "wal.checkpoint.after-snapshot",
@@ -983,7 +984,7 @@ def checkpoint(logged: LoggedDatabase,
         raise StructureError(f"checkpoint refused: {fault}")
     if OBS.enabled:
         OBS.inc("fdb.wal.checkpoints")
-    FAULTS.fire("wal.checkpoint.before-snapshot")
+    FAULTS.fire("wal.checkpoint.before-snapshot", log=logged.log)
     folded = logged.log.last_seq()
     persistence.save(logged.db, snapshot_path, wal_applied=folded,
                      term=logged.log.term or None)

@@ -365,18 +365,24 @@ class ReplicationTimeline:
         ]
 
     def fence_violations(self) -> list[str]:
-        """The audit check: every commit acked under a fenced term at
-        or below the fence seq must precede the fence entry, and the
-        first commit of the new term must follow it. Returns the
-        violations (empty = timeline is well-ordered)."""
+        """The audit check: every commit acked under a fenced term
+        must sit at or below the fence seq (above it, the failover lost
+        it) and precede the fence entry, and the first commit of the
+        new term must follow it. Returns the violations (empty = no
+        acked commit was reordered or lost)."""
         problems: list[str] = []
         for fence in self.of_kind("fence"):
             new_term = _timeline_int(fence.attrs.get("new_term"))
             for commit in self.commits(term=fence.term):
-                if (commit.commit_seq is not None
-                        and fence.fence_seq is not None
-                        and commit.commit_seq <= fence.fence_seq
-                        and commit.order >= fence.order):
+                if commit.commit_seq is None or fence.fence_seq is None:
+                    continue
+                if commit.commit_seq > fence.fence_seq:
+                    problems.append(
+                        f"commit seq={commit.commit_seq} "
+                        f"term={commit.term} acked above its fence "
+                        f"at seq {fence.fence_seq}"
+                    )
+                elif commit.order >= fence.order:
                     problems.append(
                         f"commit seq={commit.commit_seq} "
                         f"term={commit.term} recorded after its fence"

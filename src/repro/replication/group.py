@@ -167,12 +167,10 @@ class ReplicationGroup:
 
     def __init__(self, mode: CommitMode | str = "async", *,
                  ack_timeout: float = 5.0,
-                 retry_interval: float = 0.02,
-                 journal: bool = False) -> None:
+                 retry_interval: float = 0.02) -> None:
         self.mode = CommitMode.parse(mode)
         self.ack_timeout = ack_timeout
         self.retry_interval = retry_interval
-        self.journal_enabled = journal
         self.term = 0
         self.primary_name = "primary"
         self.shipper: WalShipper | None = None
@@ -197,8 +195,7 @@ class ReplicationGroup:
         :meth:`promote` already claimed the next term for this attach.
         Returns the term token the primary's write path must present
         to :meth:`check_primary` on every commit. Surviving replica
-        links and the shipped-stream journal carry over from the
-        previous leadership.
+        links carry over from the previous leadership.
         """
         with self._lock:
             if self._pending_term is not None:
@@ -211,16 +208,10 @@ class ReplicationGroup:
             self._logged = logged
             logged.log.term = term
             old = self.shipper
-            self.shipper = WalShipper(
-                logged.log, term=term,
-                journal=self.journal_enabled,
-            )
+            self.shipper = WalShipper(logged.log, term=term)
             if old is not None:
                 for link in old.links():
                     self.shipper._links[link.name] = link
-                if old._journal is not None:
-                    self.shipper._journal = old._journal
-                    self.shipper._journal_through = old._journal_through
             if self._lease is not None:
                 self.shipper.lease = self._lease
                 self._lease.grant(term)
@@ -333,15 +324,6 @@ class ReplicationGroup:
 
     # -- the commit path ----------------------------------------------------
 
-    def note_commit(self, seq: int) -> None:
-        """Journal the committed records up to ``seq`` while the
-        caller still holds the write token — before any checkpoint
-        can fold them out of the log. Shipping happens later, in
-        :meth:`on_commit`, outside the caller's locks."""
-        shipper = self.shipper
-        if shipper is not None:
-            shipper.journal_through(seq)
-
     def on_commit(self, seq: int) -> dict:
         """Ship the commit at ``seq`` and wait out the commit mode:
         :meth:`_ship_passes` until ``required_acks`` links hold it, or
@@ -349,7 +331,6 @@ class ReplicationGroup:
         the quota is larger than the linked replicas. ``async`` needs
         no ack, so it is one best-effort pass."""
         shipper = self._require_shipper()
-        shipper.journal_through(seq)
         links = shipper.links()
         needed = self.mode.required_acks(len(links))
         acked = self._ship_passes(
@@ -373,7 +354,6 @@ class ReplicationGroup:
         sequence number (test/soak settling, not a commit-path API)."""
         shipper = self._require_shipper()
         target = shipper.log.last_seq()
-        shipper.journal_through(target)
         links = shipper.links()
         timeout = self.ack_timeout if timeout is None else timeout
         self._ship_passes(shipper, links, target, len(links),
@@ -561,9 +541,6 @@ class ReplicationGroup:
                         or status["applied_seq"] > applied):
                     link.needs_snapshot = True
                 link.acked_seq = min(link.acked_seq, applied)
-            # Lost-tail hygiene: the shipped-stream journal must not
-            # carry sequence numbers the new history will reuse.
-            shipper.cut_journal(applied)
             report = PromotionReport(
                 chosen=chosen, applied_seq=applied,
                 old_term=old_term, new_term=new_term,

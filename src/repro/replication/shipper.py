@@ -14,10 +14,9 @@ snapshot (``shippable_floor() > acked``), delta shipping is
 impossible and :exc:`SnapshotNeeded` tells the control plane to fall
 back to snapshot catch-up.
 
-With ``journal=True`` the shipper also keeps an in-memory copy of
-every record that entered the shipped stream, in sequence order —
-the oracle the chaos soak replays to prove "replica state equals
-sequential replay of the shipped stream".
+The shipper keeps no copy of what it sends: the stream is the log's
+own record run, and what a replica was delivered is the replica's
+business (the chaos soak records it on the receiving side).
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ class ReplicaLink:
 class WalShipper:
     """The record stream from one primary log to N replica links."""
 
-    def __init__(self, log: UpdateLog, *, term: int = 0,
-                 journal: bool = False) -> None:
+    def __init__(self, log: UpdateLog, *, term: int = 0) -> None:
         self.log = log
         self.term = term
         # Set by ReplicationGroup.enable_lease(): when present, every
@@ -89,9 +87,6 @@ class WalShipper:
         self.lease = None
         self._links: dict[str, ReplicaLink] = {}
         self._lock = threading.Lock()
-        self._journal: list[tuple[int, str]] | None = \
-            [] if journal else None
-        self._journal_through = 0
 
     # -- link management ----------------------------------------------------
 
@@ -120,41 +115,6 @@ class WalShipper:
     def links(self) -> list[ReplicaLink]:
         with self._lock:
             return list(self._links.values())
-
-    # -- journalling --------------------------------------------------------
-
-    def journal_through(self, seq: int) -> None:
-        """Record every log line up to ``seq`` into the shipped-stream
-        journal (no-op unless journalling is on). Called at commit
-        time, *before* any transport is tried, so the journal covers
-        records that were committed but never successfully shipped —
-        exactly the stream a promoted replica may or may not hold."""
-        if self._journal is None:
-            return
-        with self._lock:
-            if seq <= self._journal_through:
-                return
-            records = self.log.records_between(self._journal_through,
-                                               seq)
-            self._journal.extend(records)
-            self._journal_through = max(self._journal_through, seq)
-
-    def journal(self) -> list[tuple[int, str]]:
-        """The journalled ``(seq, raw line)`` stream, in order."""
-        if self._journal is None:
-            return []
-        with self._lock:
-            return list(self._journal)
-
-    def cut_journal(self, seq: int) -> None:
-        """Forget journalled records above ``seq``: a failover fenced
-        the history there, and the new term reuses those numbers."""
-        if self._journal is None:
-            return
-        with self._lock:
-            self._journal[:] = [item for item in self._journal
-                                if item[0] <= seq]
-            self._journal_through = min(self._journal_through, seq)
 
     # -- shipping -----------------------------------------------------------
 

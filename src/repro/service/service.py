@@ -55,9 +55,9 @@ update's propagation. On completion the request feeds the per-family RED
 instruments (``service.red.<family>.{requests,errors,duration_seconds}``)
 and the :class:`repro.obs.slo.SLOMonitor` of every lane it involved;
 the span's end record is stamped ``committed=True`` exactly when the
-operation landed in :meth:`DatabaseService.committed_ops` — the
-invariant the chaos soak checks. :meth:`FrontDoor.serve_metrics`
-exposes all of it live over HTTP.
+operation's record is in the lane's WAL (applied, without a log) — the
+chaos soak holds the stamps to the records on disk.
+:meth:`FrontDoor.serve_metrics` exposes all of it live over HTTP.
 """
 
 from __future__ import annotations
@@ -260,13 +260,8 @@ class DatabaseService(FrontDoor):
         self._cluster_version = db.schema_version
         # When this service is one lane of a ShardedDatabaseService
         # (see repro.shard), ``shard`` labels its telemetry
-        # (service.shard.<i>.*) and ``cross_markers`` journals the
-        # global ordering tokens of multi-shard writes as
-        # (marker, committed-log index) pairs — strictly increasing in
-        # both coordinates, which is what keeps this lane's replay
-        # oracle sequential.
+        # (service.shard.<i>.*).
         self.shard = shard
-        self.cross_markers: list[tuple[int, int]] = []
         # Commit-ordered log of every update this service applied;
         # appended while the writer still holds __write__, so replaying
         # it sequentially reproduces the live state exactly.
@@ -274,13 +269,9 @@ class DatabaseService(FrontDoor):
         self._committed_lock = threading.Lock()
         # Replication: attach this service as the group's primary and
         # hold the term token its write path must present on every
-        # commit. ``acked`` is the subset of ``committed`` whose
-        # replication quota was met — the ops a failover must never
-        # lose — as (wal seq, update) pairs in ack order.
+        # commit.
         self.replication = replication
         self.node = node
-        self.acked: list[tuple[int, Update | UpdateSequence]] = []
-        self._acked_lock = threading.Lock()
         self._repl_term: int | None = None
         if replication is not None:
             if self.logged is None:
@@ -412,15 +403,11 @@ class DatabaseService(FrontDoor):
         the log); raises the final error when the policy gives up."""
         write((self,), (update,), deadline)
 
-    def _replication_ack(self, seq: int | None,
-                         update: Update | UpdateSequence) -> None:
-        """Ship the commit and wait out the group's commit mode; on
-        success record the op as replication-acknowledged."""
+    def _replication_ack(self, seq: int | None) -> None:
+        """Ship the commit and wait out the group's commit mode."""
         if self.replication is None or seq is None:
             return
         ack = self.replication.on_commit(seq)
-        with self._acked_lock:
-            self.acked.append((seq, update))
         if OBS.enabled:
             # The audit timeline's commit entry: emitted inside the
             # request span, so the commit hangs off its pipeline in
@@ -453,7 +440,7 @@ class DatabaseService(FrontDoor):
             applied, seq = result
             if span is not None:
                 span.attrs["committed"] = True
-            self._replication_ack(seq, applied)
+            self._replication_ack(seq)
             return applied
 
     def _rmw_once(self, names: tuple[str, ...], build,
@@ -569,7 +556,6 @@ class DatabaseService(FrontDoor):
         if self.logged is not None:
             snapshot["wal"] = self.logged.log.health()
         if self.replication is not None:
-            snapshot["acked"] = len(self.acked)
             snapshot["replication"] = self.replication.health()
         return snapshot
 
@@ -580,13 +566,6 @@ class DatabaseService(FrontDoor):
         exactly."""
         with self._committed_lock:
             return tuple(self.committed)
-
-    def acked_ops(self) -> tuple[tuple[int, Update | UpdateSequence], ...]:
-        """The replication-acknowledged subset of the committed log as
-        (WAL seq, update) pairs — under ``sync(k>=1)``/``quorum``
-        these are the operations a failover must preserve."""
-        with self._acked_lock:
-            return tuple(self.acked)
 
 
 class _Request:
@@ -601,7 +580,7 @@ class _Request:
     on (else None); its ``attrs`` dict is live — callers stamp
     ``committed=True`` once the write landed, and the ``span.end``
     record carries it (the chaos soak matches those records against
-    ``committed_ops()``)."""
+    the lanes' WAL records)."""
 
     __slots__ = ("lanes", "family", "limit", "admit", "admitted",
                  "scope", "started")
@@ -740,13 +719,10 @@ class Appender:
         breaker.record_success()
         return result
 
-    def apply(self, update: Update | UpdateSequence,
-              marker: int | None = None) -> int | None:
+    def apply(self, update: Update | UpdateSequence) -> int | None:
         """The commit tail: engine apply (WAL-logged or in-memory
-        transactional), committed-log append, and replication
-        journaling. ``marker`` journals a cross-shard ordering token
-        against the committed-log index. Returns the WAL sequence of
-        the commit (None without a log)."""
+        transactional) and committed-log append. Returns the WAL
+        sequence of the commit (None without a log)."""
         lane = self.lane
         seq: int | None = None
         with deadline_scope(self.limit):
@@ -758,51 +734,42 @@ class Appender:
         # Still holding __write__: commit order == list order.
         with lane._committed_lock:
             lane.committed.append(update)
-            if marker is not None:
-                lane.cross_markers.append(
-                    (marker, len(lane.committed) - 1)
-                )
         if OBS.enabled and lane.shard is not None:
             OBS.gauge(f"service.shard.{lane.shard}.committed",
                       len(lane.committed))
-        if lane.replication is not None and seq is not None:
-            # Journal for the shipped-stream oracle before a
-            # checkpoint can fold the record away.
-            lane.replication.note_commit(seq)
         return seq
 
 
 def write(lanes: Sequence[DatabaseService],
           updates: Sequence[Update | UpdateSequence],
-          deadline: Deadline | float | None = None, *,
-          mint: Callable[[], int] | None = None) -> None:
+          deadline: Deadline | float | None = None) -> None:
     """The one write path: commit ``updates[i]`` on ``lanes[i]`` — one
     pair for a lane's ``execute``, several in sorted shard-id order for
-    a multi-shard write, whose marker ``mint`` allocates.
+    a multi-shard write.
 
     One request over all the lanes; each attempt (the first lane's
     :class:`RetryPolicy`) becomes an :class:`Appender` on every lane
     in order — holds grow monotonically in shard id while single-lane
     writers never wait across lanes, so no cross-lane wait-for cycle
     can form — hence every lane's gate, fences and breaker pass before
-    the first slice applies. The marker is minted while every token is
-    held, so markers sharing a lane are ordered like their commits on
-    it. No cross-shard *atomicity*: a failure after a slice landed
+    the first slice applies. Every token is held while the slices
+    apply, so multi-shard writes sharing a lane commit on it in one
+    global order. No cross-shard *atomicity*: a failure after a slice landed
     raises :class:`CrossShardError` naming the shards that committed."""
     first = lanes[0]
     limit = first._deadline(deadline)
-    with _Request(lanes, "execute" if mint is None else "multi_write",
+    with _Request(lanes, "multi_write" if len(lanes) > 1 else "execute",
                   limit) as span:
-        seqs = first._retrying(limit, _commit, lanes, updates, limit, mint)
+        seqs = first._retrying(limit, _commit, lanes, updates, limit)
         if span is not None:
             span.attrs["committed"] = True
         # Replication ack wait runs after the span is stamped and
         # outside any locks: the op is committed locally either way; a
         # missed quota surfaces as ReplicationTimeout without
         # un-committing anything.
-        for lane, update, seq in zip(lanes, updates, seqs):
+        for lane, seq in zip(lanes, seqs):
             if seq is not None:
-                lane._replication_ack(seq, update)
+                lane._replication_ack(seq)
 
 
 def _attempt_span(attempt, tries, *args):
@@ -811,20 +778,19 @@ def _attempt_span(attempt, tries, *args):
         return attempt(*args)
 
 
-def _commit(lanes, updates, limit: Deadline | None, mint,
+def _commit(lanes, updates, limit: Deadline | None,
             held: tuple[Appender, ...] = ()) -> list[int | None]:
     """One attempt of :func:`write`: a nested ``with Appender`` per
-    lane, in order; innermost, the marker and the slices."""
+    lane, in order; innermost, the slices."""
     if len(held) < len(lanes):
         lane, update = lanes[len(held)], updates[len(held)]
         with Appender(lane, lane._clusters_for(touched(update)),
                       limit) as appender:
-            return _commit(lanes, updates, limit, mint, held + (appender,))
-    marker = None if mint is None else mint()
+            return _commit(lanes, updates, limit, held + (appender,))
     seqs: list[int | None] = []
     try:
         for appender, update in zip(held, updates):
-            seqs.append(appender.apply(update, marker))
+            seqs.append(appender.apply(update))
     except Exception as exc:
         if not seqs:
             raise  # nothing landed anywhere: the lane's own error

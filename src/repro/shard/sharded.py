@@ -27,16 +27,16 @@ The two cross-shard paths are deliberately narrower:
   not absent.
 * **Multi-shard writes** go through the same
   :func:`repro.service.service.write` a lane's own ``execute`` runs,
-  with one slice per owning shard instead of one (lock order, marker
-  and the atomicity it does not promise are in its docstring; the
-  full contract is ``docs/SHARDING.md``). Each lane journals
-  ``(marker, committed-index)`` so its replay oracle stays strictly
-  sequential.
+  with one slice per owning shard instead of one (lock order and the
+  atomicity it does not promise are in its docstring; the full
+  contract is ``docs/SHARDING.md``). Every slice is an
+  :class:`UpdateSequence` carrying the write's label, so each lane's
+  WAL names the writes it shares with other lanes, in the one global
+  order the sorted token acquisition imposes.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from pathlib import Path
 from typing import Callable, Iterable
@@ -104,12 +104,6 @@ class ShardedDatabaseService(FrontDoor):
                 node=f"shard-{shard}-primary", **(service_kwargs or {}),
             ))
         self.map = ShardMap(self.lanes[0].db, shards, pins=pins)
-        # Global-lane bookkeeping: one counter mints every cross-shard
-        # marker; allocation happens while holding all involved write
-        # tokens, so markers sharing a lane are ordered like their
-        # commits on that lane.
-        self._marker = itertools.count(1)
-        self._marker_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._multi_writes = 0
         self._scatter_reads = 0
@@ -144,10 +138,6 @@ class ShardedDatabaseService(FrontDoor):
             )
         return self.lanes[min(shard_ids)]
 
-    def _mint(self) -> int:
-        with self._marker_lock:
-            return next(self._marker)
-
     def declare(self, declare_fn) -> None:
         """Apply a schema declaration (``declare_fn(db)``) to *every*
         lane, keeping the shared schema identical, then rebuild the
@@ -173,22 +163,17 @@ class ShardedDatabaseService(FrontDoor):
         with self._stats_lock:
             self._multi_writes += 1
         write([self.lanes[shard] for shard in shard_ids],
-              [parts[shard] for shard in shard_ids],
-              deadline, mint=self._mint)
+              [parts[shard] for shard in shard_ids], deadline)
 
-    def _split(self, update: UpdateSequence) -> dict[int, object]:
-        """Partition a sequence into per-shard slices, preserving each
-        shard's internal order (cross-shard relative order is what the
-        marker journals)."""
+    def _split(self, update: UpdateSequence) -> dict[int, UpdateSequence]:
+        """Partition a sequence into per-shard slices, each keeping
+        its shard's internal order and the write's label."""
         parts: dict[int, list[Update]] = {}
         for simple in update:
             shard = self._map().shard_of(simple.function)
             parts.setdefault(shard, []).append(simple)
-        return {
-            shard: (slice_[0] if len(slice_) == 1
-                    else UpdateSequence(tuple(slice_), label=update.label))
-            for shard, slice_ in parts.items()
-        }
+        return {shard: UpdateSequence(tuple(slice_), label=update.label)
+                for shard, slice_ in parts.items()}
 
     # -- reads --------------------------------------------------------------
 
@@ -338,8 +323,3 @@ class ShardedDatabaseService(FrontDoor):
 
     def committed_ops(self, shard: int):
         return self.lanes[shard].committed_ops()
-
-    def cross_markers(self, shard: int) -> tuple[tuple[int, int], ...]:
-        """Lane ``shard``'s (marker, committed-index) journal, a
-        stable copy (``tuple`` of a list copies it in one step)."""
-        return tuple(self.lanes[shard].cross_markers)

@@ -459,6 +459,21 @@ class TestReplicationTimeline:
         ])
         assert dirty.fence_violations()
 
+    def test_commit_acked_above_the_fence_is_flagged(self):
+        """An old-term commit acked past the fence seq was lost by the
+        failover, whichever side of the fence record it was logged."""
+        from repro.obs import replication_timeline
+
+        fence = _action(2, "replication.fence", old_term=1, new_term=2,
+                        fence_seq=5, chosen="r0")
+        for order in (1, 3):
+            commit = _action(order, "replication.commit_acked", seq=6,
+                             term=1)
+            dirty = replication_timeline(
+                [commit, fence] if order < 2 else [fence, commit])
+            assert any("above its fence" in problem
+                       for problem in dirty.fence_violations())
+
     def test_new_term_commit_before_fence_is_flagged(self):
         from repro.obs import replication_timeline
 

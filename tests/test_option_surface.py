@@ -20,7 +20,8 @@ from repro.faults.soak import SoakConfig
 from repro.fdb.wal import UpdateLog
 from repro.obs.slo import SLOMonitor
 from repro.obs.tracing import Tracer
-from repro.replication import FailoverCoordinator, LeaseConfig, WalShipper
+from repro.replication import (FailoverCoordinator, LeaseConfig,
+                               ReplicationGroup, WalShipper)
 from repro.service import CircuitBreaker, DatabaseService, RetryPolicy
 
 SURFACE = {
@@ -37,7 +38,11 @@ SURFACE = {
     LeaseConfig: ("duration", "margin", "renew_interval",
                   "check_interval"),
     FailoverCoordinator: ("config", "clock"),
-    WalShipper: ("term", "journal"),
+    WalShipper: ("term",),
+    # Callers: E17, E18 and E20 (benchmarks/) use retry_interval
+    # 0.001 s and ack_timeout 5 s, the soak 0.01 s and 2 s; E17 walks
+    # the modes, E18 runs sync(1), E20 quorum.
+    ReplicationGroup: ("mode", "ack_timeout", "retry_interval"),
     UpdateLog: ("fsync", "term"),
     SLOMonitor: ("objectives", "clock"),
     Tracer: (),
@@ -58,5 +63,5 @@ def test_defaulted_options_are_the_pinned_ones(target):
     assert defaulted(target) == SURFACE[target]
 
 
-def test_the_surface_holds_44_options():
-    assert sum(len(names) for names in SURFACE.values()) == 44
+def test_the_surface_holds_46_options():
+    assert sum(len(names) for names in SURFACE.values()) == 46

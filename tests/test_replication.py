@@ -18,6 +18,7 @@ from repro.errors import (
 from repro.fdb import persistence
 from repro.fdb.logic import Truth
 from repro.fdb.updates import Update
+from repro.obs import OBS, RingBufferSink
 from repro.fdb.wal import (
     LoggedDatabase,
     RecoveryReport,
@@ -324,16 +325,6 @@ class TestShipper:
         assert replica.db.table("teach").rows() == \
             logged.db.table("teach").rows()
 
-    def test_journal_covers_the_stream(self, primary, make_group):
-        logged, _ = primary
-        group = make_group(journal=True)
-        group.attach_primary(logged)
-        seqs = [logged.execute(u) for u in section_42_updates()[:3]]
-        for seq in seqs:
-            group.note_commit(seq)
-        journal = group.shipper.journal()
-        assert [seq for seq, _ in journal] == seqs
-
 
 class TestGroupCommitModes:
     def test_sync_waits_for_k_acks(self, primary, tmp_path, make_group):
@@ -483,7 +474,7 @@ class TestFailover:
     @pytest.fixture
     def replicated(self, primary, tmp_path, make_group):
         logged, workdir = primary
-        group = make_group(journal=True)
+        group = make_group()
         group.attach_primary(logged)
         for name in ("r0", "r1"):
             group.add_replica(name, Replica(name, tmp_path / name))
@@ -706,7 +697,7 @@ class TestServiceIntegration:
             db = pupil_database()
             persistence.save(db, workdir / "snapshot.json",
                              wal_applied=0)
-            group = make_group(mode, journal=True)
+            group = make_group(mode)
             service = closing(DatabaseService(
                 db, log=workdir / "wal.log", replication=group,
                 **kwargs
@@ -715,20 +706,32 @@ class TestServiceIntegration:
 
         return build
 
+    @pytest.fixture
+    def acked(self):
+        """The seqs of the ``replication.commit_acked`` records emitted
+        while the test runs: the audit timeline's account of which
+        commits met their quota."""
+        sink = OBS.events.add_sink(RingBufferSink())
+        OBS.enable()
+        yield lambda: [record.attrs["seq"] for record in sink.records
+                       if record.name == "replication.commit_acked"]
+        OBS.disable()
+        OBS.events.remove_sink(sink)
+        OBS.reset()
+        OBS.metrics.clear()
+
     def test_replication_requires_a_log(self, make_group):
         with pytest.raises(ReplicationError):
             DatabaseService(pupil_database(), replication=make_group())
 
     def test_commit_blocks_on_acks_and_records_them(
-            self, tmp_path, service_on):
+            self, tmp_path, service_on, acked):
         service, group, _ = service_on()
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
-        acked = service.acked_ops()
-        assert len(acked) == 1
-        seq, update = acked[0]
-        assert seq == 1
-        assert str(update) == "INS(teach, <gauss, cs>)"
+        assert acked() == [1]
+        assert list(service.logged.log.entries()) == [
+            Update.ins("teach", "gauss", "cs")]
         assert group.replica("r0").applied_seq == 1
 
     def test_read_replica_and_staleness(self, tmp_path, service_on):
@@ -749,7 +752,8 @@ class TestServiceIntegration:
         # does not turn 503 over it.
         assert service.health()["healthy"] is True
 
-    def test_stats_carry_wal_and_replication(self, tmp_path, service_on):
+    def test_stats_carry_wal_and_replication(self, tmp_path, service_on,
+                                             acked):
         service, group, _ = service_on()
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
@@ -757,17 +761,18 @@ class TestServiceIntegration:
         assert stats["wal"]["last_seq"] == 1
         assert stats["wal"]["term"] == 1
         assert stats["wal"]["tail_torn"] is False
-        assert stats["acked"] == 1
+        assert acked() == [1]
         assert stats["replication"]["replicas"]["r0"]["lag_seq"] == 0
 
-    def test_fenced_service_write_raises(self, tmp_path, service_on):
+    def test_fenced_service_write_raises(self, tmp_path, service_on,
+                                         acked):
         service, group, _ = service_on()
         group.add_replica("r0", Replica("r0", tmp_path / "r0"))
         service.insert("teach", "gauss", "cs")
         group.promote()
         with pytest.raises(StalePrimary):
             service.insert("teach", "noether", "algebra")
-        assert len(service.acked_ops()) == 1
+        assert acked() == [1]
 
 
 class TestReports:

@@ -45,7 +45,6 @@ from repro.replication import (
     LeaseConfig,
     Replica,
     ReplicationGroup,
-    WalShipper,
 )
 from repro.workloads.university import pupil_database
 
@@ -72,6 +71,15 @@ def _random_update(rng: random.Random) -> Update:
     return Update.rep(name, (x, y), (rng.choice(xs), rng.choice(ys)))
 
 
+def _collect(log, stream: list) -> list:
+    """Extend ``stream`` with the log's ``(seq, line)`` records past
+    its last one — collected after each commit, before a checkpoint
+    can fold them away — and return it."""
+    stream.extend(log.records_between(stream[-1][0] if stream else 0,
+                                      log.last_seq()))
+    return stream
+
+
 def _state_fingerprint(db: FunctionalDatabase) -> dict:
     """Everything the paper's machinery stores, printable form:
     stored facts with flags and NC labels, plus both index counters
@@ -94,7 +102,7 @@ def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed,
     workdir.mkdir()
     db = pupil_database()
     logged = closing(LoggedDatabase(db, workdir / "wal.log"))
-    shipper = WalShipper(logged.log, term=1, journal=True)
+    stream: list = []
 
     # Drive the primary through a random update stream, dumping a
     # checkpoint snapshot at every commit boundary. Failed updates
@@ -108,13 +116,12 @@ def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed,
         except Exception:
             pass  # aborted: compensation record is in the stream
         seq = logged.log.last_seq()
-        shipper.journal_through(seq)
+        _collect(logged.log, stream)
         checkpoints[seq] = persistence.dumps(db, wal_applied=seq,
                                              term=1)
 
     head = logged.log.last_seq()
     assert head > 0
-    stream = shipper.journal()
     expected = _state_fingerprint(db)
 
     for start, snapshot_text in checkpoints.items():
@@ -139,17 +146,17 @@ def test_replay_from_any_checkpoint_matches_primary(tmp_path, seed,
 def test_committed_journal_is_the_primarys_entries(tmp_path, seed,
                                                    closing):
     """One filter decides what counts as committed, whether the frames
-    come from a scan of the file or from the shipper's copies of its
-    lines: through compensated aborts and a mid-stream checkpoint
-    (which folds the log's entries away, not the journal's),
-    ``committed()`` over the journal is ``entries()`` on the primary,
-    and the journalled lines are the file's, byte for byte."""
+    come from a scan of the file or from ``records_between`` copies of
+    its lines: through compensated aborts and a mid-stream checkpoint
+    (which folds the log's entries away, not the collected copies),
+    ``committed()`` over the collected stream is ``entries()`` on the
+    primary, and the collected lines are the file's, byte for byte."""
     from repro.faults import FAULTS, ErrorFault
 
     rng = random.Random(seed)
     logged = closing(LoggedDatabase(pupil_database(),
                                     tmp_path / "wal.log"))
-    shipper = WalShipper(logged.log, term=1, journal=True)
+    stream: list = []
     entries, aborts, folded = [], 0, 0
     for step in range(30):
         if step == 14:
@@ -164,7 +171,7 @@ def test_committed_journal_is_the_primarys_entries(tmp_path, seed,
             aborts += 1  # compensated: entry and abort both ship
         finally:
             FAULTS.disarm_all()
-        shipper.journal_through(logged.log.last_seq())
+        _collect(logged.log, stream)
         # What the log remembers of its file is what a scan reads,
         # through aborts and across the fold's rename.
         on_disk = logged.log.scan("salvage")
@@ -172,7 +179,6 @@ def test_committed_journal_is_the_primarys_entries(tmp_path, seed,
         assert logged.log.last_seq() == on_disk.max_seq
     entries.extend(logged.log.entries())
 
-    stream = shipper.journal()
     frames = [decode_frame(line) for _, line in stream]
     assert [frame.seq for frame in frames] \
         == list(range(1, logged.log.last_seq() + 1))
@@ -192,7 +198,7 @@ def test_crash_restart_mid_stream_converges(tmp_path, seed, closing):
     workdir.mkdir()
     db = pupil_database()
     logged = closing(LoggedDatabase(db, workdir / "wal.log"))
-    shipper = WalShipper(logged.log, term=1, journal=True)
+    stream: list = []
 
     replica = closing(Replica("r0", tmp_path / "r0"))
     replica.handle({
@@ -207,8 +213,7 @@ def test_crash_restart_mid_stream_converges(tmp_path, seed, closing):
         except Exception:
             pass
         seq = logged.log.last_seq()
-        shipper.journal_through(seq)
-        tail = [line for s, line in shipper.journal()
+        tail = [line for s, line in _collect(logged.log, stream)
                 if s > replica.applied_seq]
         reply = replica.handle({
             "type": "append", "term": 1,

@@ -1,6 +1,7 @@
 """Tests for the sharded keyspace: the cluster -> lane ShardMap and
-the ShardedDatabaseService facade (routing, multi-shard writes with
-marker journals, scatter-gather reads, cross-shard guard rails)."""
+the ShardedDatabaseService facade (routing, multi-shard writes whose
+slices carry the write's label, scatter-gather reads, cross-shard
+guard rails)."""
 
 from __future__ import annotations
 
@@ -157,10 +158,10 @@ class TestRouting:
         facade.execute(seq)
         owner = facade.shard_of("c1a")
         assert len(facade.committed_ops(owner)) == 1
-        # A single-lane sequence takes the lane's normal path: no
-        # global-lane marker is journalled anywhere.
-        for shard in range(2):
-            assert facade.cross_markers(shard) == ()
+        # A single-lane sequence takes the lane's normal path: logged
+        # whole on its lane, nothing on the other.
+        assert list(facade.lane(owner).logged.log.entries()) == [seq]
+        assert list(facade.lane(1 - owner).logged.log.entries()) == []
 
     def test_delete_and_replace_route_like_insert(self, facade):
         facade.insert("c2a", "x", "y")
@@ -198,24 +199,17 @@ class TestMultiShardWrites:
         assert facade.stats()["multi_writes"] == 1
 
     def test_markers_are_journalled_on_each_involved_lane(self, facade):
+        """Every slice's WAL record is a sequence carrying its write's
+        label — one update or several — so each lane's log names the
+        multi-shard writes it took part in, in the one order the
+        writes took the lanes' tokens."""
         for tag in ("m0", "m1", "m2"):
             facade.execute(self.multi(facade, tag))
-        for shard in range(2):
-            journal = facade.cross_markers(shard)
-            assert len(journal) == 3
-            markers = [marker for marker, _ in journal]
-            indices = [index for _, index in journal]
-            # Strictly increasing in both coordinates: the lane's
-            # replay oracle stays sequential.
-            assert markers == sorted(markers)
-            assert len(set(markers)) == 3
-            assert indices == sorted(indices)
-            assert len(set(indices)) == 3
-            committed = len(facade.committed_ops(shard))
-            assert all(index < committed for index in indices)
-        # The same marker pairs the two lanes' slices of one write.
-        assert ([m for m, _ in facade.cross_markers(0)]
-                == [m for m, _ in facade.cross_markers(1)])
+            facade.insert("c0b", f"{tag}solo", "row")
+        labels = [[entry.label for entry in lane.logged.log.entries()
+                   if isinstance(entry, UpdateSequence)]
+                  for lane in facade.lanes]
+        assert labels == [["multi-m0", "multi-m1", "multi-m2"]] * 2
 
     def test_replay_of_one_lane_log_reproduces_its_state(self, facade):
         facade.insert("c0a", "solo", "row")

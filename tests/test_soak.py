@@ -17,6 +17,8 @@ from repro.faults import soak
 from repro.faults.__main__ import main
 from repro.faults.soak import CHECKS, Cell, SoakConfig, run_soak
 from repro.fdb.updates import Update, UpdateSequence
+from repro.fdb.wal import decode_frame
+from repro.obs import OBS
 
 
 def _names(path) -> list:
@@ -47,7 +49,7 @@ class TestSoak:
         names = _names(tmp_path / "events.jsonl")
         assert "breaker.open" in names
         assert "breaker.closed" in names
-        # One lane is still a lane: its series, journal and scrapes.
+        # One lane is still a lane: its series, history and scrapes.
         assert (tmp_path / "shard-0.jsonl").exists()
         assert "service_shard_0_" in (
             tmp_path / "metrics-mid.prom").read_text(encoding="utf-8")
@@ -101,7 +103,7 @@ def test_topology_holds_every_check(topology, tmp_path, monkeypatch):
         assert set(cell.facts["committed"]) == set(range(config.shards))
         assert all(cell.facts["committed"].values())
     if config.shards > 1:
-        # Real multi-shard traffic: markers on both lanes, journals
+        # Real multi-shard traffic: labels on both lanes, histories
         # and per-lane series for each.
         assert all(report.cells[0].facts["markers"].values())
         for shard in range(config.shards):
@@ -155,43 +157,66 @@ def test_small_soak_matrix_holds_invariants(tmp_path, monkeypatch):
 # -- the oracles can fail -----------------------------------------------------
 
 
+def _base_on(cell, shard):
+    return next(n for n in cell.front.map.names_on(shard)
+                if cell.full.is_base(n))
+
+
 def _plant_extra_fact(cell):
-    lane = cell.front.lane(0)
-    name = next(n for n in cell.front.map.names_on(0)
-                if lane.db.is_base(n))
-    lane.db.load(name, [("planted_x", "planted_y")])
+    cell.front.lane(0).db.load(_base_on(cell, 0),
+                               [("planted_x", "planted_y")])
 
 
-def _plant_short_log(cell):
-    cell.front.lane(0).committed.pop()
+def _plant_dropped_record(cell):
+    cell.lanes[0].disks[-1].lines.pop()
 
 
-def _plant_lonely_marker(cell):
-    cell.front.lane(1).cross_markers.pop()
+def _plant_lonely_label(cell):
+    lines = cell.lanes[1].disks[-1].lines
+    lines[:] = [line for line in lines
+                if getattr(decode_frame(line).payload, "label", "")
+                != "multi"]
+
+
+def _plant_unrecorded_commit(cell):
+    cell.client.append(("write", Update.ins(_base_on(cell, 0), "ghost_x",
+                                            "ghost_y"), "applied"))
+
+
+def _plant_acked_past_the_fence(cell):
+    last = cell.lanes[0].disks[-1].through
+    OBS.action("replication.fence", old_term=1, new_term=2,
+               fence_seq=last, chosen="s0r0")
+    OBS.action("replication.commit_acked", seq=last + 1, term=1,
+               node="shard-0-primary")
 
 
 @pytest.mark.parametrize("plant, check", [
     (_plant_extra_fact, "replay"),
-    (_plant_short_log, "spans"),
-    (_plant_lonely_marker, "markers"),
-], ids=["extra-fact", "short-committed-log", "unpaired-marker"])
+    (_plant_dropped_record, "spans"),
+    (_plant_lonely_label, "markers"),
+    (_plant_unrecorded_commit, "accounting"),
+    (_plant_acked_past_the_fence, "timeline"),
+], ids=["extra-fact", "short-committed-log", "unpaired-marker",
+        "commit-missing-from-disk", "acked-past-the-fence"])
 def test_oracle_turns_red_on_a_planted_fault(plant, check, tmp_path):
-    """Commit a few ops through a two-lane front door by hand, see the
-    table pass, then damage one thing behind the service's back: the
-    matching check — and it by name — must fail."""
+    """Commit a few ops through a replicated two-lane front door by
+    hand, see the table pass, then damage one thing the checks read —
+    the live state, or a harness-side record of what clients saw, what
+    the disks hold or what the event stream says: the matching check
+    — and it by name — must fail."""
     assert check in {c.name for c in CHECKS}
-    config = SoakConfig(shards=2, serve_endpoint=False)
-    with Cell(config, None, "storage", tmp_path) as cell:
-        front = cell.front
-        on = [next(n for n in front.map.names_on(shard)
-                   if cell.full.is_base(n)) for shard in (0, 1)]
+    config = SoakConfig(shards=2, replicas=1, serve_endpoint=False)
+    with Cell(config, "sync(1)", "storage", tmp_path) as cell:
+        on = [_base_on(cell, shard) for shard in (0, 1)]
         for index in range(3):
-            front.insert(on[0], f"x{index}", f"y{index}")
-            front.insert(on[1], f"p{index}", f"q{index}")
-        front.execute(UpdateSequence((
+            cell.run_op("write", Update.ins(on[0], f"x{index}", f"y{index}"))
+            cell.run_op("write", Update.ins(on[1], f"p{index}", f"q{index}"))
+        cell.run_op("seq", UpdateSequence((
             Update.ins(on[0], "mx", "my"), Update.ins(on[1], "mp", "mq"),
         ), label="multi"))
-        front.delete(on[0], "x0", "y0")
+        cell.run_op("write", Update.delete(on[0], "x0", "y0"))
+        assert {outcome for *_, outcome in cell.client} == {"applied"}
         cell.verify()
         # A hand-driven cell ran no epilogue, so nothing breathed; every
         # other row of the table is green.
