@@ -23,17 +23,15 @@ __all__ = ["VOLATILE_COUNTER_PREFIXES", "compare_payloads"]
 _MIN_COUNT = 20
 
 # Counter families that are timing-shaped despite living in the
-# counter namespace — latency instruments keyed per replica, byte
-# volumes that track compression ratios, lag samples. Their values are
-# functions of scheduling and wall clock, not of (code, workload,
-# scale), so drift in them is noise and they are excluded from
-# enforcement. Matched by prefix against the flattened counter name.
+# counter namespace — latency instruments keyed per replica and lag
+# samples. Their values are functions of scheduling and wall clock,
+# not of (code, workload, scale), so drift in them is noise and they
+# are excluded from enforcement. Matched by prefix against the flattened counter name.
 VOLATILE_COUNTER_PREFIXES = (
     "replication.lag.",
     "replication.pipeline.",
     "replication.ship.",
     "replication.commit.",
-    "replication.snapshot.bytes_",
 )
 
 

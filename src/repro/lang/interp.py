@@ -322,13 +322,18 @@ class Interpreter:
         """The journal execute shared by updates and ``end`` blocks:
         durably WAL-log first when a checkpoint directory is attached,
         apply, then enforce guarded constraints. A logged update is
-        also checked against the stored structure it wrote, as
+        schema-checked before the append and checked against the
+        stored structure it wrote after, as
         :meth:`repro.fdb.wal.LoggedDatabase.execute` does. A failed
         apply, a structure fault or a guard undo appends a compensating
         abort record so the log never replays an update the live state
         rejected."""
         assert self.journal is not None
-        seq = self.wal.append(update) if self.wal is not None else None
+        seq = None
+        if self.wal is not None:
+            from repro.fdb.wal import _validate
+            _validate(db, update)  # never log what the schema rejects
+            seq = self.wal.append(update)
         try:
             records = self.journal.execute(update)
         except Exception:

@@ -136,41 +136,6 @@ class _NullScope:
 _NULL_SCOPE = _NullScope()
 
 
-class _RemoteContext:
-    """Adopts a span context shipped from another node.
-
-    Entering pushes the remote ``(parent_span, cause)`` pair onto the
-    context stack, so spans opened inside parent to the *shipping*
-    node's span and the span tree folded from the records connects the
-    primary's pipeline to the replica's — the cross-node join point of
-    distributed traces. A cheap no-op when disabled or when the frame
-    carried no context (an older primary).
-    """
-
-    __slots__ = ("_obs", "_parent", "_cause", "_token")
-
-    def __init__(self, obs: "Instrumentation", parent_span: int | None,
-                 cause: str | None) -> None:
-        self._obs = obs
-        self._parent = parent_span
-        self._cause = cause
-        self._token = None
-
-    def __enter__(self) -> "_RemoteContext":
-        obs = self._obs
-        if obs.enabled and not (self._parent is None
-                                and self._cause is None):
-            self._token = obs._span_ctx.set(
-                obs._span_ctx.get() + ((self._parent, self._cause),)
-            )
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._token is not None:
-            self._obs._span_ctx.reset(self._token)
-        return False
-
-
 class Instrumentation:
     """The process-wide observability context (see module docstring)."""
 
@@ -182,9 +147,9 @@ class Instrumentation:
         self.events = EventLog()
         self._update_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
-        # Process-unique span ids (never reset: a shipped parent_span
-        # must not name a later span). ``itertools.count`` is atomic
-        # under CPython.
+        # Process-unique span ids (never reset: a record's parent_span
+        # must not name a later span of the same process).
+        # ``itertools.count`` is atomic under CPython.
         self._span_ids = itertools.count(1)
         # The open spans as (span_id, cause) pairs, innermost last; a
         # ContextVar holding a tuple, so every thread and asyncio task
@@ -251,32 +216,6 @@ class Instrumentation:
         decide whether they are a fresh user-level update (allocate a
         new id) or a step inside one (inherit)."""
         return self._span_context()[1]
-
-    def trace_context(self) -> dict | None:
-        """The wire form of the current span context, for stamping
-        into cross-node frames: ``{"parent_span": ..., "cause": ...}``.
-
-        Span ids are process-unique, so the parent span id *is* the
-        trace join key — a receiver that opens its spans under
-        :meth:`remote_context` with these values joins the sender's
-        span tree. Returns
-        ``None`` when disabled or outside any span (the frame then
-        simply omits the field, which older receivers ignore).
-        """
-        if not self.enabled:
-            return None
-        span_id, cause = self._span_context()
-        if span_id is None and cause is None:
-            return None
-        return {"parent_span": span_id, "cause": cause}
-
-    def remote_context(self, parent_span: int | None,
-                       cause: str | None) -> _RemoteContext:
-        """Adopt a :meth:`trace_context` shipped from another node:
-        spans opened inside the returned scope parent to the sender's
-        span — in the records, and in the tracer's tree when that span
-        is open in this process."""
-        return _RemoteContext(self, parent_span, cause)
 
     def _span_context(self) -> tuple[int | None, str | None]:
         """(span_id, cause) of the innermost open span."""

@@ -274,20 +274,15 @@ class ReplicationGroup:
 
     # -- membership ---------------------------------------------------------
 
-    def add_replica(self, name: str,
-                    target: "Replica | object") -> CatchUpReport:
-        """Link a replica (a local :class:`Replica` or any transport)
-        and bootstrap it from the primary's current state — or, if it
-        cannot be reached, report that (:meth:`catch_up`) and leave it
-        linked for a later pass to bootstrap."""
+    def add_replica(self, name: str, replica: Replica) -> CatchUpReport:
+        """Link a replica and bootstrap it from the primary's current
+        state — or, if it cannot be reached, report that
+        (:meth:`catch_up`) and leave it linked for a later pass to
+        bootstrap."""
         with self._lock:
             shipper = self._require_shipper()
-            if isinstance(target, Replica):
-                self._replicas[name] = target
-                transport = InProcessTransport(target.handle, name=name)
-            else:
-                transport = target
-            shipper.add(name, transport)
+            self._replicas[name] = replica
+            shipper.add(name, InProcessTransport(replica.handle, name=name))
         return self.catch_up(name)
 
     def remove_replica(self, name: str) -> None:
@@ -457,7 +452,7 @@ class ReplicationGroup:
             OBS.inc("replication.snapshot.catch_ups")
             OBS.action("replication.snapshot_bootstrap",
                        replica=link.name, wal_applied=wal_applied,
-                       term=self.term, bytes_raw=len(text))
+                       term=self.term, bytes=len(text))
         return wal_applied
 
     # -- failover -----------------------------------------------------------
@@ -518,10 +513,9 @@ class ReplicationGroup:
                 # new term.
                 self._lease.revoke()
             shipper.remove(chosen)
-            if chosen in self._replicas:
-                # The chosen follower retires; the new primary's log
-                # becomes the one log object on its wal.log.
-                self._replicas[chosen].close()
+            # The chosen follower retires; the new primary's log
+            # becomes the one log object on its wal.log.
+            self._replicas[chosen].close()
             # Surviving links must not carry acks — or history — past
             # the fence into the new term. A replica whose applied
             # prefix exceeds the fence (it outran the chosen one
@@ -638,36 +632,17 @@ class ReplicationGroup:
     def read(self, fn, *, max_lag_seq: int | None = None,
              max_lag_seconds: float | None = None):
         """Serve a read from the freshest replica within the staleness
-        bound; :exc:`StalenessUnserved` when none qualifies.
-
-        Only in-process :class:`Replica` objects can serve reads from
-        this node; a group whose replicas are all linked over remote
-        transports raises :exc:`ReplicationError` (route reads to the
-        replica nodes) rather than misreporting the setup as
-        staleness."""
+        bound; :exc:`StalenessUnserved` when none qualifies."""
         lags = self.lag()
         eligible = sorted(
             (info["lag_seq"], name) for name, info in lags.items()
             if _within(info, max_lag_seq, max_lag_seconds)
         )
         for _, name in eligible:
-            with self._lock:
-                replica = self._replicas.get(name)
-            if replica is None:
-                continue  # remote replica: reads go to that node
             try:
-                value = replica.read(fn)
+                return self.replica(name).read(fn)
             except ReplicationError:
                 continue
-            return value
-        with self._lock:
-            have_local = bool(self._replicas)
-        if lags and not have_local:
-            raise ReplicationError(
-                "no local replicas can serve reads: every replica is "
-                "linked over a remote transport — route reads to the "
-                "replica nodes themselves"
-            )
         raise StalenessUnserved(
             f"no replica within max_lag_seq={max_lag_seq} "
             f"max_lag_seconds={max_lag_seconds} "

@@ -19,9 +19,14 @@ The replica speaks the shipper's message protocol via :meth:`handle`:
   (reply ``error: gap``, nothing of the batch kept), and a term
   below the replica's own is refused outright (``error: stale-term``
   — a deposed primary must never extend a follower's history).
-* ``snapshot`` — full-state catch-up: install the snapshot, reset the
-  local log to a header at ``wal_applied``.
+* ``snapshot`` — full-state catch-up: install the primary's
+  ``persistence.dumps`` text, reset the local log to a header at
+  ``wal_applied``. Text that does not load is refused
+  (``error: bad-snapshot``) and changes nothing.
 * ``status`` — ``applied_seq`` / ``term`` for promotion decisions.
+
+The shipper calls :meth:`handle` on its own thread, so the spans a
+frame opens here nest under the shipping span.
 
 Entries whose compensating ``abort_of`` record arrives in the same
 batch are skipped rather than applied-then-unapplied. The shipper
@@ -44,7 +49,6 @@ from repro.fdb.database import FunctionalDatabase
 from repro.fdb.updates import apply_entry
 from repro.fdb.wal import Frame, UpdateLog, committed, decode_frame, recover
 from repro.obs.hooks import OBS
-from repro.replication.transport import decode_snapshot
 
 __all__ = ["Replica"]
 
@@ -151,18 +155,12 @@ class Replica:
         term = message.get("term", 0)
         records = message.get("records", [])
         through_seq = message.get("through_seq", 0)
-        # The frame's trace context (absent from older primaries):
-        # adopting it parents this replica's spans to the shipping
-        # span, joining the primary's request pipeline cross-node.
-        trace = message.get("trace") or {}
-        with self._lock, OBS.remote_context(trace.get("parent_span"),
-                                            trace.get("cause")):
-            with OBS.span("replication.receive",
-                          replica=self.name, term=term,
-                          records=len(records),
-                          through_seq=through_seq) as scope:
-                return self._append_received(term, records, through_seq,
-                                             scope)
+        with self._lock, OBS.span("replication.receive",
+                                  replica=self.name, term=term,
+                                  records=len(records),
+                                  through_seq=through_seq) as scope:
+            return self._append_received(term, records, through_seq,
+                                         scope)
 
     def _append_received(self, term: int, records: list,
                          through_seq: int, scope) -> dict:
@@ -287,21 +285,15 @@ class Replica:
     def _handle_snapshot(self, message: dict) -> dict:
         term = message.get("term", 0)
         wal_applied = message.get("wal_applied", 0)
-        trace = message.get("trace") or {}
-        with self._lock, OBS.remote_context(trace.get("parent_span"),
-                                            trace.get("cause")), \
-                OBS.span("replica.snapshot_install",
-                         replica=self.name, term=term,
-                         wal_applied=wal_applied):
+        with self._lock, OBS.span("replica.snapshot_install",
+                                  replica=self.name, term=term,
+                                  wal_applied=wal_applied):
             if term < self.term:
                 return {"ok": False, "error": "stale-term",
                         "term": self.term,
                         "applied_seq": self.applied_seq}
+            text = message.get("snapshot", "")
             try:
-                # Older primaries ship the payload raw (no encoding
-                # flag); newer ones compress — both install.
-                text = decode_snapshot(message.get("snapshot", ""),
-                                       message.get("encoding"))
                 db = persistence.loads(text)
             except (PersistenceError, ValueError) as exc:
                 return {"ok": False,

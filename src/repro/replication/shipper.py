@@ -14,8 +14,10 @@ snapshot (``shippable_floor() > acked``), delta shipping is
 impossible and :exc:`SnapshotNeeded` tells the control plane to fall
 back to snapshot catch-up.
 
-The shipper keeps no copy of what it sends: the stream is the log's
-own record run, and what a replica was delivered is the replica's
+A frame carries the protocol only — records, term, high-water mark,
+or the snapshot text, plus the lease stamp when a lease is on. The
+shipper keeps no copy of what it sends: the stream is the log's own
+record run, and what a replica was delivered is the replica's
 business (the chaos soak records it on the receiving side).
 """
 
@@ -27,7 +29,6 @@ import time
 from repro.errors import ReplicaDiverged, ReplicationError
 from repro.fdb.wal import UpdateLog, decode_frame
 from repro.obs.hooks import OBS
-from repro.replication.transport import encode_snapshot
 
 __all__ = ["WalShipper", "ReplicaLink", "SnapshotNeeded"]
 
@@ -180,28 +181,16 @@ class WalShipper:
 
     def ship_snapshot(self, link: ReplicaLink, snapshot: str,
                       wal_applied: int) -> int:
-        """Full-state catch-up: install ``snapshot`` on the replica
-        and reset its link to ``wal_applied``.
-
-        The payload goes out zlib-compressed behind the frame's
-        ``encoding`` flag; replicas without the flag handling (older
-        builds) are reached by the uncompressed form, which remains a
-        valid frame — see :func:`repro.replication.transport.\
-decode_snapshot`.
-        """
-        payload, encoding, raw_bytes, wire_bytes = \
-            encode_snapshot(snapshot)
-        if OBS.enabled:
-            OBS.inc("replication.snapshot.bytes_raw", raw_bytes)
-            OBS.inc("replication.snapshot.bytes_wire", wire_bytes)
+        """Full-state catch-up: install ``snapshot`` (the
+        ``persistence.dumps`` text) on the replica and reset its link
+        to ``wal_applied``."""
         reply = self._traced_exchange(link, {
             "type": "snapshot",
             "term": self.term,
-            "snapshot": payload,
-            "encoding": encoding,
+            "snapshot": snapshot,
             "wal_applied": wal_applied,
         }, "replication.ship_snapshot", wal_applied=wal_applied,
-            bytes_raw=raw_bytes, bytes_wire=wire_bytes)
+            bytes=len(snapshot))
         if not reply.get("ok"):
             raise self._refusal(link, reply, "snapshot")
         link.needs_snapshot = False
@@ -243,15 +232,9 @@ decode_snapshot`.
 
     def _traced_exchange(self, link: ReplicaLink, message: dict,
                          span_name: str, **attrs) -> dict:
-        """One exchange wrapped in a shipping span, with the span's
-        trace context stamped into the frame.
-
-        The frame's ``trace`` field carries the ship span's id as
-        ``parent_span`` (plus the causal update id, term and shipped
-        seq), so the replica's receive span joins the originating
-        request's pipeline across the node boundary. Older replicas
-        ignore the extra key — frames round-trip unknown keys. The
-        per-replica round-trip lands in the
+        """One exchange wrapped in a shipping span. The replica's
+        handler runs on this thread, so its spans nest under this one.
+        The per-replica round-trip lands in the
         ``replication.ship.rtt_seconds.<replica>`` log histogram.
         Collapses to a bare exchange when telemetry is disabled.
         """
@@ -259,14 +242,6 @@ decode_snapshot`.
             return self._exchange(link, message)
         with OBS.span(span_name, replica=link.name, term=self.term,
                       **attrs):
-            trace = OBS.trace_context()
-            if trace is not None:
-                trace["term"] = self.term
-                trace["seq"] = message.get(
-                    "through_seq", message.get("wal_applied", 0)
-                )
-                message = dict(message)
-                message["trace"] = trace
             started = time.perf_counter()
             try:
                 return self._exchange(link, message)

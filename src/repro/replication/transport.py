@@ -9,10 +9,10 @@ turns any delivery into a ``ConnectionError``, including the nasty
 half — request delivered, ack lost — that makes real replication
 protocols idempotent.
 
-Messages are schemaless dicts: receivers read with ``.get``, so a
-newer primary may stamp fields an older replica has never heard of
-(the ``trace`` context, a snapshot ``encoding`` flag) without breaking
-the exchange — the compat property the mixed-version tests pin down.
+A message is a plain dict that never leaves the process: the records,
+the term, a snapshot for catch-up and the lease stamp are all a
+replica needs, and the replica's spans nest under the shipping span
+because its handler runs on the shipping thread.
 
 Every failure a carrier can produce surfaces as ``ConnectionError`` /
 ``TimeoutError``; the shipper treats both as "replica unreachable,
@@ -21,17 +21,11 @@ retry later", never as data loss.
 
 from __future__ import annotations
 
-import base64
-import zlib
 from typing import Callable, Protocol
 
 from repro.faults.registry import FAULTS
 
-__all__ = ["Transport", "InProcessTransport", "SNAPSHOT_ENCODING",
-           "encode_snapshot", "decode_snapshot"]
-
-SNAPSHOT_ENCODING = "zlib+b64"
-"""The message flag marking a compressed snapshot payload."""
+__all__ = ["Transport", "InProcessTransport"]
 
 FAULTS.register(
     "repl.transport.deliver",
@@ -80,36 +74,3 @@ class InProcessTransport:
             )
         return reply
 
-
-def encode_snapshot(text: str) -> tuple[str, str, int, int]:
-    """Compress a snapshot payload for the wire.
-
-    Returns ``(payload, encoding, raw_bytes, wire_bytes)``: the
-    zlib-compressed, base64-armoured payload (JSON frames cannot carry
-    raw bytes), the :data:`SNAPSHOT_ENCODING` flag to stamp next to
-    it, and the before/after byte counts for the
-    ``replication.snapshot.bytes_{raw,wire}`` counters.
-    """
-    raw = text.encode("utf-8")
-    wire = base64.b64encode(zlib.compress(raw, 6)).decode("ascii")
-    return wire, SNAPSHOT_ENCODING, len(raw), len(wire)
-
-
-def decode_snapshot(payload: str, encoding: str | None) -> str:
-    """Decode a snapshot payload per its frame flag.
-
-    A missing/empty flag means an uncompressed payload from an older
-    primary — returned as-is (read compat). An unrecognised flag is a
-    ``ValueError``: the replica must refuse rather than install
-    garbage state.
-    """
-    if not encoding:
-        return payload
-    if encoding != SNAPSHOT_ENCODING:
-        raise ValueError(f"unknown snapshot encoding {encoding!r}")
-    try:
-        return zlib.decompress(
-            base64.b64decode(payload.encode("ascii"))
-        ).decode("utf-8")
-    except (ValueError, zlib.error) as exc:
-        raise ValueError(f"corrupt snapshot payload: {exc}") from exc

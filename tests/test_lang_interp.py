@@ -325,3 +325,19 @@ class TestCheckpointRecover:
         )
         assert any("teach(euclid) = cs: false" in line
                    for line in out2)
+
+    def test_update_the_schema_cannot_apply_is_never_logged(
+            self, tmp_path, interpreter):
+        """The schema check runs before the append, as in
+        ``LoggedDatabase.execute``: an update naming no function
+        leaves the log as it was — no entry, no abort."""
+        interp = interpreter()
+        interp.execute(DESIGN + f'commit; checkpoint "{tmp_path}";'
+                       "insert teach(euclid, math);")
+        before = interp.wal.last_seq()
+        for script in ("insert zz(a, b);",
+                       "begin; insert teach(gauss, cs); "
+                       "insert zz(a, b); end;"):
+            out = interp.execute(script)
+            assert out[-1] == "error: unknown function: 'zz'"
+            assert interp.wal.last_seq() == before

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 
 import pytest
 
@@ -340,29 +339,6 @@ class TestPropagationDag:
         ring = OBS.events.add_sink(RingBufferSink())
         with OBS.collecting(tracing=True):
             apply_update(pupil_database(), section_42_updates()[0])
-        assert_trees_match_records(OBS.tracer.traces, ring.records)
-
-    def test_remote_context_joins_the_open_span(self):
-        """A span opened under a shipped ``parent_span`` joins that span
-        — in the records and in the tree — when it is open here."""
-        ring = OBS.events.add_sink(RingBufferSink())
-        OBS.enable(tracing=True)
-        with OBS.span("replication.ship", cause="u7"):
-            shipped = OBS.trace_context()
-
-            def replica():
-                with OBS.remote_context(shipped["parent_span"],
-                                        shipped["cause"]):
-                    with OBS.span("replica.apply"):
-                        OBS.event("replica.applied")
-
-            thread = threading.Thread(target=replica)
-            thread.start()
-            thread.join()
-        (root,) = OBS.tracer.traces
-        (applied,) = root.children
-        assert applied.name == "replica.apply" and applied.cause == "u7"
-        assert applied.event_names() == ["replica.applied"]
         assert_trees_match_records(OBS.tracer.traces, ring.records)
 
 

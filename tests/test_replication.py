@@ -650,26 +650,6 @@ class TestBoundedStaleness:
         with pytest.raises(StalenessUnserved):
             group.read(lambda db: None, max_lag_seq=0)
 
-    def test_remote_only_group_raises_misconfiguration(
-            self, primary, tmp_path, make_group, closing):
-        """A group whose replicas are all behind remote transports
-        cannot serve reads from this node — that is a routing
-        misconfiguration (ReplicationError), not staleness."""
-        logged, _ = primary
-        group = make_group()
-        group.attach_primary(logged)
-        replica = closing(Replica("r0", tmp_path / "r0"))
-        # Hand the transport in directly: the group never learns about
-        # the in-process Replica object, only its transport.
-        group.add_replica("r0", InProcessTransport(replica.handle))
-        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
-        group.on_commit(seq)
-        assert group.lag()["r0"]["lag_seq"] == 0  # within any bound
-        with pytest.raises(ReplicationError) as caught:
-            group.read(lambda db: None, max_lag_seq=0)
-        assert not isinstance(caught.value, StalenessUnserved)
-        assert "no local replicas" in str(caught.value)
-
     def test_lag_and_health(self, primary, tmp_path, make_group):
         logged, _ = primary
         group = make_group()

@@ -1,7 +1,7 @@
-"""Distributed replication observability: cross-node trace
-propagation through the shipping frames, the commit-pipeline
-instruments, snapshot-frame compression, wire compatibility of
-trace-carrying frames, the failover audit timeline, and the lag SLO.
+"""Distributed replication observability: the replica's spans nested
+under the shipping span, frames that carry only the protocol, the
+commit-pipeline instruments, snapshot catch-up, the failover audit
+timeline, and the lag SLO.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import pytest
 
 from repro.fdb import persistence
 from repro.fdb.logic import Truth
-from repro.fdb.updates import Update
-from repro.fdb.wal import LoggedDatabase, UpdateLog
+from repro.fdb.wal import UpdateLog
 from repro.obs import (
     OBS,
     RingBufferSink,
@@ -23,13 +22,7 @@ from repro.obs import (
     replication_timeline,
 )
 from repro.obs.slo import replication_lag_objective
-from repro.replication import (InProcessTransport, Replica,
-                               ReplicationGroup)
-from repro.replication.transport import (
-    SNAPSHOT_ENCODING,
-    decode_snapshot,
-    encode_snapshot,
-)
+from repro.replication import Replica, ReplicationGroup
 from repro.service import DatabaseService
 from repro.workloads.university import pupil_database
 from tests.test_obs_events import parse_dot
@@ -133,8 +126,8 @@ class TestCrossNodeTrace:
 
     def test_frame_without_trace_context_still_applies(self, ring,
                                                        replicated):
-        # A primary with tracing off ships frames without the trace
-        # key; the replica must apply them and open unparented spans.
+        # A commit shipped while telemetry is off must still be applied,
+        # and so must the next one shipped with telemetry back on.
         service, group, _ = replicated()
         OBS.disable()
         service.insert("teach", "gauss", "cs")
@@ -167,6 +160,40 @@ class TestCrossNodeTrace:
         service.insert("teach", "gauss", "cs")
         appends = [m for m in captured if m["type"] == "append"]
         assert appends and all("trace" not in m for m in appends)
+
+    def test_frames_carry_only_the_protocol(self, ring, replicated):
+        # A frame never leaves the process: with telemetry on or off an
+        # append carries the records, the term and the high-water mark
+        # — plus the lease stamp once a lease is on — and nothing else.
+        service, group, _ = replicated(mode="sync(1)", replicas=1)
+        link = group.shipper.link("r0")
+        original = link.transport.request
+        captured = []
+
+        def spy(message):
+            captured.append(message)
+            return original(message)
+
+        link.transport.request = spy
+
+        def append_keys(fact):
+            captured.clear()
+            service.insert("teach", *fact)
+            return {frozenset(m) for m in captured
+                    if m["type"] == "append"}
+
+        protocol = frozenset({"type", "term", "records", "through_seq"})
+        assert append_keys(("gauss", "cs")) == {protocol}
+        OBS.disable()
+        assert append_keys(("noether", "algebra")) == {protocol}
+        OBS.enable()
+        replica = group.replica("r0")
+        assert replica.applied_seq == 2
+        assert replica.db.truth_of("teach", "noether",
+                                   "algebra") is Truth.TRUE
+        group.enable_lease()
+        assert append_keys(("hilbert", "logic")) == {protocol | {"lease"}}
+        assert replica.applied_seq == 3
 
 
 class TestFailoverTraceContinuity:
@@ -248,92 +275,45 @@ class TestFailoverTraceContinuity:
         assert timeline.of_kind("fence") and timeline.of_kind("promote")
 
 
-class TestSnapshotCompression:
-    def test_round_trip(self):
-        text = json.dumps({"k": ["v"] * 200})
-        payload, encoding, raw, wire = encode_snapshot(text)
-        assert encoding == SNAPSHOT_ENCODING
-        assert raw == len(text.encode("utf-8"))
-        assert wire < raw  # repetitive JSON must actually compress
-        assert decode_snapshot(payload, encoding) == text
-
-    def test_uncompressed_frames_stay_readable(self):
-        assert decode_snapshot("plain dump", None) == "plain dump"
-        assert decode_snapshot("plain dump", "") == "plain dump"
-
-    def test_unknown_encoding_is_refused(self):
-        with pytest.raises(ValueError):
-            decode_snapshot("payload", "lz9")
-
-    def test_corrupt_payload_is_refused(self):
-        with pytest.raises(ValueError):
-            decode_snapshot("!!not-base64!!", SNAPSHOT_ENCODING)
-
-    def test_catch_up_counts_bytes_both_sides(self, ring, replicated):
+class TestSnapshotCatchUp:
+    def test_catch_up_installs_the_dumped_text(self, ring, replicated):
         service, group, _ = replicated(replicas=1)
         counters = OBS.metrics.snapshot()["counters"]
-        raw = counters.get("replication.snapshot.bytes_raw", 0)
-        wire = counters.get("replication.snapshot.bytes_wire", 0)
-        assert raw > 0 and 0 < wire < raw
         assert counters.get("replication.snapshot.catch_ups", 0) >= 1
-        assert group.replica("r0").db is not None
+        replica = group.replica("r0")
+        assert replica.db is not None
+        # The frame carried the dump as-is: the span's size is the
+        # size of what the replica wrote to its own disk.
+        (ship,) = _spans(ring.records, "replication.ship_snapshot")
+        assert int(str(ship.attrs["bytes"])) == \
+            len(replica.snapshot_path.read_text(encoding="utf-8"))
 
+    def test_install_nests_under_its_ship_span(self, ring, replicated):
+        replicated(replicas=2)
+        records = list(ring.records)
+        ships = {r.span_id: r for r in
+                 _spans(records, "replication.ship_snapshot")}
+        installs = _spans(records, "replica.snapshot_install")
+        assert len(ships) == len(installs) == 2
+        for install in installs:
+            ship = ships[install.parent_span]
+            assert ship.attrs["replica"] == install.attrs["replica"]
+            assert ship.attrs["wal_applied"] == \
+                install.attrs["wal_applied"]
 
-class TestFrameCompatibility:
-    def test_frames_round_trip_unknown_keys(self, tmp_path, ring, closing):
-        # An append frame carrying the trace context plus a key no
-        # replica knows about must be applied, not refused — frames are
-        # schemaless, so older peers skip what they don't understand.
-        workdir = tmp_path / "primary"
-        workdir.mkdir()
-        db = pupil_database()
-        persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-
-        logged = closing(LoggedDatabase(db, workdir / "wal.log"))
-        replica = closing(Replica("r0", tmp_path / "r0"))
-        delivered = []
-
-        def handler(message):
-            message = {**message, "x-future-extension": {"nested": [1, 2]}}
-            delivered.append(message)
-            return replica.handle(message)
-
-        group = ReplicationGroup("sync(1)", ack_timeout=2.0,
-                                 retry_interval=0.005)
-        group.attach_primary(logged)
-        group.add_replica("r0", InProcessTransport(handler))
-        # With telemetry on, the shipped frame carries "trace".
-        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
-        group.on_commit(seq)
-        assert any(m.get("type") == "append" and "trace" in m
-                   for m in delivered)
-        assert replica.applied_seq == seq
-        assert replica.db.truth_of("teach", "gauss", "cs") is Truth.TRUE
-
-    def test_frame_missing_trace_context(self, tmp_path, closing):
-        # Telemetry off end to end: no trace key anywhere, replica
-        # applies regardless (backward compatibility).
-        workdir = tmp_path / "primary"
-        workdir.mkdir()
-        db = pupil_database()
-        persistence.save(db, workdir / "snapshot.json", wal_applied=0)
-
-        logged = closing(LoggedDatabase(db, workdir / "wal.log"))
-        replica = closing(Replica("r0", tmp_path / "r0"))
-        delivered = []
-
-        def handler(message):
-            delivered.append(message)
-            return replica.handle(message)
-
-        group = ReplicationGroup("sync(1)", ack_timeout=2.0,
-                                 retry_interval=0.005)
-        group.attach_primary(logged)
-        group.add_replica("r0", InProcessTransport(handler))
-        seq = logged.execute(Update.ins("teach", "gauss", "cs"))
-        group.on_commit(seq)
-        assert delivered and not any("trace" in m for m in delivered)
-        assert replica.applied_seq == seq
+    def test_bad_snapshot_is_refused_and_changes_nothing(self,
+                                                         replicated):
+        service, group, _ = replicated(mode="sync(1)", replicas=1)
+        service.insert("teach", "gauss", "cs")
+        replica = group.replica("r0")
+        on_disk = replica.snapshot_path.read_bytes()
+        for text in ("not a snapshot", "{}"):
+            reply = replica.handle({"type": "snapshot", "term": group.term,
+                                    "snapshot": text, "wal_applied": 9})
+            assert not reply["ok"]
+            assert reply["error"].startswith("bad-snapshot")
+            assert reply["applied_seq"] == replica.applied_seq == 1
+            assert replica.snapshot_path.read_bytes() == on_disk
 
 
 class TestLagSLO:
