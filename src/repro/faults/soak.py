@@ -127,11 +127,7 @@ from repro.fdb.updates import Update, UpdateSequence
 from repro.fdb.values import is_null
 from repro.fdb.wal import UpdateLog, committed, decode_frame, recover
 from repro.obs.endpoint import ExpositionError, parse_prometheus
-from repro.obs.events import (
-    FileSink,
-    read_jsonl,
-    replication_timeline,
-)
+from repro.obs.events import FileSink, fence_violations, read_jsonl
 from repro.obs.hooks import OBS
 from repro.obs.slo import ERROR_RATE, Objective, replication_lag_objective
 from repro.obs.tracing import Tracer
@@ -680,13 +676,6 @@ def _restart_crashed(group: ReplicationGroup) -> None:
                 replica.restart()
             except (ReproError, OSError):
                 pass  # settle-time sync will surface it as a failure
-
-
-def _attr_int(record, key: str) -> int | None:
-    try:
-        return int(str(record.attrs.get(key)))
-    except (TypeError, ValueError):
-        return None
 
 
 def _scrape(front: ShardedDatabaseService, path_for, stage: str,
@@ -1651,7 +1640,7 @@ def _acked(cell: Cell, lane: _Lane | None = None) -> list[int]:
     """The seqs acked on ``lane`` (on every lane: None), from the
     ``replication.commit_acked`` records of the event stream."""
     nodes = None if lane is None else lane.nodes()
-    return [_attr_int(record, "seq") for record in cell.records
+    return [record.int_attr("seq") for record in cell.records
             if record.kind == "action"
             and record.name == "replication.commit_acked"
             and (nodes is None or record.attrs.get("node") in nodes)]
@@ -1677,12 +1666,12 @@ def _check_pipeline(cell: Cell) -> None:
             if name not in lane.replicas:
                 continue
             if record.name == "replica.apply":
-                low = _attr_int(record, "from_seq")
-                high = _attr_int(record, "applied_to")
+                low = record.int_attr("from_seq")
+                high = record.int_attr("applied_to")
                 if low is not None and high is not None and high >= low:
                     applied.setdefault(name, []).append((low, high))
             elif record.name == "replica.snapshot_install":
-                wal = _attr_int(record, "wal_applied")
+                wal = record.int_attr("wal_applied")
                 if wal is not None:
                     floors[name] = max(floors.get(name, 0), wal)
         uncovered = []
@@ -1723,8 +1712,8 @@ def _write_pipeline_dot(cell: Cell, lane: _Lane, last_seq: int) -> None:
         if record.name != "replication.ship" \
                 or str(record.attrs.get("replica")) not in lane.replicas:
             continue
-        low = _attr_int(record, "from_seq")
-        high = _attr_int(record, "through_seq")
+        low = record.int_attr("from_seq")
+        high = record.int_attr("through_seq")
         if low is not None and high is not None \
                 and low <= last_seq <= high:
             # Prefer the commit-path ship (rooted in the request that
@@ -1749,37 +1738,43 @@ def _write_pipeline_dot(cell: Cell, lane: _Lane, last_seq: int) -> None:
 
 
 def _check_timeline(cell: Cell) -> None:
-    """Fold lane 0's replication lifecycle (the lane that may fail
-    over; other lanes' acked commits carry their own node names and
-    are left out) into the audit timeline, keep it as a JSONL
-    artifact, and audit the fence: every acked old-term commit sits at
-    or below it (none lost) and precedes the fence record, every
-    new-term commit follows it. After a failover the fence, promote and
-    rejoin entries must be there — and the lease expiry and the
+    """Keep lane 0's replication action records (the lane that may
+    fail over; other lanes' acked commits carry their own node names
+    and are left out) as a JSONL artifact, and audit the fence over
+    them (:func:`fence_violations`): every acked old-term commit sits
+    at or below it (none lost) and precedes the fence record, every
+    new-term commit follows it. After a failover the fence, promote
+    and rejoin records must be there — and the lease expiry and the
     election that caused them, when it was automatic."""
     lane, report = cell.lanes[0], cell.report
     nodes = {None, *lane.nodes()}
-    timeline = replication_timeline(
-        record for record in cell.records
-        if record.attrs.get("node") in nodes)
+    timeline = [record for record in cell.records
+                if record.kind == "action"
+                and record.name.startswith("replication.")
+                and record.attrs.get("node") in nodes]
     cell._artifact("timeline", suffix=".jsonl").write_text(
-        timeline.to_jsonl() + "\n", encoding="utf-8")
-    problems = timeline.fence_violations()
+        "".join(record.to_json() + "\n" for record in timeline),
+        encoding="utf-8")
+    problems = fence_violations(timeline)
     if problems:
         report.fail("timeline", f"fence audit failed: {problems[:3]}")
     if "promotion" not in report.facts:
         return
     wanted = ["fence", "promote", "rejoin"]
     if report.facts.get("elections"):
-        wanted += ["lease_expire", "elect"]
-    for kind in wanted:
-        if not timeline.of_kind(kind):
+        wanted += ["lease_expired", "elected"]
+    names = {record.name for record in timeline}
+    for name in wanted:
+        if f"replication.{name}" not in names:
             report.fail("timeline",
-                        f"no {kind} entry in the failover timeline")
-    fences = timeline.of_kind("fence")
-    if fences and fences[-1].fence_seq != report.facts["fence_seq"]:
+                        f"no replication.{name} record in the failover "
+                        f"timeline")
+    fences = [record for record in timeline
+              if record.name == "replication.fence"]
+    if fences and (fence_seq := fences[-1].int_attr("fence_seq")) \
+            != report.facts["fence_seq"]:
         report.fail("timeline",
-                    f"timeline fence at seq {fences[-1].fence_seq}, "
+                    f"timeline fence at seq {fence_seq}, "
                     f"promotion reported {report.facts['fence_seq']}")
 
 

@@ -5,8 +5,8 @@ of chain enumerations, negated conjunctions and base mutations; this
 package makes that cascade *reportable* — as counters and histograms
 (:mod:`repro.obs.metrics`), hierarchical update-propagation traces
 (:mod:`repro.obs.tracing`), a structured event log with pluggable
-sinks and causal links (:mod:`repro.obs.events`), JSON artifacts and
-the REPL's ``stats`` text (:mod:`repro.obs.export`), declarative service-level
+sinks and causal links (:mod:`repro.obs.events`), the metric snapshot and the REPL's
+``stats`` text (:mod:`repro.obs.export`), declarative service-level
 objectives with burn-rate alerting (:mod:`repro.obs.slo`), and a live
 stdlib HTTP exposition endpoint serving Prometheus text format
 (:mod:`repro.obs.endpoint`).
@@ -29,12 +29,10 @@ from repro.obs.events import (
     EventLog,
     EventRecord,
     FileSink,
-    ReplicationTimeline,
     RingBufferSink,
     Sink,
-    TimelineEntry,
+    fence_violations,
     read_jsonl,
-    replication_timeline,
 )
 from repro.obs.endpoint import (
     ExpositionError,
@@ -60,11 +58,8 @@ from repro.obs.slo import (
 from repro.obs.tracing import Span, SpanEvent, Tracer
 from repro.obs.export import (
     render_metrics,
-    render_replication,
     render_stats,
     snapshot,
-    to_json,
-    write_json,
 )
 
 __all__ = [
@@ -94,13 +89,8 @@ __all__ = [
     "FileSink",
     "CallbackSink",
     "read_jsonl",
-    "TimelineEntry",
-    "ReplicationTimeline",
-    "replication_timeline",
+    "fence_violations",
     "snapshot",
-    "to_json",
-    "write_json",
     "render_metrics",
-    "render_replication",
     "render_stats",
 ]

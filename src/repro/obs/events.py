@@ -33,7 +33,9 @@ tracing off the pipeline costs two attribute checks.
 A plain :class:`repro.obs.tracing.Tracer` folds a stream read back
 by :func:`read_jsonl` into span trees, and
 :meth:`repro.obs.tracing.Span.to_dot` draws one, closing the loop the
-acceptance test exercises: events → JSONL → span tree → DOT.
+acceptance test exercises: events → JSONL → span tree → DOT. The
+failover is audited over the records as they stand:
+:func:`fence_violations` reads the ``replication.*`` actions.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ __all__ = [
     "CallbackSink",
     "EventLog",
     "read_jsonl",
-    "TimelineEntry",
-    "ReplicationTimeline",
-    "replication_timeline",
+    "fence_violations",
 ]
 
 
@@ -130,6 +130,15 @@ class EventRecord:
             duration=raw.get("duration"),
             attrs=dict(raw.get("attrs", {})),
         )
+
+    def int_attr(self, key: str) -> int | None:
+        """Attr ``key`` as an int, or ``None`` when absent or not one.
+        Values arrive raw from a live sink but stringified after a
+        JSONL round trip; both read alike."""
+        try:
+            return int(str(self.attrs.get(key)))
+        except (TypeError, ValueError):
+            return None
 
 
 class Sink:
@@ -261,193 +270,53 @@ def read_jsonl(path: str | Path) -> list[EventRecord]:
     return records
 
 
-# -- replication audit timeline -----------------------------------------------
+# -- the failover audit ------------------------------------------------------
 #
 # Replication lifecycle steps are emitted as ``action`` records
-# (``replication.promote``, ``replication.fence``, ...). The fold below
-# projects a record stream onto just those actions and types them, so a
-# failover can be audited from the same JSONL artifact the soak already
-# writes: which commits were acked under which term, where the fence
-# fell, who was promoted, who re-bootstrapped via snapshot.
-
-_TIMELINE_KINDS = {
-    "replication.primary_attached": "attach",
-    "replication.commit_acked": "commit",
-    "replication.ack_timeout": "ack_timeout",
-    "replication.write_fenced": "write_fenced",
-    "replication.fence": "fence",
-    "replication.promote": "promote",
-    "replication.rejoin": "rejoin",
-    "replication.catch_up": "catch_up",
-    "replication.snapshot_bootstrap": "snapshot_bootstrap",
-    "replication.snapshot_installed": "snapshot_install",
-    "replication.lease_granted": "lease_grant",
-    "replication.lease_renewed": "lease_renew",
-    "replication.lease_expired": "lease_expire",
-    "replication.elected": "elect",
-}
+# (``replication.promote``, ``replication.fence``, ...), so a failover
+# is audited over the same records the soak already writes: which
+# commits were acked under which term, and where the fence fell.
 
 
-def _timeline_int(value) -> int | None:
-    # Attr values arrive raw from a live RingBufferSink but stringified
-    # after a JSONL round-trip; accept both.
-    if value is None:
-        return None
-    try:
-        return int(str(value))
-    except (TypeError, ValueError):
-        return None
-
-
-@dataclass(frozen=True)
-class TimelineEntry:
-    """One typed step of the replication audit timeline.
-
-    ``order`` is the source record's event-log ``seq`` — the process-
-    wide total order the fence invariant is stated over. ``term`` is
-    the term the step happened *under* (for ``fence`` the term being
-    fenced; for ``promote`` the new term). ``commit_seq`` is set on
-    ``commit`` entries, ``fence_seq`` on ``fence``/``rejoin`` entries;
-    everything else stays available in ``attrs`` verbatim.
-    """
-
-    order: int
-    ts: float
-    kind: str
-    name: str
-    term: int | None
-    replica: str | None
-    commit_seq: int | None
-    fence_seq: int | None
-    attrs: dict
-
-    def to_dict(self) -> dict:
-        entry: dict = {
-            "order": self.order,
-            "ts": self.ts,
-            "kind": self.kind,
-            "name": self.name,
-        }
-        if self.term is not None:
-            entry["term"] = self.term
-        if self.replica is not None:
-            entry["replica"] = self.replica
-        if self.commit_seq is not None:
-            entry["commit_seq"] = self.commit_seq
-        if self.fence_seq is not None:
-            entry["fence_seq"] = self.fence_seq
-        if self.attrs:
-            entry["attrs"] = {
-                key: _format_value(value)
-                for key, value in self.attrs.items()
-            }
-        return entry
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, default=str)
-
-
-@dataclass
-class ReplicationTimeline:
-    """The ordered audit timeline folded from a record stream."""
-
-    entries: list[TimelineEntry] = field(default_factory=list)
-
-    def of_kind(self, kind: str) -> list[TimelineEntry]:
-        return [entry for entry in self.entries if entry.kind == kind]
-
-    def commits(self, *, term: int | None = None) -> list[TimelineEntry]:
-        """Acked-commit entries, optionally restricted to one term."""
-        return [
-            entry for entry in self.entries
-            if entry.kind == "commit"
-            and (term is None or entry.term == term)
-        ]
-
-    def fence_violations(self) -> list[str]:
-        """The audit check: every commit acked under a fenced term
-        must sit at or below the fence seq (above it, the failover lost
-        it) and precede the fence entry, and the first commit of the
-        new term must follow it. Returns the violations (empty = no
-        acked commit was reordered or lost)."""
-        problems: list[str] = []
-        for fence in self.of_kind("fence"):
-            new_term = _timeline_int(fence.attrs.get("new_term"))
-            for commit in self.commits(term=fence.term):
-                if commit.commit_seq is None or fence.fence_seq is None:
-                    continue
-                if commit.commit_seq > fence.fence_seq:
-                    problems.append(
-                        f"commit seq={commit.commit_seq} "
-                        f"term={commit.term} acked above its fence "
-                        f"at seq {fence.fence_seq}"
-                    )
-                elif commit.order >= fence.order:
-                    problems.append(
-                        f"commit seq={commit.commit_seq} "
-                        f"term={commit.term} recorded after its fence"
-                    )
-            if new_term is not None:
-                early = [
-                    commit for commit in self.commits(term=new_term)
-                    if commit.order <= fence.order
-                ]
-                if early:
-                    problems.append(
-                        f"term {new_term} commit recorded before the "
-                        f"fence of term {fence.term}"
-                    )
-        return problems
-
-    def to_jsonl(self) -> str:
-        return "".join(entry.to_json() + "\n" for entry in self.entries)
-
-
-def replication_timeline(
-    records: Iterable[EventRecord],
-) -> ReplicationTimeline:
-    """Fold a record stream into the replication audit timeline.
-
-    Keeps only the ``action`` records named in the replication
-    lifecycle vocabulary, in event-log order, typed per
-    :data:`_TIMELINE_KINDS`. Works on live :class:`RingBufferSink`
-    records and on :func:`read_jsonl` artifacts alike.
-    """
-    timeline = ReplicationTimeline()
-    for record in records:
+def fence_violations(records: Iterable[EventRecord]) -> list[str]:
+    """The fence audit over ``replication.commit_acked`` and
+    ``replication.fence`` action records, in ``seq`` order: every
+    commit acked under a fenced term must sit at or below the fence
+    seq (above it, the failover lost it) and precede the fence record,
+    and no commit of the new term may precede it. Returns the
+    violations (empty = no acked commit was reordered or lost). Works
+    on live :class:`RingBufferSink` records and on :func:`read_jsonl`
+    artifacts alike."""
+    commits: list[tuple[int, int | None, int | None]] = []
+    fences: list[EventRecord] = []
+    for record in sorted(records, key=lambda record: record.seq):
         if record.kind != "action":
             continue
-        kind = _TIMELINE_KINDS.get(record.name)
-        if kind is None:
-            continue
-        attrs = record.attrs
-        if kind == "fence":
-            term = _timeline_int(attrs.get("old_term"))
-            fence_seq = _timeline_int(attrs.get("fence_seq"))
-        elif kind == "rejoin":
-            term = _timeline_int(attrs.get("old_term"))
-            fence_seq = _timeline_int(attrs.get("fence_seq"))
-        elif kind == "promote":
-            term = _timeline_int(attrs.get("new_term"))
-            fence_seq = _timeline_int(attrs.get("applied_seq"))
-        elif kind == "write_fenced":
-            term = _timeline_int(attrs.get("writer_term"))
-            fence_seq = None
-        else:
-            term = _timeline_int(attrs.get("term"))
-            fence_seq = None
-        replica = attrs.get("replica") or attrs.get("chosen")
-        commit_seq = (_timeline_int(attrs.get("seq"))
-                      if kind in ("commit", "ack_timeout") else None)
-        timeline.entries.append(TimelineEntry(
-            order=record.seq,
-            ts=record.ts,
-            kind=kind,
-            name=record.name,
-            term=term,
-            replica=str(replica) if replica is not None else None,
-            commit_seq=commit_seq,
-            fence_seq=fence_seq,
-            attrs=dict(attrs),
-        ))
-    return timeline
+        if record.name == "replication.commit_acked":
+            commits.append((record.seq, record.int_attr("term"),
+                            record.int_attr("seq")))
+        elif record.name == "replication.fence":
+            fences.append(record)
+    problems: list[str] = []
+    for fence in fences:
+        term = fence.int_attr("old_term")
+        fence_seq = fence.int_attr("fence_seq")
+        new_term = fence.int_attr("new_term")
+        for order, commit_term, seq in commits:
+            if commit_term != term or seq is None or fence_seq is None:
+                continue
+            if seq > fence_seq:
+                problems.append(
+                    f"commit seq={seq} term={term} acked above its "
+                    f"fence at seq {fence_seq}")
+            elif order >= fence.seq:
+                problems.append(
+                    f"commit seq={seq} term={term} recorded after its "
+                    f"fence")
+        if new_term is not None and any(
+                commit_term == new_term and order <= fence.seq
+                for order, commit_term, _ in commits):
+            problems.append(
+                f"term {new_term} commit recorded before the fence of "
+                f"term {term}")
+    return problems

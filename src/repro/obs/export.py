@@ -1,39 +1,23 @@
-"""Renderers for observability data: JSON for machines, text for humans.
+"""Renderers for observability data: the snapshot, and text for humans.
 
 Everything the instrumentation collects is already plain data
-(:meth:`MetricsRegistry.snapshot`); this module turns those dicts into
-the two surfaces people actually read —
-``benchmarks/results/*.json`` artifacts and the REPL's ``stats`` table.
+(:meth:`MetricsRegistry.snapshot`): :func:`snapshot` is what the
+benches attach to ``benchmarks/results/*.json``, and
+:func:`render_stats` / :func:`render_metrics` turn it into the REPL's
+``stats`` table.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.obs.hooks import OBS, Instrumentation
 
-__all__ = ["snapshot", "to_json", "write_json", "render_metrics",
-           "render_replication", "render_stats"]
+__all__ = ["snapshot", "render_metrics", "render_stats"]
 
 
 def snapshot(obs: Instrumentation | None = None) -> dict:
     """Flags + metrics of ``obs`` (default: the process-wide
     :data:`repro.obs.hooks.OBS`)."""
     return (obs or OBS).snapshot()
-
-
-def to_json(data: dict, *, indent: int | None = 2) -> str:
-    """JSON-encode a snapshot; non-JSON values fall back to ``str``
-    (nulls, tuples and enum members all have stable renderings)."""
-    return json.dumps(data, indent=indent, sort_keys=True, default=str)
-
-
-def write_json(path: str | Path, data: dict, *,
-               indent: int | None = 2) -> Path:
-    path = Path(path)
-    path.write_text(to_json(data, indent=indent) + "\n", encoding="utf-8")
-    return path
 
 
 def _seconds(value: float | None) -> str:
@@ -116,67 +100,5 @@ def render_stats(stats: dict) -> str:
             + ("TAIL TORN" if wal.get("tail_torn") else "tail clean")
             + f", {wal.get('checksum_failures', 0)} checksum failures"
         )
-    replication = stats.get("replication")
-    if replication:
-        lines.append(render_replication(replication,
-                                        acked=stats.get("acked")))
     lines.append(render_metrics(stats.get("metrics", {})))
     return "\n".join(lines)
-
-
-def render_replication(replication: dict, *,
-                       acked: int | None = None) -> str:
-    """A :meth:`ReplicationGroup.health
-    <repro.replication.group.ReplicationGroup.health>` verdict as
-    text: role, node, term, commit mode, staleness servability, and
-    one lag row per replica."""
-    head = (
-        f"replication: {replication.get('role', '?')} "
-        f"{replication.get('node', '?')}, term "
-        f"{replication.get('term', 0)}, mode "
-        f"{replication.get('mode', '?')}"
-    )
-    if acked is not None:
-        head += f", {acked} acked commits"
-    if not replication.get("servable", True):
-        head += " — STALENESS UNSERVABLE"
-    lines = [head]
-    lease = replication.get("lease")
-    if lease:
-        state = "HELD" if lease.get("held") else (
-            "LAPSED" if lease.get("granted") else "not granted")
-        row = f"  lease: {state}"
-        if lease.get("remaining_seconds") is not None:
-            row += f", {lease['remaining_seconds']:g}s left"
-        row += (f" (quorum {lease.get('needed_acks', '?')}, "
-                f"{lease.get('acks', 0)} fresh acks, "
-                f"duration {lease.get('duration', '?')}s "
-                f"± {lease.get('margin', '?')}s)")
-        lines.append(row)
-    for name, info in sorted(replication.get("replicas", {}).items()):
-        row = (
-            f"  {name}: acked seq {info.get('acked_seq', 0)}, "
-            f"lag {info.get('lag_seq', 0)} seqs / "
-            f"{info.get('lag_seconds', 0.0):.3f}s, "
-            f"{info.get('errors', 0)} transport errors"
-        )
-        if info.get("last_error"):
-            row += f" (last: {info['last_error']})"
-        lines.append(row)
-    if not replication.get("replicas"):
-        lines.append("  (no replicas linked)")
-    for name, stages in sorted(
-            (replication.get("pipeline") or {}).items()):
-        parts = [
-            "{} p50={} p99={}".format(
-                stage, _seconds(data.get("p50")),
-                _seconds(data.get("p99")),
-            )
-            for stage in ("ship_rtt", "wal_append", "apply",
-                          "commit_ack")
-            if (data := stages.get(stage))
-        ]
-        if parts:
-            lines.append(f"  pipeline {name}: {'; '.join(parts)}")
-    return "\n".join(lines)
-

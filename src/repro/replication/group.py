@@ -675,10 +675,6 @@ class ReplicationGroup:
                 OBS.gauge(f"replication.lag.seq.{link.name}", lag_seq)
                 OBS.gauge(f"replication.lag.seconds.{link.name}",
                           round(lag_seconds, 6))
-                # Gauges hold only the latest level; the histogram
-                # keeps the distribution of observed staleness ages.
-                OBS.observe(f"replication.lag.age_seconds.{link.name}",
-                            lag_seconds)
         return out
 
     def worst_lag_seq(self) -> float | None:
@@ -688,38 +684,6 @@ class ReplicationGroup:
         if not lags:
             return None
         return float(max(info["lag_seq"] for info in lags.values()))
-
-    def pipeline_stats(self) -> dict:
-        """Per-replica commit-pipeline latency breakdown, folded from
-        the stage log histograms (``{}`` when telemetry is off).
-
-        Stages per replica: ``ship_rtt`` (one append exchange),
-        ``wal_append``/``apply`` (replica-side phases), ``commit_ack``
-        (commit to that replica's ack, the end-to-end stage a commit
-        mode waits on).
-        """
-        if not OBS.enabled:
-            return {}
-        stages = {
-            "ship_rtt": "replication.ship.rtt_seconds.",
-            "wal_append": "replication.pipeline.wal_append_seconds.",
-            "apply": "replication.pipeline.apply_seconds.",
-            "commit_ack": "replication.commit.ack_seconds.",
-        }
-        histograms = OBS.metrics.snapshot()["histograms"]
-        out: dict[str, dict] = {}
-        for stage, prefix in stages.items():
-            for name, data in histograms.items():
-                if not name.startswith(prefix):
-                    continue
-                replica = name[len(prefix):]
-                out.setdefault(replica, {})[stage] = {
-                    "count": data["count"],
-                    "p50": data["p50"],
-                    "p95": data["p95"],
-                    "p99": data["p99"],
-                }
-        return out
 
     def _refresh_gauges(self) -> None:
         if OBS.enabled:
@@ -744,7 +708,6 @@ class ReplicationGroup:
                 default=None,
             ),
             "servable": servable,
-            "pipeline": self.pipeline_stats(),
         }
         if self._lease is not None:
             out["lease"] = self._lease.status()

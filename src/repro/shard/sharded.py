@@ -45,7 +45,6 @@ from repro.cancel import Deadline
 from repro.errors import CrossShardError
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.updates import Update, UpdateSequence
-from repro.obs.hooks import OBS
 from repro.service.service import (DatabaseService, FrontDoor, touched,
                                    write)
 from repro.shard.map import ShardMap
@@ -219,8 +218,6 @@ class ShardedDatabaseService(FrontDoor):
             )
         with self._stats_lock:
             self._scatter_reads += 1
-        if OBS.enabled:
-            OBS.inc("service.shard.scatter_reads")
         return results, vector
 
     def sequence_vector(self) -> dict[int, int]:

@@ -73,8 +73,8 @@ def closing():
     """``closing(thing)`` hands ``thing`` back and ``close()``s it when
     the test ends, last built first. A log that has appended holds its
     descriptor until its owner closes it; in a test, the test owns what
-    it builds, and CI runs the WAL / replication / shard modules with
-    ``-W error::ResourceWarning`` so a forgotten one fails."""
+    it builds, and CI runs the suite with ``-W error::ResourceWarning``
+    so a forgotten one fails."""
     with contextlib.ExitStack() as stack:
         def own(thing):
             stack.callback(thing.close)

@@ -54,6 +54,7 @@ class TestCleanRunSignals:
         logged, snapshot = _logged(tmp_path)
         for update in UPDATES:
             logged.execute(update)
+        logged.close()
         OBS.enable()
         report = recover(snapshot, logged.log.path)
         assert report.entries_applied == len(UPDATES)
@@ -67,6 +68,7 @@ class TestCleanRunSignals:
         logged, snapshot = _logged(tmp_path)
         for update in UPDATES:
             logged.execute(update)
+        logged.close()
         sink = OBS.events.add_sink(RingBufferSink())
         OBS.enable()
         recover(snapshot, logged.log.path)
@@ -97,6 +99,7 @@ class TestUnderFaults:
     def test_torn_tail_counted_and_flagged(self, tmp_path):
         logged, snapshot = _logged(tmp_path)
         logged.execute(UPDATES[0])
+        logged.close()
         # Tear the final record mid-line, the classic crash artifact.
         log_path = logged.log.path
         raw = log_path.read_bytes()
@@ -151,6 +154,7 @@ class TestUnderFaults:
         FAULTS.arm("wal.append.after", CrashFault())
         with pytest.raises(SimulatedCrash):
             logged.execute(UPDATES[1])
+        logged.close()
         FAULTS.disarm_all()
         assert (OBS.metrics.counter("fdb.wal.appends").value
                 >= appends_before)

@@ -25,6 +25,7 @@ from repro.obs import (
     FileSink,
     RingBufferSink,
     Tracer,
+    fence_violations,
     read_jsonl,
 )
 from repro.workloads.university import pupil_database, section_42_updates
@@ -373,7 +374,7 @@ def assert_trees_match_records(roots, records) -> None:
                 (end.cause, end.duration, end.attrs)
 
 
-# -- the replication audit timeline -------------------------------------------
+# -- the failover audit over action records ----------------------------------
 
 
 def _action(order, name, **attrs):
@@ -382,107 +383,119 @@ def _action(order, name, **attrs):
 
 
 class TestReplicationTimeline:
-    def test_folds_only_the_lifecycle_vocabulary(self):
-        from repro.obs import replication_timeline
+    """:func:`fence_violations`, the rule the soak's fence audit runs
+    over the ``replication.*`` action records it keeps."""
 
-        records = [
+    def test_folds_only_the_lifecycle_vocabulary(self):
+        # Only commit_acked / fence *action* records count: a span or an
+        # event of the same name, or another action, is not audited.
+        fence = _action(2, "replication.fence", old_term=1, new_term=2,
+                        fence_seq=1, chosen="r0")
+        noise = [
             _action(1, "replication.primary_attached", term=1,
                     node="primary"),
-            _action(2, "recovery.start"),  # not replication: dropped
-            _action(3, "replication.commit_acked", seq=1, term=1,
-                    acks=2),
+            _action(3, "recovery.start"),
             EventRecord(seq=4, ts=4.0, kind="span.end",
-                        name="replication.ship", span_id=9),
+                        name="replication.commit_acked", span_id=9,
+                        attrs={"seq": 7, "term": 1}),
+            EventRecord(seq=5, ts=5.0, kind="event",
+                        name="replication.commit_acked", span_id=9,
+                        attrs={"seq": 7, "term": 1}),
         ]
-        timeline = replication_timeline(records)
-        assert [e.kind for e in timeline.entries] == ["attach", "commit"]
-        commit = timeline.of_kind("commit")[0]
-        assert commit.term == 1 and commit.commit_seq == 1
+        assert fence_violations([fence, *noise]) == []
+        assert fence_violations([
+            fence, _action(6, "replication.commit_acked", seq=7, term=1),
+        ])
 
     def test_attrs_survive_jsonl_stringification(self, tmp_path):
-        # A FileSink round trip stringifies attr values; the fold must
-        # still type seq/term as integers.
-        from repro.obs import replication_timeline
-
+        # A FileSink round trip stringifies attr values; the audit must
+        # still read seq/term/fence_seq as integers.
         sink = FileSink(tmp_path / "events.jsonl")
         OBS.events.add_sink(sink)
         OBS.enable()
         OBS.action("replication.commit_acked", seq=7, term=2, acks=1)
+        OBS.action("replication.fence", old_term=2, new_term=3,
+                   fence_seq=6, chosen="r0")
         OBS.disable()
         OBS.events.remove_sink(sink)
         sink.close()
-        timeline = replication_timeline(
-            read_jsonl(tmp_path / "events.jsonl"))
-        entry = timeline.of_kind("commit")[0]
-        assert entry.commit_seq == 7 and entry.term == 2
+        records = read_jsonl(tmp_path / "events.jsonl")
+        assert all(isinstance(value, str)
+                   for record in records for value in record.attrs.values())
+        assert fence_violations(records) == [
+            "commit seq=7 term=2 acked above its fence at seq 6"]
 
     def test_fence_violations_detects_reordering(self):
-        from repro.obs import replication_timeline
-
-        clean = replication_timeline([
+        assert fence_violations([
             _action(1, "replication.commit_acked", seq=1, term=1),
             _action(2, "replication.fence", old_term=1, new_term=2,
                     fence_seq=1, chosen="r0"),
             _action(3, "replication.commit_acked", seq=2, term=2),
-        ])
-        assert clean.fence_violations() == []
+        ]) == []
         # An acked old-term commit at/below the fence appearing after
         # the fence record is a reordering the audit must flag.
-        dirty = replication_timeline([
+        assert fence_violations([
             _action(1, "replication.fence", old_term=1, new_term=2,
                     fence_seq=5, chosen="r0"),
             _action(2, "replication.commit_acked", seq=3, term=1),
-        ])
-        assert dirty.fence_violations()
+        ]) == ["commit seq=3 term=1 recorded after its fence"]
+        # Order is the records' seq, not the order they are handed in.
+        assert fence_violations([
+            _action(3, "replication.commit_acked", seq=2, term=2),
+            _action(2, "replication.fence", old_term=1, new_term=2,
+                    fence_seq=1, chosen="r0"),
+            _action(1, "replication.commit_acked", seq=1, term=1),
+        ]) == []
 
     def test_commit_acked_above_the_fence_is_flagged(self):
         """An old-term commit acked past the fence seq was lost by the
         failover, whichever side of the fence record it was logged."""
-        from repro.obs import replication_timeline
-
         fence = _action(2, "replication.fence", old_term=1, new_term=2,
                         fence_seq=5, chosen="r0")
         for order in (1, 3):
             commit = _action(order, "replication.commit_acked", seq=6,
                              term=1)
-            dirty = replication_timeline(
-                [commit, fence] if order < 2 else [fence, commit])
             assert any("above its fence" in problem
-                       for problem in dirty.fence_violations())
+                       for problem in fence_violations([commit, fence]))
 
     def test_new_term_commit_before_fence_is_flagged(self):
-        from repro.obs import replication_timeline
-
-        dirty = replication_timeline([
+        assert fence_violations([
             _action(1, "replication.commit_acked", seq=9, term=2),
             _action(2, "replication.fence", old_term=1, new_term=2,
                     fence_seq=5, chosen="r0"),
-        ])
-        assert dirty.fence_violations()
+        ]) == ["term 2 commit recorded before the fence of term 1"]
 
     def test_to_jsonl_round_trips(self):
-        from repro.obs import replication_timeline
-
-        timeline = replication_timeline([
+        # The soak's timeline artifact is one EventRecord.to_json() per
+        # line; read back, it gives the audit the same verdict.
+        records = [
             _action(1, "replication.promote", chosen="r0",
                     applied_seq=4, old_term=1, new_term=2),
-            _action(2, "replication.rejoin", replica="old",
+            _action(2, "replication.fence", old_term=1, new_term=2,
+                    fence_seq=4, chosen="r0"),
+            _action(3, "replication.commit_acked", seq=5, term=1),
+            _action(4, "replication.rejoin", replica="old",
                     old_term=1, fence_seq=4, records_dropped=1,
                     rebootstrapped=False),
-        ])
-        lines = timeline.to_jsonl().splitlines()
-        decoded = [json.loads(line) for line in lines]
-        assert [d["kind"] for d in decoded] == ["promote", "rejoin"]
-        assert decoded[1]["fence_seq"] == 4
+        ]
+        lines = "".join(record.to_json() + "\n" for record in records)
+        decoded = [EventRecord.from_dict(json.loads(line))
+                   for line in lines.splitlines()]
+        assert [(d.seq, d.name) for d in decoded] == \
+            [(r.seq, r.name) for r in records]
+        assert decoded[3].int_attr("fence_seq") == 4
+        assert fence_violations(decoded) == fence_violations(records) \
+            != []
 
     def test_a_commit_run_keeps_one_entry_per_commit(self):
-        from repro.obs import replication_timeline
-
-        entries = [
-            _action(i, "replication.commit_acked", seq=i, term=1)
-            for i in range(1, 8)
-        ]
-        timeline = replication_timeline(entries)
-        assert [c.commit_seq for c in timeline.commits(term=1)] == \
-            list(range(1, 8))
-        assert timeline.fence_violations() == []
+        run = [_action(i, "replication.commit_acked", seq=i, term=1)
+               for i in range(1, 8)]
+        assert fence_violations(run) == []
+        fence = _action(8, "replication.fence", old_term=1, new_term=2,
+                        fence_seq=7, chosen="r0")
+        assert fence_violations([*run, fence]) == []
+        # Every commit is audited on its own: two past a lower fence are
+        # two violations.
+        low = _action(8, "replication.fence", old_term=1, new_term=2,
+                      fence_seq=5, chosen="r0")
+        assert len(fence_violations([*run, low])) == 2

@@ -755,24 +755,32 @@ class TestServiceIntegration:
         assert acked() == [1]
 
 
+def _survives_json(report) -> dict:
+    """``report.as_dict()`` after a trip through ``json``: it must come
+    back equal, because the soak keeps it among its JSON facts."""
+    data = json.loads(json.dumps(report.as_dict()))
+    assert data == report.as_dict()
+    return data
+
+
 class TestReports:
     def test_promotion_report_roundtrip(self):
         report = PromotionReport(
             chosen="r1", applied_seq=17, old_term=2, new_term=3,
             candidates=(("r0", 12), ("r1", 17)),
         )
-        clone = PromotionReport.from_dict(
-            json.loads(json.dumps(report.as_dict())))
-        assert clone == report
+        data = _survives_json(report)
+        assert data["report"] == "promotion"
+        assert data["candidates"] == [["r0", 12], ["r1", 17]]
 
     def test_catch_up_report_roundtrip(self):
         report = CatchUpReport(
             replica="r0", mode="snapshot", from_seq=0, to_seq=9,
             term=2, snapshot_wal_applied=7,
         )
-        clone = CatchUpReport.from_dict(
-            json.loads(json.dumps(report.as_dict())))
-        assert clone == report
+        data = _survives_json(report)
+        assert data["report"] == "catch_up"
+        assert data["snapshot_wal_applied"] == 7
 
     def test_rejoin_report_roundtrip(self):
         report = RejoinReport(
@@ -783,9 +791,8 @@ class TestReports:
                 term=2,
             ),
         )
-        clone = RejoinReport.from_dict(
-            json.loads(json.dumps(report.as_dict())))
-        assert clone == report
+        data = _survives_json(report)
+        assert data["catch_up"] == report.catch_up.as_dict()
 
     def test_recovery_report_roundtrip(self):
         report = RecoveryReport(
@@ -794,7 +801,7 @@ class TestReports:
             aborted=2, already_checkpointed=3,
             term=2, notes=("note a", "note b"),
         )
-        data = json.loads(json.dumps(report.as_dict()))
+        data = _survives_json(report)
         assert data["report"] == "recovery"
-        clone = RecoveryReport.from_dict(data)
-        assert clone.as_dict() == report.as_dict()
+        assert "db" not in data
+        assert data["notes"] == ["note a", "note b"]

@@ -25,8 +25,7 @@ from repro.faults.registry import (
 from repro.fdb import persistence
 from repro.fdb.updates import Update
 from repro.fdb.wal import LoggedDatabase
-from repro.obs import OBS, RingBufferSink, replication_timeline
-from repro.obs.export import render_replication
+from repro.obs import OBS, RingBufferSink, fence_violations
 from repro.replication import (
     CommitMode,
     FailoverCoordinator,
@@ -489,14 +488,6 @@ class TestManualPromote:
 
 
 class TestObservabilitySurfaces:
-    def test_render_replication_lease_row(self, tmp_path, stack):
-        cfg = LeaseConfig(duration=1.0, margin=0.1,
-                          renew_interval=0.2)
-        _, _, group, _, _ = stack(cfg)
-        text = render_replication(group.health())
-        assert "lease: HELD" in text
-        assert "quorum 1" in text
-
     def test_gauges_and_timeline_show_lease_lifecycle(self, tmp_path, stack):
         sink = OBS.events.add_sink(RingBufferSink(capacity=4096))
         OBS.enable()
@@ -521,8 +512,10 @@ class TestObservabilitySurfaces:
         assert metrics["counters"]["replication.lease.expiries"] == 1
         assert metrics["counters"]["replication.elections"] == 1
 
-        timeline = replication_timeline(list(sink.records))
-        kinds = {entry.kind for entry in timeline.entries}
-        assert {"lease_grant", "lease_renew",
-                "lease_expire", "elect"} <= kinds
-        assert not timeline.fence_violations()
+        records = list(sink.records)
+        names = {record.name for record in records
+                 if record.kind == "action"}
+        assert {"replication.lease_granted", "replication.lease_renewed",
+                "replication.lease_expired",
+                "replication.elected"} <= names
+        assert not fence_violations(records)

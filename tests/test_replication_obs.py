@@ -15,12 +15,7 @@ import pytest
 from repro.fdb import persistence
 from repro.fdb.logic import Truth
 from repro.fdb.wal import UpdateLog
-from repro.obs import (
-    OBS,
-    RingBufferSink,
-    Tracer,
-    replication_timeline,
-)
+from repro.obs import OBS, RingBufferSink, Tracer, fence_violations
 from repro.obs.slo import replication_lag_objective
 from repro.replication import Replica, ReplicationGroup
 from repro.service import DatabaseService
@@ -76,6 +71,10 @@ def replicated(tmp_path, closing):
 
 def _spans(records, name):
     return [r for r in records if r.kind == "span.end" and r.name == name]
+
+
+def _actions(records, name):
+    return [r for r in records if r.kind == "action" and r.name == name]
 
 
 class TestCrossNodeTrace:
@@ -138,13 +137,14 @@ class TestCrossNodeTrace:
     def test_pipeline_stats_cover_all_stages(self, ring, replicated):
         service, group, _ = replicated()
         service.insert("teach", "gauss", "cs")
-        stats = group.pipeline_stats()
+        histograms = OBS.metrics.snapshot()["histograms"]
         for replica in ("r0", "r1"):
-            stages = stats.get(replica, {})
-            for stage in ("ship_rtt", "wal_append", "apply",
-                          "commit_ack"):
-                assert stages.get(stage, {}).get("count", 0) >= 1, \
-                    f"{replica}/{stage} unobserved"
+            for stage in ("replication.ship.rtt_seconds.",
+                          "replication.pipeline.wal_append_seconds.",
+                          "replication.pipeline.apply_seconds.",
+                          "replication.commit.ack_seconds."):
+                assert histograms.get(stage + replica, {}).get(
+                    "count", 0) >= 1, f"{stage}{replica} unobserved"
 
     def test_disabled_telemetry_ships_bare_frames(self, replicated):
         captured = []
@@ -242,21 +242,20 @@ class TestFailoverTraceContinuity:
     def test_timeline_orders_fence_before_new_term_commits(
             self, ring, replicated):
         promotion = self._failover(replicated)
-        timeline = replication_timeline(list(ring.records))
-        assert timeline.fence_violations() == []
-        fences = timeline.of_kind("fence")
-        assert len(fences) == 1
-        fence = fences[0]
-        assert fence.term == promotion.old_term
-        assert fence.fence_seq == promotion.applied_seq
-        new_commits = timeline.commits(term=promotion.new_term)
+        records = list(ring.records)
+        assert fence_violations(records) == []
+        (fence,) = _actions(records, "replication.fence")
+        assert fence.int_attr("old_term") == promotion.old_term
+        assert fence.int_attr("fence_seq") == promotion.applied_seq
+        commits = _actions(records, "replication.commit_acked")
+        new_commits = [c for c in commits
+                       if c.int_attr("term") == promotion.new_term]
         assert new_commits
-        assert all(c.order > fence.order for c in new_commits)
-        old_commits = timeline.commits(term=promotion.old_term)
-        assert all(c.order < fence.order for c in old_commits
-                   if c.commit_seq is not None
-                   and c.commit_seq <= fence.fence_seq)
-        # The fence entry carries the surviving links' ack state (the
+        assert all(c.seq > fence.seq for c in new_commits)
+        assert all(c.seq < fence.seq for c in commits
+                   if c.int_attr("term") == promotion.old_term
+                   and c.int_attr("seq") <= promotion.applied_seq)
+        # The fence record carries the surviving links' ack state (the
         # chosen replica has already left the follower set).
         acks = json.loads(fence.attrs["acks"])
         assert set(acks) == {"r0", "r1"} - {promotion.chosen}
@@ -266,13 +265,13 @@ class TestFailoverTraceContinuity:
 
     def test_render_timeline_flags_nothing_on_a_clean_failover(
             self, ring, replicated):
-        # The timeline is no longer rendered as text; what the rendering
-        # flagged (a fence-order violation) and the entries it listed are
-        # read from the timeline itself.
+        # The timeline has no text form: the action records are what
+        # is read, and the audit over them flags nothing.
         self._failover(replicated)
-        timeline = replication_timeline(list(ring.records))
-        assert timeline.fence_violations() == []
-        assert timeline.of_kind("fence") and timeline.of_kind("promote")
+        records = list(ring.records)
+        assert fence_violations(records) == []
+        assert _actions(records, "replication.fence") \
+            and _actions(records, "replication.promote")
 
 
 class TestSnapshotCatchUp:
@@ -317,6 +316,27 @@ class TestSnapshotCatchUp:
 
 
 class TestLagSLO:
+    def test_reading_the_lag_records_no_sample(self, ring, replicated):
+        """``/health``, ``stats()`` and every lag-SLO evaluation read the
+        lag; none of them adds a histogram sample, or the distribution
+        would count how often someone looked. The gauges keep the
+        level."""
+        service, group, _ = replicated(mode="sync(1)", replicas=1)
+        service.insert("teach", "gauss", "cs")
+
+        def counts():
+            return {name: data["count"] for name, data in
+                    OBS.metrics.snapshot()["histograms"].items()}
+
+        before = counts()
+        for read in (service.health, service.stats, service.slo.evaluate):
+            for _ in range(50):
+                read()
+            assert counts() == before, read
+        gauges = OBS.metrics.snapshot()["gauges"]
+        assert gauges["replication.lag.seq.r0"] == 0
+        assert gauges["replication.lag.seconds.r0"] == 0.0
+
     def test_objective_registered_by_default(self, ring, replicated):
         service, group, _ = replicated()
         names = [o.name for o in service.slo.objectives]

@@ -170,6 +170,7 @@ def test_logged_commit_that_breaks_the_structure_is_aborted(
     # The unrecorded change is still there: the database fails stop.
     with pytest.raises(StructureError):
         logged.insert("teach", "noether", "algebra")
+    logged.close()
 
 
 def test_interpreter_commit_that_breaks_the_structure_is_aborted(

@@ -262,6 +262,7 @@ def test_wal_abort_leaves_live_state_equal_to_recovery(
             with FAULTS.injected("wal.apply.before", ErrorFault(times=1)):
                 with pytest.raises(RuntimeError):
                     logged.execute(step)
+        logged.close()
         recovered = recover(snapshot, logged.log.path)
     assert recovered.aborted == len(aborted & set(range(len(steps))))
     assert states_diff(twin, db) is None

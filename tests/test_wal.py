@@ -9,8 +9,8 @@ from repro.fdb import persistence
 from repro.fdb.evaluate import derived_extension
 from repro.fdb.logic import Truth
 from repro.fdb.updates import Update, UpdateSequence
-from repro.fdb.wal import (LoggedDatabase, RecoveryReport, UpdateLog,
-                           checkpoint, recover)
+from repro.fdb.wal import (LoggedDatabase, UpdateLog, checkpoint,
+                           recover)
 from repro.workloads.university import pupil_database, section_42_updates
 
 
@@ -263,9 +263,6 @@ class TestRecoveryEdgeCases:
                 "teach", "gauss", "cs") is Truth.FALSE
             assert report.db.truth_of(
                 "teach", "noether", "algebra") is Truth.TRUE
-        # An archived report from before the field was dropped loads.
-        old = dict(report.as_dict(), legacy_records=2)
-        assert RecoveryReport.from_dict(old).entries_applied == 1
 
     def test_sequence_gap_strict_vs_salvage(self, setup):
         logged, snapshot, log_path = setup
