@@ -298,7 +298,8 @@ VERB_SCRIPTS = {
     "design": "design\n",
     "retract": "add spare: faculty -> room\nretract spare\n",
     "minimal": "minimal\n",
-    "commit": "show all\n",
+    "commit": "show all\nadd office: faculty -> room (many-one)\n"
+              "commit\nshow all\n",
     "dot": 'dot "design.dot"\n',
     "insert": "insert pupil(gauss, bill)\nshow pupil\n",
     "delete": "delete pupil(euclid, john)\ndelete teach(euclid, math)\n",

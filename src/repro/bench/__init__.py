@@ -30,7 +30,6 @@ from repro.bench.runner import (
     BenchResult,
     FakeBenchmark,
     discover_benches,
-    propagation_roundtrip,
     run_bench,
 )
 from repro.bench.scale import scale_factor, scaled, scaled_sizes
@@ -46,6 +45,5 @@ __all__ = [
     "run_bench",
     "BenchResult",
     "FakeBenchmark",
-    "propagation_roundtrip",
     "compare_payloads",
 ]

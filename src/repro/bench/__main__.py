@@ -29,11 +29,7 @@ from pathlib import Path
 
 from repro.bench.compare import compare_payloads
 from repro.bench.report import ReportStore
-from repro.bench.runner import (
-    discover_benches,
-    propagation_roundtrip,
-    run_bench,
-)
+from repro.bench.runner import discover_benches, run_bench
 from repro.bench.scale import ENV_VAR, scale_factor
 
 SMOKE_EXPS = ("e4", "e10", "e15", "e16", "e18", "e19")
@@ -156,12 +152,6 @@ def main(argv: list[str] | None = None) -> int:
             for entry in comparison["timing_regressions"]:
                 print(f"[{key}]   (timing, informational) "
                       f"{entry['test']}: +{entry['growth'] * 100:.1f}%")
-
-    trace = propagation_roundtrip(root / "benchmarks" / "results")
-    print(f"[trace] {trace['update']}: {trace['records']} records -> "
-          f"span tree ({trace['spans']} spans, {trace['events']} "
-          f"events, causes {', '.join(trace['causes'])}) -> "
-          f"{Path(trace['dot_path']).name}")
 
     return 1 if failed else 0
 

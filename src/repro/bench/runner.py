@@ -15,11 +15,6 @@ snapshot can be attached to its payload, and each ``benchmark(...)``
 call is timed (one warm-up call, then ``rounds`` timed calls — the
 bench functions are written for pytest-benchmark, which also calls
 them repeatedly, so re-invocation is safe by construction).
-
-:func:`propagation_roundtrip` is the acceptance loop for the
-structured event log: it traces one Section-4.2 update with a JSONL
-file sink, reads the records back, folds them into a span tree and
-draws it as DOT — emitted → persisted → reconstructed → drawn.
 """
 
 from __future__ import annotations
@@ -33,10 +28,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.report import Report, ReportStore
-from repro.obs import OBS, FileSink, Tracer, read_jsonl
+from repro.obs import OBS
 
 __all__ = ["FakeBenchmark", "BenchResult", "discover_benches",
-           "run_bench", "propagation_roundtrip"]
+           "run_bench"]
 
 
 class FakeBenchmark:
@@ -177,57 +172,3 @@ def run_bench(path: str | Path, *, store: ReportStore,
     payload = store.payload(exp_id) or {}
     result.metrics = payload.get("metrics") or metrics
     return result
-
-
-def propagation_roundtrip(out_dir: str | Path) -> dict:
-    """Trace Section 4.2's u1 end to end through the event pipeline.
-
-    Emits JSONL records (file sink) while tracing ``DEL(pupil,
-    <euclid, john>)``, reads them back, folds them into the span tree
-    through a plain :class:`Tracer`, draws it as DOT, and
-    sanity-checks the round trip. Returns paths and shape counts for
-    the bench summary.
-    """
-    from repro.fdb.updates import apply_update
-    from repro.workloads.university import (
-        pupil_database,
-        section_42_updates,
-    )
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    events_path = out_dir / "propagation_trace.jsonl"
-    dot_path = out_dir / "propagation_trace.dot"
-    if events_path.exists():
-        events_path.unlink()
-    db = pupil_database()
-    u1 = section_42_updates()[0]
-    sink = FileSink(events_path)
-    with OBS.collecting(tracing=True):
-        OBS.events.add_sink(sink)
-        try:
-            apply_update(db, u1)
-        finally:
-            OBS.events.remove_sink(sink)
-    records = read_jsonl(events_path)
-    tracer = Tracer()
-    for record in records:
-        tracer.consume(record)
-    root = tracer.last_trace
-    if root is None or root.cause is None:
-        raise RuntimeError(
-            "propagation round trip produced an empty trace — the "
-            "event pipeline is broken"
-        )
-    dot_path.write_text(root.to_dot(name="section42_u1") + "\n",
-                        encoding="utf-8")
-    spans = list(root.walk())
-    return {
-        "update": str(u1),
-        "events_path": str(events_path),
-        "dot_path": str(dot_path),
-        "records": len(records),
-        "spans": len(spans),
-        "events": sum(len(span.events) for span in spans),
-        "causes": [root.cause],
-    }

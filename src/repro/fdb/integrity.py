@@ -30,7 +30,7 @@ from typing import Callable
 from repro.errors import ConstraintViolation, SchemaError
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.transaction import atomic
-from repro.fdb.updates import Update, apply_update
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.values import Value, is_null
 
 __all__ = [
@@ -219,14 +219,20 @@ class ConstraintSet:
             found.extend(constraint.violations(db))
         return found
 
-    def guarded(self, db: FunctionalDatabase, update: Update) -> None:
-        """Apply ``update`` atomically; roll back and raise
-        :class:`ConstraintViolation` if any constraint breaks."""
+    def guarded(self, db: FunctionalDatabase,
+                update: Update | UpdateSequence) -> None:
+        """Apply ``update`` (one update or a sequence) atomically; roll
+        back and raise :class:`ConstraintViolation` if any constraint
+        breaks. Inside an open transaction — the write-ahead scope of
+        :meth:`repro.fdb.wal.LoggedDatabase.committing` — the raise
+        rolls back that transaction instead."""
         with atomic(db):
-            apply_update(db, update)
+            apply_entry(db, update)
             violations = self.check(db)
             if violations:
+                label = ("sequence" if isinstance(update, UpdateSequence)
+                         else f"update {update}")
                 raise ConstraintViolation(
-                    f"update {update} violates: "
+                    f"{label} undone; it violates: "
                     + "; ".join(str(v) for v in violations)
                 )

@@ -56,21 +56,30 @@ class Journal:
         applied atomically and recorded as a *single* history entry, so
         one undo reverts the whole request.
         """
-        records = self._apply(update)
+        return self.record(update, self._apply(update))
+
+    def record(self, update: Update | UpdateSequence,
+               records: list) -> list:
+        """Enter ``update`` as :meth:`execute` would, when it was
+        applied elsewhere: ``records`` are the undo records of the
+        transaction that committed it
+        (:attr:`repro.fdb.transaction.Transaction.records`, taken
+        inside the block). Clears the redo stack; returns
+        ``records``."""
+        self._done.append((update, records))
         if len(self._done) > self.max_depth:
             self._done.pop(0)
         self._undone.clear()
         return records
 
     def _apply(self, update: Update | UpdateSequence) -> list:
-        """Apply atomically, keeping the records of just this update
+        """Apply atomically; returns the records of just this update
         (the enclosing transaction's log may hold earlier ones)."""
         with atomic(self.db):
             log = self.db._undo.records
             start = len(log)
             apply_entry(self.db, update)
-            self._done.append((update, log[start:]))
-        return self._done[-1][1]
+            return log[start:]
 
     def execute_all(self, updates: list[Update]) -> None:
         for update in updates:
@@ -106,7 +115,7 @@ class Journal:
         if not self._undone:
             raise UpdateError("nothing to redo")
         update = self._undone.pop()
-        self._apply(update)
+        self._done.append((update, self._apply(update)))
         return update
 
     def undo_all(self) -> list[Update]:

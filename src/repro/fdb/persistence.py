@@ -12,6 +12,9 @@ tuples of values (objects of product types), and
 tags so e.g. the string ``"n1"`` never collides with the null ``n1``
 and tuples survive the round trip (JSON would otherwise turn them into
 lists).
+
+:func:`carry` re-reads a snapshot under a new design: what a re-design
+keeps of the instance.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Any
 
 from repro.errors import PersistenceError
 from repro.core.derivation import Derivation, Op, Step
+from repro.core.design_aid import DesignOutcome
 from repro.core.schema import FunctionDef
 from repro.core.types import ObjectType, TypeFunctionality
 from repro.faults.registry import FAULTS
@@ -33,7 +37,7 @@ from repro.fdb.nc import NCRegistry, NegatedConjunction
 from repro.fdb.values import NullFactory, NullValue, Value
 
 __all__ = ["to_dict", "from_dict", "dumps", "loads", "save", "load",
-           "load_with_meta"]
+           "load_with_meta", "carry"]
 
 _FORMAT = "repro-fdb-snapshot"
 _VERSION = 1
@@ -223,6 +227,33 @@ def from_dict(data: dict) -> FunctionalDatabase:
     db.nulls = NullFactory(data["next_null_index"], db._undo)
     _check_consistency(db)
     return db
+
+
+def carry(db: FunctionalDatabase,
+          outcome: DesignOutcome) -> FunctionalDatabase:
+    """``db`` re-read under a new design: the database ``outcome``
+    describes, holding the stored facts of every function that stays
+    base (flags and NCLs too), every NC whose members all stay stored,
+    and both index counters, so no null or NC index is issued twice.
+    An NC that loses a member goes as ``dismantle-NC`` takes it: the
+    members that stay keep their ambiguity but not its index. A
+    function re-classified from base to derived keeps no table."""
+    data = to_dict(FunctionalDatabase.from_design(
+        outcome, insert_mode=db.insert_mode))
+    old = to_dict(db)
+    stays = {entry["definition"]["name"] for entry in data["base"]}
+    ncs = [nc for nc in old["ncs"]
+           if all(m["function"] in stays for m in nc["members"])]
+    live = {nc["index"] for nc in ncs}
+    facts = {entry["definition"]["name"]: entry["facts"]
+             for entry in old["base"]}
+    for entry in data["base"]:
+        entry["facts"] = [
+            dict(fact, ncl=[i for i in fact["ncl"] if i in live])
+            for fact in facts.get(entry["definition"]["name"], ())]
+    data.update(ncs=ncs, next_null_index=old["next_null_index"],
+                next_nc_index=old["next_nc_index"])
+    return from_dict(data)
 
 
 def _check_consistency(db: FunctionalDatabase) -> None:

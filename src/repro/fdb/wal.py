@@ -61,6 +61,7 @@ import json
 import threading
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -101,13 +102,14 @@ FAULTS.register(
 )
 FAULTS.register(
     "wal.apply.before",
-    "LoggedDatabase.execute: record durable, about to apply in memory",
+    "LoggedDatabase.committing: record durable, about to apply in "
+    "memory",
     durable=True,
 )
 FAULTS.register(
     "wal.abort.append",
-    "LoggedDatabase.execute: apply failed, compensating abort record "
-    "not yet written",
+    "LoggedDatabase.committing: apply failed, compensating abort "
+    "record not yet written",
     durable=True,
 )
 FAULTS.register(
@@ -880,16 +882,28 @@ class LoggedDatabase:
         :meth:`UpdateLog.close`)."""
         self.log.close()
 
-    def execute(self, update: Update | UpdateSequence) -> int:
-        """Validate, log durably, apply; returns the update's WAL
-        sequence number (what replication acks are counted against)."""
+    @contextmanager
+    def committing(self, update: Update | UpdateSequence
+                   ) -> Iterator[tuple[int, Transaction]]:
+        """The write-ahead protocol around the caller's apply: validate
+        ``update``, log it durably, open a transaction, run the block
+        — which applies exactly ``update``, the entry replay will
+        apply — then check the structure the transaction wrote.
+        Yields the entry's WAL sequence number and the transaction.
+
+        If the block or the check raises, the transaction rolls the
+        memory state back and a compensating abort record is appended
+        so replay skips the entry too; the block's error propagates.
+        The transaction is always this scope's own: an entry must
+        never commit inside a caller's transaction, whose rollback
+        after the append would leave it with no abort record."""
         _validate(self.db, update)
         with OBS.span("wal.commit"):
             seq = self.log.append(update)
         try:
             with Transaction(self.db) as txn:
                 FAULTS.fire("wal.apply.before")
-                apply_entry(self.db, update)
+                yield seq, txn
                 fault = self.db.structure_fault(txn.records)
                 if fault is not None:
                     raise StructureError(fault)
@@ -909,6 +923,12 @@ class LoggedDatabase:
                 if OBS.enabled:
                     OBS.inc("fdb.wal.abort_failures")
             raise
+
+    def execute(self, update: Update | UpdateSequence) -> int:
+        """Validate, log durably, apply; returns the update's WAL
+        sequence number (what replication acks are counted against)."""
+        with self.committing(update) as (seq, _):
+            apply_entry(self.db, update)
         return seq
 
     def insert(self, name: str, x: Value, y: Value) -> None:

@@ -10,17 +10,17 @@ Lifecycle: ``add`` statements feed the design session; the first data
 statement after the last ``add`` triggers an implicit ``commit`` (with
 a notice), or ``commit`` may be issued explicitly. After a commit,
 further ``add`` statements start a *new* design round seeded with the
-existing catalog — committing again rebuilds the database schema and
-re-loads the surviving stored facts.
+existing catalog — committing again carries the instance into the new
+schema (:func:`repro.fdb.persistence.carry`).
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable
 
 from repro.cancel import deadline_scope
-from repro.errors import (ConstraintViolation, DesignError, ReproError,
-                          StructureError)
+from repro.errors import DesignError, PersistenceError, ReproError
 from repro.core.design_aid import AutoDesigner, Designer, DesignSession
 from repro.core.dot import design_to_dot
 from repro.fdb import persistence, worlds
@@ -36,8 +36,9 @@ from repro.fdb.integrity import (
 from repro.fdb.journal import Journal
 from repro.fdb.logic import Truth
 from repro.fdb.render import render_state
-from repro.fdb.updates import Update
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.values import Value
+from repro.fdb.wal import LoggedDatabase, UpdateLog, checkpoint, recover
 from repro.obs.export import render_stats
 from repro.obs.hooks import OBS
 from repro.lang import ast
@@ -207,10 +208,6 @@ class Interpreter:
 
     @staticmethod
     def _read_file(path: str) -> str:
-        from pathlib import Path
-
-        from repro.errors import PersistenceError
-
         try:
             return Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -247,25 +244,18 @@ class Interpreter:
 
     def _commit(self) -> list[str]:
         outcome = self.session.finish()
-        new_db = FunctionalDatabase.from_design(outcome)
-        carried = 0
-        orphaned: list[str] = []
-        if self.db is not None:
-            # Carry forward surviving stored facts of unchanged base
-            # functions (a re-design keeps data where it can).
-            for name in self.db.base_names:
-                if name in new_db.base_names:
-                    for fact in self.db.table(name).facts():
-                        new_db.table(name).add_pair(
-                            fact.x, fact.y, fact.truth
-                        )
-                        carried += 1
+        old, orphaned = self.db, []
+        if old is None:
+            new_db = FunctionalDatabase.from_design(outcome)
+        else:
+            # A re-design keeps the data it can (see persistence.carry).
+            new_db = persistence.carry(old, outcome)
             # A function re-classified base -> derived keeps no table;
             # report its stored facts that the new derivation cannot
             # reproduce, so the designer can re-assert what matters.
-            for name in self.db.base_names:
+            for name in old.base_names:
                 if name in new_db.derived_names:
-                    for fact in self.db.table(name).facts():
+                    for fact in old.table(name).facts():
                         if new_db.truth_of(
                             name, fact.x, fact.y
                         ) is not Truth.TRUE:
@@ -279,6 +269,7 @@ class Interpreter:
             "committed: "
             f"{len(outcome.base)} base, {len(outcome.derived)} derived"
         ]
+        carried = sum(map(len, new_db.tables()))
         if carried:
             lines.append(f"carried {carried} stored facts forward")
         if orphaned:
@@ -292,6 +283,7 @@ class Interpreter:
                 "  (re-insert the ones that should hold; derived "
                 "inserts will materialize null-valued chains)"
             )
+        lines.extend(self._refresh_wal())
         return lines
 
     def _require_db(self) -> tuple[FunctionalDatabase, list[str]]:
@@ -303,56 +295,36 @@ class Interpreter:
 
     # -- updates --------------------------------------------------------------------
 
-    def _apply(self, update: Update) -> list[str]:
-        """Run one update through the journal, enforcing declared
-        constraints when the guard is on (violations undo the update).
-        Inside an open ``begin`` block the update is queued instead."""
+    def _apply(self, entry: Update | UpdateSequence) -> list[str]:
+        """Run one journal ``entry`` (an update, or an ``end`` block's
+        sequence) in a transaction of its own and record it in the
+        journal. The apply goes through the guard when it is on; with
+        a checkpoint directory attached the transaction is
+        :meth:`repro.fdb.wal.LoggedDatabase.committing`'s, so a guard
+        refusal, a failed apply or a structure fault rolls back there
+        and the logged entry is compensated. Inside an open ``begin``
+        block the update is queued instead."""
         if self._pending is not None:
-            self._pending.append(update)
-            return [f"queued: {update}"]
+            self._pending.append(entry)
+            return [f"queued: {entry}"]
         db, output = self._require_db()
+        assert self.journal is not None
         traces_before = len(OBS.tracer.traces) if OBS.tracing else 0
-        self._execute_guarded(db, update, f"update {update}")
-        output.append(f"ok: {update}")
+        apply = (self.constraints.guarded if self.guard_enabled
+                 else apply_entry)
+        if self.wal is None:
+            with db.transaction() as txn:
+                records = txn.records
+                apply(db, entry)
+        else:
+            logged = LoggedDatabase(db, self.wal)
+            with logged.committing(entry) as (_, txn):
+                records = txn.records
+                apply(db, entry)
+        self.journal.record(entry, records)
+        output.append(f"ok: {entry}")
         output.extend(self._trace_lines(traces_before))
         return output
-
-    def _execute_guarded(self, db: FunctionalDatabase, update,
-                         label: str) -> None:
-        """The journal execute shared by updates and ``end`` blocks:
-        durably WAL-log first when a checkpoint directory is attached,
-        apply, then enforce guarded constraints. A logged update is
-        schema-checked before the append and checked against the
-        stored structure it wrote after, as
-        :meth:`repro.fdb.wal.LoggedDatabase.execute` does. A failed
-        apply, a structure fault or a guard undo appends a compensating
-        abort record so the log never replays an update the live state
-        rejected."""
-        assert self.journal is not None
-        seq = None
-        if self.wal is not None:
-            from repro.fdb.wal import _validate
-            _validate(db, update)  # never log what the schema rejects
-            seq = self.wal.append(update)
-        try:
-            records = self.journal.execute(update)
-        except Exception:
-            if seq is not None:
-                self.wal.append_abort(seq)
-            raise
-        fault = db.structure_fault(records) if seq is not None else None
-        violations = (self.constraints.check(db)
-                      if fault is None and self.guard_enabled else ())
-        if fault is not None or violations:
-            self.journal.undo()
-            if seq is not None:
-                self.wal.append_abort(seq)
-            if fault is not None:
-                raise StructureError(f"{label} undone: {fault}")
-            raise ConstraintViolation(
-                f"{label} undone; it violates: "
-                + "; ".join(str(v) for v in violations)
-            )
 
     def _trace_lines(self, traces_before: int) -> list[str]:
         """Span trees recorded since ``traces_before`` (tracing only)."""
@@ -395,19 +367,17 @@ class Interpreter:
         return output
 
     def _refresh_wal(self) -> list[str]:
-        """Re-checkpoint after undo/redo: those rewind the state
-        *behind* the log, so replaying the old log would resurrect
-        what was just undone. Folding state into a fresh snapshot
-        restores the invariant that snapshot + log = live state."""
+        """Re-checkpoint the attached directory after a verb that
+        rewrites the instance outside the log — undo, redo, resolve, a
+        re-design ``commit``: replaying the old log over the old
+        snapshot would not give the live state. Folding the state into
+        a fresh snapshot restores snapshot + log = live state."""
         if self.wal is None or self._wal_snapshot is None:
             return []
-        from repro.fdb.wal import LoggedDatabase, checkpoint
-
         assert self.db is not None
-        checkpoint(LoggedDatabase(self.db, self.wal),
-                   self._wal_snapshot)
-        return ["checkpoint refreshed (snapshot + log match the "
-                "rewound state)"]
+        checkpoint(LoggedDatabase(self.db, self.wal), self._wal_snapshot)
+        return ["checkpoint refreshed (snapshot + log match the live "
+                "state)"]
 
     def _run_begin(self, statement: ast.Begin) -> list[str]:
         if self._pending is not None:
@@ -421,15 +391,7 @@ class Interpreter:
         pending, self._pending = self._pending, None
         if not pending:
             return ["end: empty sequence, nothing to do"]
-        from repro.fdb.updates import UpdateSequence
-
-        sequence = UpdateSequence(tuple(pending))
-        db, output = self._require_db()
-        traces_before = len(OBS.tracer.traces) if OBS.tracing else 0
-        self._execute_guarded(db, sequence, "sequence")
-        output.append(f"ok: {sequence}")
-        output.extend(self._trace_lines(traces_before))
-        return output
+        return self._apply(UpdateSequence(tuple(pending)))
 
     def _run_abort(self, statement: ast.Abort) -> list[str]:
         if self._pending is None:
@@ -586,8 +548,6 @@ class Interpreter:
             return ["(no trace recorded -- run 'trace on' and then an "
                     "update)"]
         if statement.dot_path is not None:
-            from pathlib import Path
-
             Path(statement.dot_path).write_text(
                 last.to_dot(name="trace") + "\n", encoding="utf-8"
             )
@@ -622,6 +582,7 @@ class Interpreter:
             assert self.journal is not None
             self.journal.clear()
             output.append("undo history cleared")
+            output.extend(self._refresh_wal())
         return output
 
     def _run_save(self, statement: ast.Save) -> list[str]:
@@ -663,10 +624,6 @@ class Interpreter:
         self._wal_snapshot = snapshot
 
     def _run_checkpoint(self, statement: ast.Checkpoint) -> list[str]:
-        from pathlib import Path
-
-        from repro.fdb.wal import LoggedDatabase, UpdateLog, checkpoint
-
         db, output = self._require_db()
         directory = Path(statement.path)
         directory.mkdir(parents=True, exist_ok=True)
@@ -683,10 +640,6 @@ class Interpreter:
         return output
 
     def _run_recover(self, statement: ast.Recover) -> list[str]:
-        from pathlib import Path
-
-        from repro.fdb.wal import UpdateLog, recover
-
         directory = Path(statement.path)
         report = recover(
             directory / "snapshot.json", directory / "wal.log",
@@ -782,8 +735,6 @@ class Interpreter:
     # -- export ----------------------------------------------------------------------
 
     def _run_dotexport(self, statement: ast.DotExport) -> list[str]:
-        from pathlib import Path
-
         outcome = self.session.finish()
         Path(statement.path).write_text(
             design_to_dot(outcome), encoding="utf-8"

@@ -322,13 +322,9 @@ class LeaseManager:
     # -- heartbeats ---------------------------------------------------------
 
     def heartbeat_frame(self) -> dict:
-        """The ``lease`` stamp carried by every outbound frame."""
-        return {
-            "node": self.group.primary_name,
-            "term": self.group.term,
-            "duration": self.config.duration,
-            "margin": self.config.margin,
-        }
+        """The ``lease`` stamp carried by every outbound frame: the
+        primary's term, all :meth:`FailureDetector.observe` reads."""
+        return {"term": self.group.term}
 
     def renew_once(self) -> int:
         """One dedicated heartbeat round: a status poll to every link,

@@ -30,10 +30,10 @@ frame opens here nest under the shipping span.
 
 Entries whose compensating ``abort_of`` record arrives in the same
 batch are skipped rather than applied-then-unapplied. The shipper
-guarantees the pairing: when its batch limit would cut a stream
-between an entry and a later abort that compensates it, the batch is
-extended so the abort rides along — a replica therefore never applies
-an entry whose abort is already in the shipped history behind it.
+sends every record it read for the range in one batch, so an entry and
+an abort behind it that the range holds arrive together — a replica
+never applies an entry whose abort is already in the shipped history
+behind it.
 """
 
 from __future__ import annotations

@@ -27,15 +27,10 @@ import threading
 import time
 
 from repro.errors import ReplicaDiverged, ReplicationError
-from repro.fdb.wal import UpdateLog, decode_frame
+from repro.fdb.wal import UpdateLog
 from repro.obs.hooks import OBS
 
 __all__ = ["WalShipper", "ReplicaLink", "SnapshotNeeded"]
-
-# Records per append frame (trailing aborts of a batched entry ride
-# along past it; see :meth:`WalShipper.ship`).
-BATCH_LIMIT = 256
-
 
 class SnapshotNeeded(ReplicationError):
     """Delta shipping cannot reach this replica: the records it needs
@@ -146,36 +141,25 @@ class WalShipper:
                 floor = (records[0][0] - 1 if records
                          else self.log.shippable_floor())
                 raise SnapshotNeeded(link.name, acked, floor)
-            batch = records[:BATCH_LIMIT]
-            # A batch boundary must never separate an entry from its
-            # compensating abort: the replica skips an aborted entry
-            # only when both arrive in the same batch, so trailing
-            # aborts referencing an already-batched record ride along
-            # past the limit.
-            while len(batch) < len(records):
-                frame = decode_frame(records[len(batch)][1], verify=False)
-                if frame.kind != "abort" \
-                        or not isinstance(frame.payload, int) \
-                        or frame.payload > batch[-1][0]:
-                    break
-                batch.append(records[len(batch)])
             # The high-water mark is the last record actually sent —
             # never ``through_seq`` itself, which may point past the
-            # log's end after a concurrent fold.
-            batch_through = batch[-1][0]
+            # log's end after a concurrent fold. Everything read goes
+            # in one frame, so an entry and the abort compensating it
+            # arrive together whenever both are in the range.
+            shipped_through = records[-1][0]
             reply = self._traced_exchange(link, {
                 "type": "append",
                 "term": self.term,
-                "records": [line for _, line in batch],
-                "through_seq": batch_through,
+                "records": [line for _, line in records],
+                "through_seq": shipped_through,
             }, "replication.ship", from_seq=acked + 1,
-                through_seq=batch_through, records=len(batch))
+                through_seq=shipped_through, records=len(records))
             if not reply.get("ok"):
                 raise self._refusal(link, reply, "records")
             link.note_ack(reply.get("applied_seq", acked),
                           reply.get("term", self.term))
             if OBS.enabled:
-                OBS.inc("replication.records_shipped", len(batch))
+                OBS.inc("replication.records_shipped", len(records))
             if link.acked_seq >= through_seq:
                 return link.acked_seq
 

@@ -19,7 +19,6 @@ from repro.bench import (
     ReportStore,
     compare_payloads,
     discover_benches,
-    propagation_roundtrip,
     render_payload_text,
     run_bench,
     scale_factor,
@@ -211,17 +210,6 @@ class TestRunner:
         run_bench(noisy, store=store)
         result = run_bench(quiet, store=store)
         assert result.counters() == {"quiet.only": 1}
-
-
-class TestPropagationRoundtrip:
-    def test_produces_dag_artifacts(self, tmp_path):
-        summary = propagation_roundtrip(tmp_path)
-        assert summary["causes"] == ["u1"]
-        assert summary["spans"] >= 1
-        dot = (tmp_path / "propagation_trace.dot").read_text()
-        assert dot.startswith("digraph")
-        jsonl = (tmp_path / "propagation_trace.jsonl").read_text()
-        assert jsonl.strip()
 
 
 # -- the comparison -----------------------------------------------------------

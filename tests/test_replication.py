@@ -35,7 +35,6 @@ from repro.replication import (
     SnapshotNeeded,
     WalShipper,
 )
-from repro.replication import shipper as shipper_module
 from repro.service import DatabaseService
 from repro.workloads.university import pupil_database, section_42_updates
 
@@ -238,10 +237,9 @@ class TestReplicaApply:
 
 
 class TestShipper:
-    def test_batching_respects_limit(self, primary, tmp_path, closing,
-                                     monkeypatch):
+    def test_batching_respects_limit(self, primary, tmp_path, closing):
+        """Five records go out in one ship and all land."""
         logged, _ = primary
-        monkeypatch.setattr(shipper_module, "BATCH_LIMIT", 2)
         shipper = WalShipper(logged.log, term=1)
         replica = closing(Replica("r0", tmp_path / "r0"))
         link = shipper.add("r0", InProcessTransport(replica.handle))
@@ -290,17 +288,14 @@ class TestShipper:
         assert link.acked_seq == seq
 
     def test_batch_boundary_keeps_abort_with_its_entry(
-            self, primary, tmp_path, closing, monkeypatch):
-        """The batch limit must never strand an entry in one batch and
-        its compensating abort in the next: the replica would apply
-        the entry (its own apply can succeed even when the primary's
-        failed) and silently diverge."""
+            self, primary, tmp_path, closing):
+        """A failed entry and its compensating abort that ship together
+        are skipped together: were the entry applied on its own (its
+        apply can succeed on the replica even when the primary's
+        failed), the replica would silently diverge."""
         from repro.faults import ErrorFault, FAULTS
 
         logged, _ = primary
-        # A limit of 2 would cut exactly between the entry and its
-        # abort; the shipper must extend the batch instead.
-        monkeypatch.setattr(shipper_module, "BATCH_LIMIT", 2)
         shipper = WalShipper(logged.log, term=1)
         replica = closing(Replica("r0", tmp_path / "r0"))
         link = shipper.add("r0", InProcessTransport(replica.handle))

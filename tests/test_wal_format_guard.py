@@ -6,8 +6,8 @@ names and the ``json.loads`` that reads a log line live in
 atomically" is ``repro.fdb.updates.apply_entry`` alone. A second
 parser drifts from the first (a replica that accepts what recovery
 refuses); a second apply dispatch drifts from what replay does. This
-test walks the AST of the packages that touch the log and fails on
-either, in the style of ``test_write_path_guard``.
+test walks the AST of every ``repro`` subpackage and fails on either,
+in the style of ``test_write_path_guard``.
 """
 
 from __future__ import annotations
@@ -15,40 +15,44 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-import repro.faults
-import repro.fdb
-import repro.replication
-import repro.service
+import repro
 
 FORMAT_KEYS = {"crc", "abort_of", "header"}
 
 # Every ``json.loads`` in the guarded packages, by enclosing function.
 # Only ``decode_frame`` reads a log line; the others read a snapshot
-# file, a wire frame, and the soak's scraped ``/health`` body.
+# file, the soak's scraped ``/health`` body, an event JSONL file, and
+# a committed ``BENCH_*.json`` baseline.
 JSON_LOADS = {
     "fdb/wal.py": ["decode_frame"],
     "fdb/persistence.py": ["load_with_meta", "loads"],
     "faults/soak.py": ["_scrape"],
+    "obs/events.py": ["read_jsonl"],
+    "bench/__main__.py": ["main"],
 }
 
 # Every place a ``Transaction`` is constructed: the two public ways
-# to open one, and the write-ahead wrapper, which keeps its
-# ``structure_fault()`` check inside the transaction ``apply_entry``
-# then joins. Everything else applies through ``apply_entry``.
+# to open one, and the write-ahead scope, which keeps its
+# ``structure_fault()`` check inside the transaction the caller's
+# apply then joins — ``LoggedDatabase.execute`` and the REPL apply
+# inside it. Everything else applies through ``apply_entry``.
 TRANSACTIONS = {
     "fdb/transaction.py": ["atomic"],
     "fdb/database.py": ["transaction"],
-    "fdb/wal.py": ["execute"],
+    "fdb/wal.py": ["committing"],
 }
 
 
 def sources() -> dict[str, ast.Module]:
+    """Every module of every ``repro`` subpackage, keyed
+    ``package/module.py``."""
+    root = Path(repro.__file__).parent
     return {
-        f"{package.__name__.split('.')[-1]}/{path.name}":
+        f"{path.parent.name}/{path.name}":
             ast.parse(path.read_text(encoding="utf-8"))
-        for package in (repro.fdb, repro.replication, repro.service,
-                        repro.faults)
-        for path in sorted(Path(package.__file__).parent.glob("*.py"))
+        for package in sorted(root.iterdir())
+        if (package / "__init__.py").exists()
+        for path in sorted(package.glob("*.py"))
     }
 
 
