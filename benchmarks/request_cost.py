@@ -12,8 +12,9 @@ best of ``--repeat`` rounds of ``--ops`` operations.
 ``--sustain S``: one client writing through one lane for S seconds,
 printing per second the writes and the share of that second spent in
 :meth:`~repro.obs.slo.SLOMonitor.evaluate`, then the last five
-seconds' rate against seconds 2-5. A request's bookkeeping that grows
-with the lane's age shows as a falling rate and a rising share.
+seconds' rate against seconds 2-5, and the process's peak RSS. A
+request's bookkeeping that grows with the lane's age shows as a
+falling rate and a rising share.
 
 Run with ``PYTHONPATH=src`` from the repository root.
 """
@@ -21,6 +22,7 @@ Run with ``PYTHONPATH=src`` from the repository root.
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 
 from repro.fdb.updates import Update, apply_entry
@@ -112,6 +114,9 @@ def sustain(seconds: int) -> None:
     print(f"seconds 2-5 {early:.0f}/s, last 5 {late:.0f}/s "
           f"({late / early:.0%}); evaluate at most "
           f"{max(s for _, s in rows) * 100:.1f} % of a second")
+    # ru_maxrss is in kilobytes on Linux.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak:.1f} MB")
 
 
 def main() -> None:

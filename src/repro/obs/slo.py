@@ -3,42 +3,39 @@
 RED metrics say what the service *is doing*; an SLO says what it
 *promised*. This module evaluates declarative :class:`Objective`\\ s —
 "p99 ``execute`` latency under 50 ms", "error rate under 1%", "shed
-rate under 0.1%" — against a sliding window of request outcomes that
+rate under 0.1%" — over the request outcomes that
 :class:`repro.service.DatabaseService` records on every request.
 
-Alerting follows the multiwindow burn-rate discipline: each objective
-is checked over a *slow* window (its full ``window`` seconds) and a
-*fast* window (``fast_fraction`` of it). An alert **raises** only when
-the objective is violated in *both* — the slow window proves the
-breach is sustained (one slow request cannot page anyone), the fast
-window proves it is *still happening* (a breach that already stopped
-should not page either). It **clears** once the fast window is healthy
-again: recovery is visible at the fast horizon long before the slow
-window forgets the incident. Raise/clear transitions are narrated as
-``slo.alert_raised`` / ``slo.alert_cleared`` action events through
-:data:`repro.obs.hooks.OBS`, so a soak's JSONL shows exactly when the
-forced outage breached the objective and when the service earned its
-health back — the invariant the chaos soak asserts.
+Alerting follows the multiwindow burn-rate discipline
+(https://sre.google/workbook/alerting-on-slos/): each objective is
+checked over a *slow* window (its full ``window`` seconds) and a
+*fast* one (``fast_fraction`` of it). An alert **raises** only when
+both are violated — the slow window proves the breach is sustained,
+the fast one that it is still happening — and **clears** once the
+fast window is healthy again. Transitions are narrated as
+``slo.alert_raised`` / ``slo.alert_cleared`` actions through
+:data:`repro.obs.hooks.OBS`; the chaos soak asserts one of each.
+
+A latency objective counts, as the workbook states a latency SLI, the
+requests slower than its threshold; its value is that slow fraction.
+Counting decides the percentile exactly: the nearest-rank p-th
+percentile of n durations, the one at 0-based rank
+``r = round(p / 100 * (n - 1))`` in sorted order, exceeds the
+threshold exactly when at least ``n - r`` of them do (the ``n - r``
+largest are the ones from rank ``r`` up). So no duration is kept.
 
 Evaluation is pull-based (:meth:`SLOMonitor.evaluate`), with
 :meth:`SLOMonitor.maybe_evaluate` as the rate-limited form request
-paths call opportunistically; the clock is injectable so tests can
-step time instead of sleeping. Recording is an append whatever the
-rate; an evaluation's cost grows with the window's slices, not its
-requests, apart from the slices a window edge cuts (see
-:class:`SLOMonitor`).
+paths call; the clock is injectable so tests can step time. A record
+is a fixed number of counter increments; an evaluation's cost grows
+with the window's slices, not its requests.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from array import array
-from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
-from itertools import chain
 
 from repro.obs.hooks import OBS
 from repro.obs.metrics import MetricError
@@ -57,11 +54,13 @@ _KINDS = (LATENCY, ERROR_RATE, SHED_RATE, REPLICATION_LAG)
 # Seconds between two evaluations that maybe_evaluate lets through.
 EVAL_INTERVAL = 0.25
 
-# Width in seconds of one slice of the sample window.
+# Width in seconds of one slice of the window: slice i holds what is
+# stamped in [i * SLICE, (i + 1) * SLICE).
 SLICE = 0.25
 
-# A latency selection sorts what is left once this few values remain.
-_SORT_BELOW = 2048
+# Slots of a family's per-slice counts; one slow count per latency
+# objective follows them.
+_REQUESTS, _ERRORS, _SHED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -83,24 +82,18 @@ class Objective:
     fast_fraction: float = 1 / 6
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise MetricError(
-                f"objective {self.name!r}: unknown kind {self.kind!r} "
-                f"(have {', '.join(_KINDS)})"
-            )
-        if self.threshold < 0:
-            raise MetricError(
-                f"objective {self.name!r}: threshold must be >= 0"
-            )
-        if not 0 < self.fast_fraction <= 1:
-            raise MetricError(
-                f"objective {self.name!r}: fast_fraction must be in "
-                f"(0, 1]"
-            )
-        if self.window <= 0:
-            raise MetricError(
-                f"objective {self.name!r}: window must be positive"
-            )
+        for broken, rule in (
+            (self.kind not in _KINDS,
+             f"unknown kind {self.kind!r} (have {', '.join(_KINDS)})"),
+            (self.threshold < 0, "threshold must be >= 0"),
+            (not 0 < self.fast_fraction <= 1,
+             "fast_fraction must be in (0, 1]"),
+            (self.window <= 0, "window must be positive"),
+            (not 0 <= self.percentile <= 100,
+             "percentile must be in [0, 100]"),
+        ):
+            if broken:
+                raise MetricError(f"objective {self.name!r}: {rule}")
 
     @property
     def fast_window(self) -> float:
@@ -119,7 +112,8 @@ class Objective:
 
 @dataclass(frozen=True)
 class Verdict:
-    """One objective's evaluation at a point in time."""
+    """One objective's evaluation at a point in time. A latency value
+    is the slow fraction; a lag value is the worst level."""
 
     objective: Objective
     ok: bool
@@ -130,16 +124,13 @@ class Verdict:
     fast_requests: int
 
     def to_dict(self) -> dict:
+        objective = self.objective
         return {
-            "name": self.objective.name,
-            "objective": self.objective.describe(),
-            "kind": self.objective.kind,
-            "family": self.objective.family,
-            "threshold": self.objective.threshold,
-            "ok": self.ok,
-            "alerting": self.alerting,
-            "slow_value": self.slow_value,
-            "fast_value": self.fast_value,
+            "name": objective.name, "objective": objective.describe(),
+            "kind": objective.kind, "family": objective.family,
+            "threshold": objective.threshold,
+            "ok": self.ok, "alerting": self.alerting,
+            "slow_value": self.slow_value, "fast_value": self.fast_value,
             "slow_requests": self.slow_requests,
             "fast_requests": self.fast_requests,
         }
@@ -158,252 +149,110 @@ def default_objectives() -> tuple[Objective, ...]:
 
 def replication_lag_objective(threshold_seq: float = 256.0, *,
                               window: float = 30.0) -> Objective:
-    """The default lag objective a replicated service adds itself:
+    """The lag objective a replicated service adds to its defaults:
     worst-replica applied-seq lag stays at or under ``threshold_seq``.
-    Measured from a probe (:meth:`SLOMonitor.set_probe`), not from
-    request samples — lag is a *level*, sampled at evaluation time,
-    not a per-request outcome."""
+    Lag is a *level* a probe (:meth:`SLOMonitor.set_probe`) samples at
+    evaluation time, not a per-request outcome."""
     return Objective("replication.lag", REPLICATION_LAG, threshold_seq,
                      window=window)
-
-
-class _Bucket:
-    """One family's samples in one slice of the window, in arrival
-    order — which is clock order, since :meth:`SLOMonitor.record`
-    reads the clock under the monitor lock. Parallel arrays, no object
-    per request; ``close`` tallies the flags and sorts the durations
-    once, when the slice stops taking samples."""
-
-    __slots__ = ("ts", "durations", "flags", "ordered", "errors", "shed")
-
-    def __init__(self) -> None:
-        self.ts = array("d")
-        self.durations = array("d")
-        self.flags = bytearray()  # 1 = error, 2 = shed, 3 = both
-        self.ordered: array | None = None  # set by close()
-        self.errors = self.shed = 0
-
-    def close(self) -> None:
-        self.errors, self.shed = _tally(self.flags)
-        self.ordered = array("d", sorted(self.durations))
-
-    def tally(self, cutoff: float) -> tuple[int, int, int]:
-        """(requests, errors, shed) over the samples at or after
-        ``cutoff``."""
-        ts = self.ts
-        if ts[0] >= cutoff and self.ordered is not None:
-            return len(ts), self.errors, self.shed
-        first = bisect_left(ts, cutoff)
-        return (len(ts) - first, *_tally(self.flags[first:]))
-
-    def sorted_since(self, cutoff: float) -> Sequence[float]:
-        """The durations at or after ``cutoff``, sorted."""
-        if self.ts[0] >= cutoff and self.ordered is not None:
-            return self.ordered
-        return sorted(self.durations[bisect_left(self.ts, cutoff):])
-
-
-def _tally(flags: bytearray) -> tuple[int, int]:
-    both = flags.count(3)
-    return flags.count(1) + both, flags.count(2) + both
-
-
-def _pick(buckets: dict[str, _Bucket], family: str):
-    if family == "*":
-        return buckets.values()
-    return (buckets[family],) if family in buckets else ()
-
-
-def _select(pieces: list[Sequence[float]], rank: int) -> float:
-    """The value at 0-based ``rank`` in the union of the sorted
-    ``pieces``, without merging them. Each piece keeps a range of
-    candidates. The ranges start at the lowest of the pieces' own
-    shares of the values from the rank up (at least that many values
-    lie at or above it, so the answer does too); then each round cuts
-    them at the weighted median of their middles, which rules out a
-    quarter or more of what is left, until few enough remain to sort.
-    A round costs a few operations per piece, none per value."""
-    if len(pieces) == 1:
-        return pieces[0][rank]
-    total = sum(map(len, pieces))
-    need = total - rank
-    # A piece's share is ceil(len * need / total) of its largest values.
-    floor = min(piece[len(piece) - -(-len(piece) * need // total)]
-                for piece in pieces)
-    lows = [bisect_left(piece, floor) for piece in pieces]
-    highs = [len(piece) for piece in pieces]
-    rank -= sum(lows)
-    while True:
-        size = sum(highs) - sum(lows)
-        if size <= _SORT_BELOW:
-            return sorted(chain.from_iterable(
-                piece[low:high]
-                for piece, low, high in zip(pieces, lows, highs)))[rank]
-        middles = sorted((piece[(low + high) // 2], high - low)
-                         for piece, low, high in zip(pieces, lows, highs)
-                         if high > low)
-        weight = 0
-        for pivot, width in middles:
-            weight += width
-            if 2 * weight >= size:
-                break
-        below = [bisect_left(piece, pivot, low, high)
-                 for piece, low, high in zip(pieces, lows, highs)]
-        under = sum(below) - sum(lows)
-        if rank < under:
-            highs = below
-            continue
-        above = [bisect_right(piece, pivot, low, high)
-                 for piece, low, high in zip(pieces, lows, highs)]
-        through = sum(above) - sum(lows)
-        if rank < through:
-            return pivot
-        rank -= through
-        lows = above
 
 
 class SLOMonitor:
     """Records request outcomes, evaluates objectives, manages alerts.
 
     One monitor per service. ``record`` is called on every request
-    completion (success or failure); ``evaluate`` walks the objectives
-    and fires/clears alerts; ``maybe_evaluate`` rate-limits that to
-    :data:`EVAL_INTERVAL` so request paths can call it unconditionally.
+    completion; ``evaluate`` walks the objectives and fires/clears
+    alerts; ``maybe_evaluate`` rate-limits that to :data:`EVAL_INTERVAL`.
 
-    The window is a deque of slices at most :data:`SLICE` wide, each a
-    :class:`_Bucket` per family. ``record`` is an append; once per
-    slice it rolls — closes the open slice and drops the slices wholly
-    past the horizon. ``evaluate`` rolls too, then a rate objective
-    sums per-slice tallies and a latency objective selects its
-    nearest-rank value from the per-slice sorted durations
-    (:func:`_select`); only a bucket straddling a window edge is cut
-    by timestamp. Verdicts are those of filtering and sorting every
-    sample in the window. The clock must not run backwards.
+    Slices are keyed by clock-aligned index ``int(ts // SLICE)`` and
+    keep counters only: per family, requests, errors, shed and one
+    slow count per latency objective; per probed objective, level
+    samples and the worst level. A window of ``w`` seconds at ``now``
+    is the slices from the one holding ``now - w`` on: at most one
+    slice more than ``w``. Every record and evaluation lets go of the
+    slices before the one holding its stamp less the horizon (the
+    longest window); ``record`` looks up its slice and prunes only
+    when one of those two indices moves. The clock must not run back.
     """
 
     def __init__(self, objectives: tuple[Objective, ...] | None = None,
                  *, clock=time.monotonic) -> None:
         self.objectives = tuple(objectives if objectives is not None
                                 else default_objectives())
+        names = [o.name for o in self.objectives]
+        for name in names:
+            if names.count(name) > 1:
+                raise MetricError(f"objective {name!r} registered twice")
         self._clock = clock
-        self._horizon = max(
-            (o.window for o in self.objectives), default=60.0
-        )
-        # Closed slices, oldest first, as (newest ts, family -> bucket);
-        # the open slice takes samples until the clock reaches
-        # _open_until.
-        self._slices: deque[tuple[float, dict[str, _Bucket]]] = deque()
-        self._open: dict[str, _Bucket] = {}
-        self._open_until = float("-inf")
-        # Samples stamped before _floor are out of every window for
-        # good: the highest cutoff a prune has reached.
+        self._horizon = max((o.window for o in self.objectives),
+                            default=60.0)
+        # Each latency objective's slot in a family's counts, and
+        # (slot, family, threshold) for the record path.
+        latency = [o for o in self.objectives if o.kind == LATENCY]
+        self._slots = {o.name: 3 + i for i, o in enumerate(latency)}
+        self._latency = tuple((self._slots[o.name], o.family, o.threshold)
+                              for o in latency)
+        self._width = 3 + len(latency)
+        # index -> (family -> counts, objective name -> (levels, worst)).
+        self._slices: dict[int, tuple[dict, dict]] = {}
+        # The slice records land in (None: the next record picks one)
+        # and the highest index a prune let go of the slices below.
+        self._index: int | None = None
+        self._open: dict[str, list[int]] = {}
         self._floor = float("-inf")
-        self._alerting: dict[str, bool] = {
-            o.name: False for o in self.objectives
-        }
-        # Level probes (replication lag): objective name -> zero-arg
-        # callable returning the current level (or None when it cannot
-        # be measured), sampled at evaluation time into per-objective
-        # (ts, value) deques evaluated over the same two windows.
+        self._alerting: dict[str, bool] = {name: False for name in names}
+        # Level probes: objective name -> zero-arg callable, sampled
+        # at evaluation time into the slices.
         self._probes: dict[str, "object"] = {}
-        self._levels: dict[str, deque] = {}
         self._raised = 0
         self._cleared = 0
         self._last_eval = 0.0
         self._lock = threading.Lock()
-
-    # -- composition --------------------------------------------------------
-
-    def add_objective(self, objective: Objective) -> None:
-        """Add an objective after construction (how a service folds in
-        the replication-lag objective once replication is attached)."""
-        with self._lock:
-            if any(o.name == objective.name for o in self.objectives):
-                raise MetricError(
-                    f"objective {objective.name!r} already registered"
-                )
-            # A longer horizon does not bring back what the old one
-            # already let go (see evaluate).
-            self._prune(self._newest() - self._horizon,
-                        levels=bool(self._open))
-            self.objectives = self.objectives + (objective,)
-            self._alerting[objective.name] = False
-            self._horizon = max(self._horizon, objective.window)
 
     def set_probe(self, objective_name: str, probe) -> None:
         """Attach a level probe to a ``replication_lag``-kind
         objective. ``probe`` is a zero-arg callable returning the
         current level (``None`` = no evidence this round); it is
         invoked outside the monitor lock on every evaluation."""
-        if not any(o.name == objective_name for o in self.objectives):
-            raise MetricError(
-                f"no objective named {objective_name!r} to probe"
-            )
+        if not any(o.name == objective_name and o.kind == REPLICATION_LAG
+                   for o in self.objectives):
+            raise MetricError(f"no {REPLICATION_LAG} objective named "
+                              f"{objective_name!r} to probe")
         self._probes[objective_name] = probe
-        self._levels.setdefault(objective_name, deque())
-
-    # -- recording ----------------------------------------------------------
 
     def record(self, family: str, duration: float, *,
                error: bool = False, shed: bool = False) -> None:
         with self._lock:
             now = self._clock()
-            if now >= self._open_until:
-                self._roll(now)
-            bucket = self._open.get(family)
-            if bucket is None:
-                bucket = self._open[family] = _Bucket()
-            bucket.ts.append(now)
-            bucket.durations.append(duration)
-            bucket.flags.append((1 if error else 0) | (2 if shed else 0))
+            index = int(now // SLICE)
+            cut = int((now - self._horizon) // SLICE)
+            if index != self._index or cut > self._floor:
+                self._prune(cut)
+                self._index = index
+                self._open = self._slices.setdefault(index, ({}, {}))[0]
+            counts = self._open.get(family)
+            if counts is None:
+                counts = self._open[family] = [0] * self._width
+            counts[_REQUESTS] += 1
+            if error:
+                counts[_ERRORS] += 1
+            if shed:
+                counts[_SHED] += 1
+            for slot, watched, threshold in self._latency:
+                if duration > threshold and (watched == "*"
+                                             or watched == family):
+                    counts[slot] += 1
 
-    def _roll(self, now: float) -> None:
-        # Caller holds self._lock: close the open slice, drop the
-        # closed slices wholly past the horizon, open the next.
-        if self._open:
-            for bucket in self._open.values():
-                bucket.close()
-            newest = max(b.ts[-1] for b in self._open.values())
-            self._slices.append((newest, self._open))
-            self._open = {}
-        cutoff = now - self._horizon
-        while self._slices and self._slices[0][0] < cutoff:
-            self._slices.popleft()
-        self._open_until = now + SLICE
-
-    def _prune(self, cutoff: float, *, levels: bool) -> None:
-        # Caller holds self._lock: what a prune at ``cutoff`` lets go —
-        # every sample stamped before it (by the floor) and, when
-        # ``levels``, the levels it finds stamped before it.
-        self._floor = max(self._floor, cutoff)
-        if levels:
-            for stamped in self._levels.values():
-                while stamped and stamped[0][0] < cutoff:
-                    stamped.popleft()
-
-    def _newest(self) -> float:
-        # Caller holds self._lock: the latest sample's stamp.
-        if self._open:
-            return max(b.ts[-1] for b in self._open.values())
-        return self._slices[-1][0] if self._slices else float("-inf")
-
-    def _buckets(self, family: str, cutoff: float):
-        """The buckets of ``family`` (every family for ``"*"``) in the
-        slices that hold a sample at or after ``cutoff``, newest
-        first."""
-        yield from _pick(self._open, family)
-        for newest, buckets in reversed(self._slices):
-            if newest < cutoff:
-                return
-            yield from _pick(buckets, family)
-
-    # -- evaluation ---------------------------------------------------------
+    def _prune(self, cut: int) -> None:
+        # Caller holds self._lock: let go of every slice before ``cut``.
+        for index in [index for index in self._slices if index < cut]:
+            del self._slices[index]
+        self._floor = max(self._floor, cut)
 
     def maybe_evaluate(self) -> list[Verdict] | None:
-        """Evaluate if at least :data:`EVAL_INTERVAL` elapsed since the
-        last evaluation; None when skipped (the common case). The
-        caller that passes the check claims the evaluation under the
-        same lock hold, so two callers at one instant evaluate once."""
+        """Evaluate if :data:`EVAL_INTERVAL` elapsed since the last
+        evaluation, else return None. The check and its stamp are one
+        lock hold, so two callers at one instant evaluate once."""
         now = self._clock()
         if now - self._last_eval < EVAL_INTERVAL:
             return None  # unlocked peek; re-checked below
@@ -419,36 +268,35 @@ class SLOMonitor:
         now = self._clock() if now is None else now
         # Sample level probes outside the lock (a probe may take other
         # locks, e.g. the replication group's link bookkeeping).
-        probe_samples = [
-            (name, probe()) for name, probe in self._probes.items()
-        ]
+        probe_samples = [(name, probe())
+                         for name, probe in self._probes.items()]
         # (action, counter, verdict) per alert transition.
         transitions: list[tuple[str, str, Verdict]] = []
         verdicts: list[Verdict] = []
         with self._lock:
-            # Every record prunes to its stamp less the horizon; the
-            # latest one's prune covers the rest. It reaches the levels
-            # only if it came after the last evaluation sampled them:
-            # then the open slice, which evaluations empty, holds it.
-            self._prune(self._newest() - self._horizon,
-                        levels=bool(self._open))
+            index = int(now // SLICE)
             for name, value in probe_samples:
                 if value is not None:
-                    self._levels[name].append((now, float(value)))
+                    levels = self._slices.setdefault(index, ({}, {}))[1]
+                    count, worst = levels.get(name, (0, float(value)))
+                    levels[name] = (count + 1, max(worst, float(value)))
+            if index < self._floor:
+                # A "now" behind a record's prune: the next record lets
+                # these levels go, as it would had they come first.
+                self._index = None
             self._last_eval = now
-            self._prune(now - self._horizon, levels=True)
-            self._roll(now)
+            self._prune(int((now - self._horizon) // SLICE))
             for objective in self.objectives:
                 verdict = self._verdict(objective, now)
                 verdicts.append(verdict)
-                was = self._alerting[objective.name]
-                if verdict.alerting and not was:
-                    self._alerting[objective.name] = True
+                if verdict.alerting == self._alerting[objective.name]:
+                    continue
+                self._alerting[objective.name] = verdict.alerting
+                if verdict.alerting:
                     self._raised += 1
                     transitions.append(
                         ("slo.alert_raised", "slo.alerts_raised", verdict))
-                elif was and not verdict.alerting:
-                    self._alerting[objective.name] = False
+                else:
                     self._cleared += 1
                     transitions.append(
                         ("slo.alert_cleared", "slo.alerts_cleared", verdict))
@@ -456,88 +304,61 @@ class SLOMonitor:
         for name, counter, verdict in transitions:
             if OBS.enabled:
                 OBS.inc(counter)
-                OBS.action(
-                    name,
-                    objective=verdict.objective.name,
-                    rule=verdict.objective.describe(),
-                    fast_value=verdict.fast_value,
-                    slow_value=verdict.slow_value,
-                )
+                OBS.action(name, objective=verdict.objective.name,
+                           rule=verdict.objective.describe(),
+                           fast_value=verdict.fast_value,
+                           slow_value=verdict.slow_value)
         if OBS.enabled:
-            OBS.gauge("slo.alerts_active", sum(
-                1 for active in self._alerting.values() if active
-            ))
+            OBS.gauge("slo.alerts_active", sum(self._alerting.values()))
         return verdicts
 
     def _verdict(self, objective: Objective, now: float) -> Verdict:
-        # Caller holds self._lock. A window holds the samples stamped
-        # at or after its cutoff that the floor has not let go.
-        slow_cut = max(now - objective.window, self._floor)
-        fast_cut = max(now - objective.fast_window, slow_cut)
-        if objective.kind == REPLICATION_LAG:
-            # Levels are pruned as sampled, not by the floor.
-            slow, slow_value = self._level(objective.name,
-                                           now - objective.window)
-            fast, fast_value = self._level(objective.name,
-                                           now - objective.fast_window)
-        else:
-            slow, slow_value = self._measure(objective, slow_cut)
-            fast, fast_value = self._measure(objective, fast_cut)
-        slow_bad = slow_value is not None and slow_value > objective.threshold
-        fast_bad = fast_value is not None and fast_value > objective.threshold
-        was_alerting = self._alerting[objective.name]
+        # Caller holds self._lock.
+        slow, slow_value, slow_bad = self._measure(
+            objective, now - objective.window)
+        fast, fast_value, fast_bad = self._measure(
+            objective, now - objective.fast_window)
         # Raise on both windows burning; clear when the fast window is
         # healthy again (see module docstring).
-        alerting = ((slow_bad and fast_bad) if not was_alerting
-                    else fast_bad)
-        return Verdict(
-            objective=objective,
-            ok=not slow_bad and not fast_bad,
-            alerting=alerting,
-            slow_value=slow_value,
-            fast_value=fast_value,
-            slow_requests=slow,
-            fast_requests=fast,
-        )
-
-    def _level(self, name: str,
-               cutoff: float) -> tuple[int, float | None]:
-        """(levels, worst level) since ``cutoff`` for a level-probed
-        objective (replication lag): a lag SLO promises the lag never
-        stays above threshold, so max (not a percentile) is the honest
-        aggregate. Compared with ``>`` like the rate kinds, so
-        ``threshold=0`` means "no lag at all"."""
-        window = [v for ts, v in self._levels.get(name, ()) if ts >= cutoff]
-        return len(window), max(window) if window else None
+        alerting = (fast_bad if self._alerting[objective.name]
+                    else slow_bad and fast_bad)
+        return Verdict(objective, not slow_bad and not fast_bad, alerting,
+                       slow_value, fast_value, slow, fast)
 
     def _measure(self, objective: Objective,
-                 cutoff: float) -> tuple[int, float | None]:
-        """(requests, measured value) of the objective's family since
-        ``cutoff``; the value is None when there are none (no evidence
-        either way)."""
-        buckets = list(self._buckets(objective.family, cutoff))
-        if objective.kind == LATENCY:
-            pieces = [piece for piece in (b.sorted_since(cutoff)
-                                          for b in buckets) if piece]
-            total = sum(map(len, pieces))
-            if not total:
-                return 0, None
-            rank = max(0, min(total - 1,
-                              round(objective.percentile / 100
-                                    * (total - 1))))
-            return total, _select(pieces, rank)
-        total = errors = shed = 0
-        for bucket in buckets:
-            n, e, s = bucket.tally(cutoff)
-            total += n
-            errors += e
-            shed += s
+                 edge: float) -> tuple[int, float | None, bool]:
+        """(samples, value, breached) over the slices from the one
+        holding ``edge`` on; no samples is no value and no breach. A
+        lag objective promises the lag never stays above threshold, so
+        its value is the worst level. A latency objective is breached
+        when at least ``n - rank`` of its ``n`` requests are slow."""
+        start = int(edge // SLICE)
+        windowed = [pair for index, pair in self._slices.items()
+                    if index >= start]
+        if objective.kind == REPLICATION_LAG:
+            name = objective.name
+            levels = [levels[name] for _, levels in windowed
+                      if name in levels]
+            if not levels:
+                return 0, None, False
+            worst = max(worst for _, worst in levels)
+            return (sum(count for count, _ in levels), worst,
+                    worst > objective.threshold)
+        family = objective.family
+        rows = [counts for families, _ in windowed
+                for name, counts in families.items()
+                if family == "*" or name == family]
+        total = sum(row[_REQUESTS] for row in rows)
         if not total:
-            return 0, None
-        return total, (errors if objective.kind == ERROR_RATE
-                       else shed) / total
-
-    # -- reading ------------------------------------------------------------
+            return 0, None, False
+        if objective.kind == LATENCY:
+            slot = self._slots[objective.name]
+            slow = sum(row[slot] for row in rows)
+            rank = round(objective.percentile / 100 * (total - 1))
+            return total, slow / total, slow >= total - rank
+        slot = _ERRORS if objective.kind == ERROR_RATE else _SHED
+        value = sum(row[slot] for row in rows) / total
+        return total, value, value > objective.threshold
 
     @property
     def alerts(self) -> tuple[str, ...]:
@@ -562,13 +383,13 @@ class SLOMonitor:
 
     def snapshot(self) -> dict:
         """Verdicts + alert state as one JSON-ready dict (what the
-        ``/slo`` endpoint and ``stats()`` serve). Evaluates without
-        firing transitions twice — ``evaluate`` already dedups on the
-        alert state."""
+        ``/slo`` endpoint and ``stats()`` serve). Evaluating again
+        fires no transition twice."""
         verdicts = self.evaluate()
         with self._lock:
-            window = sum(bucket.tally(self._floor)[0]
-                         for bucket in self._buckets("*", self._floor))
+            window = sum(counts[_REQUESTS]
+                         for families, _ in self._slices.values()
+                         for counts in families.values())
         return {
             "objectives": [v.to_dict() for v in verdicts],
             "alerts": list(self.alerts),

@@ -80,8 +80,8 @@ from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.values import Value
 from repro.obs.endpoint import MetricsEndpoint
 from repro.obs.hooks import OBS
-from repro.obs.slo import (Objective, SLOMonitor,
-                           replication_lag_objective)
+from repro.obs.slo import (REPLICATION_LAG, Objective, SLOMonitor,
+                           default_objectives, replication_lag_objective)
 from repro.service.admission import AdmissionGate
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.locks import EXCLUSIVE, SHARED, LockManager
@@ -248,9 +248,13 @@ class DatabaseService(FrontDoor):
                                   max_queue=max_queue,
                                   queue_timeout=queue_timeout)
         self.breaker = breaker or CircuitBreaker()
-        self.slo = SLOMonitor(
-            tuple(objectives) if objectives is not None else None
-        )
+        # Explicit objective lists stay as given; a replicated
+        # service's defaults gain the lag objective, probed below.
+        if objectives is None:
+            objectives = default_objectives() + (
+                (replication_lag_objective(),) if replication is not None
+                else ())
+        self.slo = SLOMonitor(tuple(objectives))
         self._jitter = _LockedRandom(random.Random(seed))
         # The cluster map is derived purely from the schema, so it is
         # cached against the database's schema_version and rebuilt only
@@ -289,18 +293,11 @@ class DatabaseService(FrontDoor):
                                                       self.locks)
             # Lag SLO: probe the group's worst applied-seq lag at
             # every evaluation; a sustained breach turns ``/health``
-            # into a 503 like any other alerting objective. Explicit
-            # objective lists stay as given — only the default set is
-            # widened for a replicated service.
-            if objectives is None:
-                self.slo.add_objective(replication_lag_objective())
-                self.slo.set_probe("replication.lag",
-                                   replication.worst_lag_seq)
-            else:
-                for objective in self.slo.objectives:
-                    if objective.kind == "replication_lag":
-                        self.slo.set_probe(objective.name,
-                                           replication.worst_lag_seq)
+            # into a 503 like any other alerting objective.
+            for objective in self.slo.objectives:
+                if objective.kind == REPLICATION_LAG:
+                    self.slo.set_probe(objective.name,
+                                       replication.worst_lag_seq)
         self._stats_lock = threading.Lock()
         # "deadlocks" stays 0: locks are taken in one order, so no
         # wait closes a cycle; the E20 harness still sums the key.

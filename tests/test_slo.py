@@ -5,7 +5,7 @@ rule (raise only when both the slow and fast windows are violated,
 clear as soon as the fast window recovers), the three measurement
 kinds, the ``slo.*`` counters/actions the transitions emit, the
 one-evaluation-per-interval claim of ``maybe_evaluate``, and the
-sliced window against the sample-list evaluation it replaced
+sliced counters against sorting every request in the same slices
 (:class:`ReferenceMonitor`, the oracle).
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import sys
 import threading
 from collections import deque
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +21,9 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricError
 from repro.obs import OBS, Objective, RingBufferSink, SLOMonitor
-from repro.obs import slo as slo_module
 from repro.obs.slo import (ERROR_RATE, EVAL_INTERVAL, LATENCY,
-                           REPLICATION_LAG, SHED_RATE, Verdict,
-                           default_objectives)
+                           REPLICATION_LAG, SHED_RATE, SLICE, Verdict,
+                           default_objectives, replication_lag_objective)
 
 
 def _scrub():
@@ -69,6 +67,11 @@ class TestObjective:
     def test_rejects_bad_fast_fraction(self):
         with pytest.raises(MetricError):
             Objective("x", LATENCY, 0.1, fast_fraction=1.5)
+
+    @pytest.mark.parametrize("percentile", [-5.0, 100.5, 150.0])
+    def test_rejects_a_percentile_outside_0_to_100(self, percentile):
+        with pytest.raises(MetricError):
+            Objective("x", LATENCY, 0.1, percentile=percentile)
 
     def test_describe_is_human_readable(self):
         assert Objective("x", LATENCY, 0.050, family="execute",
@@ -132,7 +135,7 @@ class TestBurnRateRule:
         slo.record("execute", 0.500)
         (verdict,) = slo.evaluate()
         assert not verdict.ok
-        assert verdict.slow_value == pytest.approx(0.500)
+        assert verdict.slow_value == pytest.approx(0.02)
 
     def test_family_filter_ignores_other_traffic(self):
         slo, _ = monitor(Objective(
@@ -224,13 +227,20 @@ class TestReplicationLagObjective:
         with pytest.raises(MetricError):
             mon.set_probe("nope", lambda: 0.0)
 
-    def test_add_objective_rejects_duplicates(self):
-        from repro.obs.slo import replication_lag_objective
-
-        mon, _, objective = self._monitor()
+    def test_probe_requires_a_lag_objective(self):
+        mon = SLOMonitor((Objective("err", ERROR_RATE, 0.1),),
+                         clock=FakeClock())
         with pytest.raises(MetricError):
-            mon.add_objective(objective)
-        assert "replication.lag" in [o.name for o in mon.objectives]
+            mon.set_probe("err", lambda: 0.0)
+
+    def test_add_objective_rejects_duplicates(self):
+        """Two objectives of one name would share one alert flag."""
+        objective = replication_lag_objective()
+        with pytest.raises(MetricError):
+            SLOMonitor((objective, objective), clock=FakeClock())
+        with pytest.raises(MetricError):
+            SLOMonitor(default_objectives() + default_objectives()[:1],
+                       clock=FakeClock())
 
     def test_level_above_threshold_alerts_and_recovers(self):
         mon, clock, _ = self._monitor(threshold=10.0, window=60.0)
@@ -270,10 +280,9 @@ class TestReplicationLagObjective:
         assert verdict.ok
 
     def test_added_objective_joins_snapshot(self):
-        from repro.obs.slo import replication_lag_objective
-
-        mon = SLOMonitor(default_objectives(), clock=FakeClock())
-        mon.add_objective(replication_lag_objective(threshold_seq=8))
+        mon = SLOMonitor(default_objectives()
+                         + (replication_lag_objective(threshold_seq=8),),
+                         clock=FakeClock())
         mon.set_probe("replication.lag", lambda: 2.0)
         snap = mon.snapshot()
         names = [v["name"] for v in snap["objectives"]]
@@ -357,11 +366,18 @@ class _Sample:
         self.shed = shed
 
 
+def _within(ts: float, edge: float) -> bool:
+    """Whether a stamp is in the window reaching back to ``edge``: the
+    slices from the one holding ``edge`` onward."""
+    return int(ts // SLICE) >= int(edge // SLICE)
+
+
 class ReferenceMonitor:
-    """The sample-list monitor the sliced window replaced: every
+    """The sample-list monitor the sliced counters replaced: every
     request a ``_Sample`` in one deque, pruned to the horizon on every
     ``record``, every evaluation a filter of the whole deque per
-    objective and a sort for a latency percentile. Kept as the oracle
+    objective and a sort for a latency percentile's verdict. Windows
+    and prunes keep what :func:`_within` admits. Kept as the oracle
     for :class:`SLOMonitor`'s verdicts (no OBS narration)."""
 
     def __init__(self, objectives, *, clock) -> None:
@@ -378,11 +394,6 @@ class ReferenceMonitor:
         self.cleared = 0
         self._last_eval = 0.0
 
-    def add_objective(self, objective: Objective) -> None:
-        self.objectives = self.objectives + (objective,)
-        self._alerting[objective.name] = False
-        self._horizon = max(self._horizon, objective.window)
-
     def set_probe(self, objective_name: str, probe) -> None:
         self._probes[objective_name] = probe
         self._levels.setdefault(objective_name, deque())
@@ -394,11 +405,11 @@ class ReferenceMonitor:
 
     def _prune(self, now: float) -> None:
         cutoff = now - self._horizon
-        while self._samples and self._samples[0].ts < cutoff:
-            self._samples.popleft()
-        for levels in self._levels.values():
-            while levels and levels[0][0] < cutoff:
-                levels.popleft()
+        self._samples = deque(s for s in self._samples
+                              if _within(s.ts, cutoff))
+        for name, levels in self._levels.items():
+            self._levels[name] = deque(level for level in levels
+                                       if _within(level[0], cutoff))
 
     def maybe_evaluate(self):
         now = self._clock()
@@ -434,29 +445,32 @@ class ReferenceMonitor:
         if objective.kind == REPLICATION_LAG:
             return self._level_verdict(objective, now)
         slow = [s for s in samples
-                if s.ts >= now - objective.window
+                if _within(s.ts, now - objective.window)
                 and (objective.family == "*"
                      or s.family == objective.family)]
-        fast = [s for s in slow if s.ts >= now - objective.fast_window]
-        slow_value = self._measure(objective, slow)
-        fast_value = self._measure(objective, fast)
-        return self._judge(objective, slow_value, fast_value,
+        fast = [s for s in slow
+                if _within(s.ts, now - objective.fast_window)]
+        return self._judge(objective, self._measure(objective, slow),
+                           self._measure(objective, fast),
                            len(slow), len(fast))
 
     def _level_verdict(self, objective, now):
         levels = self._levels.get(objective.name, ())
-        slow = [v for ts, v in levels if ts >= now - objective.window]
+        slow = [v for ts, v in levels
+                if _within(ts, now - objective.window)]
         fast = [v for ts, v in levels
-                if ts >= now - objective.fast_window]
-        return self._judge(objective, max(slow) if slow else None,
-                           max(fast) if fast else None,
-                           len(slow), len(fast))
+                if _within(ts, now - objective.fast_window)]
+        return self._judge(
+            objective,
+            (max(slow), max(slow) > objective.threshold) if slow
+            else (None, False),
+            (max(fast), max(fast) > objective.threshold) if fast
+            else (None, False),
+            len(slow), len(fast))
 
-    def _judge(self, objective, slow_value, fast_value, slow, fast):
-        slow_bad = (slow_value is not None
-                    and slow_value > objective.threshold)
-        fast_bad = (fast_value is not None
-                    and fast_value > objective.threshold)
+    def _judge(self, objective, slow_measure, fast_measure, slow, fast):
+        (slow_value, slow_bad), (fast_value, fast_bad) = (slow_measure,
+                                                          fast_measure)
         was_alerting = self._alerting[objective.name]
         alerting = ((slow_bad and fast_bad) if not was_alerting
                     else fast_bad)
@@ -467,17 +481,24 @@ class ReferenceMonitor:
 
     @staticmethod
     def _measure(objective, window):
+        """(value, breached) over ``window``; a latency value is the
+        slow fraction, its verdict the nearest-rank percentile's."""
         if not window:
-            return None
+            return None, False
         if objective.kind == LATENCY:
             ordered = sorted(s.duration for s in window)
             rank = max(0, min(len(ordered) - 1,
                               round(objective.percentile / 100
                                     * (len(ordered) - 1))))
-            return ordered[rank]
+            slow = sum(1 for s in window
+                       if s.duration > objective.threshold)
+            return (slow / len(window),
+                    ordered[rank] > objective.threshold)
         if objective.kind == ERROR_RATE:
-            return sum(1 for s in window if s.error) / len(window)
-        return sum(1 for s in window if s.shed) / len(window)
+            value = sum(1 for s in window if s.error) / len(window)
+        else:
+            value = sum(1 for s in window if s.shed) / len(window)
+        return value, value > objective.threshold
 
     @property
     def alerts(self):
@@ -531,7 +552,6 @@ steps = st.one_of(
     st.tuples(st.just("evaluate"), st.sampled_from((0.0, 0.0, 0.1, 0.3))),
     st.tuples(st.just("maybe")),
     st.tuples(st.just("snapshot")),
-    st.tuples(st.just("add"), objectives_),
 )
 
 
@@ -548,10 +568,10 @@ def _named(objective: Objective, index: int) -> Objective:
        script=st.lists(steps, max_size=120))
 def test_sliced_window_equals_reference(objectives, script):
     """Random streams of requests, clock steps (across slice, fast and
-    slow window edges), level readings, evaluations, snapshots and
-    objectives added mid-stream: the sliced monitor returns the
-    reference's verdicts, snapshots (``window_samples`` included) and
-    raise/clear counts at every step."""
+    slow window edges), level readings, evaluations and snapshots: the
+    sliced monitor returns the reference's verdicts, snapshots
+    (``window_samples`` included) and raise/clear counts at every
+    step."""
     clock = FakeClock()
     objectives = [_named(o, i) for i, o in enumerate(objectives)]
     sliced = SLOMonitor(tuple(objectives), clock=clock)
@@ -561,7 +581,6 @@ def test_sliced_window_equals_reference(objectives, script):
         for objective in objectives:
             if objective.kind == REPLICATION_LAG:
                 pair.set_probe(objective.name, lambda: level["value"])
-    added = len(objectives)
     for step in script:
         verb = step[0]
         if verb == "record":
@@ -579,13 +598,6 @@ def test_sliced_window_equals_reference(objectives, script):
             clock.advance(step[1])
         elif verb == "level":
             level["value"] = step[1]
-        elif verb == "add":
-            objective = _named(step[1], added)
-            added += 1
-            for pair in (sliced, reference):
-                pair.add_objective(objective)
-                if objective.kind == REPLICATION_LAG:
-                    pair.set_probe(objective.name, lambda: level["value"])
         elif verb == "snapshot":
             assert sliced.snapshot() == reference.snapshot()
         elif verb == "evaluate":
@@ -605,64 +617,48 @@ def _both(objectives):
             ReferenceMonitor(objectives, clock=clock), clock)
 
 
-def test_a_longer_horizon_does_not_bring_back_pruned_samples():
-    """A sample the old horizon let go stays gone for an objective
-    added later with a longer window, though it still sits in the open
-    slice."""
-    short = Objective("short", ERROR_RATE, 0.5, window=0.1)
-    sliced, reference, clock = _both((short,))
-    for pair in (sliced, reference):
-        pair.record("execute", 0.001, error=True)
-    clock.advance(0.15)  # same slice; past the 0.1 s horizon
-    for pair in (sliced, reference):
-        pair.record("execute", 0.001)
-        pair.add_objective(Objective("long", ERROR_RATE, 0.5, window=9.0))
-    assert sliced.snapshot() == reference.snapshot()
-    assert sliced.snapshot()["window_samples"] == 1
-
-
 def test_an_evaluation_behind_the_latest_record_keeps_its_floor():
     """An evaluation whose "now" was read before a later record sees
-    the window that record's prune left, though the pruned sample
-    shares a slice with one still in the window."""
-    objective = Objective("err", ERROR_RATE, 0.5, window=1.0)
+    the window that record's prune left: the slice holding its edge
+    is gone, though the evaluation's own window starts in it and the
+    record fell in the same slice as the one before it."""
+    objective = Objective("err", ERROR_RATE, 0.5, window=0.9)
     sliced, reference, clock = _both((objective,))
-    for step, error in ((0.0, True), (0.2, False), (0.9, False)):
-        clock.advance(step)
+    # Slices 4000, 4001, 4004 and 4004; the last two records prune
+    # below 4000 and 4001.
+    for stamp, error in ((1000.0, True), (1000.3, False),
+                         (1001.05, False), (1001.2, False)):
+        clock.now = stamp
         for pair in (sliced, reference):
             pair.record("execute", 0.001, error=error)
-    now = clock.now - 0.1
+    now = 1001.05  # edge 1000.15, in slice 4000
+    assert int((now - objective.window) // SLICE) == 4000
     assert sliced.evaluate(now) == reference.evaluate(now)
-    assert sliced.evaluate(now)[0].slow_requests == 2
-
-
-@settings(max_examples=300, deadline=None)
-@given(pieces=st.lists(st.lists(st.sampled_from(
-           (0.0, 0.001, 0.002, 0.01, 0.5, 1.0, 7.0)) | st.floats(0, 10),
-           min_size=1, max_size=60), min_size=1, max_size=12),
-       where=st.floats(0.0, 1.0),
-       sort_below=st.sampled_from((0, 1, 7, 2048)))
-def test_selection_equals_sorting_the_union(pieces, where, sort_below):
-    """The nearest-rank selection over per-slice sorted durations picks
-    what sorting their union picks, skewed slices (one slice holding
-    the whole tail) and ties included, however many narrowing rounds
-    run before the final sort."""
-    pieces = [sorted(piece) for piece in pieces]
-    union = sorted(value for piece in pieces for value in piece)
-    rank = round(where * (len(union) - 1))
-    with mock.patch.object(slo_module, "_SORT_BELOW", sort_below):
-        assert slo_module._select(pieces, rank) == union[rank]
+    (verdict,) = sliced.evaluate(now)
+    assert (verdict.slow_requests, verdict.slow_value) == (3, 0.0)
 
 
 def test_a_level_is_pruned_only_by_what_comes_after_it():
     """A level sampled by an evaluation whose "now" lags the latest
-    record by more than the horizon is not let go by that record's
-    prune, which ran before the level existed."""
+    record by more than the horizon lands in a slice below that
+    record's prune. The prune, which ran before the level existed,
+    does not let it go; the next record does, though it falls in the
+    same slice as the last one, and though a level sampled before the
+    lagging ones stays."""
     lag = Objective("lag", REPLICATION_LAG, 0.0, window=0.125)
     sliced, reference, clock = _both((lag,))
     for pair in (sliced, reference):
         pair.set_probe("lag", lambda: 0.0)
         pair.record("read", 0.001)
-    now = clock.now - 0.3
-    assert sliced.evaluate(now) == reference.evaluate(now)
-    assert sliced.evaluate(now)[0].slow_requests == 2
+    assert sliced.evaluate() == reference.evaluate()  # slice 4000
+    now = clock.now - 0.3  # slice 3998; the record pruned below 3999
+
+    def sampled() -> int:
+        (verdict,) = sliced.evaluate(now)
+        assert [verdict] == reference.evaluate(now)
+        return verdict.slow_requests
+
+    assert (sampled(), sampled()) == (2, 3)
+    for pair in (sliced, reference):
+        pair.record("read", 0.001)  # same slice as the first record
+    assert sampled() == 2  # the two lagging levels went
