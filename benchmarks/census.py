@@ -4,8 +4,9 @@ point reach?
     python benchmarks/census.py [REPORT]
 
 Runs every entry point of the repo in a subprocess of its own (the
-examples, the crash matrix, the three CI chaos soaks, the E1-E19 bench
-runner, the E20 smoke and one REPL script per docs/LANGUAGE.md verb)
+examples, the crash matrix, the three CI chaos soaks and a ``--check``
+over one of their run directories, the E1-E19 bench runner, the E20
+smoke and one REPL script per docs/LANGUAGE.md verb)
 with a generated ``sitecustomize.py`` on ``PYTHONPATH``. The hook
 installs ``sys.settrace`` / ``threading.settrace`` with a global
 function that records the code object of every call and returns
@@ -385,8 +386,10 @@ def entry_points(work: Path) -> list[Run]:
     for i, args in enumerate(SOAKS):
         runs.append(Run(f"soak {' '.join(args[:2])}",
                         [py, "-m", "repro.faults", "--soak", *args,
-                         "--jsonl", f"soak{i}.jsonl",
-                         "--scrape-dir", f"scrapes{i}"]))
+                         "--workdir", f"soak{i}"]))
+    # The sharded soak's run directories, re-checked offline.
+    runs.append(Run("soak --check", [py, "-m", "repro.faults", "--check",
+                                     f"soak{len(SOAKS) - 1}"]))
     # The bench runner writes BENCH_*.json and benchmarks/results/ into
     # the checkout it runs in: give it a copy.
     runs.append(Run("bench --smoke", [py, "-m", "repro.bench", "--smoke"],

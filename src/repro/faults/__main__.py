@@ -1,5 +1,6 @@
 """``python -m repro.faults`` — crash matrix by default, the chaos
-harness with ``--soak``. Both exit nonzero on any divergence."""
+harness with ``--soak``, its checks over a stored run with ``--check``.
+All exit nonzero on any divergence."""
 
 from __future__ import annotations
 
@@ -25,6 +26,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--soak", action="store_true",
                         help="run the concurrent chaos harness instead "
                              "of the crash matrix")
+    parser.add_argument("--check", metavar="DIR", default=None,
+                        help="instead of a run, fold the soak's checks "
+                             "over a stored one: a cell's run directory "
+                             "or a whole --workdir")
     parser.add_argument("--shards", type=int, default=1,
                         help="with --soak: write lanes behind the front "
                              "door (default 1); more than one adds "
@@ -52,17 +57,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="ops per worker (default 30)")
     parser.add_argument("--seed", type=int, default=0,
                         help="workload seed (default 0)")
-    parser.add_argument("--jsonl", default=None,
-                        help="event-log JSONL path (default: inside "
-                             "the soak's temp workdir)")
+    parser.add_argument("--workdir", default=None,
+                        help="with --soak: where each cell writes its "
+                             "run directory (default: a temp dir)")
     parser.add_argument("--no-faults", action="store_true",
                         help="soak without the fault schedule under "
                              "the workload (pure concurrency check; "
                              "the epilogues still run)")
-    parser.add_argument("--scrape-dir", default=None,
-                        help="directory for the /metrics and /health "
-                             "scrape snapshots and the other artifacts "
-                             "(default: the soak workdir)")
     parser.add_argument("--no-endpoint", action="store_true",
                         help="soak without the live metrics endpoint "
                              "(skips the scrape checks)")
@@ -76,32 +77,44 @@ def main(argv: list[str] | None = None) -> int:
                              "partition cells fail over too")
     args = parser.parse_args(argv)
 
-    if not args.soak:
+    if args.check:
+        # A stored run is checked as it was recorded: a soak flag would
+        # be a no-op, so it is an error.
+        flags = ["--" + name.replace("_", "-") for name, value
+                 in vars(args).items()
+                 if name != "check" and value != parser.get_default(name)]
+        if flags:
+            parser.error(f"--check takes no soak flags: {', '.join(flags)}")
+    elif not args.soak:
         from repro.faults.harness import main as matrix_main
 
         return matrix_main()
 
-    from repro.faults.soak import SoakConfig, run_soak
+    from repro.faults.soak import SoakConfig, check, run_soak
 
     try:
-        config = SoakConfig(
-            shards=args.shards,
-            replicas=args.replicas,
-            auto_failover=args.auto_failover,
-            modes=_names(args.modes),
-            scenarios=_names(args.scenarios),
-            threads=args.threads,
-            ops_per_thread=args.ops,
-            seed=args.seed,
-            jsonl=args.jsonl,
-            faults=not args.no_faults,
-            serve_endpoint=not args.no_endpoint,
-            scrape_dir=args.scrape_dir,
-        )
+        if args.check:
+            report = check(args.check)
+        else:
+            config = SoakConfig(
+                shards=args.shards,
+                replicas=args.replicas,
+                auto_failover=args.auto_failover,
+                modes=_names(args.modes),
+                scenarios=_names(args.scenarios),
+                threads=args.threads,
+                ops_per_thread=args.ops,
+                seed=args.seed,
+                workdir=args.workdir,
+                faults=not args.no_faults,
+                serve_endpoint=not args.no_endpoint,
+            )
     except ValueError as exc:
-        # A flag the topology cannot honour is an error, not a no-op.
+        # A flag the topology cannot honour, or a directory that holds
+        # no run, is an error, not a no-op.
         parser.error(str(exc))
-    report = run_soak(config)
+    if not args.check:
+        report = run_soak(config)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1

@@ -13,7 +13,8 @@ sequences, contended read-modify-writes and checkpoints through
 it (plus multi-shard sequences and scatter reads when ``shards > 1``,
 bounded-staleness replica reads when ``replicas > 0``) while a
 controller thread cycles the scenario's fault phases underneath, runs
-the scenario's epilogues, and then walks one table of checks.
+the scenario's epilogues, and then folds one table of checks over the
+run it recorded.
 
 Scenarios (:data:`SCENARIOS`):
 
@@ -40,38 +41,36 @@ harness only watches) — and nothing else: the promoted replica's
 service is swapped into the facade and written through, the deposed
 primary's files rejoin the group as a follower.
 
-The checks are one table, :data:`CHECKS`: each row names a check, the
-topology predicate under which it applies, and the one function that
-verifies it (whose docstring says what must hold) — sequential-replay
-equality, strict recovery, span accounting and label pairing on every
-topology; the breaker/SLO breathe-cycles after ``storage``; delivered-
-frame agreement, replica convergence, pipeline coverage and the
-failover timeline wherever there are replicas. The failover epilogue
-and the two ``/metrics`` + ``/health`` scrapes record their own
-verdicts (``failover``, ``scrape``) where they observe them.
-``docs/ROBUSTNESS.md`` prints the table.
-
-The checks read nothing the services keep about themselves. Their
-inputs are recorded by the harness: the **client record** (every op
-and the outcome its caller saw, kept by :meth:`Cell.run_op`, which
-workers, epilogues and hand-driven tests share), each lane's **disk
-history** (its committed WAL records: captured by a fault armed at
-``wal.checkpoint.before-snapshot``, which fires under the lane's
-``__write__`` token before the fold, and the tail read at verify),
-the **delivered frames** (what each replica accepted, noted by a
-:class:`Replica` subclass) and the **event stream** (the cell's own
-JSONL: spans and ``replication.*`` actions, acked commits included).
+The checks are one table, :data:`CHECKS <repro.faults.rundir.CHECKS>`
+(``docs/ROBUSTNESS.md`` prints it). They read nothing the services
+keep about themselves, only the cell's **run directory**, which
+:meth:`Cell.verify` writes once (:mod:`repro.faults.rundir`): the
+**client record** (every op and the outcome its caller saw, kept by
+:meth:`Cell.run_op`, which workers, epilogues and hand-driven tests
+share), each lane's **disk history** (its committed WAL records:
+captured by a fault armed at ``wal.checkpoint.before-snapshot``,
+which fires under the lane's ``__write__`` token before the fold, and
+the tail read at verify), the **delivered frames** (what each replica
+accepted, noted by a :class:`Replica` subclass), the **event stream**
+(the cell's own JSONL: spans and ``replication.*`` actions, acked
+commits included) and every node's state. The failover epilogue and
+the two ``/metrics`` + ``/health`` scrapes record their own verdicts
+(``failover``, ``scrape``) where they observe them.
 
 A run's :class:`SoakConfig` is what the command line chooses: the
-topology, the matrix, the load and the paths. Every other value every
-cell shares is a constant of this module.
+topology, the matrix, the load and the workdir. Every other value
+every cell shares is a constant of this module.
 
 Run it: ``python -m repro.faults --soak [--shards N] [--replicas R]
-[--auto-failover] [--modes ...] [--scenarios ...]``.
+[--auto-failover] [--modes ...] [--scenarios ...] [--workdir DIR]``;
+fold the checks over a stored run again with ``python -m repro.faults
+--check DIR``.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import json
 import random
@@ -87,13 +86,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from repro.core.derivation import Derivation
-from repro.core.schema import FunctionDef
-from repro.core.types import (
-    ObjectType,
-    TypeFunctionality,
-    compose_functionalities,
-)
 from repro.errors import (
     CrossShardError,
     LockTimeout,
@@ -108,7 +100,6 @@ from repro.errors import (
     StalenessUnserved,
     StalePrimary,
 )
-from repro.faults.harness import replay, states_diff
 from repro.faults.registry import (
     FAULTS,
     ClockSkewFault,
@@ -119,18 +110,26 @@ from repro.faults.registry import (
     LatencyFault,
     TransientError,
 )
-from repro.fdb import persistence, worlds
+from repro.faults.rundir import (
+    CHAIN_PREFIXES,
+    VALUE_POOL,
+    Disk,
+    Lane,
+    Run,
+    fold,
+    seed_lane,
+    soak_database,
+    soak_schema,
+)
+from repro.fdb import persistence
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import derived_extension
-from repro.fdb.logic import Truth
 from repro.fdb.updates import Update, UpdateSequence
 from repro.fdb.values import is_null
-from repro.fdb.wal import UpdateLog, committed, decode_frame, recover
+from repro.fdb.wal import UpdateLog
 from repro.obs.endpoint import ExpositionError, parse_prometheus
-from repro.obs.events import FileSink, fence_violations, read_jsonl
+from repro.obs.events import FileSink
 from repro.obs.hooks import OBS
 from repro.obs.slo import ERROR_RATE, Objective, replication_lag_objective
-from repro.obs.tracing import Tracer
 from repro.replication import (
     CommitMode,
     FailoverCoordinator,
@@ -141,13 +140,9 @@ from repro.replication import (
 from repro.service import CircuitBreaker, DatabaseService, RetryPolicy
 from repro.service.service import clusters_of
 from repro.shard import ShardedDatabaseService
-from repro.workloads.generator import (
-    WorkloadConfig,
-    random_instance,
-    random_updates,
-)
+from repro.workloads.generator import WorkloadConfig, random_updates
 
-__all__ = ["CHECKS", "SCENARIOS", "Cell", "SoakConfig", "SoakReport",
+__all__ = ["SCENARIOS", "Cell", "SoakConfig", "SoakReport", "check",
            "run_soak", "soak_database"]
 
 
@@ -155,11 +150,9 @@ __all__ = ["CHECKS", "SCENARIOS", "Cell", "SoakConfig", "SoakReport",
 
 
 # What every cell shares, named where more than one place reads it or
-# the suite-sized runs shorten it: the value pool the instance's rows
-# and the workload's updates draw from, how long the fault controller
-# holds a phase, each lane's lock wait, how long workers may run
-# before the cell calls them hung, and the replication ack wait.
-VALUE_POOL = 12
+# the suite-sized runs shorten it: how long the fault controller holds
+# a phase, each lane's lock wait, how long workers may run before the
+# cell calls them hung, and the replication ack wait.
 PHASE_SECONDS = 0.08
 LOCK_TIMEOUT = 0.25
 WALL_CLOCK_LIMIT = 120.0
@@ -172,9 +165,10 @@ ERROR_OBJECTIVE = Objective("soak-error-rate", ERROR_RATE, 0.35,
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """One run: a topology, a cell matrix over it, the load, and where
-    the artifacts go. ``modes`` / ``scenarios`` left ``None`` take the
-    topology's defaults (see :meth:`matrix`)."""
+    """One run: a topology, a cell matrix over it, the load, and the
+    directory each cell's run directory goes under. ``modes`` /
+    ``scenarios`` left ``None`` take the topology's defaults (see
+    :meth:`matrix`)."""
 
     shards: int = 1
     replicas: int = 0
@@ -189,17 +183,18 @@ class SoakConfig:
     seed: int = 0
     faults: bool = True
     workdir: str | None = None
-    jsonl: str | None = None  # default: <workdir>/soak-events.jsonl
     # Serve /metrics + /health during each cell and scrape them mid-
-    # and post-run, saving snapshots under scrape_dir (default:
-    # <workdir>).
+    # and post-run into the cell's run directory.
     serve_endpoint: bool = True
-    scrape_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.shards <= len(_CHAIN_PREFIXES) // 2:
+        if not 1 <= self.shards <= len(CHAIN_PREFIXES) // 2:
             raise ValueError(
-                f"shards must be 1..{len(_CHAIN_PREFIXES) // 2}"
+                f"shards must be 1..{len(CHAIN_PREFIXES) // 2}"
+            )
+        if self.threads < 1 or self.ops_per_thread < 1:
+            raise ValueError(
+                "threads and ops per thread must be at least 1"
             )
         if self.replicas < 0:
             raise ValueError("replicas cannot be negative")
@@ -272,7 +267,8 @@ class SoakReport:
         self.failures.append(f"{check}: {message}")
 
     def failed(self, check: str) -> list[str]:
-        """This node's failures of one check (see :data:`CHECKS`)."""
+        """This node's failures of one check (see :data:`CHECKS
+        <repro.faults.rundir.CHECKS>`)."""
         return [f for f in self.failures if f.startswith(check + ":")]
 
     def lines(self) -> list[str]:
@@ -292,7 +288,7 @@ class SoakReport:
                 out.append("events: " + ", ".join(
                     f"{name}={count}" for name, count
                     in sorted(self.facts["events"].items())
-                ) + f" in {self.facts.get('jsonl', '')}")
+                ))
             out.extend(f"FAILED: {f}" for f in self.failures)
             out.append("soak: " + ("ok" if self.ok else "FAILED"))
             return out
@@ -334,50 +330,6 @@ class SoakReport:
         out.extend(f"{head} FAILED: {f}" for f in self.failures)
         out.append(f"{head} " + ("ok" if self.ok else "FAILED"))
         return out
-
-
-# -- the instance -------------------------------------------------------------
-
-# One derivation chain per prefix; "c" is the lone base function.
-_CHAIN_PREFIXES = "abdefghijklmnopqrstuwxyz"
-
-
-def _soak_schema(chains: int) -> FunctionalDatabase:
-    """``chains`` independent derivation clusters (``a1 . a2 -> va``,
-    ``b1 . b2 -> vb``, ...) plus a lone base ``c``, no data."""
-    db = FunctionalDatabase()
-    mm = TypeFunctionality.MANY_MANY
-    for prefix in _CHAIN_PREFIXES[:chains]:
-        types = [ObjectType(f"{prefix.upper()}{i}") for i in range(3)]
-        functions = []
-        for i in range(2):
-            definition = FunctionDef(
-                f"{prefix}{i + 1}", types[i], types[i + 1], mm
-            )
-            db.declare_base(definition)
-            functions.append(definition)
-        db.declare_derived(
-            FunctionDef(
-                f"v{prefix}", types[0], types[2],
-                compose_functionalities(f.functionality for f in functions),
-            ),
-            Derivation.of(*functions),
-        )
-    db.declare_base(FunctionDef("c", ObjectType("C0"), ObjectType("C1"),
-                                mm))
-    return db
-
-
-def soak_database(seed: int, chains: int = 2) -> FunctionalDatabase:
-    """A deterministic multi-cluster instance: reads and writes on
-    different clusters are concurrent, writes within one contend, and
-    the lone base gives the epilogues a quiet corner. On a sharded
-    front door this is the *planning* instance; each lane holds the
-    rows of its own functions only (:meth:`Cell.fresh_lane`)."""
-    db = _soak_schema(chains)
-    random_instance(db, rows_per_function=10, seed=seed,
-                    value_pool=VALUE_POOL)
-    return db
 
 
 # -- workload -----------------------------------------------------------------
@@ -496,21 +448,6 @@ def _run_worker(cell: "Cell", ops: list[tuple]) -> None:
     local = Counter(cell.run_op(*op) for op in ops)
     with cell.client_lock:
         cell.report.counts.update(local)
-
-
-def _on_lanes(update: Update | UpdateSequence,
-              shard_of: Callable[[str], int]) -> dict:
-    """What each lane's WAL records for a committed write: a simple
-    update on its lane; a sequence on every lane it touches, as one
-    slice per lane labelled like the write. docs/SHARDING.md's
-    contract, restated here so the checks hold the facade to it."""
-    if isinstance(update, Update):
-        return {shard_of(update.function): update}
-    slices: dict[int, list] = {}
-    for simple in update:
-        slices.setdefault(shard_of(simple.function), []).append(simple)
-    return {shard: UpdateSequence(tuple(part), label=update.label)
-            for shard, part in slices.items()}
 
 
 # -- fault phases -------------------------------------------------------------
@@ -678,52 +615,6 @@ def _restart_crashed(group: ReplicationGroup) -> None:
                 pass  # settle-time sync will surface it as a failure
 
 
-def _scrape(front: ShardedDatabaseService, path_for, stage: str,
-            prefixes: list[str], replicated: list[int],
-            fail) -> None:
-    """The one scrape: ``/metrics`` over real HTTP must parse as
-    Prometheus text and carry a series under every prefix in
-    ``prefixes``; ``/health`` must hold a boolean verdict, one entry
-    per lane, and a replication block for every lane in
-    ``replicated``. Both bodies are kept as artifacts."""
-    endpoint = front.endpoint
-    if endpoint is None or not endpoint.running:
-        fail(f"{stage}: endpoint not running")
-        return
-    try:
-        with urllib.request.urlopen(endpoint.url + "/metrics",
-                                    timeout=5) as resp:
-            body = resp.read().decode("utf-8")
-        families = parse_prometheus(body)
-        for prefix in prefixes:
-            if not any(name.startswith(prefix) for name in families):
-                fail(f"{stage}: no {prefix}* series in /metrics")
-        path_for("metrics", stage, ".prom").write_text(
-            body, encoding="utf-8")
-        try:
-            with urllib.request.urlopen(endpoint.url + "/health",
-                                        timeout=5) as resp:
-                health_body = resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            # 503 == unhealthy-but-well-formed; still validated below.
-            health_body = exc.read().decode("utf-8")
-        verdict = json.loads(health_body)
-        if not isinstance(verdict.get("healthy"), bool):
-            fail(f"{stage}: /health lacks a boolean 'healthy' key")
-        lanes = verdict.get("lanes", {})
-        if len(lanes) != front.shards:
-            fail(f"{stage}: /health lacks the per-lane verdicts")
-        for shard in replicated:
-            block = lanes.get(str(shard), {}).get("replication")
-            if not isinstance(block, dict) or "term" not in block:
-                fail(f"{stage}: /health lane {shard} lacks the "
-                     f"replication block")
-        path_for("health", stage, ".json").write_text(
-            health_body, encoding="utf-8")
-    except (OSError, ValueError, ExpositionError) as exc:
-        fail(f"{stage}: {exc}")
-
-
 # -- one cell -----------------------------------------------------------------
 
 
@@ -733,17 +624,11 @@ CHECKPOINT = "wal.checkpoint.before-snapshot"
 
 
 @dataclass
-class _Disk:
-    """One primary's WAL as the harness read it: the records captured
-    before each checkpoint folded them away, then the tail. The
-    primary's own history is its committed records in ``(start,
-    end]``: a promoted replica starts past the fence it inherits, a
-    deposed primary's tail past its fence was cut."""
+class _Disk(Disk):
+    """A live primary's disk: its WAL, read up to ``through`` before
+    each checkpoint folds the records away, then to the tail."""
 
-    log: UpdateLog
-    start: int = 0
-    end: int | None = None
-    lines: list = field(default_factory=list)
+    log: UpdateLog | None = None
     through: int = 0
 
     def capture(self) -> None:
@@ -786,49 +671,39 @@ class _RecordingReplica(Replica):
 
 
 @dataclass
-class _Lane:
-    """One lane's moving parts outside the facade: where its snapshot
-    and WAL live *now* (a failover moves them to the promoted
-    replica's directory), its replication group, the names of the
-    group's members, its disk history (one :class:`_Disk` per primary,
-    oldest first) and the records each replica was delivered."""
+class _Lane(Lane):
+    """A live lane: the record :meth:`Cell.verify` saves, plus its
+    replication group. ``snapshot`` and ``wal`` are where its files
+    live *now* (a failover moves them to the promoted replica's
+    directory); ``replicas`` holds the slots' names until verify
+    records the group's members."""
 
-    index: int
-    snapshot: Path
-    wal: Path
     group: ReplicationGroup | None = None
-    replicas: list = field(default_factory=list)
-    disks: list = field(default_factory=list)
-    delivered: dict = field(default_factory=dict)
 
     def replica(self, name: str, workdir: Path) -> _RecordingReplica:
+        """A new follower of the lane, one more node that served it."""
+        self.nodes.append(name)
         return _RecordingReplica(name, workdir,
                                  self.delivered.setdefault(name, []))
 
-    def nodes(self) -> set:
-        """Every node that served the lane: its first primary and every
-        replica (a promoted one included)."""
-        return {f"shard-{self.index}-primary", *self.replicas}
-
 
 class Cell:
-    """One ``(mode, scenario)`` cell on the config's topology, as a
-    context manager: entering builds the front door and everything
-    behind it, leaving closes all of it — the facade and every lane's
-    WAL, every group, the coordinator, the lease manager, the cell's
-    event sink. :meth:`run` is workload + epilogues + :meth:`verify`;
-    a test may instead drive the front door by hand through
-    :meth:`run_op` and call :meth:`verify` to see the oracles judge a
-    state it planted."""
+    """One ``(mode, scenario)`` cell on the config's topology, its run
+    directory ``workdir``, as a context manager: entering builds the
+    front door and everything behind it, leaving closes all of it —
+    the facade and every lane's WAL, every group, the coordinator, the
+    lease manager, the cell's event sink. :meth:`run` is workload +
+    epilogues + :meth:`verify`; a test may instead drive the front door
+    by hand through :meth:`run_op` and call :meth:`verify` to see the
+    oracles judge a state it planted."""
 
     def __init__(self, config: SoakConfig, mode: str | None,
-                 scenario: str, workdir: Path,
-                 scrape_dir: Path | None = None, tag: str = "") -> None:
+                 scenario: str, workdir: Path) -> None:
         self.config = config
         self.scenario = SCENARIOS[scenario]
         self.workdir = Path(workdir)
-        self.scrape_dir = Path(scrape_dir or workdir)
-        self.tag = tag
+        # What the workers and epilogues observe live (outcome counts;
+        # facts, failures and notes), until verify puts its verdict here.
         self.report = SoakReport(config, mode=mode, scenario=scenario)
         # The client record: (kind, payload, outcome) per op, the
         # payload of a committed read-modify-write the update it built.
@@ -856,26 +731,22 @@ class Cell:
     def _build(self) -> None:
         config, stack = self.config, self._stack
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.scrape_dir.mkdir(parents=True, exist_ok=True)
         lanes_dir = self.workdir / "lanes"
-        # The cell's own record stream: the run-wide JSONL interleaves
-        # every cell (and WAL seqs restart between them), so the span,
-        # coverage and timeline checks fold this file instead.
-        sink = FileSink(self.workdir / "events.jsonl")
-        self.events_path = sink.path
+        # The cell's own event stream, part of its run directory.
+        self._sink = FileSink(self.workdir / "events.jsonl")
         was_enabled = OBS.enabled
-        OBS.events.add_sink(sink)
+        OBS.events.add_sink(self._sink)
         OBS.enable()
-        stack.callback(sink.close)
-        stack.callback(OBS.events.remove_sink, sink)
+        stack.callback(self._end_events)
         if not was_enabled:
             stack.callback(OBS.disable)
 
         chains = 2 * config.shards
         self.full = soak_database(config.seed, chains)
         self.lanes = [
-            _Lane(shard, lanes_dir / f"shard-{shard}.snap",
-                  lanes_dir / f"shard-{shard}.wal")
+            _Lane(shard, [f"shard-{shard}-primary"], f"shard-{shard}-primary",
+                  [], lanes_dir / f"shard-{shard}.snap",
+                  lanes_dir / f"shard-{shard}.wal", [])
             for shard in range(config.shards)
         ]
 
@@ -903,7 +774,7 @@ class Cell:
         # promise for a handful of clusters.
         clusters = sorted(set(clusters_of(self.full).values()))
         self.front = front = ShardedDatabaseService(
-            lambda: _soak_schema(chains), config.shards,
+            lambda: soak_schema(chains), config.shards,
             pins={cluster: index % config.shards
                   for index, cluster in enumerate(clusters)},
             log_dir=lanes_dir,
@@ -929,12 +800,12 @@ class Cell:
             # a breaker is one lane's storage verdict.
             service.breaker = CircuitBreaker(failure_threshold=3,
                                              reset_timeout=0.1)
-            self._seed(service.db, lane.index)
+            seed_lane(service.db, self.full, front.map.names_on(lane.index))
             # Baseline snapshot (after the seed rows, which predate the
             # WAL) so strict recovery works even if no worker
             # checkpoint lands before a failure.
             persistence.save(service.db, lane.snapshot, wal_applied=0)
-            lane.disks.append(_Disk(service.logged.log))
+            lane.disks.append(_Disk(log=service.logged.log))
             for slot in range(config.replicas):
                 name = f"s{lane.index}r{slot}"
                 lane.replicas.append(name)
@@ -960,33 +831,12 @@ class Cell:
         except ReproError:
             pass
 
-    def _seed(self, db: FunctionalDatabase, shard: int) -> None:
-        """Load lane ``shard``'s share of the planning instance: the
-        rows of the base functions placed on it. Loads bypass the
-        update machinery (plain stored facts, no NCs, no nulls)."""
-        for name in self.front.map.names_on(shard):
-            if db.is_base(name):
-                db.load(name, self.full.table(name).pairs())
-
-    def fresh_lane(self, shard: int) -> FunctionalDatabase:
-        """What lane ``shard`` held before the first op: the replay
-        oracles start from here."""
-        db = _soak_schema(2 * self.config.shards)
-        self._seed(db, shard)
-        return db
+    def _end_events(self) -> None:
+        with suppress(ValueError):  # already ended by verify
+            OBS.events.remove_sink(self._sink)
 
     def replicated(self) -> list[_Lane]:
         return [lane for lane in self.lanes if lane.group is not None]
-
-    def history(self, lane: _Lane, fenced: bool = True) -> list:
-        """The committed entry frames of the lane's disk history, each
-        primary's own records in turn: spliced at each fence, or
-        (``fenced=False``) with a deposed primary's cut tail."""
-        return [frame for disk in lane.disks
-                for frame in committed(map(decode_frame, disk.lines))
-                if frame.seq > disk.start and not (
-                    fenced and disk.end is not None
-                    and frame.seq > disk.end)]
 
     def run_op(self, kind: str, payload, deadline=None, door=None) -> str:
         """Issue one op as a client: through the front door (or
@@ -1033,28 +883,20 @@ class Cell:
                  if self.full.is_base(name)]
         return "c" if "c" in names else max(names)
 
-    def _artifact(self, stem: str, stage: str = "",
-                  suffix: str = "") -> Path:
-        return self.scrape_dir / ("-".join(
-            part for part in (stem, self.tag, stage) if part
-        ) + suffix)
-
     # -- the run ------------------------------------------------------------
 
     def run(self) -> SoakReport:
         started = time.monotonic()
         try:
             self._workload(started)
-            if self.hung or self.harness_errors:
-                # Past a hung worker the state is still moving: report
-                # that and nothing else.
-                _check_liveness(self)
-            else:
+            # Past a hung worker the state is still moving: the run
+            # records that and nothing else.
+            if not (self.hung or self.harness_errors):
                 self._epilogues()
-                self.verify()
         finally:
             FAULTS.disarm_all()
             self.report.duration = time.monotonic() - started
+        self.verify()
         return self.report
 
     def _workload(self, started: float) -> None:
@@ -1139,6 +981,13 @@ class Cell:
         self.front.drain(timeout=10.0)
 
     def scrape(self, stage: str) -> None:
+        """The one scrape: ``/metrics`` over real HTTP must parse as
+        Prometheus text and carry every lane's series (the lag series
+        with replicas, the lease's under one); ``/health`` must hold a
+        boolean verdict, one entry per lane, and a replication block
+        per replicated lane. Both bodies are kept in the run
+        directory."""
+        fail, front = partial(self.report.fail, "scrape"), self.front
         prefixes = [f"service_shard_{lane.index}_"
                     for lane in self.lanes]
         for lane in self.replicated():
@@ -1150,77 +999,82 @@ class Cell:
             prefixes.append("replication_lag_seq_")
         if self.coordinator is not None:
             prefixes.append("replication_lease_")
-        _scrape(self.front, self._artifact, stage, prefixes,
-                [lane.index for lane in self.replicated()],
-                partial(self.report.fail, "scrape"))
+        endpoint = front.endpoint
+        if endpoint is None or not endpoint.running:
+            fail(f"{stage}: endpoint not running")
+            return
+        try:
+            with urllib.request.urlopen(endpoint.url + "/metrics",
+                                        timeout=5) as resp:
+                body = resp.read().decode("utf-8")
+            families = parse_prometheus(body)
+            for prefix in prefixes:
+                if not any(name.startswith(prefix) for name in families):
+                    fail(f"{stage}: no {prefix}* series in /metrics")
+            (self.workdir / f"metrics-{stage}.prom").write_text(
+                body, encoding="utf-8")
+            try:
+                with urllib.request.urlopen(endpoint.url + "/health",
+                                            timeout=5) as resp:
+                    health_body = resp.read().decode("utf-8")
+            except urllib.error.HTTPError as exc:
+                # 503 == unhealthy-but-well-formed; still validated.
+                health_body = exc.read().decode("utf-8")
+            verdict = json.loads(health_body)
+            if not isinstance(verdict.get("healthy"), bool):
+                fail(f"{stage}: /health lacks a boolean 'healthy' key")
+            lanes = verdict.get("lanes", {})
+            if len(lanes) != front.shards:
+                fail(f"{stage}: /health lacks the per-lane verdicts")
+            for lane in self.replicated():
+                block = lanes.get(str(lane.index), {}).get("replication")
+                if not isinstance(block, dict) or "term" not in block:
+                    fail(f"{stage}: /health lane {lane.index} lacks the "
+                         f"replication block")
+            (self.workdir / f"health-{stage}.json").write_text(
+                health_body, encoding="utf-8")
+        except (OSError, ValueError, ExpositionError) as exc:
+            fail(f"{stage}: {exc}")
 
     # -- epilogue: breaker and SLO breathe-cycles ---------------------------
 
     def _breathe(self, shard: int) -> None:
         """Deterministically produce, on lane ``shard``, one breaker
-        OPEN -> CLOSED cycle (if the random schedule did not) and one
-        SLO raise -> clear cycle: arm a hard storage outage and write
-        until the breaker trips / the error-rate alert fires (breaker
-        rejections are errors burning the budget), disarm, write until
-        it closes / the fast window is healthy again. The writes are
-        client ops like any others."""
-        report = self.report
+        OPEN -> CLOSED cycle (unless the random schedule already did)
+        and one SLO raise -> clear cycle: arm a hard storage outage and
+        write until the breaker has tripped and the error-rate alert is
+        active (breaker rejections are errors burning the budget; an
+        alert the trip already raised counts), disarm, and write until
+        the breaker has closed and the fast window is healthy again.
+        The writes are client ops like any others."""
         lane, name = self.front.lane(shard), self._quiet_name(shard)
         breaker, slo = lane.breaker, lane.slo
-        outage = ("wal.append.before", TransientError(times=10 ** 6))
         serial = itertools.count()
 
-        def write(tag: str, deadline: float) -> bool:
-            update = Update.ins(name, f"{tag}_x", f"{tag}_y{next(serial)}")
-            return self.run_op("write", update, deadline) == "applied"
-
-        if breaker.trips == 0:
-            with FAULTS.injected(*outage):
-                for _ in range(20):
-                    write("ep", 5.0)
-                    if breaker.trips:
-                        break
-                else:
-                    report.notes.append(
-                        "forced outage never tripped the breaker")
-        if breaker.resets == 0:
-            for _ in range(50):
-                if write("reset", 5.0):
-                    break
-                time.sleep(breaker.reset_timeout / 2)
-            else:
-                report.notes.append(
-                    "breaker never closed after forced outage")
-
-        raised_before = slo.raised
-        budget = time.monotonic() + 10.0
-        with FAULTS.injected(*outage):
-            while slo.healthy:
+        def until(stage: str, done, seconds: float, pause: float) -> bool:
+            budget = time.monotonic() + seconds
+            while not done():
                 if time.monotonic() >= budget:
-                    report.fail("breathe",
-                                "forced outage never raised an SLO "
-                                f"alert (alerts={list(slo.alerts)})")
-                    return
-                write("slo", 2.0)
+                    self.report.fail("breathe", (
+                        f"{stage} never completed (breaker trips "
+                        f"{breaker.trips}, resets {breaker.resets}; "
+                        f"alerts={list(slo.alerts)})"))
+                    return False
+                self.run_op("write", Update.ins(
+                    name, f"{stage}_x", f"{stage}_y{next(serial)}"), 2.0)
                 slo.evaluate()
-                time.sleep(0.01)
-        if slo.raised == raised_before:
-            report.fail("breathe",
-                        "alert active but raise was never recorded")
-            return
+                time.sleep(pause)
+            return True
+
+        with FAULTS.injected("wal.append.before",
+                             TransientError(times=10 ** 6)):
+            raised = until("outage", lambda: breaker.trips
+                           and not slo.healthy, 10.0, 0.01)
         # Clear: successes push the fast-window error rate back under
         # the threshold once the breach ages past the fast horizon.
-        budget = time.monotonic() + 10.0 + ERROR_OBJECTIVE.window
-        while not slo.healthy:
-            if time.monotonic() >= budget:
-                report.fail("breathe",
-                            "SLO alert never cleared after recovery "
-                            f"(alerts={list(slo.alerts)})")
-                return
-            if not write("slo_ok", 2.0):
-                time.sleep(breaker.reset_timeout / 2)
-            slo.evaluate()
-            time.sleep(0.02)
+        if raised:
+            until("recovery", lambda: breaker.resets and slo.healthy,
+                  10.0 + ERROR_OBJECTIVE.window, breaker.reset_timeout / 2)
 
     # -- epilogue: kill lane 0's primary ------------------------------------
 
@@ -1335,7 +1189,7 @@ class Cell:
             replication=group, node=chosen.name, seed=config.seed + 1,
         )
         front.swap_lane(0, new)
-        lane.disks.append(_Disk(new.logged.log, start=fence))
+        lane.disks.append(_Disk(start=fence, log=new.logged.log))
         deposed_files = (lane.snapshot, lane.wal)
         lane.snapshot, lane.wal = chosen.snapshot_path, chosen.wal_path
         # The facade routes to the new primary; both the single- and
@@ -1362,7 +1216,6 @@ class Cell:
         for source, target in zip(deposed_files, (rejoined.snapshot_path,
                                                   rejoined.wal_path)):
             source.replace(target)
-        lane.replicas.append(rejoined.name)
         try:
             rejoin = group.rejoin(rejoined, old_term)
             facts["rejoin"] = rejoin.as_dict()
@@ -1390,517 +1243,57 @@ class Cell:
     # -- verification -------------------------------------------------------
 
     def verify(self) -> None:
-        """Read the disks' tails and walk :data:`CHECKS` over the
-        cell's records."""
-        facts = self.report.facts
-        self.records = read_jsonl(self.events_path) \
-            if self.events_path.exists() else []
+        """Record the run directory, load it, and fold :data:`CHECKS
+        <repro.faults.rundir.CHECKS>` over it. The cell's event stream
+        ends here: nothing the cell does afterwards is part of its
+        run."""
+        self._end_events()
+        front, stalled = self.front, bool(self.hung or self.harness_errors)
+        states = {}
         for lane in self.lanes:
-            lane.disks[-1].capture()
-        facts["committed"] = {lane.index: len(self.history(lane, False))
-                              for lane in self.lanes}
-        if self.config.replicas:
-            facts["acked"] = len(_acked(self))
-        facts["events"] = dict(Counter(
-            record.name for record in self.records
-            if record.kind == "action" and record.name in _RUN_EVENTS
-        ))
-        for check in CHECKS:
-            if check.applies(self):
-                check.verify(self)
-        self._dump_lane_histories()
-
-    def _dump_lane_histories(self) -> None:
-        """Per-lane JSONL artifacts: one line per committed record of
-        the lane's disk history, with its seq, op and label."""
-        for lane in self.lanes:
-            path = self._artifact(f"shard-{lane.index}", suffix=".jsonl")
-            with path.open("w", encoding="utf-8") as handle:
-                for frame in self.history(lane):
-                    handle.write(json.dumps({
-                        "seq": frame.seq,
-                        "op": str(frame.payload),
-                        "label": getattr(frame.payload, "label", None),
-                    }, sort_keys=True) + "\n")
-
-
-# -- the checks ---------------------------------------------------------------
-
-# Action records the run-level cross-cell check counts.
-_RUN_EVENTS = ("replication.promote", "replication.elected",
-               "replication.write_fenced", "replication.rejoin")
-
-
-def _check_liveness(cell: Cell) -> None:
-    if cell.hung:
-        cell.report.fail("liveness", f"{cell.hung} workers hung")
-    for exc in cell.harness_errors:
-        cell.report.fail("liveness", f"harness error: {exc!r}")
-
-
-def _check_accounting(cell: Cell) -> None:
-    """Every planned op resolved to exactly one outcome, and every
-    write a client saw commit is in its lane's disk history."""
-    planned = sum(len(plan) for plan in cell.plans)
-    outcomes = sum(cell.report.counts.values())
-    if outcomes != planned:
-        cell.report.fail("accounting",
-                         f"workers reported {outcomes} outcomes for "
-                         f"{planned} planned ops")
-    on_disk = Counter((lane.index, frame.payload) for lane in cell.lanes
-                      for frame in cell.history(lane, False))
-    missing = Counter(
-        pair for kind, update, outcome in cell.client
-        if outcome == "applied" and kind in ("write", "seq", "rmw")
-        for pair in _on_lanes(update, cell.front.shard_of).items()
-    ) - on_disk
-    if missing:
-        cell.report.fail("accounting",
-                         f"{sum(missing.values())} writes a client saw "
-                         f"commit are not on their lane's disk: "
-                         f"{[str(op) for _, op in list(missing)[:3]]}")
-
-
-def _check_replay(cell: Cell) -> None:
-    """Lanes commit concurrently, but each lane's disk history must
-    still be sequential — exactly what the per-lane ``__write__``
-    token buys: replayed over the lane's seed rows it reproduces the
-    live primary, so every shed, cancelled, refused or failed request
-    left no trace. Across a failover the history is spliced at the
-    fence, so the surviving history and only it was applied."""
-    for lane in cell.lanes:
-        diff = states_diff(
-            replay(cell.fresh_lane(lane.index),
-                   (frame.payload for frame in cell.history(lane))),
-            cell.front.lane(lane.index).db,
-        )
-        if diff:
-            cell.report.fail("replay",
-                             f"lane {lane.index} diverged from its "
-                             f"sequential replay: {diff}")
-
-
-def _check_recovery(cell: Cell) -> None:
-    """The concurrent path must have kept the log exact too."""
-    for lane in cell.lanes:
-        try:
-            recovered = recover(lane.snapshot, lane.wal, policy="strict")
-            diff = states_diff(recovered.db,
-                               cell.front.lane(lane.index).db)
-        except (PersistenceError, OSError) as exc:
-            diff = f"recovery failed: {exc}"
-        if diff:
-            cell.report.fail("recovery", f"lane {lane.index}: {diff}")
-
-
-def _multi_writes(cell: Cell) -> tuple[dict, dict]:
-    """The multi-shard writes of the client record, as label -> (the
-    lanes the write spans, the outcome its client saw), and each
-    lane's labels of them in disk order, a deposed primary's cut tail
-    included."""
-    writes = {}
-    for _, update, outcome in cell.client:
-        if isinstance(update, UpdateSequence):
-            spans = set(_on_lanes(update, cell.front.shard_of))
-            if len(spans) > 1:
-                writes[update.label] = (spans, outcome)
-    return writes, {
-        lane.index: [frame.payload.label
-                     for frame in cell.history(lane, False)
-                     if getattr(frame.payload, "label", None) in writes]
-        for lane in cell.lanes}
-
-
-def _check_spans(cell: Cell) -> None:
-    """Every ``service.request`` span that started also ended, and the
-    spans stamped ``committed=True`` match the disk histories: one per
-    single-lane commit, one per multi-shard write on every lane it
-    spans."""
-    starts: set[int] = set()
-    ends: dict[int, dict] = {}
-    for record in cell.records:
-        if record.name != "service.request" or record.span_id is None:
-            continue
-        if record.kind == "span.start":
-            starts.add(record.span_id)
-        elif record.kind == "span.end":
-            ends[record.span_id] = record.attrs
-    is_multi = [attrs.get("family") == "multi_write"
-                for attrs in ends.values()
-                if attrs.get("committed") == "True"]
-    multi, single = sum(is_multi), len(is_multi) - sum(is_multi)
-    cell.report.facts["spans"] = {
-        "request": len(ends), "committed": len(is_multi),
-    }
-    dangling = starts - set(ends)
-    if dangling:
-        cell.report.fail("spans", f"{len(dangling)} request spans "
-                                  f"started but never ended")
-        return
-    writes, labels = _multi_writes(cell)
-    singles = sum(len(cell.history(lane, False)) - len(labels[lane.index])
-                  for lane in cell.lanes)
-    if single != singles:
-        cell.report.fail("spans",
-                         f"{single} committed single-lane request "
-                         f"spans for {singles} records on disk")
-    paired = sum(1 for label, (spans, _) in writes.items()
-                 if all(label in labels[shard] for shard in spans))
-    if multi != paired:
-        cell.report.fail("spans",
-                         f"{multi} committed multi-shard request "
-                         f"spans for {paired} labels on every lane "
-                         f"they span")
-
-
-def _check_markers(cell: Cell) -> None:
-    """Multi-shard writes, paired by the label each slice's WAL record
-    carries. Any two lanes hold the labels they share in the same
-    order (the writes took the lanes' tokens in one sorted order), and
-    a write sits on every lane it spans — or, only if its caller was
-    told it was cut short (``CrossShardError``: cross-shard atomicity
-    is not promised), on some of them."""
-    report = cell.report
-    writes, labels = _multi_writes(cell)
-    if any(labels.values()):
-        report.facts["markers"] = {shard: len(found)
-                                   for shard, found in labels.items()}
-    for a, b in itertools.combinations(sorted(labels), 2):
-        shared = set(labels[a]) & set(labels[b])
-        order = [[label for label in labels[shard] if label in shared]
-                 for shard in (a, b)]
-        if order[0] != order[1]:
-            report.fail("markers",
-                        f"lanes {a} and {b} applied their shared "
-                        f"multi-shard writes in different orders: "
-                        f"{order[0][:5]} vs {order[1][:5]}")
-    for label, (spans, outcome) in writes.items():
-        holders = {shard for shard, found in labels.items()
-                   if label in found}
-        if holders != spans and (outcome == "applied" or holders
-                                 and outcome != "cross_shard"):
-            report.fail("markers",
-                        f"write {label!r} spans lanes {sorted(spans)} "
-                        f"but is on {sorted(holders)}; its client saw "
-                        f"{outcome}")
-
-
-def _check_breathe(cell: Cell) -> None:
-    """The breaker breathed and the SLO alert raised *and* cleared —
-    read back from the event log, not from the objects."""
-    names = Counter(record.name for record in cell.records
-                    if record.kind == "action")
-    facts = cell.report.facts
-    facts["breaker"] = {"opens": names["breaker.open"],
-                        "closes": names["breaker.closed"]}
-    facts["slo"] = {"raised": names["slo.alert_raised"],
-                    "cleared": names["slo.alert_cleared"]}
-    for what, counts in (("breaker", facts["breaker"]),
-                         ("SLO alert", facts["slo"])):
-        if not all(counts.values()):
-            cell.report.fail("breathe",
-                             f"event log shows {what} cycle {counts}")
-
-
-def _check_journal(cell: Cell) -> None:
-    """The shipped stream, from the receiving end: every record a
-    replica accepted is, byte for byte, the record the lane's primary
-    of that term wrote at that seq."""
-    for lane in cell.replicated():
-        written = {(frame.term, frame.seq): frame.line
-                   for disk in lane.disks
-                   for frame in map(decode_frame, disk.lines)}
-        for name, lines in lane.delivered.items():
-            strays = [frame.seq for frame in map(decode_frame, lines)
-                      if written.get((frame.term, frame.seq)) != frame.line]
-            if strays:
-                cell.report.fail("journal",
-                                 f"replica {name} accepted records no "
-                                 f"primary wrote at seqs {strays[:5]}")
-
-
-def _check_replicas(cell: Cell) -> None:
-    for lane in cell.replicated():
-        primary = cell.front.lane(lane.index).db
-        names = lane.group.replica_names()
-        for name in names:
-            replica = lane.group.replica(name)
-            diff = ("no state after settling" if replica.db is None
-                    else states_diff(primary, replica.db))
-            if diff:
-                cell.report.fail("replicas",
-                                 f"replica {name} diverged: {diff}")
-        if not names:
-            cell.report.fail("replicas",
-                             f"lane {lane.index}: no replica state was "
-                             f"checked")
-
-
-def _acked(cell: Cell, lane: _Lane | None = None) -> list[int]:
-    """The seqs acked on ``lane`` (on every lane: None), from the
-    ``replication.commit_acked`` records of the event stream."""
-    nodes = None if lane is None else lane.nodes()
-    return [record.int_attr("seq") for record in cell.records
-            if record.kind == "action"
-            and record.name == "replication.commit_acked"
-            and (nodes is None or record.attrs.get("node") in nodes)]
-
-
-def _check_pipeline(cell: Cell) -> None:
-    """The span-stream oracle for the commit pipeline: every sequence
-    number a lane's primary acked must be covered by at least the
-    commit mode's ack quota of ``replica.apply`` spans on that lane's
-    replicas (their ``[from_seq, applied_to]`` interval contains it) or
-    by a snapshot install whose ``wal_applied`` floor subsumes it. The
-    last acked commit's cross-node span tree is kept as a DOT
-    artifact."""
-    needed = CommitMode.parse(cell.report.mode).required_acks(
-        cell.config.replicas)
-    ends = [r for r in cell.records if r.kind == "span.end"]
-    for lane in cell.replicated():
-        acked = _acked(cell, lane)
-        applied: dict[str, list[tuple[int, int]]] = {}
-        floors: dict[str, int] = {}
-        for record in ends:
-            name = str(record.attrs.get("replica"))
-            if name not in lane.replicas:
-                continue
-            if record.name == "replica.apply":
-                low = record.int_attr("from_seq")
-                high = record.int_attr("applied_to")
-                if low is not None and high is not None and high >= low:
-                    applied.setdefault(name, []).append((low, high))
-            elif record.name == "replica.snapshot_install":
-                wal = record.int_attr("wal_applied")
-                if wal is not None:
-                    floors[name] = max(floors.get(name, 0), wal)
-        uncovered = []
-        for seq in (acked if needed else ()):
-            covering = {
-                name for name, spans in applied.items()
-                if any(low <= seq <= high for low, high in spans)
-            } | {name for name, floor in floors.items() if floor >= seq}
-            if len(covering) < needed:
-                uncovered.append((seq, sorted(covering)))
-        if uncovered:
-            cell.report.fail(
-                "pipeline",
-                f"lane {lane.index} acked commits lacking {needed} "
-                f"replica applies in the span stream: {uncovered[:5]}"
-                + (f" (+{len(uncovered) - 5} more)"
-                   if len(uncovered) > 5 else ""))
-    acked = _acked(cell, cell.lanes[0])
-    if acked:
-        _write_pipeline_dot(cell, cell.lanes[0], acked[-1])
-
-
-def _write_pipeline_dot(cell: Cell, lane: _Lane, last_seq: int) -> None:
-    """Fold the last acked commit's cross-node trace — the
-    ``service.request`` root down through ship, receive, WAL append,
-    apply and ack spans on every replica — into a DOT artifact."""
-    spans = {record.span_id: record for record in cell.records
-             if record.kind == "span.end" and record.span_id is not None}
-
-    def root_of(record):
-        while record.parent_span is not None \
-                and record.parent_span in spans:
-            record = spans[record.parent_span]
-        return record
-
-    target = None
-    for record in spans.values():
-        if record.name != "replication.ship" \
-                or str(record.attrs.get("replica")) not in lane.replicas:
-            continue
-        low = record.int_attr("from_seq")
-        high = record.int_attr("through_seq")
-        if low is not None and high is not None \
-                and low <= last_seq <= high:
-            # Prefer the commit-path ship (rooted in the request that
-            # carried the commit) over later catch-up re-ships.
-            if target is None \
-                    or root_of(record).name == "service.request":
-                target = record
-    if target is None:
-        cell.report.notes.append(
-            f"no ship span covering acked seq {last_seq}; pipeline "
-            f"DOT skipped")
-        return
-    root_id = root_of(target).span_id
-    tracer = Tracer()
-    for record in cell.records:
-        tracer.consume(record)
-        if record.kind == "span.end" and record.span_id == root_id:
-            break
-    cell._artifact("pipeline", suffix=".dot").write_text(
-        tracer.last_trace.to_dot(name="pipeline") + "\n",
-        encoding="utf-8")
-
-
-def _check_timeline(cell: Cell) -> None:
-    """Keep lane 0's replication action records (the lane that may
-    fail over; other lanes' acked commits carry their own node names
-    and are left out) as a JSONL artifact, and audit the fence over
-    them (:func:`fence_violations`): every acked old-term commit sits
-    at or below it (none lost) and precedes the fence record, every
-    new-term commit follows it. After a failover the fence, promote
-    and rejoin records must be there — and the lease expiry and the
-    election that caused them, when it was automatic."""
-    lane, report = cell.lanes[0], cell.report
-    nodes = {None, *lane.nodes()}
-    timeline = [record for record in cell.records
-                if record.kind == "action"
-                and record.name.startswith("replication.")
-                and record.attrs.get("node") in nodes]
-    cell._artifact("timeline", suffix=".jsonl").write_text(
-        "".join(record.to_json() + "\n" for record in timeline),
-        encoding="utf-8")
-    problems = fence_violations(timeline)
-    if problems:
-        report.fail("timeline", f"fence audit failed: {problems[:3]}")
-    if "promotion" not in report.facts:
-        return
-    wanted = ["fence", "promote", "rejoin"]
-    if report.facts.get("elections"):
-        wanted += ["lease_expired", "elected"]
-    names = {record.name for record in timeline}
-    for name in wanted:
-        if f"replication.{name}" not in names:
-            report.fail("timeline",
-                        f"no replication.{name} record in the failover "
-                        f"timeline")
-    fences = [record for record in timeline
-              if record.name == "replication.fence"]
-    if fences and (fence_seq := fences[-1].int_attr("fence_seq")) \
-            != report.facts["fence_seq"]:
-        report.fail("timeline",
-                    f"timeline fence at seq {fence_seq}, "
-                    f"promotion reported {report.facts['fence_seq']}")
-
-
-class _Abort(Exception):
-    """What :func:`_check_worlds`'s doomed transaction raises."""
-
-
-def _check_worlds(cell: Cell) -> None:
-    """The repair oracle, in the directions that hold. On every lane's
-    final state: the live NCs admit a world; the counted marginals
-    agree with the three-valued verdicts (TRUE ⇒ 1, FALSE ⇒ 0) on the
-    head of each derived extension and on the derived pairs the run
-    deleted; a stored ambiguous fact is never certain; and a
-    transaction that raises leaves the count where it was (on a copy —
-    the other rows read the lane's own state)."""
-    for lane in cell.lanes:
-        db = cell.front.lane(lane.index).db
-        fail = partial(cell.report.fail, "worlds")
-        heads = [(name, *pair) for name in db.derived_names
-                 for pair in list(derived_extension(db, name))[:5]]
-        deleted = [
-            (update.function, *update.pair)
-            for frame in cell.history(lane)
-            for update in (frame.payload
-                           if isinstance(frame.payload, UpdateSequence)
-                           else (frame.payload,))
-            if update.kind == "DEL" and db.is_derived(update.function)
-        ]
-        for fact in dict.fromkeys(heads + deleted):
-            truth, chance = db.truth_of(*fact), worlds.marginal(db, *fact)
-            expected = {Truth.TRUE: 1.0, Truth.FALSE: 0.0}.get(truth)
-            if expected is not None and chance != expected:
-                fail(f"lane {lane.index}: {fact} is {truth} but holds "
-                     f"in {chance:.3f} of the worlds")
-        report = worlds.analyze(db)
-        if report.world_count < 1:
-            fail(f"lane {lane.index}: the live NCs admit no world")
-        certain = [ref for ref, chance in report.base_marginals.items()
-                   if not 0.0 <= chance < 1.0]
-        if certain:
-            fail(f"lane {lane.index}: ambiguous facts with marginal "
-                 f"outside [0, 1): {certain[:3]}")
-        scratch = persistence.loads(persistence.dumps(db))
-        with suppress(_Abort), scratch.transaction():
-            for fact in heads:
-                scratch.delete(*fact)
-            raise _Abort
-        after = worlds.count_worlds(scratch)
-        if after != report.world_count:
-            fail(f"lane {lane.index}: an aborted transaction moved the "
-                 f"world count {report.world_count} -> {after}")
-
-
-@dataclass(frozen=True)
-class Check:
-    """One row of the table: the check's name (the prefix of its
-    failures), the topology predicate under which it applies, and the
-    one function that verifies it."""
-
-    name: str
-    applies: Callable[[Cell], bool]
-    verify: Callable[[Cell], None]
-
-
-def _always(cell: Cell) -> bool:
-    return True
-
-
-def _with_replicas(cell: Cell) -> bool:
-    return cell.config.replicas > 0
-
-
-CHECKS = (
-    Check("liveness", _always, _check_liveness),
-    Check("accounting", _always, _check_accounting),
-    Check("replay", _always, _check_replay),
-    Check("recovery", _always, _check_recovery),
-    Check("spans", _always, _check_spans),
-    Check("markers", _always, _check_markers),  # vacuous on one lane
-    Check("worlds", _always, _check_worlds),
-    Check("breathe", lambda cell: cell.scenario.breathe, _check_breathe),
-    Check("journal", _with_replicas, _check_journal),
-    Check("replicas", _with_replicas, _check_replicas),
-    Check("pipeline", _with_replicas, _check_pipeline),
-    Check("timeline", _with_replicas, _check_timeline),
-)
-# "failover" and "scrape" failures are recorded where they are observed:
-# by the failover epilogue and by the two scrapes.
+            if not stalled:
+                lane.disks[-1].capture()
+            lane.primary = front.lane(lane.index).node
+            lane.replicas = lane.group.replica_names() if lane.group else []
+            states[lane.primary] = front.lane(lane.index).db
+            states.update((name, lane.group.replica(name).db)
+                          for name in lane.replicas)
+        names = (*self.full.base_names, *self.full.derived_names)
+        Run(dataclasses.asdict(self.config), self.report.mode,
+            self.report.scenario, self.scenario.breathe,
+            {name: front.shard_of(name) for name in names}, self.lanes,
+            sum(map(len, self.plans)), self.hung,
+            [repr(exc) for exc in self.harness_errors],
+            {key: getattr(self.report, key) for key in (
+                "duration", "counts", "facts", "failures", "notes")},
+            self.client, {node: db for node, db in states.items()
+                          if db is not None}).save(self.workdir)
+        self.report = _judge(self.config, Run.load(self.workdir))
 
 
 # -- the run ------------------------------------------------------------------
 
 
-def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
-    """Run every cell of ``config.matrix()``; see the module docstring
-    for the checks."""
-    workdir = Path(config.workdir or tempfile.mkdtemp(prefix="fdb-soak-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    jsonl = Path(config.jsonl or workdir / "soak-events.jsonl")
-    report = SoakReport(config, facts={"jsonl": str(jsonl)})
-    matrix = config.matrix()
-    started = time.monotonic()
-    with ExitStack() as stack:
-        sink = FileSink(jsonl)
-        OBS.events.add_sink(sink)
-        stack.callback(sink.close)
-        stack.callback(OBS.events.remove_sink, sink)
-        for mode, scenario in matrix:
-            slug = "-".join(part for part in (
-                (mode or "").replace("(", "").replace(")", ""), scenario,
-            ) if part)
-            # A one-cell run's artifacts carry no cell tag.
-            with Cell(config, mode, scenario, workdir / slug,
-                      config.scrape_dir or workdir,
-                      tag=slug if len(matrix) > 1 else "") as cell:
-                report.cells.append(cell.run())
-    report.duration = time.monotonic() - started
+def _judge(config: SoakConfig, run: Run) -> SoakReport:
+    """A cell's report: what was observed live, then :func:`fold
+    <repro.faults.rundir.fold>` over the stored run."""
+    report = SoakReport(config, run.mode, run.scenario,
+                        **copy.deepcopy(run.observed))
+    fold(run, report)
+    return report
 
-    # Cross-cell: the failovers, counted from the event log.
-    events: Counter = Counter()
-    for cell_report in report.cells:
-        events.update(cell_report.facts.get("events", {}))
-    report.facts["events"] = dict(events)
+
+def _summarize(config: SoakConfig, cells: list,
+               duration: float) -> SoakReport:
+    """The run's report over its cells, and the cross-cell check: the
+    failovers, counted from the event log."""
+    events = sum((Counter(cell.facts.get("events", {})) for cell in cells),
+                 Counter())
+    report = SoakReport(config, duration=duration, cells=cells,
+                        facts={"events": dict(events)})
     promotions = events["replication.promote"]
-    failovers = sum(SCENARIOS[scenario].fails_over(config)
-                    for _, scenario in matrix)
+    failovers = sum(SCENARIOS[cell.scenario].fails_over(config)
+                    for cell in cells)
     for name in ("replication.promote", "replication.write_fenced",
                  "replication.rejoin"):
         if events[name] < failovers:
@@ -1914,3 +1307,38 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
                     f"{events['replication.elected']} elections: a "
                     f"promotion ran outside the coordinator")
     return report
+
+
+def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
+    """Run every cell of ``config.matrix()``, each in its own run
+    directory under ``config.workdir`` (default: a fresh temporary
+    one); see the module docstring for the checks."""
+    workdir = Path(config.workdir or tempfile.mkdtemp(prefix="fdb-soak-"))
+    cells = []
+    started = time.monotonic()
+    for mode, scenario in config.matrix():
+        slug = "-".join(part for part in (
+            (mode or "").replace("(", "").replace(")", ""), scenario,
+        ) if part)
+        with Cell(config, mode, scenario, workdir / slug) as cell:
+            cells.append(cell.run())
+    return _summarize(config, cells, time.monotonic() - started)
+
+
+def check(path: str | Path) -> SoakReport:
+    """Fold the checks over a stored run: one cell's run directory, or
+    a whole soak workdir (every cell's, in matrix order)."""
+    path = Path(path)
+    dirs = [path] if (path / "run.json").exists() else sorted(
+        run_json.parent for run_json in path.glob("*/run.json"))
+    if not dirs:
+        raise ValueError(f"no run.json in {path} or its subdirectories")
+    runs = [Run.load(directory) for directory in dirs]
+    config = SoakConfig(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in runs[0].config.items()})
+    matrix = config.matrix()
+    runs.sort(key=lambda run: matrix.index((run.mode, run.scenario))
+              if (run.mode, run.scenario) in matrix else len(matrix))
+    cells = [_judge(config, run) for run in runs]
+    return _summarize(config, cells, sum(cell.duration for cell in cells))

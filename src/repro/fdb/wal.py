@@ -80,7 +80,8 @@ from repro.report import Report
 
 __all__ = ["UpdateLog", "LoggedDatabase", "checkpoint", "recover",
            "RecoveryReport", "Frame", "FrameError", "decode_frame",
-           "committed", "LogProblem", "WAL_VERSION"]
+           "committed", "LogProblem", "WAL_VERSION", "encode_entry",
+           "decode_entry"]
 
 WAL_VERSION = 2
 
@@ -172,6 +173,11 @@ def _decode_entry(entry: dict) -> Update | UpdateSequence:
             label=entry.get("label", ""),
         )
     return _decode_update(entry)
+
+
+# The entry codec, for a record kept beside a log whose entries must
+# decode to what the log holds (the chaos harness's client record).
+encode_entry, decode_entry = _encode_entry, _decode_entry
 
 
 # -- record framing -----------------------------------------------------------

@@ -466,7 +466,7 @@ class TestReplicationTimeline:
         ]) == ["term 2 commit recorded before the fence of term 1"]
 
     def test_to_jsonl_round_trips(self):
-        # The soak's timeline artifact is one EventRecord.to_json() per
+        # A soak cell's events.jsonl is one EventRecord.to_json() per
         # line; read back, it gives the audit the same verdict.
         records = [
             _action(1, "replication.promote", chosen="r0",

@@ -27,8 +27,7 @@ from repro.service import CircuitBreaker, DatabaseService, RetryPolicy
 SURFACE = {
     SoakConfig: ("shards", "replicas", "auto_failover", "modes",
                  "scenarios", "threads", "ops_per_thread", "seed",
-                 "faults", "workdir", "jsonl", "serve_endpoint",
-                 "scrape_dir"),
+                 "faults", "workdir", "serve_endpoint"),
     DatabaseService: ("log", "lock_timeout", "shard", "retry",
                       "max_concurrent", "max_queue", "queue_timeout",
                       "breaker", "objectives", "replication", "node",
@@ -63,5 +62,5 @@ def test_defaulted_options_are_the_pinned_ones(target):
     assert defaulted(target) == SURFACE[target]
 
 
-def test_the_surface_holds_46_options():
-    assert sum(len(names) for names in SURFACE.values()) == 46
+def test_the_surface_holds_44_options():
+    assert sum(len(names) for names in SURFACE.values()) == 44

@@ -4,27 +4,39 @@ The full-size runs (``python -m repro.faults --soak ...``) are CI's
 ``chaos`` job; this keeps a scaled-down cell of every topology in the
 regular suite, so replay equality, strict recovery and the
 no-acked-loss invariant are exercised on every run — and shows the
-oracles themselves turning red on planted faults.
+oracles themselves turning red on faults planted in a stored run.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from repro.faults import soak
 from repro.faults.__main__ import main
-from repro.faults.soak import CHECKS, Cell, SoakConfig, run_soak
+from repro.faults.rundir import CHECKS
+from repro.faults.soak import Cell, SoakConfig, check, run_soak
+from repro.fdb import persistence
 from repro.fdb.updates import Update, UpdateSequence
-from repro.fdb.wal import decode_frame
-from repro.obs import OBS
+from repro.fdb.wal import decode_frame, encode_entry
+from repro.obs.events import EventRecord
+
+
+def _lines(path) -> list:
+    return [json.loads(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()]
 
 
 def _names(path) -> list:
-    return [json.loads(line).get("name")
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+    return [line.get("name") for line in _lines(path)]
+
+
+def _write_lines(path, lines) -> None:
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines),
+                    encoding="utf-8")
 
 
 class TestSoak:
@@ -36,7 +48,6 @@ class TestSoak:
             ops_per_thread=12,
             seed=0,
             workdir=tmp_path,
-            jsonl=tmp_path / "events.jsonl",
         ))
         (cell,) = report.cells
         assert not cell.failed("replay")
@@ -45,14 +56,16 @@ class TestSoak:
         assert cell.facts["breaker"]["opens"] > 0
         assert cell.facts["breaker"]["closes"] > 0
         assert report.ok, "\n".join(report.lines())
-        # The event log is real JSONL with the breaker narration.
-        names = _names(tmp_path / "events.jsonl")
+        # The cell's event log is real JSONL with the breaker narration.
+        run_dir = tmp_path / "storage"
+        names = _names(run_dir / "events.jsonl")
         assert "breaker.open" in names
         assert "breaker.closed" in names
         # One lane is still a lane: its series, history and scrapes.
-        assert (tmp_path / "shard-0.jsonl").exists()
+        assert {line["lane"] for line in _lines(run_dir / "disk.jsonl")} \
+            == {0}
         assert "service_shard_0_" in (
-            tmp_path / "metrics-mid.prom").read_text(encoding="utf-8")
+            run_dir / "metrics-mid.prom").read_text(encoding="utf-8")
 
     def test_soak_without_faults_is_pure_concurrency(self, tmp_path):
         report = run_soak(SoakConfig(
@@ -61,7 +74,6 @@ class TestSoak:
             seed=2,
             faults=False,
             workdir=tmp_path,
-            jsonl=tmp_path / "events.jsonl",
         ))
         (cell,) = report.cells
         assert not cell.failed("replay")
@@ -69,7 +81,8 @@ class TestSoak:
         assert not cell.failed("liveness")
         # Every planned operation resolved to some outcome.
         assert not cell.failed("accounting")
-        assert "soak.phase" not in _names(tmp_path / "events.jsonl")
+        assert "soak.phase" not in _names(tmp_path / "storage"
+                                          / "events.jsonl")
 
 
 TOPOLOGIES = {
@@ -102,14 +115,22 @@ def test_topology_holds_every_check(topology, tmp_path, monkeypatch):
     for cell in report.cells:
         assert set(cell.facts["committed"]) == set(range(config.shards))
         assert all(cell.facts["committed"].values())
+    # The run directories, re-checked offline, give the same verdicts.
+    offline = check(tmp_path)
+    assert [(c.mode, c.scenario, c.failures) for c in offline.cells] \
+        == [(c.mode, c.scenario, c.failures) for c in report.cells]
+    assert offline.failures == report.failures and offline.ok
+    # The branches below are one-cell topologies: that cell's directory.
+    run_dir = next(tmp_path.glob("*/run.json")).parent
     if config.shards > 1:
         # Real multi-shard traffic: labels on both lanes, histories
         # and per-lane series for each.
         assert all(report.cells[0].facts["markers"].values())
+        assert {line["lane"] for line in _lines(run_dir / "disk.jsonl")} \
+            == set(range(config.shards))
         for shard in range(config.shards):
-            assert (tmp_path / f"shard-{shard}.jsonl").exists()
             assert f"service_shard_{shard}_" in (
-                tmp_path / "metrics-mid.prom").read_text(encoding="utf-8")
+                run_dir / "metrics-mid.prom").read_text(encoding="utf-8")
     if config.auto_failover:
         (cell,) = report.cells
         # Failed over by election, nothing promoted by hand, and zero
@@ -121,8 +142,8 @@ def test_topology_holds_every_check(topology, tmp_path, monkeypatch):
         assert cell.facts["acked"] > 0
         assert cell.facts["rejoin"]["records_dropped"] >= 1
         assert "replication_lease_" in (
-            tmp_path / "metrics-mid.prom").read_text(encoding="utf-8")
-        assert (tmp_path / "timeline.jsonl").exists()
+            run_dir / "metrics-mid.prom").read_text(encoding="utf-8")
+        assert "replication.fence" in _names(run_dir / "events.jsonl")
 
 
 def test_small_soak_matrix_holds_invariants(tmp_path, monkeypatch):
@@ -162,52 +183,13 @@ def _base_on(cell, shard):
                 if cell.full.is_base(n))
 
 
-def _plant_extra_fact(cell):
-    cell.front.lane(0).db.load(_base_on(cell, 0),
-                               [("planted_x", "planted_y")])
-
-
-def _plant_dropped_record(cell):
-    cell.lanes[0].disks[-1].lines.pop()
-
-
-def _plant_lonely_label(cell):
-    lines = cell.lanes[1].disks[-1].lines
-    lines[:] = [line for line in lines
-                if getattr(decode_frame(line).payload, "label", "")
-                != "multi"]
-
-
-def _plant_unrecorded_commit(cell):
-    cell.client.append(("write", Update.ins(_base_on(cell, 0), "ghost_x",
-                                            "ghost_y"), "applied"))
-
-
-def _plant_acked_past_the_fence(cell):
-    last = cell.lanes[0].disks[-1].through
-    OBS.action("replication.fence", old_term=1, new_term=2,
-               fence_seq=last, chosen="s0r0")
-    OBS.action("replication.commit_acked", seq=last + 1, term=1,
-               node="shard-0-primary")
-
-
-@pytest.mark.parametrize("plant, check", [
-    (_plant_extra_fact, "replay"),
-    (_plant_dropped_record, "spans"),
-    (_plant_lonely_label, "markers"),
-    (_plant_unrecorded_commit, "accounting"),
-    (_plant_acked_past_the_fence, "timeline"),
-], ids=["extra-fact", "short-committed-log", "unpaired-marker",
-        "commit-missing-from-disk", "acked-past-the-fence"])
-def test_oracle_turns_red_on_a_planted_fault(plant, check, tmp_path):
-    """Commit a few ops through a replicated two-lane front door by
-    hand, see the table pass, then damage one thing the checks read —
-    the live state, or a harness-side record of what clients saw, what
-    the disks hold or what the event stream says: the matching check
-    — and it by name — must fail."""
-    assert check in {c.name for c in CHECKS}
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """One hand-driven replicated two-lane cell, recorded once: a few
+    ops committed through the front door by hand, then verify."""
+    workdir = tmp_path_factory.mktemp("recorded")
     config = SoakConfig(shards=2, replicas=1, serve_endpoint=False)
-    with Cell(config, "sync(1)", "storage", tmp_path) as cell:
+    with Cell(config, "sync(1)", "storage", workdir) as cell:
         on = [_base_on(cell, shard) for shard in (0, 1)]
         for index in range(3):
             cell.run_op("write", Update.ins(on[0], f"x{index}", f"y{index}"))
@@ -218,32 +200,128 @@ def test_oracle_turns_red_on_a_planted_fault(plant, check, tmp_path):
         cell.run_op("write", Update.delete(on[0], "x0", "y0"))
         assert {outcome for *_, outcome in cell.client} == {"applied"}
         cell.verify()
-        # A hand-driven cell ran no epilogue, so nothing breathed; every
-        # other row of the table is green.
-        assert all(f.startswith("breathe:")
-                   for f in cell.report.failures), cell.report.failures
-        assert cell.report.facts["markers"] == {0: 1, 1: 1}
+    return workdir
 
-        plant(cell)
-        cell.report.failures.clear()
+
+def _lane_0(run_dir):
+    """Lane 0's primary's state file, its database, and a base function
+    placed on the lane."""
+    meta = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    path = run_dir / "state" / f"{meta['lanes'][0]['primary']}.json"
+    db = persistence.load(path)
+    return path, db, next(name for name in sorted(db.base_names)
+                          if meta["shards"][name] == 0)
+
+
+def _plant_extra_fact(run_dir):
+    path, db, name = _lane_0(run_dir)
+    db.load(name, [("planted_x", "planted_y")])
+    path.write_text(persistence.dumps(db), encoding="utf-8")
+
+
+def _plant_dropped_record(run_dir):
+    lines = _lines(run_dir / "disk.jsonl")
+    last = max(i for i, line in enumerate(lines) if line["lane"] == 0)
+    _write_lines(run_dir / "disk.jsonl", lines[:last] + lines[last + 1:])
+
+
+def _plant_lonely_label(run_dir):
+    _write_lines(run_dir / "disk.jsonl", [
+        line for line in _lines(run_dir / "disk.jsonl")
+        if line["lane"] != 1 or getattr(
+            decode_frame(line["line"]).payload, "label", "") != "multi"])
+
+
+def _plant_unrecorded_commit(run_dir):
+    *_, name = _lane_0(run_dir)
+    _write_lines(run_dir / "client.jsonl", _lines(
+        run_dir / "client.jsonl") + [{
+            "kind": "write", "outcome": "applied",
+            "payload": encode_entry(Update.ins(name, "ghost_x", "ghost_y")),
+        }])
+
+
+def _plant_acked_past_the_fence(run_dir):
+    last = max(decode_frame(line["line"]).seq
+               for line in _lines(run_dir / "disk.jsonl")
+               if line["lane"] == 0)
+    events = _lines(run_dir / "events.jsonl")
+    top = max(event["seq"] for event in events)
+    _write_lines(run_dir / "events.jsonl", events + [
+        EventRecord(top + 1, 0.0, "action", "replication.fence", attrs={
+            "old_term": 1, "new_term": 2, "fence_seq": last,
+            "chosen": "s0r0"}).to_dict(),
+        EventRecord(top + 2, 0.0, "action", "replication.commit_acked",
+                    attrs={"seq": last + 1, "term": 1,
+                           "node": "shard-0-primary"}).to_dict(),
+    ])
+
+
+@pytest.mark.parametrize("plant, check_name", [
+    (_plant_extra_fact, "replay"),
+    (_plant_dropped_record, "spans"),
+    (_plant_lonely_label, "markers"),
+    (_plant_unrecorded_commit, "accounting"),
+    (_plant_acked_past_the_fence, "timeline"),
+], ids=["extra-fact", "short-committed-log", "unpaired-marker",
+        "commit-missing-from-disk", "acked-past-the-fence"])
+def test_oracle_turns_red_on_a_planted_fault(plant, check_name, recorded,
+                                             tmp_path):
+    """Copy the recorded run directory twice and damage one thing the
+    checks read in one copy — a node's state, or the record of what
+    clients saw, what the disks hold or what the event stream says:
+    the matching check — and it by name — fails there, and the table
+    is green on the other copy. No worker, no service: the fold reads
+    files."""
+    assert check_name in {row.name for row in CHECKS}
+    clean, planted = tmp_path / "clean", tmp_path / "planted"
+    shutil.copytree(recorded, clean)
+    shutil.copytree(recorded, planted)
+    (report,) = check(clean).cells
+    # A hand-driven cell ran no epilogue, so nothing breathed; every
+    # other row of the table is green.
+    assert all(f.startswith("breathe:") for f in report.failures), \
+        report.failures
+    assert report.facts["markers"] == {0: 1, 1: 1}
+
+    plant(planted)
+    (report,) = check(planted).cells
+    assert report.failed(check_name), report.failures
+
+
+def test_breathe_takes_an_alert_the_breaker_raised_as_the_raise(tmp_path):
+    """The breaker phase's forced outage can raise the SLO alert before
+    the SLO phase starts: the phase takes the active alert as its
+    raise and goes on to clear it."""
+    with Cell(SoakConfig(serve_endpoint=False), None, "storage",
+              tmp_path) as cell:
+        cell._epilogues()
         cell.verify()
-        assert cell.report.failed(check), cell.report.failures
+    assert not cell.report.failed("breathe"), cell.report.failures
 
 
 # -- the CLI honours or rejects every flag ------------------------------------
 
 
 @pytest.mark.parametrize("argv", [
-    ["--auto-failover"],
-    ["--modes", "quorum"],
-    ["--scenarios", "partition"],
-    ["--shards", "2", "--scenarios", "meteor"],
-    ["--replicas", "1", "--modes", "sometimes"],
-    ["--shards", "0"],
-], ids=lambda argv: " ".join(argv))
-def test_cli_rejects_flags_the_topology_cannot_honour(argv, capsys):
+    ["--soak", "--auto-failover"],
+    ["--soak", "--modes", "quorum"],
+    ["--soak", "--scenarios", "partition"],
+    ["--soak", "--shards", "2", "--scenarios", "meteor"],
+    ["--soak", "--replicas", "1", "--modes", "sometimes"],
+    ["--soak", "--shards", "0"],
+    ["--soak", "--threads", "0"],
+    ["--soak", "--ops", "0"],
+    ["--check", "."],
+    ["--check", ".", "--soak"],
+    ["--check", ".", "--threads", "4"],
+], ids=lambda argv: " ".join(argv[1:] if argv[0] == "--soak" else argv))
+def test_cli_rejects_flags_the_topology_cannot_honour(argv, capsys,
+                                                      tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)  # "--check .": a directory with no run
     with pytest.raises(SystemExit) as raised:
-        main(["--soak", *argv])
+        main(argv)
     assert raised.value.code == 2
     assert "error:" in capsys.readouterr().err
 
@@ -251,35 +329,40 @@ def test_cli_rejects_flags_the_topology_cannot_honour(argv, capsys):
 def test_cli_honours_no_faults_with_replicas(tmp_path, capsys):
     common = ["--soak", "--replicas", "1", "--modes", "sync(1)",
               "--scenarios", "partition", "--threads", "2", "--ops", "8",
-              "--no-endpoint", "--scrape-dir", str(tmp_path)]
-    assert main([*common, "--jsonl", str(tmp_path / "with.jsonl")]) == 0
-    assert "soak.phase" in _names(tmp_path / "with.jsonl")
+              "--no-endpoint"]
+    assert main([*common, "--workdir", str(tmp_path / "with")]) == 0
+    assert "soak.phase" in _names(
+        tmp_path / "with" / "sync1-partition" / "events.jsonl")
     assert main([*common, "--no-faults",
-                 "--jsonl", str(tmp_path / "without.jsonl")]) == 0
-    assert "soak.phase" not in _names(tmp_path / "without.jsonl")
+                 "--workdir", str(tmp_path / "without")]) == 0
+    assert "soak.phase" not in _names(
+        tmp_path / "without" / "sync1-partition" / "events.jsonl")
     assert "soak: ok" in capsys.readouterr().out
 
 
 def test_cli_honours_modes_and_scenarios_with_shards(tmp_path, capsys):
-    jsonl = tmp_path / "events.jsonl"
     assert main([
         "--soak", "--shards", "2", "--replicas", "1",
         "--modes", "quorum", "--scenarios", "primary_kill",
         "--threads", "2", "--ops", "8", "--no-endpoint",
-        "--jsonl", str(jsonl), "--scrape-dir", str(tmp_path),
+        "--workdir", str(tmp_path),
     ]) == 0
     assert "[quorum / primary_kill] ok" in capsys.readouterr().out
-    modes = {json.loads(line)["attrs"].get("mode")
-             for line in jsonl.read_text(encoding="utf-8").splitlines()
-             if '"replication.commit_acked"' in line}
+    run_dir = tmp_path / "quorum-primary_kill"
+    events = _lines(run_dir / "events.jsonl")
+    modes = {event["attrs"].get("mode") for event in events
+             if event["name"] == "replication.commit_acked"}
     assert modes == {"quorum"}
     # primary_kill, not the sharded default: no storage phases ran,
     # and the one cell failed lane 0 over.
-    names = _names(jsonl)
+    names = [event["name"] for event in events]
     assert "breaker.open" not in names
     assert "replication.promote" in names
-    for artifact in ("shard-0.jsonl", "shard-1.jsonl", "timeline.jsonl"):
-        assert (tmp_path / artifact).exists()
+    assert {line["lane"] for line in _lines(run_dir / "disk.jsonl")} \
+        == {0, 1}
+    # The stored run re-checks to the same verdict.
+    assert main(["--check", str(tmp_path)]) == 0
+    assert "[quorum / primary_kill] ok" in capsys.readouterr().out
 
 
 def test_worlds_row_sees_a_rollback_that_restores_nothing(tmp_path,
@@ -290,10 +373,8 @@ def test_worlds_row_sees_a_rollback_that_restores_nothing(tmp_path,
     config = SoakConfig(serve_endpoint=False)
     with Cell(config, None, "storage", tmp_path) as cell:
         cell.verify()
-        assert not cell.report.failed("worlds"), cell.report.failures
-        monkeypatch.setattr("repro.fdb.transaction.rollback",
-                            lambda records: None)
-        cell.report.failures.clear()
-        cell.verify()
-        assert cell.report.failed("worlds"), cell.report.failures
-
+    assert not cell.report.failed("worlds"), cell.report.failures
+    monkeypatch.setattr("repro.fdb.transaction.rollback",
+                        lambda records: None)
+    (report,) = check(tmp_path).cells
+    assert report.failed("worlds"), report.failures

@@ -21,12 +21,15 @@ FORMAT_KEYS = {"crc", "abort_of", "header"}
 
 # Every ``json.loads`` in the guarded packages, by enclosing function.
 # Only ``decode_frame`` reads a log line; the others read a snapshot
-# file, the soak's scraped ``/health`` body, an event JSONL file, and
-# a committed ``BENCH_*.json`` baseline.
+# file, the soak's scraped ``/health`` body, a soak run directory's
+# JSONL records (a WAL line there is a string field ``decode_frame``
+# reads), an event JSONL file, and a committed ``BENCH_*.json``
+# baseline.
 JSON_LOADS = {
     "fdb/wal.py": ["decode_frame"],
     "fdb/persistence.py": ["load_with_meta", "loads"],
-    "faults/soak.py": ["_scrape"],
+    "faults/rundir.py": ["_read_lines"],
+    "faults/soak.py": ["scrape"],
     "obs/events.py": ["read_jsonl"],
     "bench/__main__.py": ["main"],
 }
