@@ -35,6 +35,7 @@ from repro.core.derivation import Derivation
 from repro.core.design_aid import DesignOutcome
 from repro.core.schema import FunctionDef, Schema
 from repro.fdb.logic import Truth
+from repro.fdb.memo import ExtensionMemo
 from repro.fdb.nc import NCRegistry
 from repro.fdb.table import FunctionTable
 from repro.fdb.undo import UndoLog
@@ -121,6 +122,7 @@ class FunctionalDatabase:
         # every Transaction object sees the same owner.
         self._txn_guard = threading.Lock()
         self._txn_owner: int | None = None
+        self._memos: dict[str, ExtensionMemo] = {}
 
     # -- schema construction ------------------------------------------------
 
@@ -229,6 +231,15 @@ class FunctionalDatabase:
             if name in self._tables:
                 raise NotADerivedFunctionError(name) from None
             raise UnknownFunctionError(name) from None
+
+    def memo(self, name: str) -> ExtensionMemo:
+        """The maintained extension of derived function ``name``
+        (:mod:`repro.fdb.memo`), made on first use."""
+        memo = self._memos.get(name)
+        if memo is None:
+            self.derived(name)  # an unknown or base name raises here
+            memo = self._memos.setdefault(name, ExtensionMemo(name))
+        return memo
 
     def tables(self) -> Iterator[FunctionTable]:
         return iter(tuple(self._tables.values()))

@@ -16,6 +16,7 @@ import weakref
 import pytest
 
 from repro.fdb import persistence
+from repro.fdb.evaluate import evaluate_derivations
 from repro.fdb.logic import Truth
 from repro.fdb.updates import (Update, UpdateSequence, apply_sequence,
                                apply_update)
@@ -23,7 +24,7 @@ from repro.fdb.wal import LoggedDatabase, recover
 from repro.replication import Replica, ReplicationGroup
 from repro.service import DatabaseService
 from repro.shard import ShardedDatabaseService
-from repro.workloads.generator import chain_fdb
+from repro.workloads.generator import chain_fdb, random_instance
 from repro.workloads.university import pupil_database, section_42_updates
 
 
@@ -168,3 +169,40 @@ def serve_sharded(tmp_path) -> list[weakref.ref]:
 
 def test_a_closed_sharded_service_frees_every_lane(tmp_path):
     assert_dead(serve_sharded(tmp_path))
+
+
+# -- the maintained extension (repro.fdb.memo) --------------------------------
+
+
+def scanned_instance() -> list[weakref.ref]:
+    db = chain_fdb(3)
+    random_instance(db, 30, seed=3, value_pool=8)
+    for _ in range(2):  # a memo starts at the second scan
+        db.extension("v")
+    db.insert("f2", "T1_1", "T2_2")
+    db.delete("v", *next(iter(db.extension("v"))))
+    assert db.extension("v") == evaluate_derivations(
+        db, db.derived("v").derivations)
+    assert db.memo("v").size  # it keeps partitions; the tables hold it
+    return [weakref.ref(db), *(weakref.ref(table) for table in db.tables())]
+
+
+def test_an_instance_that_served_scans_is_freed_with_its_memo():
+    assert_dead(scanned_instance())
+
+
+def test_writes_without_a_scan_keep_at_most_one_change_per_partition():
+    """Changes wait in the memo for the next scan; past one per
+    partition it drops every partition instead of keeping them."""
+    db = chain_fdb(3)
+    random_instance(db, 30, seed=3, value_pool=8)
+    for _ in range(2):
+        db.extension("v")
+    memo = db.memo("v")
+    partitions = memo.size
+    assert partitions == len(db.table("f1"))
+    for i in range(10 * partitions):
+        db.insert("f3", f"T2_{i % 8}", f"T3_w{i}")
+        assert len(memo.pending) <= partitions
+    assert db.extension("v") == evaluate_derivations(
+        db, db.derived("v").derivations)
