@@ -18,7 +18,7 @@ paper's figures.
 from __future__ import annotations
 
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import derived_extension
+from repro.fdb.evaluate import evaluate_derivations
 from repro.fdb.logic import Truth
 
 __all__ = ["render_base_table", "render_derived_table", "render_state"]
@@ -45,22 +45,24 @@ def render_base_table(db: FunctionalDatabase, name: str,
     return [title or name.capitalize(), *body]
 
 
-def _sorted_extension(
+def _extension_rows(
     extension: dict[tuple, Truth]
 ) -> list[tuple[str, str, str]]:
-    rows = [
+    """One row per derivable pair, in the extension's key order."""
+    return [
         (str(x), str(y), "*" if truth is Truth.AMBIGUOUS else "")
         for (x, y), truth in extension.items()
     ]
-    return rows
 
 
 def render_derived_table(db: FunctionalDatabase, name: str,
                          *, title: str | None = None) -> list[str]:
     """Lines of one derived function's extension, ambiguous facts
-    starred (the paper's Pupil column)."""
-    extension = derived_extension(db, name)
-    body = _columnize(_sorted_extension(extension))
+    starred (the paper's Pupil column), in the chain walk's order: the
+    join from scratch, not the maintained extension, whose order
+    follows the op history (:mod:`repro.fdb.memo`)."""
+    extension = evaluate_derivations(db, db.derived(name).derivations)
+    body = _columnize(_extension_rows(extension))
     return [title or name.capitalize(), *body]
 
 
