@@ -394,7 +394,7 @@ def derived_extension(
     maintained between calls by counted support (:mod:`repro.fdb.memo`).
     """
     extension = db.memo(name).extension(db, _join)
-    if extension is None:  # the function's first scan
+    if extension is None:  # a first scan, or in the caller's transaction
         return evaluate_derivations(db, db.derived(name).derivations)
     return extension
 

@@ -100,7 +100,7 @@ class Journal:
         it."""
         if not self._done:
             raise UpdateError("nothing to undo")
-        if self.db._undo.records is not None:
+        if self.db._txn_owner is not None:
             raise TransactionError(
                 "cannot undo inside an open transaction: its rollback "
                 "would replay the same records again"
@@ -108,6 +108,7 @@ class Journal:
         update, records = self._done.pop()
         self._undone.append(update)
         rollback(records)
+        self.db._hand_off(records)
         return update
 
     def redo(self) -> Update | UpdateSequence:

@@ -73,17 +73,6 @@ class NCRegistry:
         self._next = next_index
         self._log = log if log is not None else UndoLog()
 
-    def _reported(self, *ncs: NegatedConjunction) -> None:
-        """Report the stored facts ``ncs`` name to their tables'
-        watchers: a rewrite can shrink an NC's member set, and so what
-        it negates, without changing any member's flag or NCL."""
-        for nc in ncs:
-            for ref in nc.members:
-                table = self._table_of(ref.function)
-                fact = table.get(ref.x, ref.y)
-                if fact is not None:
-                    table.changed(fact)
-
     def _set(self, index: int, nc: NegatedConjunction | None) -> None:
         """Bind ``index`` to ``nc`` (``None``: no longer live)."""
         records = self._log.records
@@ -168,8 +157,6 @@ class NCRegistry:
             del self._ncs[index]
             return False
         self._ncs[index] = old
-        if new is not None:
-            self._reported(old, new)
         return new is None
 
     def _restore_order(self) -> None:
@@ -218,7 +205,6 @@ class NCRegistry:
             )
             rewritten = NegatedConjunction(index, members)
             self._set(index, rewritten)
-            self._reported(nc, rewritten)
 
     @property
     def next_index(self) -> int:

@@ -30,10 +30,8 @@ class FunctionTable:
     """The stored extension of one base function.
 
     Every change to the table or to one of its facts goes through the
-    primitives below, which append the change to ``log`` while a
-    transaction is open (see :mod:`repro.fdb.undo`) and hand the fact
-    to every watcher (:meth:`watch`; the maintained extensions of
-    :mod:`repro.fdb.memo`).
+    primitives below, which append the change to ``log`` whenever it
+    holds a record list (see :mod:`repro.fdb.undo`).
     """
 
     def __init__(self, name: str, log: UndoLog | None = None) -> None:
@@ -45,18 +43,6 @@ class FunctionTable:
         self._by_y: dict[Value, list[Fact]] = {}
         self._null_x: list[Fact] = []
         self._null_y: list[Fact] = []
-        self._watchers: tuple = ()
-
-    def watch(self, watcher) -> None:
-        """Call ``watcher.note(name, fact)`` on every later change to a
-        fact of this table, undone ones included."""
-        if watcher not in self._watchers:
-            self._watchers += (watcher,)
-
-    def changed(self, fact: Fact) -> None:
-        """Report ``fact`` to every watcher."""
-        for watcher in self._watchers:
-            watcher.note(self.name, fact)
 
     # -- row maintenance -----------------------------------------------------
 
@@ -72,8 +58,6 @@ class FunctionTable:
         if records is not None:
             records.append((self, "fact", fact, None, fact.truth))
         self._index(fact)
-        if self._watchers:
-            self.changed(fact)
         return fact
 
     def add_pair(self, x: Value, y: Value,
@@ -89,8 +73,6 @@ class FunctionTable:
         if records is not None:
             records.append((self, "fact", fact, fact.truth, None))
         self._unindex(fact)
-        if self._watchers:
-            self.changed(fact)
         return fact
 
     def set_truth(self, fact: Fact, truth: Truth) -> None:
@@ -101,8 +83,6 @@ class FunctionTable:
         if records is not None:
             records.append((self, "fact", fact, fact.truth, truth))
         fact.truth = truth
-        if self._watchers:
-            self.changed(fact)
 
     def ncl_add(self, fact: Fact, index: int) -> None:
         """Add NC ``index`` to a stored fact's NCL."""
@@ -112,8 +92,6 @@ class FunctionTable:
         if records is not None:
             records.append((self, "ncl", fact, index, True))
         fact.ncl = fact.ncl | {index}
-        if self._watchers:
-            self.changed(fact)
 
     def ncl_discard(self, fact: Fact, index: int) -> None:
         """Drop NC ``index`` from a stored fact's NCL."""
@@ -123,8 +101,6 @@ class FunctionTable:
         if records is not None:
             records.append((self, "ncl", fact, index, False))
         fact.ncl = fact.ncl - {index} or NO_NCS
-        if self._watchers:
-            self.changed(fact)
 
     def _index(self, fact: Fact) -> None:
         self._facts[fact.pair] = fact
@@ -154,8 +130,6 @@ class FunctionTable:
     def _undo(self, op: str, fact: Fact, *change) -> bool:
         """Invert one recorded change; True when a discarded fact went
         back in at the end of the indices instead of its old place."""
-        if self._watchers:
-            self.changed(fact)
         if op == "ncl":
             index, added = change
             if added:

@@ -5,11 +5,11 @@ stores or re-flags one fact, ``create-NC`` flags its conjuncts and
 extends their NCLs, ``create-NVC`` burns k-1 null indices — so an
 update's inverse is known the moment each effect happens. While a
 transaction is open, every primitive that mutates instance state
-appends one record describing the change; commit drops the list,
-:func:`rollback` replays it newest-first, and
-:func:`repro.fdb.diff.diff_records` folds it into a
-:class:`~repro.fdb.diff.StateDiff`. A write therefore costs
-O(changes), never O(instance).
+appends one record describing the change; :func:`rollback` replays the
+list newest-first, :func:`repro.fdb.diff.diff_records` folds it into a
+:class:`~repro.fdb.diff.StateDiff`, and a commit hands it to the
+maintained extensions (:mod:`repro.fdb.memo`): the records are their
+one change feed. A write therefore costs O(changes), never O(instance).
 
 A record is ``(owner, op, *args)``; the owner replays it through its
 ``_undo(op, *args)``:
@@ -34,14 +34,16 @@ class UndoLog:
     """The record list of a database's open transaction, shared by
     reference with its tables, NC registry and null factory.
 
-    ``records`` is ``None`` while no transaction is open, so an
-    unlogged primitive pays one ``is None`` test.
+    Outside a transaction ``records`` is ``standing``: ``None`` (an
+    unlogged primitive pays one ``is None`` test) until the database
+    keeps a memo, then the list of changes waiting for the memos.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "standing")
 
     def __init__(self) -> None:
         self.records: list[tuple] | None = None
+        self.standing: list[tuple] | None = None
 
 
 def rollback(records: list[tuple]) -> None:

@@ -29,8 +29,8 @@ from pathlib import Path
 import repro
 
 BUDGETS = {
-    "derived_insert": 78,
-    "derived_delete": 212,
+    "derived_insert": 74,
+    "derived_delete": 182,
     "truth_of": 72,
     # A join from scratch made 178; folding every kept partition, 84.
     "scan_after_base_write": 64,
