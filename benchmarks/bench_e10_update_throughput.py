@@ -22,7 +22,7 @@ from repro.workloads.generator import (
 )
 
 K = 3
-# Scaled by REPRO_BENCH_SCALE (smoke runs); identity at scale 1.
+# Scaled under `python -m repro.bench --smoke`; identity at scale 1.
 ROWS = scaled(120, minimum=20)
 STREAM = scaled(200, minimum=40)
 
@@ -101,7 +101,7 @@ def test_bench_mixed_stream(benchmark, report):
                 f"{counts['ambiguous_facts']} ambiguous, "
                 f"{counts['ncs']} NCs, "
                 f"{counts['next_null_index'] - 1} nulls issued")
-    report.line("per-operation timings: see the pytest-benchmark table "
+    report.line("per-operation timings: see `timings` in this record "
                 "(base_insert / base_delete / derived_insert / "
                 "derived_delete).")
     # Metric snapshot for the JSON artifact: replay the same stream once

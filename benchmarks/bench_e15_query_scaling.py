@@ -29,7 +29,7 @@ from repro.fdb.evaluate import (derived_extension, evaluate_derivations,
 from repro.workloads.generator import chain_fdb, random_instance
 
 CHAIN_LENGTHS = (2, 3, 4)
-# Scaled by REPRO_BENCH_SCALE (smoke runs); identity at scale 1.
+# Scaled under `python -m repro.bench --smoke`; identity at scale 1.
 ROW_COUNTS = scaled_sizes((50, 100, 200), minimum=15)
 ROUNDS = 3  # write-then-scan rounds the maintained series averages
 

@@ -20,7 +20,7 @@ from repro.core.minimal_schema import minimal_schema_ams
 from repro.core.schema import Schema
 from repro.workloads.generator import tree_schema_with_derived
 
-# Scaled by REPRO_BENCH_SCALE (smoke runs); identity at scale 1.
+# Scaled under `python -m repro.bench --smoke`; identity at scale 1.
 # The log-log exponent fit needs several distinct sizes, which
 # scaled_sizes guarantees by deduplicating after scaling.
 SIZES = scaled_sizes((16, 32, 64, 128, 256), minimum=8)

@@ -390,8 +390,9 @@ def entry_points(work: Path) -> list[Run]:
     # The sharded soak's run directories, re-checked offline.
     runs.append(Run("soak --check", [py, "-m", "repro.faults", "--check",
                                      f"soak{len(SOAKS) - 1}"]))
-    # The bench runner writes BENCH_*.json and benchmarks/results/ into
-    # the checkout it runs in: give it a copy.
+    # The bench runner writes BENCH_*.json and benchmarks/results/*.txt
+    # into the checkout it runs in: give it a copy (with the committed
+    # records, so each run compares against them).
     runs.append(Run("bench --smoke", [py, "-m", "repro.bench", "--smoke"],
                     cwd=work / "bench"))
     runs.append(Run("bench " + " ".join(PAPER_BENCHES),

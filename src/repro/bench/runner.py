@@ -1,20 +1,19 @@
-"""Discovery and execution of the E1–E19 benches without pytest.
+"""Discovery and execution of the E1–E19 benches.
 
-The bench modules under ``benchmarks/`` are pytest files using exactly
-two fixtures — ``benchmark`` (pytest-benchmark's callable protocol)
-and ``report`` (the structured report) — so a full pytest session is
-unnecessary machinery for running them: :func:`run_bench` imports a
-bench module from its file path, walks its ``test_*`` functions in
-definition order, and injects :class:`FakeBenchmark` /
-:class:`repro.bench.report.Report` instances for those two parameter
-names. Assertions inside the benches still run; a failing bench is a
+A bench module under ``benchmarks/`` is a plain Python file whose
+``test_*`` functions take at most two parameters — ``benchmark`` (a
+:class:`FakeBenchmark`) and ``report`` (a
+:class:`repro.bench.report.Report`). :func:`run_bench` imports a bench
+module from its file path, walks its ``test_*`` functions in
+definition order, injects those two, and folds what every test
+produced into the experiment's one record (what ``BENCH_<exp>.json``
+holds). Assertions inside the benches still run; a failing bench is a
 failing run.
 
 Each module executes inside ``OBS.collecting()`` so a metrics
-snapshot can be attached to its payload, and each ``benchmark(...)``
-call is timed (one warm-up call, then ``rounds`` timed calls — the
-bench functions are written for pytest-benchmark, which also calls
-them repeatedly, so re-invocation is safe by construction).
+snapshot can be attached to its record, and each ``benchmark(...)``
+call is timed (one warm-up call, then ``ROUNDS`` timed calls — so a
+function a bench times must be safe to call again).
 """
 
 from __future__ import annotations
@@ -24,60 +23,41 @@ import inspect
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.bench.report import Report, ReportStore
+from repro.bench import scale
+from repro.bench.report import Report
 from repro.obs import OBS
 
-__all__ = ["FakeBenchmark", "BenchResult", "discover_benches",
-           "run_bench"]
+__all__ = ["FakeBenchmark", "discover_benches", "run_bench"]
+
+ROUNDS = 3
 
 
 class FakeBenchmark:
-    """The subset of pytest-benchmark's fixture the benches use:
-    ``result = benchmark(fn, *args, **kwargs)``.
+    """The ``benchmark`` parameter: ``result = benchmark(fn, *args,
+    **kwargs)``.
 
-    Calls ``fn`` once for its result (and as warm-up), then ``rounds``
+    Calls ``fn`` once for its result (and as warm-up), then ``ROUNDS``
     more times under the clock. ``stats`` carries min/mean seconds.
     """
 
-    def __init__(self, rounds: int = 3) -> None:
-        self.rounds = rounds
+    def __init__(self) -> None:
         self.stats: dict | None = None
 
     def __call__(self, fn, *args, **kwargs):
         result = fn(*args, **kwargs)
         timings: list[float] = []
-        for _ in range(self.rounds):
+        for _ in range(ROUNDS):
             started = time.perf_counter()
             fn(*args, **kwargs)
             timings.append(time.perf_counter() - started)
         self.stats = {
-            "rounds": self.rounds,
+            "rounds": ROUNDS,
             "min_seconds": min(timings),
             "mean_seconds": sum(timings) / len(timings),
         }
         return result
-
-
-@dataclass
-class BenchResult:
-    """Everything one bench module's run produced."""
-
-    exp_id: str
-    timings: dict[str, dict] = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)
-    tests_run: int = 0
-
-    def counters(self) -> dict[str, int]:
-        """The deterministic work counters the regression comparison
-        keys on — the bench's own attached snapshot when it made one
-        (e.g. E10's instrumented replay), else the run-wide capture."""
-        return {name: value
-                for name, value in self.metrics.get("counters", {}).items()
-                if value}
 
 
 def discover_benches(benchmarks_dir: str | Path) -> dict[str, Path]:
@@ -114,61 +94,67 @@ def _test_functions(module):
     ]
 
 
-def run_bench(path: str | Path, *, store: ReportStore,
-              rounds: int = 3) -> BenchResult:
-    """Execute one bench module; flush its reports into ``store``."""
+def run_bench(path: str | Path) -> dict:
+    """Execute one bench module at the current :data:`scale.factor`
+    and return its record: every passing test's report blocks in
+    order, every key a test attached, the timings, the failures and
+    one metrics snapshot."""
     path = Path(path)
     exp_id = path.stem.removeprefix("bench_")
-    result = BenchResult(exp_id=exp_id)
+    timings: dict[str, dict] = {}
+    failures: list[dict] = []
+    blocks: list[dict] = []
+    attached: dict = {}
+    tests_run = 0
     # Drop instrument *registrations*, not just their values — reset()
     # keeps names, so without this a suite run would report every
     # earlier bench's counters (zero-valued) against every later one.
     OBS.metrics.clear()
     with OBS.collecting():
         try:
-            module = _load_module(path)
+            tests = _test_functions(_load_module(path))
         except Exception:
-            result.failures.append({
-                "test": "<import>",
-                "error": traceback.format_exc(limit=5),
-            })
-            return result
-        for name, fn in _test_functions(module):
+            failures.append({"test": "<import>",
+                             "error": traceback.format_exc(limit=5)})
+            tests = []
+        for name, fn in tests:
             params = inspect.signature(fn).parameters
-            kwargs: dict = {}
             unknown = [p for p in params
                        if p not in ("benchmark", "report")]
             if unknown:
-                result.failures.append({
+                failures.append({
                     "test": name,
-                    "error": f"unsupported fixtures: {unknown} "
+                    "error": f"unsupported parameters: {unknown} "
                              "(the runner injects only benchmark/"
                              "report)",
                 })
                 continue
-            fake = FakeBenchmark(rounds=rounds)
-            report = Report(exp_id)
-            if "benchmark" in params:
-                kwargs["benchmark"] = fake
-            if "report" in params:
-                kwargs["report"] = report
+            fake = FakeBenchmark()
+            report = Report()
+            injected = {"benchmark": fake, "report": report}
             try:
-                fn(**kwargs)
+                fn(**{p: injected[p] for p in params})
             except Exception:
-                result.failures.append({
-                    "test": name,
-                    "error": traceback.format_exc(limit=5),
-                })
+                failures.append({"test": name,
+                                 "error": traceback.format_exc(limit=5)})
                 continue
-            result.tests_run += 1
+            tests_run += 1
             if fake.stats is not None:
-                result.timings[name] = fake.stats
-            if report.blocks or report.data:
-                store.flush(report)
+                timings[name] = fake.stats
+            blocks += report.blocks
+            attached.update(report.data)
         metrics = OBS.metrics.snapshot()
-    # Prefer the bench's own attached metrics (an instrumented replay
-    # of exactly the measured workload) over the run-wide capture,
-    # which interleaves every test's work.
-    payload = store.payload(exp_id) or {}
-    result.metrics = payload.get("metrics") or metrics
-    return result
+    return {
+        **attached,
+        "exp_id": exp_id,
+        "exp": exp_id.split("_")[0],
+        "scale": scale.factor,
+        "tests_run": tests_run,
+        "timings": timings,
+        "failures": failures,
+        "blocks": blocks,
+        # Prefer the bench's own attached metrics (an instrumented
+        # replay of exactly the measured workload) over the run-wide
+        # capture, which interleaves every test's work.
+        "metrics": attached.get("metrics") or metrics,
+    }

@@ -1,12 +1,10 @@
-"""Workload scaling for smoke runs (``REPRO_BENCH_SCALE``).
+"""Workload scaling for smoke runs.
 
 The heavy benches (E4's schema sweep, E10's update stream, E15's
-query-scaling grid) read their sizes through these helpers, so one
-environment variable scales the whole suite down for CI smoke runs —
-``REPRO_BENCH_SCALE=0.25 python -m repro.bench`` — without touching
-the bench code. The variable is read at *call* time, so the runner can
-set it before importing the bench modules (several build their
-workloads at import).
+query-scaling grid, E16–E19's traffic) read their sizes through these
+helpers. The runner sets :data:`factor` before it imports a bench
+module (several build their workloads at import): 1.0 for a full run,
+0.25 under ``python -m repro.bench --smoke``.
 
 Scale 1.0 (the default) must be the identity: the helpers return the
 requested sizes untouched, so a full run is exactly the historical
@@ -15,27 +13,16 @@ workload.
 
 from __future__ import annotations
 
-import os
+__all__ = ["factor", "scaled", "scaled_sizes"]
 
-__all__ = ["scale_factor", "scaled", "scaled_sizes"]
-
-ENV_VAR = "REPRO_BENCH_SCALE"
-
-
-def scale_factor() -> float:
-    """The current workload scale (default 1.0, clamped positive)."""
-    raw = os.environ.get(ENV_VAR, "")
-    try:
-        factor = float(raw) if raw else 1.0
-    except ValueError:
-        return 1.0
-    return factor if factor > 0 else 1.0
+factor = 1.0
+"""The current workload scale, set by :func:`repro.bench.__main__.main`."""
 
 
 def scaled(n: int, *, minimum: int = 1) -> int:
     """``n`` scaled by the current factor, never below ``minimum``
     (a 0-row table benchmarks nothing)."""
-    return max(minimum, round(n * scale_factor()))
+    return max(minimum, round(n * factor))
 
 
 def scaled_sizes(sizes: tuple[int, ...], *,

@@ -2,7 +2,7 @@
 
 Everything the instrumentation collects is already plain data
 (:meth:`MetricsRegistry.snapshot`): :func:`snapshot` is what the
-benches attach to ``benchmarks/results/*.json``, and
+benches attach to their ``BENCH_<exp>.json`` record, and
 :func:`render_stats` / :func:`render_metrics` turn it into the REPL's
 ``stats`` table.
 """

@@ -1,9 +1,9 @@
-"""The unified bench runner: discovery, execution, reports, comparison.
+"""The bench runner: discovery, execution, the one record, comparison.
 
 Drives :mod:`repro.bench` against synthetic bench modules (written to
-``tmp_path``) so the tests stay fast and hermetic, plus the regression
-comparison's decision table and the scale helpers the real benches
-share.
+``tmp_path``, or to a temporary repo the CLI's ``main`` runs in) so the
+tests stay fast and hermetic, plus the regression comparison's decision
+table and the scale helpers the real benches share.
 """
 
 from __future__ import annotations
@@ -15,17 +15,17 @@ import pytest
 
 from repro.bench import (
     FakeBenchmark,
-    Report,
-    ReportStore,
     compare_payloads,
     discover_benches,
     render_payload_text,
     run_bench,
-    scale_factor,
+    scale,
     scaled,
     scaled_sizes,
 )
-from repro.bench.scale import ENV_VAR
+from repro.bench.__main__ import SMOKE_SCALE, main
+from repro.bench.compare import counters
+from repro.bench.runner import ROUNDS
 from repro.obs import OBS
 
 
@@ -43,60 +43,122 @@ def clean_obs():
     _scrub()
 
 
+@pytest.fixture(autouse=True)
+def keep_scale(monkeypatch):
+    """``main`` sets the process-wide scale; put it back afterwards."""
+    monkeypatch.setattr(scale, "factor", scale.factor)
+
+
+def _repo(tmp_path, monkeypatch, **benches):
+    """A temporary repo holding ``benchmarks/bench_<name>.py`` for each
+    keyword, with the CLI's working directory there."""
+    (tmp_path / "benchmarks").mkdir()
+    for name, source in benches.items():
+        (tmp_path / "benchmarks" / f"bench_{name}.py").write_text(
+            source, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _record(root, exp_id):
+    return json.loads((root / f"BENCH_{exp_id}.json").read_text())
+
+
 # -- scale helpers ------------------------------------------------------------
 
 
+SCALED_BENCH = textwrap.dedent('''
+    from repro.bench.scale import scaled
+
+    ROWS = scaled(120)  # sized at import, as the heavy benches are
+
+
+    def test_report(report):
+        report.line("scaled")
+        report.attach({"rows": ROWS, "floor": scaled(2, minimum=10)})
+''')
+
+
 class TestScale:
-    def test_default_is_identity(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert scale_factor() == 1.0
-        assert scaled(120) == 120
+    def test_default_is_identity(self, tmp_path, monkeypatch):
+        root = _repo(tmp_path, monkeypatch, e99_sized=SCALED_BENCH)
+        assert main(["e99"]) == 0
+        record = _record(root, "e99_sized")
+        assert (record["scale"], record["rows"]) == (1.0, 120)
 
-    def test_env_scales_with_floor(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0.25")
-        assert scaled(120) == 30
-        assert scaled(2, minimum=10) == 10
-
-    def test_bad_values_fall_back(self, monkeypatch):
-        for bad in ("zero", "-1", "0"):
-            monkeypatch.setenv(ENV_VAR, bad)
-            assert scale_factor() == 1.0
+    def test_smoke_scales_with_floor(self, tmp_path, monkeypatch):
+        root = _repo(tmp_path, monkeypatch, e99_sized=SCALED_BENCH)
+        assert main(["--smoke", "e99"]) == 0
+        record = _record(root, "e99_sized")
+        assert record["scale"] == SMOKE_SCALE
+        assert (record["rows"], record["floor"]) == (30, 10)
 
     def test_scaled_sizes_dedups_preserving_order(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0.01")
+        monkeypatch.setattr(scale, "factor", 0.01)
         sizes = scaled_sizes((16, 32, 64), minimum=8)
         assert sizes == (8,)
+        assert scaled(120) == 1
 
 
-# -- reports ------------------------------------------------------------------
+# -- the one record -----------------------------------------------------------
+
+
+TWO_TEST_BENCH = textwrap.dedent('''
+    from repro.obs import OBS
+
+
+    def test_first(benchmark, report):
+        OBS.inc("demo.widgets", 25)
+        benchmark(sum, range(10))
+        report.line("E99 -- demo")
+        report.table(("a", "b"), [(1, 2), (30, 4)])
+
+
+    def test_second(report):
+        report.line("second")
+        report.attach({"series": [1, 2, 3]})
+''')
 
 
 class TestReport:
-    def test_text_is_a_render_of_the_json(self, tmp_path):
-        store = ReportStore(tmp_path)
-        report = Report("e99_demo")
-        report.line("E99 -- demo")
-        report.table(("a", "b"), [(1, 2), (30, 4)])
-        report.attach({"metrics": {"counters": {"x": 1}}})
-        text_path = store.flush(report)
-        payload = json.loads(
-            (tmp_path / "e99_demo.json").read_text()
-        )
-        assert payload["metrics"]["counters"]["x"] == 1
-        assert text_path.read_text() == render_payload_text(payload)
-        # The rendered lines are mirrored into the JSON itself.
-        assert payload["report"][0] == "E99 -- demo"
+    def test_one_record_holds_every_test(self, tmp_path, monkeypatch):
+        root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
+        assert main(["e99"]) == 0
+        record = _record(root, "e99_demo")
+        assert [b.get("text", b["kind"]) for b in record["blocks"]] == [
+            "E99 -- demo", "table", "second"]
+        assert record["series"] == [1, 2, 3]
+        assert record["timings"]["test_first"]["rounds"] == ROUNDS
+        # The counters once, in the metrics snapshot; no stored verdict.
+        assert record["metrics"]["counters"] == {"demo.widgets": 25}
+        assert "counters" not in record
+        assert "comparison" not in record
 
-    def test_flushes_accumulate_per_experiment(self, tmp_path):
-        store = ReportStore(tmp_path)
-        first = Report("e1_x")
-        first.line("one")
-        store.flush(first)
-        second = Report("e1_x")
-        second.line("two")
-        store.flush(second)
-        payload = store.payload("e1_x")
-        assert [b["text"] for b in payload["blocks"]] == ["one", "two"]
+    def test_text_is_a_render_of_the_json(self, tmp_path, monkeypatch):
+        root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
+        assert main(["e99"]) == 0
+        results = root / "benchmarks" / "results"
+        text = (results / "e99_demo.txt").read_text()
+        assert text == render_payload_text(_record(root, "e99_demo"))
+        assert text.startswith("E99 -- demo\na   b\n")
+        assert [path.name for path in results.iterdir()] == [
+            "e99_demo.txt"]
+
+    def test_a_record_at_another_scale_is_left_alone(
+            self, tmp_path, monkeypatch, capsys):
+        root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
+        assert main(["--smoke", "e99"]) == 0
+        smoke = (root / "BENCH_e99_demo.json").read_bytes()
+        text = (root / "benchmarks/results/e99_demo.txt").read_bytes()
+        capsys.readouterr()
+        assert main(["e99"]) == 0
+        assert "comparison: scale-mismatch" in capsys.readouterr().out
+        assert (root / "BENCH_e99_demo.json").read_bytes() == smoke
+        assert (root / "benchmarks/results/e99_demo.txt").read_bytes() \
+            == text
+        # The smoke run still has its baseline.
+        assert main(["--smoke", "e99"]) == 0
+        assert "comparison: ok" in capsys.readouterr().out
 
 
 # -- the runner ---------------------------------------------------------------
@@ -151,12 +213,12 @@ def _write_bench(tmp_path, name, source):
 
 class TestRunner:
     def test_fake_benchmark_protocol(self):
-        fake = FakeBenchmark(rounds=2)
+        fake = FakeBenchmark()
         calls = []
         result = fake(lambda: calls.append(1) or 42)
         assert result == 42
-        assert len(calls) == 3  # one warm-up + two timed
-        assert fake.stats["rounds"] == 2
+        assert len(calls) == 1 + ROUNDS  # one warm-up + the timed rounds
+        assert fake.stats["rounds"] == ROUNDS
         assert fake.stats["min_seconds"] >= 0
 
     def test_discover_orders_numerically(self, tmp_path):
@@ -167,35 +229,31 @@ class TestRunner:
 
     def test_runs_module_and_collects(self, tmp_path):
         path = _write_bench(tmp_path, "bench_e99_demo.py", GOOD_BENCH)
-        store = ReportStore(tmp_path / "results")
-        result = run_bench(path, store=store, rounds=2)
-        assert not result.failures
-        assert result.tests_run == 2
-        assert result.timings["test_bench_work"]["rounds"] == 2
-        assert result.counters() == {"demo.widgets": 25}
-        payload = store.payload("e99_demo")
-        assert payload["report"][0] == "demo -- results"
+        record = run_bench(path)
+        assert not record["failures"]
+        assert record["tests_run"] == 2
+        assert record["timings"]["test_bench_work"]["rounds"] == ROUNDS
+        assert counters(record) == {"demo.widgets": 25}
+        assert record["blocks"][0]["text"] == "demo -- results"
 
     def test_dataclass_in_bench_module_works(self, tmp_path):
         """Module registration in sys.modules: @dataclass resolves
         cls.__module__ at class creation (the e9 regression)."""
         path = _write_bench(tmp_path, "bench_e98_dc.py", GOOD_BENCH)
-        result = run_bench(path, store=ReportStore(tmp_path / "r"))
-        assert not result.failures
+        assert not run_bench(path)["failures"]
 
     def test_failures_are_recorded_not_raised(self, tmp_path):
         path = _write_bench(tmp_path, "bench_e97_bad.py", FAILING_BENCH)
-        result = run_bench(path, store=ReportStore(tmp_path / "r"))
-        assert result.failures
-        errors = {f["test"]: f["error"] for f in result.failures}
+        failures = run_bench(path)["failures"]
+        errors = {f["test"]: f["error"] for f in failures}
         assert "deliberate" in errors["test_bench_broken"]
-        assert "unsupported fixtures" in errors["test_needs_db"]
+        assert "unsupported parameters" in errors["test_needs_db"]
 
     def test_import_error_is_one_failure(self, tmp_path):
         path = _write_bench(tmp_path, "bench_e96_boom.py",
                             "raise RuntimeError('no')\n")
-        result = run_bench(path, store=ReportStore(tmp_path / "r"))
-        assert [f["test"] for f in result.failures] == ["<import>"]
+        failures = run_bench(path)["failures"]
+        assert [f["test"] for f in failures] == ["<import>"]
 
     def test_counters_do_not_leak_between_modules(self, tmp_path):
         noisy = _write_bench(tmp_path, "bench_e95_noisy.py", GOOD_BENCH)
@@ -206,10 +264,8 @@ class TestRunner:
             "    OBS.inc('quiet.only')\n"
             "    report.line('q')\n",
         )
-        store = ReportStore(tmp_path / "r")
-        run_bench(noisy, store=store)
-        result = run_bench(quiet, store=store)
-        assert result.counters() == {"quiet.only": 1}
+        run_bench(noisy)
+        assert counters(run_bench(quiet)) == {"quiet.only": 1}
 
 
 # -- the comparison -----------------------------------------------------------
@@ -218,7 +274,7 @@ class TestRunner:
 def _payload(scale=1.0, counters=None, timings=None):
     return {
         "scale": scale,
-        "counters": counters or {},
+        "metrics": {"counters": counters or {}},
         "timings": timings or {},
     }
 
@@ -248,7 +304,6 @@ class TestComparePayloads:
         verdict = compare_payloads(
             _payload(counters={"rare": 4}),
             _payload(counters={"rare": 1}),
-            min_count=20,
         )
         assert verdict["status"] == "ok"
 
@@ -256,7 +311,6 @@ class TestComparePayloads:
         verdict = compare_payloads(
             _payload(counters={"chains": 110}),
             _payload(counters={"chains": 100}),
-            threshold=0.25,
         )
         assert verdict["status"] == "ok"
 
@@ -266,15 +320,23 @@ class TestComparePayloads:
         verdict = compare_payloads(current, previous)
         assert verdict["status"] == "ok"
         assert verdict["timing_regressions"]
-        enforced = compare_payloads(current, previous,
-                                    enforce_timings=True)
-        assert enforced["status"] == "regression"
 
     def test_new_counter_without_baseline_is_ignored(self):
         verdict = compare_payloads(
             _payload(counters={"fresh": 1000}), _payload()
         )
         assert verdict["status"] == "ok"
+
+    def test_vanished_counter_fails(self):
+        baseline = _payload(counters={"fdb.chains.enumerated": 500,
+                                      "rare": 19})
+        for run in (_payload(), _payload(
+                counters={"fdb.chains.enumerated": 0, "rare": 0})):
+            verdict = compare_payloads(run, baseline)
+            assert verdict["status"] == "regression"
+            (reg,) = verdict["counter_regressions"]
+            assert (reg["counter"], reg["current"]) == (
+                "fdb.chains.enumerated", 0)
 
 
 class TestVolatileCounters:
