@@ -21,7 +21,7 @@ exactly or ambiguously (through nulls).
 
 Two evaluators share that definition: :func:`iter_chains` walks one
 derivation and yields every :class:`Chain` (the reference semantics;
-point lookups and the update procedures), :func:`evaluate_derivations`
+updates, and point lookups no memo answers), :func:`evaluate_derivations`
 answers a whole extension as a join and builds none.
 """
 
@@ -250,10 +250,14 @@ def truth_of_derived(
     db: FunctionalDatabase, name: str, x: Value, y: Value
 ) -> Truth:
     """Section 3.2 truth valuation of the derived fact ``name(x) = y``,
-    considering every confirmed derivation of the function."""
+    considering every confirmed derivation of the function: the kept
+    extension's (:mod:`repro.fdb.memo`) or else the chains' verdict."""
     if OBS.enabled:
         OBS.inc("fdb.evaluate.truth_checks")
-    return truth_over(db, db.derived(name).derivations, x, y)
+    truth = db.memo(name).truth(db, x, y)
+    if truth is None:
+        return truth_over(db, db.derived(name).derivations, x, y)
+    return truth
 
 
 def truth_over(

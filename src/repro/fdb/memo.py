@@ -13,20 +13,23 @@ null the table's name) to the partitions that made it. A scan joins
 again the partitions it names for the changes handed to the memo
 (:meth:`ExtensionMemo.take`), and those of new first-step facts. A
 change to a null-valued fact reaches every partition: nearly all read
-its column's pool, so pools are not indexed. Counting afresh costs more
-than re-joining every partition (CHANGES.md has the numbers), so no
-share of reached partitions switches a scan to a rebuild. A schema
+its column's pool, so pools are not indexed. Counting afresh costs about
+what re-joining every partition does (CHANGES.md has the numbers), so
+no share of reached partitions switches a scan to a rebuild. A schema
 change drops every partition; a scan cut short keeps what it had. A
 function's first scan keeps nothing: while no memo is kept, writes pay
 no hand-off and no partition. The memo references no database or table.
 The undo records (:mod:`repro.fdb.undo`) are its one change feed: a
 commit or a journal undo hands its records over, an abort none. Once a
 memo is kept, writes outside a transaction wait in the undo log's
-standing list until a bare INS or DEL ends, a commit or a scan.
+standing list until a bare INS or DEL ends, a commit or a scan. A point
+read answers from the kept extension unless a pending change reaches a
+partition starting at its ``x`` (:meth:`ExtensionMemo.truth`).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -81,6 +84,7 @@ class ExtensionMemo:
                         kept.append((ref.function, fact))
         if kept:  # else left untouched: another cluster may be scanning it
             self.pending += kept
+            self.reach = None
             if len(self.pending) > self.size:
                 self.drop()
 
@@ -91,11 +95,12 @@ class ExtensionMemo:
         # Per derivation: read -> the first facts of the partitions.
         self.index: list[dict] = [{} for _ in self.derivations]
         self.result: dict = {}  # the extension
-        self.held: dict = {}  # key -> partitions holding it
-        self.clean: dict = {}  # key -> partitions holding it true
+        self.held = collections.Counter()  # key -> partitions holding it
+        self.clean = collections.Counter()  # key -> ... holding it true
         self.size = 0  # partitions kept; 0: the next scan builds them
         self.deleted = 0  # keys deleted since the dicts were built
         self.pending.clear()
+        self.reach = None  # _reached's answer for ``pending``, once asked
 
     def extension(self, db, join) -> dict | None:
         """A copy of the extension, the partitions a change reached joined
@@ -112,7 +117,7 @@ class ExtensionMemo:
             if self.version != db.schema_version:
                 self._reset(db)
             if self.size:
-                reached = self._reached(db)
+                reached = self._reached(db)[0]
             else:  # the first build, or a rebuild after a drop
                 db._stand()
                 reached = [(tuple(db.table(d.steps[0].function.name).facts()),
@@ -129,8 +134,23 @@ class ExtensionMemo:
                                *zip(gone, itertools.repeat(_GONE))])
             # Only now, every join done: a scan cut short changes nothing.
             self.pending.clear()  # first: no take() sees it past the size
+            self.reach = None
             self._recount(joined)
             return self.result.copy()  # dict() is ~6x slower past a deletion
+
+    def truth(self, db, x, y) -> Truth | None:
+        """The kept verdict on ``(x, y)``; ``None`` if nothing is kept, the
+        schema changed, the caller owns the open transaction, or a pending
+        change reaches a partition starting at ``x``, the only ones with a
+        key ``(x, _)``: the caller walks then."""
+        if not self.size or db._txn_owner == threading.get_ident():
+            return None  # no lock: a function with no kept memo pays this
+        with self.lock:
+            db._hand_off()  # may drop every partition: size is read after
+            if (not self.size or self.version != db.schema_version
+                    or self.pending and x in self._reached(db)[1]):
+                return None
+            return self.result.get((x, y), Truth.FALSE)
 
     def _reset(self, db) -> None:
         """Start over on the function's current derivations."""
@@ -142,9 +162,13 @@ class ExtensionMemo:
                                for s in d.steps)
         self.version = db.schema_version
 
-    def _reached(self, db) -> list:
+    def _reached(self, db) -> tuple:
         """Per derivation: the live first facts of the partitions the
-        pending changes reached, in table order, and the gone ones."""
+        pending changes reached, in table order, and the gone ones; and
+        where they start. Kept until ``pending`` changes: a point read's
+        check and the next scan compute it once."""
+        if self.reach is not None:
+            return self.reach
         changed = set()  # everything a pending change could be read as
         for table, fact in self.pending:
             x, y = fact.x, fact.y
@@ -155,10 +179,11 @@ class ExtensionMemo:
                 changed.add((table, True))
         # A null pool is not indexed: nearly every partition reads one.
         pooled = not self.pools.isdisjoint(changed)
-        plan = []
+        plan, starts = [], set()
         for derivation, index, parts in zip(self.derivations, self.index,
                                             self.parts):
-            first = db.table(derivation.steps[0].function.name)
+            step = derivation.steps[0]
+            first = db.table(step.function.name)
             facts = {fact for table, fact in self.pending
                      if table == first.name}
             gone = {fact for fact in facts
@@ -169,7 +194,10 @@ class ExtensionMemo:
                 for key in changed:
                     facts.update(index.get(key, ()))
             plan.append((sorted(facts - gone, key=_seq), gone))
-        return plan
+            start = "y" if step.op is Op.INVERSE else "x"
+            starts.update(map(operator.attrgetter(start), facts))
+        self.reach = plan, starts
+        return self.reach
 
     def _recount(self, joined: list) -> None:
         """Put new joins in place of old partitions; move their counts."""
@@ -191,6 +219,13 @@ class ExtensionMemo:
                     index.setdefault(read, set()).add(fact)
         self.size = sum(map(len, self.parts))
         held, clean, result, moved = self.held, self.clean, self.result, set()
+        if not held:  # a first build: count every key in one pass
+            keys = [*itertools.chain(*(new[0] for _, new in swaps))]
+            held.update(keys)
+            clean.update(itertools.chain(*(new[1] for _, new in swaps)))
+            result |= dict.fromkeys(keys, Truth.AMBIGUOUS)
+            result |= dict.fromkeys(clean, Truth.TRUE)
+            swaps = ()
         for old, new in swaps:
             for was, now, counts in ((old[0], new[0], held),
                                      (old[1], new[1], clean)):
@@ -214,6 +249,6 @@ class ExtensionMemo:
         # a dict with holes costs more: past an eighth, build them anew.
         if self.deleted > len(result) // 8:
             self.result = dict(result)
-            self.held = dict(held)
-            self.clean = dict(clean)
+            self.held = collections.Counter(held)
+            self.clean = collections.Counter(clean)
             self.deleted = 0

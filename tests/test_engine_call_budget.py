@@ -3,7 +3,8 @@
 ``tests/test_request_path_budget.py`` counts the service's share of a
 request; this file counts the engine's. ``sys.setprofile`` sees every
 Python-level call, so the calls into ``src/repro`` that one derived
-INS, one derived DEL, one point ``truth_of`` and one ``extension``
+INS, one derived DEL, one point ``truth_of`` (on a kept extension, and
+right after a base write that reaches its start) and one ``extension``
 right after a base write make are exact for a given tree and instance.
 Each op runs on its own copy of one ``chain_fdb(3)`` instance from
 ``repro.workloads``, in a subprocess under ``PYTHONHASHSEED=0`` (value
@@ -15,7 +16,9 @@ calls lowers the budget.
 The scan row is the maintained extension: after one base write the
 scan joins again only the partitions that write reached and moves the
 counts of the keys they changed (:mod:`repro.fdb.memo`), where a join
-from scratch makes a call per value looked up at every hop.
+from scratch makes a call per value looked up at every hop. A point
+read answers from that extension unless a pending change reaches a
+partition starting at its ``x``; then it walks the chains from ``x``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import repro
 BUDGETS = {
     "derived_insert": 74,
     "derived_delete": 182,
-    "truth_of": 72,
+    # A walk over the chains from x made 72.
+    "truth_of": 9,
+    "truth_of_after_base_write": 81,
     # A join from scratch made 178; folding every kept partition, 84.
     "scan_after_base_write": 64,
 }
@@ -85,11 +90,17 @@ def scan_after_base_write(db):
     return counted(lambda: db.extension("v"))
 
 
+def truth_of_after_base_write(db):
+    db.insert("f1", x, "T1_new")  # a partition that starts at x
+    return counted(lambda: db.truth_of("v", x, y))
+
+
 rows = {
     "derived_insert": lambda db: counted(
         lambda: db.insert("v", "T0_new", "T3_new")),
     "derived_delete": lambda db: counted(lambda: db.delete("v", x, y)),
     "truth_of": lambda db: counted(lambda: db.truth_of("v", x, y)),
+    "truth_of_after_base_write": truth_of_after_base_write,
     "scan_after_base_write": scan_after_base_write,
 }
 for name, row in rows.items():

@@ -14,7 +14,9 @@ a function with two derivations. A function's first scan keeps
 nothing, so each stream scans every function twice before its first
 op. The memos learn of a change only from the undo records
 (:mod:`repro.fdb.undo`), handed over at a commit, a journal undo, the
-end of a bare INS or DEL and a scan.
+end of a bare INS or DEL and a scan. On the same streams a point
+``truth_of``, which answers from a kept memo unless a pending change
+reaches its start, must give the walk's verdict (:func:`truth_over`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from repro.core.types import ObjectType, TypeFunctionality
 from repro.errors import DeadlineExceeded, ReproError
 from repro.fdb import evaluate
 from repro.fdb.constraints import resolve_nulls
-from repro.fdb.evaluate import derived_extension, evaluate_derivations
+from repro.fdb.evaluate import (derived_extension, evaluate_derivations,
+                                 truth_over)
 from repro.fdb.journal import Journal
 from repro.fdb.logic import Truth
 from repro.fdb.memo import ExtensionMemo
@@ -182,23 +185,32 @@ def step(db, journal: Journal, later: list, rng: random.Random) -> bool:
     return False
 
 
-@settings(max_examples=250, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), shape=st.sampled_from(SHAPES),
-       k=st.integers(2, 4), rows=st.integers(0, 9), ops=st.integers(1, 30),
-       many_one=st.booleans(), every=st.integers(1, 3))
-# Streams that fail, on every run, when the memos stop taking any one
-# record kind (``fact``, ``ncl``, an ``nc`` rewrite) or lose any one
-# hand-off (a commit's, a bare INS / DEL's, a scan's, a journal
-# undo's): the first fails for each of the seven, the second for all
-# but the undo, the third for all but the rewrite.
-@example(seed=583006, shape="self-join", k=4, rows=4, ops=22,
-         many_one=False, every=2)
-@example(seed=674358, shape="self-join", k=2, rows=6, ops=25,
-         many_one=True, every=2)
-@example(seed=265770, shape="inverse", k=4, rows=6, ops=27,
-         many_one=False, every=1)
-def test_maintained_extension_equals_the_join(
-        seed, shape, k, rows, ops, many_one, every):
+def assert_reads(db, name: str) -> None:
+    """Every point read of ``name`` against the walk: every start x end
+    of the current tables (an end may be a null), and absent values on
+    either side. Then the memo's cached reach, if any, against one
+    computed afresh: it must be the reach of what is pending now."""
+    starts, ends = {"absent"}, {"absent"}
+    derivations = db.derived(name).derivations
+    for derivation in derivations:
+        first, last = derivation.steps[0], derivation.steps[-1]
+        starts.update(fact.y if first.op is Op.INVERSE else fact.x
+                      for fact in db.table(first.function.name).facts())
+        ends.update(fact.x if last.op is Op.INVERSE else fact.y
+                    for fact in db.table(last.function.name).facts())
+    for x in starts:
+        for y in ends:
+            assert db.truth_of(name, x, y) is truth_over(
+                db, derivations, x, y), (name, x, y)
+    memo = db.memo(name)
+    db._hand_off()
+    cached, memo.reach = memo.reach, None
+    assert cached is None or memo._reached(db) == cached
+
+
+def run_stream(seed, shape, k, rows, ops, many_one, every, reads) -> None:
+    """One random stream, each function scanned after the ops as below;
+    with ``reads``, every function's point reads checked before that."""
     db, later = build(shape, k, many_one)
     random_instance(db, rows, seed=seed, value_pool=POOL)
     rng = random.Random(seed)
@@ -211,6 +223,8 @@ def test_maintained_extension_equals_the_join(
             # A commit, an undo and a bare INS or DEL each hand over
             # what waits: only a scan is left to take a raw change.
             assert not db._undo.standing
+        for name in db.derived_names if reads else ():
+            assert_reads(db, name)
         # One function is scanned after every op, the others every
         # ``every`` ops, so changes also pile up between scans.
         for i, name in enumerate(db.derived_names):
@@ -224,7 +238,52 @@ def test_maintained_extension_equals_the_join(
     if merges(db):
         db.ncs.rewrite_value(*rng.choice(merges(db)))
         for name in db.derived_names:
+            if reads:
+                assert_reads(db, name)
             assert_maintained(db, name)
+
+
+STREAMS = given(
+    seed=st.integers(0, 10 ** 6), shape=st.sampled_from(SHAPES),
+    k=st.integers(2, 4), rows=st.integers(0, 9), ops=st.integers(1, 30),
+    many_one=st.booleans(), every=st.integers(1, 3))
+
+
+@settings(max_examples=250, deadline=None)
+@STREAMS
+# Streams that fail, on every run, when the memos stop taking any one
+# record kind (``fact``, ``ncl``, an ``nc`` rewrite) or lose any one
+# hand-off (a commit's, a bare INS / DEL's, a scan's, a journal
+# undo's): the first fails for each of the seven, the second for all
+# but the undo, the third for all but the rewrite.
+@example(seed=583006, shape="self-join", k=4, rows=4, ops=22,
+         many_one=False, every=2)
+@example(seed=674358, shape="self-join", k=2, rows=6, ops=25,
+         many_one=True, every=2)
+@example(seed=265770, shape="inverse", k=4, rows=6, ops=27,
+         many_one=False, every=1)
+def test_maintained_extension_equals_the_join(
+        seed, shape, k, rows, ops, many_one, every):
+    run_stream(seed, shape, k, rows, ops, many_one, every, reads=False)
+
+
+@settings(max_examples=250, deadline=None)
+@STREAMS
+# Streams that fail, on every run, when the read skips the reach check,
+# when ``take`` or the scan keeps the cached reach past a change to the
+# pending list, or when an inverted first step's start is read from the
+# fact's x: each of the four fails both (the scan's on the cached reach,
+# the others on a verdict).
+@example(seed=881557, shape="inverse", k=4, rows=3, ops=6, many_one=True,
+         every=3)
+@example(seed=225671, shape="self-join", k=4, rows=6, ops=11,
+         many_one=False, every=2)
+def test_point_reads_equal_the_walk(seed, shape, k, rows, ops, many_one,
+                                    every):
+    """``truth_of`` answers from a kept memo unless a pending change
+    reaches its start; on the same streams as the scans, every read
+    must give the walk's verdict (:func:`evaluate.truth_over`)."""
+    run_stream(seed, shape, k, rows, ops, many_one, every, reads=True)
 
 
 def test_each_call_returns_a_fresh_dict():
@@ -342,6 +401,32 @@ def test_an_aborted_transaction_hands_nothing_to_a_memo(monkeypatch):
         assert (memo.result, memo.size) == kept and not memo.pending
     monkeypatch.undo()
     assert_maintained(db, "v")
+
+
+def test_a_read_in_its_own_transaction_sees_its_write():
+    """Inside the caller's open transaction the memo does not answer:
+    its records come at commit, so ``truth_of`` walks and sees the
+    uncommitted DEL. After the abort the memo answers as before."""
+    db = chain_fdb(3)
+    random_instance(db, 30, seed=3, value_pool=8)
+    for _ in range(2):  # a memo starts at the second scan
+        assert_maintained(db, "v")
+    memo, derivations = db.memo("v"), db.derived("v").derivations
+    x, y = next(pair for pair, truth in db.extension("v").items()
+                if truth is Truth.TRUE)
+    assert memo.truth(db, x, y) is db.truth_of("v", x, y) is Truth.TRUE
+    try:
+        with db.transaction():
+            db.delete("v", x, y)
+            assert memo.truth(db, x, y) is None
+            seen = db.truth_of("v", x, y)
+            assert seen is truth_over(db, derivations, x, y)
+            assert seen is not Truth.TRUE
+            raise Abort
+    except Abort:
+        pass
+    assert not memo.pending
+    assert memo.truth(db, x, y) is db.truth_of("v", x, y) is Truth.TRUE
 
 
 def two_clusters():
@@ -576,6 +661,79 @@ def test_readers_of_another_cluster_scan_while_a_writer_commits():
     assert not errors, errors
     assert not mismatches
     assert_maintained(db, "v")
+
+
+def test_point_readers_of_two_clusters_while_a_writer_commits():
+    """Through one service: point readers of ``v`` (scanning now and
+    then, so its memo is kept and clean again) and of ``w`` run while a
+    writer commits to ``v``'s tables. Inside one read hold every verdict
+    equals the walk, whether the memo answered it or not; ``w``'s memo,
+    which no commit reaches, answers every read of it."""
+    db = two_clusters()
+    service = DatabaseService(db, lock_timeout=10.0)
+    mismatches, errors = [], []
+    answered, asked = {"v": 0, "w": 0}, {"v": 0, "w": 0}
+    columns = {"v": ("f1", "f2"), "w": ("g1", "g2")}
+
+    def point(name, rng):
+        def read(db):
+            first, last = (db.table(column) for column in columns[name])
+            if rng.random() < 0.1:
+                db.extension(name)
+            x = rng.choice([*first.pairs(), ("absent", None)])[0]
+            y = rng.choice([*last.pairs(), (None, "absent")])[1]
+            kept = db.memo(name).truth(db, x, y)
+            walked = truth_over(db, db.derived(name).derivations, x, y)
+            if db.truth_of(name, x, y) is not walked or kept not in (
+                    None, walked):
+                mismatches.append((name, x, y))
+            answered[name] += kept is not None
+            asked[name] += 1
+        return read
+
+    def reader(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(150):
+                name = rng.choice(("v", "w"))
+                service.read((name,), point(name, rng))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def writer() -> None:
+        rng = random.Random(99)
+        try:
+            for i in range(120):
+                name = rng.choice(("f1", "f2"))
+                pairs = tuple(service.read(
+                    (name,), lambda db: tuple(db.table(name).pairs())))
+                if pairs and rng.random() < 0.5:
+                    service.delete(name, *rng.choice(pairs))
+                else:
+                    k = int(name[1])
+                    service.insert(name, f"T{k - 1}_{rng.randrange(5)}",
+                                   f"T{k}_{rng.randrange(5)}")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(seed,))
+               for seed in range(3)] + [threading.Thread(target=writer)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads trade places inside a read
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert not mismatches
+    assert 0 < answered["v"] < asked["v"] and answered["w"] == asked["w"]
+    assert_maintained(db, "v")
+    assert_maintained(db, "w")
 
 
 def test_a_commit_elsewhere_lands_while_a_scan_recounts(monkeypatch):
