@@ -4,10 +4,14 @@
     python3 benchmarks/request_cost.py --sustain 30
 
 The table: microseconds per in-memory base write (an INS/DEL pair on
-``teach``, halved) and per base-fact ``truth_of``, through one
-:class:`~repro.service.DatabaseService` lane and bare on its
-:class:`~repro.fdb.database.FunctionalDatabase`, OBS off, no deadline;
-best of ``--repeat`` rounds of ``--ops`` operations.
+``teach``, halved), per base-fact ``truth_of`` and per derived
+``truth_of`` the maintained extension answers (``pupil``, scanned
+twice first), through one :class:`~repro.service.DatabaseService` lane
+and bare on its :class:`~repro.fdb.database.FunctionalDatabase`, OBS
+off, no deadline; best of ``--repeat`` rounds of ``--ops`` operations.
+Below it, the lane's lock manager alone: one ``acquire`` / ``release``
+pair, and one ``held`` block over the write token and one cluster,
+enter to exit.
 
 ``--sustain S``: one client writing through one lane for S seconds,
 printing per second the writes and the share of that second spent in
@@ -27,7 +31,7 @@ import time
 
 from repro.fdb.updates import Update, apply_entry
 from repro.obs.slo import SLOMonitor
-from repro.service import DatabaseService
+from repro.service import EXCLUSIVE, WRITE_RESOURCE, DatabaseService
 from repro.workloads.university import pupil_database
 
 INSERT = Update.ins("teach", "zed", "art")
@@ -67,16 +71,46 @@ def cost_table(ops: int, repeat: int) -> None:
         for _ in range(n):
             db.truth_of("teach", "zed", "art")
 
+    def service_derived(n):
+        for _ in range(n):
+            lane.truth_of("pupil", "euclid", "bill")
+
+    def engine_derived(n):
+        for _ in range(n):
+            db.truth_of("pupil", "euclid", "bill")
+
     write = (best_us(service_writes, ops, repeat),
              best_us(engine_writes, ops, repeat))
     lane.execute(INSERT)
     read = (best_us(service_reads, ops, repeat),
             best_us(engine_reads, ops, repeat))
-    print(f"{'request':10} {'service us':>11} {'engine us':>10} "
+    for _ in range(2):  # the second scan keeps the memo
+        lane.extension("pupil")
+    assert db.memo("pupil").truth(db, "euclid", "bill") is not None
+    derived = (best_us(service_derived, ops, repeat),
+               best_us(engine_derived, ops, repeat))
+    print(f"{'request':16} {'service us':>11} {'engine us':>10} "
           f"{'service - engine':>17}")
-    for name, (service, engine) in (("write", write), ("truth_of", read)):
-        print(f"{name:10} {service:11.2f} {engine:10.2f} "
+    for name, (service, engine) in (("write", write), ("truth_of", read),
+                                    ("derived truth_of", derived)):
+        print(f"{name:16} {service:11.2f} {engine:10.2f} "
               f"{service - engine:17.2f}")
+    locks = lane.locks
+    token = {WRITE_RESOURCE, lane.cluster_of("teach")}
+
+    def pairs(n):
+        for _ in range(n):
+            locks.acquire("r", EXCLUSIVE)
+            locks.release("r", EXCLUSIVE)
+
+    def holds(n):
+        for _ in range(n):
+            with locks.held(token, EXCLUSIVE):
+                pass
+
+    print(f"lock manager: acquire + release "
+          f"{best_us(pairs, ops, repeat):.2f} us, held over the write "
+          f"token and one cluster {best_us(holds, ops, repeat):.2f} us")
     lane.close()
 
 

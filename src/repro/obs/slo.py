@@ -24,9 +24,9 @@ percentile of n durations, the one at 0-based rank
 threshold exactly when at least ``n - r`` of them do (the ``n - r``
 largest are the ones from rank ``r`` up). So no duration is kept.
 
-Evaluation is pull-based (:meth:`SLOMonitor.evaluate`), with
-:meth:`SLOMonitor.maybe_evaluate` as the rate-limited form request
-paths call; the clock is injectable so tests can step time. A record
+Evaluation is pull-based (:meth:`SLOMonitor.evaluate`); a request
+path calls the rate-limited :meth:`SLOMonitor.maybe_evaluate` when its
+``record`` says one is due. The clock is injectable. A record
 is a fixed number of counter increments; an evaluation's cost grows
 with the window's slices, not its requests.
 """
@@ -221,8 +221,10 @@ class SLOMonitor:
         self._probes[objective_name] = probe
 
     def record(self, family: str, duration: float, *,
-               error: bool = False, shed: bool = False) -> None:
-        with self._lock:
+               error: bool = False, shed: bool = False) -> bool:
+        """Count one request; True when an evaluation is due."""
+        self._lock.acquire()  # not ``with``: see repro.service.locks
+        try:
             now = self._clock()
             index = int(now // SLICE)
             cut = int((now - self._horizon) // SLICE)
@@ -242,6 +244,9 @@ class SLOMonitor:
                 if duration > threshold and (watched == "*"
                                              or watched == family):
                     counts[slot] += 1
+            return now - self._last_eval >= EVAL_INTERVAL
+        finally:
+            self._lock.release()
 
     def _prune(self, cut: int) -> None:
         # Caller holds self._lock: let go of every slice before ``cut``.
@@ -254,8 +259,6 @@ class SLOMonitor:
         evaluation, else return None. The check and its stamp are one
         lock hold, so two callers at one instant evaluate once."""
         now = self._clock()
-        if now - self._last_eval < EVAL_INTERVAL:
-            return None  # unlocked peek; re-checked below
         with self._lock:
             if now - self._last_eval < EVAL_INTERVAL:
                 return None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 
 from repro.cancel import Deadline
 from repro.errors import ServiceClosed, ServiceOverloaded
@@ -48,84 +49,88 @@ class AdmissionGate:
         self._idlers = 0  # wait_idle callers asleep on _cond
         self._closed = False
         self.shed = 0  # lifetime count, for reports
+        self._tallies: Counter[str] = Counter()  # see tallies()
 
     def _publish(self) -> None:
         OBS.gauge("service.active", self._active)
         OBS.gauge("service.queued", self._queued)
 
-    def enter(self, *, deadline: Deadline | None = None) -> None:
-        """Take an execution slot, queueing briefly if none is free.
-
-        Raises :class:`ServiceOverloaded` when the queue is full or
-        the wait runs out, :class:`ServiceClosed` once the gate is
-        closed.
-        """
+    def enter(self, *, deadline: Deadline | None = None,
+              count: str | None = None) -> None:
+        """Take an execution slot, queueing briefly if none is free,
+        and count it under ``count`` (:meth:`tallies`). Raises
+        :class:`ServiceOverloaded` when the queue is full or the wait
+        runs out, :class:`ServiceClosed` once the gate is closed."""
         started = time.monotonic() if OBS.enabled else None
-        with self._lock:
+        self._lock.acquire()  # not ``with``: see repro.service.locks
+        try:
             if self._closed:
                 raise ServiceClosed("service is draining; no new requests")
-            if self._active < self.max_concurrent:
-                self._active += 1
+            if self._active >= self.max_concurrent:
+                if self._queued >= self.max_queue:
+                    raise self._shed(
+                        f"request queue full ({self._queued} waiting); "
+                        f"request shed", reason="queue_full",
+                        queued=self._queued)
+                limit = self.queue_timeout
+                if deadline is not None:
+                    limit = min(limit, max(deadline.remaining(), 0.0))
+                if started is None:
+                    started = time.monotonic()
+                expires = started + limit
+                self._queued += 1
                 if OBS.enabled:
                     self._publish()
-                    if started is not None:
-                        OBS.observe("service.admission.wait_seconds",
-                                    time.monotonic() - started)
-                return
-            if self._queued >= self.max_queue:
-                self.shed += 1
-                if OBS.enabled:
-                    OBS.inc("service.shed")
-                    OBS.event("admission.shed", reason="queue_full",
-                              queued=self._queued)
-                raise ServiceOverloaded(
-                    f"request queue full ({self._queued} waiting); "
-                    f"request shed"
-                )
-            limit = self.queue_timeout
-            if deadline is not None:
-                limit = min(limit, max(deadline.remaining(), 0.0))
-            if started is None:
-                started = time.monotonic()
-            expires = started + limit
-            self._queued += 1
+                try:
+                    while self._active >= self.max_concurrent:
+                        remaining = expires - time.monotonic()
+                        if remaining <= 0:
+                            raise self._shed(
+                                f"queued {limit:.3f}s without an execution "
+                                f"slot; request shed",
+                                reason="queue_wait_timeout")
+                        self._cond.wait(remaining)
+                        if self._closed:
+                            raise ServiceClosed(
+                                "service is draining; no new requests")
+                finally:
+                    self._queued -= 1
+                    if OBS.enabled:
+                        self._publish()
+            self._active += 1
+            if count is not None:
+                self._tallies[count] += 1
             if OBS.enabled:
                 self._publish()
-            try:
-                while True:
-                    if self._closed:
-                        raise ServiceClosed(
-                            "service is draining; no new requests"
-                        )
-                    if self._active < self.max_concurrent:
-                        self._active += 1
-                        if OBS.enabled:
-                            OBS.observe(
-                                "service.admission.wait_seconds",
-                                time.monotonic() - started,
-                            )
-                        return
-                    remaining = expires - time.monotonic()
-                    if remaining <= 0:
-                        self.shed += 1
-                        if OBS.enabled:
-                            OBS.inc("service.shed")
-                            OBS.event("admission.shed",
-                                      reason="queue_wait_timeout")
-                        raise ServiceOverloaded(
-                            f"queued {limit:.3f}s without an execution "
-                            f"slot; request shed"
-                        )
-                    self._cond.wait(remaining)
-            finally:
-                self._queued -= 1
-                if OBS.enabled:
-                    self._publish()
+                if started is not None:
+                    OBS.observe("service.admission.wait_seconds",
+                                time.monotonic() - started)
+        finally:
+            self._lock.release()
+
+    def _shed(self, message: str, **event) -> ServiceOverloaded:
+        # Caller holds _lock: count one shed request, return its error.
+        self.shed += 1
+        if OBS.enabled:
+            OBS.inc("service.shed")
+            OBS.event("admission.shed", **event)
+        return ServiceOverloaded(message)
+
+    def tally(self, *keys: str) -> None:
+        """Add one to each of ``keys`` in :meth:`tallies`."""
+        with self._lock:
+            self._tallies.update(keys)
+
+    def tallies(self) -> dict[str, int]:
+        """Admissions by ``count`` key, plus what :meth:`tally` added."""
+        with self._lock:
+            return dict(self._tallies)
 
     def leave(self) -> None:
         """Return an execution slot; ``RuntimeError`` when none is
         taken (a double release, always a caller bug)."""
-        with self._lock:
+        self._lock.acquire()
+        try:
             if self._active <= 0:
                 raise RuntimeError("admission gate released twice")
             self._active -= 1
@@ -133,6 +138,8 @@ class AdmissionGate:
                 self._publish()
             if self._queued or self._idlers:
                 self._cond.notify_all()
+        finally:
+            self._lock.release()
 
     def close(self) -> None:
         """Stop admitting; queued requests are woken to fail fast."""

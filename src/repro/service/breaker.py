@@ -67,13 +67,9 @@ class CircuitBreaker:
 
     @property
     def state(self) -> str:
+        """OPEN ages into HALF_OPEN silently; :meth:`allow` moves it."""
         with self._lock:
-            return self._effective_state()
-
-    def _effective_state(self) -> str:
-        # Caller holds self._lock. OPEN silently ages into HALF_OPEN
-        # eligibility; the visible transition happens when a probe asks.
-        return self._state
+            return self._state
 
     @property
     def trips(self) -> int:

@@ -25,17 +25,16 @@ a held resource raises ``RuntimeError``, as releasing an unheld one
 does.
 
 Everything is guarded by one mutex, which keeps the invariants easy
-to believe. Uncontended, an acquire/release pair is ≈ 1.7 µs and
-``held`` over the write token plus one cluster ≈ 5 µs, enter to exit
-(2-core x86-64, CPython 3.11; ``benchmarks/request_cost.py`` puts
-that beside the engine call): a grantable resource is granted without
-reading the clock, a release with no one parked wakes no one, and the
-hold-time map (filled while OBS is on) is touched only when it holds
-entries. Each
-waiter parks on its own condition variable (sharing that mutex), and
-a release notifies only the waiters whose (resource, mode) request
-may now be grantable on a just-released resource — not the whole
-herd.
+to believe. A ``_Held`` ask grants all its resources in one mutex hold
+(the owner parks, on its own condition variable over that mutex, only
+for one that is not free) and releases them all in one, notifying
+only the waiters whose (resource, mode) request may now be grantable.
+Uncontended, ``held`` over the write token plus one cluster is ≈ 2.2
+µs enter to exit, an ``acquire`` / ``release`` pair ≈ 2.1 µs (2-core
+x86-64, CPython 3.11; ``benchmarks/request_cost.py``). The request
+path's mutexes (this one, the admission gate's, the SLO monitor's) are
+taken by ``acquire`` and ``release``, not ``with``, which on CPython
+3.11 costs as much again as the lock.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class LockManager:
         # on first wait and reused; all share self._mutex, so the
         # grant-check/park pair stays atomic against releases.
         self._conds: dict[int, threading.Condition] = {}
-        # resource -> owners holding it shared
+        # resource -> owners holding it shared (kept when it empties)
         self._shared: dict[str, set[int]] = {}
         # resource -> the owner holding it exclusively
         self._exclusive: dict[str, int] = {}
@@ -93,65 +92,42 @@ class LockManager:
         ``deadline``) elapses first, ``RuntimeError`` when the owner
         already holds ``resource`` in either mode. A resource grantable
         at once is granted without reading the clock."""
-        if mode not in (SHARED, EXCLUSIVE):
-            raise ValueError(f"unknown lock mode {mode!r}")
-        me = get_ident() if owner is None else owner
-        started = time.monotonic() if OBS.enabled else None
-        with self._mutex:
-            if (self._exclusive.get(resource) == me
-                    or me in self._shared.get(resource, ())):
-                raise RuntimeError(
-                    f"owner {me} already holds {resource!r}"
-                )
-            expires = None
-            while not self._may_grant(resource, mode):
-                if expires is None:
-                    limit = (self.default_timeout if timeout is None
-                             else timeout)
-                    if deadline is not None:
-                        limit = min(limit, max(deadline.remaining(), 0.0))
-                    if started is None:
-                        started = time.monotonic()
-                    expires = started + limit
-                remaining = expires - time.monotonic()
-                if remaining <= 0:
-                    if OBS.enabled:
-                        OBS.inc("service.lock.timeouts")
-                        OBS.event("lock.timeout", resource=resource,
-                                  mode=mode)
-                    raise LockTimeout(
-                        f"could not acquire {resource!r} ({mode}) "
-                        f"within {limit:.3f}s"
-                    )
-                cond = self._conds.get(me)
-                if cond is None:
-                    cond = self._conds[me] = threading.Condition(
-                        self._mutex
-                    )
-                self._waiting[me] = (resource, mode)
+        _Held(self, (resource,), mode, owner, timeout, deadline)._take()
+
+    def _park(self, resource: str, mode: str, me: int,
+              started: float | None, timeout: float | None,
+              deadline: Deadline | None) -> float:
+        """Park ``me`` until ``resource`` may be granted in ``mode``, as
+        :meth:`acquire` bounds it; returns ``started``. Holds ``_mutex``."""
+        limit = self.default_timeout if timeout is None else timeout
+        if deadline is not None:
+            limit = min(limit, max(deadline.remaining(), 0.0))
+        if started is None:
+            started = time.monotonic()
+        expires = started + limit
+        cond = self._conds.get(me)
+        if cond is None:
+            cond = self._conds[me] = threading.Condition(self._mutex)
+        while not self._may_grant(resource, mode):
+            remaining = expires - time.monotonic()
+            if remaining <= 0:
+                if OBS.enabled:
+                    OBS.inc("service.lock.timeouts")
+                    OBS.event("lock.timeout", resource=resource, mode=mode)
+                raise LockTimeout(f"could not acquire {resource!r} "
+                                  f"({mode}) within {limit:.3f}s")
+            self._waiting[me] = (resource, mode)
+            if OBS.enabled:
+                OBS.gauge("service.lock.waiters", len(self._waiting))
+            try:
+                # Sliced, not open-ended: insurance against a wakeup
+                # the targeted notify did not foresee.
+                cond.wait(min(remaining, 0.05))
+            finally:
+                self._waiting.pop(me, None)
                 if OBS.enabled:
                     OBS.gauge("service.lock.waiters", len(self._waiting))
-                try:
-                    # Sliced, not open-ended: insurance against a
-                    # wakeup this manager's targeted notify did not
-                    # foresee.
-                    cond.wait(min(remaining, 0.05))
-                finally:
-                    self._waiting.pop(me, None)
-                    if OBS.enabled:
-                        OBS.gauge("service.lock.waiters",
-                                  len(self._waiting))
-            if mode == SHARED:
-                self._shared.setdefault(resource, set()).add(me)
-            else:
-                self._exclusive[resource] = me
-            if OBS.enabled:
-                now = time.monotonic()
-                self._held_since[(resource, me, mode)] = now
-                if started is not None:
-                    OBS.observe("service.lock.wait_seconds", now - started)
-                    OBS.observe(f"service.lock.wait.{mode}.{resource}",
-                                now - started)
+        return started
 
     def _wake(self, resource: str) -> None:
         """Notify exactly the waiters whose parked (resource, mode)
@@ -178,45 +154,19 @@ class LockManager:
         """Release the owner's hold; raises ``RuntimeError`` on a hold
         the owner does not have (always a caller bug worth hearing
         about)."""
-        me = get_ident() if owner is None else owner
-        with self._mutex:
-            if mode == SHARED:
-                holders = self._shared.get(resource)
-                if not holders or me not in holders:
-                    raise RuntimeError(
-                        f"releasing {resource!r} (shared) not held by "
-                        f"owner {me}"
-                    )
-                holders.discard(me)
-                if not holders:
-                    del self._shared[resource]
-            else:
-                if self._exclusive.get(resource) != me:
-                    raise RuntimeError(
-                        f"releasing {resource!r} (exclusive) not held "
-                        f"by owner {me}"
-                    )
-                del self._exclusive[resource]
-            if self._held_since:
-                # Feed the per-cluster hold-time histogram.
-                since = self._held_since.pop((resource, me, mode), None)
-                if since is not None and OBS.enabled:
-                    OBS.observe(f"service.lock.hold.{mode}.{resource}",
-                                time.monotonic() - since)
-            if self._waiting:
-                self._wake(resource)
+        _Held(self, (resource,), mode, owner, None, None).__exit__(
+            None, None, None)
 
     def held(self, resources: Iterable[str], mode: str = SHARED, *,
              owner: int | None = None, timeout: float | None = None,
-             deadline: Deadline | None = None, **span_attrs) -> "_Held":
+             deadline: Deadline | None = None) -> "_Held":
         """Hold several resources for a block, acquiring in sorted
         order (the one order every caller keeps, so two lock *sets*
-        cannot deadlock each other). On any failure, locks taken so far
-        are released. The ``service.locks`` span (``mode`` plus
-        ``span_attrs``) covers *acquisition only*, so wait time and
-        work time stay separable in the trace."""
+        cannot deadlock each other), all or none. While OBS is on the
+        ``service.locks`` span covers *acquisition only*, so wait time
+        and work time stay separable in the trace."""
         return _Held(self, sorted(set(resources)), mode, owner, timeout,
-                     deadline, span_attrs)
+                     deadline)
 
     # -- introspection ------------------------------------------------------
 
@@ -231,45 +181,90 @@ class LockManager:
 
 
 class _Held:
-    """The scope :meth:`LockManager.held` returns: entering acquires
-    ``ordered`` one by one (one :meth:`LockManager.acquire` per
-    resource), leaving releases what was taken in reverse."""
+    """An ask of ``ordered`` resources in one mode: the manager's one
+    grant point (:meth:`_take`, in that order, all or none) and its
+    one release point (leaving), each one mutex hold."""
 
     __slots__ = ("manager", "ordered", "mode", "owner", "timeout",
-                 "deadline", "span_attrs", "taken")
+                 "deadline")
 
-    def __init__(self, manager: LockManager, ordered: list[str],
-                 mode: str, owner: int | None, timeout: float | None,
-                 deadline: Deadline | None, span_attrs: dict) -> None:
+    def __init__(self, manager: LockManager, ordered, mode: str,
+                 owner: int | None, timeout: float | None,
+                 deadline: Deadline | None) -> None:
+        if mode not in (SHARED, EXCLUSIVE):
+            raise ValueError(f"unknown lock mode {mode!r}")
         self.manager, self.ordered, self.mode = manager, ordered, mode
-        self.owner, self.timeout, self.deadline = owner, timeout, deadline
-        self.span_attrs = span_attrs
-        self.taken = 0  # ordered[:taken] are held
+        self.owner = get_ident() if owner is None else owner
+        self.timeout, self.deadline = timeout, deadline
 
     def __enter__(self) -> None:
         if OBS.enabled:
-            with OBS.span("service.locks", mode=self.mode,
-                          **self.span_attrs):
-                self._take()
-        else:
-            self._take()
+            with OBS.span("service.locks", mode=self.mode):
+                return self._take()
+        self._take()
 
     def _take(self) -> None:
-        manager, mode, owner = self.manager, self.mode, self.owner
+        manager, mode, me = self.manager, self.mode, self.owner
+        shared, exclusive = manager._shared, manager._exclusive
+        taken = 0
+        manager._mutex.acquire()  # not ``with``: see the module docstring
         try:
             for resource in self.ordered:
-                manager.acquire(resource, mode, owner=owner,
-                                timeout=self.timeout,
-                                deadline=self.deadline)
-                self.taken += 1
+                started = time.monotonic() if OBS.enabled else None
+                holders = shared.get(resource)
+                if exclusive.get(resource) == me or (holders
+                                                     and me in holders):
+                    raise RuntimeError(
+                        f"owner {me} already holds {resource!r}")
+                if resource in exclusive or mode == EXCLUSIVE and holders:
+                    started = manager._park(resource, mode, me, started,
+                                            self.timeout, self.deadline)
+                    holders = shared.get(resource)
+                if mode == EXCLUSIVE:
+                    exclusive[resource] = me
+                elif holders is None:
+                    shared[resource] = {me}
+                else:
+                    holders.add(me)
+                taken += 1
+                if OBS.enabled:
+                    now = time.monotonic()
+                    manager._held_since[(resource, me, mode)] = now
+                    if started is not None:
+                        OBS.observe("service.lock.wait_seconds",
+                                    now - started)
+                        OBS.observe(f"service.lock.wait.{mode}.{resource}",
+                                    now - started)
         except BaseException:
-            self.__exit__(None, None, None)
+            manager._mutex.release()
+            if taken:  # all or none
+                _Held(manager, self.ordered[:taken], mode, me, None,
+                      None).__exit__(None, None, None)
             raise
+        manager._mutex.release()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        manager, mode, owner = self.manager, self.mode, self.owner
-        ordered = self.ordered
-        while self.taken:
-            self.taken -= 1
-            manager.release(ordered[self.taken], mode, owner=owner)
+        manager, mode, me = self.manager, self.mode, self.owner
+        manager._mutex.acquire()
+        try:
+            for resource in self.ordered:
+                if mode == SHARED and me in manager._shared.get(resource, ()):
+                    manager._shared[resource].discard(me)
+                elif (mode == EXCLUSIVE
+                      and manager._exclusive.get(resource) == me):
+                    del manager._exclusive[resource]
+                else:
+                    raise RuntimeError(f"releasing {resource!r} ({mode}) "
+                                       f"not held by owner {me}")
+                if manager._held_since:
+                    # Feed the per-cluster hold-time histogram.
+                    since = manager._held_since.pop((resource, me, mode),
+                                                    None)
+                    if since is not None and OBS.enabled:
+                        OBS.observe(f"service.lock.hold.{mode}.{resource}",
+                                    time.monotonic() - since)
+                if manager._waiting:
+                    manager._wake(resource)
+        finally:
+            manager._mutex.release()
         return False

@@ -44,8 +44,10 @@ circuit breaker that converts a dead log device into fast
 that stops admissions, waits the executing tail out, and leaves the
 database consistent.
 
-**Telemetry.** Every public operation runs as one *request*: a fresh
-request id, a ``service.request`` span under which admission wait
+**Telemetry.** Every public operation runs as one *request*, one flat
+scope (``_Request``) that enters a span or a deadline scope only while
+OBS is on or a deadline is set: a fresh request id, a
+``service.request`` span under which admission wait
 (``service.admission``), lock acquisition (``service.locks`` —
 acquisition only, not the hold), retry attempts (``service.attempt``),
 engine execution (``service.engine``) and the WAL commit
@@ -298,24 +300,8 @@ class DatabaseService(FrontDoor):
                 if objective.kind == REPLICATION_LAG:
                     self.slo.set_probe(objective.name,
                                        replication.worst_lag_seq)
-        self._stats_lock = threading.Lock()
-        # "deadlocks" stays 0: locks are taken in one order, so no
-        # wait closes a cycle; the E20 harness still sums the key.
-        self._stats = {
-            "reads": 0, "writes": 0, "retries": 0, "deadlocks": 0,
-            "lock_timeouts": 0, "cancelled": 0, "checkpoints": 0,
-        }
 
     # -- plumbing -----------------------------------------------------------
-
-    def _bump(self, key: str, by: int = 1) -> None:
-        with self._stats_lock:
-            self._stats[key] += by
-
-    def _deadline(self, deadline: Deadline | float | None) -> Deadline | None:
-        if deadline is None or isinstance(deadline, Deadline):
-            return deadline
-        return Deadline(deadline)
 
     def cluster_of(self, name: str) -> str:
         """The lock resource guarding ``name`` (exposed for tests)."""
@@ -351,8 +337,8 @@ class DatabaseService(FrontDoor):
                               deadline=limit, on_retry=self._on_retry)
 
     def _on_retry(self, attempt: int, exc: BaseException) -> None:
-        self._bump("retries")
-        self._bump("lock_timeouts")  # the one failure a request retries
+        # A lock timeout is the one failure a request retries.
+        self.gate.tally("retries", "lock_timeouts")
         if OBS.enabled:
             OBS.inc("service.retries")
             OBS.event("service.retry", attempt=attempt,
@@ -365,12 +351,8 @@ class DatabaseService(FrontDoor):
              deadline: Deadline | float | None = None) -> object:
         """Run ``fn(db)`` while the clusters of ``names`` are held
         shared. ``fn`` must not mutate."""
-        limit = self._deadline(deadline)
-        with _Request((self,), "read", limit):
-            with self.locks.held(self._clusters_for(names), SHARED,
-                                 deadline=limit):
-                with OBS.span("service.engine"), deadline_scope(limit):
-                    return fn(self.db)
+        with _Request((self,), "read", deadline, names):
+            return fn(self.db)
 
     def read_replica(self, fn: Callable[[FunctionalDatabase], object],
                      *, max_lag_seq: int | None = None,
@@ -427,11 +409,10 @@ class DatabaseService(FrontDoor):
         ``names``, so the update is always built from state the caller
         still holds the locks for. Returns the update applied, or None
         when ``build`` declined."""
-        limit = self._deadline(deadline)
-        name_list = tuple(names)
-        with _Request((self,), "rmw", limit) as span:
-            result = self._retrying(limit, self._rmw_once, name_list,
-                                    build, limit)
+        request = _Request((self,), "rmw", deadline)
+        with request as span:
+            result = self._retrying(request.limit, self._rmw_once,
+                                    tuple(names), build, request.limit)
             if result is None:
                 return None
             applied, seq = result
@@ -539,8 +520,10 @@ class DatabaseService(FrontDoor):
         return verdict
 
     def stats(self) -> dict:
-        with self._stats_lock:
-            snapshot = dict(self._stats)
+        # "deadlocks" stays 0 (one lock order); the E20 harness sums it.
+        snapshot = dict.fromkeys(("reads", "writes", "retries", "deadlocks",
+                                  "lock_timeouts", "checkpoints"), 0)
+        snapshot.update(self.gate.tallies())
         snapshot["shed"] = self.gate.shed
         snapshot["breaker_state"] = self.breaker.state
         snapshot["breaker_trips"] = self.breaker.trips
@@ -566,65 +549,81 @@ class DatabaseService(FrontDoor):
 
 
 class _Request:
-    """One caller-visible operation over ``lanes`` (several only for
-    a multi-shard write), instrumented end to end: the
-    ``service.request`` span (fresh request id, operation family), a
-    slot at every lane's gate and the family's count; on the way out
-    the RED instruments (``service.red.<family>.*``, once) and each
-    lane's SLO monitor and ``service.shard.<i>.*`` series, the outcome
-    classified shed (:class:`ServiceOverloaded`), error (any other
-    raise) or success. Entering returns the request span while OBS is
-    on (else None); its ``attrs`` dict is live — callers stamp
-    ``committed=True`` once the write landed, and the ``span.end``
-    record carries it (the chaos soak matches those records against
-    the lanes' WAL records)."""
+    """One caller-visible operation over ``lanes`` (several only for a
+    multi-shard write) as one flat scope: a slot at every lane's gate
+    (which counts the family's ``stats()`` key); for a read of ``names``
+    their clusters held shared, then the deadline's scope if there is
+    one; spans only while OBS is on. Leaving undoes it in reverse, then
+    feeds the RED instruments once and each lane's SLO monitor: shed
+    (:class:`ServiceOverloaded`), error (any other raise) or success.
+    Entering returns the request span while OBS is on (else None);
+    callers stamp its live ``attrs`` ``committed=True`` once the write
+    landed (the chaos soak matches those records to the lanes' WALs)."""
 
-    __slots__ = ("lanes", "family", "limit", "admit", "admitted",
-                 "scope", "started")
+    __slots__ = ("lanes", "family", "limit", "names", "admit", "admitted",
+                 "held", "scope", "started")
 
     def __init__(self, lanes: Sequence[DatabaseService], family: str,
-                 limit: Deadline | None = None, *,
+                 deadline: Deadline | float | None = None,
+                 names: Iterable[str] | None = None, *,
                  admit: bool = True) -> None:
-        self.lanes, self.family, self.limit = lanes, family, limit
+        self.lanes, self.family, self.names = lanes, family, names
         self.admit = admit
+        self.limit = (deadline if deadline is None or isinstance(
+            deadline, Deadline) else Deadline(deadline))
         self.admitted = 0  # lanes[:admitted] gave this request a slot
+        self.held = ()  # what was entered after admission, in order
         self.scope = None
 
     def __enter__(self):
-        lanes, family = self.lanes, self.family
+        lanes, limit = self.lanes, self.limit
         self.started = time.perf_counter()
         if OBS.enabled:
             attrs = ({"shards": tuple(lane.shard for lane in lanes)}
                      if len(lanes) > 1 else {})
             self.scope = OBS.span(
                 "service.request", request=OBS.new_request_id(),
-                family=family, committed=False, **attrs,
+                family=self.family, committed=False, **attrs,
             )
             self.scope.__enter__()
         try:
-            if self.admit:
-                if OBS.enabled:
-                    with OBS.span("service.admission"):
-                        self._admit()
-                else:
-                    self._admit()
-            stat, counter = _COUNTS[family]
-            for lane in lanes:
-                lane._bump(stat)
+            stat, counter = _COUNTS[self.family]
+            if not self.admit:
+                for lane in lanes:
+                    lane.gate.tally(stat)
+            elif OBS.enabled:
+                with OBS.span("service.admission"):
+                    self._admit(stat)
+            else:
+                self._admit(stat)
             if counter is not None and OBS.enabled:
                 OBS.inc(counter)
+            if self.names is not None:
+                lane = lanes[0]
+                self._hold(lane.locks.held(lane._clusters_for(self.names),
+                                           SHARED, deadline=limit))
+                if OBS.enabled:
+                    self._hold(OBS.span("service.engine"))
+                if limit is not None:
+                    self._hold(deadline_scope(limit))
         except BaseException as exc:
             self.__exit__(type(exc), exc, exc.__traceback__)
             raise
         return self.scope
 
-    def _admit(self) -> None:
+    def _admit(self, stat: str) -> None:
         for lane in self.lanes:
-            lane.gate.enter(deadline=self.limit)
+            lane.gate.enter(deadline=self.limit, count=stat)
             self.admitted += 1
+
+    def _hold(self, scope) -> None:
+        scope.__enter__()
+        self.held += (scope,)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         lanes, family = self.lanes, self.family
+        for scope in reversed(self.held):
+            scope.__exit__(exc_type, exc, tb)
         for lane in lanes[:self.admitted]:
             lane.gate.leave()
         if self.scope is not None:
@@ -635,10 +634,10 @@ class _Request:
         if OBS.enabled:
             _red(f"service.red.{family}", elapsed, error)
         for lane in lanes:
-            lane.slo.record(family, elapsed, error=error, shed=shed)
+            if lane.slo.record(family, elapsed, error=error, shed=shed):
+                lane.slo.maybe_evaluate()
             if lane.shard is not None and OBS.enabled:
                 _red(f"service.shard.{lane.shard}", elapsed, error)
-            lane.slo.maybe_evaluate()
 
 
 def _red(prefix: str, elapsed: float, error: bool) -> None:
@@ -753,11 +752,11 @@ def write(lanes: Sequence[DatabaseService],
     apply, so multi-shard writes sharing a lane commit on it in one
     global order. No cross-shard *atomicity*: a failure after a slice landed
     raises :class:`CrossShardError` naming the shards that committed."""
-    first = lanes[0]
-    limit = first._deadline(deadline)
-    with _Request(lanes, "multi_write" if len(lanes) > 1 else "execute",
-                  limit) as span:
-        seqs = first._retrying(limit, _commit, lanes, updates, limit)
+    request = _Request(lanes, "multi_write" if len(lanes) > 1
+                       else "execute", deadline)
+    with request as span:
+        limit = request.limit
+        seqs = lanes[0]._retrying(limit, _commit, lanes, updates, limit)
         if span is not None:
             span.attrs["committed"] = True
         # Replication ack wait runs after the span is stamped and

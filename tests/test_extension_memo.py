@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -673,6 +674,7 @@ def test_point_readers_of_two_clusters_while_a_writer_commits():
     service = DatabaseService(db, lock_timeout=10.0)
     mismatches, errors = [], []
     answered, asked = {"v": 0, "w": 0}, {"v": 0, "w": 0}
+    counting = threading.Lock()  # readers of one cluster run together
     columns = {"v": ("f1", "f2"), "w": ("g1", "g2")}
 
     def point(name, rng):
@@ -687,14 +689,22 @@ def test_point_readers_of_two_clusters_while_a_writer_commits():
             if db.truth_of(name, x, y) is not walked or kept not in (
                     None, walked):
                 mismatches.append((name, x, y))
-            answered[name] += kept is not None
-            asked[name] += 1
+            with counting:
+                answered[name] += kept is not None
+                asked[name] += 1
         return read
 
+    written = threading.Event()
+
     def reader(seed: int) -> None:
+        # At least 150 reads, and on until the writer is done, so the
+        # readers see its commits land however fast a read is; bounded
+        # all the same.
         rng = random.Random(seed)
         try:
-            for _ in range(150):
+            for count in range(100_000):
+                if count >= 150 and written.is_set():
+                    break
                 name = rng.choice(("v", "w"))
                 service.read((name,), point(name, rng))
         except Exception as exc:  # noqa: BLE001 - reported below
@@ -713,8 +723,16 @@ def test_point_readers_of_two_clusters_while_a_writer_commits():
                     k = int(name[1])
                     service.insert(name, f"T{k - 1}_{rng.randrange(5)}",
                                    f"T{k}_{rng.randrange(5)}")
+                # A read of v between two commits (waited for, briefly):
+                # a writer that loops can otherwise commit them all while
+                # every reader is parked on v's cluster.
+                seen, until = asked["v"], time.monotonic() + 1.0
+                while asked["v"] == seen and time.monotonic() < until:
+                    time.sleep(0.0002)
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
+        finally:
+            written.set()
 
     threads = [threading.Thread(target=reader, args=(seed,))
                for seed in range(3)] + [threading.Thread(target=writer)]

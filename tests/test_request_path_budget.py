@@ -4,9 +4,10 @@ A request through :class:`repro.service.DatabaseService` should cost
 about what its engine call costs. Timing that in CI is noise; counting
 it is not. ``sys.setprofile`` sees every Python-level call, so the
 number of calls into ``src/repro`` for one in-memory base ``INS``
-through ``execute`` and one base-fact ``truth_of`` — OBS off, no
-deadline, no contention — is exact for a given tree, and the budgets
-below are upper bounds on it. A change that puts a layer of calls back
+through ``execute``, one base-fact ``truth_of`` and one derived
+``truth_of`` the maintained extension answers — OBS off, no deadline,
+no contention — is exact for a given tree, and the budgets below are
+upper bounds on it. A change that puts a layer of calls back
 on the request path fails here with the per-function tally.
 
 The lane's SLO monitor gets a clock that does not move, so the counted
@@ -30,8 +31,9 @@ from repro.service import DatabaseService
 from repro.workloads.university import pupil_database
 
 # Python-level calls into src/repro for one request, engine included.
-EXECUTE_BUDGET = 64
-TRUTH_OF_BUDGET = 35
+EXECUTE_BUDGET = 55
+TRUTH_OF_BUDGET = 22
+MEMO_TRUTH_OF_BUDGET = 26
 
 ROOT = str(Path(repro.__file__).parent)
 
@@ -87,3 +89,16 @@ def test_an_uncontended_point_read_stays_in_budget(service):
         lambda: result.append(service.truth_of("teach", "zed", "art")))
     assert result == [Truth.TRUE]
     assert sum(tally.values()) <= TRUTH_OF_BUDGET, report(tally)
+
+
+def test_a_memo_answered_derived_point_read_stays_in_budget(service):
+    for _ in range(2):  # the second scan keeps the memo
+        service.extension("pupil")
+    db = service.db
+    assert db.memo("pupil").truth(db, "euclid", "bill") is Truth.TRUE
+    service.truth_of("pupil", "euclid", "bill")
+    result: list = []
+    tally = calls_into_repro(
+        lambda: result.append(service.truth_of("pupil", "euclid", "bill")))
+    assert result == [Truth.TRUE]
+    assert sum(tally.values()) <= MEMO_TRUTH_OF_BUDGET, report(tally)

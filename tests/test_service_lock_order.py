@@ -4,9 +4,10 @@ No owner asks a lock manager for a resource while it holds one on that
 manager that sorts at or after it. That rule is why
 :class:`repro.service.LockManager` keeps no wait-for graph: a wait-for
 cycle needs some owner waiting for a resource that sorts before one it
-holds. The spy wraps ``LockManager.acquire`` / ``release`` and records
-every ask that breaks the rule while threads drive each path that
-takes locks — ``execute``, ``read``, ``checkpoint``,
+holds. The spy wraps the manager's one grant and one release point
+(``repro.service.locks._Held._take`` and leaving a ``_Held``) and
+records every ask that breaks the rule while threads drive each path
+that takes locks — ``execute``, ``read``, ``checkpoint``,
 ``read_modify_write`` (a build escaping into a second cluster
 included), ``close_log``, a multi-shard sequence and a scatter read on
 a 2-shard facade, and a replication snapshot catch-up through
@@ -23,45 +24,49 @@ from repro.fdb import persistence
 from repro.fdb.updates import Update, UpdateSequence
 from repro.replication import Replica, ReplicationGroup
 from repro.service import SHARED, DatabaseService, LockManager
+from repro.service.locks import _Held
 from repro.shard import ShardedDatabaseService
 from tests.test_shard import four_cluster_database, round_robin_pins
 
 
 class OrderSpy:
     """Per manager and owner, what is held; every ask for a resource
-    sorting at or before a held one is a violation."""
+    sorting at or before a held one is a violation. It wraps the
+    manager's one grant and one release point, ``_Held._take`` and
+    leaving a ``_Held`` ask (``acquire``, ``release`` and every
+    ``held`` scope go through them); within one ask of several
+    resources, each is asked while the ones before it are held."""
 
     def __init__(self, monkeypatch) -> None:
         self.held: dict[tuple[LockManager, int], set[str]] = {}
         self.violations: list[tuple[str, str, list[str]]] = []
         self.asks = 0
         self._lock = threading.Lock()
-        real_acquire, real_release = LockManager.acquire, LockManager.release
+        real_take, real_exit = _Held._take, _Held.__exit__
 
-        def key(manager, owner):
-            return manager, threading.get_ident() if owner is None else owner
-
-        def acquire(manager, resource, mode=SHARED, *, owner=None,
-                    **kwargs):
+        def take(ask):
+            key = (ask.manager, ask.owner)
             with self._lock:
-                self.asks += 1
-                later = sorted(held for held in
-                               self.held.get(key(manager, owner), ())
-                               if held >= resource)
-                if later:
-                    self.violations.append((resource, mode, later))
-            real_acquire(manager, resource, mode, owner=owner, **kwargs)
+                held = set(self.held.get(key, ()))
+                for resource in ask.ordered:
+                    self.asks += 1
+                    later = sorted(h for h in held if h >= resource)
+                    if later:
+                        self.violations.append((resource, ask.mode, later))
+                    held.add(resource)
+            real_take(ask)
             with self._lock:
-                self.held.setdefault(key(manager, owner),
-                                     set()).add(resource)
+                self.held.setdefault(key, set()).update(ask.ordered)
 
-        def release(manager, resource, mode=SHARED, *, owner=None):
-            real_release(manager, resource, mode, owner=owner)
+        def exit_(ask, *exc_info):
+            result = real_exit(ask, *exc_info)
             with self._lock:
-                self.held[key(manager, owner)].discard(resource)
+                self.held.setdefault((ask.manager, ask.owner),
+                                     set()).difference_update(ask.ordered)
+            return result
 
-        monkeypatch.setattr(LockManager, "acquire", acquire)
-        monkeypatch.setattr(LockManager, "release", release)
+        monkeypatch.setattr(_Held, "_take", take)
+        monkeypatch.setattr(_Held, "__exit__", exit_)
 
 
 @pytest.fixture
