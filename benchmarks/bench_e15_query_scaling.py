@@ -11,12 +11,12 @@ far cheaper than full extensions.
 The full extension is the join from scratch (``evaluate_derivations``:
 what a first scan, an image and a ``Query`` run). The ``maintained``
 series is the mean scan over ``ROUNDS`` rounds of one base write and
-one scan on a warm database: a function's partitions are kept from its
-second scan on, and a scan joins again only those the write reached and
-moves the counts of the keys they changed (:mod:`repro.fdb.memo`). On a
-dense instance one write reaches most partitions, and the scan then
-costs more than the join. It is checked against the join from scratch,
-as a mapping.
+one scan on a warm database: a function's chains are kept from its
+second scan on, and a scan joins only the chains through the fact the
+write changed, outward from the step the fact fills, and moves the
+counts of their keys (:mod:`repro.fdb.memo`); the ``fdb.memo.chains``
+counter holds that work to its record. It is checked against the join
+from scratch, as a mapping.
 """
 
 from __future__ import annotations
@@ -96,12 +96,12 @@ def test_query_scaling(report):
                 "join fan-out; indexed single-fact probes stay orders "
                 "of magnitude cheaper — intensional storage is viable "
                 "for point queries. After one base write a warm "
-                "extension joins again only the partitions the write "
-                "reached and moves the counts of the keys they changed: "
-                "under the join where a write reaches few partitions "
-                "(k = 2, and the 200-row instances at scale 1), above "
-                "it on dense instances, where one write reaches a third "
-                "of the partitions or more and those hold most chains.")
+                "extension joins only the chains through the fact the "
+                "write changed, outward from the step it fills, and "
+                "moves the counts of their keys: under the join on "
+                "every cell, and further under it as the instance and "
+                "the chain grow, since a fact's chains stay few while "
+                "the join counts them all.")
 
 
 def test_bench_extension_k3(benchmark):

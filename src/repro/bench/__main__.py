@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.bench                 # full E1–E19 suite
     python -m repro.bench e4 e10          # a named subset
-    python -m repro.bench --smoke         # scaled-down E4/E10/E15/E16/E18/E19 (CI)
+    python -m repro.bench --smoke         # scaled-down E4/E10/E16/E18/E19 (CI)
     python -m repro.bench --list          # what exists
 
 Each selected bench runs through :func:`repro.bench.runner.run_bench`
@@ -31,7 +31,7 @@ from repro.bench.compare import compare_payloads, counters
 from repro.bench.report import render_payload_text
 from repro.bench.runner import discover_benches, run_bench
 
-SMOKE_EXPS = ("e4", "e10", "e15", "e16", "e18", "e19")
+SMOKE_EXPS = ("e4", "e10", "e16", "e18", "e19")
 SMOKE_SCALE = 0.25
 
 

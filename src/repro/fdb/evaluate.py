@@ -21,8 +21,10 @@ exactly or ambiguously (through nulls).
 
 Two evaluators share that definition: :func:`iter_chains` walks one
 derivation and yields every :class:`Chain` (the reference semantics;
-updates, and point lookups no memo answers), :func:`evaluate_derivations`
-answers a whole extension as a join and builds none.
+updates, and point lookups no memo answers); ``_join`` joins it a hop at
+a time and builds none, from the first step for an extension
+(:func:`evaluate_derivations`), or outward from facts bound at any step
+for the delta rules of a maintained extension (:mod:`repro.fdb.memo`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.fdb.facts import Fact, FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.nc import NCRegistry
 from repro.fdb.table import FunctionTable
-from repro.fdb.values import NullValue, Value, is_null
+from repro.fdb.values import Value, is_null
 from repro.obs.hooks import OBS
 
 __all__ = [
@@ -254,7 +256,7 @@ def truth_of_derived(
     extension's (:mod:`repro.fdb.memo`) or else the chains' verdict."""
     if OBS.enabled:
         OBS.inc("fdb.evaluate.truth_checks")
-    truth = db.memo(name).truth(db, x, y)
+    truth = db.memo(name).truth(db, x, y, _join)
     if truth is None:
         return truth_over(db, db.derived(name).derivations, x, y)
     return truth
@@ -299,92 +301,107 @@ def evaluate_derivations(
     order); ``x`` fixes the chains' start. From scratch."""
     result: dict[tuple[Value, Value], Truth] = {}
     for derivation in derivations:
-        _join(db, derivation, [result], x=x)
+        _join(db, derivation, result, x=x)
     return result
 
 
-def _join(db: FunctionalDatabase, derivation: Derivation, outs: list[dict],
+def _join(db: FunctionalDatabase, derivation: Derivation, out: dict | None,
           firsts: Iterable[Fact] | None = None, x: Value | None = None,
-          lookups: list[list] | None = None) -> None:
-    """Each fact the chains from ``firsts`` (else the first-step facts
-    starting at ``x``) obtain, into ``outs[0]`` with the strongest
-    verdict so far. With ``lookups``, the chains from the i-th first
-    fact go to ``outs[i]`` instead, and their lookups to ``lookups[i]``
-    (``(table, inverse, value)``, at a null the table; :mod:`repro.fdb.memo`).
+          at: int = 0, chains: dict | None = None) -> None:
+    """Each fact the chains through ``firsts``, facts of step ``at``
+    (else every first-step fact, or those starting at ``x``), obtain,
+    into ``out`` with the strongest verdict so far (``at`` is 0 then).
+    With ``chains``, every chain not known false goes there instead, as
+    ``facts: (key, clean)`` (:mod:`repro.fdb.memo`): a chain found twice
+    is one entry.
 
-    A join, a hop at a time, over partial chains ``(i, start, current,
-    clean, members)``: ``clean`` — every match exact, every
-    fact true — makes a chain true; ``members``, its facts that sit in
-    an NC, say whether it is known false. Why that is the Section 3.2
-    valuation: DESIGN.md, "Evaluating an extension".
+    A join, a hop at a time over partial chains ``(facts, fixed,
+    moving, clean, members)``, outward from step ``at``: to the first
+    step, each hop matching a fact's end to the chain's start, then to
+    the last. ``clean`` — every match exact, every fact true — makes a
+    chain true; ``members``, its facts that sit in an NC, say whether
+    it is known false. Why that is the Section 3.2 valuation:
+    DESIGN.md, "Evaluating an extension".
     """
     @functools.cache  # within this call: many chains share their NC members
     def known_false(members: tuple[Fact, ...]) -> bool:
         return any(negating_ncs(db.ncs, members))
 
     checkpoint = cancel.checkpoint if cancel.cancellation_active() else None
-    true, obs_on = Truth.TRUE, OBS.enabled
+    true, ambiguous, obs_on = Truth.TRUE, Truth.AMBIGUOUS, OBS.enabled
+    track = chains is not None
     if obs_on:
         OBS.inc("fdb.evaluate.accumulations")
         OBS.inc("fdb.chains.enumerations")
-    first, *rest = derivation.steps
-    inverse, table = first.op is Op.INVERSE, db.table(first.function.name)
+    steps = derivation.steps
+    inverse = steps[at].op is Op.INVERSE
+    table = db.table(steps[at].function.name)
     if firsts is None:
         firsts = (table.facts() if x is None else table.facts_with_y(x)
                   if inverse else table.facts_with_x(x))
     frontier = []
-    for part, fact in enumerate(firsts):
+    for fact in firsts:
         if checkpoint:
-            checkpoint()  # one per first fact: a memo may join only one
+            checkpoint()  # one per bound fact: a memo may join only one
         start, end = (fact.y, fact.x) if inverse else (fact.x, fact.y)
-        frontier.append((part if lookups else 0, start, end,
+        fixed, moving = (end, start) if at else (start, end)
+        frontier.append(((fact,) if track else (), fixed, moving,
                          fact.truth is true, (fact,) if fact.ncl else ()))
-    chains = 0 if rest else len(frontier)
-    for hop, step in enumerate(rest, 1):
-        last = hop == len(rest)
-        table = db.table(step.function.name)
-        inverse = step.op is Op.INVERSE
-        match = table.matching_y if inverse else table.matching_x
+    hops = [*range(at - 1, -1, -1), *range(at + 1, len(steps))]
+    chains_found = 0 if hops else len(frontier)
+    for hop in hops:
+        last, left = hop == hops[-1], hop < at
+        if at and hop == at + 1:  # past the left hops the start is fixed
+            frontier = [(facts, moving, fixed, clean, members) for
+                        facts, fixed, moving, clean, members in frontier]
+        table = db.table(steps[hop].function.name)
+        # A right hop matches a fact's start and moves to its end, a
+        # left hop the other way round.
+        to_y = (steps[hop].op is Op.INVERSE) is left
+        match = table.matching_x if to_y else table.matching_y
         # The hash join: per distinct value, what a chain arriving there
-        # grows by — (next value, stays clean, the fact if in an NC).
+        # grows by — (next value, stays clean, NC member or None, the fact).
         matches: dict[Value, list[tuple]] = {}
         parents, frontier = frontier, []
-        for part, start, current, clean, members in parents:
+        for facts, fixed, current, clean, members in parents:
             if checkpoint:
                 checkpoint()
             found = matches.get(current)
             if found is None:
-                exact, ambiguous = match(current)
+                exact, fuzzy = match(current)
                 found = matches[current] = [
-                    (fact.x if inverse else fact.y,
-                     hit and fact.truth is true,
-                     fact if fact.ncl else None)
-                    for hit, facts in ((True, exact), (False, ambiguous))
-                    for fact in facts]
+                    (fact.y if to_y else fact.x, hit and fact.truth is true,
+                     fact if fact.ncl else None, fact)
+                    for hit, pool in ((True, exact), (False, fuzzy))
+                    for fact in pool]
             if last:
-                chains += len(found)
-                out = outs[part]
-            for end, ok, member in found:
+                chains_found += len(found)
+            for value, ok, member, fact in found:
                 grown = (members if member is None or member in members
                          else members + (member,))
                 if not last:
-                    frontier.append((part, start, end, clean and ok, grown))
+                    frontier.append(((
+                        (fact, *facts) if left else (*facts, fact)
+                    ) if track else facts, fixed, value, clean and ok, grown))
+                elif track:
+                    if clean and ok or not (grown and known_false(grown)):
+                        chains[(fact, *facts) if left else (*facts, fact)] = (
+                            (value, fixed) if left else (fixed, value),
+                            clean and ok)
                 elif clean and ok:  # complete: fold it in here
-                    out[start, end] = true
+                    out[fixed, value] = true
                 elif not (grown and known_false(grown)):
-                    out.setdefault((start, end), Truth.AMBIGUOUS)
-        if lookups:  # one key object per value looked up at this hop
-            keys = {value: table.name if isinstance(value, NullValue) else
-                    (table.name, inverse, value) for value in matches}
-            for part, _, current, _, _ in parents:
-                lookups[part].append(keys[current])
-    for part, start, end, clean, members in frontier:  # one-step chains
-        if clean:
-            outs[part][start, end] = true  # keeps an earlier chain's place
+                    out.setdefault((fixed, value), ambiguous)
+    for facts, start, end, clean, members in frontier:  # one-step chains
+        if track:
+            if clean or not (members and known_false(members)):
+                chains[facts] = (start, end), clean
+        elif clean:
+            out[start, end] = true  # keeps an earlier chain's place
         elif not (members and known_false(members)):
-            outs[part].setdefault((start, end), Truth.AMBIGUOUS)
+            out.setdefault((start, end), ambiguous)
     if obs_on:
-        OBS.inc("fdb.chains.enumerated", chains)
+        OBS.inc("fdb.chains.enumerated", chains_found)
 
 
 def derived_extension(

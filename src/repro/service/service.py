@@ -720,13 +720,11 @@ class Appender:
         transactional) and committed-log append. Returns the WAL
         sequence of the commit (None without a log)."""
         lane = self.lane
-        seq: int | None = None
-        with deadline_scope(self.limit):
-            with OBS.span("service.engine"):
-                if lane.logged is not None:
-                    seq = self.storage(lane.logged.execute, update)
-                else:
-                    apply_entry(lane.db, update)
+        if self.limit is None and not OBS.enabled:  # no scope to enter
+            seq = self._engine(update)
+        else:
+            with deadline_scope(self.limit), OBS.span("service.engine"):
+                seq = self._engine(update)
         # Still holding __write__: commit order == list order.
         with lane._committed_lock:
             lane.committed.append(update)
@@ -734,6 +732,13 @@ class Appender:
             OBS.gauge(f"service.shard.{lane.shard}.committed",
                       len(lane.committed))
         return seq
+
+    def _engine(self, update: Update | UpdateSequence) -> int | None:
+        lane = self.lane
+        if lane.logged is not None:
+            return self.storage(lane.logged.execute, update)
+        apply_entry(lane.db, update)
+        return None
 
 
 def write(lanes: Sequence[DatabaseService],

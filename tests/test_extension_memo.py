@@ -1,22 +1,23 @@
 """The maintained extension against the join from scratch.
 
-``db.extension`` / ``derived_extension`` answer from counted partitions
-kept since the last scan (:mod:`repro.fdb.memo`) and join again only
-those a write reached. :func:`evaluate_derivations` computes the same
-extension from scratch; after every op of a random stream the two must
-be the same mapping (the maintained keys' order follows the op history,
-the join's the walk). The streams mix base and derived INS / DEL, REP,
-atomic sequences, aborted transactions (null resolution inside some),
-journal undo and redo, bare INS / DEL, null resolution on a many-one
-schema, bare NC dismantling and new derived functions declared between
-scans, over chains of two to four steps, inverse steps, self-joins and
-a function with two derivations. A function's first scan keeps
-nothing, so each stream scans every function twice before its first
-op. The memos learn of a change only from the undo records
-(:mod:`repro.fdb.undo`), handed over at a commit, a journal undo, the
-end of a bare INS or DEL and a scan. On the same streams a point
-``truth_of``, which answers from a kept memo unless a pending change
-reaches its start, must give the walk's verdict (:func:`truth_over`).
+``db.extension`` / ``derived_extension`` answer from counted chains kept
+since the last scan (:mod:`repro.fdb.memo`) and join again only the
+chains through the facts a write changed. :func:`evaluate_derivations`
+computes the same extension from scratch; after every op of a random
+stream the two must be the same mapping (the maintained keys' order
+follows the op history, the join's the walk). The streams mix base and
+derived INS / DEL, REP, atomic sequences, aborted transactions (null
+resolution inside some), journal undo and redo, bare INS / DEL, null
+resolution on a many-one schema, bare NC dismantling and new derived
+functions declared between scans, over chains of two to four steps,
+inverse steps, self-joins and a function with two derivations. A
+function's first scan keeps nothing, so each stream scans every function
+twice before its first op. The memos learn of a change only from the
+undo records (:mod:`repro.fdb.undo`), handed over at a commit, a journal
+undo, the end of a bare INS or DEL, a scan and a point read. On the same
+streams a point ``truth_of``, which applies what waits to a kept memo
+and then answers from it, must give the walk's verdict
+(:func:`truth_over`).
 """
 
 from __future__ import annotations
@@ -189,8 +190,7 @@ def step(db, journal: Journal, later: list, rng: random.Random) -> bool:
 def assert_reads(db, name: str) -> None:
     """Every point read of ``name`` against the walk: every start x end
     of the current tables (an end may be a null), and absent values on
-    either side. Then the memo's cached reach, if any, against one
-    computed afresh: it must be the reach of what is pending now."""
+    either side."""
     starts, ends = {"absent"}, {"absent"}
     derivations = db.derived(name).derivations
     for derivation in derivations:
@@ -203,10 +203,6 @@ def assert_reads(db, name: str) -> None:
         for y in ends:
             assert db.truth_of(name, x, y) is truth_over(
                 db, derivations, x, y), (name, x, y)
-    memo = db.memo(name)
-    db._hand_off()
-    cached, memo.reach = memo.reach, None
-    assert cached is None or memo._reached(db) == cached
 
 
 def run_stream(seed, shape, k, rows, ops, many_one, every, reads) -> None:
@@ -253,10 +249,13 @@ STREAMS = given(
 @settings(max_examples=250, deadline=None)
 @STREAMS
 # Streams that fail, on every run, when the memos stop taking any one
-# record kind (``fact``, ``ncl``, an ``nc`` rewrite) or lose any one
+# record kind (``fact``, ``ncl``, an ``nc`` rewrite), lose any one
 # hand-off (a commit's, a bare INS / DEL's, a scan's, a journal
-# undo's): the first fails for each of the seven, the second for all
-# but the undo, the third for all but the rewrite.
+# undo's), keep the chains of a deleted fact, count a chain found
+# through two changed facts twice, or bind a changed fact only at the
+# first step its table fills: the first fails for each of the ten, the
+# second for all but the undo, the third for all but the rewrite and
+# the binding.
 @example(seed=583006, shape="self-join", k=4, rows=4, ops=22,
          many_one=False, every=2)
 @example(seed=674358, shape="self-join", k=2, rows=6, ops=25,
@@ -270,21 +269,31 @@ def test_maintained_extension_equals_the_join(
 
 @settings(max_examples=250, deadline=None)
 @STREAMS
-# Streams that fail, on every run, when the read skips the reach check,
-# when ``take`` or the scan keeps the cached reach past a change to the
-# pending list, or when an inverted first step's start is read from the
-# fact's x: each of the four fails both (the scan's on the cached reach,
-# the others on a verdict).
+# Streams that fail, on every run, when a read answers without applying
+# what waits (all three), without handing over what waits outside a
+# transaction (the third), or after keeping a deleted fact's chains
+# (all three); the second and third also when a removed chain's key
+# starts at the x of an inverted first step's fact, or a changed fact
+# is bound only at the first step its table fills.
 @example(seed=881557, shape="inverse", k=4, rows=3, ops=6, many_one=True,
          every=3)
 @example(seed=225671, shape="self-join", k=4, rows=6, ops=11,
          many_one=False, every=2)
+@example(seed=583006, shape="self-join", k=4, rows=4, ops=22,
+         many_one=False, every=2)
 def test_point_reads_equal_the_walk(seed, shape, k, rows, ops, many_one,
                                     every):
-    """``truth_of`` answers from a kept memo unless a pending change
-    reaches its start; on the same streams as the scans, every read
-    must give the walk's verdict (:func:`evaluate.truth_over`)."""
+    """``truth_of`` applies what waits to a kept memo, then answers from
+    it; on the same streams as the scans, every read must give the
+    walk's verdict (:func:`evaluate.truth_over`)."""
     run_stream(seed, shape, k, rows, ops, many_one, every, reads=True)
+
+
+def kept_chains(db, name: str) -> list:
+    """The chains of ``name`` a memo keeps: those not known false."""
+    return [chain for derivation in db.derived(name).derivations
+            for chain in evaluate.iter_chains(db, derivation)
+            if chain.supports(db) is not Truth.FALSE]
 
 
 def test_each_call_returns_a_fresh_dict():
@@ -297,16 +306,16 @@ def test_each_call_returns_a_fresh_dict():
 
 
 def test_a_function_scanned_once_keeps_nothing():
-    """A first scan is the join from scratch: no partition is kept and
-    no record list stands outside a transaction, so later writes pay
-    no hand-off."""
+    """A first scan is the join from scratch: no chain is kept and no
+    record list stands outside a transaction, so later writes pay no
+    hand-off. The second keeps every chain not known false."""
     db = chain_fdb(2)
     random_instance(db, 6, seed=1, value_pool=3)
     assert_maintained(db, "v")
     assert db.memo("v").size == 0
     assert db._undo.records is None
     assert_maintained(db, "v")
-    assert db.memo("v").size == len(db.table("f1")) > 0
+    assert db.memo("v").size == len(kept_chains(db, "v")) > 0
 
 
 def test_an_nc_rewritten_in_place_reaches_the_extension():
@@ -472,9 +481,12 @@ def test_a_bare_write_cut_short_hands_over_what_it_did(monkeypatch):
     db = chain_fdb(2)
     db.load_instance({"f1": [("a", "b"), ("a", "b2"), ("d", "e"),
                              ("g", "h"), ("i", "j")],
-                      "f2": [("b", "c"), ("b2", "c")]})
+                      "f2": [("b", "c"), ("b2", "c"), ("e", "k"),
+                             ("h", "k"), ("j", "k")]})
     for _ in range(2):  # a memo starts at the second scan
         assert_maintained(db, "v")
+    # More chains kept than the NC's records name: the memo keeps them.
+    assert db.memo("v").size == 5
     checkpoints = iter(range(3))
 
     def checkpoint() -> None:  # the DEL's own, then one per chain
@@ -531,47 +543,49 @@ def dense_db():
     return db
 
 
-def test_a_write_reaching_every_partition_is_counted(monkeypatch):
-    """A write that reaches every partition of a dense instance joins
-    them all again and moves the counts, as a smaller write does; so
-    does a new null-valued fact in a looked-up column, whose pool is not
-    indexed. A one-partition write in between joins one."""
+def test_a_write_joins_only_the_chains_through_the_facts_it_changed(
+        monkeypatch):
+    """On a dense instance an ``f3`` insert joins the chains through the
+    new fact, not every chain kept; so does a new null-valued fact in a
+    looked-up column, whose chains match ambiguously on both sides."""
     db = dense_db()
     memo = db.memo("v")
-    size = memo.size
-    recounted = []  # (partitions kept, partitions joined) per recount
-    recount = type(memo)._recount
-    monkeypatch.setattr(type(memo), "_recount", lambda self, joined: (
-        recounted.append((self.size, sum(map(len, joined)))),
-        recount(self, joined)))
+    joined = []  # chains joined per count
+    count = ExtensionMemo._count
+    monkeypatch.setattr(ExtensionMemo, "_count", lambda self, found,
+                        changed: (joined.append(sum(map(len, found))),
+                                  count(self, found, changed)))
     x = next(iter(db.table("f3").facts())).x
     db.insert("f3", x, "T3_dense")
+    fact = db.table("f3").get(x, "T3_dense")
     assert_maintained(db, "v")
-    assert recounted == [(size, size)]
-    db.insert("f1", "T0_new", "T1_new")
+    through = [chain for chain in kept_chains(db, "v") if fact in chain.facts]
+    assert joined == [len(through)] and 0 < len(through) < memo.size // 4
+    null = db.table("f2").add_pair(db.nulls.fresh(), "T2_0")
     assert_maintained(db, "v")
-    assert recounted[-1] == (size, 1) and memo.size == size + 1
-    db.table("f2").add_pair(db.nulls.fresh(), "T2_0")
-    assert_maintained(db, "v")
-    assert recounted[-1] == (size + 1, size + 1)
+    through = [chain for chain in kept_chains(db, "v") if null in chain.facts]
+    assert not any(chain.all_exact for chain in through)
+    assert joined[1:] == [len(through)] and 0 < len(through) < memo.size
 
 
 def test_a_deadline_inside_a_counted_rejoin_changes_nothing(monkeypatch):
-    """A deadline during the join of the partitions a write reached
-    leaves the counts and the pending changes as they were."""
+    """A deadline during the join of the chains through the fact a
+    write changed leaves the counts and the pending changes as they
+    were."""
     db = chain_fdb(3)
     random_instance(db, 40, seed=6, value_pool=12)
     for _ in range(2):  # a memo starts at the second scan
         assert_maintained(db, "v")
     memo = db.memo("v")
     db.insert("f3", next(iter(db.table("f3").facts())).x, "T3_cut")
-    kept = memo.result.copy(), dict(memo.held), dict(memo.clean), memo.size
+    kept = (memo.result.copy(), dict(memo.held), dict(memo.clean),
+            memo.size, [dict(chains) for chains in memo.chains])
     join = evaluate._join
 
-    def cut_short(db, derivation, outs, firsts, **kwargs):
-        assert kwargs["lookups"] and len(firsts) < memo.size  # a re-join
-        join(db, derivation, outs[:1], firsts[:1], lookups=kwargs[
-            "lookups"][:1])
+    def cut_short(db, derivation, out, firsts, **kwargs):
+        assert kwargs["at"] == 2 and len(firsts) == 1  # the delta
+        join(db, derivation, out, firsts, **kwargs)
+        assert kwargs["chains"]  # it joined the chains through the fact
         raise DeadlineExceeded("deadline passed")
 
     with monkeypatch.context() as patch:
@@ -579,7 +593,8 @@ def test_a_deadline_inside_a_counted_rejoin_changes_nothing(monkeypatch):
         with pytest.raises(DeadlineExceeded):
             db.extension("v")
     assert memo.pending
-    assert (memo.result, memo.held, memo.clean, memo.size) == kept
+    assert (memo.result, memo.held, memo.clean, memo.size,
+            memo.chains) == kept
     db.insert("f2", next(iter(db.table("f2").facts())).x, "T2_late")
     assert_maintained(db, "v")
 
@@ -587,9 +602,9 @@ def test_a_deadline_inside_a_counted_rejoin_changes_nothing(monkeypatch):
 @pytest.mark.parametrize("memo", ("cold", "dropped"))
 def test_a_scan_cut_short_keeps_no_partition(monkeypatch, memo):
     """A deadline can stop a scan in its second derivation's join, after
-    the first derivation's partitions are joined: on the memo's first
+    the first derivation's chains are joined: on the memo's first
     build (the function's second scan), or after the pending list
-    dropped every partition. A later write to the first derivation's
+    dropped every chain. A later write to the first derivation's
     second step must still reach the extension."""
     db, _ = build("two-derivations", 2, False)
     random_instance(db, 8, seed=4, value_pool=3)
@@ -755,10 +770,10 @@ def test_point_readers_of_two_clusters_while_a_writer_commits():
 
 
 def test_a_commit_elsewhere_lands_while_a_scan_recounts(monkeypatch):
-    """A scan of ``w`` that drops most of its partitions and joins one
-    new one recounts to fewer partitions than the changes it took.
-    Commits to ``v``'s tables landing inside that scan, during its join
-    and right after its recount, neither append to ``w``'s memo nor
+    """A scan of ``w`` that drops most of its chains and joins the ones
+    through one new fact recounts to fewer chains than the changes it
+    took. Commits to ``v``'s tables landing inside that scan, during its
+    join and right after its count, neither append to ``w``'s memo nor
     drop it."""
     db = two_clusters()
     memo = db.memo("w")
@@ -768,7 +783,7 @@ def test_a_commit_elsewhere_lands_while_a_scan_recounts(monkeypatch):
             db.delete("g1", x, y)
     with db.transaction():
         db.insert("g1", "U0_new", "U1_0")
-    size = memo.size - len(pairs) + 1  # what the scan will leave
+    size = len(kept_chains(db, "w"))  # what the scan will leave
     assert len(memo.pending) == len(pairs) + 1 > size
     commits = iter(range(1000))
 
@@ -776,21 +791,21 @@ def test_a_commit_elsewhere_lands_while_a_scan_recounts(monkeypatch):
         with db.transaction():
             db.insert("f2", "T1_0", f"T2_c{next(commits)}")
 
-    join, recount = evaluate._join, ExtensionMemo._recount
+    join, count = evaluate._join, ExtensionMemo._count
 
     def joining(*args, **kwargs):
         commit()
         return join(*args, **kwargs)
 
-    def recounting(self, joined) -> None:
-        recount(self, joined)
+    def counting(self, found, changed) -> None:
+        count(self, found, changed)
         if self is memo:
             commit()
             assert self.size == size
 
     with monkeypatch.context() as patch:
         patch.setattr(evaluate, "_join", joining)
-        patch.setattr(ExtensionMemo, "_recount", recounting)
+        patch.setattr(ExtensionMemo, "_count", counting)
         kept = db.extension("w")
     assert next(commits) == 2 and memo.size == size
     assert kept == evaluate_derivations(db, db.derived("w").derivations)

@@ -1,0 +1,69 @@
+"""The maintained extension on the read-heavy traffic it is built for.
+
+E20's ``derived_read_mem`` checks the stack against a sequential
+replay that keeps a memo too, so it compares memo verdicts with memo
+verdicts. This replays the same shape on a bare database and holds
+every answer to the evaluators that keep nothing: ``chain_fdb(3)``,
+300 rows over a pool of 100 values, 20 derived DELs so that NCs exist,
+then a seeded stream in blocks of 100 ops (93 point ``truth_of``, 2
+``extension``, 5 base INS / DEL). Each point read must give
+:func:`truth_over`'s verdict, each scan :func:`evaluate_derivations`'
+mapping. The memo starts at the stream's first scan (setup scans once)
+and from then on applies the writes at the next read.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.fdb.evaluate import evaluate_derivations, truth_over
+from repro.workloads.generator import chain_fdb, random_instance
+
+ROWS, POOL, DELETES, OPS = 300, 100, 20, 600
+BLOCK = ["read"] * 93 + ["scan"] * 2 + ["write"] * 5
+
+
+def setup(seed: int):
+    db = chain_fdb(3)
+    random_instance(db, ROWS, seed=seed, value_pool=POOL)
+    rng = random.Random(seed)
+    pairs = sorted(db.extension("v"))  # the function's first scan
+    for x, y in rng.sample(pairs, DELETES):
+        db.delete("v", x, y)
+    return db, pairs, rng
+
+
+@pytest.mark.parametrize("seed", (7, 20))
+def test_reads_and_scans_equal_the_evaluators_that_keep_nothing(seed):
+    db, derivable, rng = setup(seed)
+    assert db.ncs
+    derivations = db.derived("v").derivations
+    labels = []
+    while len(labels) < OPS:
+        rng.shuffle(BLOCK)
+        labels += BLOCK
+    answered = 0
+    for done, label in enumerate(labels):
+        if label == "read":
+            if rng.random() < 0.7:
+                x, y = rng.choice(derivable)
+            else:
+                x, y = f"T0_{rng.randrange(POOL)}", f"T3_{rng.randrange(POOL)}"
+            answered += db.memo("v").size > 0
+            assert db.truth_of("v", x, y) is truth_over(
+                db, derivations, x, y), (done, x, y)
+        elif label == "scan":
+            assert db.extension("v") == evaluate_derivations(
+                db, derivations), done
+        else:
+            name = rng.choice(db.base_names)
+            pairs = tuple(db.table(name).pairs())
+            if pairs and rng.random() < 0.5:
+                db.delete(name, *rng.choice(pairs))
+            else:
+                k = int(name[1])
+                db.insert(name, f"T{k - 1}_{rng.randrange(POOL)}",
+                          f"T{k}_{rng.randrange(POOL)}")
+    assert answered > OPS // 2  # most reads met a kept memo

@@ -31,7 +31,7 @@ from repro.service import DatabaseService
 from repro.workloads.university import pupil_database
 
 # Python-level calls into src/repro for one request, engine included.
-EXECUTE_BUDGET = 55
+EXECUTE_BUDGET = 50
 TRUTH_OF_BUDGET = 22
 MEMO_TRUTH_OF_BUDGET = 26
 
