@@ -45,6 +45,10 @@ DURATIONS = (0.25, 0.5, 1.0)
 TRIALS = scaled(3, minimum=1)
 REPLICAS = 2
 WARM_OPS = 5
+# The counting pass: failovers with OBS on, outside the timed rounds and
+# unscaled, so the record's counters are the same at every scale.
+COUNTED_TRIALS = 3
+COUNTED_OPS = 20
 
 
 def _config(duration: float) -> LeaseConfig:
@@ -58,9 +62,11 @@ def _config(duration: float) -> LeaseConfig:
     )
 
 
-def _failover_trial(workdir: Path, cfg: LeaseConfig) -> dict:
-    """One kill → detect → elect → first-new-term-commit cycle;
-    returns the three latencies (seconds from the kill)."""
+def _failover_trial(workdir: Path, cfg: LeaseConfig,
+                    warm_ops: int = WARM_OPS) -> dict:
+    """One kill → detect → elect → first-new-term-commit cycle after
+    ``warm_ops`` acked writes; returns the three latencies (seconds
+    from the kill)."""
     workdir.mkdir(parents=True)
     primary_dir = workdir / "primary"
     primary_dir.mkdir()
@@ -80,7 +86,7 @@ def _failover_trial(workdir: Path, cfg: LeaseConfig) -> dict:
     coord.start()
     try:
         acked = []
-        for i in range(WARM_OPS):
+        for i in range(warm_ops):
             group.check_primary(term)
             seq = logged.execute(Update.ins("teach", f"p{i}", "cs"))
             group.on_commit(seq)
@@ -168,6 +174,18 @@ def test_bench_failover_mttr(benchmark, report):
     finally:
         if was_enabled:
             OBS.enable(tracing=was_tracing)
+
+    # Counted with OBS on (the runner collects): elections (one per
+    # trial), the records shipped to and applied by the replicas, their
+    # snapshot catch-ups, and the commits behind them. The rounds above
+    # run with OBS off, so without this pass the record holds no counter
+    # and a replication regression passes the comparison.
+    if OBS.enabled:
+        with tempfile.TemporaryDirectory() as tmp:
+            for trial in range(COUNTED_TRIALS):
+                _failover_trial(Path(tmp) / f"counted{trial}",
+                                _config(DURATIONS[0]),
+                                warm_ops=COUNTED_OPS)
 
     report.line(
         f"E18 -- failover MTTR ({TRIALS} trials x "

@@ -47,6 +47,7 @@ SHARD_COUNTS = (1, 2, 4, 8)
 OPS_PER_WORKER = scaled(150, minimum=25)
 WARMUP_OPS = scaled(10, minimum=2)
 TRIALS = 3  # throughput is computed over every trial's ops combined
+COUNTED_OPS = 25  # per writer, in the counting pass (unscaled)
 
 
 def shard_bench_database() -> FunctionalDatabase:
@@ -137,6 +138,24 @@ def _measure(shards: int, tmp: Path) -> dict:
         service.close()
 
 
+def _count_routing(shards: int, tmp: Path) -> None:
+    """The counting pass for one lane count: the writers' ops run one
+    after another with OBS on, so the facade counts each lane's
+    requests (``service.shard.<i>.requests``) and a routing change
+    moves the record's counters (the timed rounds run with OBS off)."""
+    service = ShardedDatabaseService(
+        shard_bench_database, shards, pins=_pins(shards),
+        log_dir=tmp / f"counted-{shards}",
+    )
+    try:
+        failures: list = []
+        for worker in range(WORKERS):
+            _writer(service, worker, COUNTED_OPS, 0, failures)
+        assert not failures, f"writer failed: {failures[0]!r}"
+    finally:
+        service.close()
+
+
 def test_shard_scaling(report):
     from repro.obs.hooks import OBS
 
@@ -150,6 +169,10 @@ def test_shard_scaling(report):
     finally:
         if was_enabled:
             OBS.enable(tracing=was_tracing)
+    if OBS.enabled:
+        with tempfile.TemporaryDirectory() as tmp:
+            for shards in SHARD_COUNTS:
+                _count_routing(shards, Path(tmp))
 
     baseline = results[0]["ops_per_sec"]
     for row in results:

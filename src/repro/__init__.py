@@ -41,139 +41,35 @@ Quickstart::
 
 from __future__ import annotations
 
-from repro.errors import (
-    ConstraintViolation,
-    DerivationError,
-    DesignError,
-    GraphError,
-    ParseError,
-    PersistenceError,
-    ReproError,
-    SchemaError,
-    StructureError,
-    TransactionError,
-    UpdateError,
-)
-from repro.core import (
-    AutoDesigner,
-    CycleReport,
-    Derivation,
-    Designer,
-    DesignSession,
-    Edge,
-    FunctionDef,
-    FunctionGraph,
-    MinimalSchemaResult,
-    Multiplicity,
-    ObjectType,
-    Op,
-    Path,
-    Schema,
-    ScriptedDesigner,
-    Step,
-    TypeFunctionality,
-    format_schema,
-    minimal_schema,
-    minimal_schema_ams,
-    minimal_schema_without_ufa,
-    parse_function_def,
-    parse_schema,
-)
-from repro.core.types import product_type
-from repro.fdb import (
-    Fact,
-    FactRef,
-    FunctionalDatabase,
-    FunctionTable,
-    NCRegistry,
-    NegatedConjunction,
-    NullFactory,
-    NullValue,
-    Truth,
-    Update,
-    apply_update,
-    derived_extension,
-    derived_image,
-    fn,
-    is_null,
-    iter_chains,
-    truth_of,
-)
-from repro.obs import OBS, Instrumentation
+from repro.lazy import export_lazily
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "SchemaError",
-    "DerivationError",
-    "GraphError",
-    "DesignError",
-    "UpdateError",
-    "ConstraintViolation",
-    "TransactionError",
-    "PersistenceError",
-    "StructureError",
-    "ParseError",
-    # core
-    "Multiplicity",
-    "TypeFunctionality",
-    "ObjectType",
-    "product_type",
-    "FunctionDef",
-    "Schema",
-    "Derivation",
-    "Op",
-    "Step",
-    "Edge",
-    "Path",
-    "FunctionGraph",
-    "MinimalSchemaResult",
-    "minimal_schema",
-    "minimal_schema_ams",
-    "minimal_schema_without_ufa",
-    "Designer",
-    "ScriptedDesigner",
-    "AutoDesigner",
-    "CycleReport",
-    "DesignSession",
-    "parse_schema",
-    "parse_function_def",
-    "format_schema",
-    # fdb
-    "Truth",
-    "NullValue",
-    "NullFactory",
-    "is_null",
-    "Fact",
-    "FactRef",
-    "FunctionTable",
-    "NegatedConjunction",
-    "NCRegistry",
-    "FunctionalDatabase",
-    "Update",
-    "apply_update",
-    "iter_chains",
-    "truth_of",
-    "derived_extension",
-    "derived_image",
-    "fn",
-    # lang
-    "Interpreter",
-    # obs
-    "OBS",
-    "Instrumentation",
-]
-
-
-def __getattr__(name: str):
-    # repro.lang is the surface language; only the REPL and scripts
-    # that ask for Interpreter need it, so it loads on first access
-    # (PEP 562) rather than on every ``import repro``.
-    if name == "Interpreter":
-        from repro.lang import Interpreter
-
-        return Interpreter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Each name imports from its subpackage on first access (repro.lazy):
+# ``import repro`` loads neither the engine nor the design tools.
+__all__ = ["__version__"] + export_lazily(__name__, {
+    ".errors": (
+        "ReproError", "SchemaError", "DerivationError", "GraphError",
+        "DesignError", "UpdateError", "ConstraintViolation",
+        "TransactionError", "PersistenceError", "StructureError",
+        "ParseError",
+    ),
+    ".core": (
+        "Multiplicity", "TypeFunctionality", "ObjectType", "FunctionDef",
+        "Schema", "Derivation", "Op", "Step", "Edge", "Path",
+        "FunctionGraph", "MinimalSchemaResult", "minimal_schema",
+        "minimal_schema_ams", "minimal_schema_without_ufa", "Designer",
+        "ScriptedDesigner", "AutoDesigner", "CycleReport",
+        "DesignSession", "parse_schema", "parse_function_def",
+        "format_schema",
+    ),
+    ".core.types": ("product_type",),
+    ".fdb": (
+        "Truth", "NullValue", "NullFactory", "is_null", "Fact", "FactRef",
+        "FunctionTable", "NegatedConjunction", "NCRegistry",
+        "FunctionalDatabase", "Update", "apply_update", "iter_chains",
+        "truth_of", "derived_extension", "derived_image", "fn",
+    ),
+    ".lang": ("Interpreter",),
+    ".obs": ("OBS", "Instrumentation"),
+})

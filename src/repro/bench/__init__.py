@@ -24,18 +24,11 @@ Pieces:
 
 from __future__ import annotations
 
-from repro.bench.compare import compare_payloads
-from repro.bench.report import Report, render_payload_text
-from repro.bench.runner import FakeBenchmark, discover_benches, run_bench
-from repro.bench.scale import scaled, scaled_sizes
+from repro.lazy import export_lazily
 
-__all__ = [
-    "Report",
-    "render_payload_text",
-    "scaled",
-    "scaled_sizes",
-    "discover_benches",
-    "run_bench",
-    "FakeBenchmark",
-    "compare_payloads",
-]
+__all__ = export_lazily(__name__, {
+    ".report": ("Report", "render_payload_text"),
+    ".scale": ("scaled", "scaled_sizes"),
+    ".runner": ("discover_benches", "run_bench", "FakeBenchmark"),
+    ".compare": ("compare_payloads",),
+})

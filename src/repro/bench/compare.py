@@ -25,8 +25,9 @@ THRESHOLD = 0.25
 MIN_COUNT = 20
 
 # Counter families that are timing-shaped despite living in the
-# counter namespace — latency instruments keyed per replica and lag
-# samples. Their values are functions of scheduling and wall clock,
+# counter namespace — latency instruments keyed per replica, lag
+# samples, and lease heartbeats and renewals (one per interval of wall
+# clock). Their values are functions of scheduling and wall clock,
 # not of (code, workload, scale), so drift in them is noise and they
 # are excluded from enforcement. Matched by prefix against the flattened counter name.
 VOLATILE_COUNTER_PREFIXES = (
@@ -34,6 +35,7 @@ VOLATILE_COUNTER_PREFIXES = (
     "replication.pipeline.",
     "replication.ship.",
     "replication.commit.",
+    "replication.lease.",
 )
 
 

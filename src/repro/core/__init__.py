@@ -11,58 +11,23 @@ algorithms of Sections 3-4 — lives in :mod:`repro.fdb`.
 
 from __future__ import annotations
 
-from repro.core.types import Multiplicity, ObjectType, TypeFunctionality
-from repro.core.schema import FunctionDef, Schema
-from repro.core.derivation import Derivation, Op, Step
-from repro.core.graph import Edge, FunctionGraph, Path
-from repro.core.minimal_schema import (
-    MinimalSchemaResult,
-    all_minimal_schemas,
-    minimal_schema,
-    minimal_schema_ams,
-    minimal_schema_without_ufa,
-)
-from repro.core.design_aid import (
-    AutoDesigner,
-    CycleReport,
-    Designer,
-    DesignSession,
-    ScriptedDesigner,
-)
-from repro.core.schema_text import format_schema, parse_function_def, parse_schema
-from repro.core.closure import closure_signatures, derivable_functions
-from repro.core.dot import design_to_dot, graph_to_dot
-from repro.core.offline import OfflineDesignReport, verify_offline_design
+from repro.lazy import export_lazily
 
-__all__ = [
-    "all_minimal_schemas",
-    "closure_signatures",
-    "derivable_functions",
-    "design_to_dot",
-    "graph_to_dot",
-    "OfflineDesignReport",
-    "verify_offline_design",
-    "Multiplicity",
-    "ObjectType",
-    "TypeFunctionality",
-    "FunctionDef",
-    "Schema",
-    "Derivation",
-    "Op",
-    "Step",
-    "Edge",
-    "FunctionGraph",
-    "Path",
-    "MinimalSchemaResult",
-    "minimal_schema",
-    "minimal_schema_ams",
-    "minimal_schema_without_ufa",
-    "Designer",
-    "ScriptedDesigner",
-    "AutoDesigner",
-    "CycleReport",
-    "DesignSession",
-    "format_schema",
-    "parse_function_def",
-    "parse_schema",
-]
+__all__ = export_lazily(__name__, {
+    ".types": ("Multiplicity", "ObjectType", "TypeFunctionality"),
+    ".schema": ("FunctionDef", "Schema"),
+    ".derivation": ("Derivation", "Op", "Step"),
+    ".graph": ("Edge", "FunctionGraph", "Path"),
+    ".minimal_schema": (
+        "MinimalSchemaResult", "all_minimal_schemas", "minimal_schema",
+        "minimal_schema_ams", "minimal_schema_without_ufa",
+    ),
+    ".design_aid": (
+        "AutoDesigner", "CycleReport", "Designer", "DesignSession",
+        "ScriptedDesigner",
+    ),
+    ".schema_text": ("format_schema", "parse_function_def", "parse_schema"),
+    ".closure": ("closure_signatures", "derivable_functions"),
+    ".dot": ("design_to_dot", "graph_to_dot"),
+    ".offline": ("OfflineDesignReport", "verify_offline_design"),
+})

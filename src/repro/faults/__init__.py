@@ -11,26 +11,11 @@ Run the full matrix from the command line::
     python -m repro.faults
 """
 
-from repro.faults.registry import (
-    FAULTS,
-    CrashFault,
-    ErrorFault,
-    Fault,
-    FaultRegistry,
-    LatencyFault,
-    SimulatedCrash,
-    TornWrite,
-    TransientError,
-)
+from repro.lazy import export_lazily
 
-__all__ = [
-    "FAULTS",
-    "CrashFault",
-    "ErrorFault",
-    "Fault",
-    "FaultRegistry",
-    "LatencyFault",
-    "SimulatedCrash",
-    "TornWrite",
-    "TransientError",
-]
+__all__ = export_lazily(__name__, {
+    ".registry": (
+        "FAULTS", "CrashFault", "ErrorFault", "Fault", "FaultRegistry",
+        "LatencyFault", "SimulatedCrash", "TornWrite", "TransientError",
+    ),
+})

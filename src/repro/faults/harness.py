@@ -56,7 +56,6 @@ from repro.fdb.database import FunctionalDatabase
 from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.wal import LoggedDatabase, RecoveryReport, UpdateLog, \
     checkpoint, recover
-from repro.workloads.university import pupil_database, section_42_updates
 
 __all__ = [
     "CrashOutcome",
@@ -93,6 +92,8 @@ def default_workload() -> list[tuple]:
     """The scripted run: the paper's Section 4.2 update sequence with
     a checkpoint in the middle, then a replace and an atomic sequence
     so the transactional paths fire too."""
+    from repro.workloads.university import section_42_updates
+
     u = section_42_updates()
     return [
         ("update", u[0]),
@@ -171,10 +172,17 @@ class CrashOutcome:
         return f"{self.point:38s} {self.fault:18s} {crash:9s} {status}"
 
 
+def _seed() -> FunctionalDatabase:
+    """The paper's pupil instance every scenario starts from."""
+    from repro.workloads.university import pupil_database
+
+    return pupil_database()
+
+
 def _expected_state(committed: list) -> FunctionalDatabase:
     """The oracle: the committed prefix applied to a fresh seed
     instance, with no recovery machinery involved."""
-    return replay(pupil_database(), committed)
+    return replay(_seed(), committed)
 
 
 def run_scenario(point: str, fault: Fault, workdir: Path,
@@ -189,7 +197,7 @@ def run_scenario(point: str, fault: Fault, workdir: Path,
 
     # Setup runs un-faulted: the seed snapshot is the recovery base.
     FAULTS.disarm_all()
-    db = pupil_database()
+    db = _seed()
     persistence.save(db, snapshot)
     logged = LoggedDatabase(db, UpdateLog(log_path))
 

@@ -28,6 +28,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Iterator
 
 __all__ = [
@@ -294,6 +295,13 @@ class FaultPointInfo:
     hits: int
 
 
+# The modules whose fault points every catalogue reader sees: the
+# single-node durability path, in the order ``import repro`` loaded them
+# when package inits imported eagerly.
+_ENGINE_MODULES = ("repro.fdb.transaction", "repro.fdb.storage",
+                  "repro.fdb.persistence", "repro.fdb.wal")
+
+
 class FaultRegistry:
     """The catalogue of fault points and whatever is armed at them.
 
@@ -326,7 +334,14 @@ class FaultRegistry:
                 )
 
     def points(self) -> tuple[FaultPointInfo, ...]:
-        """The registered catalogue, in registration order."""
+        """The registered catalogue, in registration order. Points
+        register when their module is imported; the durable engine's
+        modules (storage, WAL, snapshot, transaction) are imported here
+        first, so every reader enumerates their points whatever part of
+        the stack it loaded. Replication's points join once a reader
+        imports replication."""
+        for module in _ENGINE_MODULES:
+            import_module(module)
         with self._lock:
             return tuple(
                 FaultPointInfo(p.name, p.description,
@@ -335,8 +350,7 @@ class FaultRegistry:
             )
 
     def __iter__(self) -> Iterator[str]:
-        with self._lock:
-            return iter(tuple(self._points))
+        return iter(tuple(info.name for info in self.points()))
 
     def _point(self, name: str) -> _Point:
         try:

@@ -24,92 +24,33 @@ Layering (bottom-up):
 
 from __future__ import annotations
 
-from repro.fdb.values import NullValue, NullFactory, is_null
-from repro.fdb.logic import Truth
-from repro.fdb.facts import Fact, FactRef
-from repro.fdb.table import FunctionTable
-from repro.fdb.nc import NegatedConjunction, NCRegistry
-from repro.fdb.database import DerivedFunction, FunctionalDatabase
-from repro.fdb.evaluate import (
-    Chain,
-    derived_extension,
-    derived_image,
-    iter_chains,
-    truth_of,
-    truth_of_derived,
-)
-from repro.fdb.updates import (
-    Update,
-    apply_update,
-    base_delete,
-    base_insert,
-    delete,
-    derived_delete,
-    derived_insert,
-    insert,
-    replace,
-)
-from repro.fdb.query import Query, fn
-from repro.fdb.journal import Journal
-from repro.fdb.ambiguity import AmbiguityReport, measure
-from repro.fdb.audit import audit_derivations, audit_insert_coverage
-from repro.fdb.worlds import WorldsReport, analyze
-from repro.fdb.integrity import (
-    CardinalityConstraint,
-    ConstraintSet,
-    DomainConstraint,
-    InclusionDependency,
-)
-from repro.fdb.constraints import resolve_nulls
-from repro.fdb.updates import UpdateSequence, apply_entry, apply_sequence
-from repro.fdb.wal import LoggedDatabase, UpdateLog, checkpoint, recover
+from repro.lazy import export_lazily
 
-__all__ = [
-    "UpdateSequence",
-    "apply_sequence",
-    "apply_entry",
-    "LoggedDatabase",
-    "UpdateLog",
-    "checkpoint",
-    "recover",
-    "Journal",
-    "AmbiguityReport",
-    "measure",
-    "audit_derivations",
-    "audit_insert_coverage",
-    "WorldsReport",
-    "analyze",
-    "ConstraintSet",
-    "InclusionDependency",
-    "DomainConstraint",
-    "CardinalityConstraint",
-    "resolve_nulls",
-    "NullValue",
-    "NullFactory",
-    "is_null",
-    "Truth",
-    "Fact",
-    "FactRef",
-    "FunctionTable",
-    "NegatedConjunction",
-    "NCRegistry",
-    "DerivedFunction",
-    "FunctionalDatabase",
-    "Chain",
-    "iter_chains",
-    "truth_of",
-    "truth_of_derived",
-    "derived_extension",
-    "derived_image",
-    "Update",
-    "apply_update",
-    "insert",
-    "delete",
-    "replace",
-    "base_insert",
-    "base_delete",
-    "derived_insert",
-    "derived_delete",
-    "Query",
-    "fn",
-]
+__all__ = export_lazily(__name__, {
+    ".values": ("NullValue", "NullFactory", "is_null"),
+    ".logic": ("Truth",),
+    ".facts": ("Fact", "FactRef"),
+    ".table": ("FunctionTable",),
+    ".nc": ("NegatedConjunction", "NCRegistry"),
+    ".database": ("DerivedFunction", "FunctionalDatabase"),
+    ".evaluate": (
+        "Chain", "derived_extension", "derived_image", "iter_chains",
+        "truth_of", "truth_of_derived",
+    ),
+    ".updates": (
+        "Update", "apply_update", "base_delete", "base_insert", "delete",
+        "derived_delete", "derived_insert", "insert", "replace",
+        "UpdateSequence", "apply_entry", "apply_sequence",
+    ),
+    ".query": ("Query", "fn"),
+    ".journal": ("Journal",),
+    ".ambiguity": ("AmbiguityReport", "measure"),
+    ".audit": ("audit_derivations", "audit_insert_coverage"),
+    ".worlds": ("WorldsReport", "analyze"),
+    ".integrity": (
+        "CardinalityConstraint", "ConstraintSet", "DomainConstraint",
+        "InclusionDependency",
+    ),
+    ".constraints": ("resolve_nulls",),
+    ".wal": ("LoggedDatabase", "UpdateLog", "checkpoint", "recover"),
+})

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import (
     NotABaseFunctionError,
@@ -32,14 +32,18 @@ from repro.errors import (
     UnknownFunctionError,
 )
 from repro.core.derivation import Derivation
-from repro.core.design_aid import DesignOutcome
 from repro.core.schema import FunctionDef, Schema
+from repro.fdb import evaluate, transaction, updates
 from repro.fdb.logic import Truth
 from repro.fdb.memo import ExtensionMemo
 from repro.fdb.nc import NCRegistry
 from repro.fdb.table import FunctionTable
 from repro.fdb.undo import UndoLog
-from repro.fdb.values import NullFactory, Value
+from repro.fdb.values import NullFactory, Value, is_null
+from repro.obs.hooks import OBS
+
+if TYPE_CHECKING:
+    from repro.core.design_aid import DesignOutcome
 
 __all__ = ["DerivedFunction", "FunctionalDatabase"]
 
@@ -285,40 +289,29 @@ class FunctionalDatabase:
     # -- convenience update/query front door -------------------------------------
     #
     # The real work lives in repro.fdb.updates / repro.fdb.evaluate; these
-    # methods are the public one-stop API. Imports are local to avoid an
-    # import cycle (updates and evaluate import this module's types).
+    # methods are the public one-stop API.
 
     def insert(self, name: str, x: Value, y: Value) -> None:
         """INS(f, <x, y>), dispatching on base vs derived."""
-        from repro.fdb import updates
-
         updates.insert(self, name, x, y)
 
     def delete(self, name: str, x: Value, y: Value) -> None:
         """DEL(f, <x, y>), dispatching on base vs derived."""
-        from repro.fdb import updates
-
         updates.delete(self, name, x, y)
 
     def replace(self, name: str, old: tuple[Value, Value],
                 new: tuple[Value, Value]) -> None:
         """REP(f, <x1, y1>, <x2, y2>): an atomic delete-insert pair."""
-        from repro.fdb import updates
-
         updates.replace(self, name, old, new)
 
     def truth_of(self, name: str, x: Value, y: Value) -> Truth:
         """Truth value of the fact ``name(x) = y`` under Section 3.2."""
-        from repro.fdb import evaluate
-
         return evaluate.truth_of(self, name, x, y)
 
     def extension(self, name: str) -> dict[tuple[Value, Value], Truth]:
         """The visible extension of a function: stored facts for base
         functions, derivable facts (true or ambiguous) for derived
         ones."""
-        from repro.fdb import evaluate
-
         if self.is_base(name):
             return {
                 fact.pair: fact.truth for fact in self.table(name).facts()
@@ -327,9 +320,7 @@ class FunctionalDatabase:
 
     def transaction(self):
         """An atomic update scope; see :mod:`repro.fdb.transaction`."""
-        from repro.fdb.transaction import Transaction
-
-        return Transaction(self)
+        return transaction.Transaction(self)
 
     def extent(self, type_name: str) -> tuple[Value, ...]:
         """The observed extent of an object type: every non-null value
@@ -340,8 +331,6 @@ class FunctionalDatabase:
         database has ever mentioned — what a Daplex ``for each`` loop
         iterates (see the surface language's for-each statement).
         """
-        from repro.fdb.values import is_null
-
         seen: dict[Value, None] = {}
         for name in self.base_names:
             definition = self.schema[name]
@@ -443,16 +432,12 @@ class FunctionalDatabase:
     def stats(self, *, wal=None) -> dict:
         """Instance counts merged with the process-wide observability
         snapshot (metrics, flags) — what the REPL's ``stats``
-        command and the bench JSON exports print. Import is local to
-        avoid a cycle (obs.export has no fdb imports, but keeping the
-        front door lazy matches the update/query methods above).
+        command and the bench JSON exports print.
 
         ``wal`` (an :class:`repro.fdb.wal.UpdateLog`, optional) folds
         that log's :meth:`health <repro.fdb.wal.UpdateLog.health>`
         verdict — applied sequence, term, torn-tail flag, checksum
         failures — into the payload under ``"wal"``."""
-        from repro.obs.hooks import OBS
-
         snapshot = OBS.snapshot()
         snapshot["instance"] = self.counts()
         if wal is not None:

@@ -31,17 +31,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro import cancel
 from repro.core.derivation import Derivation, Op
-from repro.fdb.database import FunctionalDatabase
 from repro.fdb.facts import Fact, FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.nc import NCRegistry
 from repro.fdb.table import FunctionTable
 from repro.fdb.values import Value, is_null
 from repro.obs.hooks import OBS
+
+if TYPE_CHECKING:
+    from repro.fdb.database import FunctionalDatabase
 
 __all__ = [
     "Chain",

@@ -17,15 +17,20 @@ lookup still work uniformly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Iterable
+
 from repro.core.derivation import Derivation, Op
-from repro.fdb.database import FunctionalDatabase
 from repro.fdb.evaluate import Chain, iter_chains
 from repro.fdb.facts import Fact
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value, is_null
 from repro.obs.hooks import OBS
 
-__all__ = ["create_nvc", "exists_nvc", "clean_up_nvc", "interior_values"]
+if TYPE_CHECKING:
+    from repro.fdb.database import FunctionalDatabase
+
+__all__ = ["create_nvc", "exists_nvc", "first_nvc", "clean_up_nvc",
+           "interior_values"]
 
 
 def _stored_pair(step_op: Op, source: Value, target: Value) -> tuple[Value, Value]:
@@ -91,7 +96,14 @@ def exists_nvc(
     ``<x, n1> in f1, <n1, n2> in f2, ..., <n_{k-1}, y> in fk`` is
     stored. Returns that chain (the first found) or None.
     """
-    for chain in iter_chains(db, derivation, x, y, allow_ambiguous=False):
+    return first_nvc(iter_chains(db, derivation, x, y,
+                                 allow_ambiguous=False))
+
+
+def first_nvc(chains: Iterable[Chain]) -> Chain | None:
+    """The first of ``chains`` (exact chains for one fact, in walk
+    order) whose interior values are all nulls, or None."""
+    for chain in chains:
         if all(is_null(value) for value in interior_values(chain)):
             return chain
     return None
@@ -101,7 +113,9 @@ def clean_up_nvc(db: FunctionalDatabase, chain: Chain) -> None:
     """Procedure ``clean-up-NVC(f, x, y)``: make an ambiguous NVC true
     by base-inserting each of its elements (which dismantles any NCs
     they belong to and sets their truth flags to T)."""
-    from repro.fdb.updates import base_insert
-
     for function, fact in chain.conjuncts():
-        base_insert(db, function, fact.x, fact.y)
+        updates.base_insert(db, function, fact.x, fact.y)
+
+
+# updates imports this module's procedures, so it binds here, once.
+from repro.fdb import updates  # noqa: E402

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import PersistenceError
 from repro.core.derivation import Derivation, Op, Step
-from repro.core.design_aid import DesignOutcome
 from repro.core.schema import FunctionDef
 from repro.core.types import ObjectType, TypeFunctionality
 from repro.faults.registry import FAULTS
@@ -35,6 +34,9 @@ from repro.fdb.facts import NO_NCS, Fact, FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.nc import NCRegistry, NegatedConjunction
 from repro.fdb.values import NullFactory, NullValue, Value
+
+if TYPE_CHECKING:
+    from repro.core.design_aid import DesignOutcome
 
 __all__ = ["to_dict", "from_dict", "dumps", "loads", "save", "load",
            "load_with_meta", "carry"]

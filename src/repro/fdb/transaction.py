@@ -22,12 +22,15 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from types import TracebackType
+from typing import TYPE_CHECKING
 
 from repro.errors import TransactionError
 from repro.faults.registry import FAULTS
-from repro.fdb.database import FunctionalDatabase
 from repro.fdb.undo import rollback
 from repro.obs.hooks import OBS
+
+if TYPE_CHECKING:
+    from repro.fdb.database import FunctionalDatabase
 
 __all__ = ["Transaction", "atomic"]
 

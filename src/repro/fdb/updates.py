@@ -44,16 +44,20 @@ cases its example never reaches):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import cancel
 from repro.errors import UpdateError
-from repro.fdb.database import FunctionalDatabase
 from repro.fdb.evaluate import iter_chains
 from repro.fdb.logic import Truth
-from repro.fdb.nvc import clean_up_nvc, create_nvc, exists_nvc
+from repro.fdb.nvc import clean_up_nvc, create_nvc, exists_nvc, first_nvc
 from repro.fdb.transaction import atomic
 from repro.fdb.values import Value, format_value
 from repro.obs.hooks import OBS
+
+if TYPE_CHECKING:
+    from repro.fdb.database import FunctionalDatabase
+    from repro.fdb.evaluate import Chain
 
 __all__ = [
     "base_insert",
@@ -122,20 +126,32 @@ def derived_insert(db: FunctionalDatabase, name: str, x: Value, y: Value) -> Non
     """
     derived = db.derived(name)
     obs_on = OBS.enabled
-    if any(chain.all_true for derivation in derived.derivations
-           for chain in iter_chains(db, derivation, x, y,
-                                    allow_ambiguous=False)):
-        if obs_on:
-            OBS.event("insert.already_true", function=name, x=x, y=y)
-        return
+    # The walk that answers "already true?" is the one exists-NVC asks
+    # over, so the primary derivation's (first in both modes) is kept.
+    kept: list[Chain] | None = None
+    for derivation in derived.derivations:
+        chains = []
+        for chain in iter_chains(db, derivation, x, y,
+                                 allow_ambiguous=False):
+            if chain.all_true:
+                if obs_on:
+                    OBS.event("insert.already_true", function=name,
+                              x=x, y=y)
+                return
+            chains.append(chain)
+        if kept is None:
+            kept = chains
     if obs_on:
         OBS.inc("fdb.updates.derived_insert")
     if db.insert_mode == "primary":
         derivations = (derived.primary,)
     else:
         derivations = derived.derivations
-    for derivation in derivations:
-        chain = exists_nvc(db, derivation, x, y)
+    for index, derivation in enumerate(derivations):
+        # The kept walk holds until a derivation writes: a later one's
+        # chains may run through the facts an earlier one stored.
+        chain = (first_nvc(kept) if index == 0
+                 else exists_nvc(db, derivation, x, y))
         if chain is not None:
             if obs_on:
                 OBS.event("nvc.reused", derivation=str(derivation),

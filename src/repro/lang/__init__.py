@@ -22,14 +22,10 @@ runs it as a console tool.
 
 from __future__ import annotations
 
-from repro.lang.tokenizer import Token, tokenize
-from repro.lang.parser import parse_program, parse_statement
-from repro.lang.interp import Interpreter
+from repro.lazy import export_lazily
 
-__all__ = [
-    "Token",
-    "tokenize",
-    "parse_program",
-    "parse_statement",
-    "Interpreter",
-]
+__all__ = export_lazily(__name__, {
+    ".tokenizer": ("Token", "tokenize"),
+    ".parser": ("parse_program", "parse_statement"),
+    ".interp": ("Interpreter",),
+})

@@ -24,73 +24,26 @@ check, so the un-observed runtime is unchanged.
 
 from __future__ import annotations
 
-from repro.obs.events import (
-    CallbackSink,
-    EventLog,
-    EventRecord,
-    FileSink,
-    RingBufferSink,
-    Sink,
-    fence_violations,
-    read_jsonl,
-)
-from repro.obs.endpoint import (
-    ExpositionError,
-    MetricsEndpoint,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.obs.hooks import OBS, Instrumentation
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LogHistogram,
-    MetricError,
-    MetricsRegistry,
-)
-from repro.obs.slo import (
-    Objective,
-    SLOMonitor,
-    Verdict,
-    default_objectives,
-    replication_lag_objective,
-)
-from repro.obs.tracing import Span, SpanEvent, Tracer
-from repro.obs.export import (
-    render_metrics,
-    render_stats,
-    snapshot,
-)
+from repro.lazy import export_lazily
 
-__all__ = [
-    "OBS",
-    "Instrumentation",
-    "Counter",
-    "Gauge",
-    "LogHistogram",
-    "MetricError",
-    "MetricsRegistry",
-    "Objective",
-    "Verdict",
-    "SLOMonitor",
-    "default_objectives",
-    "replication_lag_objective",
-    "MetricsEndpoint",
-    "ExpositionError",
-    "render_prometheus",
-    "parse_prometheus",
-    "Span",
-    "SpanEvent",
-    "Tracer",
-    "EventRecord",
-    "EventLog",
-    "Sink",
-    "RingBufferSink",
-    "FileSink",
-    "CallbackSink",
-    "read_jsonl",
-    "fence_violations",
-    "snapshot",
-    "render_metrics",
-    "render_stats",
-]
+__all__ = export_lazily(__name__, {
+    ".hooks": ("OBS", "Instrumentation"),
+    ".metrics": (
+        "Counter", "Gauge", "LogHistogram", "MetricError",
+        "MetricsRegistry",
+    ),
+    ".slo": (
+        "Objective", "Verdict", "SLOMonitor", "default_objectives",
+        "replication_lag_objective",
+    ),
+    ".endpoint": (
+        "MetricsEndpoint", "ExpositionError", "render_prometheus",
+        "parse_prometheus",
+    ),
+    ".tracing": ("Span", "SpanEvent", "Tracer"),
+    ".events": (
+        "EventRecord", "EventLog", "Sink", "RingBufferSink", "FileSink",
+        "CallbackSink", "read_jsonl", "fence_violations",
+    ),
+    ".export": ("snapshot", "render_metrics", "render_stats"),
+})

@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.fdb.values import format_value
+
 __all__ = [
     "EventRecord",
     "Sink",
@@ -59,14 +61,6 @@ __all__ = [
     "read_jsonl",
     "fence_violations",
 ]
-
-
-def _format_value(value) -> str:
-    # Lazy import, same reason as repro.obs.tracing: fdb modules import
-    # obs at module level, so obs must not import fdb until first use.
-    from repro.fdb.values import format_value
-
-    return format_value(value)
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ class EventRecord:
             record["duration"] = self.duration
         if self.attrs:
             record["attrs"] = {
-                key: _format_value(value)
+                key: format_value(value)
                 for key, value in self.attrs.items()
             }
         return record

@@ -26,22 +26,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.fdb.values import format_value
 from repro.obs.events import EventRecord
 
 __all__ = ["SpanEvent", "Span", "Tracer"]
 
 # Finished root spans a tracer keeps, newest last.
 MAX_TRACES = 16
-
-
-def format_value(value) -> str:
-    # Lazy import: repro.fdb modules import repro.obs.hooks at module
-    # level (the instrumentation hot-path guard), so obs modules must
-    # not import repro.fdb until first use or the packages deadlock in
-    # a circular import.
-    from repro.fdb.values import format_value as _format_value
-
-    return _format_value(value)
 
 
 def _titled(name: str, attrs: dict, sep: str = " ") -> str:

@@ -16,38 +16,20 @@ derivations is composition (analog of join)").
 
 from __future__ import annotations
 
-from repro.relational.relation import Relation, RelationalDatabase
-from repro.relational.algebra import natural_join, project, select
-from repro.relational.view import ChainView, DerivationChain
-from repro.relational.dayal_bernstein import DayalBernsteinTranslator
-from repro.relational.fuv import FUVTranslator
-from repro.relational.keller import (
-    KellerTranslator,
-    choose_fewest_deletions,
-    choose_least_view_damage,
-)
-from repro.relational.translate import (
-    Deletion,
-    Translation,
-    ViewDeleteTranslator,
-    measure_side_effects,
-)
+from repro.lazy import export_lazily
 
-__all__ = [
-    "Relation",
-    "RelationalDatabase",
-    "natural_join",
-    "project",
-    "select",
-    "ChainView",
-    "DerivationChain",
-    "Deletion",
-    "Translation",
-    "ViewDeleteTranslator",
-    "measure_side_effects",
-    "DayalBernsteinTranslator",
-    "FUVTranslator",
-    "KellerTranslator",
-    "choose_fewest_deletions",
-    "choose_least_view_damage",
-]
+__all__ = export_lazily(__name__, {
+    ".relation": ("Relation", "RelationalDatabase"),
+    ".algebra": ("natural_join", "project", "select"),
+    ".view": ("ChainView", "DerivationChain"),
+    ".translate": (
+        "Deletion", "Translation", "ViewDeleteTranslator",
+        "measure_side_effects",
+    ),
+    ".dayal_bernstein": ("DayalBernsteinTranslator",),
+    ".fuv": ("FUVTranslator",),
+    ".keller": (
+        "KellerTranslator", "choose_fewest_deletions",
+        "choose_least_view_damage",
+    ),
+})

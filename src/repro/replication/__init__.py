@@ -19,43 +19,18 @@ Layering (see docs/REPLICATION.md):
   coordinator that elects and promotes without an operator.
 """
 
-from repro.replication.group import (
-    CatchUpReport,
-    CommitMode,
-    PromotionReport,
-    RejoinReport,
-    ReplicationGroup,
-)
-from repro.replication.lease import (
-    FailoverCoordinator,
-    FailureDetector,
-    LeaseClock,
-    LeaseConfig,
-    LeaseManager,
-)
-from repro.replication.replica import Replica
-from repro.replication.shipper import (
-    ReplicaLink,
-    SnapshotNeeded,
-    WalShipper,
-)
-from repro.replication.transport import InProcessTransport, Transport
+from repro.lazy import export_lazily
 
-__all__ = [
-    "CatchUpReport",
-    "CommitMode",
-    "FailoverCoordinator",
-    "FailureDetector",
-    "InProcessTransport",
-    "LeaseClock",
-    "LeaseConfig",
-    "LeaseManager",
-    "PromotionReport",
-    "RejoinReport",
-    "Replica",
-    "ReplicaLink",
-    "ReplicationGroup",
-    "SnapshotNeeded",
-    "Transport",
-    "WalShipper",
-]
+__all__ = export_lazily(__name__, {
+    ".group": (
+        "CatchUpReport", "CommitMode", "PromotionReport", "RejoinReport",
+        "ReplicationGroup",
+    ),
+    ".lease": (
+        "FailoverCoordinator", "FailureDetector", "LeaseClock",
+        "LeaseConfig", "LeaseManager",
+    ),
+    ".replica": ("Replica",),
+    ".shipper": ("ReplicaLink", "SnapshotNeeded", "WalShipper"),
+    ".transport": ("InProcessTransport", "Transport"),
+})

@@ -8,23 +8,12 @@ harness that validates all of it lives in :mod:`repro.faults.soak`
 (``python -m repro.faults --soak``).
 """
 
-from repro.service.admission import AdmissionGate
-from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.service.locks import EXCLUSIVE, SHARED, LockManager
-from repro.service.retry import RETRYABLE, RetryPolicy
-from repro.service.service import WRITE_RESOURCE, DatabaseService
+from repro.lazy import export_lazily
 
-__all__ = [
-    "AdmissionGate",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
-    "LockManager",
-    "SHARED",
-    "EXCLUSIVE",
-    "RetryPolicy",
-    "RETRYABLE",
-    "DatabaseService",
-    "WRITE_RESOURCE",
-]
+__all__ = export_lazily(__name__, {
+    ".admission": ("AdmissionGate",),
+    ".breaker": ("CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"),
+    ".locks": ("LockManager", "SHARED", "EXCLUSIVE"),
+    ".retry": ("RetryPolicy", "RETRYABLE"),
+    ".service": ("DatabaseService", "WRITE_RESOURCE"),
+})

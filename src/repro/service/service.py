@@ -70,7 +70,7 @@ import random
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.cancel import Deadline, deadline_scope
 from repro.errors import (CrossShardError, LockTimeout, PersistenceError,
@@ -80,7 +80,6 @@ from repro.fdb.database import FunctionalDatabase
 from repro.fdb.logic import Truth
 from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.fdb.values import Value
-from repro.obs.endpoint import MetricsEndpoint
 from repro.obs.hooks import OBS
 from repro.obs.slo import (REPLICATION_LAG, Objective, SLOMonitor,
                            default_objectives, replication_lag_objective)
@@ -88,6 +87,9 @@ from repro.service.admission import AdmissionGate
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.locks import EXCLUSIVE, SHARED, LockManager
 from repro.service.retry import RetryPolicy
+
+if TYPE_CHECKING:
+    from repro.obs.endpoint import MetricsEndpoint
 
 __all__ = ["Appender", "DatabaseService", "FrontDoor", "WRITE_RESOURCE",
            "clusters_of", "touched", "write"]
@@ -201,6 +203,8 @@ class FrontDoor:
         bound address is ``self.endpoint.url``. Stopped by ``close``
         or :meth:`stop_metrics`."""
         if self.endpoint is None or not self.endpoint.running:
+            from repro.obs.endpoint import MetricsEndpoint
+
             self.endpoint = MetricsEndpoint(
                 OBS.metrics, slo=self.slo, health=self.health,
                 host=host, port=port,

@@ -10,7 +10,9 @@ to clusters on different shards commit truly in parallel. See
 ``docs/SHARDING.md``.
 """
 
-from repro.shard.map import ShardMap
-from repro.shard.sharded import ShardedDatabaseService
+from repro.lazy import export_lazily
 
-__all__ = ["ShardMap", "ShardedDatabaseService"]
+__all__ = export_lazily(__name__, {
+    ".map": ("ShardMap",),
+    ".sharded": ("ShardedDatabaseService",),
+})

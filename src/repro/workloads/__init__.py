@@ -10,48 +10,21 @@ experiments (E4, E5, E9, E10).
 
 from __future__ import annotations
 
-from repro.workloads.university import (
-    design_trace_functions,
-    design_trace_designer,
-    pupil_database,
-    schema_s1,
-    schema_s2,
-    section_31_relational,
-    section_42_updates,
-)
-from repro.workloads.company import (
-    company_database,
-    company_design_order,
-    company_designer,
-    company_schema,
-)
-from repro.workloads.generator import (
-    WorkloadConfig,
-    chain_fdb,
-    cyclic_design_schema,
-    paired_chain_workload,
-    random_instance,
-    random_updates,
-    tree_schema_with_derived,
-)
+from repro.lazy import export_lazily
 
-__all__ = [
-    "schema_s1",
-    "schema_s2",
-    "design_trace_functions",
-    "design_trace_designer",
-    "pupil_database",
-    "section_31_relational",
-    "section_42_updates",
-    "company_schema",
-    "company_design_order",
-    "company_designer",
-    "company_database",
-    "WorkloadConfig",
-    "tree_schema_with_derived",
-    "cyclic_design_schema",
-    "chain_fdb",
-    "random_instance",
-    "random_updates",
-    "paired_chain_workload",
-]
+__all__ = export_lazily(__name__, {
+    ".university": (
+        "schema_s1", "schema_s2", "design_trace_functions",
+        "design_trace_designer", "pupil_database", "section_31_relational",
+        "section_42_updates",
+    ),
+    ".company": (
+        "company_schema", "company_design_order", "company_designer",
+        "company_database",
+    ),
+    ".generator": (
+        "WorkloadConfig", "tree_schema_with_derived",
+        "cyclic_design_schema", "chain_fdb", "random_instance",
+        "random_updates", "paired_chain_workload",
+    ),
+})

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.derivation import Derivation, Op, Step
 from repro.core.schema import FunctionDef, Schema
@@ -19,8 +20,9 @@ from repro.core.types import ObjectType, TypeFunctionality, compose_functionalit
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.logic import Truth
 from repro.fdb.updates import Update
-from repro.relational.relation import Relation, RelationalDatabase
-from repro.relational.view import ChainView
+
+if TYPE_CHECKING:
+    from repro.relational.relation import RelationalDatabase
 
 __all__ = [
     "WorkloadConfig",
@@ -356,6 +358,9 @@ def paired_chain_workload(
     Returns (relational db, functional db, current view tuples) — the
     view tuples are the candidate targets for delete workloads.
     """
+    from repro.relational.relation import Relation, RelationalDatabase
+    from repro.relational.view import ChainView
+
     if k < 2:
         raise ValueError("a chain workload needs k >= 2")
     pool = value_pool if value_pool is not None else max(4, rows // 2)

@@ -32,7 +32,8 @@ from pathlib import Path
 import repro
 
 BUDGETS = {
-    "derived_insert": 74,
+    # Walking the exact chains a second time for exists-NVC made 74.
+    "derived_insert": 61,
     "derived_delete": 182,
     # A walk over the chains from x made 72.
     "truth_of": 9,

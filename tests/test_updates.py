@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.derivation import Derivation
+from repro.core.derivation import Derivation, Op, Step
 from repro.core.schema import FunctionDef
 from repro.core.types import ObjectType, TypeFunctionality
 from repro.errors import UpdateError
@@ -182,6 +182,27 @@ class TestDerivedInsert:
         derived_insert(db, "v", "a", "b")
         assert db.table("f").get("a", "b") is not None
         assert db.table("g").get("a", "b") is None
+
+    def test_a_later_derivation_walks_the_facts_an_earlier_one_stored(self):
+        # Derivation 1's NVC <a, n1> <n1, n2> <n2, b> is also an NVC of
+        # derivation 2 (a -f-> n1 -g-> n2 -g^-1-> n1 -g-> n2 -h-> b), so
+        # derivation 2 reuses it; a walk from before derivation 1 wrote
+        # would have found nothing and stored four more nulls.
+        C, D = ObjectType("C"), ObjectType("D")
+        f, g, h = (FunctionDef("f", A, C, MM), FunctionDef("g", C, D, MM),
+                   FunctionDef("h", D, B, MM))
+        db = FunctionalDatabase(insert_mode="all")
+        for function in (f, g, h):
+            db.declare_base(function)
+        db.declare_derived(FunctionDef("v", A, B, MM), [
+            Derivation.of(f, g, h),
+            Derivation([Step(f), Step(g), Step(g, Op.INVERSE), Step(g),
+                        Step(h)]),
+        ])
+        derived_insert(db, "v", "a", "b")
+        assert db.nulls.next_index == 3
+        assert [len(db.table(name)) for name in "fgh"] == [1, 1, 1]
+        assert db.truth_of("v", "a", "b") is T
 
 
 class TestUpdateObject:

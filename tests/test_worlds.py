@@ -19,6 +19,7 @@ from repro.fdb.evaluate import derived_extension, iter_chains
 from repro.fdb.facts import FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.updates import apply_update
+from repro.fdb.values import is_null
 from repro.fdb.worlds import (
     EXACT_LIMIT,
     ambiguous_atoms,
@@ -434,3 +435,102 @@ def test_counting_agrees_with_brute_force(shape, seed, unit_ncs):
         db.ncs.create([(ref.function, fact)])
     assume(len(ambiguous_atoms(db)) <= 12)
     assert_agrees_with_reference(db)
+
+
+# -- the second oracle: flag choices x null valuations ------------------------
+#
+# Section 3 values a derived fact over its chains with a null matching
+# any value ambiguously. Its model-theoretic reading: a world chooses
+# which ambiguous facts hold (no live NC wholly chosen) *and* a value
+# for every null, either a constant of the null's type or a fresh
+# constant of its own. A derived fact over constants is TRUE when it
+# holds in every such world, FALSE when in none, and AMBIGUOUS when in
+# some but not all. This oracle ranges over all of them on small random
+# streams. The streams draw two constants per type, and a constant
+# nothing stores acts as a fresh one, so those two stand in for the
+# type's active domain.
+
+VALUES_PER_TYPE = 2
+
+
+def null_types(db, k: int) -> dict:
+    """Each null's object type, by the column it fills (``f{i}`` maps
+    ``T{i-1}`` to ``T{i}``)."""
+    types = {}
+    for i in range(1, k + 1):
+        for fact in db.table(f"f{i}").facts():
+            for value, type_index in ((fact.x, i - 1), (fact.y, i)):
+                if is_null(value):
+                    types[value] = type_index
+    return types
+
+
+def valuation_tallies(db, k: int, cells) -> dict:
+    """Per cell ``(x, y)``: in how many worlds ``v(x, y)`` holds, and
+    out of how many."""
+    worlds = reference_worlds(db)
+    types = null_types(db, k)
+    nulls = sorted(types, key=repr)
+    choices = [[null] + [f"T{types[null]}_{j}"
+                         for j in range(VALUES_PER_TYPE)]
+               for null in nulls]
+    tables = [list(db.table(f"f{i}").facts()) for i in range(1, k + 1)]
+    holding = dict.fromkeys(cells, 0)
+    total = 0
+    for world in worlds:
+        chosen = [
+            [fact for fact in facts if fact.truth is Truth.TRUE
+             or fact.ref(f"f{i}") in world]
+            for i, facts in enumerate(tables, start=1)
+        ]
+        for values in itertools.product(*choices):
+            value_of = dict(zip(nulls, values))
+            steps = [
+                [(value_of.get(f.x, f.x), value_of.get(f.y, f.y))
+                 for f in facts]
+                for facts in chosen
+            ]
+            total += 1
+            for x, y in cells:
+                reached = {x}
+                for pairs in steps:
+                    reached = {b for a, b in pairs if a in reached}
+                holding[x, y] += y in reached
+    return {cell: (count, total) for cell, count in holding.items()}
+
+
+def random_chain_stream(k: int, rng: random.Random):
+    """``chain_fdb(k)`` after 2-6 random base and derived INS / DEL over
+    two constants per type."""
+    db = chain_fdb(k)
+
+    def value(type_index: int) -> str:
+        return f"T{type_index}_{rng.randrange(VALUES_PER_TYPE)}"
+
+    for _ in range(rng.randint(2, 6)):
+        update = db.insert if rng.random() < 0.5 else db.delete
+        if rng.random() < 0.5:
+            update("v", value(0), value(k))
+        else:
+            i = rng.randint(1, k)
+            update(f"f{i}", value(i - 1), value(i))
+    return db
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_derived_truth_is_the_valuation_semantics(k):
+    """TRUE = certain, FALSE = impossible, AMBIGUOUS = strictly between,
+    over flag choices x null valuations, for every ``v(x, y)`` over
+    constants."""
+    cells = [(f"T0_{i}", f"T{k}_{j}") for i in range(VALUES_PER_TYPE)
+             for j in range(VALUES_PER_TYPE)]
+    ambiguous = 0
+    for seed in range(400):
+        db = random_chain_stream(k, random.Random(seed))
+        for (x, y), (count, total) in valuation_tallies(db, k,
+                                                        cells).items():
+            expected = (Truth.TRUE if count == total else Truth.FALSE
+                        if count == 0 else Truth.AMBIGUOUS)
+            assert db.truth_of("v", x, y) is expected, (seed, x, y)
+            ambiguous += expected is Truth.AMBIGUOUS
+    assert ambiguous >= 100  # the streams reach the case that matters
