@@ -8,14 +8,21 @@ log-bucketed histograms), plus the overload signals — requests shed at
 the gate and retries burned on lock contention — under a seeded
 mixed read/write/read-modify-write workload on worker threads.
 
+The reads are base-fact ``truth_of`` on ``teach`` and derived
+``truth_of`` on ``pupil``, scanned twice first so its maintained
+extension is kept (:mod:`repro.fdb.memo`): a pupil read with no change
+waiting is a lookup under the memo's lock alone, one after a write
+applies the write under the cluster's shared lock.
+
 The timed rounds run with instrumentation off (the production fast
 path); the percentile/shed/retry numbers come from one instrumented
 replay of the same traffic outside the clock, exactly the E10 idiom.
-Contention-dependent counters (retries, sheds, lock timeouts,
-SLO/breaker transitions) vary run to run by scheduling, so they are
-stripped from the attached snapshot — the regression comparison keys
-on the deterministic work counters only — and reported as
-informational lines instead.
+Contention-dependent numbers (retries, sheds, lock timeouts and
+wake-ups, SLO/breaker transitions, which pupil reads find a change
+waiting) vary run to run by scheduling, so the attached snapshot is
+taken from a separate counting pass: the same traffic, unscaled, the
+workers one after another, so every counter in the record repeats
+exactly and is the same at every scale.
 """
 
 from __future__ import annotations
@@ -28,11 +35,16 @@ from pathlib import Path
 from repro.bench.scale import scaled
 from repro.errors import ServiceError
 from repro.fdb.updates import Update
+from repro.obs.hooks import OBS
 from repro.service import DatabaseService
 from repro.workloads.university import pupil_database
 
 WORKERS = scaled(4, minimum=2)
 OPS_PER_WORKER = scaled(60, minimum=12)
+COUNTED_WORKERS, COUNTED_OPS = 4, 60  # the counting pass (unscaled)
+# More students of math than a worker's writes between two pupil reads:
+# a memo with fewer chains than the changes waiting drops them all.
+STUDENTS = 40
 
 # Counter prefixes whose values depend on thread scheduling, not on
 # the workload: never let them into the compared snapshot.
@@ -40,6 +52,7 @@ VOLATILE_PREFIXES = (
     "service.retries",
     "service.shed",
     "service.lock.timeouts",
+    "service.lock.wakeups",
     "service.breaker.",
     "slo.",
     "fdb.wal.retries",
@@ -47,15 +60,17 @@ VOLATILE_PREFIXES = (
 
 
 def _traffic(service: DatabaseService, worker: int, ops: int) -> None:
-    """One worker's seeded op mix: 50% point reads, 40% unique
-    inserts, 10% read-modify-write. Shed requests are expected under
-    a small gate and simply counted."""
+    """One worker's seeded op mix: 30% base and 20% derived point
+    reads, 40% unique inserts, 10% read-modify-write. Shed requests
+    are expected under a small gate and simply counted."""
     rng = random.Random(1000 + worker)
     for i in range(ops):
         roll = rng.random()
         try:
-            if roll < 0.5:
+            if roll < 0.3:
                 service.truth_of("teach", "euclid", "math")
+            elif roll < 0.5:
+                service.truth_of("pupil", "euclid", f"s{i % STUDENTS}")
             elif roll < 0.9:
                 service.execute(
                     Update.ins("teach", f"w{worker}t{i}", f"c{worker}_{i}")
@@ -71,13 +86,24 @@ def _traffic(service: DatabaseService, worker: int, ops: int) -> None:
             pass  # shed / read-only / timeout: the overload path itself
 
 
-def _run_traffic(log_dir: Path, tag: str) -> DatabaseService:
+def _service(log_dir: Path, tag: str) -> DatabaseService:
+    """The Section 4.2 lane with ``STUDENTS`` more pupils of math, its
+    pupil memo kept (a function's second scan keeps it)."""
+    db = pupil_database()
+    db.load("class_list", (("math", f"s{i}") for i in range(STUDENTS)))
     service = DatabaseService(
-        pupil_database(),
+        db,
         log=log_dir / f"wal_{tag}.jsonl",
         max_concurrent=max(2, WORKERS // 2),
         max_queue=WORKERS * OPS_PER_WORKER,
     )
+    for _ in range(2):
+        service.extension("pupil")
+    return service
+
+
+def _run_traffic(log_dir: Path, tag: str) -> DatabaseService:
+    service = _service(log_dir, tag)
     threads = [
         threading.Thread(target=_traffic, args=(service, w, OPS_PER_WORKER))
         for w in range(WORKERS)
@@ -87,6 +113,17 @@ def _run_traffic(log_dir: Path, tag: str) -> DatabaseService:
     for t in threads:
         t.join()
     return service
+
+
+def _count_traffic(log_dir: Path) -> dict:
+    """The counting pass: every worker's ops, unscaled, one worker after
+    another with OBS on; returns the filtered snapshot."""
+    with OBS.collecting():
+        service = _service(log_dir, "counted")
+        for worker in range(COUNTED_WORKERS):
+            _traffic(service, worker, COUNTED_OPS)
+        service.close()
+        return _filtered_snapshot()
 
 
 def _filtered_snapshot() -> dict:
@@ -102,8 +139,6 @@ def _filtered_snapshot() -> dict:
 
 
 def test_bench_service_mixed_traffic(benchmark, report):
-    from repro.obs.hooks import OBS
-
     tags = iter(range(10_000))
     with tempfile.TemporaryDirectory() as tmp:
         log_dir = Path(tmp)
@@ -128,11 +163,12 @@ def test_bench_service_mixed_traffic(benchmark, report):
             stats = service.stats()
             service.close()
             metrics = OBS.metrics.snapshot()
-            data = _filtered_snapshot()
+        data = _count_traffic(log_dir)
 
     report.line(
         f"E16 -- service request latency ({WORKERS} workers x "
-        f"{OPS_PER_WORKER} ops, 50/40/10 read/execute/rmw mix)"
+        f"{OPS_PER_WORKER} ops, 50/40/10 read/execute/rmw mix; reads "
+        f"30 base, 20 derived)"
     )
     report.line()
     histograms = metrics.get("histograms", {})

@@ -27,7 +27,7 @@ references no database or table.
 from __future__ import annotations
 
 import operator
-import threading
+from threading import Lock, get_ident
 
 from repro.core.derivation import Op
 from repro.fdb.facts import Fact
@@ -36,17 +36,22 @@ from repro.obs.hooks import OBS
 
 __all__ = ["ExtensionMemo"]
 
+FALSE = Truth.FALSE  # a module global: an enum member costs a lookup
+
 
 class ExtensionMemo:
     """One derived function's counted extension. ``lock`` serialises
-    what changes it (readers of one service cluster share it): a second
-    reader waits for the first's delta instead of joining it again. Its
-    writers hold that cluster exclusive; a commit to another cluster
-    reaches :meth:`take` while it reads, and must keep nothing."""
+    what changes or reads it: a second reader of one service cluster
+    waits for the first's delta instead of joining it again, a commit's
+    :meth:`take` appends under it, and a lookup (:meth:`truth`, no
+    join) holds it alone. It is innermost: no engine or service lock is
+    taken while it is held, so a hand-off comes before it. A commit to
+    another cluster reaches :meth:`take` while it is held, and keeps
+    nothing."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.lock = threading.Lock()
+        self.lock = Lock()
         self.scanned = False
         self.version: int | None = None
         self.derivations: tuple = ()
@@ -59,7 +64,9 @@ class ExtensionMemo:
         """Keep the changes ``records`` made to the tables this memo
         reads until they are applied, at most one per kept chain: past
         that, every chain goes. An NC rewrite changes what it negates,
-        no member's flag or NCL: its stored members count."""
+        no member's flag or NCL: its stored members count. Only a memo
+        the records reach is locked, so a commit waits on no reader of
+        another cluster."""
         if not self.chains:
             return
         kept = []
@@ -72,10 +79,14 @@ class ExtensionMemo:
                     fact = tables[ref.function].get(ref.x, ref.y)
                     if ref.function in self.reads and fact is not None:
                         kept.append((ref.function, fact))
-        if kept:  # else left untouched: another cluster may be reading it
-            self.pending += kept
-            if len(self.pending) > self.size:
-                self.drop()
+        if kept:  # else untouched: another cluster may be reading it
+            self.lock.acquire()  # not ``with``: see repro.service.locks
+            try:
+                self.pending += kept
+                if len(self.pending) > self.size:
+                    self.drop()
+            finally:
+                self.lock.release()
 
     def drop(self) -> None:
         """Forget every chain."""
@@ -95,38 +106,47 @@ class ExtensionMemo:
         (:func:`repro.fdb.evaluate._join`); ``None`` at the function's
         first scan and in the caller's own open transaction (its records
         come at commit), which the caller joins from scratch."""
-        if db._txn_owner == threading.get_ident():
+        if db._txn_owner == get_ident():
             return None
-        with self.lock:
-            db._hand_off()
-            if not self.scanned:
+        db._hand_off()  # before the lock: a take it makes takes it
+        if self.scanned and db._undo.standing is None:
+            db._stand()
+        with self.lock:  # no standing list yet: a first scan keeps nothing
+            if not self.scanned or db._undo.standing is None:
                 self.scanned = True
                 return None
             if self.version != db.schema_version:
                 self._reset(db)
             if not self.chains:  # the first build, or one after a drop
-                db._stand()
                 self._apply(db, join, None)
             elif self.pending:
                 self._apply(db, join, self.pending)
             return self.result.copy()  # dict() is ~6x slower past a deletion
 
     def truth(self, db, x, y, join=None) -> Truth | None:
-        """The kept verdict on ``(x, y)``, what waits applied first by
-        ``join``; ``None`` if nothing is kept, the schema changed, the
-        caller owns the open transaction, or changes wait and no ``join``
-        is given: the caller walks then."""
-        if not self.chains or db._txn_owner == threading.get_ident():
+        """The kept verdict on ``(x, y)``, what waits handed off and
+        applied first by ``join``; ``None`` if nothing is kept, the
+        schema changed, the caller owns the open transaction, or changes
+        wait and no ``join`` is given: the caller walks then. With no
+        ``join`` this is a lookup: it reads no table and holds only the
+        memo's lock, so a caller that holds no cluster lock may ask."""
+        if not self.chains or db._txn_owner == get_ident():
             return None  # no lock: a function with no kept memo pays this
-        with self.lock:
-            db._hand_off()  # may drop every chain: chains is read after
+        if join is not None:
+            db._hand_off()  # before the lock: a take it makes takes it
+        elif db._undo.standing:
+            return None
+        self.lock.acquire()
+        try:  # chains is read again: a take may have dropped them
             if not self.chains or self.version != db.schema_version:
                 return None
             if self.pending:
                 if join is None:
                     return None
                 self._apply(db, join, self.pending)
-            return self.result.get((x, y), Truth.FALSE)
+            return self.result.get((x, y), FALSE)
+        finally:
+            self.lock.release()
 
     def _reset(self, db) -> None:
         """Start over on the function's current derivations."""

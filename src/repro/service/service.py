@@ -184,7 +184,7 @@ class FrontDoor:
                  deadline: Deadline | float | None = None) -> Truth:
         return self.read(
             (name,), lambda db: db.truth_of(name, x, y),
-            deadline=deadline,
+            deadline=deadline, point=(name, x, y),
         )
 
     def extension(self, name: str, *,
@@ -352,11 +352,16 @@ class DatabaseService(FrontDoor):
 
     def read(self, names: Iterable[str],
              fn: Callable[[FunctionalDatabase], object], *,
-             deadline: Deadline | float | None = None) -> object:
+             deadline: Deadline | float | None = None,
+             point: tuple[str, Value, Value] | None = None) -> object:
         """Run ``fn(db)`` while the clusters of ``names`` are held
-        shared. ``fn`` must not mutate."""
-        with _Request((self,), "read", deadline, names):
-            return fn(self.db)
+        shared. ``fn`` must not mutate. With ``point``, the ``(name, x,
+        y)`` whose truth ``fn`` reads, a verdict its memo keeps with no
+        change waiting answers instead, under the memo's lock alone
+        (:meth:`repro.fdb.memo.ExtensionMemo.truth`, no join)."""
+        request = _Request((self,), "read", deadline, names, point)
+        with request:
+            return fn(self.db) if request.kept is None else request.kept
 
     def read_replica(self, fn: Callable[[FunctionalDatabase], object],
                      *, max_lag_seq: int | None = None,
@@ -557,22 +562,25 @@ class _Request:
     multi-shard write) as one flat scope: a slot at every lane's gate
     (which counts the family's ``stats()`` key); for a read of ``names``
     their clusters held shared, then the deadline's scope if there is
-    one; spans only while OBS is on. Leaving undoes it in reverse, then
+    one; spans only while OBS is on. A ``point`` read its memo answers
+    (``kept``) holds no cluster: the memo holds exactly the committed
+    writes, handed to it under its lock, so the lookup falls before or
+    after each commit. Leaving undoes it in reverse, then
     feeds the RED instruments once and each lane's SLO monitor: shed
     (:class:`ServiceOverloaded`), error (any other raise) or success.
     Entering returns the request span while OBS is on (else None);
     callers stamp its live ``attrs`` ``committed=True`` once the write
     landed (the chaos soak matches those records to the lanes' WALs)."""
 
-    __slots__ = ("lanes", "family", "limit", "names", "admit", "admitted",
-                 "held", "scope", "started")
+    __slots__ = ("lanes", "family", "limit", "names", "point", "kept",
+                 "admit", "admitted", "held", "scope", "started")
 
     def __init__(self, lanes: Sequence[DatabaseService], family: str,
                  deadline: Deadline | float | None = None,
-                 names: Iterable[str] | None = None, *,
-                 admit: bool = True) -> None:
+                 names: Iterable[str] | None = None,
+                 point: tuple | None = None, *, admit: bool = True) -> None:
         self.lanes, self.family, self.names = lanes, family, names
-        self.admit = admit
+        self.point, self.kept, self.admit = point, None, admit
         self.limit = (deadline if deadline is None or isinstance(
             deadline, Deadline) else Deadline(deadline))
         self.admitted = 0  # lanes[:admitted] gave this request a slot
@@ -603,13 +611,18 @@ class _Request:
             if counter is not None and OBS.enabled:
                 OBS.inc(counter)
             if self.names is not None:
-                lane = lanes[0]
-                self._hold(lane.locks.held(lane._clusters_for(self.names),
-                                           SHARED, deadline=limit))
-                if OBS.enabled:
-                    self._hold(OBS.span("service.engine"))
-                if limit is not None:
-                    self._hold(deadline_scope(limit))
+                lane, point = lanes[0], self.point
+                memo = point and lane.db._memos.get(point[0])
+                if memo is not None:  # a derived function's: look up
+                    self.kept = memo.truth(lane.db, point[1], point[2])
+                if self.kept is None:
+                    self._hold(lane.locks.held(
+                        lane._clusters_for(self.names), SHARED,
+                        deadline=limit))
+                    if OBS.enabled:
+                        self._hold(OBS.span("service.engine"))
+                    if limit is not None:
+                        self._hold(deadline_scope(limit))
         except BaseException as exc:
             self.__exit__(type(exc), exc, exc.__traceback__)
             raise

@@ -178,12 +178,14 @@ class ShardedDatabaseService(FrontDoor):
 
     def read(self, names: Iterable[str],
              fn: Callable[[FunctionalDatabase], object], *,
-             deadline: Deadline | float | None = None) -> object:
-        """A single-lane read; raises :class:`CrossShardError` when
-        ``names`` span shards (use :meth:`scatter_read`)."""
+             deadline: Deadline | float | None = None,
+             point: tuple | None = None) -> object:
+        """A single-lane read (``point``: as the lane's ``read``); raises
+        :class:`CrossShardError` when ``names`` span shards (use
+        :meth:`scatter_read`)."""
         name_list = tuple(names)
         lane = self._only_lane(name_list, "read", "; use scatter_read")
-        return lane.read(name_list, fn, deadline=deadline)
+        return lane.read(name_list, fn, deadline=deadline, point=point)
 
     def scatter_read(
         self,
