@@ -19,10 +19,9 @@ step (facts of inverted steps are traversed range-to-domain). The fact
 therefore matched exactly, while adjacent interior values may match
 exactly or ambiguously (through nulls).
 
-Two evaluators share that definition: :func:`iter_chains` walks one
-derivation and yields every :class:`Chain` (the reference semantics;
-updates, and point lookups no memo answers); ``_join`` joins it a hop at
-a time and builds none, from the first step for an extension
+One loop evaluates a derivation: ``_join``, a hop at a time, from ``x``
+with ``y`` bound at the last step (:func:`iter_chains` makes each chain
+a :class:`Chain`), from every first-step fact for an extension
 (:func:`evaluate_derivations`), or outward from facts bound at any step
 for the delta rules of a maintained extension (:mod:`repro.fdb.memo`).
 """
@@ -38,8 +37,7 @@ from repro.core.derivation import Derivation, Op
 from repro.fdb.facts import Fact, FactRef
 from repro.fdb.logic import Truth
 from repro.fdb.nc import NCRegistry
-from repro.fdb.table import FunctionTable
-from repro.fdb.values import Value, is_null
+from repro.fdb.values import NullValue, Value
 from repro.obs.hooks import OBS
 
 if TYPE_CHECKING:
@@ -157,97 +155,17 @@ def iter_chains(
     restricts to exactly-matching chains — the ones whose conjunction
     implies the derived fact, which is what ``derived-delete`` negates.
 
-    Chains come in lexicographic order of (choice at step 1, ...), exact
-    matches first. A walk reads each step's pools once (:class:`_Hop`),
-    the last step's cut to the facts ending at ``y``: no consumer may
-    change the instance while it consumes one.
+    The join's chains from ``x`` to ``y`` (``_join``), in order: by
+    choice at step 1, 2, ..., exact matches first.
     """
-    hops = [_Hop(db.table(step.function.name), step.op is Op.INVERSE,
-                 allow_ambiguous) for step in derivation.steps]
-    hops[-1].y = y  # Section 3.2: the last fact must end at y exactly
-    starts = hops[0].table.facts() if x is None else hops[0].exact(x)
-    chains = _extend(derivation, y, hops, 0, (), ((starts, True, None),), True)
-    if not OBS.enabled:
-        if not cancel.cancellation_active():
-            # Fast path: no per-chain work without OBS or a deadline.
-            yield from chains
-            return
-        for chain in chains:
-            cancel.checkpoint()
-            yield chain
-        return
-    # Instrumented path: count enumerations and every chain yielded.
-    # Per-yield counting stays correct when a consumer abandons the
-    # generator early (exists_nvc stops at the first NVC).
-    OBS.inc("fdb.chains.enumerations")
-    for chain in chains:
-        cancel.checkpoint()
-        OBS.inc("fdb.chains.enumerated")
-        yield chain
-
-
-# The walk behind iter_chains: module-level, its context passed along,
-# as a closure over itself and ``db`` would keep the database alive.
-class _Hop:
-    """One step of one walk. A chain arriving at a value takes its exact
-    matches from the value index, its ambiguous ones from a pool read on
-    first use: the step's null list for a non-null (every null differs
-    from it), else a snapshot of the step's facts, skipping the null's own.
-    A last hop with ``y`` bound reads, for either pool, only the facts
-    ending at ``y`` (its y-bucket)."""
-
-    __slots__ = ("table", "inverse", "ambiguous", "exact", "y", "nulls",
-                 "facts")
-
-    def __init__(self, table: FunctionTable, inverse: bool,
-                 ambiguous: bool) -> None:
-        self.table, self.inverse, self.ambiguous = table, inverse, ambiguous
-        self.exact = table.facts_with_y if inverse else table.facts_with_x
-        self.y = self.nulls = self.facts = None
-
-    def pools(self, current: Value) -> tuple:
-        """``(facts, match is exact, value to skip)`` for each pool."""
-        exact = (self.exact(current), True, None)
-        if not self.ambiguous:
-            return (exact,)
-        if is_null(current):
-            return exact, (self.snapshot(), False, current)
-        if self.nulls is None:
-            self.nulls = (self.table.null_y_facts() if self.inverse
-                          else self.table.null_x_facts())
-            if self.nulls and self.y is not None:
-                self.nulls = [fact for fact in self.snapshot() if is_null(
-                    fact.y if self.inverse else fact.x)]
-        return exact, (self.nulls, False, None)
-
-    def snapshot(self) -> tuple[Fact, ...]:
-        """The step's facts, or with ``y`` bound its y-bucket, read once."""
-        if self.facts is None:
-            table, y = self.table, self.y
-            self.facts = (tuple(table.facts()) if y is None else
-                          table.facts_with_x(y) if self.inverse
-                          else table.facts_with_y(y))
-        return self.facts
-
-
-def _extend(
-    derivation: Derivation, y: Value | None, hops: list[_Hop], index: int,
-    facts: tuple[Fact, ...], pools: tuple, all_exact: bool,
-) -> Iterator[Chain]:
-    inverse = hops[index].inverse
-    following = hops[index + 1] if index + 1 < len(hops) else None
-    for candidates, exact_match, skip in pools:
-        still_exact = all_exact and exact_match
-        for fact in candidates:
-            if skip is not None and (fact.y if inverse else fact.x) == skip:
-                continue
-            end = fact.x if inverse else fact.y
-            if following is not None:
-                yield from _extend(derivation, y, hops, index + 1,
-                                   facts + (fact,), following.pools(end),
-                                   still_exact)
-            elif y is None or end == y:
-                yield Chain(derivation, facts + (fact,), still_exact)
+    if obs_on := OBS.enabled:
+        OBS.inc("fdb.chains.enumerations")
+    for facts, _, _, exact, _, _ in _join(db, derivation, x=x, y=y,
+                                       exact_only=not allow_ambiguous):
+        if obs_on:
+            # Per yield: a consumer may stop early (exists_nvc does).
+            OBS.inc("fdb.chains.enumerated")
+        yield Chain(derivation, facts, exact)
 
 
 def truth_of_derived(
@@ -303,107 +221,148 @@ def evaluate_derivations(
     order); ``x`` fixes the chains' start. From scratch."""
     result: dict[tuple[Value, Value], Truth] = {}
     for derivation in derivations:
-        _join(db, derivation, result, x=x)
+        _join(db, derivation, x=x, into=result, track=False)
     return result
 
 
-def _join(db: FunctionalDatabase, derivation: Derivation, out: dict | None,
+def _join(db: FunctionalDatabase, derivation: Derivation,
           firsts: Iterable[Fact] | None = None, x: Value | None = None,
-          at: int = 0, chains: dict | None = None) -> None:
-    """Each fact the chains through ``firsts``, facts of step ``at``
-    (else every first-step fact, or those starting at ``x``), obtain,
-    into ``out`` with the strongest verdict so far (``at`` is 0 then).
-    With ``chains``, every chain not known false goes there instead, as
-    ``facts: (key, clean)`` (:mod:`repro.fdb.memo`): a chain found twice
-    is one entry.
+          y: Value | None = None, at: int = 0, *, exact_only: bool = False,
+          into: dict | None = None, track: bool = True) -> list[tuple]:
+    """The chains of ``derivation`` through ``firsts``, facts of step
+    ``at`` (else all first-step facts, or those starting at ``x``),
+    ending at ``y`` if given, exact matches only if ``exact_only``: each
+    ``(facts, start, end, exact, clean, members)`` — its facts in step
+    order, whether every match is exact and every fact true as well,
+    its facts in an NC. ``into`` folds each chain not known false
+    instead, with the strongest verdict found for it, under its facts
+    (a memo) or, without ``track``, its key (an extension, from step 0).
 
-    A join, a hop at a time over partial chains ``(facts, fixed,
-    moving, clean, members)``, outward from step ``at``: to the first
-    step, each hop matching a fact's end to the chain's start, then to
-    the last. ``clean`` — every match exact, every fact true — makes a
-    chain true; ``members``, its facts that sit in an NC, say whether
-    it is known false. Why that is the Section 3.2 valuation:
-    DESIGN.md, "Evaluating an extension".
+    The one loop that extends partial chains, a hop at a time outward
+    from step ``at``: to the first step, then to the last. A chain
+    arriving at a value takes its exact matches from the value index,
+    its ambiguous ones from a pool read once per hop: the null list for
+    a non-null, else a snapshot of the step's facts, skipping the null's
+    own. With ``y`` bound the last hop's pools come from the facts
+    ending at ``y``, read only once the step holds a null. What a value
+    grows a chain by is worked out once per hop, save for exact matches
+    from a bound start. A hop keeps its parents' order, so from step 0
+    the chains come in a depth-first walk's order. Why that is Section
+    3.2's valuation: DESIGN.md, "One evaluator".
     """
-    @functools.cache  # within this call: many chains share their NC members
-    def known_false(members: tuple[Fact, ...]) -> bool:
-        return any(negating_ncs(db.ncs, members))
-
     checkpoint = cancel.checkpoint if cancel.cancellation_active() else None
     true, ambiguous, obs_on = Truth.TRUE, Truth.AMBIGUOUS, OBS.enabled
-    track = chains is not None
-    if obs_on:
-        OBS.inc("fdb.evaluate.accumulations")
-        OBS.inc("fdb.chains.enumerations")
+    if into is not None:  # cached: many chains share their NC members
+        known_false = functools.cache(
+            lambda members: any(negating_ncs(db.ncs, members)))
+        if obs_on:
+            OBS.inc("fdb.evaluate.accumulations")
+            OBS.inc("fdb.chains.enumerations")
     steps = derivation.steps
+    last = len(steps) - 1
     inverse = steps[at].op is Op.INVERSE
-    table = db.table(steps[at].function.name)
     if firsts is None:
+        table = db.table(steps[at].function.name)
         firsts = (table.facts() if x is None else table.facts_with_y(x)
                   if inverse else table.facts_with_x(x))
     frontier = []
     for fact in firsts:
         if checkpoint:
-            checkpoint()  # one per bound fact: a memo may join only one
+            checkpoint()  # one per partial chain, a bound fact included
         start, end = (fact.y, fact.x) if inverse else (fact.x, fact.y)
-        fixed, moving = (end, start) if at else (start, end)
-        frontier.append(((fact,) if track else (), fixed, moving,
-                         fact.truth is true, (fact,) if fact.ncl else ()))
-    hops = [*range(at - 1, -1, -1), *range(at + 1, len(steps))]
-    chains_found = 0 if hops else len(frontier)
+        if y is None or at < last or end == y:
+            frontier.append(((fact,) if track else (), start, end, True,
+                             fact.truth is true, (fact,) if fact.ncl else ()))
+    lean = exact_only and x is not None  # a point listed: right hops only
+    hops = (*range(at - 1, -1, -1), *range(at + 1, last + 1))
+    folded = 0 if hops else len(frontier)  # complete chains
     for hop in hops:
-        last, left = hop == hops[-1], hop < at
-        if at and hop == at + 1:  # past the left hops the start is fixed
-            frontier = [(facts, moving, fixed, clean, members) for
-                        facts, fixed, moving, clean, members in frontier]
+        if not frontier:
+            break
+        left, final = hop < at, hop == hops[-1]
         table = db.table(steps[hop].function.name)
         # A right hop matches a fact's start and moves to its end, a
         # left hop the other way round.
         to_y = (steps[hop].op is Op.INVERSE) is left
-        match = table.matching_x if to_y else table.matching_y
-        # The hash join: per distinct value, what a chain arriving there
-        # grows by — (next value, stays clean, NC member or None, the fact).
+        # The facts starting, and those ending, at a value.
+        index, bucket = ((table.facts_with_x, table.facts_with_y) if to_y
+                         else (table.facts_with_y, table.facts_with_x))
+        bound = y if hop == last else None  # the last fact ends at y
+        nulls = snapshot = None
         matches: dict[Value, list[tuple]] = {}
         parents, frontier = frontier, []
-        for facts, fixed, current, clean, members in parents:
+        grow = frontier.append
+        for facts, start, end, exact, clean, members in parents:
             if checkpoint:
                 checkpoint()
+            current = start if left else end
+            if lean:  # few values, each reached once: nothing to share
+                for fact in index(current):
+                    value = fact.y if to_y else fact.x
+                    if bound is None or value == bound:
+                        grow((facts + (fact,), start, value, True,
+                              clean and fact.truth is true,
+                              members + ((fact,) if fact.ncl else ())))
+                continue
             found = matches.get(current)
             if found is None:
-                exact, fuzzy = match(current)
-                found = matches[current] = [
-                    (fact.y if to_y else fact.x, hit and fact.truth is true,
-                     fact if fact.ncl else None, fact)
-                    for hit, pool in ((True, exact), (False, fuzzy))
-                    for fact in pool]
-            if last:
-                chains_found += len(found)
-            for value, ok, member, fact in found:
-                grown = (members if member is None or member in members
-                         else members + (member,))
-                if not last:
-                    frontier.append(((
-                        (fact, *facts) if left else (*facts, fact)
-                    ) if track else facts, fixed, value, clean and ok, grown))
-                elif track:
-                    if clean and ok or not (grown and known_false(grown)):
-                        chains[(fact, *facts) if left else (*facts, fact)] = (
-                            (value, fixed) if left else (fixed, value),
-                            clean and ok)
-                elif clean and ok:  # complete: fold it in here
-                    out[fixed, value] = true
-                elif not (grown and known_false(grown)):
-                    out.setdefault((fixed, value), ambiguous)
-    for facts, start, end, clean, members in frontier:  # one-step chains
-        if track:
-            if clean or not (members and known_false(members)):
-                chains[facts] = (start, end), clean
-        elif clean:
-            out[start, end] = true  # keeps an earlier chain's place
+                # (a pool, its matches are exact, a start to skip)
+                pools = [(index(current), True, None)]
+                if not exact_only and isinstance(current, NullValue):
+                    if snapshot is None:
+                        snapshot = (tuple(table.facts()) if bound is None
+                                    else bucket(bound))
+                    pools.append((snapshot, False, current))
+                elif not exact_only:
+                    if nulls is None:
+                        nulls = (table.null_x_facts() if to_y
+                                 else table.null_y_facts())
+                        if nulls and bound is not None:
+                            if snapshot is None:
+                                snapshot = bucket(bound)
+                            nulls = [fact for fact in snapshot if isinstance(
+                                fact.x if to_y else fact.y, NullValue)]
+                    pools.append((nulls, False, None))
+                # (the fact alone, where it moves to, exact, clean, member)
+                found = matches[current] = []
+                for pool, hit, skip in pools:
+                    for fact in pool:
+                        value = fact.y if to_y else fact.x
+                        if (bound is None or value == bound) and (
+                                skip is None or (
+                                    fact.x if to_y else fact.y) != skip):
+                            found.append((
+                                (fact,) if track else (), value, hit,
+                                hit and fact.truth is true,
+                                (fact,) if fact.ncl else ()))
+            if into is None or not final:
+                for one, value, hit, ok, member in found:
+                    if left:
+                        grow((one + facts, value, end, exact and hit,
+                              clean and ok, members + member))
+                    else:
+                        grow((facts + one, start, value, exact and hit,
+                              clean and ok, members + member))
+                continue
+            folded += len(found)
+            for one, value, hit, ok, member in found:  # complete: fold it
+                chain = ((one + facts if left else facts + one) if track
+                         else (start, value))
+                if clean and ok:
+                    into[chain] = true  # keeps an earlier chain's place
+                elif not ((grown := members + member) and known_false(grown)):
+                    into.setdefault(chain, ambiguous)
+    if into is None:
+        return frontier
+    for facts, start, end, _, clean, members in frontier:  # one-step chains
+        chain = facts if track else (start, end)
+        if clean:
+            into[chain] = true
         elif not (members and known_false(members)):
-            out.setdefault((start, end), ambiguous)
+            into.setdefault(chain, ambiguous)
     if obs_on:
-        OBS.inc("fdb.chains.enumerated", chains_found)
+        OBS.inc("fdb.chains.enumerated", folded)
+    return []
 
 
 def derived_extension(

@@ -36,7 +36,7 @@ from repro.obs.hooks import OBS
 
 __all__ = ["ExtensionMemo"]
 
-FALSE = Truth.FALSE  # a module global: an enum member costs a lookup
+FALSE, TRUE = Truth.FALSE, Truth.TRUE  # globals: an enum member costs a lookup
 
 
 class ExtensionMemo:
@@ -127,7 +127,7 @@ class ExtensionMemo:
         """The kept verdict on ``(x, y)``, what waits handed off and
         applied first by ``join``; ``None`` if nothing is kept, the
         schema changed, the caller owns the open transaction, or changes
-        wait and no ``join`` is given: the caller walks then. With no
+        wait and no ``join`` is given: the caller joins then. With no
         ``join`` this is a lookup: it reads no table and holds only the
         memo's lock, so a caller that holds no cluster lock may ask."""
         if not self.chains or db._txn_owner == get_ident():
@@ -174,11 +174,11 @@ class ExtensionMemo:
         for derivation in self.derivations:
             chains: dict = {}  # a chain through two changed facts: once
             if pending is None:
-                join(db, derivation, None, chains=chains)
+                join(db, derivation, into=chains)
             for at, step in enumerate(derivation.steps if live else ()):
                 if step.function.name in live:
-                    join(db, derivation, None, live[step.function.name],
-                         at=at, chains=chains)
+                    join(db, derivation, live[step.function.name], at=at,
+                         into=chains)
             found.append(chains)
         # Only now, every join done: a delta cut short changes nothing.
         if OBS.enabled:
@@ -210,7 +210,8 @@ class ExtensionMemo:
                         clean[key] -= 1
                     moved.add(key)
             _file(through, new)
-            for chain, (key, ok) in new.items():
+            for chain, truth in new.items():
+                key, ok = (start(chain[0]), end(chain[-1])), truth is TRUE
                 chains[chain] = ok
                 self.filed += len(chain)
                 self.live += len(chain)

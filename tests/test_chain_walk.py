@@ -1,21 +1,29 @@
-"""The chain walk against the walk it replaced.
+"""The one chain evaluator against the walks it replaced.
 
-``iter_chains`` takes each step's ambiguous candidates once per
-enumeration: the step's null list, or one snapshot of its facts when a
-chain arrives at a null — at the last step of a walk with ``y`` bound,
-only the facts ending at ``y``. The walk it replaced rebuilt both lists
-for every partial chain and filtered by ``y`` after the last step's
-scan; it lives on here, copied as it was, as the
-*reference* (:func:`reference_chains`): the walk must yield the very
-same facts, in the same order, with the same ``all_exact``. Since
-``tests/test_extension_join.py`` holds the join to the live walk, this
-file ties both back to the old one.
+``iter_chains`` yields the chains of the hop-at-a-time join
+(``evaluate._join``), which also answers extensions, images and the
+maintained extension's delta rules. Two older evaluators live on here
+as oracles, independent of that join:
 
-The point fold over the walk (``truth_over``) stops valuing chains once
-one came out ambiguous, and reads "superset of an NC" off the NCLs
+* :func:`reference_chains`, the per-partial-chain walk that rebuilt
+  both candidate lists for every partial chain and filtered by ``y``
+  after the last step's scan, copied as it was;
+* :func:`walk_chains`, the depth-first walk that replaced it and took
+  each step's ambiguous candidates once per walk — the step's null
+  list, or one snapshot of its facts when a chain arrives at a null,
+  at the last step of a walk with ``y`` bound only the facts ending at
+  ``y`` — copied as it left ``src/``.
+
+``iter_chains`` must yield the very same facts as both, in the same
+order, with the same ``all_exact``. The folds the other test files
+hold the engine to (``reference_truth`` here, ``reference_pairs`` in
+``tests/test_extension_join.py``) run over :func:`walk_chains`.
+
+The point fold over the chains (``truth_over``) stops valuing chains
+once one came out ambiguous, and reads "superset of an NC" off the NCLs
 (``negating_ncs``). The fold that valued every chain against NC member
 sets is its reference (:func:`reference_truth`): same verdict, with
-telemetry on or off. Derived INS's "already true?" check walks exact
+telemetry on or off. Derived INS's "already true?" check joins exact
 chains alone; the same reference says when it must be a no-op.
 """
 
@@ -34,7 +42,14 @@ from repro.core.schema import FunctionDef
 from repro.core.types import ObjectType, TypeFunctionality
 from repro.fdb import updates
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import Chain, iter_chains, negating_ncs, truth_over
+from repro.fdb import evaluate
+from repro.fdb.evaluate import (
+    Chain,
+    evaluate_derivations,
+    iter_chains,
+    negating_ncs,
+    truth_over,
+)
 from repro.fdb.facts import Fact
 from repro.fdb.logic import Truth
 from repro.fdb.query import fn
@@ -42,7 +57,6 @@ from repro.fdb.table import FunctionTable
 from repro.fdb.values import Value, is_null
 from repro.obs import OBS, CallbackSink
 from repro.workloads.generator import chain_fdb, random_instance
-from tests.test_extension_join import queries_over_chain
 from tests.test_transaction_properties import (
     Abort,
     apply_step,
@@ -115,6 +129,80 @@ def reference_chains(db, derivation, x=None, y=None, *,
                         0, (), None, True))
 
 
+# -- the walk that left src/: one pool read per step and walk -----------------
+
+
+class _Hop:
+    """One step of one walk. A chain arriving at a value takes its exact
+    matches from the value index, its ambiguous ones from a pool read on
+    first use: the step's null list for a non-null (every null differs
+    from it), else a snapshot of the step's facts, skipping the null's own.
+    A last hop with ``y`` bound reads, for either pool, only the facts
+    ending at ``y`` (its y-bucket)."""
+
+    __slots__ = ("table", "inverse", "ambiguous", "exact", "y", "nulls",
+                 "facts")
+
+    def __init__(self, table: FunctionTable, inverse: bool,
+                 ambiguous: bool) -> None:
+        self.table, self.inverse, self.ambiguous = table, inverse, ambiguous
+        self.exact = table.facts_with_y if inverse else table.facts_with_x
+        self.y = self.nulls = self.facts = None
+
+    def pools(self, current: Value) -> tuple:
+        """``(facts, match is exact, value to skip)`` for each pool."""
+        exact = (self.exact(current), True, None)
+        if not self.ambiguous:
+            return (exact,)
+        if is_null(current):
+            return exact, (self.snapshot(), False, current)
+        if self.nulls is None:
+            self.nulls = (self.table.null_y_facts() if self.inverse
+                          else self.table.null_x_facts())
+            if self.nulls and self.y is not None:
+                self.nulls = [fact for fact in self.snapshot() if is_null(
+                    fact.y if self.inverse else fact.x)]
+        return exact, (self.nulls, False, None)
+
+    def snapshot(self) -> tuple[Fact, ...]:
+        """The step's facts, or with ``y`` bound its y-bucket, read once."""
+        if self.facts is None:
+            table, y = self.table, self.y
+            self.facts = (tuple(table.facts()) if y is None else
+                          table.facts_with_x(y) if self.inverse
+                          else table.facts_with_y(y))
+        return self.facts
+
+
+def _walk(derivation: Derivation, y: Value | None, hops: list[_Hop],
+          index: int, facts: tuple[Fact, ...], pools: tuple,
+          all_exact: bool) -> Iterator[Chain]:
+    inverse = hops[index].inverse
+    following = hops[index + 1] if index + 1 < len(hops) else None
+    for candidates, exact_match, skip in pools:
+        still_exact = all_exact and exact_match
+        for fact in candidates:
+            if skip is not None and (fact.y if inverse else fact.x) == skip:
+                continue
+            end = fact.x if inverse else fact.y
+            if following is not None:
+                yield from _walk(derivation, y, hops, index + 1,
+                                 facts + (fact,), following.pools(end),
+                                 still_exact)
+            elif y is None or end == y:
+                yield Chain(derivation, facts + (fact,), still_exact)
+
+
+def walk_chains(db, derivation, x=None, y=None, *,
+                allow_ambiguous=True) -> Iterator[Chain]:
+    """The depth-first walk ``iter_chains`` ran before the join did."""
+    hops = [_Hop(db.table(step.function.name), step.op is Op.INVERSE,
+                 allow_ambiguous) for step in derivation.steps]
+    hops[-1].y = y  # Section 3.2: the last fact must end at y exactly
+    starts = hops[0].table.facts() if x is None else hops[0].exact(x)
+    return _walk(derivation, y, hops, 0, (), ((starts, True, None),), True)
+
+
 def shape(chains) -> list:
     """Each chain as its facts (by identity) and its ``all_exact``."""
     return [(tuple(map(id, chain.facts)), chain.all_exact)
@@ -123,12 +211,19 @@ def shape(chains) -> list:
 
 def assert_walk_matches_reference(db, derivation, x=None, y=None) -> None:
     for allow_ambiguous in (True, False):
-        walked = list(iter_chains(db, derivation, x, y,
+        joined = list(iter_chains(db, derivation, x, y,
                                   allow_ambiguous=allow_ambiguous))
         expected = reference_chains(db, derivation, x, y,
                                     allow_ambiguous=allow_ambiguous)
-        assert shape(walked) == shape(expected)
-        assert all(chain.derivation is derivation for chain in walked)
+        assert shape(joined) == shape(expected)
+        assert all(chain.derivation is derivation for chain in joined)
+
+
+def queries_over_chain(k: int) -> list:
+    """Expressions over ``chain_fdb(k)`` whose normal forms start or
+    end on an inverse step, repeat a function, or have one step."""
+    v, first, last = fn("v"), fn("f1"), fn(f"f{k}")
+    return [v, ~v, ~first, v * ~last, ~first * v, first * ~first]
 
 
 def derivations_over_chain(db, k: int) -> list[Derivation]:
@@ -140,8 +235,8 @@ def endpoints(db, derivation) -> tuple[list, list]:
     """A few start and end values the instance has, nulls included, and
     one it lacks."""
     steps = derivation.steps
-    starts = {chain.start for chain in iter_chains(db, derivation)}
-    ends = {chain.end for chain in iter_chains(db, derivation)}
+    starts = {chain.start for chain in walk_chains(db, derivation)}
+    ends = {chain.end for chain in walk_chains(db, derivation)}
     head = db.table(steps[0].function.name)
     starts |= {fact.y if steps[0].op is Op.INVERSE else fact.x
                for fact in head.facts()}
@@ -153,6 +248,10 @@ def assert_every_walk_matches(db, k: int) -> None:
     for derivation in derivations_over_chain(db, k):
         xs, ys = endpoints(db, derivation)
         assert_walk_matches_reference(db, derivation)
+        for allow_ambiguous in (True, False):  # the oracle the folds use
+            assert shape(walk_chains(
+                db, derivation, allow_ambiguous=allow_ambiguous)) == shape(
+                iter_chains(db, derivation, allow_ambiguous=allow_ambiguous))
         for x in xs:
             assert_walk_matches_reference(db, derivation, x=x)
         for y in ys:
@@ -182,12 +281,46 @@ def reference_truth(db, derivations, x, y) -> Truth:
     """The fold that valued every chain up to the first true one."""
     verdict = Truth.FALSE
     for derivation in derivations:
-        for chain in iter_chains(db, derivation, x, y):
+        for chain in walk_chains(db, derivation, x, y):
             support = reference_supports(db, chain)
             if support is Truth.TRUE:
                 return support
             if support is Truth.AMBIGUOUS:
                 verdict = support
+    return verdict
+
+
+def reference_pairs(db, derivations, x=None) -> dict:
+    """The extension fold over the walk: every chain classified by
+    ``Chain.supports`` and accumulated into a pair -> strongest-truth
+    map, keys in the order the walk first obtains them. Once a pair is
+    ambiguous only a true chain can change it, so later chains are
+    tested for that alone."""
+    into: dict = {}
+    for derivation in derivations:
+        for chain in walk_chains(db, derivation, x=x):
+            held = into.get(chain.pair)
+            if held is Truth.AMBIGUOUS and chain.all_exact and chain.all_true:
+                into[chain.pair] = Truth.TRUE
+            elif held is None:
+                support = chain.supports(db)
+                if support is not Truth.FALSE:
+                    into[chain.pair] = support
+    return into
+
+
+def walk_truth(db, derivations, x, y) -> Truth:
+    """The strongest verdict a chain of the walk from ``x`` to ``y``
+    supports: the point fold over the walk, with the engine's NC rule
+    (``Chain.supports``), which a rewrite merging two members of an NC
+    can set apart from the member-set test of :func:`reference_truth`."""
+    verdict = Truth.FALSE
+    for derivation in derivations:
+        for chain in walk_chains(db, derivation, x, y):
+            if chain.all_exact and chain.all_true:
+                return Truth.TRUE
+            if verdict is Truth.FALSE and not chain.is_known_false(db):
+                verdict = Truth.AMBIGUOUS
     return verdict
 
 
@@ -206,7 +339,7 @@ def recorded(call) -> tuple[object, list]:
 
 def assert_point_fold_matches_reference(db, k: int) -> None:
     for derivation in derivations_over_chain(db, k):
-        chains = list(iter_chains(db, derivation))
+        chains = list(walk_chains(db, derivation))
         for chain in chains:
             expected = reference_negated_by(db, chain)
             assert set(negating_ncs(db.ncs, chain.facts)) == expected
@@ -310,7 +443,7 @@ def test_insert_check_values_no_chain():
     db.load("f1", [("a", "b")])
     db.load("f2", [("b", "c")])
     db.insert("v", "a2", "c2")  # f1(a2, n1), f2(n1, c2)
-    assert any(not chain.all_exact for chain in iter_chains(
+    assert any(not chain.all_exact for chain in walk_chains(
         db, db.derived("v").primary, "a", "c2"))
 
     def insert(x, y):
@@ -360,7 +493,7 @@ def test_matching_agrees_with_the_filtered_scan(value):
                                                       or is_null(probe))]
 
 
-# -- the pools are taken once per enumeration ---------------------------------
+# -- the pools are taken once per hop -----------------------------------------
 
 
 COPIES = ("facts", "null_x_facts", "null_y_facts", "matching_x",
@@ -382,6 +515,20 @@ def spy_on_tables(monkeypatch) -> list[tuple]:
     return calls
 
 
+def spy_on_joins(monkeypatch) -> list[tuple]:
+    """Every run of the one loop (``evaluate._join``) from now on, as the
+    (x, y) it was bound to."""
+    joins: list[tuple] = []
+    join = evaluate._join
+
+    def spy(db, derivation, *args, **kwargs):
+        joins.append((kwargs.get("x"), kwargs.get("y")))
+        return join(db, derivation, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_join", spy)
+    return joins
+
+
 def nvc_chain_db() -> FunctionalDatabase:
     """``chain_fdb(3)`` with 25 NVCs, two nulls each, beside 20 rows a
     table: chains arrive at nulls and at non-nulls on every step."""
@@ -394,21 +541,46 @@ def nvc_chain_db() -> FunctionalDatabase:
 
 
 def test_one_walk_copies_each_table_at_most_twice(monkeypatch):
+    """One join copies each table at most twice — its null list and one
+    snapshot, however many nulls chains arrive at: a walk from ``x`` or
+    from every start, a scan from scratch, and a maintained extension's
+    delta rule for writes to several facts that start at nulls."""
     db = nvc_chain_db()
     derivation = db.derived("v").primary
     # Every chain reached f2 and f3; far more than two partial chains did.
-    assert len({chain.facts[:2] for chain in iter_chains(db, derivation)}
+    assert len({chain.facts[:2] for chain in walk_chains(db, derivation)}
                ) > 100
-
+    small = chain_fdb(3)  # the scan and the delta: 8 NVCs, 16 nulls
+    random_instance(small, 6, seed=5, value_pool=3)
+    for i in range(8):
+        small.insert("v", f"T0_{i % 3}", f"T3_new{i}")
+    for _ in range(2):  # a memo starts at the second scan
+        small.extension("v")
     calls = spy_on_tables(monkeypatch)
-    for x, allow_ambiguous in ((None, True), (None, False), ("T0_1", True)):
+
+    def copying_at_most_twice(call):
         calls.clear()
-        walked = list(iter_chains(db, derivation, x,
-                                  allow_ambiguous=allow_ambiguous))
-        assert walked
+        result = call()
         copies = [table for table, method, _ in calls if method in COPIES]
         assert max(copies.count(name) for name in ("f1", "f2", "f3")) <= 2
+        return result
+
+    for x, allow_ambiguous in ((None, True), (None, False), ("T0_1", True)):
+        walked = copying_at_most_twice(lambda: list(iter_chains(
+            db, derivation, x, allow_ambiguous=allow_ambiguous)))
+        assert walked
     assert shape(walked) == shape(reference_chains(db, derivation, "T0_1"))
+    derivations = small.derived("v").derivations
+    extension = copying_at_most_twice(
+        lambda: evaluate_derivations(small, derivations))
+    assert extension == reference_pairs(small, derivations)
+    starts = [fact.x for fact in small.table("f2").null_x_facts()[:4]]
+    for i, null in enumerate(starts):  # each joins from f1 to a null
+        small.insert("f2", null, f"T2_d{i}")
+    assert len(small.memo("v").pending) == len(starts)
+    kept = copying_at_most_twice(lambda: small.extension("v"))
+    assert not small.memo("v").pending
+    assert kept == reference_pairs(small, derivations)
 
 
 # -- a bound y cuts the last step to its y-bucket -----------------------------
@@ -442,24 +614,28 @@ def last_bucket(derivation, y) -> tuple:
 
 @pytest.mark.parametrize("which", ["chain", "inverted"])
 def test_a_bound_walk_reads_only_the_last_steps_y_bucket(which, monkeypatch):
-    """With ``y`` bound the last step's pools come from its y-bucket,
-    read at most once per walk: never a snapshot of the whole table."""
+    """With ``y`` bound the join's last hop takes its pools from the
+    step's y-bucket, read at most once per join: never a snapshot of
+    the whole table. A point enumeration is one run of the join, bound
+    to ``x`` and ``y``."""
     db = nvc_chain_db() if which == "chain" else inverted_last_db()
     derivation = db.derived("v").primary
     last = derivation.steps[-1].function.name
-    chains = list(iter_chains(db, derivation))
+    chains = list(walk_chains(db, derivation))
     ys = sorted({chain.end for chain in chains}, key=repr)
     # The last step but one is forward in both: some chains reach the
     # last step at a null.
     assert any(is_null(chain.facts[-2].y) for chain in chains)
-    calls = spy_on_tables(monkeypatch)
+    calls, joins = spy_on_tables(monkeypatch), spy_on_joins(monkeypatch)
     ambiguous = 0
     for y in ys[:3] + ys[-2:] + ["absent"]:  # rows' ends, then NVCs'
         for x in (None, "T0_1"):
             for allow_ambiguous in (True, False):
                 calls.clear()
+                joins.clear()
                 walked = list(iter_chains(db, derivation, x, y,
                                           allow_ambiguous=allow_ambiguous))
+                assert joins == [(x, y)]
                 assert (last, "facts", ()) not in calls
                 assert calls.count(last_bucket(derivation, y)) <= 1
                 ambiguous += sum(not chain.all_exact for chain in walked)
@@ -470,13 +646,14 @@ def test_a_bound_walk_reads_only_the_last_steps_y_bucket(which, monkeypatch):
 
 def test_a_bound_walk_over_no_nulls_reads_what_an_unbound_one_does(
         monkeypatch):
-    """The read path's guard: with no null stored, a bound walk makes
-    exactly the table calls of the unbound walk — no y-bucket read."""
+    """The read path's guard: with no null stored, the join bound to
+    ``y`` makes exactly the table calls of the join that is not — no
+    y-bucket read."""
     db = chain_fdb(3)
     random_instance(db, 20, seed=5, value_pool=6)
     assert not any(table.null_x_facts() or table.null_y_facts()
                    for table in map(db.table, ("f1", "f2", "f3")))
-    calls = spy_on_tables(monkeypatch)
+    calls, joins = spy_on_tables(monkeypatch), spy_on_joins(monkeypatch)
     for query in queries_over_chain(3):
         for derivation in query.derivations(db):
             for x in (None, "T0_1", "T3_2"):
@@ -485,7 +662,9 @@ def test_a_bound_walk_over_no_nulls_reads_what_an_unbound_one_does(
                 unbound = list(calls)
                 for y in ("T3_2", "T0_1", "absent"):
                     calls.clear()
+                    joins.clear()
                     list(iter_chains(db, derivation, x, y))
+                    assert joins == [(x, y)]
                     assert calls == unbound
 
 
@@ -513,7 +692,7 @@ def test_bound_walk_to_a_null_equals_reference():
                 for x in (None, "T0_0", "T0_1"):
                     assert_walk_matches_reference(db, derivation, x, y)
     assert any(not chain.all_exact for y in targets
-               for chain in iter_chains(db, db.derived("v").primary, y=y))
+               for chain in walk_chains(db, db.derived("v").primary, y=y))
 
 
 def test_bound_walk_with_inverted_last_step_equals_reference():

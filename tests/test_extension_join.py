@@ -1,13 +1,16 @@
 """The hop-at-a-time join against the chain walk it replaced.
 
 ``derived_extension`` / ``derived_image`` / ``Query.pairs`` /
-``Query.image`` answer through ``evaluate_derivations``, which builds
-no :class:`Chain`. The fold they used to run — every chain of
-``iter_chains`` classified by ``Chain.supports`` and accumulated into a
-pair -> strongest-truth map — lives on here as the *reference*
-(:func:`reference_pairs`): the join must give the same dict with its
-keys in the same order, on random update streams and on the hand-built
-shapes the generators do not reach.
+``Query.image`` answer through ``evaluate_derivations``, which folds
+the join's chains and builds no :class:`Chain`. The fold they used to
+run — every chain of the depth-first walk classified by
+``Chain.supports`` and accumulated into a pair -> strongest-truth map —
+is the *reference* (:func:`reference_pairs`, over
+``tests/test_chain_walk.py``'s ``walk_chains``, which shares no code
+with the join): the join must give the same dict with its keys in the
+same order, on random update streams and on the hand-built shapes the
+generators do not reach. A point read the memo does not answer is the
+same join bound at both ends; its verdict must be the reference's.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.fdb.evaluate import (
     derived_extension,
     derived_image,
     evaluate_derivations,
-    iter_chains,
+    truth_over,
 )
 from repro.fdb.logic import Truth
 from repro.fdb.query import fn
@@ -37,6 +40,11 @@ from repro.fdb.table import FunctionTable
 from repro.fdb.updates import Update, apply_update
 from repro.obs.hooks import OBS
 from repro.workloads.generator import chain_fdb, random_instance
+from tests.test_chain_walk import (
+    queries_over_chain,
+    reference_pairs,
+    walk_chains,
+)
 from tests.test_transaction_properties import apply_step, build, make_steps
 
 T, AMB = Truth.TRUE, Truth.AMBIGUOUS
@@ -45,19 +53,6 @@ A, B, C, D = (ObjectType(n) for n in "ABCD")
 
 
 # -- the reference: the chain walk, folded ------------------------------------
-
-
-def reference_pairs(db, derivations, x=None) -> dict:
-    """What the parent's ``_accumulate(iter_chains(...))`` loop built."""
-    into: dict = {}
-    for derivation in derivations:
-        for chain in iter_chains(db, derivation, x=x):
-            support = chain.supports(db)
-            if support is Truth.FALSE:
-                continue
-            if support > into.get(chain.pair, Truth.FALSE):
-                into[chain.pair] = support
-    return into
 
 
 def reference_extension(db, name: str) -> dict:
@@ -69,12 +64,25 @@ def assert_same(actual: dict, expected: dict) -> None:
     assert list(actual.items()) == list(expected.items())
 
 
+def assert_points_match_walk(db, derivations, expected: dict,
+                             sample: int = 4) -> None:
+    """The point fold over the join bound at both ends gives the walk's
+    verdict on the first ``sample`` pairs of ``expected``, the walk's
+    fold, and on pairs that cross their starts and ends."""
+    pairs = list(expected)[:sample]
+    crossed = [(x, y) for (x, _), (_, y) in zip(pairs, reversed(pairs))]
+    for x, y in pairs + crossed:
+        assert truth_over(db, derivations, x, y) is expected.get(
+            (x, y), Truth.FALSE), (x, y)
+
+
 def assert_join_matches_walk(db, derivations, pairs: dict, image_of,
                             sample: int | None = None) -> None:
     """``pairs`` is the walk's fold, and ``image_of(x)`` the fold with
     the start bound — which is ``pairs`` restricted to ``x`` — for the
-    first ``sample`` (default: all) start values."""
+    first ``sample`` (default: all) start values; point reads agree."""
     assert_same(pairs, reference_pairs(db, derivations))
+    assert_points_match_walk(db, derivations, pairs)
     for x in list(dict.fromkeys(x for x, _ in pairs))[:sample]:
         image = image_of(x)
         assert_same(image, {y: truth for (_, y), truth
@@ -110,13 +118,6 @@ def inv(function: FunctionDef) -> Step:
 
 
 # -- (a) random streams -------------------------------------------------------
-
-
-def queries_over_chain(k: int) -> list:
-    """Expressions over ``chain_fdb(k)`` whose normal forms start or
-    end on an inverse step, repeat a function, or have one step."""
-    v, first, last = fn("v"), fn("f1"), fn(f"f{k}")
-    return [v, ~v, ~first, v * ~last, ~first * v, first * ~first]
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,15 +311,17 @@ def test_extension_builds_no_chain_and_probes_each_value_once(monkeypatch):
     random_instance(db, 30, seed=4, value_pool=8)
     db.table("f2").add_pair(db.nulls.fresh(), "T2_1")
     db.table("f1").add_pair("T0_1", db.nulls.fresh())
-    walked = sum(1 for _ in iter_chains(db, db.derived("v").primary))
+    walked = sum(1 for _ in walk_chains(db, db.derived("v").primary))
     assert walked > 300
     expected = reference_extension(db, "v")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("an extension went back to the chain walk")
+        raise AssertionError("an extension built a chain")
 
+    # A hop probes a value's exact matches in the x index, or in the y
+    # index when it moves from a fact's end: once per (hop, value).
     probes: list = []
-    for name in ("matching_x", "matching_y"):
+    for name in ("facts_with_x", "facts_with_y"):
         original = getattr(FunctionTable, name)
 
         def spy(table, value, _original=original, _name=name):
@@ -346,7 +349,7 @@ def test_join_keeps_the_walks_instruments():
     complete chain."""
     db = three_hop()
     derivation = db.derived("v").primary
-    walked = sum(1 for _ in iter_chains(db, derivation))
+    walked = sum(1 for _ in walk_chains(db, derivation))
     with OBS.collecting():
         derived_extension(db, "v")
         counters = OBS.metrics.snapshot()["counters"]
@@ -363,7 +366,7 @@ def test_join_keeps_the_walks_instruments():
 def test_expired_deadline_cancels_the_join():
     db = chain_fdb(3)
     random_instance(db, 40, seed=2, value_pool=6)
-    assert sum(1 for _ in iter_chains(db, db.derived("v").primary)) >= 1000
+    assert sum(1 for _ in walk_chains(db, db.derived("v").primary)) >= 1000
     derivations = db.derived("v").derivations
     with cancel.deadline_scope(cancel.Deadline(expires_at=0.0)):
         with pytest.raises(DeadlineExceeded):

@@ -1,23 +1,26 @@
-"""The maintained extension against the join from scratch.
+"""The maintained extension against the walk's fold.
 
 ``db.extension`` / ``derived_extension`` answer from counted chains kept
 since the last scan (:mod:`repro.fdb.memo`) and join again only the
-chains through the facts a write changed. :func:`evaluate_derivations`
-computes the same extension from scratch; after every op of a random
-stream the two must be the same mapping (the maintained keys' order
-follows the op history, the join's the walk). The streams mix base and
-derived INS / DEL, REP, atomic sequences, aborted transactions (null
-resolution inside some), journal undo and redo, bare INS / DEL, null
-resolution on a many-one schema, bare NC dismantling and new derived
-functions declared between scans, over chains of two to four steps,
-inverse steps, self-joins and a function with two derivations. A
-function's first scan keeps nothing, so each stream scans every function
-twice before its first op. The memos learn of a change only from the
-undo records (:mod:`repro.fdb.undo`), handed over at a commit, a journal
-undo, the end of a bare INS or DEL, a scan and a point read. On the same
-streams a point ``truth_of``, which applies what waits to a kept memo
-and then answers from it, must give the walk's verdict
-(:func:`truth_over`).
+chains through the facts a write changed. The fold over the depth-first
+walk (``reference_pairs`` in ``tests/test_chain_walk.py``, which shares
+no code with the join the memo runs) computes the same extension from
+scratch; after every op of a random stream the two must be the same
+mapping (the maintained keys' order follows the op history, the walk's
+the walk). The streams mix base and derived INS / DEL, REP, atomic
+sequences, aborted transactions (null resolution inside some), journal
+undo and redo, bare INS / DEL, null resolution on a many-one schema,
+bare NC dismantling and new derived functions declared between scans,
+over chains of two to four steps, inverse steps, self-joins and a
+function with two derivations. A function's first scan keeps nothing,
+so each stream scans every function twice before its first op. The
+memos learn of a change only from the undo records
+(:mod:`repro.fdb.undo`), handed over at a commit, a journal undo, the
+end of a bare INS or DEL, a scan and a point read. On the same streams
+a point ``truth_of``, which applies what waits to a kept memo and then
+answers from it, or else joins the chains from ``x`` to ``y``, must
+give the walk's verdict (``reference_pairs`` from ``x``; ``walk_truth``
+for a single read).
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from repro.core.types import ObjectType, TypeFunctionality
 from repro.errors import DeadlineExceeded, ReproError
 from repro.fdb import evaluate
 from repro.fdb.constraints import resolve_nulls
-from repro.fdb.evaluate import (derived_extension, evaluate_derivations,
-                                 truth_over)
+from repro.fdb.evaluate import derived_extension
 from repro.fdb.journal import Journal
 from repro.fdb.logic import Truth
 from repro.fdb.memo import ExtensionMemo
@@ -48,6 +50,7 @@ from repro.fdb.values import NullValue
 from repro.service import DatabaseService
 from repro.workloads.generator import (WorkloadConfig, chain_fdb,
                                        random_instance, random_updates)
+from tests.test_chain_walk import reference_pairs, walk_chains, walk_truth
 
 POOL = 5
 SHAPES = ("chain", "inverse", "self-join", "two-derivations")
@@ -95,7 +98,7 @@ def build(shape: str, k: int, many_one: bool):
 
 
 def assert_maintained(db, name: str) -> None:
-    scratch = evaluate_derivations(db, db.derived(name).derivations)
+    scratch = reference_pairs(db, db.derived(name).derivations)
     assert db.extension(name) == scratch
 
 
@@ -200,9 +203,10 @@ def assert_reads(db, name: str) -> None:
         ends.update(fact.x if last.op is Op.INVERSE else fact.y
                     for fact in db.table(last.function.name).facts())
     for x in starts:
+        image = reference_pairs(db, derivations, x)  # the walk from x
         for y in ends:
-            assert db.truth_of(name, x, y) is truth_over(
-                db, derivations, x, y), (name, x, y)
+            assert db.truth_of(name, x, y) is image.get(
+                (x, y), Truth.FALSE), (name, x, y)
 
 
 def run_stream(seed, shape, k, rows, ops, many_one, every, reads) -> None:
@@ -285,14 +289,14 @@ def test_point_reads_equal_the_walk(seed, shape, k, rows, ops, many_one,
                                     every):
     """``truth_of`` applies what waits to a kept memo, then answers from
     it; on the same streams as the scans, every read must give the
-    walk's verdict (:func:`evaluate.truth_over`)."""
+    walk's verdict (its fold from the read's ``x``)."""
     run_stream(seed, shape, k, rows, ops, many_one, every, reads=True)
 
 
 def kept_chains(db, name: str) -> list:
     """The chains of ``name`` a memo keeps: those not known false."""
     return [chain for derivation in db.derived(name).derivations
-            for chain in evaluate.iter_chains(db, derivation)
+            for chain in walk_chains(db, derivation)
             if chain.supports(db) is not Truth.FALSE]
 
 
@@ -301,7 +305,7 @@ def test_each_call_returns_a_fresh_dict():
     random_instance(db, 6, seed=1, value_pool=3)
     first = derived_extension(db, "v")
     first.clear()
-    assert derived_extension(db, "v") == evaluate_derivations(
+    assert derived_extension(db, "v") == reference_pairs(
         db, db.derived("v").derivations)
 
 
@@ -430,7 +434,7 @@ def test_a_read_in_its_own_transaction_sees_its_write():
             db.delete("v", x, y)
             assert memo.truth(db, x, y) is None
             seen = db.truth_of("v", x, y)
-            assert seen is truth_over(db, derivations, x, y)
+            assert seen is walk_truth(db, derivations, x, y)
             assert seen is not Truth.TRUE
             raise Abort
     except Abort:
@@ -582,10 +586,10 @@ def test_a_deadline_inside_a_counted_rejoin_changes_nothing(monkeypatch):
             memo.size, [dict(chains) for chains in memo.chains])
     join = evaluate._join
 
-    def cut_short(db, derivation, out, firsts, **kwargs):
-        assert kwargs["at"] == 2 and len(firsts) == 1  # the delta
-        join(db, derivation, out, firsts, **kwargs)
-        assert kwargs["chains"]  # it joined the chains through the fact
+    def cut_short(db, derivation, firsts, *, at, into):
+        assert at == 2 and len(firsts) == 1  # the delta
+        join(db, derivation, firsts, at=at, into=into)
+        assert into  # it joined the chains through the fact
         raise DeadlineExceeded("deadline passed")
 
     with monkeypatch.context() as patch:
@@ -642,7 +646,7 @@ def test_readers_of_another_cluster_scan_while_a_writer_commits():
     mismatches, errors = [], []
 
     def both(db):
-        return db.extension("w"), evaluate_derivations(
+        return db.extension("w"), reference_pairs(
             db, db.derived("w").derivations)
 
     def reader() -> None:
@@ -700,7 +704,8 @@ def test_point_readers_of_two_clusters_while_a_writer_commits():
             x = rng.choice([*first.pairs(), ("absent", None)])[0]
             y = rng.choice([*last.pairs(), (None, "absent")])[1]
             kept = db.memo(name).truth(db, x, y)
-            walked = truth_over(db, db.derived(name).derivations, x, y)
+            walked = walk_truth(db, db.derived(name).derivations,
+                                     x, y)
             if db.truth_of(name, x, y) is not walked or kept not in (
                     None, walked):
                 mismatches.append((name, x, y))
@@ -808,7 +813,7 @@ def test_a_commit_elsewhere_lands_while_a_scan_recounts(monkeypatch):
         patch.setattr(ExtensionMemo, "_count", counting)
         kept = db.extension("w")
     assert next(commits) == 2 and memo.size == size
-    assert kept == evaluate_derivations(db, db.derived("w").derivations)
+    assert kept == reference_pairs(db, db.derived("w").derivations)
     assert_maintained(db, "v")
 
 
@@ -830,7 +835,7 @@ def test_a_thinned_cluster_scans_while_another_commits():
     mismatches, errors = [], []
 
     def both(db):
-        return db.extension("w"), evaluate_derivations(
+        return db.extension("w"), reference_pairs(
             db, db.derived("w").derivations)
 
     def scan() -> None:
@@ -896,7 +901,7 @@ def test_readers_of_one_cluster_share_the_memo_under_a_writer():
     mismatches, errors = [], []
 
     def both(name):
-        return lambda db: (db.extension(name), evaluate_derivations(
+        return lambda db: (db.extension(name), reference_pairs(
             db, db.derived(name).derivations))
 
     def reader(seed: int) -> None:

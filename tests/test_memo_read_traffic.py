@@ -6,10 +6,12 @@ verdicts. This replays the same shape on a bare database and holds
 every answer to the evaluators that keep nothing: ``chain_fdb(3)``,
 300 rows over a pool of 100 values, 20 derived DELs so that NCs exist,
 then a seeded stream in blocks of 100 ops (93 point ``truth_of``, 2
-``extension``, 5 base INS / DEL). Each point read must give
-:func:`truth_over`'s verdict, each scan :func:`evaluate_derivations`'
-mapping. The memo starts at the stream's first scan (setup scans once)
-and from then on applies the writes at the next read.
+``extension``, 5 base INS / DEL). Each point read must give the walk's
+verdict (``reference_truth``), each scan the walk's fold
+(``reference_pairs``): both over ``tests/test_chain_walk.py``'s
+depth-first walk, which shares no code with the join the engine runs.
+The memo starts at the stream's first scan (setup scans once) and from
+then on applies the writes at the next read.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import random
 
 import pytest
 
-from repro.fdb.evaluate import evaluate_derivations, truth_over
 from repro.workloads.generator import chain_fdb, random_instance
+from tests.test_chain_walk import reference_pairs, reference_truth
 
 ROWS, POOL, DELETES, OPS = 300, 100, 20, 600
 BLOCK = ["read"] * 93 + ["scan"] * 2 + ["write"] * 5
@@ -52,10 +54,10 @@ def test_reads_and_scans_equal_the_evaluators_that_keep_nothing(seed):
             else:
                 x, y = f"T0_{rng.randrange(POOL)}", f"T3_{rng.randrange(POOL)}"
             answered += db.memo("v").size > 0
-            assert db.truth_of("v", x, y) is truth_over(
+            assert db.truth_of("v", x, y) is reference_truth(
                 db, derivations, x, y), (done, x, y)
         elif label == "scan":
-            assert db.extension("v") == evaluate_derivations(
+            assert db.extension("v") == reference_pairs(
                 db, derivations), done
         else:
             name = rng.choice(db.base_names)

@@ -10,8 +10,9 @@ to ``v``'s tables, bumping ``begun`` before each call and ``done`` after
 it returns; readers record ``done`` before each read and ``begun`` after
 it. Replayed on a copy of the initial instance, the prefixes between
 those two counts are the only states the read could have seen, and its
-verdict must be the walk's (:func:`truth_over`, which keeps no memo)
-after one of them.
+verdict must be the walk's (``reference_truth`` over
+``tests/test_chain_walk.py``'s depth-first walk, which keeps no memo and
+shares no code with the engine's join) after one of them.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import sys
 import threading
 import time
 
-from repro.fdb.evaluate import truth_over
 from repro.fdb.memo import ExtensionMemo
 from repro.fdb.updates import Update, apply_entry
 from repro.service import DatabaseService
+from tests.test_chain_walk import reference_truth
 from tests.test_extension_memo import two_clusters
 
 OPS = 200
@@ -60,7 +61,7 @@ def verdicts(ops: list[Update], cells: list) -> list[dict]:
     for k in range(len(ops) + 1):
         if k:
             apply_entry(db, ops[k - 1])
-        table.append({cell: truth_over(db, derivations, *cell)
+        table.append({cell: reference_truth(db, derivations, *cell)
                       for cell in cells})
     return table
 

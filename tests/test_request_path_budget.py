@@ -36,7 +36,7 @@ from repro.workloads.university import pupil_database
 EXECUTE_BUDGET = 50
 TRUTH_OF_BUDGET = 22
 MEMO_TRUTH_OF_BUDGET = 10
-WAITING_TRUTH_OF_BUDGET = 41
+WAITING_TRUTH_OF_BUDGET = 39
 
 ROOT = str(Path(repro.__file__).parent)
 
