@@ -332,10 +332,13 @@ VERB_SCRIPTS = {
     "constraint": "constraint include class_list.domain in teach.range\n"
                   "constraint range teach.range 0 100\n"
                   "constraint card class_list per domain min 1 max 30\n",
-    "check": "constraint card class_list per domain min 1 max 1\ncheck\n",
+    "check": "constraint include class_list.domain in teach.range\n"
+             "constraint card class_list per domain min 1 max 30\n"
+             "check\nconstraint range teach.range 0 100\ncheck\n",
     "guard": "constraint card class_list per domain min 1 max 2\n"
              "guard on\ninsert class_list(math, bill)\nguard off\n",
-    "stats": "trace on\ndelete pupil(euclid, john)\ntrace off\nstats\n",
+    "stats": 'checkpoint "stats-ckpt"\ntrace on\ndelete pupil(euclid, john)\n'
+             "trace off\nstats\n",
     "trace": "trace on\ndelete pupil(euclid, john)\ntrace off\n"
              'trace show\ntrace show --dot "u1.dot"\n',
     "deadline": "deadline 5\ndeadline\ninsert teach(gauss, optics)\n"

@@ -7,7 +7,8 @@ of guessing. This example shows the tooling a registrar would use to
 manage that ambiguity over time:
 
 1. updates run through a :class:`repro.fdb.journal.Journal`, so any
-   surprising consequence can be undone;
+   surprising consequence can be undone (and a derived fact deleted
+   and inserted again gets its null-valued chain back, not new nulls);
 2. :mod:`repro.fdb.worlds` quantifies the ambiguity — how many ways
    could the real world be, and how likely is each suspect fact?
    (Section 5's "probabilistic logics" question);
@@ -49,6 +50,16 @@ def journaled_updates() -> None:
     journal.redo()
     print(f"  teach rows now: "
           f"{[str(f) for f in journal.db.table('teach').facts()]}")
+
+    print("\ndeleting the fact makes its null-valued chain ambiguous; "
+          "inserting it again\nre-truthifies that chain "
+          "(clean-up-NVC) instead of issuing a new null:")
+    for update in (Update.delete("pupil", "gauss", "bill"),
+                   Update.ins("pupil", "gauss", "bill")):
+        journal.execute(update)
+        truth = journal.db.truth_of("pupil", "gauss", "bill")
+        print(f"  {update}: pupil(gauss, bill) is {truth.name}, next "
+              f"null n{journal.db.nulls.next_index}")
 
 
 def world_analysis() -> None:

@@ -38,6 +38,13 @@ truth grade((john, geometry), A);
 delete grade((john, geometry), A);
 ncs;
 truth grade((john, geometry), A);
+
+# a derived insert stores a null score; the real score, stored later,
+# is forced onto it (score is many-one), which ends the undo history
+insert grade((mary, geometry), B);
+insert score((mary, geometry), 78);
+resolve;
+truth cutoff(78, B);
 metrics;
 """
 

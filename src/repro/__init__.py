@@ -68,7 +68,7 @@ __all__ = ["__version__"] + export_lazily(__name__, {
         "Truth", "NullValue", "NullFactory", "is_null", "Fact", "FactRef",
         "FunctionTable", "NegatedConjunction", "NCRegistry",
         "FunctionalDatabase", "Update", "apply_update", "iter_chains",
-        "truth_of", "derived_extension", "derived_image", "fn",
+        "truth_of", "derived_extension", "fn",
     ),
     ".lang": ("Interpreter",),
     ".obs": ("OBS", "Instrumentation"),

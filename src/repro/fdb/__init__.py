@@ -34,13 +34,13 @@ __all__ = export_lazily(__name__, {
     ".nc": ("NegatedConjunction", "NCRegistry"),
     ".database": ("DerivedFunction", "FunctionalDatabase"),
     ".evaluate": (
-        "Chain", "derived_extension", "derived_image", "iter_chains",
+        "Chain", "derived_extension", "iter_chains",
         "truth_of", "truth_of_derived",
     ),
     ".updates": (
         "Update", "apply_update", "base_delete", "base_insert", "delete",
         "derived_delete", "derived_insert", "insert", "replace",
-        "UpdateSequence", "apply_entry", "apply_sequence",
+        "UpdateSequence", "apply_entry",
     ),
     ".query": ("Query", "fn"),
     ".journal": ("Journal",),

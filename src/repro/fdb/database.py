@@ -299,11 +299,6 @@ class FunctionalDatabase:
         """DEL(f, <x, y>), dispatching on base vs derived."""
         updates.delete(self, name, x, y)
 
-    def replace(self, name: str, old: tuple[Value, Value],
-                new: tuple[Value, Value]) -> None:
-        """REP(f, <x1, y1>, <x2, y2>): an atomic delete-insert pair."""
-        updates.replace(self, name, old, new)
-
     def truth_of(self, name: str, x: Value, y: Value) -> Truth:
         """Truth value of the fact ``name(x) = y`` under Section 3.2."""
         return evaluate.truth_of(self, name, x, y)

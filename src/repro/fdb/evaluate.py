@@ -52,7 +52,6 @@ __all__ = [
     "truth_over",
     "evaluate_derivations",
     "derived_extension",
-    "derived_image",
 ]
 
 
@@ -379,11 +378,3 @@ def derived_extension(
     if extension is None:  # a first scan, or in the caller's transaction
         return evaluate_derivations(db, db.derived(name).derivations)
     return extension
-
-
-def derived_image(
-    db: FunctionalDatabase, name: str, x: Value
-) -> dict[Value, Truth]:
-    """Range values of ``x`` under a derived function, with truths."""
-    pairs = evaluate_derivations(db, db.derived(name).derivations, x)
-    return {y: truth for (_, y), truth in pairs.items()}

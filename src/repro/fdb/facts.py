@@ -40,10 +40,6 @@ class FactRef:
     x: Value
     y: Value
 
-    @property
-    def pair(self) -> tuple[Value, Value]:
-        return (self.x, self.y)
-
     def __str__(self) -> str:
         return f"<{self.function}, {self.x}, {self.y}>"
 

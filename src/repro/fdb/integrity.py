@@ -65,9 +65,6 @@ class IntegrityConstraint(abc.ABC):
     def violations(self, db: FunctionalDatabase) -> list[Violation]:
         """All definite violations in the current instance."""
 
-    def holds(self, db: FunctionalDatabase) -> bool:
-        return not self.violations(db)
-
 
 def _column_values(db: FunctionalDatabase, function: str,
                    column: str) -> list[Value]:
@@ -208,9 +205,6 @@ class ConstraintSet:
 
     def __len__(self) -> int:
         return len(self._constraints)
-
-    def __iter__(self):
-        return iter(tuple(self._constraints))
 
     def check(self, db: FunctionalDatabase) -> list[Violation]:
         """Audit the current instance against every constraint."""

@@ -81,19 +81,7 @@ class Journal:
             apply_entry(self.db, update)
             return log[start:]
 
-    def execute_all(self, updates: list[Update]) -> None:
-        for update in updates:
-            self.execute(update)
-
     # -- navigating ------------------------------------------------------------
-
-    @property
-    def can_undo(self) -> bool:
-        return bool(self._done)
-
-    @property
-    def can_redo(self) -> bool:
-        return bool(self._undone)
 
     def undo(self) -> Update | UpdateSequence:
         """Revert the most recent update (or whole sequence); returns
@@ -119,24 +107,12 @@ class Journal:
         self._done.append((update, self._apply(update)))
         return update
 
-    def undo_all(self) -> list[Update]:
-        """Revert to the state before the first recorded update."""
-        undone = []
-        while self.can_undo:
-            undone.append(self.undo())
-        return undone
-
     # -- inspection -----------------------------------------------------------------
 
     @property
     def history(self) -> tuple[Update, ...]:
         """The applied updates, oldest first."""
         return tuple(update for update, _ in self._done)
-
-    @property
-    def redo_stack(self) -> tuple[Update, ...]:
-        """Undone updates eligible for redo, next-to-redo last."""
-        return tuple(self._undone)
 
     def clear(self) -> None:
         """Forget all history (e.g. after a schema change)."""

@@ -56,10 +56,11 @@ class NCRegistry:
     """All live NCs of one database, indexed ``g1, g2, ...``.
 
     The registry plus the per-fact NCLs form the paper's dual structure:
-    :meth:`members_of` walks NC -> facts; a fact's ``ncl`` walks
-    fact -> NCs. Registry changes are recorded on ``log`` while a
-    transaction is open (see :mod:`repro.fdb.undo`); the member facts'
-    flags and NCLs change through their table, which records those.
+    an NC's ``members`` name its facts (NC -> facts); a fact's ``ncl``
+    lists its NCs (fact -> NCs). Registry changes are recorded on
+    ``log`` while a transaction is open (see :mod:`repro.fdb.undo`);
+    the member facts' flags and NCLs change through their table, which
+    records those.
     """
 
     def __init__(
@@ -82,17 +83,6 @@ class NCRegistry:
             del self._ncs[index]
         else:
             self._ncs[index] = nc
-
-    # -- resolution ----------------------------------------------------------
-
-    def _resolve(self, ref: FactRef) -> Fact:
-        try:
-            fact = self._table_of(ref.function).get(ref.x, ref.y)
-        except KeyError:  # no such table
-            fact = None
-        if fact is None:
-            raise UpdateError(f"dangling fact reference {ref}")
-        return fact
 
     # -- the paper's procedures -------------------------------------------------
 
@@ -180,10 +170,6 @@ class NCRegistry:
 
     def __iter__(self) -> Iterator[NegatedConjunction]:
         return iter(tuple(self._ncs.values()))
-
-    def members_of(self, index: int) -> tuple[Fact, ...]:
-        """The component facts of NC(d) (NC -> facts traversal)."""
-        return tuple(self._resolve(ref) for ref in self.get(index).members)
 
     def rewrite_value(self, old: "Value", new: "Value") -> None:
         """Replace a value inside every NC member reference (used by

@@ -50,13 +50,6 @@ class Query(abc.ABC):
         """Inverse: ``~f`` is f^-1."""
         return _Inverse(self)
 
-    def o(self, other: "Query") -> "Query":
-        """Alias for ``*`` matching the paper's notation."""
-        return self * other
-
-    def inverse(self) -> "Query":
-        return ~self
-
     # -- normalization ----------------------------------------------------------
 
     @abc.abstractmethod
@@ -99,10 +92,6 @@ class Query(abc.ABC):
     def _image(self, db: FunctionalDatabase, x: Value) -> dict[Value, Truth]:
         pairs = evaluate_derivations(db, self.derivations(db), x)
         return {y: truth for (_, y), truth in pairs.items()}
-
-    def preimage(self, db: FunctionalDatabase, y: Value) -> dict[Value, Truth]:
-        """Domain values mapping to ``y``, with truths."""
-        return (~self).image(db, y)
 
     def truth(self, db: FunctionalDatabase, x: Value, y: Value) -> Truth:
         """Truth of ``expr(x) = y`` under the Section 3.2 valuation."""

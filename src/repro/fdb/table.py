@@ -162,9 +162,6 @@ class FunctionTable:
     def get(self, x: Value, y: Value) -> Fact | None:
         return self._facts.get((x, y))
 
-    def __contains__(self, pair: tuple[Value, Value]) -> bool:
-        return pair in self._facts
-
     def facts(self) -> Iterator[Fact]:
         """All stored facts, in insertion order."""
         return iter(tuple(self._facts.values()))
@@ -190,14 +187,6 @@ class FunctionTable:
     def null_y_facts(self) -> tuple[Fact, ...]:
         """Facts whose range value is a null."""
         return tuple(self._null_y)
-
-    def image(self, x: Value) -> tuple[Value, ...]:
-        """Range values exactly paired with ``x``."""
-        return tuple(fact.y for fact in self._by_x.get(x, ()))
-
-    def preimage(self, y: Value) -> tuple[Value, ...]:
-        """Domain values exactly paired with ``y``."""
-        return tuple(fact.x for fact in self._by_y.get(y, ()))
 
     def truth_of(self, x: Value, y: Value) -> Truth:
         """Truth of the base fact (x, y): its flag if stored, else FALSE

@@ -70,7 +70,6 @@ __all__ = [
     "Update",
     "apply_update",
     "UpdateSequence",
-    "apply_sequence",
     "apply_entry",
 ]
 
@@ -356,9 +355,6 @@ class UpdateSequence:
             raise UpdateError("an update sequence needs at least one "
                               "update")
 
-    def __len__(self) -> int:
-        return len(self.updates)
-
     def __iter__(self):
         return iter(self.updates)
 
@@ -379,9 +375,3 @@ def apply_entry(db: FunctionalDatabase,
                 apply_update(db, update)
         else:
             apply_update(db, entry)
-
-
-def apply_sequence(db: FunctionalDatabase,
-                   sequence: UpdateSequence) -> None:
-    """Execute a general update request atomically."""
-    apply_entry(db, sequence)

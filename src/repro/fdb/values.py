@@ -13,6 +13,10 @@ of base facts:
     Note that y = u iff both are non-null and y and u are the same data
     item, or both are null values with same index."
 
+``NullValue`` equality gives the exact match;
+:meth:`repro.fdb.table.FunctionTable.matching_x` / ``matching_y`` apply
+both rules to a stored column.
+
 Ordinary data values are arbitrary hashable Python objects (strings in
 all the paper's examples; tuples for objects of product types such as
 ``(john, math)`` in the domain ``[student; course]``).
@@ -31,8 +35,6 @@ __all__ = [
     "NullFactory",
     "is_null",
     "format_value",
-    "match_exactly",
-    "match_ambiguously",
 ]
 
 Value = Hashable
@@ -112,18 +114,3 @@ def format_value(value: Value) -> str:
     return str(value)
 
 
-def match_exactly(left: Value, right: Value) -> bool:
-    """The paper's exact match: equal data items, or nulls with the
-    same index."""
-    return left == right
-
-
-def match_ambiguously(left: Value, right: Value) -> bool:
-    """The paper's ambiguous match: unequal, but at least one side is a
-    null value (so equality cannot be ruled out)."""
-    return left != right and (is_null(left) or is_null(right))
-
-
-def matches(left: Value, right: Value) -> bool:
-    """Exact or ambiguous match."""
-    return match_exactly(left, right) or match_ambiguously(left, right)

@@ -74,7 +74,6 @@ from repro.fdb.database import FunctionalDatabase
 from repro.fdb.persistence import _decode_value, _encode_value
 from repro.fdb.transaction import Transaction
 from repro.fdb.updates import Update, UpdateSequence, apply_entry
-from repro.fdb.values import Value
 from repro.obs.hooks import OBS
 from repro.report import Report
 
@@ -936,16 +935,6 @@ class LoggedDatabase:
         with self.committing(update) as (seq, _):
             apply_entry(self.db, update)
         return seq
-
-    def insert(self, name: str, x: Value, y: Value) -> None:
-        self.execute(Update.ins(name, x, y))
-
-    def delete(self, name: str, x: Value, y: Value) -> None:
-        self.execute(Update.delete(name, x, y))
-
-    def replace(self, name: str, old: tuple[Value, Value],
-                new: tuple[Value, Value]) -> None:
-        self.execute(Update.rep(name, old, new))
 
 
 # -- checkpoint / recover -----------------------------------------------------

@@ -342,10 +342,3 @@ class MetricsEndpoint:
     @property
     def running(self) -> bool:
         return self._server is not None
-
-    def __enter__(self) -> "MetricsEndpoint":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False

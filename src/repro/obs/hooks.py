@@ -128,10 +128,6 @@ class _NullScope:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
-    @property
-    def attrs(self) -> dict:
-        return {}  # fresh throwaway: writes must not leak between sites
-
 
 _NULL_SCOPE = _NullScope()
 

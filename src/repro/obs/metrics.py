@@ -9,8 +9,8 @@ append took. Three instrument kinds cover everything the engine needs:
 * :class:`Gauge` — a point-in-time level (``design.graph_edges``);
 * :class:`LogHistogram` — a log-bucketed (HDR-style) distribution
   whose percentiles stay within ≈ 9 % over *unbounded* streams, with
-  exact count/total/min/max and mergeable buckets — every histogram,
-  from ``fdb.wal.append_seconds`` to the service RED durations.
+  exact count/total/min/max — every histogram, from
+  ``fdb.wal.append_seconds`` to the service RED durations.
 
 A :class:`MetricsRegistry` maps dotted metric names to instruments and
 renders the whole collection as a plain, JSON-ready dict. Instruments
@@ -73,23 +73,14 @@ class Counter:
 class Gauge:
     """A level that can move both ways (sizes, depths, toggles)."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float = 0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value -= amount
 
     def reset(self) -> None:
         self.value = 0
@@ -111,10 +102,7 @@ class LogHistogram:
     ``base`` (the default ``2**(1/8) ≈ 1.09`` bounds relative error at
     ~9%, usually much less since the geometric bucket midpoint is
     reported). The tails never degrade: the p99.9 of the ten-millionth
-    observation is as accurate as the p50 of the hundredth. Buckets
-    from two instruments (e.g. per-worker registries) merge by
-    addition — :meth:`merge` — which a sampling buffer cannot do
-    losslessly.
+    observation is as accurate as the p50 of the hundredth.
 
     Values at or below ``min_value`` (default 1 µs — below clock
     resolution for the latency signals this backs) share the floor
@@ -164,31 +152,6 @@ class LogHistogram:
                 self.max = value
             index = self._index(value)
             self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold ``other``'s buckets into this instrument (the two must
-        share ``base``; merging differently-shaped grids would silently
-        misplace every count)."""
-        if other.base != self.base:
-            raise MetricError(
-                f"cannot merge {other.name!r} (base {other.base}) into "
-                f"{self.name!r} (base {self.base})"
-            )
-        with other._lock:
-            buckets = dict(other._buckets)
-            count, total = other.count, other.total
-            other_min, other_max = other.min, other.max
-        with self._lock:
-            self.count += count
-            self.total += total
-            if other_min is not None and (self.min is None
-                                          or other_min < self.min):
-                self.min = other_min
-            if other_max is not None and (self.max is None
-                                          or other_max > self.max):
-                self.max = other_max
-            for index, n in buckets.items():
-                self._buckets[index] = self._buckets.get(index, 0) + n
 
     @property
     def mean(self) -> float:
@@ -291,9 +254,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     def __iter__(self) -> Iterator[Counter | Gauge | LogHistogram]:
         return iter(self._instruments())

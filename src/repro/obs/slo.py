@@ -386,7 +386,7 @@ class SLOMonitor:
 
     def snapshot(self) -> dict:
         """Verdicts + alert state as one JSON-ready dict (what the
-        ``/slo`` endpoint and ``stats()`` serve). Evaluating again
+        ``/slo`` endpoint serves). Evaluating again
         fires no transition twice."""
         verdicts = self.evaluate()
         with self._lock:

@@ -87,18 +87,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> list["Span"]:
-        """Every descendant span (incl. self) with the given name."""
-        return [span for span in self.walk() if span.name == name]
-
-    def event_names(self) -> list[str]:
-        """Event names of this span and every descendant, in tree
-        order (events before child spans' events)."""
-        names = [event.name for event in self.events]
-        for child in self.children:
-            names.extend(child.event_names())
-        return names
-
     # -- rendering -----------------------------------------------------------
 
     def _header(self) -> str:

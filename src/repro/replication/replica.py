@@ -166,7 +166,8 @@ class Replica:
                          through_seq: int, scope) -> dict:
         # Caller holds the lock and the receive span.
         def refused(error: str, detail: str = "", **extra) -> dict:
-            scope.attrs["error"] = error
+            if OBS.enabled:
+                scope.attrs["error"] = error
             return {"ok": False, "error": error + detail,
                     "applied_seq": self.applied_seq, **extra}
 

@@ -175,11 +175,6 @@ class FrontDoor:
                deadline: Deadline | float | None = None) -> None:
         self.execute(Update.delete(name, x, y), deadline=deadline)
 
-    def replace(self, name: str, old: tuple[Value, Value],
-                new: tuple[Value, Value], *,
-                deadline: Deadline | float | None = None) -> None:
-        self.execute(Update.rep(name, old, new), deadline=deadline)
-
     def truth_of(self, name: str, x: Value, y: Value, *,
                  deadline: Deadline | float | None = None) -> Truth:
         return self.read(

@@ -117,8 +117,8 @@ class ShardedDatabaseService(FrontDoor):
         return self.lanes[shard]
 
     def _map(self) -> ShardMap:
-        # Schema declarations land on every lane through declare(); a
-        # stale map (version skew) rebuilds from lane 0's schema.
+        # A schema declaration lands on every lane's database, one by
+        # one; a stale map (version skew) rebuilds from lane 0's schema.
         if self.map.stale_for(self.lanes[0].db):
             self.map = self.map.rebuilt(self.lanes[0].db)
         return self.map
@@ -136,15 +136,6 @@ class ShardedDatabaseService(FrontDoor):
                 f"{what} of {names} spans shards {sorted(shard_ids)}{hint}"
             )
         return self.lanes[min(shard_ids)]
-
-    def declare(self, declare_fn) -> None:
-        """Apply a schema declaration (``declare_fn(db)``) to *every*
-        lane, keeping the shared schema identical, then rebuild the
-        shard map. Schema changes are rare and single-threaded by
-        convention, exactly as on the unsharded service."""
-        for lane in self.lanes:
-            declare_fn(lane.db)
-        self.map = self.map.rebuilt(self.lanes[0].db)
 
     # -- writes -------------------------------------------------------------
 
@@ -262,14 +253,6 @@ class ShardedDatabaseService(FrontDoor):
                                       deadline=deadline)
 
     # -- maintenance --------------------------------------------------------
-
-    def checkpoint(self, snapshot_dir: str | Path) -> None:
-        """Checkpoint every lane's WAL into
-        ``<snapshot_dir>/shard-<i>.snap`` (each under its own write
-        token; lanes checkpoint independently)."""
-        directory = Path(snapshot_dir)
-        for shard, lane in enumerate(self.lanes):
-            lane.checkpoint(directory / f"shard-{shard}.snap")
 
     def swap_lane(self, shard: int, service: DatabaseService) -> None:
         """Replace a lane after failover: the shard soak promotes a

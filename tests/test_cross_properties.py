@@ -2,7 +2,7 @@
 subsystems together, under randomized workloads.
 
 * persistence is lossless for any reachable state;
-* the journal's undo_all is a true inverse of any update stream;
+* undoing every journaled update is a true inverse of any update stream;
 * query-layer answers coincide with the evaluation layer, and both
   with the chain walk they replaced;
 * possible-worlds marginals are consistent with the three-valued
@@ -73,8 +73,11 @@ def test_journal_undo_all_is_exact_inverse(seed, n_updates):
     db = build_db(seed)
     before = state_fingerprint(db)
     journal = Journal(db)
-    journal.execute_all(updates_for(db, seed + 1, n_updates))
-    journal.undo_all()
+    updates = updates_for(db, seed + 1, n_updates)
+    for update in updates:
+        journal.execute(update)
+    for _ in updates:
+        journal.undo()
     assert state_fingerprint(db) == before
 
 

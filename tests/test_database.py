@@ -14,6 +14,7 @@ from repro.errors import (
     SchemaError,
     UnknownFunctionError,
 )
+from repro.fdb import updates
 from repro.fdb.database import DerivedFunction, FunctionalDatabase
 from repro.fdb.logic import Truth
 from repro.workloads.university import (
@@ -159,7 +160,7 @@ class TestInstance:
     def test_replace_front_door(self):
         db = make_db()
         db.insert("f", "a", "b")
-        db.replace("f", ("a", "b"), ("a", "b2"))
+        updates.replace(db, "f", ("a", "b"), ("a", "b2"))
         assert db.truth_of("f", "a", "b") is Truth.FALSE
         assert db.truth_of("f", "a", "b2") is Truth.TRUE
 

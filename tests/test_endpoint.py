@@ -1,6 +1,6 @@
 """The log-bucketed histogram and the live metrics endpoint.
 
-Covers LogHistogram's bucket math, percentile envelope and merge;
+Covers LogHistogram's bucket math and percentile envelope;
 Prometheus rendering and the validating parser (round trip plus the
 malformed cases the parser must reject); and the HTTP endpoint's
 three routes, including the 503 health verdict.
@@ -8,6 +8,7 @@ three routes, including the 503 health verdict.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import urllib.error
@@ -24,7 +25,6 @@ from repro.obs import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.metrics import MetricError
 from repro.obs.slo import ERROR_RATE
 
 
@@ -62,22 +62,6 @@ class TestLogHistogram:
         for _ in range(2000):
             hist.observe(0.500)
         assert hist.percentile(99) == pytest.approx(0.500, rel=0.15)
-
-    def test_merge_adds_buckets(self):
-        a, b = LogHistogram("a"), LogHistogram("b")
-        for _ in range(10):
-            a.observe(0.001)
-            b.observe(1.0)
-        a.merge(b)
-        assert a.count == 20
-        assert a.max == pytest.approx(1.0)
-        assert a.percentile(99) == pytest.approx(1.0, rel=0.10)
-
-    def test_merge_rejects_mismatched_base(self):
-        a = LogHistogram("a", base=2.0)
-        b = LogHistogram("b", base=1.5)
-        with pytest.raises(MetricError):
-            a.merge(b)
 
     def test_buckets_are_cumulative(self):
         hist = LogHistogram("h")
@@ -190,6 +174,15 @@ class TestParserRejectsMalformed:
             parse_prometheus(body)
 
 
+@contextlib.contextmanager
+def serving(endpoint: MetricsEndpoint):
+    """``endpoint``, started for the block and stopped after it."""
+    try:
+        yield endpoint.start()
+    finally:
+        endpoint.stop()
+
+
 def _get(url: str) -> tuple[int, str]:
     try:
         with urllib.request.urlopen(url, timeout=5) as resp:
@@ -203,7 +196,7 @@ class TestMetricsEndpoint:
         registry = populated_registry()
         slo = SLOMonitor((Objective("err", ERROR_RATE, 0.5),))
         health = lambda: {"healthy": True, "breaker": "closed"}  # noqa: E731
-        with MetricsEndpoint(registry, slo=slo, health=health) as ep:
+        with serving(MetricsEndpoint(registry, slo=slo, health=health)) as ep:
             status, body = _get(ep.url + "/metrics")
             assert status == 200
             assert parse_prometheus(body)
@@ -224,9 +217,9 @@ class TestMetricsEndpoint:
 
     def test_health_is_503_when_unhealthy(self):
         registry = MetricsRegistry()
-        with MetricsEndpoint(
+        with serving(MetricsEndpoint(
             registry, health=lambda: {"healthy": False, "breaker": "open"}
-        ) as ep:
+        )) as ep:
             status, body = _get(ep.url + "/health")
             assert status == 503
             assert json.loads(body)["healthy"] is False
@@ -240,7 +233,7 @@ class TestMetricsEndpoint:
             slo.record("execute", 0.001, error=True)
         slo.evaluate()
         assert not slo.healthy
-        with MetricsEndpoint(MetricsRegistry(), slo=slo) as ep:
+        with serving(MetricsEndpoint(MetricsRegistry(), slo=slo)) as ep:
             status, body = _get(ep.url + "/health")
             assert status == 503
             assert json.loads(body)["slo_alerts"] == ["err"]
@@ -255,6 +248,6 @@ class TestMetricsEndpoint:
         assert not ep.running
 
     def test_slo_route_404_without_monitor(self):
-        with MetricsEndpoint(MetricsRegistry()) as ep:
+        with serving(MetricsEndpoint(MetricsRegistry())) as ep:
             status, _ = _get(ep.url + "/slo")
             assert status == 404

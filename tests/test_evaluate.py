@@ -10,12 +10,12 @@ from repro.core.types import ObjectType, TypeFunctionality
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.evaluate import (
     derived_extension,
-    derived_image,
     iter_chains,
     truth_of,
     truth_of_derived,
 )
 from repro.fdb.logic import Truth
+from repro.fdb.query import fn
 from repro.fdb.values import NullValue
 
 A, B, C = (ObjectType(n) for n in "ABC")
@@ -186,13 +186,13 @@ class TestExtensionAndImage:
         assert ("a3", "c2") not in extension
 
     def test_image(self, db):
-        assert derived_image(db, "v", "a1") == {"c1": Truth.TRUE}
-        assert derived_image(db, "v", "zzz") == {}
+        assert fn("v").image(db, "a1") == {"c1": Truth.TRUE}
+        assert fn("v").image(db, "zzz") == {}
 
     def test_image_with_null_route(self, db):
         n1 = db.nulls.fresh()
         db.table("f1").add_pair("a9", n1)
-        image = derived_image(db, "v", "a9")
+        image = fn("v").image(db, "a9")
         assert image == {"c1": Truth.AMBIGUOUS, "c2": Truth.AMBIGUOUS}
 
 

@@ -55,6 +55,11 @@ class TestAmbiguityAnalysis:
         assert "derivable via [score o cutoff] but not via" in out
         assert "undone DEL(pupil, <gauss, bill>)" not in out  # INS undone
         assert "undone INS(pupil, <gauss, bill>)" in out
+        # DEL then INS again: clean-up-NVC, no new null.
+        assert ("DEL(pupil, <gauss, bill>): pupil(gauss, bill) is "
+                "AMBIGUOUS, next null n2") in out
+        assert ("INS(pupil, <gauss, bill>): pupil(gauss, bill) is TRUE, "
+                "next null n2") in out
 
 
 class TestCompanyHr:
@@ -94,3 +99,5 @@ class TestInteractiveScript:
         assert "taught_by(geometry) = euclid: true" in out
         assert "grade(('john', 'geometry')) = A: false" in out
         assert "g1: NOT(<score, ('john', 'geometry'), 91> AND "in out
+        assert "resolved: n1 := 78 (forced by score)" in out
+        assert "undo history cleared" in out

@@ -1,6 +1,6 @@
 """The hop-at-a-time join against the chain walk it replaced.
 
-``derived_extension`` / ``derived_image`` / ``Query.pairs`` /
+``derived_extension`` / ``Query.pairs`` /
 ``Query.image`` answer through ``evaluate_derivations``, which folds
 the join's chains and builds no :class:`Chain`. The fold they used to
 run — every chain of the depth-first walk classified by
@@ -29,7 +29,6 @@ from repro.fdb import render
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.evaluate import (
     derived_extension,
-    derived_image,
     evaluate_derivations,
     truth_over,
 )
@@ -98,7 +97,7 @@ def assert_matches_reference(db, name: str) -> dict:
     derivations = db.derived(name).derivations
     extension = evaluate_derivations(db, derivations)
     assert_join_matches_walk(db, derivations, extension,
-                             lambda x: derived_image(db, name, x))
+                             lambda x: fn(name).image(db, x))
     assert derived_extension(db, name) == extension
     return extension
 
@@ -193,7 +192,7 @@ def test_one_step_derivation():
     assert assert_matches_reference(db, "taught_by") == {
         ("math", "euclid"): T, ("math", "gauss"): AMB,
     }
-    assert derived_image(db, "taught_by", "math") == {
+    assert fn("taught_by").image(db, "math") == {
         "euclid": T, "gauss": AMB}
 
 
@@ -340,7 +339,8 @@ def test_extension_builds_no_chain_and_probes_each_value_once(monkeypatch):
     probes.clear()
     assert_same(fn("v").pairs(db), expected)
     assert len(probes) == len(set(probes))
-    assert fn("v").image(db, "T0_1") == derived_image(db, "v", "T0_1")
+    assert fn("v").image(db, "T0_1") == {
+        y: truth for (x, y), truth in expected.items() if x == "T0_1"}
 
 
 def test_join_keeps_the_walks_instruments():

@@ -124,15 +124,20 @@ def merges(db) -> list:
     return found
 
 
+def redoable(journal: Journal) -> bool:
+    """Whether an undone update waits for redo (``describe``'s count)."""
+    return not journal.describe().split("\n", 1)[0].endswith(" 0 undone")
+
+
 def step(db, journal: Journal, later: list, rng: random.Random) -> bool:
     """One random op; True when its changes may still wait outside a
     transaction (a raw primitive's)."""
     op = rng.choice(("update", "update", "update", "rep", "sequence",
                      "fail", "undo", "redo", "resolve", "declare",
                      "dismantle", "bare"))
-    if op == "undo" and journal.can_undo:
+    if op == "undo" and journal.history:
         journal.undo()
-    elif op == "redo" and journal.can_redo:
+    elif op == "redo" and redoable(journal):
         journal.redo()
     elif op == "resolve":
         resolve_nulls(db)

@@ -45,7 +45,6 @@ class TestTableRows:
         table = FunctionTable("teach")
         fact = table.add_pair("euclid", "math")
         assert table.get("euclid", "math") is fact
-        assert ("euclid", "math") in table
         assert len(table) == 1
 
     def test_duplicate_pair_rejected(self):
@@ -94,8 +93,8 @@ class TestIndices:
 
     def test_image_preimage(self):
         table = self._table()
-        assert set(table.image("a")) == {"x", "y"}
-        assert set(table.preimage("x")) == {"a", "b"}
+        assert [f.y for f in table.facts_with_x("a")] == ["x", "y"]
+        assert [f.x for f in table.facts_with_y("x")] == ["a", "b"]
 
     def test_indices_updated_on_discard(self):
         table = self._table()

@@ -202,7 +202,8 @@ class TestCheckpointCrashWindow:
         db = pupil_database()
         persistence.save(db, snapshot)
         logged = closing(LoggedDatabase(db, tmp_path / "wal.log"))
-        logged.insert("pupil", "gauss", "bill")  # burns a null index
+        # Burns a null index.
+        logged.execute(Update.ins("pupil", "gauss", "bill"))
         FAULTS.arm("wal.checkpoint.after-snapshot", CrashFault())
         with pytest.raises(SimulatedCrash):
             checkpoint(logged, snapshot)

@@ -120,7 +120,7 @@ def test_import_repro_lists_every_name_and_loads_none():
         " [m for m in ('repro.lang', 'repro.core', 'repro.fdb')"
         "  if m in sys.modules]]))\n"
     )
-    assert listed == [56, True, []]
+    assert listed == [55, True, []]
 
 
 @pytest.mark.parametrize("reader, expected", [
@@ -142,6 +142,9 @@ def test_every_catalogue_reader_sees_the_points_it_did(reader, expected):
 def test_endpoint_still_serves_after_the_deferred_import():
     from urllib.request import urlopen
 
-    with MetricsEndpoint(MetricsRegistry()) as endpoint:
+    endpoint = MetricsEndpoint(MetricsRegistry()).start()
+    try:
         with urlopen(endpoint.url + "/health", timeout=5) as reply:
             assert reply.status == 200
+    finally:
+        endpoint.stop()

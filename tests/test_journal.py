@@ -26,7 +26,8 @@ class TestExecute:
         ]
 
     def test_execute_all(self, journal, u_sequence):
-        journal.execute_all(list(u_sequence))
+        for update in u_sequence:
+            journal.execute(update)
         assert len(journal.history) == 5
 
     def test_max_depth_drops_oldest(self, pupil_db):
@@ -69,16 +70,18 @@ class TestUndo:
 
     def test_undo_all_restores_initial(self, journal, u_sequence):
         before = derived_extension(journal.db, "pupil")
-        journal.execute_all(list(u_sequence))
-        undone = journal.undo_all()
-        assert len(undone) == 5
+        for update in u_sequence:
+            journal.execute(update)
+        undone = [journal.undo() for _ in range(5)]
+        assert undone == list(reversed(u_sequence))
         assert derived_extension(journal.db, "pupil") == before
-        assert not journal.can_undo
+        assert journal.history == ()
 
 
 class TestRedo:
     def test_redo_reproduces_exactly(self, journal, u_sequence):
-        journal.execute_all(list(u_sequence))
+        for update in u_sequence:
+            journal.execute(update)
         final_rows = journal.db.table("teach").rows()
         final_pupil = derived_extension(journal.db, "pupil")
         for _ in range(5):
@@ -95,19 +98,21 @@ class TestRedo:
     def test_new_execute_clears_redo(self, journal):
         journal.execute(Update.ins("teach", "gauss", "cs"))
         journal.undo()
-        assert journal.can_redo
+        assert journal.describe().startswith("0 applied, 1 undone")
         journal.execute(Update.ins("teach", "noether", "algebra"))
-        assert not journal.can_redo
-        assert journal.redo_stack == ()
+        assert journal.describe().startswith("1 applied, 0 undone")
+        with pytest.raises(UpdateError):
+            journal.redo()
 
     def test_interleaved_undo_redo(self, journal, u_sequence):
-        journal.execute_all(list(u_sequence)[:3])
+        for update in list(u_sequence)[:3]:
+            journal.execute(update)
         journal.undo()
         journal.redo()
         journal.undo()
         journal.undo()
         assert len(journal.history) == 1
-        assert len(journal.redo_stack) == 2
+        assert journal.describe().startswith("1 applied, 2 undone")
 
 
 class TestInspection:
@@ -121,7 +126,7 @@ class TestInspection:
         journal.execute(u_sequence[0])
         journal.undo()
         journal.clear()
-        assert not journal.can_undo and not journal.can_redo
+        assert journal.describe() == "0 applied, 0 undone"
 
 
 class TestDeterministicReplay:

@@ -131,7 +131,7 @@ class TestUpdatesAndQueries:
         """)
         # pupil's functions are many-many: nothing is forced.
         assert out[-1] == "nothing to resolve"
-        assert interp.journal.can_undo
+        assert interp.journal.history
 
     def test_resolve_that_substitutes_clears_undo_history(self):
         """The journal's undo steps describe the instance as its own
@@ -147,7 +147,7 @@ class TestUpdatesAndQueries:
         """)
         assert any(line.startswith("resolved: n1 := cs") for line in out)
         assert out[-1] == "undo history cleared"
-        assert not interp.journal.can_undo
+        assert interp.journal.history == ()
         assert interp.db.table("class_list").get("cs", "bill") is not None
 
 

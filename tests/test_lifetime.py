@@ -18,7 +18,7 @@ import pytest
 from repro.fdb import persistence
 from repro.fdb.evaluate import evaluate_derivations
 from repro.fdb.logic import Truth
-from repro.fdb.updates import (Update, UpdateSequence, apply_sequence,
+from repro.fdb.updates import (Update, UpdateSequence, apply_entry,
                                apply_update)
 from repro.fdb.wal import LoggedDatabase, recover
 from repro.replication import Replica, ReplicationGroup
@@ -62,8 +62,8 @@ def serve_engine() -> list[weakref.ref]:
     assert ("a", "d") in db.extension("v")
     db.delete("v", "a", "d")            # derived DEL: an NC
     db.insert("v", "p", "q")            # derived INS: an NVC with nulls
-    db.replace("f1", ("a2", "b"), ("a3", "b"))
-    apply_sequence(db, UpdateSequence((Update.ins("f2", "b", "c2"),
+    apply_entry(db, Update.rep("f1", ("a2", "b"), ("a3", "b")))
+    apply_entry(db, UpdateSequence((Update.ins("f2", "b", "c2"),
                                        Update.delete("v", "a3", "d2"))))
     assert db.ncs and db.nulls.next_index > 1
     try:

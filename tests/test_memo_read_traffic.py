@@ -4,9 +4,12 @@ E20's ``derived_read_mem`` checks the stack against a sequential
 replay that keeps a memo too, so it compares memo verdicts with memo
 verdicts. This replays the same shape on a bare database and holds
 every answer to the evaluators that keep nothing: ``chain_fdb(3)``,
-300 rows over a pool of 100 values, 20 derived DELs so that NCs exist,
-then a seeded stream in blocks of 100 ops (93 point ``truth_of``, 2
-``extension``, 5 base INS / DEL). Each point read must give the walk's
+300 rows over a pool of 100 values, 20 derived DELs so that NCs exist
+and 10 derived INS so that null-valued chains (NVCs) do, then a seeded
+stream in blocks of 100 ops (93 point ``truth_of``, 2 ``extension``, 5
+writes: a derived INS, which stores an NVC's nulls, or a base INS /
+DEL, which may delete a null-valued fact and so leave the rest of its
+chain behind). Each point read must give the walk's
 verdict (``reference_truth``), each scan the walk's fold
 (``reference_pairs``): both over ``tests/test_chain_walk.py``'s
 depth-first walk, which shares no code with the join the engine runs.
@@ -23,7 +26,7 @@ import pytest
 from repro.workloads.generator import chain_fdb, random_instance
 from tests.test_chain_walk import reference_pairs, reference_truth
 
-ROWS, POOL, DELETES, OPS = 300, 100, 20, 600
+ROWS, POOL, DELETES, INSERTS, OPS = 300, 100, 20, 10, 600
 BLOCK = ["read"] * 93 + ["scan"] * 2 + ["write"] * 5
 
 
@@ -34,13 +37,20 @@ def setup(seed: int):
     pairs = sorted(db.extension("v"))  # the function's first scan
     for x, y in rng.sample(pairs, DELETES):
         db.delete("v", x, y)
+    for _ in range(INSERTS):
+        pairs.append(random_pair(rng))
+        db.insert("v", *pairs[-1])
     return db, pairs, rng
+
+
+def random_pair(rng: random.Random) -> tuple[str, str]:
+    return f"T0_{rng.randrange(POOL)}", f"T3_{rng.randrange(POOL)}"
 
 
 @pytest.mark.parametrize("seed", (7, 20))
 def test_reads_and_scans_equal_the_evaluators_that_keep_nothing(seed):
     db, derivable, rng = setup(seed)
-    assert db.ncs
+    assert db.ncs and db.nulls.next_index > 1
     derivations = db.derived("v").derivations
     labels = []
     while len(labels) < OPS:
@@ -52,13 +62,16 @@ def test_reads_and_scans_equal_the_evaluators_that_keep_nothing(seed):
             if rng.random() < 0.7:
                 x, y = rng.choice(derivable)
             else:
-                x, y = f"T0_{rng.randrange(POOL)}", f"T3_{rng.randrange(POOL)}"
+                x, y = random_pair(rng)
             answered += db.memo("v").size > 0
             assert db.truth_of("v", x, y) is reference_truth(
                 db, derivations, x, y), (done, x, y)
         elif label == "scan":
             assert db.extension("v") == reference_pairs(
                 db, derivations), done
+        elif rng.random() < 0.2:
+            derivable.append(random_pair(rng))
+            db.insert("v", *derivable[-1])
         else:
             name = rng.choice(db.base_names)
             pairs = tuple(db.table(name).pairs())

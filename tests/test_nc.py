@@ -107,14 +107,19 @@ class TestQueries:
         tables, registry, teach_fact, class_fact = store
         nc = registry.create([("teach", teach_fact),
                               ("class_list", class_fact)])
-        assert registry.members_of(nc.index) == (teach_fact, class_fact)
+        # NC -> facts: each member reference names a stored fact.
+        assert [tables[ref.function].get(ref.x, ref.y)
+                for ref in registry.get(nc.index).members] == [
+            teach_fact, class_fact]
 
     def test_members_of_dangling(self, store):
         tables, registry, teach_fact, _ = store
         nc = registry.create([("teach", teach_fact)])
         tables["teach"].discard("euclid", "math")
-        with pytest.raises(UpdateError):
-            registry.members_of(nc.index)
+        # A discard behind the registry's back leaves the reference
+        # naming no stored fact (structure_fault reports it).
+        (ref,) = registry.get(nc.index).members
+        assert tables[ref.function].get(ref.x, ref.y) is None
 
     def test_negated_only_by_all_members(self, store):
         tables, registry, teach_fact, class_fact = store

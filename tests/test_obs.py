@@ -72,8 +72,8 @@ class TestGauge:
     def test_moves_both_ways(self):
         gauge = Gauge("g")
         gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
+        assert gauge.value == 10
+        gauge.set(7)
         assert gauge.value == 7
 
 
@@ -120,7 +120,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert len(registry) == 1
-        assert "a" in registry
+        assert list(registry.snapshot()["counters"]) == ["a"]
 
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
@@ -134,8 +134,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("a").inc(5)
         registry.reset()
-        assert "a" in registry
-        assert registry.counter("a").value == 0
+        assert registry.snapshot()["counters"] == {"a": 0}
 
     def test_snapshot_grouped_and_sorted(self):
         registry = MetricsRegistry()
@@ -167,10 +166,17 @@ class TestMetricsRegistry:
         registry._get("a", Registering)
         registry.reset()
         registry.snapshot()
-        assert "a.reset" in registry and "a.snapshot" in registry
+        names = {instrument.name for instrument in registry}
+        assert {"a.reset", "a.snapshot"} <= names
 
 
 # -- tracing --------------------------------------------------------------------
+
+
+def event_names(span) -> list[str]:
+    """The event names of ``span`` and its descendants, in tree order
+    (a span's events before its children's)."""
+    return [event.name for node in span.walk() for event in node.events]
 
 
 def _traced() -> Instrumentation:
@@ -189,11 +195,12 @@ class TestTracer:
         root = obs.tracer.last_trace
         (child,) = root.children
         assert child.parent_id == root.span_id
-        assert root.event_names() == ["chains.matched", "chain.evaluated"]
+        assert event_names(root) == ["chains.matched", "chain.evaluated"]
         assert [span.name for span in root.walk()] == [
             "update.delete", "evaluate",
         ]
-        assert root.find("evaluate") == [child]
+        assert [span for span in root.walk()
+                if span.name == "evaluate"] == [child]
 
     def test_event_without_active_span_dropped(self):
         obs = _traced()
@@ -248,7 +255,7 @@ class TestInstrumentation:
         scope = obs.span("update.insert")
         assert scope is obs.span("update.delete")
         with scope as entered:
-            assert entered.attrs == {}
+            assert entered is scope
 
     def test_enabled_span_reaches_sinks_without_tracing(self):
         obs = Instrumentation()
@@ -269,7 +276,7 @@ class TestInstrumentation:
             obs.event("nc.created", index="g1")
         trace = obs.tracer.last_trace
         assert trace is not None
-        assert trace.event_names() == ["nc.created"]
+        assert event_names(trace) == ["nc.created"]
 
     def test_collecting_restores_flags_and_resets(self):
         obs = Instrumentation()
@@ -325,7 +332,7 @@ class TestRuntimeCounters:
         trace = OBS.tracer.last_trace
         assert trace is not None
         assert trace.name == "update.delete"
-        names = trace.event_names()
+        names = event_names(trace)
         assert "chain.evaluated" in names
         assert "nc.created" in names
         counters = OBS.metrics.snapshot()["counters"]

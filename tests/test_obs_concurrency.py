@@ -70,17 +70,6 @@ class TestMetricsUnderThreads:
         _run_threads(work)
         assert registry.histogram("h").count == THREADS * ITERS
 
-    def test_gauge_inc_dec_balances(self):
-        registry = MetricsRegistry()
-
-        def work(_index):
-            for _ in range(ITERS):
-                registry.gauge("g").inc()
-                registry.gauge("g").dec()
-
-        _run_threads(work)
-        assert registry.gauge("g").value == 0
-
     def test_registry_creation_race_yields_one_instrument(self):
         registry = MetricsRegistry()
         instruments = []

@@ -193,7 +193,8 @@ class TestAttribution:
             ring = OBS.events.add_sink(RingBufferSink())
         db = pupil_database()
         with OBS.collecting(tracing=attached == "tracing"):
-            db.replace("teach", ("euclid", "math"), ("euclid", "physics"))
+            updates.replace(db, "teach", ("euclid", "math"),
+                            ("euclid", "physics"))
             after = OBS.new_update_id()
         assert seen == [("base_delete", "u1"), ("base_insert", "u1")]
         assert after == "u2"

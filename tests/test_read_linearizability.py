@@ -6,13 +6,15 @@ while the writer of the same cluster may be mid-commit. Linearizability
 (Herlihy and Wing, TOPLAS 1990) is what such a read may observe: the
 verdict of *some* prefix of the commit order that the read's own
 interval allows. One writer commits a seeded stream of base INS / DEL
-to ``v``'s tables, bumping ``begun`` before each call and ``done`` after
-it returns; readers record ``done`` before each read and ``begun`` after
-it. Replayed on a copy of the initial instance, the prefixes between
-those two counts are the only states the read could have seen, and its
-verdict must be the walk's (``reference_truth`` over
-``tests/test_chain_walk.py``'s depth-first walk, which keeps no memo and
-shares no code with the engine's join) after one of them.
+to ``v``'s tables and derived INS of ``v`` (each storing a null-valued
+chain, whose facts a later base DEL may take apart), bumping ``begun``
+before each call and ``done`` after it returns; readers record ``done``
+before each read and ``begun`` after it. Replayed on a copy of the
+initial instance, the prefixes between those two counts are the only
+states the read could have seen, and its verdict must be the walk's
+(``reference_truth`` over ``tests/test_chain_walk.py``'s depth-first
+walk, which keeps no memo and shares no code with the engine's join)
+after one of them.
 """
 
 from __future__ import annotations
@@ -36,13 +38,16 @@ MIN_OVERLAPPED_LOOKUPS = 20
 
 
 def stream(seed: int) -> list[Update]:
-    """``OPS`` base INS / DEL on ``f1`` and ``f2``, each valid against
-    the state the ones before it leave."""
+    """``OPS`` base INS / DEL on ``f1`` and ``f2`` and derived INS of
+    ``v``, each valid against the state the ones before it leave."""
     db, rng, ops = two_clusters(), random.Random(seed), []
     for _ in range(OPS):
         name = rng.choice(("f1", "f2"))
         pairs = tuple(db.table(name).pairs())
-        if pairs and rng.random() < 0.5:
+        if rng.random() < 0.15:
+            update = Update.ins("v", f"T0_{rng.randrange(POOL)}",
+                                f"T2_{rng.randrange(POOL)}")
+        elif pairs and rng.random() < 0.5:
             update = Update.delete(name, *rng.choice(pairs))
         else:
             k = int(name[1])

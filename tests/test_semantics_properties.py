@@ -10,7 +10,7 @@ from repro.fdb.logic import Truth
 from repro.fdb.updates import (
     Update,
     UpdateSequence,
-    apply_sequence,
+    apply_entry,
     apply_update,
 )
 from repro.workloads.generator import (
@@ -47,7 +47,7 @@ def test_sequence_equals_individual_application(seed, n):
     )
     if not updates:
         return
-    apply_sequence(db_a, UpdateSequence(tuple(updates)))
+    apply_entry(db_a, UpdateSequence(tuple(updates)))
     for update in updates:
         apply_update(db_b, update)
     assert fingerprint(db_a) == fingerprint(db_b)
@@ -105,12 +105,14 @@ def test_journal_redo_equals_original_run(seed, n):
     """undo-all + redo-all lands on the exact original state."""
     db = build(seed)
     journal = Journal(db)
-    journal.execute_all(random_updates(
-        db, n, WorkloadConfig(seed=seed + 3, value_pool=5)
-    ))
+    updates = random_updates(db, n, WorkloadConfig(seed=seed + 3,
+                                                   value_pool=5))
+    for update in updates:
+        journal.execute(update)
     final = fingerprint(db)
-    journal.undo_all()
-    while journal.can_redo:
+    for _ in updates:
+        journal.undo()
+    for _ in updates:
         journal.redo()
     assert fingerprint(db) == final
 

@@ -7,7 +7,7 @@ cycle needs some owner waiting for a resource that sorts before one it
 holds. The spy wraps the manager's one grant and one release point
 (``repro.service.locks._Held._take`` and leaving a ``_Held``) and
 records every ask that breaks the rule while threads drive each path
-that takes locks — ``execute``, ``read``, ``checkpoint``,
+that takes locks — ``execute``, ``read``, a lane's ``checkpoint``,
 ``read_modify_write`` (a build escaping into a second cluster
 included), ``close_log``, a multi-shard sequence and a scatter read on
 a 2-shard facade, and a replication snapshot catch-up through
@@ -143,10 +143,8 @@ def test_no_lock_is_asked_for_out_of_order(spy, closing, tmp_path, shards):
 
     def maintainer():
         for round_ in range(4):
-            if shards == 1:
-                front.checkpoint(tmp_path / "lane.snap")
-            else:
-                front.checkpoint(tmp_path)
+            for shard, lane in enumerate(lanes):
+                lane.checkpoint(tmp_path / f"lane-{shard}.snap")
             for lane in lanes:
                 lane.close_log()
 

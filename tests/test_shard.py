@@ -22,7 +22,7 @@ from repro.fdb.logic import Truth
 from repro.fdb.updates import (
     Update,
     UpdateSequence,
-    apply_sequence,
+    apply_entry,
     apply_update,
 )
 from repro.fdb.wal import UpdateLog
@@ -165,7 +165,7 @@ class TestRouting:
 
     def test_delete_and_replace_route_like_insert(self, facade):
         facade.insert("c2a", "x", "y")
-        facade.replace("c2a", ("x", "y"), ("x", "z"))
+        facade.execute(Update.rep("c2a", ("x", "y"), ("x", "z")))
         facade.delete("c2a", "x", "z")
         owner = facade.shard_of("c2a")
         assert len(facade.committed_ops(owner)) == 3
@@ -175,9 +175,9 @@ class TestRouting:
             "late", ObjectType("L0"), ObjectType("L1"),
             TypeFunctionality.MANY_MANY,
         )
-        facade.declare(lambda db: db.declare_base(extra))
         for lane in facade.lanes:
-            assert lane.db.is_base("late")
+            lane.db.declare_base(extra)
+        assert facade.map.stale_for(facade.lane(0).db)
         shard = facade.shard_of("late")
         facade.insert("late", "a", "b")
         assert facade.lane(shard).db.truth_of(
@@ -219,7 +219,7 @@ class TestMultiShardWrites:
             expected = four_cluster_database()
             for op in facade.committed_ops(shard):
                 if isinstance(op, UpdateSequence):
-                    apply_sequence(expected, op)
+                    apply_entry(expected, op)
                 else:
                     apply_update(expected, op)
             assert states_diff(expected, facade.lane(shard).db) is None

@@ -148,7 +148,7 @@ def test_logged_commit_that_breaks_the_structure_is_aborted(
     persistence.save(live, snapshot)
     log_path = tmp_path / "updates.log"
     logged = LoggedDatabase(live, log_path)
-    logged.insert("teach", "gauss", "cs")
+    logged.execute(Update.ins("teach", "gauss", "cs"))
 
     apply_update = updates.apply_update
 
@@ -169,7 +169,7 @@ def test_logged_commit_that_breaks_the_structure_is_aborted(
     assert report.db.table("teach").get("noether", "algebra") is None
     # The unrecorded change is still there: the database fails stop.
     with pytest.raises(StructureError):
-        logged.insert("teach", "noether", "algebra")
+        logged.execute(Update.ins("teach", "noether", "algebra"))
     logged.close()
 
 

@@ -31,7 +31,7 @@ from repro.fdb.nc import NCRegistry
 from repro.fdb.updates import (
     Update,
     UpdateSequence,
-    apply_sequence,
+    apply_entry,
     apply_update,
 )
 from repro.fdb.values import NullFactory
@@ -111,7 +111,7 @@ def apply_step(db: FunctionalDatabase, step) -> None:
     if step == RESOLVE:
         resolve_nulls(db)
     elif isinstance(step, UpdateSequence):
-        apply_sequence(db, step)
+        apply_entry(db, step)
     else:
         apply_update(db, step)
 

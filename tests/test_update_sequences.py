@@ -8,7 +8,7 @@ from repro.core.design_aid import AutoDesigner
 from repro.errors import UpdateError
 from repro.fdb.journal import Journal
 from repro.fdb.logic import Truth
-from repro.fdb.updates import Update, UpdateSequence, apply_sequence
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.lang.interp import Interpreter
 
 
@@ -27,13 +27,13 @@ class TestUpdateSequence:
 
     def test_len_iter(self):
         sequence = UpdateSequence((Update.ins("f", "a", "b"),))
-        assert len(sequence) == 1
+        assert len(sequence.updates) == 1
         assert [u.kind for u in sequence] == ["INS"]
 
 
 class TestApplySequence:
     def test_all_applied(self, pupil_db):
-        apply_sequence(pupil_db, UpdateSequence((
+        apply_entry(pupil_db, UpdateSequence((
             Update.ins("teach", "gauss", "optics"),
             Update.delete("teach", "euclid", "math"),
         )))
@@ -46,7 +46,7 @@ class TestApplySequence:
             Update.ins("no_such_function", "a", "b"),
         ))
         with pytest.raises(Exception):
-            apply_sequence(pupil_db, sequence)
+            apply_entry(pupil_db, sequence)
         # The first insert was rolled back with the failure.
         assert pupil_db.truth_of("teach", "gauss", "optics") is Truth.FALSE
 

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fdb.values import (
-    NullFactory,
-    NullValue,
-    is_null,
-    match_ambiguously,
-    match_exactly,
-    matches,
-)
+from repro.fdb.table import FunctionTable
+from repro.fdb.values import NullFactory, NullValue, is_null
+
+
+def match(stored, probe) -> str | None:
+    """How ``probe`` matches a stored domain value under Section 3.2,
+    read off a one-fact table's ``matching_x``: ``"exact"``,
+    ``"ambiguous"`` or ``None``."""
+    table = FunctionTable("t")
+    table.add_pair(stored, "_")
+    exact, ambiguous = table.matching_x(probe)
+    assert not (exact and ambiguous)
+    return "exact" if exact else "ambiguous" if ambiguous else None
 
 
 class TestNullValue:
@@ -61,26 +66,20 @@ class TestMatching:
     """The matching table of Section 3.2."""
 
     def test_equal_data_matches_exactly(self):
-        assert match_exactly("math", "math")
-        assert not match_ambiguously("math", "math")
+        assert match("math", "math") == "exact"
 
     def test_distinct_data_no_match(self):
-        assert not match_exactly("math", "physics")
-        assert not match_ambiguously("math", "physics")
-        assert not matches("math", "physics")
+        assert match("math", "physics") is None
 
     def test_same_null_matches_exactly(self):
-        assert match_exactly(NullValue(1), NullValue(1))
-        assert not match_ambiguously(NullValue(1), NullValue(1))
+        assert match(NullValue(1), NullValue(1)) == "exact"
 
     def test_distinct_nulls_match_ambiguously(self):
-        assert not match_exactly(NullValue(1), NullValue(2))
-        assert match_ambiguously(NullValue(1), NullValue(2))
+        assert match(NullValue(1), NullValue(2)) == "ambiguous"
 
     def test_null_vs_data_matches_ambiguously(self):
-        assert match_ambiguously(NullValue(1), "math")
-        assert match_ambiguously("math", NullValue(1))
-        assert not match_exactly(NullValue(1), "math")
+        assert match(NullValue(1), "math") == "ambiguous"
+        assert match("math", NullValue(1)) == "ambiguous"
 
     def test_is_null(self):
         assert is_null(NullValue(1))
@@ -88,16 +87,15 @@ class TestMatching:
         assert not is_null(None)
 
     def test_tuples_as_product_values(self):
-        assert match_exactly(("john", "math"), ("john", "math"))
-        assert not matches(("john", "math"), ("john", "physics"))
+        assert match(("john", "math"), ("john", "math")) == "exact"
+        assert match(("john", "math"), ("john", "physics")) is None
 
     @given(st.integers(1, 50), st.integers(1, 50))
     def test_exact_and_ambiguous_disjoint_for_nulls(self, i, j):
-        a, b = NullValue(i), NullValue(j)
-        assert match_exactly(a, b) != match_ambiguously(a, b) or (
-            not match_exactly(a, b) and not match_ambiguously(a, b)
-        )
+        # Two nulls always match, exactly when their indices agree.
+        expected = "exact" if i == j else "ambiguous"
+        assert match(NullValue(i), NullValue(j)) == expected
 
     @given(st.text(max_size=5) | st.integers(), st.text(max_size=5) | st.integers())
     def test_data_never_matches_ambiguously(self, a, b):
-        assert not match_ambiguously(a, b)
+        assert match(a, b) != "ambiguous"

@@ -81,9 +81,10 @@ class TestUpdateLog:
 class TestLoggedDatabase:
     def test_front_door_logs_and_applies(self, setup):
         logged, _, log_path = setup
-        logged.insert("teach", "gauss", "cs")
-        logged.delete("teach", "gauss", "cs")
-        logged.replace("teach", ("euclid", "math"), ("euclid", "cs"))
+        logged.execute(Update.ins("teach", "gauss", "cs"))
+        logged.execute(Update.delete("teach", "gauss", "cs"))
+        logged.execute(Update.rep("teach", ("euclid", "math"),
+                                  ("euclid", "cs")))
         assert UpdateLog(log_path).health()["entries"] == 3
         assert logged.db.truth_of("teach", "euclid", "cs") is Truth.TRUE
 
@@ -93,7 +94,7 @@ class TestLoggedDatabase:
         diverge by re-running an update the live database refused."""
         logged, _, log_path = setup
         with pytest.raises(Exception):
-            logged.insert("no_such", "a", "b")
+            logged.execute(Update.ins("no_such", "a", "b"))
         assert UpdateLog(log_path).health()["entries"] == 0
 
     def test_failed_apply_is_compensated(self, setup):
@@ -103,11 +104,11 @@ class TestLoggedDatabase:
         from repro.faults import ErrorFault, FAULTS
 
         logged, snapshot, log_path = setup
-        logged.insert("teach", "gauss", "cs")
+        logged.execute(Update.ins("teach", "gauss", "cs"))
         FAULTS.arm("wal.apply.before", ErrorFault(times=1))
         try:
             with pytest.raises(RuntimeError):
-                logged.insert("teach", "noether", "algebra")
+                logged.execute(Update.ins("teach", "noether", "algebra"))
         finally:
             FAULTS.disarm_all()
         # Rolled back in memory...
@@ -141,7 +142,7 @@ class TestRecovery:
 
     def test_recovery_with_torn_tail(self, setup):
         logged, snapshot, log_path = setup
-        logged.insert("teach", "gauss", "cs")
+        logged.execute(Update.ins("teach", "gauss", "cs"))
         with log_path.open("a", encoding="utf-8") as handle:
             handle.write('{"kind": "DEL", "fun')  # crash mid-write
         report = recover(snapshot, log_path)
@@ -155,7 +156,8 @@ class TestRecovery:
         logged.execute(Update.delete("pupil", "euclid", "john"))
         checkpoint(logged, snapshot)
         assert UpdateLog(log_path).health()["entries"] == 0
-        logged.insert("class_list", "math", "john")  # post-checkpoint
+        # Post-checkpoint.
+        logged.execute(Update.ins("class_list", "math", "john"))
         report = recover(snapshot, log_path)
         assert report.entries_applied == 1
         # The pre-checkpoint NC state came from the snapshot; the
@@ -176,7 +178,7 @@ class TestRecovery:
 
     def test_null_indices_reproduced(self, setup):
         logged, snapshot, log_path = setup
-        logged.insert("pupil", "gauss", "bill")  # burns n1
+        logged.execute(Update.ins("pupil", "gauss", "bill"))  # burns n1
         report = recover(snapshot, log_path)
         assert report.db.table("teach").rows() == (
             logged.db.table("teach").rows()
@@ -205,26 +207,26 @@ class TestRecoveryEdgeCases:
 
     def test_blank_interior_lines_ignored(self, setup):
         logged, snapshot, log_path = setup
-        logged.insert("teach", "gauss", "cs")
+        logged.execute(Update.ins("teach", "gauss", "cs"))
         with log_path.open("a", encoding="utf-8") as handle:
             handle.write("\n   \n")
-        logged.insert("teach", "noether", "algebra")
+        logged.execute(Update.ins("teach", "noether", "algebra"))
         report = recover(snapshot, log_path)
         assert report.entries_applied == 2
         assert report.records_skipped == 0
 
     def test_checksum_failure_strict_raises(self, setup):
         logged, snapshot, log_path = setup
-        logged.insert("teach", "gauss", "cs")
-        logged.insert("teach", "noether", "algebra")
+        logged.execute(Update.ins("teach", "gauss", "cs"))
+        logged.execute(Update.ins("teach", "noether", "algebra"))
         _corrupt_crc(log_path, 0)
         with pytest.raises(PersistenceError, match="checksum"):
             recover(snapshot, log_path, policy="strict")
 
     def test_checksum_failure_salvage_skips_with_report(self, setup):
         logged, snapshot, log_path = setup
-        logged.insert("teach", "gauss", "cs")
-        logged.insert("teach", "noether", "algebra")
+        logged.execute(Update.ins("teach", "gauss", "cs"))
+        logged.execute(Update.ins("teach", "noether", "algebra"))
         _corrupt_crc(log_path, 0)
         report = recover(snapshot, log_path, policy="salvage")
         assert report.entries_applied == 1
@@ -244,7 +246,7 @@ class TestRecoveryEdgeCases:
         from repro.fdb.wal import _encode_entry
 
         logged, snapshot, log_path = setup
-        logged.insert("teach", "noether", "algebra")
+        logged.execute(Update.ins("teach", "noether", "algebra"))
         bare = json.dumps(_encode_entry(Update.ins("teach", "gauss", "cs")))
         for position in ("interior", "tail"):
             lines = log_path.read_text(encoding="utf-8").splitlines()
