@@ -12,7 +12,6 @@ __all__ = [
     "ReproError",
     "SchemaError",
     "UnknownFunctionError",
-    "UnknownTypeError",
     "DuplicateFunctionError",
     "DerivationError",
     "GraphError",
@@ -55,14 +54,6 @@ class UnknownFunctionError(SchemaError):
 
     def __init__(self, name: str) -> None:
         super().__init__(f"unknown function: {name!r}")
-        self.name = name
-
-
-class UnknownTypeError(SchemaError):
-    """An object type was referenced that is not in the schema."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(f"unknown object type: {name!r}")
         self.name = name
 
 

@@ -13,8 +13,10 @@ nothing; under test, a harness arms a fault at a point and the next
   library ``except Exception`` handler can accidentally "survive" it);
 * :class:`TornWrite` — the process dies mid-write, leaving only the
   first *n* bytes of the payload on disk (the classic torn record);
-* :class:`TransientError` — the operation fails with ``OSError`` a set
-  number of times and then works, exercising retry paths.
+* :class:`ErrorFault` — the operation fails with a catchable
+  exception a set number of times and then works;
+  :class:`TransientError` is the same with ``OSError``, exercising
+  retry paths.
 
 Every point is registered up front with a description, so harnesses can
 *enumerate* the catalogue and prove they exercised all of it — a fault
@@ -102,34 +104,6 @@ class TornWrite(Fault):
         return f"TornWrite({self.nbytes})"
 
 
-class TransientError(Fault):
-    """Fail with ``OSError`` the first ``times`` firings, then recover.
-
-    Exercises retry-with-backoff paths: the caller should succeed once
-    the transient condition clears, without duplicating the write.
-    The countdown is guarded by a lock so that concurrent firings
-    consume exactly ``times`` failures in total.
-    """
-
-    def __init__(self, times: int = 1,
-                 make: Callable[[], OSError] | None = None) -> None:
-        self.times = times
-        self.remaining = times
-        self._lock = threading.Lock()
-        self._make = make or (lambda: OSError("injected transient I/O "
-                                              "error"))
-
-    def trigger(self, point: str, **context) -> None:
-        with self._lock:
-            if self.remaining <= 0:
-                return
-            self.remaining -= 1
-        raise self._make()
-
-    def __repr__(self) -> str:
-        return f"TransientError(times={self.times})"
-
-
 class ErrorFault(Fault):
     """Fail with an ordinary (catchable) exception the first ``times``
     firings.
@@ -137,6 +111,8 @@ class ErrorFault(Fault):
     Unlike :class:`SimulatedCrash` the process survives; this drives
     code paths that *handle* failure — the WAL's compensating abort
     record, transaction rollback — rather than code paths that die.
+    The countdown is guarded by a lock so that concurrent firings
+    consume exactly ``times`` failures in total.
     """
 
     def __init__(self, times: int = 1,
@@ -144,7 +120,11 @@ class ErrorFault(Fault):
         self.times = times
         self.remaining = times
         self._lock = threading.Lock()
-        self._make = make or (lambda: RuntimeError("injected failure"))
+        self._make = make or self._default
+
+    @staticmethod
+    def _default() -> Exception:
+        return RuntimeError("injected failure")
 
     def trigger(self, point: str, **context) -> None:
         with self._lock:
@@ -154,7 +134,17 @@ class ErrorFault(Fault):
         raise self._make()
 
     def __repr__(self) -> str:
-        return f"ErrorFault(times={self.times})"
+        return f"{type(self).__name__}(times={self.times})"
+
+
+class TransientError(ErrorFault):
+    """An :class:`ErrorFault` that fails with ``OSError``: it exercises
+    retry-with-backoff paths, where the caller should succeed once the
+    transient condition clears, without duplicating the write."""
+
+    @staticmethod
+    def _default() -> Exception:
+        return OSError("injected transient I/O error")
 
 
 class LatencyFault(Fault):

@@ -16,12 +16,13 @@ Engels, Behrend and Brass's terms) binds it at every step its table
 fills and joins outward (:func:`repro.fdb.evaluate._join`): the kept
 chains through a changed fact go, the current ones come in, each once.
 Every change of a chain's verdict passes through a fact a record names,
-so nothing else moves (DESIGN.md, "Maintaining an extension"). A scan
-or a point read applies what waits, then answers from the memo. A
-schema change, or more changes waiting than chains kept, drops every
-chain; a delta cut short keeps what it had. A function's first scan
-keeps nothing, so until its second writes pay no hand-off. The memo
-references no database or table.
+so nothing else moves (DESIGN.md, "Maintaining an extension"). More
+changes waiting than the facts the build read drop every chain; a
+delta cut short keeps what it had. A reader that holds the cluster
+lock (a scan, or a point read given the join) brings the memo current:
+a schema change starts over, a memo with no chain is built, what waits
+is applied. A function's first scan keeps nothing, so until its second
+writes pay no hand-off. The memo references no database or table.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ class ExtensionMemo:
         self.reads: frozenset = frozenset()  # the tables of the steps
         self.ends: list[tuple] = []  # per derivation: key of a chain
         self.pending: list[tuple[str, Fact]] = []  # changes not applied
+        self.bound = 0  # changes that may wait: the facts the build read
         self.drop()
 
     def take(self, records: list, tables: dict) -> None:
         """Keep the changes ``records`` made to the tables this memo
-        reads until they are applied, at most one per kept chain: past
-        that, every chain goes. An NC rewrite changes what it negates,
-        no member's flag or NCL: its stored members count. Only a memo
-        the records reach is locked, so a commit waits on no reader of
-        another cluster."""
+        reads until they are applied, at most ``bound``: past that,
+        every chain goes. An NC rewrite changes what it negates, no
+        member's flag or NCL: its stored members count. Only a memo the
+        records reach is locked: a commit waits on no other cluster."""
         if not self.chains:
             return
         kept = []
@@ -83,7 +84,7 @@ class ExtensionMemo:
             self.lock.acquire()  # not ``with``: see repro.service.locks
             try:
                 self.pending += kept
-                if len(self.pending) > self.size:
+                if len(self.pending) > self.bound:
                     self.drop()
             finally:
                 self.lock.release()
@@ -97,56 +98,60 @@ class ExtensionMemo:
         self.result: dict = {}  # the extension
         self.held: dict = {}  # key -> kept chains holding it
         self.clean: dict = {}  # key -> ... holding it clean
-        self.size = 0  # chains kept
         self.deleted = 0  # keys deleted since the dicts were built
         self.pending.clear()
 
     def extension(self, db, join) -> dict | None:
-        """A copy of the extension, what waits applied by ``join``
+        """A copy of the extension, brought current by ``join``
         (:func:`repro.fdb.evaluate._join`); ``None`` at the function's
-        first scan and in the caller's own open transaction (its records
-        come at commit), which the caller joins from scratch."""
+        first scan and in the caller's own open transaction (its
+        records come at commit): the caller joins from scratch."""
         if db._txn_owner == get_ident():
             return None
-        db._hand_off()  # before the lock: a take it makes takes it
-        if self.scanned and db._undo.standing is None:
+        if db._undo.standing:  # before the lock: a take it makes takes it
+            db._hand_off()
+        elif self.scanned and db._undo.standing is None:
             db._stand()
         with self.lock:  # no standing list yet: a first scan keeps nothing
             if not self.scanned or db._undo.standing is None:
                 self.scanned = True
                 return None
-            if self.version != db.schema_version:
-                self._reset(db)
-            if not self.chains:  # the first build, or one after a drop
-                self._apply(db, join, None)
-            elif self.pending:
-                self._apply(db, join, self.pending)
+            self._catch_up(db, join)
             return self.result.copy()  # dict() is ~6x slower past a deletion
 
     def truth(self, db, x, y, join=None) -> Truth | None:
-        """The kept verdict on ``(x, y)``, what waits handed off and
-        applied first by ``join``; ``None`` if nothing is kept, the
-        schema changed, the caller owns the open transaction, or changes
-        wait and no ``join`` is given: the caller joins then. With no
-        ``join`` this is a lookup: it reads no table and holds only the
-        memo's lock, so a caller that holds no cluster lock may ask."""
-        if not self.chains or db._txn_owner == get_ident():
-            return None  # no lock: a function with no kept memo pays this
+        """The kept verdict on ``(x, y)``. Given ``join``, the caller holds
+        the cluster lock and the memo is brought current as a scan is;
+        ``None`` only before the function's first build and in the
+        caller's own transaction. With no ``join``, a lookup: it reads no
+        table and answers only a current memo, so any caller may ask."""
         if join is not None:
-            db._hand_off()  # before the lock: a take it makes takes it
-        elif db._undo.standing:
-            return None
+            if self.version is None or db._txn_owner == get_ident():
+                return None
+            if db._undo.standing:  # before the lock, as in extension
+                db._hand_off()
+        elif (not self.chains or db._undo.standing
+              or db._txn_owner == get_ident()):
+            return None  # no lock: a function with no kept memo pays this
         self.lock.acquire()
         try:  # chains is read again: a take may have dropped them
-            if not self.chains or self.version != db.schema_version:
+            if join is not None:
+                self._catch_up(db, join)
+            elif (not self.chains or self.pending
+                  or self.version != db.schema_version):
                 return None
-            if self.pending:
-                if join is None:
-                    return None
-                self._apply(db, join, self.pending)
             return self.result.get((x, y), FALSE)
         finally:
             self.lock.release()
+
+    def _catch_up(self, db, join) -> None:
+        """Under the lock: start over, build or apply what waits."""
+        if self.version != db.schema_version:
+            self._reset(db)
+        if not self.chains:
+            self._apply(db, join, None)
+        elif self.pending:
+            self._apply(db, join, self.pending)
 
     def _reset(self, db) -> None:
         """Start over on the function's current derivations."""
@@ -162,9 +167,8 @@ class ExtensionMemo:
         self.version = db.schema_version
 
     def _apply(self, db, join, pending: list | None) -> None:
-        """Join the chains through the facts ``pending`` names (with
-        ``None``, every chain: a build), and count them in place of the
-        kept chains through those facts."""
+        """Count the chains through the facts ``pending`` names (with
+        ``None``, every chain: a build) in place of the kept ones."""
         changed = dict.fromkeys(pending or ())  # (table, fact), each once
         live: dict[str, list] = {}  # table -> its changed facts still stored
         for name, fact in changed:
@@ -187,6 +191,7 @@ class ExtensionMemo:
         if pending is None:
             self.chains = [{} for _ in found]
             self.through = [{} for _ in found]
+            self.bound = sum(len(db.table(name)) for name in self.reads)
         self._count(found, changed)
 
     def _count(self, found: list, changed) -> None:
@@ -220,7 +225,6 @@ class ExtensionMemo:
                     clean[key] = clean.get(key, 0) + 1
                 result.setdefault(key, Truth.AMBIGUOUS)  # new: goes last
                 moved.add(key)
-        self.size = sum(map(len, self.chains))
         # A chain that goes stays filed under its other facts until they
         # change: past twice the live entries, file every chain anew.
         if self.filed > 2 * self.live:

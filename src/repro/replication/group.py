@@ -82,6 +82,18 @@ def _within(info: dict, max_lag_seq: int | None,
                  or info["lag_seconds"] <= max_lag_seconds))
 
 
+def ranked(statuses: dict[str, dict]) -> list[str]:
+    """The replicas a failover may promote, best first: none whose
+    status says crashed or diverged; the highest ``applied_seq`` (the
+    longest applied prefix) first, the smallest name on ties. A bare
+    :meth:`ReplicationGroup.promote` and the lease coordinator's
+    election both take the head."""
+    return sorted(
+        (name for name, status in statuses.items()
+         if not (status.get("crashed") or status.get("diverged"))),
+        key=lambda name: (-statuses[name]["applied_seq"], name))
+
+
 @dataclass(frozen=True)
 class CommitMode:
     """Parsed commit mode: ``async`` | ``sync(k)`` | ``quorum``."""
@@ -460,9 +472,12 @@ class ReplicationGroup:
     def promote(self, name: str | None = None) -> PromotionReport:
         """Fail over: depose the current primary and pick the new one.
 
-        Polls every reachable replica for its ``applied_seq`` and (by
-        default) chooses the highest — the longest applied prefix,
-        which contains every acknowledged commit. The chosen replica
+        Polls every reachable replica and (by default) chooses by
+        :func:`ranked`, the rule the lease coordinator's election
+        applies too: never a crashed or diverged replica; the highest
+        ``applied_seq`` — the longest applied prefix, which contains
+        every acknowledged commit — and the smallest name on ties.
+        ``name`` chooses any reachable replica instead. The chosen replica
         leaves the follower set; the caller builds the new primary on
         its working directory and calls :meth:`attach_primary`, which
         consumes the term this promotion claimed. The deposed term's
@@ -488,19 +503,18 @@ class ReplicationGroup:
                         is not None}
             candidates = [(replica, status["applied_seq"])
                           for replica, status in statuses.items()]
-            if not candidates:
-                raise ReplicationError(
-                    "no reachable replica to promote"
-                )
             if name is None:
-                chosen, applied = max(candidates,
-                                      key=lambda item: item[1])
-            elif name in statuses:
-                chosen, applied = name, statuses[name]["applied_seq"]
-            else:
+                fit = ranked(statuses)
+                if not fit:
+                    raise ReplicationError(
+                        "no reachable replica fit to promote"
+                    )
+                name = fit[0]
+            elif name not in statuses:
                 raise ReplicationError(
                     f"replica {name!r} is not reachable for promotion"
                 )
+            chosen, applied = name, statuses[name]["applied_seq"]
             old_term = self.term
             new_term = old_term + 1
             self._fences[old_term] = applied

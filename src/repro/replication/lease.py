@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from repro.errors import LeaseExpired, ReplicationError
 from repro.faults.registry import FAULTS
 from repro.obs.hooks import OBS
-from repro.replication.group import CommitMode
+from repro.replication.group import CommitMode, ranked
 
 __all__ = ["LeaseConfig", "LeaseClock", "LeaseManager",
            "FailureDetector", "FailoverCoordinator"]
@@ -483,8 +483,9 @@ class FailoverCoordinator:
        the PR 6 partition caveat, closed. Fewer candidates block the
        election (an operator may still force ``promote`` manually and
        accept the documented loss).
-    3. **Winner.** Highest ``applied_seq``; lexicographically smallest
-       name on ties. ``group.promote(winner)`` applies the existing
+    3. **Winner.** The head of :func:`repro.replication.group.ranked`,
+       the rule a bare ``promote()`` applies: highest ``applied_seq``,
+       smallest name on ties. ``group.promote(winner)`` applies the existing
        fence/ack-capping/re-bootstrap rules, and every detector resets
        so the new leader gets a full window to start heartbeating.
        Whoever holds the coordinator reads :attr:`elections` and
@@ -560,27 +561,22 @@ class FailoverCoordinator:
             statuses: dict[str, dict] = {}
             for name, replica in self._replicas.items():
                 try:
-                    status = replica.status()
+                    statuses[name] = replica.status()
                 except Exception:
                     continue
-                if status.get("crashed") or status.get("diverged"):
-                    continue
-                statuses[name] = status
-            if len(statuses) < self.candidates_needed():
+            candidates = ranked(statuses)
+            if len(candidates) < self.candidates_needed():
                 if OBS.enabled:
                     OBS.inc("replication.elections_blocked")
                 return None
-            best = max(status["applied_seq"]
-                       for status in statuses.values())
-            winner = min(name for name, status in statuses.items()
-                         if status["applied_seq"] == best)
+            winner = candidates[0]
             old_term = self.group.term
             if OBS.enabled:
                 OBS.inc("replication.elections")
                 OBS.action("replication.elected", chosen=winner,
-                           applied_seq=best, term=old_term,
-                           votes=len(expired),
-                           candidates=len(statuses))
+                           applied_seq=statuses[winner]["applied_seq"],
+                           term=old_term, votes=len(expired),
+                           candidates=len(candidates))
             # The partition isolated the *old* primary; leadership —
             # and these carriers — now belong to the replica side,
             # whose connectivity the coordinator just verified by
@@ -592,7 +588,7 @@ class FailoverCoordinator:
             if shipper is not None:
                 for link in shipper.links():
                     transport = link.transport
-                    if link.name in statuses \
+                    if link.name in candidates \
                             and getattr(transport, "partitioned", False):
                         transport.partitioned = False
             report = self.group.promote(winner)

@@ -111,15 +111,14 @@ def _write_token(locks: LockManager, clusters: Iterable[str] = (),
                       deadline=limit)
 
 
-# What one request of each family counts as: the lane's stats() key
-# and the OBS counter.
+# What one request of each family counts as: the lane's stats() key.
 _COUNTS = {
-    "read": ("reads", "service.reads"),
-    "replica_read": ("reads", "service.replica_reads"),
-    "execute": ("writes", "service.writes"),
-    "multi_write": ("writes", "service.writes"),
-    "rmw": ("writes", "service.rmw"),
-    "checkpoint": ("checkpoints", None),
+    "read": "reads",
+    "replica_read": "reads",
+    "execute": "writes",
+    "multi_write": "writes",
+    "rmw": "writes",
+    "checkpoint": "checkpoints",
 }
 
 
@@ -594,7 +593,7 @@ class _Request:
             )
             self.scope.__enter__()
         try:
-            stat, counter = _COUNTS[self.family]
+            stat = _COUNTS[self.family]
             if not self.admit:
                 for lane in lanes:
                     lane.gate.tally(stat)
@@ -603,8 +602,6 @@ class _Request:
                     self._admit(stat)
             else:
                 self._admit(stat)
-            if counter is not None and OBS.enabled:
-                OBS.inc(counter)
             if self.names is not None:
                 lane, point = lanes[0], self.point
                 memo = point and lane.db._memos.get(point[0])

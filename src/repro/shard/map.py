@@ -78,10 +78,6 @@ class ShardMap:
             if cluster in clusters
         ))
 
-    def assignments(self) -> dict[str, int]:
-        """cluster -> shard, a stable copy (for display and tests)."""
-        return dict(self._shard_of_cluster)
-
     def stale_for(self, db: FunctionalDatabase) -> bool:
         """Did the schema move past the version this map was built
         from? (The sharded service rebuilds on a stale map.)"""

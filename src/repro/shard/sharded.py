@@ -37,7 +37,6 @@ The two cross-shard paths are deliberately narrower:
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -103,9 +102,6 @@ class ShardedDatabaseService(FrontDoor):
                 node=f"shard-{shard}-primary", **(service_kwargs or {}),
             ))
         self.map = ShardMap(self.lanes[0].db, shards, pins=pins)
-        self._stats_lock = threading.Lock()
-        self._multi_writes = 0
-        self._scatter_reads = 0
 
     # -- routing ------------------------------------------------------------
 
@@ -150,8 +146,6 @@ class ShardedDatabaseService(FrontDoor):
             self.lanes[shard_ids[0]].execute(update, deadline=deadline)
             return
         parts = self._split(update)
-        with self._stats_lock:
-            self._multi_writes += 1
         write([self.lanes[shard] for shard in shard_ids],
               [parts[shard] for shard in shard_ids], deadline)
 
@@ -209,16 +203,7 @@ class ShardedDatabaseService(FrontDoor):
             results[shard], vector[shard] = lane.read(
                 lane_names, gather, deadline=deadline,
             )
-        with self._stats_lock:
-            self._scatter_reads += 1
         return results, vector
-
-    def sequence_vector(self) -> dict[int, int]:
-        """Each lane's committed-op count right now (unlocked: a
-        monitoring stamp, not a consistency token — the locked variant
-        is what :meth:`scatter_read` returns)."""
-        return {shard: len(lane.committed)
-                for shard, lane in enumerate(self.lanes)}
 
     # -- read-modify-write --------------------------------------------------
 
@@ -291,17 +276,6 @@ class ShardedDatabaseService(FrontDoor):
             lane.slo.healthy for lane in self.lanes
         )
         return {"healthy": healthy, "shards": self.shards, "lanes": lanes}
-
-    def stats(self) -> dict:
-        return {
-            "shards": self.shards,
-            "assignments": self.map.assignments(),
-            "multi_writes": self._multi_writes,
-            "scatter_reads": self._scatter_reads,
-            "sequence_vector": self.sequence_vector(),
-            "lanes": {str(shard): lane.stats()
-                      for shard, lane in enumerate(self.lanes)},
-        }
 
     def committed_ops(self, shard: int):
         return self.lanes[shard].committed_ops()

@@ -17,7 +17,6 @@ class TestHierarchy:
 
     def test_schema_family(self):
         assert issubclass(errors.UnknownFunctionError, errors.SchemaError)
-        assert issubclass(errors.UnknownTypeError, errors.SchemaError)
         assert issubclass(errors.DuplicateFunctionError,
                           errors.SchemaError)
 
@@ -34,10 +33,6 @@ class TestMessagesAndAttributes:
         exc = errors.UnknownFunctionError("grade")
         assert exc.name == "grade"
         assert "grade" in str(exc)
-
-    def test_unknown_type_carries_name(self):
-        exc = errors.UnknownTypeError("marks")
-        assert exc.name == "marks"
 
     def test_duplicate_function(self):
         exc = errors.DuplicateFunctionError("teach")

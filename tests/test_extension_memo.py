@@ -50,6 +50,7 @@ from repro.fdb.values import NullValue
 from repro.service import DatabaseService
 from repro.workloads.generator import (WorkloadConfig, chain_fdb,
                                        random_instance, random_updates)
+from repro.workloads.university import pupil_database
 from tests.test_chain_walk import reference_pairs, walk_chains, walk_truth
 
 POOL = 5
@@ -298,6 +299,10 @@ def test_point_reads_equal_the_walk(seed, shape, k, rows, ops, many_one,
     run_stream(seed, shape, k, rows, ops, many_one, every, reads=True)
 
 
+def chains_kept(memo: ExtensionMemo) -> int:
+    return sum(map(len, memo.chains))
+
+
 def kept_chains(db, name: str) -> list:
     """The chains of ``name`` a memo keeps: those not known false."""
     return [chain for derivation in db.derived(name).derivations
@@ -321,10 +326,10 @@ def test_a_function_scanned_once_keeps_nothing():
     db = chain_fdb(2)
     random_instance(db, 6, seed=1, value_pool=3)
     assert_maintained(db, "v")
-    assert db.memo("v").size == 0
+    assert chains_kept(db.memo("v")) == 0
     assert db._undo.records is None
     assert_maintained(db, "v")
-    assert db.memo("v").size == len(kept_chains(db, "v")) > 0
+    assert chains_kept(db.memo("v")) == len(kept_chains(db, "v")) > 0
 
 
 def test_an_nc_rewritten_in_place_reaches_the_extension():
@@ -401,7 +406,7 @@ def test_an_aborted_transaction_hands_nothing_to_a_memo(monkeypatch):
     for _ in range(2):  # a memo starts at the second scan
         assert_maintained(db, "v")
     memo = db.memo("v")
-    kept = memo.result.copy(), memo.size
+    kept = memo.result.copy(), chains_kept(memo)
     taken = []
     monkeypatch.setattr(ExtensionMemo, "take", lambda self, records,
                         tables: taken.append(list(records)))
@@ -417,7 +422,7 @@ def test_an_aborted_transaction_hands_nothing_to_a_memo(monkeypatch):
         except Abort:
             pass
         assert taken == [] and db._undo.standing == []
-        assert (memo.result, memo.size) == kept and not memo.pending
+        assert (memo.result, chains_kept(memo)) == kept and not memo.pending
     monkeypatch.undo()
     assert_maintained(db, "v")
 
@@ -448,6 +453,78 @@ def test_a_read_in_its_own_transaction_sees_its_write():
     assert memo.truth(db, x, y) is db.truth_of("v", x, y) is Truth.TRUE
 
 
+def test_a_dropped_memo_comes_back_at_the_next_locked_point_read(
+        monkeypatch):
+    """The Section 4.2 instance through one service: two scans keep 4
+    chains over 4 facts, and five ``teach`` inserts, more changes than
+    the build read facts, drop them. The first point read after that
+    declines the lookup, takes the cluster lock and builds the memo
+    again (14 chains); the 99 after it are lookups, and every verdict
+    is the walk's."""
+    service = DatabaseService(pupil_database())
+    db, memo = service.db, service.db.memo("pupil")
+    for _ in range(2):  # the second scan keeps the memo
+        service.extension("pupil")
+    assert chains_kept(memo) == 4
+    faculty = ["euclid", "laplace"]
+    for i in range(5):
+        faculty.append(f"f{i}")
+        service.execute(Update.ins("teach", faculty[-1], "math"))
+    assert not memo.chains  # dropped
+    events: list = []
+    truth, apply = ExtensionMemo.truth, ExtensionMemo._apply
+
+    def counted_truth(self, db, x, y, join=None):
+        verdict = truth(self, db, x, y, join)
+        if join is None and verdict is not None:
+            events.append("lookup")
+        return verdict
+
+    def counted_apply(self, db, join, pending):
+        events.append("build" if pending is None else "delta")
+        return apply(self, db, join, pending)
+
+    monkeypatch.setattr(ExtensionMemo, "truth", counted_truth)
+    monkeypatch.setattr(ExtensionMemo, "_apply", counted_apply)
+    derivations = db.derived("pupil").derivations
+    try:
+        for i in range(100):
+            x, y = faculty[i % 7], ("john", "bill", "ann")[i % 3]
+            assert service.truth_of("pupil", x, y) is walk_truth(
+                db, derivations, x, y)
+    finally:
+        service.close()
+    assert events == ["build"] + ["lookup"] * 99
+    assert chains_kept(memo) == 14
+
+
+def test_a_schema_change_then_a_point_read_rebuilds(monkeypatch):
+    """A declaration moves ``schema_version``; the next point read that
+    brings the join starts the memo over and builds it instead of
+    walking. With a join, the memo declines only before its first build
+    and inside the caller's own transaction."""
+    db = pupil_database()
+    memo = db.memo("pupil")
+    db.extension("pupil")  # the first scan keeps nothing
+    assert memo.truth(db, "euclid", "bill", evaluate._join) is None
+    db.extension("pupil")
+    db.declare_base(FunctionDef("advises", ObjectType("faculty"),
+                                ObjectType("student"),
+                                TypeFunctionality.MANY_MANY))
+    assert memo.version != db.schema_version
+    assert memo.truth(db, "euclid", "bill") is None  # a lookup declines
+
+    def walk(*args):
+        raise AssertionError("the point read walked")
+
+    monkeypatch.setattr(evaluate, "truth_over", walk)
+    assert db.truth_of("pupil", "euclid", "bill") is Truth.TRUE
+    assert memo.version == db.schema_version and chains_kept(memo) == 4
+    with db.transaction():
+        assert memo.truth(db, "euclid", "bill", evaluate._join) is None
+    assert memo.truth(db, "euclid", "bill") is Truth.TRUE
+
+
 def two_clusters():
     """``v`` over ``f1, f2`` and ``w`` over ``g1, g2``, both memos kept."""
     db = chain_fdb(2)
@@ -470,17 +547,17 @@ def test_a_commit_reaches_only_the_memos_over_its_tables():
     that memo is neither appended to nor dropped."""
     db = two_clusters()
     memo = db.memo("w")
-    size = memo.size
+    size = chains_kept(memo)
     assert size
     for i in range(3 * size):
         with db.transaction():
             db.insert("f2", f"T1_{i % 4}", f"T2_w{i}")
-        assert memo.size == size and not memo.pending
+        assert chains_kept(memo) == size and not memo.pending
         if i == 0:  # the first function's memo hears of it
             assert db.memo("v").pending
     assert_maintained(db, "v")
     assert_maintained(db, "w")
-    assert memo.size == size
+    assert chains_kept(memo) == size
 
 
 def test_a_bare_write_cut_short_hands_over_what_it_did(monkeypatch):
@@ -495,7 +572,7 @@ def test_a_bare_write_cut_short_hands_over_what_it_did(monkeypatch):
     for _ in range(2):  # a memo starts at the second scan
         assert_maintained(db, "v")
     # More chains kept than the NC's records name: the memo keeps them.
-    assert db.memo("v").size == 5
+    assert chains_kept(db.memo("v")) == 5
     checkpoints = iter(range(3))
 
     def checkpoint() -> None:  # the DEL's own, then one per chain
@@ -569,12 +646,14 @@ def test_a_write_joins_only_the_chains_through_the_facts_it_changed(
     fact = db.table("f3").get(x, "T3_dense")
     assert_maintained(db, "v")
     through = [chain for chain in kept_chains(db, "v") if fact in chain.facts]
-    assert joined == [len(through)] and 0 < len(through) < memo.size // 4
+    assert joined == [len(through)]
+    assert 0 < len(through) < chains_kept(memo) // 4
     null = db.table("f2").add_pair(db.nulls.fresh(), "T2_0")
     assert_maintained(db, "v")
     through = [chain for chain in kept_chains(db, "v") if null in chain.facts]
     assert not any(chain.all_exact for chain in through)
-    assert joined[1:] == [len(through)] and 0 < len(through) < memo.size
+    assert joined[1:] == [len(through)]
+    assert 0 < len(through) < chains_kept(memo)
 
 
 def test_a_deadline_inside_a_counted_rejoin_changes_nothing(monkeypatch):
@@ -588,7 +667,7 @@ def test_a_deadline_inside_a_counted_rejoin_changes_nothing(monkeypatch):
     memo = db.memo("v")
     db.insert("f3", next(iter(db.table("f3").facts())).x, "T3_cut")
     kept = (memo.result.copy(), dict(memo.held), dict(memo.clean),
-            memo.size, [dict(chains) for chains in memo.chains])
+            chains_kept(memo), [dict(chains) for chains in memo.chains])
     join = evaluate._join
 
     def cut_short(db, derivation, firsts, *, at, into):
@@ -602,7 +681,7 @@ def test_a_deadline_inside_a_counted_rejoin_changes_nothing(monkeypatch):
         with pytest.raises(DeadlineExceeded):
             db.extension("v")
     assert memo.pending
-    assert (memo.result, memo.held, memo.clean, memo.size,
+    assert (memo.result, memo.held, memo.clean, chains_kept(memo),
             memo.chains) == kept
     db.insert("f2", next(iter(db.table("f2").facts())).x, "T2_late")
     assert_maintained(db, "v")
@@ -647,7 +726,7 @@ def test_readers_of_another_cluster_scan_while_a_writer_commits():
     db = two_clusters()
     service = DatabaseService(db, lock_timeout=10.0)
     memo = db.memo("w")
-    size = memo.size
+    size = chains_kept(memo)
     mismatches, errors = [], []
 
     def both(db):
@@ -658,8 +737,9 @@ def test_readers_of_another_cluster_scan_while_a_writer_commits():
         try:
             for _ in range(40):
                 kept, scratch = service.read(("w",), both)
-                if kept != scratch or memo.size != size or memo.pending:
-                    mismatches.append((len(kept), memo.size))
+                if (kept != scratch or chains_kept(memo) != size
+                        or memo.pending):
+                    mismatches.append((len(kept), chains_kept(memo)))
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -811,13 +891,13 @@ def test_a_commit_elsewhere_lands_while_a_scan_recounts(monkeypatch):
         count(self, found, changed)
         if self is memo:
             commit()
-            assert self.size == size
+            assert chains_kept(self) == size
 
     with monkeypatch.context() as patch:
         patch.setattr(evaluate, "_join", joining)
         patch.setattr(ExtensionMemo, "_count", counting)
         kept = db.extension("w")
-    assert next(commits) == 2 and memo.size == size
+    assert next(commits) == 2 and chains_kept(memo) == size
     assert kept == reference_pairs(db, db.derived("w").derivations)
     assert_maintained(db, "v")
 

@@ -63,7 +63,7 @@ def test_reads_and_scans_equal_the_evaluators_that_keep_nothing(seed):
                 x, y = rng.choice(derivable)
             else:
                 x, y = random_pair(rng)
-            answered += db.memo("v").size > 0
+            answered += any(db.memo("v").chains)
             assert db.truth_of("v", x, y) is reference_truth(
                 db, derivations, x, y), (done, x, y)
         elif label == "scan":

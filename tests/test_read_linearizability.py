@@ -8,8 +8,11 @@ verdict of *some* prefix of the commit order that the read's own
 interval allows. One writer commits a seeded stream of base INS / DEL
 to ``v``'s tables and derived INS of ``v`` (each storing a null-valued
 chain, whose facts a later base DEL may take apart), bumping ``begun``
-before each call and ``done`` after it returns; readers record ``done``
-before each read and ``begun`` after it. Replayed on a copy of the
+before each call and ``done`` after it returns. Every ``OUTRUN``-th
+commit is a sequence long enough that ``v``'s memo drops its chains,
+and the next read that holds the cluster lock builds the memo again
+while lock-free lookups race it. Readers record ``done`` before each
+read and ``begun`` after it. Replayed on a copy of the
 initial instance, the prefixes between those two counts are the only
 states the read could have seen, and its verdict must be the walk's
 (``reference_truth`` over ``tests/test_chain_walk.py``'s depth-first
@@ -25,40 +28,55 @@ import threading
 import time
 
 from repro.fdb.memo import ExtensionMemo
-from repro.fdb.updates import Update, apply_entry
+from repro.fdb.updates import Update, UpdateSequence, apply_entry
 from repro.service import DatabaseService
 from tests.test_chain_walk import reference_truth
 from tests.test_extension_memo import two_clusters
 
 OPS = 200
 POOL = 5
+OUTRUN = 40  # every 40th commit drops v's kept chains
 # Reads the memo answered with nothing to apply while the writer had a
 # call open: the overlap the test is for (a few hundred in practice).
 MIN_OVERLAPPED_LOOKUPS = 20
 
 
-def stream(seed: int) -> list[Update]:
-    """``OPS`` base INS / DEL on ``f1`` and ``f2`` and derived INS of
-    ``v``, each valid against the state the ones before it leave."""
+def one_update(db, rng: random.Random) -> Update:
+    """A base INS / DEL on ``f1`` or ``f2`` or a derived INS of ``v``,
+    valid against ``db``; applied to it."""
+    name = rng.choice(("f1", "f2"))
+    pairs = tuple(db.table(name).pairs())
+    if rng.random() < 0.15:
+        update = Update.ins("v", f"T0_{rng.randrange(POOL)}",
+                            f"T2_{rng.randrange(POOL)}")
+    elif pairs and rng.random() < 0.5:
+        update = Update.delete(name, *rng.choice(pairs))
+    else:
+        k = int(name[1])
+        update = Update.ins(name, f"T{k - 1}_{rng.randrange(POOL)}",
+                            f"T{k}_{rng.randrange(POOL)}")
+    apply_entry(db, update)
+    return update
+
+
+def stream(seed: int) -> list[Update | UpdateSequence]:
+    """``OPS`` commits, each valid against the state the ones before it
+    leave: one update, or at every ``OUTRUN``-th a sequence that goes on
+    until ``v``'s memo drops its chains (current before it: a scan)."""
     db, rng, ops = two_clusters(), random.Random(seed), []
-    for _ in range(OPS):
-        name = rng.choice(("f1", "f2"))
-        pairs = tuple(db.table(name).pairs())
-        if rng.random() < 0.15:
-            update = Update.ins("v", f"T0_{rng.randrange(POOL)}",
-                                f"T2_{rng.randrange(POOL)}")
-        elif pairs and rng.random() < 0.5:
-            update = Update.delete(name, *rng.choice(pairs))
-        else:
-            k = int(name[1])
-            update = Update.ins(name, f"T{k - 1}_{rng.randrange(POOL)}",
-                                f"T{k}_{rng.randrange(POOL)}")
-        apply_entry(db, update)
-        ops.append(update)
+    for i in range(1, OPS + 1):
+        if i % OUTRUN:
+            ops.append(one_update(db, rng))
+            continue
+        db.extension("v")
+        burst = []
+        while db.memo("v").chains:
+            burst.append(one_update(db, rng))
+        ops.append(UpdateSequence(tuple(burst)))
     return ops
 
 
-def verdicts(ops: list[Update], cells: list) -> list[dict]:
+def verdicts(ops: list, cells: list) -> list[dict]:
     """The walk's verdict on every cell after each prefix of ``ops``."""
     db = two_clusters()
     derivations = db.derived("v").derivations
@@ -83,16 +101,27 @@ def test_point_reads_linearize_against_the_sequential_walk(monkeypatch):
 
     # A read the kept memo answered with no delta to apply: a lookup.
     looked = threading.local()
-    truth = ExtensionMemo.truth
+    truth, apply = ExtensionMemo.truth, ExtensionMemo._apply
+    rebuilt: list = []  # point reads that built the dropped memo again
 
     def counted(self, db, x, y, join=None):
-        idle = not self.pending
-        verdict = truth(self, db, x, y, join)
+        idle = self.chains and not self.pending
+        looked.point = True
+        try:
+            verdict = truth(self, db, x, y, join)
+        finally:
+            looked.point = False
         if verdict is not None and idle:
             looked.hit = True
         return verdict
 
+    def applied(self, db, join, pending):
+        if pending is None and getattr(looked, "point", False):
+            rebuilt.append(self.name)
+        return apply(self, db, join, pending)
+
     monkeypatch.setattr(ExtensionMemo, "truth", counted)
+    monkeypatch.setattr(ExtensionMemo, "_apply", applied)
 
     def writer() -> None:
         try:
@@ -147,8 +176,10 @@ def test_point_reads_linearize_against_the_sequential_walk(monkeypatch):
     ]
     assert not unexplained, unexplained[:5]
     # The spec constrains something: verdicts moved under the stream,
-    # and lookups ran while a commit was open.
+    # point reads built dropped memos again, and lookups ran while a
+    # commit was open.
     assert len({verdict for _, verdict, *_ in reads}) > 1
+    assert rebuilt, "no point read built a dropped memo"
     overlapped = sum(1 for before, _, after, _, hit in reads
                      if hit and before < after)
     assert overlapped >= MIN_OVERLAPPED_LOOKUPS, overlapped

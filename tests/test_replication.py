@@ -489,6 +489,57 @@ class TestFailover:
         assert report.applied_seq == seq2
         assert dict(report.candidates) == {"r0": seq2, "r1": seq1}
 
+    @pytest.fixture
+    def linked_b_then_a(self, primary, tmp_path, make_group):
+        """Two replicas, linked ``b`` first: an election by link order
+        would differ from one by name."""
+        logged, _ = primary
+        group = make_group(ack_timeout=0.1)
+        group.attach_primary(logged)
+        for name in ("b", "a"):
+            group.add_replica(name, Replica(name, tmp_path / name))
+        return logged, group
+
+    def test_a_tie_goes_to_the_smallest_name_as_in_an_election(
+            self, linked_b_then_a):
+        logged, group = linked_b_then_a
+        seq = logged.execute(Update.ins("teach", "a", "b"))
+        group.on_commit(seq)
+        assert all(group.replica(name).applied_seq == seq
+                   for name in ("a", "b"))
+        assert group.promote().chosen == "a"  # as an election picks
+
+    def test_a_diverged_replica_is_never_promoted(self, linked_b_then_a):
+        """``b`` applies one record more than ``a``, then fails to apply
+        the next (its commit raises) and is cut off before the shipper
+        can re-bootstrap it: it diverged, and ``a``, one record behind,
+        is the one promoted."""
+        from repro.faults import ErrorFault, FAULTS
+
+        logged, group = linked_b_then_a
+        group.on_commit(logged.execute(Update.ins("teach", "a", "b")))
+        group.shipper.link("a").transport.partitioned = True
+        seq2 = logged.execute(Update.ins("teach", "c", "d"))
+        group.on_commit(seq2)
+        seq3 = logged.execute(Update.ins("teach", "e", "f"))
+
+        def fail_and_cut_off():  # b's apply of seq3
+            group.shipper.link("b").transport.partitioned = True
+            return RuntimeError("injected failure")
+
+        FAULTS.arm("txn.commit", ErrorFault(times=1, make=fail_and_cut_off))
+        try:
+            with pytest.raises(ReplicationError):
+                group.on_commit(seq3)
+        finally:
+            FAULTS.disarm_all()
+        for link in group.shipper.links():
+            link.transport.partitioned = False
+        b, a = group.replica("b"), group.replica("a")
+        assert b.diverged and b.applied_seq == seq2 == a.applied_seq + 1
+        report = group.promote()
+        assert report.chosen == "a" and report.applied_seq == seq2 - 1
+
     def test_promote_fence_and_stale_primary(self, replicated):
         logged, _, group = replicated
         token = group.term

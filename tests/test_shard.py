@@ -88,7 +88,6 @@ class TestShardMap:
         # Same schema, same pins -> identical placement (crc32 of the
         # cluster id, not anything process-local).
         assert first == second
-        assert first.assignments() == second.assignments()
         placed = set()
         for shard in range(3):
             placed.update(first.names_on(shard))
@@ -106,8 +105,9 @@ class TestShardMap:
         clusters = sorted(set(clusters_of(db).values()))
         pins = {clusters[0]: 1, clusters[1]: 1}
         shard_map = ShardMap(db, 2, pins=pins)
-        assert shard_map.assignments()[clusters[0]] == 1
-        assert shard_map.assignments()[clusters[1]] == 1
+        for name, cluster in clusters_of(db).items():
+            if cluster in pins:
+                assert shard_map.shard_of(name) == 1
 
     def test_invalid_configuration_rejected(self):
         db = four_cluster_database()
@@ -196,7 +196,7 @@ class TestMultiShardWrites:
         for name in ("c0a", "c1a"):
             lane = facade.lane(facade.shard_of(name))
             assert lane.db.truth_of(name, "m0x", "m0y") is Truth.TRUE
-        assert facade.stats()["multi_writes"] == 1
+            assert len(lane.committed_ops()) == 1
 
     def test_markers_are_journalled_on_each_involved_lane(self, facade):
         """Every slice's WAL record is a sequence carrying its write's
@@ -349,9 +349,8 @@ class TestReads:
         assert results[shard1] == {"c1a": 1}
         # Each vector entry is the lane's committed-op count captured
         # under that lane's locks.
-        assert vector == {shard0: 1, shard1: 1}
-        assert facade.sequence_vector() == vector
-        assert facade.stats()["scatter_reads"] == 1
+        assert vector == {shard0: 1, shard1: 1} == {
+            shard: len(facade.committed_ops(shard)) for shard in vector}
 
 
 class TestReadModifyWrite:
@@ -403,14 +402,6 @@ class TestSwapLane:
 
 
 class TestHealthAndStats:
-    def test_stats_exposes_assignments_and_lanes(self, facade):
-        facade.insert("c0a", "x", "y")
-        stats = facade.stats()
-        assert stats["shards"] == 2
-        assert set(stats["assignments"].values()) == {0, 1}
-        assert set(stats["lanes"]) == {"0", "1"}
-        assert stats["sequence_vector"][facade.shard_of("c0a")] == 1
-
     def test_health_folds_every_lane(self, facade):
         verdict = facade.health()
         assert verdict["healthy"] is True
