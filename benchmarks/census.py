@@ -393,13 +393,14 @@ def entry_points(work: Path) -> list[Run]:
     # The sharded soak's run directories, re-checked offline.
     runs.append(Run("soak --check", [py, "-m", "repro.faults", "--check",
                                      f"soak{len(SOAKS) - 1}"]))
-    # The bench runner writes BENCH_*.json and benchmarks/results/*.txt
-    # into the checkout it runs in: give it a copy (with the committed
-    # records, so each run compares against them).
-    runs.append(Run("bench --smoke", [py, "-m", "repro.bench", "--smoke"],
-                    cwd=work / "bench"))
+    # With --export the bench runner writes BENCH_*.json and
+    # benchmarks/results/*.txt into the checkout it runs in: give it a
+    # copy (with the committed records, so each run compares against
+    # them), and export there as CI does, so the render runs too.
+    runs.append(Run("bench --smoke", [py, "-m", "repro.bench", "--smoke",
+                                      "--export"], cwd=work / "bench"))
     runs.append(Run("bench " + " ".join(PAPER_BENCHES),
-                    [py, "-m", "repro.bench", *PAPER_BENCHES],
+                    [py, "-m", "repro.bench", *PAPER_BENCHES, "--export"],
                     cwd=work / "bench"))
     runs.append(Run("e20 --quick --trace",
                     [py, str(ROOT / "benchmarks" / "e20_layer_budget"

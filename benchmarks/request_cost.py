@@ -9,6 +9,10 @@ The table: microseconds per in-memory base write (an INS/DEL pair on
 twice first), through one :class:`~repro.service.DatabaseService` lane
 and bare on its :class:`~repro.fdb.database.FunctionalDatabase`, OBS
 off, no deadline; best of ``--repeat`` rounds of ``--ops`` operations.
+The ``logged write`` row is the same pair on a lane over a write-ahead
+log with ``fsync=False`` (in a temporary directory), against
+:meth:`~repro.fdb.wal.LoggedDatabase.execute` on that lane's database:
+the durable path's service share without the device.
 Below it, the lane's lock manager alone: one ``acquire`` / ``release``
 pair, and one ``held`` block over the write token and one cluster,
 enter to exit.
@@ -27,9 +31,12 @@ from __future__ import annotations
 
 import argparse
 import resource
+import tempfile
 import time
+from pathlib import Path
 
 from repro.fdb.updates import Update, apply_entry
+from repro.fdb.wal import UpdateLog
 from repro.obs.slo import SLOMonitor
 from repro.service import EXCLUSIVE, WRITE_RESOURCE, DatabaseService
 from repro.workloads.university import pupil_database
@@ -89,10 +96,13 @@ def cost_table(ops: int, repeat: int) -> None:
     assert db.memo("pupil").truth(db, "euclid", "bill") is not None
     derived = (best_us(service_derived, ops, repeat),
                best_us(engine_derived, ops, repeat))
+    with tempfile.TemporaryDirectory() as tmp:
+        logged = logged_write(Path(tmp) / "wal.jsonl", ops, repeat)
     print(f"{'request':16} {'service us':>11} {'engine us':>10} "
           f"{'service - engine':>17}")
     for name, (service, engine) in (("write", write), ("truth_of", read),
-                                    ("derived truth_of", derived)):
+                                    ("derived truth_of", derived),
+                                    ("logged write", logged)):
         print(f"{name:16} {service:11.2f} {engine:10.2f} "
               f"{service - engine:17.2f}")
     locks = lane.locks
@@ -112,6 +122,31 @@ def cost_table(ops: int, repeat: int) -> None:
           f"{best_us(pairs, ops, repeat):.2f} us, held over the write "
           f"token and one cluster {best_us(holds, ops, repeat):.2f} us")
     lane.close()
+
+
+def logged_write(path: Path, ops: int, repeat: int) -> tuple[float, float]:
+    """Service and engine microseconds per base write on a lane over an
+    ``fsync=False`` log at ``path``; the engine side is the lane's own
+    :class:`~repro.fdb.wal.LoggedDatabase`."""
+    lane = DatabaseService(pupil_database(),
+                           log=UpdateLog(path, fsync=False))
+    logged = lane.logged
+
+    def service_writes(n):
+        for _ in range(n // 2):
+            lane.execute(INSERT)
+            lane.execute(DELETE)
+
+    def engine_writes(n):
+        for _ in range(n // 2):
+            logged.execute(INSERT)
+            logged.execute(DELETE)
+
+    try:
+        return (best_us(service_writes, ops, repeat),
+                best_us(engine_writes, ops, repeat))
+    finally:
+        lane.close()
 
 
 def sustain(seconds: int) -> None:

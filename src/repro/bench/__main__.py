@@ -5,16 +5,19 @@ Usage::
     python -m repro.bench                 # full E1–E19 suite
     python -m repro.bench e4 e10          # a named subset
     python -m repro.bench --smoke         # scaled-down E4/E10/E16/E18/E19 (CI)
+    python -m repro.bench e8 --export     # ... and rewrite E8's record
     python -m repro.bench --list          # what exists
 
 Each selected bench runs through :func:`repro.bench.runner.run_bench`
 and its record is compared against the committed
 ``BENCH_<exp>.json`` (counter drift enforced, timing drift reported).
-The record then replaces ``BENCH_<exp>.json`` at the repo root, and
-``benchmarks/results/<exp>.txt`` is rewritten as its render — unless
-the committed record was taken at another scale: that comparison
-reads ``scale-mismatch`` and both files are left alone (delete the
-record to change its scale).
+A run leaves the record alone, so a regressed run is compared against
+the same baseline the next time too. Only ``--export`` writes the run's
+record over ``BENCH_<exp>.json`` at the repo root and its render to
+``benchmarks/results/<exp>.txt`` — and not even then when the
+committed record was taken at another scale: that comparison reads
+``scale-mismatch`` and both files are left alone (delete the record to
+change its scale).
 
 Exit status is non-zero on bench failures or counter regressions.
 """
@@ -57,6 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help=f"scaled-down {'/'.join(SMOKE_EXPS)} at "
                              f"scale {SMOKE_SCALE} (CI smoke job)")
+    parser.add_argument("--export", action="store_true",
+                        help="write each run's record and its render "
+                             "over the committed ones")
     parser.add_argument("--list", action="store_true",
                         help="list discovered benches and exit")
     args = parser.parse_args(argv)
@@ -95,7 +101,8 @@ def main(argv: list[str] | None = None) -> int:
         if status == "scale-mismatch":
             status += (f" (record at scale {previous.get('scale')}, "
                        "left as it is)")
-        else:
+        elif args.export:
+            status += f" -> exported {bench_path.name}"
             bench_path.write_text(
                 json.dumps(record, indent=2, sort_keys=True, default=str)
                 + "\n",
@@ -110,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         print(f"[{key}] {record['tests_run']} tests, "
               f"{len(counters(record))} counters, "
-              f"comparison: {status} -> {bench_path.name}")
+              f"comparison: {status}")
         for entry in comparison["counter_regressions"]:
             failed = True
             print(f"[{key}]   counter {entry['counter']}: "

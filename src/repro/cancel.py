@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 
 from repro.errors import DeadlineExceeded
@@ -77,20 +77,9 @@ _ACTIVE_SCOPES = 0
 _SCOPES_LOCK = threading.Lock()
 
 
-class _NoScope:
-    """The scope ``deadline_scope(None)`` hands out: one shared object
-    whose entering and leaving do nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NO_SCOPE = _NoScope()
+# The scope ``deadline_scope(None)`` hands out: one shared object whose
+# entering and leaving do nothing.
+_NO_SCOPE = nullcontext()
 
 
 def deadline_scope(deadline: Deadline | float | None):

@@ -54,35 +54,27 @@ class RetryPolicy:
             pause += rng.uniform(0.0, self.jitter)
         return pause
 
-    def run(self, fn, *args, rng: random.Random | None = None,
-            deadline: Deadline | None = None,
-            on_retry=None):
-        """Call ``fn(*args)`` under this policy.
-
-        Failures outside :data:`RETRYABLE` propagate at once; the rest are
-        retried up to ``max_attempts`` total calls, backing off in
-        between. A ``deadline`` bounds the whole affair: no retry is
-        *started* once it has expired, and sleeps are clipped to the
-        time remaining (better to attempt with a sliver of budget than
-        to sleep through it). ``on_retry(attempt, exc)`` is called
-        before each backoff — the service uses it to count retries.
-        """
-        attempt = 0
-        while True:
-            try:
-                return fn(*args)
-            except BaseException as exc:
-                if not isinstance(exc, RETRYABLE):
-                    raise
-                if attempt >= self.max_attempts - 1:
-                    raise
-                if deadline is not None and deadline.expired:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                pause = self.delay(attempt, rng)
-                if deadline is not None:
-                    pause = min(pause, max(deadline.remaining(), 0.0))
-                if pause > 0:
-                    time.sleep(pause)
-                attempt += 1
+    def backoff(self, attempt: int, exc: BaseException, *,
+                rng: random.Random | None = None,
+                deadline: Deadline | None = None, on_retry=None) -> bool:
+        """After try ``attempt`` (0-based) failed with ``exc``: False
+        when that failure is final — ``exc`` is not :data:`RETRYABLE`,
+        the ``max_attempts`` tries are spent, or ``deadline`` has
+        expired (no retry is *started* then). Otherwise call
+        ``on_retry(attempt, exc)`` (the service counts retries there),
+        sleep :meth:`delay` clipped to the time the deadline leaves
+        (better to attempt with a sliver of budget than to sleep
+        through it), and return True. The caller's loop is the write
+        path's appender step."""
+        if (not isinstance(exc, RETRYABLE)
+                or attempt >= self.max_attempts - 1
+                or deadline is not None and deadline.expired):
+            return False
+        if on_retry is not None:
+            on_retry(attempt, exc)
+        pause = self.delay(attempt, rng)
+        if deadline is not None:
+            pause = min(pause, max(deadline.remaining(), 0.0))
+        if pause > 0:
+            time.sleep(pause)
+        return True

@@ -31,9 +31,14 @@ log, byte for byte, indexed nulls included.
 **One write path.** A cluster is both the lock unit and the placement
 unit (:mod:`repro.shard`), so committing is one act whether one lane
 is involved or several: every appender (``execute``,
-``read_modify_write``, ``checkpoint``, a multi-shard write) enters
-through :class:`Appender`, and :func:`write` is the one commit loop,
-``execute`` its one-slice case.
+``read_modify_write``, ``checkpoint``, a multi-shard :func:`write`)
+runs one flat appender step (``_append``). It enters the request
+once, works out each lane's clusters once, and runs the retry loop
+itself; one attempt takes every lane in shard order (fast-fail,
+breaker, write token plus clusters, fence), applies, appends to
+``committed`` and releases in reverse. No object or frame is made
+per attempt, so an uncontended in-memory write costs the service
+about what its engine call costs.
 
 **Degradation.** Admission (bounded queue, shedding) in front;
 deadlines (cooperative cancellation through chain enumeration,
@@ -65,7 +70,6 @@ chaos soak holds the stamps to the records on disk.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import threading
 import time
@@ -86,30 +90,30 @@ from repro.obs.slo import (REPLICATION_LAG, Objective, SLOMonitor,
 from repro.service.admission import AdmissionGate
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.locks import EXCLUSIVE, SHARED, LockManager
-from repro.service.retry import RetryPolicy
+from repro.service.retry import RETRYABLE, RetryPolicy
 
 if TYPE_CHECKING:
     from repro.obs.endpoint import MetricsEndpoint
 
-__all__ = ["Appender", "DatabaseService", "FrontDoor", "WRITE_RESOURCE",
-           "clusters_of", "touched", "write"]
+__all__ = ["DatabaseService", "FrontDoor", "WRITE_RESOURCE", "clusters_of",
+           "touched", "write"]
 
 # Sorts before every "fn:..." cluster resource, so the lock manager's
 # sorted acquisition order is: write token first, then clusters.
 WRITE_RESOURCE = "__write__"
 
 
-def _write_token(locks: LockManager, clusters: Iterable[str] = (),
-                 limit: Deadline | None = None):
-    """A lane's write token (and ``clusters``), exclusively, on its
-    ``locks``: the one place ``__write__`` is taken — by
-    :class:`Appender`, and bare by ``close_log`` and the replication
-    group's snapshot dump. A function of the lock manager, not a
-    method of the lane, so the guard handed to the group holds no
-    reference to the service."""
-    return locks.held({WRITE_RESOURCE, *clusters}, EXCLUSIVE,
-                      deadline=limit)
+def _write_set(clusters: Iterable[str] = ()) -> frozenset[str]:
+    """What a writer holds exclusively on its lane: the write token and
+    ``clusters`` — the one place ``__write__`` is named. The appender
+    step holds it over an update's clusters; ``close_log`` and the
+    replication group's snapshot dump hold it bare."""
+    return frozenset((WRITE_RESOURCE, *clusters))
 
+
+# The request clock, bound once: a module attribute lookup per read
+# shows on an uncontended request.
+_clock = time.perf_counter
 
 # What one request of each family counts as: the lane's stats() key.
 _COUNTS = {
@@ -260,8 +264,7 @@ class DatabaseService(FrontDoor):
         # cached against the database's schema_version and rebuilt only
         # when a declaration actually changed the schema — never on an
         # unknown-name probe (which used to re-run the union-find).
-        self._cluster_of = clusters_of(db)
-        self._cluster_version = db.schema_version
+        self._recluster()
         # When this service is one lane of a ShardedDatabaseService
         # (see repro.shard), ``shard`` labels its telemetry
         # (service.shard.<i>.*).
@@ -289,8 +292,8 @@ class DatabaseService(FrontDoor):
             # held exclusively, so no commit lands mid-dump. The guard
             # holds the lock manager, not this service, so the group
             # closes no reference cycle through the service.
-            replication.exclusive = functools.partial(_write_token,
-                                                      self.locks)
+            replication.exclusive = functools.partial(
+                self.locks.held, _write_set(), EXCLUSIVE)
             # Lag SLO: probe the group's worst applied-seq lag at
             # every evaluation; a sustained breach turns ``/health``
             # into a 503 like any other alerting objective.
@@ -306,33 +309,41 @@ class DatabaseService(FrontDoor):
         (cluster,) = self._clusters_for((name,))
         return cluster
 
+    def _recluster(self) -> None:
+        # (Re)build the schema's maps: at start, and after a function
+        # was declared. Schema changes are rare and single-threaded by
+        # convention, so rebuilding the whole map is fine; unknown
+        # names never trigger a rebuild (they raise KeyError directly).
+        self._cluster_of = clusters_of(self.db)
+        self._writes_of = {name: _write_set((cluster,))
+                           for name, cluster in self._cluster_of.items()}
+        self._cluster_version = self.db.schema_version
+
     def _clusters_for(self, names: Iterable[str]) -> set[str]:
         if self.db.schema_version != self._cluster_version:
-            # A function was declared after the map was built. Schema
-            # changes are rare and single-threaded by convention, so
-            # rebuilding the whole map is fine; unknown names no
-            # longer trigger a rebuild (they raise KeyError directly).
-            self._cluster_of = clusters_of(self.db)
-            self._cluster_version = self.db.schema_version
+            self._recluster()
         return set(map(self._cluster_of.__getitem__, names))
+
+    def _write_set_of(self, update: Update | UpdateSequence
+                      ) -> frozenset[str]:
+        """What a writer of ``update`` holds: the write token and the
+        clusters of the functions it names (one lookup for a simple
+        update)."""
+        if self.db.schema_version != self._cluster_version:
+            self._recluster()
+        if isinstance(update, UpdateSequence):
+            return frozenset().union(
+                *map(self._writes_of.__getitem__, touched(update)))
+        return self._writes_of[update.function]
 
     def _fail_fast_if_leaderless(self) -> None:
         # With a lapsed leadership lease there is no point queueing
         # behind the write lock — surface the self-demotion
         # (LeaseExpired: a StalePrimary *and* a ServiceReadOnly) before
-        # taking anything. The fence under the token (Appender) still
-        # guards the logged path itself.
+        # taking anything. The fence under the token (the appender
+        # step) still guards the logged path itself.
         if self.replication.leaderless():
             self.replication.check_primary(self._repl_term)
-
-    def _retrying(self, limit: Deadline | None, attempt, *args):
-        """Run ``attempt(*args)`` under the lane's :class:`RetryPolicy`;
-        with OBS on, each try in its own ``service.attempt`` span."""
-        if OBS.enabled:
-            args = (attempt, itertools.count(1), *args)
-            attempt = _attempt_span
-        return self.retry.run(attempt, *args, rng=self._jitter,
-                              deadline=limit, on_retry=self._on_retry)
 
     def _on_retry(self, attempt: int, exc: BaseException) -> None:
         # A lock timeout is the one failure a request retries.
@@ -383,12 +394,10 @@ class DatabaseService(FrontDoor):
         is attached. Retries lock timeouts under the service's
         :class:`RetryPolicy` (a storage error was already retried by
         the log); raises the final error when the policy gives up."""
-        write((self,), (update,), deadline)
+        _append((self,), "execute", deadline, (update,))
 
-    def _replication_ack(self, seq: int | None) -> None:
+    def _replication_ack(self, seq: int) -> None:
         """Ship the commit and wait out the group's commit mode."""
-        if self.replication is None or seq is None:
-            return
         ack = self.replication.on_commit(seq)
         if OBS.enabled:
             # The audit timeline's commit entry: emitted inside the
@@ -411,37 +420,10 @@ class DatabaseService(FrontDoor):
         one exclusive hold of the write token plus the clusters of
         ``names``, so the update is always built from state the caller
         still holds the locks for. Returns the update applied, or None
-        when ``build`` declined."""
-        request = _Request((self,), "rmw", deadline)
-        with request as span:
-            result = self._retrying(request.limit, self._rmw_once,
-                                    tuple(names), build, request.limit)
-            if result is None:
-                return None
-            applied, seq = result
-            if span is not None:
-                span.attrs["committed"] = True
-            self._replication_ack(seq)
-            return applied
-
-    def _rmw_once(self, names: tuple[str, ...], build,
-                  limit: Deadline | None):
-        # The appender is entered before the read, so no lock is ever
-        # asked for while one sorting after it is held. A build that
-        # touches a cluster outside the held set leaves without
-        # applying and is redone over the widened set; the set only
-        # grows, so this ends.
-        clusters = self._clusters_for(names)
-        while True:
-            with Appender(self, clusters, limit) as appender:
-                with deadline_scope(limit):
-                    update = build(self.db)
-                if update is None:
-                    return None
-                wanted = self._clusters_for(touched(update))
-                if wanted <= clusters:
-                    return update, appender.apply(update)
-            clusters |= wanted
+        when ``build`` declined. The locks are taken before the read,
+        so no lock is ever asked for while one sorting after it is
+        held."""
+        return _append((self,), "rmw", deadline, None, names, build)
 
     # -- checkpoint ---------------------------------------------------------
 
@@ -450,10 +432,7 @@ class DatabaseService(FrontDoor):
         (no writer can be mid-append), leaving readers undisturbed."""
         if self.logged is None:
             raise PersistenceError("no update log attached")
-        with _Request((self,), "checkpoint"):
-            with Appender(self) as appender:
-                appender.storage(wal_module.checkpoint, self.logged,
-                                 snapshot_path)
+        _append((self,), "checkpoint", None, None, fold=snapshot_path)
 
     # -- shutdown -----------------------------------------------------------
 
@@ -488,7 +467,7 @@ class DatabaseService(FrontDoor):
         if self.logged is None:
             return
         try:
-            with _write_token(self.locks):
+            with self.locks.held(_write_set(), EXCLUSIVE):
                 self.logged.close()
         except LockTimeout:
             pass
@@ -583,7 +562,7 @@ class _Request:
 
     def __enter__(self):
         lanes, limit = self.lanes, self.limit
-        self.started = time.perf_counter()
+        self.started = _clock()
         if OBS.enabled:
             attrs = ({"shards": tuple(lane.shard for lane in lanes)}
                      if len(lanes) > 1 else {})
@@ -593,15 +572,21 @@ class _Request:
             )
             self.scope.__enter__()
         try:
-            stat = _COUNTS[self.family]
+            stat, admission = _COUNTS[self.family], None
             if not self.admit:
                 for lane in lanes:
                     lane.gate.tally(stat)
-            elif OBS.enabled:
-                with OBS.span("service.admission"):
-                    self._admit(stat)
             else:
-                self._admit(stat)
+                if OBS.enabled:
+                    admission = OBS.span("service.admission")
+                    admission.__enter__()
+                try:
+                    for lane in lanes:
+                        lane.gate.enter(deadline=limit, count=stat)
+                        self.admitted += 1
+                finally:
+                    if admission is not None:
+                        admission.__exit__(None, None, None)
             if self.names is not None:
                 lane, point = lanes[0], self.point
                 memo = point and lane.db._memos.get(point[0])
@@ -620,24 +605,20 @@ class _Request:
             raise
         return self.scope
 
-    def _admit(self, stat: str) -> None:
-        for lane in self.lanes:
-            lane.gate.enter(deadline=self.limit, count=stat)
-            self.admitted += 1
-
     def _hold(self, scope) -> None:
         scope.__enter__()
         self.held += (scope,)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         lanes, family = self.lanes, self.family
-        for scope in reversed(self.held):
-            scope.__exit__(exc_type, exc, tb)
+        if self.held:  # a write holds nothing here: its step does
+            for scope in reversed(self.held):
+                scope.__exit__(exc_type, exc, tb)
         for lane in lanes[:self.admitted]:
             lane.gate.leave()
         if self.scope is not None:
             self.scope.__exit__(exc_type, exc, tb)
-        elapsed = time.perf_counter() - self.started
+        elapsed = _clock() - self.started
         error = exc_type is not None
         shed = error and issubclass(exc_type, ServiceOverloaded)
         if OBS.enabled:
@@ -656,161 +637,168 @@ def _red(prefix: str, elapsed: float, error: bool) -> None:
     OBS.observe(f"{prefix}.duration_seconds", elapsed)
 
 
-class Appender:
-    """The one way to become an appender on a lane: entering passes
-    the leaderless fast-fail and the circuit breaker, takes the lane's
-    ``__write__`` token plus ``clusters`` exclusively, and passes the
-    epoch fence under the token; leaving releases the locks and
-    settles the breaker's probe slot. In between the holder may
-    :meth:`apply` updates and run :meth:`storage` calls. Admission is
-    the request's business: once per request, not per attempt."""
-
-    __slots__ = ("lane", "limit", "settled", "_held")
-
-    def __init__(self, lane: DatabaseService,
-                 clusters: Iterable[str] = (),
-                 limit: Deadline | None = None) -> None:
-        self.lane, self.limit = lane, limit
-        self._held = _write_token(lane.locks, clusters, limit)
-        # Whether the breaker is owed nothing by this appender: true
-        # without a log (no storage path to guard), and once a
-        # storage call has delivered its verdict.
-        self.settled = lane.logged is None
-
-    def __enter__(self) -> "Appender":
-        lane = self.lane
-        if lane.replication is not None:
-            lane._fail_fast_if_leaderless()
-        if not self.settled:
-            lane.breaker.allow()
-        try:
-            self._held.__enter__()
-        except BaseException:
-            if not self.settled:
-                lane.breaker.release_probe()
-            raise
-        # The epoch fence, checked while holding __write__ and before
-        # the WAL append: a deposed primary's write is rejected here
-        # (StalePrimary), never logged.
-        if lane.replication is not None:
-            try:
-                lane.replication.check_primary(lane._repl_term)
-            except BaseException as exc:
-                self.__exit__(type(exc), exc, exc.__traceback__)
-                raise
-        return self
-
-    def __exit__(self, *exc_info) -> bool | None:
-        try:
-            return self._held.__exit__(*exc_info)
-        finally:
-            if not self.settled:
-                # The attempt ended without reaching the storage path
-                # (lock timeout, fence, validation, cancelled, a
-                # declined or widened rmw build): return the probe slot.
-                self.lane.breaker.release_probe()
-
-    def storage(self, call, *args):
-        """Run a storage-path call; its outcome is the breaker's
-        verdict for this appender."""
-        breaker = self.lane.breaker
-        try:
-            result = call(*args)
-        except (OSError, PersistenceError) as exc:
-            self.settled = True
-            breaker.record_failure(exc)
-            raise
-        self.settled = True
-        breaker.record_success()
-        return result
-
-    def apply(self, update: Update | UpdateSequence) -> int | None:
-        """The commit tail: engine apply (WAL-logged or in-memory
-        transactional) and committed-log append. Returns the WAL
-        sequence of the commit (None without a log)."""
-        lane = self.lane
-        if self.limit is None and not OBS.enabled:  # no scope to enter
-            seq = self._engine(update)
-        else:
-            with deadline_scope(self.limit), OBS.span("service.engine"):
-                seq = self._engine(update)
-        # Still holding __write__: commit order == list order.
-        with lane._committed_lock:
-            lane.committed.append(update)
-        if OBS.enabled and lane.shard is not None:
-            OBS.gauge(f"service.shard.{lane.shard}.committed",
-                      len(lane.committed))
-        return seq
-
-    def _engine(self, update: Update | UpdateSequence) -> int | None:
-        lane = self.lane
-        if lane.logged is not None:
-            return self.storage(lane.logged.execute, update)
-        apply_entry(lane.db, update)
-        return None
-
-
 def write(lanes: Sequence[DatabaseService],
           updates: Sequence[Update | UpdateSequence],
           deadline: Deadline | float | None = None) -> None:
-    """The one write path: commit ``updates[i]`` on ``lanes[i]`` — one
-    pair for a lane's ``execute``, several in sorted shard-id order for
-    a multi-shard write.
+    """Commit ``updates[i]`` on ``lanes[i]``, several lanes in sorted
+    shard-id order: the sharded facade's multi-shard write, through
+    the lanes' one appender step (a lane's ``execute`` is its
+    one-lane case)."""
+    _append(lanes, "multi_write" if len(lanes) > 1 else "execute",
+            deadline, updates)
 
-    One request over all the lanes; each attempt (the first lane's
-    :class:`RetryPolicy`) becomes an :class:`Appender` on every lane
-    in order — holds grow monotonically in shard id while single-lane
-    writers never wait across lanes, so no cross-lane wait-for cycle
-    can form — hence every lane's gate, fences and breaker pass before
-    the first slice applies. Every token is held while the slices
-    apply, so multi-shard writes sharing a lane commit on it in one
-    global order. No cross-shard *atomicity*: a failure after a slice landed
-    raises :class:`CrossShardError` naming the shards that committed."""
-    request = _Request(lanes, "multi_write" if len(lanes) > 1
-                       else "execute", deadline)
+
+def _append(lanes: Sequence[DatabaseService], family: str,
+            deadline: Deadline | float | None,
+            updates: Sequence[Update | UpdateSequence] | None,
+            names: Iterable[str] = (), build=None,
+            fold: str | Path | None = None):
+    """The one appender step: one request over ``lanes``, retried as a
+    whole under the first lane's :class:`RetryPolicy`.
+
+    Each attempt takes every lane in order — the leaderless fast-fail,
+    ``breaker.allow()`` (logged lanes), ``__write__`` plus the lane's
+    clusters exclusively, the epoch fence under the token — so holds
+    grow monotonically in shard id while single-lane writers never
+    wait across lanes (no cross-lane wait-for cycle), and every lane's
+    gate, fences and breaker pass before the first slice applies. Then
+    the work: ``updates[i]`` applied on ``lanes[i]`` (in memory, or
+    through the WAL with the breaker told the outcome) and appended to
+    the lane's ``committed`` while every token is held, so writes
+    sharing a lane commit on it in one global order. No cross-shard
+    *atomicity*: a failure after a slice landed raises
+    :class:`CrossShardError` naming the shards that committed.
+
+    ``updates`` None is one lane's rmw or checkpoint, over the
+    clusters of ``names``: ``build(db)`` makes the update under the
+    hold (None declines; one escaping the held clusters is redone over
+    the widened set — the set only grows, so this ends), or ``fold``
+    is the snapshot path a checkpoint folds the WAL into. Returns the
+    update an rmw applied."""
+    request = _Request(lanes, family, deadline)
     with request as span:
-        limit = request.limit
-        seqs = lanes[0]._retrying(limit, _commit, lanes, updates, limit)
+        lead, limit = lanes[0], request.limit
+        # Per lane, the lock ask (write token plus clusters), built once.
+        # The loops below walk ``lanes`` and index the per-lane lists by
+        # their counters: a zip costs more than the rest of a lane's
+        # bookkeeping.
+        asks = []
+        for lane in lanes:
+            holds = (_write_set(lane._clusters_for(names)) if updates is None
+                     else lane._write_set_of(updates[len(asks)]))
+            asks.append(lane.locks.held(holds, EXCLUSIVE, deadline=limit))
+        slices = updates or (None,)  # a checkpoint's lane has no update
+        tries = 0
+        while True:
+            scopes = []  # entered in order, left in reverse
+            # lanes[:passed] passed their breaker, lanes[:settled] gave
+            # it its verdict (the rest return the probe slot), and
+            # lanes[:landed] committed their slice.
+            passed = settled = landed = 0
+            try:
+                try:
+                    if OBS.enabled:
+                        scope = OBS.span("service.attempt",
+                                         attempt=tries + 1)
+                        scope.__enter__()
+                        scopes.append(scope)
+                    for lane in lanes:
+                        if lane.replication is not None:
+                            lane._fail_fast_if_leaderless()
+                        if lane.logged is not None:
+                            lane.breaker.allow()
+                        ask = asks[passed]
+                        passed += 1
+                        ask.__enter__()
+                        scopes.append(ask)
+                        # The epoch fence, checked while holding
+                        # __write__ and before the WAL append: a deposed
+                        # primary's write is rejected here
+                        # (StalePrimary), never logged.
+                        if lane.replication is not None:
+                            lane.replication.check_primary(lane._repl_term)
+                    if limit is not None:
+                        scope = deadline_scope(limit)
+                        scope.__enter__()
+                        scopes.append(scope)
+                    if build is not None:
+                        update = build(lead.db)
+                        if update is None:
+                            return None
+                        wanted = lead._write_set_of(update)
+                        if not wanted <= holds:  # the lead's, for rmw
+                            holds |= wanted
+                            asks[0] = lead.locks.held(holds, EXCLUSIVE,
+                                                      deadline=limit)
+                            continue  # redo over the widened set
+                        slices = (update,)
+                    if OBS.enabled:
+                        scope = OBS.span("service.engine")
+                        scope.__enter__()
+                        scopes.append(scope)
+                    acks = []  # (lane, WAL seq) to ship once unlocked
+                    for lane in lanes:
+                        update = slices[landed]
+                        try:
+                            if lane.logged is None:
+                                apply_entry(lane.db, update)
+                            else:
+                                try:
+                                    seq = (lane.logged.execute(update)
+                                           if fold is None else
+                                           wal_module.checkpoint(lane.logged,
+                                                                 fold))
+                                except (OSError, PersistenceError) as exc:
+                                    settled += 1
+                                    lane.breaker.record_failure(exc)
+                                    raise
+                                lane.breaker.record_success()
+                                if lane.replication is not None:
+                                    acks.append((lane, seq))
+                        except Exception as exc:
+                            if not landed:
+                                raise  # nothing landed anywhere
+                            shards = [lane.shard for lane in lanes[:landed]]
+                            raise CrossShardError(
+                                f"multi-shard write failed after committing "
+                                f"on shards {shards} ({type(exc).__name__}: "
+                                f"{exc}); cross-shard atomicity is not "
+                                f"guaranteed"
+                            ) from exc
+                        settled += 1
+                        if fold is not None:
+                            return None
+                        # Still holding __write__: commit order == list
+                        # order.
+                        with lane._committed_lock:
+                            lane.committed.append(update)
+                        landed += 1
+                        if OBS.enabled and lane.shard is not None:
+                            OBS.gauge(f"service.shard.{lane.shard}.committed",
+                                      len(lane.committed))
+                    break
+                finally:
+                    while scopes:
+                        scopes.pop().__exit__(None, None, None)
+                    if settled < passed:
+                        for lane in lanes[settled:passed]:
+                            if lane.logged is not None:
+                                lane.breaker.release_probe()
+            except RETRYABLE as exc:
+                if not lead.retry.backoff(tries, exc, rng=lead._jitter,
+                                          deadline=limit,
+                                          on_retry=lead._on_retry):
+                    raise
+                tries += 1
         if span is not None:
             span.attrs["committed"] = True
         # Replication ack wait runs after the span is stamped and
         # outside any locks: the op is committed locally either way; a
         # missed quota surfaces as ReplicationTimeout without
         # un-committing anything.
-        for lane, seq in zip(lanes, seqs):
-            if seq is not None:
-                lane._replication_ack(seq)
-
-
-def _attempt_span(attempt, tries, *args):
-    """One try of :meth:`DatabaseService._retrying` while OBS is on."""
-    with OBS.span("service.attempt", attempt=next(tries)):
-        return attempt(*args)
-
-
-def _commit(lanes, updates, limit: Deadline | None,
-            held: tuple[Appender, ...] = ()) -> list[int | None]:
-    """One attempt of :func:`write`: a nested ``with Appender`` per
-    lane, in order; innermost, the slices."""
-    if len(held) < len(lanes):
-        lane, update = lanes[len(held)], updates[len(held)]
-        with Appender(lane, lane._clusters_for(touched(update)),
-                      limit) as appender:
-            return _commit(lanes, updates, limit, held + (appender,))
-    seqs: list[int | None] = []
-    try:
-        for appender, update in zip(held, updates):
-            seqs.append(appender.apply(update))
-    except Exception as exc:
-        if not seqs:
-            raise  # nothing landed anywhere: the lane's own error
-        raise CrossShardError(
-            f"multi-shard write failed after committing on shards "
-            f"{[lane.shard for lane in lanes[:len(seqs)]]} "
-            f"({type(exc).__name__}: {exc}); cross-shard atomicity is "
-            f"not guaranteed"
-        ) from exc
-    return seqs
+        for lane, seq in acks:
+            lane._replication_ack(seq)
+        return slices[0]
 
 
 class _LockedRandom:

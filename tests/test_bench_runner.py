@@ -82,13 +82,13 @@ SCALED_BENCH = textwrap.dedent('''
 class TestScale:
     def test_default_is_identity(self, tmp_path, monkeypatch):
         root = _repo(tmp_path, monkeypatch, e99_sized=SCALED_BENCH)
-        assert main(["e99"]) == 0
+        assert main(["e99", "--export"]) == 0
         record = _record(root, "e99_sized")
         assert (record["scale"], record["rows"]) == (1.0, 120)
 
     def test_smoke_scales_with_floor(self, tmp_path, monkeypatch):
         root = _repo(tmp_path, monkeypatch, e99_sized=SCALED_BENCH)
-        assert main(["--smoke", "e99"]) == 0
+        assert main(["--smoke", "e99", "--export"]) == 0
         record = _record(root, "e99_sized")
         assert record["scale"] == SMOKE_SCALE
         assert (record["rows"], record["floor"]) == (30, 10)
@@ -123,7 +123,7 @@ TWO_TEST_BENCH = textwrap.dedent('''
 class TestReport:
     def test_one_record_holds_every_test(self, tmp_path, monkeypatch):
         root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
-        assert main(["e99"]) == 0
+        assert main(["e99", "--export"]) == 0
         record = _record(root, "e99_demo")
         assert [b.get("text", b["kind"]) for b in record["blocks"]] == [
             "E99 -- demo", "table", "second"]
@@ -136,7 +136,7 @@ class TestReport:
 
     def test_text_is_a_render_of_the_json(self, tmp_path, monkeypatch):
         root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
-        assert main(["e99"]) == 0
+        assert main(["e99", "--export"]) == 0
         results = root / "benchmarks" / "results"
         text = (results / "e99_demo.txt").read_text()
         assert text == render_payload_text(_record(root, "e99_demo"))
@@ -147,11 +147,11 @@ class TestReport:
     def test_a_record_at_another_scale_is_left_alone(
             self, tmp_path, monkeypatch, capsys):
         root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
-        assert main(["--smoke", "e99"]) == 0
+        assert main(["--smoke", "e99", "--export"]) == 0
         smoke = (root / "BENCH_e99_demo.json").read_bytes()
         text = (root / "benchmarks/results/e99_demo.txt").read_bytes()
         capsys.readouterr()
-        assert main(["e99"]) == 0
+        assert main(["e99", "--export"]) == 0
         assert "comparison: scale-mismatch" in capsys.readouterr().out
         assert (root / "BENCH_e99_demo.json").read_bytes() == smoke
         assert (root / "benchmarks/results/e99_demo.txt").read_bytes() \
@@ -159,6 +159,38 @@ class TestReport:
         # The smoke run still has its baseline.
         assert main(["--smoke", "e99"]) == 0
         assert "comparison: ok" in capsys.readouterr().out
+
+    def test_a_plain_run_leaves_the_record_alone(self, tmp_path,
+                                                  monkeypatch, capsys):
+        root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
+        assert main(["e99"]) == 0
+        assert not (root / "BENCH_e99_demo.json").exists()
+        assert not (root / "benchmarks/results").exists()
+        assert main(["e99", "--export"]) == 0
+        record = (root / "BENCH_e99_demo.json").read_bytes()
+        text = (root / "benchmarks/results/e99_demo.txt").read_bytes()
+        capsys.readouterr()
+        assert main(["e99"]) == 0
+        assert "comparison: ok\n" in capsys.readouterr().out
+        assert (root / "BENCH_e99_demo.json").read_bytes() == record
+        assert (root / "benchmarks/results/e99_demo.txt").read_bytes() \
+            == text
+
+    def test_a_regression_fails_every_run_until_exported(
+            self, tmp_path, monkeypatch, capsys):
+        root = _repo(tmp_path, monkeypatch, e99_demo=TWO_TEST_BENCH)
+        assert main(["e99", "--export"]) == 0
+        # A baseline the code now exceeds: 25 widgets against 10.
+        path = root / "BENCH_e99_demo.json"
+        record = json.loads(path.read_text())
+        record["metrics"]["counters"]["demo.widgets"] = 10
+        path.write_text(json.dumps(record), encoding="utf-8")
+        edited = path.read_bytes()
+        for _ in range(2):
+            assert main(["e99"]) == 1
+            assert "counter demo.widgets: 10 -> 25" in \
+                capsys.readouterr().err
+            assert path.read_bytes() == edited
 
 
 # -- the runner ---------------------------------------------------------------

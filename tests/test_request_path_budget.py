@@ -4,7 +4,9 @@ A request through :class:`repro.service.DatabaseService` should cost
 about what its engine call costs. Timing that in CI is noise; counting
 it is not. ``sys.setprofile`` sees every Python-level call, so the
 number of calls into ``src/repro`` for one in-memory base ``INS``
-through ``execute``, one base-fact ``truth_of``, one derived
+through ``execute``, the same ``INS`` on a lane over a write-ahead log
+(``fsync=False``: the breaker and storage path without the device),
+one base-fact ``truth_of``, one derived
 ``truth_of`` the maintained extension answers by lookup (no cluster
 lock) and one it answers after applying a change that waits (the
 locked path) — OBS off, no deadline, no contention — is exact for a
@@ -28,15 +30,17 @@ import pytest
 import repro
 from repro.fdb.logic import Truth
 from repro.fdb.updates import Update
+from repro.fdb.wal import UpdateLog
 from repro.obs import OBS, SLOMonitor
 from repro.service import DatabaseService
 from repro.workloads.university import pupil_database
 
 # Python-level calls into src/repro for one request, engine included.
-EXECUTE_BUDGET = 50
-TRUTH_OF_BUDGET = 22
-MEMO_TRUTH_OF_BUDGET = 10
-WAITING_TRUTH_OF_BUDGET = 39
+EXECUTE_BUDGET = 38
+LOGGED_EXECUTE_BUDGET = 81
+TRUTH_OF_BUDGET = 21
+MEMO_TRUTH_OF_BUDGET = 9
+WAITING_TRUTH_OF_BUDGET = 38
 
 ROOT = str(Path(repro.__file__).parent)
 
@@ -59,16 +63,21 @@ def calls_into_repro(fn) -> Counter:
     return tally
 
 
-@pytest.fixture
-def service():
+def warmed(log=None) -> DatabaseService:
     OBS.disable()
-    lane = DatabaseService(pupil_database())
+    lane = DatabaseService(pupil_database(), log=log)
     lane.slo = SLOMonitor(clock=lambda: 1000.0)
     # Warm every lazy path: the first request rolls and evaluates the
     # SLO window; both the insert and the delete have run once.
     lane.execute(Update.ins("teach", "zed", "art"))
     lane.execute(Update.delete("teach", "zed", "art"))
     lane.truth_of("teach", "zed", "art")
+    return lane
+
+
+@pytest.fixture
+def service():
+    lane = warmed()
     yield lane
     lane.close()
 
@@ -83,6 +92,17 @@ def test_an_uncontended_write_stays_in_budget(service):
     tally = calls_into_repro(lambda: service.execute(insert))
     assert service.truth_of("teach", "zed", "art") is Truth.TRUE
     assert sum(tally.values()) <= EXECUTE_BUDGET, report(tally)
+
+
+def test_an_uncontended_logged_write_stays_in_budget(tmp_path):
+    lane = warmed(UpdateLog(tmp_path / "wal.jsonl", fsync=False))
+    insert = Update.ins("teach", "zed", "art")
+    try:
+        tally = calls_into_repro(lambda: lane.execute(insert))
+        assert lane.logged.log.health()["entries"] == 3
+    finally:
+        lane.close()
+    assert sum(tally.values()) <= LOGGED_EXECUTE_BUDGET, report(tally)
 
 
 def test_an_uncontended_point_read_stays_in_budget(service):

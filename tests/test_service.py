@@ -52,64 +52,61 @@ def clean_registry():
 
 
 class TestRetryPolicy:
+    """The policy decides after each failed try (``backoff``); the
+    write path's appender step is the loop that asks it."""
+
     def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=5).run(fn)
-        assert len(calls) == 1
+        seen, started = [], time.monotonic()
+        policy = RetryPolicy(max_attempts=5, base_delay=1.0)
+        assert policy.backoff(0, ValueError("nope"),
+                              on_retry=lambda n, exc: seen.append(n)) \
+            is False
+        assert seen == [] and time.monotonic() - started < 0.5
 
     def test_retryable_retries_until_success(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            if len(calls) < 3:
-                raise LockTimeout("busy")
-            return "done"
-
-        policy = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
-        assert policy.run(fn) == "done"
-        assert len(calls) == 3
+        """A write whose token another owner holds for a while retries
+        until the owner lets go, then commits once."""
+        service = DatabaseService(
+            pupil_database(), lock_timeout=0.02,
+            retry=RetryPolicy(max_attempts=200, base_delay=0.0,
+                              jitter=0.0))
+        service.locks.acquire(WRITE_RESOURCE, EXCLUSIVE, owner=-1)
+        release = threading.Timer(0.1, service.locks.release,
+                                  (WRITE_RESOURCE, EXCLUSIVE),
+                                  {"owner": -1})
+        release.start()
+        try:
+            service.execute(Update.ins("teach", "gauss", "cs"))
+        finally:
+            release.join()
+        assert service.stats()["retries"] >= 1
+        assert service.committed_ops() == (
+            Update.ins("teach", "gauss", "cs"),)
+        service.close()
 
     def test_attempts_exhausted_raises_last_error(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            raise LockTimeout("busy")
-
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        with pytest.raises(LockTimeout):
-            policy.run(fn)
-        assert len(calls) == 3
+        verdicts = [policy.backoff(n, LockTimeout("busy"))
+                    for n in range(3)]
+        assert verdicts == [True, True, False]
 
     def test_on_retry_sees_each_failure(self):
         seen = []
-
-        def fn():
-            raise LockTimeout("busy")
-
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        with pytest.raises(LockTimeout):
-            policy.run(fn, on_retry=lambda n, exc: seen.append(n))
+        for n in range(3):
+            policy.backoff(n, LockTimeout("busy"),
+                           on_retry=lambda n, exc: seen.append(n))
         assert seen == [0, 1]
 
     def test_expired_deadline_stops_retries(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            raise LockTimeout("busy")
-
         policy = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
-        with pytest.raises(LockTimeout):
-            policy.run(fn, deadline=Deadline(expires_at=0.0))
-        assert len(calls) == 1
+        assert policy.backoff(0, LockTimeout("busy"),
+                              deadline=Deadline(expires_at=0.0)) is False
+        # A deadline with time left clips the sleep instead.
+        started = time.monotonic()
+        assert RetryPolicy(base_delay=5.0).backoff(
+            0, LockTimeout("busy"), deadline=Deadline(0.05)) is True
+        assert time.monotonic() - started < 1.0
 
     def test_backoff_caps_and_jitters(self):
         import random

@@ -5,6 +5,9 @@ guard rails)."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core.derivation import Derivation
@@ -28,7 +31,8 @@ from repro.fdb.updates import (
 from repro.fdb.wal import UpdateLog
 from repro.obs import OBS, RingBufferSink
 from repro.replication import LeaseConfig, Replica, ReplicationGroup
-from repro.service import OPEN, CircuitBreaker, DatabaseService
+from repro.service import (EXCLUSIVE, OPEN, WRITE_RESOURCE, CircuitBreaker,
+                           DatabaseService, RetryPolicy)
 from repro.service.service import clusters_of
 from repro.shard import ShardMap, ShardedDatabaseService
 
@@ -297,6 +301,50 @@ class TestOneWritePath:
             facade.execute(self.multi)
         assert len(facade.committed_ops(0)) == 1
         assert facade.committed_ops(1) == ()
+
+    def test_a_retried_multi_shard_write_commits_once_per_lane(
+            self, tmp_path, closing):
+        """Lane 1's token is held elsewhere past the first try's lock
+        timeout: the attempt gives lane 0's token back (a lane-0 writer
+        commits meanwhile), backs off, and the retried write lands
+        exactly once on each lane."""
+        facade = closing(ShardedDatabaseService(
+            four_cluster_database, 2, pins=round_robin_pins(2),
+            log_dir=tmp_path / "lanes",
+            service_kwargs={"lock_timeout": 0.05, "retry": RetryPolicy(
+                max_attempts=100, base_delay=0.01, max_delay=0.01,
+                jitter=0.0)},
+        ))
+        first, second = facade.lane(0), facade.lane(1)
+        second.locks.acquire(WRITE_RESOURCE, EXCLUSIVE, owner=-1)
+        errors: list[BaseException] = []
+
+        def multi_write():
+            try:
+                facade.execute(self.multi)
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        writer = threading.Thread(target=multi_write)
+        writer.start()
+        try:
+            waited = time.monotonic() + 10.0
+            while first.stats()["retries"] < 1:
+                assert time.monotonic() < waited, "the write never retried"
+                time.sleep(0.005)
+            solo = Update.ins("c0b", "solo", "row")
+            facade.execute(solo)
+            assert first.committed_ops() == (solo,)
+            assert writer.is_alive() and second.committed_ops() == ()
+        finally:
+            second.locks.release(WRITE_RESOURCE, EXCLUSIVE, owner=-1)
+            writer.join(10.0)
+        assert errors == []
+        # Each lane's slice carries the write's label.
+        assert first.committed_ops() == (solo, UpdateSequence(
+            (Update.ins("c0a", "x", "y"),), label="multi"))
+        assert second.committed_ops() == (UpdateSequence(
+            (Update.ins("c1a", "x", "y"),), label="multi"),)
 
     def test_every_involved_lane_counts_the_write(self, facade):
         OBS.enable()

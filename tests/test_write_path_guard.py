@@ -3,8 +3,8 @@
 Every appender — a lane's ``execute``, ``read_modify_write``,
 ``checkpoint``, the sharded facade's multi-shard write —
 passes the breaker and takes the ``__write__`` token in one place
-(``repro.service.service.Appender``), and every request enters the
-admission gate in one place (the request scope). A second call site is
+(the appender step, ``repro.service.service._append``), and every
+request enters the admission gate in one place (the request scope). A second call site is
 a second write path whose fences will drift from the first: this test
 walks the AST of ``repro.service`` and ``repro.shard`` and fails on
 one. It also keeps the facade out of the lanes' private state.
